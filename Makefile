@@ -3,12 +3,19 @@
 
 GO ?= go
 
-.PHONY: all build vet lint vet-self vet-facts-determinism vet-fix-check test race bench bench-batch bench-compare faultinject serve-smoke ci
+.PHONY: all build build-portable vet lint vet-self vet-facts-determinism vet-fix-check test race bench bench-batch bench-compare benchmark benchmark-selftest faultinject serve-smoke ci
 
 all: build lint test
 
 build:
 	$(GO) build ./...
+
+# build-portable cross-builds and vets a non-amd64 target, so the portable
+# side of the kernel build tags (tensor/*_noasm.go) keeps compiling. What it
+# computes is pinned on amd64 by the ForcePortableKernels subtests.
+build-portable:
+	GOARCH=arm64 $(GO) build ./...
+	GOARCH=arm64 $(GO) vet ./...
 
 # lint runs the full static-analysis gate: the standard `go vet` passes
 # (delegated by mpgraph-vet) plus the fourteen MPGraph analyzers —
@@ -82,9 +89,9 @@ bench:
 	rm -f bench.out
 
 # bench-batch is the batched-tier smoke: run the OperateBatch{8,64}
-# float/int8 pairs once through mpgraph-bench (DESIGN.md §11). CI runs this
-# with -benchtime 1x and uploads the report; the committed BENCH_small.json
-# carries the 300x numbers via `make bench`.
+# float/int8 rows (batched next to sequential) once through mpgraph-bench
+# (DESIGN.md §11). CI runs this with -benchtime 1x and uploads the report;
+# the committed BENCH_small.json carries the 300x numbers via `make bench`.
 BENCH_BATCH_TIME ?= 1x
 bench-batch:
 	$(GO) test ./internal/models/ \
@@ -105,6 +112,16 @@ bench-compare:
 	$(GO) run ./cmd/mpgraph-bench -in bench-new.out -o BENCH_new.json
 	$(GO) run ./cmd/mpgraph-bench -compare BENCH_small.json BENCH_new.json
 	rm -f bench-new.out BENCH_new.json
+
+# benchmark runs the repository benchmark (BENCHMARK.json): all five
+# workloads end to end, each in its own child process. benchmark/ is a Go
+# module of its own, so `go test ./...` does not reach it: benchmark-selftest
+# runs its tests (see benchmark/README.md).
+benchmark:
+	bash benchmark/run.sh -all
+
+benchmark-selftest:
+	$(GO) test -C benchmark ./...
 
 # faultinject is the robustness gate (DESIGN.md §9): the resilience package
 # suite plus the fault-armed pipeline tests — cell retry after injected

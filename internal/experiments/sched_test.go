@@ -117,11 +117,12 @@ func TestSweepParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestSweepBatchByteIdentical reruns the sweep with the batched inference
-// tier at every batch size and worker count and requires byte-identical
-// rendered reports — the scheduler's composition-independence contract,
-// end to end. Under -race this doubles as the concurrency gate for the
-// batch tier.
+// TestSweepBatchByteIdentical reruns the sweep unbatched (Batch=0) and with
+// the batched inference tier at every batch size and worker count and
+// requires byte-identical rendered reports — an unbatched call is the B=1
+// case of the batched kernels, and the scheduler's results are independent
+// of batch composition, end to end. Under -race this doubles as the
+// concurrency gate for the batch tier.
 func TestSweepBatchByteIdentical(t *testing.T) {
 	origW, origB := shared.Opt.Workers, shared.Opt.Batch
 	defer func() {
@@ -138,7 +139,7 @@ func TestSweepBatchByteIdentical(t *testing.T) {
 	}
 
 	var want []byte
-	for _, batch := range []int{1, 8, 64} {
+	for _, batch := range []int{0, 1, 8, 64} {
 		for _, workers := range []int{1, 4} {
 			shared.Opt.Batch, shared.Opt.Workers = batch, workers
 			// Fresh scheduler per configuration: the cached one was built
@@ -154,7 +155,7 @@ func TestSweepBatchByteIdentical(t *testing.T) {
 				continue
 			}
 			if !bytes.Equal(want, got) {
-				t.Fatalf("batch=%d workers=%d: sweep report differs from batch=1 workers=1", batch, workers)
+				t.Fatalf("batch=%d workers=%d: sweep report differs from batch=0 workers=1", batch, workers)
 			}
 		}
 	}

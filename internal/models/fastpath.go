@@ -12,8 +12,11 @@ import (
 // through the forward pass: a nil ctx reproduces the exact autograd path,
 // a non-nil ctx runs graph-free on the arena with zero steady-state heap
 // allocations. The capability interfaces below keep the base DeltaModel /
-// PageModel contracts untouched — implementations without a fast path
-// (binary-compressed heads, distilled students) simply fall back.
+// PageModel contracts untouched — an implementation without a fast path
+// simply falls back. The float64 live-ctx forward itself is written once, in
+// its batched form (fastpath_batch.go); this file holds the dispatchers, the
+// arena encode/decode helpers the f32 and int8 mirrors share, and the
+// one-sample entry points.
 
 // DeltaScorerCtx is a DeltaModel with an arena fast path. Fast-path scores
 // are arena-backed: valid only until the ctx is reset.
@@ -147,33 +150,6 @@ func topPagesAppendCtx(c *tensor.Ctx, pages *Vocab, scores []float64, k int, dst
 	return dst
 }
 
-// --- modality encoder / AMMA core ---
-
-//mpgraph:noalloc
-func (m *modalityEncoder) encodeFeaturesCtx(c *tensor.Ctx, x *tensor.Tensor) *tensor.Tensor {
-	return m.attn.ForwardCtx(c, c.Add(m.lin.ForwardCtx(c, x), m.pos))
-}
-
-//mpgraph:noalloc
-func (m *modalityEncoder) encodeTokensCtx(c *tensor.Ctx, ids []int) *tensor.Tensor {
-	return m.attn.ForwardCtx(c, c.Add(m.table.ForwardCtx(c, ids), m.pos))
-}
-
-// forwardCtx is ammaCore.forward on the fast path.
-//
-//mpgraph:noalloc
-func (core *ammaCore) forwardCtx(c *tensor.Ctx, encA, encB *tensor.Tensor, phase int) *tensor.Tensor {
-	fused := core.fusion.ForwardCtx2(c, encA, encB) //mpgraph:allow noalloc -- fixed-arity fast path; the cross-package naming rule keys on a Ctx suffix
-	if core.phaseEmb != nil {
-		p := phase % core.phaseEmb.Vocab() //mpgraph:allow noalloc -- Vocab is a field read
-		fused = c.AddBias(fused, core.phaseEmb.ForwardCtx(c, phaseIDScratch(c, p)))
-	}
-	for _, tl := range core.trans {
-		fused = tl.ForwardCtx(c, fused)
-	}
-	return c.MeanRows(fused)
-}
-
 // phaseIDScratch builds the single-id lookup slice without a heap alloc.
 //
 //mpgraph:noalloc
@@ -183,17 +159,12 @@ func phaseIDScratch(c *tensor.Ctx, p int) []int {
 	return ids
 }
 
-// --- AMMA ---
-
-//mpgraph:noalloc
-func (m *AMMADelta) logitsCtx(c *tensor.Ctx, s *Sample) *tensor.Tensor {
-	if c == nil {
-		return m.logits(s)
-	}
-	encA := m.core.modA.encodeFeaturesCtx(c, addrFeatureTensorCtx(c, m.cfg, s.Blocks))
-	encB := m.core.modB.encodeTokensCtx(c, pcTokensCtx(c, m.pcs, s.PCs))
-	return m.head.ForwardCtx(c, m.core.forwardCtx(c, encA, encB, s.Phase))
-}
+// --- sequential entry points ---
+//
+// One sample is the B=1 case of the batched forward (fastpath_batch.go):
+// the float64 models have no sequential forward of their own, so sequential
+// and batched scores are the same bits at any batch size. The one-sample
+// slice lives on the caller's stack, which keeps these at 0 allocs/op.
 
 // DeltaScoresCtx implements DeltaScorerCtx.
 //
@@ -202,17 +173,8 @@ func (m *AMMADelta) DeltaScoresCtx(c *tensor.Ctx, s *Sample) []float64 {
 	if c == nil {
 		return m.DeltaScores(s)
 	}
-	return c.SigmoidInPlace(m.logitsCtx(c, s)).Data
-}
-
-//mpgraph:noalloc
-func (m *AMMAPage) logitsCtx(c *tensor.Ctx, s *Sample) *tensor.Tensor {
-	if c == nil {
-		return m.logits(s)
-	}
-	encA := m.core.modA.encodeTokensCtx(c, pageTokensCtx(c, m.pages, s.Blocks))
-	encB := m.core.modB.encodeTokensCtx(c, pcTokensCtx(c, m.pcs, s.PCs))
-	return m.head.ForwardCtx(c, m.core.forwardCtx(c, encA, encB, s.Phase))
+	one := [1]*Sample{s}
+	return m.DeltaScoresBatchCtx(c, one[:]).Data
 }
 
 // TopPagesAppendCtx implements PageTopperCtx.
@@ -222,17 +184,8 @@ func (m *AMMAPage) TopPagesAppendCtx(c *tensor.Ctx, s *Sample, k int, dst []uint
 	if c == nil {
 		return append(dst, m.TopPages(s, k)...)
 	}
-	return topPagesAppendCtx(c, m.pages, m.logitsCtx(c, s).Data, k, dst)
-}
-
-// --- baselines ---
-
-//mpgraph:noalloc
-func (m *LSTMDelta) logitsCtx(c *tensor.Ctx, s *Sample) *tensor.Tensor {
-	if c == nil {
-		return m.logits(s)
-	}
-	return m.head.ForwardCtx(c, m.lstm.ForwardCtx(c, concatStepFeaturesCtx(c, m.cfg, s.Blocks, s.PCs)))
+	one := [1]*Sample{s}
+	return topPagesAppendCtx(c, m.pages, m.logitsBatchCtx(c, one[:]).Data, k, dst)
 }
 
 // DeltaScoresCtx implements DeltaScorerCtx.
@@ -242,17 +195,8 @@ func (m *LSTMDelta) DeltaScoresCtx(c *tensor.Ctx, s *Sample) []float64 {
 	if c == nil {
 		return m.DeltaScores(s)
 	}
-	return c.SigmoidInPlace(m.logitsCtx(c, s)).Data
-}
-
-//mpgraph:noalloc
-func (m *LSTMPage) logitsCtx(c *tensor.Ctx, s *Sample) *tensor.Tensor {
-	if c == nil {
-		return m.logits(s)
-	}
-	pe := m.pageEmb.ForwardCtx(c, pageTokensCtx(c, m.pages, s.Blocks))
-	ce := m.pcEmb.ForwardCtx(c, pcTokensCtx(c, m.pcs, s.PCs))
-	return m.head.ForwardCtx(c, m.lstm.ForwardCtx(c, c.ConcatCols2(pe, ce)))
+	one := [1]*Sample{s}
+	return m.DeltaScoresBatchCtx(c, one[:]).Data
 }
 
 // TopPagesAppendCtx implements PageTopperCtx.
@@ -262,19 +206,8 @@ func (m *LSTMPage) TopPagesAppendCtx(c *tensor.Ctx, s *Sample, k int, dst []uint
 	if c == nil {
 		return append(dst, m.TopPages(s, k)...)
 	}
-	return topPagesAppendCtx(c, m.pages, m.logitsCtx(c, s).Data, k, dst)
-}
-
-//mpgraph:noalloc
-func (m *AttnDelta) logitsCtx(c *tensor.Ctx, s *Sample) *tensor.Tensor {
-	if c == nil {
-		return m.logits(s)
-	}
-	x := c.Add(m.embed.ForwardCtx(c, concatStepFeaturesCtx(c, m.cfg, s.Blocks, s.PCs)), m.pos)
-	for _, tl := range m.trans {
-		x = tl.ForwardCtx(c, x)
-	}
-	return m.head.ForwardCtx(c, c.MeanRows(x))
+	one := [1]*Sample{s}
+	return topPagesAppendCtx(c, m.pages, m.logitsBatchCtx(c, one[:]).Data, k, dst)
 }
 
 // DeltaScoresCtx implements DeltaScorerCtx.
@@ -284,24 +217,8 @@ func (m *AttnDelta) DeltaScoresCtx(c *tensor.Ctx, s *Sample) []float64 {
 	if c == nil {
 		return m.DeltaScores(s)
 	}
-	return c.SigmoidInPlace(m.logitsCtx(c, s)).Data
-}
-
-//mpgraph:noalloc
-func (m *AttnPage) logitsCtx(c *tensor.Ctx, s *Sample) *tensor.Tensor {
-	if c == nil {
-		return m.logits(s)
-	}
-	pe := m.pageEmb.ForwardCtx(c, pageTokensCtx(c, m.pages, s.Blocks))
-	side := c.Zeros(len(s.PCs), 1)
-	for i, pc := range s.PCs {
-		side.Data[i] = hashPC(pc)
-	}
-	x := c.Add(m.mix.ForwardCtx(c, c.ConcatCols2(pe, side)), m.pos)
-	for _, tl := range m.trans {
-		x = tl.ForwardCtx(c, x)
-	}
-	return m.head.ForwardCtx(c, c.MeanRows(x))
+	one := [1]*Sample{s}
+	return m.DeltaScoresBatchCtx(c, one[:]).Data
 }
 
 // TopPagesAppendCtx implements PageTopperCtx.
@@ -311,7 +228,8 @@ func (m *AttnPage) TopPagesAppendCtx(c *tensor.Ctx, s *Sample, k int, dst []uint
 	if c == nil {
 		return append(dst, m.TopPages(s, k)...)
 	}
-	return topPagesAppendCtx(c, m.pages, m.logitsCtx(c, s).Data, k, dst)
+	one := [1]*Sample{s}
+	return topPagesAppendCtx(c, m.pages, m.logitsBatchCtx(c, one[:]).Data, k, dst)
 }
 
 // --- binary-encoded compressed head ---
@@ -370,24 +288,24 @@ func binaryTopPagesAppendCtx(c *tensor.Ctx, pages *Vocab, probs []float64, k int
 }
 
 //mpgraph:noalloc
-func (m *BinaryPage) pageLogitsCtx(c *tensor.Ctx, s *Sample) *tensor.Tensor {
-	if c == nil {
-		return m.PageLogits(s)
-	}
-	encA := m.core.modA.encodeTokensCtx(c, pageTokensCtx(c, m.pages, s.Blocks))
-	encB := m.core.modB.encodeTokensCtx(c, pcTokensCtx(c, m.pcs, s.PCs))
-	return m.head.ForwardCtx(c, m.core.forwardCtx(c, encA, encB, s.Phase))
+func (m *BinaryPage) logitsBatchCtx(c *tensor.Ctx, ss []*Sample) *tensor.Tensor {
+	t := batchT(ss)
+	encA := m.core.modA.encodeTokensBatchCtx(c, pageTokensBatchCtx(c, m.pages, ss, t), len(ss))
+	encB := m.core.modB.encodeTokensBatchCtx(c, pcTokensBatchCtx(c, m.pcs, ss, t), len(ss))
+	return m.head.ForwardCtx(c, m.core.forwardBatchCtx(c, encA, encB, ss))
 }
 
 // TopPagesAppendCtx implements PageTopperCtx: the float fast path of the
-// binary-encoded compressed head (the int8 mirror is QBinaryPage).
+// binary-encoded compressed head (the int8 mirror is QBinaryPage), through
+// the same one-sample batched backbone as the other float models.
 //
 //mpgraph:noalloc
 func (m *BinaryPage) TopPagesAppendCtx(c *tensor.Ctx, s *Sample, k int, dst []uint64) []uint64 {
 	if c == nil {
 		return append(dst, m.TopPages(s, k)...)
 	}
-	probs := c.SigmoidInPlace(m.pageLogitsCtx(c, s)).Data
+	one := [1]*Sample{s}
+	probs := c.SigmoidInPlace(m.logitsBatchCtx(c, one[:])).Data
 	return binaryTopPagesAppendCtx(c, m.pages, probs, k, dst)
 }
 

@@ -10,17 +10,16 @@ import (
 // history samples session-major into one [B*T x d] activation block and runs
 // a single fused pass, so every weight panel streams through cache once for
 // B predictions instead of B times. The gather helpers below build the
-// stacked inputs; the per-model forwards mirror their sequential ctx
-// counterparts layer for layer, swapping in the batch-aware ops (blocked
-// attention, per-block mean/positional ops, batched GEMM) where the session
-// boundary matters.
+// stacked inputs; the per-model forwards use the batch-aware ops (blocked
+// attention, per-block mean/positional ops) where the session boundary
+// matters and the row-wise layers everywhere else. For the float64 models
+// these are the only live-ctx forwards: the sequential entry points in
+// fastpath.go call them with one sample.
 //
 // Determinism: every batched op computes a session block as a pure function
 // of that session's rows, so scores never depend on batch composition —
-// batch-1 and batch-64 produce identical bits, which keeps sweep reports
-// byte-identical at any batch size. Float batch scores sit within 1e-9 of
-// sequential (FMA contraction + vectorized activations); the int8 batch path
-// uses only the exact kernels and is bit-identical to sequential int8.
+// sequential, batch-1 and batch-64 produce identical bits on all three
+// precisions, which keeps sweep reports byte-identical at any batch size.
 
 // DeltaScorerBatchCtx is a DeltaModel with a batched fast path: row i of the
 // returned tensor holds the scores for ss[i]. Arena-backed, valid until the
@@ -184,7 +183,7 @@ func phaseIDsBatch(c *tensor.Ctx, ss []*Sample, vocab int) []int {
 
 //mpgraph:noalloc
 func (m *modalityEncoder) encodeFeaturesBatchCtx(c *tensor.Ctx, x *tensor.Tensor, blocks int) *tensor.Tensor {
-	return m.attn.ForwardBatchCtx(c, c.AddPosBatch(m.lin.ForwardBatchCtx(c, x), m.pos, blocks), blocks)
+	return m.attn.ForwardBatchCtx(c, c.AddPosBatch(m.lin.ForwardCtx(c, x), m.pos, blocks), blocks)
 }
 
 //mpgraph:noalloc
@@ -215,14 +214,14 @@ func (m *AMMADelta) logitsBatchCtx(c *tensor.Ctx, ss []*Sample) *tensor.Tensor {
 	t := batchT(ss)
 	encA := m.core.modA.encodeFeaturesBatchCtx(c, addrFeatureTensorBatchCtx(c, m.cfg, ss, t), len(ss))
 	encB := m.core.modB.encodeTokensBatchCtx(c, pcTokensBatchCtx(c, m.pcs, ss, t), len(ss))
-	return m.head.ForwardBatchCtx(c, m.core.forwardBatchCtx(c, encA, encB, ss))
+	return m.head.ForwardCtx(c, m.core.forwardBatchCtx(c, encA, encB, ss))
 }
 
 // DeltaScoresBatchCtx implements DeltaScorerBatchCtx.
 //
 //mpgraph:noalloc
 func (m *AMMADelta) DeltaScoresBatchCtx(c *tensor.Ctx, ss []*Sample) *tensor.Tensor {
-	return c.SigmoidInPlaceFast(m.logitsBatchCtx(c, ss))
+	return c.SigmoidInPlace(m.logitsBatchCtx(c, ss))
 }
 
 //mpgraph:noalloc
@@ -230,7 +229,7 @@ func (m *AMMAPage) logitsBatchCtx(c *tensor.Ctx, ss []*Sample) *tensor.Tensor {
 	t := batchT(ss)
 	encA := m.core.modA.encodeTokensBatchCtx(c, pageTokensBatchCtx(c, m.pages, ss, t), len(ss))
 	encB := m.core.modB.encodeTokensBatchCtx(c, pcTokensBatchCtx(c, m.pcs, ss, t), len(ss))
-	return m.head.ForwardBatchCtx(c, m.core.forwardBatchCtx(c, encA, encB, ss))
+	return m.head.ForwardCtx(c, m.core.forwardBatchCtx(c, encA, encB, ss))
 }
 
 // TopPagesBatchAppendCtx implements PageTopperBatchCtx.
@@ -250,14 +249,14 @@ func (m *AMMAPage) TopPagesBatchAppendCtx(c *tensor.Ctx, ss []*Sample, k int, ds
 func (m *LSTMDelta) logitsBatchCtx(c *tensor.Ctx, ss []*Sample) *tensor.Tensor {
 	t := batchT(ss)
 	x := concatStepFeaturesBatchCtx(c, m.cfg, ss, t)
-	return m.head.ForwardBatchCtx(c, m.lstm.ForwardBatchCtx(c, x, len(ss)))
+	return m.head.ForwardCtx(c, m.lstm.ForwardBatchCtx(c, x, len(ss)))
 }
 
 // DeltaScoresBatchCtx implements DeltaScorerBatchCtx.
 //
 //mpgraph:noalloc
 func (m *LSTMDelta) DeltaScoresBatchCtx(c *tensor.Ctx, ss []*Sample) *tensor.Tensor {
-	return c.SigmoidInPlaceFast(m.logitsBatchCtx(c, ss))
+	return c.SigmoidInPlace(m.logitsBatchCtx(c, ss))
 }
 
 //mpgraph:noalloc
@@ -265,7 +264,7 @@ func (m *LSTMPage) logitsBatchCtx(c *tensor.Ctx, ss []*Sample) *tensor.Tensor {
 	t := batchT(ss)
 	pe := m.pageEmb.ForwardCtx(c, pageTokensBatchCtx(c, m.pages, ss, t))
 	ce := m.pcEmb.ForwardCtx(c, pcTokensBatchCtx(c, m.pcs, ss, t))
-	return m.head.ForwardBatchCtx(c, m.lstm.ForwardBatchCtx(c, c.ConcatCols2(pe, ce), len(ss)))
+	return m.head.ForwardCtx(c, m.lstm.ForwardBatchCtx(c, c.ConcatCols2(pe, ce), len(ss)))
 }
 
 // TopPagesBatchAppendCtx implements PageTopperBatchCtx.
@@ -282,18 +281,18 @@ func (m *LSTMPage) TopPagesBatchAppendCtx(c *tensor.Ctx, ss []*Sample, k int, ds
 //mpgraph:noalloc
 func (m *AttnDelta) logitsBatchCtx(c *tensor.Ctx, ss []*Sample) *tensor.Tensor {
 	t := batchT(ss)
-	x := c.AddPosBatch(m.embed.ForwardBatchCtx(c, concatStepFeaturesBatchCtx(c, m.cfg, ss, t)), m.pos, len(ss))
+	x := c.AddPosBatch(m.embed.ForwardCtx(c, concatStepFeaturesBatchCtx(c, m.cfg, ss, t)), m.pos, len(ss))
 	for _, tl := range m.trans {
 		x = tl.ForwardBatchCtx(c, x, len(ss))
 	}
-	return m.head.ForwardBatchCtx(c, c.MeanRowsBatch(x, len(ss)))
+	return m.head.ForwardCtx(c, c.MeanRowsBatch(x, len(ss)))
 }
 
 // DeltaScoresBatchCtx implements DeltaScorerBatchCtx.
 //
 //mpgraph:noalloc
 func (m *AttnDelta) DeltaScoresBatchCtx(c *tensor.Ctx, ss []*Sample) *tensor.Tensor {
-	return c.SigmoidInPlaceFast(m.logitsBatchCtx(c, ss))
+	return c.SigmoidInPlace(m.logitsBatchCtx(c, ss))
 }
 
 //mpgraph:noalloc
@@ -306,11 +305,11 @@ func (m *AttnPage) logitsBatchCtx(c *tensor.Ctx, ss []*Sample) *tensor.Tensor {
 			side.Data[i*t+j] = hashPC(pc)
 		}
 	}
-	x := c.AddPosBatch(m.mix.ForwardBatchCtx(c, c.ConcatCols2(pe, side)), m.pos, len(ss))
+	x := c.AddPosBatch(m.mix.ForwardCtx(c, c.ConcatCols2(pe, side)), m.pos, len(ss))
 	for _, tl := range m.trans {
 		x = tl.ForwardBatchCtx(c, x, len(ss))
 	}
-	return m.head.ForwardBatchCtx(c, c.MeanRowsBatch(x, len(ss)))
+	return m.head.ForwardCtx(c, c.MeanRowsBatch(x, len(ss)))
 }
 
 // TopPagesBatchAppendCtx implements PageTopperBatchCtx.

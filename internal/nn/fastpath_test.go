@@ -89,7 +89,7 @@ func TestForwardCtxMatchesForwardComposite(t *testing.T) {
 	slow := m.Forward(a, b)
 	wantClose(t, "mmaf", slow, m.ForwardCtx(ctx, a, b))
 	ctx.Reset()
-	wantClose(t, "mmaf2", slow, m.ForwardCtx2(ctx, a, b))
+	wantClose(t, "mmaf2", slow, m.ForwardBatchCtx2(ctx, a, b, 1))
 	ctx.Reset()
 
 	// Repeated forwards after Reset must keep producing the same values

@@ -29,7 +29,9 @@ func (l *Linear) Forward(x *tensor.Tensor) *tensor.Tensor {
 }
 
 // ForwardCtx is Forward on the ctx fast path (fused GEMM+bias when c is
-// non-nil, the autograd composition when c is nil).
+// non-nil, the autograd composition when c is nil). Like every row-wise
+// layer it is batch-oblivious: a stacked [blocks*T x in] input is the same
+// kernel at more rows.
 //
 //mpgraph:noalloc
 func (l *Linear) ForwardCtx(c *tensor.Ctx, x *tensor.Tensor) *tensor.Tensor {
@@ -121,16 +123,24 @@ func (s *SelfAttention) Forward(x *tensor.Tensor) *tensor.Tensor {
 	return s.ForwardCtx(nil, x)
 }
 
-// ForwardCtx attends over x on the ctx fast path (transpose-free scores,
-// in-place softmax when c is non-nil).
+// ForwardCtx attends over x on the ctx fast path: one sequence is the
+// blocks=1 case of ForwardBatchCtx.
 //
 //mpgraph:noalloc
 func (s *SelfAttention) ForwardCtx(c *tensor.Ctx, x *tensor.Tensor) *tensor.Tensor {
+	return s.ForwardBatchCtx(c, x, 1)
+}
+
+// ForwardBatchCtx attends independently inside each of the `blocks` session
+// blocks of the stacked sequence x [blocks*T x in] (transpose-free scores,
+// in-place softmax). A nil ctx is autograd and takes one sequence.
+//
+//mpgraph:noalloc
+func (s *SelfAttention) ForwardBatchCtx(c *tensor.Ctx, x *tensor.Tensor, blocks int) *tensor.Tensor {
 	q := s.Wq.ForwardCtx(c, x)
 	k := s.Wk.ForwardCtx(c, x)
 	v := s.Wv.ForwardCtx(c, x)
-	scores := c.MatMulNTScale(q, k, 1/math.Sqrt(float64(s.dim)))
-	return c.MatMul(c.SoftmaxRows(scores), v)
+	return c.AttentionBlocks(q, k, v, blocks, 1/math.Sqrt(float64(s.dim)), false)
 }
 
 // Params implements Module.
@@ -164,9 +174,16 @@ func (m *MultiHeadSelfAttention) Forward(x *tensor.Tensor) *tensor.Tensor {
 //
 //mpgraph:noalloc
 func (m *MultiHeadSelfAttention) ForwardCtx(c *tensor.Ctx, x *tensor.Tensor) *tensor.Tensor {
+	return m.ForwardBatchCtx(c, x, 1)
+}
+
+// ForwardBatchCtx runs every head over the stacked block and reprojects.
+//
+//mpgraph:noalloc
+func (m *MultiHeadSelfAttention) ForwardBatchCtx(c *tensor.Ctx, x *tensor.Tensor, blocks int) *tensor.Tensor {
 	outs := c.Ptrs(len(m.Heads))
 	for i, h := range m.Heads {
-		outs[i] = h.ForwardCtx(c, x)
+		outs[i] = h.ForwardBatchCtx(c, x, blocks)
 	}
 	return m.Wo.ForwardCtx(c, c.ConcatCols(outs...))
 }
@@ -235,7 +252,15 @@ func (t *TransformerLayer) Forward(x *tensor.Tensor) *tensor.Tensor {
 //
 //mpgraph:noalloc
 func (t *TransformerLayer) ForwardCtx(c *tensor.Ctx, x *tensor.Tensor) *tensor.Tensor {
-	x = t.N1.ForwardCtx(c, c.Add(x, t.MSA.ForwardCtx(c, x)))
+	return t.ForwardBatchCtx(c, x, 1)
+}
+
+// ForwardBatchCtx applies the layer to the stacked block; attention respects
+// session boundaries, residuals, norms and the FFN are row-wise.
+//
+//mpgraph:noalloc
+func (t *TransformerLayer) ForwardBatchCtx(c *tensor.Ctx, x *tensor.Tensor, blocks int) *tensor.Tensor {
+	x = t.N1.ForwardCtx(c, c.Add(x, t.MSA.ForwardBatchCtx(c, x, blocks)))
 	return t.N2.ForwardCtx(c, c.Add(x, t.FF.ForwardCtx(c, x)))
 }
 
@@ -267,12 +292,13 @@ func (m *MMAF) ForwardCtx(c *tensor.Ctx, modalities ...*tensor.Tensor) *tensor.T
 	return m.Attn.ForwardCtx(c, c.ConcatRows(modalities...))
 }
 
-// ForwardCtx2 fuses exactly two modality sequences — the AMMA hot path —
-// avoiding the escaping variadic slice a ForwardCtx call site would build.
+// ForwardBatchCtx2 fuses exactly two stacked modality sequences block by
+// block — the AMMA hot path. The fixed arity avoids the escaping variadic
+// slice a ForwardCtx call site would build.
 //
 //mpgraph:noalloc
-func (m *MMAF) ForwardCtx2(c *tensor.Ctx, a, b *tensor.Tensor) *tensor.Tensor {
-	return m.Attn.ForwardCtx(c, c.ConcatRows2(a, b))
+func (m *MMAF) ForwardBatchCtx2(c *tensor.Ctx, a, b *tensor.Tensor, blocks int) *tensor.Tensor {
+	return m.Attn.ForwardBatchCtx(c, c.ConcatRowsBatch2(a, b, blocks), blocks)
 }
 
 // Params implements Module.

@@ -1,7 +1,6 @@
 package nn
 
 import (
-	"math"
 	"math/rand"
 
 	"mpgraph/internal/tensor"
@@ -43,9 +42,8 @@ func (l *LSTM) Forward(x *tensor.Tensor) *tensor.Tensor {
 	return l.ForwardCtx(nil, x)
 }
 
-// ForwardCtx is Forward on the ctx fast path: each gate is one fused
-// input+recurrent GEMM with the nonlinearity in the epilogue, and the cell
-// and hidden updates are a single in-place loop over the state vectors.
+// ForwardCtx is Forward on the ctx fast path: one sequence is the blocks=1
+// case of ForwardBatchCtx. A nil ctx runs the autograd composition.
 //
 //mpgraph:noalloc
 func (l *LSTM) ForwardCtx(ctx *tensor.Ctx, x *tensor.Tensor) *tensor.Tensor {
@@ -66,10 +64,23 @@ func (l *LSTM) ForwardCtx(ctx *tensor.Ctx, x *tensor.Tensor) *tensor.Tensor {
 		}
 		return h
 	}
-	h := ctx.Zeros(1, l.Hidden)
-	c := ctx.Zeros(1, l.Hidden)
-	for t := 0; t < x.Rows; t++ {
-		xt := ctx.RowView(x, t)
+	return l.ForwardBatchCtx(ctx, x, 1)
+}
+
+// ForwardBatchCtx consumes `blocks` stacked sequences step-synchronously:
+// at each timestep the per-session rows are gathered into one [blocks x in]
+// block so each gate is one fused input+recurrent GEMM against the state
+// block with the nonlinearity in the epilogue, and the cell update is one
+// in-place loop with a vectorized tanh. Returns the final hidden states
+// [blocks x hidden].
+//
+//mpgraph:noalloc
+func (l *LSTM) ForwardBatchCtx(ctx *tensor.Ctx, x *tensor.Tensor, blocks int) *tensor.Tensor {
+	t := x.Rows / blocks
+	h := ctx.Zeros(blocks, l.Hidden)
+	c := ctx.Zeros(blocks, l.Hidden)
+	for step := 0; step < t; step++ {
+		xt := ctx.GatherRowsStride(x, step, t, blocks)
 		i := ctx.Linear2Act(xt, l.Wxi, h, l.Whi, l.Bi, tensor.ActSigmoid)
 		f := ctx.Linear2Act(xt, l.Wxf, h, l.Whf, l.Bf, tensor.ActSigmoid)
 		g := ctx.Linear2Act(xt, l.Wxg, h, l.Whg, l.Bg, tensor.ActTanh)
@@ -77,7 +88,11 @@ func (l *LSTM) ForwardCtx(ctx *tensor.Ctx, x *tensor.Tensor) *tensor.Tensor {
 		for j := range c.Data {
 			cv := f.Data[j]*c.Data[j] + i.Data[j]*g.Data[j]
 			c.Data[j] = cv
-			h.Data[j] = o.Data[j] * math.Tanh(cv)
+			h.Data[j] = cv
+		}
+		tensor.ApplyActFast(h.Data, tensor.ActTanh) //mpgraph:allow noalloc -- in-place over the arena row; the cross-package naming rule keys on Ctx/Into suffixes
+		for j := range h.Data {
+			h.Data[j] *= o.Data[j]
 		}
 	}
 	return h

@@ -10,8 +10,6 @@ package nn
 // layers and keeping them exact costs nothing.
 
 import (
-	"math"
-
 	"mpgraph/internal/tensor"
 )
 
@@ -110,20 +108,12 @@ func NewQSelfAttention(s *SelfAttention) *QSelfAttention {
 	}
 }
 
-// ForwardCtx attends over x.
+// ForwardCtx attends over x: one sequence is the blocks=1 case of
+// ForwardBatchCtx (qlayers_batch.go).
 //
 //mpgraph:noalloc
 func (s *QSelfAttention) ForwardCtx(c *tensor.Ctx, x *tensor.Tensor) *tensor.Tensor {
-	if s.src != nil {
-		s.in.Observe(x.Data)
-		return s.src.ForwardCtx(c, x)
-	}
-	xq := c.QuantizeActs(x, s.scale)
-	q := c.QLinearActQ(xq, x.Rows, s.scale, s.Wq, s.bq, tensor.ActNone)
-	k := c.QLinearActQ(xq, x.Rows, s.scale, s.Wk, s.bk, tensor.ActNone)
-	v := c.QLinearActQ(xq, x.Rows, s.scale, s.Wv, s.bv, tensor.ActNone)
-	scores := c.MatMulNTScale(q, k, 1/math.Sqrt(float64(s.dim)))
-	return c.MatMul(c.SoftmaxRows(scores), v)
+	return s.ForwardBatchCtx(c, x, 1)
 }
 
 // Freeze locks the calibrated activation scale and switches to int8.

@@ -10,9 +10,10 @@ import (
 // (QuantizeActs, QLinearActQ, QMLP) are batch-oblivious: each output row is
 // an exact int32 dot of its own quantized activation row, so they run on the
 // stacked block unchanged. Only attention must know the session boundary,
-// and it uses AttentionBlocks in exact mode — per block it executes the
-// identical float score/softmax/AV sequence as the sequential path, which is
-// why the batched int8 tier is bit-identical to sequential int8 inference.
+// and it uses AttentionBlocks in exact mode — the scalar score/softmax/AV
+// kernels, block by block. Sequential int8 attention is the blocks=1 case of
+// the same code, which is why the batched int8 tier is bit-identical to
+// sequential int8 inference.
 
 // ForwardBatchCtx attends independently inside each session block of the
 // stacked sequence through the int8 projection kernels.

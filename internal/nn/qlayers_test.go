@@ -139,7 +139,7 @@ func TestQMMAFFrozenTracksFloat(t *testing.T) {
 	a := tensor.Randn(3, 16, 1, rng)
 	b := tensor.Randn(4, 16, 1, rng)
 	got := q.ForwardCtx2(ctx, a, b)
-	want := m.ForwardCtx2(ctx, a, b)
+	want := m.ForwardBatchCtx2(ctx, a, b, 1)
 	if e := maxRelErr(got, want); e > 0.05 {
 		t.Fatalf("frozen QMMAF rel error %g > 0.05", e)
 	}

@@ -6,6 +6,7 @@ import (
 
 	"mpgraph/internal/models"
 	"mpgraph/internal/sim"
+	"mpgraph/internal/tensor"
 )
 
 // batchPF is the surface a batched sweep worker drives.
@@ -115,9 +116,8 @@ func TestBatchUnjoinedSessionFlushesImmediately(t *testing.T) {
 }
 
 // TestBatchMatchesUnbatchedPrefetches: the batch tier must agree with the
-// in-process fast path on the decoded prefetch targets (both decode the same
-// model through kernels equal to 1e-9, and top-k decisions on these trained
-// models are stable at that tolerance).
+// in-process fast path on the decoded prefetch targets (an unbatched call is
+// the B=1 case of the same kernels, so the scores are the same bits).
 func TestBatchMatchesUnbatchedPrefetches(t *testing.T) {
 	ds, delta, page := tinyTrainedModels(t)
 	T := ds.Cfg.HistoryT
@@ -136,6 +136,62 @@ func TestBatchMatchesUnbatchedPrefetches(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// countingDelta counts live-ctx inferences of the wrapped delta model (it
+// hides the batched capability, so a scheduler round scores it per sample
+// through the same counted entry point).
+type countingDelta struct {
+	models.DeltaModel
+	calls int
+}
+
+func (c *countingDelta) DeltaScoresCtx(ctx *tensor.Ctx, s *models.Sample) []float64 {
+	c.calls++
+	return models.DeltaScoresWith(ctx, c.DeltaModel, s)
+}
+
+// TestVoyagerOneDeltaInferencePerOperate: Voyager decodes one delta score
+// vector at both bases (the current block and the predicted page), so an
+// Operate costs exactly one delta inference, and the unbatched prefetcher
+// issues exactly what a batch-session one does. The trace walks the pages
+// the models were trained on, so the page-relative half is exercised.
+func TestVoyagerOneDeltaInferencePerOperate(t *testing.T) {
+	ds, delta, page := tinyTrainedModels(t)
+	T := ds.Cfg.HistoryT
+	const accesses = 200
+	access := func(i int) sim.LLCAccess {
+		return sim.LLCAccess{Block: uint64(1<<20) + uint64(i+i/2), PC: 0x40 * uint64(i%3)}
+	}
+
+	counted := &countingDelta{DeltaModel: delta}
+	plain := NewVoyager(page, counted, T, MLOptions{Degree: 6})
+	batched := NewVoyager(page, delta, T, MLOptions{Degree: 6, Scheduler: NewBatchScheduler(8)})
+	batched.JoinBatch()
+	defer batched.LeaveBatch()
+
+	pageRelative := 0
+	for i := 0; i < accesses; i++ {
+		got := append([]uint64(nil), plain.Operate(access(i))...)
+		want := batched.Operate(access(i))
+		if len(got) != len(want) {
+			t.Fatalf("access %d: unbatched %v vs batch session %v", i, got, want)
+		}
+		for j := range got {
+			if got[j] != want[j] {
+				t.Fatalf("access %d: unbatched %v vs batch session %v", i, got, want)
+			}
+		}
+		if len(got) > 3 {
+			pageRelative++
+		}
+	}
+	if pageRelative == 0 {
+		t.Fatal("no Operate reached the predicted-page decode; the trace does not exercise it")
+	}
+	if want := accesses - (T - 1); counted.calls != want {
+		t.Fatalf("%d delta inferences over %d inferring Operates, want one each", counted.calls, want)
 	}
 }
 

@@ -275,48 +275,27 @@ func (p *Voyager) Operate(acc sim.LLCAccess) []uint64 {
 
 // predict composes the page and delta model outputs into prefetch targets:
 // half the degree goes spatially at the current block, half at the
-// predicted page. Screening failures are recorded as the prefetcher's first
-// health defect. With a batch session, both models route through the shared
-// scheduler; the delta score vector is computed once and decoded at both
-// bases (the sequential path computes it twice with identical results).
+// predicted page. The delta score vector is inferred once and decoded at
+// both bases. Screening failures are recorded as the prefetcher's first
+// health defect. With a batch session both models route through the shared
+// scheduler (whose score slice is session-owned and stable across the
+// TopPages call); without one they run on c, whose arena keeps the scores
+// alive until Operate resets it.
 func (p *Voyager) predict(c *tensor.Ctx, s *models.Sample, block uint64, out []uint64) []uint64 {
+	var scores []float64
 	if p.sess != nil {
-		return p.predictBatch(s, block, out)
+		scores = p.sess.DeltaScores(p.deltaModel, s)
+	} else {
+		scores = models.DeltaScoresWith(c, p.deltaModel, s)
 	}
-	half := p.opt.Degree / 2
 	var err error
-	out, err = deltaPrefetchesAppend(c, p.deltaModel, s, block, half, out)
+	out, err = models.AppendDeltaTargets(c, scores, block, p.opt.Degree/2, out)
 	p.health = keepFirst(p.health, err)
-	p.pages = models.TopPagesWith(c, p.pageModel, s, 1, p.pages[:0])
-	for _, pg := range p.pages {
-		off, ok := p.lastOffset[pg]
-		if !ok {
-			off = 0
-		}
-		base := trace.BlockOfPageOffset(pg, off)
-		out = append(out, base)
-		rest := p.opt.Degree - len(out)
-		if rest > 0 {
-			out, err = deltaPrefetchesAppend(c, p.deltaModel, s, base, rest, out)
-			p.health = keepFirst(p.health, err)
-		}
+	if p.sess != nil {
+		p.pages = p.sess.TopPages(p.pageModel, s, 1, p.pages[:0])
+	} else {
+		p.pages = models.TopPagesWith(c, p.pageModel, s, 1, p.pages[:0])
 	}
-	if len(out) > p.opt.Degree {
-		out = out[:p.opt.Degree]
-	}
-	return out
-}
-
-// predictBatch is predict through the shared batch scheduler. The returned
-// score slice is session-owned and stable across the TopPages call, so one
-// inference serves both the spatial and the page-relative decode.
-func (p *Voyager) predictBatch(s *models.Sample, block uint64, out []uint64) []uint64 {
-	half := p.opt.Degree / 2
-	scores := p.sess.DeltaScores(p.deltaModel, s)
-	var err error
-	out, err = models.AppendDeltaTargets(p.ctx, scores, block, half, out)
-	p.health = keepFirst(p.health, err)
-	p.pages = p.sess.TopPages(p.pageModel, s, 1, p.pages[:0])
 	for _, pg := range p.pages {
 		off, ok := p.lastOffset[pg]
 		if !ok {
@@ -325,7 +304,7 @@ func (p *Voyager) predictBatch(s *models.Sample, block uint64, out []uint64) []u
 		base := trace.BlockOfPageOffset(pg, off)
 		out = append(out, base)
 		if rest := p.opt.Degree - len(out); rest > 0 {
-			out, err = models.AppendDeltaTargets(p.ctx, scores, base, rest, out)
+			out, err = models.AppendDeltaTargets(c, scores, base, rest, out)
 			p.health = keepFirst(p.health, err)
 		}
 	}

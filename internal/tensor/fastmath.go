@@ -1,14 +1,13 @@
 package tensor
 
-// Fast elementwise math for the batch tier. On AVX-512F machines these route
-// through the vactAVX512 vector kernel (relative error ~1e-14 against the
-// math package, inside the batch tier's 1e-9 equivalence budget); everywhere
-// else they delegate to the exact sequential implementations, so fallback
-// platforms produce batched output bit-identical to sequential inference.
+// Fast elementwise math for live-ctx inference. On AVX-512F machines these
+// route through the vactAVX512 vector kernel (relative error ~1e-14 against
+// the math package, inside the 1e-9 fast-vs-autograd budget); everywhere
+// else they delegate to the scalar math-package implementations. Both are
+// elementwise, so neither depends on batch composition.
 
 // ApplyActFast applies act elementwise in place, vectorized when available.
-// Exported for the nn batch layers (LSTM cell tanh); the sequential fast
-// path keeps using the exact applyAct.
+// Exported for the nn LSTM cell tanh.
 //
 //mpgraph:noalloc
 func ApplyActFast(row []float64, act Act) {

@@ -12,9 +12,14 @@ import (
 // Ctx runs an arena-backed kernel that builds no graph and allocates
 // nothing once the arena has warmed up.
 //
+// There is one live-ctx float64 kernel surface: the GEMM and activation ops
+// run the batch tier's panel kernels (gemm_batch.go) at however many rows
+// they are handed, so one sequence is the one-block case of a stacked batch
+// and computes the same bits alone as inside any batch.
+//
 // Aliasing contract: fast-path results live in the arena until the next
-// Reset, and in-place ops (SoftmaxRows, SigmoidInPlace) may overwrite their
-// input. Callers on the hot path treat op inputs as consumed.
+// Reset, and in-place ops (SigmoidInPlace) may overwrite their input.
+// Callers on the hot path treat op inputs as consumed.
 
 // Zeros returns a zero rows x cols tensor (arena-backed when c is non-nil).
 //
@@ -24,21 +29,6 @@ func (c *Ctx) Zeros(rows, cols int) *Tensor {
 		return Zeros(rows, cols)
 	}
 	return c.zeros(rows, cols)
-}
-
-// MatMul returns a@b.
-//
-//mpgraph:noalloc
-func (c *Ctx) MatMul(a, b *Tensor) *Tensor {
-	if c == nil {
-		return MatMul(a, b)
-	}
-	if a.Cols != b.Rows {
-		invariant.Failf("tensor: matmul %dx%d @ %dx%d", a.Rows, a.Cols, b.Rows, b.Cols)
-	}
-	out := c.zeros(a.Rows, b.Cols)
-	gemm(out.Data, a.Data, b.Data, a.Rows, a.Cols, b.Cols)
-	return out
 }
 
 // Add returns a+b elementwise.
@@ -76,20 +66,6 @@ func (c *Ctx) AddBias(a, bias *Tensor) *Tensor {
 	return out
 }
 
-// SoftmaxRows applies row-wise softmax. The fast path runs in place and
-// returns its input; callers must not reuse the pre-softmax values.
-//
-//mpgraph:noalloc
-func (c *Ctx) SoftmaxRows(a *Tensor) *Tensor {
-	if c == nil {
-		return SoftmaxRows(a)
-	}
-	for r := 0; r < a.Rows; r++ {
-		softmaxInPlace(a.Data[r*a.Cols : (r+1)*a.Cols])
-	}
-	return a
-}
-
 // softmaxInPlace applies a numerically-stable softmax to one row.
 //
 //mpgraph:noalloc
@@ -111,30 +87,17 @@ func softmaxInPlace(row []float64) {
 	}
 }
 
-// SigmoidInPlace applies the logistic function. The fast path runs in place
-// and returns its input; the nil path returns a fresh graph tensor.
+// SigmoidInPlace applies the logistic function. The fast path runs the
+// vector kernel in place and returns its input; the nil path returns a fresh
+// graph tensor.
 //
 //mpgraph:noalloc
 func (c *Ctx) SigmoidInPlace(a *Tensor) *Tensor {
 	if c == nil {
 		return Sigmoid(a)
 	}
-	applyAct(a.Data, ActSigmoid)
+	applyActFast(a.Data, ActSigmoid)
 	return a
-}
-
-// RowView returns row r of a as a 1 x Cols tensor. The fast path is a
-// zero-copy view sharing a's data.
-//
-//mpgraph:noalloc
-func (c *Ctx) RowView(a *Tensor, r int) *Tensor {
-	if c == nil {
-		return SliceRows(a, r, r+1)
-	}
-	if r < 0 || r >= a.Rows {
-		invariant.Failf("tensor: RowView %d of %d rows", r, a.Rows)
-	}
-	return c.view(1, a.Cols, a.Data[r*a.Cols:(r+1)*a.Cols])
 }
 
 // ConcatRows stacks tensors vertically (same Cols).
@@ -267,7 +230,9 @@ func (c *Ctx) EmbeddingLookup(table *Tensor, ids []int) *Tensor {
 	return out
 }
 
-// LinearAct returns act(x@w + bias) as one fused kernel (bias may be nil).
+// LinearAct returns act(x@w + bias) as one fused kernel (bias may be nil):
+// one pass of the weight panel over all rows of x, however many sequences
+// they stack.
 //
 //mpgraph:noalloc
 func (c *Ctx) LinearAct(x, w, bias *Tensor, act Act) *Tensor {
@@ -289,7 +254,7 @@ func (c *Ctx) LinearAct(x, w, bias *Tensor, act Act) *Tensor {
 		}
 		bd = bias.Data
 	}
-	gemmBiasAct(out.Data, x.Data, w.Data, bd, x.Rows, x.Cols, w.Cols, act)
+	gemmBatchBiasAct(out.Data, x.Data, w.Data, bd, x.Rows, x.Cols, w.Cols, act)
 	return out
 }
 
@@ -314,24 +279,8 @@ func (c *Ctx) Linear2Act(x1, w1, x2, w2, bias *Tensor, act Act) *Tensor {
 	if bias != nil {
 		bd = bias.Data
 	}
-	gemm2BiasAct(out.Data, x1.Data, w1.Data, x2.Data, w2.Data, bd,
+	gemm2BatchBiasAct(out.Data, x1.Data, w1.Data, x2.Data, w2.Data, bd,
 		x1.Rows, x1.Cols, x2.Cols, w1.Cols, act)
-	return out
-}
-
-// MatMulNTScale returns (a@b^T)·s — attention scores QKᵀ/√d without
-// materialising the transpose.
-//
-//mpgraph:noalloc
-func (c *Ctx) MatMulNTScale(a, b *Tensor, s float64) *Tensor {
-	if c == nil {
-		return Scale(MatMul(a, Transpose(b)), s)
-	}
-	if a.Cols != b.Cols {
-		invariant.Failf("tensor: matmulNT %dx%d @ (%dx%d)^T", a.Rows, a.Cols, b.Rows, b.Cols)
-	}
-	out := c.uninit(a.Rows, b.Rows)
-	gemmNTScale(out.Data, a.Data, b.Data, a.Rows, a.Cols, b.Rows, s)
 	return out
 }
 

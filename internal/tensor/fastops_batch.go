@@ -3,68 +3,29 @@ package tensor
 import "mpgraph/internal/invariant"
 
 // Batch-aware arena ops. A "stacked" tensor holds one session per block of
-// rows: [blocks*T x d] in session-major order. Row-wise ops (Linear,
+// rows: [blocks*T x d] in session-major order. Row-wise ops (LinearAct,
 // LayerNorm, AddBias, the int8 kernels) are batch-oblivious and run on the
 // stacked tensor unchanged; the ops below are the ones that must know the
-// block boundary. Each computes every block with the exact per-element
-// operation sequence of its sequential counterpart, so a block's result
-// never depends on batch composition.
+// block boundary. Each computes a block as a pure function of that block's
+// rows, so a block's result never depends on batch composition and a single
+// sequence is simply blocks=1.
 
-// LinearActBatch is LinearAct through the batched panel kernels: one weight
-// pass for all rows of the stacked block.
-//
-//mpgraph:noalloc
-func (c *Ctx) LinearActBatch(x, w, bias *Tensor, act Act) *Tensor {
-	if c == nil {
-		return c.LinearAct(x, w, bias, act)
-	}
-	if x.Cols != w.Rows {
-		invariant.Failf("tensor: linearBatch %dx%d @ %dx%d", x.Rows, x.Cols, w.Rows, w.Cols)
-	}
-	out := c.uninit(x.Rows, w.Cols)
-	var bd []float64
-	if bias != nil {
-		if bias.Rows != 1 || bias.Cols != w.Cols {
-			invariant.Failf("tensor: linearBatch bias %dx%d for width %d", bias.Rows, bias.Cols, w.Cols)
-		}
-		bd = bias.Data
-	}
-	gemmBatchBiasAct(out.Data, x.Data, w.Data, bd, x.Rows, x.Cols, w.Cols, act)
-	return out
-}
-
-// Linear2ActBatch is Linear2Act through the batched panel kernels (the LSTM
-// gate composition at m stacked rows).
-//
-//mpgraph:noalloc
-func (c *Ctx) Linear2ActBatch(x1, w1, x2, w2, bias *Tensor, act Act) *Tensor {
-	if c == nil {
-		return c.Linear2Act(x1, w1, x2, w2, bias, act)
-	}
-	if x1.Cols != w1.Rows || x2.Cols != w2.Rows || x1.Rows != x2.Rows || w1.Cols != w2.Cols {
-		invariant.Failf("tensor: linear2Batch %dx%d@%dx%d + %dx%d@%dx%d",
-			x1.Rows, x1.Cols, w1.Rows, w1.Cols, x2.Rows, x2.Cols, w2.Rows, w2.Cols)
-	}
-	out := c.uninit(x1.Rows, w1.Cols)
-	var bd []float64
-	if bias != nil {
-		bd = bias.Data
-	}
-	gemm2BatchBiasAct(out.Data, x1.Data, w1.Data, x2.Data, w2.Data, bd,
-		x1.Rows, x1.Cols, x2.Cols, w1.Cols, act)
-	return out
-}
-
-// AttentionBlocks runs scaled-dot-product attention independently inside
-// each of the `blocks` equal row blocks of q/k/v (self-attention never
-// crosses a session boundary). exact selects the sequential math kernels
-// (softmaxInPlace + accumulate-gemm) for paths that must stay bit-identical
-// to per-session inference — the int8 models use it; the float batch tier
-// passes false and takes the vectorized exp and FMA AV product.
+// AttentionBlocks runs scaled-dot-product attention softmax(q·kᵀ·scale)·v
+// independently inside each of the `blocks` equal row blocks of q/k/v
+// (self-attention never crosses a session boundary). exact selects the
+// scalar math kernels (softmaxInPlace + accumulate-gemm), which the int8
+// models keep so their attention, like their integer GEMMs, computes the
+// same bits on every machine; the float tier passes false and takes the
+// vectorized exp and FMA AV product. A nil ctx is the autograd composition
+// over one sequence (blocks must be 1).
 //
 //mpgraph:noalloc
 func (c *Ctx) AttentionBlocks(q, k, v *Tensor, blocks int, scale float64, exact bool) *Tensor {
-	if c == nil || blocks <= 0 || q.Rows%blocks != 0 {
+	if c == nil {
+		invariant.Check(blocks == 1, "tensor: attentionBlocks on a nil ctx takes one sequence")
+		return MatMul(SoftmaxRows(Scale(MatMul(q, Transpose(k)), scale)), v)
+	}
+	if blocks <= 0 || q.Rows%blocks != 0 {
 		invariant.Failf("tensor: attentionBlocks %d rows over %d blocks", q.Rows, blocks)
 	}
 	if q.Cols != k.Cols || q.Rows != k.Rows || k.Rows != v.Rows {
@@ -209,16 +170,4 @@ func (c *Ctx) GatherRowsStride(a *Tensor, first, stride, count int) *Tensor {
 		copy(out.Data[i*d:(i+1)*d], a.Data[src:src+d])
 	}
 	return out
-}
-
-// SigmoidInPlaceFast is SigmoidInPlace through the vector kernel; sequential
-// callers keep the exact SigmoidInPlace.
-//
-//mpgraph:noalloc
-func (c *Ctx) SigmoidInPlaceFast(a *Tensor) *Tensor {
-	if c == nil {
-		return Sigmoid(a)
-	}
-	applyActFast(a.Data, ActSigmoid)
-	return a
 }

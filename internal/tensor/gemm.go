@@ -222,15 +222,17 @@ func gemmTN(out, a, b []float64, m, r, n int) {
 	parallelRows(body, m, m*r*n)
 }
 
-// --- fused inference kernels ---
+// --- fused inference kernels (portable) ---
 //
 // The fast path (arena.go, fastops.go) fuses GEMM, bias and activation into
 // one kernel per layer so steady-state inference makes a single pass over
 // the output row instead of three ops with three intermediate tensors. The
-// fused kernels are deliberately single-threaded: inference matrices are
-// [HistoryT x dim] sized (far below gemmParallelThreshold) and the parallel
-// experiment scheduler already saturates the cores one simulation per
-// worker, so nested fan-out would only add overhead and nondeterminism.
+// scalar kernels below are what gemm_batch.go falls back to where the
+// AVX-512F panel kernels are unavailable. They are deliberately
+// single-threaded: inference matrices are [HistoryT x dim] sized (far below
+// gemmParallelThreshold) and the parallel experiment scheduler already
+// saturates the cores one simulation per worker, so nested fan-out would
+// only add overhead and nondeterminism.
 
 // Act selects the activation fused into a kernel epilogue.
 type Act int

@@ -1,20 +1,33 @@
 package tensor
 
-// Batched-GEMM tier: one weight panel multiplied against an N-row stacked
-// activation block. The sequential fast path (gemmBiasAct and friends) keeps
-// its scalar register-blocked kernels untouched; the batch entry points below
-// route through the AVX-512F panel kernels when available and fall back to
-// the exact scalar kernels otherwise, so non-amd64 builds stay bit-identical
-// to sequential inference.
+// Panel-GEMM tier: one weight panel multiplied against an m-row activation
+// block — every live-ctx float64 GEMM runs here, one sequence (m = T) or a
+// stacked batch (m = B*T) alike. The entry points below route through the
+// AVX-512F panel kernels when available and fall back to the scalar
+// register-blocked kernels of gemm.go otherwise (non-amd64 builds, CPUs
+// without AVX-512F), which are row-independent too.
 //
-// Determinism contract: every batch kernel computes output row r as a pure
+// Determinism contract: every kernel computes output row r as a pure
 // function of activation row r with a fixed per-row operation sequence that
 // is identical between the 4-row and 1-row panel kernels. Results therefore
 // do not depend on batch composition, which is what keeps sweep reports
-// byte-identical for any batch size and worker count.
+// byte-identical for any batch size and worker count — on a given machine:
+// the FMA/vector kernels and the scalar fallback round differently (≤1e-9
+// on scores), so report bytes depend on whether the host has AVX-512F.
 
-// initRowsBias seeds each of the m output rows with bias (or zeros), killing
-// the per-row memclr+add the sequential path pays.
+// ForcePortableKernels routes every float kernel through the scalar fallback
+// — the path non-amd64 and pre-AVX-512 machines always take — until restore
+// is called. It exists so tests in this and the dependent packages can pin
+// the portable path's contracts on an AVX-512 host; it is not synchronized
+// and must not run concurrently with inference.
+func ForcePortableKernels() (restore func()) {
+	prev := useAVX512F
+	useAVX512F = false
+	return func() { useAVX512F = prev }
+}
+
+// initRowsBias seeds each of the m output rows with bias (or zeros), so the
+// panel kernels accumulate straight onto it.
 //
 //mpgraph:noalloc
 func initRowsBias(out, bias []float64, m, n int) {
@@ -27,9 +40,9 @@ func initRowsBias(out, bias []float64, m, n int) {
 	}
 }
 
-// gemmBatchBiasAct computes out = act(a@b + bias) for a stacked [m x k]
-// activation block against one [k x n] weight panel. This is the batch
-// tier's float entry point: b is streamed through cache once for all m rows.
+// gemmBatchBiasAct computes out = act(a@b + bias) for an [m x k] activation
+// block against one [k x n] weight panel: b is streamed through cache once
+// for all m rows.
 //
 //mpgraph:noalloc
 func gemmBatchBiasAct(out, a, b, bias []float64, m, k, n int, act Act) {

@@ -15,8 +15,12 @@
 // exp(x-bias) (softmax numerator), mode 1 sigmoid, mode 2 tanh. exp uses
 // Cody-Waite range reduction (n = round(x*log2e), r = x - n*ln2hi - n*ln2lo),
 // a degree-11 Taylor polynomial in r, and VSCALEFPD for the 2^n scale;
-// relative error is ~1e-14, well inside the batch tier's 1e-9 equivalence
-// budget against math.Exp-based sequential activations.
+// relative error is ~1e-14, well inside the 1e-9 equivalence budget against
+// the math.Exp-based autograd activations. Every clamp takes x as the
+// *second* source operand: VMINPD/VMAXPD return that operand when either is
+// NaN, so a NaN input comes out NaN (as the math package would give) rather
+// than as the clamp bound — a poisoned weight must reach the score screen,
+// not be laundered into a healthy-looking gate value.
 
 #include "textflag.h"
 
@@ -276,8 +280,8 @@ vlanes:
 
 presig:
 	// sigmoid(x) = 1/(1+exp(-x)); clamp |x| to 40 so exp stays finite.
-	VMINPD Z20, Z0, Z0
-	VMAXPD Z19, Z0, Z0
+	VMINPD Z0, Z20, Z0
+	VMAXPD Z0, Z19, Z0
 	VPXORQ Z5, Z5, Z5
 	VSUBPD Z0, Z5, Z0
 	JMP    expblk
@@ -285,12 +289,12 @@ presig:
 pretanh:
 	// tanh(x) = 1 - 2/(exp(2x)+1); clamp 2x to 40 so extremes saturate to +-1.
 	VADDPD Z0, Z0, Z0
-	VMINPD Z20, Z0, Z0
-	VMAXPD Z19, Z0, Z0
+	VMINPD Z0, Z20, Z0
+	VMAXPD Z0, Z19, Z0
 
 expblk:
-	VMINPD       Z13, Z0, Z0
-	VMAXPD       Z12, Z0, Z0
+	VMINPD       Z0, Z13, Z0
+	VMAXPD       Z0, Z12, Z0
 	VMULPD       Z16, Z0, Z1
 	VRNDSCALEPD  $0, Z1, Z1
 	VMOVAPD      Z0, Z2

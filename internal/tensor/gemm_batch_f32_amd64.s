@@ -15,7 +15,8 @@
 // f64 kernel with single-precision constants (ln2 split per fdlibm's float
 // variant, clamp at ±87 against float32 exp overflow at ~88.7); relative
 // error is ~1e-7, inside the f32 tier's parity budget against the
-// math.Exp-and-narrow scalar reference.
+// math.Exp-and-narrow scalar reference. As in the f64 kernel, every clamp
+// takes x as the second source operand so a NaN input comes out NaN.
 
 #include "textflag.h"
 
@@ -266,8 +267,8 @@ vlanes:
 
 presig:
 	// sigmoid(x) = 1/(1+exp(-x)); clamp |x| to 40 so exp stays finite.
-	VMINPS Z20, Z0, Z0
-	VMAXPS Z19, Z0, Z0
+	VMINPS Z0, Z20, Z0
+	VMAXPS Z0, Z19, Z0
 	VPXORQ Z5, Z5, Z5
 	VSUBPS Z0, Z5, Z0
 	JMP    expblk
@@ -275,15 +276,15 @@ presig:
 pretanh:
 	// tanh(x) = 1 - 2/(exp(2x)+1); clamp 2x to 40 so extremes saturate to +-1.
 	VADDPS Z0, Z0, Z0
-	VMINPS Z20, Z0, Z0
-	VMAXPS Z19, Z0, Z0
+	VMINPS Z0, Z20, Z0
+	VMAXPS Z0, Z19, Z0
 
 expblk:
 	// Cody-Waite: n = round(x*log2e), r = x - n*ln2hi - n*ln2lo, then a
 	// degree-8 Taylor in r and a VSCALEFPS 2^n rescale. Degree 8 puts the
 	// truncation term (r^9/9! at |r| <= ln2/2) three orders below f32 eps.
-	VMINPS       Z13, Z0, Z0
-	VMAXPS       Z12, Z0, Z0
+	VMINPS       Z0, Z13, Z0
+	VMAXPS       Z0, Z12, Z0
 	VMULPS       Z16, Z0, Z1
 	VRNDSCALEPS  $0, Z1, Z1
 	VMOVAPS      Z0, Z2

@@ -210,6 +210,33 @@ func TestSoftmaxInPlaceFastF32Matches(t *testing.T) {
 	}
 }
 
+// TestVactF32PropagatesNaN is TestVactPropagatesNaN for the f32 kernel.
+func TestVactF32PropagatesNaN(t *testing.T) {
+	if !batchKernelAvailable() {
+		t.Skip("no AVX-512F batch kernels on this machine")
+	}
+	nan := float32(math.NaN())
+	for _, n := range []int{1, 16, 19} {
+		for name, f := range map[string]func([]float32){
+			"exp":     func(r []float32) { vexpRowF32(r, 0.5) },
+			"sigmoid": vsigmoidRowF32,
+			"tanh":    vtanhRowF32,
+		} {
+			row := make([]float32, n)
+			row[n-1] = nan
+			f(row)
+			if !math.IsNaN(float64(row[n-1])) {
+				t.Fatalf("%s n=%d: NaN came out as %g", name, n, row[n-1])
+			}
+			for _, v := range row[:n-1] {
+				if math.IsNaN(float64(v)) {
+					t.Fatalf("%s n=%d: NaN leaked into a neighbouring lane", name, n)
+				}
+			}
+		}
+	}
+}
+
 func TestAttentionBlocksF32CompositionIndependent(t *testing.T) {
 	c := NewCtx()
 	rng := rand.New(rand.NewSource(37))

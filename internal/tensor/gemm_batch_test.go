@@ -125,6 +125,35 @@ func TestVactAccuracy(t *testing.T) {
 	}
 }
 
+// TestVactPropagatesNaN: the vector activations clamp their argument, and a
+// clamp that swallowed NaN would launder a poisoned weight into a
+// healthy-looking probability inside the network (an LSTM gate), where the
+// ScreenScores health screen on the outputs can no longer see it.
+func TestVactPropagatesNaN(t *testing.T) {
+	if !batchKernelAvailable() {
+		t.Skip("no AVX-512F batch kernels on this machine")
+	}
+	for _, n := range []int{1, 8, 11} {
+		for name, f := range map[string]func([]float64){
+			"exp":     func(r []float64) { vexpRow(r, 0.5) },
+			"sigmoid": vsigmoidRow,
+			"tanh":    vtanhRow,
+		} {
+			row := make([]float64, n)
+			row[n-1] = math.NaN()
+			f(row)
+			if !math.IsNaN(row[n-1]) {
+				t.Fatalf("%s n=%d: NaN came out as %g", name, n, row[n-1])
+			}
+			for _, v := range row[:n-1] {
+				if math.IsNaN(v) {
+					t.Fatalf("%s n=%d: NaN leaked into a neighbouring lane", name, n)
+				}
+			}
+		}
+	}
+}
+
 func TestGemmBatchBiasActMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
 	for _, act := range []Act{ActNone, ActReLU, ActSigmoid, ActTanh} {
@@ -186,7 +215,62 @@ func TestSoftmaxInPlaceFastMatches(t *testing.T) {
 	}
 }
 
+// kernelPaths runs f on the machine's own kernels and again with the
+// portable scalar fallback forced (what non-amd64 and pre-AVX-512 builds
+// always run), so both keep the same contracts.
+func kernelPaths(t *testing.T, f func(t *testing.T)) {
+	t.Run("native", f)
+	t.Run("portable", func(t *testing.T) {
+		defer ForcePortableKernels()()
+		f(t)
+	})
+}
+
+// TestOpsSequentialBatchIdentical pins the float64 tier's determinism
+// contract at the op level: a row scored alone (the sequential case) and the
+// same row inside a stacked batch produce identical bits, at 0 allocs/op.
+func TestOpsSequentialBatchIdentical(t *testing.T) {
+	kernelPaths(t, func(t *testing.T) {
+		c := NewCtx()
+		rng := rand.New(rand.NewSource(28))
+		m, k, n := 9, 17, 29
+		x := c.view(m, k, randSlice(rng, m*k))
+		h := c.view(m, n, randSlice(rng, m*n))
+		w := c.view(k, n, randSlice(rng, k*n))
+		u := c.view(n, n, randSlice(rng, n*n))
+		b := c.view(1, n, randSlice(rng, n))
+		chain := func(x, h *Tensor) *Tensor {
+			g := c.Linear2Act(x, w, h, u, b, ActTanh)
+			return c.SigmoidInPlace(c.LinearAct(g, u, b, ActReLU))
+		}
+		batched := chain(x, h)
+		for i := 0; i < m; i++ {
+			solo := chain(c.view(1, k, x.Data[i*k:(i+1)*k]), c.view(1, n, h.Data[i*n:(i+1)*n]))
+			for j := range solo.Data {
+				if math.Float64bits(solo.Data[j]) != math.Float64bits(batched.Data[i*n+j]) {
+					t.Fatalf("row %d col %d: solo %x != batched %x",
+						i, j, math.Float64bits(solo.Data[j]), math.Float64bits(batched.Data[i*n+j]))
+				}
+			}
+		}
+		run := func() {
+			c.Reset()
+			g := chain(x, h)
+			c.AttentionBlocks(g, g, g, 3, 0.5, false)
+		}
+		run() // warm the slabs
+		run()
+		if avg := testing.AllocsPerRun(50, run); avg != 0 {
+			t.Fatalf("op chain allocates %v per run, want 0", avg)
+		}
+	})
+}
+
 func TestAttentionBlocksCompositionIndependent(t *testing.T) {
+	kernelPaths(t, testAttentionBlocksCompositionIndependent)
+}
+
+func testAttentionBlocksCompositionIndependent(t *testing.T) {
 	c := NewCtx()
 	rng := rand.New(rand.NewSource(27))
 	blocks, tt, d := 6, 5, 16
@@ -208,16 +292,20 @@ func TestAttentionBlocksCompositionIndependent(t *testing.T) {
 				}
 			}
 		}
-		// exact=true must equal the sequential attention composition bit for bit
+		// exact=true must equal the scalar score/softmax/AV kernels bit for
+		// bit — the sequence int8 attention is pinned to on every machine.
 		if exact {
 			for blk := 0; blk < blocks; blk++ {
-				qb := c.view(tt, d, q.Data[blk*tt*d:(blk+1)*tt*d])
-				kb := c.view(tt, d, k.Data[blk*tt*d:(blk+1)*tt*d])
-				vb := c.view(tt, d, v.Data[blk*tt*d:(blk+1)*tt*d])
-				ref := c.MatMul(c.SoftmaxRows(c.MatMulNTScale(qb, kb, 0.25)), vb)
-				for i := range ref.Data {
-					if math.Float64bits(ref.Data[i]) != math.Float64bits(full.Data[blk*tt*d+i]) {
-						t.Fatalf("exact block %d elem %d diverges from sequential attention", blk, i)
+				scores := make([]float64, tt*tt)
+				gemmNTScale(scores, q.Data[blk*tt*d:(blk+1)*tt*d], k.Data[blk*tt*d:(blk+1)*tt*d], tt, d, tt, 0.25)
+				for r := 0; r < tt; r++ {
+					softmaxInPlace(scores[r*tt : (r+1)*tt])
+				}
+				ref := make([]float64, tt*d)
+				gemm(ref, scores, v.Data[blk*tt*d:(blk+1)*tt*d], tt, tt, d)
+				for i := range ref {
+					if math.Float64bits(ref[i]) != math.Float64bits(full.Data[blk*tt*d+i]) {
+						t.Fatalf("exact block %d elem %d diverges from the scalar attention kernels", blk, i)
 					}
 				}
 			}
