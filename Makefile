@@ -75,13 +75,20 @@ race:
 # Operate benchmarks run 6 counts of 300 iterations — mpgraph-bench keeps
 # the best run per benchmark (timing noise is strictly additive), keeping
 # ns/op stable enough for the bench-compare gate's 15% threshold on noisy
-# (single-core VM) hosts; the seconds-scale sweep benchmarks run once. Steps go through a file so a benchmark failure fails
-# the target. For published numbers rerun with a higher -benchtime and
-# -count (DESIGN.md §8).
+# (single-core VM) hosts; the sub-microsecond kernel rows (KERNEL_BENCH: the
+# attention block, the fused residual LayerNorm and the top-2 decode at the
+# shapes an AMMA forward runs them) take 20000 iterations for the same
+# reason; the seconds-scale sweep benchmarks run once. Steps go through a
+# file so a benchmark failure fails the target. For published numbers rerun
+# with a higher -benchtime and -count (DESIGN.md §8).
+KERNEL_BENCH = BenchmarkAttentionBlocks|BenchmarkResidualLayerNorm|BenchmarkTopK2of1024
 bench:
 	$(GO) test ./internal/prefetch/ ./internal/core/ ./internal/models/ \
 		-run xxx -bench 'BenchmarkOperate|BenchmarkSuiteSave' -benchtime 300x -count 6 \
 		> bench.out
+	$(GO) test ./internal/tensor/ ./internal/models/ \
+		-run xxx -bench '$(KERNEL_BENCH)' -benchtime 20000x -count 6 \
+		>> bench.out
 	$(GO) test ./internal/experiments/ \
 		-run xxx -bench 'BenchmarkPrefetchSweep' -benchtime 1x \
 		>> bench.out
@@ -109,6 +116,9 @@ bench-compare:
 	$(GO) test ./internal/prefetch/ ./internal/core/ ./internal/models/ \
 		-run xxx -bench 'BenchmarkOperate|BenchmarkSuiteSave' -benchtime 300x -count 6 \
 		> bench-new.out
+	$(GO) test ./internal/tensor/ ./internal/models/ \
+		-run xxx -bench '$(KERNEL_BENCH)' -benchtime 20000x -count 6 \
+		>> bench-new.out
 	$(GO) run ./cmd/mpgraph-bench -in bench-new.out -o BENCH_new.json
 	$(GO) run ./cmd/mpgraph-bench -compare BENCH_small.json BENCH_new.json
 	rm -f bench-new.out BENCH_new.json

@@ -329,14 +329,23 @@ func addUnique(out []uint64, b uint64, maxDegree int) []uint64 {
 }
 
 // beginProbation activates all phase predictors in parallel for scoring
-// (Section 4.4.1).
+// (Section 4.4.1). The score slice and the per-phase prediction sets live on
+// the instance — built at the first transition, sized for the most a window
+// can insert, and cleared at every later one — so a transition allocates
+// nothing in steady state.
 func (m *MPGraph) beginProbation() {
 	m.probing = true
 	m.probeLeft = m.opt.ProbationWindow
-	m.probeScores = make([]int, len(m.deltas))
-	m.probeSets = make([]map[uint64]bool, len(m.deltas))
-	for i := range m.probeSets {
-		m.probeSets[i] = map[uint64]bool{}
+	if m.probeSets == nil {
+		m.probeScores = make([]int, len(m.deltas))
+		m.probeSets = make([]map[uint64]bool, len(m.deltas))
+		for i := range m.probeSets {
+			m.probeSets[i] = make(map[uint64]bool, m.opt.ProbationWindow*m.opt.SpatialDegree)
+		}
+	}
+	clear(m.probeScores)
+	for _, set := range m.probeSets {
+		clear(set)
 	}
 }
 

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"runtime"
 	"testing"
 
 	"mpgraph/internal/models"
+	"mpgraph/internal/phasedet"
 	"mpgraph/internal/sim"
 )
 
@@ -11,6 +13,13 @@ import (
 // models: weight values are irrelevant to allocation and timing behavior,
 // so training is skipped.
 func newAMMAMPGraph(tb testing.TB, opt Options) *MPGraph {
+	return newAMMAMPGraphPhases(tb, opt, silentDetector{}, 1)
+}
+
+// newAMMAMPGraphPhases is newAMMAMPGraph with a detector of the caller's
+// choice and one delta/page model pair per phase, so phase switches and
+// probation have candidates to choose between.
+func newAMMAMPGraphPhases(tb testing.TB, opt Options, det phasedet.Detector, phases int) *MPGraph {
 	tb.Helper()
 	cfg := models.SmallConfig()
 	var pcVals, pageVals []uint64
@@ -20,9 +29,13 @@ func newAMMAMPGraph(tb testing.TB, opt Options) *MPGraph {
 	}
 	pcs := models.BuildVocab(pcVals, cfg.PCVocab)
 	pages := models.BuildVocab(pageVals, cfg.PageVocab)
-	delta := models.NewAMMADelta(cfg, pcs, 0, 1)
-	page := models.NewAMMAPage(cfg, pages, pcs, 0, 2)
-	m, err := New(opt, cfg.HistoryT, silentDetector{}, []models.DeltaModel{delta}, []models.PageModel{page})
+	var deltas []models.DeltaModel
+	var pageModels []models.PageModel
+	for p := 0; p < phases; p++ {
+		deltas = append(deltas, models.NewAMMADelta(cfg, pcs, 0, int64(2*p+1)))
+		pageModels = append(pageModels, models.NewAMMAPage(cfg, pages, pcs, 0, int64(2*p+2)))
+	}
+	m, err := New(opt, cfg.HistoryT, det, deltas, pageModels)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -47,6 +60,67 @@ func TestMPGraphOperateZeroAlloc(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(64, step); allocs != 0 {
 		t.Fatalf("steady-state AMMA MPGraph.Operate allocates %.1f/op, want 0", allocs)
+	}
+}
+
+// everyNDetector fires a transition every n observations.
+type everyNDetector struct{ n, seen int }
+
+func (d *everyNDetector) Name() string { return "every-n" }
+func (d *everyNDetector) Observe(float64) bool {
+	d.seen++
+	return d.seen%d.n == 0
+}
+func (d *everyNDetector) Reset() { d.seen = 0 }
+
+// TestMPGraphTransitionsZeroAlloc: the 0-allocs/op claim has to hold on a
+// trace WITH phase transitions, not only on the steady single-phase fixture —
+// an OraclePhase trace that flips phase every 40 accesses, and a detector
+// that fires every 70 so probation windows (48 accesses: begin, feed, score,
+// commit) open and close inside the measured run.
+func TestMPGraphTransitionsZeroAlloc(t *testing.T) {
+	oracle := DefaultOptions()
+	oracle.OraclePhase = true
+	cases := map[string]*MPGraph{
+		"oracle-phase": newAMMAMPGraphPhases(t, oracle, nil, 2),
+		"probation":    newAMMAMPGraphPhases(t, DefaultOptions(), &everyNDetector{n: 70}, 2),
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for name, m := range cases {
+		i := 0
+		step := func() {
+			i++
+			m.Operate(sim.LLCAccess{
+				Block: uint64(1<<20 + i%64),
+				PC:    0x400000 + 0x40*uint64(i%3),
+				Phase: uint8((i / 40) % 2),
+			})
+		}
+		for n := 0; n < 300; n++ {
+			step()
+		}
+		// Count mallocs over whole windows: testing.AllocsPerRun reports an
+		// integral average, which rounds a few allocations per transition
+		// down to 0. The runtime itself allocates now and then (a GC cycle
+		// starting), so take the quietest of three windows: an allocation
+		// per transition would show in every one.
+		least := ^uint64(0)
+		for w := 0; w < 3; w++ {
+			transitions := m.Transitions
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for n := 0; n < 400; n++ {
+				step()
+			}
+			runtime.ReadMemStats(&after)
+			least = min(least, after.Mallocs-before.Mallocs)
+			if m.Transitions-transitions < 4 {
+				t.Fatalf("%s: only %d transitions inside a measured window", name, m.Transitions-transitions)
+			}
+		}
+		if least != 0 {
+			t.Fatalf("%s: at least %d allocations per 400 Operate calls across transitions, want 0", name, least)
+		}
 	}
 }
 

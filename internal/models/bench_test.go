@@ -1,6 +1,7 @@
 package models
 
 import (
+	"math/rand"
 	"testing"
 
 	"mpgraph/internal/tensor"
@@ -70,5 +71,21 @@ func BenchmarkAMMADeltaTrainStep(b *testing.B) {
 		for _, p := range m.Params() {
 			p.ZeroGrad()
 		}
+	}
+}
+
+// BenchmarkTopK2of1024 is the page-model decode: the best token plus one
+// spare out of a PageVocab-wide logit row.
+func BenchmarkTopK2of1024(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	scores := make([]float64, 1024)
+	for i := range scores {
+		scores[i] = rng.NormFloat64()
+	}
+	ctx := tensor.NewCtx()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		TopKClassesCtx(ctx, scores, 2)
+		ctx.Reset()
 	}
 }

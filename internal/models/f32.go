@@ -5,7 +5,8 @@ package models
 // autograd scoring path and Params all delegate — and overrides only the
 // ctx fast path with the f32 kernel composition, so the mirrors slot into
 // DeltaScoresWith/TopPagesWith unchanged: a live ctx runs f32, a nil ctx
-// falls back to the float64 model.
+// falls back to the float64 model. The f32 forward is written once, in its
+// batched form (f32_batch.go); one sample is the B=1 case.
 //
 // Unlike int8 there is no calibration: weights are narrowed once at
 // conversion (f64 → f32 round-to-nearest) and the activation path runs
@@ -48,16 +49,6 @@ func convertModalityEncoderF32(m *modalityEncoder) *f32ModalityEncoder {
 	return f
 }
 
-//mpgraph:noalloc
-func (m *f32ModalityEncoder) encodeFeaturesCtx(c *tensor.Ctx, x *tensor.F32Tensor) *tensor.F32Tensor {
-	return m.attn.ForwardCtx(c, c.AddF32(m.lin.ForwardCtx(c, x), m.pos))
-}
-
-//mpgraph:noalloc
-func (m *f32ModalityEncoder) encodeTokensCtx(c *tensor.Ctx, ids []int) *tensor.F32Tensor {
-	return m.attn.ForwardCtx(c, c.AddF32(m.table.ForwardCtx(c, ids), m.pos))
-}
-
 // f32AMMACore mirrors ammaCore with every block narrowed to f32.
 type f32AMMACore struct {
 	modA, modB *f32ModalityEncoder
@@ -79,21 +70,6 @@ func convertAMMACoreF32(core *ammaCore) *f32AMMACore {
 		fc.phaseEmb = nn.NewF32Embedding(core.phaseEmb)
 	}
 	return fc
-}
-
-// forwardCtx is ammaCore.forwardCtx on the f32 kernels.
-//
-//mpgraph:noalloc
-func (fc *f32AMMACore) forwardCtx(c *tensor.Ctx, encA, encB *tensor.F32Tensor, phase int) *tensor.F32Tensor {
-	fused := fc.fusion.ForwardCtx2(c, encA, encB) //mpgraph:allow noalloc -- fixed-arity fast path; the cross-package naming rule keys on a Ctx suffix
-	if fc.phaseEmb != nil {
-		p := phase % fc.phaseEmb.Vocab() //mpgraph:allow noalloc -- Vocab is a field read
-		fused = c.AddBiasF32(fused, fc.phaseEmb.ForwardCtx(c, phaseIDScratch(c, p)))
-	}
-	for _, tl := range fc.trans {
-		fused = tl.ForwardCtx(c, fused)
-	}
-	return c.MeanRowsF32(fused)
 }
 
 // sigmoidScoresF32 widens sigmoid(logits) into the float64 score vector the
@@ -128,13 +104,6 @@ func NewF32AMMADelta(m *AMMADelta) *F32AMMADelta {
 	return &F32AMMADelta{AMMADelta: m, fcore: convertAMMACoreF32(m.core), fhead: nn.NewF32MLP(m.head)}
 }
 
-//mpgraph:noalloc
-func (m *F32AMMADelta) flogitsCtx(c *tensor.Ctx, s *Sample) *tensor.F32Tensor {
-	encA := m.fcore.modA.encodeFeaturesCtx(c, c.NarrowCtxF32(addrFeatureTensorCtx(c, m.cfg, s.Blocks)))
-	encB := m.fcore.modB.encodeTokensCtx(c, pcTokensCtx(c, m.pcs, s.PCs))
-	return m.fhead.ForwardCtx(c, m.fcore.forwardCtx(c, encA, encB, s.Phase))
-}
-
 // DeltaScoresCtx implements DeltaScorerCtx on the f32 path.
 //
 //mpgraph:noalloc
@@ -142,7 +111,8 @@ func (m *F32AMMADelta) DeltaScoresCtx(c *tensor.Ctx, s *Sample) []float64 {
 	if c == nil {
 		return m.DeltaScores(s)
 	}
-	return sigmoidScoresF32(c, m.flogitsCtx(c, s)).Data
+	one := [1]*Sample{s}
+	return m.DeltaScoresBatchCtx(c, one[:]).Data
 }
 
 // F32AMMAPage is the f32 mirror of AMMAPage.
@@ -157,13 +127,6 @@ func NewF32AMMAPage(m *AMMAPage) *F32AMMAPage {
 	return &F32AMMAPage{AMMAPage: m, fcore: convertAMMACoreF32(m.core), fhead: nn.NewF32MLP(m.head)}
 }
 
-//mpgraph:noalloc
-func (m *F32AMMAPage) flogitsCtx(c *tensor.Ctx, s *Sample) *tensor.F32Tensor {
-	encA := m.fcore.modA.encodeTokensCtx(c, pageTokensCtx(c, m.pages, s.Blocks))
-	encB := m.fcore.modB.encodeTokensCtx(c, pcTokensCtx(c, m.pcs, s.PCs))
-	return m.fhead.ForwardCtx(c, m.fcore.forwardCtx(c, encA, encB, s.Phase))
-}
-
 // TopPagesAppendCtx implements PageTopperCtx on the f32 path. Ranking runs
 // over the exactly-widened f32 logits, so tie ordering matches what the f32
 // kernels produced.
@@ -173,7 +136,8 @@ func (m *F32AMMAPage) TopPagesAppendCtx(c *tensor.Ctx, s *Sample, k int, dst []u
 	if c == nil {
 		return append(dst, m.TopPages(s, k)...)
 	}
-	return topPagesAppendCtx(c, m.pages, c.WidenCtxF32(m.flogitsCtx(c, s)).Data, k, dst)
+	one := [1]*Sample{s}
+	return topPagesAppendCtx(c, m.pages, c.WidenCtxF32(m.flogitsBatchCtx(c, one[:])).Data, k, dst)
 }
 
 // F32LSTMDelta is the f32 mirror of the Delta-LSTM baseline — the
@@ -189,12 +153,6 @@ func NewF32LSTMDelta(m *LSTMDelta) *F32LSTMDelta {
 	return &F32LSTMDelta{LSTMDelta: m, flstm: nn.NewF32LSTM(m.lstm), fhead: nn.NewF32MLP(m.head)}
 }
 
-//mpgraph:noalloc
-func (m *F32LSTMDelta) flogitsCtx(c *tensor.Ctx, s *Sample) *tensor.F32Tensor {
-	x := c.NarrowCtxF32(concatStepFeaturesCtx(c, m.cfg, s.Blocks, s.PCs))
-	return m.fhead.ForwardCtx(c, m.flstm.ForwardCtx(c, x))
-}
-
 // DeltaScoresCtx implements DeltaScorerCtx on the f32 path.
 //
 //mpgraph:noalloc
@@ -202,7 +160,8 @@ func (m *F32LSTMDelta) DeltaScoresCtx(c *tensor.Ctx, s *Sample) []float64 {
 	if c == nil {
 		return m.DeltaScores(s)
 	}
-	return sigmoidScoresF32(c, m.flogitsCtx(c, s)).Data
+	one := [1]*Sample{s}
+	return m.DeltaScoresBatchCtx(c, one[:]).Data
 }
 
 // F32BinaryPage is the f32 mirror of the binary-encoded compressed page
@@ -222,10 +181,11 @@ func NewF32BinaryPage(m *BinaryPage) *F32BinaryPage {
 }
 
 //mpgraph:noalloc
-func (m *F32BinaryPage) flogitsCtx(c *tensor.Ctx, s *Sample) *tensor.Tensor {
-	encA := m.fcore.modA.encodeTokensCtx(c, pageTokensCtx(c, m.pages, s.Blocks))
-	encB := m.fcore.modB.encodeTokensCtx(c, pcTokensCtx(c, m.pcs, s.PCs))
-	pooled := c.WidenCtxF32(m.fcore.forwardCtx(c, encA, encB, s.Phase))
+func (m *F32BinaryPage) flogitsBatchCtx(c *tensor.Ctx, ss []*Sample) *tensor.Tensor {
+	t := batchT(ss)
+	encA := m.fcore.modA.encodeTokensBatchCtx(c, pageTokensBatchCtx(c, m.pages, ss, t), len(ss))
+	encB := m.fcore.modB.encodeTokensBatchCtx(c, pcTokensBatchCtx(c, m.pcs, ss, t), len(ss))
+	pooled := c.WidenCtxF32(m.fcore.forwardBatchCtx(c, encA, encB, ss))
 	return m.head.ForwardCtx(c, pooled)
 }
 
@@ -237,7 +197,8 @@ func (m *F32BinaryPage) TopPagesAppendCtx(c *tensor.Ctx, s *Sample, k int, dst [
 	if c == nil {
 		return append(dst, m.TopPages(s, k)...)
 	}
-	probs := c.SigmoidInPlace(m.flogitsCtx(c, s)).Data
+	one := [1]*Sample{s}
+	probs := c.SigmoidInPlace(m.flogitsBatchCtx(c, one[:])).Data
 	return binaryTopPagesAppendCtx(c, m.pages, probs, k, dst)
 }
 

@@ -15,8 +15,8 @@ import (
 // PageModel contracts untouched — an implementation without a fast path
 // simply falls back. The float64 live-ctx forward itself is written once, in
 // its batched form (fastpath_batch.go); this file holds the dispatchers, the
-// arena encode/decode helpers the f32 and int8 mirrors share, and the
-// one-sample entry points.
+// arena encode/decode helpers the mirrors share, and the one-sample entry
+// points.
 
 // DeltaScorerCtx is a DeltaModel with an arena fast path. Fast-path scores
 // are arena-backed: valid only until the ctx is reset.
@@ -80,56 +80,52 @@ func addrFeatureTensorCtx(c *tensor.Ctx, cfg Config, blocks []uint64) *tensor.Te
 	return t
 }
 
-// concatStepFeaturesCtx is concatStepFeatures on the arena.
-//
-//mpgraph:noalloc
-func concatStepFeaturesCtx(c *tensor.Ctx, cfg Config, blocks, pcs []uint64) *tensor.Tensor {
-	cols := cfg.NumSegments + 1
-	t := c.Zeros(len(blocks), cols)
-	for i := range blocks {
-		SegmentBlockInto(cfg, blocks[i], t.Data[i*cols:i*cols+cfg.NumSegments])
-		t.Data[i*cols+cfg.NumSegments] = hashPC(pcs[i])
-	}
-	return t
-}
-
-// TopKClassesCtx is TopKClasses with the index scratch drawn from the
-// arena; a nil ctx falls back to the allocating sort.
+// TopKClassesCtx is TopKClasses with the result drawn from the arena; a nil
+// ctx falls back to the allocating sort.
 //
 //mpgraph:noalloc
 func TopKClassesCtx(c *tensor.Ctx, scores []float64, k int) []int {
 	if c == nil {
 		return TopKClasses(scores, k)
 	}
-	return topKSelectInto(c.Ints(len(scores)), scores, k)
+	return topKSelectInto(c.Ints(min(k, len(scores))), scores)
 }
 
-// topKSelectInto ranks the k best-scoring indices into idxBuf (length
-// len(scores)) by partial selection sort, reproducing TopKClasses' order
-// exactly — descending score, equal scores broken by lower index — without
-// sort.Slice's allocations.
+// topKSelectInto ranks the len(top) best-scoring indices (len(top) <=
+// len(scores)) into top in one pass over scores, reproducing TopKClasses'
+// order exactly: descending score, equal scores broken by lower index. top
+// is kept sorted as it fills, so a score that does not beat the current
+// worst entry — nearly all of them when k is the hot paths' 2 — costs one
+// compare; a later index never displaces an equal earlier one.
 //
 //mpgraph:noalloc
-func topKSelectInto(idxBuf []int, scores []float64, k int) []int {
-	n := len(scores)
-	for i := range idxBuf {
-		idxBuf[i] = i
+func topKSelectInto(top []int, scores []float64) []int {
+	k := len(top)
+	if k == 0 {
+		return top
 	}
-	if k > n {
-		k = n
+	for i := 0; i < k; i++ {
+		topKInsert(top, scores, i, i)
 	}
-	for j := 0; j < k; j++ {
-		best := j
-		for i := j + 1; i < n; i++ {
-			bi, bb := idxBuf[i], idxBuf[best]
-			if scores[bi] > scores[bb] ||
-				(scores[bi] == scores[bb] && bi < bb) { //mpgraph:allow floateq -- exact tie-break matches TopKClasses ordering
-				best = i
-			}
+	worst := scores[top[k-1]]
+	for i := k; i < len(scores); i++ {
+		if scores[i] > worst {
+			topKInsert(top, scores, k-1, i)
+			worst = scores[top[k-1]]
 		}
-		idxBuf[j], idxBuf[best] = idxBuf[best], idxBuf[j]
 	}
-	return idxBuf[:k]
+	return top
+}
+
+// topKInsert places index i into the sorted prefix top[:j], shifting the
+// entries it beats one slot down (the one in slot j falls off).
+//
+//mpgraph:noalloc
+func topKInsert(top []int, scores []float64, j, i int) {
+	for ; j > 0 && scores[i] > scores[top[j-1]]; j-- {
+		top[j] = top[j-1]
+	}
+	top[j] = i
 }
 
 // topPagesAppendCtx maps the best-scoring known tokens back to page values,
@@ -138,7 +134,7 @@ func topKSelectInto(idxBuf []int, scores []float64, k int) []int {
 //mpgraph:noalloc
 func topPagesAppendCtx(c *tensor.Ctx, pages *Vocab, scores []float64, k int, dst []uint64) []uint64 {
 	added := 0
-	for _, tok := range topKSelectInto(c.Ints(len(scores)), scores, k+1) {
+	for _, tok := range topKSelectInto(c.Ints(min(k+1, len(scores))), scores) {
 		if page, ok := pages.Value(tok); ok {
 			dst = append(dst, page)
 			added++

@@ -2,6 +2,7 @@ package models
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"mpgraph/internal/tensor"
@@ -98,6 +99,52 @@ func TestTopKClassesCtxMatches(t *testing.T) {
 			}
 		}
 		ctx.Reset()
+	}
+}
+
+// TestKernelOracleTopK: the single-pass top-k must pick the classes
+// TopKClasses' full sort picks, in its order, on random score vectors with
+// planted ties — at the hot paths' k, at k = n, and with ties straddling the
+// cut.
+func TestKernelOracleTopK(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	ctx := tensor.NewCtx()
+	for trial := 0; trial < 400; trial++ {
+		n := 1 + rng.Intn(40)
+		if trial%50 == 0 {
+			n = 1024
+		}
+		scores := make([]float64, n)
+		for i := range scores {
+			scores[i] = rng.NormFloat64()
+		}
+		// Plant ties: copy a few scores (the best one included) over others.
+		best := 0
+		for i, s := range scores {
+			if s > scores[best] {
+				best = i
+			}
+		}
+		for i := 0; i < 1+n/4; i++ {
+			src := rng.Intn(n)
+			if i == 0 {
+				src = best
+			}
+			scores[rng.Intn(n)] = scores[src]
+		}
+		for _, k := range []int{1, 2, 3, n} {
+			want := TopKClasses(scores, k)
+			got := TopKClassesCtx(ctx, scores, k)
+			if len(got) != len(want) {
+				t.Fatalf("trial %d n=%d k=%d: %d classes, want %d", trial, n, k, len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("trial %d n=%d k=%d: class[%d] = %d, want %d (scores %v)", trial, n, k, i, got[i], want[i], scores)
+				}
+			}
+			ctx.Reset()
+		}
 	}
 }
 

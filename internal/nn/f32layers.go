@@ -79,7 +79,15 @@ func NewF32LayerNorm(l *LayerNorm) *F32LayerNorm {
 //
 //mpgraph:noalloc
 func (l *F32LayerNorm) ForwardCtx(c *tensor.Ctx, x *tensor.F32Tensor) *tensor.F32Tensor {
-	return c.LayerNormF32(x, l.Gain, l.Bias, l.Eps)
+	return l.ForwardAddCtx(c, x, nil)
+}
+
+// ForwardAddCtx normalises the rows of x + res as one fused op (res nil: x
+// alone).
+//
+//mpgraph:noalloc
+func (l *F32LayerNorm) ForwardAddCtx(c *tensor.Ctx, x, res *tensor.F32Tensor) *tensor.F32Tensor {
+	return c.AddLayerNormF32(x, res, l.Gain, l.Bias, l.Eps)
 }
 
 // F32SelfAttention is the f32 mirror of SelfAttention. Scores, softmax and
@@ -197,8 +205,8 @@ func (t *F32TransformerLayer) ForwardCtx(c *tensor.Ctx, x *tensor.F32Tensor) *te
 //
 //mpgraph:noalloc
 func (t *F32TransformerLayer) ForwardBatchCtx(c *tensor.Ctx, x *tensor.F32Tensor, blocks int) *tensor.F32Tensor {
-	x = t.N1.ForwardCtx(c, c.AddF32(x, t.MSA.ForwardBatchCtx(c, x, blocks)))
-	return t.N2.ForwardCtx(c, c.AddF32(x, t.FF.ForwardCtx(c, x)))
+	x = t.N1.ForwardAddCtx(c, x, t.MSA.ForwardBatchCtx(c, x, blocks))
+	return t.N2.ForwardAddCtx(c, x, t.FF.ForwardCtx(c, x))
 }
 
 // F32MMAF is the f32 mirror of the multi-modality attention fusion layer.
@@ -208,13 +216,6 @@ type F32MMAF struct {
 
 // NewF32MMAF mirrors the fusion attention.
 func NewF32MMAF(m *MMAF) *F32MMAF { return &F32MMAF{Attn: NewF32SelfAttention(m.Attn)} }
-
-// ForwardCtx2 fuses exactly two modality sequences — the AMMA hot path.
-//
-//mpgraph:noalloc
-func (m *F32MMAF) ForwardCtx2(c *tensor.Ctx, a, b *tensor.F32Tensor) *tensor.F32Tensor {
-	return m.Attn.ForwardCtx(c, c.ConcatRows2F32(a, b))
-}
 
 // ForwardBatchCtx2 fuses two stacked modality sequences block by block.
 //
@@ -272,32 +273,12 @@ func NewF32LSTM(l *LSTM) *F32LSTM {
 	}
 }
 
-// ForwardCtx consumes the sequence x [T x in] one row at a time and returns
-// the final hidden state [1 x hidden]. The cell update mirrors the batched
-// kernel's structure (h = tanh(c) via the vectorized activation, then the
-// output-gate product) so sequential and batched f32 LSTMs are bit-identical.
+// ForwardCtx consumes the sequence x [T x in] and returns the final hidden
+// state [1 x hidden]: one sequence is the blocks=1 case of ForwardBatchCtx.
 //
 //mpgraph:noalloc
 func (l *F32LSTM) ForwardCtx(ctx *tensor.Ctx, x *tensor.F32Tensor) *tensor.F32Tensor {
-	h := ctx.ZerosF32(1, l.Hidden)
-	c := ctx.ZerosF32(1, l.Hidden)
-	for t := 0; t < x.Rows; t++ {
-		xt := ctx.RowViewF32(x, t)
-		i := ctx.Linear2ActF32(xt, l.Wxi, h, l.Whi, l.Bi, tensor.ActSigmoid)
-		f := ctx.Linear2ActF32(xt, l.Wxf, h, l.Whf, l.Bf, tensor.ActSigmoid)
-		g := ctx.Linear2ActF32(xt, l.Wxg, h, l.Whg, l.Bg, tensor.ActTanh)
-		o := ctx.Linear2ActF32(xt, l.Wxo, h, l.Who, l.Bo, tensor.ActSigmoid)
-		for j := range c.Data {
-			cv := f.Data[j]*c.Data[j] + i.Data[j]*g.Data[j]
-			c.Data[j] = cv
-			h.Data[j] = cv
-		}
-		tensor.ApplyActFastF32(h.Data, tensor.ActTanh) //mpgraph:allow noalloc -- in-place over the arena row; the cross-package naming rule keys on Ctx/Into suffixes
-		for j := range h.Data {
-			h.Data[j] *= o.Data[j]
-		}
-	}
-	return h
+	return l.ForwardBatchCtx(ctx, x, 1)
 }
 
 // ForwardBatchCtx consumes `blocks` stacked sequences step-synchronously,

@@ -68,7 +68,7 @@ func TestF32LayersMatchFloat(t *testing.T) {
 		{"mmaf", 1e-4, func(c *tensor.Ctx) (*tensor.Tensor, *tensor.F32Tensor) {
 			m := NewMMAF(16, 8, rand.New(rand.NewSource(6)))
 			xf := narrowInput(c, x)
-			return m.ForwardBatchCtx2(c, x, x, 1), NewF32MMAF(m).ForwardCtx2(c, xf, xf)
+			return m.ForwardBatchCtx2(c, x, x, 1), NewF32MMAF(m).ForwardBatchCtx2(c, xf, xf, 1)
 		}},
 		{"mlp", 1e-4, func(c *tensor.Ctx) (*tensor.Tensor, *tensor.F32Tensor) {
 			m := NewMLP([]int{16, 24, 8}, rand.New(rand.NewSource(7)))

@@ -94,7 +94,15 @@ func (l *LayerNorm) Forward(x *tensor.Tensor) *tensor.Tensor {
 //
 //mpgraph:noalloc
 func (l *LayerNorm) ForwardCtx(c *tensor.Ctx, x *tensor.Tensor) *tensor.Tensor {
-	return c.LayerNorm(x, l.Gain, l.Bias, l.Eps)
+	return l.ForwardAddCtx(c, x, nil)
+}
+
+// ForwardAddCtx normalises the rows of x + res — a residual connection and
+// the norm after it as one fused op (res nil: x alone).
+//
+//mpgraph:noalloc
+func (l *LayerNorm) ForwardAddCtx(c *tensor.Ctx, x, res *tensor.Tensor) *tensor.Tensor {
+	return c.AddLayerNorm(x, res, l.Gain, l.Bias, l.Eps)
 }
 
 // Params implements Module.
@@ -132,8 +140,8 @@ func (s *SelfAttention) ForwardCtx(c *tensor.Ctx, x *tensor.Tensor) *tensor.Tens
 }
 
 // ForwardBatchCtx attends independently inside each of the `blocks` session
-// blocks of the stacked sequence x [blocks*T x in] (transpose-free scores,
-// in-place softmax). A nil ctx is autograd and takes one sequence.
+// blocks of the stacked sequence x [blocks*T x in] (one fused block-attention
+// op). A nil ctx is autograd and takes one sequence.
 //
 //mpgraph:noalloc
 func (s *SelfAttention) ForwardBatchCtx(c *tensor.Ctx, x *tensor.Tensor, blocks int) *tensor.Tensor {
@@ -260,8 +268,8 @@ func (t *TransformerLayer) ForwardCtx(c *tensor.Ctx, x *tensor.Tensor) *tensor.T
 //
 //mpgraph:noalloc
 func (t *TransformerLayer) ForwardBatchCtx(c *tensor.Ctx, x *tensor.Tensor, blocks int) *tensor.Tensor {
-	x = t.N1.ForwardCtx(c, c.Add(x, t.MSA.ForwardBatchCtx(c, x, blocks)))
-	return t.N2.ForwardCtx(c, c.Add(x, t.FF.ForwardCtx(c, x)))
+	x = t.N1.ForwardAddCtx(c, x, t.MSA.ForwardBatchCtx(c, x, blocks))
+	return t.N2.ForwardAddCtx(c, x, t.FF.ForwardCtx(c, x))
 }
 
 // Params implements Module.

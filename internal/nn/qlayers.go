@@ -137,15 +137,12 @@ func NewQMultiHeadSelfAttention(m *MultiHeadSelfAttention) *QMultiHeadSelfAttent
 	return q
 }
 
-// ForwardCtx attends over x with every head and reprojects.
+// ForwardCtx attends over x with every head and reprojects: one sequence is
+// the blocks=1 case of ForwardBatchCtx.
 //
 //mpgraph:noalloc
 func (m *QMultiHeadSelfAttention) ForwardCtx(c *tensor.Ctx, x *tensor.Tensor) *tensor.Tensor {
-	outs := c.Ptrs(len(m.Heads))
-	for i, h := range m.Heads {
-		outs[i] = h.ForwardCtx(c, x)
-	}
-	return m.Wo.ForwardCtx(c, c.ConcatCols(outs...))
+	return m.ForwardBatchCtx(c, x, 1)
 }
 
 // Freeze freezes every head and the output projection.
@@ -196,12 +193,12 @@ func NewQTransformerLayer(t *TransformerLayer) *QTransformerLayer {
 	}
 }
 
-// ForwardCtx applies the layer with residuals and float layer norms.
+// ForwardCtx applies the layer with residuals and float layer norms: one
+// sequence is the blocks=1 case of ForwardBatchCtx.
 //
 //mpgraph:noalloc
 func (t *QTransformerLayer) ForwardCtx(c *tensor.Ctx, x *tensor.Tensor) *tensor.Tensor {
-	x = t.n1.ForwardCtx(c, c.Add(x, t.MSA.ForwardCtx(c, x)))
-	return t.n2.ForwardCtx(c, c.Add(x, t.FF.ForwardCtx(c, x)))
+	return t.ForwardBatchCtx(c, x, 1)
 }
 
 // Freeze freezes the attention and FFN blocks.

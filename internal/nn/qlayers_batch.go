@@ -48,8 +48,8 @@ func (m *QMultiHeadSelfAttention) ForwardBatchCtx(c *tensor.Ctx, x *tensor.Tenso
 //
 //mpgraph:noalloc
 func (t *QTransformerLayer) ForwardBatchCtx(c *tensor.Ctx, x *tensor.Tensor, blocks int) *tensor.Tensor {
-	x = t.n1.ForwardCtx(c, c.Add(x, t.MSA.ForwardBatchCtx(c, x, blocks)))
-	return t.n2.ForwardCtx(c, c.Add(x, t.FF.ForwardCtx(c, x)))
+	x = t.n1.ForwardAddCtx(c, x, t.MSA.ForwardBatchCtx(c, x, blocks))
+	return t.n2.ForwardAddCtx(c, x, t.FF.ForwardCtx(c, x))
 }
 
 // ForwardBatchCtx2 fuses two stacked modality sequences block by block

@@ -1,6 +1,8 @@
 package tensor
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -44,4 +46,68 @@ func BenchmarkBackwardMLP(b *testing.B) {
 		w1.ZeroGrad()
 		w2.ZeroGrad()
 	}
+}
+
+// benchModelShapes runs f on the attention shapes of an AMMA forward: T = 9
+// (a modality encoder) and 2T = 18 (fusion, Transformer), d = 16 and 32, one
+// session and a stacked batch of eight.
+func benchModelShapes(b *testing.B, f func(b *testing.B, c *Ctx, t, d, blocks int)) {
+	for _, t := range []int{9, 18} {
+		for _, d := range []int{16, 32} {
+			for _, blocks := range []int{1, 8} {
+				b.Run(fmt.Sprintf("T=%d/d=%d/blocks=%d", t, d, blocks), func(b *testing.B) {
+					b.ReportAllocs()
+					f(b, NewCtx(), t, d, blocks)
+				})
+			}
+		}
+	}
+}
+
+func BenchmarkAttentionBlocks(b *testing.B) {
+	benchModelShapes(b, func(b *testing.B, c *Ctx, t, d, blocks int) {
+		rng := rand.New(rand.NewSource(1))
+		q, k, v := Randn(blocks*t, d, 1, rng), Randn(blocks*t, d, 1, rng), Randn(blocks*t, d, 1, rng)
+		scale := 1 / math.Sqrt(float64(d))
+		for i := 0; i < b.N; i++ {
+			c.AttentionBlocks(q, k, v, blocks, scale, false)
+			c.Reset()
+		}
+	})
+}
+
+func BenchmarkAttentionBlocksF32(b *testing.B) {
+	benchModelShapes(b, func(b *testing.B, c *Ctx, t, d, blocks int) {
+		rng := rand.New(rand.NewSource(1))
+		q, k, v := NarrowF32(Randn(blocks*t, d, 1, rng)), NarrowF32(Randn(blocks*t, d, 1, rng)), NarrowF32(Randn(blocks*t, d, 1, rng))
+		scale := float32(1 / math.Sqrt(float64(d)))
+		for i := 0; i < b.N; i++ {
+			c.AttentionBlocksF32(q, k, v, blocks, scale)
+			c.Reset()
+		}
+	})
+}
+
+func BenchmarkResidualLayerNorm(b *testing.B) {
+	benchModelShapes(b, func(b *testing.B, c *Ctx, t, d, blocks int) {
+		rng := rand.New(rand.NewSource(1))
+		x, y := Randn(blocks*t, d, 1, rng), Randn(blocks*t, d, 1, rng)
+		gain, bias := Randn(1, d, 1, rng), Randn(1, d, 1, rng)
+		for i := 0; i < b.N; i++ {
+			c.AddLayerNorm(x, y, gain, bias, 1e-5)
+			c.Reset()
+		}
+	})
+}
+
+func BenchmarkResidualLayerNormF32(b *testing.B) {
+	benchModelShapes(b, func(b *testing.B, c *Ctx, t, d, blocks int) {
+		rng := rand.New(rand.NewSource(1))
+		x, y := NarrowF32(Randn(blocks*t, d, 1, rng)), NarrowF32(Randn(blocks*t, d, 1, rng))
+		gain, bias := NarrowF32(Randn(1, d, 1, rng)), NarrowF32(Randn(1, d, 1, rng))
+		for i := 0; i < b.N; i++ {
+			c.AddLayerNormF32(x, y, gain, bias, 1e-5)
+			c.Reset()
+		}
+	})
 }

@@ -1,10 +1,24 @@
 package tensor
 
-// Fast elementwise math for live-ctx inference. On AVX-512F machines these
-// route through the vactAVX512 vector kernel (relative error ~1e-14 against
-// the math package, inside the 1e-9 fast-vs-autograd budget); everywhere
-// else they delegate to the scalar math-package implementations. Both are
-// elementwise, so neither depends on batch composition.
+import "math"
+
+// Row kernels of live-ctx inference: elementwise activations, row softmax
+// and the fused residual LayerNorm. On AVX-512F machines they run the vector
+// kernels of gemm_batch_amd64.s (relative error ~1e-14 against the math
+// package, inside the 1e-9 fast-vs-autograd budget); everywhere else the
+// scalar bodies below, on the same call path. Each output row is a function
+// of its own input row only, so neither tier depends on batch composition.
+
+// Modes of the vact kernels.
+const (
+	vactExp int64 = iota
+	vactSigmoid
+	vactTanh
+	vactReLU
+)
+
+// vactModeOf maps a fused-epilogue activation to its vact mode.
+var vactModeOf = [...]int64{ActReLU: vactReLU, ActSigmoid: vactSigmoid, ActTanh: vactTanh}
 
 // ApplyActFast applies act elementwise in place, vectorized when available.
 // Exported for the nn LSTM cell tanh.
@@ -16,45 +30,92 @@ func ApplyActFast(row []float64, act Act) {
 
 //mpgraph:noalloc
 func applyActFast(row []float64, act Act) {
+	if act == ActNone {
+		return
+	}
 	if batchKernelAvailable() {
-		switch act {
-		case ActSigmoid:
-			vsigmoidRow(row)
-			return
-		case ActTanh:
-			vtanhRow(row)
-			return
-		}
+		vact(row, vactModeOf[act], 0)
+		return
 	}
 	applyAct(row, act)
 }
 
-// softmaxInPlaceFast mirrors softmaxInPlace with a vectorized exp. The
-// max-subtraction and 1/sum normalization match the exact kernel's operation
-// order, so the only divergence is the exp evaluation itself.
+// softmaxRows applies a numerically-stable softmax in place to each row of p
+// [rows x cols]; tmp is scratch of the same size. exact pins the scalar
+// math-package kernel on every machine (the int8 tier's attention).
 //
 //mpgraph:noalloc
-func softmaxInPlaceFast(row []float64) {
-	if !batchKernelAvailable() {
-		softmaxInPlace(row)
+func softmaxRows(p, tmp []float64, rows, cols int, exact bool) {
+	if !exact && batchKernelAvailable() {
+		vsoftmaxRows(p, tmp, rows, cols)
 		return
 	}
-	if len(row) == 0 {
-		return
+	for r := 0; r < rows; r++ {
+		softmaxInPlace(p[r*cols : (r+1)*cols])
 	}
-	maxV := row[0]
-	for _, v := range row[1:] {
+}
+
+// softmaxInPlace applies a numerically-stable softmax to one row.
+//
+//mpgraph:noalloc
+func softmaxInPlace(row []float64) {
+	maxV := math.Inf(-1)
+	for _, v := range row {
 		if v > maxV {
 			maxV = v
 		}
 	}
-	vexpRow(row, maxV)
 	sum := 0.0
-	for _, v := range row {
-		sum += v
+	for i, v := range row {
+		e := math.Exp(v - maxV)
+		row[i] = e
+		sum += e
 	}
-	inv := 1 / sum
 	for i := range row {
-		row[i] *= inv
+		row[i] /= sum
+	}
+}
+
+// addLayerNormRows writes LayerNorm(x + y) into out, row by row: each row of
+// x + y (y nil: x alone) is normalised to zero mean and unit variance, then
+// scaled by gain and shifted by bias. No intermediate tensor is built.
+//
+//mpgraph:noalloc
+func addLayerNormRows(out, x, y, gain, bias []float64, rows, cols int, eps float64) {
+	if batchKernelAvailable() {
+		vaddLayerNorm(out, x, y, gain, bias, rows, cols, eps)
+		return
+	}
+	addLayerNormScalar(out, x, y, gain, bias, rows, cols, eps)
+}
+
+// addLayerNormScalar is the portable body of addLayerNormRows and its f32
+// twin; sums accumulate in T, the tier's own numerics.
+//
+//mpgraph:noalloc
+func addLayerNormScalar[T float32 | float64](out, x, y, gain, bias []T, rows, cols int, eps T) {
+	n := T(cols)
+	for r := 0; r < rows; r++ {
+		orow := out[r*cols : (r+1)*cols]
+		copy(orow, x[r*cols:(r+1)*cols])
+		if y != nil {
+			for j, v := range y[r*cols : (r+1)*cols] {
+				orow[j] += v
+			}
+		}
+		var mean, variance T
+		for _, v := range orow {
+			mean += v
+		}
+		mean /= n
+		for _, v := range orow {
+			d := v - mean
+			variance += d * d
+		}
+		variance /= n
+		inv := T(1 / math.Sqrt(float64(variance+eps)))
+		for j, v := range orow {
+			orow[j] = (v-mean)*inv*gain[j] + bias[j]
+		}
 	}
 }

@@ -1,11 +1,9 @@
 package tensor
 
-// Fast elementwise math for the f32 tier. On AVX-512F machines these route
-// through the vactF32AVX512 vector kernel (relative error ~1e-7 against the
-// math-package-and-narrow scalar reference, inside the tier's parity
-// budget); everywhere else they delegate to the exact scalar f32
-// implementations, so fallback platforms are bit-identical to the scalar
-// tier.
+// f32 twins of the row kernels in fastmath.go. On AVX-512F machines they run
+// the vector kernels of gemm_batch_f32_amd64.s (relative error ~1e-7 against
+// the math-package-and-narrow scalar reference, inside the tier's parity
+// budget); everywhere else the scalar f32 bodies below.
 
 // ApplyActFastF32 applies act elementwise in place, vectorized when
 // available. Exported for the nn f32 layers (LSTM cell tanh).
@@ -17,45 +15,38 @@ func ApplyActFastF32(row []float32, act Act) {
 
 //mpgraph:noalloc
 func applyActFastF32(row []float32, act Act) {
+	if act == ActNone {
+		return
+	}
 	if batchKernelAvailable() {
-		switch act {
-		case ActSigmoid:
-			vsigmoidRowF32(row)
-			return
-		case ActTanh:
-			vtanhRowF32(row)
-			return
-		}
+		vactF32(row, vactModeOf[act], 0)
+		return
 	}
 	applyActF32(row, act)
 }
 
-// softmaxInPlaceFastF32 mirrors softmaxInPlaceF32 with a vectorized exp. The
-// max-subtraction and 1/sum normalization match the scalar kernel's
-// operation order, so the only divergence is the exp evaluation itself.
+// softmaxRowsF32 applies a numerically-stable softmax in place to each row
+// of p [rows x cols]; tmp is scratch of the same size.
 //
 //mpgraph:noalloc
-func softmaxInPlaceFastF32(row []float32) {
-	if !batchKernelAvailable() {
-		softmaxInPlaceF32(row)
+func softmaxRowsF32(p, tmp []float32, rows, cols int) {
+	if batchKernelAvailable() {
+		vsoftmaxRowsF32(p, tmp, rows, cols)
 		return
 	}
-	if len(row) == 0 {
+	for r := 0; r < rows; r++ {
+		softmaxInPlaceF32(p[r*cols : (r+1)*cols])
+	}
+}
+
+// addLayerNormRowsF32 writes LayerNorm(x + y) into out, row by row (y nil:
+// x alone); see addLayerNormRows.
+//
+//mpgraph:noalloc
+func addLayerNormRowsF32(out, x, y, gain, bias []float32, rows, cols int, eps float32) {
+	if batchKernelAvailable() {
+		vaddLayerNormF32(out, x, y, gain, bias, rows, cols, eps)
 		return
 	}
-	maxV := row[0]
-	for _, v := range row[1:] {
-		if v > maxV {
-			maxV = v
-		}
-	}
-	vexpRowF32(row, maxV)
-	var sum float32
-	for _, v := range row {
-		sum += v
-	}
-	inv := 1 / sum
-	for i := range row {
-		row[i] *= inv
-	}
+	addLayerNormScalar(out, x, y, gain, bias, rows, cols, eps)
 }

@@ -1,10 +1,6 @@
 package tensor
 
-import (
-	"math"
-
-	"mpgraph/internal/invariant"
-)
+import "mpgraph/internal/invariant"
 
 // Graph-free fast-path ops. Every method on *Ctx mirrors one package op (or
 // a fused composition of several) and dispatches on the receiver: a nil Ctx
@@ -64,27 +60,6 @@ func (c *Ctx) AddBias(a, bias *Tensor) *Tensor {
 		}
 	}
 	return out
-}
-
-// softmaxInPlace applies a numerically-stable softmax to one row.
-//
-//mpgraph:noalloc
-func softmaxInPlace(row []float64) {
-	maxV := math.Inf(-1)
-	for _, v := range row {
-		if v > maxV {
-			maxV = v
-		}
-	}
-	sum := 0.0
-	for i, v := range row {
-		e := math.Exp(v - maxV)
-		row[i] = e
-		sum += e
-	}
-	for i := range row {
-		row[i] /= sum
-	}
 }
 
 // SigmoidInPlace applies the logistic function. The fast path runs the
@@ -284,38 +259,29 @@ func (c *Ctx) Linear2Act(x1, w1, x2, w2, bias *Tensor, act Act) *Tensor {
 	return out
 }
 
-// LayerNorm normalises each row of x and applies gain and bias in a single
-// fused pass (the nn.LayerNorm composition).
+// AddLayerNorm returns LayerNorm(x + y) — the Transformer's residual
+// connection and the norm after it — as one fused op with no intermediate
+// sum tensor; a nil y is the plain LayerNorm of x. Each row is normalised and
+// then scaled by gain and shifted by bias (the nn.LayerNorm composition).
 //
 //mpgraph:noalloc
-func (c *Ctx) LayerNorm(x, gain, bias *Tensor, eps float64) *Tensor {
+func (c *Ctx) AddLayerNorm(x, y, gain, bias *Tensor, eps float64) *Tensor {
 	if c == nil {
+		if y != nil {
+			x = Add(x, y)
+		}
 		return AddBias(MulBias(NormalizeRows(x, eps), gain), bias)
 	}
 	if gain.Cols != x.Cols || bias.Cols != x.Cols {
 		invariant.Failf("tensor: layernorm gain/bias width for %dx%d", x.Rows, x.Cols)
 	}
 	out := c.uninit(x.Rows, x.Cols)
-	n := float64(x.Cols)
-	for r := 0; r < x.Rows; r++ {
-		row := x.Data[r*x.Cols : (r+1)*x.Cols]
-		orow := out.Data[r*x.Cols : (r+1)*x.Cols]
-		mean := 0.0
-		for _, v := range row {
-			mean += v
-		}
-		mean /= n
-		variance := 0.0
-		for _, v := range row {
-			d := v - mean
-			variance += d * d
-		}
-		variance /= n
-		inv := 1 / math.Sqrt(variance+eps)
-		for j, v := range row {
-			orow[j] = (v-mean)*inv*gain.Data[j] + bias.Data[j]
-		}
+	var yd []float64
+	if y != nil {
+		checkSameShape("addLayerNorm", x, y)
+		yd = y.Data
 	}
+	addLayerNormRows(out.Data, x.Data, yd, gain.Data, bias.Data, x.Rows, x.Cols, eps)
 	return out
 }
 

@@ -12,12 +12,14 @@ import "mpgraph/internal/invariant"
 
 // AttentionBlocks runs scaled-dot-product attention softmax(q·kᵀ·scale)·v
 // independently inside each of the `blocks` equal row blocks of q/k/v
-// (self-attention never crosses a session boundary). exact selects the
-// scalar math kernels (softmaxInPlace + accumulate-gemm), which the int8
-// models keep so their attention, like their integer GEMMs, computes the
-// same bits on every machine; the float tier passes false and takes the
-// vectorized exp and FMA AV product. A nil ctx is the autograd composition
-// over one sequence (blocks must be 1).
+// (self-attention never crosses a session boundary). Per block, k is
+// transposed and pre-scaled once into arena scratch so the scores are a plain
+// GEMM, the softmax runs over the whole [T x T] block, and the AV product is
+// a second GEMM — all three on the panel/row kernels where AVX-512F is
+// present and on the scalar kernels elsewhere. exact pins the scalar kernels
+// (gemm, softmaxInPlace) on every machine: the int8 models keep it so their
+// attention, like their integer GEMMs, does not depend on the host. A nil ctx
+// is the autograd composition over one sequence (blocks must be 1).
 //
 //mpgraph:noalloc
 func (c *Ctx) AttentionBlocks(q, k, v *Tensor, blocks int, scale float64, exact bool) *Tensor {
@@ -35,29 +37,57 @@ func (c *Ctx) AttentionBlocks(q, k, v *Tensor, blocks int, scale float64, exact 
 	t := q.Rows / blocks
 	d := q.Cols
 	dv := v.Cols
-	out := c.uninit(q.Rows, dv)
-	scores := c.Floats(t * t)
+	out := c.zeros(q.Rows, dv)
+	kT := c.f64.takeUninit(d * t)
+	scores := c.f64.takeUninit(2 * t * t)
+	scores, tmp := scores[:t*t], scores[t*t:]
 	for blk := 0; blk < blocks; blk++ {
-		qb := q.Data[blk*t*d : (blk+1)*t*d]
-		kb := k.Data[blk*t*d : (blk+1)*t*d]
-		vb := v.Data[blk*t*dv : (blk+1)*t*dv]
-		ob := out.Data[blk*t*dv : (blk+1)*t*dv]
-		gemmNTScale(scores, qb, kb, t, d, t, scale)
-		for r := 0; r < t; r++ {
-			if exact {
-				softmaxInPlace(scores[r*t : (r+1)*t])
-			} else {
-				softmaxInPlaceFast(scores[r*t : (r+1)*t])
-			}
-		}
-		clear(ob)
-		if exact {
-			gemm(ob, scores, vb, t, t, dv)
-		} else {
-			gemmBatch(ob, scores, vb, t, t, dv)
-		}
+		transposeScale(kT, k.Data[blk*t*d:(blk+1)*t*d], t, d, scale)
+		clear(scores)
+		gemmAcc(scores, q.Data[blk*t*d:(blk+1)*t*d], kT, t, d, t, exact)
+		softmaxRows(scores, tmp, t, t, exact)
+		gemmAcc(out.Data[blk*t*dv:(blk+1)*t*dv], scores, v.Data[blk*t*dv:(blk+1)*t*dv], t, t, dv, exact)
 	}
 	return out
+}
+
+// gemmAcc accumulates out += a @ b: on the scalar kernel when exact, through
+// the panel tier otherwise.
+//
+//mpgraph:noalloc
+func gemmAcc(out, a, b []float64, m, k, n int, exact bool) {
+	if exact {
+		gemm(out, a, b, m, k, n)
+		return
+	}
+	gemmBatch(out, a, b, m, k, n)
+}
+
+// transposeScale writes dst [cols x rows] = srcᵀ·scale for src [rows x cols],
+// four source rows per pass so the strided stores land in runs of four.
+//
+//mpgraph:noalloc
+func transposeScale[T float32 | float64](dst, src []T, rows, cols int, scale T) {
+	r := 0
+	for ; r+4 <= rows; r += 4 {
+		s0 := src[r*cols : (r+1)*cols]
+		s1 := src[(r+1)*cols : (r+2)*cols][:cols]
+		s2 := src[(r+2)*cols : (r+3)*cols][:cols]
+		s3 := src[(r+3)*cols : (r+4)*cols][:cols]
+		o := r
+		for c := range s0 {
+			d := dst[o : o+4 : o+4]
+			d[0], d[1], d[2], d[3] = s0[c]*scale, s1[c]*scale, s2[c]*scale, s3[c]*scale
+			o += rows
+		}
+	}
+	for ; r < rows; r++ {
+		o := r
+		for _, v := range src[r*cols : (r+1)*cols] {
+			dst[o] = v * scale
+			o += rows
+		}
+	}
 }
 
 // MeanRowsBatch reduces each block of rows to its mean row: [blocks*T x d]

@@ -1,10 +1,6 @@
 package tensor
 
-import (
-	"math"
-
-	"mpgraph/internal/invariant"
-)
+import "mpgraph/internal/invariant"
 
 // Graph-free f32 ops (DESIGN.md §13). Unlike the float64 fast path — whose
 // nil-ctx form falls back to autograd — the f32 tier is inference-only:
@@ -59,92 +55,6 @@ func (c *Ctx) WidenCtxF32(t *F32Tensor) *Tensor {
 	out := c.uninit(t.Rows, t.Cols)
 	for i, v := range t.Data {
 		out.Data[i] = float64(v)
-	}
-	return out
-}
-
-// AddF32 returns a+b elementwise.
-//
-//mpgraph:noalloc
-func (c *Ctx) AddF32(a, b *F32Tensor) *F32Tensor {
-	requireCtx(c, "AddF32")
-	if a.Rows != b.Rows || a.Cols != b.Cols {
-		invariant.Failf("tensor: addF32 %dx%d + %dx%d", a.Rows, a.Cols, b.Rows, b.Cols)
-	}
-	out := c.uninitF32(a.Rows, a.Cols)
-	for i, av := range a.Data {
-		out.Data[i] = av + b.Data[i]
-	}
-	return out
-}
-
-// AddBiasF32 broadcasts the [1 x d] bias row over every row of a.
-//
-//mpgraph:noalloc
-func (c *Ctx) AddBiasF32(a, bias *F32Tensor) *F32Tensor {
-	requireCtx(c, "AddBiasF32")
-	if bias.Rows != 1 || bias.Cols != a.Cols {
-		invariant.Failf("tensor: addBiasF32 %dx%d + %dx%d", a.Rows, a.Cols, bias.Rows, bias.Cols)
-	}
-	out := c.uninitF32(a.Rows, a.Cols)
-	for r := 0; r < a.Rows; r++ {
-		arow := a.Data[r*a.Cols : (r+1)*a.Cols]
-		orow := out.Data[r*a.Cols : (r+1)*a.Cols]
-		for j, av := range arow {
-			orow[j] = av + bias.Data[j]
-		}
-	}
-	return out
-}
-
-// MeanRowsF32 reduces a to its column means [1 x d] — the blocks=1 case of
-// MeanRowsBatchF32.
-//
-//mpgraph:noalloc
-func (c *Ctx) MeanRowsF32(a *F32Tensor) *F32Tensor {
-	requireCtx(c, "MeanRowsF32")
-	return c.MeanRowsBatchF32(a, 1)
-}
-
-// RowViewF32 returns row r of a as a zero-copy 1 x Cols view.
-//
-//mpgraph:noalloc
-func (c *Ctx) RowViewF32(a *F32Tensor, r int) *F32Tensor {
-	requireCtx(c, "RowViewF32")
-	if r < 0 || r >= a.Rows {
-		invariant.Failf("tensor: RowViewF32 %d of %d rows", r, a.Rows)
-	}
-	return c.viewF32(1, a.Cols, a.Data[r*a.Cols:(r+1)*a.Cols])
-}
-
-// ConcatRows2F32 stacks two tensors vertically (fixed arity keeps the hot
-// path free of escaping slices, as ConcatRows2).
-//
-//mpgraph:noalloc
-func (c *Ctx) ConcatRows2F32(a, b *F32Tensor) *F32Tensor {
-	requireCtx(c, "ConcatRows2F32")
-	if a.Cols != b.Cols {
-		invariant.Fail("tensor: ConcatRows2F32 column mismatch")
-	}
-	out := c.uninitF32(a.Rows+b.Rows, a.Cols)
-	copy(out.Data, a.Data)
-	copy(out.Data[len(a.Data):], b.Data)
-	return out
-}
-
-// ConcatCols2F32 stacks two tensors horizontally.
-//
-//mpgraph:noalloc
-func (c *Ctx) ConcatCols2F32(a, b *F32Tensor) *F32Tensor {
-	requireCtx(c, "ConcatCols2F32")
-	if a.Rows != b.Rows {
-		invariant.Fail("tensor: ConcatCols2F32 row mismatch")
-	}
-	rows, cols := a.Rows, a.Cols+b.Cols
-	out := c.uninitF32(rows, cols)
-	for r := 0; r < rows; r++ {
-		copy(out.Data[r*cols:], a.Data[r*a.Cols:(r+1)*a.Cols])
-		copy(out.Data[r*cols+a.Cols:], b.Data[r*b.Cols:(r+1)*b.Cols])
 	}
 	return out
 }
@@ -235,17 +145,6 @@ func (c *Ctx) Linear2ActF32(x1, w1, x2, w2, bias *F32Tensor, act Act) *F32Tensor
 	return out
 }
 
-// SoftmaxRowsF32 applies row-wise softmax in place and returns its input.
-//
-//mpgraph:noalloc
-func (c *Ctx) SoftmaxRowsF32(a *F32Tensor) *F32Tensor {
-	requireCtx(c, "SoftmaxRowsF32")
-	for r := 0; r < a.Rows; r++ {
-		softmaxInPlaceFastF32(a.Data[r*a.Cols : (r+1)*a.Cols])
-	}
-	return a
-}
-
 // SigmoidInPlaceF32 applies the logistic function in place.
 //
 //mpgraph:noalloc
@@ -255,37 +154,24 @@ func (c *Ctx) SigmoidInPlaceF32(a *F32Tensor) *F32Tensor {
 	return a
 }
 
-// LayerNormF32 normalises each row of x and applies gain and bias in one
-// fused pass. The mean/variance accumulate in float32 (the f32 tier's
-// numerics), matching the f64 kernel's operation order.
+// AddLayerNormF32 returns LayerNorm(x + y) as one fused op (see
+// AddLayerNorm); a nil y is the plain LayerNorm of x.
 //
 //mpgraph:noalloc
-func (c *Ctx) LayerNormF32(x, gain, bias *F32Tensor, eps float32) *F32Tensor {
-	requireCtx(c, "LayerNormF32")
+func (c *Ctx) AddLayerNormF32(x, y, gain, bias *F32Tensor, eps float32) *F32Tensor {
+	requireCtx(c, "AddLayerNormF32")
 	if gain.Cols != x.Cols || bias.Cols != x.Cols {
 		invariant.Failf("tensor: layernormF32 gain/bias width for %dx%d", x.Rows, x.Cols)
 	}
 	out := c.uninitF32(x.Rows, x.Cols)
-	n := float32(x.Cols)
-	for r := 0; r < x.Rows; r++ {
-		row := x.Data[r*x.Cols : (r+1)*x.Cols]
-		orow := out.Data[r*x.Cols : (r+1)*x.Cols]
-		var mean float32
-		for _, v := range row {
-			mean += v
+	var yd []float32
+	if y != nil {
+		if y.Rows != x.Rows || y.Cols != x.Cols {
+			invariant.Failf("tensor: addLayerNormF32 %dx%d + %dx%d", x.Rows, x.Cols, y.Rows, y.Cols)
 		}
-		mean /= n
-		var variance float32
-		for _, v := range row {
-			d := v - mean
-			variance += d * d
-		}
-		variance /= n
-		inv := float32(1 / math.Sqrt(float64(variance+eps)))
-		for j, v := range row {
-			orow[j] = (v-mean)*inv*gain.Data[j] + bias.Data[j]
-		}
+		yd = y.Data
 	}
+	addLayerNormRowsF32(out.Data, x.Data, yd, gain.Data, bias.Data, x.Rows, x.Cols, eps)
 	return out
 }
 
@@ -306,19 +192,16 @@ func (c *Ctx) AttentionBlocksF32(q, k, v *F32Tensor, blocks int, scale float32) 
 	t := q.Rows / blocks
 	d := q.Cols
 	dv := v.Cols
-	out := c.uninitF32(q.Rows, dv)
-	scores := c.Float32s(t * t)
+	out := c.zerosF32(q.Rows, dv)
+	kT := c.f32.takeUninit(d * t)
+	scores := c.f32.takeUninit(2 * t * t)
+	scores, tmp := scores[:t*t], scores[t*t:]
 	for blk := 0; blk < blocks; blk++ {
-		qb := q.Data[blk*t*d : (blk+1)*t*d]
-		kb := k.Data[blk*t*d : (blk+1)*t*d]
-		vb := v.Data[blk*t*dv : (blk+1)*t*dv]
-		ob := out.Data[blk*t*dv : (blk+1)*t*dv]
-		gemmNTScaleF32(scores, qb, kb, t, d, t, scale)
-		for r := 0; r < t; r++ {
-			softmaxInPlaceFastF32(scores[r*t : (r+1)*t])
-		}
-		clear(ob)
-		gemmBatchF32(ob, scores, vb, t, t, dv)
+		transposeScale(kT, k.Data[blk*t*d:(blk+1)*t*d], t, d, scale)
+		clear(scores)
+		gemmBatchF32(scores, q.Data[blk*t*d:(blk+1)*t*d], kT, t, d, t)
+		softmaxRowsF32(scores, tmp, t, t)
+		gemmBatchF32(out.Data[blk*t*dv:(blk+1)*t*dv], scores, v.Data[blk*t*dv:(blk+1)*t*dv], t, t, dv)
 	}
 	return out
 }

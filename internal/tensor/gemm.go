@@ -305,16 +305,6 @@ func gemm2BiasAct(out, a1, b1, a2, b2, bias []float64, m, k1, k2, n int, act Act
 	}
 }
 
-// gemmNTScale computes out = (a@b^T)·s with a [m x k], b [n x k] — the
-// attention-score shape QKᵀ/√d without materialising the transpose.
-//
-//mpgraph:noalloc
-func gemmNTScale(out, a, b []float64, m, k, n int, s float64) {
-	for i := 0; i < m; i++ {
-		dotPanel(out[i*n:(i+1)*n], a[i*k:(i+1)*k], b, k, n, s, false)
-	}
-}
-
 // shouldParallel reports whether parallelRows would actually fan out —
 // callers with an allocation-free serial variant check it first so the
 // escaping body closure is only built when goroutines will run it.

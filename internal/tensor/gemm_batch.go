@@ -27,7 +27,8 @@ func ForcePortableKernels() (restore func()) {
 }
 
 // initRowsBias seeds each of the m output rows with bias (or zeros), so the
-// panel kernels accumulate straight onto it.
+// panel kernels accumulate straight onto it. The seeded prefix doubles each
+// step: log2(m) copies instead of m short ones.
 //
 //mpgraph:noalloc
 func initRowsBias(out, bias []float64, m, n int) {
@@ -35,8 +36,9 @@ func initRowsBias(out, bias []float64, m, n int) {
 		clear(out[:m*n])
 		return
 	}
-	for r := 0; r < m; r++ {
-		copy(out[r*n:(r+1)*n], bias[:n])
+	copy(out[:n], bias[:n])
+	for filled := n; filled < m*n; filled *= 2 {
+		copy(out[filled:m*n], out[:filled])
 	}
 }
 

@@ -10,12 +10,12 @@ var useAVX512F = hasAVX512F()
 // fmaPanel4Asm is implemented in gemm_batch_amd64.s: out += a @ b for four
 // consecutive rows of the activation block (out rows stride n, a rows stride
 // k), walking b in 16-column zmm tiles so one weight load feeds four FMA
-// chains.
+// chains. rows is 4, or 2 for a two-row remainder.
 //
 //mpgraph:noalloc
 //
 //go:noescape
-func fmaPanel4Asm(out, a, b *float64, k, n int64)
+func fmaPanel4Asm(out, a, b *float64, k, n, rows int64)
 
 // fmaPanel1Asm is the single-row remainder kernel; per element it executes
 // the identical FMA sequence of one fmaPanel4Asm row, so batch composition
@@ -27,12 +27,29 @@ func fmaPanel4Asm(out, a, b *float64, k, n int64)
 func fmaPanel1Asm(out, a, b *float64, k, n int64)
 
 // vactAVX512 is implemented in gemm_batch_amd64.s: elementwise activation in
-// place over n float64s. mode 0 = exp(x-bias), 1 = sigmoid, 2 = tanh.
+// place over n float64s. mode 0 = exp(x-bias), 1 = sigmoid, 2 = tanh,
+// 3 = ReLU.
 //
 //mpgraph:noalloc
 //
 //go:noescape
 func vactAVX512(p *float64, n, mode int64, bias float64)
+
+// vsoftmaxRowsAVX512 is the in-place row softmax over a dense [rows x cols]
+// block (both >= 1).
+//
+//mpgraph:noalloc
+//
+//go:noescape
+func vsoftmaxRowsAVX512(p, tmp *float64, rows, cols int64)
+
+// vaddLayerNormAVX512 writes LayerNorm(x + y) row by row into out; y may be
+// nil (plain LayerNorm). rows and cols are >= 1.
+//
+//mpgraph:noalloc
+//
+//go:noescape
+func vaddLayerNormAVX512(out, x, y, gain, bias *float64, rows, cols int64, eps float64)
 
 // batchKernelAvailable reports whether the AVX-512F batch tier is usable on
 // this machine; callers fall back to the exact scalar kernels otherwise.
@@ -41,45 +58,53 @@ func vactAVX512(p *float64, n, mode int64, bias float64)
 func batchKernelAvailable() bool { return useAVX512F }
 
 // fmaPanels accumulates out += a @ b over all m rows through the AVX-512F
-// panel kernels, four rows at a time with a single-row remainder.
+// panel kernels, four rows at a time; the remainder is one two-row pass
+// and/or one single-row pass.
 //
 //mpgraph:noalloc
 func fmaPanels(out, a, b []float64, m, k, n int) {
 	r := 0
 	for ; r+4 <= m; r += 4 {
-		fmaPanel4Asm(&out[r*n], &a[r*k], &b[0], int64(k), int64(n))
+		fmaPanel4Asm(&out[r*n], &a[r*k], &b[0], int64(k), int64(n), 4)
 	}
-	for ; r < m; r++ {
+	if r+2 <= m {
+		fmaPanel4Asm(&out[r*n], &a[r*k], &b[0], int64(k), int64(n), 2)
+		r += 2
+	}
+	if r < m {
 		fmaPanel1Asm(&out[r*n], &a[r*k], &b[0], int64(k), int64(n))
 	}
 }
 
-// vexpRow replaces row[i] with exp(row[i]-bias) through the vector kernel.
+// vact runs the vector activation kernel in place over row.
 //
 //mpgraph:noalloc
-func vexpRow(row []float64, bias float64) {
-	if len(row) == 0 {
-		return
+func vact(row []float64, mode int64, bias float64) {
+	if len(row) > 0 {
+		vactAVX512(&row[0], int64(len(row)), mode, bias)
 	}
-	vactAVX512(&row[0], int64(len(row)), 0, bias)
 }
 
-// vsigmoidRow applies sigmoid in place through the vector kernel.
+// vsoftmaxRows applies softmax in place to each row of p [rows x cols];
+// tmp is scratch of the same size.
 //
 //mpgraph:noalloc
-func vsigmoidRow(row []float64) {
-	if len(row) == 0 {
-		return
+func vsoftmaxRows(p, tmp []float64, rows, cols int) {
+	if rows > 0 && cols > 0 {
+		vsoftmaxRowsAVX512(&p[0], &tmp[0], int64(rows), int64(cols))
 	}
-	vactAVX512(&row[0], int64(len(row)), 1, 0)
 }
 
-// vtanhRow applies tanh in place through the vector kernel.
+// vaddLayerNorm writes LayerNorm(x + y) (y nil: LayerNorm(x)) into out.
 //
 //mpgraph:noalloc
-func vtanhRow(row []float64) {
-	if len(row) == 0 {
+func vaddLayerNorm(out, x, y, gain, bias []float64, rows, cols int, eps float64) {
+	if rows == 0 || cols == 0 {
 		return
 	}
-	vactAVX512(&row[0], int64(len(row)), 2, 0)
+	var yp *float64
+	if y != nil {
+		yp = &y[0]
+	}
+	vaddLayerNormAVX512(&out[0], &x[0], yp, &gain[0], &bias[0], int64(rows), int64(cols), eps)
 }

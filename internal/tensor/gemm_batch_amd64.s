@@ -11,8 +11,16 @@
 // function of its own input row: batch composition cannot change any row's
 // bits, which is what makes sweep reports byte-identical at any batch size.
 //
+// fmaPanel4Asm takes a row count of 4 or 2: a two-row remainder runs rows 0,1
+// in both register pairs (rows 2,3 alias them and store the same values), so
+// it costs one pass instead of two single-row ones. fmaPanel1Asm walks b in
+// 32-column tiles — four independent accumulators per k step instead of two,
+// which is what an m = 1 product (MLP head, LSTM step) is bound by.
+//
 // vactAVX512 applies an elementwise activation in place: mode 0 is
-// exp(x-bias) (softmax numerator), mode 1 sigmoid, mode 2 tanh. exp uses
+// exp(x-bias) (softmax numerator), mode 1 sigmoid, mode 2 tanh, mode 3 ReLU
+// (max(x, 0) with x as the second source: NaN stays NaN and -0 stays -0, bit
+// for bit what the scalar `if v < 0` loop leaves). exp uses
 // Cody-Waite range reduction (n = round(x*log2e), r = x - n*ln2hi - n*ln2lo),
 // a degree-11 Taylor polynomial in r, and VSCALEFPD for the 2^n scale;
 // relative error is ~1e-14, well inside the 1e-9 equivalence budget against
@@ -21,11 +29,17 @@
 // NaN, so a NaN input comes out NaN (as the math package would give) rather
 // than as the clamp bound — a poisoned weight must reach the score screen,
 // not be laundered into a healthy-looking gate value.
+//
+// vsoftmaxRowsAVX512 and vaddLayerNormAVX512 are the row kernels: per-row
+// reductions in masked lanes (ragged widths need no padding) around the same
+// exp block. Row maxima skip NaN exactly as the scalar `v > max` scan does and
+// the NaN then poisons the row through exp and the sum; LayerNorm sums
+// propagate it on their own.
 
 #include "textflag.h"
 
-// func fmaPanel4Asm(out, a, b *float64, k, n int64)
-TEXT ·fmaPanel4Asm(SB), NOSPLIT, $0-40
+// func fmaPanel4Asm(out, a, b *float64, k, n, rows int64)
+TEXT ·fmaPanel4Asm(SB), NOSPLIT, $0-48
 	MOVQ out+0(FP), DI
 	MOVQ a+8(FP), SI
 	MOVQ b+16(FP), R14
@@ -38,19 +52,27 @@ TEXT ·fmaPanel4Asm(SB), NOSPLIT, $0-40
 	SHLQ $3, R11  // b/out row stride in bytes (n*8)
 	MOVQ R9, R15  // columns remaining
 
+	// Byte offsets of the second row pair in a (R9) and out (R13): two row
+	// strides for rows = 4, zero for rows = 2 so rows 2,3 alias rows 0,1.
+	XORQ R9, R9
+	XORQ R13, R13
+	CMPQ rows+40(FP), $4
+	JNE  tile4
+	LEAQ (R10)(R10*1), R9
+	LEAQ (R11)(R11*1), R13
+
 tile4:
 	TESTQ R15, R15
 	JLE   done4
 
 	// Column masks for this 16-wide tile: K2 covers lanes 0-7, K3 lanes 8-15.
-	MOVQ R15, R13
-	CMPQ R13, $16
+	MOVQ R15, CX
+	CMPQ CX, $16
 	JLE  lanes4
-	MOVQ $16, R13
+	MOVQ $16, CX
 
 lanes4:
 	MOVQ  $1, AX
-	MOVQ  R13, CX
 	SHLQ  CX, AX
 	DECQ  AX
 	MOVQ  AX, BX
@@ -60,7 +82,7 @@ lanes4:
 	KMOVW AX, K3
 
 	// Load the 4x16 accumulator tile from out.
-	LEAQ     (DI)(R11*2), BX
+	LEAQ     (DI)(R13*1), BX
 	VMOVUPD.Z (DI), K2, Z0
 	VMOVUPD.Z 64(DI), K3, Z1
 	VMOVUPD.Z (DI)(R11*1), K2, Z2
@@ -79,7 +101,7 @@ kloop4:
 	JLE   kdone4
 	VMOVUPD.Z (AX), K2, Z8
 	VMOVUPD.Z 64(AX), K3, Z9
-	LEAQ      (DX)(R10*2), R12
+	LEAQ      (DX)(R9*1), R12
 	VBROADCASTSD (DX), Z10
 	VFMADD231PD  Z8, Z10, Z0
 	VFMADD231PD  Z9, Z10, Z1
@@ -98,7 +120,7 @@ kloop4:
 	JMP  kloop4
 
 kdone4:
-	LEAQ    (DI)(R11*2), BX
+	LEAQ    (DI)(R13*1), BX
 	VMOVUPD Z0, K2, (DI)
 	VMOVUPD Z1, K3, 64(DI)
 	VMOVUPD Z2, K2, (DI)(R11*1)
@@ -121,6 +143,8 @@ done4:
 //
 // Single-row remainder kernel; per element it runs the exact FMA sequence of
 // one fmaPanel4Asm row, so 4-row and 1-row tilings produce identical bits.
+// Tiles are 32 columns wide: four accumulators keep the FMA pipe busy where
+// two left it waiting on latency.
 TEXT ·fmaPanel1Asm(SB), NOSPLIT, $0-40
 	MOVQ out+0(FP), DI
 	MOVQ a+8(FP), SI
@@ -136,24 +160,35 @@ tile1:
 	TESTQ R15, R15
 	JLE   done1
 
-	MOVQ R15, R13
-	CMPQ R13, $16
-	JLE  lanes1
-	MOVQ $16, R13
+	// Column masks K2..K5, eight lanes each, for this 32-wide tile.
+	MOVQ $-1, AX
+	CMPQ R15, $32
+	JGE  lanes1
+	MOVQ $1, AX
+	MOVQ R15, CX
+	SHLQ CX, AX
+	DECQ AX
 
 lanes1:
-	MOVQ  $1, AX
-	MOVQ  R13, CX
-	SHLQ  CX, AX
-	DECQ  AX
 	MOVQ  AX, BX
 	ANDQ  $0xFF, BX
 	KMOVW BX, K2
 	SHRQ  $8, AX
-	KMOVW AX, K3
+	MOVQ  AX, BX
+	ANDQ  $0xFF, BX
+	KMOVW BX, K3
+	SHRQ  $8, AX
+	MOVQ  AX, BX
+	ANDQ  $0xFF, BX
+	KMOVW BX, K4
+	SHRQ  $8, AX
+	ANDQ  $0xFF, AX
+	KMOVW AX, K5
 
 	VMOVUPD.Z (DI), K2, Z0
 	VMOVUPD.Z 64(DI), K3, Z1
+	VMOVUPD.Z 128(DI), K4, Z2
+	VMOVUPD.Z 192(DI), K5, Z3
 
 	MOVQ SI, DX
 	MOVQ R14, AX
@@ -164,9 +199,13 @@ kloop1:
 	JLE   kdone1
 	VMOVUPD.Z (AX), K2, Z8
 	VMOVUPD.Z 64(AX), K3, Z9
-	VBROADCASTSD (DX), Z10
-	VFMADD231PD  Z8, Z10, Z0
-	VFMADD231PD  Z9, Z10, Z1
+	VMOVUPD.Z 128(AX), K4, Z10
+	VMOVUPD.Z 192(AX), K5, Z11
+	VBROADCASTSD (DX), Z12
+	VFMADD231PD  Z8, Z12, Z0
+	VFMADD231PD  Z9, Z12, Z1
+	VFMADD231PD  Z10, Z12, Z2
+	VFMADD231PD  Z11, Z12, Z3
 	ADDQ $8, DX
 	ADDQ R11, AX
 	DECQ CX
@@ -175,10 +214,12 @@ kloop1:
 kdone1:
 	VMOVUPD Z0, K2, (DI)
 	VMOVUPD Z1, K3, 64(DI)
+	VMOVUPD Z2, K4, 128(DI)
+	VMOVUPD Z3, K5, 192(DI)
 
-	ADDQ $128, DI
-	ADDQ $128, R14
-	SUBQ $16, R15
+	ADDQ $256, DI
+	ADDQ $256, R14
+	SUBQ $32, R15
 	JMP  tile1
 
 done1:
@@ -223,6 +264,79 @@ DATA vc3<>+0(SB)/8, $0.16666666666666666
 GLOBL vc3<>(SB), RODATA, $8
 DATA vc2<>+0(SB)/8, $0.5
 GLOBL vc2<>(SB), RODATA, $8
+DATA vneginf<>+0(SB)/8, $0xfff0000000000000
+GLOBL vneginf<>(SB), RODATA, $8
+
+// EXPCONSTS loads the exp block's constants (and the sigmoid/tanh clamps and
+// 1, 2) into Z12..Z30.
+#define EXPCONSTS \
+	VBROADCASTSD vclamplo<>(SB), Z12; \
+	VBROADCASTSD vclamphi<>(SB), Z13; \
+	VBROADCASTSD vc11<>(SB), Z14; \
+	VBROADCASTSD vc10<>(SB), Z15; \
+	VBROADCASTSD vlog2e<>(SB), Z16; \
+	VBROADCASTSD vln2hi<>(SB), Z17; \
+	VBROADCASTSD vln2lo<>(SB), Z18; \
+	VBROADCASTSD vneg40<>(SB), Z19; \
+	VBROADCASTSD vpos40<>(SB), Z20; \
+	VBROADCASTSD vone<>(SB), Z21; \
+	VBROADCASTSD vtwo<>(SB), Z22; \
+	VBROADCASTSD vc9<>(SB), Z23; \
+	VBROADCASTSD vc8<>(SB), Z24; \
+	VBROADCASTSD vc7<>(SB), Z25; \
+	VBROADCASTSD vc6<>(SB), Z26; \
+	VBROADCASTSD vc5<>(SB), Z27; \
+	VBROADCASTSD vc4<>(SB), Z28; \
+	VBROADCASTSD vc3<>(SB), Z29; \
+	VBROADCASTSD vc2<>(SB), Z30
+
+// EXPZ0 computes Z4 = exp(Z0), clobbering Z0..Z3.
+#define EXPZ0 \
+	VMINPD       Z0, Z13, Z0; \
+	VMAXPD       Z0, Z12, Z0; \
+	VMULPD       Z16, Z0, Z1; \
+	VRNDSCALEPD  $0, Z1, Z1; \
+	VMOVAPD      Z0, Z2; \
+	VFNMADD231PD Z17, Z1, Z2; \
+	VFNMADD231PD Z18, Z1, Z2; \
+	VMOVAPD      Z14, Z3; \
+	VFMADD213PD  Z15, Z2, Z3; \
+	VFMADD213PD  Z23, Z2, Z3; \
+	VFMADD213PD  Z24, Z2, Z3; \
+	VFMADD213PD  Z25, Z2, Z3; \
+	VFMADD213PD  Z26, Z2, Z3; \
+	VFMADD213PD  Z27, Z2, Z3; \
+	VFMADD213PD  Z28, Z2, Z3; \
+	VFMADD213PD  Z29, Z2, Z3; \
+	VFMADD213PD  Z30, Z2, Z3; \
+	VFMADD213PD  Z21, Z2, Z3; \
+	VFMADD213PD  Z21, Z2, Z3; \
+	VSCALEFPD    Z1, Z3, Z4
+
+// HREDUCE folds the eight lanes of one zmm (named as Z, Y, X) into lane 0 of
+// X with OP (VADDPD or VMAXPD), using scratch register TY/TX.
+#define HREDUCE(OP, Z, Y, X, TY, TX) \
+	VEXTRACTF64X4 $1, Z, TY; \
+	OP            TY, Y, Y; \
+	VEXTRACTF128  $1, Y, TX; \
+	OP            TX, X, X; \
+	VPERMILPD     $1, X, TX; \
+	OP            TX, X, X
+
+// TAILMASK sets K1 to the lanes of a row's last 8-wide chunk (1..8 of them)
+// and CHUNKS to the number of full chunks before it; clobbers AX, CX.
+#define TAILMASK(COLS, CHUNKS) \
+	LEAQ  -1(COLS), CHUNKS; \
+	SHRQ  $3, CHUNKS; \
+	MOVQ  CHUNKS, AX; \
+	SHLQ  $3, AX; \
+	MOVQ  COLS, CX; \
+	SUBQ  AX, CX; \
+	MOVQ  $1, AX; \
+	SHLQ  CX, AX; \
+	DECQ  AX; \
+	KMOVW AX, K1
+
 
 // func vactAVX512(p *float64, n, mode int64, bias float64)
 TEXT ·vactAVX512(SB), NOSPLIT, $0-32
@@ -230,39 +344,19 @@ TEXT ·vactAVX512(SB), NOSPLIT, $0-32
 	MOVQ n+8(FP), R9
 	MOVQ mode+16(FP), R10
 	VBROADCASTSD bias+24(FP), Z10
-
-	VBROADCASTSD vclamplo<>(SB), Z12
-	VBROADCASTSD vclamphi<>(SB), Z13
-	VBROADCASTSD vc11<>(SB), Z14
-	VBROADCASTSD vc10<>(SB), Z15
-	VBROADCASTSD vlog2e<>(SB), Z16
-	VBROADCASTSD vln2hi<>(SB), Z17
-	VBROADCASTSD vln2lo<>(SB), Z18
-	VBROADCASTSD vneg40<>(SB), Z19
-	VBROADCASTSD vpos40<>(SB), Z20
-	VBROADCASTSD vone<>(SB), Z21
-	VBROADCASTSD vtwo<>(SB), Z22
-	VBROADCASTSD vc9<>(SB), Z23
-	VBROADCASTSD vc8<>(SB), Z24
-	VBROADCASTSD vc7<>(SB), Z25
-	VBROADCASTSD vc6<>(SB), Z26
-	VBROADCASTSD vc5<>(SB), Z27
-	VBROADCASTSD vc4<>(SB), Z28
-	VBROADCASTSD vc3<>(SB), Z29
-	VBROADCASTSD vc2<>(SB), Z30
+	EXPCONSTS
 
 vloop:
 	TESTQ R9, R9
 	JLE   vdone
 
-	MOVQ R9, R13
-	CMPQ R13, $8
+	MOVQ R9, CX
+	CMPQ CX, $8
 	JLE  vlanes
-	MOVQ $8, R13
+	MOVQ $8, CX
 
 vlanes:
 	MOVQ  $1, AX
-	MOVQ  R13, CX
 	SHLQ  CX, AX
 	DECQ  AX
 	KMOVW AX, K1
@@ -273,10 +367,17 @@ vlanes:
 	JEQ  presig
 	CMPQ R10, $2
 	JEQ  pretanh
+	CMPQ R10, $3
+	JEQ  relu
 
 	// mode 0: exp(x - bias)
 	VSUBPD Z10, Z0, Z0
 	JMP    expblk
+
+relu:
+	VPXORQ Z5, Z5, Z5
+	VMAXPD Z0, Z5, Z4
+	JMP    vstore
 
 presig:
 	// sigmoid(x) = 1/(1+exp(-x)); clamp |x| to 40 so exp stays finite.
@@ -293,26 +394,7 @@ pretanh:
 	VMAXPD Z0, Z19, Z0
 
 expblk:
-	VMINPD       Z0, Z13, Z0
-	VMAXPD       Z0, Z12, Z0
-	VMULPD       Z16, Z0, Z1
-	VRNDSCALEPD  $0, Z1, Z1
-	VMOVAPD      Z0, Z2
-	VFNMADD231PD Z17, Z1, Z2
-	VFNMADD231PD Z18, Z1, Z2
-	VMOVAPD      Z14, Z3
-	VFMADD213PD  Z15, Z2, Z3
-	VFMADD213PD  Z23, Z2, Z3
-	VFMADD213PD  Z24, Z2, Z3
-	VFMADD213PD  Z25, Z2, Z3
-	VFMADD213PD  Z26, Z2, Z3
-	VFMADD213PD  Z27, Z2, Z3
-	VFMADD213PD  Z28, Z2, Z3
-	VFMADD213PD  Z29, Z2, Z3
-	VFMADD213PD  Z30, Z2, Z3
-	VFMADD213PD  Z21, Z2, Z3
-	VFMADD213PD  Z21, Z2, Z3
-	VSCALEFPD    Z1, Z3, Z4
+	EXPZ0
 
 	CMPQ R10, $1
 	JEQ  postsig
@@ -337,5 +419,234 @@ vstore:
 	JMP     vloop
 
 vdone:
+	VZEROUPPER
+	RET
+
+// func vsoftmaxRowsAVX512(p, tmp *float64, rows, cols int64)
+//
+// In-place softmax over each row of a dense [rows x cols] block (rows, cols
+// >= 1) in two sweeps: exp(x - max) of every row goes to tmp (same shape),
+// then every row of tmp comes back scaled by 1/sum. The round trip through
+// tmp is for ragged widths: a masked row store reserves its full 64 bytes, so
+// a load of the next row behind it in the same buffer would wait for it to
+// retire and serialise the rows (6x slower at 9 columns); this way no load
+// trails a store to its own buffer by less than a whole sweep.
+TEXT ·vsoftmaxRowsAVX512(SB), NOSPLIT, $0-32
+	MOVQ p+0(FP), DI
+	MOVQ tmp+8(FP), R14
+	MOVQ rows+16(FP), R8
+	MOVQ cols+24(FP), R9
+	TAILMASK(R9, R10)
+	MOVQ R9, R11
+	SHLQ $3, R11  // row stride in bytes
+	SUBQ DI, R14  // tmp - p: (DX)(R14*1) is the tmp twin of (DX)
+	VBROADCASTSD vneginf<>(SB), Z11
+	EXPCONSTS
+
+	MOVQ DI, SI
+	MOVQ R8, R12
+
+smaxrow:
+	VMOVAPD Z11, Z5
+	MOVQ    SI, DX
+	MOVQ    R10, CX
+
+smaxloop:
+	TESTQ   CX, CX
+	JLE     smaxtail
+	VMOVUPD (DX), Z0
+	VMAXPD  Z5, Z0, Z5
+	ADDQ    $64, DX
+	DECQ    CX
+	JMP     smaxloop
+
+smaxtail:
+	VMOVAPD Z11, Z0
+	VMOVUPD (DX), K1, Z0
+	VMAXPD  Z5, Z0, Z5
+	HREDUCE(VMAXPD, Z5, Y5, X5, Y0, X0)
+	VBROADCASTSD X5, Z5
+	MOVQ    SI, DX
+	MOVQ    R10, CX
+
+sexploop:
+	TESTQ   CX, CX
+	JLE     sexptail
+	VMOVUPD (DX), Z0
+	VSUBPD  Z5, Z0, Z0
+	EXPZ0
+	VMOVUPD Z4, (DX)(R14*1)
+	ADDQ    $64, DX
+	DECQ    CX
+	JMP     sexploop
+
+sexptail:
+	VMOVUPD.Z (DX), K1, Z0
+	VSUBPD    Z5, Z0, Z0
+	EXPZ0
+	VMOVUPD   Z4, K1, (DX)(R14*1)
+	ADDQ      R11, SI
+	DECQ      R12
+	JNZ       smaxrow
+
+	MOVQ DI, SI
+	MOVQ R8, R12
+
+ssumrow:
+	VPXORQ Z6, Z6, Z6
+	MOVQ   SI, DX
+	MOVQ   R10, CX
+
+ssumloop:
+	TESTQ  CX, CX
+	JLE    ssumtail
+	VADDPD (DX)(R14*1), Z6, Z6
+	ADDQ   $64, DX
+	DECQ   CX
+	JMP    ssumloop
+
+ssumtail:
+	VMOVUPD.Z (DX)(R14*1), K1, Z0
+	VADDPD    Z0, Z6, Z6
+	HREDUCE(VADDPD, Z6, Y6, X6, Y0, X0)
+	VDIVSD  X6, X21, X7
+	VBROADCASTSD X7, Z7
+	MOVQ    SI, DX
+	MOVQ    R10, CX
+
+sscaleloop:
+	TESTQ   CX, CX
+	JLE     sscaletail
+	VMULPD  (DX)(R14*1), Z7, Z0
+	VMOVUPD Z0, (DX)
+	ADDQ    $64, DX
+	DECQ    CX
+	JMP     sscaleloop
+
+sscaletail:
+	VMOVUPD.Z (DX)(R14*1), K1, Z0
+	VMULPD    Z7, Z0, Z0
+	VMOVUPD   Z0, K1, (DX)
+	ADDQ      R11, SI
+	DECQ      R12
+	JNZ       ssumrow
+
+	VZEROUPPER
+	RET
+
+// func vaddLayerNormAVX512(out, x, y, gain, bias *float64, rows, cols int64, eps float64)
+//
+// out = LayerNorm(x + y) row by row (y may be nil: plain LayerNorm), rows and
+// cols >= 1. Each row is summed into out as x + y, reduced to its mean and
+// variance in vector lanes, and rewritten as (v-mean)*inv*gain + bias — the
+// scalar kernel's operation order, so only the reduction order differs.
+TEXT ·vaddLayerNormAVX512(SB), NOSPLIT, $0-64
+	MOVQ out+0(FP), DI
+	MOVQ x+8(FP), SI
+	MOVQ y+16(FP), DX
+	MOVQ gain+24(FP), R14
+	MOVQ bias+32(FP), R15
+	MOVQ rows+40(FP), R8
+	MOVQ cols+48(FP), R9
+	TAILMASK(R9, R10)
+	MOVQ R9, R11
+	SHLQ $3, R11           // row stride in bytes
+	SHLQ $6, R10           // byte offset of the tail chunk
+	VCVTSI2SDQ R9, X8, X8   // n
+	VMOVSD    eps+56(FP), X9
+	VMOVSD    vone<>(SB), X10
+
+lnrow:
+	// Pass 1: out = x + y, accumulating the row sum.
+	VPXORQ Z6, Z6, Z6
+	XORQ   R13, R13
+
+lnsumloop:
+	CMPQ    R13, R10
+	JGE     lnsumtail
+	VMOVUPD (SI)(R13*1), Z0
+	TESTQ   DX, DX
+	JZ      lnsumstore
+	VADDPD  (DX)(R13*1), Z0, Z0
+
+lnsumstore:
+	VMOVUPD Z0, (DI)(R13*1)
+	VADDPD  Z0, Z6, Z6
+	ADDQ    $64, R13
+	JMP     lnsumloop
+
+lnsumtail:
+	VMOVUPD.Z (SI)(R13*1), K1, Z0
+	TESTQ     DX, DX
+	JZ        lnsumtailstore
+	VMOVUPD.Z (DX)(R13*1), K1, Z1
+	VADDPD    Z1, Z0, Z0
+
+lnsumtailstore:
+	VMOVUPD Z0, K1, (DI)(R13*1)
+	VADDPD  Z0, Z6, Z6
+	HREDUCE(VADDPD, Z6, Y6, X6, Y0, X0)
+	VDIVSD  X8, X6, X6
+	VBROADCASTSD X6, Z5    // mean
+
+	// Pass 2: variance.
+	VPXORQ Z6, Z6, Z6
+	XORQ   R13, R13
+
+lnvarloop:
+	CMPQ    R13, R10
+	JGE     lnvartail
+	VMOVUPD (DI)(R13*1), Z0
+	VSUBPD  Z5, Z0, Z0
+	VFMADD231PD Z0, Z0, Z6
+	ADDQ    $64, R13
+	JMP     lnvarloop
+
+lnvartail:
+	VMOVUPD.Z (DI)(R13*1), K1, Z0
+	VSUBPD.Z  Z5, Z0, K1, Z0
+	VFMADD231PD Z0, Z0, Z6
+	HREDUCE(VADDPD, Z6, Y6, X6, Y0, X0)
+	VDIVSD  X8, X6, X6
+	VADDSD  X9, X6, X6
+	VSQRTSD X6, X6, X6
+	VDIVSD  X6, X10, X7
+	VBROADCASTSD X7, Z7    // 1/sqrt(var+eps)
+
+	// Pass 3: normalise, gain, bias.
+	XORQ R13, R13
+
+lnoutloop:
+	CMPQ    R13, R10
+	JGE     lnouttail
+	VMOVUPD (DI)(R13*1), Z0
+	VSUBPD  Z5, Z0, Z0
+	VMULPD  Z7, Z0, Z0
+	VMULPD  (R14)(R13*1), Z0, Z0
+	VADDPD  (R15)(R13*1), Z0, Z0
+	VMOVUPD Z0, (DI)(R13*1)
+	ADDQ    $64, R13
+	JMP     lnoutloop
+
+lnouttail:
+	VMOVUPD.Z (DI)(R13*1), K1, Z0
+	VMOVUPD.Z (R14)(R13*1), K1, Z1
+	VMOVUPD.Z (R15)(R13*1), K1, Z2
+	VSUBPD  Z5, Z0, Z0
+	VMULPD  Z7, Z0, Z0
+	VMULPD  Z1, Z0, Z0
+	VADDPD  Z2, Z0, Z0
+	VMOVUPD Z0, K1, (DI)(R13*1)
+
+	ADDQ  R11, DI
+	ADDQ  R11, SI
+	TESTQ DX, DX
+	JZ    lnnext
+	ADDQ  R11, DX
+
+lnnext:
+	DECQ R8
+	JNZ  lnrow
+
 	VZEROUPPER
 	RET

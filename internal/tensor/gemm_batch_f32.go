@@ -11,7 +11,8 @@ package tensor
 // uses these same entry points at m = HistoryT-sized row counts and the
 // vector tier accelerates both.
 
-// initRowsBiasF32 seeds each of the m output rows with bias (or zeros).
+// initRowsBiasF32 seeds each of the m output rows with bias (or zeros), by
+// doubling like initRowsBias.
 //
 //mpgraph:noalloc
 func initRowsBiasF32(out, bias []float32, m, n int) {
@@ -19,8 +20,9 @@ func initRowsBiasF32(out, bias []float32, m, n int) {
 		clear(out[:m*n])
 		return
 	}
-	for r := 0; r < m; r++ {
-		copy(out[r*n:(r+1)*n], bias[:n])
+	copy(out[:n], bias[:n])
+	for filled := n; filled < m*n; filled *= 2 {
+		copy(out[filled:m*n], out[:filled])
 	}
 }
 

@@ -10,18 +10,25 @@
 // ascending-p FMA sequence, so a row's result is a pure function of its own
 // input row and batch composition cannot change any row's bits.
 //
+// As in the f64 file, fmaPanel4F32Asm takes a row count of 4 or 2 (a two-row
+// remainder aliases rows 2,3 onto rows 0,1) and fmaPanel1F32Asm walks b in
+// 64-column tiles, four accumulators per k step.
+//
 // vactF32AVX512 applies an elementwise activation in place: mode 0 is
-// exp(x-bias), 1 sigmoid, 2 tanh. Same Cody-Waite + Taylor structure as the
+// exp(x-bias), 1 sigmoid, 2 tanh, 3 ReLU. Same Cody-Waite + Taylor structure as the
 // f64 kernel with single-precision constants (ln2 split per fdlibm's float
 // variant, clamp at ±87 against float32 exp overflow at ~88.7); relative
 // error is ~1e-7, inside the f32 tier's parity budget against the
 // math.Exp-and-narrow scalar reference. As in the f64 kernel, every clamp
 // takes x as the second source operand so a NaN input comes out NaN.
+//
+// vsoftmaxRowsF32AVX512 and vaddLayerNormF32AVX512 are the f32 row kernels,
+// structured and NaN-transparent exactly like their f64 twins.
 
 #include "textflag.h"
 
-// func fmaPanel4F32Asm(out, a, b *float32, k, n int64)
-TEXT ·fmaPanel4F32Asm(SB), NOSPLIT, $0-40
+// func fmaPanel4F32Asm(out, a, b *float32, k, n, rows int64)
+TEXT ·fmaPanel4F32Asm(SB), NOSPLIT, $0-48
 	MOVQ out+0(FP), DI
 	MOVQ a+8(FP), SI
 	MOVQ b+16(FP), R14
@@ -34,19 +41,27 @@ TEXT ·fmaPanel4F32Asm(SB), NOSPLIT, $0-40
 	SHLQ $2, R11  // b/out row stride in bytes (n*4)
 	MOVQ R9, R15  // columns remaining
 
+	// Byte offsets of the second row pair in a (R9) and out (R13): two row
+	// strides for rows = 4, zero for rows = 2 so rows 2,3 alias rows 0,1.
+	XORQ R9, R9
+	XORQ R13, R13
+	CMPQ rows+40(FP), $4
+	JNE  tile4
+	LEAQ (R10)(R10*1), R9
+	LEAQ (R11)(R11*1), R13
+
 tile4:
 	TESTQ R15, R15
 	JLE   done4
 
 	// Column masks for this 32-wide tile: K2 covers lanes 0-15, K3 16-31.
-	MOVQ R15, R13
-	CMPQ R13, $32
+	MOVQ R15, CX
+	CMPQ CX, $32
 	JLE  lanes4
-	MOVQ $32, R13
+	MOVQ $32, CX
 
 lanes4:
 	MOVQ  $1, AX
-	MOVQ  R13, CX
 	SHLQ  CX, AX
 	DECQ  AX
 	MOVQ  AX, BX
@@ -56,7 +71,7 @@ lanes4:
 	KMOVW AX, K3
 
 	// Load the 4x32 accumulator tile from out.
-	LEAQ      (DI)(R11*2), BX
+	LEAQ      (DI)(R13*1), BX
 	VMOVUPS.Z (DI), K2, Z0
 	VMOVUPS.Z 64(DI), K3, Z1
 	VMOVUPS.Z (DI)(R11*1), K2, Z2
@@ -75,7 +90,7 @@ kloop4:
 	JLE   kdone4
 	VMOVUPS.Z (AX), K2, Z8
 	VMOVUPS.Z 64(AX), K3, Z9
-	LEAQ      (DX)(R10*2), R12
+	LEAQ      (DX)(R9*1), R12
 	VBROADCASTSS (DX), Z10
 	VFMADD231PS  Z8, Z10, Z0
 	VFMADD231PS  Z9, Z10, Z1
@@ -94,7 +109,7 @@ kloop4:
 	JMP  kloop4
 
 kdone4:
-	LEAQ    (DI)(R11*2), BX
+	LEAQ    (DI)(R13*1), BX
 	VMOVUPS Z0, K2, (DI)
 	VMOVUPS Z1, K3, 64(DI)
 	VMOVUPS Z2, K2, (DI)(R11*1)
@@ -117,6 +132,8 @@ done4:
 //
 // Single-row remainder kernel; per element it runs the exact FMA sequence of
 // one fmaPanel4F32Asm row, so 4-row and 1-row tilings produce identical bits.
+// Tiles are 64 columns wide: four accumulators keep the FMA pipe busy where
+// two left it waiting on latency.
 TEXT ·fmaPanel1F32Asm(SB), NOSPLIT, $0-40
 	MOVQ out+0(FP), DI
 	MOVQ a+8(FP), SI
@@ -132,24 +149,28 @@ tile1:
 	TESTQ R15, R15
 	JLE   done1
 
-	MOVQ R15, R13
-	CMPQ R13, $32
-	JLE  lanes1
-	MOVQ $32, R13
+	// Column masks K2..K5, sixteen lanes each, for this 64-wide tile.
+	MOVQ $-1, AX
+	CMPQ R15, $64
+	JGE  lanes1
+	MOVQ $1, AX
+	MOVQ R15, CX
+	SHLQ CX, AX
+	DECQ AX
 
 lanes1:
-	MOVQ  $1, AX
-	MOVQ  R13, CX
-	SHLQ  CX, AX
-	DECQ  AX
-	MOVQ  AX, BX
-	ANDQ  $0xFFFF, BX
-	KMOVW BX, K2
+	KMOVW AX, K2
 	SHRQ  $16, AX
 	KMOVW AX, K3
+	SHRQ  $16, AX
+	KMOVW AX, K4
+	SHRQ  $16, AX
+	KMOVW AX, K5
 
 	VMOVUPS.Z (DI), K2, Z0
 	VMOVUPS.Z 64(DI), K3, Z1
+	VMOVUPS.Z 128(DI), K4, Z2
+	VMOVUPS.Z 192(DI), K5, Z3
 
 	MOVQ SI, DX
 	MOVQ R14, AX
@@ -160,9 +181,13 @@ kloop1:
 	JLE   kdone1
 	VMOVUPS.Z (AX), K2, Z8
 	VMOVUPS.Z 64(AX), K3, Z9
-	VBROADCASTSS (DX), Z10
-	VFMADD231PS  Z8, Z10, Z0
-	VFMADD231PS  Z9, Z10, Z1
+	VMOVUPS.Z 128(AX), K4, Z10
+	VMOVUPS.Z 192(AX), K5, Z11
+	VBROADCASTSS (DX), Z12
+	VFMADD231PS  Z8, Z12, Z0
+	VFMADD231PS  Z9, Z12, Z1
+	VFMADD231PS  Z10, Z12, Z2
+	VFMADD231PS  Z11, Z12, Z3
 	ADDQ $4, DX
 	ADDQ R11, AX
 	DECQ CX
@@ -171,10 +196,12 @@ kloop1:
 kdone1:
 	VMOVUPS Z0, K2, (DI)
 	VMOVUPS Z1, K3, 64(DI)
+	VMOVUPS Z2, K4, 128(DI)
+	VMOVUPS Z3, K5, 192(DI)
 
-	ADDQ $128, DI
-	ADDQ $128, R14
-	SUBQ $32, R15
+	ADDQ $256, DI
+	ADDQ $256, R14
+	SUBQ $64, R15
 	JMP  tile1
 
 done1:
@@ -213,6 +240,78 @@ DATA fc3<>+0(SB)/4, $0.16666666666666666
 GLOBL fc3<>(SB), RODATA, $4
 DATA fc2<>+0(SB)/4, $0.5
 GLOBL fc2<>(SB), RODATA, $4
+DATA fneginf<>+0(SB)/4, $0xff800000
+GLOBL fneginf<>(SB), RODATA, $4
+
+// EXPCONSTSF32 loads the exp block's constants (and the sigmoid/tanh clamps
+// and 1, 2) into Z12..Z30.
+#define EXPCONSTSF32 \
+	VBROADCASTSS fclamplo<>(SB), Z12; \
+	VBROADCASTSS fclamphi<>(SB), Z13; \
+	VBROADCASTSS fc8<>(SB), Z14; \
+	VBROADCASTSS fc7<>(SB), Z15; \
+	VBROADCASTSS flog2e<>(SB), Z16; \
+	VBROADCASTSS fln2hi<>(SB), Z17; \
+	VBROADCASTSS fln2lo<>(SB), Z18; \
+	VBROADCASTSS fneg40<>(SB), Z19; \
+	VBROADCASTSS fpos40<>(SB), Z20; \
+	VBROADCASTSS fone<>(SB), Z21; \
+	VBROADCASTSS ftwo<>(SB), Z22; \
+	VBROADCASTSS fc6<>(SB), Z26; \
+	VBROADCASTSS fc5<>(SB), Z27; \
+	VBROADCASTSS fc4<>(SB), Z28; \
+	VBROADCASTSS fc3<>(SB), Z29; \
+	VBROADCASTSS fc2<>(SB), Z30
+
+// EXPZ0F32 computes Z4 = exp(Z0), clobbering Z0..Z3. Cody-Waite:
+// n = round(x*log2e), r = x - n*ln2hi - n*ln2lo, then a degree-8 Taylor in r
+// and a VSCALEFPS 2^n rescale. Degree 8 puts the truncation term (r^9/9! at
+// |r| <= ln2/2) three orders below f32 eps.
+#define EXPZ0F32 \
+	VMINPS       Z0, Z13, Z0; \
+	VMAXPS       Z0, Z12, Z0; \
+	VMULPS       Z16, Z0, Z1; \
+	VRNDSCALEPS  $0, Z1, Z1; \
+	VMOVAPS      Z0, Z2; \
+	VFNMADD231PS Z17, Z1, Z2; \
+	VFNMADD231PS Z18, Z1, Z2; \
+	VMOVAPS      Z14, Z3; \
+	VFMADD213PS  Z15, Z2, Z3; \
+	VFMADD213PS  Z26, Z2, Z3; \
+	VFMADD213PS  Z27, Z2, Z3; \
+	VFMADD213PS  Z28, Z2, Z3; \
+	VFMADD213PS  Z29, Z2, Z3; \
+	VFMADD213PS  Z30, Z2, Z3; \
+	VFMADD213PS  Z21, Z2, Z3; \
+	VFMADD213PS  Z21, Z2, Z3; \
+	VSCALEFPS    Z1, Z3, Z4
+
+// HREDUCEF32 folds the sixteen lanes of one zmm (named as Z, Y, X) into lane
+// 0 of X with OP (VADDPS or VMAXPS), using scratch register TY/TX.
+#define HREDUCEF32(OP, Z, Y, X, TY, TX) \
+	VEXTRACTF64X4 $1, Z, TY; \
+	OP            TY, Y, Y; \
+	VEXTRACTF128  $1, Y, TX; \
+	OP            TX, X, X; \
+	VPERMILPS     $0x4E, X, TX; \
+	OP            TX, X, X; \
+	VPERMILPS     $0xB1, X, TX; \
+	OP            TX, X, X
+
+// TAILMASKF32 sets K1 to the lanes of a row's last 16-wide chunk (1..16 of
+// them) and CHUNKS to the number of full chunks before it; clobbers AX, CX.
+#define TAILMASKF32(COLS, CHUNKS) \
+	LEAQ  -1(COLS), CHUNKS; \
+	SHRQ  $4, CHUNKS; \
+	MOVQ  CHUNKS, AX; \
+	SHLQ  $4, AX; \
+	MOVQ  COLS, CX; \
+	SUBQ  AX, CX; \
+	MOVQ  $1, AX; \
+	SHLQ  CX, AX; \
+	DECQ  AX; \
+	KMOVW AX, K1
+
 
 // func vactF32AVX512(p *float32, n, mode int64, bias float32)
 TEXT ·vactF32AVX512(SB), NOSPLIT, $0-28
@@ -220,36 +319,19 @@ TEXT ·vactF32AVX512(SB), NOSPLIT, $0-28
 	MOVQ n+8(FP), R9
 	MOVQ mode+16(FP), R10
 	VBROADCASTSS bias+24(FP), Z10
-
-	VBROADCASTSS fclamplo<>(SB), Z12
-	VBROADCASTSS fclamphi<>(SB), Z13
-	VBROADCASTSS fc8<>(SB), Z14
-	VBROADCASTSS fc7<>(SB), Z15
-	VBROADCASTSS flog2e<>(SB), Z16
-	VBROADCASTSS fln2hi<>(SB), Z17
-	VBROADCASTSS fln2lo<>(SB), Z18
-	VBROADCASTSS fneg40<>(SB), Z19
-	VBROADCASTSS fpos40<>(SB), Z20
-	VBROADCASTSS fone<>(SB), Z21
-	VBROADCASTSS ftwo<>(SB), Z22
-	VBROADCASTSS fc6<>(SB), Z26
-	VBROADCASTSS fc5<>(SB), Z27
-	VBROADCASTSS fc4<>(SB), Z28
-	VBROADCASTSS fc3<>(SB), Z29
-	VBROADCASTSS fc2<>(SB), Z30
+	EXPCONSTSF32
 
 vloop:
 	TESTQ R9, R9
 	JLE   vdone
 
-	MOVQ R9, R13
-	CMPQ R13, $16
+	MOVQ R9, CX
+	CMPQ CX, $16
 	JLE  vlanes
-	MOVQ $16, R13
+	MOVQ $16, CX
 
 vlanes:
 	MOVQ  $1, AX
-	MOVQ  R13, CX
 	SHLQ  CX, AX
 	DECQ  AX
 	KMOVW AX, K1
@@ -260,10 +342,17 @@ vlanes:
 	JEQ  presig
 	CMPQ R10, $2
 	JEQ  pretanh
+	CMPQ R10, $3
+	JEQ  relu
 
 	// mode 0: exp(x - bias)
 	VSUBPS Z10, Z0, Z0
 	JMP    expblk
+
+relu:
+	VPXORQ Z5, Z5, Z5
+	VMAXPS Z0, Z5, Z4
+	JMP    vstore
 
 presig:
 	// sigmoid(x) = 1/(1+exp(-x)); clamp |x| to 40 so exp stays finite.
@@ -280,26 +369,7 @@ pretanh:
 	VMAXPS Z0, Z19, Z0
 
 expblk:
-	// Cody-Waite: n = round(x*log2e), r = x - n*ln2hi - n*ln2lo, then a
-	// degree-8 Taylor in r and a VSCALEFPS 2^n rescale. Degree 8 puts the
-	// truncation term (r^9/9! at |r| <= ln2/2) three orders below f32 eps.
-	VMINPS       Z0, Z13, Z0
-	VMAXPS       Z0, Z12, Z0
-	VMULPS       Z16, Z0, Z1
-	VRNDSCALEPS  $0, Z1, Z1
-	VMOVAPS      Z0, Z2
-	VFNMADD231PS Z17, Z1, Z2
-	VFNMADD231PS Z18, Z1, Z2
-	VMOVAPS      Z14, Z3
-	VFMADD213PS  Z15, Z2, Z3
-	VFMADD213PS  Z26, Z2, Z3
-	VFMADD213PS  Z27, Z2, Z3
-	VFMADD213PS  Z28, Z2, Z3
-	VFMADD213PS  Z29, Z2, Z3
-	VFMADD213PS  Z30, Z2, Z3
-	VFMADD213PS  Z21, Z2, Z3
-	VFMADD213PS  Z21, Z2, Z3
-	VSCALEFPS    Z1, Z3, Z4
+	EXPZ0F32
 
 	CMPQ R10, $1
 	JEQ  postsig
@@ -324,5 +394,234 @@ vstore:
 	JMP     vloop
 
 vdone:
+	VZEROUPPER
+	RET
+
+// func vsoftmaxRowsF32AVX512(p, tmp *float32, rows, cols int64)
+//
+// In-place softmax over each row of a dense [rows x cols] block (rows, cols
+// >= 1) in two sweeps: exp(x - max) of every row goes to tmp (same shape),
+// then every row of tmp comes back scaled by 1/sum. The round trip through
+// tmp is for ragged widths: a masked row store reserves its full 64 bytes, so
+// a load of the next row behind it in the same buffer would wait for it to
+// retire and serialise the rows (6x slower at 9 columns); this way no load
+// trails a store to its own buffer by less than a whole sweep.
+TEXT ·vsoftmaxRowsF32AVX512(SB), NOSPLIT, $0-32
+	MOVQ p+0(FP), DI
+	MOVQ tmp+8(FP), R14
+	MOVQ rows+16(FP), R8
+	MOVQ cols+24(FP), R9
+	TAILMASKF32(R9, R10)
+	MOVQ R9, R11
+	SHLQ $2, R11  // row stride in bytes
+	SUBQ DI, R14  // tmp - p: (DX)(R14*1) is the tmp twin of (DX)
+	VBROADCASTSS fneginf<>(SB), Z11
+	EXPCONSTSF32
+
+	MOVQ DI, SI
+	MOVQ R8, R12
+
+smaxrow:
+	VMOVAPS Z11, Z5
+	MOVQ    SI, DX
+	MOVQ    R10, CX
+
+smaxloop:
+	TESTQ   CX, CX
+	JLE     smaxtail
+	VMOVUPS (DX), Z0
+	VMAXPS  Z5, Z0, Z5
+	ADDQ    $64, DX
+	DECQ    CX
+	JMP     smaxloop
+
+smaxtail:
+	VMOVAPS Z11, Z0
+	VMOVUPS (DX), K1, Z0
+	VMAXPS  Z5, Z0, Z5
+	HREDUCEF32(VMAXPS, Z5, Y5, X5, Y0, X0)
+	VBROADCASTSS X5, Z5
+	MOVQ    SI, DX
+	MOVQ    R10, CX
+
+sexploop:
+	TESTQ   CX, CX
+	JLE     sexptail
+	VMOVUPS (DX), Z0
+	VSUBPS  Z5, Z0, Z0
+	EXPZ0F32
+	VMOVUPS Z4, (DX)(R14*1)
+	ADDQ    $64, DX
+	DECQ    CX
+	JMP     sexploop
+
+sexptail:
+	VMOVUPS.Z (DX), K1, Z0
+	VSUBPS    Z5, Z0, Z0
+	EXPZ0F32
+	VMOVUPS   Z4, K1, (DX)(R14*1)
+	ADDQ      R11, SI
+	DECQ      R12
+	JNZ       smaxrow
+
+	MOVQ DI, SI
+	MOVQ R8, R12
+
+ssumrow:
+	VPXORQ Z6, Z6, Z6
+	MOVQ   SI, DX
+	MOVQ   R10, CX
+
+ssumloop:
+	TESTQ  CX, CX
+	JLE    ssumtail
+	VADDPS (DX)(R14*1), Z6, Z6
+	ADDQ   $64, DX
+	DECQ   CX
+	JMP    ssumloop
+
+ssumtail:
+	VMOVUPS.Z (DX)(R14*1), K1, Z0
+	VADDPS    Z0, Z6, Z6
+	HREDUCEF32(VADDPS, Z6, Y6, X6, Y0, X0)
+	VDIVSS  X6, X21, X7
+	VBROADCASTSS X7, Z7
+	MOVQ    SI, DX
+	MOVQ    R10, CX
+
+sscaleloop:
+	TESTQ   CX, CX
+	JLE     sscaletail
+	VMULPS  (DX)(R14*1), Z7, Z0
+	VMOVUPS Z0, (DX)
+	ADDQ    $64, DX
+	DECQ    CX
+	JMP     sscaleloop
+
+sscaletail:
+	VMOVUPS.Z (DX)(R14*1), K1, Z0
+	VMULPS    Z7, Z0, Z0
+	VMOVUPS   Z0, K1, (DX)
+	ADDQ      R11, SI
+	DECQ      R12
+	JNZ       ssumrow
+
+	VZEROUPPER
+	RET
+
+// func vaddLayerNormF32AVX512(out, x, y, gain, bias *float32, rows, cols int64, eps float32)
+//
+// out = LayerNorm(x + y) row by row (y may be nil: plain LayerNorm), rows and
+// cols >= 1. Each row is summed into out as x + y, reduced to its mean and
+// variance in vector lanes, and rewritten as (v-mean)*inv*gain + bias — the
+// scalar kernel's operation order, so only the reduction order differs.
+TEXT ·vaddLayerNormF32AVX512(SB), NOSPLIT, $0-60
+	MOVQ out+0(FP), DI
+	MOVQ x+8(FP), SI
+	MOVQ y+16(FP), DX
+	MOVQ gain+24(FP), R14
+	MOVQ bias+32(FP), R15
+	MOVQ rows+40(FP), R8
+	MOVQ cols+48(FP), R9
+	TAILMASKF32(R9, R10)
+	MOVQ R9, R11
+	SHLQ $2, R11           // row stride in bytes
+	SHLQ $6, R10           // byte offset of the tail chunk
+	VCVTSI2SSQ R9, X8, X8   // n
+	VMOVSS    eps+56(FP), X9
+	VMOVSS    fone<>(SB), X10
+
+lnrow:
+	// Pass 1: out = x + y, accumulating the row sum.
+	VPXORQ Z6, Z6, Z6
+	XORQ   R13, R13
+
+lnsumloop:
+	CMPQ    R13, R10
+	JGE     lnsumtail
+	VMOVUPS (SI)(R13*1), Z0
+	TESTQ   DX, DX
+	JZ      lnsumstore
+	VADDPS  (DX)(R13*1), Z0, Z0
+
+lnsumstore:
+	VMOVUPS Z0, (DI)(R13*1)
+	VADDPS  Z0, Z6, Z6
+	ADDQ    $64, R13
+	JMP     lnsumloop
+
+lnsumtail:
+	VMOVUPS.Z (SI)(R13*1), K1, Z0
+	TESTQ     DX, DX
+	JZ        lnsumtailstore
+	VMOVUPS.Z (DX)(R13*1), K1, Z1
+	VADDPS    Z1, Z0, Z0
+
+lnsumtailstore:
+	VMOVUPS Z0, K1, (DI)(R13*1)
+	VADDPS  Z0, Z6, Z6
+	HREDUCEF32(VADDPS, Z6, Y6, X6, Y0, X0)
+	VDIVSS  X8, X6, X6
+	VBROADCASTSS X6, Z5    // mean
+
+	// Pass 2: variance.
+	VPXORQ Z6, Z6, Z6
+	XORQ   R13, R13
+
+lnvarloop:
+	CMPQ    R13, R10
+	JGE     lnvartail
+	VMOVUPS (DI)(R13*1), Z0
+	VSUBPS  Z5, Z0, Z0
+	VFMADD231PS Z0, Z0, Z6
+	ADDQ    $64, R13
+	JMP     lnvarloop
+
+lnvartail:
+	VMOVUPS.Z (DI)(R13*1), K1, Z0
+	VSUBPS.Z  Z5, Z0, K1, Z0
+	VFMADD231PS Z0, Z0, Z6
+	HREDUCEF32(VADDPS, Z6, Y6, X6, Y0, X0)
+	VDIVSS  X8, X6, X6
+	VADDSS  X9, X6, X6
+	VSQRTSS X6, X6, X6
+	VDIVSS  X6, X10, X7
+	VBROADCASTSS X7, Z7    // 1/sqrt(var+eps)
+
+	// Pass 3: normalise, gain, bias.
+	XORQ R13, R13
+
+lnoutloop:
+	CMPQ    R13, R10
+	JGE     lnouttail
+	VMOVUPS (DI)(R13*1), Z0
+	VSUBPS  Z5, Z0, Z0
+	VMULPS  Z7, Z0, Z0
+	VMULPS  (R14)(R13*1), Z0, Z0
+	VADDPS  (R15)(R13*1), Z0, Z0
+	VMOVUPS Z0, (DI)(R13*1)
+	ADDQ    $64, R13
+	JMP     lnoutloop
+
+lnouttail:
+	VMOVUPS.Z (DI)(R13*1), K1, Z0
+	VMOVUPS.Z (R14)(R13*1), K1, Z1
+	VMOVUPS.Z (R15)(R13*1), K1, Z2
+	VSUBPS  Z5, Z0, Z0
+	VMULPS  Z7, Z0, Z0
+	VMULPS  Z1, Z0, Z0
+	VADDPS  Z2, Z0, Z0
+	VMOVUPS Z0, K1, (DI)(R13*1)
+
+	ADDQ  R11, DI
+	ADDQ  R11, SI
+	TESTQ DX, DX
+	JZ    lnnext
+	ADDQ  R11, DX
+
+lnnext:
+	DECQ R8
+	JNZ  lnrow
+
 	VZEROUPPER
 	RET

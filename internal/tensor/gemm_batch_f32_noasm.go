@@ -4,22 +4,21 @@ package tensor
 
 import "mpgraph/internal/invariant"
 
-// Off amd64 the f32 tier delegates to its exact scalar kernels (the
-// batchKernelAvailable gate in gemm_batch_f32.go never routes here), mirroring
-// the f64 fallback contract.
+// Off amd64 the f32 tier takes its scalar bodies (the batchKernelAvailable
+// gate never routes here), mirroring the f64 fallback contract.
 
 func fmaPanelsF32(out, a, b []float32, m, k, n int) {
 	invariant.Fail("tensor: fmaPanelsF32 requires the amd64 batch kernels")
 }
 
-func vexpRowF32(row []float32, bias float32) {
-	invariant.Fail("tensor: vexpRowF32 requires the amd64 batch kernels")
+func vactF32(row []float32, mode int64, bias float32) {
+	invariant.Fail("tensor: vactF32 requires the amd64 batch kernels")
 }
 
-func vsigmoidRowF32(row []float32) {
-	invariant.Fail("tensor: vsigmoidRowF32 requires the amd64 batch kernels")
+func vsoftmaxRowsF32(p, tmp []float32, rows, cols int) {
+	invariant.Fail("tensor: vsoftmaxRowsF32 requires the amd64 batch kernels")
 }
 
-func vtanhRowF32(row []float32) {
-	invariant.Fail("tensor: vtanhRowF32 requires the amd64 batch kernels")
+func vaddLayerNormF32(out, x, y, gain, bias []float32, rows, cols int, eps float32) {
+	invariant.Fail("tensor: vaddLayerNormF32 requires the amd64 batch kernels")
 }

@@ -110,7 +110,7 @@ func TestVactF32Accuracy(t *testing.T) {
 	// exp(x - bias): vector kernel clamps at ±87, inside f32 range.
 	for _, bias := range []float32{0, 2.5, -1.25} {
 		buf := append([]float32(nil), xs...)
-		vexpRowF32(buf, bias)
+		vactF32(buf, vactExp, bias)
 		for i, x := range xs {
 			arg := x - bias // the kernel subtracts in f32; mirror that
 			if arg > 87 || arg < -87 {
@@ -125,7 +125,7 @@ func TestVactF32Accuracy(t *testing.T) {
 
 	// sigmoid
 	buf := append([]float32(nil), xs...)
-	vsigmoidRowF32(buf)
+	vactF32(buf, vactSigmoid, 0)
 	for i, x := range xs {
 		want := 1 / (1 + math.Exp(-float64(x)))
 		if relErr(buf[i], want) > 1e-6 && math.Abs(float64(buf[i])-want) > 1e-9 {
@@ -135,7 +135,7 @@ func TestVactF32Accuracy(t *testing.T) {
 
 	// tanh: saturates exactly to ±1 past the clamp
 	buf = append([]float32(nil), xs...)
-	vtanhRowF32(buf)
+	vactF32(buf, vactTanh, 0)
 	for i, x := range xs {
 		want := math.Tanh(float64(x))
 		if relErr(buf[i], want) > 1e-6 && math.Abs(float64(buf[i])-want) > 1e-9 {
@@ -195,7 +195,7 @@ func TestSoftmaxInPlaceFastF32Matches(t *testing.T) {
 			row[i] *= 10
 		}
 		want := append([]float32(nil), row...)
-		softmaxInPlaceFastF32(row)
+		softmaxRowsF32(row, make([]float32, n), 1, n)
 		softmaxInPlaceF32(want)
 		var sum float64
 		for i := range row {
@@ -218,9 +218,10 @@ func TestVactF32PropagatesNaN(t *testing.T) {
 	nan := float32(math.NaN())
 	for _, n := range []int{1, 16, 19} {
 		for name, f := range map[string]func([]float32){
-			"exp":     func(r []float32) { vexpRowF32(r, 0.5) },
-			"sigmoid": vsigmoidRowF32,
-			"tanh":    vtanhRowF32,
+			"exp":     func(r []float32) { vactF32(r, vactExp, 0.5) },
+			"sigmoid": func(r []float32) { vactF32(r, vactSigmoid, 0) },
+			"tanh":    func(r []float32) { vactF32(r, vactTanh, 0) },
+			"relu":    func(r []float32) { vactF32(r, vactReLU, 0) },
 		} {
 			row := make([]float32, n)
 			row[n-1] = nan
@@ -278,7 +279,7 @@ func TestF32OpsSequentialBatchIdentical(t *testing.T) {
 	b := c.viewF32(1, n, bd)
 	batched := c.LinearActF32(x, w, b, ActSigmoid)
 	for i := 0; i < m; i++ {
-		solo := c.LinearActF32(c.RowViewF32(x, i), w, b, ActSigmoid)
+		solo := c.LinearActF32(c.viewF32(1, k, xd[i*k:(i+1)*k]), w, b, ActSigmoid)
 		for j := range solo.Data {
 			if math.Float32bits(solo.Data[j]) != math.Float32bits(batched.Data[i*n+j]) {
 				t.Fatalf("row %d col %d: solo %x != batched %x",
@@ -304,9 +305,8 @@ func TestF32OpsZeroAlloc(t *testing.T) {
 		w := c.viewF32(k, n, wd)
 		b := c.viewF32(1, n, bd)
 		gain := c.viewF32(1, k, gd)
-		h := c.LayerNormF32(x, gain, gain, 1e-5)
+		h := c.AddLayerNormF32(x, x, gain, gain, 1e-5)
 		h = c.LinearActF32(h, w, b, ActReLU)
-		h = c.SoftmaxRowsF32(h)
 		att := c.AttentionBlocksF32(x, x, x, 2, 0.5)
 		_ = c.MeanRowsBatchF32(att, 2)
 		_ = c.WidenCtxF32(h)

@@ -92,7 +92,7 @@ func TestVactAccuracy(t *testing.T) {
 	// exp(x - bias)
 	for _, bias := range []float64{0, 2.5, -1.25} {
 		buf := append([]float64(nil), xs...)
-		vexpRow(buf, bias)
+		vact(buf, vactExp, bias)
 		for i, x := range xs {
 			want := math.Exp(x - bias)
 			if math.IsInf(want, 1) {
@@ -106,7 +106,7 @@ func TestVactAccuracy(t *testing.T) {
 
 	// sigmoid
 	buf := append([]float64(nil), xs...)
-	vsigmoidRow(buf)
+	vact(buf, vactSigmoid, 0)
 	for i, x := range xs {
 		want := 1 / (1 + math.Exp(-x))
 		if relErr(buf[i], want) > 1e-12 && math.Abs(buf[i]-want) > 1e-15 {
@@ -116,7 +116,7 @@ func TestVactAccuracy(t *testing.T) {
 
 	// tanh: saturates exactly to ±1 past the clamp
 	buf = append([]float64(nil), xs...)
-	vtanhRow(buf)
+	vact(buf, vactTanh, 0)
 	for i, x := range xs {
 		want := math.Tanh(x)
 		if relErr(buf[i], want) > 1e-12 && math.Abs(buf[i]-want) > 1e-15 {
@@ -135,9 +135,10 @@ func TestVactPropagatesNaN(t *testing.T) {
 	}
 	for _, n := range []int{1, 8, 11} {
 		for name, f := range map[string]func([]float64){
-			"exp":     func(r []float64) { vexpRow(r, 0.5) },
-			"sigmoid": vsigmoidRow,
-			"tanh":    vtanhRow,
+			"exp":     func(r []float64) { vact(r, vactExp, 0.5) },
+			"sigmoid": func(r []float64) { vact(r, vactSigmoid, 0) },
+			"tanh":    func(r []float64) { vact(r, vactTanh, 0) },
+			"relu":    func(r []float64) { vact(r, vactReLU, 0) },
 		} {
 			row := make([]float64, n)
 			row[n-1] = math.NaN()
@@ -205,7 +206,7 @@ func TestSoftmaxInPlaceFastMatches(t *testing.T) {
 			row[i] *= 10
 		}
 		want := append([]float64(nil), row...)
-		softmaxInPlaceFast(row)
+		softmaxRows(row, make([]float64, n), 1, n, false)
 		softmaxInPlace(want)
 		for i := range row {
 			if math.Abs(row[i]-want[i]) > 1e-12 {
@@ -296,8 +297,14 @@ func testAttentionBlocksCompositionIndependent(t *testing.T) {
 		// bit — the sequence int8 attention is pinned to on every machine.
 		if exact {
 			for blk := 0; blk < blocks; blk++ {
+				kT := make([]float64, d*tt)
+				for j := 0; j < tt; j++ {
+					for p := 0; p < d; p++ {
+						kT[p*tt+j] = k.Data[(blk*tt+j)*d+p] * 0.25
+					}
+				}
 				scores := make([]float64, tt*tt)
-				gemmNTScale(scores, q.Data[blk*tt*d:(blk+1)*tt*d], k.Data[blk*tt*d:(blk+1)*tt*d], tt, d, tt, 0.25)
+				gemm(scores, q.Data[blk*tt*d:(blk+1)*tt*d], kT, tt, d, tt)
 				for r := 0; r < tt; r++ {
 					softmaxInPlace(scores[r*tt : (r+1)*tt])
 				}

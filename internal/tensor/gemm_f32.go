@@ -78,76 +78,6 @@ func gemmF32(out, a, b []float32, m, k, n int) {
 	}
 }
 
-// dotRowsF32 returns the dot product of two equal-length rows, 4-way
-// unrolled with independent partial sums.
-//
-//mpgraph:noalloc
-func dotRowsF32(a, b []float32) float32 {
-	n := len(a)
-	b = b[:n]
-	var s0, s1, s2, s3 float32
-	j := 0
-	for ; j+4 <= n; j += 4 {
-		s0 += a[j] * b[j]
-		s1 += a[j+1] * b[j+1]
-		s2 += a[j+2] * b[j+2]
-		s3 += a[j+3] * b[j+3]
-	}
-	s := s0 + s1 + s2 + s3
-	for ; j < n; j++ {
-		s += a[j] * b[j]
-	}
-	return s
-}
-
-// dotRows4F32 returns arow's dot product with four b rows in one pass.
-//
-//mpgraph:noalloc
-func dotRows4F32(a, b0, b1, b2, b3 []float32) (s0, s1, s2, s3 float32) {
-	n := len(a)
-	b0, b1, b2, b3 = b0[:n], b1[:n], b2[:n], b3[:n]
-	for j := 0; j < n; j++ {
-		av := a[j]
-		s0 += av * b0[j]
-		s1 += av * b1[j]
-		s2 += av * b2[j]
-		s3 += av * b3[j]
-	}
-	return
-}
-
-// dotPanelF32 computes orow[j] = [orow[j] +] dot(arow, b-row j)·s for all n
-// output columns, blocked four columns at a time (see dotPanel).
-//
-//mpgraph:noalloc
-func dotPanelF32(orow, arow, b []float32, k, n int, s float32, acc bool) {
-	j := 0
-	for ; j+4 <= n; j += 4 {
-		s0, s1, s2, s3 := dotRows4F32(arow,
-			b[j*k:(j+1)*k], b[(j+1)*k:(j+2)*k],
-			b[(j+2)*k:(j+3)*k], b[(j+3)*k:(j+4)*k])
-		if acc {
-			orow[j] += s0 * s
-			orow[j+1] += s1 * s
-			orow[j+2] += s2 * s
-			orow[j+3] += s3 * s
-		} else {
-			orow[j] = s0 * s
-			orow[j+1] = s1 * s
-			orow[j+2] = s2 * s
-			orow[j+3] = s3 * s
-		}
-	}
-	for ; j < n; j++ {
-		d := dotRowsF32(arow, b[j*k:(j+1)*k]) * s
-		if acc {
-			orow[j] += d
-		} else {
-			orow[j] = d
-		}
-	}
-}
-
 // applyActF32 applies act to row in place. Sigmoid and tanh evaluate in
 // float64 and narrow once — the scalar f32 reference the vector tier's
 // parity tests compare against.
@@ -206,16 +136,6 @@ func gemm2BiasActF32(out, a1, b1, a2, b2, bias []float32, m, k1, k2, n int, act 
 			}
 		}
 		applyActF32(orow, act)
-	}
-}
-
-// gemmNTScaleF32 computes out = (a@b^T)·s with a [m x k], b [n x k] — the
-// attention-score shape QKᵀ/√d without materialising the transpose.
-//
-//mpgraph:noalloc
-func gemmNTScaleF32(out, a, b []float32, m, k, n int, s float32) {
-	for i := 0; i < m; i++ {
-		dotPanelF32(out[i*n:(i+1)*n], a[i*k:(i+1)*k], b, k, n, s, false)
 	}
 }
 

@@ -1,0 +1,308 @@
+package tensor
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"testing"
+)
+
+// Kernel oracle (ROADMAP item 4): every vector kernel against its scalar twin
+// on random shapes — ragged tails, one row, one column, many blocks — and the
+// remainder-row GEMM paths against the 4-row kernel bit for bit.
+
+var (
+	oracleDims   = []int{1, 7, 16, 17, 32, 33, 64}
+	oracleBlocks = []int{1, 3, 8}
+)
+
+// f32Ulps is the distance in float32 ulps between a and b (NaN on either
+// side is infinitely far).
+func f32Ulps(a, b float32) int64 {
+	ord := func(f float32) int64 {
+		u := math.Float32bits(f)
+		if u&0x80000000 != 0 {
+			return -int64(u &^ 0x80000000)
+		}
+		return int64(u)
+	}
+	if a != a || b != b {
+		return math.MaxInt64
+	}
+	d := ord(a) - ord(b)
+	if d < 0 {
+		d = -d
+	}
+	return d
+}
+
+// closeF32 is the f32 tier's 4096-ulp bound, with an absolute floor for
+// values near zero where an ulp is meaninglessly small.
+func closeF32(a, b float32) bool {
+	return f32Ulps(a, b) <= 4096 || math.Abs(float64(a)-float64(b)) <= 1e-6
+}
+
+// portable runs f with the scalar fallback forced.
+func portable(f func()) {
+	defer ForcePortableKernels()()
+	f()
+}
+
+func TestKernelOracleAttention(t *testing.T) {
+	if !batchKernelAvailable() {
+		t.Skip("no AVX-512F batch kernels on this machine")
+	}
+	rng := rand.New(rand.NewSource(41))
+	c := NewCtx()
+	for tt := 1; tt <= 33; tt++ {
+		for _, d := range oracleDims {
+			for _, blocks := range oracleBlocks {
+				name := fmt.Sprintf("T=%d d=%d blocks=%d", tt, d, blocks)
+				rows := blocks * tt
+				scale := 1 / math.Sqrt(float64(d))
+				q := c.view(rows, d, randSlice(rng, rows*d))
+				k := c.view(rows, d, randSlice(rng, rows*d))
+				v := c.view(rows, d, randSlice(rng, rows*d))
+				native := c.AttentionBlocks(q, k, v, blocks, scale, false)
+				var scalar, exact *Tensor
+				portable(func() {
+					scalar = c.AttentionBlocks(q, k, v, blocks, scale, false)
+					exact = c.AttentionBlocks(q, k, v, blocks, scale, true)
+				})
+				nativeExact := c.AttentionBlocks(q, k, v, blocks, scale, true)
+				qf, kf, vf := c.NarrowCtxF32(q), c.NarrowCtxF32(k), c.NarrowCtxF32(v)
+				nativeF32 := c.AttentionBlocksF32(qf, kf, vf, blocks, float32(scale))
+				var scalarF32 *F32Tensor
+				portable(func() { scalarF32 = c.AttentionBlocksF32(qf, kf, vf, blocks, float32(scale)) })
+				for blk := 0; blk < blocks; blk++ {
+					lo, hi := blk*tt*d, (blk+1)*tt*d
+					auto := (*Ctx)(nil).AttentionBlocks(
+						New(tt, d, q.Data[lo:hi]), New(tt, d, k.Data[lo:hi]),
+						New(tt, d, v.Data[lo:hi]), 1, scale, false)
+					for i, want := range auto.Data {
+						if math.Abs(native.Data[lo+i]-want) > 1e-9 || math.Abs(scalar.Data[lo+i]-want) > 1e-9 {
+							t.Fatalf("%s: f64 elem %d native %g portable %g autograd %g",
+								name, lo+i, native.Data[lo+i], scalar.Data[lo+i], want)
+						}
+						if math.Float64bits(exact.Data[lo+i]) != math.Float64bits(nativeExact.Data[lo+i]) {
+							t.Fatalf("%s: exact attention depends on the kernel path at elem %d", name, lo+i)
+						}
+						if !closeF32(nativeF32.Data[lo+i], scalarF32.Data[lo+i]) || !closeF32(nativeF32.Data[lo+i], float32(want)) {
+							t.Fatalf("%s: f32 elem %d native %g portable %g autograd %g",
+								name, lo+i, nativeF32.Data[lo+i], scalarF32.Data[lo+i], want)
+						}
+					}
+				}
+				c.Reset()
+			}
+		}
+	}
+}
+
+func TestKernelOracleSoftmaxRows(t *testing.T) {
+	if !batchKernelAvailable() {
+		t.Skip("no AVX-512F batch kernels on this machine")
+	}
+	rng := rand.New(rand.NewSource(42))
+	for rows := 1; rows <= 33; rows += 4 {
+		for cols := 1; cols <= 33; cols++ {
+			p := randSlice(rng, rows*cols)
+			for i := range p {
+				p[i] *= 10
+			}
+			pf := make([]float32, len(p))
+			for i, v := range p {
+				pf[i] = float32(v)
+			}
+			want := append([]float64(nil), p...)
+			wantF := append([]float32(nil), pf...)
+			softmaxRows(p, make([]float64, len(p)), rows, cols, false)
+			softmaxRowsF32(pf, make([]float32, len(pf)), rows, cols)
+			portable(func() {
+				softmaxRows(want, nil, rows, cols, false)
+				softmaxRowsF32(wantF, nil, rows, cols)
+			})
+			for i := range p {
+				if math.Abs(p[i]-want[i]) > 1e-12 {
+					t.Fatalf("%dx%d: f64 softmax[%d] = %g, want %g", rows, cols, i, p[i], want[i])
+				}
+				if !closeF32(pf[i], wantF[i]) {
+					t.Fatalf("%dx%d: f32 softmax[%d] = %g, want %g", rows, cols, i, pf[i], wantF[i])
+				}
+			}
+		}
+	}
+}
+
+func TestKernelOracleAddLayerNorm(t *testing.T) {
+	if !batchKernelAvailable() {
+		t.Skip("no AVX-512F batch kernels on this machine")
+	}
+	rng := rand.New(rand.NewSource(43))
+	c := NewCtx()
+	for tt := 1; tt <= 33; tt += 2 {
+		for _, d := range oracleDims {
+			for _, blocks := range oracleBlocks {
+				for _, residual := range []bool{true, false} {
+					name := fmt.Sprintf("T=%d d=%d blocks=%d residual=%v", tt, d, blocks, residual)
+					rows := blocks * tt
+					x := c.view(rows, d, randSlice(rng, rows*d))
+					var y *Tensor
+					var yf *F32Tensor
+					if residual {
+						y = c.view(rows, d, randSlice(rng, rows*d))
+						yf = c.NarrowCtxF32(y)
+					}
+					gain := c.view(1, d, randSlice(rng, d))
+					bias := c.view(1, d, randSlice(rng, d))
+					xf, gf, bf := c.NarrowCtxF32(x), c.NarrowCtxF32(gain), c.NarrowCtxF32(bias)
+					native := c.AddLayerNorm(x, y, gain, bias, 1e-5)
+					nativeF := c.AddLayerNormF32(xf, yf, gf, bf, 1e-5)
+					var scalar *Tensor
+					var scalarF *F32Tensor
+					portable(func() {
+						scalar = c.AddLayerNorm(x, y, gain, bias, 1e-5)
+						scalarF = c.AddLayerNormF32(xf, yf, gf, bf, 1e-5)
+					})
+					auto := (*Ctx)(nil).AddLayerNorm(x, y, gain, bias, 1e-5)
+					for i, want := range auto.Data {
+						if math.Abs(native.Data[i]-want) > 1e-9 || math.Abs(scalar.Data[i]-want) > 1e-9 {
+							t.Fatalf("%s: f64 elem %d native %g portable %g autograd %g",
+								name, i, native.Data[i], scalar.Data[i], want)
+						}
+						// A width-1 row normalises to 0/sqrt(eps): pure cancellation,
+						// so compare f32 against its own scalar twin only there.
+						if !closeF32(nativeF.Data[i], scalarF.Data[i]) {
+							t.Fatalf("%s: f32 elem %d native %g portable %g", name, i, nativeF.Data[i], scalarF.Data[i])
+						}
+					}
+					c.Reset()
+				}
+			}
+		}
+	}
+}
+
+// TestKernelOracleRemainderRows: every row of an m-row product — whichever of
+// the 4-row, 2-row or 1-row kernels the tiling hands it to — carries the bits
+// the 4-row kernel gives that row.
+func TestKernelOracleRemainderRows(t *testing.T) {
+	if !batchKernelAvailable() {
+		t.Skip("no AVX-512F batch kernels on this machine")
+	}
+	rng := rand.New(rand.NewSource(44))
+	for m := 1; m <= 9; m++ {
+		for _, k := range []int{1, 9, 18, 33} {
+			for _, n := range []int{1, 9, 16, 17, 31, 32, 33, 63, 64, 65, 130} {
+				a := randSlice(rng, m*k)
+				b := randSlice(rng, k*n)
+				seed := randSlice(rng, m*n)
+				got := append([]float64(nil), seed...)
+				fmaPanels(got, a, b, m, k, n)
+				af, bf := make([]float32, len(a)), make([]float32, len(b))
+				for i, v := range a {
+					af[i] = float32(v)
+				}
+				for i, v := range b {
+					bf[i] = float32(v)
+				}
+				seedF := make([]float32, len(seed))
+				for i, v := range seed {
+					seedF[i] = float32(v)
+				}
+				gotF := append([]float32(nil), seedF...)
+				fmaPanelsF32(gotF, af, bf, m, k, n)
+				for r := 0; r < m; r++ {
+					// Row r four times over is one 4-row tile.
+					a4, o4 := make([]float64, 4*k), make([]float64, 4*n)
+					a4f, o4f := make([]float32, 4*k), make([]float32, 4*n)
+					for i := 0; i < 4; i++ {
+						copy(a4[i*k:], a[r*k:(r+1)*k])
+						copy(o4[i*n:], seed[r*n:(r+1)*n])
+						copy(a4f[i*k:], af[r*k:(r+1)*k])
+						copy(o4f[i*n:], seedF[r*n:(r+1)*n])
+					}
+					fmaPanels(o4, a4, b, 4, k, n)
+					fmaPanelsF32(o4f, a4f, bf, 4, k, n)
+					for j := 0; j < n; j++ {
+						if math.Float64bits(got[r*n+j]) != math.Float64bits(o4[j]) {
+							t.Fatalf("f64 m=%d k=%d n=%d row %d col %d: %x, 4-row kernel %x",
+								m, k, n, r, j, math.Float64bits(got[r*n+j]), math.Float64bits(o4[j]))
+						}
+						if math.Float32bits(gotF[r*n+j]) != math.Float32bits(o4f[j]) {
+							t.Fatalf("f32 m=%d k=%d n=%d row %d col %d: %x, 4-row kernel %x",
+								m, k, n, r, j, math.Float32bits(gotF[r*n+j]), math.Float32bits(o4f[j]))
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestAttentionPropagatesNaN: a NaN in q, k or v must come out of the
+// attention block as NaN (in the rows it reaches), on both kernel paths and
+// in both tiers — never be laundered by a max, a clamp or a masked lane.
+func TestAttentionPropagatesNaN(t *testing.T) {
+	kernelPaths(t, func(t *testing.T) {
+		c := NewCtx()
+		rng := rand.New(rand.NewSource(45))
+		for _, tt := range []int{1, 9, 18} {
+			for which := 0; which < 3; which++ {
+				d := 16
+				in := [3][]float64{randSlice(rng, tt*d), randSlice(rng, tt*d), randSlice(rng, tt*d)}
+				// Poison the last row's last feature of q, k or v.
+				in[which][tt*d-1] = math.NaN()
+				q, k, v := c.view(tt, d, in[0]), c.view(tt, d, in[1]), c.view(tt, d, in[2])
+				for _, exact := range []bool{false, true} {
+					out := c.AttentionBlocks(q, k, v, 1, 0.25, exact)
+					if !math.IsNaN(out.Data[tt*d-1]) {
+						t.Fatalf("f64 T=%d exact=%v: NaN in input %d came out as %g", tt, exact, which, out.Data[tt*d-1])
+					}
+				}
+				outF := c.AttentionBlocksF32(c.NarrowCtxF32(q), c.NarrowCtxF32(k), c.NarrowCtxF32(v), 1, 0.25)
+				if v := outF.Data[tt*d-1]; v == v {
+					t.Fatalf("f32 T=%d: NaN in input %d came out as %g", tt, which, v)
+				}
+				c.Reset()
+			}
+		}
+	})
+}
+
+// TestLayerNormPropagatesNaN: a NaN (or Inf) anywhere in a row of x or of the
+// residual must turn that whole output row non-finite and leave the other
+// rows alone.
+func TestLayerNormPropagatesNaN(t *testing.T) {
+	kernelPaths(t, func(t *testing.T) {
+		c := NewCtx()
+		rng := rand.New(rand.NewSource(46))
+		for _, d := range []int{1, 16, 19, 32} {
+			for _, bad := range []float64{math.NaN(), math.Inf(1)} {
+				for _, inResidual := range []bool{false, true} {
+					rows := 5
+					xd, yd := randSlice(rng, rows*d), randSlice(rng, rows*d)
+					if inResidual {
+						yd[3*d+d-1] = bad
+					} else {
+						xd[3*d+d-1] = bad
+					}
+					x, y := c.view(rows, d, xd), c.view(rows, d, yd)
+					gain, bias := c.view(1, d, randSlice(rng, d)), c.view(1, d, randSlice(rng, d))
+					out := c.AddLayerNorm(x, y, gain, bias, 1e-5)
+					outF := c.AddLayerNormF32(c.NarrowCtxF32(x), c.NarrowCtxF32(y), c.NarrowCtxF32(gain), c.NarrowCtxF32(bias), 1e-5)
+					for i := range out.Data {
+						poisoned := i/d == 3
+						if got := math.IsNaN(out.Data[i]); got != poisoned {
+							t.Fatalf("f64 d=%d bad=%g: out[%d] = %g, poisoned row %v", d, bad, i, out.Data[i], poisoned)
+						}
+						if got := outF.Data[i] != outF.Data[i]; got != poisoned {
+							t.Fatalf("f32 d=%d bad=%g: out[%d] = %g, poisoned row %v", d, bad, i, outF.Data[i], poisoned)
+						}
+					}
+					c.Reset()
+				}
+			}
+		}
+	})
+}
