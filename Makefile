@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build build-portable vet lint vet-self vet-facts-determinism vet-fix-check test race bench bench-batch bench-compare benchmark benchmark-selftest faultinject serve-smoke ci
+.PHONY: all build build-portable vet lint vet-self vet-facts-determinism vet-fix-check test race fuzz bench bench-batch bench-compare benchmark benchmark-selftest faultinject serve-smoke ci
 
 all: build lint test
 
@@ -70,8 +70,16 @@ test:
 race:
 	$(GO) test -race -timeout 30m ./...
 
-# bench regenerates BENCH_small.json via cmd/mpgraph-bench (fast-path,
-# int8, f32 and f16 speedups appear in its "speedups" section). The µs-scale
+# fuzz explores past the committed seed corpora (testdata/fuzz, which every
+# `go test` already replays) for a short budget. `go test -fuzz` takes one
+# target in one package per run. New crashers land in the package's testdata/
+# and are meant to be committed with their fix.
+FUZZTIME ?= 10s
+fuzz:
+	$(GO) test ./internal/serve/ -run xxx -fuzz '^FuzzDecodeEvents$$' -fuzztime $(FUZZTIME)
+
+# bench regenerates BENCH_small.json via cmd/mpgraph-bench (int8, f32 and
+# f16 speedups over float64 appear in its "speedups" section). The µs-scale
 # Operate benchmarks run 6 counts of 300 iterations — mpgraph-bench keeps
 # the best run per benchmark (timing noise is strictly additive), keeping
 # ns/op stable enough for the bench-compare gate's 15% threshold on noisy
@@ -108,8 +116,8 @@ bench-batch:
 	rm -f bench-batch.out
 
 # bench-compare is the perf-regression gate: rerun the Operate benchmarks
-# and fail if any fast-path benchmark is >15% slower in ns/op — or gains a
-# single allocation — against the committed BENCH_small.json. On a machine
+# and fail if any benchmark is >15% slower in ns/op — or gains a single
+# allocation — against the committed BENCH_small.json. On a machine
 # that differs from the one the baseline was measured on, the ns/op check is
 # skipped (with a warning) and only allocation gains fail.
 bench-compare:

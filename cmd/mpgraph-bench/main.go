@@ -1,16 +1,13 @@
 // Command mpgraph-bench converts `go test -bench` text output into a small
 // machine-readable JSON report (BENCH_small.json) so CI can archive
-// benchmark results and the fast-path speedup claims in DESIGN.md stay
+// benchmark results and the precision-tier speedup claims in DESIGN.md stay
 // reproducible from a committed artifact.
 //
-// Two variant-suffix conventions drive the "speedups" section. Benchmarks
-// whose name contains "Legacy" are paired with the benchmark named by
-// deleting that substring (BenchmarkOperateDeltaLSTMLegacy pairs with
-// BenchmarkOperateDeltaLSTM) and reported as legacy/fast. Benchmarks whose
-// name contains "Int8" are paired the same way (BenchmarkOperateMPGraphAMMAInt8
-// pairs with BenchmarkOperateMPGraphAMMA) and reported as float/int8 — in
-// both cases the ratio is baseline over variant, so >1 means the fast or
-// quantized path wins.
+// One variant-suffix convention drives the "speedups" section. A benchmark
+// whose name contains "Int8", "F32" or "F16" is paired with the benchmark
+// named by deleting that substring (BenchmarkOperateMPGraphAMMAInt8 pairs
+// with BenchmarkOperateMPGraphAMMA) and reported as float64 baseline over
+// variant, so >1 means the reduced-precision tier wins.
 //
 // The report header records the measurement environment (go version, OS,
 // architecture, GOMAXPROCS, CPU count) so consumers can tell when two
@@ -20,10 +17,9 @@
 //
 //	mpgraph-bench -compare old.json new.json
 //
-// exits non-zero when any fast-path benchmark (name without "Legacy")
-// regresses more than 15% in ns/op or gains allocations. When the two
-// reports' environments differ, ns/op is not comparable and only the
-// allocation check is enforced (with a warning).
+// exits non-zero when any benchmark regresses more than 15% in ns/op or
+// gains allocations. When the two reports' environments differ, ns/op is not
+// comparable and only the allocation check is enforced (with a warning).
 //
 // Usage:
 //
@@ -54,9 +50,8 @@ type Result struct {
 	AllocsPerOp int64   `json:"allocs_per_op"`
 }
 
-// Speedup reports a baseline/variant benchmark pair as a wall-time ratio:
-// legacy vs fast-path for "Legacy" names, float vs quantized for "Int8"
-// names. BaseNs is the baseline (legacy or float), FastNs the variant.
+// Speedup reports a baseline/variant benchmark pair as a wall-time ratio.
+// BaseNs is the float64 baseline, FastNs the reduced-precision variant.
 type Speedup struct {
 	Name    string  `json:"name"`
 	FastNs  float64 `json:"fast_ns_per_op"`
@@ -95,7 +90,7 @@ func main() {
 	var (
 		in      = flag.String("in", "", "bench output file (default stdin)")
 		out     = flag.String("o", "BENCH_small.json", "output JSON path")
-		compare = flag.Bool("compare", false, "compare two report files (old new); exit non-zero on fast-path regressions")
+		compare = flag.Bool("compare", false, "compare two report files (old new); exit non-zero on regressions")
 	)
 	flag.Parse()
 
@@ -196,17 +191,16 @@ func collapse(results []Result) []Result {
 	return out
 }
 
-// regressionThreshold is how much slower (ns/op) a fast-path benchmark may
-// get before the compare gate fails. Allocation gains have no threshold:
-// the fast path promises zero allocs, so any gain is a regression.
+// regressionThreshold is how much slower (ns/op) a benchmark may get before
+// the compare gate fails. Allocation gains have no threshold: the inference
+// path promises zero allocs, so any gain is a regression.
 const regressionThreshold = 1.15
 
-// compareReports checks every fast-path benchmark of old against new,
-// writing one line per finding, and returns the regression count. Legacy
-// baselines are exempt (they are the slow path by design). A benchmark
-// missing from new is reported but not failed — suites evolve — while an
-// environment mismatch downgrades the gate to allocation checks only,
-// because ns/op measured on different machines is noise.
+// compareReports checks every benchmark of old against new, writing one line
+// per finding, and returns the regression count. A benchmark missing from
+// new is reported but not failed — suites evolve — while an environment
+// mismatch downgrades the gate to allocation checks only, because ns/op
+// measured on different machines is noise.
 func compareReports(w io.Writer, old, new Report) int {
 	sameEnv := old.Env == new.Env
 	if !sameEnv {
@@ -219,9 +213,6 @@ func compareReports(w io.Writer, old, new Report) int {
 	}
 	regressions := 0
 	for _, o := range old.Benchmarks {
-		if strings.Contains(o.Name, "Legacy") {
-			continue
-		}
 		n, ok := index[o.Pkg+" "+o.Name]
 		if !ok {
 			fmt.Fprintf(w, "mpgraph-bench: %s missing from new report (not failed)\n", o.Name)
@@ -310,10 +301,13 @@ func parseBenchLine(pkg, line string) (Result, bool) {
 	return res, true
 }
 
-// pairSpeedups matches each variant-suffixed benchmark with its counterpart.
-// "Legacy" names are the baseline and pair with the name minus the substring
-// (the fast side); "Int8" names are the variant and pair with the name minus
-// the substring (the float baseline). Callers pass collapsed results (one
+// variantSuffixes are the name substrings that mark a reduced-precision
+// variant of the benchmark named without them: the int8 and f32 compute
+// tiers and the f16 snapshot storage tier.
+var variantSuffixes = []string{"Int8", "F32", "F16"}
+
+// pairSpeedups matches each variant-suffixed benchmark with its float64
+// counterpart, the name minus the suffix. Callers pass collapsed results (one
 // entry per name); any repeats still present are averaged before pairing.
 func pairSpeedups(results []Result) []Speedup {
 	type agg struct {
@@ -335,60 +329,21 @@ func pairSpeedups(results []Result) []Speedup {
 	avg := func(a *agg) float64 { return a.sum / float64(a.n) }
 	var out []Speedup
 	for _, name := range order {
-		var baseNs, fastNs float64
-		var pairName string
-		switch {
-		case strings.Contains(name, "Legacy"):
-			// The suffixed benchmark is the slow baseline.
-			fastName := strings.Replace(name, "Legacy", "", 1)
-			fast, ok := mean[fastName]
-			if !ok {
+		for _, suffix := range variantSuffixes {
+			if !strings.Contains(name, suffix) {
 				continue
 			}
-			baseNs, fastNs = avg(mean[name]), avg(fast)
-			pairName = fastName
-		case strings.Contains(name, "Int8"):
-			// The suffixed benchmark is the quantized variant; the
-			// unsuffixed one is the float baseline.
-			baseName := strings.Replace(name, "Int8", "", 1)
-			base, ok := mean[baseName]
-			if !ok {
-				continue
+			base, ok := mean[strings.Replace(name, suffix, "", 1)]
+			if fastNs := avg(mean[name]); ok && fastNs > 0 {
+				out = append(out, Speedup{
+					Name:    strings.TrimPrefix(name, "Benchmark"),
+					FastNs:  fastNs,
+					BaseNs:  avg(base),
+					Speedup: avg(base) / fastNs,
+				})
 			}
-			baseNs, fastNs = avg(base), avg(mean[name])
-			pairName = name
-		case strings.Contains(name, "F32"):
-			// Mixed-precision compute tier: the suffixed benchmark is the
-			// f32 variant, the unsuffixed one the float64 baseline.
-			baseName := strings.Replace(name, "F32", "", 1)
-			base, ok := mean[baseName]
-			if !ok {
-				continue
-			}
-			baseNs, fastNs = avg(base), avg(mean[name])
-			pairName = name
-		case strings.Contains(name, "F16"):
-			// Half-precision storage tier: pairs the f16 suite serialisation
-			// with its float64 counterpart.
-			baseName := strings.Replace(name, "F16", "", 1)
-			base, ok := mean[baseName]
-			if !ok {
-				continue
-			}
-			baseNs, fastNs = avg(base), avg(mean[name])
-			pairName = name
-		default:
-			continue
+			break
 		}
-		if fastNs <= 0 {
-			continue
-		}
-		out = append(out, Speedup{
-			Name:    strings.TrimPrefix(pairName, "Benchmark"),
-			FastNs:  fastNs,
-			BaseNs:  baseNs,
-			Speedup: baseNs / fastNs,
-		})
 	}
 	return out
 }

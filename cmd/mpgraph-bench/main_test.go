@@ -13,12 +13,12 @@ pkg: mpgraph/internal/prefetch
 cpu: some cpu
 BenchmarkOperateDeltaLSTM-8 	    2000	     71578 ns/op	       0 B/op	       0 allocs/op
 BenchmarkOperateDeltaLSTM-8 	    2000	     72000 ns/op	       0 B/op	       0 allocs/op
-BenchmarkOperateDeltaLSTMLegacy-8 	    2000	    143578 ns/op	  512000 B/op	    1200 allocs/op
+BenchmarkOperateDeltaLSTMF32-8 	    2000	     35894 ns/op	     512 B/op	      12 allocs/op
 PASS
 ok  	mpgraph/internal/prefetch	3.375s
 pkg: mpgraph/internal/experiments
-BenchmarkPrefetchSweepSerial 	       1	1717870046 ns/op
-BenchmarkPrefetchSweepLegacySerial 	       1	3685844300 ns/op
+BenchmarkPrefetchSweepSerial 	       1	3685844300 ns/op
+BenchmarkPrefetchSweepInt8Serial 	       1	1717870046 ns/op
 ok  	mpgraph/internal/experiments	14.201s
 `
 
@@ -40,9 +40,9 @@ func TestParseBench(t *testing.T) {
 	if first.Iters != 2000 || first.NsPerOp != 71578 {
 		t.Fatalf("iters/ns = %d/%g", first.Iters, first.NsPerOp)
 	}
-	legacy := results[2]
-	if legacy.BytesPerOp != 512000 || legacy.AllocsPerOp != 1200 {
-		t.Fatalf("B/allocs = %d/%d", legacy.BytesPerOp, legacy.AllocsPerOp)
+	variant := results[2]
+	if variant.BytesPerOp != 512 || variant.AllocsPerOp != 12 {
+		t.Fatalf("B/allocs = %d/%d", variant.BytesPerOp, variant.AllocsPerOp)
 	}
 	sweep := results[3]
 	if sweep.Pkg != "mpgraph/internal/experiments" {
@@ -62,19 +62,19 @@ func TestPairSpeedups(t *testing.T) {
 	if len(sp) != 2 {
 		t.Fatalf("got %d speedup pairs, want 2", len(sp))
 	}
-	// The two DeltaLSTM runs average to 71789 ns/op before pairing.
+	// The two float64 DeltaLSTM runs average to 71789 ns/op before pairing.
 	lstm := sp[0]
-	if lstm.Name != "OperateDeltaLSTM" {
+	if lstm.Name != "OperateDeltaLSTMF32" {
 		t.Fatalf("pair name = %q", lstm.Name)
 	}
-	if math.Abs(lstm.FastNs-71789) > 1 {
-		t.Fatalf("fast ns = %g, want ~71789", lstm.FastNs)
+	if math.Abs(lstm.BaseNs-71789) > 1 {
+		t.Fatalf("base ns = %g, want ~71789", lstm.BaseNs)
 	}
-	if math.Abs(lstm.Speedup-143578.0/71789.0) > 1e-9 {
+	if math.Abs(lstm.Speedup-71789.0/35894.0) > 1e-9 {
 		t.Fatalf("speedup = %g", lstm.Speedup)
 	}
 	sweep := sp[1]
-	if sweep.Name != "PrefetchSweepSerial" {
+	if sweep.Name != "PrefetchSweepInt8Serial" {
 		t.Fatalf("pair name = %q", sweep.Name)
 	}
 	if sweep.Speedup < 2 {
@@ -121,11 +121,11 @@ func compareFixture() (Report, Report) {
 	env := Env{GoVersion: "go1.24.0", GOOS: "linux", GOARCH: "amd64", GOMAXPROCS: 8, NumCPU: 8}
 	old := Report{Env: env, Benchmarks: []Result{
 		{Pkg: "p", Name: "BenchmarkOperateFast", NsPerOp: 1000, AllocsPerOp: 0},
-		{Pkg: "p", Name: "BenchmarkOperateFastLegacy", NsPerOp: 5000, AllocsPerOp: 99},
+		{Pkg: "p", Name: "BenchmarkSuiteSave", NsPerOp: 5000, AllocsPerOp: 99},
 	}}
 	new := Report{Env: env, Benchmarks: []Result{
 		{Pkg: "p", Name: "BenchmarkOperateFast", NsPerOp: 1000, AllocsPerOp: 0},
-		{Pkg: "p", Name: "BenchmarkOperateFastLegacy", NsPerOp: 50000, AllocsPerOp: 999},
+		{Pkg: "p", Name: "BenchmarkSuiteSave", NsPerOp: 5500, AllocsPerOp: 99},
 	}}
 	return old, new
 }
@@ -133,7 +133,7 @@ func compareFixture() (Report, Report) {
 func TestCompareReportsClean(t *testing.T) {
 	old, new := compareFixture()
 	var sb strings.Builder
-	// A Legacy benchmark may regress arbitrarily without tripping the gate.
+	// Inside the 15% threshold with no allocation gain: nothing trips.
 	if n := compareReports(&sb, old, new); n != 0 {
 		t.Fatalf("clean compare reported %d regressions:\n%s", n, sb.String())
 	}

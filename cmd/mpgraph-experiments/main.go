@@ -59,7 +59,6 @@ func main() {
 		graphScale = flag.Int("graph-scale", 0, "log2 vertices override")
 		seed       = flag.Int64("seed", 1, "experiment seed")
 		workers    = flag.Int("workers", 0, "sweep worker pool size (0 = GOMAXPROCS, 1 = serial)")
-		slowInfer  = flag.Bool("disable-fast-path", false, "use the legacy allocating inference path (serial; perf baseline)")
 		int8Infer  = flag.Bool("int8", false, "run MPGraph inference on the int8 quantized engine (per-channel weights, calibrated activations)")
 		f32Infer   = flag.Bool("f32", false, "run MPGraph inference on the single-precision compute tier (weights narrowed once, f32 fused kernels)")
 		batch      = flag.Int("batch", 0, "fuse up to N concurrent ML model calls per batched GEMM round (0 = off; reports are byte-identical at any value)")
@@ -89,22 +88,12 @@ func main() {
 	}
 	opt.Seed = *seed
 	opt.Workers = *workers
-	opt.DisableFastPath = *slowInfer
 	opt.Int8 = *int8Infer
-	if *int8Infer && *slowInfer {
-		fatalf("-int8 requires the fast path; drop -disable-fast-path")
-	}
 	opt.F32 = *f32Infer
-	if *f32Infer && *slowInfer {
-		fatalf("-f32 requires the fast path; drop -disable-fast-path")
-	}
 	if *f32Infer && *int8Infer {
 		fatalf("-f32 and -int8 are mutually exclusive; pick one reduced-precision engine")
 	}
 	opt.Batch = *batch
-	if *batch > 0 && *slowInfer {
-		fatalf("-batch requires the fast path; drop -disable-fast-path")
-	}
 	opt.CheckpointDir = *ckptDir
 	opt.Resume = *resume
 	inj, err := resilience.ParseInjector(*inject, *seed)

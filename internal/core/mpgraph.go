@@ -31,14 +31,9 @@ type Options struct {
 	// OraclePhase bypasses the detector and uses the trace's ground-truth
 	// phase label (ablation only).
 	OraclePhase bool
-	// DisableFastPath runs inference on the legacy allocating autograd
-	// path instead of the per-instance arena. The legacy path toggles the
-	// global grad flag, so it must not run concurrently with training —
-	// it exists as the perf baseline the benchmarks compare against.
-	DisableFastPath bool
 	// Scheduler, when non-nil, routes every model call through an external
 	// batching tier (one session per MPGraph instance — see
-	// prefetch.BatchScheduler). Requires the fast path.
+	// prefetch.BatchScheduler).
 	Scheduler ModelScheduler
 }
 
@@ -88,9 +83,8 @@ type MPGraph struct {
 	phase int
 	tick  int
 
-	// Inference fast path: per-instance arena plus reusable scratch
-	// buffers so a steady-state Operate call allocates nothing. ctx == nil
-	// selects the legacy allocating path (Options.DisableFastPath).
+	// Inference runs on a per-instance arena plus reusable scratch buffers,
+	// so a steady-state Operate call allocates nothing.
 	ctx         *tensor.Ctx
 	sampScratch models.Sample
 	tailScratch models.Sample
@@ -126,9 +120,6 @@ func New(opt Options, historyT int, detector phasedet.Detector, deltas []models.
 	if !opt.OraclePhase && detector == nil {
 		return nil, fmt.Errorf("core: detector required unless OraclePhase")
 	}
-	if opt.Scheduler != nil && opt.DisableFastPath {
-		return nil, fmt.Errorf("core: Scheduler requires the fast path (DisableFastPath must be false)")
-	}
 	if opt.InferEvery <= 0 {
 		opt.InferEvery = 1
 	}
@@ -143,9 +134,7 @@ func New(opt Options, historyT int, detector phasedet.Detector, deltas []models.
 		pages:    pages,
 		hist:     models.NewHistory(historyT),
 		pbot:     NewPBOT(opt.PBOTSize),
-	}
-	if !opt.DisableFastPath {
-		m.ctx = tensor.NewCtx()
+		ctx:      tensor.NewCtx(),
 	}
 	return m, nil
 }
@@ -228,16 +217,6 @@ func (m *MPGraph) Operate(acc sim.LLCAccess) []uint64 {
 		return nil
 	}
 
-	if m.ctx == nil {
-		// Legacy path: graph construction suppressed globally (serial use
-		// only — see Options.DisableFastPath).
-		restore := tensor.SetGradEnabled(false)
-		defer tensor.SetGradEnabled(restore)
-		if m.probing {
-			m.feedProbe()
-		}
-		return m.cstp(acc.Block)
-	}
 	defer m.ctx.Reset()
 	if m.probing {
 		m.feedProbe()
@@ -249,16 +228,7 @@ func (m *MPGraph) Operate(acc sim.LLCAccess) []uint64 {
 func (m *MPGraph) cstp(block uint64) []uint64 {
 	maxDegree := m.opt.MaxTotalDegree()
 	out := m.out[:0]
-	if m.ctx == nil {
-		out = make([]uint64, 0, maxDegree)
-	}
-
-	var sample *models.Sample
-	if m.ctx == nil {
-		sample = m.hist.Sample(m.phase)
-	} else {
-		sample = m.hist.SampleInto(&m.sampScratch, m.phase)
-	}
+	sample := m.hist.SampleInto(&m.sampScratch, m.phase)
 	delta := m.deltas[m.phase%len(m.deltas)]
 	page := m.pages[m.phase%len(m.pages)]
 
@@ -288,11 +258,7 @@ func (m *MPGraph) cstp(block uint64) []uint64 {
 		}
 		base := trace.BlockOfPageOffset(next, entry.Offset)
 		out = addUnique(out, base, maxDegree)
-		if m.ctx == nil {
-			cur = m.hist.SampleWithTail(m.phase, base, entry.PC)
-		} else {
-			cur = m.hist.SampleWithTailInto(&m.tailScratch, m.phase, base, entry.PC)
-		}
+		cur = m.hist.SampleWithTailInto(&m.tailScratch, m.phase, base, entry.PC)
 		m.deltaBuf, err = m.deltaTargetsAppend(delta, cur, base, m.opt.SpatialDegree, m.deltaBuf[:0])
 		if err != nil {
 			m.recordHealth(err)
@@ -307,15 +273,13 @@ func (m *MPGraph) cstp(block uint64) []uint64 {
 			break
 		}
 	}
-	if m.ctx != nil {
-		m.out = out
-	}
+	m.out = out
 	return out
 }
 
 // addUnique appends b to out unless it is already present or the degree
-// budget is spent — the dedupe the legacy path kept in a map, linearised
-// because maxDegree is at most Ds·(Dt+1) (6 at paper settings).
+// budget is spent — a linear scan, because maxDegree is at most Ds·(Dt+1)
+// (6 at paper settings).
 func addUnique(out []uint64, b uint64, maxDegree int) []uint64 {
 	if len(out) >= maxDegree {
 		return out
@@ -357,12 +321,7 @@ func (m *MPGraph) feedProbe() {
 	}
 	base := m.hist.CurrentBlock()
 	for p, dm := range m.deltas {
-		var s *models.Sample
-		if m.ctx == nil {
-			s = m.hist.Sample(p)
-		} else {
-			s = m.hist.SampleInto(&m.sampScratch, p)
-		}
+		s := m.hist.SampleInto(&m.sampScratch, p)
 		var err error
 		m.deltaBuf, err = m.deltaTargetsAppend(dm, s, base, m.opt.SpatialDegree, m.deltaBuf[:0])
 		if err != nil {

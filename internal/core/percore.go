@@ -74,13 +74,11 @@ func NewPerCore(opt Options, historyT, cores int, makeDetector func() phasedet.D
 		pbot:     NewPBOT(opt.PBOTSize),
 		phases:   make([]int, cores),
 		ticks:    make([]int, cores),
+		ctx:      tensor.NewCtx(),
 	}
 	for c := 0; c < cores; c++ {
 		m.detectors = append(m.detectors, makeDetector())
 		m.hists = append(m.hists, models.NewHistory(historyT))
-	}
-	if !opt.DisableFastPath {
-		m.ctx = tensor.NewCtx()
 	}
 	return m, nil
 }
@@ -130,18 +128,10 @@ func (m *PerCoreMPGraph) cstp(c int, block uint64) []uint64 {
 	hist := m.hists[c]
 	maxDegree := m.opt.MaxTotalDegree()
 	out := m.out[:0]
-	if m.ctx == nil {
-		out = make([]uint64, 0, maxDegree)
-	}
 	delta := m.deltas[phase%len(m.deltas)]
 	page := m.pages[phase%len(m.pages)]
-	var sample *models.Sample
-	if m.ctx == nil {
-		sample = hist.Sample(phase)
-	} else {
-		defer m.ctx.Reset()
-		sample = hist.SampleInto(&m.sampScratch, phase)
-	}
+	defer m.ctx.Reset()
+	sample := hist.SampleInto(&m.sampScratch, phase)
 	var err error
 	m.deltaBuf, err = topDeltaBlocksAppend(m.ctx, delta, sample, block, m.opt.SpatialDegree, m.deltaBuf[:0])
 	if err != nil {
@@ -162,11 +152,7 @@ func (m *PerCoreMPGraph) cstp(c int, block uint64) []uint64 {
 		}
 		base := trace.BlockOfPageOffset(m.pageBuf[0], entry.Offset)
 		out = addUnique(out, base, maxDegree)
-		if m.ctx == nil {
-			cur = hist.SampleWithTail(phase, base, entry.PC)
-		} else {
-			cur = hist.SampleWithTailInto(&m.tailScratch, phase, base, entry.PC)
-		}
+		cur = hist.SampleWithTailInto(&m.tailScratch, phase, base, entry.PC)
 		m.deltaBuf, err = topDeltaBlocksAppend(m.ctx, delta, cur, base, m.opt.SpatialDegree, m.deltaBuf[:0])
 		if err != nil {
 			m.recordHealth(err)
@@ -181,9 +167,7 @@ func (m *PerCoreMPGraph) cstp(c int, block uint64) []uint64 {
 			break
 		}
 	}
-	if m.ctx != nil {
-		m.out = out
-	}
+	m.out = out
 	return out
 }
 

@@ -141,12 +141,6 @@ func BenchmarkOperateMPGraphAMMA(b *testing.B) {
 	benchMPGraphOperate(b, DefaultOptions())
 }
 
-func BenchmarkOperateMPGraphAMMALegacy(b *testing.B) {
-	opt := DefaultOptions()
-	opt.DisableFastPath = true
-	benchMPGraphOperate(b, opt)
-}
-
 // calibSamples builds calibration samples matching the stepper's access
 // pattern, so the int8 activation scales see the distribution the
 // benchmarks run.

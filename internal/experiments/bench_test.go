@@ -17,10 +17,9 @@ func benchSweepOptions() Options {
 
 // benchSweepRunner trains the workload suite outside the timer so the
 // benchmark measures only the simulations.
-func benchSweepRunner(b *testing.B, disableFast bool, workers int) *Runner {
+func benchSweepRunner(b *testing.B, workers int) *Runner {
 	b.Helper()
 	o := benchSweepOptions()
-	o.DisableFastPath = disableFast
 	o.Workers = workers
 	r := NewRunner(o)
 	for _, wl := range o.Workloads() {
@@ -44,18 +43,11 @@ func benchSweep(b *testing.B, r *Runner) {
 // BenchmarkPrefetchSweep is the headline number: arena fast path, full
 // worker pool (on a single-core host this equals the serial fast path).
 func BenchmarkPrefetchSweep(b *testing.B) {
-	benchSweep(b, benchSweepRunner(b, false, 0))
+	benchSweep(b, benchSweepRunner(b, 0))
 }
 
-// BenchmarkPrefetchSweepSerial isolates the fast path's single-thread gain
-// (compare against LegacySerial) from the scheduler's multi-core gain
+// BenchmarkPrefetchSweepSerial isolates the scheduler's multi-core gain
 // (compare Sweep against this).
 func BenchmarkPrefetchSweepSerial(b *testing.B) {
-	benchSweep(b, benchSweepRunner(b, false, 1))
-}
-
-// BenchmarkPrefetchSweepLegacySerial is the pre-fast-path baseline: the
-// allocating autograd inference path, serial scheduler.
-func BenchmarkPrefetchSweepLegacySerial(b *testing.B) {
-	benchSweep(b, benchSweepRunner(b, true, 1))
+	benchSweep(b, benchSweepRunner(b, 1))
 }

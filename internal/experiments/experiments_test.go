@@ -247,17 +247,7 @@ func TestF32Option(t *testing.T) {
 
 	bad := shared.Opt
 	bad.F32, bad.Int8 = true, true
-	if err := bad.validateBatch(); err == nil {
+	if err := bad.validatePrecision(); err == nil {
 		t.Fatal("F32+Int8 must be a configuration error")
-	}
-	// DisableFastPath+F32 is tolerated (f32 is simply inert off the fast
-	// path, mirroring Int8); construction must not fail.
-	r3 := NewRunner(shared.Opt)
-	r3.Opt.F32, r3.Opt.DisableFastPath = true, true
-	r3.suites = shared.suites
-	r3.data = shared.data
-	r3.graphs = shared.graphs
-	if _, err := r3.MPGraph(wl, core.DefaultOptions()); err != nil {
-		t.Fatalf("F32 with DisableFastPath should be inert, got %v", err)
 	}
 }

@@ -46,11 +46,6 @@ type Options struct {
 	// serial). Independent (workload, prefetcher) simulations fan out across
 	// the pool; report output is byte-identical at any worker count.
 	Workers int
-	// DisableFastPath runs all ML inference on the legacy allocating
-	// autograd path instead of the per-prefetcher arenas — the perf baseline
-	// the benchmarks compare against. The legacy path toggles the global
-	// grad flag, so it forces the sweep serial regardless of Workers.
-	DisableFastPath bool
 	// CheckpointDir, when non-empty, enables atomic checksummed on-disk
 	// checkpoints of workload traces and trained model suites (DESIGN.md
 	// §9). Saves always happen when the directory is set; loads additionally
@@ -71,23 +66,18 @@ type Options struct {
 	// Int8 runs the MPGraph prefetcher's inference on the int8 quantized
 	// engine: per-phase models are weight-quantized once per workload
 	// (per-channel symmetric int8), activation scales are calibrated on the
-	// training samples, and Operate dispatches the integer kernels. Ignored
-	// when DisableFastPath is set — the int8 kernels live on the arena fast
-	// path, so the legacy autograd path always scores in float.
+	// training samples, and Operate dispatches the integer kernels.
 	Int8 bool
 	// F32 runs the MPGraph prefetcher's inference on the single-precision
 	// compute tier: per-phase model weights are narrowed to f32 once per
 	// workload and Operate dispatches the f32 fused kernels (DESIGN.md §13).
-	// Mutually exclusive with Int8 (one reduced-precision engine at a time)
-	// and, like Int8, requires the arena fast path — the legacy autograd
-	// path always scores in float64.
+	// Mutually exclusive with Int8 (one reduced-precision engine at a time).
 	F32 bool
 	// Batch > 0 routes every ML prefetcher's model calls through one shared
 	// batched-inference scheduler that fuses up to Batch concurrent requests
 	// per GEMM round (prefetch.BatchScheduler). The batched kernels are
 	// composition-independent, so sweep reports stay byte-identical at any
-	// Batch value and worker count. Requires the fast path: combining Batch
-	// with DisableFastPath is a configuration error.
+	// Batch value and worker count.
 	Batch int
 }
 
@@ -147,13 +137,8 @@ func (o Options) SimConfig() sim.Config {
 	return cfg
 }
 
-// validateBatch rejects option combinations the batched inference tier
-// cannot serve: the scheduler decodes through the arena fast path, so the
-// legacy autograd path cannot participate.
-func (o Options) validateBatch() error {
-	if o.Batch > 0 && o.DisableFastPath {
-		return fmt.Errorf("experiments: Batch=%d requires the fast path (unset DisableFastPath)", o.Batch)
-	}
+// validatePrecision rejects selecting both reduced-precision engines.
+func (o Options) validatePrecision() error {
 	if o.F32 && o.Int8 {
 		return fmt.Errorf("experiments: F32 and Int8 are mutually exclusive (pick one reduced-precision engine)")
 	}
@@ -161,12 +146,8 @@ func (o Options) validateBatch() error {
 }
 
 // workers resolves the scheduler's pool size: Workers, defaulting to
-// GOMAXPROCS, clamped to 1 when the legacy inference path is selected
-// (it toggles process-global autograd state and must run serially).
+// GOMAXPROCS.
 func (o Options) workers() int {
-	if o.DisableFastPath {
-		return 1
-	}
 	if o.Workers > 0 {
 		return o.Workers
 	}

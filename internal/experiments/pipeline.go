@@ -422,7 +422,7 @@ func (r *Runner) buildDataset(cfg models.Config, stream []trace.Access, share *m
 // panics, non-finite scores, out-of-range blocks); a healthy guard is
 // transparent, so guarded and unguarded sweeps print identical reports.
 func (r *Runner) Prefetchers(w Workload) ([]sim.Prefetcher, error) {
-	if err := r.Opt.validateBatch(); err != nil {
+	if err := r.Opt.validatePrecision(); err != nil {
 		return nil, err
 	}
 	s, err := r.Suite(w)
@@ -430,7 +430,7 @@ func (r *Runner) Prefetchers(w Workload) ([]sim.Prefetcher, error) {
 		return nil, err
 	}
 	T := s.Cfg.HistoryT
-	mlOpt := prefetch.MLOptions{Degree: 6, DisableFastPath: r.Opt.DisableFastPath, Scheduler: r.scheduler()}
+	mlOpt := prefetch.MLOptions{Degree: 6, Scheduler: r.scheduler()}
 
 	mp, err := r.MPGraph(w, core.DefaultOptions())
 	if err != nil {
@@ -509,15 +509,12 @@ func (r *Runner) f32PS(w Workload) (*qpair, error) {
 // Options.Int8 the per-phase models are the calibrated int8 mirrors; under
 // Options.F32 they are the narrowed single-precision mirrors.
 func (r *Runner) MPGraph(w Workload, opt core.Options) (*core.MPGraph, error) {
-	if err := r.Opt.validateBatch(); err != nil {
+	if err := r.Opt.validatePrecision(); err != nil {
 		return nil, err
 	}
 	s, err := r.Suite(w)
 	if err != nil {
 		return nil, err
-	}
-	if r.Opt.DisableFastPath {
-		opt.DisableFastPath = true
 	}
 	if opt.Scheduler == nil {
 		if sched := r.scheduler(); sched != nil {
@@ -529,14 +526,14 @@ func (r *Runner) MPGraph(w Workload, opt core.Options) (*core.MPGraph, error) {
 		}
 	}
 	psDelta, psPage := s.PSDelta, s.PSPage
-	if r.Opt.Int8 && !r.Opt.DisableFastPath {
+	if r.Opt.Int8 {
 		qp, err := r.quantizedPS(w)
 		if err != nil {
 			return nil, err
 		}
 		psDelta, psPage = qp.delta, qp.page
 	}
-	if r.Opt.F32 && !r.Opt.DisableFastPath {
+	if r.Opt.F32 {
 		fp, err := r.f32PS(w)
 		if err != nil {
 			return nil, err

@@ -301,9 +301,7 @@ func AblationPerCore(w io.Writer, r *Runner) error {
 	pages := make([]models.PageModel, len(s.PSPage.Models))
 	copy(pages, s.PSPage.Models)
 	seed := r.Opt.Seed
-	pcOpt := core.DefaultOptions()
-	pcOpt.DisableFastPath = r.Opt.DisableFastPath
-	perCore, err := core.NewPerCore(pcOpt, s.Cfg.HistoryT, 4, func() phasedet.Detector {
+	perCore, err := core.NewPerCore(core.DefaultOptions(), s.Cfg.HistoryT, 4, func() phasedet.Detector {
 		seed++
 		return phasedet.NewSoftKSWIN(phasedet.KSWINConfig{Seed: seed})
 	}, deltas, pages)

@@ -37,39 +37,33 @@ type PageProber interface {
 
 // modalityEncoder embeds one input modality and applies the per-modality
 // self-attention layer of the AMMA figure: embed → +position → attention.
-type modalityEncoder struct {
-	lin   *nn.Linear    // feature inputs (address segments); nil if token
-	table *nn.Embedding // token inputs (pages, PCs); nil if feature
-	pos   *tensor.Tensor
-	attn  *nn.SelfAttention
+// Like the nn layers it is written once over the element type: float64 is
+// the trained model, float32 its narrowed inference mirror (f32.go).
+type modalityEncoder[T float32 | float64] struct {
+	lin   *nn.LinearOf[T]    // feature inputs (address segments); nil if token
+	table *nn.EmbeddingOf[T] // token inputs (pages, PCs); nil if feature
+	pos   *tensor.Dense[T]
+	attn  *nn.SelfAttentionOf[T]
 }
 
-func newFeatureEncoder(inDim, T, attnDim int, rng *rand.Rand) *modalityEncoder {
-	return &modalityEncoder{
+func newFeatureEncoder(inDim, T, attnDim int, rng *rand.Rand) *modalityEncoder[float64] {
+	return &modalityEncoder[float64]{
 		lin:  nn.NewLinear(inDim, attnDim, rng),
 		pos:  tensor.Randn(T, attnDim, 0.05, rng).Param(),
 		attn: nn.NewSelfAttention(attnDim, attnDim, rng),
 	}
 }
 
-func newTokenEncoder(vocab, T, attnDim int, rng *rand.Rand) *modalityEncoder {
-	return &modalityEncoder{
+func newTokenEncoder(vocab, T, attnDim int, rng *rand.Rand) *modalityEncoder[float64] {
+	return &modalityEncoder[float64]{
 		table: nn.NewEmbedding(vocab, attnDim, rng),
 		pos:   tensor.Randn(T, attnDim, 0.05, rng).Param(),
 		attn:  nn.NewSelfAttention(attnDim, attnDim, rng),
 	}
 }
 
-func (m *modalityEncoder) encodeFeatures(x *tensor.Tensor) *tensor.Tensor {
-	return m.attn.Forward(tensor.Add(m.lin.Forward(x), m.pos))
-}
-
-func (m *modalityEncoder) encodeTokens(ids []int) *tensor.Tensor {
-	return m.attn.Forward(tensor.Add(m.table.Forward(ids), m.pos))
-}
-
-func (m *modalityEncoder) params() []*tensor.Tensor {
-	out := []*tensor.Tensor{m.pos}
+func (m *modalityEncoder[T]) params() []*tensor.Dense[T] {
+	out := []*tensor.Dense[T]{m.pos}
 	if m.lin != nil {
 		out = append(out, m.lin.Params()...)
 	}
@@ -82,17 +76,15 @@ func (m *modalityEncoder) params() []*tensor.Tensor {
 // ammaCore is the shared AMMA backbone: two modality encoders, the
 // multi-modality attention fusion layer (Eq. 8), L Transformer layers
 // (Eq. 9-10), optional phase embedding (AMMA-PI), and mean pooling.
-type ammaCore struct {
-	cfg        Config
-	modA, modB *modalityEncoder
-	fusion     *nn.MMAF
-	trans      []*nn.TransformerLayer
-	phaseEmb   *nn.Embedding // nil unless phase-informed
+type ammaCore[T float32 | float64] struct {
+	modA, modB *modalityEncoder[T]
+	fusion     *nn.MMAFOf[T]
+	trans      []*nn.TransformerLayerOf[T]
+	phaseEmb   *nn.EmbeddingOf[T] // nil unless phase-informed
 }
 
-func newAMMACore(cfg Config, modA, modB *modalityEncoder, phases int, rng *rand.Rand) *ammaCore {
-	c := &ammaCore{
-		cfg:    cfg,
+func newAMMACore(cfg Config, modA, modB *modalityEncoder[float64], phases int, rng *rand.Rand) *ammaCore[float64] {
+	c := &ammaCore[float64]{
 		modA:   modA,
 		modB:   modB,
 		fusion: nn.NewMMAF(cfg.AttnDim, cfg.FusionDim, rng),
@@ -106,8 +98,33 @@ func newAMMACore(cfg Config, modA, modB *modalityEncoder, phases int, rng *rand.
 	return c
 }
 
-// forward fuses the two encoded modalities and pools to [1 x FusionDim].
-func (c *ammaCore) forward(encA, encB *tensor.Tensor, phase int) *tensor.Tensor {
+func (c *ammaCore[T]) params() []*tensor.Dense[T] {
+	out := append(c.modA.params(), c.modB.params()...)
+	out = append(out, c.fusion.Params()...)
+	for _, tl := range c.trans {
+		out = append(out, tl.Params()...)
+	}
+	if c.phaseEmb != nil {
+		out = append(out, c.phaseEmb.Params()...)
+	}
+	return out
+}
+
+// The autograd forward below — training, and the oracle the fast-path tests
+// compare against — exists at float64 only, so it is written as functions
+// over the float64 instantiation. The inference forward, written once for
+// both float tiers, is in fastpath_batch.go.
+
+func encodeFeatures(m *modalityEncoder[float64], x *tensor.Tensor) *tensor.Tensor {
+	return m.attn.Forward(tensor.Add(m.lin.Forward(x), m.pos))
+}
+
+func encodeTokens(m *modalityEncoder[float64], ids []int) *tensor.Tensor {
+	return m.attn.Forward(tensor.Add(m.table.Forward(ids), m.pos))
+}
+
+// coreForward fuses the two encoded modalities and pools to [1 x FusionDim].
+func coreForward(c *ammaCore[float64], encA, encB *tensor.Tensor, phase int) *tensor.Tensor {
 	fused := c.fusion.Forward(encA, encB)
 	if c.phaseEmb != nil {
 		// Phase embedding incorporated as side information after the
@@ -121,24 +138,12 @@ func (c *ammaCore) forward(encA, encB *tensor.Tensor, phase int) *tensor.Tensor 
 	return tensor.MeanRows(fused)
 }
 
-func (c *ammaCore) params() []*tensor.Tensor {
-	out := append(c.modA.params(), c.modB.params()...)
-	out = append(out, c.fusion.Params()...)
-	for _, tl := range c.trans {
-		out = append(out, tl.Params()...)
-	}
-	if c.phaseEmb != nil {
-		out = append(out, c.phaseEmb.Params()...)
-	}
-	return out
-}
-
 // AMMADelta is the spatial delta predictor (Fig. 7a): address-segmentation
 // modality + PC modality → AMMA → MLP head → sigmoid multi-label bitmap.
 type AMMADelta struct {
 	cfg  Config
 	pcs  *Vocab
-	core *ammaCore
+	core *ammaCore[float64]
 	head *nn.MLP
 }
 
@@ -157,9 +162,9 @@ func NewAMMADelta(cfg Config, pcs *Vocab, phases int, seed int64) *AMMADelta {
 }
 
 func (m *AMMADelta) logits(s *Sample) *tensor.Tensor {
-	encA := m.core.modA.encodeFeatures(AddrFeatureTensor(m.cfg, s.Blocks))
-	encB := m.core.modB.encodeTokens(pcTokens(m.pcs, s.PCs))
-	return m.head.Forward(m.core.forward(encA, encB, s.Phase))
+	encA := encodeFeatures(m.core.modA, AddrFeatureTensor(m.cfg, s.Blocks))
+	encB := encodeTokens(m.core.modB, pcTokens(m.pcs, s.PCs))
+	return m.head.Forward(coreForward(m.core, encA, encB, s.Phase))
 }
 
 // DeltaLoss implements DeltaModel.
@@ -183,7 +188,7 @@ type AMMAPage struct {
 	cfg   Config
 	pages *Vocab
 	pcs   *Vocab
-	core  *ammaCore
+	core  *ammaCore[float64]
 	head  *nn.MLP
 }
 
@@ -202,9 +207,9 @@ func NewAMMAPage(cfg Config, pages, pcs *Vocab, phases int, seed int64) *AMMAPag
 }
 
 func (m *AMMAPage) logits(s *Sample) *tensor.Tensor {
-	encA := m.core.modA.encodeTokens(pageTokens(m.pages, s.Blocks))
-	encB := m.core.modB.encodeTokens(pcTokens(m.pcs, s.PCs))
-	return m.head.Forward(m.core.forward(encA, encB, s.Phase))
+	encA := encodeTokens(m.core.modA, pageTokens(m.pages, s.Blocks))
+	encB := encodeTokens(m.core.modB, pcTokens(m.pcs, s.PCs))
+	return m.head.Forward(coreForward(m.core, encA, encB, s.Phase))
 }
 
 // PageLoss implements PageModel.

@@ -282,9 +282,9 @@ func benchInt8DeltaModel(b *testing.B) DeltaModel {
 }
 
 // One batched pass over 8 or 64 histories next to the same histories scored
-// one call at a time. The float pair runs the same kernels on both sides (a
-// sequential call is the B=1 batch), so it is not a "Legacy" speedup pair in
-// the ledger: the Sequential rows record what stacking buys per sample.
+// one call at a time. Every pair runs the same kernels on both sides (a
+// sequential call is the B=1 batch): the Sequential rows record what stacking
+// buys per sample.
 func BenchmarkOperateBatch8(b *testing.B)           { benchBatchDelta(b, benchDeltaModel(), 8, false) }
 func BenchmarkOperateBatch8Sequential(b *testing.B) { benchBatchDelta(b, benchDeltaModel(), 8, true) }
 

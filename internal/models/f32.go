@@ -3,15 +3,18 @@ package models
 // Single-precision mirrors of the trained predictors (DESIGN.md §13). Like
 // the int8 mirrors, an f32 model embeds its float64 source — training, the
 // autograd scoring path and Params all delegate — and overrides only the
-// ctx fast path with the f32 kernel composition, so the mirrors slot into
-// DeltaScoresWith/TopPagesWith unchanged: a live ctx runs f32, a nil ctx
-// falls back to the float64 model. The f32 forward is written once, in its
-// batched form (f32_batch.go); one sample is the B=1 case.
+// ctx fast path, so the mirrors slot into DeltaScoresWith/TopPagesWith
+// unchanged: a live ctx runs f32, a nil ctx falls back to the float64 model.
+// There is no f32 forward to read here: a mirror holds the narrowed
+// instantiation of its source's backbone (ammaCore[float32], nn.F32LSTM, …)
+// and runs the one generic forward of fastpath_batch.go on it. What is
+// f32-specific is only the two ends — NarrowCtx rounds the float64 features
+// in, and the score hand-off below widens and screens them out.
 //
 // Unlike int8 there is no calibration: weights are narrowed once at
 // conversion (f64 → f32 round-to-nearest) and the activation path runs
 // natively in f32. Scores cross back to float64 through the exact
-// WidenCtxF32 hand-off — widening is monotonic and preserves every f32 Inf
+// WidenCtx hand-off — widening is monotonic and preserves every f32 Inf
 // or NaN bit pattern, so rankings, exact tie ordering AND ScreenScores'
 // non-finite health screen all see precisely what the f32 kernels produced
 // (an f16/f32-range overflow surfaces as a screened Inf, never a silently
@@ -26,17 +29,8 @@ import (
 
 // --- f32 AMMA backbone ---
 
-// f32ModalityEncoder mirrors modalityEncoder: projection/table, position row
-// and attention all narrowed to f32.
-type f32ModalityEncoder struct {
-	lin   *nn.F32Linear    // nil for token modalities
-	table *nn.F32Embedding // nil for feature modalities
-	pos   *tensor.F32Tensor
-	attn  *nn.F32SelfAttention
-}
-
-func convertModalityEncoderF32(m *modalityEncoder) *f32ModalityEncoder {
-	f := &f32ModalityEncoder{
+func convertModalityEncoderF32(m *modalityEncoder[float64]) *modalityEncoder[float32] {
+	f := &modalityEncoder[float32]{
 		pos:  tensor.NarrowF32(m.pos),
 		attn: nn.NewF32SelfAttention(m.attn),
 	}
@@ -49,16 +43,8 @@ func convertModalityEncoderF32(m *modalityEncoder) *f32ModalityEncoder {
 	return f
 }
 
-// f32AMMACore mirrors ammaCore with every block narrowed to f32.
-type f32AMMACore struct {
-	modA, modB *f32ModalityEncoder
-	fusion     *nn.F32MMAF
-	trans      []*nn.F32TransformerLayer
-	phaseEmb   *nn.F32Embedding // nil unless phase-informed
-}
-
-func convertAMMACoreF32(core *ammaCore) *f32AMMACore {
-	fc := &f32AMMACore{
+func convertAMMACoreF32(core *ammaCore[float64]) *ammaCore[float32] {
+	fc := &ammaCore[float32]{
 		modA:   convertModalityEncoderF32(core.modA),
 		modB:   convertModalityEncoderF32(core.modB),
 		fusion: nn.NewF32MMAF(core.fusion),
@@ -83,10 +69,10 @@ func convertAMMACoreF32(core *ammaCore) *f32AMMACore {
 func sigmoidScoresF32(c *tensor.Ctx, logits *tensor.F32Tensor) *tensor.Tensor {
 	for _, v := range logits.Data {
 		if v-v != 0 { // non-finite: Inf-Inf and NaN-NaN are both NaN
-			return c.WidenCtxF32(logits)
+			return tensor.WidenCtx(c, logits)
 		}
 	}
-	return c.WidenCtxF32(c.SigmoidInPlaceF32(logits))
+	return tensor.WidenCtx(c, tensor.SigmoidInPlace(c, logits))
 }
 
 // --- f32 predictors ---
@@ -95,7 +81,7 @@ func sigmoidScoresF32(c *tensor.Ctx, logits *tensor.F32Tensor) *tensor.Tensor {
 // serves training, Params and the nil-ctx path.
 type F32AMMADelta struct {
 	*AMMADelta
-	fcore *f32AMMACore
+	fcore *ammaCore[float32]
 	fhead *nn.F32MLP
 }
 
@@ -115,10 +101,17 @@ func (m *F32AMMADelta) DeltaScoresCtx(c *tensor.Ctx, s *Sample) []float64 {
 	return m.DeltaScoresBatchCtx(c, one[:]).Data
 }
 
+// DeltaScoresBatchCtx implements DeltaScorerBatchCtx on the f32 path.
+//
+//mpgraph:noalloc
+func (m *F32AMMADelta) DeltaScoresBatchCtx(c *tensor.Ctx, ss []*Sample) *tensor.Tensor {
+	return sigmoidScoresF32(c, ammaDeltaLogits(c, m.AMMADelta, m.fcore, m.fhead, ss))
+}
+
 // F32AMMAPage is the f32 mirror of AMMAPage.
 type F32AMMAPage struct {
 	*AMMAPage
-	fcore *f32AMMACore
+	fcore *ammaCore[float32]
 	fhead *nn.F32MLP
 }
 
@@ -127,17 +120,26 @@ func NewF32AMMAPage(m *AMMAPage) *F32AMMAPage {
 	return &F32AMMAPage{AMMAPage: m, fcore: convertAMMACoreF32(m.core), fhead: nn.NewF32MLP(m.head)}
 }
 
-// TopPagesAppendCtx implements PageTopperCtx on the f32 path. Ranking runs
-// over the exactly-widened f32 logits, so tie ordering matches what the f32
-// kernels produced.
+// TopPagesAppendCtx implements PageTopperCtx on the f32 path.
 //
 //mpgraph:noalloc
 func (m *F32AMMAPage) TopPagesAppendCtx(c *tensor.Ctx, s *Sample, k int, dst []uint64) []uint64 {
 	if c == nil {
 		return append(dst, m.TopPages(s, k)...)
 	}
-	one := [1]*Sample{s}
-	return topPagesAppendCtx(c, m.pages, c.WidenCtxF32(m.flogitsBatchCtx(c, one[:])).Data, k, dst)
+	one, out := [1]*Sample{s}, [1][]uint64{dst}
+	m.TopPagesBatchAppendCtx(c, one[:], k, out[:])
+	return out[0]
+}
+
+// TopPagesBatchAppendCtx implements PageTopperBatchCtx on the f32 path.
+// Ranking runs over the exactly-widened f32 logits, so tie ordering matches
+// what the f32 kernels produced.
+//
+//mpgraph:noalloc
+func (m *F32AMMAPage) TopPagesBatchAppendCtx(c *tensor.Ctx, ss []*Sample, k int, dst [][]uint64) {
+	logits := m.fhead.ForwardCtx(c, m.fcore.pooledTokensBatchCtx(c, m.pages, m.pcs, ss))
+	topPagesBatchAppend(c, m.pages, tensor.WidenCtx(c, logits), k, dst)
 }
 
 // F32LSTMDelta is the f32 mirror of the Delta-LSTM baseline — the
@@ -164,29 +166,24 @@ func (m *F32LSTMDelta) DeltaScoresCtx(c *tensor.Ctx, s *Sample) []float64 {
 	return m.DeltaScoresBatchCtx(c, one[:]).Data
 }
 
+// DeltaScoresBatchCtx implements DeltaScorerBatchCtx on the f32 path.
+//
+//mpgraph:noalloc
+func (m *F32LSTMDelta) DeltaScoresBatchCtx(c *tensor.Ctx, ss []*Sample) *tensor.Tensor {
+	return sigmoidScoresF32(c, lstmDeltaLogits(c, m.LSTMDelta, m.flstm, m.fhead, ss))
+}
+
 // F32BinaryPage is the f32 mirror of the binary-encoded compressed page
-// predictor. The backbone runs f32; the head stays FLOAT64 for the same
-// reason QBinaryPage keeps it float — its outputs are thresholded at 0.5 to
-// decode a bit code, and the head is a few hundred weights with nothing to
-// win — so the pooled backbone output is widened once and the float head
-// and candidate decode run unchanged.
+// predictor. The backbone runs f32; the pooled row is widened once and the
+// float64 head and candidate decode run unchanged (see binaryTopPagesOne).
 type F32BinaryPage struct {
 	*BinaryPage
-	fcore *f32AMMACore
+	fcore *ammaCore[float32]
 }
 
 // NewF32BinaryPage narrows m's backbone weights into an f32 mirror.
 func NewF32BinaryPage(m *BinaryPage) *F32BinaryPage {
 	return &F32BinaryPage{BinaryPage: m, fcore: convertAMMACoreF32(m.core)}
-}
-
-//mpgraph:noalloc
-func (m *F32BinaryPage) flogitsBatchCtx(c *tensor.Ctx, ss []*Sample) *tensor.Tensor {
-	t := batchT(ss)
-	encA := m.fcore.modA.encodeTokensBatchCtx(c, pageTokensBatchCtx(c, m.pages, ss, t), len(ss))
-	encB := m.fcore.modB.encodeTokensBatchCtx(c, pcTokensBatchCtx(c, m.pcs, ss, t), len(ss))
-	pooled := c.WidenCtxF32(m.fcore.forwardBatchCtx(c, encA, encB, ss))
-	return m.head.ForwardCtx(c, pooled)
 }
 
 // TopPagesAppendCtx implements PageTopperCtx on the f32 path, using the same
@@ -198,8 +195,8 @@ func (m *F32BinaryPage) TopPagesAppendCtx(c *tensor.Ctx, s *Sample, k int, dst [
 		return append(dst, m.TopPages(s, k)...)
 	}
 	one := [1]*Sample{s}
-	probs := c.SigmoidInPlace(m.flogitsBatchCtx(c, one[:])).Data
-	return binaryTopPagesAppendCtx(c, m.pages, probs, k, dst)
+	pooled := tensor.WidenCtx(c, m.fcore.pooledTokensBatchCtx(c, m.pages, m.pcs, one[:]))
+	return m.binaryTopPagesOne(c, pooled, k, dst)
 }
 
 // --- suite conversion ---

@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"mpgraph/internal/tensor"
-	"mpgraph/internal/trace"
 )
 
 // Arena fast paths for model inference (DESIGN.md §8). Each predictor gains
@@ -13,10 +12,9 @@ import (
 // a non-nil ctx runs graph-free on the arena with zero steady-state heap
 // allocations. The capability interfaces below keep the base DeltaModel /
 // PageModel contracts untouched — an implementation without a fast path
-// simply falls back. The float64 live-ctx forward itself is written once, in
+// simply falls back. The live-ctx float forward itself is written once, in
 // its batched form (fastpath_batch.go); this file holds the dispatchers, the
-// arena encode/decode helpers the mirrors share, and the one-sample entry
-// points.
+// arena decode helpers the mirrors share, and the one-sample entry points.
 
 // DeltaScorerCtx is a DeltaModel with an arena fast path. Fast-path scores
 // are arena-backed: valid only until the ctx is reset.
@@ -47,37 +45,6 @@ func TopPagesWith(c *tensor.Ctx, m PageModel, s *Sample, k int, dst []uint64) []
 		return fc.TopPagesAppendCtx(c, s, k, dst)
 	}
 	return append(dst, m.TopPages(s, k)...)
-}
-
-// --- encoding helpers (ctx variants of the package-level ones) ---
-
-//mpgraph:noalloc
-func pcTokensCtx(c *tensor.Ctx, v *Vocab, pcs []uint64) []int {
-	out := c.Ints(len(pcs))
-	for i, pc := range pcs {
-		out[i] = v.Token(pc)
-	}
-	return out
-}
-
-//mpgraph:noalloc
-func pageTokensCtx(c *tensor.Ctx, v *Vocab, blocks []uint64) []int {
-	out := c.Ints(len(blocks))
-	for i, b := range blocks {
-		out[i] = v.Token(trace.PageOfBlock(b))
-	}
-	return out
-}
-
-// addrFeatureTensorCtx is AddrFeatureTensor on the arena.
-//
-//mpgraph:noalloc
-func addrFeatureTensorCtx(c *tensor.Ctx, cfg Config, blocks []uint64) *tensor.Tensor {
-	t := c.Zeros(len(blocks), cfg.NumSegments)
-	for i, b := range blocks {
-		SegmentBlockInto(cfg, b, t.Data[i*cfg.NumSegments:(i+1)*cfg.NumSegments])
-	}
-	return t
 }
 
 // TopKClassesCtx is TopKClasses with the result drawn from the arena; a nil
@@ -146,21 +113,12 @@ func topPagesAppendCtx(c *tensor.Ctx, pages *Vocab, scores []float64, k int, dst
 	return dst
 }
 
-// phaseIDScratch builds the single-id lookup slice without a heap alloc.
-//
-//mpgraph:noalloc
-func phaseIDScratch(c *tensor.Ctx, p int) []int {
-	ids := c.Ints(1)
-	ids[0] = p
-	return ids
-}
-
 // --- sequential entry points ---
 //
-// One sample is the B=1 case of the batched forward (fastpath_batch.go):
-// the float64 models have no sequential forward of their own, so sequential
-// and batched scores are the same bits at any batch size. The one-sample
-// slice lives on the caller's stack, which keeps these at 0 allocs/op.
+// One sample is the B=1 case of the batched forward (fastpath_batch.go): no
+// model has a sequential forward of its own, so sequential and batched scores
+// are the same bits at any batch size. The one-sample slices live on the
+// caller's stack, which keeps these at 0 allocs/op.
 
 // DeltaScoresCtx implements DeltaScorerCtx.
 //
@@ -180,8 +138,9 @@ func (m *AMMAPage) TopPagesAppendCtx(c *tensor.Ctx, s *Sample, k int, dst []uint
 	if c == nil {
 		return append(dst, m.TopPages(s, k)...)
 	}
-	one := [1]*Sample{s}
-	return topPagesAppendCtx(c, m.pages, m.logitsBatchCtx(c, one[:]).Data, k, dst)
+	one, out := [1]*Sample{s}, [1][]uint64{dst}
+	m.TopPagesBatchAppendCtx(c, one[:], k, out[:])
+	return out[0]
 }
 
 // DeltaScoresCtx implements DeltaScorerCtx.
@@ -202,8 +161,9 @@ func (m *LSTMPage) TopPagesAppendCtx(c *tensor.Ctx, s *Sample, k int, dst []uint
 	if c == nil {
 		return append(dst, m.TopPages(s, k)...)
 	}
-	one := [1]*Sample{s}
-	return topPagesAppendCtx(c, m.pages, m.logitsBatchCtx(c, one[:]).Data, k, dst)
+	one, out := [1]*Sample{s}, [1][]uint64{dst}
+	m.TopPagesBatchAppendCtx(c, one[:], k, out[:])
+	return out[0]
 }
 
 // DeltaScoresCtx implements DeltaScorerCtx.
@@ -224,8 +184,9 @@ func (m *AttnPage) TopPagesAppendCtx(c *tensor.Ctx, s *Sample, k int, dst []uint
 	if c == nil {
 		return append(dst, m.TopPages(s, k)...)
 	}
-	one := [1]*Sample{s}
-	return topPagesAppendCtx(c, m.pages, m.logitsBatchCtx(c, one[:]).Data, k, dst)
+	one, out := [1]*Sample{s}, [1][]uint64{dst}
+	m.TopPagesBatchAppendCtx(c, one[:], k, out[:])
+	return out[0]
 }
 
 // --- binary-encoded compressed head ---
@@ -283,17 +244,22 @@ func binaryTopPagesAppendCtx(c *tensor.Ctx, pages *Vocab, probs []float64, k int
 	return dst
 }
 
+// binaryTopPagesOne decodes one sample's pages from the bit logits the float
+// head produces over a pooled backbone row. All three BinaryPage tiers share
+// it: the head stays float64 even where the backbone is f32 or int8 — its
+// outputs are thresholded at 0.5 to decode a bit code, where a near-threshold
+// rounding flips the whole decoded id rather than perturbing a ranking, and
+// it is a few hundred weights with nothing to win.
+//
 //mpgraph:noalloc
-func (m *BinaryPage) logitsBatchCtx(c *tensor.Ctx, ss []*Sample) *tensor.Tensor {
-	t := batchT(ss)
-	encA := m.core.modA.encodeTokensBatchCtx(c, pageTokensBatchCtx(c, m.pages, ss, t), len(ss))
-	encB := m.core.modB.encodeTokensBatchCtx(c, pcTokensBatchCtx(c, m.pcs, ss, t), len(ss))
-	return m.head.ForwardCtx(c, m.core.forwardBatchCtx(c, encA, encB, ss))
+func (m *BinaryPage) binaryTopPagesOne(c *tensor.Ctx, pooled *tensor.Tensor, k int, dst []uint64) []uint64 {
+	probs := tensor.SigmoidInPlace(c, m.head.ForwardCtx(c, pooled)).Data
+	return binaryTopPagesAppendCtx(c, m.pages, probs, k, dst)
 }
 
 // TopPagesAppendCtx implements PageTopperCtx: the float fast path of the
-// binary-encoded compressed head (the int8 mirror is QBinaryPage), through
-// the same one-sample batched backbone as the other float models.
+// binary-encoded compressed head, through the same one-sample batched
+// backbone as the other float models.
 //
 //mpgraph:noalloc
 func (m *BinaryPage) TopPagesAppendCtx(c *tensor.Ctx, s *Sample, k int, dst []uint64) []uint64 {
@@ -301,8 +267,7 @@ func (m *BinaryPage) TopPagesAppendCtx(c *tensor.Ctx, s *Sample, k int, dst []ui
 		return append(dst, m.TopPages(s, k)...)
 	}
 	one := [1]*Sample{s}
-	probs := c.SigmoidInPlace(m.logitsBatchCtx(c, one[:])).Data
-	return binaryTopPagesAppendCtx(c, m.pages, probs, k, dst)
+	return m.binaryTopPagesOne(c, m.core.pooledTokensBatchCtx(c, m.pages, m.pcs, one[:]), k, dst)
 }
 
 // --- phase-specific wrappers (dispatch then recurse on the fast path) ---

@@ -2,6 +2,7 @@ package models
 
 import (
 	"mpgraph/internal/invariant"
+	"mpgraph/internal/nn"
 	"mpgraph/internal/tensor"
 	"mpgraph/internal/trace"
 )
@@ -12,9 +13,10 @@ import (
 // B predictions instead of B times. The gather helpers below build the
 // stacked inputs; the per-model forwards use the batch-aware ops (blocked
 // attention, per-block mean/positional ops) where the session boundary
-// matters and the row-wise layers everywhere else. For the float64 models
-// these are the only live-ctx forwards: the sequential entry points in
-// fastpath.go call them with one sample.
+// matters and the row-wise layers everywhere else. These are the only
+// live-ctx float forwards, written once over the element type: a float64
+// model and its f32 mirror (f32.go) run the same body on their own weights,
+// and the sequential entry points call it with one sample.
 //
 // Determinism: every batched op computes a session block as a pure function
 // of that session's rows, so scores never depend on batch composition —
@@ -47,11 +49,7 @@ func DeltaScoresBatchWith(c *tensor.Ctx, m DeltaModel, ss []*Sample) *tensor.Ten
 	for i, s := range ss {
 		scores := DeltaScoresWith(c, m, s)
 		if out == nil {
-			if c != nil {
-				out = c.Zeros(len(ss), len(scores))
-			} else {
-				out = tensor.Zeros(len(ss), len(scores))
-			}
+			out = tensor.ZerosCtx[float64](c, len(ss), len(scores))
 		}
 		copy(out.Data[i*len(scores):(i+1)*len(scores)], scores)
 	}
@@ -138,11 +136,12 @@ func pageTokensBatchCtx(c *tensor.Ctx, v *Vocab, ss []*Sample, t int) []int {
 	return out
 }
 
-// addrFeatureTensorBatchCtx stacks addrFeatureTensorCtx for every sample.
+// addrFeatureTensorBatchCtx stacks AddrFeatureTensor for every sample on the
+// arena.
 //
 //mpgraph:noalloc
 func addrFeatureTensorBatchCtx(c *tensor.Ctx, cfg Config, ss []*Sample, t int) *tensor.Tensor {
-	out := c.Zeros(len(ss)*t, cfg.NumSegments)
+	out := tensor.ZerosCtx[float64](c, len(ss)*t, cfg.NumSegments)
 	for i, s := range ss {
 		for j, b := range s.Blocks {
 			r := i*t + j
@@ -152,12 +151,13 @@ func addrFeatureTensorBatchCtx(c *tensor.Ctx, cfg Config, ss []*Sample, t int) *
 	return out
 }
 
-// concatStepFeaturesBatchCtx stacks concatStepFeaturesCtx for every sample.
+// concatStepFeaturesBatchCtx stacks concatStepFeatures for every sample on
+// the arena.
 //
 //mpgraph:noalloc
 func concatStepFeaturesBatchCtx(c *tensor.Ctx, cfg Config, ss []*Sample, t int) *tensor.Tensor {
 	cols := cfg.NumSegments + 1
-	out := c.Zeros(len(ss)*t, cols)
+	out := tensor.ZerosCtx[float64](c, len(ss)*t, cols)
 	for i, s := range ss {
 		for j := range s.Blocks {
 			r := i*t + j
@@ -180,83 +180,104 @@ func phaseIDsBatch(c *tensor.Ctx, ss []*Sample, vocab int) []int {
 }
 
 // --- batched modality encoders / AMMA core (float) ---
+//
+// The feature builders above stay float64 (address segments and PC hashes are
+// computed once, in full precision); NarrowCtx hands them to the compute tier,
+// rounding to f32 on the f32 mirrors and passing through at float64.
 
 //mpgraph:noalloc
-func (m *modalityEncoder) encodeFeaturesBatchCtx(c *tensor.Ctx, x *tensor.Tensor, blocks int) *tensor.Tensor {
-	return m.attn.ForwardBatchCtx(c, c.AddPosBatch(m.lin.ForwardCtx(c, x), m.pos, blocks), blocks)
+func (m *modalityEncoder[T]) encodeFeaturesBatchCtx(c *tensor.Ctx, x *tensor.Tensor, blocks int) *tensor.Dense[T] {
+	h := m.lin.ForwardCtx(c, tensor.NarrowCtx[T](c, x))
+	return m.attn.ForwardBatchCtx(c, tensor.AddPosBatch(c, h, m.pos, blocks), blocks)
 }
 
 //mpgraph:noalloc
-func (m *modalityEncoder) encodeTokensBatchCtx(c *tensor.Ctx, ids []int, blocks int) *tensor.Tensor {
-	return m.attn.ForwardBatchCtx(c, c.AddPosBatch(m.table.ForwardCtx(c, ids), m.pos, blocks), blocks)
+func (m *modalityEncoder[T]) encodeTokensBatchCtx(c *tensor.Ctx, ids []int, blocks int) *tensor.Dense[T] {
+	return m.attn.ForwardBatchCtx(c, tensor.AddPosBatch(c, m.table.ForwardCtx(c, ids), m.pos, blocks), blocks)
 }
 
-// forwardBatchCtx is ammaCore.forwardCtx over a stacked batch.
+// forwardBatchCtx fuses the two encoded modalities of a stacked batch and
+// pools each session to one [1 x FusionDim] row.
 //
 //mpgraph:noalloc
-func (core *ammaCore) forwardBatchCtx(c *tensor.Ctx, encA, encB *tensor.Tensor, ss []*Sample) *tensor.Tensor {
+func (core *ammaCore[T]) forwardBatchCtx(c *tensor.Ctx, encA, encB *tensor.Dense[T], ss []*Sample) *tensor.Dense[T] {
 	blocks := len(ss)
-	fused := core.fusion.ForwardBatchCtx2(c, encA, encB, blocks) //mpgraph:allow noalloc -- fixed-arity fast path; the cross-package naming rule keys on a Ctx suffix
+	fused := core.fusion.ForwardBatchCtx2(c, encA, encB, blocks)
 	if core.phaseEmb != nil {
-		ids := phaseIDsBatch(c, ss, core.phaseEmb.Vocab()) //mpgraph:allow noalloc -- Vocab is a field read
-		fused = c.AddRowPerBlock(fused, core.phaseEmb.Table, ids, blocks)
+		ids := phaseIDsBatch(c, ss, core.phaseEmb.Vocab())
+		fused = tensor.AddRowPerBlock(c, fused, core.phaseEmb.Table, ids, blocks)
 	}
 	for _, tl := range core.trans {
 		fused = tl.ForwardBatchCtx(c, fused, blocks)
 	}
-	return c.MeanRowsBatch(fused, blocks)
+	return tensor.MeanRowsBatch(c, fused, blocks)
+}
+
+// pooledTokensBatchCtx is the page-token + PC-token backbone AMMAPage and
+// BinaryPage share: both modalities tokenized, encoded, fused and pooled.
+//
+//mpgraph:noalloc
+func (core *ammaCore[T]) pooledTokensBatchCtx(c *tensor.Ctx, pages, pcs *Vocab, ss []*Sample) *tensor.Dense[T] {
+	t := batchT(ss)
+	encA := core.modA.encodeTokensBatchCtx(c, pageTokensBatchCtx(c, pages, ss, t), len(ss))
+	encB := core.modB.encodeTokensBatchCtx(c, pcTokensBatchCtx(c, pcs, ss, t), len(ss))
+	return core.forwardBatchCtx(c, encA, encB, ss)
+}
+
+// topPagesBatchAppend ranks each row of a [B x vocab] score block and appends
+// its top-k known pages to the matching dst entry.
+//
+//mpgraph:noalloc
+func topPagesBatchAppend(c *tensor.Ctx, pages *Vocab, scores *tensor.Tensor, k int, dst [][]uint64) {
+	for i := 0; i < scores.Rows; i++ {
+		dst[i] = topPagesAppendCtx(c, pages, scores.Row(i), k, dst[i])
+	}
 }
 
 // --- AMMA ---
 
+// ammaDeltaLogits is the AMMA delta forward (Fig. 7a) over a stacked batch,
+// on m's own weights or an f32 mirror's.
+//
 //mpgraph:noalloc
-func (m *AMMADelta) logitsBatchCtx(c *tensor.Ctx, ss []*Sample) *tensor.Tensor {
+func ammaDeltaLogits[T float32 | float64](c *tensor.Ctx, m *AMMADelta, core *ammaCore[T], head *nn.MLPOf[T], ss []*Sample) *tensor.Dense[T] {
 	t := batchT(ss)
-	encA := m.core.modA.encodeFeaturesBatchCtx(c, addrFeatureTensorBatchCtx(c, m.cfg, ss, t), len(ss))
-	encB := m.core.modB.encodeTokensBatchCtx(c, pcTokensBatchCtx(c, m.pcs, ss, t), len(ss))
-	return m.head.ForwardCtx(c, m.core.forwardBatchCtx(c, encA, encB, ss))
+	encA := core.modA.encodeFeaturesBatchCtx(c, addrFeatureTensorBatchCtx(c, m.cfg, ss, t), len(ss))
+	encB := core.modB.encodeTokensBatchCtx(c, pcTokensBatchCtx(c, m.pcs, ss, t), len(ss))
+	return head.ForwardCtx(c, core.forwardBatchCtx(c, encA, encB, ss))
 }
 
 // DeltaScoresBatchCtx implements DeltaScorerBatchCtx.
 //
 //mpgraph:noalloc
 func (m *AMMADelta) DeltaScoresBatchCtx(c *tensor.Ctx, ss []*Sample) *tensor.Tensor {
-	return c.SigmoidInPlace(m.logitsBatchCtx(c, ss))
-}
-
-//mpgraph:noalloc
-func (m *AMMAPage) logitsBatchCtx(c *tensor.Ctx, ss []*Sample) *tensor.Tensor {
-	t := batchT(ss)
-	encA := m.core.modA.encodeTokensBatchCtx(c, pageTokensBatchCtx(c, m.pages, ss, t), len(ss))
-	encB := m.core.modB.encodeTokensBatchCtx(c, pcTokensBatchCtx(c, m.pcs, ss, t), len(ss))
-	return m.head.ForwardCtx(c, m.core.forwardBatchCtx(c, encA, encB, ss))
+	return tensor.SigmoidInPlace(c, ammaDeltaLogits(c, m, m.core, m.head, ss))
 }
 
 // TopPagesBatchAppendCtx implements PageTopperBatchCtx.
 //
 //mpgraph:noalloc
 func (m *AMMAPage) TopPagesBatchAppendCtx(c *tensor.Ctx, ss []*Sample, k int, dst [][]uint64) {
-	scores := m.logitsBatchCtx(c, ss)
-	for i := range ss {
-		row := scores.Data[i*scores.Cols : (i+1)*scores.Cols]
-		dst[i] = topPagesAppendCtx(c, m.pages, row, k, dst[i])
-	}
+	scores := m.head.ForwardCtx(c, m.core.pooledTokensBatchCtx(c, m.pages, m.pcs, ss))
+	topPagesBatchAppend(c, m.pages, scores, k, dst)
 }
 
 // --- baselines ---
 
+// lstmDeltaLogits is the Delta-LSTM forward over a stacked batch, on m's own
+// weights or an f32 mirror's.
+//
 //mpgraph:noalloc
-func (m *LSTMDelta) logitsBatchCtx(c *tensor.Ctx, ss []*Sample) *tensor.Tensor {
-	t := batchT(ss)
-	x := concatStepFeaturesBatchCtx(c, m.cfg, ss, t)
-	return m.head.ForwardCtx(c, m.lstm.ForwardBatchCtx(c, x, len(ss)))
+func lstmDeltaLogits[T float32 | float64](c *tensor.Ctx, m *LSTMDelta, lstm *nn.LSTMOf[T], head *nn.MLPOf[T], ss []*Sample) *tensor.Dense[T] {
+	x := tensor.NarrowCtx[T](c, concatStepFeaturesBatchCtx(c, m.cfg, ss, batchT(ss)))
+	return head.ForwardCtx(c, lstm.ForwardBatchCtx(c, x, len(ss)))
 }
 
 // DeltaScoresBatchCtx implements DeltaScorerBatchCtx.
 //
 //mpgraph:noalloc
 func (m *LSTMDelta) DeltaScoresBatchCtx(c *tensor.Ctx, ss []*Sample) *tensor.Tensor {
-	return c.SigmoidInPlace(m.logitsBatchCtx(c, ss))
+	return tensor.SigmoidInPlace(c, lstmDeltaLogits(c, m, m.lstm, m.head, ss))
 }
 
 //mpgraph:noalloc
@@ -264,61 +285,53 @@ func (m *LSTMPage) logitsBatchCtx(c *tensor.Ctx, ss []*Sample) *tensor.Tensor {
 	t := batchT(ss)
 	pe := m.pageEmb.ForwardCtx(c, pageTokensBatchCtx(c, m.pages, ss, t))
 	ce := m.pcEmb.ForwardCtx(c, pcTokensBatchCtx(c, m.pcs, ss, t))
-	return m.head.ForwardCtx(c, m.lstm.ForwardBatchCtx(c, c.ConcatCols2(pe, ce), len(ss)))
+	return m.head.ForwardCtx(c, m.lstm.ForwardBatchCtx(c, tensor.ConcatCols2(c, pe, ce), len(ss)))
 }
 
 // TopPagesBatchAppendCtx implements PageTopperBatchCtx.
 //
 //mpgraph:noalloc
 func (m *LSTMPage) TopPagesBatchAppendCtx(c *tensor.Ctx, ss []*Sample, k int, dst [][]uint64) {
-	scores := m.logitsBatchCtx(c, ss)
-	for i := range ss {
-		row := scores.Data[i*scores.Cols : (i+1)*scores.Cols]
-		dst[i] = topPagesAppendCtx(c, m.pages, row, k, dst[i])
-	}
+	topPagesBatchAppend(c, m.pages, m.logitsBatchCtx(c, ss), k, dst)
 }
 
 //mpgraph:noalloc
 func (m *AttnDelta) logitsBatchCtx(c *tensor.Ctx, ss []*Sample) *tensor.Tensor {
 	t := batchT(ss)
-	x := c.AddPosBatch(m.embed.ForwardCtx(c, concatStepFeaturesBatchCtx(c, m.cfg, ss, t)), m.pos, len(ss))
+	x := tensor.AddPosBatch(c, m.embed.ForwardCtx(c, concatStepFeaturesBatchCtx(c, m.cfg, ss, t)), m.pos, len(ss))
 	for _, tl := range m.trans {
 		x = tl.ForwardBatchCtx(c, x, len(ss))
 	}
-	return m.head.ForwardCtx(c, c.MeanRowsBatch(x, len(ss)))
+	return m.head.ForwardCtx(c, tensor.MeanRowsBatch(c, x, len(ss)))
 }
 
 // DeltaScoresBatchCtx implements DeltaScorerBatchCtx.
 //
 //mpgraph:noalloc
 func (m *AttnDelta) DeltaScoresBatchCtx(c *tensor.Ctx, ss []*Sample) *tensor.Tensor {
-	return c.SigmoidInPlace(m.logitsBatchCtx(c, ss))
+	return tensor.SigmoidInPlace(c, m.logitsBatchCtx(c, ss))
 }
 
 //mpgraph:noalloc
 func (m *AttnPage) logitsBatchCtx(c *tensor.Ctx, ss []*Sample) *tensor.Tensor {
 	t := batchT(ss)
 	pe := m.pageEmb.ForwardCtx(c, pageTokensBatchCtx(c, m.pages, ss, t))
-	side := c.Zeros(len(ss)*t, 1)
+	side := tensor.ZerosCtx[float64](c, len(ss)*t, 1)
 	for i, s := range ss {
 		for j, pc := range s.PCs {
 			side.Data[i*t+j] = hashPC(pc)
 		}
 	}
-	x := c.AddPosBatch(m.mix.ForwardCtx(c, c.ConcatCols2(pe, side)), m.pos, len(ss))
+	x := tensor.AddPosBatch(c, m.mix.ForwardCtx(c, tensor.ConcatCols2(c, pe, side)), m.pos, len(ss))
 	for _, tl := range m.trans {
 		x = tl.ForwardBatchCtx(c, x, len(ss))
 	}
-	return m.head.ForwardCtx(c, c.MeanRowsBatch(x, len(ss)))
+	return m.head.ForwardCtx(c, tensor.MeanRowsBatch(c, x, len(ss)))
 }
 
 // TopPagesBatchAppendCtx implements PageTopperBatchCtx.
 //
 //mpgraph:noalloc
 func (m *AttnPage) TopPagesBatchAppendCtx(c *tensor.Ctx, ss []*Sample, k int, dst [][]uint64) {
-	scores := m.logitsBatchCtx(c, ss)
-	for i := range ss {
-		row := scores.Data[i*scores.Cols : (i+1)*scores.Cols]
-		dst[i] = topPagesAppendCtx(c, m.pages, row, k, dst[i])
-	}
+	topPagesBatchAppend(c, m.pages, m.logitsBatchCtx(c, ss), k, dst)
 }

@@ -32,32 +32,10 @@ func (h *History) Warm() bool { return h.count >= h.T }
 // CurrentBlock returns the newest block in the window.
 func (h *History) CurrentBlock() uint64 { return h.blocks[h.T-1] }
 
-// Sample snapshots the window as an inference sample with the given phase
-// label (labels are absent: inference only).
-func (h *History) Sample(phase int) *Sample {
-	blocks := make([]uint64, h.T)
-	pcs := make([]uint64, h.T)
-	copy(blocks, h.blocks)
-	copy(pcs, h.pcs)
-	return &Sample{Blocks: blocks, PCs: pcs, Phase: phase}
-}
-
-// SampleWithTail snapshots the window shifted by one with (block, pc)
-// appended — the pseudo-window CSTP uses to continue a chain from a
-// predicted page's PBOT entry.
-func (h *History) SampleWithTail(phase int, block, pc uint64) *Sample {
-	blocks := make([]uint64, h.T)
-	pcs := make([]uint64, h.T)
-	copy(blocks, h.blocks[1:])
-	copy(pcs, h.pcs[1:])
-	blocks[h.T-1] = block
-	pcs[h.T-1] = pc
-	return &Sample{Blocks: blocks, PCs: pcs, Phase: phase}
-}
-
-// SampleInto is Sample writing into a caller-owned scratch sample, reusing
-// its slices (zero allocations once the scratch has warmed up). Label
-// fields are cleared: the result is inference-only, like Sample's.
+// SampleInto snapshots the window as an inference sample with the given phase
+// label into a caller-owned scratch sample, reusing its slices (zero
+// allocations once the scratch has warmed up). Label fields are cleared: the
+// result is inference-only.
 func (h *History) SampleInto(s *Sample, phase int) *Sample {
 	s.Blocks = append(s.Blocks[:0], h.blocks...)
 	s.PCs = append(s.PCs[:0], h.pcs...)
@@ -66,9 +44,10 @@ func (h *History) SampleInto(s *Sample, phase int) *Sample {
 	return s
 }
 
-// SampleWithTailInto is SampleWithTail writing into a caller-owned scratch
-// sample. Callers chaining CSTP predictions need a scratch distinct from
-// any live SampleInto result.
+// SampleWithTailInto snapshots the window shifted by one with (block, pc)
+// appended — the pseudo-window CSTP uses to continue a chain from a predicted
+// page's PBOT entry — into a caller-owned scratch sample. Callers chaining
+// CSTP predictions need a scratch distinct from any live SampleInto result.
 func (h *History) SampleWithTailInto(s *Sample, phase int, block, pc uint64) *Sample {
 	s.Blocks = append(s.Blocks[:0], h.blocks[1:]...)
 	s.PCs = append(s.PCs[:0], h.pcs[1:]...)

@@ -27,17 +27,23 @@ import (
 const calibLimit = 64
 
 // --- quantized AMMA backbone ---
+//
+// The int8 forward is written once, in its batched form: one sample is the
+// B=1 case, as on the float tiers. It overrides the float batch methods the
+// Q-models would otherwise inherit from their embedded float models, and it
+// keeps attention on the exact scalar kernels (nn.QSelfAttention), so int8
+// scores do not depend on the host's vector unit.
 
 // qModalityEncoder mirrors modalityEncoder: quantized input projection (for
 // the feature modality) and attention; embedding table and position row are
 // shared with the float source.
 type qModalityEncoder struct {
-	src  *modalityEncoder
+	src  *modalityEncoder[float64]
 	lin  *nn.QLinear // nil for token modalities
 	attn *nn.QSelfAttention
 }
 
-func quantizeModalityEncoder(m *modalityEncoder) *qModalityEncoder {
+func quantizeModalityEncoder(m *modalityEncoder[float64]) *qModalityEncoder {
 	q := &qModalityEncoder{src: m, attn: nn.NewQSelfAttention(m.attn)}
 	if m.lin != nil {
 		q.lin = nn.NewQLinear(m.lin)
@@ -46,13 +52,13 @@ func quantizeModalityEncoder(m *modalityEncoder) *qModalityEncoder {
 }
 
 //mpgraph:noalloc
-func (m *qModalityEncoder) encodeFeaturesCtx(c *tensor.Ctx, x *tensor.Tensor) *tensor.Tensor {
-	return m.attn.ForwardCtx(c, c.Add(m.lin.ForwardCtx(c, x), m.src.pos))
+func (m *qModalityEncoder) encodeFeaturesBatchCtx(c *tensor.Ctx, x *tensor.Tensor, blocks int) *tensor.Tensor {
+	return m.attn.ForwardBatchCtx(c, tensor.AddPosBatch(c, m.lin.ForwardCtx(c, x), m.src.pos, blocks), blocks)
 }
 
 //mpgraph:noalloc
-func (m *qModalityEncoder) encodeTokensCtx(c *tensor.Ctx, ids []int) *tensor.Tensor {
-	return m.attn.ForwardCtx(c, c.Add(m.src.table.ForwardCtx(c, ids), m.src.pos))
+func (m *qModalityEncoder) encodeTokensBatchCtx(c *tensor.Ctx, ids []int, blocks int) *tensor.Tensor {
+	return m.attn.ForwardBatchCtx(c, tensor.AddPosBatch(c, m.src.table.ForwardCtx(c, ids), m.src.pos, blocks), blocks)
 }
 
 func (m *qModalityEncoder) freeze() {
@@ -64,13 +70,13 @@ func (m *qModalityEncoder) freeze() {
 
 // qAMMACore mirrors ammaCore; the phase embedding lookup stays float.
 type qAMMACore struct {
-	src        *ammaCore
+	src        *ammaCore[float64]
 	modA, modB *qModalityEncoder
 	fusion     *nn.QMMAF
 	trans      []*nn.QTransformerLayer
 }
 
-func quantizeAMMACore(core *ammaCore) *qAMMACore {
+func quantizeAMMACore(core *ammaCore[float64]) *qAMMACore {
 	qc := &qAMMACore{
 		src:    core,
 		modA:   quantizeModalityEncoder(core.modA),
@@ -83,19 +89,30 @@ func quantizeAMMACore(core *ammaCore) *qAMMACore {
 	return qc
 }
 
-// forwardCtx is ammaCore.forwardCtx on the int8 kernels.
+// forwardBatchCtx is ammaCore.forwardBatchCtx on the int8 kernels.
 //
 //mpgraph:noalloc
-func (qc *qAMMACore) forwardCtx(c *tensor.Ctx, encA, encB *tensor.Tensor, phase int) *tensor.Tensor {
-	fused := qc.fusion.ForwardCtx2(c, encA, encB) //mpgraph:allow noalloc -- fixed-arity fast path; the cross-package naming rule keys on a Ctx suffix
+func (qc *qAMMACore) forwardBatchCtx(c *tensor.Ctx, encA, encB *tensor.Tensor, ss []*Sample) *tensor.Tensor {
+	blocks := len(ss)
+	fused := qc.fusion.ForwardBatchCtx2(c, encA, encB, blocks)
 	if qc.src.phaseEmb != nil {
-		p := phase % qc.src.phaseEmb.Vocab() //mpgraph:allow noalloc -- Vocab is a field read
-		fused = c.AddBias(fused, qc.src.phaseEmb.ForwardCtx(c, phaseIDScratch(c, p)))
+		ids := phaseIDsBatch(c, ss, qc.src.phaseEmb.Vocab())
+		fused = tensor.AddRowPerBlock(c, fused, qc.src.phaseEmb.Table, ids, blocks)
 	}
 	for _, tl := range qc.trans {
-		fused = tl.ForwardCtx(c, fused)
+		fused = tl.ForwardBatchCtx(c, fused, blocks)
 	}
-	return c.MeanRows(fused)
+	return tensor.MeanRowsBatch(c, fused, blocks)
+}
+
+// pooledTokensBatchCtx is ammaCore.pooledTokensBatchCtx on the int8 kernels.
+//
+//mpgraph:noalloc
+func (qc *qAMMACore) pooledTokensBatchCtx(c *tensor.Ctx, pages, pcs *Vocab, ss []*Sample) *tensor.Tensor {
+	t := batchT(ss)
+	encA := qc.modA.encodeTokensBatchCtx(c, pageTokensBatchCtx(c, pages, ss, t), len(ss))
+	encB := qc.modB.encodeTokensBatchCtx(c, pcTokensBatchCtx(c, pcs, ss, t), len(ss))
+	return qc.forwardBatchCtx(c, encA, encB, ss)
 }
 
 func (qc *qAMMACore) freeze() {
@@ -123,13 +140,6 @@ func NewQAMMADelta(m *AMMADelta) *QAMMADelta {
 	return &QAMMADelta{AMMADelta: m, qcore: quantizeAMMACore(m.core), qhead: nn.NewQMLP(m.head)}
 }
 
-//mpgraph:noalloc
-func (m *QAMMADelta) qlogitsCtx(c *tensor.Ctx, s *Sample) *tensor.Tensor {
-	encA := m.qcore.modA.encodeFeaturesCtx(c, addrFeatureTensorCtx(c, m.cfg, s.Blocks))
-	encB := m.qcore.modB.encodeTokensCtx(c, pcTokensCtx(c, m.pcs, s.PCs))
-	return m.qhead.ForwardCtx(c, m.qcore.forwardCtx(c, encA, encB, s.Phase))
-}
-
 // DeltaScoresCtx implements DeltaScorerCtx on the int8 path.
 //
 //mpgraph:noalloc
@@ -137,7 +147,18 @@ func (m *QAMMADelta) DeltaScoresCtx(c *tensor.Ctx, s *Sample) []float64 {
 	if c == nil {
 		return m.DeltaScores(s)
 	}
-	return c.SigmoidInPlace(m.qlogitsCtx(c, s)).Data
+	one := [1]*Sample{s}
+	return m.DeltaScoresBatchCtx(c, one[:]).Data
+}
+
+// DeltaScoresBatchCtx implements DeltaScorerBatchCtx on the int8 path.
+//
+//mpgraph:noalloc
+func (m *QAMMADelta) DeltaScoresBatchCtx(c *tensor.Ctx, ss []*Sample) *tensor.Tensor {
+	t := batchT(ss)
+	encA := m.qcore.modA.encodeFeaturesBatchCtx(c, addrFeatureTensorBatchCtx(c, m.cfg, ss, t), len(ss))
+	encB := m.qcore.modB.encodeTokensBatchCtx(c, pcTokensBatchCtx(c, m.pcs, ss, t), len(ss))
+	return tensor.SigmoidInPlace(c, m.qhead.ForwardCtx(c, m.qcore.forwardBatchCtx(c, encA, encB, ss)))
 }
 
 // Freeze locks the calibrated activation scales.
@@ -158,13 +179,6 @@ func NewQAMMAPage(m *AMMAPage) *QAMMAPage {
 	return &QAMMAPage{AMMAPage: m, qcore: quantizeAMMACore(m.core), qhead: nn.NewQMLP(m.head)}
 }
 
-//mpgraph:noalloc
-func (m *QAMMAPage) qlogitsCtx(c *tensor.Ctx, s *Sample) *tensor.Tensor {
-	encA := m.qcore.modA.encodeTokensCtx(c, pageTokensCtx(c, m.pages, s.Blocks))
-	encB := m.qcore.modB.encodeTokensCtx(c, pcTokensCtx(c, m.pcs, s.PCs))
-	return m.qhead.ForwardCtx(c, m.qcore.forwardCtx(c, encA, encB, s.Phase))
-}
-
 // TopPagesAppendCtx implements PageTopperCtx on the int8 path.
 //
 //mpgraph:noalloc
@@ -172,7 +186,17 @@ func (m *QAMMAPage) TopPagesAppendCtx(c *tensor.Ctx, s *Sample, k int, dst []uin
 	if c == nil {
 		return append(dst, m.TopPages(s, k)...)
 	}
-	return topPagesAppendCtx(c, m.pages, m.qlogitsCtx(c, s).Data, k, dst)
+	one, out := [1]*Sample{s}, [1][]uint64{dst}
+	m.TopPagesBatchAppendCtx(c, one[:], k, out[:])
+	return out[0]
+}
+
+// TopPagesBatchAppendCtx implements PageTopperBatchCtx on the int8 path.
+//
+//mpgraph:noalloc
+func (m *QAMMAPage) TopPagesBatchAppendCtx(c *tensor.Ctx, ss []*Sample, k int, dst [][]uint64) {
+	scores := m.qhead.ForwardCtx(c, m.qcore.pooledTokensBatchCtx(c, m.pages, m.pcs, ss))
+	topPagesBatchAppend(c, m.pages, scores, k, dst)
 }
 
 // Freeze locks the calibrated activation scales.
@@ -184,10 +208,7 @@ func (m *QAMMAPage) Freeze() {
 // QBinaryPage is the int8 mirror of the binary-encoded compressed page
 // predictor — the §6.1 configuration the int8 engine exists for: compressed
 // storage AND integer inference speed. The backbone runs int8; the head
-// stays FLOAT: it is FusionDim x log2(vocab) (a few hundred weights, no
-// storage or compute to win), and its outputs are thresholded at 0.5 to
-// decode a bit code, where quantization noise on a near-threshold logit
-// flips the entire decoded id rather than perturbing a ranking.
+// stays float (see binaryTopPagesOne).
 type QBinaryPage struct {
 	*BinaryPage
 	qcore *qAMMACore
@@ -199,13 +220,6 @@ func NewQBinaryPage(m *BinaryPage) *QBinaryPage {
 	return &QBinaryPage{BinaryPage: m, qcore: quantizeAMMACore(m.core)}
 }
 
-//mpgraph:noalloc
-func (m *QBinaryPage) qlogitsCtx(c *tensor.Ctx, s *Sample) *tensor.Tensor {
-	encA := m.qcore.modA.encodeTokensCtx(c, pageTokensCtx(c, m.pages, s.Blocks))
-	encB := m.qcore.modB.encodeTokensCtx(c, pcTokensCtx(c, m.pcs, s.PCs))
-	return m.head.ForwardCtx(c, m.qcore.forwardCtx(c, encA, encB, s.Phase))
-}
-
 // TopPagesAppendCtx implements PageTopperCtx on the int8 path, using the
 // same bit-flip candidate decode as the float model.
 //
@@ -214,8 +228,8 @@ func (m *QBinaryPage) TopPagesAppendCtx(c *tensor.Ctx, s *Sample, k int, dst []u
 	if c == nil {
 		return append(dst, m.TopPages(s, k)...)
 	}
-	probs := c.SigmoidInPlace(m.qlogitsCtx(c, s)).Data
-	return binaryTopPagesAppendCtx(c, m.pages, probs, k, dst)
+	one := [1]*Sample{s}
+	return m.binaryTopPagesOne(c, m.qcore.pooledTokensBatchCtx(c, m.pages, m.pcs, one[:]), k, dst)
 }
 
 // Freeze locks the calibrated activation scales.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"mpgraph/internal/tensor"
@@ -11,7 +12,7 @@ import (
 
 // narrowInput narrows a float64 input into an arena f32 tensor.
 func narrowInput(c *tensor.Ctx, x *tensor.Tensor) *tensor.F32Tensor {
-	return c.NarrowCtxF32(x)
+	return tensor.NarrowCtx[float32](c, x)
 }
 
 // wantCloseF32 asserts the f32 mirror tracks the float64 reference within
@@ -97,7 +98,7 @@ func TestF32LSTMBatchMatchesSequential(t *testing.T) {
 	xf := narrowInput(ctx, x)
 	batched := l.ForwardBatchCtx(ctx, xf, blocks)
 	for blk := 0; blk < blocks; blk++ {
-		seq := ctx.ZerosF32(steps, 10)
+		seq := tensor.ZerosCtx[float32](ctx, steps, 10)
 		copy(seq.Data, xf.Data[blk*steps*10:(blk+1)*steps*10])
 		solo := l.ForwardCtx(ctx, seq)
 		for j := range solo.Data {
@@ -156,5 +157,42 @@ func TestSaveF16RoundTrip(t *testing.T) {
 	}
 	if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {
 		t.Fatal("second SaveF16 differs: f16 encode/decode is not idempotent")
+	}
+}
+
+// The F32 layer names are instantiations of the float64 layers' one generic
+// type, not copies of it: these stop compiling if the mirror is forked again.
+var (
+	_ *TransformerLayerOf[float32] = (*F32TransformerLayer)(nil)
+	_ *TransformerLayerOf[float64] = (*TransformerLayer)(nil)
+)
+
+// TestF32NilCtxIsInferenceOnly pins the one run-time difference between the
+// two instantiations: a nil ctx means autograd, which exists at float64
+// only, so an f32 op or layer on a nil ctx fails the invariant.
+func TestF32NilCtxIsInferenceOnly(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	x := tensor.NarrowF32(randInput(9, 16, 12))
+	w := tensor.NarrowF32(randInput(16, 16, 13))
+	cases := map[string]func(){
+		"op":          func() { tensor.LinearAct(nil, x, w, nil, tensor.ActNone) },
+		"transformer": func() { NewF32TransformerLayer(NewTransformerLayer(16, 4, rng)).ForwardCtx(nil, x) },
+		"lstm":        func() { NewF32LSTM(NewLSTM(16, 8, rng)).ForwardCtx(nil, x) },
+	}
+	for name, call := range cases {
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, "inference-only") {
+					t.Errorf("%s: f32 on a nil ctx recovered %q, want the inference-only invariant", name, msg)
+				}
+			}()
+			call()
+		}()
+	}
+	// The same calls at float64 are the autograd reference and must work.
+	x64 := randInput(9, 16, 12)
+	if out := NewTransformerLayer(16, 4, rng).ForwardCtx(nil, x64); out.Rows != 9 || out.Cols != 16 {
+		t.Fatalf("float64 nil-ctx forward shape %dx%d", out.Rows, out.Cols)
 	}
 }

@@ -3,21 +3,28 @@ package nn
 import (
 	"math/rand"
 
+	"mpgraph/internal/invariant"
 	"mpgraph/internal/tensor"
 )
 
-// LSTM is a single-layer long short-term memory network, the backbone of the
-// Delta-LSTM and Voyager baselines (Hochreiter & Schmidhuber 1997). Gates
+// LSTMOf is a single-layer long short-term memory network, the backbone of
+// the Delta-LSTM and Voyager baselines (Hochreiter & Schmidhuber 1997). Gates
 // use separate weight matrices per gate, which keeps the autograd graph
 // simple.
-type LSTM struct {
+type LSTMOf[T float32 | float64] struct {
 	// Per-gate input and recurrent weights plus bias: i, f, g (cell), o.
-	Wxi, Whi, Bi *tensor.Tensor
-	Wxf, Whf, Bf *tensor.Tensor
-	Wxg, Whg, Bg *tensor.Tensor
-	Wxo, Who, Bo *tensor.Tensor
+	Wxi, Whi, Bi *tensor.Dense[T]
+	Wxf, Whf, Bf *tensor.Dense[T]
+	Wxg, Whg, Bg *tensor.Dense[T]
+	Wxo, Who, Bo *tensor.Dense[T]
 	Hidden       int
 }
+
+// LSTM is the float64 instantiation, F32LSTM the f32 inference mirror.
+type (
+	LSTM    = LSTMOf[float64]
+	F32LSTM = LSTMOf[float32]
+)
 
 // NewLSTM builds an LSTM mapping in-dim inputs to a hidden-dim state.
 func NewLSTM(in, hidden int, rng *rand.Rand) *LSTM {
@@ -36,35 +43,56 @@ func NewLSTM(in, hidden int, rng *rand.Rand) *LSTM {
 	return l
 }
 
+// NewF32LSTM narrows l's gate weights into an f32 mirror.
+func NewF32LSTM(l *LSTM) *F32LSTM {
+	n := tensor.NarrowF32
+	return &F32LSTM{
+		Wxi: n(l.Wxi), Whi: n(l.Whi), Bi: n(l.Bi),
+		Wxf: n(l.Wxf), Whf: n(l.Whf), Bf: n(l.Bf),
+		Wxg: n(l.Wxg), Whg: n(l.Whg), Bg: n(l.Bg),
+		Wxo: n(l.Wxo), Who: n(l.Who), Bo: n(l.Bo),
+		Hidden: l.Hidden,
+	}
+}
+
 // Forward consumes the sequence x [T x in] one row at a time and returns
 // the final hidden state [1 x hidden].
-func (l *LSTM) Forward(x *tensor.Tensor) *tensor.Tensor {
+func (l *LSTMOf[T]) Forward(x *tensor.Dense[T]) *tensor.Dense[T] {
 	return l.ForwardCtx(nil, x)
 }
 
 // ForwardCtx is Forward on the ctx fast path: one sequence is the blocks=1
-// case of ForwardBatchCtx. A nil ctx runs the autograd composition.
+// case of ForwardBatchCtx. A nil ctx runs the autograd composition, which
+// only the float64 LSTM has.
 //
 //mpgraph:noalloc
-func (l *LSTM) ForwardCtx(ctx *tensor.Ctx, x *tensor.Tensor) *tensor.Tensor {
+func (l *LSTMOf[T]) ForwardCtx(ctx *tensor.Ctx, x *tensor.Dense[T]) *tensor.Dense[T] {
 	if ctx == nil {
-		h := tensor.Zeros(1, l.Hidden)
-		c := tensor.Zeros(1, l.Hidden)
-		for t := 0; t < x.Rows; t++ {
-			xt := tensor.SliceRows(x, t, t+1)
-			gate := func(wx, wh, b *tensor.Tensor) *tensor.Tensor {
-				return tensor.AddBias(tensor.Add(tensor.MatMul(xt, wx), tensor.MatMul(h, wh)), b)
-			}
-			i := tensor.Sigmoid(gate(l.Wxi, l.Whi, l.Bi))
-			f := tensor.Sigmoid(gate(l.Wxf, l.Whf, l.Bf))
-			g := tensor.Tanh(gate(l.Wxg, l.Whg, l.Bg))
-			o := tensor.Sigmoid(gate(l.Wxo, l.Who, l.Bo))
-			c = tensor.Add(tensor.Mul(f, c), tensor.Mul(i, g))
-			h = tensor.Mul(o, tensor.Tanh(c))
-		}
-		return h
+		l64, ok := any(l).(*LSTM)
+		invariant.Check(ok, "nn: the f32 LSTM is inference-only: it requires a non-nil ctx")
+		return any(lstmGraph(l64, any(x).(*tensor.Tensor))).(*tensor.Dense[T])
 	}
 	return l.ForwardBatchCtx(ctx, x, 1)
+}
+
+// lstmGraph is the autograd forward: one row at a time, every gate its own
+// op so gradients flow through the plain graph.
+func lstmGraph(l *LSTM, x *tensor.Tensor) *tensor.Tensor {
+	h := tensor.Zeros(1, l.Hidden)
+	c := tensor.Zeros(1, l.Hidden)
+	for t := 0; t < x.Rows; t++ {
+		xt := tensor.SliceRows(x, t, t+1)
+		gate := func(wx, wh, b *tensor.Tensor) *tensor.Tensor {
+			return tensor.AddBias(tensor.Add(tensor.MatMul(xt, wx), tensor.MatMul(h, wh)), b)
+		}
+		i := tensor.Sigmoid(gate(l.Wxi, l.Whi, l.Bi))
+		f := tensor.Sigmoid(gate(l.Wxf, l.Whf, l.Bf))
+		g := tensor.Tanh(gate(l.Wxg, l.Whg, l.Bg))
+		o := tensor.Sigmoid(gate(l.Wxo, l.Who, l.Bo))
+		c = tensor.Add(tensor.Mul(f, c), tensor.Mul(i, g))
+		h = tensor.Mul(o, tensor.Tanh(c))
+	}
+	return h
 }
 
 // ForwardBatchCtx consumes `blocks` stacked sequences step-synchronously:
@@ -75,22 +103,22 @@ func (l *LSTM) ForwardCtx(ctx *tensor.Ctx, x *tensor.Tensor) *tensor.Tensor {
 // [blocks x hidden].
 //
 //mpgraph:noalloc
-func (l *LSTM) ForwardBatchCtx(ctx *tensor.Ctx, x *tensor.Tensor, blocks int) *tensor.Tensor {
+func (l *LSTMOf[T]) ForwardBatchCtx(ctx *tensor.Ctx, x *tensor.Dense[T], blocks int) *tensor.Dense[T] {
 	t := x.Rows / blocks
-	h := ctx.Zeros(blocks, l.Hidden)
-	c := ctx.Zeros(blocks, l.Hidden)
+	h := tensor.ZerosCtx[T](ctx, blocks, l.Hidden)
+	c := tensor.ZerosCtx[T](ctx, blocks, l.Hidden)
 	for step := 0; step < t; step++ {
-		xt := ctx.GatherRowsStride(x, step, t, blocks)
-		i := ctx.Linear2Act(xt, l.Wxi, h, l.Whi, l.Bi, tensor.ActSigmoid)
-		f := ctx.Linear2Act(xt, l.Wxf, h, l.Whf, l.Bf, tensor.ActSigmoid)
-		g := ctx.Linear2Act(xt, l.Wxg, h, l.Whg, l.Bg, tensor.ActTanh)
-		o := ctx.Linear2Act(xt, l.Wxo, h, l.Who, l.Bo, tensor.ActSigmoid)
+		xt := tensor.GatherRowsStride(ctx, x, step, t, blocks)
+		i := tensor.Linear2Act(ctx, xt, l.Wxi, h, l.Whi, l.Bi, tensor.ActSigmoid)
+		f := tensor.Linear2Act(ctx, xt, l.Wxf, h, l.Whf, l.Bf, tensor.ActSigmoid)
+		g := tensor.Linear2Act(ctx, xt, l.Wxg, h, l.Whg, l.Bg, tensor.ActTanh)
+		o := tensor.Linear2Act(ctx, xt, l.Wxo, h, l.Who, l.Bo, tensor.ActSigmoid)
 		for j := range c.Data {
 			cv := f.Data[j]*c.Data[j] + i.Data[j]*g.Data[j]
 			c.Data[j] = cv
 			h.Data[j] = cv
 		}
-		tensor.ApplyActFast(h.Data, tensor.ActTanh) //mpgraph:allow noalloc -- in-place over the arena row; the cross-package naming rule keys on Ctx/Into suffixes
+		tensor.ApplyActFast(h.Data, tensor.ActTanh)
 		for j := range h.Data {
 			h.Data[j] *= o.Data[j]
 		}
@@ -99,8 +127,8 @@ func (l *LSTM) ForwardBatchCtx(ctx *tensor.Ctx, x *tensor.Tensor, blocks int) *t
 }
 
 // Params implements Module.
-func (l *LSTM) Params() []*tensor.Tensor {
-	return []*tensor.Tensor{
+func (l *LSTMOf[T]) Params() []*tensor.Dense[T] {
+	return []*tensor.Dense[T]{
 		l.Wxi, l.Whi, l.Bi,
 		l.Wxf, l.Whf, l.Bf,
 		l.Wxg, l.Whg, l.Bg,

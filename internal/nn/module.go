@@ -8,11 +8,14 @@ package nn
 
 import "mpgraph/internal/tensor"
 
-// Module is anything owning trainable parameters.
-type Module interface {
-	// Params returns the trainable tensors in a stable order.
-	Params() []*tensor.Tensor
+// ModuleOf is anything owning parameter tensors of element type T.
+type ModuleOf[T float32 | float64] interface {
+	// Params returns the parameter tensors in a stable order.
+	Params() []*tensor.Dense[T]
 }
+
+// Module is a float64 module: its parameters are the trainable ones.
+type Module = ModuleOf[float64]
 
 // CountParams sums the element counts of all parameters.
 func CountParams(m Module) int {
@@ -31,8 +34,8 @@ func ZeroGrads(m Module) {
 }
 
 // collect concatenates parameter lists of sub-modules.
-func collect(ms ...Module) []*tensor.Tensor {
-	var out []*tensor.Tensor
+func collect[T float32 | float64](ms ...ModuleOf[T]) []*tensor.Dense[T] {
+	var out []*tensor.Dense[T]
 	for _, m := range ms {
 		out = append(out, m.Params()...)
 	}

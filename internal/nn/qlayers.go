@@ -65,7 +65,7 @@ func NewQLinear(l *Linear) *QLinear {
 func (q *QLinear) ForwardActCtx(c *tensor.Ctx, x *tensor.Tensor, act tensor.Act) *tensor.Tensor {
 	if q.src != nil {
 		q.in.Observe(x.Data)
-		return c.LinearAct(x, q.src.W, q.src.B, act)
+		return q.src.ForwardActCtx(c, x, act)
 	}
 	return c.QLinearAct(x, q.scale, q.W, q.B, act)
 }
@@ -214,13 +214,6 @@ type QMMAF struct {
 
 // NewQMMAF mirrors the fusion attention.
 func NewQMMAF(m *MMAF) *QMMAF { return &QMMAF{Attn: NewQSelfAttention(m.Attn)} }
-
-// ForwardCtx2 fuses exactly two modality sequences — the AMMA hot path.
-//
-//mpgraph:noalloc
-func (m *QMMAF) ForwardCtx2(c *tensor.Ctx, a, b *tensor.Tensor) *tensor.Tensor {
-	return m.Attn.ForwardCtx(c, c.ConcatRows2(a, b))
-}
 
 // Freeze freezes the fusion attention.
 func (m *QMMAF) Freeze() { m.Attn.Freeze() }

@@ -28,7 +28,7 @@ func (s *QSelfAttention) ForwardBatchCtx(c *tensor.Ctx, x *tensor.Tensor, blocks
 	q := c.QLinearActQ(xq, x.Rows, s.scale, s.Wq, s.bq, tensor.ActNone)
 	k := c.QLinearActQ(xq, x.Rows, s.scale, s.Wk, s.bk, tensor.ActNone)
 	v := c.QLinearActQ(xq, x.Rows, s.scale, s.Wv, s.bv, tensor.ActNone)
-	return c.AttentionBlocks(q, k, v, blocks, 1/math.Sqrt(float64(s.dim)), true)
+	return tensor.AttentionBlocks(c, q, k, v, blocks, 1/math.Sqrt(float64(s.dim)), true)
 }
 
 // ForwardBatchCtx runs every int8 head over the stacked block and
@@ -36,11 +36,11 @@ func (s *QSelfAttention) ForwardBatchCtx(c *tensor.Ctx, x *tensor.Tensor, blocks
 //
 //mpgraph:noalloc
 func (m *QMultiHeadSelfAttention) ForwardBatchCtx(c *tensor.Ctx, x *tensor.Tensor, blocks int) *tensor.Tensor {
-	outs := c.Ptrs(len(m.Heads))
+	outs := tensor.Ptrs[float64](c, len(m.Heads))
 	for i, h := range m.Heads {
 		outs[i] = h.ForwardBatchCtx(c, x, blocks)
 	}
-	return m.Wo.ForwardCtx(c, c.ConcatCols(outs...))
+	return m.Wo.ForwardCtx(c, tensor.ConcatColsCtx(c, outs))
 }
 
 // ForwardBatchCtx applies the int8 layer to the stacked block; residuals and
@@ -57,5 +57,5 @@ func (t *QTransformerLayer) ForwardBatchCtx(c *tensor.Ctx, x *tensor.Tensor, blo
 //
 //mpgraph:noalloc
 func (m *QMMAF) ForwardBatchCtx2(c *tensor.Ctx, a, b *tensor.Tensor, blocks int) *tensor.Tensor {
-	return m.Attn.ForwardBatchCtx(c, c.ConcatRowsBatch2(a, b, blocks), blocks)
+	return m.Attn.ForwardBatchCtx(c, tensor.ConcatRowsBatch2(c, a, b, blocks), blocks)
 }

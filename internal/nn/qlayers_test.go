@@ -132,13 +132,13 @@ func TestQMMAFFrozenTracksFloat(t *testing.T) {
 	for i := 0; i < 16; i++ {
 		a := tensor.Randn(3, 16, 1, rng)
 		b := tensor.Randn(4, 16, 1, rng)
-		q.ForwardCtx2(ctx, a, b)
+		q.ForwardBatchCtx2(ctx, a, b, 1)
 		ctx.Reset()
 	}
 	q.Freeze()
 	a := tensor.Randn(3, 16, 1, rng)
 	b := tensor.Randn(4, 16, 1, rng)
-	got := q.ForwardCtx2(ctx, a, b)
+	got := q.ForwardBatchCtx2(ctx, a, b, 1)
 	want := m.ForwardBatchCtx2(ctx, a, b, 1)
 	if e := maxRelErr(got, want); e > 0.05 {
 		t.Fatalf("frozen QMMAF rel error %g > 0.05", e)

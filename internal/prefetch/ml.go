@@ -1,7 +1,6 @@
 package prefetch
 
 import (
-	"mpgraph/internal/invariant"
 	"mpgraph/internal/models"
 	"mpgraph/internal/sim"
 	"mpgraph/internal/tensor"
@@ -19,14 +18,9 @@ type MLOptions struct {
 	// LatencyCycles is the model inference latency reported to the
 	// simulator.
 	LatencyCycles uint64
-	// DisableFastPath runs inference on the legacy allocating autograd
-	// path instead of the arena fast path. The legacy path toggles the
-	// global grad flag, so it must not run concurrently with training —
-	// it exists as the perf baseline the benchmarks compare against.
-	DisableFastPath bool
 	// Scheduler, when non-nil, routes model calls through a shared
 	// BatchScheduler so concurrent sweep workers share fused inference
-	// rounds. Requires the fast path (incompatible with DisableFastPath).
+	// rounds.
 	Scheduler *BatchScheduler
 }
 
@@ -40,22 +34,11 @@ func (o MLOptions) withDefaults() MLOptions {
 	return o
 }
 
-// newCtx builds the per-prefetcher inference arena (nil = legacy path).
-func (o MLOptions) newCtx() *tensor.Ctx {
-	if o.DisableFastPath {
-		return nil
-	}
-	return tensor.NewCtx()
-}
-
 // newSession attaches the prefetcher to the shared batch scheduler, if any.
-// The batched tier decodes with the arena fast path, so combining a scheduler
-// with the legacy path is a construction defect.
 func (o MLOptions) newSession() *BatchSession {
 	if o.Scheduler == nil {
 		return nil
 	}
-	invariant.Check(!o.DisableFastPath, "prefetch: Scheduler requires the fast path (DisableFastPath must be false)")
 	return o.Scheduler.NewSession()
 }
 
@@ -95,7 +78,7 @@ type DeltaLSTM struct {
 // NewDeltaLSTM wraps a trained delta model (expected: models.LSTMDelta).
 func NewDeltaLSTM(model models.DeltaModel, historyT int, opt MLOptions) *DeltaLSTM {
 	opt = opt.withDefaults()
-	return &DeltaLSTM{opt: opt, model: model, gate: newInferGate(historyT, opt.InferEvery), ctx: opt.newCtx(), sess: opt.newSession()}
+	return &DeltaLSTM{opt: opt, model: model, gate: newInferGate(historyT, opt.InferEvery), ctx: tensor.NewCtx(), sess: opt.newSession()}
 }
 
 // Name implements sim.Prefetcher.
@@ -118,13 +101,6 @@ func (p *DeltaLSTM) LeaveBatch() { p.sess.leave() }
 func (p *DeltaLSTM) Operate(acc sim.LLCAccess) []uint64 {
 	if !p.gate.observe(acc.Block, acc.PC) {
 		return nil
-	}
-	if p.ctx == nil {
-		restore := tensor.SetGradEnabled(false)
-		defer tensor.SetGradEnabled(restore)
-		out, err := deltaPrefetches(p.model, p.gate.hist.Sample(0), acc.Block, p.opt.Degree)
-		p.health = keepFirst(p.health, err)
-		return out
 	}
 	defer p.ctx.Reset()
 	s := p.gate.hist.SampleInto(&p.scratch, 0)
@@ -155,7 +131,7 @@ type TransFetch struct {
 // NewTransFetch wraps a trained delta model (expected: models.AttnDelta).
 func NewTransFetch(model models.DeltaModel, historyT int, opt MLOptions) *TransFetch {
 	opt = opt.withDefaults()
-	return &TransFetch{opt: opt, model: model, gate: newInferGate(historyT, opt.InferEvery), ctx: opt.newCtx(), sess: opt.newSession()}
+	return &TransFetch{opt: opt, model: model, gate: newInferGate(historyT, opt.InferEvery), ctx: tensor.NewCtx(), sess: opt.newSession()}
 }
 
 // Name implements sim.Prefetcher.
@@ -178,13 +154,6 @@ func (p *TransFetch) LeaveBatch() { p.sess.leave() }
 func (p *TransFetch) Operate(acc sim.LLCAccess) []uint64 {
 	if !p.gate.observe(acc.Block, acc.PC) {
 		return nil
-	}
-	if p.ctx == nil {
-		restore := tensor.SetGradEnabled(false)
-		defer tensor.SetGradEnabled(restore)
-		out, err := deltaPrefetches(p.model, p.gate.hist.Sample(0), acc.Block, p.opt.Degree)
-		p.health = keepFirst(p.health, err)
-		return out
 	}
 	defer p.ctx.Reset()
 	s := p.gate.hist.SampleInto(&p.scratch, 0)
@@ -226,7 +195,7 @@ func NewVoyager(pageModel models.PageModel, deltaModel models.DeltaModel, histor
 		pageModel:  pageModel,
 		deltaModel: deltaModel,
 		gate:       newInferGate(historyT, opt.InferEvery),
-		ctx:        opt.newCtx(),
+		ctx:        tensor.NewCtx(),
 		sess:       opt.newSession(),
 		lastOffset: make(map[uint64]uint64),
 	}
@@ -261,11 +230,6 @@ func (p *Voyager) Operate(acc sim.LLCAccess) []uint64 {
 	p.lastOffset[page] = trace.BlockOffset(acc.Block)
 	if !p.gate.observe(acc.Block, acc.PC) {
 		return nil
-	}
-	if p.ctx == nil {
-		restore := tensor.SetGradEnabled(false)
-		defer tensor.SetGradEnabled(restore)
-		return p.predict(nil, p.gate.hist.Sample(0), acc.Block, nil)
 	}
 	defer p.ctx.Reset()
 	s := p.gate.hist.SampleInto(&p.scratch, 0)
@@ -323,18 +287,9 @@ func keepFirst(health, err error) error {
 	return err
 }
 
-// deltaPrefetches converts a delta model's top-k classes into block
-// addresses relative to base (the allocating legacy entry point).
-func deltaPrefetches(m models.DeltaModel, s *models.Sample, base uint64, k int) ([]uint64, error) {
-	if k <= 0 {
-		return nil, nil
-	}
-	return deltaPrefetchesAppend(nil, m, s, base, k, make([]uint64, 0, k))
-}
-
 // deltaPrefetchesAppend appends up to k prefetch targets derived from the
-// delta model's top classes to dst. With a non-nil ctx the scores, ranking
-// scratch and result all reuse per-prefetcher buffers. Scores are screened
+// delta model's top classes to dst; the scores, ranking scratch and result
+// all reuse per-prefetcher buffers. Scores are screened
 // for non-finite values; on a screening failure dst is returned unmodified
 // alongside the error so callers record the health defect instead of issuing
 // prefetches ranked by NaN.

@@ -65,27 +65,12 @@ func BenchmarkOperateDeltaLSTM(b *testing.B) {
 	benchOperate(b, NewDeltaLSTM(delta, ds.Cfg.HistoryT, MLOptions{Degree: 6}), ds.Cfg.HistoryT+64)
 }
 
-func BenchmarkOperateDeltaLSTMLegacy(b *testing.B) {
-	ds, delta, _ := tinyTrainedModels(b)
-	benchOperate(b, NewDeltaLSTM(delta, ds.Cfg.HistoryT, MLOptions{Degree: 6, DisableFastPath: true}), ds.Cfg.HistoryT+64)
-}
-
 func BenchmarkOperateTransFetch(b *testing.B) {
 	ds, delta, _ := tinyTrainedModels(b)
 	benchOperate(b, NewTransFetch(delta, ds.Cfg.HistoryT, MLOptions{Degree: 6}), ds.Cfg.HistoryT+64)
 }
 
-func BenchmarkOperateTransFetchLegacy(b *testing.B) {
-	ds, delta, _ := tinyTrainedModels(b)
-	benchOperate(b, NewTransFetch(delta, ds.Cfg.HistoryT, MLOptions{Degree: 6, DisableFastPath: true}), ds.Cfg.HistoryT+64)
-}
-
 func BenchmarkOperateVoyager(b *testing.B) {
 	ds, delta, page := tinyTrainedModels(b)
 	benchOperate(b, NewVoyager(page, delta, ds.Cfg.HistoryT, MLOptions{Degree: 6}), ds.Cfg.HistoryT+64)
-}
-
-func BenchmarkOperateVoyagerLegacy(b *testing.B) {
-	ds, delta, page := tinyTrainedModels(b)
-	benchOperate(b, NewVoyager(page, delta, ds.Cfg.HistoryT, MLOptions{Degree: 6, DisableFastPath: true}), ds.Cfg.HistoryT+64)
 }

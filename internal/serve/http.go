@@ -20,7 +20,8 @@ import (
 //
 // Status mapping: 429 + Retry-After when the session table is saturated,
 // 503 + Retry-After while draining or when admission itself faulted, 409
-// when the session is already serving a feed, 400 on malformed input.
+// when the session is already serving a feed, 400 on malformed input, 413
+// when a feed's body exceeds its byte bound (MaxEventsPerFeed × maxEventBytes).
 // Every feed runs under Config.RequestTimeout; the deadline propagates
 // through the session's model calls, so a timed-out request yields a
 // truncated (but well-formed) prediction stream and a trailing error line.
@@ -35,6 +36,13 @@ func NewHandler(srv *Server) http.Handler {
 	return mux
 }
 
+// maxEventBytes is the request bytes one event may take. A canonical event —
+// maximal addr, pc and core, with its newline — is 67 bytes; 128 leaves room
+// for whitespace and field reordering. The event-count bound alone does not
+// bound a feed: one never-ending JSON string or number is read in full before
+// any count applies.
+const maxEventBytes = 128
+
 // handleFeed decodes the request's event stream and streams predictions
 // back as JSONL.
 func (s *Server) handleFeed(w http.ResponseWriter, r *http.Request) {
@@ -43,9 +51,15 @@ func (s *Server) handleFeed(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "serve: empty session id", http.StatusBadRequest)
 		return
 	}
-	events, err := decodeEvents(r.Body, s.cfg.MaxEventsPerFeed)
+	body := http.MaxBytesReader(w, r.Body, int64(s.cfg.MaxEventsPerFeed)*maxEventBytes)
+	events, err := decodeEvents(body, s.cfg.MaxEventsPerFeed)
 	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+		status := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		http.Error(w, err.Error(), status)
 		return
 	}
 

@@ -185,6 +185,45 @@ func TestHTTPBadInput(t *testing.T) {
 	}
 }
 
+// TestHTTPOversizedBody: a body over the byte bound is cut off with 413 even
+// when it is a single JSON token the event-count bound never sees; no session
+// is admitted and no feed is counted.
+func TestHTTPOversizedBody(t *testing.T) {
+	cfg := stubConfig(echoPF)
+	cfg.MaxEventsPerFeed = 4
+	srv := mustServer(t, cfg)
+	ts := httptest.NewServer(NewHandler(srv))
+	defer ts.Close()
+
+	before := srv.Stats()
+	token := `{"addr":` + strings.Repeat("1", 4*maxEventBytes)
+	resp, err := http.Post(ts.URL+"/v1/sessions/big/events", "application/x-ndjson", strings.NewReader(token))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized single-token body = %d, want 413", resp.StatusCode)
+	}
+	if after := srv.Stats(); after != before {
+		t.Fatalf("rejected body changed the server: %+v -> %+v", before, after)
+	}
+
+	// The bound is on bytes, not on shape: a full-size feed of canonical
+	// events still fits.
+	ok := postEvents(t, ts.URL, "fits", []Event{
+		{Addr: 1<<64 - 1, PC: 1<<64 - 1, Core: 255}, {Addr: 1<<64 - 1, PC: 1<<64 - 1, Core: 255},
+		{Addr: 1<<64 - 1, PC: 1<<64 - 1, Core: 255}, {Addr: 1<<64 - 1, PC: 1<<64 - 1, Core: 255},
+	})
+	ok.Body.Close()
+	if ok.StatusCode != http.StatusOK {
+		t.Fatalf("full feed of maximal events = %d, want 200", ok.StatusCode)
+	}
+	if st := srv.Stats(); st.Feeds != 1 || st.FeedErrors != 0 || st.Admitted != 1 {
+		t.Fatalf("stats after the accepted feed = %+v", st)
+	}
+}
+
 // TestHTTPDrainingRejects: after Shutdown begins, feeds get 503 with a
 // Retry-After hint (load balancers treat it as a backend rotation signal).
 func TestHTTPDrainingRejects(t *testing.T) {

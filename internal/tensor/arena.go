@@ -65,26 +65,50 @@ func (s *slab[T]) reset() {
 	s.need = 0
 }
 
+// arena is one float tier's share of a Ctx: element data, tensor headers and
+// pointer slices, each on its own slab.
+type arena[T float32 | float64] struct {
+	data slab[T]
+	hdrs slab[Dense[T]]
+	ptrs slab[*Dense[T]]
+}
+
+//mpgraph:noalloc
+func (a *arena[T]) reset() {
+	a.data.reset()
+	a.hdrs.reset()
+	a.ptrs.reset()
+}
+
+// header allocates a tensor header over data. The slot is not cleared: shape
+// and data are assigned here and nothing ever writes an arena header's graph
+// fields, so they are still the zeros the slab was made with.
+//
+//mpgraph:noalloc
+func (a *arena[T]) header(rows, cols int, data []T) *Dense[T] {
+	t := &a.hdrs.takeUninit(1)[0]
+	t.Rows = rows
+	t.Cols = cols
+	t.Data = data
+	return t
+}
+
 // Ctx is an inference execution context: a scratch arena plus the graph-free
 // fast-path ops defined in fastops.go. The nil *Ctx is valid and means "no
-// fast path": every op method on a nil receiver falls back to the package
-// autograd op, so model code can thread one ctx parameter through both
-// training (nil) and inference (non-nil) without branching at call sites.
+// fast path": every op handed a nil ctx falls back to the package autograd
+// op (float64 only — the f32 tier is inference-only), so the autograd
+// reference and the fast path share their layer code.
 //
-// Tensors returned by Ctx ops are arena-backed: their Data is only valid
+// Tensors returned by ctx ops are arena-backed: their Data is only valid
 // until the next Reset, they never carry graph edges, and they must not be
 // stored in model state or passed to Backward.
 type Ctx struct {
-	f64     slab[float64]
-	f32     slab[float32]
-	u16     slab[uint16]
-	ints    slab[int]
-	i8      slab[int8]
-	u8      slab[uint8]
-	ts      slab[Tensor]
-	f32ts   slab[F32Tensor]
-	ptrs    slab[*Tensor]
-	f32ptrs slab[*F32Tensor]
+	f64  arena[float64]
+	f32  arena[float32]
+	u16  slab[uint16]
+	ints slab[int]
+	i8   slab[int8]
+	u8   slab[uint8]
 }
 
 // NewCtx returns an empty inference context. Buffers are grown on demand
@@ -107,21 +131,25 @@ func (c *Ctx) Reset() {
 	c.ints.reset()
 	c.i8.reset()
 	c.u8.reset()
-	c.ts.reset()
-	c.f32ts.reset()
-	c.ptrs.reset()
-	c.f32ptrs.reset()
+}
+
+// arenaOf returns c's arena for element type T — where a generic op's
+// scratch learns its dtype.
+//
+//mpgraph:noalloc
+func arenaOf[T float32 | float64](c *Ctx) *arena[T] {
+	if a, ok := any(&c.f32).(*arena[T]); ok {
+		return a
+	}
+	return any(&c.f64).(*arena[T])
 }
 
 // zeros allocates an arena-backed rows x cols tensor (data zeroed).
 //
 //mpgraph:noalloc
-func (c *Ctx) zeros(rows, cols int) *Tensor {
-	t := &c.ts.take(1)[0]
-	t.Rows = rows
-	t.Cols = cols
-	t.Data = c.f64.take(rows * cols)
-	return t
+func zeros[T float32 | float64](c *Ctx, rows, cols int) *Dense[T] {
+	a := arenaOf[T](c)
+	return a.header(rows, cols, a.data.take(rows*cols))
 }
 
 // uninit allocates an arena-backed rows x cols tensor without zeroing its
@@ -129,23 +157,16 @@ func (c *Ctx) zeros(rows, cols int) *Tensor {
 // anything else would leak values across Reset rounds.
 //
 //mpgraph:noalloc
-func (c *Ctx) uninit(rows, cols int) *Tensor {
-	t := &c.ts.take(1)[0]
-	t.Rows = rows
-	t.Cols = cols
-	t.Data = c.f64.takeUninit(rows * cols)
-	return t
+func uninit[T float32 | float64](c *Ctx, rows, cols int) *Dense[T] {
+	a := arenaOf[T](c)
+	return a.header(rows, cols, a.data.takeUninit(rows*cols))
 }
 
 // view allocates an arena-backed tensor header over existing data.
 //
 //mpgraph:noalloc
-func (c *Ctx) view(rows, cols int, data []float64) *Tensor {
-	t := &c.ts.take(1)[0]
-	t.Rows = rows
-	t.Cols = cols
-	t.Data = data
-	return t
+func view[T float32 | float64](c *Ctx, rows, cols int, data []T) *Dense[T] {
+	return arenaOf[T](c).header(rows, cols, data)
 }
 
 // Floats returns a zeroed arena-backed []float64 of length n.
@@ -155,7 +176,7 @@ func (c *Ctx) Floats(n int) []float64 {
 	if c == nil {
 		return make([]float64, n)
 	}
-	return c.f64.take(n)
+	return c.f64.data.take(n)
 }
 
 // Ints returns a zeroed arena-backed []int of length n (token buffers).
@@ -168,14 +189,14 @@ func (c *Ctx) Ints(n int) []int {
 	return c.ints.take(n)
 }
 
-// Ptrs returns a zeroed arena-backed []*Tensor of length n.
+// Ptrs returns a zeroed arena-backed []*Dense[T] of length n.
 //
 //mpgraph:noalloc
-func (c *Ctx) Ptrs(n int) []*Tensor {
+func Ptrs[T float32 | float64](c *Ctx, n int) []*Dense[T] {
 	if c == nil {
-		return make([]*Tensor, n)
+		return make([]*Dense[T], n)
 	}
-	return c.ptrs.take(n)
+	return arenaOf[T](c).ptrs.take(n)
 }
 
 // Float32s returns a zeroed arena-backed []float32 of length n (f32 score
@@ -186,7 +207,7 @@ func (c *Ctx) Float32s(n int) []float32 {
 	if c == nil {
 		return make([]float32, n)
 	}
-	return c.f32.take(n)
+	return c.f32.data.take(n)
 }
 
 // Halfs returns an uninitialised arena-backed []uint16 of length n (binary16
@@ -198,50 +219,6 @@ func (c *Ctx) Halfs(n int) []uint16 {
 		return make([]uint16, n)
 	}
 	return c.u16.takeUninit(n)
-}
-
-// F32Ptrs returns a zeroed arena-backed []*F32Tensor of length n.
-//
-//mpgraph:noalloc
-func (c *Ctx) F32Ptrs(n int) []*F32Tensor {
-	if c == nil {
-		return make([]*F32Tensor, n)
-	}
-	return c.f32ptrs.take(n)
-}
-
-// zerosF32 allocates an arena-backed rows x cols f32 tensor (data zeroed).
-//
-//mpgraph:noalloc
-func (c *Ctx) zerosF32(rows, cols int) *F32Tensor {
-	t := &c.f32ts.take(1)[0]
-	t.Rows = rows
-	t.Cols = cols
-	t.Data = c.f32.take(rows * cols)
-	return t
-}
-
-// uninitF32 is zerosF32 without the zeroing pass — only for ops that
-// overwrite every element before returning.
-//
-//mpgraph:noalloc
-func (c *Ctx) uninitF32(rows, cols int) *F32Tensor {
-	t := &c.f32ts.take(1)[0]
-	t.Rows = rows
-	t.Cols = cols
-	t.Data = c.f32.takeUninit(rows * cols)
-	return t
-}
-
-// viewF32 allocates an arena-backed f32 tensor header over existing data.
-//
-//mpgraph:noalloc
-func (c *Ctx) viewF32(rows, cols int, data []float32) *F32Tensor {
-	t := &c.f32ts.take(1)[0]
-	t.Rows = rows
-	t.Cols = cols
-	t.Data = data
-	return t
 }
 
 // Int8s returns an uninitialised arena-backed []int8 of length n (quantized

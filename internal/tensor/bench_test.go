@@ -70,7 +70,7 @@ func BenchmarkAttentionBlocks(b *testing.B) {
 		q, k, v := Randn(blocks*t, d, 1, rng), Randn(blocks*t, d, 1, rng), Randn(blocks*t, d, 1, rng)
 		scale := 1 / math.Sqrt(float64(d))
 		for i := 0; i < b.N; i++ {
-			c.AttentionBlocks(q, k, v, blocks, scale, false)
+			AttentionBlocks(c, q, k, v, blocks, scale, false)
 			c.Reset()
 		}
 	})
@@ -82,7 +82,7 @@ func BenchmarkAttentionBlocksF32(b *testing.B) {
 		q, k, v := NarrowF32(Randn(blocks*t, d, 1, rng)), NarrowF32(Randn(blocks*t, d, 1, rng)), NarrowF32(Randn(blocks*t, d, 1, rng))
 		scale := float32(1 / math.Sqrt(float64(d)))
 		for i := 0; i < b.N; i++ {
-			c.AttentionBlocksF32(q, k, v, blocks, scale)
+			AttentionBlocks(c, q, k, v, blocks, scale, false)
 			c.Reset()
 		}
 	})
@@ -94,7 +94,7 @@ func BenchmarkResidualLayerNorm(b *testing.B) {
 		x, y := Randn(blocks*t, d, 1, rng), Randn(blocks*t, d, 1, rng)
 		gain, bias := Randn(1, d, 1, rng), Randn(1, d, 1, rng)
 		for i := 0; i < b.N; i++ {
-			c.AddLayerNorm(x, y, gain, bias, 1e-5)
+			AddLayerNorm(c, x, y, gain, bias, 1e-5)
 			c.Reset()
 		}
 	})
@@ -106,7 +106,7 @@ func BenchmarkResidualLayerNormF32(b *testing.B) {
 		x, y := NarrowF32(Randn(blocks*t, d, 1, rng)), NarrowF32(Randn(blocks*t, d, 1, rng))
 		gain, bias := NarrowF32(Randn(1, d, 1, rng)), NarrowF32(Randn(1, d, 1, rng))
 		for i := 0; i < b.N; i++ {
-			c.AddLayerNormF32(x, y, gain, bias, 1e-5)
+			AddLayerNorm(c, x, y, gain, bias, 1e-5)
 			c.Reset()
 		}
 	})

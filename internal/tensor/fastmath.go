@@ -4,8 +4,9 @@ import "math"
 
 // Row kernels of live-ctx inference: elementwise activations, row softmax
 // and the fused residual LayerNorm. On AVX-512F machines they run the vector
-// kernels of gemm_batch_amd64.s (relative error ~1e-14 against the math
-// package, inside the 1e-9 fast-vs-autograd budget); everywhere else the
+// kernels of gemm_batch{,_f32}_amd64.s (relative error against the math
+// package ~1e-14 at float64, inside the 1e-9 fast-vs-autograd budget, and
+// ~1e-7 at float32, inside that tier's parity budget); everywhere else the
 // scalar bodies below, on the same call path. Each output row is a function
 // of its own input row only, so neither tier depends on batch composition.
 
@@ -24,12 +25,7 @@ var vactModeOf = [...]int64{ActReLU: vactReLU, ActSigmoid: vactSigmoid, ActTanh:
 // Exported for the nn LSTM cell tanh.
 //
 //mpgraph:noalloc
-func ApplyActFast(row []float64, act Act) {
-	applyActFast(row, act)
-}
-
-//mpgraph:noalloc
-func applyActFast(row []float64, act Act) {
+func ApplyActFast[T float32 | float64](row []T, act Act) {
 	if act == ActNone {
 		return
 	}
@@ -45,7 +41,7 @@ func applyActFast(row []float64, act Act) {
 // math-package kernel on every machine (the int8 tier's attention).
 //
 //mpgraph:noalloc
-func softmaxRows(p, tmp []float64, rows, cols int, exact bool) {
+func softmaxRows[T float32 | float64](p, tmp []T, rows, cols int, exact bool) {
 	if !exact && batchKernelAvailable() {
 		vsoftmaxRows(p, tmp, rows, cols)
 		return
@@ -58,16 +54,16 @@ func softmaxRows(p, tmp []float64, rows, cols int, exact bool) {
 // softmaxInPlace applies a numerically-stable softmax to one row.
 //
 //mpgraph:noalloc
-func softmaxInPlace(row []float64) {
-	maxV := math.Inf(-1)
+func softmaxInPlace[T float32 | float64](row []T) {
+	maxV := T(math.Inf(-1))
 	for _, v := range row {
 		if v > maxV {
 			maxV = v
 		}
 	}
-	sum := 0.0
+	var sum T
 	for i, v := range row {
-		e := math.Exp(v - maxV)
+		e := T(math.Exp(float64(v - maxV)))
 		row[i] = e
 		sum += e
 	}
@@ -81,7 +77,7 @@ func softmaxInPlace(row []float64) {
 // scaled by gain and shifted by bias. No intermediate tensor is built.
 //
 //mpgraph:noalloc
-func addLayerNormRows(out, x, y, gain, bias []float64, rows, cols int, eps float64) {
+func addLayerNormRows[T float32 | float64](out, x, y, gain, bias []T, rows, cols int, eps T) {
 	if batchKernelAvailable() {
 		vaddLayerNorm(out, x, y, gain, bias, rows, cols, eps)
 		return
@@ -89,8 +85,8 @@ func addLayerNormRows(out, x, y, gain, bias []float64, rows, cols int, eps float
 	addLayerNormScalar(out, x, y, gain, bias, rows, cols, eps)
 }
 
-// addLayerNormScalar is the portable body of addLayerNormRows and its f32
-// twin; sums accumulate in T, the tier's own numerics.
+// addLayerNormScalar is the portable body of addLayerNormRows; sums
+// accumulate in T, the tier's own numerics.
 //
 //mpgraph:noalloc
 func addLayerNormScalar[T float32 | float64](out, x, y, gain, bias []T, rows, cols int, eps T) {

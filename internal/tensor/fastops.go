@@ -2,62 +2,87 @@ package tensor
 
 import "mpgraph/internal/invariant"
 
-// Graph-free fast-path ops. Every method on *Ctx mirrors one package op (or
-// a fused composition of several) and dispatches on the receiver: a nil Ctx
-// runs the exact autograd op so the training path is untouched; a non-nil
-// Ctx runs an arena-backed kernel that builds no graph and allocates
-// nothing once the arena has warmed up.
+// Graph-free fast-path ops, written once over the element type T. Every op
+// takes the ctx first and dispatches on it: a nil ctx runs the exact autograd
+// composition — float64 only, the reference the fast-path tests compare
+// against; an f32 value on a nil ctx fails the invariant — and a non-nil ctx
+// runs an arena-backed kernel that builds no graph and allocates nothing once
+// the arena has warmed up. An op whose name an autograd op already holds
+// carries a Ctx suffix (ZerosCtx, EmbeddingLookupCtx, ConcatColsCtx).
 //
-// There is one live-ctx float64 kernel surface: the GEMM and activation ops
-// run the batch tier's panel kernels (gemm_batch.go) at however many rows
-// they are handed, so one sequence is the one-block case of a stacked batch
-// and computes the same bits alone as inside any batch.
+// There is one live-ctx kernel surface: the GEMM and activation ops run the
+// panel kernels (gemm_batch.go) at however many rows they are handed, so one
+// sequence is the one-block case of a stacked batch and computes the same
+// bits alone as inside any batch. The dtype is chosen at the leaves — the
+// arena (arenaOf) and the asm entry points (gemm_batch_amd64.go) — so a
+// weight and an activation of different precisions do not type-check.
 //
 // Aliasing contract: fast-path results live in the arena until the next
 // Reset, and in-place ops (SigmoidInPlace) may overwrite their input.
 // Callers on the hot path treat op inputs as consumed.
 
-// Zeros returns a zero rows x cols tensor (arena-backed when c is non-nil).
-//
-//mpgraph:noalloc
-func (c *Ctx) Zeros(rows, cols int) *Tensor {
-	if c == nil {
-		return Zeros(rows, cols)
+// f32NilCtx is the invariant an f32 value on a nil ctx fails.
+const f32NilCtx = "tensor: the f32 tier is inference-only: its ops require a non-nil ctx"
+
+// graph returns t as the autograd tensor a nil-ctx op computes on. Only
+// float64 takes part in autograd, so an f32 value here is a caller bug.
+func graph[T float32 | float64](t *Dense[T]) *Tensor {
+	g, ok := any(t).(*Tensor)
+	if !ok {
+		invariant.Fail(f32NilCtx)
 	}
-	return c.zeros(rows, cols)
+	return g
 }
 
-// Add returns a+b elementwise.
+// ungraph hands an autograd result back at the caller's element type, which
+// is float64 or graph would have failed.
+func ungraph[T float32 | float64](t *Tensor) *Dense[T] { return any(t).(*Dense[T]) }
+
+// ZerosCtx returns a zero rows x cols tensor (arena-backed when c is
+// non-nil).
 //
 //mpgraph:noalloc
-func (c *Ctx) Add(a, b *Tensor) *Tensor {
+func ZerosCtx[T float32 | float64](c *Ctx, rows, cols int) *Dense[T] {
 	if c == nil {
-		return Add(a, b)
+		return ungraph[T](Zeros(rows, cols))
 	}
-	checkSameShape("add", a, b)
-	out := c.uninit(a.Rows, a.Cols)
-	for i, av := range a.Data {
-		out.Data[i] = av + b.Data[i]
+	return zeros[T](c, rows, cols)
+}
+
+// NarrowCtx converts a float64 tensor to the compute tier's element type on
+// the arena — the hand-off from the f64 feature builders. It rounds every
+// element to f32 on the f32 tier and is the identity at float64.
+//
+//mpgraph:noalloc
+func NarrowCtx[T float32 | float64](c *Ctx, t *Tensor) *Dense[T] {
+	if same, ok := any(t).(*Dense[T]); ok {
+		return same
+	}
+	if c == nil {
+		invariant.Fail(f32NilCtx)
+	}
+	out := uninit[T](c, t.Rows, t.Cols)
+	for i, v := range t.Data {
+		out.Data[i] = T(v)
 	}
 	return out
 }
 
-// AddBias adds row vector bias [1 x n] to every row of a.
+// WidenCtx is the exact (and rank-preserving) hand-off from the compute tier
+// back to the float64 score consumers (screening, top-k decode): it widens
+// an f32 tensor into the arena and is the identity at float64.
 //
 //mpgraph:noalloc
-func (c *Ctx) AddBias(a, bias *Tensor) *Tensor {
+func WidenCtx[T float32 | float64](c *Ctx, t *Dense[T]) *Tensor {
+	if same, ok := any(t).(*Tensor); ok {
+		return same
+	}
 	if c == nil {
-		return AddBias(a, bias)
+		invariant.Fail(f32NilCtx)
 	}
-	if bias.Rows != 1 || bias.Cols != a.Cols {
-		invariant.Failf("tensor: addbias %dx%d + %dx%d", a.Rows, a.Cols, bias.Rows, bias.Cols)
-	}
-	out := c.uninit(a.Rows, a.Cols)
-	for r := 0; r < a.Rows; r++ {
-		base := r * a.Cols
-		for j, bv := range bias.Data {
-			out.Data[base+j] = a.Data[base+j] + bv
-		}
+	out := uninit[float64](c, t.Rows, t.Cols)
+	for i, v := range t.Data {
+		out.Data[i] = float64(v)
 	}
 	return out
 }
@@ -67,47 +92,25 @@ func (c *Ctx) AddBias(a, bias *Tensor) *Tensor {
 // graph tensor.
 //
 //mpgraph:noalloc
-func (c *Ctx) SigmoidInPlace(a *Tensor) *Tensor {
+func SigmoidInPlace[T float32 | float64](c *Ctx, a *Dense[T]) *Dense[T] {
 	if c == nil {
-		return Sigmoid(a)
+		return ungraph[T](Sigmoid(graph(a)))
 	}
-	applyActFast(a.Data, ActSigmoid)
+	ApplyActFast(a.Data, ActSigmoid)
 	return a
 }
 
-// ConcatRows stacks tensors vertically (same Cols).
+// ConcatColsCtx stacks tensors horizontally (same Rows) — the multi-head
+// concat; heads come from an arena Ptrs slice.
 //
 //mpgraph:noalloc
-func (c *Ctx) ConcatRows(ts ...*Tensor) *Tensor {
+func ConcatColsCtx[T float32 | float64](c *Ctx, ts []*Dense[T]) *Dense[T] {
 	if c == nil {
-		return ConcatRows(ts...)
-	}
-	if len(ts) == 0 {
-		invariant.Fail("tensor: ConcatRows of nothing")
-	}
-	cols := ts[0].Cols
-	rows := 0
-	for _, t := range ts {
-		if t.Cols != cols {
-			invariant.Fail("tensor: ConcatRows column mismatch")
+		gs := make([]*Tensor, len(ts))
+		for i, t := range ts {
+			gs[i] = graph(t)
 		}
-		rows += t.Rows
-	}
-	out := c.uninit(rows, cols)
-	off := 0
-	for _, t := range ts {
-		copy(out.Data[off:], t.Data)
-		off += len(t.Data)
-	}
-	return out
-}
-
-// ConcatCols stacks tensors horizontally (same Rows).
-//
-//mpgraph:noalloc
-func (c *Ctx) ConcatCols(ts ...*Tensor) *Tensor {
-	if c == nil {
-		return ConcatCols(ts...)
+		return ungraph[T](ConcatCols(gs...))
 	}
 	if len(ts) == 0 {
 		invariant.Fail("tensor: ConcatCols of nothing")
@@ -120,7 +123,7 @@ func (c *Ctx) ConcatCols(ts ...*Tensor) *Tensor {
 		}
 		cols += t.Cols
 	}
-	out := c.uninit(rows, cols)
+	out := uninit[T](c, rows, cols)
 	colOff := 0
 	for _, t := range ts {
 		for r := 0; r < rows; r++ {
@@ -131,74 +134,29 @@ func (c *Ctx) ConcatCols(ts ...*Tensor) *Tensor {
 	return out
 }
 
-// ConcatRows2 is ConcatRows for exactly two tensors — the arity the models'
-// hot paths use. A variadic call site builds an escaping []*Tensor on the
-// heap; the fixed-arity form keeps steady-state inference allocation-free.
+// ConcatCols2 is ConcatColsCtx for exactly two tensors, the arity the page
+// baselines use; the pair lives on the caller's stack, where a slice literal
+// would escape to the heap.
 //
 //mpgraph:noalloc
-func (c *Ctx) ConcatRows2(a, b *Tensor) *Tensor {
-	if c == nil {
-		return ConcatRows(a, b)
-	}
-	if a.Cols != b.Cols {
-		invariant.Fail("tensor: ConcatRows column mismatch")
-	}
-	out := c.uninit(a.Rows+b.Rows, a.Cols)
-	copy(out.Data, a.Data)
-	copy(out.Data[len(a.Data):], b.Data)
-	return out
+func ConcatCols2[T float32 | float64](c *Ctx, a, b *Dense[T]) *Dense[T] {
+	pair := [2]*Dense[T]{a, b}
+	return ConcatColsCtx(c, pair[:])
 }
 
-// ConcatCols2 is ConcatCols for exactly two tensors (see ConcatRows2).
+// EmbeddingLookupCtx gathers rows of table by ids.
 //
 //mpgraph:noalloc
-func (c *Ctx) ConcatCols2(a, b *Tensor) *Tensor {
+func EmbeddingLookupCtx[T float32 | float64](c *Ctx, table *Dense[T], ids []int) *Dense[T] {
 	if c == nil {
-		return ConcatCols(a, b)
-	}
-	if a.Rows != b.Rows {
-		invariant.Fail("tensor: ConcatCols row mismatch")
-	}
-	rows, cols := a.Rows, a.Cols+b.Cols
-	out := c.uninit(rows, cols)
-	for r := 0; r < rows; r++ {
-		copy(out.Data[r*cols:], a.Data[r*a.Cols:(r+1)*a.Cols])
-		copy(out.Data[r*cols+a.Cols:], b.Data[r*b.Cols:(r+1)*b.Cols])
-	}
-	return out
-}
-
-// MeanRows returns the column-wise mean as a 1 x Cols tensor.
-//
-//mpgraph:noalloc
-func (c *Ctx) MeanRows(a *Tensor) *Tensor {
-	if c == nil {
-		return MeanRows(a)
-	}
-	out := c.zeros(1, a.Cols)
-	inv := 1.0 / float64(a.Rows)
-	for r := 0; r < a.Rows; r++ {
-		base := r * a.Cols
-		for j := range out.Data {
-			out.Data[j] += a.Data[base+j] * inv
-		}
-	}
-	return out
-}
-
-// EmbeddingLookup gathers rows of table by ids.
-//
-//mpgraph:noalloc
-func (c *Ctx) EmbeddingLookup(table *Tensor, ids []int) *Tensor {
-	if c == nil {
-		return EmbeddingLookup(table, ids)
+		return ungraph[T](EmbeddingLookup(graph(table), ids))
 	}
 	for _, id := range ids {
 		if id < 0 || id >= table.Rows {
 			invariant.Failf("tensor: embedding id %d out of [0,%d)", id, table.Rows)
 		}
 	}
-	out := c.uninit(len(ids), table.Cols)
+	out := uninit[T](c, len(ids), table.Cols)
 	for i, id := range ids {
 		copy(out.Data[i*table.Cols:(i+1)*table.Cols], table.Data[id*table.Cols:(id+1)*table.Cols])
 	}
@@ -210,19 +168,19 @@ func (c *Ctx) EmbeddingLookup(table *Tensor, ids []int) *Tensor {
 // they stack.
 //
 //mpgraph:noalloc
-func (c *Ctx) LinearAct(x, w, bias *Tensor, act Act) *Tensor {
+func LinearAct[T float32 | float64](c *Ctx, x, w, bias *Dense[T], act Act) *Dense[T] {
 	if c == nil {
-		out := MatMul(x, w)
+		out := MatMul(graph(x), graph(w))
 		if bias != nil {
-			out = AddBias(out, bias)
+			out = AddBias(out, graph(bias))
 		}
-		return applyActGraph(out, act)
+		return ungraph[T](applyActGraph(out, act))
 	}
 	if x.Cols != w.Rows {
 		invariant.Failf("tensor: linear %dx%d @ %dx%d", x.Rows, x.Cols, w.Rows, w.Cols)
 	}
-	out := c.uninit(x.Rows, w.Cols)
-	var bd []float64
+	out := uninit[T](c, x.Rows, w.Cols)
+	var bd []T
 	if bias != nil {
 		if bias.Rows != 1 || bias.Cols != w.Cols {
 			invariant.Failf("tensor: linear bias %dx%d for width %d", bias.Rows, bias.Cols, w.Cols)
@@ -237,20 +195,20 @@ func (c *Ctx) LinearAct(x, w, bias *Tensor, act Act) *Tensor {
 // LSTM gate composition (input product plus recurrent product).
 //
 //mpgraph:noalloc
-func (c *Ctx) Linear2Act(x1, w1, x2, w2, bias *Tensor, act Act) *Tensor {
+func Linear2Act[T float32 | float64](c *Ctx, x1, w1, x2, w2, bias *Dense[T], act Act) *Dense[T] {
 	if c == nil {
-		out := Add(MatMul(x1, w1), MatMul(x2, w2))
+		out := Add(MatMul(graph(x1), graph(w1)), MatMul(graph(x2), graph(w2)))
 		if bias != nil {
-			out = AddBias(out, bias)
+			out = AddBias(out, graph(bias))
 		}
-		return applyActGraph(out, act)
+		return ungraph[T](applyActGraph(out, act))
 	}
 	if x1.Cols != w1.Rows || x2.Cols != w2.Rows || x1.Rows != x2.Rows || w1.Cols != w2.Cols {
 		invariant.Failf("tensor: linear2 %dx%d@%dx%d + %dx%d@%dx%d",
 			x1.Rows, x1.Cols, w1.Rows, w1.Cols, x2.Rows, x2.Cols, w2.Rows, w2.Cols)
 	}
-	out := c.uninit(x1.Rows, w1.Cols)
-	var bd []float64
+	out := uninit[T](c, x1.Rows, w1.Cols)
+	var bd []T
 	if bias != nil {
 		bd = bias.Data
 	}
@@ -265,18 +223,19 @@ func (c *Ctx) Linear2Act(x1, w1, x2, w2, bias *Tensor, act Act) *Tensor {
 // then scaled by gain and shifted by bias (the nn.LayerNorm composition).
 //
 //mpgraph:noalloc
-func (c *Ctx) AddLayerNorm(x, y, gain, bias *Tensor, eps float64) *Tensor {
+func AddLayerNorm[T float32 | float64](c *Ctx, x, y, gain, bias *Dense[T], eps T) *Dense[T] {
 	if c == nil {
+		gx := graph(x)
 		if y != nil {
-			x = Add(x, y)
+			gx = Add(gx, graph(y))
 		}
-		return AddBias(MulBias(NormalizeRows(x, eps), gain), bias)
+		return ungraph[T](AddBias(MulBias(NormalizeRows(gx, float64(eps)), graph(gain)), graph(bias)))
 	}
 	if gain.Cols != x.Cols || bias.Cols != x.Cols {
 		invariant.Failf("tensor: layernorm gain/bias width for %dx%d", x.Rows, x.Cols)
 	}
-	out := c.uninit(x.Rows, x.Cols)
-	var yd []float64
+	out := uninit[T](c, x.Rows, x.Cols)
+	var yd []T
 	if y != nil {
 		checkSameShape("addLayerNorm", x, y)
 		yd = y.Data

@@ -4,11 +4,11 @@ import "mpgraph/internal/invariant"
 
 // Batch-aware arena ops. A "stacked" tensor holds one session per block of
 // rows: [blocks*T x d] in session-major order. Row-wise ops (LinearAct,
-// LayerNorm, AddBias, the int8 kernels) are batch-oblivious and run on the
-// stacked tensor unchanged; the ops below are the ones that must know the
-// block boundary. Each computes a block as a pure function of that block's
-// rows, so a block's result never depends on batch composition and a single
-// sequence is simply blocks=1.
+// AddLayerNorm, the int8 kernels) are batch-oblivious and run on the stacked
+// tensor unchanged; the ops below are the ones that must know the block
+// boundary. Each computes a block as a pure function of that block's rows, so
+// a block's result never depends on batch composition and a single sequence
+// is simply blocks=1.
 
 // AttentionBlocks runs scaled-dot-product attention softmax(q·kᵀ·scale)·v
 // independently inside each of the `blocks` equal row blocks of q/k/v
@@ -22,10 +22,11 @@ import "mpgraph/internal/invariant"
 // is the autograd composition over one sequence (blocks must be 1).
 //
 //mpgraph:noalloc
-func (c *Ctx) AttentionBlocks(q, k, v *Tensor, blocks int, scale float64, exact bool) *Tensor {
+func AttentionBlocks[T float32 | float64](c *Ctx, q, k, v *Dense[T], blocks int, scale T, exact bool) *Dense[T] {
 	if c == nil {
 		invariant.Check(blocks == 1, "tensor: attentionBlocks on a nil ctx takes one sequence")
-		return MatMul(SoftmaxRows(Scale(MatMul(q, Transpose(k)), scale)), v)
+		scores := Scale(MatMul(graph(q), Transpose(graph(k))), float64(scale))
+		return ungraph[T](MatMul(SoftmaxRows(scores), graph(v)))
 	}
 	if blocks <= 0 || q.Rows%blocks != 0 {
 		invariant.Failf("tensor: attentionBlocks %d rows over %d blocks", q.Rows, blocks)
@@ -37,9 +38,10 @@ func (c *Ctx) AttentionBlocks(q, k, v *Tensor, blocks int, scale float64, exact 
 	t := q.Rows / blocks
 	d := q.Cols
 	dv := v.Cols
-	out := c.zeros(q.Rows, dv)
-	kT := c.f64.takeUninit(d * t)
-	scores := c.f64.takeUninit(2 * t * t)
+	out := zeros[T](c, q.Rows, dv)
+	scratch := &arenaOf[T](c).data
+	kT := scratch.takeUninit(d * t)
+	scores := scratch.takeUninit(2 * t * t)
 	scores, tmp := scores[:t*t], scores[t*t:]
 	for blk := 0; blk < blocks; blk++ {
 		transposeScale(kT, k.Data[blk*t*d:(blk+1)*t*d], t, d, scale)
@@ -55,7 +57,7 @@ func (c *Ctx) AttentionBlocks(q, k, v *Tensor, blocks int, scale float64, exact 
 // the panel tier otherwise.
 //
 //mpgraph:noalloc
-func gemmAcc(out, a, b []float64, m, k, n int, exact bool) {
+func gemmAcc[T float32 | float64](out, a, b []T, m, k, n int, exact bool) {
 	if exact {
 		gemm(out, a, b, m, k, n)
 		return
@@ -94,13 +96,13 @@ func transposeScale[T float32 | float64](dst, src []T, rows, cols int, scale T) 
 // -> [blocks x d], accumulating in the exact order MeanRows uses per block.
 //
 //mpgraph:noalloc
-func (c *Ctx) MeanRowsBatch(a *Tensor, blocks int) *Tensor {
+func MeanRowsBatch[T float32 | float64](c *Ctx, a *Dense[T], blocks int) *Dense[T] {
 	if c == nil || blocks <= 0 || a.Rows%blocks != 0 {
 		invariant.Failf("tensor: meanRowsBatch %d rows over %d blocks", a.Rows, blocks)
 	}
 	t := a.Rows / blocks
-	out := c.zeros(blocks, a.Cols)
-	inv := 1 / float64(t)
+	out := zeros[T](c, blocks, a.Cols)
+	inv := 1 / T(t)
 	for blk := 0; blk < blocks; blk++ {
 		orow := out.Data[blk*a.Cols : (blk+1)*a.Cols]
 		for r := 0; r < t; r++ {
@@ -117,12 +119,12 @@ func (c *Ctx) MeanRowsBatch(a *Tensor, blocks int) *Tensor {
 // [blocks*T x d] tensor — the batched form of Add(x, pos).
 //
 //mpgraph:noalloc
-func (c *Ctx) AddPosBatch(a, pos *Tensor, blocks int) *Tensor {
+func AddPosBatch[T float32 | float64](c *Ctx, a, pos *Dense[T], blocks int) *Dense[T] {
 	if c == nil || blocks <= 0 || a.Rows != blocks*pos.Rows || a.Cols != pos.Cols {
 		invariant.Failf("tensor: addPosBatch %dx%d + %dx%d over %d blocks",
 			a.Rows, a.Cols, pos.Rows, pos.Cols, blocks)
 	}
-	out := c.uninit(a.Rows, a.Cols)
+	out := uninit[T](c, a.Rows, a.Cols)
 	n := len(pos.Data)
 	for blk := 0; blk < blocks; blk++ {
 		ab := a.Data[blk*n : (blk+1)*n]
@@ -136,18 +138,23 @@ func (c *Ctx) AddPosBatch(a, pos *Tensor, blocks int) *Tensor {
 
 // ConcatRowsBatch2 interleaves two stacked tensors block by block:
 // out block i = rows of a's block i followed by rows of b's block i. This is
-// the batched ConcatRows2 the modality-fusion layer needs.
+// the modality-fusion concat. A nil ctx is the autograd ConcatRows over one
+// sequence (blocks must be 1).
 //
 //mpgraph:noalloc
-func (c *Ctx) ConcatRowsBatch2(a, b *Tensor, blocks int) *Tensor {
-	if c == nil || blocks <= 0 || a.Cols != b.Cols || a.Rows%blocks != 0 || b.Rows%blocks != 0 {
+func ConcatRowsBatch2[T float32 | float64](c *Ctx, a, b *Dense[T], blocks int) *Dense[T] {
+	if c == nil {
+		invariant.Check(blocks == 1, "tensor: concatRowsBatch2 on a nil ctx takes one sequence")
+		return ungraph[T](ConcatRows(graph(a), graph(b)))
+	}
+	if blocks <= 0 || a.Cols != b.Cols || a.Rows%blocks != 0 || b.Rows%blocks != 0 {
 		invariant.Failf("tensor: concatRowsBatch2 %dx%d + %dx%d over %d blocks",
 			a.Rows, a.Cols, b.Rows, b.Cols, blocks)
 	}
 	ta := a.Rows / blocks
 	tb := b.Rows / blocks
 	d := a.Cols
-	out := c.uninit(a.Rows+b.Rows, d)
+	out := uninit[T](c, a.Rows+b.Rows, d)
 	for blk := 0; blk < blocks; blk++ {
 		base := blk * (ta + tb) * d
 		copy(out.Data[base:base+ta*d], a.Data[blk*ta*d:(blk+1)*ta*d])
@@ -160,14 +167,14 @@ func (c *Ctx) ConcatRowsBatch2(a, b *Tensor, blocks int) *Tensor {
 // AddBias(x, embedding-row) the per-phase embedding uses.
 //
 //mpgraph:noalloc
-func (c *Ctx) AddRowPerBlock(a, table *Tensor, ids []int, blocks int) *Tensor {
+func AddRowPerBlock[T float32 | float64](c *Ctx, a, table *Dense[T], ids []int, blocks int) *Dense[T] {
 	if c == nil || blocks <= 0 || len(ids) != blocks || a.Rows%blocks != 0 || table.Cols != a.Cols {
 		invariant.Failf("tensor: addRowPerBlock %dx%d, %d ids over %d blocks",
 			a.Rows, a.Cols, len(ids), blocks)
 	}
 	t := a.Rows / blocks
 	d := a.Cols
-	out := c.uninit(a.Rows, a.Cols)
+	out := uninit[T](c, a.Rows, a.Cols)
 	for blk, id := range ids {
 		if id < 0 || id >= table.Rows {
 			invariant.Failf("tensor: addRowPerBlock id %d of %d rows", id, table.Rows)
@@ -188,12 +195,12 @@ func (c *Ctx) AddRowPerBlock(a, table *Tensor, ids []int, blocks int) *Tensor {
 // `stride` rows — the LSTM timestep gather (row t of every session block).
 //
 //mpgraph:noalloc
-func (c *Ctx) GatherRowsStride(a *Tensor, first, stride, count int) *Tensor {
+func GatherRowsStride[T float32 | float64](c *Ctx, a *Dense[T], first, stride, count int) *Dense[T] {
 	if c == nil || count <= 0 || stride <= 0 || first < 0 || first+(count-1)*stride >= a.Rows {
 		invariant.Failf("tensor: gatherRowsStride first %d stride %d count %d of %d rows",
 			first, stride, count, a.Rows)
 	}
-	out := c.uninit(count, a.Cols)
+	out := uninit[T](c, count, a.Cols)
 	d := a.Cols
 	for i := 0; i < count; i++ {
 		src := (first + i*stride) * d

@@ -17,7 +17,7 @@ const gemmParallelThreshold = 1 << 18
 // halves loop overhead on the madd-dominated inference kernels.
 //
 //mpgraph:noalloc
-func maddRow(orow, brow []float64, av float64) {
+func maddRow[T float32 | float64](orow, brow []T, av T) {
 	n := len(brow)
 	orow = orow[:n]
 	j := 0
@@ -38,7 +38,7 @@ func maddRow(orow, brow []float64, av float64) {
 // register blocking is the main single-thread GEMM win.
 //
 //mpgraph:noalloc
-func maddRows4(orow, b0, b1, b2, b3 []float64, a0, a1, a2, a3 float64) {
+func maddRows4[T float32 | float64](orow, b0, b1, b2, b3 []T, a0, a1, a2, a3 T) {
 	n := len(orow)
 	b0, b1, b2, b3 = b0[:n], b1[:n], b2[:n], b3[:n]
 	for j := 0; j < n; j++ {
@@ -51,7 +51,7 @@ func maddRows4(orow, b0, b1, b2, b3 []float64, a0, a1, a2, a3 float64) {
 // all-zero block skip keeps one-hot and ReLU-sparse inputs cheap.
 //
 //mpgraph:noalloc
-func maddPanel(orow, arow, b []float64, n int) {
+func maddPanel[T float32 | float64](orow, arow, b []T, n int) {
 	k := len(arow)
 	p := 0
 	for ; p+4 <= k; p += 4 {
@@ -101,7 +101,7 @@ func dotRows(a, b []float64) float64 {
 // the zero-allocation inference path.
 //
 //mpgraph:noalloc
-func gemm(out, a, b []float64, m, k, n int) {
+func gemm[T float32 | float64](out, a, b []T, m, k, n int) {
 	if !shouldParallel(m, m*k*n) {
 		gemmRows(out, a, b, k, n, 0, m)
 		return
@@ -110,7 +110,7 @@ func gemm(out, a, b []float64, m, k, n int) {
 }
 
 //mpgraph:noalloc
-func gemmRows(out, a, b []float64, k, n, r0, r1 int) {
+func gemmRows[T float32 | float64](out, a, b []T, k, n, r0, r1 int) {
 	for i := r0; i < r1; i++ {
 		maddPanel(out[i*n:(i+1)*n], a[i*k:(i+1)*k], b, n)
 	}
@@ -228,7 +228,8 @@ func gemmTN(out, a, b []float64, m, r, n int) {
 // one kernel per layer so steady-state inference makes a single pass over
 // the output row instead of three ops with three intermediate tensors. The
 // scalar kernels below are what gemm_batch.go falls back to where the
-// AVX-512F panel kernels are unavailable. They are deliberately
+// AVX-512F panel kernels are unavailable; products and sums accumulate in T,
+// the tier's own numerics. They are deliberately
 // single-threaded: inference matrices are [HistoryT x dim] sized (far below
 // gemmParallelThreshold) and the parallel experiment scheduler already
 // saturates the cores one simulation per worker, so nested fan-out would
@@ -245,10 +246,13 @@ const (
 	ActTanh
 )
 
-// applyAct applies act to row in place.
+// applyAct applies act to row in place. Sigmoid and tanh evaluate through the
+// float64 math package and round to T once — exact at float64, and on the f32
+// tier the correctly-rounded reference its vector kernels are parity-tested
+// against.
 //
 //mpgraph:noalloc
-func applyAct(row []float64, act Act) {
+func applyAct[T float32 | float64](row []T, act Act) {
 	switch act {
 	case ActReLU:
 		for i, v := range row {
@@ -258,11 +262,11 @@ func applyAct(row []float64, act Act) {
 		}
 	case ActSigmoid:
 		for i, v := range row {
-			row[i] = 1 / (1 + math.Exp(-v))
+			row[i] = T(1 / (1 + math.Exp(-float64(v))))
 		}
 	case ActTanh:
 		for i, v := range row {
-			row[i] = math.Tanh(v)
+			row[i] = T(math.Tanh(float64(v)))
 		}
 	}
 }
@@ -271,7 +275,7 @@ func applyAct(row []float64, act Act) {
 // bias [n] (nil for no bias), overwriting out.
 //
 //mpgraph:noalloc
-func gemmBiasAct(out, a, b, bias []float64, m, k, n int, act Act) {
+func gemmBiasAct[T float32 | float64](out, a, b, bias []T, m, k, n int, act Act) {
 	for i := 0; i < m; i++ {
 		orow := out[i*n : (i+1)*n]
 		clear(orow)
@@ -290,7 +294,7 @@ func gemmBiasAct(out, a, b, bias []float64, m, k, n int, act Act) {
 // b1 [k1 x n], a2 [m x k2], b2 [k2 x n], bias [n] (nil for none).
 //
 //mpgraph:noalloc
-func gemm2BiasAct(out, a1, b1, a2, b2, bias []float64, m, k1, k2, n int, act Act) {
+func gemm2BiasAct[T float32 | float64](out, a1, b1, a2, b2, bias []T, m, k1, k2, n int, act Act) {
 	for i := 0; i < m; i++ {
 		orow := out[i*n : (i+1)*n]
 		clear(orow)

@@ -1,11 +1,11 @@
 package tensor
 
 // Panel-GEMM tier: one weight panel multiplied against an m-row activation
-// block — every live-ctx float64 GEMM runs here, one sequence (m = T) or a
-// stacked batch (m = B*T) alike. The entry points below route through the
-// AVX-512F panel kernels when available and fall back to the scalar
-// register-blocked kernels of gemm.go otherwise (non-amd64 builds, CPUs
-// without AVX-512F), which are row-independent too.
+// block — every live-ctx float GEMM of either precision runs here, one
+// sequence (m = T) or a stacked batch (m = B*T) alike. The entry points below
+// route through the AVX-512F panel kernels when available and fall back to
+// the scalar register-blocked kernels of gemm.go otherwise (non-amd64 builds,
+// CPUs without AVX-512F), which are row-independent too.
 //
 // Determinism contract: every kernel computes output row r as a pure
 // function of activation row r with a fixed per-row operation sequence that
@@ -31,7 +31,7 @@ func ForcePortableKernels() (restore func()) {
 // step: log2(m) copies instead of m short ones.
 //
 //mpgraph:noalloc
-func initRowsBias(out, bias []float64, m, n int) {
+func initRowsBias[T float32 | float64](out, bias []T, m, n int) {
 	if bias == nil {
 		clear(out[:m*n])
 		return
@@ -47,7 +47,7 @@ func initRowsBias(out, bias []float64, m, n int) {
 // for all m rows.
 //
 //mpgraph:noalloc
-func gemmBatchBiasAct(out, a, b, bias []float64, m, k, n int, act Act) {
+func gemmBatchBiasAct[T float32 | float64](out, a, b, bias []T, m, k, n int, act Act) {
 	if m == 0 || n == 0 {
 		return
 	}
@@ -59,14 +59,14 @@ func gemmBatchBiasAct(out, a, b, bias []float64, m, k, n int, act Act) {
 	if k > 0 {
 		fmaPanels(out, a, b, m, k, n)
 	}
-	applyActFast(out[:m*n], act)
+	ApplyActFast(out[:m*n], act)
 }
 
 // gemm2BatchBiasAct computes out = act(a1@b1 + a2@b2 + bias) — the fused
 // two-input form the LSTM gates use — over a stacked m-row batch.
 //
 //mpgraph:noalloc
-func gemm2BatchBiasAct(out, a1, b1, a2, b2, bias []float64, m, k1, k2, n int, act Act) {
+func gemm2BatchBiasAct[T float32 | float64](out, a1, b1, a2, b2, bias []T, m, k1, k2, n int, act Act) {
 	if m == 0 || n == 0 {
 		return
 	}
@@ -81,14 +81,14 @@ func gemm2BatchBiasAct(out, a1, b1, a2, b2, bias []float64, m, k1, k2, n int, ac
 	if k2 > 0 {
 		fmaPanels(out, a2, b2, m, k2, n)
 	}
-	applyActFast(out[:m*n], act)
+	ApplyActFast(out[:m*n], act)
 }
 
 // gemmBatch accumulates out += a @ b through the panel kernels (exact gemm
 // fallback off AVX-512F). Used where the caller has already seeded out.
 //
 //mpgraph:noalloc
-func gemmBatch(out, a, b []float64, m, k, n int) {
+func gemmBatch[T float32 | float64](out, a, b []T, m, k, n int) {
 	if m == 0 || n == 0 || k == 0 {
 		return
 	}

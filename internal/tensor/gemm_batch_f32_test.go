@@ -50,7 +50,7 @@ func TestFMAPanelsF32MatchReference(t *testing.T) {
 				for i, v := range got {
 					want[i] = float64(v)
 				}
-				fmaPanelsF32(got, a, b, m, k, n)
+				fmaPanels(got, a, b, m, k, n)
 				gemmRefF64(want, a, b, m, k, n)
 				tol := f32TolFor(k, 4*math.Sqrt(float64(k)))
 				for i := range got {
@@ -76,10 +76,10 @@ func TestFMAPanelsF32BatchComposition(t *testing.T) {
 	a := randSliceF32(rng, m*k)
 	b := randSliceF32(rng, k*n)
 	batched := make([]float32, m*n)
-	fmaPanelsF32(batched, a, b, m, k, n)
+	fmaPanels(batched, a, b, m, k, n)
 	for i := 0; i < m; i++ {
 		solo := make([]float32, n)
-		fmaPanelsF32(solo, a[i*k:(i+1)*k], b, 1, k, n)
+		fmaPanels(solo, a[i*k:(i+1)*k], b, 1, k, n)
 		for j := range solo {
 			if math.Float32bits(solo[j]) != math.Float32bits(batched[i*n+j]) {
 				t.Fatalf("row %d col %d: solo %x != batched %x",
@@ -110,7 +110,7 @@ func TestVactF32Accuracy(t *testing.T) {
 	// exp(x - bias): vector kernel clamps at ±87, inside f32 range.
 	for _, bias := range []float32{0, 2.5, -1.25} {
 		buf := append([]float32(nil), xs...)
-		vactF32(buf, vactExp, bias)
+		vact(buf, vactExp, bias)
 		for i, x := range xs {
 			arg := x - bias // the kernel subtracts in f32; mirror that
 			if arg > 87 || arg < -87 {
@@ -125,7 +125,7 @@ func TestVactF32Accuracy(t *testing.T) {
 
 	// sigmoid
 	buf := append([]float32(nil), xs...)
-	vactF32(buf, vactSigmoid, 0)
+	vact(buf, vactSigmoid, 0)
 	for i, x := range xs {
 		want := 1 / (1 + math.Exp(-float64(x)))
 		if relErr(buf[i], want) > 1e-6 && math.Abs(float64(buf[i])-want) > 1e-9 {
@@ -135,7 +135,7 @@ func TestVactF32Accuracy(t *testing.T) {
 
 	// tanh: saturates exactly to ±1 past the clamp
 	buf = append([]float32(nil), xs...)
-	vactF32(buf, vactTanh, 0)
+	vact(buf, vactTanh, 0)
 	for i, x := range xs {
 		want := math.Tanh(float64(x))
 		if relErr(buf[i], want) > 1e-6 && math.Abs(float64(buf[i])-want) > 1e-9 {
@@ -154,8 +154,8 @@ func TestGemmBatchBiasActF32MatchesScalar(t *testing.T) {
 			bias := randSliceF32(rng, n)
 			got := make([]float32, m*n)
 			want := make([]float32, m*n)
-			gemmBatchBiasActF32(got, a, b, bias, m, k, n, act)
-			gemmBiasActF32(want, a, b, bias, m, k, n, act)
+			gemmBatchBiasAct(got, a, b, bias, m, k, n, act)
+			gemmBiasAct(want, a, b, bias, m, k, n, act)
 			for i := range got {
 				if math.Abs(float64(got[i])-float64(want[i])) > 1e-4 {
 					t.Fatalf("act=%d m=%d: out[%d] = %g, want %g (diff %g)",
@@ -177,8 +177,8 @@ func TestGemm2BatchBiasActF32MatchesScalar(t *testing.T) {
 	for _, act := range []Act{ActNone, ActSigmoid, ActTanh} {
 		got := make([]float32, m*n)
 		want := make([]float32, m*n)
-		gemm2BatchBiasActF32(got, a1, b1, a2, b2, bias, m, k1, k2, n, act)
-		gemm2BiasActF32(want, a1, b1, a2, b2, bias, m, k1, k2, n, act)
+		gemm2BatchBiasAct(got, a1, b1, a2, b2, bias, m, k1, k2, n, act)
+		gemm2BiasAct(want, a1, b1, a2, b2, bias, m, k1, k2, n, act)
 		for i := range got {
 			if math.Abs(float64(got[i])-float64(want[i])) > 1e-4 {
 				t.Fatalf("act=%d: out[%d] = %g, want %g", act, i, got[i], want[i])
@@ -195,8 +195,8 @@ func TestSoftmaxInPlaceFastF32Matches(t *testing.T) {
 			row[i] *= 10
 		}
 		want := append([]float32(nil), row...)
-		softmaxRowsF32(row, make([]float32, n), 1, n)
-		softmaxInPlaceF32(want)
+		softmaxRows(row, make([]float32, n), 1, n, false)
+		softmaxInPlace(want)
 		var sum float64
 		for i := range row {
 			if math.Abs(float64(row[i])-float64(want[i])) > 1e-6 {
@@ -218,10 +218,10 @@ func TestVactF32PropagatesNaN(t *testing.T) {
 	nan := float32(math.NaN())
 	for _, n := range []int{1, 16, 19} {
 		for name, f := range map[string]func([]float32){
-			"exp":     func(r []float32) { vactF32(r, vactExp, 0.5) },
-			"sigmoid": func(r []float32) { vactF32(r, vactSigmoid, 0) },
-			"tanh":    func(r []float32) { vactF32(r, vactTanh, 0) },
-			"relu":    func(r []float32) { vactF32(r, vactReLU, 0) },
+			"exp":     func(r []float32) { vact(r, vactExp, 0.5) },
+			"sigmoid": func(r []float32) { vact(r, vactSigmoid, 0) },
+			"tanh":    func(r []float32) { vact(r, vactTanh, 0) },
+			"relu":    func(r []float32) { vact(r, vactReLU, 0) },
 		} {
 			row := make([]float32, n)
 			row[n-1] = nan
@@ -245,15 +245,15 @@ func TestAttentionBlocksF32CompositionIndependent(t *testing.T) {
 	qd := randSliceF32(rng, blocks*tt*d)
 	kd := randSliceF32(rng, blocks*tt*d)
 	vd := randSliceF32(rng, blocks*tt*d)
-	q := c.viewF32(blocks*tt, d, qd)
-	k := c.viewF32(blocks*tt, d, kd)
-	v := c.viewF32(blocks*tt, d, vd)
-	full := c.AttentionBlocksF32(q, k, v, blocks, 0.25)
+	q := view(c, blocks*tt, d, qd)
+	k := view(c, blocks*tt, d, kd)
+	v := view(c, blocks*tt, d, vd)
+	full := AttentionBlocks(c, q, k, v, blocks, 0.25, false)
 	for blk := 0; blk < blocks; blk++ {
-		qb := c.viewF32(tt, d, qd[blk*tt*d:(blk+1)*tt*d])
-		kb := c.viewF32(tt, d, kd[blk*tt*d:(blk+1)*tt*d])
-		vb := c.viewF32(tt, d, vd[blk*tt*d:(blk+1)*tt*d])
-		solo := c.AttentionBlocksF32(qb, kb, vb, 1, 0.25)
+		qb := view(c, tt, d, qd[blk*tt*d:(blk+1)*tt*d])
+		kb := view(c, tt, d, kd[blk*tt*d:(blk+1)*tt*d])
+		vb := view(c, tt, d, vd[blk*tt*d:(blk+1)*tt*d])
+		solo := AttentionBlocks(c, qb, kb, vb, 1, 0.25, false)
 		for i := range solo.Data {
 			gotB := math.Float32bits(full.Data[blk*tt*d+i])
 			soloB := math.Float32bits(solo.Data[i])
@@ -274,12 +274,12 @@ func TestF32OpsSequentialBatchIdentical(t *testing.T) {
 	xd := randSliceF32(rng, m*k)
 	wd := randSliceF32(rng, k*n)
 	bd := randSliceF32(rng, n)
-	x := c.viewF32(m, k, xd)
-	w := c.viewF32(k, n, wd)
-	b := c.viewF32(1, n, bd)
-	batched := c.LinearActF32(x, w, b, ActSigmoid)
+	x := view(c, m, k, xd)
+	w := view(c, k, n, wd)
+	b := view(c, 1, n, bd)
+	batched := LinearAct(c, x, w, b, ActSigmoid)
 	for i := 0; i < m; i++ {
-		solo := c.LinearActF32(c.viewF32(1, k, xd[i*k:(i+1)*k]), w, b, ActSigmoid)
+		solo := LinearAct(c, view(c, 1, k, xd[i*k:(i+1)*k]), w, b, ActSigmoid)
 		for j := range solo.Data {
 			if math.Float32bits(solo.Data[j]) != math.Float32bits(batched.Data[i*n+j]) {
 				t.Fatalf("row %d col %d: solo %x != batched %x",
@@ -301,15 +301,15 @@ func TestF32OpsZeroAlloc(t *testing.T) {
 	gd := randSliceF32(rng, k)
 	run := func() {
 		c.Reset()
-		x := c.viewF32(m, k, xd)
-		w := c.viewF32(k, n, wd)
-		b := c.viewF32(1, n, bd)
-		gain := c.viewF32(1, k, gd)
-		h := c.AddLayerNormF32(x, x, gain, gain, 1e-5)
-		h = c.LinearActF32(h, w, b, ActReLU)
-		att := c.AttentionBlocksF32(x, x, x, 2, 0.5)
-		_ = c.MeanRowsBatchF32(att, 2)
-		_ = c.WidenCtxF32(h)
+		x := view(c, m, k, xd)
+		w := view(c, k, n, wd)
+		b := view(c, 1, n, bd)
+		gain := view(c, 1, k, gd)
+		h := AddLayerNorm(c, x, x, gain, gain, 1e-5)
+		h = LinearAct(c, h, w, b, ActReLU)
+		att := AttentionBlocks(c, x, x, x, 2, 0.5, false)
+		_ = MeanRowsBatch(c, att, 2)
+		_ = WidenCtx(c, h)
 		_ = c.Halfs(64)
 	}
 	run() // warm the slabs
@@ -334,11 +334,11 @@ func TestArenaF32Slabs(t *testing.T) {
 	if len(h) != 7 {
 		t.Fatalf("Halfs(7) len %d", len(h))
 	}
-	p := c.F32Ptrs(3)
+	p := Ptrs[float32](c, 3)
 	if len(p) != 3 || p[0] != nil {
 		t.Fatalf("F32Ptrs(3) = %v", p)
 	}
-	zt := c.ZerosF32(3, 4)
+	zt := ZerosCtx[float32](c, 3, 4)
 	if zt.Rows != 3 || zt.Cols != 4 || len(zt.Data) != 12 {
 		t.Fatalf("ZerosF32 shape %dx%d len %d", zt.Rows, zt.Cols, len(zt.Data))
 	}
@@ -351,7 +351,7 @@ func TestArenaF32Slabs(t *testing.T) {
 	if got := nc.Halfs(4); len(got) != 4 {
 		t.Fatalf("nil Halfs len %d", len(got))
 	}
-	if got := nc.F32Ptrs(2); len(got) != 2 {
+	if got := Ptrs[float32](nc, 2); len(got) != 2 {
 		t.Fatalf("nil F32Ptrs len %d", len(got))
 	}
 }

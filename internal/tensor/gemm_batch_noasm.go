@@ -11,18 +11,18 @@ var useAVX512F = false
 //mpgraph:noalloc
 func batchKernelAvailable() bool { return false }
 
-func fmaPanels(out, a, b []float64, m, k, n int) {
+func fmaPanels[T float32 | float64](out, a, b []T, m, k, n int) {
 	invariant.Fail("tensor: fmaPanels requires the amd64 batch kernels")
 }
 
-func vact(row []float64, mode int64, bias float64) {
+func vact[T float32 | float64](row []T, mode int64, bias T) {
 	invariant.Fail("tensor: vact requires the amd64 batch kernels")
 }
 
-func vsoftmaxRows(p, tmp []float64, rows, cols int) {
+func vsoftmaxRows[T float32 | float64](p, tmp []T, rows, cols int) {
 	invariant.Fail("tensor: vsoftmaxRows requires the amd64 batch kernels")
 }
 
-func vaddLayerNorm(out, x, y, gain, bias []float64, rows, cols int, eps float64) {
+func vaddLayerNorm[T float32 | float64](out, x, y, gain, bias []T, rows, cols int, eps T) {
 	invariant.Fail("tensor: vaddLayerNorm requires the amd64 batch kernels")
 }

@@ -235,18 +235,18 @@ func TestOpsSequentialBatchIdentical(t *testing.T) {
 		c := NewCtx()
 		rng := rand.New(rand.NewSource(28))
 		m, k, n := 9, 17, 29
-		x := c.view(m, k, randSlice(rng, m*k))
-		h := c.view(m, n, randSlice(rng, m*n))
-		w := c.view(k, n, randSlice(rng, k*n))
-		u := c.view(n, n, randSlice(rng, n*n))
-		b := c.view(1, n, randSlice(rng, n))
+		x := view(c, m, k, randSlice(rng, m*k))
+		h := view(c, m, n, randSlice(rng, m*n))
+		w := view(c, k, n, randSlice(rng, k*n))
+		u := view(c, n, n, randSlice(rng, n*n))
+		b := view(c, 1, n, randSlice(rng, n))
 		chain := func(x, h *Tensor) *Tensor {
-			g := c.Linear2Act(x, w, h, u, b, ActTanh)
-			return c.SigmoidInPlace(c.LinearAct(g, u, b, ActReLU))
+			g := Linear2Act(c, x, w, h, u, b, ActTanh)
+			return SigmoidInPlace(c, LinearAct(c, g, u, b, ActReLU))
 		}
 		batched := chain(x, h)
 		for i := 0; i < m; i++ {
-			solo := chain(c.view(1, k, x.Data[i*k:(i+1)*k]), c.view(1, n, h.Data[i*n:(i+1)*n]))
+			solo := chain(view(c, 1, k, x.Data[i*k:(i+1)*k]), view(c, 1, n, h.Data[i*n:(i+1)*n]))
 			for j := range solo.Data {
 				if math.Float64bits(solo.Data[j]) != math.Float64bits(batched.Data[i*n+j]) {
 					t.Fatalf("row %d col %d: solo %x != batched %x",
@@ -257,7 +257,7 @@ func TestOpsSequentialBatchIdentical(t *testing.T) {
 		run := func() {
 			c.Reset()
 			g := chain(x, h)
-			c.AttentionBlocks(g, g, g, 3, 0.5, false)
+			AttentionBlocks(c, g, g, g, 3, 0.5, false)
 		}
 		run() // warm the slabs
 		run()
@@ -275,16 +275,16 @@ func testAttentionBlocksCompositionIndependent(t *testing.T) {
 	c := NewCtx()
 	rng := rand.New(rand.NewSource(27))
 	blocks, tt, d := 6, 5, 16
-	q := c.view(blocks*tt, d, randSlice(rng, blocks*tt*d))
-	k := c.view(blocks*tt, d, randSlice(rng, blocks*tt*d))
-	v := c.view(blocks*tt, d, randSlice(rng, blocks*tt*d))
+	q := view(c, blocks*tt, d, randSlice(rng, blocks*tt*d))
+	k := view(c, blocks*tt, d, randSlice(rng, blocks*tt*d))
+	v := view(c, blocks*tt, d, randSlice(rng, blocks*tt*d))
 	for _, exact := range []bool{false, true} {
-		full := c.AttentionBlocks(q, k, v, blocks, 0.25, exact)
+		full := AttentionBlocks(c, q, k, v, blocks, 0.25, exact)
 		for blk := 0; blk < blocks; blk++ {
-			qb := c.view(tt, d, q.Data[blk*tt*d:(blk+1)*tt*d])
-			kb := c.view(tt, d, k.Data[blk*tt*d:(blk+1)*tt*d])
-			vb := c.view(tt, d, v.Data[blk*tt*d:(blk+1)*tt*d])
-			solo := c.AttentionBlocks(qb, kb, vb, 1, 0.25, exact)
+			qb := view(c, tt, d, q.Data[blk*tt*d:(blk+1)*tt*d])
+			kb := view(c, tt, d, k.Data[blk*tt*d:(blk+1)*tt*d])
+			vb := view(c, tt, d, v.Data[blk*tt*d:(blk+1)*tt*d])
+			solo := AttentionBlocks(c, qb, kb, vb, 1, 0.25, exact)
 			for i := range solo.Data {
 				gotB := math.Float64bits(full.Data[blk*tt*d+i])
 				soloB := math.Float64bits(solo.Data[i])

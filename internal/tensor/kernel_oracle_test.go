@@ -60,23 +60,23 @@ func TestKernelOracleAttention(t *testing.T) {
 				name := fmt.Sprintf("T=%d d=%d blocks=%d", tt, d, blocks)
 				rows := blocks * tt
 				scale := 1 / math.Sqrt(float64(d))
-				q := c.view(rows, d, randSlice(rng, rows*d))
-				k := c.view(rows, d, randSlice(rng, rows*d))
-				v := c.view(rows, d, randSlice(rng, rows*d))
-				native := c.AttentionBlocks(q, k, v, blocks, scale, false)
+				q := view(c, rows, d, randSlice(rng, rows*d))
+				k := view(c, rows, d, randSlice(rng, rows*d))
+				v := view(c, rows, d, randSlice(rng, rows*d))
+				native := AttentionBlocks(c, q, k, v, blocks, scale, false)
 				var scalar, exact *Tensor
 				portable(func() {
-					scalar = c.AttentionBlocks(q, k, v, blocks, scale, false)
-					exact = c.AttentionBlocks(q, k, v, blocks, scale, true)
+					scalar = AttentionBlocks(c, q, k, v, blocks, scale, false)
+					exact = AttentionBlocks(c, q, k, v, blocks, scale, true)
 				})
-				nativeExact := c.AttentionBlocks(q, k, v, blocks, scale, true)
-				qf, kf, vf := c.NarrowCtxF32(q), c.NarrowCtxF32(k), c.NarrowCtxF32(v)
-				nativeF32 := c.AttentionBlocksF32(qf, kf, vf, blocks, float32(scale))
+				nativeExact := AttentionBlocks(c, q, k, v, blocks, scale, true)
+				qf, kf, vf := NarrowCtx[float32](c, q), NarrowCtx[float32](c, k), NarrowCtx[float32](c, v)
+				nativeF32 := AttentionBlocks(c, qf, kf, vf, blocks, float32(scale), false)
 				var scalarF32 *F32Tensor
-				portable(func() { scalarF32 = c.AttentionBlocksF32(qf, kf, vf, blocks, float32(scale)) })
+				portable(func() { scalarF32 = AttentionBlocks(c, qf, kf, vf, blocks, float32(scale), false) })
 				for blk := 0; blk < blocks; blk++ {
 					lo, hi := blk*tt*d, (blk+1)*tt*d
-					auto := (*Ctx)(nil).AttentionBlocks(
+					auto := AttentionBlocks(nil,
 						New(tt, d, q.Data[lo:hi]), New(tt, d, k.Data[lo:hi]),
 						New(tt, d, v.Data[lo:hi]), 1, scale, false)
 					for i, want := range auto.Data {
@@ -117,10 +117,10 @@ func TestKernelOracleSoftmaxRows(t *testing.T) {
 			want := append([]float64(nil), p...)
 			wantF := append([]float32(nil), pf...)
 			softmaxRows(p, make([]float64, len(p)), rows, cols, false)
-			softmaxRowsF32(pf, make([]float32, len(pf)), rows, cols)
+			softmaxRows(pf, make([]float32, len(pf)), rows, cols, false)
 			portable(func() {
 				softmaxRows(want, nil, rows, cols, false)
-				softmaxRowsF32(wantF, nil, rows, cols)
+				softmaxRows(wantF, nil, rows, cols, false)
 			})
 			for i := range p {
 				if math.Abs(p[i]-want[i]) > 1e-12 {
@@ -146,25 +146,25 @@ func TestKernelOracleAddLayerNorm(t *testing.T) {
 				for _, residual := range []bool{true, false} {
 					name := fmt.Sprintf("T=%d d=%d blocks=%d residual=%v", tt, d, blocks, residual)
 					rows := blocks * tt
-					x := c.view(rows, d, randSlice(rng, rows*d))
+					x := view(c, rows, d, randSlice(rng, rows*d))
 					var y *Tensor
 					var yf *F32Tensor
 					if residual {
-						y = c.view(rows, d, randSlice(rng, rows*d))
-						yf = c.NarrowCtxF32(y)
+						y = view(c, rows, d, randSlice(rng, rows*d))
+						yf = NarrowCtx[float32](c, y)
 					}
-					gain := c.view(1, d, randSlice(rng, d))
-					bias := c.view(1, d, randSlice(rng, d))
-					xf, gf, bf := c.NarrowCtxF32(x), c.NarrowCtxF32(gain), c.NarrowCtxF32(bias)
-					native := c.AddLayerNorm(x, y, gain, bias, 1e-5)
-					nativeF := c.AddLayerNormF32(xf, yf, gf, bf, 1e-5)
+					gain := view(c, 1, d, randSlice(rng, d))
+					bias := view(c, 1, d, randSlice(rng, d))
+					xf, gf, bf := NarrowCtx[float32](c, x), NarrowCtx[float32](c, gain), NarrowCtx[float32](c, bias)
+					native := AddLayerNorm(c, x, y, gain, bias, 1e-5)
+					nativeF := AddLayerNorm(c, xf, yf, gf, bf, 1e-5)
 					var scalar *Tensor
 					var scalarF *F32Tensor
 					portable(func() {
-						scalar = c.AddLayerNorm(x, y, gain, bias, 1e-5)
-						scalarF = c.AddLayerNormF32(xf, yf, gf, bf, 1e-5)
+						scalar = AddLayerNorm(c, x, y, gain, bias, 1e-5)
+						scalarF = AddLayerNorm(c, xf, yf, gf, bf, 1e-5)
 					})
-					auto := (*Ctx)(nil).AddLayerNorm(x, y, gain, bias, 1e-5)
+					auto := AddLayerNorm(nil, x, y, gain, bias, 1e-5)
 					for i, want := range auto.Data {
 						if math.Abs(native.Data[i]-want) > 1e-9 || math.Abs(scalar.Data[i]-want) > 1e-9 {
 							t.Fatalf("%s: f64 elem %d native %g portable %g autograd %g",
@@ -211,7 +211,7 @@ func TestKernelOracleRemainderRows(t *testing.T) {
 					seedF[i] = float32(v)
 				}
 				gotF := append([]float32(nil), seedF...)
-				fmaPanelsF32(gotF, af, bf, m, k, n)
+				fmaPanels(gotF, af, bf, m, k, n)
 				for r := 0; r < m; r++ {
 					// Row r four times over is one 4-row tile.
 					a4, o4 := make([]float64, 4*k), make([]float64, 4*n)
@@ -223,7 +223,7 @@ func TestKernelOracleRemainderRows(t *testing.T) {
 						copy(o4f[i*n:], seedF[r*n:(r+1)*n])
 					}
 					fmaPanels(o4, a4, b, 4, k, n)
-					fmaPanelsF32(o4f, a4f, bf, 4, k, n)
+					fmaPanels(o4f, a4f, bf, 4, k, n)
 					for j := 0; j < n; j++ {
 						if math.Float64bits(got[r*n+j]) != math.Float64bits(o4[j]) {
 							t.Fatalf("f64 m=%d k=%d n=%d row %d col %d: %x, 4-row kernel %x",
@@ -253,14 +253,14 @@ func TestAttentionPropagatesNaN(t *testing.T) {
 				in := [3][]float64{randSlice(rng, tt*d), randSlice(rng, tt*d), randSlice(rng, tt*d)}
 				// Poison the last row's last feature of q, k or v.
 				in[which][tt*d-1] = math.NaN()
-				q, k, v := c.view(tt, d, in[0]), c.view(tt, d, in[1]), c.view(tt, d, in[2])
+				q, k, v := view(c, tt, d, in[0]), view(c, tt, d, in[1]), view(c, tt, d, in[2])
 				for _, exact := range []bool{false, true} {
-					out := c.AttentionBlocks(q, k, v, 1, 0.25, exact)
+					out := AttentionBlocks(c, q, k, v, 1, 0.25, exact)
 					if !math.IsNaN(out.Data[tt*d-1]) {
 						t.Fatalf("f64 T=%d exact=%v: NaN in input %d came out as %g", tt, exact, which, out.Data[tt*d-1])
 					}
 				}
-				outF := c.AttentionBlocksF32(c.NarrowCtxF32(q), c.NarrowCtxF32(k), c.NarrowCtxF32(v), 1, 0.25)
+				outF := AttentionBlocks(c, NarrowCtx[float32](c, q), NarrowCtx[float32](c, k), NarrowCtx[float32](c, v), 1, 0.25, false)
 				if v := outF.Data[tt*d-1]; v == v {
 					t.Fatalf("f32 T=%d: NaN in input %d came out as %g", tt, which, v)
 				}
@@ -287,10 +287,10 @@ func TestLayerNormPropagatesNaN(t *testing.T) {
 					} else {
 						xd[3*d+d-1] = bad
 					}
-					x, y := c.view(rows, d, xd), c.view(rows, d, yd)
-					gain, bias := c.view(1, d, randSlice(rng, d)), c.view(1, d, randSlice(rng, d))
-					out := c.AddLayerNorm(x, y, gain, bias, 1e-5)
-					outF := c.AddLayerNormF32(c.NarrowCtxF32(x), c.NarrowCtxF32(y), c.NarrowCtxF32(gain), c.NarrowCtxF32(bias), 1e-5)
+					x, y := view(c, rows, d, xd), view(c, rows, d, yd)
+					gain, bias := view(c, 1, d, randSlice(rng, d)), view(c, 1, d, randSlice(rng, d))
+					out := AddLayerNorm(c, x, y, gain, bias, 1e-5)
+					outF := AddLayerNorm(c, NarrowCtx[float32](c, x), NarrowCtx[float32](c, y), NarrowCtx[float32](c, gain), NarrowCtx[float32](c, bias), 1e-5)
 					for i := range out.Data {
 						poisoned := i/d == 3
 						if got := math.IsNaN(out.Data[i]); got != poisoned {

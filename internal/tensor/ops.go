@@ -523,7 +523,7 @@ func MSE(a *Tensor, targets []float64) *Tensor {
 }
 
 //mpgraph:noalloc
-func checkSameShape(op string, a, b *Tensor) {
+func checkSameShape[T float32 | float64](op string, a, b *Dense[T]) {
 	if a.Rows != b.Rows || a.Cols != b.Cols {
 		invariant.Failf("tensor: %s shape mismatch %dx%d vs %dx%d", op, a.Rows, a.Cols, b.Rows, b.Cols)
 	}

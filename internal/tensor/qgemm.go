@@ -501,7 +501,7 @@ func (c *Ctx) QLinearActQ(xq []int8, rows int, scale float64, w *QTensor, bias *
 		qgemmBiasAct(out.Data, xq, w.Data, rows, w.In, w.Out, scale, w.Scales, bd, act)
 		return out
 	}
-	out := c.uninit(rows, w.Out)
+	out := uninit[float64](c, rows, w.Out)
 	c.qgemmBatch(out.Data, xq, w, rows, scale, bd, act)
 	return out
 }

@@ -41,7 +41,7 @@ func BenchmarkLinearActShapes(b *testing.B) {
 		c := NewCtx()
 		b.Run(fmt.Sprintf("%dx%dx%d", sh.m, sh.k, sh.n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				c.LinearAct(x, w, bias, ActReLU)
+				LinearAct(c, x, w, bias, ActReLU)
 				c.Reset()
 			}
 		})
@@ -68,7 +68,7 @@ func BenchmarkLinearActSparse(b *testing.B) {
 	c := NewCtx()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c.LinearAct(x, w, bias, ActReLU)
+		LinearAct(c, x, w, bias, ActReLU)
 		c.Reset()
 	}
 }

@@ -191,7 +191,7 @@ func TestQLinearActApproximatesFloat(t *testing.T) {
 	scale := QuantScale(x.MaxAbs())
 	ctx := NewCtx()
 	got := ctx.QLinearAct(x, scale, q, bias, ActNone)
-	want := ctx.LinearAct(x, w, bias, ActNone)
+	want := LinearAct(ctx, x, w, bias, ActNone)
 	rangeAbs := want.MaxAbs()
 	for i := range want.Data {
 		if err := math.Abs(got.Data[i] - want.Data[i]); err > 0.05*rangeAbs {

@@ -1,4 +1,4 @@
-// Package tensor implements the dense float64 matrix type and reverse-mode
+// Package tensor implements the dense matrix type and the float64 reverse-mode
 // automatic differentiation the neural-network stack is built on. It is a
 // deliberate stdlib-only substitute for the PyTorch/TensorFlow substrate the
 // paper's models assume (DESIGN.md §2): every op used by AMMA, the LSTM and
@@ -35,19 +35,31 @@ func SetGradEnabled(v bool) bool {
 // GradEnabled reports whether autograd graph construction is on.
 func GradEnabled() bool { return !gradDisabled.Load() }
 
-// Tensor is a 2-D row-major matrix participating in reverse-mode autodiff.
+// Dense is a 2-D row-major matrix over one of the two float element types.
 // (All models in this repository operate on [sequence x features] or
-// [features x features] matrices; higher ranks are unnecessary.)
-type Tensor struct {
+// [features x features] matrices; higher ranks are unnecessary.) The
+// graph-free inference ops (fastops.go) and everything built on them are
+// written once over T; the autograd ops (ops.go) and the graph fields below
+// are only ever exercised at float64, the training precision.
+type Dense[T float32 | float64] struct {
 	Rows, Cols int
-	Data       []float64
+	Data       []T
 	// Grad accumulates d(loss)/d(this); allocated on demand.
-	Grad []float64
+	Grad []T
 
 	requiresGrad bool
-	parents      []*Tensor
+	parents      []*Dense[T]
 	backward     func()
 }
+
+// Tensor is the float64 matrix: training, autograd and the f64 inference
+// tier.
+type Tensor = Dense[float64]
+
+// F32Tensor is the single-precision inference matrix (DESIGN.md §13). The
+// f32 tier exists only on the live-ctx inference path: every op handed an
+// F32Tensor on a nil ctx fails the invariant.
+type F32Tensor = Dense[float32]
 
 // New creates a Rows x Cols tensor backed by data (taken over, not copied).
 func New(rows, cols int, data []float64) *Tensor {
@@ -71,37 +83,61 @@ func Randn(rows, cols int, scale float64, rng *rand.Rand) *Tensor {
 	return t
 }
 
+// NewF32Tensor returns a zeroed heap-backed rows x cols F32Tensor (model
+// parameters at conversion time; the hot path uses arena-backed ctx ops).
+func NewF32Tensor(rows, cols int) *F32Tensor {
+	return &F32Tensor{Rows: rows, Cols: cols, Data: make([]float32, rows*cols)}
+}
+
+// NarrowF32 converts a float64 tensor to f32 by rounding every element —
+// the weight-narrowing step of the mixed-precision ladder. Heap-allocating;
+// used once per parameter at model conversion, never per inference.
+func NarrowF32(t *Tensor) *F32Tensor {
+	out := NewF32Tensor(t.Rows, t.Cols)
+	for i, v := range t.Data {
+		out.Data[i] = float32(v)
+	}
+	return out
+}
+
 // Param marks t as a trainable parameter (gradients accumulate).
-func (t *Tensor) Param() *Tensor {
+func (t *Dense[T]) Param() *Dense[T] {
 	t.requiresGrad = true
 	return t
 }
 
 // RequiresGrad reports whether t participates in gradients.
-func (t *Tensor) RequiresGrad() bool { return t.requiresGrad }
+func (t *Dense[T]) RequiresGrad() bool { return t.requiresGrad }
 
 // At returns element (r,c).
-func (t *Tensor) At(r, c int) float64 { return t.Data[r*t.Cols+c] }
+//
+//mpgraph:noalloc
+func (t *Dense[T]) At(r, c int) T { return t.Data[r*t.Cols+c] }
 
 // Set assigns element (r,c).
-func (t *Tensor) Set(r, c int, v float64) { t.Data[r*t.Cols+c] = v }
+func (t *Dense[T]) Set(r, c int, v T) { t.Data[r*t.Cols+c] = v }
+
+// Row returns row r as a shared sub-slice.
+//
+//mpgraph:noalloc
+func (t *Dense[T]) Row(r int) []T { return t.Data[r*t.Cols : (r+1)*t.Cols] }
 
 // Clone returns a detached deep copy (no graph edges).
-func (t *Tensor) Clone() *Tensor {
-	d := make([]float64, len(t.Data))
+func (t *Dense[T]) Clone() *Dense[T] {
+	d := make([]T, len(t.Data))
 	copy(d, t.Data)
-	return New(t.Rows, t.Cols, d)
+	return &Dense[T]{Rows: t.Rows, Cols: t.Cols, Data: d}
 }
 
 // ensureGrad allocates the gradient buffer.
-func (t *Tensor) ensureGrad() {
+func (t *Dense[T]) ensureGrad() {
 	if t.Grad == nil {
-		t.Grad = make([]float64, len(t.Data))
+		t.Grad = make([]T, len(t.Data))
 	}
 }
 
 // ZeroGrad clears accumulated gradients.
-func (t *Tensor) ZeroGrad() {
+func (t *Dense[T]) ZeroGrad() {
 	for i := range t.Grad {
 		t.Grad[i] = 0
 	}
@@ -129,7 +165,7 @@ func newResult(rows, cols int, parents []*Tensor, backward func()) *Tensor {
 // Backward runs reverse-mode autodiff from t, which must be 1x1 (a scalar
 // loss). Gradients accumulate into every reachable tensor with
 // requiresGrad.
-func (t *Tensor) Backward() error {
+func (t *Dense[T]) Backward() error {
 	if t.Rows != 1 || t.Cols != 1 {
 		return fmt.Errorf("tensor: Backward needs a scalar, got %dx%d", t.Rows, t.Cols)
 	}
@@ -137,10 +173,10 @@ func (t *Tensor) Backward() error {
 		return fmt.Errorf("tensor: Backward on a tensor with no graph")
 	}
 	// Topological order via iterative DFS.
-	var order []*Tensor
-	visited := map[*Tensor]bool{}
+	var order []*Dense[T]
+	visited := map[*Dense[T]]bool{}
 	type frame struct {
-		n    *Tensor
+		n    *Dense[T]
 		next int
 	}
 	stack := []frame{{n: t}}
@@ -173,19 +209,19 @@ func (t *Tensor) Backward() error {
 }
 
 // Detach returns a view sharing Data but cut from the graph.
-func (t *Tensor) Detach() *Tensor {
-	return &Tensor{Rows: t.Rows, Cols: t.Cols, Data: t.Data}
+func (t *Dense[T]) Detach() *Dense[T] {
+	return &Dense[T]{Rows: t.Rows, Cols: t.Cols, Data: t.Data}
 }
 
-func (t *Tensor) String() string {
+func (t *Dense[T]) String() string {
 	return fmt.Sprintf("Tensor(%dx%d)", t.Rows, t.Cols)
 }
 
 // MaxAbs returns the largest absolute entry (used in tests and quantization).
-func (t *Tensor) MaxAbs() float64 {
+func (t *Dense[T]) MaxAbs() float64 {
 	m := 0.0
 	for _, v := range t.Data {
-		if a := math.Abs(v); a > m {
+		if a := math.Abs(float64(v)); a > m {
 			m = a
 		}
 	}
