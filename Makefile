@@ -74,9 +74,8 @@ race:
 # `go test` already replays) for a short budget. `go test -fuzz` takes one
 # target in one package per run. New crashers land in the package's testdata/
 # and are meant to be committed with their fix.
-FUZZTIME ?= 10s
 fuzz:
-	$(GO) test ./internal/serve/ -run xxx -fuzz '^FuzzDecodeEvents$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/serve/ -run xxx -fuzz '^FuzzDecodeEvents$$' -fuzztime 10s
 
 # bench regenerates BENCH_small.json via cmd/mpgraph-bench (int8, f32 and
 # f16 speedups over float64 appear in its "speedups" section). The µs-scale

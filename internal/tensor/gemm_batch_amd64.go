@@ -13,64 +13,79 @@ var useAVX512F = hasAVX512F()
 // fmaPanel4Asm is implemented in gemm_batch_amd64.s: out += a @ b for four
 // consecutive rows of the activation block (out rows stride n, a rows stride
 // k), walking b in 16-column zmm tiles so one weight load feeds four FMA
-// chains. rows is 4, or 2 for a two-row remainder. fmaPanel4F32Asm
-// (gemm_batch_f32_amd64.s) is the same kernel over 32-column zmm tile pairs.
+// chains. rows is 4, or 2 for a two-row remainder.
 //
 //mpgraph:noalloc
+//
 //go:noescape
 func fmaPanel4Asm(out, a, b *float64, k, n, rows int64)
 
+// fmaPanel4F32Asm (gemm_batch_f32_amd64.s) is the f32 twin of fmaPanel4Asm,
+// over 32-column zmm tile pairs.
 //
 //mpgraph:noalloc
+//
 //go:noescape
 func fmaPanel4F32Asm(out, a, b *float32, k, n, rows int64)
 
-// fmaPanel1Asm and fmaPanel1F32Asm are the single-row remainder kernels; per
-// element they execute the identical FMA sequence of one four-row panel row,
-// so batch composition never changes any row's bits.
+// fmaPanel1Asm is the single-row remainder kernel; per element it executes
+// the identical FMA sequence of one four-row panel row, so batch composition
+// never changes any row's bits.
 //
 //mpgraph:noalloc
+//
 //go:noescape
 func fmaPanel1Asm(out, a, b *float64, k, n int64)
 
+// fmaPanel1F32Asm is the f32 twin of fmaPanel1Asm.
 //
 //mpgraph:noalloc
+//
 //go:noescape
 func fmaPanel1F32Asm(out, a, b *float32, k, n int64)
 
-// vactAVX512 and vactF32AVX512 apply an elementwise activation in place over
-// n values. mode 0 = exp(x-bias), 1 = sigmoid, 2 = tanh, 3 = ReLU.
+// vactAVX512 applies an elementwise activation in place over n values.
+// mode 0 = exp(x-bias), 1 = sigmoid, 2 = tanh, 3 = ReLU.
 //
 //mpgraph:noalloc
+//
 //go:noescape
 func vactAVX512(p *float64, n, mode int64, bias float64)
 
+// vactF32AVX512 is the f32 twin of vactAVX512.
 //
 //mpgraph:noalloc
+//
 //go:noescape
 func vactF32AVX512(p *float32, n, mode int64, bias float32)
 
-// vsoftmaxRowsAVX512 and vsoftmaxRowsF32AVX512 are the in-place row softmax
-// over a dense [rows x cols] block (both >= 1).
+// vsoftmaxRowsAVX512 is the in-place row softmax over a dense [rows x cols]
+// block (both >= 1).
 //
 //mpgraph:noalloc
+//
 //go:noescape
 func vsoftmaxRowsAVX512(p, tmp *float64, rows, cols int64)
 
+// vsoftmaxRowsF32AVX512 is the f32 twin of vsoftmaxRowsAVX512.
 //
 //mpgraph:noalloc
+//
 //go:noescape
 func vsoftmaxRowsF32AVX512(p, tmp *float32, rows, cols int64)
 
-// vaddLayerNormAVX512 and vaddLayerNormF32AVX512 write LayerNorm(x + y) row
-// by row into out; y may be nil (plain LayerNorm). rows and cols are >= 1.
+// vaddLayerNormAVX512 writes LayerNorm(x + y) row by row into out; y may be
+// nil (plain LayerNorm). rows and cols are >= 1.
 //
 //mpgraph:noalloc
+//
 //go:noescape
 func vaddLayerNormAVX512(out, x, y, gain, bias *float64, rows, cols int64, eps float64)
 
+// vaddLayerNormF32AVX512 is the f32 twin of vaddLayerNormAVX512.
 //
 //mpgraph:noalloc
+//
 //go:noescape
 func vaddLayerNormF32AVX512(out, x, y, gain, bias *float32, rows, cols int64, eps float32)
 
@@ -84,7 +99,9 @@ func batchKernelAvailable() bool { return useAVX512F }
 // float surface names a concrete precision. unsafe.Sizeof of a T is a
 // constant in each instantiation, so the branch costs nothing, and the
 // pointer casts it guards only restate the element type the branch has just
-// established.
+// established. arenaOf's type assertion, one per pointer argument, was
+// measured here instead: 1-9% slower on every BenchmarkAttentionBlocks row
+// (the per-head products call fmaPanel4 for a few hundred flops at a time).
 
 // asF32 and asF64 reinterpret a *T as the element type its size has identified.
 //

@@ -355,3 +355,58 @@ func TestArenaF32Slabs(t *testing.T) {
 		t.Fatalf("nil F32Ptrs len %d", len(got))
 	}
 }
+
+// TestArenaHeadersCarryNoGraph pins what arena.header relies on when it
+// skips zeroing the header slot: no ctx op, at either precision, ever writes
+// an arena header's graph fields, so after any number of Reset rounds every
+// slot is still zero apart from Rows/Cols/Data.
+func TestArenaHeadersCarryNoGraph(t *testing.T) {
+	c := NewCtx()
+	for round := 0; round < 3; round++ {
+		c.Reset()
+		arenaOpChain[float64](c)
+		arenaOpChain[float32](c)
+	}
+	checkHeadersClean(t, "f64", c.f64.hdrs.buf)
+	checkHeadersClean(t, "f32", c.f32.hdrs.buf)
+}
+
+// arenaOpChain runs every header-producing ctx op once at element type T.
+func arenaOpChain[T float32 | float64](c *Ctx) {
+	const blocks, rows, d = 2, 4, 8
+	x := ZerosCtx[T](c, blocks*rows, d)
+	for i := range x.Data {
+		x.Data[i] = T(i%7) - 3
+	}
+	w := ZerosCtx[T](c, d, d)
+	b := ZerosCtx[T](c, 1, d)
+	pos := ZerosCtx[T](c, rows, d)
+	h := AddLayerNorm(c, x, x, b, b, 1e-5)
+	h = LinearAct(c, h, w, b, ActReLU)
+	h = Linear2Act(c, h, w, x, w, b, ActTanh)
+	h = SigmoidInPlace(c, h)
+	h = AddPosBatch(c, h, pos, blocks)
+	h = AttentionBlocks(c, h, h, h, blocks, 0.5, false)
+	h = AddRowPerBlock(c, h, w, []int{1, 2}, blocks)
+	h = ConcatRowsBatch2(c, h, x, blocks)
+	_ = GatherRowsStride(c, h, 0, 2*rows, blocks)
+	m := MeanRowsBatch(c, h, blocks)
+	ps := Ptrs[T](c, 2)
+	ps[0], ps[1] = m, ConcatCols2(c, m, m)
+	_ = ConcatColsCtx(c, ps)
+	_ = EmbeddingLookupCtx(c, w, []int{0, 3})
+	_ = NarrowCtx[T](c, WidenCtx(c, m))
+}
+
+func checkHeadersClean[T float32 | float64](t *testing.T, tier string, hdrs []Dense[T]) {
+	t.Helper()
+	if len(hdrs) == 0 {
+		t.Fatalf("%s: no header slab to inspect", tier)
+	}
+	for i := range hdrs {
+		h := &hdrs[i]
+		if h.Grad != nil || h.requiresGrad || h.parents != nil || h.backward != nil {
+			t.Fatalf("%s header %d carries graph state: %+v", tier, i, *h)
+		}
+	}
+}
