@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build build-portable vet lint vet-self vet-facts-determinism vet-fix-check test race fuzz bench bench-batch bench-compare benchmark benchmark-selftest faultinject serve-smoke ci
+.PHONY: all build build-portable vet lint vet-self vet-facts-determinism vet-fix-check test test-times race fuzz bench bench-batch bench-compare benchmark benchmark-selftest faultinject serve-smoke ci
 
 all: build lint test
 
@@ -12,10 +12,13 @@ build:
 
 # build-portable cross-builds and vets a non-amd64 target, so the portable
 # side of the kernel build tags (tensor/*_noasm.go) keeps compiling. What it
-# computes is pinned on amd64 by the ForcePortableKernels subtests.
+# computes is pinned on amd64 by the ForcePortableKernels subtests. The
+# training kernels are also built out at GOAMD64=v3, where the compiler fuses
+# the scalar loops they must equal bit for bit (tensor/train_noasm.go).
 build-portable:
 	GOARCH=arm64 $(GO) build ./...
 	GOARCH=arm64 $(GO) vet ./...
+	GOAMD64=v3 $(GO) build ./...
 
 # lint runs the full static-analysis gate: the standard `go vet` passes
 # (delegated by mpgraph-vet) plus the fourteen MPGraph analyzers —
@@ -64,6 +67,15 @@ vet-fix-check:
 test:
 	$(GO) test ./...
 
+# test-times is the tier-1 time budget (ROADMAP item 1): the wall time
+# `go test` reports for each package, slowest first. -count=1 because a
+# cached package reports none; through a file so a test failure fails the
+# target.
+test-times:
+	$(GO) test -count=1 ./... > test-times.out
+	awk '$$1 == "ok" { print $$3 "\t" $$2 }' test-times.out | sort -rn
+	rm -f test-times.out
+
 # race is the determinism/concurrency gate. The heavy experiment tests
 # shrink themselves under the detector (see experiments/race_on_test.go);
 # the timeout covers the ~10x instrumentation slowdown on model training.
@@ -85,16 +97,29 @@ fuzz:
 # (single-core VM) hosts; the sub-microsecond kernel rows (KERNEL_BENCH: the
 # attention block, the fused residual LayerNorm and the top-2 decode at the
 # shapes an AMMA forward runs them) take 20000 iterations for the same
-# reason; the seconds-scale sweep benchmarks run once. Steps go through a
-# file so a benchmark failure fails the target. For published numbers rerun
-# with a higher -benchtime and -count (DESIGN.md §8).
+# reason; the seconds-scale sweep benchmarks run once. TRAIN_BENCH is the
+# training layer (what a suite's set-up is made of): the Adam step and the
+# weight-gradient product at 5000 iterations, a whole AMMA train step at 300,
+# and the ten-model suite at the repository benchmark's fixture, best of 3.
+# Steps go through a file so a benchmark failure fails the target. For
+# published numbers rerun with a higher -benchtime and -count (DESIGN.md §8).
 KERNEL_BENCH = BenchmarkAttentionBlocks|BenchmarkResidualLayerNorm|BenchmarkTopK2of1024
+TRAIN_BENCH = BenchmarkAdamStep|BenchmarkGemmTN|BenchmarkBackwardMLP|BenchmarkAMMADeltaTrainStep|BenchmarkAMMAPageTrainStep
 bench:
 	$(GO) test ./internal/prefetch/ ./internal/core/ ./internal/models/ \
 		-run xxx -bench 'BenchmarkOperate|BenchmarkSuiteSave' -benchtime 300x -count 6 \
 		> bench.out
 	$(GO) test ./internal/tensor/ ./internal/models/ \
 		-run xxx -bench '$(KERNEL_BENCH)' -benchtime 20000x -count 6 \
+		>> bench.out
+	$(GO) test ./internal/tensor/ ./internal/nn/ \
+		-run xxx -bench '$(TRAIN_BENCH)' -benchtime 5000x -count 6 \
+		>> bench.out
+	$(GO) test ./internal/models/ \
+		-run xxx -bench '$(TRAIN_BENCH)' -benchtime 300x -count 6 \
+		>> bench.out
+	$(GO) test ./internal/experiments/ \
+		-run xxx -bench 'BenchmarkSuiteTrain' -benchtime 1x -count 3 \
 		>> bench.out
 	$(GO) test ./internal/experiments/ \
 		-run xxx -bench 'BenchmarkPrefetchSweep' -benchtime 1x \
@@ -114,17 +139,26 @@ bench-batch:
 	$(GO) run ./cmd/mpgraph-bench -in bench-batch.out -o BENCH_batch.json
 	rm -f bench-batch.out
 
-# bench-compare is the perf-regression gate: rerun the Operate benchmarks
-# and fail if any benchmark is >15% slower in ns/op — or gains a single
-# allocation — against the committed BENCH_small.json. On a machine
-# that differs from the one the baseline was measured on, the ns/op check is
-# skipped (with a warning) and only allocation gains fail.
+# bench-compare is the perf-regression gate: rerun the Operate, kernel and
+# training benchmarks and fail if any benchmark is >15% slower in ns/op — or
+# gains a single allocation — against the committed BENCH_small.json. On a
+# machine that differs from the one the baseline was measured on, the ns/op
+# check is skipped (with a warning) and only allocation gains fail.
 bench-compare:
 	$(GO) test ./internal/prefetch/ ./internal/core/ ./internal/models/ \
 		-run xxx -bench 'BenchmarkOperate|BenchmarkSuiteSave' -benchtime 300x -count 6 \
 		> bench-new.out
 	$(GO) test ./internal/tensor/ ./internal/models/ \
 		-run xxx -bench '$(KERNEL_BENCH)' -benchtime 20000x -count 6 \
+		>> bench-new.out
+	$(GO) test ./internal/tensor/ ./internal/nn/ \
+		-run xxx -bench '$(TRAIN_BENCH)' -benchtime 5000x -count 6 \
+		>> bench-new.out
+	$(GO) test ./internal/models/ \
+		-run xxx -bench '$(TRAIN_BENCH)' -benchtime 300x -count 6 \
+		>> bench-new.out
+	$(GO) test ./internal/experiments/ \
+		-run xxx -bench 'BenchmarkSuiteTrain' -benchtime 1x -count 3 \
 		>> bench-new.out
 	$(GO) run ./cmd/mpgraph-bench -in bench-new.out -o BENCH_new.json
 	$(GO) run ./cmd/mpgraph-bench -compare BENCH_small.json BENCH_new.json

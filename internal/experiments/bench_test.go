@@ -51,3 +51,27 @@ func BenchmarkPrefetchSweep(b *testing.B) {
 func BenchmarkPrefetchSweepSerial(b *testing.B) {
 	benchSweep(b, benchSweepRunner(b, 1))
 }
+
+// BenchmarkSuiteTrain is the set-up every sweep cell, daemon start and test
+// package pays before its first prediction: training the ten-model suite of
+// one workload, at the settings of the repository benchmark's ML fixture
+// (benchmark/fixture.go), its suite_train_s. The trace is generated outside
+// the timer.
+func BenchmarkSuiteTrain(b *testing.B) {
+	o := DefaultOptions()
+	o.GraphScale, o.TraceIterations, o.MaxTestAccesses = 10, 3, 6000
+	o.TrainSamples, o.EvalSamples, o.Epochs = 200, 100, 1
+	o.Seed, o.Workers = 1, 1
+	w := Workload{Framework: "gpop", App: frameworks.PR, Dataset: "rmat"}
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		r := NewRunner(o)
+		if _, err := r.Data(w); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		if _, err := r.Suite(w); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"mpgraph/internal/nn"
 	"mpgraph/internal/tensor"
 )
 
@@ -55,23 +56,39 @@ func BenchmarkLSTMDeltaInference(b *testing.B) {
 	}
 }
 
-func BenchmarkAMMADeltaTrainStep(b *testing.B) {
-	cfg := SmallConfig()
-	ds, err := BuildDataset(cfg, synthStream(2000, 1), DatasetOptions{})
+// benchTrainStep times what trainLoop does per sample: loss, backward, one
+// Adam step, zero the gradients.
+func benchTrainStep(b *testing.B, m nn.Module, ds *Dataset, lossFn func(*Sample) *tensor.Tensor) {
+	adam := nn.NewAdam(1e-3)
+	params := m.Params()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := lossFn(ds.Samples[i%len(ds.Samples)]).Backward(); err != nil {
+			b.Fatal(err)
+		}
+		adam.Step(params)
+		nn.ZeroParamGrads(params)
+	}
+}
+
+func benchTrainDataset(b *testing.B) *Dataset {
+	ds, err := BuildDataset(SmallConfig(), synthStream(2000, 1), DatasetOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}
-	m := NewAMMADelta(cfg, ds.PCs, 0, 1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		loss := m.DeltaLoss(ds.Samples[i%len(ds.Samples)])
-		if err := loss.Backward(); err != nil {
-			b.Fatal(err)
-		}
-		for _, p := range m.Params() {
-			p.ZeroGrad()
-		}
-	}
+	return ds
+}
+
+func BenchmarkAMMADeltaTrainStep(b *testing.B) {
+	ds := benchTrainDataset(b)
+	m := NewAMMADelta(ds.Cfg, ds.PCs, 0, 1)
+	benchTrainStep(b, m, ds, m.DeltaLoss)
+}
+
+func BenchmarkAMMAPageTrainStep(b *testing.B) {
+	ds := benchTrainDataset(b)
+	m := NewAMMAPage(ds.Cfg, ds.Pages, ds.PCs, 0, 1)
+	benchTrainStep(b, m, ds, m.PageLoss)
 }
 
 // BenchmarkTopK2of1024 is the page-model decode: the best token plus one

@@ -8,6 +8,7 @@ import (
 	"testing/quick"
 
 	"mpgraph/internal/nn"
+	"mpgraph/internal/tensor"
 	"mpgraph/internal/trace"
 )
 
@@ -557,6 +558,54 @@ func TestComplexityAccounting(t *testing.T) {
 		t.Fatal("compression must shrink complexity")
 	}
 	_ = pages
+}
+
+// TestTrainBitIdenticalAcrossKernelPaths: training is the same function of its
+// inputs on the vector training kernels and on the scalar loops they stand in
+// for — every weight of every model family the same bits after 48 Adam steps
+// (clipping fires on some). Trained weights reach reports, checkpoints and
+// snapshots, so a fused multiply-add, a reciprocal or a reassociated sum in
+// any training kernel fails here.
+func TestTrainBitIdenticalAcrossKernelPaths(t *testing.T) {
+	ds := synthDataset(t, 1500, 12)
+	opt := TrainOptions{Epochs: 1, LR: 2e-3, Seed: 9, MaxSamplesPerEpoch: 48}
+	train := func() map[string]nn.Module {
+		ms := map[string]nn.Module{}
+		for name, m := range map[string]DeltaModel{
+			"amma-delta": NewAMMADelta(ds.Cfg, ds.PCs, 0, 3),
+			"lstm-delta": NewLSTMDelta(ds.Cfg, 5),
+		} {
+			if err := TrainDelta(m, ds, opt); err != nil {
+				t.Fatal(err)
+			}
+			ms[name] = m
+		}
+		for name, m := range map[string]PageModel{
+			"amma-page": NewAMMAPage(ds.Cfg, ds.Pages, ds.PCs, 0, 7),
+			"ps-page":   NewPhaseSpecificPage(ds.Cfg, ds.Pages, ds.PCs, ds.NumPhases(), 11),
+		} {
+			if err := TrainPage(m, ds, opt); err != nil {
+				t.Fatal(err)
+			}
+			ms[name] = m
+		}
+		return ms
+	}
+	native := train()
+	restore := tensor.ForcePortableKernels()
+	portable := train()
+	restore()
+	for name, m := range native {
+		want := portable[name].Params()
+		for pi, p := range m.Params() {
+			for i, v := range p.Data {
+				if math.Float64bits(v) != math.Float64bits(want[pi].Data[i]) {
+					t.Fatalf("%s: param %d elem %d native %x (%g), portable %x (%g)", name, pi, i,
+						math.Float64bits(v), v, math.Float64bits(want[pi].Data[i]), want[pi].Data[i])
+				}
+			}
+		}
+	}
 }
 
 func TestTrainErrors(t *testing.T) {

@@ -75,7 +75,7 @@ func trainLoop(m nn.Module, ds *Dataset, opt TrainOptions, lossFn func(*Sample) 
 				return err
 			}
 			adam.Step(params)
-			nn.ZeroGrads(m)
+			nn.ZeroParamGrads(params)
 		}
 	}
 	return nil

@@ -27,8 +27,12 @@ func CountParams(m Module) int {
 }
 
 // ZeroGrads clears gradients of all parameters.
-func ZeroGrads(m Module) {
-	for _, p := range m.Params() {
+func ZeroGrads(m Module) { ZeroParamGrads(m.Params()) }
+
+// ZeroParamGrads clears the gradients of params: a loop that already holds
+// m.Params() zeroes through it instead of re-walking the module tree.
+func ZeroParamGrads(params []*tensor.Tensor) {
+	for _, p := range params {
 		p.ZeroGrad()
 	}
 }

@@ -31,8 +31,10 @@ func NewAdam(lr float64) *Adam {
 	}
 }
 
-// Step applies one update to all parameters with gradients, then leaves the
-// gradients untouched (callers ZeroGrads between batches).
+// Step applies one update to all parameters with gradients. It does not zero
+// the gradients (callers ZeroGrads between batches) but clipping rescales them
+// in place. Each element loop below is the definition of its tensor ...Fast
+// leaf, which returns the same bits from a vector kernel where one exists.
 func (a *Adam) Step(params []*tensor.Tensor) {
 	a.t++
 	if a.ClipNorm > 0 {
@@ -46,6 +48,9 @@ func (a *Adam) Step(params []*tensor.Tensor) {
 		if norm > a.ClipNorm {
 			scale := a.ClipNorm / norm
 			for _, p := range params {
+				if tensor.ScaleFast(p.Grad, scale) {
+					continue
+				}
 				for i := range p.Grad {
 					p.Grad[i] *= scale
 				}
@@ -65,6 +70,9 @@ func (a *Adam) Step(params []*tensor.Tensor) {
 			a.v[p] = make([]float64, len(p.Data))
 		}
 		v := a.v[p]
+		if tensor.AdamUpdateFast(p.Data, p.Grad, m, v, a.Beta1, a.Beta2, bc1, bc2, a.LR, a.Eps) {
+			continue
+		}
 		for i, g := range p.Grad {
 			m[i] = a.Beta1*m[i] + (1-a.Beta1)*g
 			v[i] = a.Beta2*v[i] + (1-a.Beta2)*g*g

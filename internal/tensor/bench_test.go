@@ -48,6 +48,26 @@ func BenchmarkBackwardMLP(b *testing.B) {
 	}
 }
 
+// BenchmarkGemmTN is the weight-gradient product dW += Xt.dY at the shapes a
+// training step runs it: a [r x m] layer input against [r x n] output
+// gradients — an encoder projection and the page head (r = 1: the pooled
+// row) of the page models, and a d = 16 attention projection.
+func BenchmarkGemmTN(b *testing.B) {
+	for _, s := range [][3]int{{9, 32, 128}, {1, 32, 1024}, {9, 16, 16}} {
+		r, m, n := s[0], s[1], s[2]
+		b.Run(fmt.Sprintf("r=%d/m=%d/n=%d", r, m, n), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(1))
+			x, dy := randSlice(rng, r*m), randSlice(rng, r*n)
+			dw := make([]float64, m*n)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				gemmTN(dw, x, dy, m, r, n)
+			}
+		})
+	}
+}
+
 // benchModelShapes runs f on the attention shapes of an AMMA forward: T = 9
 // (a modality encoder) and 2T = 18 (fusion, Transformer), d = 16 and 32, one
 // session and a stacked batch of eight.

@@ -20,6 +20,9 @@ const gemmParallelThreshold = 1 << 18
 func maddRow[T float32 | float64](orow, brow []T, av T) {
 	n := len(brow)
 	orow = orow[:n]
+	if maddRowFast(orow, brow, av) {
+		return
+	}
 	j := 0
 	for ; j+4 <= n; j += 4 {
 		orow[j] += av * brow[j]
@@ -41,6 +44,9 @@ func maddRow[T float32 | float64](orow, brow []T, av T) {
 func maddRows4[T float32 | float64](orow, b0, b1, b2, b3 []T, a0, a1, a2, a3 T) {
 	n := len(orow)
 	b0, b1, b2, b3 = b0[:n], b1[:n], b2[:n], b3[:n]
+	if maddRows4Fast(orow, b0, b1, b2, b3, a0, a1, a2, a3) {
+		return
+	}
 	for j := 0; j < n; j++ {
 		orow[j] += a0*b0[j] + a1*b1[j] + a2*b2[j] + a3*b3[j]
 	}
@@ -72,7 +78,7 @@ func maddPanel[T float32 | float64](orow, arow, b []T, n int) {
 }
 
 // dotRows returns the dot product of two equal-length rows, 4-way unrolled
-// with independent partial sums so the FMAs pipeline.
+// with independent partial sums so the multiply-add chains pipeline.
 //
 //mpgraph:noalloc
 func dotRows(a, b []float64) float64 {
@@ -184,42 +190,34 @@ func gemmNTRows(out, a, b []float64, k, n, r0, r1 int) {
 
 // gemmTN computes out += a^T@b with a [r x m], b [r x n] (so a^T is [m x r]).
 func gemmTN(out, a, b []float64, m, r, n int) {
-	// Parallelising over output rows of a^T@b needs strided reads of a;
-	// gradient matrices are small, so a simple accumulation loop is fine,
-	// parallelised over the shared dimension chunks only when large.
+	// Gradient matrices are small; the serial case builds no escaping closure.
 	if m*r*n < gemmParallelThreshold {
-		for p := 0; p < r; p++ {
-			arow := a[p*m : (p+1)*m]
-			brow := b[p*n : (p+1)*n]
-			for i, av := range arow {
-				if av == 0 {
-					continue
-				}
-				orow := out[i*n : (i+1)*n]
-				for j, bv := range brow {
-					orow[j] += av * bv
-				}
-			}
-		}
+		gemmTNRows(out, a, b, m, r, n, 0, m)
 		return
 	}
-	body := func(i0, i1 int) {
-		for p := 0; p < r; p++ {
-			arow := a[p*m : (p+1)*m]
-			brow := b[p*n : (p+1)*n]
-			for i := i0; i < i1; i++ {
-				av := arow[i]
-				if av == 0 {
-					continue
-				}
-				orow := out[i*n : (i+1)*n]
-				for j, bv := range brow {
-					orow[j] += av * bv
-				}
+	parallelRows(func(i0, i1 int) { gemmTNRows(out, a, b, m, r, n, i0, i1) }, m, m*r*n)
+}
+
+// gemmTNRows accumulates output rows [i0,i1): out[i,:] += a[p,i]*b[p,:] in
+// ascending p, skipping zero a entries (ReLU-sparse activations).
+func gemmTNRows(out, a, b []float64, m, r, n, i0, i1 int) {
+	if gemmTNRowsFast(out, a, b, m, r, n, i0, i1) {
+		return
+	}
+	for p := 0; p < r; p++ {
+		arow := a[p*m : (p+1)*m]
+		brow := b[p*n : (p+1)*n]
+		for i := i0; i < i1; i++ {
+			av := arow[i]
+			if av == 0 {
+				continue
+			}
+			orow := out[i*n : (i+1)*n]
+			for j, bv := range brow {
+				orow[j] += av * bv
 			}
 		}
 	}
-	parallelRows(body, m, m*r*n)
 }
 
 // --- fused inference kernels (portable) ---
