@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build build-portable vet lint vet-self vet-facts-determinism vet-fix-check test test-times race fuzz bench bench-batch bench-compare benchmark benchmark-selftest faultinject serve-smoke ci
+.PHONY: all build build-portable vet lint fmt-check vet-self vet-facts-determinism vet-fix-check test test-times race fuzz bench bench-batch bench-compare benchmark benchmark-selftest faultinject serve-smoke ci
 
 all: build lint test
 
@@ -24,9 +24,16 @@ build-portable:
 # (delegated by mpgraph-vet) plus the fourteen MPGraph analyzers —
 # seededrand, errdrop, floateq, panicpolicy, addrhelpers, maporder,
 # walltime, noalloc, lockcheck, golifetime, chansafe, ctxflow, directive,
-# injectpoint. See DESIGN.md §7.
-lint:
+# injectpoint. See DESIGN.md §7. It starts with fmt-check, so the tree cannot
+# drift from gofmt again.
+lint: fmt-check
 	$(GO) run ./cmd/mpgraph-vet ./...
+
+# fmt-check fails, naming the files, if gofmt would change any Go file outside
+# testdata/ (analyzer fixtures keep the shapes they test).
+fmt-check:
+	@out="$$(gofmt -l . | grep -v /testdata/)"; \
+	if [ -n "$$out" ]; then echo "gofmt would change:" >&2; echo "$$out" >&2; exit 1; fi
 
 # vet-self turns the gate on its own implementation: the analysis framework,
 # the CFG and call-graph layers, and the passes must hold to the same
@@ -90,7 +97,10 @@ fuzz:
 	$(GO) test ./internal/serve/ -run xxx -fuzz '^FuzzDecodeEvents$$' -fuzztime 10s
 
 # bench regenerates BENCH_small.json via cmd/mpgraph-bench (int8, f32 and
-# f16 speedups over float64 appear in its "speedups" section). The µs-scale
+# f16 speedups over float64 appear in its "speedups" section). The
+# BenchmarkOperate pattern takes in core's MPGraphChain{,F32} rows — the only
+# Operate rows whose chains run past the first PBOT lookup (~4.6 model calls
+# per Operate; the MPGraphAMMA rows sit at 2). The µs-scale
 # Operate benchmarks run 6 counts of 300 iterations — mpgraph-bench keeps
 # the best run per benchmark (timing noise is strictly additive), keeping
 # ns/op stable enough for the bench-compare gate's 15% threshold on noisy

@@ -108,8 +108,13 @@ func main() {
 		m.Accuracy()*100, m.Coverage()*100,
 		m.PrefetchesIssued, m.UsefulPrefetches, m.LatePrefetches)
 	if mp, ok := pf.(*core.MPGraph); ok {
-		fmt.Printf("mpgraph:     transitions=%d switches=%d finalPhase=%d\n",
-			mp.Transitions, mp.Switches, mp.Phase())
+		// Per Operate: model calls made, and the share whose chain ended at a
+		// tail it had already evaluated (the rest: PBOT miss, degree budget,
+		// or temporal depth).
+		ops := float64(max(mp.Operates, 1))
+		fmt.Printf("mpgraph:     transitions=%d switches=%d finalPhase=%d modelCalls/operate=%.2f chainSteps=%d revisits=%d (%.1f%% of operates) pbotMisses=%d budgetStops=%d\n",
+			mp.Transitions, mp.Switches, mp.Phase(), float64(mp.ModelCalls)/ops, mp.ChainSteps,
+			mp.Revisits, 100*float64(mp.Revisits)/ops, mp.PBOTMisses, mp.BudgetStops)
 	}
 }
 

@@ -101,7 +101,7 @@ func check(pass *analysis.Pass, c *ast.Comment, known map[string]bool) {
 		requireReason(pass, c, rest, verb)
 	case "recovers", "invariant":
 		pass.Report(analysis.Diagnostic{
-			Pos: c.Pos(),
+			Pos:     c.Pos(),
 			Message: fmt.Sprintf("mpgraph:%s is a doc marker, not a directive: written without a space go/ast strips it from the doc text and the marker becomes invisible; write \"// mpgraph:%s\"", verb, verb),
 			SuggestedFixes: []analysis.SuggestedFix{{
 				Message: "insert the space that keeps the marker in the doc text",

@@ -1,6 +1,10 @@
 package core
 
 import (
+	"fmt"
+	"math"
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -412,5 +416,604 @@ func TestPerCoreChainAndDegreeBound(t *testing.T) {
 	}
 	if !reached {
 		t.Fatalf("chain should reach page 321 via shared PBOT: %v", out)
+	}
+}
+
+// --- CSTP differential oracle -------------------------------------------
+//
+// The chain stops at a tail it has already evaluated in this Operate. The
+// tests below hold it to the loop it replaced: same prefetches, same health,
+// and exactly the reference's distinct (model, sample) evaluations.
+
+// refChain is the state the pre-PR controllers kept for their chain.
+type refChain struct {
+	opt         Options
+	deltas      []models.DeltaModel
+	pages       []models.PageModel
+	pbot        *PBOT
+	ctx         *tensor.Ctx
+	sampScratch models.Sample
+	tailScratch models.Sample
+	out         []uint64
+	deltaBuf    []uint64
+	pageBuf     []uint64
+	health      error
+}
+
+func newRefChain(opt Options, deltas []models.DeltaModel, pages []models.PageModel) refChain {
+	return refChain{opt: opt, deltas: deltas, pages: pages, pbot: NewPBOT(opt.PBOTSize), ctx: tensor.NewCtx()}
+}
+
+func (m *refChain) Health() error { return m.health }
+
+func (m *refChain) deltaTargetsAppend(dm models.DeltaModel, s *models.Sample, base uint64, k int, dst []uint64) ([]uint64, error) {
+	if m.opt.Scheduler != nil {
+		return models.AppendDeltaTargets(m.ctx, m.opt.Scheduler.DeltaScores(dm, s), base, k, dst)
+	}
+	return models.AppendDeltaTargets(m.ctx, models.DeltaScoresWith(m.ctx, dm, s), base, k, dst)
+}
+
+func (m *refChain) topPages(pm models.PageModel, s *models.Sample, k int, dst []uint64) []uint64 {
+	if m.opt.Scheduler != nil {
+		return m.opt.Scheduler.TopPages(pm, s, k, dst)
+	}
+	return models.TopPagesWith(m.ctx, pm, s, k, dst)
+}
+
+func (m *refChain) recordHealth(err error) {
+	if m.health == nil {
+		m.health = err
+	}
+}
+
+// referenceCSTP is MPGraph.cstp as it stood before the visited-state rule,
+// verbatim except that the history and phase arrive as arguments (the
+// per-core controller ran the same loop over hists[c], phases[c]). It
+// re-evaluates a revisited tail; the oracle below shows that never changes a
+// prediction or the health defect.
+func (m *refChain) referenceCSTP(hist *models.History, phase int, block uint64) []uint64 {
+	maxDegree := m.opt.MaxTotalDegree()
+	out := m.out[:0]
+	sample := hist.SampleInto(&m.sampScratch, phase)
+	delta := m.deltas[phase%len(m.deltas)]
+	page := m.pages[phase%len(m.pages)]
+
+	// Step 0: spatial deltas at the current block.
+	var err error
+	m.deltaBuf, err = m.deltaTargetsAppend(delta, sample, block, m.opt.SpatialDegree, m.deltaBuf[:0])
+	if err != nil {
+		m.recordHealth(err)
+	}
+	for _, b := range m.deltaBuf {
+		out = refAddUnique(out, b, maxDegree)
+	}
+
+	// Temporal chain: predicted page -> PBOT offset -> further spatial and
+	// temporal inference, until the degree budget, a missing PBOT entry, or
+	// the temporal depth runs out.
+	cur := sample
+	for step := 0; step < m.opt.TemporalDegree; step++ {
+		m.pageBuf = m.topPages(page, cur, 1, m.pageBuf[:0])
+		if len(m.pageBuf) == 0 {
+			break
+		}
+		next := m.pageBuf[0]
+		entry, ok := m.pbot.Lookup(next)
+		if !ok {
+			break
+		}
+		base := trace.BlockOfPageOffset(next, entry.Offset)
+		out = refAddUnique(out, base, maxDegree)
+		cur = hist.SampleWithTailInto(&m.tailScratch, phase, base, entry.PC)
+		m.deltaBuf, err = m.deltaTargetsAppend(delta, cur, base, m.opt.SpatialDegree, m.deltaBuf[:0])
+		if err != nil {
+			m.recordHealth(err)
+		}
+		for _, b := range m.deltaBuf {
+			if len(out) >= maxDegree {
+				break
+			}
+			out = refAddUnique(out, b, maxDegree)
+		}
+		if len(out) >= maxDegree {
+			break
+		}
+	}
+	m.out = out
+	return out
+}
+
+func refAddUnique(out []uint64, b uint64, maxDegree int) []uint64 {
+	if len(out) >= maxDegree {
+		return out
+	}
+	for _, x := range out {
+		if x == b {
+			return out
+		}
+	}
+	return append(out, b)
+}
+
+// refMPGraph is MPGraph.Operate under OraclePhase around referenceCSTP.
+type refMPGraph struct {
+	refChain
+	hist *models.History
+}
+
+func (m *refMPGraph) Operate(acc sim.LLCAccess) []uint64 {
+	m.pbot.Update(acc.Block, acc.PC)
+	m.hist.Push(acc.Block, acc.PC)
+	if !m.hist.Warm() {
+		return nil
+	}
+	defer m.ctx.Reset()
+	return m.referenceCSTP(m.hist, int(acc.Phase), acc.Block)
+}
+
+// refPerCore is PerCoreMPGraph.Operate around referenceCSTP.
+type refPerCore struct {
+	refChain
+	detectors []phasedet.Detector
+	hists     []*models.History
+	phases    []int
+}
+
+func (m *refPerCore) Operate(acc sim.LLCAccess) []uint64 {
+	c := int(acc.Core) % len(m.hists)
+	m.pbot.Update(acc.Block, acc.PC)
+	m.hists[c].Push(acc.Block, acc.PC)
+	if m.detectors[c].Observe(float64(acc.PC)) {
+		m.phases[c] = (m.phases[c] + 1) % len(m.deltas)
+	}
+	if !m.hists[c].Warm() {
+		return nil
+	}
+	defer m.ctx.Reset()
+	return m.referenceCSTP(m.hists[c], m.phases[c], acc.Block)
+}
+
+// recSched is a recording ModelScheduler: it runs each call unbatched on its
+// own arena, as a batch tier of one would, and keeps a key per (model,
+// sample) pair since the last reset.
+type recSched struct {
+	ctx   *tensor.Ctx
+	calls []string
+}
+
+func callKey(kind string, model any, s *models.Sample) string {
+	return fmt.Sprintf("%s %p %v %v %d", kind, model, s.Blocks, s.PCs, s.Phase)
+}
+
+func (r *recSched) Join()  {}
+func (r *recSched) Leave() {}
+
+func (r *recSched) DeltaScores(m models.DeltaModel, s *models.Sample) []float64 {
+	r.calls = append(r.calls, callKey("delta", m, s))
+	r.ctx.Reset()
+	return models.DeltaScoresWith(r.ctx, m, s)
+}
+
+func (r *recSched) TopPages(m models.PageModel, s *models.Sample, k int, dst []uint64) []uint64 {
+	r.calls = append(r.calls, callKey("page", m, s))
+	r.ctx.Reset()
+	return models.TopPagesWith(r.ctx, m, s, k, dst)
+}
+
+// distinct returns calls without repeats, in first-seen order.
+func distinct(calls []string) []string {
+	var out []string
+	for _, c := range calls {
+		if !slices.Contains(out, c) {
+			out = append(out, c)
+		}
+	}
+	return out
+}
+
+// scriptDelta is a pure stub delta model: its top classes are +1 and +2,
+// and its scores are NaN whenever the sample's newest block lies in nanPage.
+type scriptDelta struct{ nanPage uint64 }
+
+func (scriptDelta) DeltaLoss(*models.Sample) *tensor.Tensor { panic("inference only") }
+func (scriptDelta) Params() []*tensor.Tensor                { return nil }
+func (d *scriptDelta) DeltaScores(s *models.Sample) []float64 {
+	out := make([]float64, 126)
+	out[63], out[64] = 2, 1 // classes 63, 64 decode to deltas +1, +2
+	if trace.PageOfBlock(s.CurrentBlock()) == d.nanPage {
+		out[5] = math.NaN()
+	}
+	return out
+}
+
+// scriptPage is a pure stub page model: the page of the sample's newest
+// block selects the prediction; pages it has no entry for predict fallback
+// (none when fallback is 0).
+type scriptPage struct {
+	next     map[uint64]uint64
+	fallback uint64
+}
+
+func (scriptPage) PageLoss(*models.Sample) *tensor.Tensor { panic("inference only") }
+func (scriptPage) Params() []*tensor.Tensor               { return nil }
+func (p *scriptPage) TopPages(s *models.Sample, k int) []uint64 {
+	if n, ok := p.next[trace.PageOfBlock(s.CurrentBlock())]; ok {
+		return []uint64{n}
+	}
+	if p.fallback != 0 {
+		return []uint64{p.fallback}
+	}
+	return nil
+}
+
+// chainVocab is the page and PC universe of the random streams and the AMMA
+// fixtures' vocabularies.
+const (
+	chainPage0 = uint64(1 << 14)
+	chainPC0   = uint64(0x400000)
+)
+
+// randomStream is a seeded LLC access stream over 32 pages and 32 PCs with
+// enough page locality and page returns that PBOT lookups both hit and (at
+// the small PBOTSize the tests set) miss; the phase label flips every 37
+// accesses and the core is random.
+func randomStream(seed int64, n int) []sim.LLCAccess {
+	rng := rand.New(rand.NewSource(seed))
+	out := make([]sim.LLCAccess, n)
+	page, off := chainPage0, uint64(0)
+	for i := range out {
+		if rng.Intn(2) == 0 {
+			off = (off + uint64(1+rng.Intn(3))) % 64
+		} else {
+			page, off = chainPage0+uint64(rng.Intn(32)), uint64(rng.Intn(64))
+		}
+		out[i] = sim.LLCAccess{
+			Block: trace.BlockOfPageOffset(page, off),
+			PC:    chainPC0 + 0x40*uint64(rng.Intn(32)),
+			Phase: uint8((i / 37) % 2),
+			Core:  uint8(rng.Intn(2)),
+		}
+	}
+	return out
+}
+
+// chainSuite builds two phases of delta/page models over the chainVocab.
+type chainSuite struct {
+	name  string
+	build func(tb testing.TB) ([]models.DeltaModel, []models.PageModel, int)
+}
+
+func ammaSuite(tb testing.TB, f32 bool) ([]models.DeltaModel, []models.PageModel, int) {
+	tb.Helper()
+	cfg := models.SmallConfig()
+	// 32 pages and the OOV token fill the page head, so an untrained model
+	// always names a page of the stream and chains run past step 1.
+	cfg.PageVocab = 33
+	var pcVals, pageVals []uint64
+	for i := uint64(0); i < 32; i++ {
+		pcVals = append(pcVals, chainPC0+0x40*i)
+		pageVals = append(pageVals, chainPage0+i)
+	}
+	pcs := models.BuildVocab(pcVals, cfg.PCVocab)
+	pages := models.BuildVocab(pageVals, cfg.PageVocab)
+	var deltas []models.DeltaModel
+	var pageModels []models.PageModel
+	for p := 0; p < 2; p++ {
+		var d models.DeltaModel = models.NewAMMADelta(cfg, pcs, 0, int64(2*p+1))
+		var pg models.PageModel = models.NewAMMAPage(cfg, pages, pcs, 0, int64(2*p+2))
+		if f32 {
+			var err error
+			if d, pg, err = models.ConvertSuiteF32(d, pg); err != nil {
+				tb.Fatal(err)
+			}
+		}
+		deltas = append(deltas, d)
+		pageModels = append(pageModels, pg)
+	}
+	return deltas, pageModels, cfg.HistoryT
+}
+
+var chainSuites = []chainSuite{
+	{"amma-f64", func(tb testing.TB) ([]models.DeltaModel, []models.PageModel, int) { return ammaSuite(tb, false) }},
+	{"amma-f32", func(tb testing.TB) ([]models.DeltaModel, []models.PageModel, int) { return ammaSuite(tb, true) }},
+	// Stubs over the same universe: phase 0 walks a three-page cycle and
+	// falls off it into the PBOT's evicted range, phase 1 always names one
+	// page; the delta model turns NaN on one page of the cycle.
+	{"stub", func(testing.TB) ([]models.DeltaModel, []models.PageModel, int) {
+		d := &scriptDelta{nanPage: chainPage0 + 2}
+		cyc := &scriptPage{next: map[uint64]uint64{
+			chainPage0: chainPage0 + 1, chainPage0 + 1: chainPage0 + 2, chainPage0 + 2: chainPage0,
+			chainPage0 + 3: chainPage0 + 4, chainPage0 + 4: chainPage0 + 20,
+		}, fallback: chainPage0 + 1}
+		one := &scriptPage{fallback: chainPage0 + 5}
+		return []models.DeltaModel{d, d}, []models.PageModel{cyc, one}, 4
+	}},
+}
+
+// operator is what the oracle drives: a controller under test or a reference.
+type operator interface {
+	Operate(sim.LLCAccess) []uint64
+	Health() error
+}
+
+func healthString(o operator) string {
+	if err := o.Health(); err != nil {
+		return err.Error()
+	}
+	return ""
+}
+
+// statsSince returns the counters' movement from before to after.
+func statsSince(after, before ChainStats) ChainStats {
+	return ChainStats{
+		Operates:    after.Operates - before.Operates,
+		ModelCalls:  after.ModelCalls - before.ModelCalls,
+		ChainSteps:  after.ChainSteps - before.ChainSteps,
+		Revisits:    after.Revisits - before.Revisits,
+		PBOTMisses:  after.PBOTMisses - before.PBOTMisses,
+		BudgetStops: after.BudgetStops - before.BudgetStops,
+	}
+}
+
+// checkEq11 is the Eq. 11 property on one Operate's output: the issued
+// degree is at most Ds·(Dt+1), each temporal step taken adds at most Ds+1
+// blocks to step 0's Ds, and no block is issued twice.
+func checkEq11(t *testing.T, opt Options, out []uint64, steps int) {
+	t.Helper()
+	if len(out) > opt.MaxTotalDegree() {
+		t.Fatalf("issued %d > Ds*(Dt+1) = %d", len(out), opt.MaxTotalDegree())
+	}
+	if steps > opt.TemporalDegree {
+		t.Fatalf("%d chain steps at Dt=%d", steps, opt.TemporalDegree)
+	}
+	if bound := opt.SpatialDegree + steps*(opt.SpatialDegree+1); len(out) > bound {
+		t.Fatalf("issued %d after %d chain steps, bound Ds+steps*(Ds+1) = %d", len(out), steps, bound)
+	}
+	for i, b := range out {
+		if slices.Contains(out[:i], b) {
+			t.Fatalf("block %d issued twice: %v", b, out)
+		}
+	}
+}
+
+// runOracle drives subject and ref over stream and requires equal outputs
+// and health on every access. When both sit behind recording schedulers it
+// also requires that subject evaluated no (model, sample) pair twice within
+// an Operate and evaluated exactly ref's distinct pairs, in ref's order, and
+// that the ModelCalls counter agrees with the recording. stats reports the
+// subject's counters; every Operate is held to Eq. 11.
+func runOracle(t *testing.T, opt Options, stream []sim.LLCAccess, subject, ref operator, stats func() ChainStats, subjRec, refRec *recSched) {
+	t.Helper()
+	for i, acc := range stream {
+		before := stats()
+		if subjRec != nil {
+			subjRec.calls, refRec.calls = subjRec.calls[:0], refRec.calls[:0]
+		}
+		got, want := subject.Operate(acc), ref.Operate(acc)
+		if !slices.Equal(got, want) {
+			t.Fatalf("access %d: chain issued %v, reference %v", i, got, want)
+		}
+		if g, w := healthString(subject), healthString(ref); g != w {
+			t.Fatalf("access %d: health %q, reference %q", i, g, w)
+		}
+		moved := statsSince(stats(), before)
+		checkEq11(t, opt, got, moved.ChainSteps)
+		if subjRec == nil {
+			continue
+		}
+		if want := distinct(refRec.calls); !slices.Equal(subjRec.calls, want) {
+			t.Fatalf("access %d: chain evaluated\n%v\nreference's distinct pairs are\n%v", i, subjRec.calls, want)
+		}
+		if moved.ModelCalls != len(subjRec.calls) {
+			t.Fatalf("access %d: ModelCalls moved by %d, scheduler saw %d calls", i, moved.ModelCalls, len(subjRec.calls))
+		}
+	}
+}
+
+// forEachKernelPath runs f on the native kernels and on the portable
+// fallback (the same thing on a host without AVX-512F).
+func forEachKernelPath(t *testing.T, f func(t *testing.T, portable bool)) {
+	t.Run("native", func(t *testing.T) { f(t, false) })
+	t.Run("portable", func(t *testing.T) {
+		defer tensor.ForcePortableKernels()()
+		f(t, true)
+	})
+}
+
+// TestCSTPMatchesReference is the differential oracle: the chain against
+// referenceCSTP on seeded random streams, Ds ∈ {1,2,3} × Dt ∈ {0…4}, on f64
+// and f32 AMMA suites and the cycle/NaN stubs, in-process and through a
+// recording ModelScheduler, for both controllers.
+func TestCSTPMatchesReference(t *testing.T) {
+	forEachKernelPath(t, func(t *testing.T, portable bool) {
+		for _, suite := range chainSuites {
+			var total ChainStats
+			deltas, pages, historyT := suite.build(t)
+			n := 48
+			if suite.name == "stub" {
+				n = 400
+			}
+			for ds := 1; ds <= 3; ds++ {
+				for dt := 0; dt <= 4; dt++ {
+					// The scalar kernels run ~20x slower under the race
+					// detector (a minute for this grid): there the portable
+					// pass keeps the paper's setting and the deepest chain.
+					if portable && raceDetectorEnabled && suite.name != "stub" && !(ds == 2 && (dt == 2 || dt == 4)) {
+						continue
+					}
+					stream := randomStream(int64(100*ds+dt), n)
+					var inProcess ChainStats
+					for _, sched := range []bool{false, true} {
+						opt := DefaultOptions()
+						opt.SpatialDegree, opt.TemporalDegree = ds, dt
+						opt.PBOTSize = 24
+						opt.OraclePhase = true
+						refOpt := opt
+						var subjRec, refRec *recSched
+						if sched {
+							subjRec, refRec = &recSched{ctx: tensor.NewCtx()}, &recSched{ctx: tensor.NewCtx()}
+							opt.Scheduler, refOpt.Scheduler = subjRec, refRec
+						}
+
+						m, err := New(opt, historyT, nil, deltas, pages)
+						if err != nil {
+							t.Fatal(err)
+						}
+						ref := &refMPGraph{refChain: newRefChain(refOpt, deltas, pages), hist: models.NewHistory(historyT)}
+						runOracle(t, opt, stream, m, ref, func() ChainStats { return m.ChainStats }, subjRec, refRec)
+						if !sched {
+							inProcess = m.ChainStats
+						} else if m.ChainStats != inProcess {
+							t.Fatalf("%s Ds=%d Dt=%d: counters through the scheduler %+v, in-process %+v", suite.name, ds, dt, m.ChainStats, inProcess)
+						}
+
+						mk := func() phasedet.Detector { return &everyNDetector{n: 23} }
+						pc, err := NewPerCore(opt, historyT, 2, mk, deltas, pages)
+						if err != nil {
+							t.Fatal(err)
+						}
+						pcRef := &refPerCore{refChain: newRefChain(refOpt, deltas, pages), phases: make([]int, 2)}
+						for c := 0; c < 2; c++ {
+							pcRef.detectors = append(pcRef.detectors, mk())
+							pcRef.hists = append(pcRef.hists, models.NewHistory(historyT))
+						}
+						runOracle(t, opt, stream, pc, pcRef, func() ChainStats { return pc.ChainStats }, subjRec, refRec)
+
+						for _, s := range []ChainStats{m.ChainStats, pc.ChainStats} {
+							total.ChainSteps += s.ChainSteps
+							total.Revisits += s.Revisits
+							total.PBOTMisses += s.PBOTMisses
+							total.BudgetStops += s.BudgetStops
+						}
+					}
+				}
+			}
+			// The streams must reach every way a chain can end, or the
+			// oracle above proved nothing about it.
+			if total.ChainSteps == 0 || total.Revisits == 0 || total.PBOTMisses == 0 || total.BudgetStops == 0 {
+				t.Fatalf("%s: random streams left a chain ending unexercised: %+v", suite.name, total)
+			}
+		}
+	})
+}
+
+// stubChain builds an MPGraph (through a recording scheduler) and its
+// reference over scriptPage/scriptDelta stubs, primes the PBOT with one
+// access per primed block, and warms the history inside page 100.
+func stubChain(t *testing.T, ds, dt int, page *scriptPage, delta *scriptDelta, primed ...uint64) (*MPGraph, *refMPGraph, *recSched, *recSched) {
+	t.Helper()
+	opt := DefaultOptions()
+	opt.SpatialDegree, opt.TemporalDegree = ds, dt
+	opt.OraclePhase = true
+	refOpt := opt
+	rec, refRec := &recSched{ctx: tensor.NewCtx()}, &recSched{ctx: tensor.NewCtx()}
+	opt.Scheduler, refOpt.Scheduler = rec, refRec
+	deltas, pages := []models.DeltaModel{delta}, []models.PageModel{page}
+	m, err := New(opt, 4, nil, deltas, pages)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := &refMPGraph{refChain: newRefChain(refOpt, deltas, pages), hist: models.NewHistory(4)}
+	var stream []sim.LLCAccess
+	for i, b := range primed {
+		stream = append(stream, sim.LLCAccess{Block: b, PC: 0x10 + uint64(i)})
+	}
+	for i := uint64(0); i < 4; i++ {
+		stream = append(stream, sim.LLCAccess{Block: trace.BlockOfPageOffset(100, 8*i), PC: 1})
+	}
+	runOracle(t, opt, stream, m, ref, func() ChainStats { return m.ChainStats }, rec, refRec)
+	return m, ref, rec, refRec
+}
+
+// TestCSTPStopsAtRevisit pins, on crafted chains, the exact model calls of
+// one Operate and which counter the chain's end lands in: a period-1 cycle,
+// a period-2 cycle (A→B→A), a PBOT miss mid-chain, and a NaN on the tail the
+// chain comes back to. Each is also held to the reference by runOracle.
+func TestCSTPStopsAtRevisit(t *testing.T) {
+	const A, B, Z = 500, 600, 999 // Z is never accessed, so never in the PBOT
+	baseA, baseB := trace.BlockOfPageOffset(A, 3), trace.BlockOfPageOffset(B, 40)
+	last := sim.LLCAccess{Block: trace.BlockOfPageOffset(100, 33), PC: 1}
+	cases := []struct {
+		name          string
+		ds, dt        int
+		page          *scriptPage
+		nanPage       uint64
+		calls, refs   int // model calls of the last Operate: chain, reference
+		want          ChainStats
+		issued        int
+		wantHealthNaN bool
+	}{
+		{name: "period-1", ds: 2, dt: 2, page: &scriptPage{fallback: A},
+			calls: 4, refs: 5, want: ChainStats{ChainSteps: 1, Revisits: 1}, issued: 5},
+		{name: "period-1 deep", ds: 2, dt: 4, page: &scriptPage{fallback: A},
+			calls: 4, refs: 9, want: ChainStats{ChainSteps: 1, Revisits: 1}, issued: 5},
+		{name: "period-2", ds: 2, dt: 4, page: &scriptPage{next: map[uint64]uint64{100: A, A: B, B: A}},
+			calls: 6, refs: 9, want: ChainStats{ChainSteps: 2, Revisits: 1}, issued: 8},
+		{name: "period-2 budget first", ds: 2, dt: 3, page: &scriptPage{next: map[uint64]uint64{100: A, A: B, B: A}},
+			calls: 5, refs: 5, want: ChainStats{ChainSteps: 2, BudgetStops: 1}, issued: 8},
+		{name: "pbot miss mid-chain", ds: 2, dt: 4, page: &scriptPage{next: map[uint64]uint64{100: A, A: Z}},
+			calls: 4, refs: 4, want: ChainStats{ChainSteps: 1, PBOTMisses: 1}, issued: 5},
+		{name: "nan on revisited tail", ds: 2, dt: 4, page: &scriptPage{fallback: A}, nanPage: A,
+			calls: 4, refs: 9, want: ChainStats{ChainSteps: 1, Revisits: 1}, issued: 3, wantHealthNaN: true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			m, ref, rec, refRec := stubChain(t, tc.ds, tc.dt, tc.page, &scriptDelta{nanPage: tc.nanPage}, baseA, baseB)
+			before := m.ChainStats
+			rec.calls, refRec.calls = rec.calls[:0], refRec.calls[:0]
+			out := slices.Clone(m.Operate(last))
+			if want := ref.Operate(last); !slices.Equal(out, want) {
+				t.Fatalf("chain issued %v, reference %v", out, want)
+			}
+			if len(rec.calls) != tc.calls || len(refRec.calls) != tc.refs {
+				t.Fatalf("model calls: chain %d (want %d), reference %d (want %d)", len(rec.calls), tc.calls, len(refRec.calls), tc.refs)
+			}
+			if len(distinct(rec.calls)) != len(rec.calls) {
+				t.Fatalf("a (model, sample) pair was evaluated twice: %v", rec.calls)
+			}
+			tc.want.Operates, tc.want.ModelCalls = 1, tc.calls
+			if got := statsSince(m.ChainStats, before); got != tc.want {
+				t.Fatalf("counters moved by %+v, want %+v", got, tc.want)
+			}
+			if len(out) != tc.issued {
+				t.Fatalf("issued %v, want %d blocks", out, tc.issued)
+			}
+			if (m.Health() != nil) != tc.wantHealthNaN || healthString(m) != healthString(ref) {
+				t.Fatalf("health %v, reference %v, want defect %v", m.Health(), ref.Health(), tc.wantHealthNaN)
+			}
+		})
+	}
+}
+
+// TestEq11OnRandomStreams is the Eq. 11 bound as a property of the
+// controllers alone (no reference beside them): on longer random streams,
+// with the default PBOT, every Operate of either controller issues at most
+// Ds·(Dt+1) blocks, at most Ds+1 per chain step taken, and none twice.
+func TestEq11OnRandomStreams(t *testing.T) {
+	for _, suite := range chainSuites[1:] { // amma-f32 and the stubs
+		deltas, pages, historyT := suite.build(t)
+		for ds := 1; ds <= 3; ds++ {
+			for dt := 0; dt <= 4; dt++ {
+				opt := DefaultOptions()
+				opt.SpatialDegree, opt.TemporalDegree = ds, dt
+				opt.OraclePhase = true
+				m, err := New(opt, historyT, nil, deltas, pages)
+				if err != nil {
+					t.Fatal(err)
+				}
+				pc, err := NewPerCore(opt, historyT, 2, func() phasedet.Detector { return &everyNDetector{n: 23} }, deltas, pages)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, acc := range randomStream(int64(7000+100*ds+dt), 250) {
+					before := m.ChainStats
+					out := m.Operate(acc)
+					checkEq11(t, opt, out, statsSince(m.ChainStats, before).ChainSteps)
+					before = pc.ChainStats
+					out = pc.Operate(acc)
+					checkEq11(t, opt, out, statsSince(pc.ChainStats, before).ChainSteps)
+				}
+			}
+		}
 	}
 }

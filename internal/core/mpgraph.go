@@ -6,8 +6,6 @@ import (
 	"mpgraph/internal/models"
 	"mpgraph/internal/phasedet"
 	"mpgraph/internal/sim"
-	"mpgraph/internal/tensor"
-	"mpgraph/internal/trace"
 )
 
 // Options configures the MPGraph prefetcher.
@@ -71,26 +69,12 @@ func (o Options) MaxTotalDegree() int { return o.SpatialDegree * (o.TemporalDegr
 // switches between phase-specific delta/page predictors and issues chain
 // spatio-temporal prefetches.
 type MPGraph struct {
-	opt      Options
-	historyT int
+	chain
 
 	detector phasedet.Detector
-	deltas   []models.DeltaModel // one per phase
-	pages    []models.PageModel
-
-	hist  *models.History
-	pbot  *PBOT
-	phase int
-	tick  int
-
-	// Inference runs on a per-instance arena plus reusable scratch buffers,
-	// so a steady-state Operate call allocates nothing.
-	ctx         *tensor.Ctx
-	sampScratch models.Sample
-	tailScratch models.Sample
-	out         []uint64
-	deltaBuf    []uint64
-	pageBuf     []uint64
+	hist     *models.History
+	phase    int
+	tick     int
 
 	// Probation state: after a detected transition all candidate phases'
 	// recent predictions are scored against arriving demand accesses.
@@ -99,97 +83,34 @@ type MPGraph struct {
 	probeScores []int
 	probeSets   []map[uint64]bool
 
-	// Stats for introspection.
+	// Stats for introspection (ChainStats, promoted from chain, sits beside
+	// them).
 	Transitions int
 	Switches    int
-
-	// health holds the first model defect detected by score screening.
-	health error
 }
 
 // New builds an MPGraph prefetcher from per-phase trained predictors and a
 // phase-transition detector. len(deltas) must equal len(pages) and match the
 // framework's phase count.
 func New(opt Options, historyT int, detector phasedet.Detector, deltas []models.DeltaModel, pages []models.PageModel) (*MPGraph, error) {
-	if len(deltas) == 0 || len(deltas) != len(pages) {
-		return nil, fmt.Errorf("core: need matching per-phase delta/page models, got %d/%d", len(deltas), len(pages))
-	}
-	if opt.SpatialDegree <= 0 || opt.TemporalDegree < 0 {
-		return nil, fmt.Errorf("core: bad degrees Ds=%d Dt=%d", opt.SpatialDegree, opt.TemporalDegree)
+	c, err := newChain(opt, deltas, pages)
+	if err != nil {
+		return nil, err
 	}
 	if !opt.OraclePhase && detector == nil {
 		return nil, fmt.Errorf("core: detector required unless OraclePhase")
 	}
-	if opt.InferEvery <= 0 {
-		opt.InferEvery = 1
+	if c.opt.ProbationWindow <= 0 {
+		c.opt.ProbationWindow = 48
 	}
-	if opt.ProbationWindow <= 0 {
-		opt.ProbationWindow = 48
-	}
-	m := &MPGraph{
-		opt:      opt,
-		historyT: historyT,
-		detector: detector,
-		deltas:   deltas,
-		pages:    pages,
-		hist:     models.NewHistory(historyT),
-		pbot:     NewPBOT(opt.PBOTSize),
-		ctx:      tensor.NewCtx(),
-	}
-	return m, nil
+	return &MPGraph{chain: c, detector: detector, hist: models.NewHistory(historyT)}, nil
 }
 
 // Name implements sim.Prefetcher.
 func (m *MPGraph) Name() string { return "mpgraph" }
 
-// InferenceLatencyCycles implements sim.InferenceLatency.
-func (m *MPGraph) InferenceLatencyCycles() uint64 { return m.opt.LatencyCycles }
-
 // Phase exposes the currently selected phase (tests, case studies).
 func (m *MPGraph) Phase() int { return m.phase }
-
-// Health implements sim.HealthReporter: nil until score screening detects a
-// non-finite model output, then the first such defect.
-func (m *MPGraph) Health() error { return m.health }
-
-// JoinBatch registers this instance's scheduler session with the batch flush
-// watermark (no-op without a scheduler).
-func (m *MPGraph) JoinBatch() {
-	if m.opt.Scheduler != nil {
-		m.opt.Scheduler.Join()
-	}
-}
-
-// LeaveBatch unregisters the scheduler session (no-op without a scheduler).
-func (m *MPGraph) LeaveBatch() {
-	if m.opt.Scheduler != nil {
-		m.opt.Scheduler.Leave()
-	}
-}
-
-// deltaTargetsAppend is the one delta decode cstp and probation use: through
-// the batch scheduler when one is attached, the in-process path otherwise.
-// Either way the scores decode via models.AppendDeltaTargets on m.ctx.
-func (m *MPGraph) deltaTargetsAppend(dm models.DeltaModel, s *models.Sample, base uint64, k int, dst []uint64) ([]uint64, error) {
-	if m.opt.Scheduler != nil {
-		return models.AppendDeltaTargets(m.ctx, m.opt.Scheduler.DeltaScores(dm, s), base, k, dst)
-	}
-	return topDeltaBlocksAppend(m.ctx, dm, s, base, k, dst)
-}
-
-// topPages is the page-model counterpart of deltaTargetsAppend.
-func (m *MPGraph) topPages(pm models.PageModel, s *models.Sample, k int, dst []uint64) []uint64 {
-	if m.opt.Scheduler != nil {
-		return m.opt.Scheduler.TopPages(pm, s, k, dst)
-	}
-	return models.TopPagesWith(m.ctx, pm, s, k, dst)
-}
-
-func (m *MPGraph) recordHealth(err error) {
-	if m.health == nil {
-		m.health = err
-	}
-}
 
 // Operate implements sim.Prefetcher: the CSTP strategy of Fig. 8.
 func (m *MPGraph) Operate(acc sim.LLCAccess) []uint64 {
@@ -198,6 +119,7 @@ func (m *MPGraph) Operate(acc sim.LLCAccess) []uint64 {
 		m.scoreProbe(acc.Block)
 	}
 
+	m.Operates++
 	m.pbot.Update(acc.Block, acc.PC)
 	m.hist.Push(acc.Block, acc.PC)
 
@@ -221,75 +143,7 @@ func (m *MPGraph) Operate(acc sim.LLCAccess) []uint64 {
 	if m.probing {
 		m.feedProbe()
 	}
-	return m.cstp(acc.Block)
-}
-
-// cstp performs chain spatio-temporal prefetching from the current block.
-func (m *MPGraph) cstp(block uint64) []uint64 {
-	maxDegree := m.opt.MaxTotalDegree()
-	out := m.out[:0]
-	sample := m.hist.SampleInto(&m.sampScratch, m.phase)
-	delta := m.deltas[m.phase%len(m.deltas)]
-	page := m.pages[m.phase%len(m.pages)]
-
-	// Step 0: spatial deltas at the current block.
-	var err error
-	m.deltaBuf, err = m.deltaTargetsAppend(delta, sample, block, m.opt.SpatialDegree, m.deltaBuf[:0])
-	if err != nil {
-		m.recordHealth(err)
-	}
-	for _, b := range m.deltaBuf {
-		out = addUnique(out, b, maxDegree)
-	}
-
-	// Temporal chain: predicted page -> PBOT offset -> further spatial and
-	// temporal inference, until the degree budget, a missing PBOT entry, or
-	// the temporal depth runs out.
-	cur := sample
-	for step := 0; step < m.opt.TemporalDegree; step++ {
-		m.pageBuf = m.topPages(page, cur, 1, m.pageBuf[:0])
-		if len(m.pageBuf) == 0 {
-			break
-		}
-		next := m.pageBuf[0]
-		entry, ok := m.pbot.Lookup(next)
-		if !ok {
-			break
-		}
-		base := trace.BlockOfPageOffset(next, entry.Offset)
-		out = addUnique(out, base, maxDegree)
-		cur = m.hist.SampleWithTailInto(&m.tailScratch, m.phase, base, entry.PC)
-		m.deltaBuf, err = m.deltaTargetsAppend(delta, cur, base, m.opt.SpatialDegree, m.deltaBuf[:0])
-		if err != nil {
-			m.recordHealth(err)
-		}
-		for _, b := range m.deltaBuf {
-			if len(out) >= maxDegree {
-				break
-			}
-			out = addUnique(out, b, maxDegree)
-		}
-		if len(out) >= maxDegree {
-			break
-		}
-	}
-	m.out = out
-	return out
-}
-
-// addUnique appends b to out unless it is already present or the degree
-// budget is spent — a linear scan, because maxDegree is at most Ds·(Dt+1)
-// (6 at paper settings).
-func addUnique(out []uint64, b uint64, maxDegree int) []uint64 {
-	if len(out) >= maxDegree {
-		return out
-	}
-	for _, x := range out {
-		if x == b {
-			return out
-		}
-	}
-	return append(out, b)
+	return m.cstp(m.hist, m.phase, acc.Block)
 }
 
 // beginProbation activates all phase predictors in parallel for scoring
@@ -322,11 +176,7 @@ func (m *MPGraph) feedProbe() {
 	base := m.hist.CurrentBlock()
 	for p, dm := range m.deltas {
 		s := m.hist.SampleInto(&m.sampScratch, p)
-		var err error
-		m.deltaBuf, err = m.deltaTargetsAppend(dm, s, base, m.opt.SpatialDegree, m.deltaBuf[:0])
-		if err != nil {
-			m.recordHealth(err)
-		}
+		m.deltaBuf = m.deltaTargets(dm, s, base, m.deltaBuf[:0])
 		for _, b := range m.deltaBuf {
 			m.probeSets[p][b] = true
 		}

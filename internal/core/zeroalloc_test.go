@@ -7,6 +7,7 @@ import (
 	"mpgraph/internal/models"
 	"mpgraph/internal/phasedet"
 	"mpgraph/internal/sim"
+	"mpgraph/internal/trace"
 )
 
 // newAMMAMPGraph builds an MPGraph over untrained (random-init) AMMA
@@ -60,6 +61,64 @@ func TestMPGraphOperateZeroAlloc(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(64, step); allocs != 0 {
 		t.Fatalf("steady-state AMMA MPGraph.Operate allocates %.1f/op, want 0", allocs)
+	}
+}
+
+// newChainMPGraph builds the fixture whose chains run to their end: the
+// oracle's AMMA suite (core_test.go), whose page head holds only pages the
+// stepper visits, so unlike newAMMAMPGraph's models these name a page the
+// PBOT has and step 2 is reached.
+func newChainMPGraph(tb testing.TB, f32 bool) *MPGraph {
+	tb.Helper()
+	deltas, pages, historyT := ammaSuite(tb, f32)
+	m, err := New(DefaultOptions(), historyT, silentDetector{}, deltas[:1], pages[:1])
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return m
+}
+
+// chainStepper drives Operate over all 32 pages of the suite's vocabulary,
+// coming back to each every 32 accesses, so every predicted page is a PBOT
+// hit.
+func chainStepper(operate func(sim.LLCAccess) []uint64) func() {
+	i := 0
+	return func() {
+		i++
+		operate(sim.LLCAccess{
+			Block: trace.BlockOfPageOffset(chainPage0+uint64(i*7%32), uint64(i*3%64)),
+			PC:    chainPC0 + 0x40*uint64(i%3),
+			Core:  uint8(i % 2),
+		})
+	}
+}
+
+// TestChainOperateZeroAlloc: the other fixtures stop at the first PBOT miss,
+// so only this one walks the temporal steps (tail samples, the visited list)
+// under the allocation gate — on both controllers.
+func TestChainOperateZeroAlloc(t *testing.T) {
+	for _, f32 := range []bool{false, true} {
+		m := newChainMPGraph(t, f32)
+		pc, err := NewPerCore(DefaultOptions(), m.hist.T, 2, func() phasedet.Detector { return silentDetector{} }, m.deltas, m.pages)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, c := range map[string]struct {
+			operate func(sim.LLCAccess) []uint64
+			stats   *ChainStats
+		}{"mpgraph": {m.Operate, &m.ChainStats}, "percore": {pc.Operate, &pc.ChainStats}} {
+			step := chainStepper(c.operate)
+			for n := 0; n < 96; n++ {
+				step()
+			}
+			before := *c.stats
+			if allocs := testing.AllocsPerRun(64, step); allocs != 0 {
+				t.Fatalf("%s f32=%v: steady-state chain Operate allocates %.1f/op, want 0", name, f32, allocs)
+			}
+			if c.stats.ChainSteps == before.ChainSteps || c.stats.Revisits == before.Revisits {
+				t.Fatalf("%s f32=%v: fixture took no chain step or met no revisit: %+v", name, f32, *c.stats)
+			}
+		}
 	}
 }
 
@@ -140,6 +199,29 @@ func benchMPGraphOperate(b *testing.B, opt Options) {
 func BenchmarkOperateMPGraphAMMA(b *testing.B) {
 	benchMPGraphOperate(b, DefaultOptions())
 }
+
+// benchChainOperate is the ledger row that sees the temporal chain: the
+// AMMA rows above sit at 2 model calls per Operate (delta, page, PBOT miss),
+// this one runs chains to a revisit or the degree budget.
+func benchChainOperate(b *testing.B, f32 bool) {
+	m := newChainMPGraph(b, f32)
+	step := chainStepper(m.Operate)
+	for n := 0; n < 96; n++ {
+		step()
+	}
+	before := m.ChainStats
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		step()
+	}
+	b.ReportMetric(float64(m.ModelCalls-before.ModelCalls)/float64(b.N), "modelcalls/op")
+}
+
+func BenchmarkOperateMPGraphChain(b *testing.B) { benchChainOperate(b, false) }
+
+// BenchmarkOperateMPGraphChainF32 pairs with BenchmarkOperateMPGraphChain.
+func BenchmarkOperateMPGraphChainF32(b *testing.B) { benchChainOperate(b, true) }
 
 // calibSamples builds calibration samples matching the stepper's access
 // pattern, so the int8 activation scales see the distribution the

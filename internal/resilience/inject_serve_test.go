@@ -67,9 +67,9 @@ func TestParseInjectorServePoints(t *testing.T) {
 // "pass" without injecting a single fault.
 func TestParseInjectorRejectsUnknownServeLikePoints(t *testing.T) {
 	for _, bad := range []string{
-		"serve-admission:err@1", // misspelled point
+		"serve-admission:err@1",   // misspelled point
 		"serve-session:prob=0.05", // wrong grammar for the probabilistic form
-		"serve-flush:drop@1",    // unknown kind
+		"serve-flush:drop@1",      // unknown kind
 	} {
 		if _, err := ParseInjector(bad, 1); err == nil {
 			t.Fatalf("spec %q must fail to parse", bad)

@@ -16,7 +16,6 @@ var useAVX512F = hasAVX512F()
 // chains. rows is 4, or 2 for a two-row remainder.
 //
 //mpgraph:noalloc
-//
 //go:noescape
 func fmaPanel4Asm(out, a, b *float64, k, n, rows int64)
 
@@ -24,7 +23,6 @@ func fmaPanel4Asm(out, a, b *float64, k, n, rows int64)
 // over 32-column zmm tile pairs.
 //
 //mpgraph:noalloc
-//
 //go:noescape
 func fmaPanel4F32Asm(out, a, b *float32, k, n, rows int64)
 
@@ -33,14 +31,12 @@ func fmaPanel4F32Asm(out, a, b *float32, k, n, rows int64)
 // never changes any row's bits.
 //
 //mpgraph:noalloc
-//
 //go:noescape
 func fmaPanel1Asm(out, a, b *float64, k, n int64)
 
 // fmaPanel1F32Asm is the f32 twin of fmaPanel1Asm.
 //
 //mpgraph:noalloc
-//
 //go:noescape
 func fmaPanel1F32Asm(out, a, b *float32, k, n int64)
 
@@ -48,14 +44,12 @@ func fmaPanel1F32Asm(out, a, b *float32, k, n int64)
 // mode 0 = exp(x-bias), 1 = sigmoid, 2 = tanh, 3 = ReLU.
 //
 //mpgraph:noalloc
-//
 //go:noescape
 func vactAVX512(p *float64, n, mode int64, bias float64)
 
 // vactF32AVX512 is the f32 twin of vactAVX512.
 //
 //mpgraph:noalloc
-//
 //go:noescape
 func vactF32AVX512(p *float32, n, mode int64, bias float32)
 
@@ -63,14 +57,12 @@ func vactF32AVX512(p *float32, n, mode int64, bias float32)
 // block (both >= 1).
 //
 //mpgraph:noalloc
-//
 //go:noescape
 func vsoftmaxRowsAVX512(p, tmp *float64, rows, cols int64)
 
 // vsoftmaxRowsF32AVX512 is the f32 twin of vsoftmaxRowsAVX512.
 //
 //mpgraph:noalloc
-//
 //go:noescape
 func vsoftmaxRowsF32AVX512(p, tmp *float32, rows, cols int64)
 
@@ -78,14 +70,12 @@ func vsoftmaxRowsF32AVX512(p, tmp *float32, rows, cols int64)
 // nil (plain LayerNorm). rows and cols are >= 1.
 //
 //mpgraph:noalloc
-//
 //go:noescape
 func vaddLayerNormAVX512(out, x, y, gain, bias *float64, rows, cols int64, eps float64)
 
 // vaddLayerNormF32AVX512 is the f32 twin of vaddLayerNormAVX512.
 //
 //mpgraph:noalloc
-//
 //go:noescape
 func vaddLayerNormF32AVX512(out, x, y, gain, bias *float32, rows, cols int64, eps float32)
 

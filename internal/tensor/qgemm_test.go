@@ -160,7 +160,7 @@ func TestQuantizeRowFastMatchesScalar(t *testing.T) {
 		for i := range src {
 			src[i] = rng.NormFloat64() * 3
 		}
-		src[0] = 1e6  // positive saturation
+		src[0] = 1e6 // positive saturation
 		if n > 1 {
 			src[1] = -1e6 // negative saturation
 		}

@@ -13,7 +13,6 @@ var useVNNI = hasAVX512VNNI()
 // dequantize epilogue (see the .s file for the exact contract).
 //
 //mpgraph:noalloc
-//
 //go:noescape
 func vnniRowF64(orow *float64, w *byte, ua *byte, scales *float64, corr *int32, groups int64, nOut int64, sx float64)
 
@@ -21,7 +20,6 @@ func vnniRowF64(orow *float64, w *byte, ua *byte, scales *float64, corr *int32, 
 // of quantizeValue, bit-identical on every input.
 //
 //mpgraph:noalloc
-//
 //go:noescape
 func quantizeRowAVX512(dst *int8, src *float64, n int64, inv float64)
 
