@@ -109,8 +109,11 @@ fuzz:
 # shapes an AMMA forward runs them) take 20000 iterations for the same
 # reason; the seconds-scale sweep benchmarks run once. TRAIN_BENCH is the
 # training layer (what a suite's set-up is made of): the Adam step and the
-# weight-gradient product at 5000 iterations, a whole AMMA train step at 300,
-# and the ten-model suite at the repository benchmark's fixture, best of 3.
+# weight-gradient product at 5000 iterations, a whole AMMA train step (the
+# trainer's own, on its tape) at 300, and the ten-model suite at the repository
+# benchmark's fixture, best of 3 — BenchmarkSuiteTrain on the GOMAXPROCS pool
+# and BenchmarkSuiteTrainSerial (same pattern) on one P, so pool and tape read
+# apart. Every training row reports B/op and allocs/op.
 # Steps go through a file so a benchmark failure fails the target. For
 # published numbers rerun with a higher -benchtime and -count (DESIGN.md §8).
 KERNEL_BENCH = BenchmarkAttentionBlocks|BenchmarkResidualLayerNorm|BenchmarkTopK2of1024
@@ -150,10 +153,12 @@ bench-batch:
 	rm -f bench-batch.out
 
 # bench-compare is the perf-regression gate: rerun the Operate, kernel and
-# training benchmarks and fail if any benchmark is >15% slower in ns/op — or
-# gains a single allocation — against the committed BENCH_small.json. On a
-# machine that differs from the one the baseline was measured on, the ns/op
-# check is skipped (with a warning) and only allocation gains fail.
+# training benchmarks and fail if any benchmark is >15% slower in ns/op, a
+# zero-alloc row gains a single allocation, or an allocating row (a train
+# step, a suite) more than 15% of its count — against the committed
+# BENCH_small.json. On a machine that differs from the one the baseline was
+# measured on, the ns/op check is skipped (with a warning) and only allocation
+# gains fail.
 bench-compare:
 	$(GO) test ./internal/prefetch/ ./internal/core/ ./internal/models/ \
 		-run xxx -bench 'BenchmarkOperate|BenchmarkSuiteSave' -benchtime 300x -count 6 \

@@ -166,6 +166,18 @@ func TestCompareReportsAllocRegression(t *testing.T) {
 	if !strings.Contains(sb.String(), "allocs/op 0 -> 1") {
 		t.Fatalf("missing alloc regression line:\n%s", sb.String())
 	}
+	// A row that allocates by design is held to the ns/op ratio: 99 -> 113
+	// (+14%) passes, 99 -> 114 (+15.2%) fails.
+	old, new = compareFixture()
+	new.Benchmarks[1].AllocsPerOp = 113
+	sb.Reset()
+	if n := compareReports(&sb, old, new); n != 0 {
+		t.Fatalf("alloc count inside the threshold reported %d regressions:\n%s", n, sb.String())
+	}
+	new.Benchmarks[1].AllocsPerOp = 114
+	if n := compareReports(&sb, old, new); n != 1 || !strings.Contains(sb.String(), "allocs/op 99 -> 114") {
+		t.Fatalf("alloc count over the threshold: %d regressions:\n%s", n, sb.String())
+	}
 }
 
 func TestCompareReportsEnvMismatch(t *testing.T) {

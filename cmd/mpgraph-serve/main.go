@@ -49,7 +49,7 @@ func main() {
 		traceIters = flag.Int("trace-iterations", 0, "framework super-steps to trace (0 = per-scale default)")
 		trainSamps = flag.Int("train-samples", 0, "training dataset cap (0 = per-scale default)")
 		epochs     = flag.Int("epochs", 0, "training epoch count (0 = per-scale default)")
-		workers    = flag.Int("workers", 0, "training/replay parallelism (0 = GOMAXPROCS)")
+		workers    = flag.Int("workers", 0, "replay parallelism (0 = GOMAXPROCS); suite training follows GOMAXPROCS, not this")
 		int8Infer  = flag.Bool("int8", false, "serve inference on the int8 quantized engine")
 		f32Infer   = flag.Bool("f32", false, "serve inference on the single-precision (f32) compute tier")
 		batch      = flag.Int("batch", 0, "fuse up to N concurrent sessions' model calls per batched GEMM round (0 = off)")

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"runtime"
 	"testing"
 
 	"mpgraph/internal/frameworks"
@@ -56,13 +57,15 @@ func BenchmarkPrefetchSweepSerial(b *testing.B) {
 // package pays before its first prediction: training the ten-model suite of
 // one workload, at the settings of the repository benchmark's ML fixture
 // (benchmark/fixture.go), its suite_train_s. The trace is generated outside
-// the timer.
+// the timer. The ten jobs run on GOMAXPROCS workers whatever Options.Workers
+// says.
 func BenchmarkSuiteTrain(b *testing.B) {
 	o := DefaultOptions()
 	o.GraphScale, o.TraceIterations, o.MaxTestAccesses = 10, 3, 6000
 	o.TrainSamples, o.EvalSamples, o.Epochs = 200, 100, 1
 	o.Seed, o.Workers = 1, 1
 	w := Workload{Framework: "gpop", App: frameworks.PR, Dataset: "rmat"}
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		r := NewRunner(o)
@@ -74,4 +77,12 @@ func BenchmarkSuiteTrain(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkSuiteTrainSerial is the same suite on one P, where the ten jobs run
+// inline one after another: what the tape alone buys, and against
+// BenchmarkSuiteTrain what the pool adds on this host.
+func BenchmarkSuiteTrainSerial(b *testing.B) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	BenchmarkSuiteTrain(b)
 }

@@ -335,20 +335,26 @@ func (r *Runner) computeSuite(w Workload) (*Suite, error) {
 	toptPS := topt
 	toptPS.Epochs = topt.Epochs * d.NumPhases
 
-	for _, m := range []models.DeltaModel{s.LSTMDelta, s.AttnDelta, s.AMMADelta, s.PIDelta} {
-		if err := models.TrainDelta(m, s.Train, topt); err != nil {
-			return nil, err
-		}
+	// The ten models are independent jobs: each touches only its own model
+	// and its own tape (models.trainLoop), reads the shared dataset, and
+	// never toggles the process-wide grad flag, so the trained weights are
+	// the same bytes whatever runs beside what. They fan out over
+	// GOMAXPROCS, not Options.Workers — that bounds the sweep's cells, and a
+	// suite is set-up inside one cell. The two phase-specific models go
+	// first: they run NumPhases times the steps, so started last they would
+	// be the tail every other worker waits for.
+	delta := func(m models.DeltaModel, o models.TrainOptions) func() error {
+		return func() error { return models.TrainDelta(m, s.Train, o) }
 	}
-	if err := models.TrainDelta(s.PSDelta, s.Train, toptPS); err != nil {
-		return nil, err
+	page := func(m models.PageModel, o models.TrainOptions) func() error {
+		return func() error { return models.TrainPage(m, s.Train, o) }
 	}
-	for _, m := range []models.PageModel{s.LSTMPage, s.AttnPage, s.AMMAPage, s.PIPage} {
-		if err := models.TrainPage(m, s.Train, topt); err != nil {
-			return nil, err
-		}
+	jobs := []func() error{
+		page(s.PSPage, toptPS), delta(s.PSDelta, toptPS),
+		delta(s.LSTMDelta, topt), delta(s.AttnDelta, topt), delta(s.AMMADelta, topt), delta(s.PIDelta, topt),
+		page(s.LSTMPage, topt), page(s.AttnPage, topt), page(s.AMMAPage, topt), page(s.PIPage, topt),
 	}
-	if err := models.TrainPage(s.PSPage, s.Train, toptPS); err != nil {
+	if err := forEachIndex(len(jobs), 0, func(i int) error { return jobs[i]() }); err != nil {
 		return nil, err
 	}
 

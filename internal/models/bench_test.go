@@ -56,18 +56,17 @@ func BenchmarkLSTMDeltaInference(b *testing.B) {
 	}
 }
 
-// benchTrainStep times what trainLoop does per sample: loss, backward, one
-// Adam step, zero the gradients.
+// benchTrainStep times the step trainLoop runs per sample — the same
+// trainer, so the same tape — on the loss of one sample after another.
 func benchTrainStep(b *testing.B, m nn.Module, ds *Dataset, lossFn func(*Sample) *tensor.Tensor) {
-	adam := nn.NewAdam(1e-3)
-	params := m.Params()
+	tr := newTrainer(m, 1e-3)
+	defer tr.tape.Release()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := lossFn(ds.Samples[i%len(ds.Samples)]).Backward(); err != nil {
+		if err := tr.step(lossFn(ds.Samples[i%len(ds.Samples)])); err != nil {
 			b.Fatal(err)
 		}
-		adam.Step(params)
-		nn.ZeroParamGrads(params)
 	}
 }
 

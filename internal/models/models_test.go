@@ -596,15 +596,7 @@ func TestTrainBitIdenticalAcrossKernelPaths(t *testing.T) {
 	portable := train()
 	restore()
 	for name, m := range native {
-		want := portable[name].Params()
-		for pi, p := range m.Params() {
-			for i, v := range p.Data {
-				if math.Float64bits(v) != math.Float64bits(want[pi].Data[i]) {
-					t.Fatalf("%s: param %d elem %d native %x (%g), portable %x (%g)", name, pi, i,
-						math.Float64bits(v), v, math.Float64bits(want[pi].Data[i]), want[pi].Data[i])
-				}
-			}
-		}
+		requireSameBits(t, name+" (native vs portable)", m, portable[name])
 	}
 }
 

@@ -46,14 +46,46 @@ func TrainPage(m PageModel, ds *Dataset, opt TrainOptions) error {
 	return trainLoop(m, ds, opt, func(s *Sample) *tensor.Tensor { return m.PageLoss(s) })
 }
 
+// trainer is one model's training state: its parameters, their optimizer
+// and the tape (tensor/tape.go) every step's graph is drawn from. Each
+// trainer owns its tape, so trainers of different models share nothing they
+// write and may run side by side.
+type trainer struct {
+	params []*tensor.Tensor
+	adam   *nn.Adam
+	tape   *tensor.Tape
+}
+
+// newTrainer puts m's parameters on a fresh tape; the caller defers the
+// tape's Release.
+func newTrainer(m nn.Module, lr float64) *trainer {
+	params := m.Params()
+	return &trainer{params: params, adam: nn.NewAdam(lr), tape: tensor.NewTape(params)}
+}
+
+// step is one training step on loss. The tape is rewound last: Backward and
+// Adam are done with the step's graph, and the parameter gradients — heap
+// memory, not the tape's — are already zero for the next step.
+func (t *trainer) step(loss *tensor.Tensor) error {
+	if err := loss.Backward(); err != nil {
+		return err
+	}
+	t.adam.Step(t.params)
+	nn.ZeroParamGrads(t.params)
+	t.tape.Reset()
+	return nil
+}
+
+// trainLoop is the only training loop in the tree: suite training,
+// distillation and snapshot training all run it.
 func trainLoop(m nn.Module, ds *Dataset, opt TrainOptions, lossFn func(*Sample) *tensor.Tensor) error {
 	opt = opt.withDefaults()
 	if len(ds.Samples) == 0 {
 		return fmt.Errorf("models: empty dataset")
 	}
 	rng := rand.New(rand.NewSource(opt.Seed))
-	adam := nn.NewAdam(opt.LR)
-	params := m.Params()
+	tr := newTrainer(m, opt.LR)
+	defer tr.tape.Release()
 	order := make([]int, len(ds.Samples))
 	for i := range order {
 		order[i] = i
@@ -70,12 +102,9 @@ func trainLoop(m nn.Module, ds *Dataset, opt TrainOptions, lossFn func(*Sample) 
 			n = opt.MaxSamplesPerEpoch
 		}
 		for _, idx := range order[:n] {
-			loss := lossFn(ds.Samples[idx])
-			if err := loss.Backward(); err != nil {
+			if err := tr.step(lossFn(ds.Samples[idx])); err != nil {
 				return err
 			}
-			adam.Step(params)
-			nn.ZeroParamGrads(params)
 		}
 	}
 	return nil

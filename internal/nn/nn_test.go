@@ -384,12 +384,29 @@ func TestZeroGradsAndCount(t *testing.T) {
 }
 
 // layerGradCheck numerically verifies the full backward pass through a
-// layer's parameters.
+// layer's parameters: on the heap, then with the parameters on a tape that is
+// rewound after every forward.
 func layerGradCheck(t *testing.T, name string, m Module, forward func() *tensor.Tensor) {
+	t.Helper()
+	layerGradCheckOn(t, name, m, forward, func() {})
+	tp := tensor.NewTape(m.Params())
+	defer tp.Release()
+	layerGradCheckOn(t, name+" (taped)", m, forward, tp.Reset)
+}
+
+// layerGradCheckOn is one numerical check; reset runs after every forward
+// whose value has been read.
+func layerGradCheckOn(t *testing.T, name string, m Module, forward func() *tensor.Tensor, reset func()) {
 	t.Helper()
 	loss := forward()
 	if err := loss.Backward(); err != nil {
 		t.Fatalf("%s: %v", name, err)
+	}
+	reset()
+	value := func() float64 {
+		v := forward().Data[0]
+		reset()
+		return v
 	}
 	const h = 1e-6
 	for pi, p := range m.Params() {
@@ -401,9 +418,9 @@ func layerGradCheck(t *testing.T, name string, m Module, forward func() *tensor.
 		for i := 0; i < len(p.Data); i += step {
 			orig := p.Data[i]
 			p.Data[i] = orig + h
-			up := forward().Data[0]
+			up := value()
 			p.Data[i] = orig - h
-			down := forward().Data[0]
+			down := value()
 			p.Data[i] = orig
 			numeric := (up - down) / (2 * h)
 			if diff := numeric - p.Grad[i]; diff > 1e-4 || diff < -1e-4 {

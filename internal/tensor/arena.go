@@ -83,7 +83,7 @@ func (a *arena[T]) reset() {
 // header allocates a tensor header over data. The slot is not cleared: shape
 // and data are assigned here and nothing ever writes an arena header's graph
 // fields, so they are still the zeros the slab was made with
-// (TestArenaHeadersCarryNoGraph pins that). Clearing the 88-byte slot costs
+// (TestArenaHeadersCarryNoGraph pins that). Clearing the 112-byte slot costs
 // 5-13% on the ~110-200 ns single-block LayerNorm rows of the ledger.
 //
 //mpgraph:noalloc

@@ -37,6 +37,9 @@ func BenchmarkBackwardMLP(b *testing.B) {
 	w2 := Randn(64, 16, 0.1, rng).Param()
 	x := Randn(8, 32, 1, rng)
 	targets := make([]float64, 8*16)
+	tp := NewTape([]*Tensor{w1, w2}) // as a trainer runs it
+	defer tp.Release()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		loss := MSE(MatMul(ReLU(MatMul(x, w1)), w2), targets)
@@ -45,6 +48,7 @@ func BenchmarkBackwardMLP(b *testing.B) {
 		}
 		w1.ZeroGrad()
 		w2.ZeroGrad()
+		tp.Reset()
 	}
 }
 

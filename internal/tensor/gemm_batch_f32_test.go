@@ -405,7 +405,7 @@ func checkHeadersClean[T float32 | float64](t *testing.T, tier string, hdrs []De
 	}
 	for i := range hdrs {
 		h := &hdrs[i]
-		if h.Grad != nil || h.requiresGrad || h.parents != nil || h.backward != nil {
+		if h.Grad != nil || h.requiresGrad || h.mark || h.parents != nil || h.backward != nil || h.tape != nil {
 			t.Fatalf("%s header %d carries graph state: %+v", tier, i, *h)
 		}
 	}

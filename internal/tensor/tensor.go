@@ -48,8 +48,14 @@ type Dense[T float32 | float64] struct {
 	Grad []T
 
 	requiresGrad bool
-	parents      []*Dense[T]
-	backward     func()
+	// mark is Backward's visited flag, set and cleared within one traversal.
+	mark     bool
+	parents  []*Dense[T]
+	backward func()
+	// tape, when set, is the training tape (tape.go) results computed from
+	// this tensor live on: a parameter carries its trainer's, a result the
+	// one its own Data came from.
+	tape *TapeOf[T]
 }
 
 // Tensor is the float64 matrix: training, autograd and the f64 inference
@@ -129,11 +135,18 @@ func (t *Dense[T]) Clone() *Dense[T] {
 	return &Dense[T]{Rows: t.Rows, Cols: t.Cols, Data: d}
 }
 
-// ensureGrad allocates the gradient buffer.
+// ensureGrad allocates the gradient buffer: from the tape for a result on
+// one, whose gradient dies with the step, and from the heap for everything
+// else — a parameter's gradient has to survive the tape's Reset.
 func (t *Dense[T]) ensureGrad() {
-	if t.Grad == nil {
-		t.Grad = make([]T, len(t.Data))
+	if t.Grad != nil {
+		return
 	}
+	if t.tape != nil && len(t.parents) > 0 {
+		t.Grad = t.tape.data.take(len(t.Data))
+		return
+	}
+	t.Grad = make([]T, len(t.Data))
 }
 
 // ZeroGrad clears accumulated gradients.
@@ -143,17 +156,26 @@ func (t *Dense[T]) ZeroGrad() {
 	}
 }
 
-// newResult wires an op result into the graph.
+// newResult wires an op result into the graph. Its data comes from the tape
+// of the first parent that is on one (a taped parent requires grad, so such a
+// result always joins the graph), and from the heap otherwise.
 func newResult(rows, cols int, parents []*Tensor, backward func()) *Tensor {
-	out := Zeros(rows, cols)
 	if gradDisabled.Load() {
-		return out
+		return Zeros(rows, cols)
 	}
+	out := &Tensor{Rows: rows, Cols: cols}
 	for _, p := range parents {
 		if p.requiresGrad {
 			out.requiresGrad = true
-			break
 		}
+		if out.tape == nil {
+			out.tape = p.tape
+		}
+	}
+	if out.tape != nil {
+		out.Data = out.tape.data.take(rows * cols)
+	} else {
+		out.Data = make([]float64, rows*cols)
 	}
 	if out.requiresGrad {
 		out.parents = parents
@@ -172,28 +194,36 @@ func (t *Dense[T]) Backward() error {
 	if !t.requiresGrad {
 		return fmt.Errorf("tensor: Backward on a tensor with no graph")
 	}
-	// Topological order via iterative DFS.
+	// Topological order via iterative DFS. A node is visited once: the mark
+	// on it says so without hashing, and is cleared before any backward
+	// closure runs, so a panicking closure leaves no mark behind. On a tape
+	// the stack and the order reuse the last step's capacity.
+	var stack []frame[T]
 	var order []*Dense[T]
-	visited := map[*Dense[T]]bool{}
-	type frame struct {
-		n    *Dense[T]
-		next int
+	if t.tape != nil {
+		stack, order = t.tape.stack[:0], t.tape.order[:0]
 	}
-	stack := []frame{{n: t}}
-	visited[t] = true
+	stack = append(stack, frame[T]{n: t})
+	t.mark = true
 	for len(stack) > 0 {
 		f := &stack[len(stack)-1]
 		if f.next < len(f.n.parents) {
 			p := f.n.parents[f.next]
 			f.next++
-			if !visited[p] && p.requiresGrad {
-				visited[p] = true
-				stack = append(stack, frame{n: p})
+			if p.requiresGrad && !p.mark {
+				p.mark = true
+				stack = append(stack, frame[T]{n: p})
 			}
 			continue
 		}
 		order = append(order, f.n)
 		stack = stack[:len(stack)-1]
+	}
+	for _, n := range order {
+		n.mark = false
+	}
+	if t.tape != nil {
+		t.tape.stack, t.tape.order = stack, order
 	}
 	t.ensureGrad()
 	t.Grad[0] = 1

@@ -9,24 +9,51 @@ import (
 
 // gradCheck numerically verifies d(loss)/d(p) for every parameter in params
 // against the autograd result, where forward rebuilds the graph from the
-// params' current Data.
+// params' current Data. It checks twice — on the heap, then with the
+// parameters on a tape that is rewound after every forward — and the taped
+// gradients must be the heap ones bit for bit.
 func gradCheck(t *testing.T, name string, params []*Tensor, forward func() *Tensor) {
+	t.Helper()
+	heap := gradCheckOn(t, name, params, forward, func() {})
+	tp := NewTape(params)
+	defer tp.Release()
+	taped := gradCheckOn(t, name+" (taped)", params, forward, tp.Reset)
+	for pi := range heap {
+		for i, g := range heap[pi] {
+			if math.Float64bits(g) != math.Float64bits(taped[pi][i]) {
+				t.Fatalf("%s: param %d elem %d: heap grad %g, taped grad %g", name, pi, i, g, taped[pi][i])
+			}
+		}
+	}
+}
+
+// gradCheckOn runs one numerical check, calling reset after every forward
+// whose value has been read, and returns a copy of the autograd gradients.
+func gradCheckOn(t *testing.T, name string, params []*Tensor, forward func() *Tensor, reset func()) [][]float64 {
 	t.Helper()
 	loss := forward()
 	if err := loss.Backward(); err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
+	reset()
+	value := func() float64 {
+		v := forward().Data[0]
+		reset()
+		return v
+	}
 	const h = 1e-6
+	grads := make([][]float64, len(params))
 	for pi, p := range params {
 		if p.Grad == nil {
 			t.Fatalf("%s: param %d has no grad", name, pi)
 		}
+		grads[pi] = append([]float64(nil), p.Grad...)
 		for i := range p.Data {
 			orig := p.Data[i]
 			p.Data[i] = orig + h
-			up := forward().Data[0]
+			up := value()
 			p.Data[i] = orig - h
-			down := forward().Data[0]
+			down := value()
 			p.Data[i] = orig
 			numeric := (up - down) / (2 * h)
 			got := p.Grad[i]
@@ -39,6 +66,7 @@ func gradCheck(t *testing.T, name string, params []*Tensor, forward func() *Tens
 	for _, p := range params {
 		p.ZeroGrad()
 	}
+	return grads
 }
 
 func randParam(rng *rand.Rand, r, c int) *Tensor {
