@@ -113,11 +113,18 @@ fuzz:
 # trainer's own, on its tape) at 300, and the ten-model suite at the repository
 # benchmark's fixture, best of 3 — BenchmarkSuiteTrain on the GOMAXPROCS pool
 # and BenchmarkSuiteTrainSerial (same pattern) on one P, so pool and tape read
-# apart. Every training row reports B/op and allocs/op.
+# apart. Every training row reports B/op and allocs/op. SIM_BENCH is the
+# non-ML half of the pipeline, all with B/op and allocs/op: the engine alone
+# and under four classic prefetchers on the repository benchmark's GPOP/PR
+# trace, the three framework trace generations and the barrier merge (whole
+# runs of tens of ms, best of 6 x 5), and one Operate of each of the seven
+# classic prefetchers on that trace's LLC stream (500000 iterations: rows of
+# 20-400 ns).
 # Steps go through a file so a benchmark failure fails the target. For
 # published numbers rerun with a higher -benchtime and -count (DESIGN.md §8).
 KERNEL_BENCH = BenchmarkAttentionBlocks|BenchmarkResidualLayerNorm|BenchmarkTopK2of1024
 TRAIN_BENCH = BenchmarkAdamStep|BenchmarkGemmTN|BenchmarkBackwardMLP|BenchmarkAMMADeltaTrainStep|BenchmarkAMMAPageTrainStep
+SIM_BENCH = BenchmarkEngineNoPrefetch|BenchmarkEngineRun|BenchmarkClassicOperate|BenchmarkGPOPPageRankTrace|BenchmarkXStreamBFSTrace|BenchmarkPowerGraphCCTrace|BenchmarkInterleave
 bench:
 	$(GO) test ./internal/prefetch/ ./internal/core/ ./internal/models/ \
 		-run xxx -bench 'BenchmarkOperate|BenchmarkSuiteSave' -benchtime 300x -count 6 \
@@ -133,6 +140,12 @@ bench:
 		>> bench.out
 	$(GO) test ./internal/experiments/ \
 		-run xxx -bench 'BenchmarkSuiteTrain' -benchtime 1x -count 3 \
+		>> bench.out
+	$(GO) test ./internal/sim/ ./internal/frameworks/ ./internal/trace/ \
+		-run xxx -bench '$(SIM_BENCH)' -benchtime 5x -count 6 \
+		>> bench.out
+	$(GO) test ./internal/prefetch/ \
+		-run xxx -bench '$(SIM_BENCH)' -benchtime 500000x -count 6 \
 		>> bench.out
 	$(GO) test ./internal/experiments/ \
 		-run xxx -bench 'BenchmarkPrefetchSweep' -benchtime 1x \
@@ -152,10 +165,10 @@ bench-batch:
 	$(GO) run ./cmd/mpgraph-bench -in bench-batch.out -o BENCH_batch.json
 	rm -f bench-batch.out
 
-# bench-compare is the perf-regression gate: rerun the Operate, kernel and
-# training benchmarks and fail if any benchmark is >15% slower in ns/op, a
-# zero-alloc row gains a single allocation, or an allocating row (a train
-# step, a suite) more than 15% of its count — against the committed
+# bench-compare is the perf-regression gate: rerun the Operate, kernel,
+# training and simulator benchmarks and fail if any benchmark is >15% slower
+# in ns/op, a zero-alloc row gains a single allocation, or an allocating row
+# (a train step, a suite) more than 15% of its count — against the committed
 # BENCH_small.json. On a machine that differs from the one the baseline was
 # measured on, the ns/op check is skipped (with a warning) and only allocation
 # gains fail.
@@ -174,6 +187,12 @@ bench-compare:
 		>> bench-new.out
 	$(GO) test ./internal/experiments/ \
 		-run xxx -bench 'BenchmarkSuiteTrain' -benchtime 1x -count 3 \
+		>> bench-new.out
+	$(GO) test ./internal/sim/ ./internal/frameworks/ ./internal/trace/ \
+		-run xxx -bench '$(SIM_BENCH)' -benchtime 5x -count 6 \
+		>> bench-new.out
+	$(GO) test ./internal/prefetch/ \
+		-run xxx -bench '$(SIM_BENCH)' -benchtime 500000x -count 6 \
 		>> bench-new.out
 	$(GO) run ./cmd/mpgraph-bench -in bench-new.out -o BENCH_new.json
 	$(GO) run ./cmd/mpgraph-bench -compare BENCH_small.json BENCH_new.json

@@ -27,6 +27,7 @@ type strideEntry struct {
 type PCStride struct {
 	table  map[uint64]*strideEntry
 	degree int
+	out    []uint64 // Operate's result, reused call to call
 }
 
 // NewPCStride builds the prefetcher.
@@ -37,7 +38,9 @@ func NewPCStride(degree int) *PCStride {
 // Name implements sim.Prefetcher.
 func (p *PCStride) Name() string { return "pc-stride" }
 
-// Operate implements sim.Prefetcher.
+// Operate implements sim.Prefetcher. Like the built-in prefetchers it returns
+// its own buffer: the engine reads it before the next call, and a caller that
+// keeps a result any longer must copy the slice.
 func (p *PCStride) Operate(acc sim.LLCAccess) []uint64 {
 	e, ok := p.table[acc.PC]
 	if !ok {
@@ -63,13 +66,14 @@ func (p *PCStride) Operate(acc sim.LLCAccess) []uint64 {
 	if e.conf < 2 {
 		return nil
 	}
-	out := make([]uint64, 0, p.degree)
+	out := p.out[:0]
 	for k := 1; k <= p.degree; k++ {
 		t := int64(acc.Block) + e.stride*int64(k)
 		if t >= 0 {
 			out = append(out, uint64(t))
 		}
 	}
+	p.out = out
 	return out
 }
 

@@ -19,6 +19,7 @@ package frameworks
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"mpgraph/internal/graph"
 	"mpgraph/internal/trace"
@@ -102,9 +103,13 @@ func All() []Framework {
 	return []Framework{NewGPOP(), NewXStream(), NewPowerGraph()}
 }
 
+// registry is one instance of each framework (they are stateless) for ByName
+// to hand out, so a lookup constructs nothing.
+var registry = All()
+
 // ByName looks a framework up by its Name.
 func ByName(name string) (Framework, error) {
-	for _, f := range All() {
+	for _, f := range registry {
 		if f.Name() == name {
 			return f, nil
 		}
@@ -179,15 +184,34 @@ func (e *emitter) emit(core int, addr uint64, site string, isWrite bool) {
 }
 
 // barrier interleaves the per-core streams gathered since the last barrier
-// and appends them to the trace, modelling the global synchronisation that
-// ends each phase.
+// straight into the trace, modelling the global synchronisation that ends
+// each phase. The trace doubles when a phase does not fit, so a run copies
+// it about once over instead of append's four times at 1.25x; finish trims
+// what doubling leaves over.
 func (e *emitter) barrier() {
 	e.seq++
-	merged := trace.Interleave(e.streams, e.burst, e.seq)
-	e.out.Accesses = append(e.out.Accesses, merged...)
+	acc := e.out.Accesses
+	need := len(acc)
+	for _, s := range e.streams {
+		need += len(s)
+	}
+	if need > cap(acc) {
+		acc = append(make([]trace.Access, 0, max(need, 2*cap(acc))), acc...)
+	}
+	e.out.Accesses = trace.AppendInterleave(acc, e.streams, e.burst, e.seq)
 	for c := range e.streams {
 		e.streams[c] = e.streams[c][:0]
 	}
+}
+
+// finish returns the trace with no more spare capacity than append's own
+// growth would have left it (a quarter): callers keep traces live for whole
+// runs.
+func (e *emitter) finish() *trace.Trace {
+	if acc := e.out.Accesses; cap(acc)-len(acc) > len(acc)/4 {
+		e.out.Accesses = slices.Clone(acc)
+	}
+	return e.out
 }
 
 // ownerCore spreads work units across cores.

@@ -133,5 +133,5 @@ func (f *gpop) Run(g *graph.Graph, app App, opt Options) (*trace.Trace, *Result,
 		}
 	}
 	res.Values = prog.output()
-	return em.out, res, nil
+	return em.finish(), res, nil
 }

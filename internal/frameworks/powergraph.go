@@ -146,7 +146,7 @@ func (f *powergraph) Run(g *graph.Graph, app App, opt Options) (*trace.Trace, *R
 		}
 	}
 	res.Values = prog.output()
-	return em.out, res, nil
+	return em.finish(), res, nil
 }
 
 // runTriangleCount counts triangles in the undirected view of g's out-edges
@@ -248,5 +248,5 @@ func (f *powergraph) runTriangleCount(g *graph.Graph, opt Options) (*trace.Trace
 	}
 	res.Converged = true
 	res.Values = []float64{total}
-	return em.out, res, nil
+	return em.finish(), res, nil
 }

@@ -142,5 +142,5 @@ func (f *xstream) Run(g *graph.Graph, app App, opt Options) (*trace.Trace, *Resu
 		}
 	}
 	res.Values = prog.output()
-	return em.out, res, nil
+	return em.finish(), res, nil
 }

@@ -39,11 +39,12 @@ type BO struct {
 	scores     []int
 	roundCount int
 	best       int64
+	out        []uint64 // Operate's result, reused call to call
 }
 
 // NewBO builds the prefetcher.
 func NewBO(cfg BOConfig) *BO {
-	b := &BO{cfg: cfg, rr: make([]uint64, cfg.RRSize), best: 1}
+	b := &BO{cfg: cfg, rr: make([]uint64, cfg.RRSize), best: 1, out: make([]uint64, max(cfg.Degree, 0))}
 	for d := 1; d <= cfg.MaxOffset; d++ {
 		b.offsets = append(b.offsets, int64(d), int64(-d))
 	}
@@ -59,7 +60,10 @@ func (b *BO) BestOffset() int64 { return b.best }
 
 func (b *BO) rrIndex(block uint64) int { return int(block) & (b.cfg.RRSize - 1) }
 
-// Operate implements sim.Prefetcher.
+// Operate implements sim.Prefetcher. The result is BO's own buffer, valid
+// until the next call.
+//
+//mpgraph:noalloc
 func (b *BO) Operate(acc sim.LLCAccess) []uint64 {
 	x := acc.Block
 	// Score offsets against the recent-requests table. The round ends only
@@ -92,15 +96,15 @@ func (b *BO) Operate(acc sim.LLCAccess) []uint64 {
 	// fills; block granularity suffices here).
 	b.rr[b.rrIndex(x)] = x
 
-	out := make([]uint64, 0, b.cfg.Degree)
-	for k := 1; k <= b.cfg.Degree; k++ {
-		target := int64(x) + b.best*int64(k)
+	n := 0
+	for ; n < len(b.out); n++ {
+		target := int64(x) + b.best*int64(n+1)
 		if target < 0 {
 			break
 		}
-		out = append(out, uint64(target))
+		b.out[n] = uint64(target)
 	}
-	return out
+	return b.out[:n]
 }
 
 func (b *BO) endRound(bestIdx int) {

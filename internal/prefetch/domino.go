@@ -25,7 +25,8 @@ type Domino struct {
 	// fallback map handles cold pairs.
 	successor map[[2]uint64]uint64
 	fallback  map[uint64]uint64
-	fifo      [][2]uint64
+	fifo      ring[[2]uint64]
+	out       []uint64
 	prev1     uint64
 	prev2     uint64
 	warm      int
@@ -37,6 +38,7 @@ func NewDomino(cfg DominoConfig) *Domino {
 		cfg:       cfg,
 		successor: make(map[[2]uint64]uint64),
 		fallback:  make(map[uint64]uint64),
+		fifo:      newRing[[2]uint64](cfg.MaxPairs),
 	}
 }
 
@@ -49,11 +51,9 @@ func (p *Domino) Operate(acc sim.LLCAccess) []uint64 {
 	if p.warm >= 2 {
 		key := [2]uint64{p.prev2, p.prev1}
 		if _, exists := p.successor[key]; !exists {
-			if len(p.fifo) >= p.cfg.MaxPairs {
-				delete(p.successor, p.fifo[0])
-				p.fifo = p.fifo[1:]
+			if old, full := p.fifo.push(key); full {
+				delete(p.successor, old)
 			}
-			p.fifo = append(p.fifo, key)
 		}
 		p.successor[key] = acc.Block
 		p.fallback[p.prev1] = acc.Block
@@ -66,7 +66,7 @@ func (p *Domino) Operate(acc sim.LLCAccess) []uint64 {
 	}
 
 	// Replay: walk the two-index chain from the current context.
-	out := make([]uint64, 0, p.cfg.Degree)
+	out := p.out[:0]
 	a, b := p.prev2, p.prev1
 	for i := 0; i < p.cfg.Degree; i++ {
 		next, ok := p.successor[[2]uint64{a, b}]
@@ -82,5 +82,6 @@ func (p *Domino) Operate(acc sim.LLCAccess) []uint64 {
 		out = append(out, next)
 		a, b = b, next
 	}
+	p.out = out
 	return out
 }

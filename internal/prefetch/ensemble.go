@@ -31,7 +31,7 @@ type Ensemble struct {
 	components []sim.Prefetcher
 	credit     []float64
 	issued     []map[uint64]bool
-	fifo       [][]uint64
+	fifo       []ring[uint64]
 	tick       int
 }
 
@@ -53,7 +53,7 @@ func NewEnsemble(cfg EnsembleConfig, components ...sim.Prefetcher) *Ensemble {
 	for range components {
 		e.credit = append(e.credit, 1)
 		e.issued = append(e.issued, map[uint64]bool{})
-		e.fifo = append(e.fifo, nil)
+		e.fifo = append(e.fifo, newRing[uint64](cfg.Window))
 	}
 	return e
 }
@@ -153,10 +153,8 @@ func (e *Ensemble) track(i int, block uint64) {
 	if e.issued[i][block] {
 		return
 	}
-	if len(e.fifo[i]) >= e.cfg.Window {
-		delete(e.issued[i], e.fifo[i][0])
-		e.fifo[i] = e.fifo[i][1:]
+	if old, full := e.fifo[i].push(block); full {
+		delete(e.issued[i], old)
 	}
 	e.issued[i][block] = true
-	e.fifo[i] = append(e.fifo[i], block)
 }

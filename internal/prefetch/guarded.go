@@ -50,10 +50,11 @@ func (c GuardConfig) withDefaults() GuardConfig {
 // same Name, same outputs, same inference latency — so healthy sweep reports
 // are byte-identical with and without the wrapper.
 type Guarded struct {
-	primary  sim.Prefetcher
-	fallback sim.Prefetcher
-	cfg      GuardConfig
-	events   *resilience.Log
+	primary   sim.Prefetcher
+	fallback  sim.Prefetcher
+	cfg       GuardConfig
+	events    *resilience.Log
+	component string // "prefetch/<primary>": the guard boundary and event source
 
 	violations  int
 	quarantined bool
@@ -61,7 +62,8 @@ type Guarded struct {
 
 // NewGuarded wraps primary with degradation to fallback. events may be nil.
 func NewGuarded(primary, fallback sim.Prefetcher, cfg GuardConfig, events *resilience.Log) *Guarded {
-	return &Guarded{primary: primary, fallback: fallback, cfg: cfg.withDefaults(), events: events}
+	return &Guarded{primary: primary, fallback: fallback, cfg: cfg.withDefaults(), events: events,
+		component: "prefetch/" + primary.Name()}
 }
 
 // Name implements sim.Prefetcher. It always reports the primary's name:
@@ -108,7 +110,9 @@ func (g *Guarded) Violations() int { return g.violations }
 // Operate implements sim.Prefetcher.
 func (g *Guarded) Operate(acc sim.LLCAccess) []uint64 {
 	// Warm standby: the fallback trains on every access so its state is
-	// ready whenever the primary is benched.
+	// ready whenever the primary is benched. fbOut is the fallback's own
+	// buffer and stays valid across the primary's call: no two prefetchers
+	// share one.
 	fbOut := g.fallback.Operate(acc)
 	if g.quarantined {
 		return fbOut
@@ -118,7 +122,7 @@ func (g *Guarded) Operate(acc sim.LLCAccess) []uint64 {
 	if g.cfg.LatencyBudgetNS > 0 && g.cfg.Now != nil {
 		start = g.cfg.Now()
 	}
-	out, err := resilience.GuardVal("prefetch/"+g.primary.Name(), func() ([]uint64, error) {
+	out, err := resilience.GuardVal(g.component, func() ([]uint64, error) {
 		return g.primary.Operate(acc), nil
 	})
 	if err != nil {
@@ -150,12 +154,11 @@ func (g *Guarded) Operate(acc sim.LLCAccess) []uint64 {
 // quarantines the primary once the violation budget is spent.
 func (g *Guarded) violate(action, detail string) {
 	g.violations++
-	component := "prefetch/" + g.primary.Name()
-	g.events.Add(component, action, detail)
-	g.events.Add(component, "fallback", "serving "+g.fallback.Name()+" for this access")
+	g.events.Add(g.component, action, detail)
+	g.events.Add(g.component, "fallback", "serving "+g.fallback.Name()+" for this access")
 	if g.violations >= g.cfg.MaxViolations {
 		g.quarantined = true
-		g.events.Add(component, "quarantine",
+		g.events.Add(g.component, "quarantine",
 			fmt.Sprintf("%d violations: degraded to %s permanently", g.violations, g.fallback.Name()))
 	}
 }

@@ -3,6 +3,7 @@ package prefetch
 import (
 	"errors"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -194,5 +195,55 @@ func TestGuardedDegradesOnNaNModel(t *testing.T) {
 	// BO has been warm the whole run: it still issues prefetches.
 	if len(out) == 0 {
 		t.Fatal("fallback must keep serving after quarantine")
+	}
+}
+
+// flakyPF passes its inner prefetcher's result through, except that every
+// third call it appends an out-of-range block first — a violation after the
+// primary has run, which is when Guarded hands out the fallback's result.
+type flakyPF struct {
+	sim.Prefetcher
+	calls int
+	out   []uint64
+}
+
+func (p *flakyPF) Operate(a sim.LLCAccess) []uint64 {
+	p.out = append(p.out[:0], p.Prefetcher.Operate(a)...)
+	if p.calls++; p.calls%3 == 0 {
+		p.out = append(p.out, 1<<60)
+	}
+	return p.out
+}
+
+// TestGuardedFallbackResultSurvivesPrimary pins the one place Guarded holds
+// an Operate result across another prefetcher's call: fbOut, the warm BO
+// fallback's own buffer, read after the primary (another BO here, the worst
+// case for sharing) has run. Whatever Guarded returns must be what an
+// untouched twin of the serving prefetcher returns.
+func TestGuardedFallbackResultSurvivesPrimary(t *testing.T) {
+	narrow := BOConfig{MaxOffset: 2, RoundLength: 64, ScoreMax: 31, RRSize: 256, Degree: 3}
+	g := NewGuarded(&flakyPF{Prefetcher: NewBO(DefaultBOConfig())}, NewBO(narrow), GuardConfig{MaxViolations: 1 << 30}, nil)
+	primaryTwin, fallbackTwin := NewBO(DefaultBOConfig()), NewBO(narrow)
+	telling := 0
+	for i := 0; i < 3000; i++ {
+		a := sim.LLCAccess{Block: uint64(1<<20 + 5*i)}
+		got := g.Operate(a)
+		primary, fallback := primaryTwin.Operate(a), fallbackTwin.Operate(a)
+		want := primary
+		if (i+1)%3 == 0 {
+			want = fallback // the primary violated: the fallback serves
+			if !slices.Equal(primary, fallback) {
+				telling++
+			}
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("access %d: guarded returned %v, the serving prefetcher's twin %v", i, got, want)
+		}
+	}
+	if g.Quarantined() || g.Violations() != 1000 {
+		t.Fatalf("quarantined=%v violations=%d, want 1000 tolerated", g.Quarantined(), g.Violations())
+	}
+	if telling < 900 {
+		t.Fatalf("vacuous: primary and fallback disagreed on only %d fallback-served accesses", telling)
 	}
 }

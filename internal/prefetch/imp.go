@@ -42,6 +42,7 @@ type IMP struct {
 	// active linear hypotheses.
 	bindings map[uint64]*impBinding
 	lastPC   uint64
+	out      []uint64
 }
 
 type impStream struct {
@@ -152,7 +153,7 @@ func (p *IMP) Operate(acc sim.LLCAccess) []uint64 {
 	if best == nil || best.coeff == 0 {
 		return nil
 	}
-	out := make([]uint64, 0, p.cfg.Degree)
+	out := p.out[:0]
 	for k := 1; k <= p.cfg.Degree; k++ {
 		t := best.coeff*(ls.slot+int64(k)) + best.base
 		if t < 0 {
@@ -160,5 +161,6 @@ func (p *IMP) Operate(acc sim.LLCAccess) []uint64 {
 		}
 		out = append(out, uint64(t))
 	}
+	p.out = out
 	return out
 }

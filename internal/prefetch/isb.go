@@ -24,7 +24,8 @@ type ISB struct {
 	cfg       ISBConfig
 	lastByPC  map[uint64]uint64 // PC-localised previous block
 	successor map[uint64]uint64 // block -> next block in its PC stream
-	fifo      []uint64          // insertion order for bounded eviction
+	fifo      ring[uint64]      // insertion order for bounded eviction
+	out       []uint64
 }
 
 // NewISB builds the prefetcher.
@@ -33,6 +34,7 @@ func NewISB(cfg ISBConfig) *ISB {
 		cfg:       cfg,
 		lastByPC:  make(map[uint64]uint64),
 		successor: make(map[uint64]uint64),
+		fifo:      newRing[uint64](cfg.MaxPairs),
 	}
 }
 
@@ -44,18 +46,16 @@ func (p *ISB) Operate(acc sim.LLCAccess) []uint64 {
 	// Record: link the previous block of this PC stream to the new one.
 	if prev, ok := p.lastByPC[acc.PC]; ok && prev != acc.Block {
 		if _, exists := p.successor[prev]; !exists {
-			if len(p.fifo) >= p.cfg.MaxPairs {
-				delete(p.successor, p.fifo[0])
-				p.fifo = p.fifo[1:]
+			if old, full := p.fifo.push(prev); full {
+				delete(p.successor, old)
 			}
-			p.fifo = append(p.fifo, prev)
 		}
 		p.successor[prev] = acc.Block
 	}
 	p.lastByPC[acc.PC] = acc.Block
 
 	// Replay: walk the successor chain.
-	out := make([]uint64, 0, p.cfg.Degree)
+	out := p.out[:0]
 	cur := acc.Block
 	for k := 0; k < p.cfg.Degree; k++ {
 		next, ok := p.successor[cur]
@@ -65,5 +65,6 @@ func (p *ISB) Operate(acc sim.LLCAccess) []uint64 {
 		out = append(out, next)
 		cur = next
 	}
+	p.out = out
 	return out
 }

@@ -1,6 +1,10 @@
 package prefetch
 
-import "mpgraph/internal/sim"
+import (
+	"slices"
+
+	"mpgraph/internal/sim"
+)
 
 // MarkovConfig parameterises the Markov prefetcher.
 type MarkovConfig struct {
@@ -24,9 +28,12 @@ func DefaultMarkovConfig() MarkovConfig {
 type Markov struct {
 	cfg   MarkovConfig
 	table map[uint64][]markovEdge
-	fifo  []uint64
+	fifo  ring[uint64]
 	prev  uint64
 	warm  bool
+	// Operate's result and its breadth-first queue, reused call to call. Both
+	// hold at most Degree+1 blocks, so membership is a linear scan.
+	out, frontier []uint64
 }
 
 type markovEdge struct {
@@ -36,7 +43,7 @@ type markovEdge struct {
 
 // NewMarkov builds the prefetcher.
 func NewMarkov(cfg MarkovConfig) *Markov {
-	return &Markov{cfg: cfg, table: make(map[uint64][]markovEdge)}
+	return &Markov{cfg: cfg, table: make(map[uint64][]markovEdge), fifo: newRing[uint64](cfg.TableSize)}
 }
 
 // Name implements sim.Prefetcher.
@@ -52,18 +59,16 @@ func (p *Markov) Operate(acc sim.LLCAccess) []uint64 {
 
 	// Breadth-first replay: successors of the current block, then the
 	// successors of the best successor, until the degree budget fills.
-	out := make([]uint64, 0, p.cfg.Degree)
-	seen := map[uint64]bool{acc.Block: true}
-	enqueued := map[uint64]bool{acc.Block: true}
-	frontier := []uint64{acc.Block}
-	for len(frontier) > 0 && len(out) < p.cfg.Degree {
-		cur := frontier[0]
-		frontier = frontier[1:]
-		for _, e := range p.table[cur] {
-			if seen[e.next] {
+	// A block has been seen once it is the accessed block or in out; frontier
+	// keeps every block ever enqueued, read from head on.
+	out := p.out[:0]
+	frontier := append(p.frontier[:0], acc.Block)
+	for head := 0; head < len(frontier) && len(out) < p.cfg.Degree; head++ {
+		edges := p.table[frontier[head]]
+		for _, e := range edges {
+			if e.next == acc.Block || slices.Contains(out, e.next) {
 				continue
 			}
-			seen[e.next] = true
 			out = append(out, e.next)
 			if len(out) >= p.cfg.Degree {
 				break
@@ -71,23 +76,26 @@ func (p *Markov) Operate(acc sim.LLCAccess) []uint64 {
 		}
 		// Expand only through unvisited best successors so cyclic chains
 		// terminate.
-		if edges := p.table[cur]; len(edges) > 0 && !enqueued[edges[0].next] {
-			enqueued[edges[0].next] = true
+		if len(edges) > 0 && !slices.Contains(frontier, edges[0].next) {
 			frontier = append(frontier, edges[0].next)
 		}
 	}
+	p.out, p.frontier = out, frontier
 	return out
 }
 
-// record updates the successor list of prev, keeping it sorted by count.
+// record updates the successor list of prev, keeping it sorted by count. A
+// new block's list has room for every successor from the start, and takes
+// over the list of the block it evicts.
 func (p *Markov) record(prev, next uint64) {
 	edges, exists := p.table[prev]
 	if !exists {
-		if len(p.fifo) >= p.cfg.TableSize {
-			delete(p.table, p.fifo[0])
-			p.fifo = p.fifo[1:]
+		if old, full := p.fifo.push(prev); full {
+			edges = p.table[old][:0]
+			delete(p.table, old)
+		} else {
+			edges = make([]markovEdge, 0, p.cfg.Successors)
 		}
-		p.fifo = append(p.fifo, prev)
 	}
 	for i := range edges {
 		if edges[i].next == next {

@@ -1,6 +1,10 @@
 package prefetch
 
 import (
+	"fmt"
+	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
 	"mpgraph/internal/models"
@@ -560,5 +564,549 @@ func TestEnsembleLatencyIsWorstComponent(t *testing.T) {
 	}
 	if e.Name() != "ensemble" {
 		t.Fatal("name")
+	}
+}
+
+// ---------------------------------------------------------------------------
+// Differential oracles. referenceISB, referenceDomino, referenceSMS,
+// referenceVLDP and referenceMarkov are those prefetchers' Operate as it stood
+// before the host-cost pass, verbatim apart from the type names: a fresh
+// result slice per call, `fifo = fifo[1:]` + append eviction queues, VLDP's
+// string keys, Markov's per-call maps. The rewritten prefetchers must return
+// the same blocks call by call.
+
+type referenceISB struct {
+	cfg       ISBConfig
+	lastByPC  map[uint64]uint64 // PC-localised previous block
+	successor map[uint64]uint64 // block -> next block in its PC stream
+	fifo      []uint64          // insertion order for bounded eviction
+}
+
+func newReferenceISB(cfg ISBConfig) *referenceISB {
+	return &referenceISB{
+		cfg:       cfg,
+		lastByPC:  make(map[uint64]uint64),
+		successor: make(map[uint64]uint64),
+	}
+}
+
+func (p *referenceISB) Name() string { return "isb" }
+
+func (p *referenceISB) Operate(acc sim.LLCAccess) []uint64 {
+	// Record: link the previous block of this PC stream to the new one.
+	if prev, ok := p.lastByPC[acc.PC]; ok && prev != acc.Block {
+		if _, exists := p.successor[prev]; !exists {
+			if len(p.fifo) >= p.cfg.MaxPairs {
+				delete(p.successor, p.fifo[0])
+				p.fifo = p.fifo[1:]
+			}
+			p.fifo = append(p.fifo, prev)
+		}
+		p.successor[prev] = acc.Block
+	}
+	p.lastByPC[acc.PC] = acc.Block
+
+	// Replay: walk the successor chain.
+	out := make([]uint64, 0, p.cfg.Degree)
+	cur := acc.Block
+	for k := 0; k < p.cfg.Degree; k++ {
+		next, ok := p.successor[cur]
+		if !ok || next == cur {
+			break
+		}
+		out = append(out, next)
+		cur = next
+	}
+	return out
+}
+
+type referenceDomino struct {
+	cfg DominoConfig
+	// successor maps (prev2, prev1) to the next block; a single-address
+	// fallback map handles cold pairs.
+	successor map[[2]uint64]uint64
+	fallback  map[uint64]uint64
+	fifo      [][2]uint64
+	prev1     uint64
+	prev2     uint64
+	warm      int
+}
+
+func newReferenceDomino(cfg DominoConfig) *referenceDomino {
+	return &referenceDomino{
+		cfg:       cfg,
+		successor: make(map[[2]uint64]uint64),
+		fallback:  make(map[uint64]uint64),
+	}
+}
+
+func (p *referenceDomino) Name() string { return "domino" }
+
+func (p *referenceDomino) Operate(acc sim.LLCAccess) []uint64 {
+	// Record.
+	if p.warm >= 2 {
+		key := [2]uint64{p.prev2, p.prev1}
+		if _, exists := p.successor[key]; !exists {
+			if len(p.fifo) >= p.cfg.MaxPairs {
+				delete(p.successor, p.fifo[0])
+				p.fifo = p.fifo[1:]
+			}
+			p.fifo = append(p.fifo, key)
+		}
+		p.successor[key] = acc.Block
+		p.fallback[p.prev1] = acc.Block
+	} else if p.warm == 1 {
+		p.fallback[p.prev1] = acc.Block
+	}
+	p.prev2, p.prev1 = p.prev1, acc.Block
+	if p.warm < 2 {
+		p.warm++
+	}
+
+	// Replay: walk the two-index chain from the current context.
+	out := make([]uint64, 0, p.cfg.Degree)
+	a, b := p.prev2, p.prev1
+	for i := 0; i < p.cfg.Degree; i++ {
+		next, ok := p.successor[[2]uint64{a, b}]
+		if !ok {
+			next, ok = p.fallback[b]
+			if !ok {
+				break
+			}
+		}
+		if next == b {
+			break
+		}
+		out = append(out, next)
+		a, b = b, next
+	}
+	return out
+}
+
+type referenceSMS struct {
+	cfg SMSConfig
+
+	// active generations: region -> accumulating footprint.
+	active     map[uint64]*refSMSGeneration
+	activeFIFO []uint64
+
+	// pattern history: signature -> footprint bitmap.
+	patterns    map[uint64]uint64
+	patternFIFO []uint64
+}
+
+type refSMSGeneration struct {
+	signature uint64
+	footprint uint64 // bit i = block i of the region was touched
+}
+
+func newReferenceSMS(cfg SMSConfig) *referenceSMS {
+	if cfg.RegionBlocks <= 0 || cfg.RegionBlocks > 64 || cfg.RegionBlocks&(cfg.RegionBlocks-1) != 0 {
+		cfg.RegionBlocks = 32
+	}
+	return &referenceSMS{cfg: cfg, active: make(map[uint64]*refSMSGeneration), patterns: make(map[uint64]uint64)}
+}
+
+func (p *referenceSMS) Name() string { return "sms" }
+
+func (p *referenceSMS) region(block uint64) (region uint64, offset int) {
+	return block / uint64(p.cfg.RegionBlocks), int(block % uint64(p.cfg.RegionBlocks))
+}
+
+func (p *referenceSMS) Operate(acc sim.LLCAccess) []uint64 {
+	region, offset := p.region(acc.Block)
+	gen, ok := p.active[region]
+	if ok {
+		gen.footprint |= 1 << offset
+		return nil
+	}
+
+	// Region trigger: end the oldest generation if the table is full,
+	// committing its footprint to the pattern table.
+	if len(p.activeFIFO) >= p.cfg.ActiveRegions {
+		old := p.activeFIFO[0]
+		p.activeFIFO = p.activeFIFO[1:]
+		p.commit(p.active[old])
+		delete(p.active, old)
+	}
+	sig := signature(acc.PC, offset)
+	p.active[region] = &refSMSGeneration{signature: sig, footprint: 1 << offset}
+	p.activeFIFO = append(p.activeFIFO, region)
+
+	// Replay the learned footprint for this signature.
+	pattern, ok := p.patterns[sig]
+	if !ok {
+		return nil
+	}
+	base := region * uint64(p.cfg.RegionBlocks)
+	out := make([]uint64, 0, p.cfg.MaxPrefetches)
+	for b := 0; b < p.cfg.RegionBlocks && len(out) < p.cfg.MaxPrefetches; b++ {
+		if b != offset && pattern&(1<<b) != 0 {
+			out = append(out, base+uint64(b))
+		}
+	}
+	return out
+}
+
+func (p *referenceSMS) commit(gen *refSMSGeneration) {
+	if gen == nil {
+		return
+	}
+	if _, exists := p.patterns[gen.signature]; !exists {
+		if len(p.patternFIFO) >= p.cfg.PatternTable {
+			delete(p.patterns, p.patternFIFO[0])
+			p.patternFIFO = p.patternFIFO[1:]
+		}
+		p.patternFIFO = append(p.patternFIFO, gen.signature)
+	}
+	p.patterns[gen.signature] = gen.footprint
+}
+
+type referenceVLDP struct {
+	cfg VLDPConfig
+	// tables[k] maps a (k+1)-delta history key to the next delta.
+	tables []map[string]int64
+	fifos  [][]string
+	// per-page last block and delta history.
+	pages     map[uint64]*refVLDPPage
+	pageFIFO  []uint64
+	pageLimit int
+}
+
+type refVLDPPage struct {
+	lastBlock uint64
+	history   []int64
+}
+
+func newReferenceVLDP(cfg VLDPConfig) *referenceVLDP {
+	v := &referenceVLDP{cfg: cfg, pages: make(map[uint64]*refVLDPPage), pageLimit: 256}
+	for k := 0; k < cfg.HistoryLen; k++ {
+		v.tables = append(v.tables, make(map[string]int64))
+		v.fifos = append(v.fifos, nil)
+	}
+	return v
+}
+
+func (v *referenceVLDP) Name() string { return "vldp" }
+
+func historyKey(h []int64) string {
+	b := make([]byte, 0, len(h)*8)
+	for _, d := range h {
+		for s := 0; s < 64; s += 8 {
+			b = append(b, byte(d>>s))
+		}
+	}
+	return string(b)
+}
+
+func (v *referenceVLDP) Operate(acc sim.LLCAccess) []uint64 {
+	page := trace.PageOfBlock(acc.Block)
+	st, ok := v.pages[page]
+	if !ok {
+		if len(v.pageFIFO) >= v.pageLimit {
+			delete(v.pages, v.pageFIFO[0])
+			v.pageFIFO = v.pageFIFO[1:]
+		}
+		st = &refVLDPPage{lastBlock: acc.Block}
+		v.pages[page] = st
+		v.pageFIFO = append(v.pageFIFO, page)
+		return nil
+	}
+	delta := int64(acc.Block) - int64(st.lastBlock)
+	st.lastBlock = acc.Block
+	if delta == 0 {
+		return nil
+	}
+	// Train every history length with the observed delta.
+	for k := 0; k < v.cfg.HistoryLen && k < len(st.history); k++ {
+		key := historyKey(st.history[len(st.history)-k-1:])
+		if _, exists := v.tables[k][key]; !exists {
+			if len(v.fifos[k]) >= v.cfg.TableSize {
+				delete(v.tables[k], v.fifos[k][0])
+				v.fifos[k] = v.fifos[k][1:]
+			}
+			v.fifos[k] = append(v.fifos[k], key)
+		}
+		v.tables[k][key] = delta
+	}
+	st.history = append(st.history, delta)
+	if len(st.history) > v.cfg.HistoryLen {
+		st.history = st.history[1:]
+	}
+
+	// Predict: walk a chain, each step matched with the longest available
+	// history.
+	out := make([]uint64, 0, v.cfg.Degree)
+	hist := append([]int64(nil), st.history...)
+	block := acc.Block
+	for i := 0; i < v.cfg.Degree; i++ {
+		next, ok := v.lookup(hist)
+		if !ok {
+			break
+		}
+		t := int64(block) + next
+		if t < 0 {
+			break
+		}
+		block = uint64(t)
+		out = append(out, block)
+		hist = append(hist, next)
+		if len(hist) > v.cfg.HistoryLen {
+			hist = hist[1:]
+		}
+	}
+	return out
+}
+
+// lookup returns the predicted next delta for the longest matching history.
+func (v *referenceVLDP) lookup(hist []int64) (int64, bool) {
+	for k := min(v.cfg.HistoryLen, len(hist)) - 1; k >= 0; k-- {
+		key := historyKey(hist[len(hist)-k-1:])
+		if d, ok := v.tables[k][key]; ok {
+			return d, true
+		}
+	}
+	return 0, false
+}
+
+type referenceMarkov struct {
+	cfg   MarkovConfig
+	table map[uint64][]markovEdge
+	fifo  []uint64
+	prev  uint64
+	warm  bool
+}
+
+func newReferenceMarkov(cfg MarkovConfig) *referenceMarkov {
+	return &referenceMarkov{cfg: cfg, table: make(map[uint64][]markovEdge)}
+}
+
+func (p *referenceMarkov) Name() string { return "markov" }
+
+func (p *referenceMarkov) Operate(acc sim.LLCAccess) []uint64 {
+	if p.warm && p.prev != acc.Block {
+		p.record(p.prev, acc.Block)
+	}
+	p.prev = acc.Block
+	p.warm = true
+
+	// Breadth-first replay: successors of the current block, then the
+	// successors of the best successor, until the degree budget fills.
+	out := make([]uint64, 0, p.cfg.Degree)
+	seen := map[uint64]bool{acc.Block: true}
+	enqueued := map[uint64]bool{acc.Block: true}
+	frontier := []uint64{acc.Block}
+	for len(frontier) > 0 && len(out) < p.cfg.Degree {
+		cur := frontier[0]
+		frontier = frontier[1:]
+		for _, e := range p.table[cur] {
+			if seen[e.next] {
+				continue
+			}
+			seen[e.next] = true
+			out = append(out, e.next)
+			if len(out) >= p.cfg.Degree {
+				break
+			}
+		}
+		// Expand only through unvisited best successors so cyclic chains
+		// terminate.
+		if edges := p.table[cur]; len(edges) > 0 && !enqueued[edges[0].next] {
+			enqueued[edges[0].next] = true
+			frontier = append(frontier, edges[0].next)
+		}
+	}
+	return out
+}
+
+// record updates the successor list of prev, keeping it sorted by count.
+func (p *referenceMarkov) record(prev, next uint64) {
+	edges, exists := p.table[prev]
+	if !exists {
+		if len(p.fifo) >= p.cfg.TableSize {
+			delete(p.table, p.fifo[0])
+			p.fifo = p.fifo[1:]
+		}
+		p.fifo = append(p.fifo, prev)
+	}
+	for i := range edges {
+		if edges[i].next == next {
+			edges[i].count++
+			// Bubble toward the front to keep descending counts.
+			for i > 0 && edges[i-1].count < edges[i].count {
+				edges[i-1], edges[i] = edges[i], edges[i-1]
+				i--
+			}
+			p.table[prev] = edges
+			return
+		}
+	}
+	if len(edges) < p.cfg.Successors {
+		edges = append(edges, markovEdge{next: next, count: 1})
+	} else {
+		// Replace the weakest successor.
+		edges[len(edges)-1] = markovEdge{next: next, count: 1}
+	}
+	p.table[prev] = edges
+}
+
+// oracleLLCStream is a seeded LLC stream with something for every table:
+// walkers stepping through repeating delta patterns inside pages and hopping
+// between 2048 pages (VLDP's page table wraps, SMS regions come and go), a
+// temporal loop with repeated blocks (successor chains, multi-way Markov
+// edges), and uniform noise, over five PCs.
+func oracleLLCStream(seed int64, n int) []sim.LLCAccess {
+	rng := rand.New(rand.NewSource(seed))
+	patterns := [][]int64{{1}, {1, 2}, {3, -1, 2}, {-1}, {2, 2, 5}, {1, 1, 1, 7}}
+	walkers := make([]uint64, len(patterns))
+	steps := make([]int, len(patterns))
+	for w := range walkers {
+		walkers[w] = trace.BlockOfPageOffset(uint64(100+w), 8)
+	}
+	loop := make([]uint64, 24)
+	for i := range loop {
+		loop[i] = uint64(1<<22 + rng.Intn(16))
+	}
+	loopAt := 0
+	out := make([]sim.LLCAccess, n)
+	for i := range out {
+		var a sim.LLCAccess
+		switch r := rng.Intn(10); {
+		case r < 5:
+			w := rng.Intn(len(walkers))
+			if rng.Intn(12) == 0 {
+				walkers[w] = trace.BlockOfPageOffset(uint64(rng.Intn(2048)), uint64(rng.Intn(trace.BlocksPerPage)))
+			}
+			walkers[w] = uint64(int64(walkers[w]) + patterns[w][steps[w]%len(patterns[w])])
+			steps[w]++
+			a = sim.LLCAccess{Block: walkers[w], PC: 0x400000 + 0x40*uint64(w%3)}
+		case r < 8:
+			a = sim.LLCAccess{Block: loop[loopAt%len(loop)], PC: 0x400100}
+			loopAt++
+		default:
+			a = sim.LLCAccess{Block: uint64(rng.Intn(1 << 12)), PC: 0x400140}
+		}
+		out[i] = a
+	}
+	return out
+}
+
+// TestClassicPrefetchersMatchReference: outputs equal call by call, with
+// tables small enough that every eviction ring wraps many times (and at the
+// default sizes too), for every history length VLDP's key can hold.
+func TestClassicPrefetchersMatchReference(t *testing.T) {
+	n := 40000
+	if raceDetectorEnabled {
+		n = 4000
+	}
+	type pair struct {
+		name      string
+		got, want sim.Prefetcher
+	}
+	var pairs []pair
+	for _, size := range []int{8, 0} { // 0: the default table sizes
+		isb, dom, mk, sms := DefaultISBConfig(), DefaultDominoConfig(), DefaultMarkovConfig(), DefaultSMSConfig()
+		if size > 0 {
+			isb.MaxPairs, dom.MaxPairs, mk.TableSize = size, size, size
+			sms.ActiveRegions, sms.PatternTable = size, size
+		}
+		pairs = append(pairs,
+			pair{fmt.Sprintf("isb/%d", size), NewISB(isb), newReferenceISB(isb)},
+			pair{fmt.Sprintf("domino/%d", size), NewDomino(dom), newReferenceDomino(dom)},
+			pair{fmt.Sprintf("sms/%d", size), NewSMS(sms), newReferenceSMS(sms)},
+		)
+		for _, successors := range []int{1, 4} {
+			for _, degree := range []int{1, 6} {
+				mk.Successors, mk.Degree = successors, degree
+				pairs = append(pairs, pair{fmt.Sprintf("markov/%d/s%d/d%d", size, successors, degree), NewMarkov(mk), newReferenceMarkov(mk)})
+			}
+		}
+		for hl := 0; hl <= vldpMaxHistory; hl++ {
+			v := DefaultVLDPConfig()
+			v.HistoryLen = hl
+			if size > 0 {
+				v.TableSize = size
+			}
+			pairs = append(pairs, pair{fmt.Sprintf("vldp/%d/h%d", size, hl), NewVLDP(v), newReferenceVLDP(v)})
+		}
+	}
+	stream := oracleLLCStream(11, n)
+	pages, blocks := map[uint64]bool{}, map[uint64]bool{}
+	for _, a := range stream {
+		pages[trace.PageOfBlock(a.Block)] = true
+		blocks[a.Block] = true
+	}
+	// Even the default tables must wrap: VLDP's 256 pages, Markov's 16384
+	// blocks (the largest ring; ISB's and Domino's keys are no fewer).
+	t.Logf("%d accesses, %d pages, %d blocks", n, len(pages), len(blocks))
+	if !raceDetectorEnabled && (len(pages) < 4*256 || len(blocks) <= DefaultMarkovConfig().TableSize) {
+		t.Fatalf("vacuous stream: %d pages, %d blocks", len(pages), len(blocks))
+	}
+	for _, p := range pairs {
+		issued := 0
+		for i, a := range stream {
+			got, want := p.got.Operate(a), p.want.Operate(a)
+			if !slices.Equal(got, want) {
+				t.Fatalf("%s: access %d (%+v): got %v, reference %v", p.name, i, a, got, want)
+			}
+			issued += len(got)
+		}
+		if issued == 0 && !strings.HasSuffix(p.name, "/h0") {
+			t.Fatalf("%s: vacuous, nothing was ever prefetched", p.name)
+		}
+	}
+}
+
+// TestVLDPHistoryBeyondKeyWidth: a history the fixed-width key cannot hold is
+// a construction-time invariant failure, not a silent truncation.
+func TestVLDPHistoryBeyondKeyWidth(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("NewVLDP accepted a history longer than its key")
+		}
+	}()
+	NewVLDP(VLDPConfig{HistoryLen: vldpMaxHistory + 1, TableSize: 8, Degree: 2})
+}
+
+// copyingPF hands out a fresh copy of every result of its inner prefetcher:
+// what a wrapper computes over copies is what it must compute over the
+// reused buffers themselves.
+type copyingPF struct{ sim.Prefetcher }
+
+func (c copyingPF) Operate(a sim.LLCAccess) []uint64 {
+	return slices.Clone(c.Prefetcher.Operate(a))
+}
+
+// TestWrappersHoldResultsSafely pins the two wrappers that keep an Operate
+// result while other code runs. Ensemble holds proposals[i] across the other
+// components' calls — two BOs and a throttled BO here, so same-type
+// instances would have to share a buffer to break it; Throttle truncates its
+// inner prefetcher's buffer and tracks the blocks by value. Each must return,
+// call by call, what it returns over components that copy every result.
+func TestWrappersHoldResultsSafely(t *testing.T) {
+	narrow := BOConfig{MaxOffset: 2, RoundLength: 64, ScoreMax: 31, RRSize: 256, Degree: 3}
+	build := func(wrap func(sim.Prefetcher) sim.Prefetcher) []sim.Prefetcher {
+		return []sim.Prefetcher{
+			NewEnsemble(DefaultEnsembleConfig(),
+				wrap(NewBO(DefaultBOConfig())), wrap(NewBO(narrow)),
+				wrap(NewThrottle(wrap(NewBO(DefaultBOConfig())), DefaultThrottleConfig())), wrap(NewMarkov(DefaultMarkovConfig()))),
+			NewThrottle(wrap(NewBO(DefaultBOConfig())), DefaultThrottleConfig()),
+		}
+	}
+	reused := build(func(p sim.Prefetcher) sim.Prefetcher { return p })
+	copied := build(func(p sim.Prefetcher) sim.Prefetcher { return copyingPF{p} })
+	stream := oracleLLCStream(13, 20000)
+	for w := range reused {
+		issued := 0
+		for i, a := range stream {
+			got, want := reused[w].Operate(a), copied[w].Operate(a)
+			if !slices.Equal(got, want) {
+				t.Fatalf("%s: access %d: %v over reused buffers, %v over copies", reused[w].Name(), i, got, want)
+			}
+			issued += len(got)
+		}
+		if issued == 0 {
+			t.Fatalf("%s: vacuous, nothing was ever prefetched", reused[w].Name())
+		}
 	}
 }

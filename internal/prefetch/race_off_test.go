@@ -1,0 +1,7 @@
+//go:build !race
+
+package prefetch
+
+// raceDetectorEnabled mirrors whether this test binary was built with
+// -race; race_on_test.go provides the true arm.
+const raceDetectorEnabled = false

@@ -1,0 +1,7 @@
+//go:build race
+
+package prefetch
+
+// raceDetectorEnabled mirrors whether this test binary was built with
+// -race; race_off_test.go provides the false arm.
+const raceDetectorEnabled = true

@@ -28,13 +28,17 @@ func DefaultSMSConfig() SMSConfig {
 type SMS struct {
 	cfg SMSConfig
 
-	// active generations: region -> accumulating footprint.
+	// active generations: region -> accumulating footprint. At most
+	// ActiveRegions are live, so a trigger that ends a generation reuses its
+	// struct for the one it starts.
 	active     map[uint64]*smsGeneration
-	activeFIFO []uint64
+	activeFIFO ring[uint64]
 
 	// pattern history: signature -> footprint bitmap.
 	patterns    map[uint64]uint64
-	patternFIFO []uint64
+	patternFIFO ring[uint64]
+
+	out []uint64
 }
 
 type smsGeneration struct {
@@ -47,7 +51,11 @@ func NewSMS(cfg SMSConfig) *SMS {
 	if cfg.RegionBlocks <= 0 || cfg.RegionBlocks > 64 || cfg.RegionBlocks&(cfg.RegionBlocks-1) != 0 {
 		cfg.RegionBlocks = 32
 	}
-	return &SMS{cfg: cfg, active: make(map[uint64]*smsGeneration), patterns: make(map[uint64]uint64)}
+	return &SMS{
+		cfg:    cfg,
+		active: make(map[uint64]*smsGeneration), activeFIFO: newRing[uint64](cfg.ActiveRegions),
+		patterns: make(map[uint64]uint64), patternFIFO: newRing[uint64](cfg.PatternTable),
+	}
 }
 
 // Name implements sim.Prefetcher.
@@ -75,15 +83,17 @@ func (p *SMS) Operate(acc sim.LLCAccess) []uint64 {
 
 	// Region trigger: end the oldest generation if the table is full,
 	// committing its footprint to the pattern table.
-	if len(p.activeFIFO) >= p.cfg.ActiveRegions {
-		old := p.activeFIFO[0]
-		p.activeFIFO = p.activeFIFO[1:]
-		p.commit(p.active[old])
+	old, full := p.activeFIFO.push(region)
+	if full {
+		gen = p.active[old]
+		p.commit(gen)
 		delete(p.active, old)
+	} else {
+		gen = new(smsGeneration)
 	}
 	sig := signature(acc.PC, offset)
-	p.active[region] = &smsGeneration{signature: sig, footprint: 1 << offset}
-	p.activeFIFO = append(p.activeFIFO, region)
+	*gen = smsGeneration{signature: sig, footprint: 1 << offset}
+	p.active[region] = gen
 
 	// Replay the learned footprint for this signature.
 	pattern, ok := p.patterns[sig]
@@ -91,25 +101,22 @@ func (p *SMS) Operate(acc sim.LLCAccess) []uint64 {
 		return nil
 	}
 	base := region * uint64(p.cfg.RegionBlocks)
-	out := make([]uint64, 0, p.cfg.MaxPrefetches)
+	out := p.out[:0]
 	for b := 0; b < p.cfg.RegionBlocks && len(out) < p.cfg.MaxPrefetches; b++ {
 		if b != offset && pattern&(1<<b) != 0 {
 			out = append(out, base+uint64(b))
 		}
 	}
+	p.out = out
 	return out
 }
 
+// commit files a finished generation's footprint under its signature.
 func (p *SMS) commit(gen *smsGeneration) {
-	if gen == nil {
-		return
-	}
 	if _, exists := p.patterns[gen.signature]; !exists {
-		if len(p.patternFIFO) >= p.cfg.PatternTable {
-			delete(p.patterns, p.patternFIFO[0])
-			p.patternFIFO = p.patternFIFO[1:]
+		if old, full := p.patternFIFO.push(gen.signature); full {
+			delete(p.patterns, old)
 		}
-		p.patternFIFO = append(p.patternFIFO, gen.signature)
 	}
 	p.patterns[gen.signature] = gen.footprint
 }

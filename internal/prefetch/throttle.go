@@ -33,7 +33,7 @@ type Throttle struct {
 
 	degree                   int
 	issued                   map[uint64]bool
-	fifo                     []uint64
+	fifo                     ring[uint64]
 	epochIssued, epochUseful int
 	tick                     int
 }
@@ -49,7 +49,7 @@ func NewThrottle(inner sim.Prefetcher, cfg ThrottleConfig) *Throttle {
 	if cfg.Window <= 0 {
 		cfg.Window = 4096
 	}
-	return &Throttle{cfg: cfg, inner: inner, degree: cfg.MaxDegree, issued: make(map[uint64]bool)}
+	return &Throttle{cfg: cfg, inner: inner, degree: cfg.MaxDegree, issued: make(map[uint64]bool), fifo: newRing[uint64](cfg.Window)}
 }
 
 // Name implements sim.Prefetcher.
@@ -92,12 +92,10 @@ func (t *Throttle) Operate(acc sim.LLCAccess) []uint64 {
 	}
 	for _, b := range out {
 		if !t.issued[b] {
-			if len(t.fifo) >= t.cfg.Window {
-				delete(t.issued, t.fifo[0])
-				t.fifo = t.fifo[1:]
+			if old, full := t.fifo.push(b); full {
+				delete(t.issued, old)
 			}
 			t.issued[b] = true
-			t.fifo = append(t.fifo, b)
 			// Duplicate requests are filtered by the LLC anyway; only
 			// newly tracked blocks count toward the accuracy estimate.
 			t.epochIssued++

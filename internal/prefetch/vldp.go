@@ -1,6 +1,7 @@
 package prefetch
 
 import (
+	"mpgraph/internal/invariant"
 	"mpgraph/internal/sim"
 	"mpgraph/internal/trace"
 )
@@ -8,7 +9,7 @@ import (
 // VLDPConfig parameterises the Variable Length Delta Prefetcher.
 type VLDPConfig struct {
 	// HistoryLen is the longest delta-history key (the original uses up to
-	// 3 deltas).
+	// 3 deltas; at most vldpMaxHistory).
 	HistoryLen int
 	// TableSize bounds each delta-history table (FIFO eviction).
 	TableSize int
@@ -27,25 +28,50 @@ func DefaultVLDPConfig() VLDPConfig { return VLDPConfig{HistoryLen: 3, TableSize
 type VLDP struct {
 	cfg VLDPConfig
 	// tables[k] maps a (k+1)-delta history key to the next delta.
-	tables []map[string]int64
-	fifos  [][]string
+	tables []map[vldpHistory]int64
+	fifos  []ring[vldpHistory]
 	// per-page last block and delta history.
 	pages     map[uint64]*vldpPage
-	pageFIFO  []uint64
+	pageFIFO  ring[uint64]
 	pageLimit int
+	out       []uint64
+}
+
+// vldpMaxHistory is the widest delta history a table key holds.
+const vldpMaxHistory = 4
+
+// vldpHistory is a delta history, newest delta first, zero past its length
+// (an observed delta is never 0). It doubles as the table key: tables[k] is
+// keyed by the k+1 newest deltas, and since every key of one table has the
+// same length the zero padding cannot make two histories collide.
+type vldpHistory [vldpMaxHistory]int64
+
+// push makes d the newest delta of an n-delta history, forgets what falls
+// beyond keep deltas, and returns the new length.
+func (h *vldpHistory) push(d int64, n, keep int) int {
+	copy(h[1:], h[:])
+	h[0] = d
+	for i := keep; i < len(h); i++ {
+		h[i] = 0
+	}
+	return min(n+1, keep)
 }
 
 type vldpPage struct {
 	lastBlock uint64
-	history   []int64
+	history   vldpHistory
+	n         int // deltas in history, at most HistoryLen
 }
 
 // NewVLDP builds the prefetcher.
 func NewVLDP(cfg VLDPConfig) *VLDP {
+	invariant.Checkf(cfg.HistoryLen <= vldpMaxHistory, "prefetch: VLDP history %d exceeds the %d-delta table key", cfg.HistoryLen, vldpMaxHistory)
+	cfg.HistoryLen = max(cfg.HistoryLen, 0)
 	v := &VLDP{cfg: cfg, pages: make(map[uint64]*vldpPage), pageLimit: 256}
+	v.pageFIFO = newRing[uint64](v.pageLimit)
 	for k := 0; k < cfg.HistoryLen; k++ {
-		v.tables = append(v.tables, make(map[string]int64))
-		v.fifos = append(v.fifos, nil)
+		v.tables = append(v.tables, make(map[vldpHistory]int64))
+		v.fifos = append(v.fifos, newRing[vldpHistory](cfg.TableSize))
 	}
 	return v
 }
@@ -53,28 +79,20 @@ func NewVLDP(cfg VLDPConfig) *VLDP {
 // Name implements sim.Prefetcher.
 func (v *VLDP) Name() string { return "vldp" }
 
-func historyKey(h []int64) string {
-	b := make([]byte, 0, len(h)*8)
-	for _, d := range h {
-		for s := 0; s < 64; s += 8 {
-			b = append(b, byte(d>>s))
-		}
-	}
-	return string(b)
-}
-
 // Operate implements sim.Prefetcher.
 func (v *VLDP) Operate(acc sim.LLCAccess) []uint64 {
 	page := trace.PageOfBlock(acc.Block)
 	st, ok := v.pages[page]
 	if !ok {
-		if len(v.pageFIFO) >= v.pageLimit {
-			delete(v.pages, v.pageFIFO[0])
-			v.pageFIFO = v.pageFIFO[1:]
+		old, full := v.pageFIFO.push(page)
+		if full {
+			st = v.pages[old]
+			delete(v.pages, old)
+		} else {
+			st = new(vldpPage)
 		}
-		st = &vldpPage{lastBlock: acc.Block}
+		*st = vldpPage{lastBlock: acc.Block}
 		v.pages[page] = st
-		v.pageFIFO = append(v.pageFIFO, page)
 		return nil
 	}
 	delta := int64(acc.Block) - int64(st.lastBlock)
@@ -82,30 +100,27 @@ func (v *VLDP) Operate(acc sim.LLCAccess) []uint64 {
 	if delta == 0 {
 		return nil
 	}
-	// Train every history length with the observed delta.
-	for k := 0; k < v.cfg.HistoryLen && k < len(st.history); k++ {
-		key := historyKey(st.history[len(st.history)-k-1:])
+	// Train every history length with the observed delta: key holds the k+1
+	// newest deltas as the loop reaches table k.
+	var key vldpHistory
+	for k := 0; k < st.n; k++ {
+		key[k] = st.history[k]
 		if _, exists := v.tables[k][key]; !exists {
-			if len(v.fifos[k]) >= v.cfg.TableSize {
-				delete(v.tables[k], v.fifos[k][0])
-				v.fifos[k] = v.fifos[k][1:]
+			if old, full := v.fifos[k].push(key); full {
+				delete(v.tables[k], old)
 			}
-			v.fifos[k] = append(v.fifos[k], key)
 		}
 		v.tables[k][key] = delta
 	}
-	st.history = append(st.history, delta)
-	if len(st.history) > v.cfg.HistoryLen {
-		st.history = st.history[1:]
-	}
+	st.n = st.history.push(delta, st.n, v.cfg.HistoryLen)
 
 	// Predict: walk a chain, each step matched with the longest available
 	// history.
-	out := make([]uint64, 0, v.cfg.Degree)
-	hist := append([]int64(nil), st.history...)
+	out := v.out[:0]
+	hist, n := st.history, st.n
 	block := acc.Block
 	for i := 0; i < v.cfg.Degree; i++ {
-		next, ok := v.lookup(hist)
+		next, ok := v.lookup(hist, n)
 		if !ok {
 			break
 		}
@@ -115,21 +130,20 @@ func (v *VLDP) Operate(acc sim.LLCAccess) []uint64 {
 		}
 		block = uint64(t)
 		out = append(out, block)
-		hist = append(hist, next)
-		if len(hist) > v.cfg.HistoryLen {
-			hist = hist[1:]
-		}
+		n = hist.push(next, n, v.cfg.HistoryLen)
 	}
+	v.out = out
 	return out
 }
 
-// lookup returns the predicted next delta for the longest matching history.
-func (v *VLDP) lookup(hist []int64) (int64, bool) {
-	for k := min(v.cfg.HistoryLen, len(hist)) - 1; k >= 0; k-- {
-		key := historyKey(hist[len(hist)-k-1:])
-		if d, ok := v.tables[k][key]; ok {
+// lookup returns the predicted next delta for the longest matching history
+// among the n newest deltas of hist.
+func (v *VLDP) lookup(hist vldpHistory, n int) (int64, bool) {
+	for k := n - 1; k >= 0; k-- {
+		if d, ok := v.tables[k][hist]; ok {
 			return d, true
 		}
+		hist[k] = 0
 	}
 	return 0, false
 }

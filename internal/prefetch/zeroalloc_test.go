@@ -1,6 +1,7 @@
 package prefetch
 
 import (
+	"runtime"
 	"testing"
 
 	"mpgraph/internal/sim"
@@ -73,4 +74,69 @@ func BenchmarkOperateTransFetch(b *testing.B) {
 func BenchmarkOperateVoyager(b *testing.B) {
 	ds, delta, page := tinyTrainedModels(b)
 	benchOperate(b, NewVoyager(page, delta, ds.Cfg.HistoryT, MLOptions{Degree: 6}), ds.Cfg.HistoryT+64)
+}
+
+// TestClassicOperateAllocs is the allocation gate of the seven classic
+// prefetchers and of Guarded around one of them. The stream is a lap of
+// oracleLLCStream replayed over and over — a bounded working set several
+// times what the (shrunken) tables hold, so every eviction ring keeps
+// turning inside the measured windows. BO, SMS and IMP must not allocate at
+// all. ISB, Domino, Markov and VLDP own their result, ring and scratch
+// memory too, but keep their tables in Go maps, and a map under
+// insert-after-delete churn may still allocate when it reclaims tombstones:
+// they get a budget per lap that a single allocation per Operate would
+// exceed a thousandfold.
+func TestClassicOperateAllocs(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	mixed := oracleLLCStream(5, 8192)
+	// IMP only speaks on an A[B[i]] pair: an index PC streaming through
+	// blocks, an indirect PC at coeff*slot + base.
+	indirect := make([]sim.LLCAccess, 0, len(mixed))
+	for i := 0; len(indirect) < cap(indirect); i++ {
+		indirect = append(indirect,
+			sim.LLCAccess{Block: uint64(1<<10 + i%2048), PC: 0x400000},
+			sim.LLCAccess{Block: uint64(1<<20 + 3*(i%2048)), PC: 0x400040})
+	}
+	const mapBudget = 8 // allocations per lap of 8192 Operates
+	for _, c := range []struct {
+		name   string
+		pf     sim.Prefetcher
+		lap    []sim.LLCAccess
+		budget uint64
+	}{
+		{"bo", NewBO(DefaultBOConfig()), mixed, 0},
+		{"sms", NewSMS(SMSConfig{RegionBlocks: 32, ActiveRegions: 16, PatternTable: 64, MaxPrefetches: 6}), mixed, 0},
+		{"imp", NewIMP(DefaultIMPConfig()), indirect, 0},
+		{"guarded(bo, bo)", NewGuarded(NewBO(DefaultBOConfig()), NewBO(DefaultBOConfig()), GuardConfig{}, nil), mixed, 0},
+		{"isb", NewISB(ISBConfig{MaxPairs: 64, Degree: 6}), mixed, mapBudget},
+		{"domino", NewDomino(DominoConfig{MaxPairs: 64, Degree: 6}), mixed, mapBudget},
+		{"markov", NewMarkov(MarkovConfig{Successors: 4, TableSize: 64, Degree: 6}), mixed, mapBudget},
+		{"vldp", NewVLDP(VLDPConfig{HistoryLen: 3, TableSize: 64, Degree: 6}), mixed, mapBudget},
+	} {
+		issued := 0
+		run := func() {
+			for _, a := range c.lap {
+				issued += len(c.pf.Operate(a))
+			}
+		}
+		run()
+		run()
+		// Whole laps, counted (AllocsPerRun's integral average would round a
+		// few allocations per lap down to 0); the runtime itself allocates now
+		// and then, so take the quietest of three laps.
+		least := ^uint64(0)
+		for w := 0; w < 3; w++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			run()
+			runtime.ReadMemStats(&after)
+			least = min(least, after.Mallocs-before.Mallocs)
+		}
+		if least > c.budget {
+			t.Errorf("%s: at least %d allocations per %d Operate calls, want at most %d", c.name, least, len(c.lap), c.budget)
+		}
+		if issued == 0 {
+			t.Errorf("%s: vacuous, nothing was ever prefetched", c.name)
+		}
+	}
 }

@@ -44,13 +44,15 @@ func NewCache(name string, sets, ways int) (*Cache, error) {
 func (c *Cache) SizeBytes() int { return c.sets * c.ways * 64 }
 
 func (c *Cache) set(block uint64) []line {
-	idx := int(block) & (c.sets - 1)
+	idx := int(block & uint64(c.sets-1))
 	return c.lines[idx*c.ways : (idx+1)*c.ways]
 }
 
 // Lookup probes for block. On hit it refreshes LRU state and returns the
 // line; the returned wasPrefetch reports whether this is the first demand
 // touch of a prefetched line (and clears the flag when demand is true).
+//
+//mpgraph:noalloc
 func (c *Cache) Lookup(block uint64, demand bool) (hit bool, readyAt uint64, wasPrefetch bool) {
 	c.useClock++
 	set := c.set(block)
@@ -76,6 +78,8 @@ func (c *Cache) Lookup(block uint64, demand bool) (hit bool, readyAt uint64, was
 // the fill data arrives (demand hits earlier than that pay the difference).
 // It returns the evicted block and whether the victim was a never-used
 // prefetch (for pollution accounting).
+//
+//mpgraph:noalloc
 func (c *Cache) Insert(block uint64, prefetched bool, readyAt uint64) (evicted uint64, evictedValid, evictedUnusedPrefetch bool) {
 	c.useClock++
 	set := c.set(block)
@@ -109,6 +113,8 @@ func (c *Cache) Insert(block uint64, prefetched bool, readyAt uint64) (evicted u
 
 // Contains probes without touching LRU or counters (used by prefetch-issue
 // filtering and tests).
+//
+//mpgraph:noalloc
 func (c *Cache) Contains(block uint64) bool {
 	set := c.set(block)
 	for i := range set {

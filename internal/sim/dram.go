@@ -26,6 +26,8 @@ type DRAM struct {
 // Access schedules a demand block fetch starting no earlier than now and
 // returns the cycle at which the data is available. Demand requests queue
 // only behind other demand requests.
+//
+//mpgraph:noalloc
 func (d *DRAM) Access(now uint64) (readyAt uint64) {
 	d.Requests++
 	start := now
@@ -42,6 +44,8 @@ func (d *DRAM) Access(now uint64) (readyAt uint64) {
 
 // AccessPrefetch schedules a low-priority prefetch fill: it waits for all
 // queued demand and prefetch traffic.
+//
+//mpgraph:noalloc
 func (d *DRAM) AccessPrefetch(now uint64) (readyAt uint64) {
 	d.Requests++
 	start := now

@@ -2,7 +2,8 @@ package sim
 
 import (
 	"fmt"
-	"sort"
+	"math"
+	"math/bits"
 
 	"mpgraph/internal/trace"
 )
@@ -135,9 +136,26 @@ type Engine struct {
 	llc  *Cache
 	dram DRAM
 
-	coreTime    []uint64
-	outstanding [][]uint64 // completion times of in-flight long misses per core
-	inflight    []inflightPrefetch
+	coreTime []uint64
+	// outstanding[c] holds the completion times of core c's in-flight long
+	// misses in a fixed MaxOutstanding+1 window. It is only ever read as a
+	// multiset (the minimum on overflow, the maximum in Finish), so it is
+	// kept unordered.
+	outstanding [][]uint64
+	// inflight is the prefetch queue in issue order, allocated once at
+	// PrefetchQueueMax. nextFill is a lower bound on every queued readyAt
+	// (MaxUint64 when the queue is empty): a Step whose clock is below it has
+	// nothing to drain. An MSHR merge may leave it stale-low, which costs one
+	// fruitless scan and never a missed fill.
+	inflight []inflightPrefetch
+	nextFill uint64
+
+	// Cores and IssueWidth are run-time constants; when they are powers of two
+	// the per-access modulo and divisions are a mask and a shift (coreMask and
+	// issueShift are -1 otherwise, and the division stays).
+	coreMask   int
+	issueWidth uint64
+	issueShift int
 
 	pf      Prefetcher
 	metrics Metrics
@@ -156,7 +174,13 @@ func NewEngine(cfg Config, pf Prefetcher) (*Engine, error) {
 	if pf == nil {
 		pf = NoPrefetcher()
 	}
-	e := &Engine{cfg: cfg, pf: pf}
+	e := &Engine{cfg: cfg, pf: pf, nextFill: math.MaxUint64, coreMask: -1, issueWidth: uint64(cfg.IssueWidth), issueShift: -1}
+	if cfg.Cores&(cfg.Cores-1) == 0 {
+		e.coreMask = cfg.Cores - 1
+	}
+	if w := cfg.IssueWidth; w > 0 && w&(w-1) == 0 {
+		e.issueShift = bits.TrailingZeros64(e.issueWidth)
+	}
 	for c := 0; c < cfg.Cores; c++ {
 		l1, err := NewCache(fmt.Sprintf("l1d%d", c), cfg.L1Sets, cfg.L1Ways)
 		if err != nil {
@@ -176,7 +200,13 @@ func NewEngine(cfg Config, pf Prefetcher) (*Engine, error) {
 	e.llc = llc
 	e.dram = DRAM{Latency: cfg.DRAMLatency, ServiceCycles: cfg.DRAMServiceCycles}
 	e.coreTime = make([]uint64, cfg.Cores)
+	window := max(cfg.MaxOutstanding, 0) + 1
+	slots := make([]uint64, cfg.Cores*window)
 	e.outstanding = make([][]uint64, cfg.Cores)
+	for c := range e.outstanding {
+		e.outstanding[c] = slots[c*window : c*window : (c+1)*window]
+	}
+	e.inflight = make([]inflightPrefetch, 0, max(cfg.PrefetchQueueMax, 0))
 	e.metrics.Prefetcher = pf.Name()
 	if il, ok := pf.(InferenceLatency); ok && cfg.PrefetchLatency == 0 {
 		e.cfg.PrefetchLatency = il.InferenceLatencyCycles()
@@ -194,39 +224,71 @@ func (e *Engine) Run(accesses []trace.Access) Metrics {
 
 // Step processes one access.
 func (e *Engine) Step(a trace.Access) {
-	c := int(a.Core) % e.cfg.Cores
+	c := int(a.Core)
+	if e.coreMask >= 0 {
+		c &= e.coreMask
+	} else {
+		c %= e.cfg.Cores
+	}
 	now := e.coreTime[c]
 
 	// Retire the non-memory instructions preceding this access.
 	instr := uint64(a.Gap) + 1
 	e.metrics.Instructions += instr
-	now += (instr + uint64(e.cfg.IssueWidth) - 1) / uint64(e.cfg.IssueWidth)
+	now += e.issueSlots(instr + e.issueWidth - 1)
 
 	// Complete any inflight prefetch fills that are due.
-	e.drainPrefetches(now)
+	if now >= e.nextFill {
+		e.drainPrefetches(now)
+	}
 
 	block := trace.Block(a.Addr)
 	latency, longMiss := e.lookup(c, block, now, a)
 
 	if longMiss {
-		// The miss occupies an MSHR; the core stalls only when the
-		// outstanding window is full (memory-level parallelism model).
-		q := e.outstanding[c]
-		q = append(q, now+latency)
-		if len(q) > e.cfg.MaxOutstanding {
-			sort.Slice(q, func(i, j int) bool { return q[i] < q[j] })
-			head := q[0]
-			q = q[1:]
-			if head > now {
-				now = head
-			}
-		}
-		e.outstanding[c] = q
+		now = e.occupy(c, now+latency, now)
 	} else {
 		// Short-latency accesses retire within the window.
-		now += latency / uint64(e.cfg.IssueWidth)
+		now += e.issueSlots(latency)
 	}
 	e.coreTime[c] = now
+}
+
+// issueSlots is cycles / IssueWidth.
+//
+//mpgraph:noalloc
+func (e *Engine) issueSlots(cycles uint64) uint64 {
+	if e.issueShift >= 0 {
+		return cycles >> (uint(e.issueShift) & 63)
+	}
+	return cycles / e.issueWidth
+}
+
+// occupy files a long miss completing at done in core c's MSHR window and
+// returns the cycle the core proceeds at. The core stalls only when the
+// window is full (memory-level parallelism model): the earliest outstanding
+// completion then leaves the window, and the core waits for it.
+//
+//mpgraph:noalloc
+func (e *Engine) occupy(c int, done, now uint64) uint64 {
+	q := e.outstanding[c]
+	q = q[:len(q)+1]
+	q[len(q)-1] = done
+	if len(q) > e.cfg.MaxOutstanding {
+		first := 0
+		for i, t := range q {
+			if t < q[first] {
+				first = i
+			}
+		}
+		if q[first] > now {
+			now = q[first]
+		}
+		q[first] = q[len(q)-1]
+		q = q[:len(q)-1]
+	}
+	e.outstanding[c] = q
+	return now
 }
 
 // lookup walks the hierarchy for a demand access, updating caches, issuing
@@ -234,12 +296,13 @@ func (e *Engine) Step(a trace.Access) {
 // long (LLC-or-beyond) miss that should occupy the overlap window.
 func (e *Engine) lookup(c int, block uint64, now uint64, a trace.Access) (latency uint64, longMiss bool) {
 	cfg := &e.cfg
+	l1, l2 := e.l1[c], e.l2[c]
 	// wasPrefetch is structurally false at L1/L2 — only the LLC holds
 	// prefetched fills — so just the hit flag and the fill time matter
 	// here. A hit on a line whose fill is still in flight (readyAt in the
 	// future) pays the remaining fill time, mirroring the LLC's
 	// late-prefetch handling.
-	if hit, readyAt, _ := e.l1[c].Lookup(block, true); hit {
+	if hit, readyAt, _ := l1.Lookup(block, true); hit {
 		e.metrics.L1Hits++
 		lat := cfg.L1Latency
 		if readyAt > now+lat {
@@ -248,13 +311,13 @@ func (e *Engine) lookup(c int, block uint64, now uint64, a trace.Access) (latenc
 		return lat, false
 	}
 	e.metrics.L1Misses++
-	if hit, readyAt, _ := e.l2[c].Lookup(block, true); hit {
+	if hit, readyAt, _ := l2.Lookup(block, true); hit {
 		e.metrics.L2Hits++
 		lat := cfg.L2Latency
 		if readyAt > now+lat {
 			lat = readyAt - now
 		}
-		e.l1[c].Insert(block, false, now+lat)
+		l1.Insert(block, false, now+lat)
 		return lat, false
 	}
 	e.metrics.L2Misses++
@@ -287,8 +350,8 @@ func (e *Engine) lookup(c int, block uint64, now uint64, a trace.Access) (latenc
 			}
 			e.metrics.LatePrefetches++
 		}
-		e.l2[c].Insert(block, false, now+lat)
-		e.l1[c].Insert(block, false, now+lat)
+		l2.Insert(block, false, now+lat)
+		l1.Insert(block, false, now+lat)
 		// LLC hits are long enough that the ROB overlaps them like misses;
 		// only L1/L2 hits retire serially.
 		return lat, true
@@ -315,8 +378,8 @@ func (e *Engine) lookup(c int, block uint64, now uint64, a trace.Access) (latenc
 			if ready > now {
 				lat = ready - now + cfg.LLCLatency
 			}
-			e.l2[c].Insert(block, false, now+lat)
-			e.l1[c].Insert(block, false, now+lat)
+			l2.Insert(block, false, now+lat)
+			l1.Insert(block, false, now+lat)
 			return lat, true
 		}
 	}
@@ -325,15 +388,18 @@ func (e *Engine) lookup(c int, block uint64, now uint64, a trace.Access) (latenc
 	ready := e.dram.Access(now)
 	lat := (ready - now) + cfg.LLCLatency
 	e.insertLLC(block, false, ready)
-	e.l2[c].Insert(block, false, now+lat)
-	e.l1[c].Insert(block, false, now+lat)
+	l2.Insert(block, false, now+lat)
+	l1.Insert(block, false, now+lat)
 	return lat, true
 }
 
 // issuePrefetches files prefetch requests for the given block addresses.
+//
+//mpgraph:noalloc
 func (e *Engine) issuePrefetches(blocks []uint64, now uint64) {
 	for _, b := range blocks {
-		if len(e.inflight) >= e.cfg.PrefetchQueueMax {
+		n := len(e.inflight)
+		if n >= e.cfg.PrefetchQueueMax {
 			e.metrics.PrefetchesDropped++
 			continue
 		}
@@ -353,26 +419,39 @@ func (e *Engine) issuePrefetches(blocks []uint64, now uint64) {
 		e.metrics.PrefetchesIssued++
 		issueAt := now + e.cfg.PrefetchLatency
 		ready := e.dram.AccessPrefetch(issueAt)
-		e.inflight = append(e.inflight, inflightPrefetch{block: b, readyAt: ready})
+		e.inflight = e.inflight[:n+1]
+		e.inflight[n] = inflightPrefetch{block: b, readyAt: ready}
+		if ready < e.nextFill {
+			e.nextFill = ready
+		}
 	}
 }
 
-// drainPrefetches fills the LLC with prefetches whose data has arrived.
+// drainPrefetches fills the LLC, in queue order, with the prefetches whose
+// data has arrived by now, and recomputes nextFill from the ones that stay.
+//
+//mpgraph:noalloc
 func (e *Engine) drainPrefetches(now uint64) {
-	if len(e.inflight) == 0 {
-		return
-	}
-	kept := e.inflight[:0]
+	kept := 0
+	next := uint64(math.MaxUint64)
 	for _, p := range e.inflight {
 		if p.readyAt <= now {
 			e.insertLLC(p.block, true, p.readyAt)
-		} else {
-			kept = append(kept, p)
+			continue
+		}
+		e.inflight[kept] = p
+		kept++
+		if p.readyAt < next {
+			next = p.readyAt
 		}
 	}
-	e.inflight = kept
+	e.inflight = e.inflight[:kept]
+	e.nextFill = next
 }
 
+// insertLLC fills the shared cache and counts a polluted eviction.
+//
+//mpgraph:noalloc
 func (e *Engine) insertLLC(block uint64, prefetched bool, readyAt uint64) {
 	// The victim's identity and validity are deliberately unused: the
 	// engine models no writeback traffic, so an evicted block costs

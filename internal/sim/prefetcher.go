@@ -29,9 +29,11 @@ type Prefetcher interface {
 	Name() string
 	// Operate observes acc and returns block addresses to prefetch into the
 	// LLC. Returning nil issues nothing. The returned slice is only valid
-	// until the next Operate call: the engine consumes it immediately and
-	// never retains it, so implementations may return a reused buffer
-	// (the ML prefetchers' zero-allocation fast path depends on this).
+	// until the next Operate call on the same prefetcher: the engine consumes
+	// it immediately and never retains it, so implementations may return a
+	// reused buffer. The ML prefetchers' zero-allocation fast path and all
+	// seven classic prefetchers (BO, ISB, SMS, VLDP, Domino, Markov, IMP) do;
+	// a caller that keeps a result across calls copies the slice.
 	Operate(acc LLCAccess) []uint64
 }
 

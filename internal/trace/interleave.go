@@ -1,6 +1,9 @@
 package trace
 
-import "math/rand"
+import (
+	"math/rand"
+	"slices"
+)
 
 // Interleave merges per-core access streams into one shared-LLC order. The
 // paper's challenge #2 is that "parallel executions under multi-core systems
@@ -11,22 +14,27 @@ import "math/rand"
 // The merge keeps each core's internal order (program order is preserved
 // per core) and is deterministic for a given seed.
 func Interleave(streams [][]Access, meanBurst int, seed int64) []Access {
+	return AppendInterleave(nil, streams, meanBurst, seed)
+}
+
+// AppendInterleave is Interleave appending to dst, append-style: the merge
+// lands in dst's spare capacity when it fits and the extended slice is
+// returned. The streams are read, never written. A caller that appends
+// repeatedly reserves capacity by its own policy first.
+func AppendInterleave(dst []Access, streams [][]Access, meanBurst int, seed int64) []Access {
 	if meanBurst < 1 {
 		meanBurst = 1
 	}
 	rng := rand.New(rand.NewSource(seed))
 	pos := make([]int, len(streams))
-	total := 0
+	total, live := 0, 0
 	for _, s := range streams {
 		total += len(s)
-	}
-	out := make([]Access, 0, total)
-	live := 0
-	for _, s := range streams {
 		if len(s) > 0 {
 			live++
 		}
 	}
+	out := slices.Grow(dst, total)
 	for live > 0 {
 		// Pick a random live core, weighted by remaining work so long
 		// streams do not starve at the tail.
@@ -36,12 +44,12 @@ func Interleave(streams [][]Access, meanBurst int, seed int64) []Access {
 		for rng.Float64() < 1-1/float64(meanBurst) {
 			burst++
 		}
-		for i := 0; i < burst && pos[c] < len(streams[c]); i++ {
-			a := streams[c][pos[c]]
-			a.Core = uint8(c)
-			out = append(out, a)
-			pos[c]++
+		from := len(out)
+		out = append(out, streams[c][pos[c]:min(pos[c]+burst, len(streams[c]))]...)
+		for i := from; i < len(out); i++ {
+			out[i].Core = uint8(c)
 		}
+		pos[c] += len(out) - from
 		if pos[c] >= len(streams[c]) {
 			live = 0
 			for ci, s := range streams {

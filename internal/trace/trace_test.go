@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -357,5 +358,95 @@ func TestSummarize(t *testing.T) {
 	s.Print(&buf)
 	if !strings.Contains(buf.String(), "phase 1") {
 		t.Fatal("print output")
+	}
+}
+
+// referenceInterleave is Interleave as it stood before AppendInterleave: the
+// merge built access by access into a slice of its own.
+func referenceInterleave(streams [][]Access, meanBurst int, seed int64) []Access {
+	if meanBurst < 1 {
+		meanBurst = 1
+	}
+	rng := rand.New(rand.NewSource(seed))
+	pos := make([]int, len(streams))
+	total := 0
+	for _, s := range streams {
+		total += len(s)
+	}
+	out := make([]Access, 0, total)
+	live := 0
+	for _, s := range streams {
+		if len(s) > 0 {
+			live++
+		}
+	}
+	for live > 0 {
+		// Pick a random live core, weighted by remaining work so long
+		// streams do not starve at the tail.
+		c := pickLive(rng, streams, pos)
+		// Burst length ~ Geometric(1/meanBurst).
+		burst := 1
+		for rng.Float64() < 1-1/float64(meanBurst) {
+			burst++
+		}
+		for i := 0; i < burst && pos[c] < len(streams[c]); i++ {
+			a := streams[c][pos[c]]
+			a.Core = uint8(c)
+			out = append(out, a)
+			pos[c]++
+		}
+		if pos[c] >= len(streams[c]) {
+			live = 0
+			for ci, s := range streams {
+				if pos[ci] < len(s) {
+					live++
+				}
+			}
+		}
+	}
+	return out
+}
+
+// TestAppendInterleaveMatchesReference: on random stream shapes the merge is
+// the reference's (same RNG draws, same Core stamps) whether it lands in a
+// nil dst, in spare capacity or past it; what dst already held is untouched,
+// and so are the source streams — Core is stamped on the copy.
+func TestAppendInterleaveMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for round := 0; round < 200; round++ {
+		streams := make([][]Access, rng.Intn(6))
+		for c := range streams {
+			for i, n := 0, rng.Intn(60)*rng.Intn(2); i < n; i++ {
+				streams[c] = append(streams[c], Access{Addr: uint64(c*1000 + i), Core: 99, Gap: uint8(rng.Intn(6))})
+			}
+		}
+		pristine := make([][]Access, len(streams))
+		for c := range streams {
+			pristine[c] = slices.Clone(streams[c])
+		}
+		burst, seed := rng.Intn(8), rng.Int63()
+		want := referenceInterleave(streams, burst, seed)
+		if got := Interleave(streams, burst, seed); !slices.Equal(got, want) {
+			t.Fatalf("round %d: Interleave differs from the reference", round)
+		}
+		if got := AppendInterleave(nil, streams, burst, seed); !slices.Equal(got, want) {
+			t.Fatalf("round %d: AppendInterleave(nil) differs from the reference", round)
+		}
+		prefix := []Access{{Addr: 1, Core: 7}, {Addr: 2, Core: 8}, {Addr: 3, Core: 9}}
+		for _, spare := range []int{0, 10, 1000} {
+			dst := append(make([]Access, 0, len(prefix)+spare), prefix...)
+			got := AppendInterleave(dst, streams, burst, seed)
+			if !slices.Equal(got[:len(prefix)], prefix) || !slices.Equal(got[len(prefix):], want) {
+				t.Fatalf("round %d, %d spare: prefix or merge wrong", round, spare)
+			}
+			if spare >= len(want) && &got[0] != &dst[0] {
+				t.Fatalf("round %d: %d accesses did not land in %d spare slots", round, len(want), spare)
+			}
+		}
+		for c := range streams {
+			if !slices.Equal(streams[c], pristine[c]) {
+				t.Fatalf("round %d: source stream %d was written", round, c)
+			}
+		}
 	}
 }
