@@ -104,10 +104,14 @@ fuzz:
 # Operate benchmarks run 6 counts of 300 iterations — mpgraph-bench keeps
 # the best run per benchmark (timing noise is strictly additive), keeping
 # ns/op stable enough for the bench-compare gate's 15% threshold on noisy
-# (single-core VM) hosts; the sub-microsecond kernel rows (KERNEL_BENCH: the
-# attention block, the fused residual LayerNorm and the top-2 decode at the
-# shapes an AMMA forward runs them) take 20000 iterations for the same
-# reason; the seconds-scale sweep benchmarks run once. TRAIN_BENCH is the
+# (single-core VM) hosts; the kernel rows (KERNEL_BENCH: the attention block,
+# the fused residual LayerNorm and the top-2 decode at the shapes an AMMA
+# forward runs them, the m = 1 panel product at an LSTM gate's and the two
+# heads' shapes, and one LSTM forward at the suite's two input widths, alone
+# and as a batch of eight) take 20000 iterations for the same reason; the
+# seconds-scale sweep benchmarks run once. bench-compare, and so CI's
+# "Perf-regression gate" step, runs whatever KERNEL_BENCH names: a row added
+# to the pattern is carried and gated with no workflow change. TRAIN_BENCH is the
 # training layer (what a suite's set-up is made of): the Adam step and the
 # weight-gradient product at 5000 iterations, a whole AMMA train step (the
 # trainer's own, on its tape) at 300, and the ten-model suite at the repository
@@ -122,14 +126,14 @@ fuzz:
 # 20-400 ns).
 # Steps go through a file so a benchmark failure fails the target. For
 # published numbers rerun with a higher -benchtime and -count (DESIGN.md §8).
-KERNEL_BENCH = BenchmarkAttentionBlocks|BenchmarkResidualLayerNorm|BenchmarkTopK2of1024
+KERNEL_BENCH = BenchmarkAttentionBlocks|BenchmarkResidualLayerNorm|BenchmarkTopK2of1024|BenchmarkPanel1|BenchmarkLSTMForward
 TRAIN_BENCH = BenchmarkAdamStep|BenchmarkGemmTN|BenchmarkBackwardMLP|BenchmarkAMMADeltaTrainStep|BenchmarkAMMAPageTrainStep
 SIM_BENCH = BenchmarkEngineNoPrefetch|BenchmarkEngineRun|BenchmarkClassicOperate|BenchmarkGPOPPageRankTrace|BenchmarkXStreamBFSTrace|BenchmarkPowerGraphCCTrace|BenchmarkInterleave
 bench:
 	$(GO) test ./internal/prefetch/ ./internal/core/ ./internal/models/ \
 		-run xxx -bench 'BenchmarkOperate|BenchmarkSuiteSave' -benchtime 300x -count 6 \
 		> bench.out
-	$(GO) test ./internal/tensor/ ./internal/models/ \
+	$(GO) test ./internal/tensor/ ./internal/nn/ ./internal/models/ \
 		-run xxx -bench '$(KERNEL_BENCH)' -benchtime 20000x -count 6 \
 		>> bench.out
 	$(GO) test ./internal/tensor/ ./internal/nn/ \
@@ -176,7 +180,7 @@ bench-compare:
 	$(GO) test ./internal/prefetch/ ./internal/core/ ./internal/models/ \
 		-run xxx -bench 'BenchmarkOperate|BenchmarkSuiteSave' -benchtime 300x -count 6 \
 		> bench-new.out
-	$(GO) test ./internal/tensor/ ./internal/models/ \
+	$(GO) test ./internal/tensor/ ./internal/nn/ ./internal/models/ \
 		-run xxx -bench '$(KERNEL_BENCH)' -benchtime 20000x -count 6 \
 		>> bench-new.out
 	$(GO) test ./internal/tensor/ ./internal/nn/ \

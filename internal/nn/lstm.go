@@ -95,32 +95,57 @@ func lstmGraph(l *LSTM, x *tensor.Tensor) *tensor.Tensor {
 	return h
 }
 
-// ForwardBatchCtx consumes `blocks` stacked sequences step-synchronously:
-// at each timestep the per-session rows are gathered into one [blocks x in]
-// block so each gate is one fused input+recurrent GEMM against the state
-// block with the nonlinearity in the epilogue, and the cell update is one
-// in-place loop with a vectorized tanh. Returns the final hidden states
-// [blocks x hidden].
+// ForwardBatchCtx consumes `blocks` stacked sequences step-synchronously and
+// returns the final hidden states [blocks x hidden]. The input half of every
+// gate, x@Wx (+ b), does not depend on the state, so it is four products over
+// all blocks*T rows before the loop, on time-major rows so that a step's
+// share of each is one [blocks x hidden] run. A step adds h@Wh onto that run
+// in place and applies the gate's activation. Per element that is the
+// rounding sequence of the fused two-product gate (tensor.LinearAccum),
+// whichever kernels run it.
 //
 //mpgraph:noalloc
 func (l *LSTMOf[T]) ForwardBatchCtx(ctx *tensor.Ctx, x *tensor.Dense[T], blocks int) *tensor.Dense[T] {
 	t := x.Rows / blocks
+	n := blocks * l.Hidden
+	if blocks > 1 {
+		// Block b's step s, row b*t+s, becomes row s*blocks+b.
+		xt := tensor.ZerosCtx[T](ctx, x.Rows, x.Cols)
+		for r := 0; r < x.Rows; r++ {
+			copy(xt.Data[(r%t*blocks+r/t)*x.Cols:], x.Data[r*x.Cols:(r+1)*x.Cols])
+		}
+		x = xt
+	}
+	wx := [4]*tensor.Dense[T]{l.Wxi, l.Wxf, l.Wxo, l.Wxg}
+	wh := [4]*tensor.Dense[T]{l.Whi, l.Whf, l.Who, l.Whg}
+	bias := [4]*tensor.Dense[T]{l.Bi, l.Bf, l.Bo, l.Bg}
+	acts := [4]tensor.Act{tensor.ActSigmoid, tensor.ActSigmoid, tensor.ActSigmoid, tensor.ActTanh}
+	var pre, gate [4][]T
+	for g := range pre {
+		pre[g] = tensor.LinearAccum(ctx, nil, x, wx[g], bias[g])
+	}
 	h := tensor.ZerosCtx[T](ctx, blocks, l.Hidden)
-	c := tensor.ZerosCtx[T](ctx, blocks, l.Hidden)
+	c := tensor.ZerosCtx[T](ctx, blocks, l.Hidden).Data
 	for step := 0; step < t; step++ {
-		xt := tensor.GatherRowsStride(ctx, x, step, t, blocks)
-		i := tensor.Linear2Act(ctx, xt, l.Wxi, h, l.Whi, l.Bi, tensor.ActSigmoid)
-		f := tensor.Linear2Act(ctx, xt, l.Wxf, h, l.Whf, l.Bf, tensor.ActSigmoid)
-		g := tensor.Linear2Act(ctx, xt, l.Wxg, h, l.Whg, l.Bg, tensor.ActTanh)
-		o := tensor.Linear2Act(ctx, xt, l.Wxo, h, l.Who, l.Bo, tensor.ActSigmoid)
-		for j := range c.Data {
-			cv := f.Data[j]*c.Data[j] + i.Data[j]*g.Data[j]
-			c.Data[j] = cv
+		for k := range pre {
+			// Odd steps run the gates backwards: the Wh panel a step streams
+			// last is the one the next step reads first, still in L1.
+			g := k
+			if step&1 == 1 {
+				g = 3 - k
+			}
+			gate[g] = tensor.LinearAccum(ctx, pre[g][step*n:(step+1)*n], h, wh[g], bias[g])
+			tensor.ApplyActFast(gate[g], acts[g])
+		}
+		i, f, o, g := gate[0], gate[1], gate[2], gate[3]
+		for j := range c {
+			cv := f[j]*c[j] + i[j]*g[j]
+			c[j] = cv
 			h.Data[j] = cv
 		}
 		tensor.ApplyActFast(h.Data, tensor.ActTanh)
 		for j := range h.Data {
-			h.Data[j] *= o.Data[j]
+			h.Data[j] *= o[j]
 		}
 	}
 	return h

@@ -159,42 +159,48 @@ func TestGuardedLatencyCyclesFollowServing(t *testing.T) {
 // TestGuardedDegradesOnNaNModel is the end-to-end screen: a trained
 // Delta-LSTM whose parameters are poisoned with NaN must trip score
 // screening, flip its Health, and be quarantined by the wrapper — while the
-// BO fallback keeps serving prefetches.
+// BO fallback keeps serving prefetches. The NaN sits in an input weight, which
+// reaches the gates through the product hoisted out of the step loop, or in a
+// recurrent one, which reaches them inside it.
 func TestGuardedDegradesOnNaNModel(t *testing.T) {
-	ds, delta, _ := tinyTrainedModels(t)
-	T := ds.Cfg.HistoryT
-	primary := NewDeltaLSTM(delta, T, MLOptions{Degree: 6})
-	events := &resilience.Log{}
-	g := NewGuarded(primary, NewBO(DefaultBOConfig()), GuardConfig{MaxViolations: 3}, events)
+	for param, name := range []string{"Wx", "Wh"} {
+		t.Run(name, func(t *testing.T) {
+			ds, delta, _ := tinyTrainedModels(t)
+			T := ds.Cfg.HistoryT
+			primary := NewDeltaLSTM(delta, T, MLOptions{Degree: 6})
+			events := &resilience.Log{}
+			g := NewGuarded(primary, NewBO(DefaultBOConfig()), GuardConfig{MaxViolations: 3}, events)
 
-	// Healthy warm-up: primary serves.
-	for i := 0; i < T+5; i++ {
-		g.Operate(sim.LLCAccess{Block: uint64(4096 + i), PC: 0x40})
-	}
-	if g.Violations() != 0 {
-		t.Fatalf("healthy model accrued %d violations", g.Violations())
-	}
+			// Healthy warm-up: primary serves.
+			for i := 0; i < T+5; i++ {
+				g.Operate(sim.LLCAccess{Block: uint64(4096 + i), PC: 0x40})
+			}
+			if g.Violations() != 0 {
+				t.Fatalf("healthy model accrued %d violations", g.Violations())
+			}
 
-	// Poison the model mid-run.
-	delta.Params()[0].Data[0] = math.NaN()
+			// Poison the model mid-run.
+			delta.Params()[param].Data[0] = math.NaN()
 
-	var out []uint64
-	for i := 0; i < 20; i++ {
-		out = g.Operate(sim.LLCAccess{Block: uint64(5000 + i*2), PC: 0x40})
-	}
-	if !g.Quarantined() {
-		t.Fatal("NaN model must be quarantined")
-	}
-	if primary.Health() == nil {
-		t.Fatal("primary must self-report the non-finite scores")
-	}
-	if events.Count("prefetch/delta-lstm", "model-health") == 0 ||
-		events.Count("prefetch/delta-lstm", "quarantine") != 1 {
-		t.Fatalf("events:\n%v", events.Events())
-	}
-	// BO has been warm the whole run: it still issues prefetches.
-	if len(out) == 0 {
-		t.Fatal("fallback must keep serving after quarantine")
+			var out []uint64
+			for i := 0; i < 20; i++ {
+				out = g.Operate(sim.LLCAccess{Block: uint64(5000 + i*2), PC: 0x40})
+			}
+			if !g.Quarantined() {
+				t.Fatal("NaN model must be quarantined")
+			}
+			if primary.Health() == nil {
+				t.Fatal("primary must self-report the non-finite scores")
+			}
+			if events.Count("prefetch/delta-lstm", "model-health") == 0 ||
+				events.Count("prefetch/delta-lstm", "quarantine") != 1 {
+				t.Fatalf("events:\n%v", events.Events())
+			}
+			// BO has been warm the whole run: it still issues prefetches.
+			if len(out) == 0 {
+				t.Fatal("fallback must keep serving after quarantine")
+			}
+		})
 	}
 }
 

@@ -183,9 +183,12 @@ type Voyager struct {
 	out        []uint64
 	pages      []uint64
 	lastOffset map[uint64]uint64
-	fifo       []uint64
+	fifo       ring[uint64]
 	health     error
 }
+
+// voyagerPages bounds the pages Voyager remembers a last offset for.
+const voyagerPages = 4096
 
 // NewVoyager wraps trained page and delta models (expected: LSTM-based).
 func NewVoyager(pageModel models.PageModel, deltaModel models.DeltaModel, historyT int, opt MLOptions) *Voyager {
@@ -198,6 +201,7 @@ func NewVoyager(pageModel models.PageModel, deltaModel models.DeltaModel, histor
 		ctx:        tensor.NewCtx(),
 		sess:       opt.newSession(),
 		lastOffset: make(map[uint64]uint64),
+		fifo:       newRing[uint64](voyagerPages),
 	}
 }
 
@@ -221,11 +225,9 @@ func (p *Voyager) LeaveBatch() { p.sess.leave() }
 func (p *Voyager) Operate(acc sim.LLCAccess) []uint64 {
 	page := trace.PageOfBlock(acc.Block)
 	if _, seen := p.lastOffset[page]; !seen {
-		if len(p.fifo) >= 4096 {
-			delete(p.lastOffset, p.fifo[0])
-			p.fifo = p.fifo[1:]
+		if victim, full := p.fifo.push(page); full {
+			delete(p.lastOffset, victim)
 		}
-		p.fifo = append(p.fifo, page)
 	}
 	p.lastOffset[page] = trace.BlockOffset(acc.Block)
 	if !p.gate.observe(acc.Block, acc.PC) {

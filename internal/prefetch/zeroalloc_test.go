@@ -2,9 +2,11 @@ package prefetch
 
 import (
 	"runtime"
+	"slices"
 	"testing"
 
 	"mpgraph/internal/sim"
+	"mpgraph/internal/trace"
 )
 
 // stepper drives a prefetcher with a 64-block cyclic pattern confined to one
@@ -45,6 +47,62 @@ func TestTransFetchOperateZeroAlloc(t *testing.T) {
 func TestVoyagerOperateZeroAlloc(t *testing.T) {
 	ds, delta, page := tinyTrainedModels(t)
 	checkZeroAlloc(t, NewVoyager(page, delta, ds.Cfg.HistoryT, MLOptions{Degree: 6}), ds.Cfg.HistoryT+64)
+
+	// The stepper's one page never fills the last-offset window. Walk three
+	// windows' worth of accesses (> 8192 distinct pages), so all but the first
+	// 4096 evict: still no allocation (the map recycles its deleted slots),
+	// and the predictions of the slice queue the ring replaced.
+	pf := NewVoyager(page, delta, ds.Cfg.HistoryT, MLOptions{Degree: 6})
+	ref := &referenceVoyager{Voyager: NewVoyager(page, delta, ds.Cfg.HistoryT, MLOptions{Degree: 6})}
+	i := 0
+	next := func() sim.LLCAccess {
+		i++
+		// Every third access returns to a page seen 5000 pages ago: evicted
+		// from a 4096-page window, so it re-enters at the tail.
+		pg := uint64(i)
+		if i%3 == 0 && i > 5000 {
+			pg = uint64(i - 5000)
+		}
+		return sim.LLCAccess{Block: trace.BlockOfPageOffset(1<<8+pg, uint64(i*7%64)), PC: 0x40 * uint64(i%3)}
+	}
+	for i < 3*voyagerPages {
+		acc := next()
+		if got, want := pf.Operate(acc), ref.Operate(acc); !slices.Equal(got, want) {
+			t.Fatalf("access %d (%+v): got %v, slice-queue reference %v", i, acc, got, want)
+		}
+	}
+	if len(pf.lastOffset) != voyagerPages {
+		t.Fatalf("window holds %d pages, want %d", len(pf.lastOffset), voyagerPages)
+	}
+	if allocs := testing.AllocsPerRun(256, func() { pf.Operate(next()) }); allocs != 0 {
+		t.Fatalf("Voyager.Operate over a sliding page window allocates %.2f/op, want 0", allocs)
+	}
+}
+
+// referenceVoyager is Voyager with its last-offset window on the
+// `fifo = fifo[1:]` + append queue it had before ring.
+type referenceVoyager struct {
+	*Voyager
+	queue []uint64
+}
+
+func (p *referenceVoyager) Operate(acc sim.LLCAccess) []uint64 {
+	page := trace.PageOfBlock(acc.Block)
+	if _, seen := p.lastOffset[page]; !seen {
+		if len(p.queue) >= 4096 {
+			delete(p.lastOffset, p.queue[0])
+			p.queue = p.queue[1:]
+		}
+		p.queue = append(p.queue, page)
+	}
+	p.lastOffset[page] = trace.BlockOffset(acc.Block)
+	if !p.gate.observe(acc.Block, acc.PC) {
+		return nil
+	}
+	defer p.ctx.Reset()
+	s := p.gate.hist.SampleInto(&p.scratch, 0)
+	p.out = p.predict(p.ctx, s, acc.Block, p.out[:0])
+	return p.out
 }
 
 // benchOperate times steady-state Operate calls (ReportAllocs shows the

@@ -135,3 +135,33 @@ func BenchmarkResidualLayerNormF32(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkPanel1 is the m = 1 product (an MLP head, an LSTM step's recurrent
+// half) at an LSTM gate's shape, the delta head's, and the page head's. The
+// weights cycle through four panels, as an LSTM's four gates do, so a panel
+// that does not fit L1 four times over is read from L2.
+func BenchmarkPanel1(b *testing.B)    { benchPanel1[float64](b) }
+func BenchmarkPanel1F32(b *testing.B) { benchPanel1[float32](b) }
+
+func benchPanel1[T float32 | float64](b *testing.B) {
+	for _, shape := range [][2]int{{64, 64}, {64, 256}, {32, 1024}} {
+		k, n := shape[0], shape[1]
+		b.Run(fmt.Sprintf("k=%d/n=%d", k, n), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(1))
+			fill := func(size int) []T {
+				v := make([]T, size)
+				for i := range v {
+					v[i] = T(rng.NormFloat64())
+				}
+				return v
+			}
+			x, out := fill(k), make([]T, n)
+			panels := [4][]T{fill(k * n), fill(k * n), fill(k * n), fill(k * n)}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				gemmBatchBiasAct(out, x, panels[i&3], nil, 1, k, n, ActNone)
+			}
+		})
+	}
+}

@@ -22,7 +22,7 @@ const (
 var vactModeOf = [...]int64{ActReLU: vactReLU, ActSigmoid: vactSigmoid, ActTanh: vactTanh}
 
 // ApplyActFast applies act elementwise in place, vectorized when available.
-// Exported for the nn LSTM cell tanh.
+// Exported for the nn LSTM step: its gates and its cell tanh.
 //
 //mpgraph:noalloc
 func ApplyActFast[T float32 | float64](row []T, act Act) {

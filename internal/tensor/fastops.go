@@ -191,30 +191,39 @@ func LinearAct[T float32 | float64](c *Ctx, x, w, bias *Dense[T], act Act) *Dens
 	return out
 }
 
-// Linear2Act returns act(x1@w1 + x2@w2 + bias) as one fused kernel — the
-// LSTM gate composition (input product plus recurrent product).
+// LinearAccum is the two-product gate sum x1@w1 + x2@w2 + bias, no
+// activation, one product per call — so a caller can hoist the first product
+// out of a recurrence. A nil acc opens the sum with x@w for all rows of x; a
+// non-nil acc holds rows of an opened sum, as many as x has, gets x@w added in
+// place and is returned. The bias is passed to both calls and enters once,
+// where each kernel family's rounding order has it: the panel kernels seed
+// the opening product with it, the scalar fallback adds it after the closing
+// one. Live ctx only.
 //
 //mpgraph:noalloc
-func Linear2Act[T float32 | float64](c *Ctx, x1, w1, x2, w2, bias *Dense[T], act Act) *Dense[T] {
-	if c == nil {
-		out := Add(MatMul(graph(x1), graph(w1)), MatMul(graph(x2), graph(w2)))
-		if bias != nil {
-			out = AddBias(out, graph(bias))
+func LinearAccum[T float32 | float64](c *Ctx, acc []T, x, w, bias *Dense[T]) []T {
+	if c == nil || bias.Rows != 1 || bias.Cols != w.Cols {
+		invariant.Failf("tensor: linear accum bias %dx%d for width %d (nil ctx: %v)", bias.Rows, bias.Cols, w.Cols, c == nil)
+	}
+	biasLast := !batchKernelAvailable()
+	if acc == nil {
+		if biasLast {
+			bias = nil
 		}
-		return ungraph[T](applyActGraph(out, act))
+		return LinearAct(c, x, w, bias, ActNone).Data
 	}
-	if x1.Cols != w1.Rows || x2.Cols != w2.Rows || x1.Rows != x2.Rows || w1.Cols != w2.Cols {
-		invariant.Failf("tensor: linear2 %dx%d@%dx%d + %dx%d@%dx%d",
-			x1.Rows, x1.Cols, w1.Rows, w1.Cols, x2.Rows, x2.Cols, w2.Rows, w2.Cols)
+	if x.Cols != w.Rows || len(acc) != x.Rows*w.Cols {
+		invariant.Failf("tensor: linear accum %d += %dx%d @ %dx%d", len(acc), x.Rows, x.Cols, w.Rows, w.Cols)
 	}
-	out := uninit[T](c, x1.Rows, w1.Cols)
-	var bd []T
-	if bias != nil {
-		bd = bias.Data
+	gemmBatch(acc, x.Data, w.Data, x.Rows, x.Cols, w.Cols)
+	if biasLast {
+		for r := 0; r < len(acc); r += w.Cols {
+			for j, bv := range bias.Data {
+				acc[r+j] += bv
+			}
+		}
 	}
-	gemm2BatchBiasAct(out.Data, x1.Data, w1.Data, x2.Data, w2.Data, bd,
-		x1.Rows, x1.Cols, x2.Cols, w1.Cols, act)
-	return out
+	return acc
 }
 
 // AddLayerNorm returns LayerNorm(x + y) — the Transformer's residual

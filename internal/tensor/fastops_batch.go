@@ -190,21 +190,3 @@ func AddRowPerBlock[T float32 | float64](c *Ctx, a, table *Dense[T], ids []int, 
 	}
 	return out
 }
-
-// GatherRowsStride copies count rows starting at `first`, striding by
-// `stride` rows — the LSTM timestep gather (row t of every session block).
-//
-//mpgraph:noalloc
-func GatherRowsStride[T float32 | float64](c *Ctx, a *Dense[T], first, stride, count int) *Dense[T] {
-	if c == nil || count <= 0 || stride <= 0 || first < 0 || first+(count-1)*stride >= a.Rows {
-		invariant.Failf("tensor: gatherRowsStride first %d stride %d count %d of %d rows",
-			first, stride, count, a.Rows)
-	}
-	out := uninit[T](c, count, a.Cols)
-	d := a.Cols
-	for i := 0; i < count; i++ {
-		src := (first + i*stride) * d
-		copy(out.Data[i*d:(i+1)*d], a.Data[src:src+d])
-	}
-	return out
-}

@@ -287,26 +287,6 @@ func gemmBiasAct[T float32 | float64](out, a, b, bias []T, m, k, n int, act Act)
 	}
 }
 
-// gemm2BiasAct computes out = act(a1@b1 + a2@b2 + bias) — the LSTM gate
-// shape (input and recurrent product sharing one epilogue). a1 [m x k1],
-// b1 [k1 x n], a2 [m x k2], b2 [k2 x n], bias [n] (nil for none).
-//
-//mpgraph:noalloc
-func gemm2BiasAct[T float32 | float64](out, a1, b1, a2, b2, bias []T, m, k1, k2, n int, act Act) {
-	for i := 0; i < m; i++ {
-		orow := out[i*n : (i+1)*n]
-		clear(orow)
-		maddPanel(orow, a1[i*k1:(i+1)*k1], b1, n)
-		maddPanel(orow, a2[i*k2:(i+1)*k2], b2, n)
-		if bias != nil {
-			for j, bv := range bias {
-				orow[j] += bv
-			}
-		}
-		applyAct(orow, act)
-	}
-}
-
 // shouldParallel reports whether parallelRows would actually fan out —
 // callers with an allocation-free serial variant check it first so the
 // escaping body closure is only built when goroutines will run it.

@@ -62,28 +62,6 @@ func gemmBatchBiasAct[T float32 | float64](out, a, b, bias []T, m, k, n int, act
 	ApplyActFast(out[:m*n], act)
 }
 
-// gemm2BatchBiasAct computes out = act(a1@b1 + a2@b2 + bias) — the fused
-// two-input form the LSTM gates use — over a stacked m-row batch.
-//
-//mpgraph:noalloc
-func gemm2BatchBiasAct[T float32 | float64](out, a1, b1, a2, b2, bias []T, m, k1, k2, n int, act Act) {
-	if m == 0 || n == 0 {
-		return
-	}
-	if !batchKernelAvailable() {
-		gemm2BiasAct(out, a1, b1, a2, b2, bias, m, k1, k2, n, act)
-		return
-	}
-	initRowsBias(out, bias, m, n)
-	if k1 > 0 {
-		fmaPanels(out, a1, b1, m, k1, n)
-	}
-	if k2 > 0 {
-		fmaPanels(out, a2, b2, m, k2, n)
-	}
-	ApplyActFast(out[:m*n], act)
-}
-
 // gemmBatch accumulates out += a @ b through the panel kernels (exact gemm
 // fallback off AVX-512F). Used where the caller has already seeded out.
 //

@@ -14,8 +14,10 @@
 // fmaPanel4Asm takes a row count of 4 or 2: a two-row remainder runs rows 0,1
 // in both register pairs (rows 2,3 alias them and store the same values), so
 // it costs one pass instead of two single-row ones. fmaPanel1Asm walks b in
-// 32-column tiles — four independent accumulators per k step instead of two,
-// which is what an m = 1 product (MLP head, LSTM step) is bound by.
+// 64-column tiles while a full one fits — eight independent accumulators per
+// k step, the two FMA pipes times their four-cycle latency, which is what an
+// m = 1 product (MLP head, LSTM step) is bound by — and in masked 32-column
+// tiles of four accumulators over what is left.
 //
 // vactAVX512 applies an elementwise activation in place: mode 0 is
 // exp(x-bias) (softmax numerator), mode 1 sigmoid, mode 2 tanh, mode 3 ReLU
@@ -143,8 +145,9 @@ done4:
 //
 // Single-row remainder kernel; per element it runs the exact FMA sequence of
 // one fmaPanel4Asm row, so 4-row and 1-row tilings produce identical bits.
-// Tiles are 32 columns wide: four accumulators keep the FMA pipe busy where
-// two left it waiting on latency.
+// Full tiles are 64 columns wide: eight accumulators, unmasked, b read as the
+// FMA's memory operand. The ragged rest runs in masked 32-column tiles of
+// four. Either way an element is its own ascending-p chain.
 TEXT ·fmaPanel1Asm(SB), NOSPLIT, $0-40
 	MOVQ out+0(FP), DI
 	MOVQ a+8(FP), SI
@@ -155,6 +158,55 @@ TEXT ·fmaPanel1Asm(SB), NOSPLIT, $0-40
 	MOVQ R9, R11
 	SHLQ $3, R11
 	MOVQ R9, R15
+
+tile8:
+	CMPQ R15, $64
+	JLT  tile1
+
+	VMOVUPD (DI), Z0
+	VMOVUPD 64(DI), Z1
+	VMOVUPD 128(DI), Z2
+	VMOVUPD 192(DI), Z3
+	VMOVUPD 256(DI), Z4
+	VMOVUPD 320(DI), Z5
+	VMOVUPD 384(DI), Z6
+	VMOVUPD 448(DI), Z7
+
+	MOVQ SI, DX
+	MOVQ R14, AX
+	MOVQ R8, CX
+
+kloop8:
+	TESTQ CX, CX
+	JLE   kdone8
+	VBROADCASTSD (DX), Z12
+	VFMADD231PD  (AX), Z12, Z0
+	VFMADD231PD  64(AX), Z12, Z1
+	VFMADD231PD  128(AX), Z12, Z2
+	VFMADD231PD  192(AX), Z12, Z3
+	VFMADD231PD  256(AX), Z12, Z4
+	VFMADD231PD  320(AX), Z12, Z5
+	VFMADD231PD  384(AX), Z12, Z6
+	VFMADD231PD  448(AX), Z12, Z7
+	ADDQ $8, DX
+	ADDQ R11, AX
+	DECQ CX
+	JMP  kloop8
+
+kdone8:
+	VMOVUPD Z0, (DI)
+	VMOVUPD Z1, 64(DI)
+	VMOVUPD Z2, 128(DI)
+	VMOVUPD Z3, 192(DI)
+	VMOVUPD Z4, 256(DI)
+	VMOVUPD Z5, 320(DI)
+	VMOVUPD Z6, 384(DI)
+	VMOVUPD Z7, 448(DI)
+
+	ADDQ $512, DI
+	ADDQ $512, R14
+	SUBQ $64, R15
+	JMP  tile8
 
 tile1:
 	TESTQ R15, R15

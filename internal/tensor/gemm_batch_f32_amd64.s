@@ -12,7 +12,8 @@
 //
 // As in the f64 file, fmaPanel4F32Asm takes a row count of 4 or 2 (a two-row
 // remainder aliases rows 2,3 onto rows 0,1) and fmaPanel1F32Asm walks b in
-// 64-column tiles, four accumulators per k step.
+// 128-column tiles of eight accumulators while a full one fits, then in
+// masked 64-column tiles of four.
 //
 // vactF32AVX512 applies an elementwise activation in place: mode 0 is
 // exp(x-bias), 1 sigmoid, 2 tanh, 3 ReLU. Same Cody-Waite + Taylor structure as the
@@ -132,8 +133,9 @@ done4:
 //
 // Single-row remainder kernel; per element it runs the exact FMA sequence of
 // one fmaPanel4F32Asm row, so 4-row and 1-row tilings produce identical bits.
-// Tiles are 64 columns wide: four accumulators keep the FMA pipe busy where
-// two left it waiting on latency.
+// Full tiles are 128 columns wide: eight accumulators, unmasked, b read as the
+// FMA's memory operand. The ragged rest runs in masked 64-column tiles of
+// four. Either way an element is its own ascending-p chain.
 TEXT ·fmaPanel1F32Asm(SB), NOSPLIT, $0-40
 	MOVQ out+0(FP), DI
 	MOVQ a+8(FP), SI
@@ -144,6 +146,55 @@ TEXT ·fmaPanel1F32Asm(SB), NOSPLIT, $0-40
 	MOVQ R9, R11
 	SHLQ $2, R11
 	MOVQ R9, R15
+
+tile8:
+	CMPQ R15, $128
+	JLT  tile1
+
+	VMOVUPS (DI), Z0
+	VMOVUPS 64(DI), Z1
+	VMOVUPS 128(DI), Z2
+	VMOVUPS 192(DI), Z3
+	VMOVUPS 256(DI), Z4
+	VMOVUPS 320(DI), Z5
+	VMOVUPS 384(DI), Z6
+	VMOVUPS 448(DI), Z7
+
+	MOVQ SI, DX
+	MOVQ R14, AX
+	MOVQ R8, CX
+
+kloop8:
+	TESTQ CX, CX
+	JLE   kdone8
+	VBROADCASTSS (DX), Z12
+	VFMADD231PS  (AX), Z12, Z0
+	VFMADD231PS  64(AX), Z12, Z1
+	VFMADD231PS  128(AX), Z12, Z2
+	VFMADD231PS  192(AX), Z12, Z3
+	VFMADD231PS  256(AX), Z12, Z4
+	VFMADD231PS  320(AX), Z12, Z5
+	VFMADD231PS  384(AX), Z12, Z6
+	VFMADD231PS  448(AX), Z12, Z7
+	ADDQ $4, DX
+	ADDQ R11, AX
+	DECQ CX
+	JMP  kloop8
+
+kdone8:
+	VMOVUPS Z0, (DI)
+	VMOVUPS Z1, 64(DI)
+	VMOVUPS Z2, 128(DI)
+	VMOVUPS Z3, 192(DI)
+	VMOVUPS Z4, 256(DI)
+	VMOVUPS Z5, 320(DI)
+	VMOVUPS Z6, 384(DI)
+	VMOVUPS Z7, 448(DI)
+
+	ADDQ $512, DI
+	ADDQ $512, R14
+	SUBQ $128, R15
+	JMP  tile8
 
 tile1:
 	TESTQ R15, R15

@@ -177,22 +177,116 @@ func TestGemmBatchBiasActMatchesSequential(t *testing.T) {
 	}
 }
 
-func TestGemm2BatchBiasActMatchesSequential(t *testing.T) {
+// referenceGemm2BatchBiasAct and referenceGemm2BiasAct are the fused
+// two-product gate kernels, act(a1@b1 + a2@b2 + bias), that LinearAccum's two
+// calls replaced — kept verbatim as its oracle.
+func referenceGemm2BatchBiasAct[T float32 | float64](out, a1, b1, a2, b2, bias []T, m, k1, k2, n int, act Act) {
+	if m == 0 || n == 0 {
+		return
+	}
+	if !batchKernelAvailable() {
+		referenceGemm2BiasAct(out, a1, b1, a2, b2, bias, m, k1, k2, n, act)
+		return
+	}
+	initRowsBias(out, bias, m, n)
+	if k1 > 0 {
+		fmaPanels(out, a1, b1, m, k1, n)
+	}
+	if k2 > 0 {
+		fmaPanels(out, a2, b2, m, k2, n)
+	}
+	ApplyActFast(out[:m*n], act)
+}
+
+func referenceGemm2BiasAct[T float32 | float64](out, a1, b1, a2, b2, bias []T, m, k1, k2, n int, act Act) {
+	for i := 0; i < m; i++ {
+		orow := out[i*n : (i+1)*n]
+		clear(orow)
+		maddPanel(orow, a1[i*k1:(i+1)*k1], b1, n)
+		maddPanel(orow, a2[i*k2:(i+1)*k2], b2, n)
+		if bias != nil {
+			for j, bv := range bias {
+				orow[j] += bv
+			}
+		}
+		applyAct(orow, act)
+	}
+}
+
+// randDense is a rows x cols arena tensor of standard normals.
+func randDense[T float32 | float64](c *Ctx, rng *rand.Rand, rows, cols int) *Dense[T] {
+	d := zeros[T](c, rows, cols)
+	for i := range d.Data {
+		d.Data[i] = T(rng.NormFloat64())
+	}
+	return d
+}
+
+// TestLinearAccumMatchesFusedGate: opening a gate sum with one product and
+// closing it with the other gives the fused kernel's bits on each kernel
+// family, at both precisions — the link that lets nn's LSTM oracle be written
+// on LinearAccum.
+func TestLinearAccumMatchesFusedGate(t *testing.T) {
+	kernelPaths(t, func(t *testing.T) {
+		linearAccumMatchesFusedGate[float64](t)
+		linearAccumMatchesFusedGate[float32](t)
+	})
+}
+
+func linearAccumMatchesFusedGate[T float32 | float64](t *testing.T) {
+	c := NewCtx()
 	rng := rand.New(rand.NewSource(25))
+	for _, m := range []int{1, 2, 5, 8} {
+		for _, k1 := range []int{1, 9, 32} {
+			for _, k2 := range []int{1, 7, 64} {
+				for _, n := range []int{1, 7, 64, 100} {
+					x1, w1, x2, w2 := randDense[T](c, rng, m, k1), randDense[T](c, rng, k1, n), randDense[T](c, rng, m, k2), randDense[T](c, rng, k2, n)
+					bias := randDense[T](c, rng, 1, n)
+					for _, act := range []Act{ActSigmoid, ActTanh} {
+						got := LinearAccum(c, LinearAccum(c, nil, x1, w1, bias), x2, w2, bias)
+						ApplyActFast(got, act)
+						want := make([]T, m*n)
+						referenceGemm2BatchBiasAct(want, x1.Data, w1.Data, x2.Data, w2.Data, bias.Data, m, k1, k2, n, act)
+						for i := range want {
+							if math.Float64bits(float64(got[i])) != math.Float64bits(float64(want[i])) {
+								t.Fatalf("%T m=%d k1=%d k2=%d n=%d act=%d: out[%d] = %v, fused gate %v",
+									got[i], m, k1, k2, n, act, i, got[i], want[i])
+							}
+						}
+					}
+					c.Reset()
+				}
+			}
+		}
+	}
+}
+
+// TestGateSumKernelFamiliesAgree: the panel kernels and the scalar fallback
+// place the gate bias differently and round differently, within the tiers'
+// tolerances.
+func TestGateSumKernelFamiliesAgree(t *testing.T) {
+	gateSumKernelFamiliesAgree[float64](t, 1e-9)
+	gateSumKernelFamiliesAgree[float32](t, 1e-4)
+}
+
+func gateSumKernelFamiliesAgree[T float32 | float64](t *testing.T, tol float64) {
+	c := NewCtx()
+	rng := rand.New(rand.NewSource(35))
 	m, k1, k2, n := 8, 12, 19, 31
-	a1 := randSlice(rng, m*k1)
-	b1 := randSlice(rng, k1*n)
-	a2 := randSlice(rng, m*k2)
-	b2 := randSlice(rng, k2*n)
-	bias := randSlice(rng, n)
+	x1, w1, x2, w2 := randDense[T](c, rng, m, k1), randDense[T](c, rng, k1, n), randDense[T](c, rng, m, k2), randDense[T](c, rng, k2, n)
+	bias := randDense[T](c, rng, 1, n)
 	for _, act := range []Act{ActNone, ActSigmoid, ActTanh} {
-		got := make([]float64, m*n)
-		want := make([]float64, m*n)
-		gemm2BatchBiasAct(got, a1, b1, a2, b2, bias, m, k1, k2, n, act)
-		gemm2BiasAct(want, a1, b1, a2, b2, bias, m, k1, k2, n, act)
+		sum := func() []T {
+			out := LinearAccum(c, LinearAccum(c, nil, x1, w1, bias), x2, w2, bias)
+			ApplyActFast(out, act)
+			return out
+		}
+		got := sum()
+		var want []T
+		portable(func() { want = sum() })
 		for i := range got {
-			if math.Abs(got[i]-want[i]) > 1e-9 {
-				t.Fatalf("act=%d: out[%d] = %g, want %g", act, i, got[i], want[i])
+			if math.Abs(float64(got[i])-float64(want[i])) > tol {
+				t.Fatalf("%T act=%d: out[%d] = %v, scalar kernels %v", got[i], act, i, got[i], want[i])
 			}
 		}
 	}
@@ -241,7 +335,8 @@ func TestOpsSequentialBatchIdentical(t *testing.T) {
 		u := view(c, n, n, randSlice(rng, n*n))
 		b := view(c, 1, n, randSlice(rng, n))
 		chain := func(x, h *Tensor) *Tensor {
-			g := Linear2Act(c, x, w, h, u, b, ActTanh)
+			g := view(c, x.Rows, n, LinearAccum(c, LinearAccum(c, nil, x, w, b), h, u, b))
+			ApplyActFast(g.Data, ActTanh)
 			return SigmoidInPlace(c, LinearAct(c, g, u, b, ActReLU))
 		}
 		batched := chain(x, h)

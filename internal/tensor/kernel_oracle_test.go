@@ -240,6 +240,76 @@ func TestKernelOracleRemainderRows(t *testing.T) {
 	}
 }
 
+// TestKernelOracleWideRowTile: the 1-row kernel's eight-accumulator tile,
+// which takes every full 64 columns (f32: 128) of an m = 1 product, leaves
+// each element the bits of the masked four-accumulator tile (the same product
+// cut into column slabs too narrow for the wide one), of the 4-row kernel
+// (the row four times over) and, at float64, of the scalar FMA chain — with
+// NaN, ±Inf and -0 among the operands as without.
+func TestKernelOracleWideRowTile(t *testing.T) {
+	if !batchKernelAvailable() {
+		t.Skip("no AVX-512F batch kernels on this machine")
+	}
+	wideRowTile[float64](t, 200, 32, func(want, a, b []float64, k, n int) { fmaRef(want, a, b, 1, k, n) })
+	wideRowTile[float32](t, 300, 64, nil)
+}
+
+// wideRowTile checks widths 1..maxN; slab is a width the wide tile never takes.
+func wideRowTile[T float32 | float64](t *testing.T, maxN, slab int, scalar func(want, a, b []T, k, n int)) {
+	rng := rand.New(rand.NewSource(47))
+	specials := []T{T(math.NaN()), T(math.Inf(1)), T(math.Inf(-1)), T(math.Copysign(0, -1))}
+	fill := func(n int, poison bool) []T {
+		s := make([]T, n)
+		for i := range s {
+			s[i] = T(rng.NormFloat64())
+			if poison && rng.Intn(16) == 0 {
+				s[i] = specials[rng.Intn(len(specials))]
+			}
+		}
+		return s
+	}
+	same := func(x, y T) bool { return math.Float64bits(float64(x)) == math.Float64bits(float64(y)) }
+	for _, k := range []int{0, 1, 9, 64} {
+		for n := 1; n <= maxN; n++ {
+			for _, poison := range []bool{false, true} {
+				a, b, seed := fill(k, poison), fill(k*n, poison), fill(n, poison)
+				got := append([]T(nil), seed...)
+				gemmBatch(got, a, b, 1, k, n)
+
+				narrow := append([]T(nil), seed...)
+				for c0 := 0; c0 < n; c0 += slab {
+					w := min(slab, n-c0)
+					bs := make([]T, k*w)
+					for p := 0; p < k; p++ {
+						copy(bs[p*w:(p+1)*w], b[p*n+c0:])
+					}
+					gemmBatch(narrow[c0:c0+w], a, bs, 1, k, w)
+				}
+				a4, o4 := make([]T, 4*k), make([]T, 4*n)
+				for r := 0; r < 4; r++ {
+					copy(a4[r*k:], a)
+					copy(o4[r*n:], seed)
+				}
+				gemmBatch(o4, a4, b, 4, k, n)
+				chain := append([]T(nil), seed...)
+				if scalar != nil && k > 0 {
+					scalar(chain, a, b, k, n)
+				} else {
+					chain = got
+				}
+				for j := range got {
+					// The hardware FMA and math.FMA may keep different NaNs of two.
+					sameChain := same(got[j], chain[j]) || got[j] != got[j] && chain[j] != chain[j]
+					if !same(got[j], narrow[j]) || !same(got[j], o4[j]) || !sameChain {
+						t.Fatalf("%T k=%d n=%d poison=%v col %d: wide tile %v, narrow tile %v, 4-row kernel %v, scalar chain %v",
+							got[j], k, n, poison, j, got[j], narrow[j], o4[j], chain[j])
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestAttentionPropagatesNaN: a NaN in q, k or v must come out of the
 // attention block as NaN (in the rows it reaches), on both kernel paths and
 // in both tiers — never be laundered by a max, a clamp or a masked lane.
