@@ -96,8 +96,8 @@ race:
 fuzz:
 	$(GO) test ./internal/serve/ -run xxx -fuzz '^FuzzDecodeEvents$$' -fuzztime 10s
 
-# bench regenerates BENCH_small.json via cmd/mpgraph-bench (int8, f32 and
-# f16 speedups over float64 appear in its "speedups" section). The
+# bench regenerates BENCH_small.json via cmd/mpgraph-bench (f32 and f16
+# speedups over float64 appear in its "speedups" section). The
 # BenchmarkOperate pattern takes in core's MPGraphChain{,F32} rows — the only
 # Operate rows whose chains run past the first PBOT lookup (~4.6 model calls
 # per Operate; the MPGraphAMMA rows sit at 2). The µs-scale
@@ -157,8 +157,8 @@ bench:
 	$(GO) run ./cmd/mpgraph-bench -in bench.out -o BENCH_small.json
 	rm -f bench.out
 
-# bench-batch is the batched-tier smoke: run the OperateBatch{8,64}
-# float/int8 rows (batched next to sequential) once through mpgraph-bench
+# bench-batch is the batched-tier smoke: run the OperateBatch{8,64} rows
+# (batched next to sequential) once through mpgraph-bench
 # (DESIGN.md §11). CI runs this with -benchtime 1x and uploads the report;
 # the committed BENCH_small.json carries the 300x numbers via `make bench`.
 BENCH_BATCH_TIME ?= 1x

@@ -4,9 +4,9 @@
 // reproducible from a committed artifact.
 //
 // One variant-suffix convention drives the "speedups" section. A benchmark
-// whose name contains "Int8", "F32" or "F16" is paired with the benchmark
-// named by deleting that substring (BenchmarkOperateMPGraphAMMAInt8 pairs
-// with BenchmarkOperateMPGraphAMMA) and reported as float64 baseline over
+// whose name contains "F32" or "F16" is paired with the benchmark named by
+// deleting that substring (BenchmarkOperateMPGraphAMMAF32 pairs with
+// BenchmarkOperateMPGraphAMMA) and reported as float64 baseline over
 // variant, so >1 means the reduced-precision tier wins.
 //
 // The report header records the measurement environment (go version, OS,
@@ -306,9 +306,9 @@ func parseBenchLine(pkg, line string) (Result, bool) {
 }
 
 // variantSuffixes are the name substrings that mark a reduced-precision
-// variant of the benchmark named without them: the int8 and f32 compute
-// tiers and the f16 snapshot storage tier.
-var variantSuffixes = []string{"Int8", "F32", "F16"}
+// variant of the benchmark named without them: the f32 compute tier and the
+// f16 snapshot storage tier.
+var variantSuffixes = []string{"F32", "F16"}
 
 // pairSpeedups matches each variant-suffixed benchmark with its float64
 // counterpart, the name minus the suffix. Callers pass collapsed results (one

@@ -18,7 +18,7 @@ PASS
 ok  	mpgraph/internal/prefetch	3.375s
 pkg: mpgraph/internal/experiments
 BenchmarkPrefetchSweepSerial 	       1	3685844300 ns/op
-BenchmarkPrefetchSweepInt8Serial 	       1	1717870046 ns/op
+BenchmarkPrefetchSweepF32Serial 	       1	1717870046 ns/op
 ok  	mpgraph/internal/experiments	14.201s
 `
 
@@ -74,7 +74,7 @@ func TestPairSpeedups(t *testing.T) {
 		t.Fatalf("speedup = %g", lstm.Speedup)
 	}
 	sweep := sp[1]
-	if sweep.Name != "PrefetchSweepInt8Serial" {
+	if sweep.Name != "PrefetchSweepF32Serial" {
 		t.Fatalf("pair name = %q", sweep.Name)
 	}
 	if sweep.Speedup < 2 {
@@ -86,34 +86,6 @@ func TestParseBenchRejectsMalformed(t *testing.T) {
 	_, err := parseBench(strings.NewReader("BenchmarkBroken 12 fast\n"))
 	if err == nil {
 		t.Fatal("malformed benchmark line must error")
-	}
-}
-
-func TestPairSpeedupsInt8(t *testing.T) {
-	const int8Bench = `
-pkg: mpgraph/internal/core
-BenchmarkOperateMPGraphAMMA-8 	    5000	    215700 ns/op	       0 B/op	       0 allocs/op
-BenchmarkOperateMPGraphAMMAInt8-8 	    9000	    119200 ns/op	       0 B/op	       0 allocs/op
-ok  	mpgraph/internal/core	2.001s
-`
-	results, err := parseBench(strings.NewReader(int8Bench))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sp := pairSpeedups(results)
-	if len(sp) != 1 {
-		t.Fatalf("got %d speedup pairs, want 1", len(sp))
-	}
-	p := sp[0]
-	if p.Name != "OperateMPGraphAMMAInt8" {
-		t.Fatalf("pair name = %q", p.Name)
-	}
-	// The int8 variant is the fast side; the float run is the baseline.
-	if p.FastNs != 119200 || p.BaseNs != 215700 {
-		t.Fatalf("fast/base ns = %g/%g", p.FastNs, p.BaseNs)
-	}
-	if math.Abs(p.Speedup-215700.0/119200.0) > 1e-9 {
-		t.Fatalf("speedup = %g", p.Speedup)
 	}
 }
 

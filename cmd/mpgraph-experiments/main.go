@@ -59,7 +59,7 @@ func main() {
 		graphScale = flag.Int("graph-scale", 0, "log2 vertices override")
 		seed       = flag.Int64("seed", 1, "experiment seed")
 		workers    = flag.Int("workers", 0, "sweep worker pool size (0 = GOMAXPROCS, 1 = serial); a suite's ten training jobs follow GOMAXPROCS, not this")
-		int8Infer  = flag.Bool("int8", false, "run MPGraph inference on the int8 quantized engine (per-channel weights, calibrated activations)")
+		int8Infer  = flag.Bool("int8", false, "run MPGraph on 8-bit weights (Fig. 13 precision axis: per-channel int8 grid, scored on the f32 kernels)")
 		f32Infer   = flag.Bool("f32", false, "run MPGraph inference on the single-precision compute tier (weights narrowed once, f32 fused kernels)")
 		batch      = flag.Int("batch", 0, "fuse up to N concurrent ML model calls per batched GEMM round (0 = off; reports are byte-identical at any value)")
 		out        = flag.String("out", "", "output file (default stdout)")
@@ -91,7 +91,7 @@ func main() {
 	opt.Int8 = *int8Infer
 	opt.F32 = *f32Infer
 	if *f32Infer && *int8Infer {
-		fatalf("-f32 and -int8 are mutually exclusive; pick one reduced-precision engine")
+		fatalf("-f32 and -int8 are mutually exclusive; pick one reduced precision")
 	}
 	opt.Batch = *batch
 	opt.CheckpointDir = *ckptDir

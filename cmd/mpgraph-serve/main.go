@@ -50,7 +50,6 @@ func main() {
 		trainSamps = flag.Int("train-samples", 0, "training dataset cap (0 = per-scale default)")
 		epochs     = flag.Int("epochs", 0, "training epoch count (0 = per-scale default)")
 		workers    = flag.Int("workers", 0, "replay parallelism (0 = GOMAXPROCS); suite training follows GOMAXPROCS, not this")
-		int8Infer  = flag.Bool("int8", false, "serve inference on the int8 quantized engine")
 		f32Infer   = flag.Bool("f32", false, "serve inference on the single-precision (f32) compute tier")
 		batch      = flag.Int("batch", 0, "fuse up to N concurrent sessions' model calls per batched GEMM round (0 = off)")
 		ckptDir    = flag.String("checkpoint-dir", "", "directory for atomic checksummed suite checkpoints")
@@ -71,7 +70,7 @@ func main() {
 	flag.Parse()
 
 	opt, err := buildOptions(*scale, *seed, *graphScale, *traceIters, *trainSamps, *epochs,
-		*workers, *int8Infer, *f32Infer, *batch, *ckptDir, *resume)
+		*workers, *f32Infer, *batch, *ckptDir, *resume)
 	if err != nil {
 		fatalf("%v", err)
 	}
@@ -87,8 +86,8 @@ func main() {
 	opt.Datasets = []string{w.Dataset}
 
 	r := experiments.NewRunner(opt)
-	fmt.Fprintf(os.Stderr, "[mpgraph-serve] preparing suite for %s (scale=%s int8=%v f32=%v batch=%d)...\n",
-		w, opt.Scale, opt.Int8, opt.F32, opt.Batch)
+	fmt.Fprintf(os.Stderr, "[mpgraph-serve] preparing suite for %s (scale=%s f32=%v batch=%d)...\n",
+		w, opt.Scale, opt.F32, opt.Batch)
 	if _, err := r.Suite(w); err != nil {
 		fatalf("suite: %v", err)
 	}
@@ -138,7 +137,7 @@ func main() {
 
 // buildOptions assembles the experiments configuration from the suite flags.
 func buildOptions(scale string, seed int64, graphScale, traceIters, trainSamps, epochs,
-	workers int, int8Infer, f32Infer bool, batch int, ckptDir string, resume bool) (experiments.Options, error) {
+	workers int, f32Infer bool, batch int, ckptDir string, resume bool) (experiments.Options, error) {
 	var opt experiments.Options
 	switch scale {
 	case "small":
@@ -148,12 +147,8 @@ func buildOptions(scale string, seed int64, graphScale, traceIters, trainSamps, 
 	default:
 		return opt, fmt.Errorf("unknown scale %q (small|paper)", scale)
 	}
-	if int8Infer && f32Infer {
-		return opt, fmt.Errorf("-f32 and -int8 are mutually exclusive; pick one reduced-precision engine")
-	}
 	opt.Seed = seed
 	opt.Workers = workers
-	opt.Int8 = int8Infer
 	opt.F32 = f32Infer
 	opt.Batch = batch
 	opt.CheckpointDir = ckptDir

@@ -10,12 +10,12 @@ import (
 // Build-constraint filtering. The loader mirrors `go vet`'s default
 // behaviour of analysing the package as it builds on the host platform:
 // files excluded by a GOOS/GOARCH filename suffix or a //go:build line are
-// skipped, so platform pairs like qgemm_vnni_amd64.go / qgemm_novnni.go
+// skipped, so platform pairs like gemm_batch_amd64.go / gemm_batch_noasm.go
 // ("//go:build !amd64") do not type-check as redeclarations. Legacy
 // "// +build" lines are not supported — the module uses //go:build only.
 
 // knownOS / knownArch are the filename-suffix vocabularies from go/build.
-// Only names in these sets act as constraints; qgemm_test.go or delta_lstm.go
+// Only names in these sets act as constraints; gemm_test.go or delta_lstm.go
 // suffixes stay inert.
 var knownOS = map[string]bool{
 	"aix": true, "android": true, "darwin": true, "dragonfly": true,

@@ -223,28 +223,8 @@ func BenchmarkOperateMPGraphChain(b *testing.B) { benchChainOperate(b, false) }
 // BenchmarkOperateMPGraphChainF32 pairs with BenchmarkOperateMPGraphChain.
 func BenchmarkOperateMPGraphChainF32(b *testing.B) { benchChainOperate(b, true) }
 
-// calibSamples builds calibration samples matching the stepper's access
-// pattern, so the int8 activation scales see the distribution the
-// benchmarks run.
-func calibSamples(cfg models.Config, n int) []*models.Sample {
-	out := make([]*models.Sample, n)
-	for i := range out {
-		s := &models.Sample{
-			Blocks: make([]uint64, cfg.HistoryT),
-			PCs:    make([]uint64, cfg.HistoryT),
-		}
-		for t := 0; t < cfg.HistoryT; t++ {
-			j := i + t
-			s.Blocks[t] = uint64(1<<20 + j%64)
-			s.PCs[t] = 0x400000 + 0x40*uint64(j%3)
-		}
-		out[i] = s
-	}
-	return out
-}
-
 // newInt8AMMAMPGraph is newAMMAMPGraph with the models swapped for their
-// calibrated int8 mirrors.
+// 8-bit-weight mirrors.
 func newInt8AMMAMPGraph(tb testing.TB, opt Options) *MPGraph {
 	tb.Helper()
 	cfg := models.SmallConfig()
@@ -255,10 +235,9 @@ func newInt8AMMAMPGraph(tb testing.TB, opt Options) *MPGraph {
 	}
 	pcs := models.BuildVocab(pcVals, cfg.PCVocab)
 	pages := models.BuildVocab(pageVals, cfg.PageVocab)
-	calib := calibSamples(cfg, 64)
 	delta, page, err := models.QuantizeSuite(
 		models.NewAMMADelta(cfg, pcs, 0, 1),
-		models.NewAMMAPage(cfg, pages, pcs, 0, 2), calib)
+		models.NewAMMAPage(cfg, pages, pcs, 0, 2), nil)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -271,7 +250,7 @@ func newInt8AMMAMPGraph(tb testing.TB, opt Options) *MPGraph {
 
 // newStudentMPGraph builds an MPGraph over the §6.1 compressed-student
 // shape: an AMMA delta plus a binary-encoded page head, optionally swapped
-// for their int8 mirrors.
+// for their 8-bit-weight mirrors.
 func newStudentMPGraph(tb testing.TB, opt Options, int8Path bool) *MPGraph {
 	tb.Helper()
 	cfg := models.SmallConfig()
@@ -286,7 +265,7 @@ func newStudentMPGraph(tb testing.TB, opt Options, int8Path bool) *MPGraph {
 	var page models.PageModel = models.NewBinaryPage(cfg, pages, pcs, 4)
 	if int8Path {
 		var err error
-		delta, page, err = models.QuantizeSuite(delta, page, calibSamples(cfg, 64))
+		delta, page, err = models.QuantizeSuite(delta, page, nil)
 		if err != nil {
 			tb.Fatal(err)
 		}
@@ -319,34 +298,6 @@ func TestMPGraphOperateZeroAllocStudent(t *testing.T) {
 		if allocs := testing.AllocsPerRun(64, step); allocs != 0 {
 			t.Fatalf("steady-state student MPGraph.Operate (int8=%v) allocates %.1f/op, want 0", int8Path, allocs)
 		}
-	}
-}
-
-// BenchmarkOperateMPGraphAMMAInt8 pairs with BenchmarkOperateMPGraphAMMA
-// (mpgraph-bench derives the int8 speedup from the name).
-func BenchmarkOperateMPGraphAMMAInt8(b *testing.B) {
-	m := newInt8AMMAMPGraph(b, DefaultOptions())
-	step := mpgraphStepper(m)
-	for n := 0; n < 96; n++ {
-		step()
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for n := 0; n < b.N; n++ {
-		step()
-	}
-}
-
-func benchStudentOperate(b *testing.B, int8Path bool) {
-	m := newStudentMPGraph(b, DefaultOptions(), int8Path)
-	step := mpgraphStepper(m)
-	for n := 0; n < 96; n++ {
-		step()
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for n := 0; n < b.N; n++ {
-		step()
 	}
 }
 
@@ -401,7 +352,15 @@ func BenchmarkOperateMPGraphAMMAF32(b *testing.B) {
 	}
 }
 
-func BenchmarkOperateMPGraphStudent(b *testing.B) { benchStudentOperate(b, false) }
-
-// BenchmarkOperateMPGraphStudentInt8 pairs with BenchmarkOperateMPGraphStudent.
-func BenchmarkOperateMPGraphStudentInt8(b *testing.B) { benchStudentOperate(b, true) }
+func BenchmarkOperateMPGraphStudent(b *testing.B) {
+	m := newStudentMPGraph(b, DefaultOptions(), false)
+	step := mpgraphStepper(m)
+	for n := 0; n < 96; n++ {
+		step()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		step()
+	}
+}

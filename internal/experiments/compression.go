@@ -108,9 +108,9 @@ func (cs *compressedSuite) prefetcher(r *Runner, historyT int, latency uint64) (
 }
 
 // f32Suite returns a single-precision copy of the compressed suite: the
-// per-phase students narrowed to the f32 compute tier. Like the int8 rows,
-// quality columns are not re-evaluated — the f32 rows measure speed and
-// end-to-end IPC on the f32 kernels (parity is pinned in the models tests).
+// per-phase students narrowed to the f32 compute tier. Quality columns are
+// not re-evaluated — the f32 rows measure speed and end-to-end IPC on the f32
+// kernels (parity is pinned in the models tests).
 func (cs *compressedSuite) f32Suite() (*compressedSuite, error) {
 	fd, fp, err := models.ConvertSuiteF32(
 		&models.PhaseSpecificDelta{Models: cs.deltas},
@@ -124,18 +124,17 @@ func (cs *compressedSuite) f32Suite() (*compressedSuite, error) {
 	return &out, nil
 }
 
-// int8Suite returns an int8-quantized copy of the compressed suite: the
-// per-phase students weight-quantized per channel and calibrated on the
-// training samples. Prediction-quality columns are not re-evaluated (the
-// float eval path would just repeat the float numbers; layer parity is
-// covered by the models package tests) — the int8 rows exist to measure
-// speed and end-to-end IPC on the integer kernels.
-func (cs *compressedSuite) int8Suite(calib []*models.Sample) (*compressedSuite, error) {
-	qd, err := models.QuantizeDelta(&models.PhaseSpecificDelta{Models: cs.deltas}, calib)
+// int8Suite returns an 8-bit-weight copy of the compressed suite: the
+// per-phase students' weights rounded per channel onto the int8 grid and
+// scored on the f32 forward. Prediction-quality columns are not re-evaluated
+// (parity with the float students is pinned in the models package tests) —
+// the int8 rows measure end-to-end IPC under quantised weights.
+func (cs *compressedSuite) int8Suite() (*compressedSuite, error) {
+	qd, err := models.QuantizeDelta(&models.PhaseSpecificDelta{Models: cs.deltas})
 	if err != nil {
 		return nil, err
 	}
-	qp, err := models.QuantizePage(&models.PhaseSpecificPage{Models: cs.pages}, calib)
+	qp, err := models.QuantizePage(&models.PhaseSpecificPage{Models: cs.pages})
 	if err != nil {
 		return nil, err
 	}
@@ -231,7 +230,7 @@ func FigureDistillation(w io.Writer, r *Runner) error {
 			suites := []*compressedSuite{cs}
 			variant := ""
 			if r.Opt.Int8 {
-				qcs, err := cs.int8Suite(s.Train.Samples)
+				qcs, err := cs.int8Suite()
 				if err != nil {
 					return err
 				}

@@ -65,15 +65,15 @@ type Options struct {
 	// ML prefetchers in the comparison sweep (ablations and benchmarks that
 	// need the bare prefetcher).
 	DisableGuard bool
-	// Int8 runs the MPGraph prefetcher's inference on the int8 quantized
-	// engine: per-phase models are weight-quantized once per workload
-	// (per-channel symmetric int8), activation scales are calibrated on the
-	// training samples, and Operate dispatches the integer kernels.
+	// Int8 runs the MPGraph prefetcher on 8-bit weights (the paper's §6.1 /
+	// Fig. 13 axis): a copy of the per-phase models is rounded once per
+	// workload onto the per-channel symmetric int8 grid and Operate scores
+	// the dequantised weights on the f32 kernels (DESIGN.md §10).
 	Int8 bool
 	// F32 runs the MPGraph prefetcher's inference on the single-precision
 	// compute tier: per-phase model weights are narrowed to f32 once per
 	// workload and Operate dispatches the f32 fused kernels (DESIGN.md §13).
-	// Mutually exclusive with Int8 (one reduced-precision engine at a time).
+	// Mutually exclusive with Int8 (one reduced precision at a time).
 	F32 bool
 	// Batch > 0 routes every ML prefetcher's model calls through one shared
 	// batched-inference scheduler that fuses up to Batch concurrent requests
@@ -142,7 +142,7 @@ func (o Options) SimConfig() sim.Config {
 // validatePrecision rejects selecting both reduced-precision engines.
 func (o Options) validatePrecision() error {
 	if o.F32 && o.Int8 {
-		return fmt.Errorf("experiments: F32 and Int8 are mutually exclusive (pick one reduced-precision engine)")
+		return fmt.Errorf("experiments: F32 and Int8 are mutually exclusive (pick one reduced precision)")
 	}
 	return nil
 }

@@ -459,17 +459,17 @@ func (r *Runner) Prefetchers(w Workload) ([]sim.Prefetcher, error) {
 	}, nil
 }
 
-// qpair is one workload's int8-quantized phase-specific model pair.
+// qpair is one workload's reduced-precision phase-specific model pair.
 type qpair struct {
 	delta *models.PhaseSpecificDelta
 	page  *models.PhaseSpecificPage
 }
 
 // quantizedPS returns (quantizing once, coalescing concurrent callers) the
-// int8 mirrors of w's phase-specific delta/page models, calibrated on the
-// training samples. Quantization reads trained float weights and runs
-// calibration forwards, so like Suite it is single-flight per workload —
-// the parallel sweep shares one quantized pair across all its simulations.
+// 8-bit-weight mirrors of w's phase-specific delta/page models. Quantization
+// copies and rounds every trained weight, so like Suite it is single-flight
+// per workload — the parallel sweep shares one quantized pair across all its
+// simulations.
 func (r *Runner) quantizedPS(w Workload) (*qpair, error) {
 	c := getCell(&r.mu, r.qpairs, w)
 	return c.get("experiments.QuantizedPS("+w.String()+")", func() (*qpair, error) {
@@ -512,7 +512,7 @@ func (r *Runner) f32PS(w Workload) (*qpair, error) {
 
 // MPGraph assembles the full prefetcher for w with the given controller
 // options: per-phase AMMA predictors plus a Soft-KSWIN detector. Under
-// Options.Int8 the per-phase models are the calibrated int8 mirrors; under
+// Options.Int8 the per-phase models are the 8-bit-weight mirrors; under
 // Options.F32 they are the narrowed single-precision mirrors.
 func (r *Runner) MPGraph(w Workload, opt core.Options) (*core.MPGraph, error) {
 	if err := r.Opt.validatePrecision(); err != nil {

@@ -117,20 +117,19 @@ func testBatchMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestBatchMatchesSequentialInt8: the int8 batch path must be bit-identical
-// to sequential int8 inference at every batch size.
+// TestBatchMatchesSequentialInt8: 8-bit-weight mirrors must score batches
+// bit-identically to sequential inference at every batch size.
 func TestBatchMatchesSequentialInt8(t *testing.T) {
 	cfg := SmallConfig()
 	pages, pcs := batchTestVocabs(cfg)
 	restore := tensor.SetGradEnabled(false)
 	defer tensor.SetGradEnabled(restore)
 
-	calib := batchSamples(cfg, 16)
-	qd, err := QuantizeDelta(NewAMMADelta(cfg, pcs, 3, 3), calib)
+	qd, err := QuantizeDelta(NewAMMADelta(cfg, pcs, 3, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	qp, err := QuantizePage(NewAMMAPage(cfg, pages, pcs, 3, 8), calib)
+	qp, err := QuantizePage(NewAMMAPage(cfg, pages, pcs, 3, 8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,8 +181,7 @@ func testBatchZeroAlloc(t *testing.T) {
 	restore := tensor.SetGradEnabled(false)
 	defer tensor.SetGradEnabled(restore)
 
-	calib := batchSamples(cfg, 16)
-	qd, err := QuantizeDelta(NewAMMADelta(cfg, pcs, 3, 3), calib)
+	qd, err := QuantizeDelta(NewAMMADelta(cfg, pcs, 3, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +229,7 @@ func testBatchZeroAlloc(t *testing.T) {
 	}
 }
 
-// --- benchmarks: batched next to sequential, float and int8 ---
+// --- benchmarks: batched next to sequential ---
 
 func benchBatchDelta(b *testing.B, m DeltaModel, batch int, sequential bool) {
 	cfg := SmallConfig()
@@ -271,16 +269,6 @@ func benchDeltaModel() DeltaModel {
 	return NewLSTMDelta(SmallConfig(), 1)
 }
 
-func benchInt8DeltaModel(b *testing.B) DeltaModel {
-	cfg := SmallConfig()
-	_, pcs := batchTestVocabs(cfg)
-	qd, err := QuantizeDelta(NewAMMADelta(cfg, pcs, 3, 3), batchSamples(cfg, 16))
-	if err != nil {
-		b.Fatal(err)
-	}
-	return qd
-}
-
 // One batched pass over 8 or 64 histories next to the same histories scored
 // one call at a time. Every pair runs the same kernels on both sides (a
 // sequential call is the B=1 batch): the Sequential rows record what stacking
@@ -290,13 +278,3 @@ func BenchmarkOperateBatch8Sequential(b *testing.B) { benchBatchDelta(b, benchDe
 
 func BenchmarkOperateBatch64(b *testing.B)           { benchBatchDelta(b, benchDeltaModel(), 64, false) }
 func BenchmarkOperateBatch64Sequential(b *testing.B) { benchBatchDelta(b, benchDeltaModel(), 64, true) }
-
-func BenchmarkOperateBatch8Int8(b *testing.B) { benchBatchDelta(b, benchInt8DeltaModel(b), 8, false) }
-func BenchmarkOperateBatch8Int8Sequential(b *testing.B) {
-	benchBatchDelta(b, benchInt8DeltaModel(b), 8, true)
-}
-
-func BenchmarkOperateBatch64Int8(b *testing.B) { benchBatchDelta(b, benchInt8DeltaModel(b), 64, false) }
-func BenchmarkOperateBatch64Int8Sequential(b *testing.B) {
-	benchBatchDelta(b, benchInt8DeltaModel(b), 64, true)
-}

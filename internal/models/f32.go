@@ -1,24 +1,23 @@
 package models
 
-// Single-precision mirrors of the trained predictors (DESIGN.md §13). Like
-// the int8 mirrors, an f32 model embeds its float64 source — training, the
-// autograd scoring path and Params all delegate — and overrides only the
-// ctx fast path, so the mirrors slot into DeltaScoresWith/TopPagesWith
-// unchanged: a live ctx runs f32, a nil ctx falls back to the float64 model.
+// Single-precision mirrors of the trained predictors (DESIGN.md §13). An f32
+// model embeds its float64 source — training, the autograd scoring path and
+// Params all delegate — and overrides only the ctx fast path, so the mirrors
+// slot into DeltaScoresWith/TopPagesWith unchanged: a live ctx runs f32, a
+// nil ctx falls back to the float64 model.
 // There is no f32 forward to read here: a mirror holds the narrowed
 // instantiation of its source's backbone (ammaCore[float32], nn.F32LSTM, …)
 // and runs the one generic forward of fastpath_batch.go on it. What is
 // f32-specific is only the two ends — NarrowCtx rounds the float64 features
 // in, and the score hand-off below widens and screens them out.
 //
-// Unlike int8 there is no calibration: weights are narrowed once at
-// conversion (f64 → f32 round-to-nearest) and the activation path runs
-// natively in f32. Scores cross back to float64 through the exact
-// WidenCtx hand-off — widening is monotonic and preserves every f32 Inf
-// or NaN bit pattern, so rankings, exact tie ordering AND ScreenScores'
-// non-finite health screen all see precisely what the f32 kernels produced
-// (an f16/f32-range overflow surfaces as a screened Inf, never a silently
-// clamped score).
+// There is no calibration: weights are narrowed once at conversion (f64 →
+// f32 round-to-nearest) and the activation path runs natively in f32. Scores
+// cross back to float64 through the exact WidenCtx hand-off — widening is
+// monotonic and preserves every f32 Inf or NaN bit pattern, so rankings,
+// exact tie ordering AND ScreenScores' non-finite health screen all see
+// precisely what the f32 kernels produced (an f16/f32-range overflow surfaces
+// as a screened Inf, never a silently clamped score).
 
 import (
 	"fmt"

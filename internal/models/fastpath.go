@@ -245,8 +245,8 @@ func binaryTopPagesAppendCtx(c *tensor.Ctx, pages *Vocab, probs []float64, k int
 }
 
 // binaryTopPagesOne decodes one sample's pages from the bit logits the float
-// head produces over a pooled backbone row. All three BinaryPage tiers share
-// it: the head stays float64 even where the backbone is f32 or int8 — its
+// head produces over a pooled backbone row. Both BinaryPage tiers share it:
+// the head stays float64 even where the backbone is f32 — its
 // outputs are thresholded at 0.5 to decode a bit code, where a near-threshold
 // rounding flips the whole decoded id rather than perturbing a ranking, and
 // it is a few hundred weights with nothing to win.

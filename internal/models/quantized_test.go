@@ -1,31 +1,55 @@
 package models
 
 import (
+	"math"
+	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 
+	"mpgraph/internal/nn"
 	"mpgraph/internal/tensor"
 )
 
-// quantTrainOpt is the brief training pass the parity tests use: enough
+type parityModels struct {
+	ds    *Dataset
+	delta *AMMADelta
+	page  *AMMAPage
+	bin   *BinaryPage
+	err   error
+}
+
+// parityFixture is the brief training pass the parity tests share: enough
 // epochs for the synthetic phases to become separable, small enough to keep
-// the suite fast.
+// the suite fast. It is trained once per test process; every caller only
+// reads the models (conversion and quantization never write their source —
+// TestQuantizeSuiteIsACodec holds that).
+var parityFixture = sync.OnceValue(func() (f parityModels) {
+	cfg := SmallConfig()
+	if f.ds, f.err = BuildDataset(cfg, synthStream(1600, 31), DatasetOptions{}); f.err != nil {
+		return f
+	}
+	opt := TrainOptions{Epochs: 3, LR: 2e-3, Seed: 5, MaxSamplesPerEpoch: 700}
+	f.delta = NewAMMADelta(cfg, f.ds.PCs, 0, 11)
+	if f.err = TrainDelta(f.delta, f.ds, opt); f.err != nil {
+		return f
+	}
+	f.page = NewAMMAPage(cfg, f.ds.Pages, f.ds.PCs, 0, 17)
+	if f.err = TrainPage(f.page, f.ds, opt); f.err != nil {
+		return f
+	}
+	f.bin = NewBinaryPage(cfg, f.ds.Pages, f.ds.PCs, 23)
+	f.err = TrainPage(f.bin, f.ds, opt)
+	return f
+})
+
 func quantParityData(t *testing.T) (*Dataset, *AMMADelta, *AMMAPage, *BinaryPage) {
 	t.Helper()
-	ds := synthDataset(t, 1600, 31)
-	opt := TrainOptions{Epochs: 3, LR: 2e-3, Seed: 5, MaxSamplesPerEpoch: 700}
-	delta := NewAMMADelta(ds.Cfg, ds.PCs, 0, 11)
-	if err := TrainDelta(delta, ds, opt); err != nil {
-		t.Fatal(err)
+	f := parityFixture()
+	if f.err != nil {
+		t.Fatal(f.err)
 	}
-	page := NewAMMAPage(ds.Cfg, ds.Pages, ds.PCs, 0, 17)
-	if err := TrainPage(page, ds, opt); err != nil {
-		t.Fatal(err)
-	}
-	bin := NewBinaryPage(ds.Cfg, ds.Pages, ds.PCs, 23)
-	if err := TrainPage(bin, ds, opt); err != nil {
-		t.Fatal(err)
-	}
-	return ds, delta, page, bin
+	return f.ds, f.delta, f.page, f.bin
 }
 
 // overlapAtK returns |topK(a) ∩ topK(b)| / k.
@@ -47,7 +71,7 @@ func overlapAtK(a, b []float64, k int) float64 {
 
 func TestQuantizedDeltaParity(t *testing.T) {
 	ds, delta, _, _ := quantParityData(t)
-	qm, err := QuantizeDelta(delta, ds.Samples)
+	qm, err := QuantizeDelta(delta)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +92,7 @@ func TestQuantizedDeltaParity(t *testing.T) {
 
 func TestQuantizedPageParity(t *testing.T) {
 	ds, _, page, _ := quantParityData(t)
-	qm, err := QuantizePage(page, ds.Samples)
+	qm, err := QuantizePage(page)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +122,7 @@ func TestQuantizedPageParity(t *testing.T) {
 
 func TestQuantizedBinaryPageParity(t *testing.T) {
 	ds, _, _, bin := quantParityData(t)
-	qm, err := QuantizePage(bin, ds.Samples)
+	qm, err := QuantizePage(bin)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +183,7 @@ func TestQuantizePhaseSpecific(t *testing.T) {
 	if err := TrainDelta(ps, ds, opt); err != nil {
 		t.Fatal(err)
 	}
-	qm, err := QuantizeDelta(ps, ds.Samples)
+	qm, err := QuantizeDelta(ps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,8 +192,8 @@ func TestQuantizePhaseSpecific(t *testing.T) {
 		t.Fatalf("quantized phase-specific is %T", qm)
 	}
 	for p, sub := range qps.Models {
-		if _, ok := sub.(*QAMMADelta); !ok {
-			t.Fatalf("phase %d sub-model is %T, want *QAMMADelta", p, sub)
+		if _, ok := sub.(*F32AMMADelta); !ok {
+			t.Fatalf("phase %d sub-model is %T, want *F32AMMADelta", p, sub)
 		}
 	}
 	ctx := tensor.NewCtx()
@@ -183,29 +207,43 @@ func TestQuantizePhaseSpecific(t *testing.T) {
 func TestQuantizeUnsupportedModelErrors(t *testing.T) {
 	ds := synthDataset(t, 800, 43)
 	lstm := NewLSTMDelta(ds.Cfg, 3)
-	if _, err := QuantizeDelta(lstm, ds.Samples); err == nil {
+	if _, err := QuantizeDelta(lstm); err == nil {
 		t.Fatal("expected explicit error for unsupported delta model")
 	}
 	lstmp := NewLSTMPage(ds.Cfg, ds.Pages, ds.PCs, 3)
-	if _, err := QuantizePage(lstmp, ds.Samples); err == nil {
+	if _, err := QuantizePage(lstmp); err == nil {
 		t.Fatal("expected explicit error for unsupported page model")
 	}
 }
 
+// TestQuantizedNilCtxFallsBackToFloat: without a ctx the mirror scores on
+// its float64 model, which is the rounded copy — not the trained source.
 func TestQuantizedNilCtxFallsBackToFloat(t *testing.T) {
 	ds, delta, _, _ := quantParityData(t)
-	qm, err := QuantizeDelta(delta, ds.Samples)
+	qm, err := QuantizeDelta(delta)
 	if err != nil {
 		t.Fatal(err)
 	}
-	q := qm.(*QAMMADelta)
+	rounded := NewAMMADelta(ds.Cfg, ds.PCs, 0, 0)
+	if err := nn.CopyParams(rounded, delta); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := nn.QuantizePerChannel(rounded, 8); err != nil {
+		t.Fatal(err)
+	}
 	s := ds.Samples[0]
-	want := delta.DeltaScores(s)
-	got := q.DeltaScoresCtx(nil, s)
+	want := rounded.DeltaScores(s)
+	got := qm.(*F32AMMADelta).DeltaScoresCtx(nil, s)
+	source := delta.DeltaScores(s)
+	differs := false
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatalf("nil-ctx quantized path diverges from float at %d", i)
+			t.Fatalf("nil-ctx quantized path diverges from the rounded float64 copy at %d", i)
 		}
+		differs = differs || got[i] != source[i]
+	}
+	if !differs {
+		t.Fatal("nil-ctx quantized path scored the unrounded source")
 	}
 }
 
@@ -215,10 +253,87 @@ func TestQuantizeSuitePair(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := qd.(*QAMMADelta); !ok {
+	if _, ok := qd.(*F32AMMADelta); !ok {
 		t.Fatalf("suite delta is %T", qd)
 	}
-	if _, ok := qp.(*QAMMAPage); !ok {
+	if _, ok := qp.(*F32AMMAPage); !ok {
 		t.Fatalf("suite page is %T", qp)
+	}
+}
+
+// paramBits snapshots every parameter of m as raw float64 bits.
+func paramBits(m nn.Module) []uint64 {
+	var out []uint64
+	for _, p := range m.Params() {
+		for _, v := range p.Data {
+			out = append(out, math.Float64bits(v))
+		}
+	}
+	return out
+}
+
+// TestQuantizeSuiteIsACodec: for random models, QuantizeSuite leaves its
+// source byte-identical (a sweep shares one suite across simulations), every
+// matrix weight of the result sits on its column's 8-bit grid, and rounding
+// the result again moves no bit.
+func TestQuantizeSuiteIsACodec(t *testing.T) {
+	cfg := SmallConfig()
+	pages, pcs := batchTestVocabs(cfg)
+	for seed := int64(1); seed <= 8; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		phases := int(seed % 3)
+		delta := &PhaseSpecificDelta{Models: []DeltaModel{
+			NewAMMADelta(cfg, pcs, phases, seed), NewAMMADelta(cfg, pcs, 0, seed+100)}}
+		page := &PhaseSpecificPage{Models: []PageModel{
+			NewAMMAPage(cfg, pages, pcs, phases, seed+200), NewBinaryPage(cfg, pages, pcs, seed+300)}}
+		// Trained weights are not unit-scale: stretch each tensor so the
+		// per-column scales span orders of magnitude.
+		for _, m := range []nn.Module{delta, page} {
+			for _, p := range m.Params() {
+				stretch := math.Exp(4 * rng.NormFloat64())
+				for i := range p.Data {
+					p.Data[i] = p.Data[i]*stretch + 1e-3*rng.NormFloat64()
+				}
+			}
+		}
+		deltaBefore, pageBefore := paramBits(delta), paramBits(page)
+		qd, qp, err := QuantizeSuite(delta, page, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(deltaBefore, paramBits(delta)) || !slices.Equal(pageBefore, paramBits(page)) {
+			t.Fatalf("seed %d: QuantizeSuite wrote its source's parameters", seed)
+		}
+		for _, q := range []nn.Module{qd, qp} {
+			for pi, p := range q.Params() {
+				if p.Rows == 1 || p.Cols == 1 {
+					continue
+				}
+				for j := 0; j < p.Cols; j++ {
+					var maxAbs float64
+					for i := 0; i < p.Rows; i++ {
+						maxAbs = math.Max(maxAbs, math.Abs(p.Data[i*p.Cols+j]))
+					}
+					if maxAbs == 0 {
+						continue
+					}
+					scale := maxAbs / 127
+					for i := 0; i < p.Rows; i++ {
+						level := p.Data[i*p.Cols+j] / scale
+						if math.Abs(level-math.Round(level)) > 1e-9 || math.Abs(level) > 127+1e-9 {
+							t.Fatalf("seed %d param %d [%d,%d]: %g is level %.12f of scale %g, not an int8",
+								seed, pi, i, j, p.Data[i*p.Cols+j], level, scale)
+						}
+					}
+				}
+			}
+			once := paramBits(q)
+			if _, err := nn.QuantizePerChannel(q, 8); err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(once, paramBits(q)) {
+				t.Fatalf("seed %d: rounding an already-quantised model moved a weight", seed)
+			}
+		}
 	}
 }

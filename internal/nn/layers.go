@@ -12,9 +12,9 @@ import (
 // plain name is the float64 instantiation — trainable, and the autograd
 // reference on a nil ctx — and the F32 name is the single-precision
 // inference mirror (DESIGN.md §13), built from a trained float64 layer by its
-// narrowing constructor and usable on a live ctx only. There is no
-// calibration phase, unlike the int8 mirrors: f32 keeps enough mantissa that
-// weights are narrowed once and used directly.
+// narrowing constructor and usable on a live ctx only. f32 keeps enough
+// mantissa that weights are narrowed once and used directly, with no
+// calibration phase.
 
 // LinearOf is a fully-connected layer y = xW + b.
 type LinearOf[T float32 | float64] struct {
@@ -218,7 +218,7 @@ func (s *SelfAttentionOf[T]) ForwardBatchCtx(c *tensor.Ctx, x *tensor.Dense[T], 
 	q := s.Wq.ForwardCtx(c, x)
 	k := s.Wk.ForwardCtx(c, x)
 	v := s.Wv.ForwardCtx(c, x)
-	return tensor.AttentionBlocks(c, q, k, v, blocks, T(1/math.Sqrt(float64(s.dim))), false)
+	return tensor.AttentionBlocks(c, q, k, v, blocks, T(1/math.Sqrt(float64(s.dim))))
 }
 
 // Params implements Module.

@@ -3,7 +3,8 @@
 // scaled-dot-product self-attention, multi-head attention, the Transformer
 // layer (MSA + FFN, Eq. 9-10), the multi-modality attention fusion layer
 // (Eq. 8), and an LSTM for the baselines — plus the Adam optimizer,
-// parameter (de)serialisation, and int8 quantization (Section 6.1).
+// parameter (de)serialisation, and fixed-point weight quantization (Section
+// 6.1).
 package nn
 
 import "mpgraph/internal/tensor"

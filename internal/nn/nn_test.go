@@ -338,6 +338,41 @@ func TestQuantize(t *testing.T) {
 	}
 }
 
+func TestQuantizePerChannelTightensMaxError(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	mkLayer := func() *Linear {
+		l := NewLinear(16, 8, rng)
+		// One wide column dominates the per-tensor scale.
+		for i := 0; i < l.W.Rows; i++ {
+			l.W.Data[i*l.W.Cols] *= 50
+		}
+		return l
+	}
+	perTensor := mkLayer()
+	src := perTensor.W.Clone().Data
+	perChannel := NewLinear(16, 8, rng)
+	copy(perChannel.W.Data, src)
+	copy(perChannel.B.Data, perTensor.B.Data)
+
+	repT, err := Quantize(perTensor, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	repC, err := QuantizePerChannel(perChannel, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !repC.PerChannel || repT.PerChannel {
+		t.Fatal("PerChannel flag not recorded")
+	}
+	if repC.MaxError >= repT.MaxError {
+		t.Fatalf("per-channel MaxError %g not tighter than per-tensor %g", repC.MaxError, repT.MaxError)
+	}
+	if repC.StorageBytes <= repT.StorageBytes {
+		t.Fatalf("per-channel storage %d should charge for scales (per-tensor %d)", repC.StorageBytes, repT.StorageBytes)
+	}
+}
+
 // Property: quantization error never exceeds half the per-tensor step for
 // any bit width.
 func TestQuickQuantizeErrorBound(t *testing.T) {

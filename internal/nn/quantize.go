@@ -9,9 +9,9 @@ import (
 // weights are rounded onto a bits-wide grid but remain float64, so the model
 // keeps running on the float kernels at the quantized model's accuracy.
 // Storage numbers describe what the int representation would occupy; they do
-// not claim the process stores ints. For the real int8 engine — int8 tensors,
-// int32 accumulation, measured speed — see the Q-layer mirrors in qlayers.go
-// and DESIGN.md §10.
+// not claim the process stores ints. This is the whole of the 8-bit tier:
+// models.Quantize* rounds a copy this way and scores it on the f32 forward
+// (DESIGN.md §10).
 type SimQuantReport struct {
 	Bits         int
 	PerChannel   bool

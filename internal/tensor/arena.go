@@ -109,8 +109,6 @@ type Ctx struct {
 	f32  arena[float32]
 	u16  slab[uint16]
 	ints slab[int]
-	i8   slab[int8]
-	u8   slab[uint8]
 }
 
 // NewCtx returns an empty inference context. Buffers are grown on demand
@@ -131,8 +129,6 @@ func (c *Ctx) Reset() {
 	c.f32.reset()
 	c.u16.reset()
 	c.ints.reset()
-	c.i8.reset()
-	c.u8.reset()
 }
 
 // arenaOf returns c's arena for element type T — where a generic op's
@@ -221,27 +217,4 @@ func (c *Ctx) Halfs(n int) []uint16 {
 		return make([]uint16, n)
 	}
 	return c.u16.takeUninit(n)
-}
-
-// Int8s returns an uninitialised arena-backed []int8 of length n (quantized
-// activation rows — every caller overwrites the full buffer before reading).
-//
-//mpgraph:noalloc
-func (c *Ctx) Int8s(n int) []int8 {
-	if c == nil {
-		return make([]int8, n)
-	}
-	return c.i8.takeUninit(n)
-}
-
-// Bytes returns an uninitialised arena-backed []uint8 of length n (offset
-// activation rows for the VNNI int8 kernel — callers overwrite before
-// reading).
-//
-//mpgraph:noalloc
-func (c *Ctx) Bytes(n int) []uint8 {
-	if c == nil {
-		return make([]uint8, n)
-	}
-	return c.u8.takeUninit(n)
 }

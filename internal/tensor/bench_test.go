@@ -94,7 +94,7 @@ func BenchmarkAttentionBlocks(b *testing.B) {
 		q, k, v := Randn(blocks*t, d, 1, rng), Randn(blocks*t, d, 1, rng), Randn(blocks*t, d, 1, rng)
 		scale := 1 / math.Sqrt(float64(d))
 		for i := 0; i < b.N; i++ {
-			AttentionBlocks(c, q, k, v, blocks, scale, false)
+			AttentionBlocks(c, q, k, v, blocks, scale)
 			c.Reset()
 		}
 	})
@@ -106,7 +106,7 @@ func BenchmarkAttentionBlocksF32(b *testing.B) {
 		q, k, v := NarrowF32(Randn(blocks*t, d, 1, rng)), NarrowF32(Randn(blocks*t, d, 1, rng)), NarrowF32(Randn(blocks*t, d, 1, rng))
 		scale := float32(1 / math.Sqrt(float64(d)))
 		for i := 0; i < b.N; i++ {
-			AttentionBlocks(c, q, k, v, blocks, scale, false)
+			AttentionBlocks(c, q, k, v, blocks, scale)
 			c.Reset()
 		}
 	})

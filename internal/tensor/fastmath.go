@@ -37,12 +37,11 @@ func ApplyActFast[T float32 | float64](row []T, act Act) {
 }
 
 // softmaxRows applies a numerically-stable softmax in place to each row of p
-// [rows x cols]; tmp is scratch of the same size. exact pins the scalar
-// math-package kernel on every machine (the int8 tier's attention).
+// [rows x cols]; tmp is scratch of the same size.
 //
 //mpgraph:noalloc
-func softmaxRows[T float32 | float64](p, tmp []T, rows, cols int, exact bool) {
-	if !exact && batchKernelAvailable() {
+func softmaxRows[T float32 | float64](p, tmp []T, rows, cols int) {
+	if batchKernelAvailable() {
 		vsoftmaxRows(p, tmp, rows, cols)
 		return
 	}

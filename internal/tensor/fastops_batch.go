@@ -4,7 +4,7 @@ import "mpgraph/internal/invariant"
 
 // Batch-aware arena ops. A "stacked" tensor holds one session per block of
 // rows: [blocks*T x d] in session-major order. Row-wise ops (LinearAct,
-// AddLayerNorm, the int8 kernels) are batch-oblivious and run on the stacked
+// AddLayerNorm) are batch-oblivious and run on the stacked
 // tensor unchanged; the ops below are the ones that must know the block
 // boundary. Each computes a block as a pure function of that block's rows, so
 // a block's result never depends on batch composition and a single sequence
@@ -16,13 +16,11 @@ import "mpgraph/internal/invariant"
 // transposed and pre-scaled once into arena scratch so the scores are a plain
 // GEMM, the softmax runs over the whole [T x T] block, and the AV product is
 // a second GEMM — all three on the panel/row kernels where AVX-512F is
-// present and on the scalar kernels elsewhere. exact pins the scalar kernels
-// (gemm, softmaxInPlace) on every machine: the int8 models keep it so their
-// attention, like their integer GEMMs, does not depend on the host. A nil ctx
-// is the autograd composition over one sequence (blocks must be 1).
+// present and on the scalar kernels elsewhere. A nil ctx is the autograd
+// composition over one sequence (blocks must be 1).
 //
 //mpgraph:noalloc
-func AttentionBlocks[T float32 | float64](c *Ctx, q, k, v *Dense[T], blocks int, scale T, exact bool) *Dense[T] {
+func AttentionBlocks[T float32 | float64](c *Ctx, q, k, v *Dense[T], blocks int, scale T) *Dense[T] {
 	if c == nil {
 		invariant.Check(blocks == 1, "tensor: attentionBlocks on a nil ctx takes one sequence")
 		scores := Scale(MatMul(graph(q), Transpose(graph(k))), float64(scale))
@@ -46,23 +44,11 @@ func AttentionBlocks[T float32 | float64](c *Ctx, q, k, v *Dense[T], blocks int,
 	for blk := 0; blk < blocks; blk++ {
 		transposeScale(kT, k.Data[blk*t*d:(blk+1)*t*d], t, d, scale)
 		clear(scores)
-		gemmAcc(scores, q.Data[blk*t*d:(blk+1)*t*d], kT, t, d, t, exact)
-		softmaxRows(scores, tmp, t, t, exact)
-		gemmAcc(out.Data[blk*t*dv:(blk+1)*t*dv], scores, v.Data[blk*t*dv:(blk+1)*t*dv], t, t, dv, exact)
+		gemmBatch(scores, q.Data[blk*t*d:(blk+1)*t*d], kT, t, d, t)
+		softmaxRows(scores, tmp, t, t)
+		gemmBatch(out.Data[blk*t*dv:(blk+1)*t*dv], scores, v.Data[blk*t*dv:(blk+1)*t*dv], t, t, dv)
 	}
 	return out
-}
-
-// gemmAcc accumulates out += a @ b: on the scalar kernel when exact, through
-// the panel tier otherwise.
-//
-//mpgraph:noalloc
-func gemmAcc[T float32 | float64](out, a, b []T, m, k, n int, exact bool) {
-	if exact {
-		gemm(out, a, b, m, k, n)
-		return
-	}
-	gemmBatch(out, a, b, m, k, n)
 }
 
 // transposeScale writes dst [cols x rows] = srcᵀ·scale for src [rows x cols],

@@ -76,14 +76,3 @@ func gemmBatch[T float32 | float64](out, a, b []T, m, k, n int) {
 	}
 	fmaPanels(out, a, b, m, k, n)
 }
-
-// qgemmBatch is the int8 counterpart of gemmBatchBiasAct. The quantized
-// per-row kernels (scalar/SWAR/VNNI) are already batch-oblivious — each
-// output row is an exact int32 dot of its own quantized activation row — so
-// the batched tier is the same kernel at m stacked rows, and batch output is
-// bit-identical to m sequential calls by construction.
-//
-//mpgraph:noalloc
-func (c *Ctx) qgemmBatch(out []float64, xq []int8, q *QTensor, m int, sx float64, bias []float64, act Act) {
-	c.qgemmBiasActFast(out, xq, q, m, sx, bias, act)
-}

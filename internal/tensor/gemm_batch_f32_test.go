@@ -174,7 +174,7 @@ func TestSoftmaxInPlaceFastF32Matches(t *testing.T) {
 			row[i] *= 10
 		}
 		want := append([]float32(nil), row...)
-		softmaxRows(row, make([]float32, n), 1, n, false)
+		softmaxRows(row, make([]float32, n), 1, n)
 		softmaxInPlace(want)
 		var sum float64
 		for i := range row {
@@ -227,12 +227,12 @@ func TestAttentionBlocksF32CompositionIndependent(t *testing.T) {
 	q := view(c, blocks*tt, d, qd)
 	k := view(c, blocks*tt, d, kd)
 	v := view(c, blocks*tt, d, vd)
-	full := AttentionBlocks(c, q, k, v, blocks, 0.25, false)
+	full := AttentionBlocks(c, q, k, v, blocks, 0.25)
 	for blk := 0; blk < blocks; blk++ {
 		qb := view(c, tt, d, qd[blk*tt*d:(blk+1)*tt*d])
 		kb := view(c, tt, d, kd[blk*tt*d:(blk+1)*tt*d])
 		vb := view(c, tt, d, vd[blk*tt*d:(blk+1)*tt*d])
-		solo := AttentionBlocks(c, qb, kb, vb, 1, 0.25, false)
+		solo := AttentionBlocks(c, qb, kb, vb, 1, 0.25)
 		for i := range solo.Data {
 			gotB := math.Float32bits(full.Data[blk*tt*d+i])
 			soloB := math.Float32bits(solo.Data[i])
@@ -286,7 +286,7 @@ func TestF32OpsZeroAlloc(t *testing.T) {
 		gain := view(c, 1, k, gd)
 		h := AddLayerNorm(c, x, x, gain, gain, 1e-5)
 		h = LinearAct(c, h, w, b, ActReLU)
-		att := AttentionBlocks(c, x, x, x, 2, 0.5, false)
+		att := AttentionBlocks(c, x, x, x, 2, 0.5)
 		_ = MeanRowsBatch(c, att, 2)
 		_ = WidenCtx(c, h)
 		_ = c.Halfs(64)
@@ -365,7 +365,7 @@ func arenaOpChain[T float32 | float64](c *Ctx) {
 	h = view(c, h.Rows, d, LinearAccum(c, LinearAccum(c, nil, h, w, b), x, w, b))
 	h = SigmoidInPlace(c, h)
 	h = AddPosBatch(c, h, pos, blocks)
-	h = AttentionBlocks(c, h, h, h, blocks, 0.5, false)
+	h = AttentionBlocks(c, h, h, h, blocks, 0.5)
 	h = AddRowPerBlock(c, h, w, []int{1, 2}, blocks)
 	h = ConcatRowsBatch2(c, h, x, blocks)
 	m := MeanRowsBatch(c, h, blocks)

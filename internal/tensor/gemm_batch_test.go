@@ -300,7 +300,7 @@ func TestSoftmaxInPlaceFastMatches(t *testing.T) {
 			row[i] *= 10
 		}
 		want := append([]float64(nil), row...)
-		softmaxRows(row, make([]float64, n), 1, n, false)
+		softmaxRows(row, make([]float64, n), 1, n)
 		softmaxInPlace(want)
 		for i := range row {
 			if math.Abs(row[i]-want[i]) > 1e-12 {
@@ -352,7 +352,7 @@ func TestOpsSequentialBatchIdentical(t *testing.T) {
 		run := func() {
 			c.Reset()
 			g := chain(x, h)
-			AttentionBlocks(c, g, g, g, 3, 0.5, false)
+			AttentionBlocks(c, g, g, g, 3, 0.5)
 		}
 		run() // warm the slabs
 		run()
@@ -373,43 +373,42 @@ func testAttentionBlocksCompositionIndependent(t *testing.T) {
 	q := view(c, blocks*tt, d, randSlice(rng, blocks*tt*d))
 	k := view(c, blocks*tt, d, randSlice(rng, blocks*tt*d))
 	v := view(c, blocks*tt, d, randSlice(rng, blocks*tt*d))
-	for _, exact := range []bool{false, true} {
-		full := AttentionBlocks(c, q, k, v, blocks, 0.25, exact)
-		for blk := 0; blk < blocks; blk++ {
-			qb := view(c, tt, d, q.Data[blk*tt*d:(blk+1)*tt*d])
-			kb := view(c, tt, d, k.Data[blk*tt*d:(blk+1)*tt*d])
-			vb := view(c, tt, d, v.Data[blk*tt*d:(blk+1)*tt*d])
-			solo := AttentionBlocks(c, qb, kb, vb, 1, 0.25, exact)
-			for i := range solo.Data {
-				gotB := math.Float64bits(full.Data[blk*tt*d+i])
-				soloB := math.Float64bits(solo.Data[i])
-				if gotB != soloB {
-					t.Fatalf("exact=%v block %d elem %d: %x != %x", exact, blk, i, soloB, gotB)
-				}
+	full := AttentionBlocks(c, q, k, v, blocks, 0.25)
+	for blk := 0; blk < blocks; blk++ {
+		qb := view(c, tt, d, q.Data[blk*tt*d:(blk+1)*tt*d])
+		kb := view(c, tt, d, k.Data[blk*tt*d:(blk+1)*tt*d])
+		vb := view(c, tt, d, v.Data[blk*tt*d:(blk+1)*tt*d])
+		solo := AttentionBlocks(c, qb, kb, vb, 1, 0.25)
+		for i := range solo.Data {
+			gotB := math.Float64bits(full.Data[blk*tt*d+i])
+			soloB := math.Float64bits(solo.Data[i])
+			if gotB != soloB {
+				t.Fatalf("block %d elem %d: %x != %x", blk, i, soloB, gotB)
 			}
 		}
-		// exact=true must equal the scalar score/softmax/AV kernels bit for
-		// bit — the sequence int8 attention is pinned to on every machine.
-		if exact {
-			for blk := 0; blk < blocks; blk++ {
-				kT := make([]float64, d*tt)
-				for j := 0; j < tt; j++ {
-					for p := 0; p < d; p++ {
-						kT[p*tt+j] = k.Data[(blk*tt+j)*d+p] * 0.25
-					}
-				}
-				scores := make([]float64, tt*tt)
-				gemm(scores, q.Data[blk*tt*d:(blk+1)*tt*d], kT, tt, d, tt)
-				for r := 0; r < tt; r++ {
-					softmaxInPlace(scores[r*tt : (r+1)*tt])
-				}
-				ref := make([]float64, tt*d)
-				gemm(ref, scores, v.Data[blk*tt*d:(blk+1)*tt*d], tt, tt, d)
-				for i := range ref {
-					if math.Float64bits(ref[i]) != math.Float64bits(full.Data[blk*tt*d+i]) {
-						t.Fatalf("exact block %d elem %d diverges from the scalar attention kernels", blk, i)
-					}
-				}
+	}
+	if batchKernelAvailable() {
+		return
+	}
+	// The portable path must equal the scalar score/softmax/AV kernels bit
+	// for bit.
+	for blk := 0; blk < blocks; blk++ {
+		kT := make([]float64, d*tt)
+		for j := 0; j < tt; j++ {
+			for p := 0; p < d; p++ {
+				kT[p*tt+j] = k.Data[(blk*tt+j)*d+p] * 0.25
+			}
+		}
+		scores := make([]float64, tt*tt)
+		gemm(scores, q.Data[blk*tt*d:(blk+1)*tt*d], kT, tt, d, tt)
+		for r := 0; r < tt; r++ {
+			softmaxInPlace(scores[r*tt : (r+1)*tt])
+		}
+		ref := make([]float64, tt*d)
+		gemm(ref, scores, v.Data[blk*tt*d:(blk+1)*tt*d], tt, tt, d)
+		for i := range ref {
+			if math.Float64bits(ref[i]) != math.Float64bits(full.Data[blk*tt*d+i]) {
+				t.Fatalf("portable block %d elem %d diverges from the scalar attention kernels", blk, i)
 			}
 		}
 	}

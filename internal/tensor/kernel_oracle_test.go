@@ -63,29 +63,22 @@ func TestKernelOracleAttention(t *testing.T) {
 				q := view(c, rows, d, randSlice(rng, rows*d))
 				k := view(c, rows, d, randSlice(rng, rows*d))
 				v := view(c, rows, d, randSlice(rng, rows*d))
-				native := AttentionBlocks(c, q, k, v, blocks, scale, false)
-				var scalar, exact *Tensor
-				portable(func() {
-					scalar = AttentionBlocks(c, q, k, v, blocks, scale, false)
-					exact = AttentionBlocks(c, q, k, v, blocks, scale, true)
-				})
-				nativeExact := AttentionBlocks(c, q, k, v, blocks, scale, true)
+				native := AttentionBlocks(c, q, k, v, blocks, scale)
+				var scalar *Tensor
+				portable(func() { scalar = AttentionBlocks(c, q, k, v, blocks, scale) })
 				qf, kf, vf := NarrowCtx[float32](c, q), NarrowCtx[float32](c, k), NarrowCtx[float32](c, v)
-				nativeF32 := AttentionBlocks(c, qf, kf, vf, blocks, float32(scale), false)
+				nativeF32 := AttentionBlocks(c, qf, kf, vf, blocks, float32(scale))
 				var scalarF32 *F32Tensor
-				portable(func() { scalarF32 = AttentionBlocks(c, qf, kf, vf, blocks, float32(scale), false) })
+				portable(func() { scalarF32 = AttentionBlocks(c, qf, kf, vf, blocks, float32(scale)) })
 				for blk := 0; blk < blocks; blk++ {
 					lo, hi := blk*tt*d, (blk+1)*tt*d
 					auto := AttentionBlocks(nil,
 						New(tt, d, q.Data[lo:hi]), New(tt, d, k.Data[lo:hi]),
-						New(tt, d, v.Data[lo:hi]), 1, scale, false)
+						New(tt, d, v.Data[lo:hi]), 1, scale)
 					for i, want := range auto.Data {
 						if math.Abs(native.Data[lo+i]-want) > 1e-9 || math.Abs(scalar.Data[lo+i]-want) > 1e-9 {
 							t.Fatalf("%s: f64 elem %d native %g portable %g autograd %g",
 								name, lo+i, native.Data[lo+i], scalar.Data[lo+i], want)
-						}
-						if math.Float64bits(exact.Data[lo+i]) != math.Float64bits(nativeExact.Data[lo+i]) {
-							t.Fatalf("%s: exact attention depends on the kernel path at elem %d", name, lo+i)
 						}
 						if !closeF32(nativeF32.Data[lo+i], scalarF32.Data[lo+i]) || !closeF32(nativeF32.Data[lo+i], float32(want)) {
 							t.Fatalf("%s: f32 elem %d native %g portable %g autograd %g",
@@ -116,11 +109,11 @@ func TestKernelOracleSoftmaxRows(t *testing.T) {
 			}
 			want := append([]float64(nil), p...)
 			wantF := append([]float32(nil), pf...)
-			softmaxRows(p, make([]float64, len(p)), rows, cols, false)
-			softmaxRows(pf, make([]float32, len(pf)), rows, cols, false)
+			softmaxRows(p, make([]float64, len(p)), rows, cols)
+			softmaxRows(pf, make([]float32, len(pf)), rows, cols)
 			portable(func() {
-				softmaxRows(want, nil, rows, cols, false)
-				softmaxRows(wantF, nil, rows, cols, false)
+				softmaxRows(want, nil, rows, cols)
+				softmaxRows(wantF, nil, rows, cols)
 			})
 			for i := range p {
 				if math.Abs(p[i]-want[i]) > 1e-12 {
@@ -324,13 +317,11 @@ func TestAttentionPropagatesNaN(t *testing.T) {
 				// Poison the last row's last feature of q, k or v.
 				in[which][tt*d-1] = math.NaN()
 				q, k, v := view(c, tt, d, in[0]), view(c, tt, d, in[1]), view(c, tt, d, in[2])
-				for _, exact := range []bool{false, true} {
-					out := AttentionBlocks(c, q, k, v, 1, 0.25, exact)
-					if !math.IsNaN(out.Data[tt*d-1]) {
-						t.Fatalf("f64 T=%d exact=%v: NaN in input %d came out as %g", tt, exact, which, out.Data[tt*d-1])
-					}
+				out := AttentionBlocks(c, q, k, v, 1, 0.25)
+				if !math.IsNaN(out.Data[tt*d-1]) {
+					t.Fatalf("f64 T=%d: NaN in input %d came out as %g", tt, which, out.Data[tt*d-1])
 				}
-				outF := AttentionBlocks(c, NarrowCtx[float32](c, q), NarrowCtx[float32](c, k), NarrowCtx[float32](c, v), 1, 0.25, false)
+				outF := AttentionBlocks(c, NarrowCtx[float32](c, q), NarrowCtx[float32](c, k), NarrowCtx[float32](c, v), 1, 0.25)
 				if v := outF.Data[tt*d-1]; v == v {
 					t.Fatalf("f32 T=%d: NaN in input %d came out as %g", tt, which, v)
 				}
