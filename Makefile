@@ -97,8 +97,11 @@ fuzz:
 	$(GO) test ./internal/serve/ -run xxx -fuzz '^FuzzDecodeEvents$$' -fuzztime 10s
 
 # bench regenerates BENCH_small.json via cmd/mpgraph-bench (f32 and f16
-# speedups over float64 appear in its "speedups" section). The
-# BenchmarkOperate pattern takes in core's MPGraphChain{,F32} rows — the only
+# speedups over float64 appear in its "speedups" section). models'
+# BenchmarkOperate{,F32}{,Batch8,Batch64} rows are the Delta-LSTM's model call
+# (benchDeltaModel is NewLSTMDelta); an AMMA call is BenchmarkAMMA{Delta,Page}…
+# under KERNEL_BENCH. The BenchmarkOperate pattern also takes in core's
+# MPGraphChain{,F32} rows — the only
 # Operate rows whose chains run past the first PBOT lookup (~4.6 model calls
 # per Operate; the MPGraphAMMA rows sit at 2). The µs-scale
 # Operate benchmarks run 6 counts of 300 iterations — mpgraph-bench keeps
@@ -107,12 +110,15 @@ fuzz:
 # (single-core VM) hosts; the kernel rows (KERNEL_BENCH: the attention block,
 # the fused residual LayerNorm and the top-2 decode at the shapes an AMMA
 # forward runs them, the m = 1 panel product at an LSTM gate's and the two
-# heads' shapes, and one LSTM forward at the suite's two input widths, alone
+# heads' shapes, one panel product at every shape of the served census next to
+# m = 16 and m = 4 controls the window-row tiles never take, one LSTM forward
+# at the suite's two input widths and one AMMA delta and page call, each alone
 # and as a batch of eight) take 20000 iterations for the same reason; the
 # seconds-scale sweep benchmarks run once. bench-compare, and so CI's
 # "Perf-regression gate" step, runs whatever KERNEL_BENCH names: a row added
 # to the pattern is carried and gated with no workflow change. TRAIN_BENCH is the
-# training layer (what a suite's set-up is made of): the Adam step and the
+# training layer (what a suite's set-up is made of): the Adam step (dense, and
+# sparse: an embedding table training has barely reached) and the
 # weight-gradient product at 5000 iterations, a whole AMMA train step (the
 # trainer's own, on its tape) at 300, and the ten-model suite at the repository
 # benchmark's fixture, best of 3 — BenchmarkSuiteTrain on the GOMAXPROCS pool
@@ -126,7 +132,7 @@ fuzz:
 # 20-400 ns).
 # Steps go through a file so a benchmark failure fails the target. For
 # published numbers rerun with a higher -benchtime and -count (DESIGN.md §8).
-KERNEL_BENCH = BenchmarkAttentionBlocks|BenchmarkResidualLayerNorm|BenchmarkTopK2of1024|BenchmarkPanel1|BenchmarkLSTMForward
+KERNEL_BENCH = BenchmarkAttentionBlocks|BenchmarkResidualLayerNorm|BenchmarkTopK2of1024|BenchmarkPanel1|BenchmarkPanelShapes|BenchmarkLSTMForward|BenchmarkAMMA(Delta|Page)(F32)?(Batch8)?$$
 TRAIN_BENCH = BenchmarkAdamStep|BenchmarkGemmTN|BenchmarkBackwardMLP|BenchmarkAMMADeltaTrainStep|BenchmarkAMMAPageTrainStep
 SIM_BENCH = BenchmarkEngineNoPrefetch|BenchmarkEngineRun|BenchmarkClassicOperate|BenchmarkGPOPPageRankTrace|BenchmarkXStreamBFSTrace|BenchmarkPowerGraphCCTrace|BenchmarkInterleave
 bench:

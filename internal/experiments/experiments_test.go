@@ -2,12 +2,14 @@ package experiments
 
 import (
 	"bytes"
+	"sort"
 	"strings"
 	"testing"
 
 	"mpgraph/internal/core"
 	"mpgraph/internal/frameworks"
 	"mpgraph/internal/models"
+	"mpgraph/internal/tensor"
 )
 
 // tinyOptions is a minimal configuration exercising every pipeline stage.
@@ -249,5 +251,60 @@ func TestF32Option(t *testing.T) {
 	bad.F32, bad.Int8 = true, true
 	if err := bad.validatePrecision(); err == nil {
 		t.Fatal("F32+Int8 must be a configuration error")
+	}
+}
+
+// TestPanelCensus pins the traffic tensor.WindowRows is built for: in one
+// MPGraph sweep cell, at either float precision, every product that reaches
+// the panel kernels has m = 1 (a pooled head), m = T (a modality encoder, an
+// attention head) or m = 2T (the MMAF's two concatenated modalities and the
+// Transformer over them) — nothing a nine-row tile would leave a remainder
+// of.
+func TestPanelCensus(t *testing.T) {
+	wl := shared.Opt.Workloads()[0]
+	if _, err := shared.Suite(wl); err != nil {
+		t.Fatal(err)
+	}
+	if shared.Opt.ModelConfig().HistoryT != tensor.WindowRows {
+		t.Fatalf("sweep models run T = %d, the panel tile is built for %d", shared.Opt.ModelConfig().HistoryT, tensor.WindowRows)
+	}
+	for _, f32 := range []bool{false, true} {
+		r := NewRunner(shared.Opt)
+		r.Opt.F32 = f32
+		r.suites, r.data, r.graphs = shared.suites, shared.data, shared.graphs
+		mp, err := r.MPGraph(wl, core.DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		stop := tensor.CountPanelShapes()
+		_, _, err = r.Simulate(wl, mp)
+		census := stop()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(census) == 0 {
+			t.Skip("no AVX-512F panel kernels on this machine")
+		}
+		shapes := make([]tensor.PanelShape, 0, len(census))
+		for s := range census {
+			shapes = append(shapes, s)
+		}
+		sort.Slice(shapes, func(i, j int) bool {
+			a, b := shapes[i], shapes[j]
+			if a.M != b.M {
+				return a.M < b.M
+			}
+			if a.K != b.K {
+				return a.K < b.K
+			}
+			return a.N < b.N
+		})
+		for _, s := range shapes {
+			t.Logf("f32=%v m=%d k=%d n=%d: %d calls", f32, s.M, s.K, s.N, census[s])
+			if s.M != 1 && s.M != tensor.WindowRows && s.M != 2*tensor.WindowRows {
+				t.Errorf("f32=%v: %d products of m=%d k=%d n=%d, want m in {1, %d, %d}",
+					f32, census[s], s.M, s.K, s.N, tensor.WindowRows, 2*tensor.WindowRows)
+			}
+		}
 	}
 }

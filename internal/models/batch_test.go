@@ -48,13 +48,28 @@ func kernelPaths(t *testing.T, f func(t *testing.T)) {
 // scores bit for bit per model at B ∈ {1, 8, 64} (page lists exactly), on
 // the AVX-512F kernels and on the portable fallback alike. This is the
 // property that keeps sweep reports byte-identical across batch sizes,
-// unbatched included.
+// unbatched included. The panel kernels tile a whole number of T = 9 windows
+// differently from any other row count (tensor.WindowRows), so the same holds
+// at T = 7 — one sequence on the four-row tiles, nine stacked (63 and 126
+// rows) on window tiles that straddle sequences.
 func TestBatchMatchesSequential(t *testing.T) {
-	kernelPaths(t, testBatchMatchesSequential)
+	kernelPaths(t, func(t *testing.T) { testBatchMatchesSequential(t, SmallConfig(), 1, 8, 64) })
+	t.Run("T=7", func(t *testing.T) {
+		cfg := SmallConfig()
+		cfg.HistoryT = 7
+		kernelPaths(t, func(t *testing.T) { testBatchMatchesSequential(t, cfg, 1, 9) })
+	})
 }
 
-func testBatchMatchesSequential(t *testing.T) {
-	cfg := SmallConfig()
+// TestHistoryIsOneWindow: both shipped configurations run the history length
+// the panel tier's nine-row tile is cut for.
+func TestHistoryIsOneWindow(t *testing.T) {
+	if p, s := PaperConfig().HistoryT, SmallConfig().HistoryT; p != tensor.WindowRows || s != tensor.WindowRows {
+		t.Fatalf("HistoryT is %d (paper) / %d (small), tensor.WindowRows is %d", p, s, tensor.WindowRows)
+	}
+}
+
+func testBatchMatchesSequential(t *testing.T, cfg Config, batches ...int) {
 	pages, pcs := batchTestVocabs(cfg)
 	restore := tensor.SetGradEnabled(false)
 	defer tensor.SetGradEnabled(restore)
@@ -73,7 +88,7 @@ func testBatchMatchesSequential(t *testing.T) {
 	}
 
 	seqCtx := tensor.NewCtx()
-	for _, B := range []int{1, 8, 64} {
+	for _, B := range batches {
 		ss := batchSamples(cfg, B)
 		for name, m := range deltaModels {
 			ctx := tensor.NewCtx()
@@ -265,6 +280,9 @@ func benchBatchDelta(b *testing.B, m DeltaModel, batch int, sequential bool) {
 	}
 }
 
+// benchDeltaModel is the Delta-LSTM baseline: the Operate{,F32}{,Batch…} rows
+// read an LSTM forward (m = 1 recurrent products), not an AMMA one — those
+// are the AMMA{Delta,Page} rows below.
 func benchDeltaModel() DeltaModel {
 	return NewLSTMDelta(SmallConfig(), 1)
 }
@@ -272,9 +290,63 @@ func benchDeltaModel() DeltaModel {
 // One batched pass over 8 or 64 histories next to the same histories scored
 // one call at a time. Every pair runs the same kernels on both sides (a
 // sequential call is the B=1 batch): the Sequential rows record what stacking
-// buys per sample.
+// buys the Delta-LSTM per sample.
 func BenchmarkOperateBatch8(b *testing.B)           { benchBatchDelta(b, benchDeltaModel(), 8, false) }
 func BenchmarkOperateBatch8Sequential(b *testing.B) { benchBatchDelta(b, benchDeltaModel(), 8, true) }
 
 func BenchmarkOperateBatch64(b *testing.B)           { benchBatchDelta(b, benchDeltaModel(), 64, false) }
 func BenchmarkOperateBatch64Sequential(b *testing.B) { benchBatchDelta(b, benchDeltaModel(), 64, true) }
+
+// benchBatchPage is benchBatchDelta for a page model: one top-3 decode per
+// history, the call CSTP makes.
+func benchBatchPage(b *testing.B, m PageModel, batch int) {
+	ss := batchSamples(SmallConfig(), batch)
+	restore := tensor.SetGradEnabled(false)
+	defer tensor.SetGradEnabled(restore)
+	ctx := tensor.NewCtx()
+	dst := make([][]uint64, batch)
+	run := func() {
+		for i := range dst {
+			dst[i] = dst[i][:0]
+		}
+		TopPagesBatchWith(ctx, m, ss, 3, dst)
+		ctx.Reset()
+	}
+	for i := 0; i < 3; i++ {
+		run()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run()
+	}
+}
+
+// The AMMA model calls themselves — what one MPGraph Operate is 2 to 5 of —
+// at both precisions, one history per call and a stacked batch of eight
+// (per-sample cost: the Batch8 row over eight).
+func benchAMMADelta() *AMMADelta {
+	_, pcs := batchTestVocabs(SmallConfig())
+	return NewAMMADelta(SmallConfig(), pcs, 0, 3)
+}
+
+func benchAMMAPage() *AMMAPage {
+	pages, pcs := batchTestVocabs(SmallConfig())
+	return NewAMMAPage(SmallConfig(), pages, pcs, 0, 8)
+}
+
+func BenchmarkAMMADelta(b *testing.B)       { benchBatchDelta(b, benchAMMADelta(), 1, false) }
+func BenchmarkAMMADeltaBatch8(b *testing.B) { benchBatchDelta(b, benchAMMADelta(), 8, false) }
+func BenchmarkAMMADeltaF32(b *testing.B) {
+	benchBatchDelta(b, NewF32AMMADelta(benchAMMADelta()), 1, false)
+}
+func BenchmarkAMMADeltaF32Batch8(b *testing.B) {
+	benchBatchDelta(b, NewF32AMMADelta(benchAMMADelta()), 8, false)
+}
+
+func BenchmarkAMMAPage(b *testing.B)       { benchBatchPage(b, benchAMMAPage(), 1) }
+func BenchmarkAMMAPageBatch8(b *testing.B) { benchBatchPage(b, benchAMMAPage(), 8) }
+func BenchmarkAMMAPageF32(b *testing.B)    { benchBatchPage(b, NewF32AMMAPage(benchAMMAPage()), 1) }
+func BenchmarkAMMAPageF32Batch8(b *testing.B) {
+	benchBatchPage(b, NewF32AMMAPage(benchAMMAPage()), 8)
+}

@@ -74,6 +74,12 @@ func (a *Adam) Step(params []*tensor.Tensor) {
 			continue
 		}
 		for i, g := range p.Grad {
+			if math.Float64bits(g)|math.Float64bits(m[i])|math.Float64bits(v[i]) == 0 {
+				// An embedding row no sample has touched yet: the update
+				// would store m = v = +0 back and subtract
+				// (0/bc1)*LR / (0 + Eps) = +0 from the weight.
+				continue
+			}
 			m[i] = a.Beta1*m[i] + (1-a.Beta1)*g
 			v[i] = a.Beta2*v[i] + (1-a.Beta2)*g*g
 			mh := m[i] / bc1

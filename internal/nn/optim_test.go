@@ -93,6 +93,65 @@ func TestAdamKernelMatchesScalarLoop(t *testing.T) {
 	}
 }
 
+// unskippedAdam is Step's element update (no clip) as it stood before all-zero
+// (g, m, v) elements were left alone: every element goes through the
+// arithmetic.
+func unskippedAdam(s adamState, t int) adamState {
+	out := adamState{slices.Clone(s.p), slices.Clone(s.g), slices.Clone(s.m), slices.Clone(s.v)}
+	a := NewAdam(1e-3)
+	bc1 := 1 - math.Pow(a.Beta1, float64(t))
+	bc2 := 1 - math.Pow(a.Beta2, float64(t))
+	for i, g := range out.g {
+		out.m[i] = a.Beta1*out.m[i] + (1-a.Beta1)*g
+		out.v[i] = a.Beta2*out.v[i] + (1-a.Beta2)*g*g
+		mh := out.m[i] / bc1
+		vh := out.v[i] / bc2
+		out.p[i] -= a.LR * mh / (math.Sqrt(vh) + a.Eps)
+	}
+	return out
+}
+
+// TestAdamSkipIsNoOp: leaving an element (the kernel: a tile) whose gradient
+// and moments are all +0 bits alone is exact. States with whole zero tiles,
+// zero runs that straddle tiles and lone zero elements — under weights that
+// are ordinary, -0, NaN, infinite or subnormal — come out of Step, on both
+// kernel paths, with the bits the unskipped update gives.
+func TestAdamSkipIsNoOp(t *testing.T) {
+	rng := rand.New(rand.NewSource(63))
+	for _, n := range []int{1, 7, 8, 9, 64, 100, 1024} {
+		for _, planted := range []bool{false, true} {
+			for _, step := range []int{1, 1000} {
+				s := randAdamState(rng, n, planted)
+				for lo := 0; lo < n; lo += 8 + rng.Intn(24) {
+					hi := min(n, lo+[]int{1, 8, 13, 16}[rng.Intn(4)])
+					clear(s.g[lo:hi])
+					clear(s.m[lo:hi])
+					clear(s.v[lo:hi])
+					s.p[lo] = adamSpecials[rng.Intn(len(adamSpecials))]
+				}
+				want := unskippedAdam(s, step)
+				for _, portable := range []bool{false, true} {
+					restore := func() {}
+					if portable {
+						restore = tensor.ForcePortableKernels()
+					}
+					got := s.step(step, 0)
+					restore()
+					for fi, f := range [][2][]float64{{got.p, want.p}, {got.m, want.m}, {got.v, want.v}} {
+						for i := range f[1] {
+							if math.Float64bits(f[0][i]) != math.Float64bits(f[1][i]) {
+								t.Fatalf("n=%d planted=%v t=%d portable=%v: %s[%d] = %x (%g), unskipped update %x (%g)",
+									n, planted, step, portable, []string{"p", "m", "v"}[fi], i,
+									math.Float64bits(f[0][i]), f[0][i], math.Float64bits(f[1][i]), f[1][i])
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestAdamMatchesTextbook checks Step, on both kernel paths, against Kingma &
 // Ba's Algorithm 1 written out independently (with the global-norm clip in
 // front). The two round differently, so the bound is relative.
@@ -146,15 +205,23 @@ func TestAdamMatchesTextbook(t *testing.T) {
 
 // BenchmarkAdamStep is one optimizer step over a single parameter tensor: the
 // ordered clip-norm sum plus the element update (gradients small enough that
-// the clip never fires, so every iteration does the same work).
+// the clip never fires, so every iteration does the same work). The sparse row
+// is an embedding table of 16-wide rows of which training has reached one in
+// eight: the other rows' gradients and moments are zero, and stay so.
 func BenchmarkAdamStep(b *testing.B) {
-	for _, n := range []int{2048, 65536} {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+	for _, c := range []struct {
+		name      string
+		n, stride int
+	}{{"n=2048", 2048, 1}, {"n=65536", 65536, 1}, {"sparse", 65536, 8}} {
+		n := c.n
+		b.Run(c.name, func(b *testing.B) {
 			rng := rand.New(rand.NewSource(1))
 			p := tensor.Randn(1, n, 1, rng).Param()
 			p.Grad = make([]float64, n)
 			for i := range p.Grad {
-				p.Grad[i] = 1e-3 * rng.NormFloat64()
+				if i/16%c.stride == 0 {
+					p.Grad[i] = 1e-3 * rng.NormFloat64()
+				}
 			}
 			a := NewAdam(1e-3)
 			params := []*tensor.Tensor{p}

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"errors"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -104,6 +105,50 @@ func TestFeedStreamsInOrder(t *testing.T) {
 	st := srv.Stats()
 	if st.Admitted != 1 || st.ActiveSessions != 1 || st.Events != 24 || st.Predictions != 24 {
 		t.Fatalf("stats = %+v", st)
+	}
+}
+
+// TestChunkBlocksShareOneSlab: a chunk's predictions carve their block lists
+// from one allocation instead of one each, and still own them: a prediction
+// kept past the next chunk reads what it was emitted with, and appending to
+// one does not write into its neighbour.
+func TestChunkBlocksShareOneSlab(t *testing.T) {
+	buf := make([]uint64, 3)
+	cfg := stubConfig(func() sim.Prefetcher {
+		// As the real prefetchers do, hand back one reused buffer.
+		return &stubPF{name: "reuse", op: func(a sim.LLCAccess) []uint64 {
+			buf[0], buf[1], buf[2] = a.Block+1, a.Block+2, a.Block+3
+			return buf[:1+a.Block%3]
+		}}
+	})
+	cfg.NewFallback = func() sim.Prefetcher {
+		return &stubPF{name: "silent", op: func(sim.LLCAccess) []uint64 { return nil }}
+	}
+	srv := mustServer(t, cfg)
+	sess, err := srv.acquire("s1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.release(sess)
+	chunk := evs(64)
+	ctx := context.Background()
+
+	sess.runChunk(ctx, chunk)
+	kept := append([]Prediction(nil), sess.preds...)
+	if len(kept) != len(chunk) {
+		t.Fatalf("%d predictions for %d events", len(kept), len(chunk))
+	}
+	_ = append(kept[0].Blocks, 12345) // must not land in kept[1]
+	sess.runChunk(ctx, chunk)
+	for i, p := range kept {
+		b := chunk[i].Addr >> 6
+		want := []uint64{b + 1, b + 2, b + 3}[:1+b%3]
+		if !slices.Equal(p.Blocks, want) {
+			t.Fatalf("prediction %d kept across a chunk reads %v, want %v", i, p.Blocks, want)
+		}
+	}
+	if allocs := testing.AllocsPerRun(20, func() { sess.runChunk(ctx, chunk) }); allocs > 1 {
+		t.Fatalf("a %d-event chunk allocates %.1f times, want the one slab", len(chunk), allocs)
 	}
 }
 

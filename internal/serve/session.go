@@ -37,6 +37,9 @@ type session struct {
 	// preds buffers one chunk's predictions so network writes happen only
 	// after the session has left the batch tier.
 	preds []Prediction
+	// slabHint is how many predicted blocks the previous chunk buffered: the
+	// size of the next chunk's block slab.
+	slabHint int
 	// degradedCounted latches the Stats.Degraded increment.
 	degradedCounted bool
 }
@@ -97,21 +100,39 @@ func (sess *session) process(ctx context.Context, events []Event, emit func(Pred
 // short-circuits the remaining model calls to empty predictions, the chunk
 // finishes fast, and the session leaves the tier — which is exactly the
 // liveness obligation a joined session owes the flush watermark.
+//
+// A prefetcher's result is its own reused buffer, so each prediction keeps a
+// copy — carved from one slab per chunk instead of allocated per prediction.
+// The slab is fresh every chunk because emit may retain a Prediction, and each
+// carving is capped at its own length so appending to one cannot reach the
+// next.
 func (sess *session) runChunk(ctx context.Context, chunk []Event) {
 	sess.preds = sess.preds[:0]
+	var slab []uint64
+	buffered := 0
 	sess.csched.bind(ctx)
 	sess.guard.JoinBatch()
-	for _, ev := range chunk {
+	for i, ev := range chunk {
 		sess.seq++
 		blocks := sess.guard.Operate(sim.LLCAccess{Block: trace.Block(ev.Addr), PC: ev.PC, Core: ev.Core})
 		if len(blocks) > 0 {
+			if cap(slab)-len(slab) < len(blocks) {
+				// The first prediction of a chunk, or more blocks than the
+				// last chunk had: room for what that chunk buffered, or for
+				// this many per event still to come.
+				slab = make([]uint64, 0, max(sess.slabHint, len(blocks)*(len(chunk)-i)))
+			}
+			lo := len(slab)
+			slab = append(slab, blocks...)
+			buffered += len(blocks)
 			sess.preds = append(sess.preds, Prediction{
 				Session: sess.id,
 				Seq:     sess.seq,
-				Blocks:  append([]uint64(nil), blocks...),
+				Blocks:  slab[lo:len(slab):len(slab)],
 			})
 		}
 	}
+	sess.slabHint = buffered
 	sess.guard.LeaveBatch()
 	sess.csched.unbind()
 	sess.srv.events.Add(uint64(len(chunk)))

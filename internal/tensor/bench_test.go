@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -148,19 +149,46 @@ func benchPanel1[T float32 | float64](b *testing.B) {
 		k, n := shape[0], shape[1]
 		b.Run(fmt.Sprintf("k=%d/n=%d", k, n), func(b *testing.B) {
 			rng := rand.New(rand.NewSource(1))
-			fill := func(size int) []T {
-				v := make([]T, size)
-				for i := range v {
-					v[i] = T(rng.NormFloat64())
-				}
-				return v
-			}
+			fill := func(size int) []T { return randOperands[T](rng, size, 0) }
 			x, out := fill(k), make([]T, n)
 			panels := [4][]T{fill(k * n), fill(k * n), fill(k * n), fill(k * n)}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				gemmBatchBiasAct(out, x, panels[i&3], nil, 1, k, n, ActNone)
+			}
+		})
+	}
+}
+
+// censusShapes are the (m, k, n) products one MPGraph sweep cell sends to the
+// panel kernels at SmallConfig (experiments.TestPanelCensus prints them): the
+// modality encoders and attention heads at m = T = WindowRows, the fusion and
+// Transformer products at m = 2T, the two pooled heads at m = 1.
+var censusShapes = []PanelShape{
+	{9, 8, 16}, {9, 9, 16}, {9, 16, 9}, {9, 16, 16},
+	{18, 16, 18}, {18, 16, 32}, {18, 18, 16}, {18, 18, 32}, {18, 32, 16},
+	{18, 32, 18}, {18, 32, 32}, {18, 32, 64}, {18, 64, 32},
+	{1, 32, 126}, {1, 32, 1024},
+}
+
+// BenchmarkPanelShapes is one panel product at every census shape. The m = 16
+// and m = 4 rows are controls: no window-row tile takes them, so they read the
+// four-row path a change to the tiles must leave alone.
+func BenchmarkPanelShapes(b *testing.B)    { benchPanelShapes[float64](b) }
+func BenchmarkPanelShapesF32(b *testing.B) { benchPanelShapes[float32](b) }
+
+func benchPanelShapes[T float32 | float64](b *testing.B) {
+	controls := []PanelShape{{16, 32, 16}, {16, 32, 32}, {4, 32, 32}}
+	for _, s := range slices.Concat(censusShapes, controls) {
+		b.Run(fmt.Sprintf("m=%d/k=%d/n=%d", s.M, s.K, s.N), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(1))
+			x, w := randOperands[T](rng, s.M*s.K, 0), randOperands[T](rng, s.K*s.N, 0)
+			out := make([]T, s.M*s.N)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				gemmBatchBiasAct(out, x, w, nil, s.M, s.K, s.N, ActNone)
 			}
 		})
 	}

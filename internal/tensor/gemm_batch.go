@@ -9,11 +9,20 @@ package tensor
 //
 // Determinism contract: every kernel computes output row r as a pure
 // function of activation row r with a fixed per-row operation sequence that
-// is identical between the 4-row and 1-row panel kernels. Results therefore
-// do not depend on batch composition, which is what keeps sweep reports
-// byte-identical for any batch size and worker count — on a given machine:
-// the FMA/vector kernels and the scalar fallback round differently (≤1e-9
-// on scores), so report bytes depend on whether the host has AVX-512F.
+// is identical between the 9-row, 4-row and 1-row panel kernels. Results
+// therefore do not depend on batch composition, nor on which tile the shape
+// selects, which is what keeps sweep reports byte-identical for any batch size
+// and worker count — on a given machine: the FMA/vector kernels and the scalar
+// fallback round differently (≤1e-9 on scores), so report bytes depend on
+// whether the host has AVX-512F.
+
+// WindowRows is the history length T of the paper's models (Table 5: T = 9):
+// one sequence is a block of nine rows, the MMAF's concatenation of two
+// modalities eighteen, a stacked batch B times either — so every matrix
+// product of an AMMA or TransFetch forward has m = 1 (the pooled heads) or a
+// multiple of nine, and the panel tier carries a nine-row tile for it
+// (fmaPanels). Any other T runs the four-row tiles, to the same bits.
+const WindowRows = 9
 
 // ForcePortableKernels routes every float kernel through the scalar fallback
 // — the path non-amd64 and pre-AVX-512 machines always take — until restore
@@ -24,6 +33,28 @@ func ForcePortableKernels() (restore func()) {
 	prev := useAVX512F
 	useAVX512F = false
 	return func() { useAVX512F = prev }
+}
+
+// PanelShape is one panel-tier product: an [M x K] activation block against a
+// [K x N] weight panel.
+type PanelShape struct{ M, K, N int }
+
+// panelCensus, when non-nil, counts every product that reaches the panel
+// kernels by shape.
+var panelCensus map[PanelShape]int
+
+// CountPanelShapes starts a census of the products the panel kernels run and
+// returns the function that ends it and hands back calls per shape. Like
+// ForcePortableKernels it is a test instrument: not synchronized, not to run
+// next to concurrent inference. experiments.TestPanelCensus holds a sweep
+// cell's traffic to the shapes WindowRows is built for.
+func CountPanelShapes() (stop func() map[PanelShape]int) {
+	panelCensus = map[PanelShape]int{}
+	return func() map[PanelShape]int {
+		census := panelCensus
+		panelCensus = nil
+		return census
+	}
 }
 
 // initRowsBias seeds each of the m output rows with bias (or zeros), so the

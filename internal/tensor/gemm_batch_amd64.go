@@ -40,6 +40,21 @@ func fmaPanel1Asm(out, a, b *float64, k, n int64)
 //go:noescape
 func fmaPanel1F32Asm(out, a, b *float32, k, n int64)
 
+// fmaPanel9Asm is the window-row kernel: out += a @ b for WindowRows (nine)
+// consecutive rows, in 9 x 2 zmm column tiles while more than one register of
+// columns remains and one 9 x 1 tile over a remainder of 1..8. Per element it
+// is fmaPanel4Asm's FMA sequence.
+//
+//mpgraph:noalloc
+//go:noescape
+func fmaPanel9Asm(out, a, b *float64, k, n int64)
+
+// fmaPanel9F32Asm is the f32 twin of fmaPanel9Asm (remainder of 1..16).
+//
+//mpgraph:noalloc
+//go:noescape
+func fmaPanel9F32Asm(out, a, b *float32, k, n int64)
+
 // vactAVX512 applies an elementwise activation in place over n values.
 // mode 0 = exp(x-bias), 1 = sigmoid, 2 = tanh, 3 = ReLU.
 //
@@ -85,7 +100,7 @@ func vaddLayerNormF32AVX512(out, x, y, gain, bias *float32, rows, cols int64, ep
 //mpgraph:noalloc
 func batchKernelAvailable() bool { return useAVX512F }
 
-// The five functions below are the dtype leaves: the only place the generic
+// The six functions below are the dtype leaves: the only place the generic
 // float surface names a concrete precision. unsafe.Sizeof of a T is a
 // constant in each instantiation, so the branch costs nothing, and the
 // pointer casts it guards only restate the element type the branch has just
@@ -102,11 +117,24 @@ func asF32[T float32 | float64](p *T) *float32 { return (*float32)(unsafe.Pointe
 func asF64[T float32 | float64](p *T) *float64 { return (*float64)(unsafe.Pointer(p)) }
 
 // fmaPanels accumulates out += a @ b over all m rows through the AVX-512F
-// panel kernels, four rows at a time; the remainder is one two-row pass
-// and/or one single-row pass.
+// panel kernels. A whole number of history windows (m a multiple of
+// WindowRows: every AMMA and TransFetch product, one sequence or a stacked
+// batch) goes a window per pass; any other m goes four rows at a time, the
+// remainder in one two-row pass and/or one single-row pass. The tile depends
+// on the shape alone and every kernel runs an element's ascending-p FMA chain,
+// so no tiling can move a bit.
 //
 //mpgraph:noalloc
 func fmaPanels[T float32 | float64](out, a, b []T, m, k, n int) {
+	if panelCensus != nil {
+		panelCensus[PanelShape{m, k, n}]++ //mpgraph:allow noalloc -- a test's census (CountPanelShapes); nil in any other run
+	}
+	if m%WindowRows == 0 {
+		for r := 0; r < m; r += WindowRows {
+			fmaPanel9(&out[r*n], &a[r*k], &b[0], k, n)
+		}
+		return
+	}
 	r := 0
 	for ; r+4 <= m; r += 4 {
 		fmaPanel4(&out[r*n], &a[r*k], &b[0], k, n, 4)
@@ -127,6 +155,15 @@ func fmaPanel4[T float32 | float64](out, a, b *T, k, n, rows int) {
 		return
 	}
 	fmaPanel4Asm(asF64(out), asF64(a), asF64(b), int64(k), int64(n), int64(rows))
+}
+
+//mpgraph:noalloc
+func fmaPanel9[T float32 | float64](out, a, b *T, k, n int) {
+	if unsafe.Sizeof(*out) == 4 {
+		fmaPanel9F32Asm(asF32(out), asF32(a), asF32(b), int64(k), int64(n))
+		return
+	}
+	fmaPanel9Asm(asF64(out), asF64(a), asF64(b), int64(k), int64(n))
 }
 
 //mpgraph:noalloc

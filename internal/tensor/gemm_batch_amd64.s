@@ -17,7 +17,10 @@
 // 64-column tiles while a full one fits — eight independent accumulators per
 // k step, the two FMA pipes times their four-cycle latency, which is what an
 // m = 1 product (MLP head, LSTM step) is bound by — and in masked 32-column
-// tiles of four accumulators over what is left.
+// tiles of four accumulators over what is left. fmaPanel9Asm takes the
+// products whose row count is a whole number of nine-row history windows —
+// every product of an AMMA forward but the pooled heads — in nine-row passes of
+// eighteen accumulators, nine over a last register's worth of columns.
 //
 // vactAVX512 applies an elementwise activation in place: mode 0 is
 // exp(x-bias) (softmax numerator), mode 1 sigmoid, mode 2 tanh, mode 3 ReLU
@@ -275,6 +278,217 @@ kdone1:
 	JMP  tile1
 
 done1:
+	VZEROUPPER
+	RET
+
+// func fmaPanel9Asm(out, a, b *float64, k, n int64)
+//
+// Window-row kernel: out += a @ b for nine consecutive rows (tensor.WindowRows,
+// one history window) against the shared panel b. Columns go in 16-wide tiles
+// of 9 x 2 zmm (eighteen accumulators; the second register masked when fewer
+// than 16 columns are left) while more than one register of them remains, and
+// a remainder of 1..8 columns in one 9 x 1 tile, so no all-masked register ever
+// issues an FMA. Per element it is the ascending-p chain of fmaPanel4Asm, with
+// the operands in that kernel's order (accumulator, a, b: which NaN of two an
+// FMA keeps goes by position), so the tilings agree bit for bit.
+TEXT ·fmaPanel9Asm(SB), NOSPLIT, $0-40
+	MOVQ out+0(FP), DI
+	MOVQ a+8(FP), SI
+	MOVQ b+16(FP), R14
+	MOVQ k+24(FP), R8
+	MOVQ n+32(FP), R15  // columns remaining
+
+	MOVQ R8, R10
+	SHLQ $3, R10           // a row stride in bytes (k*8)
+	MOVQ R15, R11
+	SHLQ $3, R11           // b/out row stride in bytes (n*8)
+	LEAQ (R10)(R10*2), R9  // three a rows in bytes
+
+tile92:
+	CMPQ R15, $8
+	JLE  tile91
+
+	// K3 masks the second register: min(remaining-8, 8) lanes.
+	LEAQ  -8(R15), CX
+	CMPQ  CX, $8
+	JLE   lanes92
+	MOVQ  $8, CX
+
+lanes92:
+	MOVQ  $1, AX
+	SHLQ  CX, AX
+	DECQ  AX
+	KMOVW AX, K3
+
+	// Rows 0-2 sit at DI, rows 3-5 at DX, rows 6-8 at BX.
+	LEAQ (R11)(R11*2), BX
+	LEAQ (DI)(BX*1), DX
+	LEAQ (DX)(BX*1), BX
+	VMOVUPD   (DI), Z0
+	VMOVUPD.Z 64(DI), K3, Z1
+	VMOVUPD   (DI)(R11*1), Z2
+	VMOVUPD.Z 64(DI)(R11*1), K3, Z3
+	VMOVUPD   (DI)(R11*2), Z4
+	VMOVUPD.Z 64(DI)(R11*2), K3, Z5
+	VMOVUPD   (DX), Z6
+	VMOVUPD.Z 64(DX), K3, Z7
+	VMOVUPD   (DX)(R11*1), Z8
+	VMOVUPD.Z 64(DX)(R11*1), K3, Z9
+	VMOVUPD   (DX)(R11*2), Z10
+	VMOVUPD.Z 64(DX)(R11*2), K3, Z11
+	VMOVUPD   (BX), Z12
+	VMOVUPD.Z 64(BX), K3, Z13
+	VMOVUPD   (BX)(R11*1), Z14
+	VMOVUPD.Z 64(BX)(R11*1), K3, Z15
+	VMOVUPD   (BX)(R11*2), Z16
+	VMOVUPD.Z 64(BX)(R11*2), K3, Z17
+
+	MOVQ SI, DX  // a cursors: rows 0-2, 3-5, 6-8
+	LEAQ (SI)(R9*1), R12
+	LEAQ (R12)(R9*1), R13
+	MOVQ R14, AX  // b cursor, current tile
+	MOVQ R8, CX
+	TESTQ CX, CX
+	JLE   kdone92
+
+kloop92:
+	VMOVUPD   (AX), Z18
+	VMOVUPD.Z 64(AX), K3, Z19
+	VBROADCASTSD (DX), Z20
+	VFMADD231PD  Z18, Z20, Z0
+	VFMADD231PD  Z19, Z20, Z1
+	VBROADCASTSD (DX)(R10*1), Z21
+	VFMADD231PD  Z18, Z21, Z2
+	VFMADD231PD  Z19, Z21, Z3
+	VBROADCASTSD (DX)(R10*2), Z22
+	VFMADD231PD  Z18, Z22, Z4
+	VFMADD231PD  Z19, Z22, Z5
+	VBROADCASTSD (R12), Z23
+	VFMADD231PD  Z18, Z23, Z6
+	VFMADD231PD  Z19, Z23, Z7
+	VBROADCASTSD (R12)(R10*1), Z24
+	VFMADD231PD  Z18, Z24, Z8
+	VFMADD231PD  Z19, Z24, Z9
+	VBROADCASTSD (R12)(R10*2), Z25
+	VFMADD231PD  Z18, Z25, Z10
+	VFMADD231PD  Z19, Z25, Z11
+	VBROADCASTSD (R13), Z26
+	VFMADD231PD  Z18, Z26, Z12
+	VFMADD231PD  Z19, Z26, Z13
+	VBROADCASTSD (R13)(R10*1), Z27
+	VFMADD231PD  Z18, Z27, Z14
+	VFMADD231PD  Z19, Z27, Z15
+	VBROADCASTSD (R13)(R10*2), Z28
+	VFMADD231PD  Z18, Z28, Z16
+	VFMADD231PD  Z19, Z28, Z17
+	ADDQ $8, DX
+	ADDQ $8, R12
+	ADDQ $8, R13
+	ADDQ R11, AX
+	DECQ CX
+	JNZ  kloop92
+
+kdone92:
+	LEAQ (R11)(R11*2), BX
+	LEAQ (DI)(BX*1), DX
+	LEAQ (DX)(BX*1), BX
+	VMOVUPD Z0, (DI)
+	VMOVUPD Z1, K3, 64(DI)
+	VMOVUPD Z2, (DI)(R11*1)
+	VMOVUPD Z3, K3, 64(DI)(R11*1)
+	VMOVUPD Z4, (DI)(R11*2)
+	VMOVUPD Z5, K3, 64(DI)(R11*2)
+	VMOVUPD Z6, (DX)
+	VMOVUPD Z7, K3, 64(DX)
+	VMOVUPD Z8, (DX)(R11*1)
+	VMOVUPD Z9, K3, 64(DX)(R11*1)
+	VMOVUPD Z10, (DX)(R11*2)
+	VMOVUPD Z11, K3, 64(DX)(R11*2)
+	VMOVUPD Z12, (BX)
+	VMOVUPD Z13, K3, 64(BX)
+	VMOVUPD Z14, (BX)(R11*1)
+	VMOVUPD Z15, K3, 64(BX)(R11*1)
+	VMOVUPD Z16, (BX)(R11*2)
+	VMOVUPD Z17, K3, 64(BX)(R11*2)
+
+	ADDQ $128, DI
+	ADDQ $128, R14
+	SUBQ $16, R15
+	JMP  tile92
+
+tile91:
+	TESTQ R15, R15
+	JLE   done9
+
+	MOVQ  R15, CX
+	MOVQ  $1, AX
+	SHLQ  CX, AX
+	DECQ  AX
+	KMOVW AX, K2
+
+	LEAQ (R11)(R11*2), BX
+	LEAQ (DI)(BX*1), DX
+	LEAQ (DX)(BX*1), BX
+	VMOVUPD.Z (DI), K2, Z0
+	VMOVUPD.Z (DI)(R11*1), K2, Z1
+	VMOVUPD.Z (DI)(R11*2), K2, Z2
+	VMOVUPD.Z (DX), K2, Z3
+	VMOVUPD.Z (DX)(R11*1), K2, Z4
+	VMOVUPD.Z (DX)(R11*2), K2, Z5
+	VMOVUPD.Z (BX), K2, Z6
+	VMOVUPD.Z (BX)(R11*1), K2, Z7
+	VMOVUPD.Z (BX)(R11*2), K2, Z8
+
+	MOVQ SI, DX
+	LEAQ (SI)(R9*1), R12
+	LEAQ (R12)(R9*1), R13
+	MOVQ R14, AX
+	MOVQ R8, CX
+	TESTQ CX, CX
+	JLE   kdone91
+
+kloop91:
+	VMOVUPD.Z (AX), K2, Z9
+	VBROADCASTSD (DX), Z10
+	VFMADD231PD  Z9, Z10, Z0
+	VBROADCASTSD (DX)(R10*1), Z11
+	VFMADD231PD  Z9, Z11, Z1
+	VBROADCASTSD (DX)(R10*2), Z12
+	VFMADD231PD  Z9, Z12, Z2
+	VBROADCASTSD (R12), Z13
+	VFMADD231PD  Z9, Z13, Z3
+	VBROADCASTSD (R12)(R10*1), Z14
+	VFMADD231PD  Z9, Z14, Z4
+	VBROADCASTSD (R12)(R10*2), Z15
+	VFMADD231PD  Z9, Z15, Z5
+	VBROADCASTSD (R13), Z16
+	VFMADD231PD  Z9, Z16, Z6
+	VBROADCASTSD (R13)(R10*1), Z17
+	VFMADD231PD  Z9, Z17, Z7
+	VBROADCASTSD (R13)(R10*2), Z18
+	VFMADD231PD  Z9, Z18, Z8
+	ADDQ $8, DX
+	ADDQ $8, R12
+	ADDQ $8, R13
+	ADDQ R11, AX
+	DECQ CX
+	JNZ  kloop91
+
+kdone91:
+	LEAQ (R11)(R11*2), BX
+	LEAQ (DI)(BX*1), DX
+	LEAQ (DX)(BX*1), BX
+	VMOVUPD Z0, K2, (DI)
+	VMOVUPD Z1, K2, (DI)(R11*1)
+	VMOVUPD Z2, K2, (DI)(R11*2)
+	VMOVUPD Z3, K2, (DX)
+	VMOVUPD Z4, K2, (DX)(R11*1)
+	VMOVUPD Z5, K2, (DX)(R11*2)
+	VMOVUPD Z6, K2, (BX)
+	VMOVUPD Z7, K2, (BX)(R11*1)
+	VMOVUPD Z8, K2, (BX)(R11*2)
+
+done9:
 	VZEROUPPER
 	RET
 

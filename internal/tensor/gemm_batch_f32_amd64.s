@@ -11,9 +11,10 @@
 // input row and batch composition cannot change any row's bits.
 //
 // As in the f64 file, fmaPanel4F32Asm takes a row count of 4 or 2 (a two-row
-// remainder aliases rows 2,3 onto rows 0,1) and fmaPanel1F32Asm walks b in
+// remainder aliases rows 2,3 onto rows 0,1), fmaPanel1F32Asm walks b in
 // 128-column tiles of eight accumulators while a full one fits, then in
-// masked 64-column tiles of four.
+// masked 64-column tiles of four, and fmaPanel9F32Asm takes the products whose
+// row count is a whole number of nine-row history windows.
 //
 // vactF32AVX512 applies an elementwise activation in place: mode 0 is
 // exp(x-bias), 1 sigmoid, 2 tanh, 3 ReLU. Same Cody-Waite + Taylor structure as the
@@ -256,6 +257,218 @@ kdone1:
 	JMP  tile1
 
 done1:
+	VZEROUPPER
+	RET
+
+// func fmaPanel9F32Asm(out, a, b *float32, k, n int64)
+//
+// Window-row kernel: out += a @ b for nine consecutive rows (tensor.WindowRows,
+// one history window) against the shared panel b. Columns go in 32-wide tiles
+// of 9 x 2 zmm (eighteen accumulators; the second register masked when fewer
+// than 32 columns are left) while more than one register of them remains, and
+// a remainder of 1..16 columns in one 9 x 1 tile, so no all-masked register
+// ever issues an FMA. Per element it is the ascending-p chain of
+// fmaPanel4F32Asm, with the operands in that kernel's order (accumulator, a,
+// b: which NaN of two an FMA keeps goes by position), so the tilings agree bit
+// for bit.
+TEXT ·fmaPanel9F32Asm(SB), NOSPLIT, $0-40
+	MOVQ out+0(FP), DI
+	MOVQ a+8(FP), SI
+	MOVQ b+16(FP), R14
+	MOVQ k+24(FP), R8
+	MOVQ n+32(FP), R15  // columns remaining
+
+	MOVQ R8, R10
+	SHLQ $2, R10           // a row stride in bytes (k*4)
+	MOVQ R15, R11
+	SHLQ $2, R11           // b/out row stride in bytes (n*4)
+	LEAQ (R10)(R10*2), R9  // three a rows in bytes
+
+tile92:
+	CMPQ R15, $16
+	JLE  tile91
+
+	// K3 masks the second register: min(remaining-16, 16) lanes.
+	LEAQ  -16(R15), CX
+	CMPQ  CX, $16
+	JLE   lanes92
+	MOVQ  $16, CX
+
+lanes92:
+	MOVQ  $1, AX
+	SHLQ  CX, AX
+	DECQ  AX
+	KMOVW AX, K3
+
+	// Rows 0-2 sit at DI, rows 3-5 at DX, rows 6-8 at BX.
+	LEAQ (R11)(R11*2), BX
+	LEAQ (DI)(BX*1), DX
+	LEAQ (DX)(BX*1), BX
+	VMOVUPS   (DI), Z0
+	VMOVUPS.Z 64(DI), K3, Z1
+	VMOVUPS   (DI)(R11*1), Z2
+	VMOVUPS.Z 64(DI)(R11*1), K3, Z3
+	VMOVUPS   (DI)(R11*2), Z4
+	VMOVUPS.Z 64(DI)(R11*2), K3, Z5
+	VMOVUPS   (DX), Z6
+	VMOVUPS.Z 64(DX), K3, Z7
+	VMOVUPS   (DX)(R11*1), Z8
+	VMOVUPS.Z 64(DX)(R11*1), K3, Z9
+	VMOVUPS   (DX)(R11*2), Z10
+	VMOVUPS.Z 64(DX)(R11*2), K3, Z11
+	VMOVUPS   (BX), Z12
+	VMOVUPS.Z 64(BX), K3, Z13
+	VMOVUPS   (BX)(R11*1), Z14
+	VMOVUPS.Z 64(BX)(R11*1), K3, Z15
+	VMOVUPS   (BX)(R11*2), Z16
+	VMOVUPS.Z 64(BX)(R11*2), K3, Z17
+
+	MOVQ SI, DX  // a cursors: rows 0-2, 3-5, 6-8
+	LEAQ (SI)(R9*1), R12
+	LEAQ (R12)(R9*1), R13
+	MOVQ R14, AX  // b cursor, current tile
+	MOVQ R8, CX
+	TESTQ CX, CX
+	JLE   kdone92
+
+kloop92:
+	VMOVUPS   (AX), Z18
+	VMOVUPS.Z 64(AX), K3, Z19
+	VBROADCASTSS (DX), Z20
+	VFMADD231PS  Z18, Z20, Z0
+	VFMADD231PS  Z19, Z20, Z1
+	VBROADCASTSS (DX)(R10*1), Z21
+	VFMADD231PS  Z18, Z21, Z2
+	VFMADD231PS  Z19, Z21, Z3
+	VBROADCASTSS (DX)(R10*2), Z22
+	VFMADD231PS  Z18, Z22, Z4
+	VFMADD231PS  Z19, Z22, Z5
+	VBROADCASTSS (R12), Z23
+	VFMADD231PS  Z18, Z23, Z6
+	VFMADD231PS  Z19, Z23, Z7
+	VBROADCASTSS (R12)(R10*1), Z24
+	VFMADD231PS  Z18, Z24, Z8
+	VFMADD231PS  Z19, Z24, Z9
+	VBROADCASTSS (R12)(R10*2), Z25
+	VFMADD231PS  Z18, Z25, Z10
+	VFMADD231PS  Z19, Z25, Z11
+	VBROADCASTSS (R13), Z26
+	VFMADD231PS  Z18, Z26, Z12
+	VFMADD231PS  Z19, Z26, Z13
+	VBROADCASTSS (R13)(R10*1), Z27
+	VFMADD231PS  Z18, Z27, Z14
+	VFMADD231PS  Z19, Z27, Z15
+	VBROADCASTSS (R13)(R10*2), Z28
+	VFMADD231PS  Z18, Z28, Z16
+	VFMADD231PS  Z19, Z28, Z17
+	ADDQ $4, DX
+	ADDQ $4, R12
+	ADDQ $4, R13
+	ADDQ R11, AX
+	DECQ CX
+	JNZ  kloop92
+
+kdone92:
+	LEAQ (R11)(R11*2), BX
+	LEAQ (DI)(BX*1), DX
+	LEAQ (DX)(BX*1), BX
+	VMOVUPS Z0, (DI)
+	VMOVUPS Z1, K3, 64(DI)
+	VMOVUPS Z2, (DI)(R11*1)
+	VMOVUPS Z3, K3, 64(DI)(R11*1)
+	VMOVUPS Z4, (DI)(R11*2)
+	VMOVUPS Z5, K3, 64(DI)(R11*2)
+	VMOVUPS Z6, (DX)
+	VMOVUPS Z7, K3, 64(DX)
+	VMOVUPS Z8, (DX)(R11*1)
+	VMOVUPS Z9, K3, 64(DX)(R11*1)
+	VMOVUPS Z10, (DX)(R11*2)
+	VMOVUPS Z11, K3, 64(DX)(R11*2)
+	VMOVUPS Z12, (BX)
+	VMOVUPS Z13, K3, 64(BX)
+	VMOVUPS Z14, (BX)(R11*1)
+	VMOVUPS Z15, K3, 64(BX)(R11*1)
+	VMOVUPS Z16, (BX)(R11*2)
+	VMOVUPS Z17, K3, 64(BX)(R11*2)
+
+	ADDQ $128, DI
+	ADDQ $128, R14
+	SUBQ $32, R15
+	JMP  tile92
+
+tile91:
+	TESTQ R15, R15
+	JLE   done9
+
+	MOVQ  R15, CX
+	MOVQ  $1, AX
+	SHLQ  CX, AX
+	DECQ  AX
+	KMOVW AX, K2
+
+	LEAQ (R11)(R11*2), BX
+	LEAQ (DI)(BX*1), DX
+	LEAQ (DX)(BX*1), BX
+	VMOVUPS.Z (DI), K2, Z0
+	VMOVUPS.Z (DI)(R11*1), K2, Z1
+	VMOVUPS.Z (DI)(R11*2), K2, Z2
+	VMOVUPS.Z (DX), K2, Z3
+	VMOVUPS.Z (DX)(R11*1), K2, Z4
+	VMOVUPS.Z (DX)(R11*2), K2, Z5
+	VMOVUPS.Z (BX), K2, Z6
+	VMOVUPS.Z (BX)(R11*1), K2, Z7
+	VMOVUPS.Z (BX)(R11*2), K2, Z8
+
+	MOVQ SI, DX
+	LEAQ (SI)(R9*1), R12
+	LEAQ (R12)(R9*1), R13
+	MOVQ R14, AX
+	MOVQ R8, CX
+	TESTQ CX, CX
+	JLE   kdone91
+
+kloop91:
+	VMOVUPS.Z (AX), K2, Z9
+	VBROADCASTSS (DX), Z10
+	VFMADD231PS  Z9, Z10, Z0
+	VBROADCASTSS (DX)(R10*1), Z11
+	VFMADD231PS  Z9, Z11, Z1
+	VBROADCASTSS (DX)(R10*2), Z12
+	VFMADD231PS  Z9, Z12, Z2
+	VBROADCASTSS (R12), Z13
+	VFMADD231PS  Z9, Z13, Z3
+	VBROADCASTSS (R12)(R10*1), Z14
+	VFMADD231PS  Z9, Z14, Z4
+	VBROADCASTSS (R12)(R10*2), Z15
+	VFMADD231PS  Z9, Z15, Z5
+	VBROADCASTSS (R13), Z16
+	VFMADD231PS  Z9, Z16, Z6
+	VBROADCASTSS (R13)(R10*1), Z17
+	VFMADD231PS  Z9, Z17, Z7
+	VBROADCASTSS (R13)(R10*2), Z18
+	VFMADD231PS  Z9, Z18, Z8
+	ADDQ $4, DX
+	ADDQ $4, R12
+	ADDQ $4, R13
+	ADDQ R11, AX
+	DECQ CX
+	JNZ  kloop91
+
+kdone91:
+	LEAQ (R11)(R11*2), BX
+	LEAQ (DI)(BX*1), DX
+	LEAQ (DX)(BX*1), BX
+	VMOVUPS Z0, K2, (DI)
+	VMOVUPS Z1, K2, (DI)(R11*1)
+	VMOVUPS Z2, K2, (DI)(R11*2)
+	VMOVUPS Z3, K2, (DX)
+	VMOVUPS Z4, K2, (DX)(R11*1)
+	VMOVUPS Z5, K2, (DX)(R11*2)
+	VMOVUPS Z6, K2, (BX)
+	VMOVUPS Z7, K2, (BX)(R11*1)
+	VMOVUPS Z8, K2, (BX)(R11*2)
+
+done9:
 	VZEROUPPER
 	RET
 

@@ -4,17 +4,40 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+	"unsafe"
 )
 
-// fmaRef mirrors the panel kernels' per-element contract exactly: an
-// ascending-p chain of fused multiply-adds. On AVX-512F machines fmaPanels
-// must match it bit for bit.
-func fmaRef(out, a, b []float64, m, k, n int) {
+// fma32 is the correctly rounded float32 x*y + z. The product of two float32s
+// is exact in float64; the sum is rounded to odd there (what the addition
+// dropped is kept as a sticky last bit), and with 53 - 24 spare bits the
+// narrowing is then the one rounding a fused multiply-add makes.
+func fma32(x, y, z float32) float32 {
+	p := float64(float64(x) * float64(y))
+	s := float64(p + float64(z))
+	zz := s - p
+	lost := (p - (s - zz)) + (float64(z) - zz) // TwoSum: p + z = s + lost exactly
+	if lost != 0 && lost == lost && !math.IsInf(s, 0) && math.Float64bits(s)&1 == 0 {
+		if (lost > 0) == (s > 0) {
+			s = math.Float64frombits(math.Float64bits(s) + 1)
+		} else {
+			s = math.Float64frombits(math.Float64bits(s) - 1)
+		}
+	}
+	return float32(s)
+}
+
+// fmaChain is the panel tier's per-element contract in scalar code at either
+// precision: out[i][j] takes a[i][p]*b[p][j] by fused multiply-add, p ascending.
+func fmaChain[T float32 | float64](out, a, b []T, m, k, n int) {
 	for i := 0; i < m; i++ {
 		for j := 0; j < n; j++ {
 			s := out[i*n+j]
 			for p := 0; p < k; p++ {
-				s = math.FMA(a[i*k+p], b[p*n+j], s)
+				if unsafe.Sizeof(s) == 8 {
+					s = T(math.FMA(float64(a[i*k+p]), float64(b[p*n+j]), float64(s)))
+				} else {
+					s = T(fma32(float32(a[i*k+p]), float32(b[p*n+j]), float32(s)))
+				}
 			}
 			out[i*n+j] = s
 		}
@@ -34,7 +57,7 @@ func TestFMAPanelsMatchFMAReference(t *testing.T) {
 				got := randSlice(rng, m*n)
 				want := append([]float64(nil), got...)
 				fmaPanels(got, a, b, m, k, n)
-				fmaRef(want, a, b, m, k, n)
+				fmaChain(want, a, b, m, k, n)
 				for i := range got {
 					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
 						t.Fatalf("m=%d k=%d n=%d: out[%d] = %x, want %x",

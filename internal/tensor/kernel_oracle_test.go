@@ -42,6 +42,20 @@ func closeF32(a, b float32) bool {
 	return f32Ulps(a, b) <= 4096 || math.Abs(float64(a)-float64(b)) <= 1e-6
 }
 
+// randOperands is n standard normals; when poisonOneIn is positive, one value
+// in that many is NaN, +Inf, -Inf or -0 instead.
+func randOperands[T float32 | float64](rng *rand.Rand, n, poisonOneIn int) []T {
+	specials := [...]T{T(math.NaN()), T(math.Inf(1)), T(math.Inf(-1)), T(math.Copysign(0, -1))}
+	s := make([]T, n)
+	for i := range s {
+		s[i] = T(rng.NormFloat64())
+		if poisonOneIn > 0 && rng.Intn(poisonOneIn) == 0 {
+			s[i] = specials[rng.Intn(len(specials))]
+		}
+	}
+	return s
+}
+
 // portable runs f with the scalar fallback forced.
 func portable(f func()) {
 	defer ForcePortableKernels()()
@@ -237,29 +251,24 @@ func TestKernelOracleRemainderRows(t *testing.T) {
 // which takes every full 64 columns (f32: 128) of an m = 1 product, leaves
 // each element the bits of the masked four-accumulator tile (the same product
 // cut into column slabs too narrow for the wide one), of the 4-row kernel
-// (the row four times over) and, at float64, of the scalar FMA chain — with
+// (the row four times over) and of the scalar FMA chain — with
 // NaN, ±Inf and -0 among the operands as without.
 func TestKernelOracleWideRowTile(t *testing.T) {
 	if !batchKernelAvailable() {
 		t.Skip("no AVX-512F batch kernels on this machine")
 	}
-	wideRowTile[float64](t, 200, 32, func(want, a, b []float64, k, n int) { fmaRef(want, a, b, 1, k, n) })
-	wideRowTile[float32](t, 300, 64, nil)
+	wideRowTile[float64](t, 200, 32)
+	wideRowTile[float32](t, 300, 64)
 }
 
 // wideRowTile checks widths 1..maxN; slab is a width the wide tile never takes.
-func wideRowTile[T float32 | float64](t *testing.T, maxN, slab int, scalar func(want, a, b []T, k, n int)) {
+func wideRowTile[T float32 | float64](t *testing.T, maxN, slab int) {
 	rng := rand.New(rand.NewSource(47))
-	specials := []T{T(math.NaN()), T(math.Inf(1)), T(math.Inf(-1)), T(math.Copysign(0, -1))}
 	fill := func(n int, poison bool) []T {
-		s := make([]T, n)
-		for i := range s {
-			s[i] = T(rng.NormFloat64())
-			if poison && rng.Intn(16) == 0 {
-				s[i] = specials[rng.Intn(len(specials))]
-			}
+		if poison {
+			return randOperands[T](rng, n, 16)
 		}
-		return s
+		return randOperands[T](rng, n, 0)
 	}
 	same := func(x, y T) bool { return math.Float64bits(float64(x)) == math.Float64bits(float64(y)) }
 	for _, k := range []int{0, 1, 9, 64} {
@@ -285,11 +294,7 @@ func wideRowTile[T float32 | float64](t *testing.T, maxN, slab int, scalar func(
 				}
 				gemmBatch(o4, a4, b, 4, k, n)
 				chain := append([]T(nil), seed...)
-				if scalar != nil && k > 0 {
-					scalar(chain, a, b, k, n)
-				} else {
-					chain = got
-				}
+				fmaChain(chain, a, b, 1, k, n)
 				for j := range got {
 					// The hardware FMA and math.FMA may keep different NaNs of two.
 					sameChain := same(got[j], chain[j]) || got[j] != got[j] && chain[j] != chain[j]
@@ -297,6 +302,91 @@ func wideRowTile[T float32 | float64](t *testing.T, maxN, slab int, scalar func(
 						t.Fatalf("%T k=%d n=%d poison=%v col %d: wide tile %v, narrow tile %v, 4-row kernel %v, scalar chain %v",
 							got[j], k, n, poison, j, got[j], narrow[j], o4[j], chain[j])
 					}
+				}
+			}
+		}
+	}
+}
+
+// fourRowPanels is out += a @ b on the 4-, 2- and 1-row kernels alone,
+// whatever m is: no group of four rows or fewer is a whole window, so fmaPanels
+// hands each to the tiling every product had before the window-row tiles.
+func fourRowPanels[T float32 | float64](out, a, b []T, m, k, n int) {
+	for r := 0; r < m; r += 4 {
+		rows := min(4, m-r)
+		fmaPanels(out[r*n:(r+rows)*n], a[r*k:(r+rows)*k], b, rows, k, n)
+	}
+}
+
+// TestKernelOracleWindowRows: on every census shape and on random products of
+// whole windows (one sequence to a stacked batch of 64, widths 1..130 so every
+// column remainder of both tiles occurs), the window-row tiles leave each
+// element the bits of the 4/2/1-row kernels and of the scalar ascending-p FMA
+// chain — with NaN, ±Inf and -0 among the operands too, where the scalar chain
+// may keep the other NaN of two — and a sequence scored alone, in a stacked
+// batch or row by row carries the same bits.
+func TestKernelOracleWindowRows(t *testing.T) {
+	if !batchKernelAvailable() {
+		t.Skip("no AVX-512F batch kernels on this machine")
+	}
+	windowRowsOracle[float64](t)
+	windowRowsOracle[float32](t)
+}
+
+func windowRowsOracle[T float32 | float64](t *testing.T) {
+	rng := rand.New(rand.NewSource(48))
+	fill := func(n int, poison bool) []T {
+		if poison {
+			return randOperands[T](rng, n, 64)
+		}
+		return randOperands[T](rng, n, 0)
+	}
+	same := func(x, y T) bool { return math.Float64bits(float64(x)) == math.Float64bits(float64(y)) }
+
+	shapes := append([]PanelShape(nil), censusShapes...)
+	for i := 0; i < 200; i++ {
+		m := []int{9, 18, 27, 72, 576}[rng.Intn(5)]
+		shapes = append(shapes, PanelShape{m, 1 + rng.Intn(33), 1 + rng.Intn(130)})
+	}
+	for i, s := range shapes {
+		m, k, n := s.M, s.K, s.N
+		poison := i%4 == 3
+		a, b, seed := fill(m*k, poison), fill(k*n, poison), fill(m*n, poison)
+		got := append([]T(nil), seed...)
+		fmaPanels(got, a, b, m, k, n)
+		four := append([]T(nil), seed...)
+		fourRowPanels(four, a, b, m, k, n)
+		chain := append([]T(nil), seed...)
+		fmaChain(chain, a, b, m, k, n)
+		for j := range got {
+			sameChain := same(got[j], chain[j]) || poison && got[j] != got[j] && chain[j] != chain[j]
+			if !same(got[j], four[j]) || !sameChain {
+				t.Fatalf("%T m=%d k=%d n=%d poison=%v row %d col %d: window tile %v, 4-row kernels %v, scalar chain %v",
+					got[j], m, k, n, poison, j/n, j%n, got[j], four[j], chain[j])
+			}
+		}
+	}
+
+	// Batch composition: B stacked sequences of one window (a modality
+	// encoder) or two (fusion) against each sequence alone and each row alone.
+	for _, batch := range []int{1, 2, 8, 64} {
+		for _, rows := range []int{WindowRows, 2 * WindowRows} {
+			m, k, n := batch*rows, 1+rng.Intn(33), 1+rng.Intn(130)
+			a, b, seed := fill(m*k, false), fill(k*n, false), fill(m*n, false)
+			stacked := append([]T(nil), seed...)
+			fmaPanels(stacked, a, b, m, k, n)
+			alone := append([]T(nil), seed...)
+			for r := 0; r < m; r += rows {
+				fmaPanels(alone[r*n:(r+rows)*n], a[r*k:(r+rows)*k], b, rows, k, n)
+			}
+			byRow := append([]T(nil), seed...)
+			for r := 0; r < m; r++ {
+				fmaPanels(byRow[r*n:(r+1)*n], a[r*k:(r+1)*k], b, 1, k, n)
+			}
+			for j := range stacked {
+				if !same(stacked[j], alone[j]) || !same(stacked[j], byRow[j]) {
+					t.Fatalf("%T B=%d rows=%d k=%d n=%d elem %d: stacked %v, sequence alone %v, row alone %v",
+						stacked[j], batch, rows, k, n, j, stacked[j], alone[j], byRow[j])
 				}
 			}
 		}

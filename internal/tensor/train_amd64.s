@@ -207,6 +207,10 @@ scaledone:
 //   m = m*b1 + omb1*grad;  v = v*b2 + grad*(omb2*grad)
 //   p -= (m/bc1)*lr / (sqrt(v/bc2) + eps)
 // Masked-off lanes load zeros, which stay finite through both divisions.
+// A tile whose grad, m and v are all +0 bits is left as it is, as the scalar
+// loop leaves such an element: the update would store m = v = +0 back and
+// subtract (0/bc1)*lr / (0 + eps) = +0 from p. That is every tile of an
+// embedding row no sample has touched yet.
 TEXT ·adamAVX512(SB), NOSPLIT, $0-104
 	MOVQ p+0(FP), DI
 	MOVQ grad+8(FP), SI
@@ -233,12 +237,17 @@ adamnext:
 
 adamtile:
 	VMOVUPD.Z (SI)(BX*8), K1, Z0  // g
-	VMOVUPD.Z (R8)(BX*8), K1, Z1
+	VMOVUPD.Z (R8)(BX*8), K1, Z1  // m
+	VMOVUPD.Z (R9)(BX*8), K1, Z3  // v
+	VPORQ     Z0, Z1, Z6
+	VPORQ     Z3, Z6, Z6
+	VPTESTMQ  Z6, Z6, K2          // lanes with a set bit in g, m or v
+	KORTESTW  K2, K2
+	JZ        adamskip
 	VMULPD    Z16, Z1, Z1         // m*b1
 	VMULPD    Z0, Z17, Z2         // omb1*g
 	VADDPD    Z1, Z2, Z1
 	VMOVUPD   Z1, K1, (R8)(BX*8)
-	VMOVUPD.Z (R9)(BX*8), K1, Z3
 	VMULPD    Z18, Z3, Z3         // v*b2
 	VMULPD    Z0, Z19, Z4         // omb2*g
 	VMULPD    Z4, Z0, Z4          // g*(omb2*g)
@@ -253,9 +262,11 @@ adamtile:
 	VMOVUPD.Z (DI)(BX*8), K1, Z5
 	VSUBPD    Z1, Z5, Z5
 	VMOVUPD   Z5, K1, (DI)(BX*8)
-	ADDQ      $8, BX
-	SUBQ      $8, CX
-	JMP       adamnext
+
+adamskip:
+	ADDQ $8, BX
+	SUBQ $8, CX
+	JMP  adamnext
 
 adamdone:
 	VZEROUPPER
