@@ -95,6 +95,7 @@ race:
 # and are meant to be committed with their fix.
 fuzz:
 	$(GO) test ./internal/serve/ -run xxx -fuzz '^FuzzDecodeEvents$$' -fuzztime 10s
+	$(GO) test ./internal/models/ -run xxx -fuzz '^FuzzLoadPrefetcherModels$$' -fuzztime 10s
 
 # bench regenerates BENCH_small.json via cmd/mpgraph-bench (f32 and f16
 # speedups over float64 appear in its "speedups" section). models'
@@ -111,7 +112,8 @@ fuzz:
 # the fused residual LayerNorm and the top-2 decode at the shapes an AMMA
 # forward runs them, the m = 1 panel product at an LSTM gate's and the two
 # heads' shapes, one panel product at every shape of the served census next to
-# m = 16 and m = 4 controls the window-row tiles never take, one LSTM forward
+# m = 16 and m = 4 controls the window-row tiles never take, one biased
+# LinearAct at the census shapes (the bias seeds the panel), one LSTM forward
 # at the suite's two input widths and one AMMA delta and page call, each alone
 # and as a batch of eight) take 20000 iterations for the same reason; the
 # seconds-scale sweep benchmarks run once. bench-compare, and so CI's
@@ -132,7 +134,7 @@ fuzz:
 # 20-400 ns).
 # Steps go through a file so a benchmark failure fails the target. For
 # published numbers rerun with a higher -benchtime and -count (DESIGN.md §8).
-KERNEL_BENCH = BenchmarkAttentionBlocks|BenchmarkResidualLayerNorm|BenchmarkTopK2of1024|BenchmarkPanel1|BenchmarkPanelShapes|BenchmarkLSTMForward|BenchmarkAMMA(Delta|Page)(F32)?(Batch8)?$$
+KERNEL_BENCH = BenchmarkAttentionBlocks|BenchmarkResidualLayerNorm|BenchmarkTopK2of1024|BenchmarkPanel1|BenchmarkPanelShapes|BenchmarkLinearAct|BenchmarkLSTMForward|BenchmarkAMMA(Delta|Page)(F32)?(Batch8)?$$
 TRAIN_BENCH = BenchmarkAdamStep|BenchmarkGemmTN|BenchmarkBackwardMLP|BenchmarkAMMADeltaTrainStep|BenchmarkAMMAPageTrainStep
 SIM_BENCH = BenchmarkEngineNoPrefetch|BenchmarkEngineRun|BenchmarkClassicOperate|BenchmarkGPOPPageRankTrace|BenchmarkXStreamBFSTrace|BenchmarkPowerGraphCCTrace|BenchmarkInterleave
 bench:

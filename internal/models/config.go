@@ -84,11 +84,13 @@ func (c Config) Validate() error {
 		return fmt.Errorf("models: LookForwardF %d < 1", c.LookForwardF)
 	case c.AttnDim < 1 || c.FusionDim < 1:
 		return fmt.Errorf("models: non-positive dims")
+	case c.Heads < 1:
+		return fmt.Errorf("models: Heads %d < 1", c.Heads)
 	case c.FusionDim%c.Heads != 0:
 		return fmt.Errorf("models: FusionDim %d must divide by Heads %d", c.FusionDim, c.Heads)
 	case c.TransLayers < 0:
 		return fmt.Errorf("models: negative TransLayers")
-	case c.NumSegments < 1 || c.SegmentBits < 1 || c.NumSegments*c.SegmentBits > 64:
+	case c.NumSegments < 1 || c.SegmentBits < 1 || c.SegmentBits > 64 || c.NumSegments > 64/c.SegmentBits:
 		return fmt.Errorf("models: bad segmentation %dx%d bits", c.NumSegments, c.SegmentBits)
 	case c.DeltaRange < 1 || c.DeltaRange > 512:
 		return fmt.Errorf("models: DeltaRange %d out of range", c.DeltaRange)

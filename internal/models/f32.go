@@ -12,12 +12,14 @@ package models
 // in, and the score hand-off below widens and screens them out.
 //
 // There is no calibration: weights are narrowed once at conversion (f64 →
-// f32 round-to-nearest) and the activation path runs natively in f32. Scores
-// cross back to float64 through the exact WidenCtx hand-off — widening is
-// monotonic and preserves every f32 Inf or NaN bit pattern, so rankings,
-// exact tie ordering AND ScreenScores' non-finite health screen all see
-// precisely what the f32 kernels produced (an f16/f32-range overflow surfaces
-// as a screened Inf, never a silently clamped score).
+// f32 round-to-nearest) and the activation path runs natively in f32. Delta
+// scores cross back to float64 through the exact WidenCtx hand-off — widening
+// is monotonic and preserves every f32 Inf or NaN bit pattern, so
+// ScreenScores' non-finite health screen sees precisely what the f32 kernels
+// produced (an f16/f32-range overflow surfaces as a screened Inf, never a
+// silently clamped score). Page logits are ranked as f32 where they stand
+// (topKSelectInto is generic): the same order, tie for tie, as their
+// widening.
 
 import (
 	"fmt"
@@ -132,13 +134,13 @@ func (m *F32AMMAPage) TopPagesAppendCtx(c *tensor.Ctx, s *Sample, k int, dst []u
 }
 
 // TopPagesBatchAppendCtx implements PageTopperBatchCtx on the f32 path.
-// Ranking runs over the exactly-widened f32 logits, so tie ordering matches
-// what the f32 kernels produced.
+// Ranking runs on the f32 logits themselves: the order is the one their
+// exact float64 widening would give (topKSelectInto), without the widening.
 //
 //mpgraph:noalloc
 func (m *F32AMMAPage) TopPagesBatchAppendCtx(c *tensor.Ctx, ss []*Sample, k int, dst [][]uint64) {
 	logits := m.fhead.ForwardCtx(c, m.fcore.pooledTokensBatchCtx(c, m.pages, m.pcs, ss))
-	topPagesBatchAppend(c, m.pages, tensor.WidenCtx(c, logits), k, dst)
+	topPagesBatchAppend(c, m.pages, logits, k, dst)
 }
 
 // F32LSTMDelta is the f32 mirror of the Delta-LSTM baseline — the

@@ -63,10 +63,12 @@ func TopKClassesCtx(c *tensor.Ctx, scores []float64, k int) []int {
 // order exactly: descending score, equal scores broken by lower index. top
 // is kept sorted as it fills, so a score that does not beat the current
 // worst entry — nearly all of them when k is the hot paths' 2 — costs one
-// compare; a later index never displaces an equal earlier one.
+// compare; a later index never displaces an equal earlier one. An f32 row
+// ranks as its float64 widening would: widening is exact and monotone, so
+// every compare, NaN, ±0 and ±Inf included, comes out the same.
 //
 //mpgraph:noalloc
-func topKSelectInto(top []int, scores []float64) []int {
+func topKSelectInto[T float32 | float64](top []int, scores []T) []int {
 	k := len(top)
 	if k == 0 {
 		return top
@@ -88,7 +90,7 @@ func topKSelectInto(top []int, scores []float64) []int {
 // entries it beats one slot down (the one in slot j falls off).
 //
 //mpgraph:noalloc
-func topKInsert(top []int, scores []float64, j, i int) {
+func topKInsert[T float32 | float64](top []int, scores []T, j, i int) {
 	for ; j > 0 && scores[i] > scores[top[j-1]]; j-- {
 		top[j] = top[j-1]
 	}
@@ -99,7 +101,7 @@ func topKInsert(top []int, scores []float64, j, i int) {
 // appending to dst (the ctx analogue of topPagesFromScores).
 //
 //mpgraph:noalloc
-func topPagesAppendCtx(c *tensor.Ctx, pages *Vocab, scores []float64, k int, dst []uint64) []uint64 {
+func topPagesAppendCtx[T float32 | float64](c *tensor.Ctx, pages *Vocab, scores []T, k int, dst []uint64) []uint64 {
 	added := 0
 	for _, tok := range topKSelectInto(c.Ints(min(k+1, len(scores))), scores) {
 		if page, ok := pages.Value(tok); ok {

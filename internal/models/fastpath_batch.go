@@ -228,7 +228,7 @@ func (core *ammaCore[T]) pooledTokensBatchCtx(c *tensor.Ctx, pages, pcs *Vocab, 
 // its top-k known pages to the matching dst entry.
 //
 //mpgraph:noalloc
-func topPagesBatchAppend(c *tensor.Ctx, pages *Vocab, scores *tensor.Tensor, k int, dst [][]uint64) {
+func topPagesBatchAppend[T float32 | float64](c *tensor.Ctx, pages *Vocab, scores *tensor.Dense[T], k int, dst [][]uint64) {
 	for i := 0; i < scores.Rows; i++ {
 		dst[i] = topPagesAppendCtx(c, pages, scores.Row(i), k, dst[i])
 	}

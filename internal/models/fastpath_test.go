@@ -148,6 +148,54 @@ func TestKernelOracleTopK(t *testing.T) {
 	}
 }
 
+// TestTopPagesF32RanksAsWidened: ranking f32 page logits where they stand
+// (F32AMMAPage skips the float64 widening) appends the pages ranking their
+// exact widening would — over random rows with ties, ±0, NaN and ±Inf
+// planted, at the top-2 the controller asks for and past it.
+func TestTopPagesF32RanksAsWidened(t *testing.T) {
+	var vals []uint64
+	for i := 0; i < 900; i++ {
+		vals = append(vals, uint64(1<<14+i))
+	}
+	pages := BuildVocab(vals, 1024) // tokens past 900 are unknown: ranked, then skipped
+	specials := []float32{float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1)), 0, float32(math.Copysign(0, -1))}
+	rng := rand.New(rand.NewSource(51))
+	ctx := tensor.NewCtx()
+	for trial := 0; trial < 300; trial++ {
+		n := 1 + rng.Intn(64)
+		if trial%10 == 0 {
+			n = 1024
+		}
+		row := make([]float32, n)
+		for i := range row {
+			row[i] = float32(rng.NormFloat64())
+			switch {
+			case rng.Intn(8) == 0:
+				row[i] = specials[rng.Intn(len(specials))]
+			case rng.Intn(6) == 0:
+				row[i] = row[rng.Intn(i+1)] // a tie with an earlier logit
+			}
+		}
+		wide := make([]float64, n)
+		for i, v := range row {
+			wide[i] = float64(v)
+		}
+		for _, k := range []int{1, 2, 5} {
+			got := topPagesAppendCtx(ctx, pages, row, k, nil)
+			want := topPagesAppendCtx(ctx, pages, wide, k, nil)
+			if len(got) != len(want) {
+				t.Fatalf("trial %d n=%d k=%d: %v, widened %v (row %v)", trial, n, k, got, want, row)
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("trial %d n=%d k=%d: %v, widened %v (row %v)", trial, n, k, got, want, row)
+				}
+			}
+			ctx.Reset()
+		}
+	}
+}
+
 // Dispatchers fall back to the slow path when the ctx is nil or the model
 // lacks the capability interface.
 func TestDispatcherFallbacks(t *testing.T) {

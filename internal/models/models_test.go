@@ -233,6 +233,10 @@ func TestConfigValidation(t *testing.T) {
 	if err := bad3.Validate(); err == nil {
 		t.Fatal("segmentation over 64 bits must fail")
 	}
+	bad3.NumSegments, bad3.SegmentBits = 1<<62, 4 // the product wraps to 0
+	if err := bad3.Validate(); err == nil {
+		t.Fatal("segmentation whose bit count overflows int must fail")
+	}
 }
 
 func TestBuildDataset(t *testing.T) {

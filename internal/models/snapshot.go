@@ -134,6 +134,9 @@ func LoadPrefetcherModels(r io.Reader) (*PrefetcherModels, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	if err := checkSnapshotSize(cfg); err != nil {
+		return nil, err
+	}
 	pm := &PrefetcherModels{Cfg: cfg}
 	var err error
 	if pm.Pages, err = loadVocab(br); err != nil {
@@ -157,6 +160,63 @@ func LoadPrefetcherModels(r io.Reader) (*PrefetcherModels, error) {
 	return pm, nil
 }
 
+// Snapshot header limits. A header is outside bytes (mpgraph-sim loads
+// whatever file it is given), so before NewAMMA* allocates, every dimension
+// it names and the parameters they imply are bounded: far above any
+// configuration this repository trains (PaperConfig: ≈ 1.1 M parameters a
+// phase), low enough that a forged header costs at most one phase of
+// allocation before the missing parameter bytes stop the load.
+const (
+	maxSnapshotDim        = 1 << 10 // HistoryT, AttnDim, FusionDim, LSTMHidden
+	maxSnapshotLayers     = 16      // TransLayers
+	maxSnapshotVocab      = 1 << 16 // PageVocab, PCVocab, a loaded vocabulary
+	maxSnapshotLookahead  = 1 << 16 // LookForwardF
+	maxSnapshotPhaseParam = 1 << 22 // one phase's delta + page model (32 MB)
+)
+
+// checkSnapshotSize bounds a validated header's dimensions and the parameter
+// count of one phase's two models.
+func checkSnapshotSize(cfg Config) error {
+	for _, d := range []struct {
+		name     string
+		val, max int
+	}{
+		{"HistoryT", cfg.HistoryT, maxSnapshotDim},
+		{"AttnDim", cfg.AttnDim, maxSnapshotDim},
+		{"FusionDim", cfg.FusionDim, maxSnapshotDim},
+		{"LSTMHidden", cfg.LSTMHidden, maxSnapshotDim},
+		{"TransLayers", cfg.TransLayers, maxSnapshotLayers},
+		{"NumSegments", cfg.NumSegments, 64},
+		{"SegmentBits", cfg.SegmentBits, 64},
+		{"PageVocab", cfg.PageVocab, maxSnapshotVocab},
+		{"PCVocab", cfg.PCVocab, maxSnapshotVocab},
+		{"LookForwardF", cfg.LookForwardF, maxSnapshotLookahead},
+	} {
+		if d.val > d.max {
+			return fmt.Errorf("models: snapshot %s %d over the loader's limit %d", d.name, d.val, d.max)
+		}
+	}
+	if n := snapshotPhaseParams(cfg); n > maxSnapshotPhaseParam {
+		return fmt.Errorf("models: snapshot header implies %d parameters a phase, over the loader's limit %d", n, maxSnapshotPhaseParam)
+	}
+	return nil
+}
+
+// snapshotPhaseParams is the parameter count of one phase's AMMADelta and
+// AMMAPage at cfg (dimensions already bounded, so int64 cannot overflow).
+func snapshotPhaseParams(cfg Config) int64 {
+	t, a, f := int64(cfg.HistoryT), int64(cfg.AttnDim), int64(cfg.FusionDim)
+	lin := func(in, out int64) int64 { return in*out + out }
+	attn := func(in, dim int64) int64 { return 3 * lin(in, dim) }
+	token := func(vocab int64) int64 { return vocab*a + t*a + attn(a, a) }
+	trans := 4*f*f + 4*f + lin(f, 2*f) + lin(2*f, f) + 4*f // MHSA, FFN, two norms
+	core := attn(a, f) + int64(cfg.TransLayers)*trans
+	delta := lin(int64(cfg.NumSegments), a) + t*a + attn(a, a) + token(int64(cfg.PCVocab)) + core +
+		lin(f, int64(cfg.DeltaClasses()))
+	page := token(int64(cfg.PageVocab)) + token(int64(cfg.PCVocab)) + core + lin(f, int64(cfg.PageVocab))
+	return delta + page
+}
+
 func saveVocab(w io.Writer, v *Vocab) error {
 	if err := binary.Write(w, binary.LittleEndian, uint64(v.cap)); err != nil {
 		return err
@@ -175,7 +235,7 @@ func loadVocab(r io.Reader) (*Vocab, error) {
 	if err := binary.Read(r, binary.LittleEndian, &n); err != nil {
 		return nil, err
 	}
-	if n == 0 || n > capacity || capacity > 1<<24 {
+	if n == 0 || n > capacity || capacity > maxSnapshotVocab {
 		return nil, fmt.Errorf("models: implausible vocab header cap=%d n=%d", capacity, n)
 	}
 	v := &Vocab{cap: int(capacity), tokens: make(map[uint64]int), values: make([]uint64, n)}

@@ -163,13 +163,49 @@ func benchPanel1[T float32 | float64](b *testing.B) {
 
 // censusShapes are the (m, k, n) products one MPGraph sweep cell sends to the
 // panel kernels at SmallConfig (experiments.TestPanelCensus prints them): the
-// modality encoders and attention heads at m = T = WindowRows, the fusion and
-// Transformer products at m = 2T, the two pooled heads at m = 1.
+// modality encoders' projections at m = T = WindowRows, the fusion and
+// Transformer projections and FFN at m = 2T, the two pooled heads at m = 1.
+// The attention blocks' own score and AV products run inside the attention
+// kernel (attnBlockAsm) and are no longer panel products.
 var censusShapes = []PanelShape{
-	{9, 8, 16}, {9, 9, 16}, {9, 16, 9}, {9, 16, 16},
-	{18, 16, 18}, {18, 16, 32}, {18, 18, 16}, {18, 18, 32}, {18, 32, 16},
-	{18, 32, 18}, {18, 32, 32}, {18, 32, 64}, {18, 64, 32},
+	{9, 8, 16}, {9, 16, 16},
+	{18, 16, 32}, {18, 32, 16}, {18, 32, 32}, {18, 32, 64}, {18, 64, 32},
 	{1, 32, 126}, {1, 32, 1024},
+}
+
+// BenchmarkLinearAct is one biased projection through LinearAct at the census
+// shapes, the window rows' products of an AMMA forward and the page head: the
+// bias row seeds every output row inside the panel kernel.
+func BenchmarkLinearAct(b *testing.B)    { benchLinearAct[float64](b) }
+func BenchmarkLinearActF32(b *testing.B) { benchLinearAct[float32](b) }
+
+func benchLinearAct[T float32 | float64](b *testing.B) {
+	shapes := []PanelShape{{1, 32, 1024}}
+	for _, m := range []int{9, 18} {
+		for _, kn := range [][2]int{{16, 16}, {32, 16}, {32, 32}, {32, 64}} {
+			shapes = append(shapes, PanelShape{m, kn[0], kn[1]})
+		}
+	}
+	for _, s := range shapes {
+		b.Run(fmt.Sprintf("m=%d/k=%d/n=%d", s.M, s.K, s.N), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(1))
+			operand := func(rows, cols int) *Dense[T] {
+				return &Dense[T]{Rows: rows, Cols: cols, Data: randOperands[T](rng, rows*cols, 0)}
+			}
+			x, w, bias := operand(s.M, s.K), operand(s.K, s.N), operand(1, s.N)
+			c := NewCtx()
+			for range 2 { // the arena reaches its high-water mark
+				LinearAct(c, x, w, bias, ActNone)
+				c.Reset()
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				LinearAct(c, x, w, bias, ActNone)
+				c.Reset()
+			}
+		})
+	}
 }
 
 // BenchmarkPanelShapes is one panel product at every census shape. The m = 16

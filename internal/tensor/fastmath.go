@@ -2,8 +2,9 @@ package tensor
 
 import "math"
 
-// Row kernels of live-ctx inference: elementwise activations, row softmax
-// and the fused residual LayerNorm. On AVX-512F machines they run the vector
+// Row kernels of live-ctx inference: elementwise activations and the fused
+// residual LayerNorm (the attention softmax is inside the attention kernel,
+// attnBlockAsm). On AVX-512F machines they run the vector
 // kernels of gemm_batch{,_f32}_amd64.s (relative error against the math
 // package ~1e-14 at float64, inside the 1e-9 fast-vs-autograd budget, and
 // ~1e-7 at float32, inside that tier's parity budget); everywhere else the
@@ -34,20 +35,6 @@ func ApplyActFast[T float32 | float64](row []T, act Act) {
 		return
 	}
 	applyAct(row, act)
-}
-
-// softmaxRows applies a numerically-stable softmax in place to each row of p
-// [rows x cols]; tmp is scratch of the same size.
-//
-//mpgraph:noalloc
-func softmaxRows[T float32 | float64](p, tmp []T, rows, cols int) {
-	if batchKernelAvailable() {
-		vsoftmaxRows(p, tmp, rows, cols)
-		return
-	}
-	for r := 0; r < rows; r++ {
-		softmaxInPlace(p[r*cols : (r+1)*cols])
-	}
 }
 
 // softmaxInPlace applies a numerically-stable softmax to one row.

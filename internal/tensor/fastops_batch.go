@@ -12,12 +12,14 @@ import "mpgraph/internal/invariant"
 
 // AttentionBlocks runs scaled-dot-product attention softmax(q·kᵀ·scale)·v
 // independently inside each of the `blocks` equal row blocks of q/k/v
-// (self-attention never crosses a session boundary). Per block, k is
-// transposed and pre-scaled once into arena scratch so the scores are a plain
-// GEMM, the softmax runs over the whole [T x T] block, and the AV product is
-// a second GEMM — all three on the panel/row kernels where AVX-512F is
-// present and on the scalar kernels elsewhere. A nil ctx is the autograd
-// composition over one sequence (blocks must be 1).
+// (self-attention never crosses a session boundary). Where AVX-512F is
+// present a block is one call of the fused kernel (attnBlockAsm: Kᵀ·scale,
+// scores, softmax and the AV product in registers and arena scratch).
+// Elsewhere k is transposed and pre-scaled into scratch so the scores are a
+// plain GEMM, each score row is softmaxed, and the AV product is a second
+// GEMM, on the scalar kernels — the same composition, step for step, that the
+// fused kernel replays. A nil ctx is the autograd composition over one
+// sequence (blocks must be 1).
 //
 //mpgraph:noalloc
 func AttentionBlocks[T float32 | float64](c *Ctx, q, k, v *Dense[T], blocks int, scale T) *Dense[T] {
@@ -36,46 +38,37 @@ func AttentionBlocks[T float32 | float64](c *Ctx, q, k, v *Dense[T], blocks int,
 	t := q.Rows / blocks
 	d := q.Cols
 	dv := v.Cols
-	out := zeros[T](c, q.Rows, dv)
 	scratch := &arenaOf[T](c).data
+	if batchKernelAvailable() {
+		out := uninit[T](c, q.Rows, dv)
+		if t == 0 || dv == 0 {
+			return out
+		}
+		scr := scratch.takeUninit(attnScratch[T](t, d))
+		for blk := 0; blk < blocks; blk++ {
+			attnBlock(out.Data[blk*t*dv:(blk+1)*t*dv], q.Data[blk*t*d:(blk+1)*t*d],
+				k.Data[blk*t*d:(blk+1)*t*d], v.Data[blk*t*dv:(blk+1)*t*dv], scr, t, d, dv, scale)
+		}
+		return out
+	}
+	out := zeros[T](c, q.Rows, dv)
 	kT := scratch.takeUninit(d * t)
-	scores := scratch.takeUninit(2 * t * t)
-	scores, tmp := scores[:t*t], scores[t*t:]
+	scores := scratch.takeUninit(t * t)
 	for blk := 0; blk < blocks; blk++ {
-		transposeScale(kT, k.Data[blk*t*d:(blk+1)*t*d], t, d, scale)
+		kb := k.Data[blk*t*d : (blk+1)*t*d]
+		for j := 0; j < t; j++ {
+			for p, kv := range kb[j*d : (j+1)*d] {
+				kT[p*t+j] = kv * scale
+			}
+		}
 		clear(scores)
-		gemmBatch(scores, q.Data[blk*t*d:(blk+1)*t*d], kT, t, d, t)
-		softmaxRows(scores, tmp, t, t)
-		gemmBatch(out.Data[blk*t*dv:(blk+1)*t*dv], scores, v.Data[blk*t*dv:(blk+1)*t*dv], t, t, dv)
+		gemm(scores, q.Data[blk*t*d:(blk+1)*t*d], kT, t, d, t)
+		for r := 0; r < t; r++ {
+			softmaxInPlace(scores[r*t : (r+1)*t])
+		}
+		gemm(out.Data[blk*t*dv:(blk+1)*t*dv], scores, v.Data[blk*t*dv:(blk+1)*t*dv], t, t, dv)
 	}
 	return out
-}
-
-// transposeScale writes dst [cols x rows] = srcᵀ·scale for src [rows x cols],
-// four source rows per pass so the strided stores land in runs of four.
-//
-//mpgraph:noalloc
-func transposeScale[T float32 | float64](dst, src []T, rows, cols int, scale T) {
-	r := 0
-	for ; r+4 <= rows; r += 4 {
-		s0 := src[r*cols : (r+1)*cols]
-		s1 := src[(r+1)*cols : (r+2)*cols][:cols]
-		s2 := src[(r+2)*cols : (r+3)*cols][:cols]
-		s3 := src[(r+3)*cols : (r+4)*cols][:cols]
-		o := r
-		for c := range s0 {
-			d := dst[o : o+4 : o+4]
-			d[0], d[1], d[2], d[3] = s0[c]*scale, s1[c]*scale, s2[c]*scale, s3[c]*scale
-			o += rows
-		}
-	}
-	for ; r < rows; r++ {
-		o := r
-		for _, v := range src[r*cols : (r+1)*cols] {
-			dst[o] = v * scale
-			o += rows
-		}
-	}
 }
 
 // MeanRowsBatch reduces each block of rows to its mean row: [blocks*T x d]

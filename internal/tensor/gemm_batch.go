@@ -57,25 +57,10 @@ func CountPanelShapes() (stop func() map[PanelShape]int) {
 	}
 }
 
-// initRowsBias seeds each of the m output rows with bias (or zeros), so the
-// panel kernels accumulate straight onto it. The seeded prefix doubles each
-// step: log2(m) copies instead of m short ones.
-//
-//mpgraph:noalloc
-func initRowsBias[T float32 | float64](out, bias []T, m, n int) {
-	if bias == nil {
-		clear(out[:m*n])
-		return
-	}
-	copy(out[:n], bias[:n])
-	for filled := n; filled < m*n; filled *= 2 {
-		copy(out[filled:m*n], out[:filled])
-	}
-}
-
 // gemmBatchBiasAct computes out = act(a@b + bias) for an [m x k] activation
 // block against one [k x n] weight panel: b is streamed through cache once
-// for all m rows.
+// for all m rows, and every row's FMA chains start from the bias row itself
+// (seed stride 0; no bias: +0), so out is written once, never pre-filled.
 //
 //mpgraph:noalloc
 func gemmBatchBiasAct[T float32 | float64](out, a, b, bias []T, m, k, n int, act Act) {
@@ -86,10 +71,7 @@ func gemmBatchBiasAct[T float32 | float64](out, a, b, bias []T, m, k, n int, act
 		gemmBiasAct(out, a, b, bias, m, k, n, act)
 		return
 	}
-	initRowsBias(out, bias, m, n)
-	if k > 0 {
-		fmaPanels(out, a, b, m, k, n)
-	}
+	fmaPanels(out, a, b, bias, 0, m, k, n)
 	ApplyActFast(out[:m*n], act)
 }
 
@@ -105,5 +87,5 @@ func gemmBatch[T float32 | float64](out, a, b []T, m, k, n int) {
 		gemm(out, a, b, m, k, n)
 		return
 	}
-	fmaPanels(out, a, b, m, k, n)
+	fmaPanels(out, a, b, out, n, m, k, n)
 }

@@ -50,7 +50,7 @@ func TestFMAPanelsF32MatchReference(t *testing.T) {
 				for i, v := range got {
 					want[i] = float64(v)
 				}
-				fmaPanels(got, a, b, m, k, n)
+				accumPanels(got, a, b, m, k, n)
 				gemmRefF64(want, a, b, m, k, n)
 				tol := f32TolFor(k, 4*math.Sqrt(float64(k)))
 				for i := range got {
@@ -76,10 +76,10 @@ func TestFMAPanelsF32BatchComposition(t *testing.T) {
 	a := randSliceF32(rng, m*k)
 	b := randSliceF32(rng, k*n)
 	batched := make([]float32, m*n)
-	fmaPanels(batched, a, b, m, k, n)
+	accumPanels(batched, a, b, m, k, n)
 	for i := 0; i < m; i++ {
 		solo := make([]float32, n)
-		fmaPanels(solo, a[i*k:(i+1)*k], b, 1, k, n)
+		accumPanels(solo, a[i*k:(i+1)*k], b, 1, k, n)
 		for j := range solo {
 			if math.Float32bits(solo[j]) != math.Float32bits(batched[i*n+j]) {
 				t.Fatalf("row %d col %d: solo %x != batched %x",
@@ -174,7 +174,7 @@ func TestSoftmaxInPlaceFastF32Matches(t *testing.T) {
 			row[i] *= 10
 		}
 		want := append([]float32(nil), row...)
-		softmaxRows(row, make([]float32, n), 1, n)
+		kernelSoftmaxRows(row, 1, n)
 		softmaxInPlace(want)
 		var sum float64
 		for i := range row {

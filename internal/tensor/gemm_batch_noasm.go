@@ -11,7 +11,7 @@ var useAVX512F = false
 //mpgraph:noalloc
 func batchKernelAvailable() bool { return false }
 
-func fmaPanels[T float32 | float64](out, a, b []T, m, k, n int) {
+func fmaPanels[T float32 | float64](out, a, b, seed []T, seedStride, m, k, n int) {
 	invariant.Fail("tensor: fmaPanels requires the amd64 batch kernels")
 }
 
@@ -19,8 +19,13 @@ func vact[T float32 | float64](row []T, mode int64, bias T) {
 	invariant.Fail("tensor: vact requires the amd64 batch kernels")
 }
 
-func vsoftmaxRows[T float32 | float64](p, tmp []T, rows, cols int) {
-	invariant.Fail("tensor: vsoftmaxRows requires the amd64 batch kernels")
+func attnBlock[T float32 | float64](out, q, k, v, scr []T, t, d, dv int, scale T) {
+	invariant.Fail("tensor: attnBlock requires the amd64 batch kernels")
+}
+
+func attnScratch[T float32 | float64](t, d int) int {
+	invariant.Fail("tensor: attnScratch requires the amd64 batch kernels")
+	return 0
 }
 
 func vaddLayerNorm[T float32 | float64](out, x, y, gain, bias []T, rows, cols int, eps T) {

@@ -56,7 +56,7 @@ func TestFMAPanelsMatchFMAReference(t *testing.T) {
 				b := randSlice(rng, k*n)
 				got := randSlice(rng, m*n)
 				want := append([]float64(nil), got...)
-				fmaPanels(got, a, b, m, k, n)
+				accumPanels(got, a, b, m, k, n)
 				fmaChain(want, a, b, m, k, n)
 				for i := range got {
 					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
@@ -81,10 +81,10 @@ func TestFMAPanelsBatchComposition(t *testing.T) {
 	a := randSlice(rng, m*k)
 	b := randSlice(rng, k*n)
 	batched := make([]float64, m*n)
-	fmaPanels(batched, a, b, m, k, n)
+	accumPanels(batched, a, b, m, k, n)
 	for i := 0; i < m; i++ {
 		solo := make([]float64, n)
-		fmaPanels(solo, a[i*k:(i+1)*k], b, 1, k, n)
+		accumPanels(solo, a[i*k:(i+1)*k], b, 1, k, n)
 		for j := range solo {
 			if math.Float64bits(solo[j]) != math.Float64bits(batched[i*n+j]) {
 				t.Fatalf("row %d col %d: solo %x != batched %x",
@@ -213,10 +213,10 @@ func referenceGemm2BatchBiasAct[T float32 | float64](out, a1, b1, a2, b2, bias [
 	}
 	initRowsBias(out, bias, m, n)
 	if k1 > 0 {
-		fmaPanels(out, a1, b1, m, k1, n)
+		accumPanels(out, a1, b1, m, k1, n)
 	}
 	if k2 > 0 {
-		fmaPanels(out, a2, b2, m, k2, n)
+		accumPanels(out, a2, b2, m, k2, n)
 	}
 	ApplyActFast(out[:m*n], act)
 }
@@ -323,7 +323,7 @@ func TestSoftmaxInPlaceFastMatches(t *testing.T) {
 			row[i] *= 10
 		}
 		want := append([]float64(nil), row...)
-		softmaxRows(row, make([]float64, n), 1, n)
+		kernelSoftmaxRows(row, 1, n)
 		softmaxInPlace(want)
 		for i := range row {
 			if math.Abs(row[i]-want[i]) > 1e-12 {

@@ -5,6 +5,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"mpgraph/internal/tensor/internal/softmaxoracle"
 )
 
 // Kernel oracle (ROADMAP item 4): every vector kernel against its scalar twin
@@ -62,10 +64,88 @@ func portable(f func()) {
 	f()
 }
 
+// accumPanels is out += a @ b on the panel kernels, seeded from out itself.
+func accumPanels[T float32 | float64](out, a, b []T, m, k, n int) {
+	fmaPanels(out, a, b, out, n, m, k, n)
+}
+
+// initRowsBias and transposeScale are the parent's helpers, verbatim: the
+// bias copy the seeded panel kernels replaced, and the Go transpose the fused
+// attention kernel replaced.
+func initRowsBias[T float32 | float64](out, bias []T, m, n int) {
+	if bias == nil {
+		clear(out[:m*n])
+		return
+	}
+	copy(out[:n], bias[:n])
+	for filled := n; filled < m*n; filled *= 2 {
+		copy(out[filled:m*n], out[:filled])
+	}
+}
+
+func transposeScale[T float32 | float64](dst, src []T, rows, cols int, scale T) {
+	r := 0
+	for ; r+4 <= rows; r += 4 {
+		s0 := src[r*cols : (r+1)*cols]
+		s1 := src[(r+1)*cols : (r+2)*cols][:cols]
+		s2 := src[(r+2)*cols : (r+3)*cols][:cols]
+		s3 := src[(r+3)*cols : (r+4)*cols][:cols]
+		o := r
+		for c := range s0 {
+			d := dst[o : o+4 : o+4]
+			d[0], d[1], d[2], d[3] = s0[c]*scale, s1[c]*scale, s2[c]*scale, s3[c]*scale
+			o += rows
+		}
+	}
+	for ; r < rows; r++ {
+		o := r
+		for _, v := range src[r*cols : (r+1)*cols] {
+			dst[o] = v * scale
+			o += rows
+		}
+	}
+}
+
+// parentAttentionBlocks is AttentionBlocks as the parent commit ran it on an
+// AVX-512F host — Kᵀ·scale by transposeScale, a cleared score block, the
+// score GEMM, the row softmax kernel (kept verbatim in softmaxoracle), the AV
+// GEMM onto a zeroed output — the oracle the fused kernel must equal bit for
+// bit.
+func parentAttentionBlocks[T float32 | float64](c *Ctx, q, k, v *Dense[T], blocks int, scale T) *Dense[T] {
+	t := q.Rows / blocks
+	d := q.Cols
+	dv := v.Cols
+	out := zeros[T](c, q.Rows, dv)
+	scratch := &arenaOf[T](c).data
+	kT := scratch.takeUninit(d * t)
+	scores := scratch.takeUninit(2 * t * t)
+	scores, tmp := scores[:t*t], scores[t*t:]
+	for blk := 0; blk < blocks; blk++ {
+		transposeScale(kT, k.Data[blk*t*d:(blk+1)*t*d], t, d, scale)
+		clear(scores)
+		gemmBatch(scores, q.Data[blk*t*d:(blk+1)*t*d], kT, t, d, t)
+		switch p := any(scores).(type) {
+		case []float64:
+			softmaxoracle.SoftmaxRows64(p, any(tmp).([]float64), t, t)
+		case []float32:
+			softmaxoracle.SoftmaxRows32(p, any(tmp).([]float32), t, t)
+		}
+		gemmBatch(out.Data[blk*t*dv:(blk+1)*t*dv], scores, v.Data[blk*t*dv:(blk+1)*t*dv], t, t, dv)
+	}
+	return out
+}
+
+// TestKernelOracleAttention: the fused attention kernel leaves every element
+// the bits of the parent's composition, with NaN, ±Inf and -0 planted in q, k
+// and v in a quarter of the cases (which NaN of two survives included), and
+// stays within the tiers' budgets of the portable kernels and autograd.
 func TestKernelOracleAttention(t *testing.T) {
 	if !batchKernelAvailable() {
 		t.Skip("no AVX-512F batch kernels on this machine")
 	}
+	attentionOracle[float64](t)
+	attentionOracle[float32](t)
+
 	rng := rand.New(rand.NewSource(41))
 	c := NewCtx()
 	for tt := 1; tt <= 33; tt++ {
@@ -106,6 +186,66 @@ func TestKernelOracleAttention(t *testing.T) {
 	}
 }
 
+// attentionOracle holds AttentionBlocks to parentAttentionBlocks on t in
+// 1..40, d in 1..33, 64 and 128, dv != d, blocks of 1, 2 and 8, at a scale
+// that is not a power of two.
+func attentionOracle[T float32 | float64](t *testing.T) {
+	rng := rand.New(rand.NewSource(49))
+	c := NewCtx()
+	dims := []int{64, 128}
+	for d := 1; d <= 33; d++ {
+		dims = append(dims, d)
+	}
+	same := func(x, y T) bool { return math.Float64bits(float64(x)) == math.Float64bits(float64(y)) }
+	cases := 0
+	for tt := 1; tt <= 40; tt++ {
+		for _, d := range dims {
+			for _, blocks := range []int{1, 2, 8} {
+				cases++
+				poison := 0
+				if cases%4 == 0 {
+					poison = 16
+				}
+				dv := 1 + rng.Intn(40)
+				if dv == d {
+					dv++
+				}
+				rows := blocks * tt
+				scale := T(0.7 / math.Sqrt(float64(d)))
+				q := view(c, rows, d, randOperands[T](rng, rows*d, poison))
+				k := view(c, rows, d, randOperands[T](rng, rows*d, poison))
+				v := view(c, rows, dv, randOperands[T](rng, rows*dv, poison))
+				got := AttentionBlocks(c, q, k, v, blocks, scale)
+				want := parentAttentionBlocks(c, q, k, v, blocks, scale)
+				for i := range want.Data {
+					if !same(got.Data[i], want.Data[i]) {
+						t.Fatalf("%T T=%d d=%d dv=%d blocks=%d poison=%v: elem %d (row %d col %d) = %v (%#x), parent composition %v (%#x)",
+							got.Data[i], tt, d, dv, blocks, poison > 0, i, i/dv, i%dv,
+							got.Data[i], math.Float64bits(float64(got.Data[i])), want.Data[i], math.Float64bits(float64(want.Data[i])))
+					}
+				}
+				c.Reset()
+			}
+		}
+	}
+}
+
+// kernelSoftmaxRows applies AttentionBlocks' softmax in place to each row of
+// p [rows x cols]: with k and v the identity and a scale of 1, q·kᵀ is q and
+// P·v is P, both exactly for finite q, so a block of identity attention
+// returns the softmax of its query rows.
+func kernelSoftmaxRows[T float32 | float64](p []T, rows, cols int) {
+	c := NewCtx()
+	blocks := (rows + cols - 1) / cols
+	q := zeros[T](c, blocks*cols, cols)
+	copy(q.Data, p)
+	eye := zeros[T](c, blocks*cols, cols)
+	for r := 0; r < eye.Rows; r++ {
+		eye.Data[r*cols+r%cols] = 1
+	}
+	copy(p, AttentionBlocks(c, q, eye, eye, blocks, 1).Data)
+}
+
 func TestKernelOracleSoftmaxRows(t *testing.T) {
 	if !batchKernelAvailable() {
 		t.Skip("no AVX-512F batch kernels on this machine")
@@ -123,12 +263,12 @@ func TestKernelOracleSoftmaxRows(t *testing.T) {
 			}
 			want := append([]float64(nil), p...)
 			wantF := append([]float32(nil), pf...)
-			softmaxRows(p, make([]float64, len(p)), rows, cols)
-			softmaxRows(pf, make([]float32, len(pf)), rows, cols)
-			portable(func() {
-				softmaxRows(want, nil, rows, cols)
-				softmaxRows(wantF, nil, rows, cols)
-			})
+			kernelSoftmaxRows(p, rows, cols)
+			kernelSoftmaxRows(pf, rows, cols)
+			for r := 0; r < rows; r++ {
+				softmaxInPlace(want[r*cols : (r+1)*cols])
+				softmaxInPlace(wantF[r*cols : (r+1)*cols])
+			}
 			for i := range p {
 				if math.Abs(p[i]-want[i]) > 1e-12 {
 					t.Fatalf("%dx%d: f64 softmax[%d] = %g, want %g", rows, cols, i, p[i], want[i])
@@ -205,7 +345,7 @@ func TestKernelOracleRemainderRows(t *testing.T) {
 				b := randSlice(rng, k*n)
 				seed := randSlice(rng, m*n)
 				got := append([]float64(nil), seed...)
-				fmaPanels(got, a, b, m, k, n)
+				accumPanels(got, a, b, m, k, n)
 				af, bf := make([]float32, len(a)), make([]float32, len(b))
 				for i, v := range a {
 					af[i] = float32(v)
@@ -218,7 +358,7 @@ func TestKernelOracleRemainderRows(t *testing.T) {
 					seedF[i] = float32(v)
 				}
 				gotF := append([]float32(nil), seedF...)
-				fmaPanels(gotF, af, bf, m, k, n)
+				accumPanels(gotF, af, bf, m, k, n)
 				for r := 0; r < m; r++ {
 					// Row r four times over is one 4-row tile.
 					a4, o4 := make([]float64, 4*k), make([]float64, 4*n)
@@ -229,8 +369,8 @@ func TestKernelOracleRemainderRows(t *testing.T) {
 						copy(a4f[i*k:], af[r*k:(r+1)*k])
 						copy(o4f[i*n:], seedF[r*n:(r+1)*n])
 					}
-					fmaPanels(o4, a4, b, 4, k, n)
-					fmaPanels(o4f, a4f, bf, 4, k, n)
+					accumPanels(o4, a4, b, 4, k, n)
+					accumPanels(o4f, a4f, bf, 4, k, n)
 					for j := 0; j < n; j++ {
 						if math.Float64bits(got[r*n+j]) != math.Float64bits(o4[j]) {
 							t.Fatalf("f64 m=%d k=%d n=%d row %d col %d: %x, 4-row kernel %x",
@@ -314,7 +454,7 @@ func wideRowTile[T float32 | float64](t *testing.T, maxN, slab int) {
 func fourRowPanels[T float32 | float64](out, a, b []T, m, k, n int) {
 	for r := 0; r < m; r += 4 {
 		rows := min(4, m-r)
-		fmaPanels(out[r*n:(r+rows)*n], a[r*k:(r+rows)*k], b, rows, k, n)
+		accumPanels(out[r*n:(r+rows)*n], a[r*k:(r+rows)*k], b, rows, k, n)
 	}
 }
 
@@ -353,7 +493,7 @@ func windowRowsOracle[T float32 | float64](t *testing.T) {
 		poison := i%4 == 3
 		a, b, seed := fill(m*k, poison), fill(k*n, poison), fill(m*n, poison)
 		got := append([]T(nil), seed...)
-		fmaPanels(got, a, b, m, k, n)
+		accumPanels(got, a, b, m, k, n)
 		four := append([]T(nil), seed...)
 		fourRowPanels(four, a, b, m, k, n)
 		chain := append([]T(nil), seed...)
@@ -374,19 +514,72 @@ func windowRowsOracle[T float32 | float64](t *testing.T) {
 			m, k, n := batch*rows, 1+rng.Intn(33), 1+rng.Intn(130)
 			a, b, seed := fill(m*k, false), fill(k*n, false), fill(m*n, false)
 			stacked := append([]T(nil), seed...)
-			fmaPanels(stacked, a, b, m, k, n)
+			accumPanels(stacked, a, b, m, k, n)
 			alone := append([]T(nil), seed...)
 			for r := 0; r < m; r += rows {
-				fmaPanels(alone[r*n:(r+rows)*n], a[r*k:(r+rows)*k], b, rows, k, n)
+				accumPanels(alone[r*n:(r+rows)*n], a[r*k:(r+rows)*k], b, rows, k, n)
 			}
 			byRow := append([]T(nil), seed...)
 			for r := 0; r < m; r++ {
-				fmaPanels(byRow[r*n:(r+1)*n], a[r*k:(r+1)*k], b, 1, k, n)
+				accumPanels(byRow[r*n:(r+1)*n], a[r*k:(r+1)*k], b, 1, k, n)
 			}
 			for j := range stacked {
 				if !same(stacked[j], alone[j]) || !same(stacked[j], byRow[j]) {
 					t.Fatalf("%T B=%d rows=%d k=%d n=%d elem %d: stacked %v, sequence alone %v, row alone %v",
 						stacked[j], batch, rows, k, n, j, stacked[j], alone[j], byRow[j])
+				}
+			}
+		}
+	}
+}
+
+// TestKernelOracleSeededPanels: a panel product seeded from one bias row
+// (seed stride 0) or from nothing leaves every element the bits of the
+// parent's two steps — initRowsBias, then the kernels accumulating onto it —
+// on the window-row oracle's shapes and on m of 1, 2, 4 and 5 (the 1-, 2- and
+// 4-row kernels and a ragged mix), with NaN, ±Inf and -0 among the operands
+// in a quarter of the products. The output starts as garbage: nothing of it
+// may leak through.
+func TestKernelOracleSeededPanels(t *testing.T) {
+	if !batchKernelAvailable() {
+		t.Skip("no AVX-512F batch kernels on this machine")
+	}
+	seededPanelsOracle[float64](t)
+	seededPanelsOracle[float32](t)
+}
+
+func seededPanelsOracle[T float32 | float64](t *testing.T) {
+	rng := rand.New(rand.NewSource(50))
+	same := func(x, y T) bool { return math.Float64bits(float64(x)) == math.Float64bits(float64(y)) }
+	shapes := append([]PanelShape(nil), censusShapes...)
+	for i := 0; i < 200; i++ {
+		m := []int{9, 18, 27, 72, 576}[rng.Intn(5)]
+		shapes = append(shapes, PanelShape{m, 1 + rng.Intn(33), 1 + rng.Intn(130)})
+	}
+	for _, m := range []int{1, 2, 4, 5} {
+		for _, k := range []int{0, 1, 9, 33} {
+			for _, n := range []int{1, 8, 9, 16, 17, 33, 64, 65, 130, 1024} {
+				shapes = append(shapes, PanelShape{m, k, n})
+			}
+		}
+	}
+	for i, s := range shapes {
+		m, k, n := s.M, s.K, s.N
+		poison := 0
+		if i%4 == 3 {
+			poison = 16
+		}
+		a, b, bias := randOperands[T](rng, m*k, poison), randOperands[T](rng, k*n, poison), randOperands[T](rng, n, poison)
+		for _, seed := range [][]T{bias, nil} {
+			got := randOperands[T](rng, m*n, 4)
+			fmaPanels(got, a, b, seed, 0, m, k, n)
+			want := make([]T, m*n)
+			initRowsBias(want, seed, m, n)
+			accumPanels(want, a, b, m, k, n)
+			for j := range want {
+				if !same(got[j], want[j]) {
+					t.Fatalf("%T m=%d k=%d n=%d bias=%v poison=%v row %d col %d: seeded %v, bias copy + accumulate %v",
+						got[j], m, k, n, seed != nil, poison > 0, j/n, j%n, got[j], want[j])
 				}
 			}
 		}
