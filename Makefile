@@ -95,6 +95,7 @@ race:
 # and are meant to be committed with their fix.
 fuzz:
 	$(GO) test ./internal/serve/ -run xxx -fuzz '^FuzzDecodeEvents$$' -fuzztime 10s
+	$(GO) test ./internal/serve/ -run xxx -fuzz '^FuzzAppendPrediction$$' -fuzztime 10s
 	$(GO) test ./internal/models/ -run xxx -fuzz '^FuzzLoadPrefetcherModels$$' -fuzztime 10s
 
 # bench regenerates BENCH_small.json via cmd/mpgraph-bench (f32 and f16
@@ -131,12 +132,20 @@ fuzz:
 # trace, the three framework trace generations and the barrier merge (whole
 # runs of tens of ms, best of 6 x 5), and one Operate of each of the seven
 # classic prefetchers on that trace's LLC stream (500000 iterations: rows of
-# 20-400 ns).
+# 20-400 ns). SERVE_BENCH is the served path outside the model, all with
+# allocs/op: the two phase detectors over 20,000 observations from a Reset,
+# of a 5-PC stream and of one whose every PC is new to the window (the
+# window's worst case, *Distinct), and one 64-event chunk through the HTTP
+# handler on a warm session. BenchmarkKSStatistic is a reference row, not
+# the served path: the detectors compute the statistic in their own sweep,
+# and KSStatistic is what the tests hold that sweep to. The ops run from
+# 1 µs to 25 ms, so they run for a time (0.5 s) rather than a count.
 # Steps go through a file so a benchmark failure fails the target. For
 # published numbers rerun with a higher -benchtime and -count (DESIGN.md §8).
 KERNEL_BENCH = BenchmarkAttentionBlocks|BenchmarkResidualLayerNorm|BenchmarkTopK2of1024|BenchmarkPanel1|BenchmarkPanelShapes|BenchmarkLinearAct|BenchmarkLSTMForward|BenchmarkAMMA(Delta|Page)(F32)?(Batch8)?$$
 TRAIN_BENCH = BenchmarkAdamStep|BenchmarkGemmTN|BenchmarkBackwardMLP|BenchmarkAMMADeltaTrainStep|BenchmarkAMMAPageTrainStep
 SIM_BENCH = BenchmarkEngineNoPrefetch|BenchmarkEngineRun|BenchmarkClassicOperate|BenchmarkGPOPPageRankTrace|BenchmarkXStreamBFSTrace|BenchmarkPowerGraphCCTrace|BenchmarkInterleave
+SERVE_BENCH = BenchmarkKSWIN|BenchmarkSoftKSWIN|BenchmarkKSStatistic|BenchmarkHandleFeed
 bench:
 	$(GO) test ./internal/prefetch/ ./internal/core/ ./internal/models/ \
 		-run xxx -bench 'BenchmarkOperate|BenchmarkSuiteSave' -benchtime 300x -count 6 \
@@ -159,6 +168,9 @@ bench:
 	$(GO) test ./internal/prefetch/ \
 		-run xxx -bench '$(SIM_BENCH)' -benchtime 500000x -count 6 \
 		>> bench.out
+	$(GO) test ./internal/phasedet/ ./internal/serve/ \
+		-run xxx -bench '$(SERVE_BENCH)' -benchtime 0.5s -count 6 \
+		>> bench.out
 	$(GO) test ./internal/experiments/ \
 		-run xxx -bench 'BenchmarkPrefetchSweep' -benchtime 1x \
 		>> bench.out
@@ -178,7 +190,7 @@ bench-batch:
 	rm -f bench-batch.out
 
 # bench-compare is the perf-regression gate: rerun the Operate, kernel,
-# training and simulator benchmarks and fail if any benchmark is >15% slower
+# training, simulator and serve benchmarks and fail if any benchmark is >15% slower
 # in ns/op, a zero-alloc row gains a single allocation, or an allocating row
 # (a train step, a suite) more than 15% of its count — against the committed
 # BENCH_small.json. On a machine that differs from the one the baseline was
@@ -205,6 +217,9 @@ bench-compare:
 		>> bench-new.out
 	$(GO) test ./internal/prefetch/ \
 		-run xxx -bench '$(SIM_BENCH)' -benchtime 500000x -count 6 \
+		>> bench-new.out
+	$(GO) test ./internal/phasedet/ ./internal/serve/ \
+		-run xxx -bench '$(SERVE_BENCH)' -benchtime 0.5s -count 6 \
 		>> bench-new.out
 	$(GO) run ./cmd/mpgraph-bench -in bench-new.out -o BENCH_new.json
 	$(GO) run ./cmd/mpgraph-bench -compare BENCH_small.json BENCH_new.json

@@ -53,10 +53,13 @@ func mpgraphStepper(m *MPGraph) func() {
 	}
 }
 
+// TestMPGraphOperateZeroAlloc runs the production detector, Soft-KSWIN, in
+// front of the models: the warm-up fills its 300-observation window, so every
+// measured Operate also slides and tests it.
 func TestMPGraphOperateZeroAlloc(t *testing.T) {
-	m := newAMMAMPGraph(t, DefaultOptions())
+	m := newAMMAMPGraphPhases(t, DefaultOptions(), phasedet.NewSoftKSWIN(phasedet.KSWINConfig{Seed: 1}), 1)
 	step := mpgraphStepper(m)
-	for n := 0; n < 96; n++ {
+	for n := 0; n < 400; n++ {
 		step()
 	}
 	if allocs := testing.AllocsPerRun(64, step); allocs != 0 {

@@ -95,50 +95,237 @@ func (c KSWINConfig) withDefaults() KSWINConfig {
 	return c
 }
 
-// KSWIN is the hard-threshold windowing K-S detector (Raab et al. 2020):
-// it declares a transition the moment D(H,R) exceeds the threshold, which —
-// as Fig. 5a/9 show — fires on impulse pattern shifts inside a phase.
-type KSWIN struct {
+// ksWindow is the state KSWIN and Soft-KSWIN share: the last WindowSize
+// observations in arrival order and, per distinct value among them, how often
+// it occurs in the window, in its newest RecentSize observations, and in the
+// history sample under test. The distinct values are kept ascending, so the
+// counts hold the recent window sorted incrementally and counting-sort the
+// history sample as it is drawn; the K-S statistic is then one sweep over the
+// distinct values. Every buffer is sized at construction, so an observation
+// allocates nothing. RecentSize must be smaller than WindowSize.
+//
+// The statistic is the one KSStatistic computes on the same two samples, to
+// the bit: it depends on the samples only through their empirical CDFs, the
+// sweep evaluates them as the merge does (frac), and the extra points it
+// visits — values in neither sample, and values past the end of one — can
+// only repeat or undercut a value the merge reaches. The history draws make
+// the same rng.Intn calls in the same order as drawing the values
+// themselves, so every detection is the one the shift-and-copy formulation
+// makes.
+type ksWindow struct {
 	cfg       KSWINConfig
 	threshold float64
 	rng       *rand.Rand
-	window    []float64
+	// frac[i] is float64(i)/float64(r), the empirical CDF of an r-sample
+	// with i values at or below a point.
+	frac []float64
+
+	// vals[:distinct] are the distinct values in the window, ascending.
+	// inWindow, inRecent and drawn count, per distinct value, its
+	// occurrences in the window, in the recent window, and in the history
+	// sample (zero outside a test).
+	vals                      []float64
+	distinct                  int
+	inWindow, inRecent, drawn []int32
+
+	// ids[lo:hi] is the window, oldest first, each observation as the index
+	// of its value in vals. It slides right through ids, which holds two
+	// windows, and is moved back to the front when it reaches the end.
+	ids    []int32
+	lo, hi int
+	// spare holds the recent values while keepRecent rebuilds the window.
+	spare []float64
 }
 
-// NewKSWIN builds the hard detector.
-func NewKSWIN(cfg KSWINConfig) *KSWIN {
+func newKSWindow(cfg KSWINConfig) ksWindow {
 	cfg = cfg.withDefaults()
-	return &KSWIN{
+	w, r := cfg.WindowSize, cfg.RecentSize
+	k := ksWindow{
 		cfg:       cfg,
-		threshold: KSThreshold(cfg.Alpha, cfg.RecentSize),
+		threshold: KSThreshold(cfg.Alpha, r),
 		rng:       rand.New(rand.NewSource(cfg.Seed)),
+		frac:      make([]float64, r+1),
+		// A slide holds w+1 observations until it drops the oldest.
+		vals:     make([]float64, w+1),
+		inWindow: make([]int32, w+1),
+		inRecent: make([]int32, w+1),
+		drawn:    make([]int32, w+1),
+		ids:      make([]int32, 2*(w+1)),
+		spare:    make([]float64, r),
+	}
+	for i := range k.frac {
+		k.frac[i] = float64(i) / float64(r)
+	}
+	return k
+}
+
+// reset empties the window and reseeds the generator in place.
+func (k *ksWindow) reset() {
+	k.clear()
+	k.rng.Seed(k.cfg.Seed)
+}
+
+// clear empties the window. Counts of the distinct values it forgets are
+// reset when a value takes their place.
+func (k *ksWindow) clear() { k.lo, k.hi, k.distinct = 0, 0, 0 }
+
+// slide appends x, dropping the oldest observation if the window was full,
+// and reports whether it was: only an observation that slides a full window
+// is tested.
+//
+//mpgraph:noalloc
+func (k *ksWindow) slide(x float64) bool {
+	full := k.hi-k.lo == k.cfg.WindowSize
+	k.push(x)
+	if full {
+		v := k.ids[k.lo]
+		k.lo++
+		if k.inWindow[v]--; k.inWindow[v] == 0 {
+			k.removeValue(v)
+		}
+	}
+	return full
+}
+
+// push appends x to the window; the observation it pushes out of the recent
+// window stays in the window.
+//
+//mpgraph:noalloc
+func (k *ksWindow) push(x float64) {
+	if r := k.cfg.RecentSize; k.hi-k.lo >= r {
+		k.inRecent[k.ids[k.hi-r]]--
+	}
+	v := k.valueIndex(x)
+	if k.hi == len(k.ids) {
+		k.hi = copy(k.ids, k.ids[k.lo:k.hi])
+		k.lo = 0
+	}
+	k.ids[k.hi] = v
+	k.hi++
+	k.inWindow[v]++
+	k.inRecent[v]++
+}
+
+// valueIndex returns the index of x among the window's distinct values,
+// inserting it if the window does not hold it yet.
+//
+//mpgraph:noalloc
+func (k *ksWindow) valueIndex(x float64) int32 {
+	n := k.distinct
+	lo, hi := 0, n
+	for lo < hi {
+		if m := int(uint(lo+hi) >> 1); k.vals[m] < x {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	if lo < n && k.vals[lo] == x {
+		return int32(lo)
+	}
+	copy(k.vals[lo+1:n+1], k.vals[lo:n])
+	copy(k.inWindow[lo+1:n+1], k.inWindow[lo:n])
+	copy(k.inRecent[lo+1:n+1], k.inRecent[lo:n])
+	k.vals[lo], k.inWindow[lo], k.inRecent[lo] = x, 0, 0
+	k.distinct++
+	// Renumber the window: indices at or above the new one move up. The
+	// arithmetic form keeps a data-dependent branch out of the loop.
+	p := int32(lo)
+	win := k.ids[k.lo:k.hi]
+	for i, v := range win {
+		win[i] = v + int32(uint32(p-1-v)>>31)
+	}
+	return p
+}
+
+// removeValue forgets the distinct value at index p, which no observation in
+// the window holds any more.
+//
+//mpgraph:noalloc
+func (k *ksWindow) removeValue(p int32) {
+	n := k.distinct
+	copy(k.vals[p:n-1], k.vals[p+1:n])
+	copy(k.inWindow[p:n-1], k.inWindow[p+1:n])
+	copy(k.inRecent[p:n-1], k.inRecent[p+1:n])
+	k.distinct--
+	win := k.ids[k.lo:k.hi]
+	for i, v := range win {
+		win[i] = v - int32(uint32(p-v)>>31)
 	}
 }
+
+// positive draws the r-sample history window uniformly (with replacement)
+// from the oldest histEnd observations and reports whether its K-S distance
+// to the recent window exceeds the threshold.
+func (k *ksWindow) positive(histEnd int) bool {
+	pool := k.ids[k.lo : k.lo+histEnd]
+	for i := 0; i < k.cfg.RecentSize; i++ {
+		k.drawn[pool[k.rng.Intn(histEnd)]]++
+	}
+	return k.statistic() > k.threshold
+}
+
+// statistic is D(H, R) between the drawn history sample and the recent
+// window, swept over the distinct values in ascending order; it clears the
+// drawn counts.
+//
+// The running maximum is taken over the differences' bits: with the sign
+// bit cleared (math.Abs) a finite float orders as its bits do, so the
+// integer max picks the float max, and it is one compare and move on the
+// loop-carried chain where a float max is seven (a window of all-distinct
+// values sweeps w+1 points per observation).
+//
+//mpgraph:noalloc
+func (k *ksWindow) statistic() float64 {
+	var d uint64
+	h, c := 0, 0
+	drawn, recent, frac := k.drawn[:k.distinct], k.inRecent[:k.distinct], k.frac
+	for v := range drawn {
+		h += int(drawn[v])
+		c += int(recent[v])
+		drawn[v] = 0
+		d = max(d, math.Float64bits(frac[h]-frac[c])&^(1<<63))
+	}
+	return math.Float64frombits(d)
+}
+
+// keepRecent restarts the window from its recent part.
+//
+//mpgraph:noalloc
+func (k *ksWindow) keepRecent() {
+	r := k.cfg.RecentSize
+	for i, v := range k.ids[k.hi-r : k.hi] {
+		k.spare[i] = k.vals[v]
+	}
+	k.clear()
+	for _, x := range k.spare {
+		k.push(x)
+	}
+}
+
+// KSWIN is the hard-threshold windowing K-S detector (Raab et al. 2020):
+// it declares a transition the moment D(H,R) exceeds the threshold, which —
+// as Fig. 5a/9 show — fires on impulse pattern shifts inside a phase.
+type KSWIN struct{ ksWindow }
+
+// NewKSWIN builds the hard detector.
+func NewKSWIN(cfg KSWINConfig) *KSWIN { return &KSWIN{newKSWindow(cfg)} }
 
 // Name implements Detector.
 func (k *KSWIN) Name() string { return "kswin" }
 
 // Reset implements Detector.
-func (k *KSWIN) Reset() {
-	k.window = k.window[:0]
-	k.rng = rand.New(rand.NewSource(k.cfg.Seed))
-}
+func (k *KSWIN) Reset() { k.reset() }
 
 // Observe implements Detector.
 func (k *KSWIN) Observe(x float64) bool {
-	w, r := k.cfg.WindowSize, k.cfg.RecentSize
-	if len(k.window) < w {
-		k.window = append(k.window, x)
+	if !k.slide(x) {
 		return false
 	}
-	copy(k.window, k.window[1:])
-	k.window[w-1] = x
-	recent := k.window[w-r:]
-	hist := sampleUniform(k.rng, k.window[:w-r], r)
-	if KSStatistic(hist, recent) > k.threshold {
+	if k.positive(k.cfg.WindowSize - k.cfg.RecentSize) {
 		// Hard detection: fire immediately and restart from the recent
 		// window (the reference KSWIN behaviour).
-		k.window = append(k.window[:0], recent...)
+		k.keepRecent()
 		return true
 	}
 	return false
@@ -151,52 +338,36 @@ func (k *KSWIN) Observe(x float64) bool {
 // SoftThreshold — suppressing the impulse-shift false positives of KSWIN at
 // the cost of a ~r-sample lag.
 type SoftKSWIN struct {
-	cfg       KSWINConfig
-	threshold float64
-	rng       *rand.Rand
-	window    []float64
+	ksWindow
 	counter   int
 	detection int
 }
 
 // NewSoftKSWIN builds the soft detector.
-func NewSoftKSWIN(cfg KSWINConfig) *SoftKSWIN {
-	cfg = cfg.withDefaults()
-	return &SoftKSWIN{
-		cfg:       cfg,
-		threshold: KSThreshold(cfg.Alpha, cfg.RecentSize),
-		rng:       rand.New(rand.NewSource(cfg.Seed)),
-	}
-}
+func NewSoftKSWIN(cfg KSWINConfig) *SoftKSWIN { return &SoftKSWIN{ksWindow: newKSWindow(cfg)} }
 
 // Name implements Detector.
 func (k *SoftKSWIN) Name() string { return "soft-kswin" }
 
 // Reset implements Detector.
 func (k *SoftKSWIN) Reset() {
-	k.window = k.window[:0]
+	k.reset()
 	k.counter, k.detection = 0, 0
-	k.rng = rand.New(rand.NewSource(k.cfg.Seed))
 }
 
 // Observe implements Detector.
 func (k *SoftKSWIN) Observe(x float64) bool {
-	w, r := k.cfg.WindowSize, k.cfg.RecentSize
-	if len(k.window) < w {
-		k.window = append(k.window, x)
+	if !k.slide(x) {
 		return false
 	}
-	copy(k.window, k.window[1:])
-	k.window[w-1] = x
-	recent := k.window[w-r:]
+	w, r := k.cfg.WindowSize, k.cfg.RecentSize
 	// Soft history window H' excludes the most recent counter samples,
 	// which may already belong to the new pattern (Eq. 6).
 	histEnd := w - r - k.counter
 	if histEnd < r {
 		histEnd = r // keep a minimal unpolluted pool
 	}
-	hist := sampleUniform(k.rng, k.window[:histEnd], r)
-	positive := KSStatistic(hist, recent) > k.threshold
+	positive := k.positive(histEnd)
 
 	if k.counter == 0 {
 		if positive {
@@ -219,17 +390,8 @@ func (k *SoftKSWIN) Observe(x float64) bool {
 	k.counter, k.detection = 0, 0
 	if positive && ratio > k.cfg.SoftThreshold {
 		// Transition confirmed: reset the model onto the new pattern.
-		k.window = append(k.window[:0], recent...)
+		k.keepRecent()
 		return true
 	}
 	return false
-}
-
-// sampleUniform draws n samples uniformly (with replacement) from pool.
-func sampleUniform(rng *rand.Rand, pool []float64, n int) []float64 {
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = pool[rng.Intn(len(pool))]
-	}
-	return out
 }

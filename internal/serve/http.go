@@ -13,7 +13,7 @@ import (
 // NewHandler exposes srv over HTTP (Go 1.22 pattern routing):
 //
 //	POST   /v1/sessions/{id}/events  — body: JSONL of Event; response: a
-//	        JSONL stream of Prediction, flushed at every chunk boundary.
+//	        JSONL stream of Prediction, one write and one flush per chunk.
 //	DELETE /v1/sessions/{id}         — close the session (204 / 404).
 //	GET    /v1/stats                 — server counters as JSON.
 //	GET    /healthz                  — liveness probe ("ok").
@@ -44,7 +44,8 @@ func NewHandler(srv *Server) http.Handler {
 const maxEventBytes = 128
 
 // handleFeed decodes the request's event stream and streams predictions
-// back as JSONL.
+// back as JSONL: each chunk's predictions are encoded into one reused
+// buffer, written once and flushed once.
 func (s *Server) handleFeed(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	if id == "" {
@@ -66,16 +67,21 @@ func (s *Server) handleFeed(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
 	defer cancel()
 
-	enc := json.NewEncoder(w)
+	head := predictionHead(id)
+	var buf []byte
 	flusher, _ := w.(http.Flusher)
 	streaming := false
-	feedErr := s.Feed(ctx, id, events, func(p Prediction) error {
+	feedErr := s.feed(ctx, id, events, func(chunk []Prediction) error {
 		if !streaming {
-			// First prediction commits the 200 streaming response.
+			// The first chunk commits the 200 streaming response.
 			w.Header().Set("Content-Type", "application/x-ndjson")
 			streaming = true
 		}
-		if err := enc.Encode(p); err != nil {
+		buf = buf[:0]
+		for _, p := range chunk {
+			buf = appendPrediction(buf, head, p)
+		}
+		if _, err := w.Write(buf); err != nil {
 			return err
 		}
 		if flusher != nil {
@@ -93,7 +99,7 @@ func (s *Server) handleFeed(w http.ResponseWriter, r *http.Request) {
 	if streaming {
 		// Headers are gone; append a well-formed trailer line so the client
 		// can distinguish truncation from completion.
-		enc.Encode(map[string]string{"error": feedErr.Error()}) //mpgraph:allow errdrop -- best-effort trailer on an already-failed stream; the connection may be gone
+		json.NewEncoder(w).Encode(map[string]string{"error": feedErr.Error()}) //mpgraph:allow errdrop -- best-effort trailer on an already-failed stream; the connection may be gone
 		return
 	}
 	status, retry := statusFor(feedErr)

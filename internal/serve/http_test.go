@@ -29,6 +29,74 @@ func postEvents(t *testing.T, base, id string, events []Event) *http.Response {
 	return resp
 }
 
+// flushCounter records the body and counts the handler's flushes, calling
+// onFlush (if set) after each.
+type flushCounter struct {
+	*httptest.ResponseRecorder
+	flushes int
+	onFlush func()
+}
+
+func (f *flushCounter) Flush() {
+	f.flushes++
+	f.ResponseRecorder.Flush()
+	if f.onFlush != nil {
+		f.onFlush()
+	}
+}
+
+// serveFeed drives one POST of events for session id through NewHandler in
+// process, on a flush-counting writer.
+func serveFeed(t *testing.T, srv *Server, ctx context.Context, id string, events []Event, onFlush func()) *flushCounter {
+	t.Helper()
+	var body bytes.Buffer
+	enc := json.NewEncoder(&body)
+	for _, ev := range events {
+		if err := enc.Encode(ev); err != nil {
+			t.Fatal(err)
+		}
+	}
+	req := httptest.NewRequest(http.MethodPost, "/v1/sessions/"+id+"/events", &body).WithContext(ctx)
+	fc := &flushCounter{ResponseRecorder: httptest.NewRecorder(), onFlush: onFlush}
+	NewHandler(srv).ServeHTTP(fc, req)
+	return fc
+}
+
+// replayLog is what serve.Replay writes for one session's events on a fresh
+// server built from cfg.
+func replayLog(t *testing.T, cfg Config, id string, events []Event) []byte {
+	t.Helper()
+	var trace, out bytes.Buffer
+	enc := json.NewEncoder(&trace)
+	for _, ev := range events {
+		if err := enc.Encode(ReplayRecord{Session: id, Addr: ev.Addr, PC: ev.PC, Core: ev.Core}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := Replay(context.Background(), mustServer(t, cfg), &trace, &out, 1); err != nil {
+		t.Fatal(err)
+	}
+	return out.Bytes()
+}
+
+// TestHTTPFlushesOncePerChunk: a feed of three full chunks and a partial one
+// is written and flushed once per chunk, and its body is byte for byte the
+// replay log of the same events.
+func TestHTTPFlushesOncePerChunk(t *testing.T) {
+	cfg := stubConfig(echoPF)
+	events := evs(3*cfg.FlushEvery + 5)
+	fc := serveFeed(t, mustServer(t, cfg), context.Background(), "web-<1>", events, nil)
+	if fc.Code != http.StatusOK {
+		t.Fatalf("status = %d, want 200: %s", fc.Code, fc.Body)
+	}
+	if fc.flushes != 4 {
+		t.Fatalf("%d events in chunks of %d flushed %d times, want 4", len(events), cfg.FlushEvery, fc.flushes)
+	}
+	if want := replayLog(t, cfg, "web-<1>", events); !bytes.Equal(fc.Body.Bytes(), want) {
+		t.Fatalf("HTTP body differs from the replay log:\n%s\nwant\n%s", fc.Body, want)
+	}
+}
+
 func decodeBody(t *testing.T, r io.Reader) []Prediction {
 	t.Helper()
 	dec := json.NewDecoder(r)

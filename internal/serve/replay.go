@@ -74,12 +74,15 @@ func Replay(ctx context.Context, srv *Server, in io.Reader, out io.Writer, paral
 			return fmt.Errorf("serve: replaying session %q: %w", order[i], err)
 		}
 	}
-	enc := json.NewEncoder(out)
-	for _, preds := range outs {
+	var buf []byte
+	for i, preds := range outs {
+		head := predictionHead(order[i])
+		buf = buf[:0]
 		for _, p := range preds {
-			if err := enc.Encode(p); err != nil {
-				return fmt.Errorf("serve: writing replay log: %w", err)
-			}
+			buf = appendPrediction(buf, head, p)
+		}
+		if _, err := out.Write(buf); err != nil {
+			return fmt.Errorf("serve: writing replay log: %w", err)
 		}
 	}
 	return nil

@@ -34,8 +34,10 @@ package serve
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -62,6 +64,33 @@ type Prediction struct {
 	Session string   `json:"session"`
 	Seq     uint64   `json:"seq"`
 	Blocks  []uint64 `json:"prefetch"`
+}
+
+// predictionHead returns the bytes every encoded Prediction of session id
+// starts with, up to and including `"seq":`. encoding/json quotes the id, so
+// its escaping is exactly what json.Encoder gives a Prediction.
+func predictionHead(id string) []byte {
+	q, _ := json.Marshal(id) //mpgraph:allow errdrop -- a string always marshals
+	return append(append([]byte(`{"session":`), q...), `,"seq":`...)
+}
+
+// appendPrediction appends p to dst as json.Encoder.Encode renders it: one
+// JSON object and a newline. head is predictionHead(p.Session). The HTTP
+// stream and the replay log both encode through it.
+func appendPrediction(dst, head []byte, p Prediction) []byte {
+	dst = append(dst, head...)
+	dst = strconv.AppendUint(dst, p.Seq, 10)
+	if p.Blocks == nil {
+		return append(dst, `,"prefetch":null}`+"\n"...)
+	}
+	dst = append(dst, `,"prefetch":[`...)
+	for i, b := range p.Blocks {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = strconv.AppendUint(dst, b, 10)
+	}
+	return append(dst, "]}\n"...)
 }
 
 // The admission and lifecycle errors the transport layers map to statuses.
@@ -226,6 +255,20 @@ func (s *Server) Stats() Stats {
 // a panic anywhere (injected or real) fails this request, logs a
 // degradation event, and leaves the daemon serving.
 func (s *Server) Feed(ctx context.Context, id string, events []Event, emit func(Prediction) error) error {
+	return s.feed(ctx, id, events, func(chunk []Prediction) error {
+		for _, p := range chunk {
+			if err := emit(p); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+}
+
+// feed is Feed with one emit call per flushed chunk: the chunk's predictions
+// in event order, never empty. The slice is the session's buffer, valid until
+// emit returns; the Predictions themselves (and their Blocks) stay valid.
+func (s *Server) feed(ctx context.Context, id string, events []Event, emit func([]Prediction) error) error {
 	if len(events) > s.cfg.MaxEventsPerFeed {
 		return fmt.Errorf("serve: feed of %d events exceeds the %d-event bound", len(events), s.cfg.MaxEventsPerFeed)
 	}

@@ -1,8 +1,10 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"net/http"
 	"slices"
 	"sync"
 	"testing"
@@ -44,11 +46,11 @@ func stubConfig(primary func() sim.Prefetcher) Config {
 	}
 }
 
-func mustServer(t *testing.T, cfg Config) *Server {
-	t.Helper()
+func mustServer(tb testing.TB, cfg Config) *Server {
+	tb.Helper()
 	srv, err := New(cfg)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	return srv
 }
@@ -314,6 +316,17 @@ func TestRequestDeadline(t *testing.T) {
 	}
 	if st := srv.Stats(); st.FeedErrors != 1 {
 		t.Fatalf("stats = %+v, want 1 feed error", st)
+	}
+
+	// Over HTTP the truncated stream ends on the chunk boundary, followed by
+	// the error trailer.
+	ctx, cancel = context.WithCancel(context.Background())
+	defer cancel()
+	fc := serveFeed(t, mustServer(t, cfg), ctx, "h", evs(10), cancel)
+	want := replayLog(t, cfg, "h", evs(2))
+	want = append(want, `{"error":"context canceled"}`+"\n"...)
+	if fc.Code != http.StatusOK || fc.flushes != 1 || !bytes.Equal(fc.Body.Bytes(), want) {
+		t.Fatalf("truncated stream: status %d, %d flushes, body\n%s\nwant one flush and\n%s", fc.Code, fc.flushes, fc.Body, want)
 	}
 }
 

@@ -64,12 +64,13 @@ func (s *Server) newSession(id string) (*session, error) {
 }
 
 // process runs one feed: events stream through the prefetcher in
-// FlushEvery-sized chunks. The session holds its batch-tier membership only
-// while computing a chunk and leaves before the serve-flush fault point and
-// the client emits — so a slow or dead client (or an injected flush fault)
-// can never stall another session's fused inference round, and a drain
-// never waits on a network write.
-func (sess *session) process(ctx context.Context, events []Event, emit func(Prediction) error) error {
+// FlushEvery-sized chunks, and each chunk that predicted anything is handed
+// to emit whole, in event order. The session holds its batch-tier membership
+// only while computing a chunk and leaves before the serve-flush fault point
+// and the client emits — so a slow or dead client (or an injected flush
+// fault) can never stall another session's fused inference round, and a
+// drain never waits on a network write.
+func (sess *session) process(ctx context.Context, events []Event, emit func([]Prediction) error) error {
 	srv := sess.srv
 	every := srv.cfg.FlushEvery
 	for start := 0; start < len(events); start += every {
@@ -84,10 +85,11 @@ func (sess *session) process(ctx context.Context, events []Event, emit func(Pred
 		if err := srv.cfg.Injector.Fire(resilience.PointServeFlush); err != nil {
 			return fmt.Errorf("serve: flush fault: %w", err)
 		}
-		for _, p := range sess.preds {
-			if err := emit(p); err != nil {
-				return fmt.Errorf("serve: emitting prediction: %w", err)
-			}
+		if len(sess.preds) == 0 {
+			continue
+		}
+		if err := emit(sess.preds); err != nil {
+			return fmt.Errorf("serve: emitting prediction: %w", err)
 		}
 		srv.predictions.Add(uint64(len(sess.preds)))
 	}
