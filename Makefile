@@ -86,8 +86,13 @@ test-times:
 # race is the determinism/concurrency gate. The heavy experiment tests
 # shrink themselves under the detector (see experiments/race_on_test.go);
 # the timeout covers the ~10x instrumentation slowdown on model training.
+# The two oracles of the paired model calls (models.Pair) run again at
+# GOMAXPROCS 1, where a pair never posts, and 2, where a helper goroutine
+# runs page calls beside the caller's delta calls.
 race:
 	$(GO) test -race -timeout 30m ./...
+	$(GO) test -race -count=1 -cpu 1,2 -timeout 30m ./internal/core/ ./internal/prefetch/ \
+		-run '^(TestCSTPMatchesReference|TestVoyagerMatchesSequential)$$'
 
 # fuzz explores past the committed seed corpora (testdata/fuzz, which every
 # `go test` already replays) for a short budget. `go test -fuzz` takes one
@@ -97,6 +102,7 @@ fuzz:
 	$(GO) test ./internal/serve/ -run xxx -fuzz '^FuzzDecodeEvents$$' -fuzztime 10s
 	$(GO) test ./internal/serve/ -run xxx -fuzz '^FuzzAppendPrediction$$' -fuzztime 10s
 	$(GO) test ./internal/models/ -run xxx -fuzz '^FuzzLoadPrefetcherModels$$' -fuzztime 10s
+	$(GO) test ./internal/resilience/ -run xxx -fuzz '^FuzzParseInjector$$' -fuzztime 10s
 
 # bench regenerates BENCH_small.json via cmd/mpgraph-bench (f32 and f16
 # speedups over float64 appear in its "speedups" section). models'

@@ -34,8 +34,10 @@ type chain struct {
 	pbot   *PBOT
 
 	// Inference runs on a per-instance arena plus reusable scratch buffers,
-	// so a steady-state Operate call allocates nothing.
+	// so a steady-state Operate call allocates nothing. pair runs a page
+	// call beside a delta call, on its own arena.
 	ctx         *tensor.Ctx
+	pair        *models.Pair
 	sampScratch models.Sample
 	tailScratch models.Sample
 	out         []uint64
@@ -69,6 +71,7 @@ func newChain(opt Options, deltas []models.DeltaModel, pages []models.PageModel)
 		pages:   pages,
 		pbot:    NewPBOT(opt.PBOTSize),
 		ctx:     tensor.NewCtx(),
+		pair:    new(models.Pair),
 		visited: make([]chainTail, 0, opt.TemporalDegree),
 	}, nil
 }
@@ -108,11 +111,31 @@ func (c *chain) deltaTargets(dm models.DeltaModel, s *models.Sample, base uint64
 	} else {
 		scores = models.DeltaScoresWith(c.ctx, dm, s)
 	}
+	return c.decode(scores, base, dst)
+}
+
+// decode screens a delta score vector and appends its Ds targets at base.
+func (c *chain) decode(scores []float64, base uint64, dst []uint64) []uint64 {
 	dst, err := models.AppendDeltaTargets(c.ctx, scores, base, c.opt.SpatialDegree, dst)
 	if err != nil && c.health == nil {
 		c.health = err
 	}
 	return dst
+}
+
+// spatial decodes the delta model's targets for s at base into c.deltaBuf.
+// With withPage it also puts pm's top page for the same s into c.pageBuf,
+// computed beside the delta call on c.pair; the caller counts that page
+// call in ModelCalls only if it uses the result.
+func (c *chain) spatial(dm models.DeltaModel, pm models.PageModel, s *models.Sample, base uint64, withPage bool) {
+	if !withPage {
+		c.deltaBuf = c.deltaTargets(dm, s, base, c.deltaBuf[:0])
+		return
+	}
+	c.ModelCalls++
+	var scores []float64
+	scores, c.pageBuf = c.pair.Run(c.ctx, dm, pm, s, 1, c.pageBuf[:0])
+	c.deltaBuf = c.decode(scores, base, c.deltaBuf[:0])
 }
 
 // topPage is the page-model counterpart of deltaTargets.
@@ -134,8 +157,14 @@ func (c *chain) cstp(hist *models.History, phase int, block uint64) []uint64 {
 	delta := c.deltas[phase%len(c.deltas)]
 	page := c.pages[phase%len(c.pages)]
 
+	// A step's delta call and the next step's page call read the same
+	// window and do not depend on each other: without a scheduler, and
+	// with a second P, they run side by side.
+	pair := c.opt.Scheduler == nil && models.PairOverlaps()
+
 	// Step 0: spatial deltas at the current block.
-	c.deltaBuf = c.deltaTargets(delta, sample, block, c.deltaBuf[:0])
+	paged := pair && c.opt.TemporalDegree > 0
+	c.spatial(delta, page, sample, block, paged)
 	for _, b := range c.deltaBuf {
 		out = addUnique(out, b, maxDegree)
 	}
@@ -148,7 +177,11 @@ func (c *chain) cstp(hist *models.History, phase int, block uint64) []uint64 {
 	// already in out.
 	cur := sample
 	for step := 0; step < c.opt.TemporalDegree; step++ {
-		c.pageBuf = c.topPage(page, cur, c.pageBuf[:0])
+		if paged {
+			c.ModelCalls++
+		} else {
+			c.pageBuf = c.topPage(page, cur, c.pageBuf[:0])
+		}
 		if len(c.pageBuf) == 0 {
 			break
 		}
@@ -166,7 +199,10 @@ func (c *chain) cstp(hist *models.History, phase int, block uint64) []uint64 {
 		c.ChainSteps++
 		out = addUnique(out, tail.base, maxDegree)
 		cur = hist.SampleWithTailInto(&c.tailScratch, phase, tail.base, tail.pc)
-		c.deltaBuf = c.deltaTargets(delta, cur, tail.base, c.deltaBuf[:0])
+		// The next step's page call rides beside this delta call when a
+		// next step exists; if the budget ends the chain here, it is dropped.
+		paged = pair && step+1 < c.opt.TemporalDegree
+		c.spatial(delta, page, cur, tail.base, paged)
 		for _, b := range c.deltaBuf {
 			out = addUnique(out, b, maxDegree)
 		}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -823,8 +824,21 @@ func forEachKernelPath(t *testing.T, f func(t *testing.T, portable bool)) {
 // TestCSTPMatchesReference is the differential oracle: the chain against
 // referenceCSTP on seeded random streams, Ds ∈ {1,2,3} × Dt ∈ {0…4}, on f64
 // and f32 AMMA suites and the cycle/NaN stubs, in-process and through a
-// recording ModelScheduler, for both controllers.
+// recording ModelScheduler, for both controllers. With a second P the
+// in-process legs post their page calls, and both outcomes of a pair must
+// occur: a helper ran a page call, and a caller claimed one back.
 func TestCSTPMatchesReference(t *testing.T) {
+	var helped, claimed int
+	defer func() {
+		t.Logf("in-process page calls: %d run by a helper, %d claimed by the caller", helped, claimed)
+		if runtime.GOMAXPROCS(0) == 1 {
+			if helped+claimed != 0 {
+				t.Errorf("%d page calls posted at GOMAXPROCS 1", helped+claimed)
+			}
+		} else if helped == 0 || claimed == 0 {
+			t.Errorf("in-process legs: %d page calls run by a helper, %d claimed by the caller; want both outcomes", helped, claimed)
+		}
+	}()
 	forEachKernelPath(t, func(t *testing.T, portable bool) {
 		for _, suite := range chainSuites {
 			var total ChainStats
@@ -879,11 +893,17 @@ func TestCSTPMatchesReference(t *testing.T) {
 						}
 						runOracle(t, opt, stream, pc, pcRef, func() ChainStats { return pc.ChainStats }, subjRec, refRec)
 
-						for _, s := range []ChainStats{m.ChainStats, pc.ChainStats} {
+						for _, c := range []*chain{&m.chain, &pc.chain} {
+							s := c.ChainStats
 							total.ChainSteps += s.ChainSteps
 							total.Revisits += s.Revisits
 							total.PBOTMisses += s.PBOTMisses
 							total.BudgetStops += s.BudgetStops
+							helped += c.pair.Helped
+							claimed += c.pair.Claimed
+							if sched && c.pair.Helped+c.pair.Claimed != 0 {
+								t.Fatalf("%s Ds=%d Dt=%d: a page call was posted with a scheduler attached", suite.name, ds, dt)
+							}
 						}
 					}
 				}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
 
@@ -53,6 +54,33 @@ func mpgraphStepper(m *MPGraph) func() {
 	}
 }
 
+// pairedAllocs counts the heap allocations per call of a warmed-up step at
+// GOMAXPROCS 2, where a pair posts its page call to a helper goroutine, whose
+// allocations the count includes. testing.AllocsPerRun cannot: it runs at
+// GOMAXPROCS 1, where a pair never posts. The runtime allocates now and then
+// on its own, and an arena grows once when page calls move to the pair's, so
+// the count is the quietest of three 64-call windows. It fails t unless pair
+// posted page calls inside the windows.
+func pairedAllocs(t *testing.T, pair *models.Pair, step func()) float64 {
+	t.Helper()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	posted := pair.Helped + pair.Claimed
+	least := ^uint64(0)
+	for w := 0; w < 3; w++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for n := 0; n < 64; n++ {
+			step()
+		}
+		runtime.ReadMemStats(&after)
+		least = min(least, after.Mallocs-before.Mallocs)
+	}
+	if pair.Helped+pair.Claimed == posted {
+		t.Fatal("no page call was posted: the pair path was not taken")
+	}
+	return float64(least) / 64
+}
+
 // TestMPGraphOperateZeroAlloc runs the production detector, Soft-KSWIN, in
 // front of the models: the warm-up fills its 300-observation window, so every
 // measured Operate also slides and tests it.
@@ -62,8 +90,8 @@ func TestMPGraphOperateZeroAlloc(t *testing.T) {
 	for n := 0; n < 400; n++ {
 		step()
 	}
-	if allocs := testing.AllocsPerRun(64, step); allocs != 0 {
-		t.Fatalf("steady-state AMMA MPGraph.Operate allocates %.1f/op, want 0", allocs)
+	if allocs := pairedAllocs(t, m.pair, step); allocs != 0 {
+		t.Fatalf("steady-state AMMA MPGraph.Operate allocates %.2f/op, want 0", allocs)
 	}
 }
 
@@ -108,18 +136,18 @@ func TestChainOperateZeroAlloc(t *testing.T) {
 		}
 		for name, c := range map[string]struct {
 			operate func(sim.LLCAccess) []uint64
-			stats   *ChainStats
-		}{"mpgraph": {m.Operate, &m.ChainStats}, "percore": {pc.Operate, &pc.ChainStats}} {
+			chain   *chain
+		}{"mpgraph": {m.Operate, &m.chain}, "percore": {pc.Operate, &pc.chain}} {
 			step := chainStepper(c.operate)
 			for n := 0; n < 96; n++ {
 				step()
 			}
-			before := *c.stats
-			if allocs := testing.AllocsPerRun(64, step); allocs != 0 {
-				t.Fatalf("%s f32=%v: steady-state chain Operate allocates %.1f/op, want 0", name, f32, allocs)
+			before := c.chain.ChainStats
+			if allocs := pairedAllocs(t, c.chain.pair, step); allocs != 0 {
+				t.Fatalf("%s f32=%v: steady-state chain Operate allocates %.2f/op, want 0", name, f32, allocs)
 			}
-			if c.stats.ChainSteps == before.ChainSteps || c.stats.Revisits == before.Revisits {
-				t.Fatalf("%s f32=%v: fixture took no chain step or met no revisit: %+v", name, f32, *c.stats)
+			if after := c.chain.ChainStats; after.ChainSteps == before.ChainSteps || after.Revisits == before.Revisits {
+				t.Fatalf("%s f32=%v: fixture took no chain step or met no revisit: %+v", name, f32, after)
 			}
 		}
 	}
@@ -221,10 +249,25 @@ func benchChainOperate(b *testing.B, f32 bool) {
 	b.ReportMetric(float64(m.ModelCalls-before.ModelCalls)/float64(b.N), "modelcalls/op")
 }
 
-func BenchmarkOperateMPGraphChain(b *testing.B) { benchChainOperate(b, false) }
+// atProcs runs bench at GOMAXPROCS 1, where a pair never posts, and at 2,
+// where a step's page call can run beside its delta call.
+func atProcs(b *testing.B, bench func(b *testing.B)) {
+	for _, procs := range []int{1, 2} {
+		b.Run(fmt.Sprintf("procs=%d", procs), func(b *testing.B) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			bench(b)
+		})
+	}
+}
+
+func BenchmarkOperateMPGraphChain(b *testing.B) {
+	atProcs(b, func(b *testing.B) { benchChainOperate(b, false) })
+}
 
 // BenchmarkOperateMPGraphChainF32 pairs with BenchmarkOperateMPGraphChain.
-func BenchmarkOperateMPGraphChainF32(b *testing.B) { benchChainOperate(b, true) }
+func BenchmarkOperateMPGraphChainF32(b *testing.B) {
+	atProcs(b, func(b *testing.B) { benchChainOperate(b, true) })
+}
 
 // newInt8AMMAMPGraph is newAMMAMPGraph with the models swapped for their
 // 8-bit-weight mirrors.
@@ -335,8 +378,8 @@ func TestMPGraphOperateZeroAllocF32(t *testing.T) {
 	for n := 0; n < 96; n++ {
 		step()
 	}
-	if allocs := testing.AllocsPerRun(64, step); allocs != 0 {
-		t.Fatalf("steady-state f32 MPGraph.Operate allocates %.1f/op, want 0", allocs)
+	if allocs := pairedAllocs(t, m.pair, step); allocs != 0 {
+		t.Fatalf("steady-state f32 MPGraph.Operate allocates %.2f/op, want 0", allocs)
 	}
 }
 

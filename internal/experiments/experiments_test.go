@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -276,9 +277,14 @@ func TestPanelCensus(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		// The census map is not synchronised, so the cell runs on one P,
+		// where no page call leaves the caller (models.Pair): the same
+		// products, in order.
+		restore := runtime.GOMAXPROCS(1)
 		stop := tensor.CountPanelShapes()
 		_, _, err = r.Simulate(wl, mp)
 		census := stop()
+		runtime.GOMAXPROCS(restore)
 		if err != nil {
 			t.Fatal(err)
 		}

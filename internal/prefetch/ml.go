@@ -178,6 +178,7 @@ type Voyager struct {
 	deltaModel models.DeltaModel
 	gate       inferGate
 	ctx        *tensor.Ctx
+	pair       models.Pair // the page call beside the delta call, unbatched
 	sess       *BatchSession
 	scratch    models.Sample
 	out        []uint64
@@ -244,24 +245,21 @@ func (p *Voyager) Operate(acc sim.LLCAccess) []uint64 {
 // predicted page. The delta score vector is inferred once and decoded at
 // both bases. Screening failures are recorded as the prefetcher's first
 // health defect. With a batch session both models route through the shared
-// scheduler (whose score slice is session-owned and stable across the
-// TopPages call); without one they run on c, whose arena keeps the scores
-// alive until Operate resets it.
+// scheduler, one call after the other (its score slice is session-owned and
+// stable across the TopPages call); without one the two calls run side by
+// side on p.pair, the delta call on c, whose arena keeps the scores alive
+// until Operate resets it.
 func (p *Voyager) predict(c *tensor.Ctx, s *models.Sample, block uint64, out []uint64) []uint64 {
 	var scores []float64
 	if p.sess != nil {
 		scores = p.sess.DeltaScores(p.deltaModel, s)
+		p.pages = p.sess.TopPages(p.pageModel, s, 1, p.pages[:0])
 	} else {
-		scores = models.DeltaScoresWith(c, p.deltaModel, s)
+		scores, p.pages = p.pair.Run(c, p.deltaModel, p.pageModel, s, 1, p.pages[:0])
 	}
 	var err error
 	out, err = models.AppendDeltaTargets(c, scores, block, p.opt.Degree/2, out)
 	p.health = keepFirst(p.health, err)
-	if p.sess != nil {
-		p.pages = p.sess.TopPages(p.pageModel, s, 1, p.pages[:0])
-	} else {
-		p.pages = models.TopPagesWith(c, p.pageModel, s, 1, p.pages[:0])
-	}
 	for _, pg := range p.pages {
 		off, ok := p.lastOffset[pg]
 		if !ok {

@@ -1,10 +1,12 @@
 package prefetch
 
 import (
+	"fmt"
 	"runtime"
 	"slices"
 	"testing"
 
+	"mpgraph/internal/models"
 	"mpgraph/internal/sim"
 	"mpgraph/internal/trace"
 )
@@ -44,9 +46,43 @@ func TestTransFetchOperateZeroAlloc(t *testing.T) {
 	checkZeroAlloc(t, NewTransFetch(delta, ds.Cfg.HistoryT, MLOptions{Degree: 6}), ds.Cfg.HistoryT+64)
 }
 
+// pairedAllocs counts the heap allocations per call of a warmed-up step at
+// GOMAXPROCS 2, where a pair posts its page call to a helper goroutine, whose
+// allocations the count includes. testing.AllocsPerRun cannot: it runs at
+// GOMAXPROCS 1, where a pair never posts. The runtime allocates now and then
+// on its own, and an arena grows once when page calls move to the pair's, so
+// the count is the quietest of three 64-call windows. It fails t unless pair
+// posted page calls inside the windows.
+func pairedAllocs(t *testing.T, pair *models.Pair, step func()) float64 {
+	t.Helper()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	posted := pair.Helped + pair.Claimed
+	least := ^uint64(0)
+	for w := 0; w < 3; w++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for n := 0; n < 64; n++ {
+			step()
+		}
+		runtime.ReadMemStats(&after)
+		least = min(least, after.Mallocs-before.Mallocs)
+	}
+	if pair.Helped+pair.Claimed == posted {
+		t.Fatal("no page call was posted: the pair path was not taken")
+	}
+	return float64(least) / 64
+}
+
 func TestVoyagerOperateZeroAlloc(t *testing.T) {
 	ds, delta, page := tinyTrainedModels(t)
-	checkZeroAlloc(t, NewVoyager(page, delta, ds.Cfg.HistoryT, MLOptions{Degree: 6}), ds.Cfg.HistoryT+64)
+	v := NewVoyager(page, delta, ds.Cfg.HistoryT, MLOptions{Degree: 6})
+	step := stepper(v)
+	for n := 0; n < ds.Cfg.HistoryT+64; n++ {
+		step()
+	}
+	if allocs := pairedAllocs(t, &v.pair, step); allocs != 0 {
+		t.Fatalf("steady-state voyager.Operate allocates %.2f/op, want 0", allocs)
+	}
 
 	// The stepper's one page never fills the last-offset window. Walk three
 	// windows' worth of accesses (> 8192 distinct pages), so all but the first
@@ -129,9 +165,16 @@ func BenchmarkOperateTransFetch(b *testing.B) {
 	benchOperate(b, NewTransFetch(delta, ds.Cfg.HistoryT, MLOptions{Degree: 6}), ds.Cfg.HistoryT+64)
 }
 
+// BenchmarkOperateVoyager runs at GOMAXPROCS 1, where the pair never posts,
+// and at 2, where the page call can run beside the delta call.
 func BenchmarkOperateVoyager(b *testing.B) {
 	ds, delta, page := tinyTrainedModels(b)
-	benchOperate(b, NewVoyager(page, delta, ds.Cfg.HistoryT, MLOptions{Degree: 6}), ds.Cfg.HistoryT+64)
+	for _, procs := range []int{1, 2} {
+		b.Run(fmt.Sprintf("procs=%d", procs), func(b *testing.B) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			benchOperate(b, NewVoyager(page, delta, ds.Cfg.HistoryT, MLOptions{Degree: 6}), ds.Cfg.HistoryT+64)
+		})
+	}
 }
 
 // TestClassicOperateAllocs is the allocation gate of the seven classic

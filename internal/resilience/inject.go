@@ -114,14 +114,15 @@ func NewInjector(seed int64) *Injector {
 }
 
 // Arm arms point to fail with kind on the n-th hit (1-based, exactly once).
-// Arming an unknown point or kind is a programmer error and fails loudly
-// through the designated invariant helper — a misspelled point would
+// Arming an unknown point or kind, or n = 0, is a programmer error and fails
+// loudly through the designated invariant helper — a misspelled point would
 // otherwise arm nothing, and a chaos drill against it would "pass" without
 // ever injecting a fault. The CLI path (ParseInjector) reports the same
 // defects as errors before this API is reached.
 func (in *Injector) Arm(point Point, kind Kind, n uint64) *Injector {
 	invariant.Checkf(validPoint(point), "resilience: arming unknown injection point %q (valid: %s)", point, pointNames())
 	invariant.Checkf(validKind(kind), "resilience: arming unknown injection kind %q (valid: err, panic, corrupt)", kind)
+	invariant.Checkf(n >= 1, "resilience: arming injection hit count 0 (1-based)")
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	in.arms[point] = &arm{kind: kind, at: n}
@@ -130,10 +131,12 @@ func (in *Injector) Arm(point Point, kind Kind, n uint64) *Injector {
 
 // ArmProb arms point to fail with kind on every hit independently with
 // probability p, drawn from the injector's seeded stream. Unknown points
-// and kinds fail loudly (see Arm).
+// and kinds, and a p outside [0, 1] (NaN included, which would never fire),
+// fail loudly (see Arm).
 func (in *Injector) ArmProb(point Point, kind Kind, p float64) *Injector {
 	invariant.Checkf(validPoint(point), "resilience: arming unknown injection point %q (valid: %s)", point, pointNames())
 	invariant.Checkf(validKind(kind), "resilience: arming unknown injection kind %q (valid: err, panic, corrupt)", kind)
+	invariant.Checkf(validProb(p), "resilience: arming injection probability %v outside [0, 1]", p)
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	in.arms[point] = &arm{kind: kind, prob: p}
@@ -177,7 +180,7 @@ func ParseInjector(spec string, seed int64) (*Injector, error) {
 		}
 		if probabilistic {
 			prob, err := strconv.ParseFloat(argStr, 64)
-			if err != nil || prob < 0 || prob > 1 {
+			if err != nil || !validProb(prob) {
 				return nil, fmt.Errorf("resilience: bad injection probability %q in %q", argStr, part)
 			}
 			in.ArmProb(p, kind, prob)
@@ -199,6 +202,9 @@ func validKind(k Kind) bool {
 	}
 	return false
 }
+
+// validProb reports p ∈ [0, 1]. NaN fails both comparisons, so it is out.
+func validProb(p float64) bool { return p >= 0 && p <= 1 }
 
 func validPoint(p Point) bool {
 	for _, q := range Points() {

@@ -2,6 +2,8 @@ package resilience
 
 import (
 	"errors"
+	"fmt"
+	"math"
 	"strings"
 	"testing"
 )
@@ -101,6 +103,14 @@ func TestArmRejectsUnknownPointOrKind(t *testing.T) {
 	mustPanic("ArmProb(unknown kind)", func() {
 		NewInjector(1).ArmProb(PointServeFlush, Kind(""), 0.5)
 	})
+	mustPanic("Arm(hit 0)", func() {
+		NewInjector(1).Arm(PointServeAdmit, KindErr, 0)
+	})
+	for _, p := range []float64{math.NaN(), -0.1, 1.5, math.Inf(1)} {
+		mustPanic(fmt.Sprintf("ArmProb(%v)", p), func() {
+			NewInjector(1).ArmProb(PointServeSession, KindPanic, p)
+		})
+	}
 
 	// Valid arms still chain.
 	in := NewInjector(1).Arm(PointServeAdmit, KindErr, 1).ArmProb(PointServeFlush, KindErr, 1)
