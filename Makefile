@@ -103,6 +103,8 @@ fuzz:
 	$(GO) test ./internal/serve/ -run xxx -fuzz '^FuzzAppendPrediction$$' -fuzztime 10s
 	$(GO) test ./internal/models/ -run xxx -fuzz '^FuzzLoadPrefetcherModels$$' -fuzztime 10s
 	$(GO) test ./internal/resilience/ -run xxx -fuzz '^FuzzParseInjector$$' -fuzztime 10s
+	$(GO) test ./internal/trace/ -run xxx -fuzz '^FuzzTraceRead$$' -fuzztime 10s
+	$(GO) test ./internal/tensor/ -run xxx -fuzz '^FuzzF16Bits$$' -fuzztime 10s
 
 # bench regenerates BENCH_small.json via cmd/mpgraph-bench (f32 and f16
 # speedups over float64 appear in its "speedups" section). models'

@@ -2,6 +2,7 @@ package tensor
 
 import (
 	"math"
+	"sort"
 	"testing"
 )
 
@@ -150,4 +151,62 @@ func TestF16SliceHelpers(t *testing.T) {
 	if d64[4] != math.Inf(1) || d64[5] != math.Inf(-1) {
 		t.Fatalf("1e9 must overflow to ±Inf, got %g %g", d64[4], d64[5])
 	}
+}
+
+// halfValue is the value of the non-negative finite half with bit pattern h,
+// from the format's definition rather than the decoder; h = 0x7c00 (+Inf)
+// stands at 65536, the next power of two, where the rounding rule puts it.
+func halfValue(h int) float64 {
+	if h < 0x400 {
+		return math.Ldexp(float64(h), -24)
+	}
+	return math.Ldexp(float64(0x400|h&0x3ff), h>>10-25)
+}
+
+// f16Nearest is F16Bits' oracle by search: the nearest of the sorted
+// non-negative halves (Inf at 65536), a tie to the even bit pattern, the sign
+// kept; every NaN is the canonical 0x7e00 with its sign.
+func f16Nearest(x float64) uint16 {
+	var sign uint16
+	if math.Signbit(x) {
+		sign = 0x8000
+	}
+	if math.IsNaN(x) {
+		return sign | 0x7e00
+	}
+	a := math.Abs(x)
+	j := sort.Search(0x7c01, func(h int) bool { return halfValue(h) >= a })
+	switch {
+	case j == 0x7c01: // past 65536
+		return sign | 0x7c00
+	case halfValue(j) == a || j == 0:
+		return sign | uint16(j)
+	}
+	// Halves have 11-bit significands, so the midpoint of two neighbours is
+	// exact in float64.
+	mid := (halfValue(j-1) + halfValue(j)) / 2
+	if a < mid || a == mid && (j-1)%2 == 0 {
+		return sign | uint16(j-1)
+	}
+	return sign | uint16(j)
+}
+
+// FuzzF16Bits holds the encoder to f16Nearest on any float64 bit pattern.
+func FuzzF16Bits(f *testing.F) {
+	for _, x := range []float64{
+		1 + 0x1p-11, 1 + 3*0x1p-11, -(1 + 0x1p-11), // ties at normal spacing
+		3 * 0x1p-25, 5 * 0x1p-25, // ties at subnormal spacing
+		65504, 65519.99, 65520, 0x1p-24, 0x1p-25, 0, math.Copysign(0, -1),
+	} {
+		f.Add(math.Float64bits(x))
+	}
+	for _, nan := range []uint64{0x7ff8000000000000, 0x7ff0000000000001, 0xfff8000000000123, 0xffffffffffffffff} {
+		f.Add(nan)
+	}
+	f.Fuzz(func(t *testing.T, bits uint64) {
+		x := math.Float64frombits(bits)
+		if got, want := F16Bits(x), f16Nearest(x); got != want {
+			t.Fatalf("F16Bits(%g = %#x) = %#04x, nearest half %#04x", x, bits, got, want)
+		}
+	})
 }

@@ -10,6 +10,11 @@ import "unsafe"
 // path and compare both tiers on the same machine.
 var useAVX512F = hasAVX512F()
 
+// Every kernel below is generated, both dtypes from one template each, into
+// gemm_batch_amd64.s and gemm_batch_f32_amd64.s by
+// internal/tensor/internal/kernelgen (DESIGN.md §8, "Kernel generator"): edit
+// the template there and rerun its test with -update, never the .s files.
+
 // fmaPanel4Asm is implemented in gemm_batch_amd64.s: out = seed + a @ b for
 // four consecutive rows of the activation block (out rows stride n, a rows
 // stride k), walking b in 16-column zmm tiles so one weight load feeds four
@@ -74,8 +79,7 @@ func vactF32AVX512(p *float32, n, mode int64, bias float32)
 // for q, k [t x d] and v, out [t x dv], in one pass: Kᵀ·scale, the scores and
 // the probabilities stay in scr ((d+3)·tp elements, tp = t rounded up to a
 // whole zmm) and registers. Each step is the operation sequence of the
-// panel-kernel / row-softmax composition it replaced (DESIGN.md §8). Both
-// dtypes' kernels are generated by internal/tensor/internal/attngen.
+// panel-kernel / row-softmax composition it replaced (DESIGN.md §8).
 //
 //mpgraph:noalloc
 //go:noescape

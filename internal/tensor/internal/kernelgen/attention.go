@@ -1,61 +1,52 @@
-// Package attngen writes the fused attention kernels attnBlockAsm and
-// attnBlockF32Asm (tensor.AttentionBlocks, DESIGN.md §8): the tail of
-// internal/tensor/gemm_batch_amd64.s and gemm_batch_f32_amd64.s from
-// GeneratedMarker on is Kernel's output. The kernels are unrolled over the
-// register file (a 16 × 16 or 8 × 8 transpose, nine-row tiles, one register
-// per softmax lane), so they are written by program rather than by hand; the
-// macros they use (TAILMASK, EXPZCONSTS, EXPZ0 and their F32 twins) and the
-// constant tables stay hand-written above the marker. The package's test
-// holds the committed files to Kernel and, run with -update, rewrites them.
-package attngen
+package kernelgen
 
-import (
-	"fmt"
-	"strings"
-)
+import "fmt"
 
-// GeneratedMarker opens the generated part of each .s file; everything from
-// it to the end of the file is Kernel's output.
-const GeneratedMarker = "// Code below is generated by internal/tensor/internal/attngen"
-
-// emitter collects the lines of a kernel.
-type emitter struct{ lines []string }
-
-func (o *emitter) e(format string, args ...any) {
-	o.lines = append(o.lines, fmt.Sprintf(format, args...))
-}
-
-// Kernel returns the generated text of attnBlockF32Asm (f32) or attnBlockAsm.
-func Kernel(f32 bool) string {
-	w, sz, sh, lg := 8, 8, 3, 3 // lanes, element bytes, log2 bytes, log2 lanes
-	p, s := "PD", "SD"
-	name, ty := "attnBlockAsm", "float64"
-	neginf, tailmask, consts, exp := "vneginf", "TAILMASK", "EXPZCONSTS", "EXPZ0"
-	allmask, argsz := "$0xFF", 72
+// attention emits attnBlockAsm, one whole attention block (tensor.
+// AttentionBlocks), out = softmax(q·(k·scale)ᵀ)·v for q, k [t x d] and v, out
+// [t x dv] (t, dv >= 1), in sweeps over arena scratch (attnScratch) whose rows
+// are whole zmm, so no load waits on a masked store:
+//   - qᵀ, transposed in lanes x lanes register blocks, and k·scale row by row
+//     (the one rounding the parent's transposeScale made);
+//   - the scores transposed, Sᵀ[j][r], in tiles of nine j by one or two row
+//     chunks: every lane is a query row, so the softmax runs down the lanes
+//     with no horizontal step;
+//   - the softmax of every query row, the row softmax kernel it replaced op
+//     for op: lane l of that kernel's column chunks is a register of its own
+//     here, so its lane max and lane sum over the chunks and its horizontal
+//     fold become elementwise ops over a chunk of rows at once; exp(x - max)
+//     by expZ0; one divide for 1/sum, one multiply per element. A ragged last
+//     row chunk is packed densely for its exps while the full chunks' run;
+//   - the AV product in nine-row tiles, the probabilities broadcast from Sᵀ.
+//
+// Both products keep the panel kernels' per-element FMA chain (ascending, from
+// +0, each operand in the same FMA position), so every output bit is the
+// parent composition's (TestKernelOracleAttention). Its row maxima skip NaN
+// exactly as the scalar `v > max` scan does, so the NaN then poisons its row
+// through exp and the sum. The kernel is unrolled over the register file,
+// which is why a program writes it.
+func attention(o *emitter, d dtype) {
+	w, sz, sh, lg := d.lanes, d.size, d.shift, d.lg
+	p := d.p
+	name, ty := "attnBlock"+d.suffix+"Asm", d.ty
+	neginf := d.konst + "neginf"
+	allmask, argsz := fmt.Sprintf("$%#x", 1<<w-1), 64+sz
 	// Lane registers of the max and sum trees, free of the exp constants.
 	lanes := regs(0, 8)
 	xtmp, mreg := "Z8", "Z10"
-	if f32 {
-		w, sz, sh, lg = 16, 4, 2, 4
-		p, s = "PS", "SS"
-		name, ty = "attnBlockF32Asm", "float32"
-		neginf, tailmask, consts, exp = "fneginf", "TAILMASKF32", "EXPZCONSTSF32", "EXPZ0F32"
-		allmask, argsz = "$0xFFFF", 68
+	if w == 16 {
 		lanes = append(regs(0, 12), "Z19", "Z20", "Z22", "Z23")
 		xtmp, mreg = "Z24", "Z24"
 	}
-	mov := "VMOVUP" + p[1:] // VMOVUPS / VMOVUPD
-	bcast := "VBROADCASTS" + s[1:]
+	mov, bcast := d.mov, d.bcast
+	exp := func() { expZ0(o, d) }
 
-	o := &emitter{}
 	e := o.e
-	e("%s; go test ./internal/tensor/internal/attngen -update", GeneratedMarker)
-	e("// rewrites it. Edit the generator, not this text.")
-	e("")
 	e("// func %s(out, q, k, v, scr *%s, t, d, dv int64, scale %s)", name, ty, ty)
 	e("TEXT ·%s(SB), NOSPLIT, $40-%d", name, argsz)
 	e("\tMOVQ t+40(FP), R8")
-	e("\t%s(R8, R12)  // K1: lanes of the last row chunk; R12: full row chunks", tailmask)
+	e("\t// K1: lanes of the last row chunk; R12: full row chunks")
+	tailMask(o, d, "R8", "R12")
 	e("\tLEAQ 1(R12), R11")
 	e("\tSHLQ $6, R11  // tp: one padded row of qᵀ or of the scores, in bytes")
 	e("\tMOVQ d+48(FP), R9")
@@ -113,7 +104,7 @@ func Kernel(f32 bool) string {
 	}
 	e("")
 	e("qtt:")
-	transpose(e, f32)
+	transpose(e, w == 16)
 	e("\tMOVQ d+48(FP), CX")
 	e("\tMOVQ DX, AX")
 	e("\tSHRQ $%d, AX", sh)
@@ -213,9 +204,8 @@ func Kernel(f32 bool) string {
 	e("\tMOVQ AX, maxima-32(SP)  // one register of row maxima per r-chunk")
 	e("")
 	scores(e, p, mov, bcast, sz)
-	softmax(e, p, mov, bcast, w, sh, lg, neginf, consts, exp, lanes, xtmp, mreg)
+	softmax(e, p, mov, bcast, w, sh, lg, neginf, func() { expConsts(o, d, false) }, exp, lanes, xtmp, mreg)
 	av(e, p, mov, bcast, w, sz, sh)
-	return strings.Join(o.lines, "\n") + "\n"
 }
 
 // scores emits the transposed score tiles: nine j by two row chunks while
@@ -320,16 +310,16 @@ func scores(e func(string, ...any), p, mov, bcast string, sz int) {
 // softmax emits the lane-wise softmax of every row chunk of the transposed
 // scores: maxima, exps (a ragged last chunk packed), sums and probabilities.
 func softmax(e func(string, ...any), p, mov, bcast string, w, sh, lg int,
-	neginf, consts, exp string, lanes []string, xtmp, mreg string) {
+	neginf string, consts, exp func(), lanes []string, xtmp, mreg string) {
 	e("stdone:")
 	e("\t// Softmax down each lane (query row) of every r-chunk. The lane maxima")
 	e("\t// and sums are the ones the row softmax kernel made: per lane l of its")
 	e("\t// %d-column chunks, the running VMAX%s (the score first, so a NaN score", w, p)
 	e("\t// never wins) and VADD%s over the full chunks then the tail's lanes, then", p)
-	e("\t// the HREDUCE fold (lane i with i+%d, ...), each op with the same sources", w/2)
+	e("\t// the horizontal fold (lane i with i+%d, ...), each op with the same sources", w/2)
 	e("\t// in the same places; here every lane of those registers is a register")
 	e("\t// of its own and the fold is elementwise, so no horizontal step is left.")
-	e("\t%s", consts)
+	consts()
 	e("\tMOVQ R8, R15")
 	e("\tMOVQ R12, AX")
 	e("\tSHLQ $%d, AX", lg)
@@ -396,7 +386,7 @@ func softmax(e func(string, ...any), p, mov, bcast string, w, sh, lg int,
 	e("ex:")
 	e("\t%s (DI), Z0", mov)
 	e("\tVSUB%s  %s, Z0, Z0", p, mreg)
-	e("\t%s", exp)
+	exp()
 	e("\t%s Z4, (DI)", mov)
 	e("\tADDQ    R11, DI")
 	e("\tDECQ    CX")
@@ -414,7 +404,7 @@ func softmax(e func(string, ...any), p, mov, bcast string, w, sh, lg int,
 	e("")
 	e("pe:")
 	e("\t%s (AX), Z0", mov)
-	e("\t%s", exp)
+	exp()
 	e("\t%s Z4, (AX)", mov)
 	e("\tADDQ    $64, AX")
 	e("\tDECQ    CX")
@@ -639,7 +629,7 @@ func transpose(e func(string, ...any), f32 bool) {
 }
 
 // reduce emits the lane-wise running reduction over the full chunks, then
-// the tail's lanes, then the HREDUCE fold. DI walks the rows of this r-chunk.
+// the tail's lanes, then the horizontal fold. DI walks the rows of this r-chunk.
 func reduce(e func(string, ...any), lbl string, lanes []string, xtmp, mov, op string, isMax bool) {
 	step := func(r string) {
 		if isMax {
@@ -680,13 +670,4 @@ func reduce(e func(string, ...any), lbl string, lanes []string, xtmp, mov, op st
 			e("\t%s %s, %s, %s", op, lanes[i+h], lanes[i], lanes[i])
 		}
 	}
-}
-
-// regs names Z lo .. Z hi-1.
-func regs(lo, hi int) []string {
-	var r []string
-	for i := lo; i < hi; i++ {
-		r = append(r, fmt.Sprintf("Z%d", i))
-	}
-	return r
 }

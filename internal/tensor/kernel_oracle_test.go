@@ -5,8 +5,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-
-	"mpgraph/internal/tensor/internal/softmaxoracle"
 )
 
 // Kernel oracle (ROADMAP item 4): every vector kernel against its scalar twin
@@ -108,9 +106,9 @@ func transposeScale[T float32 | float64](dst, src []T, rows, cols int, scale T) 
 
 // parentAttentionBlocks is AttentionBlocks as the parent commit ran it on an
 // AVX-512F host — Kᵀ·scale by transposeScale, a cleared score block, the
-// score GEMM, the row softmax kernel (kept verbatim in softmaxoracle), the AV
-// GEMM onto a zeroed output — the oracle the fused kernel must equal bit for
-// bit.
+// score GEMM, the row softmax kernel (parentSoftmaxRows, its operations in
+// Go), the AV GEMM onto a zeroed output — the oracle the fused kernel must
+// equal bit for bit.
 func parentAttentionBlocks[T float32 | float64](c *Ctx, q, k, v *Dense[T], blocks int, scale T) *Dense[T] {
 	t := q.Rows / blocks
 	d := q.Cols
@@ -118,18 +116,12 @@ func parentAttentionBlocks[T float32 | float64](c *Ctx, q, k, v *Dense[T], block
 	out := zeros[T](c, q.Rows, dv)
 	scratch := &arenaOf[T](c).data
 	kT := scratch.takeUninit(d * t)
-	scores := scratch.takeUninit(2 * t * t)
-	scores, tmp := scores[:t*t], scores[t*t:]
+	scores := scratch.takeUninit(t * t)
 	for blk := 0; blk < blocks; blk++ {
 		transposeScale(kT, k.Data[blk*t*d:(blk+1)*t*d], t, d, scale)
 		clear(scores)
 		gemmBatch(scores, q.Data[blk*t*d:(blk+1)*t*d], kT, t, d, t)
-		switch p := any(scores).(type) {
-		case []float64:
-			softmaxoracle.SoftmaxRows64(p, any(tmp).([]float64), t, t)
-		case []float32:
-			softmaxoracle.SoftmaxRows32(p, any(tmp).([]float32), t, t)
-		}
+		parentSoftmaxRows(scores, t, t)
 		gemmBatch(out.Data[blk*t*dv:(blk+1)*t*dv], scores, v.Data[blk*t*dv:(blk+1)*t*dv], t, t, dv)
 	}
 	return out

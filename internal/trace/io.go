@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 )
 
 const traceMagic = 0x4d505452 // "MPTR"
@@ -47,7 +48,17 @@ func Write(w io.Writer, t *Trace) error {
 	return bw.Flush()
 }
 
-// Read deserialises a trace written by Write.
+// maxPhases bounds a header's phase count: an access's phase is a uint8.
+const maxPhases = 256
+
+// readChunk is how many records Read makes room for before the first
+// arrives.
+const readChunk = 1 << 12
+
+// Read deserialises a trace written by Write. It trusts no count in the
+// header: both slices grow as their records arrive, never past what the
+// header claims, so a forged count costs at most twice the bytes that follow
+// it, and a trace that fails Validate is an error, not a value.
 func Read(r io.Reader) (*Trace, error) {
 	br := bufio.NewReaderSize(r, 1<<20)
 	var magic uint64
@@ -71,31 +82,42 @@ func Read(r io.Reader) (*Trace, error) {
 			return nil, err
 		}
 	}
-	if numIters > 1<<24 || numAcc > 1<<32 {
-		return nil, fmt.Errorf("trace: implausible header iters=%d accesses=%d", numIters, numAcc)
+	if numPhases > maxPhases || numIters > 1<<24 || numAcc > 1<<32 {
+		return nil, fmt.Errorf("trace: implausible header phases=%d iters=%d accesses=%d", numPhases, numIters, numAcc)
 	}
 	t.NumPhases = int(numPhases)
-	t.IterationStarts = make([]int, numIters)
-	for i := range t.IterationStarts {
-		var v uint64
-		if err := binary.Read(br, binary.LittleEndian, &v); err != nil {
-			return nil, err
+	var rec [20]byte // Addr, PC, then Core, Phase, Gap and the write flag
+	for i := uint64(0); i < numIters; i++ {
+		if _, err := io.ReadFull(br, rec[:8]); err != nil {
+			return nil, fmt.Errorf("trace: iteration start %d: %w", i, err)
 		}
-		t.IterationStarts[i] = int(v)
+		t.IterationStarts = grow(t.IterationStarts, numIters-i)
+		t.IterationStarts = append(t.IterationStarts, int(binary.LittleEndian.Uint64(rec[:8])))
 	}
-	t.Accesses = make([]Access, numAcc)
-	for i := range t.Accesses {
-		var rec [2]uint64
-		var meta [4]uint8
-		if err := binary.Read(br, binary.LittleEndian, &rec); err != nil {
-			return nil, err
+	for i := uint64(0); i < numAcc; i++ {
+		if _, err := io.ReadFull(br, rec[:]); err != nil {
+			return nil, fmt.Errorf("trace: access %d: %w", i, err)
 		}
-		if err := binary.Read(br, binary.LittleEndian, &meta); err != nil {
-			return nil, err
-		}
-		t.Accesses[i] = Access{Addr: rec[0], PC: rec[1], Core: meta[0], Phase: meta[1], Gap: meta[2], Write: meta[3]&1 != 0}
+		t.Accesses = grow(t.Accesses, numAcc-i)
+		t.Accesses = append(t.Accesses, Access{
+			Addr: binary.LittleEndian.Uint64(rec[0:8]), PC: binary.LittleEndian.Uint64(rec[8:16]),
+			Core: rec[16], Phase: rec[17], Gap: rec[18], Write: rec[19]&1 != 0,
+		})
+	}
+	if err := t.Validate(); err != nil {
+		return nil, err
 	}
 	return t, nil
+}
+
+// grow makes room in s for one more element when it is full: readChunk, or
+// as many again as s holds, but never more than the left records claimed.
+func grow[E any](s []E, left uint64) []E {
+	if len(s) < cap(s) {
+		return s
+	}
+	n := uint64(max(len(s), readChunk))
+	return slices.Grow(s, int(min(n, left)))
 }
 
 func writeString(w io.Writer, s string) error {

@@ -119,14 +119,20 @@ func (t *Trace) PhaseTransitions() []int {
 	return out
 }
 
-// Validate checks trace invariants used by property tests.
+// Validate checks the invariants a consumer may slice by: a phase count >= 0,
+// iteration starts strictly increasing from 0 and inside the accesses, and
+// every access's phase below NumPhases when that is set. Read returns only
+// traces that pass it.
 func (t *Trace) Validate() error {
+	if t.NumPhases < 0 {
+		return fmt.Errorf("trace: NumPhases %d < 0", t.NumPhases)
+	}
 	prev := -1
 	for i, s := range t.IterationStarts {
 		if s <= prev {
 			return fmt.Errorf("trace: iteration starts not strictly increasing at %d", i)
 		}
-		if s >= len(t.Accesses) && len(t.Accesses) > 0 {
+		if s > 0 && s >= len(t.Accesses) {
 			return fmt.Errorf("trace: iteration start %d beyond accesses", s)
 		}
 		prev = s
