@@ -23,23 +23,13 @@ import "fmt"
 // +0, each operand in the same FMA position), so every output bit is the
 // parent composition's (TestKernelOracleAttention). Its row maxima skip NaN
 // exactly as the scalar `v > max` scan does, so the NaN then poisons its row
-// through exp and the sum. The kernel is unrolled over the register file,
-// which is why a program writes it.
+// through exp and the sum.
 func attention(o *emitter, d dtype) {
 	w, sz, sh, lg := d.lanes, d.size, d.shift, d.lg
 	p := d.p
 	name, ty := "attnBlock"+d.suffix+"Asm", d.ty
-	neginf := d.konst + "neginf"
 	allmask, argsz := fmt.Sprintf("$%#x", 1<<w-1), 64+sz
-	// Lane registers of the max and sum trees, free of the exp constants.
-	lanes := regs(0, 8)
-	xtmp, mreg := "Z8", "Z10"
-	if w == 16 {
-		lanes = append(regs(0, 12), "Z19", "Z20", "Z22", "Z23")
-		xtmp, mreg = "Z24", "Z24"
-	}
 	mov, bcast := d.mov, d.bcast
-	exp := func() { expZ0(o, d) }
 
 	e := o.e
 	e("// func %s(out, q, k, v, scr *%s, t, d, dv int64, scale %s)", name, ty, ty)
@@ -104,7 +94,7 @@ func attention(o *emitter, d dtype) {
 	}
 	e("")
 	e("qtt:")
-	transpose(e, w == 16)
+	transpose(o, d)
 	e("\tMOVQ d+48(FP), CX")
 	e("\tMOVQ DX, AX")
 	e("\tSHRQ $%d, AX", sh)
@@ -203,14 +193,15 @@ func attention(o *emitter, d dtype) {
 	e("\tADDQ CX, AX")
 	e("\tMOVQ AX, maxima-32(SP)  // one register of row maxima per r-chunk")
 	e("")
-	scores(e, p, mov, bcast, sz)
-	softmax(e, p, mov, bcast, w, sh, lg, neginf, func() { expConsts(o, d, false) }, exp, lanes, xtmp, mreg)
-	av(e, p, mov, bcast, w, sz, sh)
+	scores(o, d)
+	softmax(o, d)
+	av(o, d)
 }
 
 // scores emits the transposed score tiles: nine j by two row chunks while
 // two remain, then by one.
-func scores(e func(string, ...any), p, mov, bcast string, sz int) {
+func scores(o *emitter, d dtype) {
+	e, p, mov, bcast, sz := o.e, d.p, d.mov, d.bcast, d.size
 	e("\t// Scores, transposed: row j of the block holds q·(k_j·scale) for every")
 	e("\t// query row r in its lanes, r-chunk by r-chunk, in tiles of nine j by one")
 	e("\t// or two chunks. An element is the ascending-p FMA chain from +0 with")
@@ -309,8 +300,16 @@ func scores(e func(string, ...any), p, mov, bcast string, sz int) {
 
 // softmax emits the lane-wise softmax of every row chunk of the transposed
 // scores: maxima, exps (a ragged last chunk packed), sums and probabilities.
-func softmax(e func(string, ...any), p, mov, bcast string, w, sh, lg int,
-	neginf string, consts, exp func(), lanes []string, xtmp, mreg string) {
+func softmax(o *emitter, d dtype) {
+	e, p, mov, bcast, w, sh, lg := o.e, d.p, d.mov, d.bcast, d.lanes, d.shift, d.lg
+	// Lane registers of the max and sum trees, free of the exp constants;
+	// a scratch register, and one for the maxima of a chunk.
+	lanes := regs(0, 8)
+	xtmp, mreg := "Z8", "Z10"
+	if w == 16 {
+		lanes = append(regs(0, 12), "Z19", "Z20", "Z22", "Z23")
+		xtmp, mreg = "Z24", "Z24"
+	}
 	e("stdone:")
 	e("\t// Softmax down each lane (query row) of every r-chunk. The lane maxima")
 	e("\t// and sums are the ones the row softmax kernel made: per lane l of its")
@@ -319,7 +318,7 @@ func softmax(e func(string, ...any), p, mov, bcast string, w, sh, lg int,
 	e("\t// the horizontal fold (lane i with i+%d, ...), each op with the same sources", w/2)
 	e("\t// in the same places; here every lane of those registers is a register")
 	e("\t// of its own and the fold is elementwise, so no horizontal step is left.")
-	consts()
+	expConsts(o, d, false)
 	e("\tMOVQ R8, R15")
 	e("\tMOVQ R12, AX")
 	e("\tSHLQ $%d, AX", lg)
@@ -330,7 +329,7 @@ func softmax(e func(string, ...any), p, mov, bcast string, w, sh, lg int,
 	e("\tLEAQ 1(R12), R14  // row chunks left")
 	e("")
 	e("sm:")
-	e("\t%s %s<>(SB), %s", bcast, neginf, xtmp)
+	e("\t%s %sneginf<>(SB), %s", bcast, d.konst, xtmp)
 	for _, r := range lanes {
 		e("\tVMOVAP%s %s, %s", p[1:], xtmp, r)
 	}
@@ -386,7 +385,7 @@ func softmax(e func(string, ...any), p, mov, bcast string, w, sh, lg int,
 	e("ex:")
 	e("\t%s (DI), Z0", mov)
 	e("\tVSUB%s  %s, Z0, Z0", p, mreg)
-	exp()
+	expZ0(o, d)
 	e("\t%s Z4, (DI)", mov)
 	e("\tADDQ    R11, DI")
 	e("\tDECQ    CX")
@@ -404,7 +403,7 @@ func softmax(e func(string, ...any), p, mov, bcast string, w, sh, lg int,
 	e("")
 	e("pe:")
 	e("\t%s (AX), Z0", mov)
-	exp()
+	expZ0(o, d)
 	e("\t%s Z4, (AX)", mov)
 	e("\tADDQ    $64, AX")
 	e("\tDECQ    CX")
@@ -475,7 +474,8 @@ func softmax(e func(string, ...any), p, mov, bcast string, w, sh, lg int,
 
 // av emits the AV product: nine output rows by two column chunks while more
 // than one remains, then by one.
-func av(e func(string, ...any), p, mov, bcast string, w, sz, sh int) {
+func av(o *emitter, d dtype) {
+	e, p, mov, bcast, w, sz, sh := o.e, d.p, d.mov, d.bcast, d.lanes, d.size, d.shift
 	e("\t// AV: out rows r0..r0+8 by one or two column chunks, the ascending-j FMA")
 	e("\t// chain from +0 with the probability (broadcast from lane r of")
 	e("\t// probability row j) second and v third, as the panel GEMM had them.")
@@ -582,10 +582,11 @@ func av(e func(string, ...any), p, mov, bcast string, w, sz, sh int) {
 
 // transpose emits the in-register transpose of the W x W block in
 // Z0..Z(W-1): row i in Zi becomes column j in Zj.
-func transpose(e func(string, ...any), f32 bool) {
+func transpose(o *emitter, d dtype) {
+	e := o.e
 	var groups [][4]int
 	op, stride := "VSHUFF64X2", 2
-	if f32 {
+	if d.lanes == 16 {
 		// Z16+2k, Z17+2k: rows 2k, 2k+1 interleaved within each 128-bit lane.
 		for k := 0; k < 8; k++ {
 			e("\tVUNPCKLPS Z%d, Z%d, Z%d", 2*k+1, 2*k, 16+2*k)

@@ -3,9 +3,9 @@
 // output, from GeneratedMarker on, below their build tag and #include. Each
 // kernel is one template over a dtype — element size, lanes per zmm, mask
 // width, mnemonic suffix and the exp constants — so the two precisions of a
-// kernel cannot drift apart, and a new tile shape or precision is one edit
-// here (DESIGN.md §8, "Kernel generator"). The package's test holds the
-// committed files to File and, run with -update, rewrites them.
+// kernel cannot drift apart, and a new tile shape is written once (DESIGN.md
+// §8, "Kernel generator"). The package's test holds the committed files to
+// File and, run with -update, rewrites them.
 package kernelgen
 
 import (
@@ -38,8 +38,8 @@ type dtype struct {
 	clamp, ln2hi, ln2lo string
 	degree              int
 	neginf              string // -Inf's bits, the running max's start
-	// perms are the in-register shuffles of a horizontal fold, after its
-	// two extracts: one per halving below four lanes.
+	// perms are the in-register shuffles of a horizontal fold, one per
+	// halving after its two extracts.
 	perms []string
 }
 
