@@ -167,7 +167,7 @@ func writeDegradeLog(path string, r *experiments.Runner) error {
 		return err
 	}
 	if _, err := r.Events.WriteTo(f); err != nil {
-		f.Close() //mpgraph:allow errdrop -- the write error already reports the failure
+		f.Close() // the write error already reports the failure
 		return err
 	}
 	return f.Close()

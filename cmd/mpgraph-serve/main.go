@@ -258,7 +258,7 @@ func writeDegradeLog(path string, events *resilience.Log) error {
 		return err
 	}
 	if _, err := events.WriteTo(f); err != nil {
-		f.Close() //mpgraph:allow errdrop -- the write error already reports the failure
+		f.Close() // the write error already reports the failure
 		return err
 	}
 	return f.Close()

@@ -1,10 +1,9 @@
 // Command mpgraph-vet is the project's static-analysis gate: it chains the
-// standard `go vet` passes with the fourteen MPGraph-specific analyzers
-// (seededrand, errdrop, floateq, panicpolicy, addrhelpers, maporder,
-// walltime, noalloc, lockcheck, golifetime, chansafe, ctxflow, directive,
-// injectpoint) and exits non-zero on any finding. It is part of tier-1: CI
-// runs it on every push (.github/workflows/ci.yml), and `make lint` runs it
-// locally.
+// standard `go vet` passes with the eleven MPGraph-specific analyzers
+// (seededrand, errdrop, panicpolicy, addrhelpers, maporder, walltime,
+// noalloc, lockcheck, golifetime, directive, injectpoint) and exits non-zero
+// on any finding. It is part of tier-1: CI runs it on every push
+// (.github/workflows/ci.yml), and `make lint` runs it locally.
 //
 // Usage:
 //
@@ -15,12 +14,12 @@
 // iterating on one analyzer); -list prints the analyzer roster and exits.
 //
 // -fix applies each finding's suggested rewrite (maporder's sorted-keys
-// loop, walltime's allow directive, lockcheck's deferred unlock, ctxflow's
-// threaded context, directive's TODO reason) in place, skipping fixes whose
-// edits would overlap, and prints what it changed; findings without a fix
-// are printed and still fail the run. One -fix pass converges: applying the
-// fixes a second time changes nothing (`make vet-fix-check` enforces this
-// on a copy of the tree).
+// loop, walltime's allow directive, lockcheck's deferred unlock,
+// golifetime's detached directive, directive's TODO reason) in place,
+// skipping fixes whose edits would overlap, and prints what it changed;
+// findings without a fix are printed and still fail the run. One -fix pass
+// converges: every fixture's golden test re-runs the fixes on their own
+// output and requires no further edit.
 //
 // -json prints each finding as one JSON object per line (package, file,
 // line, col, analyzer, message, fixable) instead of the human format —
@@ -35,16 +34,18 @@
 //
 // -facts-dir exports the cross-package fact layer (internal/analysis/facts):
 // one JSON file per loaded package holding its per-function summaries
-// (allocation-freedom with provenance, may-panic, blocking, sinks, recovery
-// boundaries, injection-point literals, lock sets) plus the injection-point
-// roster. The files are byte-deterministic — CI runs the export twice and
-// diffs the directories — and ship as an artifact next to vet-self.jsonl.
+// (allocation-freedom with provenance, sinks, recovery boundaries,
+// injection-point literals) plus the injection-point roster. The files are
+// byte-deterministic — CI runs the export twice and diffs the directories —
+// and ship as an artifact next to vet-self.jsonl.
 //
-// Findings are suppressed per line by a trailing
-// "//mpgraph:allow name[,name] -- reason" directive; the reason is
-// mandatory and the directive analyzer enforces it (along with the rest of
-// the //mpgraph: vocabulary). See DESIGN.md's "Static analysis" section
-// for the invariants each analyzer encodes.
+// Findings are suppressed per line by a trailing allow directive,
+// "mpgraph:allow name[,name] -- reason" written right after the comment's
+// slashes; the reason is mandatory and the directive analyzer enforces it
+// (along with the rest of the mpgraph: vocabulary). A ./... run also
+// reports an allow that names an analyzer which found nothing on its line.
+// See DESIGN.md's "Static analysis" section for the invariants each
+// analyzer encodes.
 package main
 
 import (
@@ -57,11 +58,8 @@ import (
 
 	"mpgraph/internal/analysis"
 	"mpgraph/internal/analysis/passes/addrhelpers"
-	"mpgraph/internal/analysis/passes/chansafe"
-	"mpgraph/internal/analysis/passes/ctxflow"
 	"mpgraph/internal/analysis/passes/directive"
 	"mpgraph/internal/analysis/passes/errdrop"
-	"mpgraph/internal/analysis/passes/floateq"
 	"mpgraph/internal/analysis/passes/golifetime"
 	"mpgraph/internal/analysis/passes/injectpoint"
 	"mpgraph/internal/analysis/passes/lockcheck"
@@ -74,11 +72,8 @@ import (
 
 var suite = []*analysis.Analyzer{
 	addrhelpers.Analyzer,
-	chansafe.Analyzer,
-	ctxflow.Analyzer,
 	directive.Analyzer,
 	errdrop.Analyzer,
-	floateq.Analyzer,
 	golifetime.Analyzer,
 	injectpoint.Analyzer,
 	lockcheck.Analyzer,

@@ -8,7 +8,7 @@ import (
 )
 
 // TestRosterMatchesDirectiveKnown pins the directive analyzer's Known list
-// to the registered suite: an //mpgraph:allow directive may cite exactly
+// to the registered suite: an allow directive may cite exactly
 // the analyzers this binary runs, so adding a pass without updating Known
 // (or vice versa) fails here instead of silently misvalidating directives.
 func TestRosterMatchesDirectiveKnown(t *testing.T) {

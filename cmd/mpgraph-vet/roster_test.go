@@ -36,7 +36,7 @@ func TestInjectionRosterMatchesFiredPoints(t *testing.T) {
 	store := facts.NewStore()
 	used := map[string]bool{}
 	for _, pkg := range loader.Loaded() {
-		pf := facts.Compute(loader.Fset, pkg.Files, pkg.Types, pkg.Info, store)
+		pf := facts.Compute(loader.Fset, pkg.Files, pkg.Types, pkg.Info, store, nil)
 		store.Add(pf)
 		for _, fn := range pf.Funcs {
 			for _, p := range fn.Fires {

@@ -2,7 +2,7 @@
 // golang.org/x/tools/go/analysis that mpgraph-vet needs, built on the
 // standard library only (go/ast, go/types, go/importer). The repository is
 // dependency-free by policy, so rather than vendoring x/tools the suite
-// mirrors its Analyzer/Pass/Diagnostic API closely enough that the fourteen
+// mirrors its Analyzer/Pass/Diagnostic API closely enough that the eleven
 // MPGraph analyzers could be ported to the real framework by changing
 // imports.
 //
@@ -11,19 +11,21 @@
 //   - Analyzer.Match lets the driver scope an analyzer to a subset of
 //     package paths (x/tools expresses this inside each analyzer; keeping it
 //     in the driver lets analysistest fixtures use short package names).
-//   - Suppression directives: a trailing comment of the form
-//     "//mpgraph:allow name[,name...] -- reason" silences the named
-//     analyzers for that source line. The reason is mandatory by
-//     convention: a bare allow reads as noise, an explained one as a
-//     documented decision.
+//   - Suppression directives: a trailing comment whose text starts
+//     "mpgraph:allow name[,name...] -- reason" silences the named
+//     analyzers for that source line (grammar: ParseAllow). The reason is
+//     mandatory: a bare allow reads as noise, an explained one as a
+//     documented decision. A whole-module run reports every name that
+//     silenced nothing (Suppressions.Stale).
 package analysis
 
 import (
+	"errors"
 	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
-	"regexp"
+	"slices"
 	"sort"
 	"strings"
 
@@ -58,8 +60,8 @@ const (
 
 // Analyzer describes one static check.
 type Analyzer struct {
-	// Name identifies the analyzer in diagnostics and in
-	// //mpgraph:allow directives.
+	// Name identifies the analyzer in diagnostics and in allow
+	// directives.
 	Name string
 	// Doc is the one-paragraph description shown by mpgraph-vet -help.
 	Doc string
@@ -77,7 +79,7 @@ type Analyzer struct {
 	// complete fact store — the hook for whole-program checks that no
 	// single package can settle (e.g. injectpoint's declared-never-fired).
 	// Finish diagnostics must stamp Diagnostic.Pkg themselves; the driver
-	// applies that package's //mpgraph:allow suppressions to them.
+	// applies that package's allow directives to them.
 	Finish func(fp *FinishPass) error
 }
 
@@ -236,43 +238,137 @@ func NewPass(a *Analyzer, fset *token.FileSet, files []*ast.File, pkg *types.Pac
 	}
 }
 
-// allowRE matches suppression directives. The directive must carry a reason
-// after " -- " so every silenced finding documents why.
-var allowRE = regexp.MustCompile(`//mpgraph:allow ([a-z,]+) -- \S`)
+// allowPrefix opens every suppression directive. A directive is a comment
+// whose slashes are followed, with no space, by
+//
+//	mpgraph:allow name[,name...] -- reason
+//
+// where the names are lower-case analyzer names joined by commas with no
+// spaces, and the reason after " -- " is not empty. It ends where a later
+// comment starts (" //"), which is how fixtures append a want clause to the
+// line under test. ParseAllow is the only parser of the grammar: the
+// driver, the fact layer and the directive analyzer all read allow
+// directives through it.
+const allowPrefix = "//mpgraph:allow"
 
-// Suppressions indexes //mpgraph:allow directives: file:line -> set of
-// analyzer names silenced on that line.
-type Suppressions map[string]map[string]bool
+// Errors ParseAllow reports for a comment that is an allow directive but
+// breaks the grammar. Such a directive suppresses nothing.
+var (
+	errAllowNoNames  = errors.New("mpgraph:allow directive names no analyzers; write mpgraph:allow <name>[,<name>] followed by a reason")
+	ErrAllowNoReason = errors.New("mpgraph:allow directive without a reason; append -- <why> so the suppression documents itself")
+	errAllowEmbedded = errors.New("mpgraph:allow must start its comment; written after other text it suppresses nothing")
+)
+
+// ParseAllow parses one comment's text. ok is false when the comment is not
+// an allow directive: it neither starts with allowPrefix (followed by a
+// space or the end of the comment) nor carries one after other text. An
+// allow directive returns a non-nil err when it breaks the grammar, and the
+// analyzer names it cites whenever the list itself parses — a directive
+// missing only its reason still has its names checked.
+func ParseAllow(text string) (names []string, ok bool, err error) {
+	if !strings.HasPrefix(text, allowPrefix) {
+		if i := strings.Index(text, allowPrefix); i > 0 && isAllowEnd(text[i+len(allowPrefix):]) {
+			return nil, true, errAllowEmbedded
+		}
+		return nil, false, nil
+	}
+	rest := text[len(allowPrefix):]
+	if !isAllowEnd(rest) {
+		return nil, false, nil // another verb, such as allow-walltime
+	}
+	if i := strings.Index(rest, " //"); i >= 0 {
+		rest = rest[:i]
+	}
+	list, reason, hasReason := strings.Cut(rest, " --")
+	list = strings.TrimPrefix(list, " ")
+	if list == "" {
+		return nil, true, errAllowNoNames
+	}
+	names = strings.Split(list, ",")
+	for _, n := range names {
+		if n == "" || strings.TrimLeft(n, "abcdefghijklmnopqrstuvwxyz") != "" {
+			return nil, true, fmt.Errorf("malformed analyzer list %q in mpgraph:allow directive; join lower-case names with commas and no spaces", list)
+		}
+	}
+	if !hasReason || strings.TrimSpace(reason) == "" {
+		return names, true, ErrAllowNoReason
+	}
+	return names, true, nil
+}
+
+// isAllowEnd reports whether rest, the text after allowPrefix, ends the
+// directive's verb: the comment ends or a space follows.
+func isAllowEnd(rest string) bool { return rest == "" || rest[0] == ' ' }
+
+// Suppressions indexes a package's well-formed allow directives by source
+// line and records which cited analyzers each one actually silenced.
+type Suppressions struct {
+	sites  []*allowSite // in source order
+	byLine map[lineKey]*allowSite
+}
+
+type lineKey struct {
+	file string
+	line int
+}
+
+type allowSite struct {
+	pos   token.Pos
+	names []string        // the analyzers the directive cites
+	used  map[string]bool // the cited analyzers it silenced a finding of
+}
 
 // CollectSuppressions scans the files' comments for allow directives.
 func CollectSuppressions(fset *token.FileSet, files []*ast.File) Suppressions {
-	sup := Suppressions{}
+	sup := Suppressions{byLine: map[lineKey]*allowSite{}}
 	for _, f := range files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
-				m := allowRE.FindStringSubmatch(c.Text)
-				if m == nil {
+				names, ok, err := ParseAllow(c.Text)
+				if !ok || err != nil {
 					continue
 				}
 				pos := fset.Position(c.Pos())
-				key := fmt.Sprintf("%s:%d", pos.Filename, pos.Line)
-				if sup[key] == nil {
-					sup[key] = map[string]bool{}
-				}
-				for _, name := range strings.Split(m[1], ",") {
-					sup[key][name] = true
-				}
+				site := &allowSite{pos: c.Pos(), names: names, used: map[string]bool{}}
+				sup.sites = append(sup.sites, site)
+				sup.byLine[lineKey{pos.Filename, pos.Line}] = site
 			}
 		}
 	}
 	return sup
 }
 
-// Allowed reports whether the named analyzer is suppressed at pos.
+// Allowed reports whether the named analyzer is suppressed at pos, and
+// records the directive as used when it is.
 func (s Suppressions) Allowed(fset *token.FileSet, pos token.Pos, name string) bool {
 	p := fset.Position(pos)
-	key := fmt.Sprintf("%s:%d", p.Filename, p.Line)
-	return s[key][name]
+	site := s.byLine[lineKey{p.Filename, p.Line}]
+	if site == nil || !slices.Contains(site.names, name) {
+		return false
+	}
+	site.used[name] = true
+	return true
+}
+
+// Stale reports every name of a directive that silenced nothing, as a
+// finding of that analyzer, when suite(name) says the analyzer is in the
+// run's suite: the name is dead weight that would hide a future finding on
+// its line. Only sound once every analyzer, and the fact layer, has
+// consulted the suppressions.
+func (s Suppressions) Stale(suite func(name string) bool) []Diagnostic {
+	var out []Diagnostic
+	for _, site := range s.sites {
+		for _, name := range site.names {
+			if !site.used[name] && suite(name) {
+				out = append(out, Diagnostic{
+					Pos:      site.pos,
+					Analyzer: name,
+					Message:  fmt.Sprintf("mpgraph:allow %s silences nothing on this line; delete the name", name),
+				})
+			}
+		}
+	}
+	return out
 }
 
 // Filter drops suppressed diagnostics, sorts the rest by file position

@@ -7,7 +7,7 @@
 //
 // (several "..." patterns on one line expect several findings). The harness
 // type-checks each fixture against the standard library with a source
-// importer, runs the analyzer, applies //mpgraph:allow suppression exactly
+// importer, runs the analyzer, applies allow-directive suppression exactly
 // as the driver does, and diffs findings against expectations. Analyzer
 // Match functions are deliberately ignored so fixtures can use short
 // package names.
@@ -253,11 +253,17 @@ func analyze(t *testing.T, l *fxLoader, fx *fixture, a *analysis.Analyzer) []ana
 	if a.Needs(analysis.NeedCallGraph) {
 		pass.CallGraph = callgraph.New(fx.tpkg, pass.Dataflow)
 	}
+	var allFiles []*ast.File
+	for _, dep := range deps {
+		allFiles = append(allFiles, dep.files...)
+	}
+	sup := analysis.CollectSuppressions(sharedFset, allFiles)
 	var store *facts.Store
 	if a.Needs(analysis.NeedFacts) || a.Finish != nil {
 		store = facts.NewStore()
+		allowNoalloc := func(pos token.Pos) bool { return sup.Allowed(sharedFset, pos, "noalloc") }
 		for _, dep := range deps {
-			store.Add(facts.Compute(sharedFset, dep.files, dep.tpkg, dep.info, store))
+			store.Add(facts.Compute(sharedFset, dep.files, dep.tpkg, dep.info, store, allowNoalloc))
 		}
 		pass.Facts = store
 	}
@@ -275,11 +281,6 @@ func analyze(t *testing.T, l *fxLoader, fx *fixture, a *analysis.Analyzer) []ana
 		}
 	}
 
-	var allFiles []*ast.File
-	for _, dep := range deps {
-		allFiles = append(allFiles, dep.files...)
-	}
-	sup := analysis.CollectSuppressions(sharedFset, allFiles)
 	return analysis.Filter(sharedFset, diags, sup)
 }
 

@@ -1,5 +1,5 @@
 // Package cfg builds intraprocedural control-flow graphs over ast.Stmt for
-// mpgraph-vet's concurrency-contract analyzers (DESIGN.md §7). Like the
+// mpgraph-vet's lock-balance analyzer, lockcheck (DESIGN.md §7). Like the
 // dataflow layer it is standard-library only and deliberately structural: a
 // Graph is basic blocks of ast.Node items (simple statements plus the
 // condition/tag expressions of the control statements that end a block)
@@ -7,14 +7,8 @@
 // with one synthetic Exit block that every return, explicit panic(), and
 // fall-off-the-end path targets.
 //
-// Two queries carry the analyzers:
-//
-//   - path structure: Succs/Preds plus Reachable let a pass ask "can this
-//     close(ch) reach this send?" — lockcheck runs a lockset fixpoint over
-//     the same edges;
-//   - dominance: Dominates answers "must this node execute before that
-//     one?" (a make(chan) dominating every close proves ownership; an
-//     Unlock failing to appear on a path to Exit proves a leak).
+// lockcheck runs a lockset fixpoint over the Succs/Preds edges; Reachable
+// answers "can this block execute after that one?".
 //
 // Deferred calls do not get edges (they run at every exit); instead each
 // DeferStmt is kept in its block's node list, so a flow-sensitive pass sees
@@ -49,7 +43,6 @@ type Graph struct {
 	Blocks []*Block
 
 	blockOf map[ast.Node]*Block
-	idom    []*Block // lazily computed immediate dominators, by Block.Index
 }
 
 // Block is one basic block.
@@ -107,97 +100,6 @@ func (g *Graph) Reachable(from, to *Block) bool {
 		return false
 	}
 	return walk(from)
-}
-
-// Dominates reports whether every path from Entry to b passes through a
-// (reflexively: a block dominates itself). Blocks unreachable from Entry
-// are dominated by nothing and dominate nothing.
-func (g *Graph) Dominates(a, b *Block) bool {
-	if g.idom == nil {
-		g.computeDominators()
-	}
-	if a == b {
-		return g.idom[b.Index] != nil || b == g.Entry
-	}
-	for d := g.idom[b.Index]; d != nil; d = g.idom[d.Index] {
-		if d == a {
-			return true
-		}
-	}
-	return false
-}
-
-// computeDominators runs the Cooper–Harvey–Kennedy iterative algorithm
-// over the blocks reachable from Entry, in reverse postorder.
-func (g *Graph) computeDominators() {
-	rpo := g.reversePostorder()
-	order := make([]int, len(g.Blocks)) // Block.Index -> RPO position
-	for i := range order {
-		order[i] = -1
-	}
-	for i, b := range rpo {
-		order[b.Index] = i
-	}
-	idom := make([]*Block, len(g.Blocks))
-	idom[g.Entry.Index] = g.Entry
-	intersect := func(x, y *Block) *Block {
-		for x != y {
-			for order[x.Index] > order[y.Index] {
-				x = idom[x.Index]
-			}
-			for order[y.Index] > order[x.Index] {
-				y = idom[y.Index]
-			}
-		}
-		return x
-	}
-	for changed := true; changed; {
-		changed = false
-		for _, b := range rpo {
-			if b == g.Entry {
-				continue
-			}
-			var newIdom *Block
-			for _, p := range b.Preds {
-				if idom[p.Index] == nil {
-					continue // unreachable or not yet processed
-				}
-				if newIdom == nil {
-					newIdom = p
-				} else {
-					newIdom = intersect(newIdom, p)
-				}
-			}
-			if newIdom != nil && idom[b.Index] != newIdom {
-				idom[b.Index] = newIdom
-				changed = true
-			}
-		}
-	}
-	idom[g.Entry.Index] = nil // Entry has no immediate dominator
-	g.idom = idom
-}
-
-// reversePostorder returns the blocks reachable from Entry in reverse
-// postorder of a depth-first walk.
-func (g *Graph) reversePostorder() []*Block {
-	seen := make([]bool, len(g.Blocks))
-	var post []*Block
-	var walk func(b *Block)
-	walk = func(b *Block) {
-		seen[b.Index] = true
-		for _, s := range b.Succs {
-			if !seen[s.Index] {
-				walk(s)
-			}
-		}
-		post = append(post, b)
-	}
-	walk(g.Entry)
-	for i, j := 0, len(post)-1; i < j; i, j = i+1, j-1 {
-		post[i], post[j] = post[j], post[i]
-	}
-	return post
 }
 
 // labelBlocks tracks the jump targets a label can name.

@@ -3,7 +3,9 @@ package analysis
 import (
 	"encoding/json"
 	"fmt"
+	"go/token"
 	"io"
+	"slices"
 	"sort"
 
 	"mpgraph/internal/analysis/callgraph"
@@ -25,7 +27,8 @@ type Options struct {
 	FactsDir string
 	// Complete declares that the targets cover the whole module (the
 	// "./..." invocation) — the precondition for whole-program
-	// absence checks in Analyzer.Finish.
+	// absence checks: Analyzer.Finish's, and the driver's own report of an
+	// allow directive that silences nothing.
 	Complete bool
 }
 
@@ -47,7 +50,9 @@ func Analyze(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 // opt.All is summarised in topological import order, so each package's
 // computation sees its module dependencies' final facts. After the
 // per-package runs, each analyzer's Finish hook fires once with the full
-// store for whole-program checks.
+// store for whole-program checks. In a Complete run the driver then reports
+// every name in an allow directive that silenced nothing on its line
+// (Suppressions.Stale).
 func AnalyzeOpts(pkgs []*Package, analyzers []*Analyzer, opt Options) ([]Diagnostic, error) {
 	if len(pkgs) == 0 {
 		return nil, nil
@@ -55,6 +60,16 @@ func AnalyzeOpts(pkgs []*Package, analyzers []*Analyzer, opt Options) ([]Diagnos
 	all := opt.All
 	if len(all) == 0 {
 		all = pkgs
+	}
+
+	supByPath := map[string]Suppressions{}
+	supFor := func(pkg *Package) Suppressions {
+		s, ok := supByPath[pkg.Path]
+		if !ok {
+			s = CollectSuppressions(pkg.Fset, pkg.Files)
+			supByPath[pkg.Path] = s
+		}
+		return s
 	}
 
 	needFacts := opt.FactsDir != ""
@@ -67,23 +82,15 @@ func AnalyzeOpts(pkgs []*Package, analyzers []*Analyzer, opt Options) ([]Diagnos
 	if needFacts {
 		store = facts.NewStore()
 		for _, p := range topoOrder(all) {
-			store.Add(facts.Compute(p.Fset, p.Files, p.Types, p.Info, store))
+			sup := supFor(p)
+			allowNoalloc := func(pos token.Pos) bool { return sup.Allowed(p.Fset, pos, "noalloc") }
+			store.Add(facts.Compute(p.Fset, p.Files, p.Types, p.Info, store, allowNoalloc))
 		}
 		if opt.FactsDir != "" {
 			if err := store.WriteDir(opt.FactsDir); err != nil {
 				return nil, fmt.Errorf("analysis: writing facts: %w", err)
 			}
 		}
-	}
-
-	supByPath := map[string]Suppressions{}
-	supFor := func(pkg *Package) Suppressions {
-		s, ok := supByPath[pkg.Path]
-		if !ok {
-			s = CollectSuppressions(pkg.Fset, pkg.Files)
-			supByPath[pkg.Path] = s
-		}
-		return s
 	}
 
 	var out []Diagnostic
@@ -122,9 +129,6 @@ func AnalyzeOpts(pkgs []*Package, analyzers []*Analyzer, opt Options) ([]Diagnos
 				return out, fmt.Errorf("analysis: %s on %s: %w", a.Name, pkg.Path, err)
 			}
 		}
-		if len(diags) == 0 {
-			continue
-		}
 		for _, d := range Filter(pkg.Fset, diags, supFor(pkg)) {
 			d.Pkg = pkg.Path
 			out = append(out, d)
@@ -160,6 +164,22 @@ func AnalyzeOpts(pkgs []*Package, analyzers []*Analyzer, opt Options) ([]Diagnos
 				continue
 			}
 			out = append(out, d)
+		}
+	}
+
+	// Every suppression has now been consulted, so a name still unused
+	// silences nothing — whether its analyzer found nothing on the line or
+	// does not run on the package at all. Only a whole-module run has seen
+	// every finding a directive could be silencing.
+	if opt.Complete {
+		inSuite := func(name string) bool {
+			return slices.ContainsFunc(analyzers, func(a *Analyzer) bool { return a.Name == name })
+		}
+		for _, pkg := range pkgs {
+			for _, d := range supFor(pkg).Stale(inSuite) {
+				d.Pkg = pkg.Path
+				out = append(out, d)
+			}
 		}
 	}
 

@@ -17,7 +17,7 @@
 // tainted expression anywhere in an assignment chain taints the whole
 // chain, any syntactic call edge counts) and never tracks aliasing through
 // pointers or containers — the analyzers built on it prefer a rare
-// explained //mpgraph:allow over a missed nondeterminism bug.
+// explained allow directive over a missed nondeterminism bug.
 package dataflow
 
 import (

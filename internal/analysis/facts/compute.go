@@ -7,7 +7,6 @@ import (
 	"go/token"
 	"go/types"
 	"path/filepath"
-	"regexp"
 	"sort"
 	"strings"
 
@@ -31,11 +30,6 @@ const noallocMarker = "//mpgraph:noalloc"
 // recoversMarker designates recovery-boundary helpers (golifetime).
 const recoversMarker = "mpgraph:recovers"
 
-// allowNoallocRE matches suppression lines that silence noalloc; the fact
-// computation honours them exactly as the driver's Filter would, so a
-// reasoned in-function allow keeps the function's NoAlloc fact provable.
-var allowNoallocRE = regexp.MustCompile(`//mpgraph:allow ([a-z,]+) -- \S`)
-
 // fnState is one function's in-flight summary during the fixpoint.
 type fnState struct {
 	fact *FuncFact
@@ -44,7 +38,7 @@ type fnState struct {
 	// (steady-state region, allow lines excluded), in source order.
 	allocCalls []*ast.CallExpr
 	// behCallees are statically resolved callees, for propagating
-	// MayPanic/Blocks/Sink/Recovers.
+	// Sink/Recovers.
 	behCallees []*types.Func
 }
 
@@ -52,8 +46,13 @@ type fnState struct {
 // already be in store — the driver guarantees it by visiting packages in
 // topological import order — so cross-package calls resolve against final
 // summaries and only the intra-package fixpoint iterates.
-func Compute(fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info, store *Store) *PackageFacts {
-	allowed := allowNoallocLines(fset, files)
+//
+// allowNoalloc reports whether an allow directive silences
+// noalloc on pos's line (nil: none does). The driver answers it from the
+// same suppressions its filter applies, so a reasoned in-function allow
+// keeps the function's NoAlloc fact provable.
+func Compute(fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info, store *Store, allowNoalloc func(token.Pos) bool) *PackageFacts {
+	allowed := func(pos token.Pos) bool { return allowNoalloc != nil && allowNoalloc(pos) }
 	relPos := func(pos token.Pos) string {
 		p := fset.Position(pos)
 		return fmt.Sprintf("%s:%d", filepath.Base(p.Filename), p.Line)
@@ -79,7 +78,7 @@ func Compute(fset *token.FileSet, files []*ast.File, pkg *types.Package, info *t
 				inits++
 				sym = fmt.Sprintf("init#%d", inits)
 			}
-			st := &fnState{fact: &FuncFact{Func: sym, NoAlloc: true, TakesCtx: takesCtx(obj)}, decl: fd}
+			st := &fnState{fact: &FuncFact{Func: sym, NoAlloc: true}, decl: fd}
 			if fd.Body == nil {
 				// Assembly or externally linked: no body to prove. The
 				// //mpgraph:noalloc marker is the author's contract (the
@@ -90,7 +89,7 @@ func Compute(fset *token.FileSet, files []*ast.File, pkg *types.Package, info *t
 					st.fact.Reason = "has no body to analyze and no //mpgraph:noalloc marker"
 				}
 			} else {
-				scanLeaf(fset, info, pkg, st, allowed, relPos)
+				scanLeaf(info, pkg, st, allowed, relPos)
 			}
 			order = append(order, st)
 			byObj[obj] = st
@@ -114,7 +113,7 @@ func Compute(fset *token.FileSet, files []*ast.File, pkg *types.Package, info *t
 	}
 
 	// Intra-package fixpoint. All facts are monotone (NoAlloc only falls,
-	// the behaviour bits only rise), so iteration terminates.
+	// Sink and Recovers only rise), so iteration terminates.
 	for changed := true; changed; {
 		changed = false
 		for _, st := range order {
@@ -135,12 +134,6 @@ func Compute(fset *token.FileSet, files []*ast.File, pkg *types.Package, info *t
 				cf := factFor(callee)
 				if cf == nil {
 					continue
-				}
-				if cf.MayPanic && !f.MayPanic {
-					f.MayPanic, changed = true, true
-				}
-				if cf.Blocks && !f.Blocks {
-					f.Blocks, changed = true, true
 				}
 				if cf.Sink && !f.Sink {
 					f.Sink, changed = true, true
@@ -212,19 +205,15 @@ func allocCallBroken(callee *types.Func, factFor func(*types.Func) *FuncFact) (b
 
 // scanLeaf fills a function's leaf facts and call lists in two passes over
 // the body: the shared ScanAlloc walk for the allocation rules, and a
-// behaviour walk for panic/blocking/sink/recovery/injection/lock facts.
-func scanLeaf(fset *token.FileSet, info *types.Info, pkg *types.Package, st *fnState,
-	allowed map[string]bool, relPos func(token.Pos) string) {
+// behaviour walk for the sink/recovery/injection facts.
+func scanLeaf(info *types.Info, pkg *types.Package, st *fnState,
+	allowed func(token.Pos) bool, relPos func(token.Pos) string) {
 	f := st.fact
 	fd := st.decl
-	lineKey := func(pos token.Pos) string {
-		p := fset.Position(pos)
-		return fmt.Sprintf("%s:%d", p.Filename, p.Line)
-	}
 
 	ScanAlloc(info, pkg, fd,
 		func(pos token.Pos, reason string) {
-			if allowed[lineKey(pos)] {
+			if allowed(pos) {
 				return
 			}
 			f.NoAlloc = false
@@ -233,7 +222,7 @@ func scanLeaf(fset *token.FileSet, info *types.Info, pkg *types.Package, st *fnS
 			}
 		},
 		func(call *ast.CallExpr) {
-			if allowed[lineKey(call.Pos())] {
+			if allowed(call.Pos()) {
 				return
 			}
 			st.allocCalls = append(st.allocCalls, call)
@@ -244,71 +233,38 @@ func scanLeaf(fset *token.FileSet, info *types.Info, pkg *types.Package, st *fnS
 	}
 	fires := map[string]bool{}
 	arms := map[string]bool{}
-	locks := map[string]bool{}
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		switch s := n.(type) {
-		case *ast.SendStmt:
-			f.Blocks = true
 		case *ast.UnaryExpr:
-			if s.Op == token.ARROW {
-				f.Blocks = true
-				if call, ok := ast.Unparen(s.X).(*ast.CallExpr); ok {
-					if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok && sel.Sel.Name == "Done" {
-						f.Sink = true
-					}
+			// A receive from ctx.Done() (or any Done channel).
+			if call, ok := ast.Unparen(s.X).(*ast.CallExpr); ok && s.Op == token.ARROW {
+				if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok && sel.Sel.Name == "Done" {
+					f.Sink = true
 				}
 			}
 		case *ast.SelectStmt:
 			f.Sink = true
-			blocking := true
-			for _, cl := range s.Body.List {
-				if cc, ok := cl.(*ast.CommClause); ok && cc.Comm == nil {
-					blocking = false // default clause: non-blocking poll
-				}
-			}
-			if blocking {
-				f.Blocks = true
-			}
 		case *ast.RangeStmt:
 			if tv, ok := info.Types[s.X]; ok {
 				if _, isChan := tv.Type.Underlying().(*types.Chan); isChan {
-					f.Blocks = true
 					f.Sink = true
 				}
 			}
 		case *ast.CallExpr:
 			if id := rootIdent(s.Fun); id != nil {
 				if b, ok := info.Uses[id].(*types.Builtin); ok {
-					switch b.Name() {
-					case "panic":
-						f.MayPanic = true
-					case "recover":
+					if b.Name() == "recover" {
 						f.Recovers = true
 					}
 					return true
 				}
 			}
 			callee, _ := dataflow.Callee(info, s).(*types.Func)
-			if callee == nil {
-				// Dynamic call: panic reachability is unknowable, so the
-				// fact is conservative; Blocks deliberately stays an
-				// under-approximation (see FuncFact.Blocks).
-				f.MayPanic = true
+			if callee == nil || callee.Pkg() == nil {
 				return true
 			}
 			callee = callee.Origin()
-			cpkg := callee.Pkg()
-			switch {
-			case cpkg == nil:
-			case cpkg.Path() == "time" && callee.Name() == "Sleep":
-				f.Blocks = true
-			case cpkg.Path() == "sync" && callee.Name() == "Wait":
-				f.Blocks = true // WaitGroup.Wait or Cond.Wait
-			case cpkg.Path() == "sync" && (callee.Name() == "Lock" || callee.Name() == "RLock"):
-				if sel, ok := ast.Unparen(s.Fun).(*ast.SelectorExpr); ok {
-					locks[types.ExprString(sel.X)] = true
-				}
-			case isInjectionCall(callee):
+			if isInjectionCall(callee) {
 				val := "*"
 				if len(s.Args) > 0 {
 					if tv, ok := info.Types[s.Args[0]]; ok && tv.Value != nil && tv.Value.Kind() == constant.String {
@@ -320,16 +276,13 @@ func scanLeaf(fset *token.FileSet, info *types.Info, pkg *types.Package, st *fnS
 				} else {
 					arms[val] = true
 				}
-				fallthrough
-			default:
-				st.behCallees = append(st.behCallees, callee)
 			}
+			st.behCallees = append(st.behCallees, callee)
 		}
 		return true
 	})
 	f.Fires = sortedKeys(fires)
 	f.Arms = sortedKeys(arms)
-	f.Locks = sortedKeys(locks)
 }
 
 // isInjectionCall matches the resilience injector surface by shape: a
@@ -350,23 +303,6 @@ func isInjectionCall(f *types.Func) bool {
 	return ok && named.Obj().Name() == "Point"
 }
 
-// takesCtx reports a context.Context parameter anywhere in the signature.
-func takesCtx(f *types.Func) bool {
-	sig, ok := f.Type().(*types.Signature)
-	if !ok {
-		return false
-	}
-	for i := 0; i < sig.Params().Len(); i++ {
-		if named, ok := sig.Params().At(i).Type().(*types.Named); ok {
-			obj := named.Obj()
-			if obj.Name() == "Context" && obj.Pkg() != nil && obj.Pkg().Path() == "context" {
-				return true
-			}
-		}
-	}
-	return false
-}
-
 // hasNoallocMarker mirrors the noalloc analyzer's directive match: the doc
 // line must start with the marker, so prose mentions do not opt in.
 func hasNoallocMarker(fd *ast.FuncDecl) bool {
@@ -379,29 +315,6 @@ func hasNoallocMarker(fd *ast.FuncDecl) bool {
 		}
 	}
 	return false
-}
-
-// allowNoallocLines indexes file:line positions whose //mpgraph:allow
-// directive names noalloc.
-func allowNoallocLines(fset *token.FileSet, files []*ast.File) map[string]bool {
-	out := map[string]bool{}
-	for _, f := range files {
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				m := allowNoallocRE.FindStringSubmatch(c.Text)
-				if m == nil {
-					continue
-				}
-				for _, name := range strings.Split(m[1], ",") {
-					if name == "noalloc" {
-						p := fset.Position(c.Pos())
-						out[fmt.Sprintf("%s:%d", p.Filename, p.Line)] = true
-					}
-				}
-			}
-		}
-	}
-	return out
 }
 
 // rosterPoints extracts the injection-point roster from a package that

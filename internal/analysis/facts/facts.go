@@ -7,10 +7,9 @@
 // package is summarised every module dependency's facts are already in the
 // Store. Analyzers consult the store through Pass.Facts to settle questions
 // the per-package view cannot: "is this cross-package callee allocation-free?"
-// (noalloc), "may this ctx-less callee block?" (ctxflow), "does this spawned
-// goroutine reach a sink or a recovery boundary in another package?"
-// (golifetime), "is this injection-point literal on the declared roster?"
-// (injectpoint).
+// (noalloc), "does this spawned goroutine reach a sink or a recovery boundary
+// in another package?" (golifetime), "is this injection-point literal on the
+// declared roster?" (injectpoint). A fact no analyzer reads is not computed.
 //
 // Serialisation is byte-deterministic by construction: one JSON file per
 // package, entries sorted by symbol, positions rendered as base-name:line
@@ -34,9 +33,9 @@ const Version = 1
 
 // FuncFact is one function's behaviour summary. Boolean facts are computed
 // to a documented approximation (see Compute): NoAlloc is an
-// under-approximation of safety (false when unprovable), while MayPanic,
-// Blocks, Sink, and Recovers are reachability facts propagated only along
-// statically resolved module-internal calls.
+// under-approximation of safety (false when unprovable), while Sink and
+// Recovers are reachability facts propagated only along statically resolved
+// module-internal calls.
 type FuncFact struct {
 	// Func is the symbol key: "Name" for functions, "(T).Name" or
 	// "(*T).Name" for methods, with generic instantiations collapsed to
@@ -44,20 +43,9 @@ type FuncFact struct {
 	Func string `json:"func"`
 	// NoAlloc reports that steady-state execution of the function was
 	// proven heap-allocation-free under the noalloc rules (nil-guard
-	// fallbacks, //mpgraph:allow noalloc lines, and panic arguments are
+	// fallbacks, lines allowing noalloc, and panic arguments are
 	// exempt; every reachable callee must itself be proven or trusted).
 	NoAlloc bool `json:"noalloc"`
-	// MayPanic reports a reachable panic(...) in the function or a
-	// statically resolved module callee (dynamic calls count as may-panic).
-	MayPanic bool `json:"mayPanic,omitempty"`
-	// Blocks reports a potentially unbounded blocking operation — channel
-	// send/receive, select without default, range over a channel,
-	// time.Sleep, WaitGroup.Wait, Cond.Wait — in the function or a
-	// statically resolved module callee. Mutex acquisition is deliberately
-	// excluded (bounded by the lockcheck contract), as are dynamic calls.
-	Blocks bool `json:"blocks,omitempty"`
-	// TakesCtx reports a context.Context parameter in the signature.
-	TakesCtx bool `json:"takesCtx,omitempty"`
 	// Sink reports that the function contains a goroutine-lifetime sink
 	// (select, receive from ctx.Done(), range over a channel), directly or
 	// through statically resolved module callees.
@@ -71,9 +59,6 @@ type FuncFact struct {
 	// Arms lists the injection-point literals passed to resilience
 	// Arm/ArmProb(...) in this function's body ("*" for non-constant).
 	Arms []string `json:"arms,omitempty"`
-	// Locks lists the receiver expressions of sync mutex acquisitions
-	// (Lock/RLock) performed directly in this function's body.
-	Locks []string `json:"locks,omitempty"`
 	// Reason explains a false NoAlloc when the leak is local: the first
 	// offending construct in source order, as "what at file:line".
 	Reason string `json:"reason,omitempty"`

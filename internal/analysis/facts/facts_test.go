@@ -18,10 +18,10 @@ func roundTripFacts() *PackageFacts {
 		Path:    "mpgraph/internal/example",
 		Version: Version,
 		Funcs: []*FuncFact{
-			{Func: "(*T).Method", NoAlloc: true, TakesCtx: true, Locks: []string{"s.mu"}},
+			{Func: "(*T).Method", NoAlloc: true},
 			{Func: "Broken", NoAlloc: false, Reason: "calls make at x.go:10"},
 			{Func: "Chained", NoAlloc: false, Via: "mpgraph/internal/other.Leaf"},
-			{Func: "Worker", NoAlloc: true, MayPanic: true, Blocks: true, Sink: true,
+			{Func: "Worker", NoAlloc: true, Sink: true,
 				Recovers: true, Fires: []string{"serve-flush"}, Arms: []string{"*"}},
 		},
 		Points: []PointDecl{{Name: "serve-flush", Pos: "inject.go:40"}},
@@ -95,10 +95,6 @@ func TestFileNameFlattensPath(t *testing.T) {
 
 const computeSrc = `package p
 
-import "sync"
-
-type S struct{ mu sync.Mutex }
-
 //mpgraph:noalloc
 func Clean(xs []float64) float64 {
 	s := 0.0
@@ -112,13 +108,14 @@ func Alloc(n int) []int { return make([]int, n) }
 
 func Wrap(n int) []int { return Alloc(n) }
 
-func (s *S) Block(ch chan int) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return <-ch
+func Parks(done chan struct{}) {
+	for range done {
+	}
 }
 
-func MayPanic(ok bool) {
+func Waits(done chan struct{}) { Parks(done) }
+
+func Guard(ok bool) {
 	if !ok {
 		panic("invariant")
 	}
@@ -150,7 +147,7 @@ func TestComputeDeterministicBytes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pf := Compute(fset, []*ast.File{f}, pkg, info, NewStore())
+		pf := Compute(fset, []*ast.File{f}, pkg, info, NewStore(), nil)
 		data, err := Encode(pf)
 		if err != nil {
 			t.Fatal(err)
@@ -178,8 +175,9 @@ func TestComputeDeterministicBytes(t *testing.T) {
 		{"Clean", func(f *FuncFact) bool { return f.NoAlloc }, "proves NoAlloc"},
 		{"Alloc", func(f *FuncFact) bool { return !f.NoAlloc && f.Reason != "" }, "breaks with a leaf Reason"},
 		{"Wrap", func(f *FuncFact) bool { return !f.NoAlloc && f.Via == "p.Alloc" }, "breaks via p.Alloc"},
-		{"(*S).Block", func(f *FuncFact) bool { return f.Blocks && len(f.Locks) == 1 }, "blocks and records the lock"},
-		{"MayPanic", func(f *FuncFact) bool { return f.MayPanic && f.NoAlloc }, "may panic yet stays NoAlloc (panic-arg exemption)"},
+		{"Parks", func(f *FuncFact) bool { return f.Sink }, "is a sink (range over a channel)"},
+		{"Waits", func(f *FuncFact) bool { return f.Sink }, "inherits Sink from its callee"},
+		{"Guard", func(f *FuncFact) bool { return f.NoAlloc }, "panics yet stays NoAlloc (panic-arg exemption)"},
 		{"Recovers", func(f *FuncFact) bool { return f.Recovers }, "recovers"},
 	}
 	for _, c := range checks {

@@ -8,8 +8,8 @@
 //
 // — outside internal/trace. Hard-coded 6s and 12s are how a "line size is
 // 64 B" assumption leaks across a codebase and breaks the day a different
-// geometry is simulated. Deliberate non-address bit packing can carry a
-// //mpgraph:allow addrhelpers -- <reason> directive.
+// geometry is simulated. Deliberate non-address bit packing can carry an
+// "mpgraph:allow addrhelpers -- <reason>" directive.
 package addrhelpers
 
 import (

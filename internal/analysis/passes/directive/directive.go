@@ -7,8 +7,12 @@
 //   - every suppression (allow, allow-walltime, detached) must carry a
 //     " -- <reason>" tail; a bare directive reads as noise, an explained
 //     one as a documented decision;
-//   - //mpgraph:allow may only name analyzers that exist (the Known
-//     roster, which cmd/mpgraph-vet asserts matches its suite);
+//   - an allow directive is whatever analysis.ParseAllow accepts, and this
+//     pass reports everything it rejects: a name list with spaces, a
+//     missing reason, an allow written after other text in its comment —
+//     each of which would otherwise suppress nothing, silently;
+//   - an allow may only name analyzers that exist (the Known roster, which
+//     cmd/mpgraph-vet asserts matches its suite);
 //   - mpgraph:recovers and mpgraph:invariant are doc-comment markers, not
 //     directives: written without a space they are directive-style
 //     comments that go/ast strips from the doc text, making the marker
@@ -20,6 +24,7 @@
 package directive
 
 import (
+	"errors"
 	"fmt"
 	"go/ast"
 	"strings"
@@ -27,16 +32,13 @@ import (
 	"mpgraph/internal/analysis"
 )
 
-// Known is the roster of analyzer names an //mpgraph:allow directive may
-// cite. cmd/mpgraph-vet tests that this list matches the registered suite,
+// Known is the roster of analyzer names an allow directive may cite.
+// cmd/mpgraph-vet tests that this list matches the registered suite,
 // so a new analyzer cannot ship without becoming suppressible-by-name.
 var Known = []string{
 	"addrhelpers",
-	"chansafe",
-	"ctxflow",
 	"directive",
 	"errdrop",
-	"floateq",
 	"golifetime",
 	"injectpoint",
 	"lockcheck",
@@ -50,11 +52,8 @@ var Known = []string{
 // Analyzer is the directive pass.
 var Analyzer = &analysis.Analyzer{
 	Name: "directive",
-	Doc:  "validate //mpgraph: directives: known verbs, real analyzer names in allow lists, a mandatory -- reason on every suppression, and space-form doc markers",
-	Match: func(path string) bool {
-		return path == "mpgraph" || strings.HasPrefix(path, "mpgraph/internal/")
-	},
-	Run: run,
+	Doc:  "validate //mpgraph: directives: known verbs, allows that start their comment and name real analyzers joined by commas, a mandatory -- reason on every suppression, and space-form doc markers",
+	Run:  run,
 }
 
 const prefix = "//mpgraph:"
@@ -70,17 +69,18 @@ func run(pass *analysis.Pass) error {
 	for _, file := range pass.Files {
 		for _, cg := range file.Comments {
 			for _, c := range cg.List {
-				if !strings.HasPrefix(c.Text, prefix) {
-					continue
+				if names, ok, err := analysis.ParseAllow(c.Text); ok {
+					checkAllow(pass, c, names, err, known)
+				} else if strings.HasPrefix(c.Text, prefix) {
+					check(pass, c)
 				}
-				check(pass, c, known)
 			}
 		}
 	}
 	return nil
 }
 
-func check(pass *analysis.Pass, c *ast.Comment, known map[string]bool) {
+func check(pass *analysis.Pass, c *ast.Comment) {
 	rest := c.Text[len(prefix):]
 	// A directive runs to the end of the comment or to an embedded " // "
 	// tail; the tail form is what lets analysistest fixtures append a
@@ -95,8 +95,6 @@ func check(pass *analysis.Pass, c *ast.Comment, known map[string]bool) {
 	switch verb {
 	case "noalloc":
 		// Bare marker; nothing to validate.
-	case "allow":
-		checkAllow(pass, c, rest, known)
 	case "allow-walltime", "detached":
 		requireReason(pass, c, rest, verb)
 	case "recovers", "invariant":
@@ -119,26 +117,20 @@ func check(pass *analysis.Pass, c *ast.Comment, known map[string]bool) {
 	}
 }
 
-// checkAllow validates the analyzer names and the reason of an allow
-// directive.
-func checkAllow(pass *analysis.Pass, c *ast.Comment, rest string, known map[string]bool) {
-	body := strings.TrimPrefix(rest, "allow")
-	namesPart := body
-	if i := strings.Index(body, " -- "); i >= 0 {
-		namesPart = body[:i]
-	}
-	names := strings.TrimSpace(namesPart)
-	if names == "" {
-		pass.Reportf(c.Pos(), "mpgraph:allow directive names no analyzers; write mpgraph:allow <name>[,<name>] followed by a reason")
-		return
-	}
-	for _, name := range strings.Split(names, ",") {
-		name = strings.TrimSpace(name)
-		if name != "" && !known[name] {
+// checkAllow reports the unknown analyzer names of an allow directive and
+// the grammar error analysis.ParseAllow found in it, if any.
+func checkAllow(pass *analysis.Pass, c *ast.Comment, names []string, err error, known map[string]bool) {
+	for _, name := range names {
+		if !known[name] {
 			pass.Reportf(c.Pos(), "unknown analyzer %q in mpgraph:allow directive", name)
 		}
 	}
-	requireReason(pass, c, rest, "allow")
+	switch {
+	case errors.Is(err, analysis.ErrAllowNoReason):
+		reportNoReason(pass, c, "allow")
+	case err != nil:
+		pass.Reportf(c.Pos(), "%v", err)
+	}
 }
 
 // requireReason reports (with a TODO-reason fix) when the directive lacks a
@@ -147,6 +139,11 @@ func requireReason(pass *analysis.Pass, c *ast.Comment, rest, verb string) {
 	if i := strings.Index(rest, " -- "); i >= 0 && strings.TrimSpace(rest[i+4:]) != "" {
 		return
 	}
+	reportNoReason(pass, c, verb)
+}
+
+// reportNoReason reports a reasonless suppression with the TODO-reason fix.
+func reportNoReason(pass *analysis.Pass, c *ast.Comment, verb string) {
 	pass.Report(analysis.Diagnostic{
 		Pos:     c.Pos(),
 		Message: fmt.Sprintf("mpgraph:%s directive without a reason; append -- <why> so the suppression documents itself", verb),

@@ -1,9 +1,11 @@
 package a
 
+import "strconv"
+
 // bareAllow suppresses without saying why.
-func bareAllow() float64 {
-	x := 0.1 + 0.2
-	return x //mpgraph:allow floateq // want `mpgraph:allow directive without a reason`
+func bareAllow() int {
+	n, _ := strconv.Atoi("1") //mpgraph:allow errdrop // want `mpgraph:allow directive without a reason`
+	return n
 }
 
 // bogusName cites an analyzer that does not exist.
@@ -33,5 +35,19 @@ func noSpaceMarker() {
 
 // typo uses a verb nobody registered.
 func typo() int {
-	return 4 //mpgraph:alow floateq -- typo'd verb // want `unknown directive mpgraph:alow`
+	return 4 //mpgraph:alow errdrop -- typo'd verb // want `unknown directive mpgraph:alow`
+}
+
+// spacedList puts a space after the comma, so the directive silences
+// neither name.
+func spacedList() int {
+	n, _ := strconv.Atoi("1") //mpgraph:allow errdrop, maporder -- r // want `malformed analyzer list "errdrop, maporder"`
+	return n
+}
+
+// afterProse starts the comment with other text, so the allow silences
+// nothing.
+func afterProse() int {
+	n, _ := strconv.Atoi("1") // see below //mpgraph:allow errdrop -- r // want `mpgraph:allow must start its comment`
+	return n
 }

@@ -1,15 +1,17 @@
 package b
 
+import "strconv"
+
 // reasoned is the contract shape: names plus a reason.
-func reasoned() float64 {
-	x := 0.1 + 0.2
-	return x //mpgraph:allow floateq -- demonstrates the documented-suppression form
+func reasoned() int {
+	n, _ := strconv.Atoi("1") //mpgraph:allow errdrop -- demonstrates the documented-suppression form
+	return n
 }
 
 // multiName silences two analyzers with one explained directive.
-func multiName() float64 {
-	y := 0.3 * 3.0
-	return y //mpgraph:allow floateq,errdrop -- one reason can cover several checks
+func multiName() int {
+	n, _ := strconv.Atoi("2") //mpgraph:allow errdrop,maporder -- one reason can cover several checks
+	return n
 }
 
 // walltimeReason documents why the timing gate is off here.
@@ -34,7 +36,7 @@ func spaceMarker() {
 	defer func() { recover() }()
 }
 
-// prose that merely talks about //mpgraph:allow directives is not itself a
+// prose that merely talks about mpgraph:allow directives is not itself a
 // directive, because the verb is not at the start of the comment.
 func prose() int {
 	return 2

@@ -9,7 +9,7 @@
 //   - an assignment that discards two or more results of one call into _
 //     (e.g. `hit, _, _ := c.Lookup(...)`) — side-effectful APIs returning
 //     several values deserve either consumption or a documented
-//     //mpgraph:allow errdrop -- <reason> directive.
+//     "mpgraph:allow errdrop -- <reason>" directive.
 //
 // The fmt print family and in-memory writers (strings.Builder,
 // bytes.Buffer) are exempt: their errors are definitionally nil or

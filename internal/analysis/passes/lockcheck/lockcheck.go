@@ -23,8 +23,8 @@
 // function is one lock. When no unlock for the mutex exists anywhere in the
 // function, the suggested fix inserts `defer mu.Unlock()` directly after
 // the acquisition; otherwise the release structure is a design choice the
-// fix must not guess. Deliberate exceptions take
-// //mpgraph:allow lockcheck -- <reason>.
+// fix must not guess. Deliberate exceptions take an
+// "mpgraph:allow lockcheck -- <reason>" directive.
 package lockcheck
 
 import (

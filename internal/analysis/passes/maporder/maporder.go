@@ -21,8 +21,8 @@
 // Integer accumulation and map-to-map copying are order-independent and not
 // flagged. The suggested fix rewrites the loop to collect the keys, sort
 // them, and range over the sorted slice, binding the value from the map
-// inside the body. Deliberately order-tolerant loops carry a
-// //mpgraph:allow maporder -- <reason> directive on the `for` line.
+// inside the body. Deliberately order-tolerant loops carry an
+// "mpgraph:allow maporder -- <reason>" directive on the `for` line.
 package maporder
 
 import (

@@ -31,7 +31,7 @@
 // panic(...) call (a terminating path — the invariant helpers' formatted
 // failure messages never run in steady state). Known-amortised allocations —
 // a slab's growth fallback, the one-off parallel fan-out closure in gemm —
-// carry //mpgraph:allow noalloc -- <reason> line directives, which the fact
+// carry "mpgraph:allow noalloc -- <reason>" line directives, which the fact
 // layer honours too. Variadic call sites and interface-value boxing are not
 // modelled; AllocsPerRun remains the ground truth this analyzer
 // approximates.

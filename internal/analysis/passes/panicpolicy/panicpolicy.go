@@ -8,8 +8,8 @@
 //
 // (the internal/invariant package provides the shared ones). Funnelling
 // keeps the "what is allowed to crash the process" surface small and
-// greppable. A raw panic elsewhere needs a
-// //mpgraph:allow panicpolicy -- <reason> directive.
+// greppable. A raw panic elsewhere needs an
+// "mpgraph:allow panicpolicy -- <reason>" directive.
 package panicpolicy
 
 import (

@@ -18,8 +18,8 @@
 // Escape hatches, in preference order: inject a clock (the pattern
 // prefetch.GuardConfig.Now establishes); annotate a deliberately
 // wall-clocked function with //mpgraph:allow-walltime in its doc comment
-// (latency telemetry paths); or suppress a single line with
-// //mpgraph:allow walltime -- <reason>. The suggested fix appends the line
+// (latency telemetry paths); or suppress a single line with a trailing
+// "mpgraph:allow walltime -- <reason>" directive. The suggested fix adds that
 // directive with a TODO reason, turning the finding into a documented,
 // grep-able decision.
 package walltime
@@ -110,7 +110,7 @@ func checkFunc(pass *analysis.Pass, fd *ast.FuncDecl) {
 				Message: fmt.Sprintf(
 					"wall-clock time reaches run-dependent sink %s; inject a clock or annotate the line with //mpgraph:allow walltime -- <reason>", name),
 			}
-			if fix, ok := allowDirectiveFix(pass.Fset, call.Pos()); ok {
+			if fix, ok := allowDirectiveFix(pass, call.Pos()); ok {
 				d.SuggestedFixes = []analysis.SuggestedFix{fix}
 			}
 			pass.Report(d)
@@ -151,12 +151,17 @@ func sinkCall(info *types.Info, call *ast.CallExpr) (string, bool) {
 	return "", false
 }
 
-// allowDirectiveFix appends "//mpgraph:allow walltime -- TODO..." at the end
-// of pos's line. The directive suppresses the finding, so applying the fix
-// twice is a no-op; the TODO reason keeps the debt visible until a human
-// replaces it with a real justification or an injected clock.
-func allowDirectiveFix(fset *token.FileSet, pos token.Pos) (analysis.SuggestedFix, bool) {
-	tf := fset.File(pos)
+// allowDirective is the line suppression the suggested fix inserts.
+const allowDirective = "//mpgraph:allow walltime -- TODO: justify wall-clock in output or inject a clock"
+
+// allowDirectiveFix adds allowDirective to pos's line: at the end, or, when
+// the line already ends in a comment, in front of that comment — an allow
+// must start its comment to count. The directive suppresses the finding,
+// so applying the fix twice is a no-op; the TODO reason keeps the debt
+// visible until a human replaces it with a real justification or an
+// injected clock.
+func allowDirectiveFix(pass *analysis.Pass, pos token.Pos) (analysis.SuggestedFix, bool) {
+	tf := pass.Fset.File(pos)
 	if tf == nil {
 		return analysis.SuggestedFix{}, false
 	}
@@ -167,12 +172,29 @@ func allowDirectiveFix(fset *token.FileSet, pos token.Pos) (analysis.SuggestedFi
 	} else {
 		endOff = tf.Size()
 	}
-	at := tf.Pos(endOff)
+	edit := analysis.TextEdit{Pos: tf.Pos(endOff), End: tf.Pos(endOff), NewText: " " + allowDirective}
+	if c := trailingComment(pass, pos, line); c != nil {
+		edit = analysis.TextEdit{Pos: c.Pos(), End: c.Pos(), NewText: allowDirective + " "}
+	}
 	return analysis.SuggestedFix{
-		Message: "document the wall-clock escape with an allow directive",
-		TextEdits: []analysis.TextEdit{{
-			Pos: at, End: at,
-			NewText: " //mpgraph:allow walltime -- TODO: justify wall-clock in output or inject a clock",
-		}},
+		Message:   "document the wall-clock escape with an allow directive",
+		TextEdits: []analysis.TextEdit{edit},
 	}, true
+}
+
+// trailingComment returns the first comment after pos on pos's line, or nil.
+func trailingComment(pass *analysis.Pass, pos token.Pos, line int) *ast.Comment {
+	for _, f := range pass.Files {
+		if pos < f.FileStart || pos >= f.FileEnd {
+			continue
+		}
+		for _, cg := range f.Comments {
+			for _, c := range cg.List {
+				if c.Pos() > pos && pass.Fset.Position(c.Pos()).Line == line {
+					return c
+				}
+			}
+		}
+	}
+	return nil
 }

@@ -134,7 +134,7 @@ func TopKClasses(scores []float64, k int) []int {
 	sort.Slice(idx, func(a, b int) bool {
 		// Exact comparison is deliberate: equal scores fall through to the
 		// index tie-break so the ranking is deterministic across runs.
-		if scores[idx[a]] != scores[idx[b]] { //mpgraph:allow floateq -- exact tie-break keeps Top-K ordering deterministic
+		if scores[idx[a]] != scores[idx[b]] {
 			return scores[idx[a]] > scores[idx[b]]
 		}
 		return idx[a] < idx[b]

@@ -270,7 +270,7 @@ func (s *Store) load(key, meta string, read func(io.Reader) error) error {
 	if err != nil {
 		return fmt.Errorf("%w: %s", ErrCheckpointMiss, err)
 	}
-	defer f.Close() //mpgraph:allow errdrop -- read-only descriptor; the payload was already checksummed
+	defer f.Close() // read-only descriptor; the payload was already checksummed
 	payloadOff := int64(ckptHeaderSize + len(gotMeta))
 	if _, err := f.Seek(payloadOff, io.SeekStart); err != nil {
 		return err
@@ -303,7 +303,7 @@ func (s *Store) verifyEnvelope(path string) (meta string, plen uint64, err error
 		}
 		return "", 0, err
 	}
-	defer f.Close() //mpgraph:allow errdrop -- read-only descriptor
+	defer f.Close() // read-only descriptor
 	br := bufio.NewReaderSize(f, 1<<20)
 
 	var hdr [4]uint64 // magic, version, plen, pcrc
@@ -359,7 +359,7 @@ func flipLastByte(path string) error {
 	if err != nil {
 		return err
 	}
-	defer f.Close() //mpgraph:allow errdrop -- WriteAt below is unbuffered; Close cannot lose the flip
+	defer f.Close() // WriteAt below is unbuffered; Close cannot lose the flip
 	st, err := f.Stat()
 	if err != nil {
 		return err

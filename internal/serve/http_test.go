@@ -153,7 +153,7 @@ func TestHTTPSaturation(t *testing.T) {
 	go func() {
 		defer close(done)
 		resp := postEvents(t, ts.URL, "hog", evs(2))
-		io.Copy(io.Discard, resp.Body) //mpgraph:allow errdrop -- draining a test response
+		io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
 	}()
 	<-h.started
@@ -183,7 +183,7 @@ func TestHTTPCloseAndStats(t *testing.T) {
 	defer ts.Close()
 
 	resp := postEvents(t, ts.URL, "s", evs(2))
-	io.Copy(io.Discard, resp.Body) //mpgraph:allow errdrop -- draining a test response
+	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
 
 	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/sessions/s", nil)
@@ -305,7 +305,7 @@ func TestHTTPDrainingRejects(t *testing.T) {
 	go func() {
 		defer close(done)
 		resp := postEvents(t, ts.URL, "s", evs(2))
-		io.Copy(io.Discard, resp.Body) //mpgraph:allow errdrop -- draining a test response
+		io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
 	}()
 	<-h.started

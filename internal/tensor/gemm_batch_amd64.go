@@ -141,7 +141,7 @@ func asF64[T float32 | float64](p *T) *float64 { return (*float64)(unsafe.Pointe
 //mpgraph:noalloc
 func fmaPanels[T float32 | float64](out, a, b, seed []T, seedStride, m, k, n int) {
 	if panelCensus != nil {
-		panelCensus[PanelShape{m, k, n}]++ //mpgraph:allow noalloc -- a test's census (CountPanelShapes); nil in any other run
+		panelCensus[PanelShape{m, k, n}]++ // a test's census (CountPanelShapes); nil in any other run
 	}
 	bp := unsafe.SliceData(b) // k = 0: never read
 	if m%WindowRows == 0 {
@@ -205,7 +205,7 @@ func attnBlock[T float32 | float64](out, q, k, v, scr []T, t, d, dv int, scale T
 	_, _, _ = scr[attnScratch[T](t, d)-1], out[t*dv-1], v[t*dv-1]
 	_, _ = q[:t*d], k[:t*d]
 	size := int(unsafe.Sizeof(scale))
-	misalign := int(uintptr(unsafe.Pointer(&scr[0])) % 64) //mpgraph:allow addrhelpers -- aligns arena scratch to a zmm; no simulated address is involved
+	misalign := int(uintptr(unsafe.Pointer(&scr[0])) % 64) // aligns arena scratch to a zmm; no simulated address is involved
 	skip := (64 - misalign) % 64 / size
 	if size == 4 {
 		attnBlockF32Asm(asF32(&out[0]), asF32(at(q, 0)), asF32(at(k, 0)), asF32(&v[0]), asF32(&scr[skip]), int64(t), int64(d), int64(dv), float32(scale))
