@@ -92,6 +92,7 @@ fuzz:
 	$(GO) test ./internal/resilience/ -run xxx -fuzz '^FuzzParseInjector$$' -fuzztime 10s
 	$(GO) test ./internal/trace/ -run xxx -fuzz '^FuzzTraceRead$$' -fuzztime 10s
 	$(GO) test ./internal/tensor/ -run xxx -fuzz '^FuzzF16Bits$$' -fuzztime 10s
+	$(GO) test ./internal/experiments/ -run xxx -fuzz '^FuzzParseWorkload$$' -fuzztime 10s
 
 # bench regenerates BENCH_small.json via cmd/mpgraph-bench (f32 and f16
 # speedups over float64 appear in its "speedups" section). models'
@@ -141,31 +142,37 @@ KERNEL_BENCH = BenchmarkAttentionBlocks|BenchmarkResidualLayerNorm|BenchmarkTopK
 TRAIN_BENCH = BenchmarkAdamStep|BenchmarkGemmTN|BenchmarkBackwardMLP|BenchmarkAMMADeltaTrainStep|BenchmarkAMMAPageTrainStep
 SIM_BENCH = BenchmarkEngineNoPrefetch|BenchmarkEngineRun|BenchmarkClassicOperate|BenchmarkGPOPPageRankTrace|BenchmarkXStreamBFSTrace|BenchmarkPowerGraphCCTrace|BenchmarkInterleave
 SERVE_BENCH = BenchmarkKSWIN|BenchmarkSoftKSWIN|BenchmarkKSStatistic|BenchmarkHandleFeed
-bench:
+# BENCH_STEPS is the ledger's step list, which bench and bench-compare
+# share: $(call BENCH_STEPS,file) runs every step, writing the output to file.
+define BENCH_STEPS
 	$(GO) test ./internal/prefetch/ ./internal/core/ ./internal/models/ \
 		-run xxx -bench 'BenchmarkOperate|BenchmarkSuiteSave' -benchtime 300x -count 6 \
-		> bench.out
+		> $(1)
 	$(GO) test ./internal/tensor/ ./internal/nn/ ./internal/models/ \
 		-run xxx -bench '$(KERNEL_BENCH)' -benchtime 20000x -count 6 \
-		>> bench.out
+		>> $(1)
 	$(GO) test ./internal/tensor/ ./internal/nn/ \
 		-run xxx -bench '$(TRAIN_BENCH)' -benchtime 5000x -count 6 \
-		>> bench.out
+		>> $(1)
 	$(GO) test ./internal/models/ \
 		-run xxx -bench '$(TRAIN_BENCH)' -benchtime 300x -count 6 \
-		>> bench.out
+		>> $(1)
 	$(GO) test ./internal/experiments/ \
 		-run xxx -bench 'BenchmarkSuiteTrain' -benchtime 1x -count 3 \
-		>> bench.out
+		>> $(1)
 	$(GO) test ./internal/sim/ ./internal/frameworks/ ./internal/trace/ \
 		-run xxx -bench '$(SIM_BENCH)' -benchtime 5x -count 6 \
-		>> bench.out
+		>> $(1)
 	$(GO) test ./internal/prefetch/ \
 		-run xxx -bench '$(SIM_BENCH)' -benchtime 500000x -count 6 \
-		>> bench.out
+		>> $(1)
 	$(GO) test ./internal/phasedet/ ./internal/serve/ \
 		-run xxx -bench '$(SERVE_BENCH)' -benchtime 0.5s -count 6 \
-		>> bench.out
+		>> $(1)
+endef
+
+bench:
+	$(call BENCH_STEPS,bench.out)
 	$(GO) test ./internal/experiments/ \
 		-run xxx -bench 'BenchmarkPrefetchSweep' -benchtime 1x \
 		>> bench.out
@@ -192,30 +199,7 @@ bench-batch:
 # measured on, the ns/op check is skipped (with a warning) and only allocation
 # gains fail.
 bench-compare:
-	$(GO) test ./internal/prefetch/ ./internal/core/ ./internal/models/ \
-		-run xxx -bench 'BenchmarkOperate|BenchmarkSuiteSave' -benchtime 300x -count 6 \
-		> bench-new.out
-	$(GO) test ./internal/tensor/ ./internal/nn/ ./internal/models/ \
-		-run xxx -bench '$(KERNEL_BENCH)' -benchtime 20000x -count 6 \
-		>> bench-new.out
-	$(GO) test ./internal/tensor/ ./internal/nn/ \
-		-run xxx -bench '$(TRAIN_BENCH)' -benchtime 5000x -count 6 \
-		>> bench-new.out
-	$(GO) test ./internal/models/ \
-		-run xxx -bench '$(TRAIN_BENCH)' -benchtime 300x -count 6 \
-		>> bench-new.out
-	$(GO) test ./internal/experiments/ \
-		-run xxx -bench 'BenchmarkSuiteTrain' -benchtime 1x -count 3 \
-		>> bench-new.out
-	$(GO) test ./internal/sim/ ./internal/frameworks/ ./internal/trace/ \
-		-run xxx -bench '$(SIM_BENCH)' -benchtime 5x -count 6 \
-		>> bench-new.out
-	$(GO) test ./internal/prefetch/ \
-		-run xxx -bench '$(SIM_BENCH)' -benchtime 500000x -count 6 \
-		>> bench-new.out
-	$(GO) test ./internal/phasedet/ ./internal/serve/ \
-		-run xxx -bench '$(SERVE_BENCH)' -benchtime 0.5s -count 6 \
-		>> bench-new.out
+	$(call BENCH_STEPS,bench-new.out)
 	$(GO) run ./cmd/mpgraph-bench -in bench-new.out -o BENCH_new.json
 	$(GO) run ./cmd/mpgraph-bench -compare BENCH_small.json BENCH_new.json
 	rm -f bench-new.out BENCH_new.json

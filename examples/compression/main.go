@@ -39,9 +39,8 @@ func main() {
 	small.Heads = 2
 	student := models.NewBinaryPage(small, suite.Train.Pages, suite.Train.PCs, 7)
 	dsSmall := &models.Dataset{Cfg: small, Samples: suite.Train.Samples, Pages: suite.Train.Pages, PCs: suite.Train.PCs}
-	if err := models.DistillPage(student, teacher, dsSmall, models.DistillOptions{
-		TrainOptions: models.TrainOptions{Epochs: 2, Seed: 3, MaxSamplesPerEpoch: opt.TrainSamples},
-	}); err != nil {
+	if err := models.DistillPage(student, teacher, dsSmall,
+		models.TrainOptions{Epochs: 2, Seed: 3, MaxSamplesPerEpoch: opt.TrainSamples}); err != nil {
 		log.Fatal(err)
 	}
 

@@ -62,9 +62,6 @@ func newChain(opt Options, deltas []models.DeltaModel, pages []models.PageModel)
 	if opt.SpatialDegree <= 0 || opt.TemporalDegree < 0 {
 		return chain{}, fmt.Errorf("core: bad degrees Ds=%d Dt=%d", opt.SpatialDegree, opt.TemporalDegree)
 	}
-	if opt.InferEvery <= 0 {
-		opt.InferEvery = 1
-	}
 	return chain{
 		opt:     opt,
 		deltas:  deltas,

@@ -262,7 +262,6 @@ func TestOraclePhaseSwitching(t *testing.T) {
 // predictor matches the new access pattern.
 func TestProbationSelectsBestPhase(t *testing.T) {
 	opt := DefaultOptions()
-	opt.ProbationWindow = 20
 	det := &scriptedDetector{at: 30}
 	deltas := []models.DeltaModel{fakeDelta{5, 126}, fakeDelta{1, 126}}
 	pages := []models.PageModel{fakePage{}, fakePage{}}
@@ -275,8 +274,9 @@ func TestProbationSelectsBestPhase(t *testing.T) {
 		b += 5
 	}
 	// Detector fires at access 30; the stream switches to +1 strides,
-	// matching phase 1's model.
-	for i := 0; i < 40; i++ {
+	// matching phase 1's model, for long enough that the probation window
+	// closes.
+	for i := 0; i < probationWindow+12; i++ {
 		m.Operate(sim.LLCAccess{Block: b, PC: 1})
 		b++
 	}

@@ -17,12 +17,6 @@ type Options struct {
 	TemporalDegree int
 	// PBOTSize bounds the page base-offset table.
 	PBOTSize int
-	// ProbationWindow is how many accesses the controller scores the
-	// candidate phase predictors after a detected transition before
-	// switching (Section 4.4.1).
-	ProbationWindow int
-	// InferEvery throttles inference to every k-th LLC access.
-	InferEvery int
 	// LatencyCycles is the model inference latency reported to the
 	// simulator (Fig. 14 studies 200 cycles).
 	LatencyCycles uint64
@@ -53,14 +47,13 @@ type ModelScheduler interface {
 
 // DefaultOptions mirrors Section 5.4.1: Ds=2, Dt=2, total degree 6.
 func DefaultOptions() Options {
-	return Options{
-		SpatialDegree:   2,
-		TemporalDegree:  2,
-		PBOTSize:        4096,
-		ProbationWindow: 48,
-		InferEvery:      1,
-	}
+	return Options{SpatialDegree: 2, TemporalDegree: 2, PBOTSize: 4096}
 }
+
+// probationWindow is how many accesses the controller scores the candidate
+// phase predictors after a detected transition before switching (Section
+// 4.4.1).
+const probationWindow = 48
 
 // MaxTotalDegree is the Eq. 11 upper bound Ds*(Dt+1).
 func (o Options) MaxTotalDegree() int { return o.SpatialDegree * (o.TemporalDegree + 1) }
@@ -74,7 +67,6 @@ type MPGraph struct {
 	detector phasedet.Detector
 	hist     *models.History
 	phase    int
-	tick     int
 
 	// Probation state: after a detected transition all candidate phases'
 	// recent predictions are scored against arriving demand accesses.
@@ -99,9 +91,6 @@ func New(opt Options, historyT int, detector phasedet.Detector, deltas []models.
 	}
 	if !opt.OraclePhase && detector == nil {
 		return nil, fmt.Errorf("core: detector required unless OraclePhase")
-	}
-	if c.opt.ProbationWindow <= 0 {
-		c.opt.ProbationWindow = 48
 	}
 	return &MPGraph{chain: c, detector: detector, hist: models.NewHistory(historyT)}, nil
 }
@@ -134,8 +123,7 @@ func (m *MPGraph) Operate(acc sim.LLCAccess) []uint64 {
 		m.beginProbation()
 	}
 
-	m.tick++
-	if !m.hist.Warm() || m.tick%m.opt.InferEvery != 0 {
+	if !m.hist.Warm() {
 		return nil
 	}
 
@@ -153,12 +141,12 @@ func (m *MPGraph) Operate(acc sim.LLCAccess) []uint64 {
 // nothing in steady state.
 func (m *MPGraph) beginProbation() {
 	m.probing = true
-	m.probeLeft = m.opt.ProbationWindow
+	m.probeLeft = probationWindow
 	if m.probeSets == nil {
 		m.probeScores = make([]int, len(m.deltas))
 		m.probeSets = make([]map[uint64]bool, len(m.deltas))
 		for i := range m.probeSets {
-			m.probeSets[i] = make(map[uint64]bool, m.opt.ProbationWindow*m.opt.SpatialDegree)
+			m.probeSets[i] = make(map[uint64]bool, probationWindow*m.opt.SpatialDegree)
 		}
 	}
 	clear(m.probeScores)

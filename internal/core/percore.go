@@ -24,7 +24,6 @@ type PerCoreMPGraph struct {
 	detectors []phasedet.Detector
 	hists     []*models.History
 	phases    []int
-	ticks     []int
 
 	// Transitions counts detector firings summed over cores.
 	Transitions int
@@ -44,7 +43,7 @@ func NewPerCore(opt Options, historyT, cores int, makeDetector func() phasedet.D
 	if makeDetector == nil {
 		return nil, fmt.Errorf("core: detector factory required")
 	}
-	m := &PerCoreMPGraph{chain: c, phases: make([]int, cores), ticks: make([]int, cores)}
+	m := &PerCoreMPGraph{chain: c, phases: make([]int, cores)}
 	for i := 0; i < cores; i++ {
 		m.detectors = append(m.detectors, makeDetector())
 		m.hists = append(m.hists, models.NewHistory(historyT))
@@ -73,8 +72,7 @@ func (m *PerCoreMPGraph) Operate(acc sim.LLCAccess) []uint64 {
 		m.phases[c] = (m.phases[c] + 1) % len(m.deltas)
 	}
 
-	m.ticks[c]++
-	if !m.hists[c].Warm() || m.ticks[c]%m.opt.InferEvery != 0 {
+	if !m.hists[c].Warm() {
 		return nil
 	}
 	defer m.ctx.Reset()

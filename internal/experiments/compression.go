@@ -48,7 +48,6 @@ func buildCompressed(r *Runner, wl Workload, divisor int, distill bool) (*compre
 	dsTrain := &models.Dataset{Cfg: small, Samples: s.Train.Samples, Pages: s.Train.Pages, PCs: s.Train.PCs}
 	dsTest := &models.Dataset{Cfg: small, Samples: s.Test.Samples, Pages: s.Test.Pages, PCs: s.Test.PCs}
 	topt := models.TrainOptions{Epochs: r.Opt.Epochs, Seed: r.Opt.Seed + 100, MaxSamplesPerEpoch: r.Opt.TrainSamples}
-	dopt := models.DistillOptions{TrainOptions: topt}
 
 	cs := &compressedSuite{cfg: small, distilled: distill}
 	totalParams := 0
@@ -60,14 +59,14 @@ func buildCompressed(r *Runner, wl Workload, divisor int, distill bool) (*compre
 		delta := models.NewAMMADelta(small, s.Train.PCs, 0, r.Opt.Seed+int64(200+p))
 		page := models.NewBinaryPage(small, s.Train.Pages, s.Train.PCs, r.Opt.Seed+int64(300+p))
 		if distill {
-			if err := models.DistillDelta(delta, s.PSDelta.Models[p], dsPhaseTrain, dopt); err != nil {
+			if err := models.DistillDelta(delta, s.PSDelta.Models[p], dsPhaseTrain, topt); err != nil {
 				return nil, err
 			}
 			teacher, ok := s.PSPage.Models[p].(models.PageProber)
 			if !ok {
 				return nil, fmt.Errorf("experiments: phase teacher lacks PageProbs")
 			}
-			if err := models.DistillPage(page, teacher, dsPhaseTrain, dopt); err != nil {
+			if err := models.DistillPage(page, teacher, dsPhaseTrain, topt); err != nil {
 				return nil, err
 			}
 		} else {
@@ -107,40 +106,17 @@ func (cs *compressedSuite) prefetcher(r *Runner, historyT int, latency uint64) (
 	return core.New(opt, historyT, det, cs.deltas, cs.pages)
 }
 
-// f32Suite returns a single-precision copy of the compressed suite: the
-// per-phase students narrowed to the f32 compute tier. Quality columns are
-// not re-evaluated — the f32 rows measure speed and end-to-end IPC on the f32
-// kernels (parity is pinned in the models tests).
-func (cs *compressedSuite) f32Suite() (*compressedSuite, error) {
-	fd, fp, err := models.ConvertSuiteF32(
-		&models.PhaseSpecificDelta{Models: cs.deltas},
-		&models.PhaseSpecificPage{Models: cs.pages})
+// tierSuite returns the compressed suite on the reduced-precision tier the
+// options select (Options.toTier). Prediction-quality columns are not
+// re-evaluated (parity with the float students is pinned in the models
+// package tests): the tier rows measure speed and end-to-end IPC.
+func (cs *compressedSuite) tierSuite(opt Options) (*compressedSuite, error) {
+	delta, page, err := opt.toTier(&models.PhaseSpecificDelta{Models: cs.deltas}, &models.PhaseSpecificPage{Models: cs.pages})
 	if err != nil {
 		return nil, err
 	}
 	out := *cs
-	out.deltas = fd.(*models.PhaseSpecificDelta).Models
-	out.pages = fp.(*models.PhaseSpecificPage).Models
-	return &out, nil
-}
-
-// int8Suite returns an 8-bit-weight copy of the compressed suite: the
-// per-phase students' weights rounded per channel onto the int8 grid and
-// scored on the f32 forward. Prediction-quality columns are not re-evaluated
-// (parity with the float students is pinned in the models package tests) —
-// the int8 rows measure end-to-end IPC under quantised weights.
-func (cs *compressedSuite) int8Suite() (*compressedSuite, error) {
-	qd, err := models.QuantizeDelta(&models.PhaseSpecificDelta{Models: cs.deltas})
-	if err != nil {
-		return nil, err
-	}
-	qp, err := models.QuantizePage(&models.PhaseSpecificPage{Models: cs.pages})
-	if err != nil {
-		return nil, err
-	}
-	out := *cs
-	out.deltas = qd.(*models.PhaseSpecificDelta).Models
-	out.pages = qp.(*models.PhaseSpecificPage).Models
+	out.deltas, out.pages = delta.Models, page.Models
 	return &out, nil
 }
 
@@ -186,9 +162,8 @@ func FigureDistillation(w io.Writer, r *Runner) error {
 	section(w, fmt.Sprintf("Figure 13: Knowledge distillation under compression (workload %s)", wl))
 	t := &Table{Header: []string{"Models", "Ratio", "Params(K)", "8bitKB", "f16KB", "DeltaF1", "PageAcc@10", "IPCImpv", "ns/op"}}
 
-	// Teacher reference row. Under Options.Int8 (or Options.F32) this is
-	// already the reduced-precision teacher — MPGraph converts behind the
-	// flag.
+	// Teacher reference row. Under a reduced-precision tier this is already
+	// the tier's teacher — MPGraph converts behind the flag.
 	teacherPF, err := r.MPGraph(wl, core.DefaultOptions())
 	if err != nil {
 		return err
@@ -199,12 +174,10 @@ func FigureDistillation(w io.Writer, r *Runner) error {
 	}
 	teacherParams := nn.CountParams(s.PSDelta) + nn.CountParams(s.PSPage)
 	teacherF16KB := float64(nn.StorageBytes(s.PSDelta, 16)+nn.StorageBytes(s.PSPage, 16)) / 1024
+	tier := r.Opt.tier()
 	teacherLabel := "teacher (AMMA-PS)"
-	if r.Opt.Int8 {
-		teacherLabel += " int8"
-	}
-	if r.Opt.F32 {
-		teacherLabel += " f32"
+	if tier != "" {
+		teacherLabel += " " + tier
 	}
 	t.Add(teacherLabel, "1.0x", fmt.Sprintf("%.1f", float64(teacherParams)/1000), "-",
 		fmt.Sprintf("%.1f", teacherF16KB),
@@ -228,22 +201,12 @@ func FigureDistillation(w io.Writer, r *Runner) error {
 				return err
 			}
 			suites := []*compressedSuite{cs}
-			variant := ""
-			if r.Opt.Int8 {
-				qcs, err := cs.int8Suite()
+			if tier != "" {
+				tcs, err := cs.tierSuite(r.Opt)
 				if err != nil {
 					return err
 				}
-				suites = append(suites, qcs)
-				variant = " int8"
-			}
-			if r.Opt.F32 {
-				fcs, err := cs.f32Suite()
-				if err != nil {
-					return err
-				}
-				suites = append(suites, fcs)
-				variant = " f32"
+				suites = append(suites, tcs)
 			}
 			for i, suite := range suites {
 				pf, err := suite.prefetcher(r, s.Cfg.HistoryT, 0)
@@ -261,8 +224,8 @@ func FigureDistillation(w io.Writer, r *Runner) error {
 				deltaF1, pageAcc := f4(suite.deltaF1), f4(suite.pageAcc)
 				if i > 0 {
 					// Reduced-precision rows measure speed, not re-derived
-					// quality (see int8Suite / f32Suite).
-					label += variant
+					// quality (see tierSuite).
+					label += " " + tier
 					deltaF1, pageAcc = "-", "-"
 				}
 				t.Add(label, suite.name, fmt.Sprintf("%.1f", float64(suite.params)/1000),

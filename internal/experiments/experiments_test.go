@@ -200,52 +200,68 @@ func TestExtendedBaselines(t *testing.T) {
 		"vldp", "domino", "imp", "sms", "markov", "ensemble", "bo+throttle")
 }
 
-// TestF32Option: Options.F32 swaps the MPGraph suite for the narrowed f32
-// mirrors (single-flight, cached), rejects incompatible combinations, and
-// the converted pair drives a working prefetcher.
+// TestF32Option: each reduced-precision tier (Options.Int8, Options.F32)
+// swaps the MPGraph suite for its mirrors through the one tier cell
+// (single-flight, cached), the mirrors drive a working prefetcher, and
+// selecting both tiers is rejected.
 func TestF32Option(t *testing.T) {
 	wl := shared.Opt.Workloads()[0]
 	if _, err := shared.Suite(wl); err != nil {
 		t.Fatal(err)
 	}
-	r2 := NewRunner(shared.Opt)
-	r2.Opt.F32 = true
-	r2.suites = shared.suites // reuse the trained suite; conversion is the unit under test
-	r2.data = shared.data
-	r2.graphs = shared.graphs
+	for _, tier := range []struct {
+		name string
+		set  func(*Options)
+	}{
+		{"int8", func(o *Options) { o.Int8 = true }},
+		{"f32", func(o *Options) { o.F32 = true }},
+	} {
+		t.Run(tier.name, func(t *testing.T) {
+			r2 := NewRunner(shared.Opt)
+			tier.set(&r2.Opt)
+			if got := r2.Opt.tier(); got != tier.name {
+				t.Fatalf("tier %q, want %q", got, tier.name)
+			}
+			r2.suites = shared.suites // reuse the trained suite; conversion is the unit under test
+			r2.data = shared.data
+			r2.graphs = shared.graphs
 
-	fp, err := r2.f32PS(wl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for p, sub := range fp.delta.Models {
-		if _, ok := sub.(*models.F32AMMADelta); !ok {
-			t.Fatalf("phase %d delta is %T, want *models.F32AMMADelta", p, sub)
-		}
-	}
-	for p, sub := range fp.page.Models {
-		if _, ok := sub.(*models.F32AMMAPage); !ok {
-			t.Fatalf("phase %d page is %T, want *models.F32AMMAPage", p, sub)
-		}
-	}
-	fp2, err := r2.f32PS(wl)
-	if err != nil || fp2 != fp {
-		t.Fatal("f32 pair not cached")
-	}
+			tp, err := r2.tierPS(wl)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Both tiers score on the f32 kernels: int8 is a weight codec
+			// whose mirror is an f32 model.
+			for p, sub := range tp.delta.Models {
+				if _, ok := sub.(*models.F32AMMADelta); !ok {
+					t.Fatalf("phase %d delta is %T, want *models.F32AMMADelta", p, sub)
+				}
+			}
+			for p, sub := range tp.page.Models {
+				if _, ok := sub.(*models.F32AMMAPage); !ok {
+					t.Fatalf("phase %d page is %T, want *models.F32AMMAPage", p, sub)
+				}
+			}
+			tp2, err := r2.tierPS(wl)
+			if err != nil || tp2 != tp {
+				t.Fatal("tier pair not cached")
+			}
 
-	mp, err := r2.MPGraph(wl, core.DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, base, err := r2.Simulate(wl, mp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.IPC() <= 0 || base.IPC() <= 0 {
-		t.Fatal("f32 sweep cell did not simulate")
-	}
-	if err := mp.Health(); err != nil {
-		t.Fatalf("healthy f32 suite latched: %v", err)
+			mp, err := r2.MPGraph(wl, core.DefaultOptions())
+			if err != nil {
+				t.Fatal(err)
+			}
+			m, base, err := r2.Simulate(wl, mp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if m.IPC() <= 0 || base.IPC() <= 0 {
+				t.Fatalf("%s sweep cell did not simulate", tier.name)
+			}
+			if err := mp.Health(); err != nil {
+				t.Fatalf("healthy %s suite latched: %v", tier.name, err)
+			}
+		})
 	}
 
 	bad := shared.Opt

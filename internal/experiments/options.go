@@ -61,10 +61,6 @@ type Options struct {
 	// train-epoch, sweep-worker, checkpoint-io). Nil disarms everything;
 	// see resilience.ParseInjector for the -inject CLI spec grammar.
 	Injector *resilience.Injector
-	// DisableGuard skips the degradation guard normally wrapped around the
-	// ML prefetchers in the comparison sweep (ablations and benchmarks that
-	// need the bare prefetcher).
-	DisableGuard bool
 	// Int8 runs the MPGraph prefetcher on 8-bit weights (the paper's §6.1 /
 	// Fig. 13 axis): a copy of the per-phase models is rounded once per
 	// workload onto the per-channel symmetric int8 grid and Operate scores
@@ -145,6 +141,40 @@ func (o Options) validatePrecision() error {
 		return fmt.Errorf("experiments: F32 and Int8 are mutually exclusive (pick one reduced precision)")
 	}
 	return nil
+}
+
+// tier names the reduced-precision inference tier the options select:
+// "int8", "f32", or "" for the float64 reference tier.
+func (o Options) tier() string {
+	switch {
+	case o.Int8:
+		return "int8"
+	case o.F32:
+		return "f32"
+	}
+	return ""
+}
+
+// toTier returns the tier's mirrors of a phase-specific model pair: the
+// weights rounded onto the per-channel int8 grid under Int8, narrowed to
+// single precision under F32, and the pair itself on the float64 tier.
+// Either mirror runs the f32 kernels.
+func (o Options) toTier(delta *models.PhaseSpecificDelta, page *models.PhaseSpecificPage) (*models.PhaseSpecificDelta, *models.PhaseSpecificPage, error) {
+	var d models.DeltaModel
+	var p models.PageModel
+	var err error
+	switch o.tier() {
+	case "int8":
+		d, p, err = models.QuantizeSuite(delta, page, nil)
+	case "f32":
+		d, p, err = models.ConvertSuiteF32(delta, page)
+	default:
+		return delta, page, nil
+	}
+	if err != nil {
+		return nil, nil, err
+	}
+	return d.(*models.PhaseSpecificDelta), p.(*models.PhaseSpecificPage), nil
 }
 
 // workers resolves the scheduler's pool size: Workers, defaulting to

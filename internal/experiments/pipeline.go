@@ -29,8 +29,7 @@ type Runner struct {
 	graphs map[string]*graph.Graph
 	data   map[Workload]*cell[*WorkloadData]
 	suites map[Workload]*cell[*Suite]
-	qpairs map[Workload]*cell[*qpair]
-	fpairs map[Workload]*cell[*qpair]
+	tiers  map[Workload]*cell[*qpair]
 
 	storeOnce sync.Once
 	store     *resilience.Store
@@ -53,8 +52,7 @@ func NewRunner(opt Options) *Runner {
 		graphs: map[string]*graph.Graph{},
 		data:   map[Workload]*cell[*WorkloadData]{},
 		suites: map[Workload]*cell[*Suite]{},
-		qpairs: map[Workload]*cell[*qpair]{},
-		fpairs: map[Workload]*cell[*qpair]{},
+		tiers:  map[Workload]*cell[*qpair]{},
 	}
 }
 
@@ -422,11 +420,11 @@ func (r *Runner) buildDataset(cfg models.Config, stream []trace.Access, share *m
 
 // Prefetchers builds the Section 5.4.1 comparison set for w: BO, ISB,
 // Delta-LSTM, Voyager, TransFetch, and MPGraph (AMMA-PS + Soft-KSWIN +
-// CSTP), all at total degree 6. Unless Options.DisableGuard is set, every
-// ML prefetcher is wrapped in a degradation guard that quarantines it and
-// falls back to a warm BO instance if its model misbehaves (recovered
-// panics, non-finite scores, out-of-range blocks); a healthy guard is
-// transparent, so guarded and unguarded sweeps print identical reports.
+// CSTP), all at total degree 6. Every ML prefetcher is wrapped in a
+// degradation guard that quarantines it and falls back to a warm BO instance
+// if its model misbehaves (recovered panics, non-finite scores, out-of-range
+// blocks); a healthy guard is transparent, so guarded and unguarded
+// prefetchers simulate identically.
 func (r *Runner) Prefetchers(w Workload) ([]sim.Prefetcher, error) {
 	if err := r.Opt.validatePrecision(); err != nil {
 		return nil, err
@@ -443,9 +441,6 @@ func (r *Runner) Prefetchers(w Workload) ([]sim.Prefetcher, error) {
 		return nil, err
 	}
 	guard := func(pf sim.Prefetcher) sim.Prefetcher {
-		if r.Opt.DisableGuard {
-			return pf
-		}
 		fallback := prefetch.NewBO(prefetch.DefaultBOConfig())
 		return prefetch.NewGuarded(pf, fallback, prefetch.GuardConfig{}, r.Events)
 	}
@@ -465,48 +460,23 @@ type qpair struct {
 	page  *models.PhaseSpecificPage
 }
 
-// quantizedPS returns (quantizing once, coalescing concurrent callers) the
-// 8-bit-weight mirrors of w's phase-specific delta/page models. Quantization
-// copies and rounds every trained weight, so like Suite it is single-flight
-// per workload — the parallel sweep shares one quantized pair across all its
-// simulations.
-func (r *Runner) quantizedPS(w Workload) (*qpair, error) {
-	c := getCell(&r.mu, r.qpairs, w)
-	return c.get("experiments.QuantizedPS("+w.String()+")", func() (*qpair, error) {
+// tierPS returns (converting once, coalescing concurrent callers) the
+// reduced-precision mirrors of w's phase-specific delta/page models
+// (Options.toTier). Conversion copies every trained weight, so like Suite it
+// is single-flight per workload — the parallel sweep shares one pair across
+// all its simulations.
+func (r *Runner) tierPS(w Workload) (*qpair, error) {
+	c := getCell(&r.mu, r.tiers, w)
+	return c.get("experiments.TierPS("+w.String()+")", func() (*qpair, error) {
 		s, err := r.Suite(w)
 		if err != nil {
 			return nil, err
 		}
-		qd, qp, err := models.QuantizeSuite(s.PSDelta, s.PSPage, s.Train.Samples)
+		delta, page, err := r.Opt.toTier(s.PSDelta, s.PSPage)
 		if err != nil {
 			return nil, err
 		}
-		return &qpair{
-			delta: qd.(*models.PhaseSpecificDelta),
-			page:  qp.(*models.PhaseSpecificPage),
-		}, nil
-	})
-}
-
-// f32PS returns (converting once, coalescing concurrent callers) the f32
-// mirrors of w's phase-specific delta/page models. Conversion narrows
-// trained float weights, so like quantization it is single-flight per
-// workload and the parallel sweep shares one f32 pair.
-func (r *Runner) f32PS(w Workload) (*qpair, error) {
-	c := getCell(&r.mu, r.fpairs, w)
-	return c.get("experiments.F32PS("+w.String()+")", func() (*qpair, error) {
-		s, err := r.Suite(w)
-		if err != nil {
-			return nil, err
-		}
-		fd, fp, err := models.ConvertSuiteF32(s.PSDelta, s.PSPage)
-		if err != nil {
-			return nil, err
-		}
-		return &qpair{
-			delta: fd.(*models.PhaseSpecificDelta),
-			page:  fp.(*models.PhaseSpecificPage),
-		}, nil
+		return &qpair{delta: delta, page: page}, nil
 	})
 }
 
@@ -532,19 +502,12 @@ func (r *Runner) MPGraph(w Workload, opt core.Options) (*core.MPGraph, error) {
 		}
 	}
 	psDelta, psPage := s.PSDelta, s.PSPage
-	if r.Opt.Int8 {
-		qp, err := r.quantizedPS(w)
+	if r.Opt.tier() != "" {
+		tp, err := r.tierPS(w)
 		if err != nil {
 			return nil, err
 		}
-		psDelta, psPage = qp.delta, qp.page
-	}
-	if r.Opt.F32 {
-		fp, err := r.f32PS(w)
-		if err != nil {
-			return nil, err
-		}
-		psDelta, psPage = fp.delta, fp.page
+		psDelta, psPage = tp.delta, tp.page
 	}
 	deltas := make([]models.DeltaModel, len(psDelta.Models))
 	copy(deltas, psDelta.Models)

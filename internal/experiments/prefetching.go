@@ -43,14 +43,6 @@ func runPrefetchSweep(r *Runner) (map[string][]prefetchRow, []string, error) {
 	return results, order, nil
 }
 
-// BenchSweep recomputes the full prefetcher sweep, bypassing the Runner's
-// row cache — the benchmark entry point. Workload traces and trained model
-// suites stay cached on r, so repeated calls time only the simulations.
-func BenchSweep(r *Runner) error {
-	_, _, err := computePrefetchSweep(r) //mpgraph:allow errdrop -- benchmark times the sweep; the rows are the cached-path's concern
-	return err
-}
-
 // computePrefetchSweep runs the sweep under the bounded scheduler.
 func computePrefetchSweep(r *Runner) (map[string][]prefetchRow, []string, error) {
 	wls := r.Opt.Workloads()

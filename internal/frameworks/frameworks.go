@@ -49,10 +49,10 @@ type Options struct {
 	// PartitionSize is the vertices-per-partition knob for GPOP/X-Stream
 	// (default 2048, sized so one partition's state fits in L2).
 	PartitionSize int
-	// MeanBurst is the mean per-core run length in the interleaved LLC
-	// stream (default 6).
-	MeanBurst int
 }
+
+// meanBurst is the mean per-core run length in the interleaved LLC stream.
+const meanBurst = 6
 
 func (o Options) withDefaults() Options {
 	if o.Cores <= 0 {
@@ -63,9 +63,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.PartitionSize <= 0 {
 		o.PartitionSize = 2048
-	}
-	if o.MeanBurst <= 0 {
-		o.MeanBurst = 6
 	}
 	return o
 }
@@ -133,7 +130,6 @@ type emitter struct {
 	reg     *trace.PCRegistry
 	rng     *rand.Rand
 	cores   int
-	burst   int
 	phase   uint8
 	streams [][]trace.Access
 	out     *trace.Trace
@@ -145,7 +141,6 @@ func newEmitter(opt Options, numPhases int, app App, fw string) *emitter {
 		reg:     trace.NewPCRegistry(0x400000),
 		rng:     rand.New(rand.NewSource(opt.Seed)),
 		cores:   opt.Cores,
-		burst:   opt.MeanBurst,
 		streams: make([][]trace.Access, opt.Cores),
 		out:     &trace.Trace{NumPhases: numPhases, App: string(app), Framework: fw},
 		seq:     opt.Seed,
@@ -198,7 +193,7 @@ func (e *emitter) barrier() {
 	if need > cap(acc) {
 		acc = append(make([]trace.Access, 0, max(need, 2*cap(acc))), acc...)
 	}
-	e.out.Accesses = trace.AppendInterleave(acc, e.streams, e.burst, e.seq)
+	e.out.Accesses = trace.AppendInterleave(acc, e.streams, meanBurst, e.seq)
 	for c := range e.streams {
 		e.streams[c] = e.streams[c][:0]
 	}

@@ -403,7 +403,7 @@ func TestDeterministicTraces(t *testing.T) {
 
 func TestOptionsDefaults(t *testing.T) {
 	o := Options{}.withDefaults()
-	if o.Cores != 4 || o.MaxIterations != 11 || o.PartitionSize != 2048 || o.MeanBurst != 6 {
+	if o.Cores != 4 || o.MaxIterations != 11 || o.PartitionSize != 2048 {
 		t.Fatalf("bad defaults: %+v", o)
 	}
 }

@@ -119,31 +119,24 @@ type DeltaLogiter interface {
 // DeltaLogits re-exports the AMMA delta logits for distillation.
 func (m *AMMADelta) DeltaLogits(s *Sample) *tensor.Tensor { return m.logits(s) }
 
-// DistillOptions tunes knowledge distillation (Section 6.1).
-type DistillOptions struct {
-	TrainOptions
-	// Alpha weights the soft (teacher) loss against the hard (label) loss.
-	Alpha float64
-	// Temperature softens teacher and student distributions.
-	Temperature float64
-}
+// Knowledge distillation (Section 6.1) weights the soft (teacher) loss by
+// distillAlpha against the hard (label) loss, and softens teacher and
+// student page distributions by distillTemperature. distillAlpha is typed so
+// that 1-distillAlpha is the float64 difference, not the exact 0.3.
+const (
+	distillAlpha       float64 = 0.7
+	distillTemperature         = 2
+)
 
-func (o DistillOptions) withDefaults() DistillOptions {
-	o.TrainOptions = o.TrainOptions.withDefaults()
-	if o.Alpha == 0 {
-		o.Alpha = 0.7
-	}
-	if o.Temperature == 0 {
-		o.Temperature = 2
-	}
-	return o
+// distillLoss mixes a soft and a hard loss by distillAlpha.
+func distillLoss(soft, hard *tensor.Tensor) *tensor.Tensor {
+	return tensor.Add(tensor.Scale(soft, distillAlpha), tensor.Scale(hard, 1-distillAlpha))
 }
 
 // DistillDelta trains a smaller student delta model against a teacher: the
 // soft loss is BCE against the teacher's sigmoid outputs, mixed with the
 // hard label loss.
-func DistillDelta(student DeltaModel, teacher DeltaModel, ds *Dataset, opt DistillOptions) error {
-	opt = opt.withDefaults()
+func DistillDelta(student DeltaModel, teacher DeltaModel, ds *Dataset, opt TrainOptions) error {
 	sl, ok := student.(DeltaLogiter)
 	if !ok {
 		return fmt.Errorf("models: student %T does not expose delta logits", student)
@@ -156,12 +149,12 @@ func DistillDelta(student DeltaModel, teacher DeltaModel, ds *Dataset, opt Disti
 	}
 	tensor.SetGradEnabled(restore)
 	idxOf := sampleIndex(ds)
-	return trainLoop(student, ds, opt.TrainOptions, func(s *Sample) *tensor.Tensor {
+	return trainLoop(student, ds, opt, func(s *Sample) *tensor.Tensor {
 		logits := sl.DeltaLogits(s)
 		i := idxOf[s]
 		softLoss := tensor.BCEWithLogits(logits, soft[i])
 		hardLoss := tensor.BCEWithLogits(logits, s.DeltaBits)
-		return tensor.Add(tensor.Scale(softLoss, opt.Alpha), tensor.Scale(hardLoss, 1-opt.Alpha))
+		return distillLoss(softLoss, hardLoss)
 	})
 }
 
@@ -169,8 +162,7 @@ func DistillDelta(student DeltaModel, teacher DeltaModel, ds *Dataset, opt Disti
 // distribution. A softmax student (PageLogiter with vocab-wide output) uses
 // tempered soft cross entropy; a BinaryPage student distils the expected bit
 // probabilities implied by the teacher distribution.
-func DistillPage(student PageModel, teacher PageProber, ds *Dataset, opt DistillOptions) error {
-	opt = opt.withDefaults()
+func DistillPage(student PageModel, teacher PageProber, ds *Dataset, opt TrainOptions) error {
 	soft := make([][]float64, len(ds.Samples))
 	restore := tensor.SetGradEnabled(false)
 	for i, s := range ds.Samples {
@@ -193,14 +185,14 @@ func DistillPage(student PageModel, teacher PageProber, ds *Dataset, opt Distill
 			}
 			bitTargets[i] = bt
 		}
-		return trainLoop(student, ds, opt.TrainOptions, func(s *Sample) *tensor.Tensor {
+		return trainLoop(student, ds, opt, func(s *Sample) *tensor.Tensor {
 			logits := bp.PageLogits(s)
 			i := idxOf[s]
 			softLoss := tensor.BCEWithLogits(logits, bitTargets[i])
 			code, err := BinaryCode(s.PageTok, bp.bits)
 			invariant.OnErr(err) // bits covers PageVocab by construction
 			hardLoss := tensor.BCEWithLogits(logits, code)
-			return tensor.Add(tensor.Scale(softLoss, opt.Alpha), tensor.Scale(hardLoss, 1-opt.Alpha))
+			return distillLoss(softLoss, hardLoss)
 		})
 	}
 
@@ -208,12 +200,12 @@ func DistillPage(student PageModel, teacher PageProber, ds *Dataset, opt Distill
 	if !ok {
 		return fmt.Errorf("models: student %T does not expose page logits", student)
 	}
-	return trainLoop(student, ds, opt.TrainOptions, func(s *Sample) *tensor.Tensor {
+	return trainLoop(student, ds, opt, func(s *Sample) *tensor.Tensor {
 		logits := sl.PageLogits(s)
 		i := idxOf[s]
-		softLoss := tensor.SoftCrossEntropy(logits, soft[i], opt.Temperature)
+		softLoss := tensor.SoftCrossEntropy(logits, soft[i], distillTemperature)
 		hardLoss := tensor.CrossEntropyLogits(logits, s.PageTok)
-		return tensor.Add(tensor.Scale(softLoss, opt.Alpha), tensor.Scale(hardLoss, 1-opt.Alpha))
+		return distillLoss(softLoss, hardLoss)
 	})
 }
 

@@ -479,7 +479,7 @@ func TestDistillation(t *testing.T) {
 	small.Heads = 2
 	student := NewAMMAPage(small, ds.Pages, ds.PCs, 0, 53)
 	dsSmall := &Dataset{Cfg: small, Samples: ds.Samples, Pages: ds.Pages, PCs: ds.PCs}
-	if err := DistillPage(student, teacher, dsSmall, DistillOptions{TrainOptions: opt}); err != nil {
+	if err := DistillPage(student, teacher, dsSmall, opt); err != nil {
 		t.Fatal(err)
 	}
 	accT := EvalPageAccAtK(teacher, ds.Samples, 10, 200)
@@ -492,7 +492,7 @@ func TestDistillation(t *testing.T) {
 	}
 	// Binary student distillation.
 	bstudent := NewBinaryPage(small, ds.Pages, ds.PCs, 59)
-	if err := DistillPage(bstudent, teacher, dsSmall, DistillOptions{TrainOptions: TrainOptions{Epochs: 1, Seed: 3, MaxSamplesPerEpoch: 200}}); err != nil {
+	if err := DistillPage(bstudent, teacher, dsSmall, TrainOptions{Epochs: 1, Seed: 3, MaxSamplesPerEpoch: 200}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -510,7 +510,7 @@ func TestDistillDelta(t *testing.T) {
 	small.Heads = 2
 	student := NewAMMADelta(small, ds.PCs, 0, 67)
 	dsSmall := &Dataset{Cfg: small, Samples: ds.Samples, Pages: ds.Pages, PCs: ds.PCs}
-	if err := DistillDelta(student, teacher, dsSmall, DistillOptions{TrainOptions: opt}); err != nil {
+	if err := DistillDelta(student, teacher, dsSmall, opt); err != nil {
 		t.Fatal(err)
 	}
 	if f1 := EvalDeltaF1(student, dsSmall.Samples, 150); f1 <= 0 {

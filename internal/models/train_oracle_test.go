@@ -127,20 +127,18 @@ func TestTrainMatchesReference(t *testing.T) {
 		// (A slice of the samples: distillation scores the teacher on all of them.)
 		dsSmall := &Dataset{Cfg: small, Samples: ds.Samples[:64], Pages: ds.Pages, PCs: ds.PCs}
 		got, want := NewAMMADelta(small, ds.PCs, 0, 67), NewAMMADelta(small, ds.PCs, 0, 67)
-		dopt := DistillOptions{TrainOptions: opt}
-		if err := DistillDelta(got, teacher, dsSmall, dopt); err != nil {
+		if err := DistillDelta(got, teacher, dsSmall, opt); err != nil {
 			t.Fatal(err)
 		}
-		dopt = dopt.withDefaults()
 		soft := map[*Sample][]float64{}
 		for _, s := range dsSmall.Samples {
 			soft[s] = teacher.DeltaScores(s)
 		}
-		err := referenceTrain(want, dsSmall, dopt.TrainOptions, func(s *Sample) *tensor.Tensor {
+		err := referenceTrain(want, dsSmall, opt.withDefaults(), func(s *Sample) *tensor.Tensor {
 			logits := want.DeltaLogits(s)
 			softLoss := tensor.BCEWithLogits(logits, soft[s])
 			hardLoss := tensor.BCEWithLogits(logits, s.DeltaBits)
-			return tensor.Add(tensor.Scale(softLoss, dopt.Alpha), tensor.Scale(hardLoss, 1-dopt.Alpha))
+			return tensor.Add(tensor.Scale(softLoss, distillAlpha), tensor.Scale(hardLoss, 1-distillAlpha))
 		})
 		if err != nil {
 			t.Fatal(err)

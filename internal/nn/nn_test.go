@@ -502,86 +502,3 @@ func TestGradMMAFLayer(t *testing.T) {
 		return tensor.MSE(m.Forward(a, b), make([]float64, 36))
 	})
 }
-
-func TestSGDConvergesOnLinearRegression(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	l := NewLinear(3, 1, rng)
-	opt := NewSGD(0.05, 0.9)
-	x := tensor.Randn(16, 3, 1, rng)
-	targets := make([]float64, 16)
-	for i := 0; i < 16; i++ {
-		targets[i] = x.At(i, 0) - 2*x.At(i, 2)
-	}
-	var first, last float64
-	for step := 0; step < 300; step++ {
-		loss := tensor.MSE(l.Forward(x), targets)
-		if step == 0 {
-			first = loss.Data[0]
-		}
-		last = loss.Data[0]
-		if err := loss.Backward(); err != nil {
-			t.Fatal(err)
-		}
-		opt.Step(l.Params())
-		ZeroGrads(l)
-	}
-	if last > first/20 {
-		t.Fatalf("SGD did not converge: %g -> %g", first, last)
-	}
-}
-
-func TestSGDWeightDecayShrinksWeights(t *testing.T) {
-	p := tensor.New(1, 1, []float64{10}).Param()
-	p.Grad = []float64{0}
-	opt := NewSGD(0.1, 0)
-	opt.WeightDecay = 0.5
-	opt.Step([]*tensor.Tensor{p})
-	if p.Data[0] >= 10 {
-		t.Fatal("weight decay must shrink weights with zero grad")
-	}
-}
-
-func TestSchedules(t *testing.T) {
-	st := StepSchedule{Every: 10, Gamma: 0.5}
-	if st.Factor(0) != 1 || st.Factor(9) != 1 {
-		t.Fatal("step schedule before boundary")
-	}
-	if st.Factor(10) != 0.5 || st.Factor(25) != 0.25 {
-		t.Fatalf("step schedule decay: %v %v", st.Factor(10), st.Factor(25))
-	}
-	if (StepSchedule{}).Factor(100) != 1 {
-		t.Fatal("degenerate step schedule")
-	}
-
-	cs := CosineSchedule{Total: 100, Floor: 0.1}
-	if cs.Factor(0) != 1 {
-		t.Fatal("cosine starts at 1")
-	}
-	if math.Abs(cs.Factor(100)-0.1) > 1e-12 || math.Abs(cs.Factor(150)-0.1) > 1e-12 {
-		t.Fatal("cosine floor")
-	}
-	mid := cs.Factor(50)
-	if mid <= 0.1 || mid >= 1 {
-		t.Fatalf("cosine midpoint %v", mid)
-	}
-	// Monotone non-increasing.
-	prev := 2.0
-	for s := 0; s <= 100; s += 5 {
-		f := cs.Factor(s)
-		if f > prev+1e-12 {
-			t.Fatalf("cosine not monotone at %d", s)
-		}
-		prev = f
-	}
-	if (CosineSchedule{}).Factor(5) != 1 {
-		t.Fatal("degenerate cosine")
-	}
-
-	sl := ScheduledLR{Base: 0.2, Schedule: st}
-	if sl.At(10) != 0.1 {
-		t.Fatalf("scheduled LR %v", sl.At(10))
-	}
-	if (ScheduledLR{Base: 3}).At(7) != 3 {
-		t.Fatal("nil schedule")
-	}
-}

@@ -13,17 +13,9 @@ type GuardConfig struct {
 	// above it is an out-of-range violation. The default (1<<52) corresponds
 	// to the 64-bit virtual address space ceiling (2^58 bytes >> 6).
 	MaxBlock uint64
-	// LatencyBudgetNS bounds the wall-clock cost of one Operate call; 0
-	// disables the budget (the default — wall-clock checks are inherently
-	// non-deterministic, so sweeps that must be byte-identical leave this
-	// off).
-	LatencyBudgetNS int64
 	// MaxViolations is how many violations are tolerated before the primary
 	// is quarantined for good (default 3).
 	MaxViolations int
-	// Now supplies monotonic nanoseconds for the latency budget. Tests
-	// inject a fake clock; required when LatencyBudgetNS > 0.
-	Now func() int64
 }
 
 func (c GuardConfig) withDefaults() GuardConfig {
@@ -37,10 +29,10 @@ func (c GuardConfig) withDefaults() GuardConfig {
 }
 
 // Guarded screens an ML prefetcher's outputs and degrades to a baseline when
-// the model misbehaves. It watches for four defect classes: panics during
+// the model misbehaves. It watches for three defect classes: panics during
 // Operate (recovered via a resilience boundary), self-reported model health
-// failures (non-finite scores, see sim.HealthReporter), out-of-range block
-// addresses, and per-inference latency-budget violations. Each defect is a
+// failures (non-finite scores, see sim.HealthReporter), and out-of-range
+// block addresses. Each defect is a
 // violation; after GuardConfig.MaxViolations the primary is quarantined and
 // every subsequent access is served by the fallback.
 //
@@ -117,11 +109,6 @@ func (g *Guarded) Operate(acc sim.LLCAccess) []uint64 {
 	if g.quarantined {
 		return fbOut
 	}
-
-	var start int64
-	if g.cfg.LatencyBudgetNS > 0 && g.cfg.Now != nil {
-		start = g.cfg.Now()
-	}
 	out, err := resilience.GuardVal(g.component, func() ([]uint64, error) {
 		return g.primary.Operate(acc), nil
 	})
@@ -138,12 +125,6 @@ func (g *Guarded) Operate(acc sim.LLCAccess) []uint64 {
 	for _, b := range out {
 		if b > g.cfg.MaxBlock {
 			g.violate("out-of-range", fmt.Sprintf("block %#x exceeds max %#x", b, g.cfg.MaxBlock))
-			return fbOut
-		}
-	}
-	if start != 0 {
-		if elapsed := g.cfg.Now() - start; elapsed > g.cfg.LatencyBudgetNS {
-			g.violate("latency-budget", fmt.Sprintf("inference took %dns (budget %dns)", elapsed, g.cfg.LatencyBudgetNS))
 			return fbOut
 		}
 	}

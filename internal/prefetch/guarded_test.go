@@ -129,22 +129,6 @@ func TestGuardedConsultsHealthReporter(t *testing.T) {
 	}
 }
 
-func TestGuardedLatencyBudget(t *testing.T) {
-	events := &resilience.Log{}
-	var now int64
-	clock := func() int64 {
-		now += 500 // every clock read advances 500ns: each inference "takes" 500ns
-		return now
-	}
-	g := NewGuarded(nextLine{degree: 1}, &markerFB{},
-		GuardConfig{LatencyBudgetNS: 100, MaxViolations: 2, Now: clock}, events)
-	g.Operate(sim.LLCAccess{Block: 1})
-	g.Operate(sim.LLCAccess{Block: 2})
-	if !g.Quarantined() || events.Count("prefetch/nextline", "latency-budget") != 2 {
-		t.Fatalf("quarantined=%v events=%v", g.Quarantined(), events.Events())
-	}
-}
-
 func TestGuardedLatencyCyclesFollowServing(t *testing.T) {
 	g := NewGuarded(fixedLatencyPF2{}, nextLine{degree: 1}, GuardConfig{}, nil)
 	if g.InferenceLatencyCycles() != 42 {

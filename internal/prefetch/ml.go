@@ -7,17 +7,12 @@ import (
 	"mpgraph/internal/trace"
 )
 
-// MLOptions tunes the ML baseline prefetchers.
+// MLOptions tunes the ML baseline prefetchers. Every baseline infers on
+// every LLC access once its history window is warm (Section 5.4.1).
 type MLOptions struct {
 	// Degree is the total prefetch degree (6 for all baselines, Section
 	// 5.4.1).
 	Degree int
-	// InferEvery throttles inference to every k-th LLC access (1 = every
-	// access); predictions persist between inferences.
-	InferEvery int
-	// LatencyCycles is the model inference latency reported to the
-	// simulator.
-	LatencyCycles uint64
 	// Scheduler, when non-nil, routes model calls through a shared
 	// BatchScheduler so concurrent sweep workers share fused inference
 	// rounds.
@@ -27,9 +22,6 @@ type MLOptions struct {
 func (o MLOptions) withDefaults() MLOptions {
 	if o.Degree <= 0 {
 		o.Degree = 6
-	}
-	if o.InferEvery <= 0 {
-		o.InferEvery = 1
 	}
 	return o
 }
@@ -42,32 +34,14 @@ func (o MLOptions) newSession() *BatchSession {
 	return o.Scheduler.NewSession()
 }
 
-// inferGate bundles the warmup/throttle logic shared by every ML
-// prefetcher: push the access into the history window, then gate inference
-// on the window being warm and on the InferEvery throttle.
-type inferGate struct {
-	hist  *models.History
-	every int
-	tick  int
-}
-
-func newInferGate(historyT, inferEvery int) inferGate {
-	return inferGate{hist: models.NewHistory(historyT), every: inferEvery}
-}
-
-// observe records the access and reports whether to infer on this tick.
-func (g *inferGate) observe(block, pc uint64) bool {
-	g.hist.Push(block, pc)
-	g.tick++
-	return g.hist.Warm() && g.tick%g.every == 0
-}
-
-// DeltaLSTM is the Delta-LSTM baseline (Hashemi et al. 2018): a pretrained
-// LSTM over delta/PC history predicting the top future deltas.
-type DeltaLSTM struct {
+// DeltaPrefetcher is a delta-only ML baseline: a pretrained model over
+// delta/PC history predicting the top future deltas. Delta-LSTM and
+// TransFetch are this prefetcher over different models.
+type DeltaPrefetcher struct {
+	name    string
 	opt     MLOptions
 	model   models.DeltaModel
-	gate    inferGate
+	hist    *models.History
 	ctx     *tensor.Ctx
 	sess    *BatchSession
 	scratch models.Sample
@@ -75,88 +49,45 @@ type DeltaLSTM struct {
 	health  error
 }
 
-// NewDeltaLSTM wraps a trained delta model (expected: models.LSTMDelta).
-func NewDeltaLSTM(model models.DeltaModel, historyT int, opt MLOptions) *DeltaLSTM {
+// NewDeltaLSTM is the Delta-LSTM baseline (Hashemi et al. 2018) over a
+// trained delta model (expected: models.LSTMDelta).
+func NewDeltaLSTM(model models.DeltaModel, historyT int, opt MLOptions) *DeltaPrefetcher {
+	return newDeltaPrefetcher("delta-lstm", model, historyT, opt)
+}
+
+// NewTransFetch is the TransFetch baseline (Zhang et al. 2022), an
+// attention-based delta predictor with fine-grained address segmentation
+// (expected: models.AttnDelta).
+func NewTransFetch(model models.DeltaModel, historyT int, opt MLOptions) *DeltaPrefetcher {
+	return newDeltaPrefetcher("transfetch", model, historyT, opt)
+}
+
+func newDeltaPrefetcher(name string, model models.DeltaModel, historyT int, opt MLOptions) *DeltaPrefetcher {
 	opt = opt.withDefaults()
-	return &DeltaLSTM{opt: opt, model: model, gate: newInferGate(historyT, opt.InferEvery), ctx: tensor.NewCtx(), sess: opt.newSession()}
+	return &DeltaPrefetcher{name: name, opt: opt, model: model, hist: models.NewHistory(historyT), ctx: tensor.NewCtx(), sess: opt.newSession()}
 }
 
 // Name implements sim.Prefetcher.
-func (p *DeltaLSTM) Name() string { return "delta-lstm" }
-
-// InferenceLatencyCycles implements sim.InferenceLatency.
-func (p *DeltaLSTM) InferenceLatencyCycles() uint64 { return p.opt.LatencyCycles }
+func (p *DeltaPrefetcher) Name() string { return p.name }
 
 // Health implements sim.HealthReporter.
-func (p *DeltaLSTM) Health() error { return p.health }
+func (p *DeltaPrefetcher) Health() error { return p.health }
 
 // JoinBatch registers this prefetcher's session with the shared batch
 // scheduler's flush watermark (no-op without a scheduler).
-func (p *DeltaLSTM) JoinBatch() { p.sess.join() }
+func (p *DeltaPrefetcher) JoinBatch() { p.sess.join() }
 
 // LeaveBatch unregisters the session (no-op without a scheduler).
-func (p *DeltaLSTM) LeaveBatch() { p.sess.leave() }
+func (p *DeltaPrefetcher) LeaveBatch() { p.sess.leave() }
 
 // Operate implements sim.Prefetcher.
-func (p *DeltaLSTM) Operate(acc sim.LLCAccess) []uint64 {
-	if !p.gate.observe(acc.Block, acc.PC) {
+func (p *DeltaPrefetcher) Operate(acc sim.LLCAccess) []uint64 {
+	p.hist.Push(acc.Block, acc.PC)
+	if !p.hist.Warm() {
 		return nil
 	}
 	defer p.ctx.Reset()
-	s := p.gate.hist.SampleInto(&p.scratch, 0)
-	var err error
-	if p.sess != nil {
-		scores := p.sess.DeltaScores(p.model, s)
-		p.out, err = models.AppendDeltaTargets(p.ctx, scores, acc.Block, p.opt.Degree, p.out[:0])
-	} else {
-		p.out, err = deltaPrefetchesAppend(p.ctx, p.model, s, acc.Block, p.opt.Degree, p.out[:0])
-	}
-	p.health = keepFirst(p.health, err)
-	return p.out
-}
-
-// TransFetch is the TransFetch baseline (Zhang et al. 2022): an
-// attention-based delta predictor with fine-grained address segmentation.
-type TransFetch struct {
-	opt     MLOptions
-	model   models.DeltaModel
-	gate    inferGate
-	ctx     *tensor.Ctx
-	sess    *BatchSession
-	scratch models.Sample
-	out     []uint64
-	health  error
-}
-
-// NewTransFetch wraps a trained delta model (expected: models.AttnDelta).
-func NewTransFetch(model models.DeltaModel, historyT int, opt MLOptions) *TransFetch {
-	opt = opt.withDefaults()
-	return &TransFetch{opt: opt, model: model, gate: newInferGate(historyT, opt.InferEvery), ctx: tensor.NewCtx(), sess: opt.newSession()}
-}
-
-// Name implements sim.Prefetcher.
-func (p *TransFetch) Name() string { return "transfetch" }
-
-// InferenceLatencyCycles implements sim.InferenceLatency.
-func (p *TransFetch) InferenceLatencyCycles() uint64 { return p.opt.LatencyCycles }
-
-// Health implements sim.HealthReporter.
-func (p *TransFetch) Health() error { return p.health }
-
-// JoinBatch registers this prefetcher's session with the shared batch
-// scheduler's flush watermark (no-op without a scheduler).
-func (p *TransFetch) JoinBatch() { p.sess.join() }
-
-// LeaveBatch unregisters the session (no-op without a scheduler).
-func (p *TransFetch) LeaveBatch() { p.sess.leave() }
-
-// Operate implements sim.Prefetcher.
-func (p *TransFetch) Operate(acc sim.LLCAccess) []uint64 {
-	if !p.gate.observe(acc.Block, acc.PC) {
-		return nil
-	}
-	defer p.ctx.Reset()
-	s := p.gate.hist.SampleInto(&p.scratch, 0)
+	s := p.hist.SampleInto(&p.scratch, 0)
 	var err error
 	if p.sess != nil {
 		scores := p.sess.DeltaScores(p.model, s)
@@ -176,7 +107,7 @@ type Voyager struct {
 	opt        MLOptions
 	pageModel  models.PageModel
 	deltaModel models.DeltaModel
-	gate       inferGate
+	hist       *models.History
 	ctx        *tensor.Ctx
 	pair       models.Pair // the page call beside the delta call, unbatched
 	sess       *BatchSession
@@ -198,7 +129,7 @@ func NewVoyager(pageModel models.PageModel, deltaModel models.DeltaModel, histor
 		opt:        opt,
 		pageModel:  pageModel,
 		deltaModel: deltaModel,
-		gate:       newInferGate(historyT, opt.InferEvery),
+		hist:       models.NewHistory(historyT),
 		ctx:        tensor.NewCtx(),
 		sess:       opt.newSession(),
 		lastOffset: make(map[uint64]uint64),
@@ -208,9 +139,6 @@ func NewVoyager(pageModel models.PageModel, deltaModel models.DeltaModel, histor
 
 // Name implements sim.Prefetcher.
 func (p *Voyager) Name() string { return "voyager" }
-
-// InferenceLatencyCycles implements sim.InferenceLatency.
-func (p *Voyager) InferenceLatencyCycles() uint64 { return p.opt.LatencyCycles }
 
 // Health implements sim.HealthReporter.
 func (p *Voyager) Health() error { return p.health }
@@ -231,11 +159,12 @@ func (p *Voyager) Operate(acc sim.LLCAccess) []uint64 {
 		}
 	}
 	p.lastOffset[page] = trace.BlockOffset(acc.Block)
-	if !p.gate.observe(acc.Block, acc.PC) {
+	p.hist.Push(acc.Block, acc.PC)
+	if !p.hist.Warm() {
 		return nil
 	}
 	defer p.ctx.Reset()
-	s := p.gate.hist.SampleInto(&p.scratch, 0)
+	s := p.hist.SampleInto(&p.scratch, 0)
 	p.out = p.predict(p.ctx, s, acc.Block, p.out[:0])
 	return p.out
 }

@@ -181,35 +181,6 @@ func TestMLWarmupNoPrefetch(t *testing.T) {
 	}
 }
 
-func TestInferEveryThrottle(t *testing.T) {
-	ds, delta, _ := tinyTrainedModels(t)
-	T := ds.Cfg.HistoryT
-	pf := NewTransFetch(delta, T, MLOptions{Degree: 4, InferEvery: 4})
-	issued := 0
-	for i := 0; i < 4*20+T; i++ {
-		if out := pf.Operate(sim.LLCAccess{Block: uint64(i), PC: 1}); len(out) > 0 {
-			issued++
-		}
-	}
-	if issued == 0 || issued > 25 {
-		t.Fatalf("throttled prefetcher issued on %d of ~89 accesses", issued)
-	}
-}
-
-func TestInferenceLatencyReported(t *testing.T) {
-	ds, delta, page := tinyTrainedModels(t)
-	T := ds.Cfg.HistoryT
-	for _, pf := range []sim.InferenceLatency{
-		NewDeltaLSTM(delta, T, MLOptions{LatencyCycles: 99}),
-		NewTransFetch(delta, T, MLOptions{LatencyCycles: 99}),
-		NewVoyager(page, delta, T, MLOptions{LatencyCycles: 99}),
-	} {
-		if pf.InferenceLatencyCycles() != 99 {
-			t.Fatal("latency not reported")
-		}
-	}
-}
-
 func TestVLDPLearnsAlternatingDeltas(t *testing.T) {
 	v := NewVLDP(DefaultVLDPConfig())
 	// Within one page: deltas alternate +1, +2 — a pattern a single-delta

@@ -132,11 +132,12 @@ func (p *referenceVoyager) Operate(acc sim.LLCAccess) []uint64 {
 		p.queue = append(p.queue, page)
 	}
 	p.lastOffset[page] = trace.BlockOffset(acc.Block)
-	if !p.gate.observe(acc.Block, acc.PC) {
+	p.hist.Push(acc.Block, acc.PC)
+	if !p.hist.Warm() {
 		return nil
 	}
 	defer p.ctx.Reset()
-	s := p.gate.hist.SampleInto(&p.scratch, 0)
+	s := p.hist.SampleInto(&p.scratch, 0)
 	p.out = p.predict(p.ctx, s, acc.Block, p.out[:0])
 	return p.out
 }
