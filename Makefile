@@ -61,7 +61,7 @@ vet:
 test:
 	$(GO) test ./...
 
-# test-times is the tier-1 time budget (ROADMAP item 1): the wall time
+# test-times is the tier-1 time budget (ROADMAP item 13): the wall time
 # `go test` reports for each package, slowest first. -count=1 because a
 # cached package reports none; through a file so a test failure fails the
 # target.
@@ -88,6 +88,7 @@ race:
 fuzz:
 	$(GO) test ./internal/serve/ -run xxx -fuzz '^FuzzDecodeEvents$$' -fuzztime 10s
 	$(GO) test ./internal/serve/ -run xxx -fuzz '^FuzzAppendPrediction$$' -fuzztime 10s
+	$(GO) test ./internal/serve/ -run xxx -fuzz '^FuzzLoadReplay$$' -fuzztime 10s
 	$(GO) test ./internal/models/ -run xxx -fuzz '^FuzzLoadPrefetcherModels$$' -fuzztime 10s
 	$(GO) test ./internal/resilience/ -run xxx -fuzz '^FuzzParseInjector$$' -fuzztime 10s
 	$(GO) test ./internal/trace/ -run xxx -fuzz '^FuzzTraceRead$$' -fuzztime 10s

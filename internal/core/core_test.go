@@ -98,6 +98,97 @@ func TestPBOT(t *testing.T) {
 	}
 }
 
+// referencePBOT is the table PBOT replaced, verbatim: a map and a slice
+// queue, popped by reslicing.
+type referencePBOT struct {
+	max     int
+	entries map[uint64]PBOTEntry
+	fifo    []uint64
+}
+
+func (p *referencePBOT) Update(block, pc uint64) {
+	page := trace.PageOfBlock(block)
+	if _, ok := p.entries[page]; !ok {
+		if len(p.fifo) >= p.max {
+			delete(p.entries, p.fifo[0])
+			p.fifo = p.fifo[1:]
+		}
+		p.fifo = append(p.fifo, page)
+	}
+	p.entries[page] = PBOTEntry{Offset: trace.BlockOffset(block), PC: pc}
+}
+
+// TestPBOTMatchesReference drives PBOT and referencePBOT with the same random
+// updates — new pages, revisits of live and of evicted ones, page 0 — and
+// requires the same entry for every page ever seen, and the same length,
+// after each: so eviction order, overwrites and the open-addressed table's
+// deletions agree with the map.
+func TestPBOTMatchesReference(t *testing.T) {
+	for _, max := range []int{1, 2, 3, 24, 64, 100} {
+		rng := rand.New(rand.NewSource(int64(max)))
+		p, ref := NewPBOT(max), &referencePBOT{max: max, entries: map[uint64]PBOTEntry{}}
+		var seen []uint64
+		next := uint64(0)
+		for n := 0; n < 40*max+200; n++ {
+			page := next
+			if len(seen) > 0 && rng.Intn(3) == 0 {
+				page = seen[rng.Intn(len(seen))]
+			} else {
+				seen = append(seen, page)
+				next += 1 + uint64(rng.Intn(3))<<uint(rng.Intn(40))
+			}
+			block, pc := trace.BlockOfPageOffset(page, uint64(rng.Intn(64))), uint64(rng.Intn(1<<20))
+			p.Update(block, pc)
+			ref.Update(block, pc)
+			if p.Len() != len(ref.entries) {
+				t.Fatalf("max %d update %d: Len %d, reference %d", max, n, p.Len(), len(ref.entries))
+			}
+			for _, q := range seen {
+				e, ok := p.Lookup(q)
+				want, wantOK := ref.entries[q]
+				if ok != wantOK || e != want {
+					t.Fatalf("max %d update %d: page %d = %+v %v, reference %+v %v", max, n, q, e, ok, want, wantOK)
+				}
+			}
+		}
+	}
+}
+
+// TestPBOTChurnZeroAlloc: once warm, a table whose pages keep changing, every
+// update evicting, allocates nothing over 100,000 updates (at least ten times
+// its size). The slice queue it replaced reallocated as it popped and
+// appended, and a map behind a ring still rehashes now and then (33 times in
+// the first 100,000 updates at size 4096). The runtime allocates now and then
+// on its own, so the count is the quietest of three fresh tables, each
+// driven through the same updates.
+func TestPBOTChurnZeroAlloc(t *testing.T) {
+	for _, max := range []int{24, 64, 4096} {
+		least := ^uint64(0)
+		for w := 0; w < 3; w++ {
+			p := NewPBOT(max)
+			page := uint64(1 << 20)
+			churn := func(n int) {
+				for i := 0; i < n; i++ {
+					p.Update(trace.BlockOfPageOffset(page, page%64), page)
+					if i%4 == 0 {
+						p.Update(trace.BlockOfPageOffset(page-uint64(max)/2, 1), page) // a live page
+					}
+					page++
+				}
+			}
+			churn(2 * max)
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			churn(100_000)
+			runtime.ReadMemStats(&after)
+			least = min(least, after.Mallocs-before.Mallocs)
+		}
+		if least != 0 {
+			t.Fatalf("PBOTSize %d: %d allocations per 100,000 churning updates", max, least)
+		}
+	}
+}
+
 func newTestMPGraph(t *testing.T, opt Options, det interface {
 	Name() string
 	Observe(float64) bool

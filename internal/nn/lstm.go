@@ -99,10 +99,12 @@ func lstmGraph(l *LSTM, x *tensor.Tensor) *tensor.Tensor {
 // returns the final hidden states [blocks x hidden]. The input half of every
 // gate, x@Wx (+ b), does not depend on the state, so it is four products over
 // all blocks*T rows before the loop, on time-major rows so that a step's
-// share of each is one [blocks x hidden] run. A step adds h@Wh onto that run
-// in place and applies the gate's activation. Per element that is the
-// rounding sequence of the fused two-product gate (tensor.LinearAccum),
-// whichever kernels run it.
+// share of each is one [blocks x hidden] run. One sequence then runs all its
+// steps in one kernel call where there is one (tensor.LSTMSteps); otherwise,
+// and for a batch, a step adds h@Wh onto that run in place and applies the
+// gate's activation. Per element both are the rounding sequence of the fused
+// two-product gate (tensor.LinearAccum) and the cell update below, whichever
+// kernels run them.
 //
 //mpgraph:noalloc
 func (l *LSTMOf[T]) ForwardBatchCtx(ctx *tensor.Ctx, x *tensor.Dense[T], blocks int) *tensor.Dense[T] {
@@ -125,7 +127,11 @@ func (l *LSTMOf[T]) ForwardBatchCtx(ctx *tensor.Ctx, x *tensor.Dense[T], blocks 
 		pre[g] = tensor.LinearAccum(ctx, nil, x, wx[g], bias[g])
 	}
 	h := tensor.ZerosCtx[T](ctx, blocks, l.Hidden)
-	c := tensor.ZerosCtx[T](ctx, blocks, l.Hidden).Data
+	cell := tensor.ZerosCtx[T](ctx, blocks, l.Hidden)
+	if blocks == 1 && tensor.LSTMSteps(ctx, h, cell, pre, wh, t) {
+		return h
+	}
+	c := cell.Data
 	for step := 0; step < t; step++ {
 		for k := range pre {
 			// Odd steps run the gates backwards: the Wh panel a step streams

@@ -1,6 +1,9 @@
 package prefetch
 
-import "mpgraph/internal/sim"
+import (
+	"mpgraph/internal/ring"
+	"mpgraph/internal/sim"
+)
 
 // DominoConfig parameterises the Domino temporal prefetcher.
 type DominoConfig struct {
@@ -25,7 +28,7 @@ type Domino struct {
 	// fallback map handles cold pairs.
 	successor map[[2]uint64]uint64
 	fallback  map[uint64]uint64
-	fifo      ring[[2]uint64]
+	fifo      ring.Ring[[2]uint64]
 	out       []uint64
 	prev1     uint64
 	prev2     uint64
@@ -38,7 +41,7 @@ func NewDomino(cfg DominoConfig) *Domino {
 		cfg:       cfg,
 		successor: make(map[[2]uint64]uint64),
 		fallback:  make(map[uint64]uint64),
-		fifo:      newRing[[2]uint64](cfg.MaxPairs),
+		fifo:      ring.New[[2]uint64](cfg.MaxPairs),
 	}
 }
 
@@ -51,7 +54,7 @@ func (p *Domino) Operate(acc sim.LLCAccess) []uint64 {
 	if p.warm >= 2 {
 		key := [2]uint64{p.prev2, p.prev1}
 		if _, exists := p.successor[key]; !exists {
-			if old, full := p.fifo.push(key); full {
+			if old, full := p.fifo.Push(key); full {
 				delete(p.successor, old)
 			}
 		}

@@ -1,6 +1,9 @@
 package prefetch
 
-import "mpgraph/internal/sim"
+import (
+	"mpgraph/internal/ring"
+	"mpgraph/internal/sim"
+)
 
 // EnsembleConfig parameterises the reinforced ensemble.
 type EnsembleConfig struct {
@@ -31,7 +34,7 @@ type Ensemble struct {
 	components []sim.Prefetcher
 	credit     []float64
 	issued     []map[uint64]bool
-	fifo       []ring[uint64]
+	fifo       []ring.Ring[uint64]
 	tick       int
 }
 
@@ -53,7 +56,7 @@ func NewEnsemble(cfg EnsembleConfig, components ...sim.Prefetcher) *Ensemble {
 	for range components {
 		e.credit = append(e.credit, 1)
 		e.issued = append(e.issued, map[uint64]bool{})
-		e.fifo = append(e.fifo, newRing[uint64](cfg.Window))
+		e.fifo = append(e.fifo, ring.New[uint64](cfg.Window))
 	}
 	return e
 }
@@ -153,7 +156,7 @@ func (e *Ensemble) track(i int, block uint64) {
 	if e.issued[i][block] {
 		return
 	}
-	if old, full := e.fifo[i].push(block); full {
+	if old, full := e.fifo[i].Push(block); full {
 		delete(e.issued[i], old)
 	}
 	e.issued[i][block] = true

@@ -1,6 +1,9 @@
 package prefetch
 
-import "mpgraph/internal/sim"
+import (
+	"mpgraph/internal/ring"
+	"mpgraph/internal/sim"
+)
 
 // ISBConfig parameterises the Irregular Stream Buffer.
 type ISBConfig struct {
@@ -24,7 +27,7 @@ type ISB struct {
 	cfg       ISBConfig
 	lastByPC  map[uint64]uint64 // PC-localised previous block
 	successor map[uint64]uint64 // block -> next block in its PC stream
-	fifo      ring[uint64]      // insertion order for bounded eviction
+	fifo      ring.Ring[uint64] // insertion order for bounded eviction
 	out       []uint64
 }
 
@@ -34,7 +37,7 @@ func NewISB(cfg ISBConfig) *ISB {
 		cfg:       cfg,
 		lastByPC:  make(map[uint64]uint64),
 		successor: make(map[uint64]uint64),
-		fifo:      newRing[uint64](cfg.MaxPairs),
+		fifo:      ring.New[uint64](cfg.MaxPairs),
 	}
 }
 
@@ -46,7 +49,7 @@ func (p *ISB) Operate(acc sim.LLCAccess) []uint64 {
 	// Record: link the previous block of this PC stream to the new one.
 	if prev, ok := p.lastByPC[acc.PC]; ok && prev != acc.Block {
 		if _, exists := p.successor[prev]; !exists {
-			if old, full := p.fifo.push(prev); full {
+			if old, full := p.fifo.Push(prev); full {
 				delete(p.successor, old)
 			}
 		}

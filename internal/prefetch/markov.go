@@ -1,6 +1,7 @@
 package prefetch
 
 import (
+	"mpgraph/internal/ring"
 	"slices"
 
 	"mpgraph/internal/sim"
@@ -28,7 +29,7 @@ func DefaultMarkovConfig() MarkovConfig {
 type Markov struct {
 	cfg   MarkovConfig
 	table map[uint64][]markovEdge
-	fifo  ring[uint64]
+	fifo  ring.Ring[uint64]
 	prev  uint64
 	warm  bool
 	// Operate's result and its breadth-first queue, reused call to call. Both
@@ -43,7 +44,7 @@ type markovEdge struct {
 
 // NewMarkov builds the prefetcher.
 func NewMarkov(cfg MarkovConfig) *Markov {
-	return &Markov{cfg: cfg, table: make(map[uint64][]markovEdge), fifo: newRing[uint64](cfg.TableSize)}
+	return &Markov{cfg: cfg, table: make(map[uint64][]markovEdge), fifo: ring.New[uint64](cfg.TableSize)}
 }
 
 // Name implements sim.Prefetcher.
@@ -90,7 +91,7 @@ func (p *Markov) Operate(acc sim.LLCAccess) []uint64 {
 func (p *Markov) record(prev, next uint64) {
 	edges, exists := p.table[prev]
 	if !exists {
-		if old, full := p.fifo.push(prev); full {
+		if old, full := p.fifo.Push(prev); full {
 			edges = p.table[old][:0]
 			delete(p.table, old)
 		} else {

@@ -2,6 +2,7 @@ package prefetch
 
 import (
 	"mpgraph/internal/models"
+	"mpgraph/internal/ring"
 	"mpgraph/internal/sim"
 	"mpgraph/internal/tensor"
 	"mpgraph/internal/trace"
@@ -115,7 +116,7 @@ type Voyager struct {
 	out        []uint64
 	pages      []uint64
 	lastOffset map[uint64]uint64
-	fifo       ring[uint64]
+	fifo       ring.Ring[uint64]
 	health     error
 }
 
@@ -133,7 +134,7 @@ func NewVoyager(pageModel models.PageModel, deltaModel models.DeltaModel, histor
 		ctx:        tensor.NewCtx(),
 		sess:       opt.newSession(),
 		lastOffset: make(map[uint64]uint64),
-		fifo:       newRing[uint64](voyagerPages),
+		fifo:       ring.New[uint64](voyagerPages),
 	}
 }
 
@@ -154,7 +155,7 @@ func (p *Voyager) LeaveBatch() { p.sess.leave() }
 func (p *Voyager) Operate(acc sim.LLCAccess) []uint64 {
 	page := trace.PageOfBlock(acc.Block)
 	if _, seen := p.lastOffset[page]; !seen {
-		if victim, full := p.fifo.push(page); full {
+		if victim, full := p.fifo.Push(page); full {
 			delete(p.lastOffset, victim)
 		}
 	}

@@ -25,7 +25,7 @@ type sequentialVoyager struct{ *Voyager }
 func (p *sequentialVoyager) Operate(acc sim.LLCAccess) []uint64 {
 	page := trace.PageOfBlock(acc.Block)
 	if _, seen := p.lastOffset[page]; !seen {
-		if victim, full := p.fifo.push(page); full {
+		if victim, full := p.fifo.Push(page); full {
 			delete(p.lastOffset, victim)
 		}
 	}

@@ -1,6 +1,9 @@
 package prefetch
 
-import "mpgraph/internal/sim"
+import (
+	"mpgraph/internal/ring"
+	"mpgraph/internal/sim"
+)
 
 // SMSConfig parameterises Spatial Memory Streaming.
 type SMSConfig struct {
@@ -32,11 +35,11 @@ type SMS struct {
 	// ActiveRegions are live, so a trigger that ends a generation reuses its
 	// struct for the one it starts.
 	active     map[uint64]*smsGeneration
-	activeFIFO ring[uint64]
+	activeFIFO ring.Ring[uint64]
 
 	// pattern history: signature -> footprint bitmap.
 	patterns    map[uint64]uint64
-	patternFIFO ring[uint64]
+	patternFIFO ring.Ring[uint64]
 
 	out []uint64
 }
@@ -53,8 +56,8 @@ func NewSMS(cfg SMSConfig) *SMS {
 	}
 	return &SMS{
 		cfg:    cfg,
-		active: make(map[uint64]*smsGeneration), activeFIFO: newRing[uint64](cfg.ActiveRegions),
-		patterns: make(map[uint64]uint64), patternFIFO: newRing[uint64](cfg.PatternTable),
+		active: make(map[uint64]*smsGeneration), activeFIFO: ring.New[uint64](cfg.ActiveRegions),
+		patterns: make(map[uint64]uint64), patternFIFO: ring.New[uint64](cfg.PatternTable),
 	}
 }
 
@@ -83,7 +86,7 @@ func (p *SMS) Operate(acc sim.LLCAccess) []uint64 {
 
 	// Region trigger: end the oldest generation if the table is full,
 	// committing its footprint to the pattern table.
-	old, full := p.activeFIFO.push(region)
+	old, full := p.activeFIFO.Push(region)
 	if full {
 		gen = p.active[old]
 		p.commit(gen)
@@ -114,7 +117,7 @@ func (p *SMS) Operate(acc sim.LLCAccess) []uint64 {
 // commit files a finished generation's footprint under its signature.
 func (p *SMS) commit(gen *smsGeneration) {
 	if _, exists := p.patterns[gen.signature]; !exists {
-		if old, full := p.patternFIFO.push(gen.signature); full {
+		if old, full := p.patternFIFO.Push(gen.signature); full {
 			delete(p.patterns, old)
 		}
 	}

@@ -1,6 +1,9 @@
 package prefetch
 
-import "mpgraph/internal/sim"
+import (
+	"mpgraph/internal/ring"
+	"mpgraph/internal/sim"
+)
 
 // ThrottleConfig parameterises the feedback-directed degree controller.
 type ThrottleConfig struct {
@@ -33,7 +36,7 @@ type Throttle struct {
 
 	degree                   int
 	issued                   map[uint64]bool
-	fifo                     ring[uint64]
+	fifo                     ring.Ring[uint64]
 	epochIssued, epochUseful int
 	tick                     int
 }
@@ -49,7 +52,7 @@ func NewThrottle(inner sim.Prefetcher, cfg ThrottleConfig) *Throttle {
 	if cfg.Window <= 0 {
 		cfg.Window = 4096
 	}
-	return &Throttle{cfg: cfg, inner: inner, degree: cfg.MaxDegree, issued: make(map[uint64]bool), fifo: newRing[uint64](cfg.Window)}
+	return &Throttle{cfg: cfg, inner: inner, degree: cfg.MaxDegree, issued: make(map[uint64]bool), fifo: ring.New[uint64](cfg.Window)}
 }
 
 // Name implements sim.Prefetcher.
@@ -92,7 +95,7 @@ func (t *Throttle) Operate(acc sim.LLCAccess) []uint64 {
 	}
 	for _, b := range out {
 		if !t.issued[b] {
-			if old, full := t.fifo.push(b); full {
+			if old, full := t.fifo.Push(b); full {
 				delete(t.issued, old)
 			}
 			t.issued[b] = true

@@ -2,6 +2,7 @@ package prefetch
 
 import (
 	"mpgraph/internal/invariant"
+	"mpgraph/internal/ring"
 	"mpgraph/internal/sim"
 	"mpgraph/internal/trace"
 )
@@ -29,10 +30,10 @@ type VLDP struct {
 	cfg VLDPConfig
 	// tables[k] maps a (k+1)-delta history key to the next delta.
 	tables []map[vldpHistory]int64
-	fifos  []ring[vldpHistory]
+	fifos  []ring.Ring[vldpHistory]
 	// per-page last block and delta history.
 	pages     map[uint64]*vldpPage
-	pageFIFO  ring[uint64]
+	pageFIFO  ring.Ring[uint64]
 	pageLimit int
 	out       []uint64
 }
@@ -68,10 +69,10 @@ func NewVLDP(cfg VLDPConfig) *VLDP {
 	invariant.Checkf(cfg.HistoryLen <= vldpMaxHistory, "prefetch: VLDP history %d exceeds the %d-delta table key", cfg.HistoryLen, vldpMaxHistory)
 	cfg.HistoryLen = max(cfg.HistoryLen, 0)
 	v := &VLDP{cfg: cfg, pages: make(map[uint64]*vldpPage), pageLimit: 256}
-	v.pageFIFO = newRing[uint64](v.pageLimit)
+	v.pageFIFO = ring.New[uint64](v.pageLimit)
 	for k := 0; k < cfg.HistoryLen; k++ {
 		v.tables = append(v.tables, make(map[vldpHistory]int64))
-		v.fifos = append(v.fifos, newRing[vldpHistory](cfg.TableSize))
+		v.fifos = append(v.fifos, ring.New[vldpHistory](cfg.TableSize))
 	}
 	return v
 }
@@ -84,7 +85,7 @@ func (v *VLDP) Operate(acc sim.LLCAccess) []uint64 {
 	page := trace.PageOfBlock(acc.Block)
 	st, ok := v.pages[page]
 	if !ok {
-		old, full := v.pageFIFO.push(page)
+		old, full := v.pageFIFO.Push(page)
 		if full {
 			st = v.pages[old]
 			delete(v.pages, old)
@@ -106,7 +107,7 @@ func (v *VLDP) Operate(acc sim.LLCAccess) []uint64 {
 	for k := 0; k < st.n; k++ {
 		key[k] = st.history[k]
 		if _, exists := v.tables[k][key]; !exists {
-			if old, full := v.fifos[k].push(key); full {
+			if old, full := v.fifos[k].Push(key); full {
 				delete(v.tables[k], old)
 			}
 		}

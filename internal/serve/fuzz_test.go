@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
+	"io"
+	"slices"
 	"testing"
 )
 
@@ -49,6 +52,52 @@ func FuzzAppendPrediction(f *testing.F) {
 		got := appendPrediction([]byte(prefix), predictionHead(session), p)
 		if string(got[:len(prefix)]) != prefix || !bytes.Equal(got[len(prefix):], want.Bytes()) {
 			t.Fatalf("appendPrediction(%+v) = %q, encoding/json gives %q", p, got, prefix+want.String())
+		}
+	})
+}
+
+// FuzzLoadReplay pins the -replay decoder's contract on arbitrary bytes: it
+// returns an error and nothing else, or a non-empty, duplicate-free session
+// order with one stream per session, each of 1..limit events, that holds
+// every record in order — the records as an independent json.Decoder reads
+// them, grouped by session. The seed corpus is committed under testdata/fuzz.
+func FuzzLoadReplay(f *testing.F) {
+	const limit = 3
+	f.Fuzz(func(t *testing.T, data []byte) {
+		order, streams, err := loadReplay(bytes.NewReader(data), limit)
+		if err != nil {
+			if order != nil || streams != nil {
+				t.Fatalf("error %v came with %d sessions", err, len(order))
+			}
+			return
+		}
+		if len(order) == 0 || len(streams) != len(order) {
+			t.Fatalf("%d sessions in order, %d streams", len(order), len(streams))
+		}
+		want := map[string][]Event{}
+		dec := json.NewDecoder(bytes.NewReader(data))
+		for {
+			var rec ReplayRecord
+			if err := dec.Decode(&rec); errors.Is(err, io.EOF) {
+				break
+			} else if err != nil {
+				t.Fatalf("loadReplay accepted what json.Decoder rejects: %v", err)
+			}
+			want[rec.Session] = append(want[rec.Session], Event{Addr: rec.Addr, PC: rec.PC, Core: rec.Core})
+		}
+		for i, s := range order {
+			if slices.Contains(order[:i], s) {
+				t.Fatalf("session %q twice in the order", s)
+			}
+			if n := len(streams[s]); n < 1 || n > limit {
+				t.Fatalf("session %q has %d events, bound %d", s, n, limit)
+			}
+			if !slices.Equal(streams[s], want[s]) {
+				t.Fatalf("session %q: %v, records say %v", s, streams[s], want[s])
+			}
+		}
+		if len(want) != len(order) {
+			t.Fatalf("%d sessions in the records, %d in the order", len(want), len(order))
 		}
 	})
 }

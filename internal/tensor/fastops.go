@@ -226,6 +226,28 @@ func LinearAccum[T float32 | float64](c *Ctx, acc []T, x, w, bias *Dense[T]) []T
 	return acc
 }
 
+// LSTMSteps runs every step of an LSTM's recurrence over one sequence in one
+// kernel call and reports true, or reports false, touching nothing, where no
+// kernel holds the bits of the caller's step loop (nn.LSTMOf.ForwardBatchCtx):
+// off AVX-512F, and at GOAMD64=v3, where the compiler may contract that loop's
+// f·c + i·g into an FMA. Gates are in the order i, f, o, g: pre[g] is
+// x·Wx_g + b_g over the steps rows of x (LinearAccum with a nil accumulator),
+// wh[g] is Wh_g. h and cell are the [1 x hidden] state, zero on entry; on
+// true h holds the final hidden state and cell the final cell state.
+//
+//mpgraph:noalloc
+func LSTMSteps[T float32 | float64](c *Ctx, h, cell *Dense[T], pre [4][]T, wh [4]*Dense[T], steps int) bool {
+	if !goUnfused || !batchKernelAvailable() {
+		return false
+	}
+	if h.Rows != 1 {
+		invariant.Failf("tensor: LSTMSteps runs one sequence, not %d", h.Rows)
+	}
+	hs := ZerosCtx[T](c, 1, h.Cols)
+	lstmSteps(h.Data, hs.Data, cell.Data, pre, [4][]T{wh[0].Data, wh[1].Data, wh[2].Data, wh[3].Data}, steps)
+	return true
+}
+
 // AddLayerNorm returns LayerNorm(x + y) — the Transformer's residual
 // connection and the norm after it — as one fused op with no intermediate
 // sum tensor; a nil y is the plain LayerNorm of x. Each row is normalised and

@@ -104,14 +104,30 @@ func vaddLayerNormAVX512(out, x, y, gain, bias *float64, rows, cols int64, eps f
 //go:noescape
 func vaddLayerNormF32AVX512(out, x, y, gain, bias *float32, rows, cols int64, eps float32)
 
+// lstmStepsAsm runs all steps of one sequence's LSTM recurrence
+// (LSTMSteps): per step and gate, the step's p row seeds the accumulators,
+// h·Wh is the ascending-k FMA chain onto them, then the gates' sigmoid/tanh,
+// c = f·c + i·g and h = tanh(c)·o, in registers. h, hs and c are zero on
+// entry; the final hidden state lands in h.
+//
+//mpgraph:noalloc
+//go:noescape
+func lstmStepsAsm(h, hs, c, pi, pf, po, pg, wi, wf, wo, wg *float64, steps, hidden int64)
+
+// lstmStepsF32Asm is the f32 twin of lstmStepsAsm.
+//
+//mpgraph:noalloc
+//go:noescape
+func lstmStepsF32Asm(h, hs, c, pi, pf, po, pg, wi, wf, wo, wg *float32, steps, hidden int64)
+
 // batchKernelAvailable reports whether the AVX-512F batch tier is usable on
 // this machine; callers fall back to the exact scalar kernels otherwise.
 //
 //mpgraph:noalloc
 func batchKernelAvailable() bool { return useAVX512F }
 
-// The six asm leaves below (fmaPanel4, fmaPanel9, fmaPanel1, attnBlock, vact,
-// vaddLayerNorm) are the only place the generic float surface names a
+// The seven asm leaves below (fmaPanel4, fmaPanel9, fmaPanel1, attnBlock, vact,
+// vaddLayerNorm, lstmSteps) are the only place the generic float surface names a
 // concrete precision (attnScratch reads only its size). unsafe.Sizeof of a T is a
 // constant in each instantiation, so the branch costs nothing, and the
 // pointer casts it guards only restate the element type the branch has just
@@ -259,4 +275,26 @@ func vaddLayerNorm[T float32 | float64](out, x, y, gain, bias []T, rows, cols in
 		return
 	}
 	vaddLayerNormAVX512(asF64(&out[0]), asF64(&x[0]), asF64(yp), asF64(&gain[0]), asF64(&bias[0]), int64(rows), int64(cols), float64(eps))
+}
+
+// lstmSteps runs the recurrence kernel over one sequence of steps.
+//
+//mpgraph:noalloc
+func lstmSteps[T float32 | float64](h, hs, c []T, pre, wh [4][]T, steps int) {
+	hidden := len(h)
+	_, _ = hs[hidden-1], c[hidden-1]
+	for g := range pre {
+		_, _ = pre[g][steps*hidden-1], wh[g][hidden*hidden-1]
+	}
+	if unsafe.Sizeof(h[0]) == 4 {
+		lstmStepsF32Asm(asF32(&h[0]), asF32(&hs[0]), asF32(&c[0]),
+			asF32(&pre[0][0]), asF32(&pre[1][0]), asF32(&pre[2][0]), asF32(&pre[3][0]),
+			asF32(&wh[0][0]), asF32(&wh[1][0]), asF32(&wh[2][0]), asF32(&wh[3][0]),
+			int64(steps), int64(hidden))
+		return
+	}
+	lstmStepsAsm(asF64(&h[0]), asF64(&hs[0]), asF64(&c[0]),
+		asF64(&pre[0][0]), asF64(&pre[1][0]), asF64(&pre[2][0]), asF64(&pre[3][0]),
+		asF64(&wh[0][0]), asF64(&wh[1][0]), asF64(&wh[2][0]), asF64(&wh[3][0]),
+		int64(steps), int64(hidden))
 }

@@ -31,3 +31,7 @@ func attnScratch[T float32 | float64](t, d int) int {
 func vaddLayerNorm[T float32 | float64](out, x, y, gain, bias []T, rows, cols int, eps T) {
 	invariant.Fail("tensor: vaddLayerNorm requires the amd64 batch kernels")
 }
+
+func lstmSteps[T float32 | float64](h, hs, c []T, pre, wh [4][]T, steps int) {
+	invariant.Fail("tensor: lstmSteps requires the amd64 batch kernels")
+}

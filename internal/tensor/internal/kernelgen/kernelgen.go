@@ -96,6 +96,7 @@ func File(f32Kernels bool) string {
 	vact(o, d)
 	layerNorm(o, d)
 	attention(o, d)
+	lstm(o, d)
 	return header + strings.Join(o.lines, "\n") + "\n"
 }
 
@@ -144,26 +145,66 @@ func expConsts(o *emitter, d dtype, withClamps bool) {
 	}
 }
 
-// expZ0 computes Z4 = exp(Z0), clobbering Z0..Z3: the clamps with x as the
-// second source (so a NaN stays NaN), n = round(x·log2e) to nearest even,
-// r = x - n·ln2hi - n·ln2lo, the Taylor polynomial in r by Horner FMAs, and
-// VSCALEF for the 2^n.
-func expZ0(o *emitter, d dtype) {
-	o.e("\tVMIN%s       Z0, Z13, Z0", d.p)
-	o.e("\tVMAX%s       Z0, Z12, Z0", d.p)
-	o.e("\tVMUL%s       Z16, Z0, Z1", d.p)
-	o.e("\tVRNDSCALE%s  $0, Z1, Z1", d.p)
-	o.e("\tVMOVA%s      Z0, Z2", d.p)
-	o.e("\tVFNMADD231%s Z17, Z1, Z2", d.p)
-	o.e("\tVFNMADD231%s Z18, Z1, Z2", d.p)
-	o.e("\tVMOVA%s      Z14, Z3", d.p)
-	o.e("\tVFMADD213%s  Z15, Z2, Z3", d.p)
-	for z := 34 - d.degree; z <= 30; z++ {
-		o.e("\tVFMADD213%s  Z%d, Z2, Z3", d.p, z)
+// expZ0 computes Z4 = exp(Z0), clobbering Z0..Z3 (expZ on those registers).
+func expZ0(o *emitter, d dtype) { expZ(o, d, false, "Z0", "Z1", "Z2", "Z3", "Z4") }
+
+// expZ computes out = exp(x) in the registers it is given, clobbering x, n, r
+// and p (out may be any of them): the clamps with x as the second source (so
+// a NaN stays NaN), n = round(x·log2e) to nearest even, r = x - n·ln2hi -
+// n·ln2lo, the Taylor polynomial in r by Horner FMAs into p, and VSCALEF for
+// the 2^n. The clamps read expConsts' Z12 and Z13; every other constant is
+// its expConsts register, or with mem an embedded broadcast of its table
+// entry, the same value in the same operand.
+func expZ(o *emitter, d dtype, mem bool, x, n, r, p, out string) {
+	k := func(mn, name string, z int, rest string) {
+		if mem {
+			o.e("\t%s.BCST %s%s<>(SB), %s", mn, d.konst, name, rest)
+			return
+		}
+		o.e("\t%-12s Z%d, %s", mn, z, rest)
 	}
-	o.e("\tVFMADD213%s  Z21, Z2, Z3", d.p)
-	o.e("\tVFMADD213%s  Z21, Z2, Z3", d.p)
-	o.e("\tVSCALEF%s    Z1, Z3, Z4", d.p)
+	o.e("\tVMIN%s       %s, Z13, %s", d.p, x, x)
+	o.e("\tVMAX%s       %s, Z12, %s", d.p, x, x)
+	k("VMUL"+d.p, "log2e", 16, x+", "+n)
+	o.e("\tVRNDSCALE%s  $0, %s, %s", d.p, n, n)
+	o.e("\tVMOVA%s      %s, %s", d.p, x, r)
+	k("VFNMADD231"+d.p, "ln2hi", 17, n+", "+r)
+	k("VFNMADD231"+d.p, "ln2lo", 18, n+", "+r)
+	if mem {
+		o.e("\t%s %sc%d<>(SB), %s", d.bcast, d.konst, d.degree, p)
+	} else {
+		o.e("\tVMOVA%s      Z14, %s", d.p, p)
+	}
+	k("VFMADD213"+d.p, fmt.Sprintf("c%d", d.degree-1), 15, r+", "+p)
+	for z := 34 - d.degree; z <= 30; z++ {
+		k("VFMADD213"+d.p, fmt.Sprintf("c%d", 32-z), z, r+", "+p)
+	}
+	k("VFMADD213"+d.p, "one", 21, r+", "+p)
+	k("VFMADD213"+d.p, "one", 21, r+", "+p)
+	o.e("\tVSCALEF%s    %s, %s, %s", d.p, n, p, out)
+}
+
+// interleave emits the lines of the chains round-robin, one of each in turn,
+// so that independent chains issue side by side.
+func interleave(o *emitter, chains ...func(*emitter)) {
+	var lines [][]string
+	for _, c := range chains {
+		sub := &emitter{}
+		c(sub)
+		lines = append(lines, sub.lines)
+	}
+	for i := 0; ; i++ {
+		done := true
+		for _, l := range lines {
+			if i < len(l) {
+				o.lines = append(o.lines, l[i])
+				done = false
+			}
+		}
+		if done {
+			return
+		}
+	}
 }
 
 // hreduce folds the lanes of Z<r> into lane 0 of X<r> with op, lane i with

@@ -4,6 +4,11 @@ package tensor
 
 import "unsafe"
 
+// goUnfused: the compiler never contracts x*y+z in this build, so a kernel
+// that rounds a scalar body's multiplies and adds apart holds its bits (the
+// training kernels here, lstmSteps' cell update).
+const goUnfused = true
+
 // Training kernels: each runs the scalar Go body its comment names eight lanes
 // at a time, bit for bit (rules and build tag: train_amd64.s). A ...Fast leaf
 // reports false when its caller must run that scalar body instead.

@@ -5,6 +5,10 @@ package tensor
 // The training kernels exist only where the scalar bodies are their exact
 // twins (train_amd64.go); here every leaf sends its caller to the scalar body.
 
+// goUnfused is false: at GOAMD64=v3 the compiler may fuse x*y+z, and off
+// amd64 there is no kernel to gate.
+const goUnfused = false
+
 //mpgraph:noalloc
 func maddRowFast[T float32 | float64](orow, brow []T, av T) bool { return false }
 
