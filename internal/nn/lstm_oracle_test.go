@@ -83,16 +83,16 @@ func wantLSTMBits[T float32 | float64](t *testing.T, name string, l *LSTMOf[T], 
 // accumulating the recurrent product onto the hoisted one in place and
 // alternating the gate order change no bit of any hidden state, at either
 // precision, on either kernel family. The widths take every tile path of the
-// kernel: only a ragged tile (1, 7), one full tile and a ragged one whose
-// second register is live (60 at f32), full tiles carried across steps (64,
-// 128: f32's eight registers, 256: the paper's LSTMHidden), full tiles drained
-// before a ragged one whose second register is empty (100, 129) or live (60
-// at f64).
+// kernel: only a ragged tile (1, 7), full tiles drained at the end of each
+// step (32), one full tile and a ragged one whose second register is live (60
+// at f32), full tiles carried across steps (64, 128: f32's eight registers,
+// 256: the paper's LSTMHidden), full tiles drained before a ragged one whose
+// second register is empty (100, 129) or live (60 at f64).
 func TestLSTMForwardMatchesReference(t *testing.T) {
 	kernelPaths(t, func(t *testing.T) {
 		ctx := tensor.NewCtx()
 		for _, in := range []int{1, 9, 32} {
-			for _, hidden := range []int{1, 7, 60, 64, 100, 128, 129, 256} {
+			for _, hidden := range []int{1, 7, 32, 60, 64, 100, 128, 129, 256} {
 				l := NewLSTM(in, hidden, rand.New(rand.NewSource(int64(100*in+hidden))))
 				for _, b := range []*tensor.Tensor{l.Bi, l.Bg, l.Bo} {
 					copy(b.Data, randInput(1, hidden, 3).Data) // NewLSTM's zeros would hide where the bias enters

@@ -7,10 +7,8 @@ import "fmt"
 var lstmGates = [4]string{"i", "f", "o", "g"}
 
 // lstmHead is how many k steps of a tile's recurrent product carry a share of
-// the previous tile's activations. It is at most two registers of columns,
-// so a previous tile that is not the first of its step lies past every h[k]
-// the head reads.
-const lstmHead = 16
+// the previous tile's activations.
+const lstmHead = 32
 
 // Vector registers of the LSTM kernel: a tile's accumulators are Z0..Z7 (gate
 // g's first register Z2g, its second Z2g+1), the previous tile's gates wait
@@ -46,11 +44,11 @@ var (
 // side by side: a full tile parks its gates in Z24..Z31 and the next full
 // tile's first lstmHead k steps carry the activations in slices (R12 and AX
 // point at the parked tile's c and h). A step's last full tile carries over
-// into the next step's first when the step has at least two full tiles and
-// no ragged one; otherwise its activations drain before the ragged tile, which
-// runs unpipelined under K2 and K3, or the return. Frame: the ragged tile's
-// byte offset, the steps left, whether gates are parked across the step
-// boundary.
+// into the next step's first when no ragged tile follows and its h lies past
+// every h[k] that head reads; otherwise its activations drain before the
+// ragged tile, which runs unpipelined under K2 and K3, or the return. Frame:
+// the ragged tile's byte offset, the steps left, whether gates are parked
+// across the step boundary.
 func lstm(o *emitter, d dtype) {
 	w := d.lanes
 	o.e("// func lstmSteps%sAsm(h, hs, c, pi, pf, po, pg, wi, wf, wo, wg *%s, steps, hidden int64)", d.suffix, d.ty)
@@ -116,8 +114,8 @@ func lstm(o *emitter, d dtype) {
 	o.e("\tMOVQ $0, carry-24(SP)")
 	o.e("\tCMPQ SI, R13")
 	o.e("\tJLT  ldrain  // a ragged tile follows")
-	o.e("\tCMPQ SI, $128")
-	o.e("\tJEQ  ldrain  // one tile: the next step's first reads this one's h")
+	o.e("\tCMPQ SI, $%d", 128+lstmHead*d.size)
+	o.e("\tJLT  ldrain  // the next step's head would read this tile's h")
 	o.e("\tCMPQ left-16(SP), $1")
 	o.e("\tJEQ  ldrain  // the last step")
 	o.e("\tMOVQ $1, carry-24(SP)")
