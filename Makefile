@@ -94,6 +94,7 @@ fuzz:
 	$(GO) test ./internal/trace/ -run xxx -fuzz '^FuzzTraceRead$$' -fuzztime 10s
 	$(GO) test ./internal/tensor/ -run xxx -fuzz '^FuzzF16Bits$$' -fuzztime 10s
 	$(GO) test ./internal/experiments/ -run xxx -fuzz '^FuzzParseWorkload$$' -fuzztime 10s
+	$(GO) test ./internal/experiments/ -run xxx -fuzz '^FuzzCheckpointLoad$$' -fuzztime 10s
 
 # bench regenerates BENCH_small.json via cmd/mpgraph-bench (f32 and f16
 # speedups over float64 appear in its "speedups" section). models'

@@ -2,10 +2,10 @@ package experiments
 
 import (
 	"bytes"
-	"encoding/binary"
 	"fmt"
 	"io"
 
+	"mpgraph/internal/binio"
 	"mpgraph/internal/frameworks"
 	"mpgraph/internal/nn"
 	"mpgraph/internal/resilience"
@@ -62,13 +62,7 @@ func (r *Runner) saveTraceCheckpoint(w Workload, tr *trace.Trace, res *framework
 		return err
 	}
 	return st.Save(traceKey(w), r.Opt.artifactFingerprint(), func(wr io.Writer) error {
-		// The result first: it is decoded with exact-length reads, so the
-		// trace reader's internal buffering (last in the payload) cannot
-		// swallow its bytes.
-		if err := writeResult(wr, res); err != nil {
-			return err
-		}
-		return trace.Write(wr, tr)
+		return writeTracePayload(wr, tr, res)
 	})
 }
 
@@ -79,11 +73,8 @@ func (r *Runner) loadTraceCheckpoint(w Workload) (tr *trace.Trace, res *framewor
 	if err != nil {
 		return nil, nil, false, err
 	}
-	ok, err = st.Load(traceKey(w), r.Opt.artifactFingerprint(), func(rd io.Reader) error {
-		if res, err = readResult(rd); err != nil {
-			return err
-		}
-		tr, err = trace.Read(rd)
+	ok, err = st.Load(traceKey(w), r.Opt.artifactFingerprint(), func(rd io.Reader) (err error) {
+		tr, res, err = readTracePayload(rd)
 		return err
 	})
 	return tr, res, ok, err
@@ -98,12 +89,7 @@ func (r *Runner) saveSuiteCheckpoint(w Workload, s *Suite) error {
 		return err
 	}
 	return st.Save(suiteKey(w), r.Opt.suiteFingerprint(), func(wr io.Writer) error {
-		for _, m := range suiteModules(s) {
-			if err := writeModule(wr, m); err != nil {
-				return err
-			}
-		}
-		return nil
+		return writeSuitePayload(wr, s)
 	})
 }
 
@@ -115,12 +101,7 @@ func (r *Runner) loadSuiteCheckpoint(w Workload, s *Suite) (bool, error) {
 		return false, err
 	}
 	return st.Load(suiteKey(w), r.Opt.suiteFingerprint(), func(rd io.Reader) error {
-		for _, m := range suiteModules(s) {
-			if err := readModule(rd, m); err != nil {
-				return err
-			}
-		}
-		return nil
+		return readSuitePayload(rd, s)
 	})
 }
 
@@ -134,99 +115,65 @@ func suiteModules(s *Suite) []nn.Module {
 
 const ckptMaxBlob = 1 << 30
 
-// writeModule length-prefixes one nn.Save blob so consecutive modules can be
-// decoded with exact reads (nn.Load buffers internally and would otherwise
-// consume the next module's bytes).
-func writeModule(w io.Writer, m nn.Module) error {
-	var buf bytes.Buffer
-	if err := nn.Save(&buf, m); err != nil {
-		return err
-	}
-	if err := binary.Write(w, binary.LittleEndian, uint64(buf.Len())); err != nil {
-		return err
-	}
-	_, err := w.Write(buf.Bytes())
-	return err
-}
-
-func readModule(r io.Reader, m nn.Module) error {
-	var n uint64
-	if err := binary.Read(r, binary.LittleEndian, &n); err != nil {
-		return err
-	}
-	if n > ckptMaxBlob {
-		return fmt.Errorf("experiments: module blob of %d bytes exceeds limit", n)
-	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return err
-	}
-	return nn.Load(bytes.NewReader(buf), m)
-}
-
-func writeResult(w io.Writer, res *frameworks.Result) error {
+// writeTracePayload writes the framework result — app and framework behind
+// 8-byte lengths, the iteration count, the converged flag and the values —
+// then the trace.
+func writeTracePayload(w io.Writer, tr *trace.Trace, res *frameworks.Result) error {
+	bw := binio.NewWriter(w)
 	for _, s := range []string{string(res.App), res.Framework} {
-		if err := writeString(w, s); err != nil {
-			return err
-		}
+		bw.U64(uint64(len(s)))
+		bw.Bytes([]byte(s))
 	}
 	converged := uint64(0)
 	if res.Converged {
 		converged = 1
 	}
-	for _, v := range []uint64{uint64(res.Iterations), converged, uint64(len(res.Values))} {
-		if err := binary.Write(w, binary.LittleEndian, v); err != nil {
+	bw.U64(uint64(res.Iterations))
+	bw.U64(converged)
+	bw.U64(uint64(len(res.Values)))
+	binio.Put(bw, res.Values, 8, binio.AppendF64)
+	return trace.Write(bw, tr)
+}
+
+// readTracePayload is writeTracePayload's inverse.
+func readTracePayload(rd io.Reader) (*trace.Trace, *frameworks.Result, error) {
+	br := binio.NewReader(rd)
+	res := &frameworks.Result{
+		App: frameworks.App(br.Bytes(br.Count(1 << 16))), Framework: string(br.Bytes(br.Count(1 << 16))),
+		Iterations: int(br.U64()), Converged: br.U64() == 1,
+	}
+	if res.Values = binio.Get(br, br.Count(ckptMaxBlob/8), 8, binio.F64); br.Err() != nil {
+		return nil, nil, fmt.Errorf("experiments: result: %w", br.Err())
+	}
+	tr, err := trace.Read(br)
+	return tr, res, err
+}
+
+// writeSuitePayload writes each module as a length-prefixed nn.Save blob.
+func writeSuitePayload(w io.Writer, s *Suite) error {
+	bw := binio.NewWriter(w)
+	for _, m := range suiteModules(s) {
+		var blob bytes.Buffer
+		if err := nn.Save(&blob, m); err != nil {
+			return err
+		}
+		bw.U64(uint64(blob.Len()))
+		bw.Bytes(blob.Bytes())
+	}
+	return bw.Flush()
+}
+
+// readSuitePayload loads writeSuitePayload's blobs into s's models.
+func readSuitePayload(rd io.Reader, s *Suite) error {
+	br := binio.NewReader(rd)
+	for _, m := range suiteModules(s) {
+		blob := br.Bytes(br.Count(ckptMaxBlob))
+		if err := br.Err(); err != nil {
+			return fmt.Errorf("experiments: module blob: %w", err)
+		}
+		if err := nn.Load(bytes.NewReader(blob), m); err != nil {
 			return err
 		}
 	}
-	return binary.Write(w, binary.LittleEndian, res.Values)
-}
-
-func readResult(r io.Reader) (*frameworks.Result, error) {
-	res := &frameworks.Result{}
-	app, err := readString(r)
-	if err != nil {
-		return nil, err
-	}
-	res.App = frameworks.App(app)
-	if res.Framework, err = readString(r); err != nil {
-		return nil, err
-	}
-	var hdr [3]uint64
-	if err := binary.Read(r, binary.LittleEndian, &hdr); err != nil {
-		return nil, err
-	}
-	if hdr[2] > ckptMaxBlob/8 {
-		return nil, fmt.Errorf("experiments: result of %d values exceeds limit", hdr[2])
-	}
-	res.Iterations = int(hdr[0])
-	res.Converged = hdr[1] == 1
-	res.Values = make([]float64, hdr[2])
-	if err := binary.Read(r, binary.LittleEndian, res.Values); err != nil {
-		return nil, err
-	}
-	return res, nil
-}
-
-func writeString(w io.Writer, s string) error {
-	if err := binary.Write(w, binary.LittleEndian, uint64(len(s))); err != nil {
-		return err
-	}
-	_, err := io.WriteString(w, s)
-	return err
-}
-
-func readString(r io.Reader) (string, error) {
-	var n uint64
-	if err := binary.Read(r, binary.LittleEndian, &n); err != nil {
-		return "", err
-	}
-	if n > 1<<16 {
-		return "", fmt.Errorf("experiments: string of %d bytes exceeds limit", n)
-	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return "", err
-	}
-	return string(buf), nil
+	return nil
 }

@@ -1,9 +1,7 @@
 package graph
 
 import (
-	"bytes"
 	"math/rand"
-	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -186,87 +184,6 @@ func TestLocalityKnob(t *testing.T) {
 	sh, sl := ComputeStats(hi), ComputeStats(lo)
 	if sh.LocalEdgeFraction <= sl.LocalEdgeFraction {
 		t.Fatalf("locality knob ineffective: hi=%.3f lo=%.3f", sh.LocalEdgeFraction, sl.LocalEdgeFraction)
-	}
-}
-
-func TestEdgeListRoundTrip(t *testing.T) {
-	g, err := GenerateRMAT(DefaultRMAT(7, 3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := WriteEdgeList(&buf, g); err != nil {
-		t.Fatal(err)
-	}
-	g2, err := ReadEdgeList(&buf, g.NumVertices)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g2.NumEdges() != g.NumEdges() {
-		t.Fatalf("round trip edges %d != %d", g2.NumEdges(), g.NumEdges())
-	}
-	for v := uint32(0); int(v) < g.NumVertices; v++ {
-		a, b := g.OutNeighbors(v), g2.OutNeighbors(v)
-		if len(a) != len(b) {
-			t.Fatalf("vertex %d degree differs", v)
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("vertex %d neighbour %d differs", v, i)
-			}
-		}
-	}
-}
-
-func TestReadEdgeListComments(t *testing.T) {
-	src := "# header\n0 1\n\n1 2 3.5\n"
-	g, err := ReadEdgeList(strings.NewReader(src), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.NumVertices != 3 || g.NumEdges() != 2 {
-		t.Fatalf("got V=%d E=%d, want 3/2", g.NumVertices, g.NumEdges())
-	}
-	if g.OutWeightsOf(1)[0] != 3.5 {
-		t.Fatalf("weight = %v, want 3.5", g.OutWeightsOf(1)[0])
-	}
-}
-
-func TestReadEdgeListErrors(t *testing.T) {
-	cases := []string{"0\n", "a b\n", "0 b\n", "0 1 x\n"}
-	for _, c := range cases {
-		if _, err := ReadEdgeList(strings.NewReader(c), 0); err == nil {
-			t.Fatalf("want parse error for %q", c)
-		}
-	}
-}
-
-func TestBinaryRoundTrip(t *testing.T) {
-	g, err := GenerateRMAT(DefaultRMAT(8, 11))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := WriteBinary(&buf, g); err != nil {
-		t.Fatal(err)
-	}
-	g2, err := ReadBinary(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g2.NumVertices != g.NumVertices || g2.NumEdges() != g.NumEdges() {
-		t.Fatal("binary round trip size mismatch")
-	}
-	for i := range g.OutEdges {
-		if g.OutEdges[i] != g2.OutEdges[i] || g.OutWeights[i] != g2.OutWeights[i] {
-			t.Fatalf("edge %d differs after round trip", i)
-		}
-	}
-}
-
-func TestReadBinaryBadMagic(t *testing.T) {
-	if _, err := ReadBinary(bytes.NewReader(make([]byte, 64))); err == nil {
-		t.Fatal("want error for bad magic")
 	}
 }
 

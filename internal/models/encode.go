@@ -112,18 +112,6 @@ func DeltaBitmap(cfg Config, deltas []int64) []float64 {
 	return out
 }
 
-// BitmapDeltas decodes a thresholded bitmap back to deltas (tests and the
-// prefetch controller's top-k path share DeltaToClass/ClassToDelta).
-func BitmapDeltas(cfg Config, bits []float64, threshold float64) []int64 {
-	var out []int64
-	for cls, v := range bits {
-		if v >= threshold {
-			out = append(out, cfg.ClassToDelta(cls))
-		}
-	}
-	return out
-}
-
 // TopKClasses returns the indices of the k largest logits in scores,
 // descending.
 func TopKClasses(scores []float64, k int) []int {

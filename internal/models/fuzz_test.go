@@ -2,6 +2,7 @@ package models
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 )
 
@@ -9,14 +10,22 @@ import (
 // bytes (mpgraph-sim loads whatever file it is given; both the float64 MPSF
 // and the binary16 MPSH layouts come through here): an error, or a
 // configuration that validates and one delta and one page model per phase —
-// never a panic, and no allocation past what the header limits allow
-// (checkSnapshotSize). The seed corpus under testdata/fuzz holds a tiny
+// never a panic, and no allocation past what the header limits allow: one
+// phase's parameters (maxSnapshotPhaseParam, checkSnapshotSize) plus a
+// multiple of the input, since every further allocation waits for the bytes
+// before it. The seed corpus under testdata/fuzz holds a tiny
 // snapshot of each layout, the Heads = 0 header that once divided by zero, and
 // a NumSegments × SegmentBits that wrapped to 0 and once reached makeslice
 // with a negative length.
 func FuzzLoadPrefetcherModels(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
 		pm, err := LoadPrefetcherModels(bytes.NewReader(data))
+		runtime.ReadMemStats(&after)
+		if grew, bound := after.TotalAlloc-before.TotalAlloc, uint64(32*len(data)+8*maxSnapshotPhaseParam+4<<20); grew > bound {
+			t.Fatalf("loading %d bytes allocated %d, over %d", len(data), grew, bound)
+		}
 		if err != nil {
 			if pm != nil {
 				t.Fatalf("error %v came with an artifact", err)

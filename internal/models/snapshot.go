@@ -1,15 +1,13 @@
 package models
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
 
+	"mpgraph/internal/binio"
 	"mpgraph/internal/nn"
 )
-
-const snapMagic = 0x4d505346 // "MPSF"
 
 // PrefetcherModels is the deployable artifact of offline training (Fig. 6's
 // "deploy" arrow): the configuration, the tokenizers, and the per-phase
@@ -69,56 +67,76 @@ func (pm *PrefetcherModels) PageModels() []PageModel {
 	return out
 }
 
+// snapCodec is one row of the snapshot format table: a magic per parameter
+// precision and the nn block codec its parameters use. Header and
+// vocabularies stay exact at either precision; they are a sliver of the
+// payload.
+type snapCodec struct {
+	magic uint64
+	save  func(io.Writer, nn.Module) error
+	load  func(io.Reader, nn.Module) error
+}
+
+var (
+	snapF64 = snapCodec{0x4d505346, nn.Save, nn.Load}       // "MPSF"
+	snapF16 = snapCodec{0x4d505348, nn.SaveF16, nn.LoadF16} // "MPSH"
+)
+
 // Save serialises the artifact.
-func (pm *PrefetcherModels) Save(w io.Writer) error {
-	bw := bufio.NewWriterSize(w, 1<<20)
+func (pm *PrefetcherModels) Save(w io.Writer) error { return pm.save(w, snapF64) }
+
+// SaveF16 serialises the artifact with binary16 parameters (DESIGN.md §13):
+// roughly half the size, and the f16 cut happens exactly once, here.
+func (pm *PrefetcherModels) SaveF16(w io.Writer) error { return pm.save(w, snapF16) }
+
+func (pm *PrefetcherModels) save(w io.Writer, c snapCodec) error {
+	bw := binio.NewWriter(w)
 	cfg := pm.Cfg
-	hdr := []uint64{
-		snapMagic, uint64(len(pm.Deltas)),
+	for _, h := range []uint64{
+		c.magic, uint64(len(pm.Deltas)),
 		uint64(cfg.HistoryT), uint64(cfg.LookForwardF), uint64(cfg.AttnDim),
 		uint64(cfg.FusionDim), uint64(cfg.TransLayers), uint64(cfg.Heads),
 		uint64(cfg.NumSegments), uint64(cfg.SegmentBits), uint64(cfg.DeltaRange),
 		uint64(cfg.PageVocab), uint64(cfg.PCVocab), uint64(cfg.LSTMHidden),
 		uint64(cfg.Seed),
-	}
-	for _, h := range hdr {
-		if err := binary.Write(bw, binary.LittleEndian, h); err != nil {
-			return err
-		}
+	} {
+		bw.U64(h)
 	}
 	for _, v := range []*Vocab{pm.Pages, pm.PCs} {
-		if err := saveVocab(bw, v); err != nil {
-			return err
-		}
+		bw.U64(uint64(v.cap))
+		bw.U64(uint64(len(v.values)))
+		binio.Put(bw, v.values, 8, binary.LittleEndian.AppendUint64)
 	}
 	for i := range pm.Deltas {
-		if err := nn.Save(bw, pm.Deltas[i]); err != nil {
+		if err := c.save(bw, pm.Deltas[i]); err != nil {
 			return err
 		}
-		if err := nn.Save(bw, pm.PageMs[i]); err != nil {
+		if err := c.save(bw, pm.PageMs[i]); err != nil {
 			return err
 		}
 	}
 	return bw.Flush()
 }
 
-// LoadPrefetcherModels reconstructs a saved artifact.
+// LoadPrefetcherModels reconstructs an artifact Save or SaveF16 wrote,
+// dispatching on the magic.
 func LoadPrefetcherModels(r io.Reader) (*PrefetcherModels, error) {
-	br := bufio.NewReaderSize(r, 1<<20)
-	hdr := make([]uint64, 15)
+	br := binio.NewReader(r)
+	var hdr [15]uint64
 	for i := range hdr {
-		if err := binary.Read(br, binary.LittleEndian, &hdr[i]); err != nil {
-			return nil, err
-		}
+		hdr[i] = br.U64()
 	}
-	if hdr[0] != snapMagic && hdr[0] != snapMagicF16 {
+	if err := br.Err(); err != nil {
+		return nil, fmt.Errorf("models: snapshot header: %w", err)
+	}
+	var c snapCodec
+	switch hdr[0] {
+	case snapF64.magic:
+		c = snapF64
+	case snapF16.magic:
+		c = snapF16
+	default:
 		return nil, fmt.Errorf("models: bad snapshot magic %#x", hdr[0])
-	}
-	// Dispatch parameter decoding on the magic: float64 blocks for Save,
-	// binary16 blocks (widened exactly on read) for SaveF16.
-	loadParams := nn.Load
-	if hdr[0] == snapMagicF16 {
-		loadParams = nn.LoadF16
 	}
 	phases := int(hdr[1])
 	if phases < 1 || phases > 64 {
@@ -137,21 +155,17 @@ func LoadPrefetcherModels(r io.Reader) (*PrefetcherModels, error) {
 	if err := checkSnapshotSize(cfg); err != nil {
 		return nil, err
 	}
-	pm := &PrefetcherModels{Cfg: cfg}
-	var err error
-	if pm.Pages, err = loadVocab(br); err != nil {
-		return nil, err
-	}
-	if pm.PCs, err = loadVocab(br); err != nil {
-		return nil, err
+	pm := &PrefetcherModels{Cfg: cfg, Pages: loadVocab(br), PCs: loadVocab(br)}
+	if err := br.Err(); err != nil {
+		return nil, fmt.Errorf("models: vocab: %w", err)
 	}
 	for p := 0; p < phases; p++ {
 		delta := NewAMMADelta(cfg, pm.PCs, 0, cfg.Seed)
-		if err := loadParams(br, delta); err != nil {
+		if err := c.load(br, delta); err != nil {
 			return nil, fmt.Errorf("models: phase %d delta: %w", p, err)
 		}
 		page := NewAMMAPage(cfg, pm.Pages, pm.PCs, 0, cfg.Seed)
-		if err := loadParams(br, page); err != nil {
+		if err := c.load(br, page); err != nil {
 			return nil, fmt.Errorf("models: phase %d page: %w", p, err)
 		}
 		pm.Deltas = append(pm.Deltas, delta)
@@ -217,33 +231,19 @@ func snapshotPhaseParams(cfg Config) int64 {
 	return delta + page
 }
 
-func saveVocab(w io.Writer, v *Vocab) error {
-	if err := binary.Write(w, binary.LittleEndian, uint64(v.cap)); err != nil {
-		return err
+// loadVocab reads a vocabulary's capacity, then its values, token 0 first
+// (nil once the stream has failed).
+func loadVocab(br *binio.Reader) *Vocab {
+	capacity, n := br.U64(), br.U64()
+	if br.Err() == nil && (n == 0 || n > capacity || capacity > maxSnapshotVocab) {
+		br.Fail(fmt.Errorf("implausible vocab header cap=%d n=%d", capacity, n))
 	}
-	if err := binary.Write(w, binary.LittleEndian, uint64(len(v.values))); err != nil {
-		return err
-	}
-	return binary.Write(w, binary.LittleEndian, v.values)
-}
-
-func loadVocab(r io.Reader) (*Vocab, error) {
-	var capacity, n uint64
-	if err := binary.Read(r, binary.LittleEndian, &capacity); err != nil {
-		return nil, err
-	}
-	if err := binary.Read(r, binary.LittleEndian, &n); err != nil {
-		return nil, err
-	}
-	if n == 0 || n > capacity || capacity > maxSnapshotVocab {
-		return nil, fmt.Errorf("models: implausible vocab header cap=%d n=%d", capacity, n)
-	}
-	v := &Vocab{cap: int(capacity), tokens: make(map[uint64]int), values: make([]uint64, n)}
-	if err := binary.Read(r, binary.LittleEndian, v.values); err != nil {
-		return nil, err
+	v := &Vocab{cap: int(capacity), tokens: make(map[uint64]int), values: binio.Get(br, n, 8, binary.LittleEndian.Uint64)}
+	if br.Err() != nil {
+		return nil
 	}
 	for tok := 1; tok < len(v.values); tok++ {
 		v.tokens[v.values[tok]] = tok
 	}
-	return v, nil
+	return v
 }

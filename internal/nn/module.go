@@ -27,9 +27,6 @@ func CountParams(m Module) int {
 	return n
 }
 
-// ZeroGrads clears gradients of all parameters.
-func ZeroGrads(m Module) { ZeroParamGrads(m.Params()) }
-
 // ZeroParamGrads clears the gradients of params: a loop that already holds
 // m.Params() zeroes through it instead of re-walking the module tree.
 func ZeroParamGrads(params []*tensor.Tensor) {

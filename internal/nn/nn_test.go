@@ -242,7 +242,7 @@ func TestAdamReducesLossDeterministically(t *testing.T) {
 			t.Fatal(err)
 		}
 		opt.Step(l.Params())
-		ZeroGrads(l)
+		zeroGrads(l)
 	}
 	if last > first/10 {
 		t.Fatalf("loss %g -> %g: Adam not converging", first, last)
@@ -408,7 +408,7 @@ func TestZeroGradsAndCount(t *testing.T) {
 	if err := loss.Backward(); err != nil {
 		t.Fatal(err)
 	}
-	ZeroGrads(l)
+	zeroGrads(l)
 	for _, p := range l.Params() {
 		for _, g := range p.Grad {
 			if g != 0 {
@@ -463,7 +463,7 @@ func layerGradCheckOn(t *testing.T, name string, m Module, forward func() *tenso
 			}
 		}
 	}
-	ZeroGrads(m)
+	zeroGrads(m)
 }
 
 func TestGradLSTMLayer(t *testing.T) {
@@ -502,3 +502,6 @@ func TestGradMMAFLayer(t *testing.T) {
 		return tensor.MSE(m.Forward(a, b), make([]float64, 36))
 	})
 }
+
+// zeroGrads clears the gradients of all of m's parameters.
+func zeroGrads(m Module) { ZeroParamGrads(m.Params()) }

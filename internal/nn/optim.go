@@ -32,7 +32,7 @@ func NewAdam(lr float64) *Adam {
 }
 
 // Step applies one update to all parameters with gradients. It does not zero
-// the gradients (callers ZeroGrads between batches) but clipping rescales them
+// the gradients (callers ZeroParamGrads between batches) but clipping rescales them
 // in place. Each element loop below is the definition of its tensor ...Fast
 // leaf, which returns the same bits from a vector kernel where one exists.
 func (a *Adam) Step(params []*tensor.Tensor) {

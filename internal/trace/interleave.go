@@ -5,20 +5,16 @@ import (
 	"slices"
 )
 
-// Interleave merges per-core access streams into one shared-LLC order. The
-// paper's challenge #2 is that "parallel executions under multi-core systems
-// introduce randomness and irregularity"; this merge models it: cores make
-// progress in bursts (geometric run lengths) rather than strict round-robin,
-// so the LLC sees interleaved instruction streams from different cores.
+// AppendInterleave merges per-core access streams into one shared-LLC order,
+// appended to dst. The paper's challenge #2 is that "parallel executions under
+// multi-core systems introduce randomness and irregularity"; this merge
+// models it: cores make progress in bursts (geometric run lengths) rather
+// than strict round-robin, so the LLC sees interleaved instruction streams
+// from different cores.
 //
 // The merge keeps each core's internal order (program order is preserved
-// per core) and is deterministic for a given seed.
-func Interleave(streams [][]Access, meanBurst int, seed int64) []Access {
-	return AppendInterleave(nil, streams, meanBurst, seed)
-}
-
-// AppendInterleave is Interleave appending to dst, append-style: the merge
-// lands in dst's spare capacity when it fits and the extended slice is
+// per core) and is deterministic for a given seed. It is append-style: the
+// merge lands in dst's spare capacity when it fits and the extended slice is
 // returned. The streams are read, never written. A caller that appends
 // repeatedly reserves capacity by its own policy first.
 func AppendInterleave(dst []Access, streams [][]Access, meanBurst int, seed int64) []Access {

@@ -178,7 +178,7 @@ func TestInterleavePreservesPerCoreOrder(t *testing.T) {
 			streams[c] = append(streams[c], Access{Addr: uint64(c*1000 + i)})
 		}
 	}
-	out := Interleave(streams, 8, 42)
+	out := AppendInterleave(nil, streams, 8, 42)
 	if len(out) != 400 {
 		t.Fatalf("merged length %d, want 400", len(out))
 	}
@@ -200,8 +200,8 @@ func TestInterleavePreservesPerCoreOrder(t *testing.T) {
 
 func TestInterleaveDeterministic(t *testing.T) {
 	streams := [][]Access{{{Addr: 1}, {Addr: 2}}, {{Addr: 3}}}
-	a := Interleave(streams, 2, 9)
-	b := Interleave(streams, 2, 9)
+	a := AppendInterleave(nil, streams, 2, 9)
+	b := AppendInterleave(nil, streams, 2, 9)
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatal("same seed must give same interleaving")
@@ -218,7 +218,7 @@ func TestInterleaveActuallyInterleaves(t *testing.T) {
 			streams[c] = append(streams[c], Access{Addr: uint64(i)})
 		}
 	}
-	out := Interleave(streams, 4, 1)
+	out := AppendInterleave(nil, streams, 4, 1)
 	switches := 0
 	for i := 1; i < len(out); i++ {
 		if out[i].Core != out[i-1].Core {
@@ -231,12 +231,12 @@ func TestInterleaveActuallyInterleaves(t *testing.T) {
 }
 
 func TestInterleaveEmptyAndUneven(t *testing.T) {
-	out := Interleave(nil, 4, 1)
+	out := AppendInterleave(nil, nil, 4, 1)
 	if len(out) != 0 {
 		t.Fatal("empty input")
 	}
 	streams := [][]Access{{}, {{Addr: 7}}, {}}
-	out = Interleave(streams, 0, 1)
+	out = AppendInterleave(nil, streams, 0, 1)
 	if len(out) != 1 || out[0].Addr != 7 || out[0].Core != 1 {
 		t.Fatalf("uneven interleave got %v", out)
 	}
@@ -426,9 +426,6 @@ func TestAppendInterleaveMatchesReference(t *testing.T) {
 		}
 		burst, seed := rng.Intn(8), rng.Int63()
 		want := referenceInterleave(streams, burst, seed)
-		if got := Interleave(streams, burst, seed); !slices.Equal(got, want) {
-			t.Fatalf("round %d: Interleave differs from the reference", round)
-		}
 		if got := AppendInterleave(nil, streams, burst, seed); !slices.Equal(got, want) {
 			t.Fatalf("round %d: AppendInterleave(nil) differs from the reference", round)
 		}
