@@ -75,11 +75,13 @@ test-times:
 # the timeout covers the ~10x instrumentation slowdown on model training.
 # The two oracles of the paired model calls (models.Pair) run again at
 # GOMAXPROCS 1, where a pair never posts, and 2, where a helper goroutine
-# runs page calls beside the caller's delta calls.
+# runs page calls beside the caller's delta calls. So do the lazy suite's
+# pins: a model trained alone has its whole-suite bits, and overlapping
+# requests train each model once.
 race:
 	$(GO) test -race -timeout 30m ./...
-	$(GO) test -race -count=1 -cpu 1,2 -timeout 30m ./internal/core/ ./internal/prefetch/ \
-		-run '^(TestCSTPMatchesReference|TestVoyagerMatchesSequential)$$'
+	$(GO) test -race -count=1 -cpu 1,2 -timeout 30m ./internal/core/ ./internal/prefetch/ ./internal/experiments/ \
+		-run '^(TestCSTPMatchesReference|TestVoyagerMatchesSequential|TestSuiteModelAloneBits|TestSuiteSingleFlight)$$'
 
 # fuzz explores past the committed seed corpora (testdata/fuzz, which every
 # `go test` already replays) for a short budget. `go test -fuzz` takes one
@@ -124,7 +126,8 @@ fuzz:
 # trainer's own, on its tape) at 300, and the ten-model suite at the repository
 # benchmark's fixture, best of 3 — BenchmarkSuiteTrain on the GOMAXPROCS pool
 # and BenchmarkSuiteTrainSerial (same pattern) on one P, so pool and tape read
-# apart. Every training row reports B/op and allocs/op. SIM_BENCH is the
+# apart, and BenchmarkSuiteTrainPair, the phase-specific pair a served
+# MPGraph trains. Every training row reports B/op and allocs/op. SIM_BENCH is the
 # non-ML half of the pipeline, all with B/op and allocs/op: the engine alone
 # and under four classic prefetchers on the repository benchmark's GPOP/PR
 # trace, the three framework trace generations and the barrier merge (whole

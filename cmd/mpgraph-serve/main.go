@@ -1,6 +1,7 @@
 // Command mpgraph-serve is the long-running prefetch inference daemon
-// (DESIGN.md §12): it trains or checkpoint-loads one workload's MPGraph
-// suite, then serves per-session prefetch predictions over HTTP/JSONL.
+// (DESIGN.md §12): it trains one workload's phase-specific MPGraph models
+// (the whole suite with -checkpoint-dir, or loads it with -resume), then
+// serves per-session prefetch predictions over HTTP/JSONL.
 //
 // Usage:
 //
@@ -88,10 +89,15 @@ func main() {
 	r := experiments.NewRunner(opt)
 	fmt.Fprintf(os.Stderr, "[mpgraph-serve] preparing suite for %s (scale=%s f32=%v batch=%d)...\n",
 		w, opt.Scale, opt.F32, opt.Batch)
+	start := time.Now()
 	if _, err := r.Suite(w); err != nil {
 		fatalf("suite: %v", err)
 	}
-	fmt.Fprintln(os.Stderr, "[mpgraph-serve] suite ready")
+	trained := "none (restored from -checkpoint-dir)"
+	if ms := r.Trained(w); len(ms) > 0 {
+		trained = fmt.Sprint(ms)
+	}
+	fmt.Fprintf(os.Stderr, "[mpgraph-serve] suite ready in %.2fs: trained %s\n", time.Since(start).Seconds(), trained)
 
 	srv, err := serve.New(serve.Config{
 		MaxSessions:      *maxSessions,

@@ -11,6 +11,7 @@ import (
 	"log"
 
 	"mpgraph"
+	"mpgraph/internal/experiments"
 	"mpgraph/internal/models"
 	"mpgraph/internal/nn"
 )
@@ -24,7 +25,7 @@ func main() {
 	sys := mpgraph.New(opt)
 	wl := mpgraph.Workload{Framework: "powergraph", App: mpgraph.PR, Dataset: "rmat"}
 
-	suite, err := sys.Runner().Suite(wl)
+	suite, err := sys.Runner().Suite(wl, experiments.AMMAPage)
 	if err != nil {
 		log.Fatal(err)
 	}

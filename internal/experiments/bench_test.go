@@ -56,13 +56,31 @@ func BenchmarkPrefetchSweepSerial(b *testing.B) {
 	benchSweep(b, benchSweepRunner(b, 1))
 }
 
-// BenchmarkSuiteTrain is the set-up every sweep cell, daemon start and test
-// package pays before its first prediction: training the ten-model suite of
-// one workload, at the settings of the repository benchmark's ML fixture
-// (benchmark/fixture.go), its suite_train_s. The trace is generated outside
-// the timer. The ten jobs run on GOMAXPROCS workers whatever Options.Workers
-// says.
+// BenchmarkSuiteTrain is the set-up of the paper's Tables 6 and 7: training
+// all ten models of one workload's suite, at the settings of the repository
+// benchmark's ML fixture (benchmark/fixture.go). The trace is generated
+// outside the timer. The ten jobs run on GOMAXPROCS workers whatever
+// Options.Workers says.
 func BenchmarkSuiteTrain(b *testing.B) {
+	benchSuiteTrain(b, AllModels...)
+}
+
+// BenchmarkSuiteTrainSerial is the same suite on one P, where the ten jobs run
+// inline one after another: what the tape alone buys, and against
+// BenchmarkSuiteTrain what the pool adds on this host.
+func BenchmarkSuiteTrainSerial(b *testing.B) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	BenchmarkSuiteTrain(b)
+}
+
+// BenchmarkSuiteTrainPair is the training mpgraph-serve and every served or
+// swept MPGraph pays: Suite(w) alone, the phase-specific delta/page pair,
+// the repository benchmark's suite_train_s.
+func BenchmarkSuiteTrainPair(b *testing.B) {
+	benchSuiteTrain(b)
+}
+
+func benchSuiteTrain(b *testing.B, want ...SuiteModel) {
 	o := DefaultOptions()
 	o.GraphScale, o.TraceIterations, o.MaxTestAccesses = 10, 3, 6000
 	o.TrainSamples, o.EvalSamples, o.Epochs = 200, 100, 1
@@ -76,16 +94,8 @@ func BenchmarkSuiteTrain(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.StartTimer()
-		if _, err := r.Suite(w); err != nil {
+		if _, err := r.Suite(w, want...); err != nil {
 			b.Fatal(err)
 		}
 	}
-}
-
-// BenchmarkSuiteTrainSerial is the same suite on one P, where the ten jobs run
-// inline one after another: what the tape alone buys, and against
-// BenchmarkSuiteTrain what the pool adds on this host.
-func BenchmarkSuiteTrainSerial(b *testing.B) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	BenchmarkSuiteTrain(b)
 }

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"mpgraph/internal/core"
 	"mpgraph/internal/frameworks"
@@ -28,7 +29,7 @@ type Runner struct {
 	mu     sync.Mutex
 	graphs map[string]*graph.Graph
 	data   map[Workload]*cell[*WorkloadData]
-	suites map[Workload]*cell[*Suite]
+	suites map[Workload]*lazySuite
 	tiers  map[Workload]*cell[*qpair]
 
 	storeOnce sync.Once
@@ -51,17 +52,17 @@ func NewRunner(opt Options) *Runner {
 		Events: &resilience.Log{},
 		graphs: map[string]*graph.Graph{},
 		data:   map[Workload]*cell[*WorkloadData]{},
-		suites: map[Workload]*cell[*Suite]{},
+		suites: map[Workload]*lazySuite{},
 		tiers:  map[Workload]*cell[*qpair]{},
 	}
 }
 
 // cell coalesces concurrent computations of one cached artifact: the first
-// caller runs the compute function under the cell's lock, every concurrent
-// caller blocks on the same lock and shares the result. This keeps the
-// expensive pipeline stages (framework runs, model training) race-free AND
-// single-flight — without it, two goroutines asking for the same workload
-// both paid the full cost and the last store won.
+// caller runs the compute, every concurrent caller waits for that flight and
+// shares the result. This keeps the expensive pipeline stages (framework
+// runs, model training) race-free AND single-flight — without it, two
+// goroutines asking for the same workload both paid the full cost and the
+// last store won.
 //
 // Only success is cached. A failed compute leaves the cell empty, so a later
 // caller retries instead of inheriting a stale transient error forever (the
@@ -87,32 +88,16 @@ type cell[T any] struct {
 // boundary never extends a critical section.
 func (c *cell[T]) get(boundary string, compute func() (T, error)) (T, error) {
 	for {
-		c.mu.Lock()
-		if c.done {
-			v := c.val
-			c.mu.Unlock()
-			return v, nil
+		val, done, wait := c.claim()
+		if done {
+			return val, nil
 		}
-		if w := c.wait; w != nil {
-			c.mu.Unlock()
-			<-w
+		if wait != nil {
+			<-wait
 			continue
 		}
-		w := make(chan struct{})
-		c.wait = w
-		c.mu.Unlock()
-
 		val, err := resilience.GuardVal(boundary, compute)
-
-		c.mu.Lock()
-		if err == nil {
-			c.val = val
-			c.done = true
-		}
-		c.wait = nil
-		c.mu.Unlock()
-		close(w)
-
+		c.settle(val, err == nil)
 		if err != nil {
 			var zero T
 			return zero, err
@@ -121,13 +106,42 @@ func (c *cell[T]) get(boundary string, compute func() (T, error)) (T, error) {
 	}
 }
 
-// getCell returns (creating if needed) the cell for key in m, under mu.
-func getCell[K comparable, T any](mu *sync.Mutex, m map[K]*cell[T], key K) *cell[T] {
+// claim returns the cached value (done), or the channel of the flight in
+// progress, closed when it settles. When it returns neither, the caller owns
+// a new flight and must settle it.
+func (c *cell[T]) claim() (val T, done bool, wait <-chan struct{}) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.done {
+		return c.val, true, nil
+	}
+	if c.wait != nil {
+		return val, false, c.wait
+	}
+	c.wait = make(chan struct{})
+	return val, false, nil
+}
+
+// settle ends the caller's flight: ok caches val, !ok leaves the cell empty
+// for the next caller to retry.
+func (c *cell[T]) settle(val T, ok bool) {
+	c.mu.Lock()
+	w := c.wait
+	if ok {
+		c.val, c.done = val, true
+	}
+	c.wait = nil
+	c.mu.Unlock()
+	close(w)
+}
+
+// getCell returns (creating if needed) the entry for key in m, under mu.
+func getCell[K comparable, V any](mu *sync.Mutex, m map[K]*V, key K) *V {
 	mu.Lock()
 	defer mu.Unlock()
 	c, ok := m[key]
 	if !ok {
-		c = &cell[T]{}
+		c = new(V)
 		m[key] = c
 	}
 	return c
@@ -277,7 +291,8 @@ func (r *Runner) computeData(w Workload) (*WorkloadData, error) {
 	return d, nil
 }
 
-// Suite bundles the datasets and trained models for one workload.
+// Suite bundles the datasets and trained models for one workload. A model
+// field stays nil until a Runner.Suite call that names the model returns.
 type Suite struct {
 	Cfg       models.Config
 	Train     *models.Dataset
@@ -299,98 +314,257 @@ type Suite struct {
 	PSPage   *models.PhaseSpecificPage
 }
 
-// Suite returns (training once, coalescing concurrent callers) the full
-// model suite for w. A failed compute is retryable; a panic during the
-// compute is recovered into an error.
-func (r *Runner) Suite(w Workload) (*Suite, error) {
-	c := getCell(&r.mu, r.suites, w)
-	return c.get("experiments.Suite("+w.String()+")", func() (*Suite, error) {
-		return r.computeSuite(w)
-	})
+// SuiteModel names one of a suite's ten models.
+type SuiteModel int
+
+// The suite's models, in Suite field order: the order a suite checkpoint
+// stores them in. Each model's constructor seed is Options.Seed plus its
+// position plus one.
+const (
+	LSTMDelta SuiteModel = iota
+	AttnDelta
+	AMMADelta
+	PIDelta
+	PSDelta
+	LSTMPage
+	AttnPage
+	AMMAPage
+	PIPage
+	PSPage
+	numSuiteModels
+)
+
+// AllModels is every suite model: the rows of Tables 6 and 7.
+var AllModels = []SuiteModel{LSTMDelta, AttnDelta, AMMADelta, PIDelta, PSDelta, LSTMPage, AttnPage, AMMAPage, PIPage, PSPage}
+
+// trainOrder is the order a request's models start training in. The two
+// phase-specific models go first: they run NumPhases times the steps, so
+// started last they would be the tail every other worker waits for.
+var trainOrder = []SuiteModel{PSPage, PSDelta, LSTMDelta, AttnDelta, AMMADelta, PIDelta, LSTMPage, AttnPage, AMMAPage, PIPage}
+
+var suiteModelNames = [numSuiteModels]string{
+	"LSTMDelta", "AttnDelta", "AMMADelta", "PIDelta", "PSDelta",
+	"LSTMPage", "AttnPage", "AMMAPage", "PIPage", "PSPage",
 }
 
-func (r *Runner) computeSuite(w Workload) (*Suite, error) {
-	// The skeleton — datasets extracted from the LLC streams and models
-	// constructed at their fixed seeds — is rebuilt deterministically on
-	// every path; a suite checkpoint only has to restore trained weights.
-	s, d, err := r.suiteSkeleton(w)
+func (m SuiteModel) String() string { return suiteModelNames[m] }
+
+// lazySuite is one workload's suite: the datasets, built once, and a cell
+// per model that settles once the model has trained. With a checkpoint
+// store, whole holds the suite trained or restored in one go instead.
+type lazySuite struct {
+	data   cell[*Suite]
+	models [numSuiteModels]cell[struct{}]
+	whole  cell[*Suite]
+	// trains counts the training runs each model started.
+	trains [numSuiteModels]atomic.Int32
+}
+
+// Suite returns w's datasets with the phase-specific pair and every model
+// in want trained. Every consumer reads the pair, so it always trains; any
+// other model trains the first time a call names it, and stays nil before.
+// Training is single-flight per (workload, model): concurrent calls share
+// one run, a failed run is retried by the next call, and a call's untrained
+// models train side by side. With a checkpoint store (Options.CheckpointDir)
+// all ten models train or restore together, because the checkpoint is one
+// record of the whole suite. A panic during the compute is recovered into
+// an error.
+func (r *Runner) Suite(w Workload, want ...SuiteModel) (*Suite, error) {
+	var wanted [numSuiteModels]bool
+	wanted[PSDelta], wanted[PSPage] = true, true
+	for _, m := range want {
+		if m < 0 || m >= numSuiteModels {
+			return nil, fmt.Errorf("experiments: unknown suite model %d", int(m))
+		}
+		wanted[m] = true
+	}
+	ls := getCell(&r.mu, r.suites, w)
+	s, err := ls.data.get("experiments.SuiteData("+w.String()+")", func() (*Suite, error) {
+		return r.suiteData(w)
+	})
 	if err != nil {
 		return nil, err
 	}
-	if ok, err := r.loadSuiteCheckpoint(w, s); err != nil {
+	if st, err := r.Store(); err != nil {
 		return nil, err
-	} else if ok {
-		return s, nil
+	} else if st != nil {
+		return ls.whole.get("experiments.Suite("+w.String()+")", func() (*Suite, error) {
+			return r.wholeSuite(w, s, &ls.trains)
+		})
 	}
+	return s, r.train(ls, s, wanted)
+}
 
-	topt := models.TrainOptions{
-		Epochs: r.Opt.Epochs, Seed: r.Opt.Seed,
-		MaxSamplesPerEpoch: r.Opt.TrainSamples, Hook: r.trainHook(),
+// Trained lists the models this runner has trained for w, in field order.
+// Models restored from a checkpoint are not listed.
+func (r *Runner) Trained(w Workload) []SuiteModel {
+	ls := getCell(&r.mu, r.suites, w)
+	var out []SuiteModel
+	for _, m := range AllModels {
+		if ls.trains[m].Load() > 0 {
+			out = append(out, m)
+		}
 	}
-	// Phase-specific models see only their own phase's slice of each epoch;
-	// scaling the epoch count by the phase count gives every per-phase
-	// model the same number of gradient steps as the single-model rows.
-	toptPS := topt
-	toptPS.Epochs = topt.Epochs * d.NumPhases
+	return out
+}
 
-	// The ten models are independent jobs: each touches only its own model
-	// and its own tape (models.trainLoop), reads the shared dataset, and
-	// never toggles the process-wide grad flag, so the trained weights are
-	// the same bytes whatever runs beside what. They fan out over
-	// GOMAXPROCS, not Options.Workers — that bounds the sweep's cells, and a
-	// suite is set-up inside one cell. The two phase-specific models go
-	// first: they run NumPhases times the steps, so started last they would
-	// be the tail every other worker waits for.
-	delta := func(m models.DeltaModel, o models.TrainOptions) func() error {
-		return func() error { return models.TrainDelta(m, s.Train, o) }
-	}
-	page := func(m models.PageModel, o models.TrainOptions) func() error {
-		return func() error { return models.TrainPage(m, s.Train, o) }
-	}
-	jobs := []func() error{
-		page(s.PSPage, toptPS), delta(s.PSDelta, toptPS),
-		delta(s.LSTMDelta, topt), delta(s.AttnDelta, topt), delta(s.AMMADelta, topt), delta(s.PIDelta, topt),
-		page(s.LSTMPage, topt), page(s.AttnPage, topt), page(s.AMMAPage, topt), page(s.PIPage, topt),
-	}
-	if err := forEachIndex(len(jobs), 0, func(i int) error { return jobs[i]() }); err != nil {
+// suiteData builds w's suite without models: the datasets extracted from
+// the cached LLC streams.
+func (r *Runner) suiteData(w Workload) (*Suite, error) {
+	d, err := r.Data(w)
+	if err != nil {
 		return nil, err
 	}
+	cfg := r.Opt.ModelConfig()
+	s := &Suite{Cfg: cfg, NumPhases: d.NumPhases}
+	if s.Train, err = r.buildDataset(cfg, d.LLCTrain, nil); err != nil {
+		return nil, err
+	}
+	if s.Test, err = r.buildDataset(cfg, d.LLCTest, s.Train); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
 
+// train trains the wanted models of s that no earlier call trained. It
+// claims every such model no other call is training and trains the claimed
+// ones together; then it waits for the rest, and claims any whose flight
+// failed.
+func (r *Runner) train(ls *lazySuite, s *Suite, wanted [numSuiteModels]bool) error {
+	for {
+		var mine []SuiteModel
+		var waits []<-chan struct{}
+		for _, m := range trainOrder {
+			if !wanted[m] {
+				continue
+			}
+			if _, done, wait := ls.models[m].claim(); wait != nil {
+				waits = append(waits, wait)
+			} else if !done {
+				mine = append(mine, m)
+			}
+		}
+		if len(mine)+len(waits) == 0 {
+			return nil
+		}
+		ok, err := r.trainModels(s, mine, &ls.trains)
+		for i, m := range mine {
+			ls.models[m].settle(struct{}{}, ok[i])
+		}
+		if err != nil {
+			return err
+		}
+		for _, wait := range waits {
+			<-wait
+		}
+	}
+}
+
+// wholeSuite restores all ten models of w from the checkpoint store when
+// resuming, or trains them and saves the checkpoint. The models are built on
+// a copy of data's datasets, so a failed attempt leaves nothing behind for
+// the retry.
+func (r *Runner) wholeSuite(w Workload, data *Suite, trains *[numSuiteModels]atomic.Int32) (*Suite, error) {
+	if r.Opt.Resume {
+		// The checkpoint holds weights only: they load into the models
+		// constructed at their seeds.
+		s := data.withoutModels()
+		for _, m := range AllModels {
+			_, publish := s.newModel(m, r.Opt.Seed)
+			publish()
+		}
+		if ok, err := r.loadSuiteCheckpoint(w, s); err != nil {
+			return nil, err
+		} else if ok {
+			return s, nil
+		}
+	}
+	s := data.withoutModels()
+	if _, err := r.trainModels(s, trainOrder, trains); err != nil {
+		return nil, err
+	}
 	if err := r.saveSuiteCheckpoint(w, s); err != nil {
 		return nil, err
 	}
 	return s, nil
 }
 
-// suiteSkeleton builds the untrained suite for w: datasets from the cached
-// LLC streams plus every model at its constructor seed. The construction is
-// fully deterministic, which is what lets a checkpoint restore weights into
-// a structurally identical suite.
-func (r *Runner) suiteSkeleton(w Workload) (*Suite, *WorkloadData, error) {
-	d, err := r.Data(w)
-	if err != nil {
-		return nil, nil, err
+// trainModels trains each of ms (in trainOrder) from its constructor seed
+// and publishes it into s; ok[i] reports whether ms[i] was published.
+//
+// The models are independent jobs: each touches only its own model and its
+// own tape (models.trainLoop), reads the shared dataset, and never toggles
+// the process-wide grad flag, so the trained weights are the same bytes
+// whatever runs beside what, and whenever it runs. They fan out over
+// GOMAXPROCS, not Options.Workers — that bounds the sweep's cells, and a
+// suite is set-up inside one cell.
+func (r *Runner) trainModels(s *Suite, ms []SuiteModel, trains *[numSuiteModels]atomic.Int32) ([]bool, error) {
+	ok := make([]bool, len(ms))
+	err := forEachIndex(len(ms), 0, func(i int) error {
+		m := ms[i]
+		trains[m].Add(1)
+		o := models.TrainOptions{
+			Epochs: r.Opt.Epochs, Seed: r.Opt.Seed,
+			MaxSamplesPerEpoch: r.Opt.TrainSamples, Hook: r.trainHook(),
+		}
+		if m == PSDelta || m == PSPage {
+			// Phase-specific models see only their own phase's slice of
+			// each epoch; scaling the epoch count by the phase count gives
+			// every per-phase model the same number of gradient steps as
+			// the single-model rows.
+			o.Epochs *= s.NumPhases
+		}
+		train, publish := s.newModel(m, r.Opt.Seed)
+		if err := train(o); err != nil {
+			return err
+		}
+		publish()
+		ok[i] = true
+		return nil
+	})
+	return ok, err
+}
+
+// withoutModels returns a copy of s's datasets and shape, with no model.
+func (s *Suite) withoutModels() *Suite {
+	return &Suite{Cfg: s.Cfg, Train: s.Train, Test: s.Test, NumPhases: s.NumPhases}
+}
+
+// newModel constructs model m at its fixed seed and returns the job that
+// trains it on s.Train and the store that publishes it into its field of s.
+func (s *Suite) newModel(m SuiteModel, seed int64) (train func(models.TrainOptions) error, publish func()) {
+	cfg, ds, P := s.Cfg, s.Train, s.NumPhases
+	seed += int64(m) + 1
+	switch m {
+	case LSTMDelta:
+		return deltaJob(ds, &s.LSTMDelta, models.NewLSTMDelta(cfg, seed))
+	case AttnDelta:
+		return deltaJob(ds, &s.AttnDelta, models.NewAttnDelta(cfg, seed))
+	case AMMADelta:
+		return deltaJob(ds, &s.AMMADelta, models.NewAMMADelta(cfg, ds.PCs, 0, seed))
+	case PIDelta:
+		return deltaJob(ds, &s.PIDelta, models.NewAMMADelta(cfg, ds.PCs, P, seed))
+	case PSDelta:
+		return deltaJob(ds, &s.PSDelta, models.NewPhaseSpecificDelta(cfg, ds.PCs, P, seed))
+	case LSTMPage:
+		return pageJob(ds, &s.LSTMPage, models.NewLSTMPage(cfg, ds.Pages, ds.PCs, seed))
+	case AttnPage:
+		return pageJob(ds, &s.AttnPage, models.NewAttnPage(cfg, ds.Pages, ds.PCs, seed))
+	case AMMAPage:
+		return pageJob(ds, &s.AMMAPage, models.NewAMMAPage(cfg, ds.Pages, ds.PCs, 0, seed))
+	case PIPage:
+		return pageJob(ds, &s.PIPage, models.NewAMMAPage(cfg, ds.Pages, ds.PCs, P, seed))
+	default: // PSPage; Suite rejects any value outside the ten
+		return pageJob(ds, &s.PSPage, models.NewPhaseSpecificPage(cfg, ds.Pages, ds.PCs, P, seed))
 	}
-	cfg := r.Opt.ModelConfig()
-	s := &Suite{Cfg: cfg, NumPhases: d.NumPhases}
-	if s.Train, err = r.buildDataset(cfg, d.LLCTrain, nil); err != nil {
-		return nil, nil, err
-	}
-	if s.Test, err = r.buildDataset(cfg, d.LLCTest, s.Train); err != nil {
-		return nil, nil, err
-	}
-	seed := r.Opt.Seed
-	s.LSTMDelta = models.NewLSTMDelta(cfg, seed+1)
-	s.AttnDelta = models.NewAttnDelta(cfg, seed+2)
-	s.AMMADelta = models.NewAMMADelta(cfg, s.Train.PCs, 0, seed+3)
-	s.PIDelta = models.NewAMMADelta(cfg, s.Train.PCs, d.NumPhases, seed+4)
-	s.PSDelta = models.NewPhaseSpecificDelta(cfg, s.Train.PCs, d.NumPhases, seed+5)
-	s.LSTMPage = models.NewLSTMPage(cfg, s.Train.Pages, s.Train.PCs, seed+6)
-	s.AttnPage = models.NewAttnPage(cfg, s.Train.Pages, s.Train.PCs, seed+7)
-	s.AMMAPage = models.NewAMMAPage(cfg, s.Train.Pages, s.Train.PCs, 0, seed+8)
-	s.PIPage = models.NewAMMAPage(cfg, s.Train.Pages, s.Train.PCs, d.NumPhases, seed+9)
-	s.PSPage = models.NewPhaseSpecificPage(cfg, s.Train.Pages, s.Train.PCs, d.NumPhases, seed+10)
-	return s, d, nil
+}
+
+func deltaJob[M models.DeltaModel](ds *models.Dataset, field *M, m M) (func(models.TrainOptions) error, func()) {
+	return func(o models.TrainOptions) error { return models.TrainDelta(m, ds, o) }, func() { *field = m }
+}
+
+func pageJob[M models.PageModel](ds *models.Dataset, field *M, m M) (func(models.TrainOptions) error, func()) {
+	return func(o models.TrainOptions) error { return models.TrainPage(m, ds, o) }, func() { *field = m }
 }
 
 // trainHook routes every training epoch through the train-epoch injection
@@ -429,7 +603,7 @@ func (r *Runner) Prefetchers(w Workload) ([]sim.Prefetcher, error) {
 	if err := r.Opt.validatePrecision(); err != nil {
 		return nil, err
 	}
-	s, err := r.Suite(w)
+	s, err := r.Suite(w, LSTMDelta, LSTMPage, AttnDelta)
 	if err != nil {
 		return nil, err
 	}

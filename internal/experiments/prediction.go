@@ -13,7 +13,7 @@ func TableDeltaPrediction(w io.Writer, r *Runner) error {
 	section(w, "Table 6: F1-Score of Spatial Delta Prediction")
 	t := &Table{Header: []string{"Workload", "LSTM", "Attention", "AMMA", "AMMA-PI", "AMMA-PS"}}
 	for _, wl := range r.Opt.Workloads() {
-		s, err := r.Suite(wl)
+		s, err := r.Suite(wl, LSTMDelta, AttnDelta, AMMADelta, PIDelta)
 		if err != nil {
 			return err
 		}
@@ -36,7 +36,7 @@ func TablePagePrediction(w io.Writer, r *Runner) error {
 	section(w, "Table 7: Accuracy@10 of Temporal Page Prediction")
 	t := &Table{Header: []string{"Workload", "LSTM", "Attention", "AMMA", "AMMA-PI", "AMMA-PS"}}
 	for _, wl := range r.Opt.Workloads() {
-		s, err := r.Suite(wl)
+		s, err := r.Suite(wl, LSTMPage, AttnPage, AMMAPage, PIPage)
 		if err != nil {
 			return err
 		}

@@ -95,7 +95,7 @@ func TableAMMAConfig(w io.Writer, r *Runner) error {
 // improvement for the ML-based prefetchers, including a compressed MPGraph.
 func TableComplexity(w io.Writer, r *Runner) error {
 	wl := r.Opt.Workloads()[0]
-	s, err := r.Suite(wl)
+	s, err := r.Suite(wl, LSTMDelta, LSTMPage, AttnDelta)
 	if err != nil {
 		return err
 	}
