@@ -77,11 +77,12 @@ test-times:
 # GOMAXPROCS 1, where a pair never posts, and 2, where a helper goroutine
 # runs page calls beside the caller's delta calls. So do the lazy suite's
 # pins: a model trained alone has its whole-suite bits, and overlapping
-# requests train each model once.
+# requests train each model once. So does the per-phase training oracle,
+# whose jobs run side by side on two goroutines.
 race:
 	$(GO) test -race -timeout 30m ./...
-	$(GO) test -race -count=1 -cpu 1,2 -timeout 30m ./internal/core/ ./internal/prefetch/ ./internal/experiments/ \
-		-run '^(TestCSTPMatchesReference|TestVoyagerMatchesSequential|TestSuiteModelAloneBits|TestSuiteSingleFlight)$$'
+	$(GO) test -race -count=1 -cpu 1,2 -timeout 30m ./internal/core/ ./internal/prefetch/ ./internal/experiments/ ./internal/models/ \
+		-run '^(TestCSTPMatchesReference|TestVoyagerMatchesSequential|TestSuiteModelAloneBits|TestSuiteSingleFlight|TestPhaseJobsMatchReference)$$'
 
 # fuzz explores past the committed seed corpora (testdata/fuzz, which every
 # `go test` already replays) for a short budget. `go test -fuzz` takes one

@@ -58,7 +58,7 @@ func main() {
 		apps       = flag.String("apps", "", "comma-separated apps filter (bfs,cc,pr,sssp,tc)")
 		graphScale = flag.Int("graph-scale", 0, "log2 vertices override")
 		seed       = flag.Int64("seed", 1, "experiment seed")
-		workers    = flag.Int("workers", 0, "sweep worker pool size (0 = GOMAXPROCS, 1 = serial); a suite's ten training jobs follow GOMAXPROCS, not this")
+		workers    = flag.Int("workers", 0, "sweep worker pool size (0 = GOMAXPROCS, 1 = serial); a suite's training jobs follow GOMAXPROCS, not this")
 		int8Infer  = flag.Bool("int8", false, "run MPGraph on 8-bit weights (Fig. 13 precision axis: per-channel int8 grid, scored on the f32 kernels)")
 		f32Infer   = flag.Bool("f32", false, "run MPGraph inference on the single-precision compute tier (weights narrowed once, f32 fused kernels)")
 		batch      = flag.Int("batch", 0, "fuse up to N concurrent ML model calls per batched GEMM round (0 = off; reports are byte-identical at any value)")

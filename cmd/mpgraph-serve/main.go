@@ -21,6 +21,7 @@
 package main
 
 import (
+	"cmp"
 	"context"
 	"flag"
 	"fmt"
@@ -28,6 +29,7 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
+	"slices"
 	"strings"
 	"syscall"
 	"time"
@@ -94,8 +96,9 @@ func main() {
 		fatalf("suite: %v", err)
 	}
 	trained := "none (restored from -checkpoint-dir)"
-	if ms := r.Trained(w); len(ms) > 0 {
-		trained = fmt.Sprint(ms)
+	if jobs := r.TrainJobs(w); len(jobs) > 0 {
+		longest := slices.MaxFunc(jobs, func(a, b experiments.TrainJob) int { return cmp.Compare(a.Seconds, b.Seconds) })
+		trained = fmt.Sprintf("%v in %d jobs, longest %s %.2fs", r.Trained(w), len(jobs), longest.Name, longest.Seconds)
 	}
 	fmt.Fprintf(os.Stderr, "[mpgraph-serve] suite ready in %.2fs: trained %s\n", time.Since(start).Seconds(), trained)
 

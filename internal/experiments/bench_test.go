@@ -59,14 +59,15 @@ func BenchmarkPrefetchSweepSerial(b *testing.B) {
 // BenchmarkSuiteTrain is the set-up of the paper's Tables 6 and 7: training
 // all ten models of one workload's suite, at the settings of the repository
 // benchmark's ML fixture (benchmark/fixture.go). The trace is generated
-// outside the timer. The ten jobs run on GOMAXPROCS workers whatever
-// Options.Workers says.
+// outside the timer. The jobs — one per model, one per phase of the
+// phase-specific pair — run on GOMAXPROCS workers whatever Options.Workers
+// says.
 func BenchmarkSuiteTrain(b *testing.B) {
 	benchSuiteTrain(b, AllModels...)
 }
 
-// BenchmarkSuiteTrainSerial is the same suite on one P, where the ten jobs run
-// inline one after another: what the tape alone buys, and against
+// BenchmarkSuiteTrainSerial is the same suite on one P, where the jobs run
+// inline one after another: the total training work, and against
 // BenchmarkSuiteTrain what the pool adds on this host.
 func BenchmarkSuiteTrainSerial(b *testing.B) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
@@ -74,8 +75,8 @@ func BenchmarkSuiteTrainSerial(b *testing.B) {
 }
 
 // BenchmarkSuiteTrainPair is the training mpgraph-serve and every served or
-// swept MPGraph pays: Suite(w) alone, the phase-specific delta/page pair,
-// the repository benchmark's suite_train_s.
+// swept MPGraph pays: Suite(w) alone, the phase-specific delta/page pair as
+// one job per phase each, the repository benchmark's suite_train_s.
 func BenchmarkSuiteTrainPair(b *testing.B) {
 	benchSuiteTrain(b)
 }

@@ -45,8 +45,9 @@ type Options struct {
 	// Workers bounds the sweep scheduler's worker pool (0 = GOMAXPROCS, 1 =
 	// serial). Independent (workload, prefetcher) simulations fan out across
 	// the pool; report output is byte-identical at any worker count. It does
-	// not bound the ten training jobs inside one suite: like the tensor
-	// package's row fan-out those follow GOMAXPROCS.
+	// not bound a suite's training jobs (one per model, one per phase of a
+	// phase-specific model): like the tensor package's row fan-out those
+	// follow GOMAXPROCS.
 	Workers int
 	// CheckpointDir, when non-empty, enables atomic checksummed on-disk
 	// checkpoints of workload traces and trained model suites (DESIGN.md

@@ -1,9 +1,12 @@
 package experiments
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"mpgraph/internal/core"
 	"mpgraph/internal/frameworks"
@@ -337,9 +340,10 @@ const (
 // AllModels is every suite model: the rows of Tables 6 and 7.
 var AllModels = []SuiteModel{LSTMDelta, AttnDelta, AMMADelta, PIDelta, PSDelta, LSTMPage, AttnPage, AMMAPage, PIPage, PSPage}
 
-// trainOrder is the order a request's models start training in. The two
-// phase-specific models go first: they run NumPhases times the steps, so
-// started last they would be the tail every other worker waits for.
+// trainOrder is the order a request's models start training in, longest
+// job first: the phase-specific pair trains one job per phase
+// (trainModels), each replaying the pair's NumPhases× epochs, so its jobs
+// go first rather than become the tail every other worker waits for.
 var trainOrder = []SuiteModel{PSPage, PSDelta, LSTMDelta, AttnDelta, AMMADelta, PIDelta, LSTMPage, AttnPage, AMMAPage, PIPage}
 
 var suiteModelNames = [numSuiteModels]string{
@@ -358,6 +362,25 @@ type lazySuite struct {
 	whole  cell[*Suite]
 	// trains counts the training runs each model started.
 	trains [numSuiteModels]atomic.Int32
+
+	jobsMu sync.Mutex
+	jobs   []TrainJob // the finished training jobs, in finishing order
+}
+
+// TrainJob is one finished training job: a model, or one phase of a
+// phase-specific model ("PSPage/phase0"), and its wall time.
+type TrainJob struct {
+	Name    string
+	Seconds float64
+}
+
+// TrainJobs lists the training jobs this runner has finished for w. Models
+// restored from a checkpoint ran none.
+func (r *Runner) TrainJobs(w Workload) []TrainJob {
+	ls := getCell(&r.mu, r.suites, w)
+	ls.jobsMu.Lock()
+	defer ls.jobsMu.Unlock()
+	return slices.Clone(ls.jobs)
 }
 
 // Suite returns w's datasets with the phase-specific pair and every model
@@ -389,7 +412,7 @@ func (r *Runner) Suite(w Workload, want ...SuiteModel) (*Suite, error) {
 		return nil, err
 	} else if st != nil {
 		return ls.whole.get("experiments.Suite("+w.String()+")", func() (*Suite, error) {
-			return r.wholeSuite(w, s, &ls.trains)
+			return r.wholeSuite(w, s, ls)
 		})
 	}
 	return s, r.train(ls, s, wanted)
@@ -447,7 +470,7 @@ func (r *Runner) train(ls *lazySuite, s *Suite, wanted [numSuiteModels]bool) err
 		if len(mine)+len(waits) == 0 {
 			return nil
 		}
-		ok, err := r.trainModels(s, mine, &ls.trains)
+		ok, err := r.trainModels(s, mine, ls)
 		for i, m := range mine {
 			ls.models[m].settle(struct{}{}, ok[i])
 		}
@@ -464,7 +487,7 @@ func (r *Runner) train(ls *lazySuite, s *Suite, wanted [numSuiteModels]bool) err
 // resuming, or trains them and saves the checkpoint. The models are built on
 // a copy of data's datasets, so a failed attempt leaves nothing behind for
 // the retry.
-func (r *Runner) wholeSuite(w Workload, data *Suite, trains *[numSuiteModels]atomic.Int32) (*Suite, error) {
+func (r *Runner) wholeSuite(w Workload, data *Suite, ls *lazySuite) (*Suite, error) {
 	if r.Opt.Resume {
 		// The checkpoint holds weights only: they load into the models
 		// constructed at their seeds.
@@ -480,7 +503,7 @@ func (r *Runner) wholeSuite(w Workload, data *Suite, trains *[numSuiteModels]ato
 		}
 	}
 	s := data.withoutModels()
-	if _, err := r.trainModels(s, trainOrder, trains); err != nil {
+	if _, err := r.trainModels(s, trainOrder, ls); err != nil {
 		return nil, err
 	}
 	if err := r.saveSuiteCheckpoint(w, s); err != nil {
@@ -492,36 +515,79 @@ func (r *Runner) wholeSuite(w Workload, data *Suite, trains *[numSuiteModels]ato
 // trainModels trains each of ms (in trainOrder) from its constructor seed
 // and publishes it into s; ok[i] reports whether ms[i] was published.
 //
-// The models are independent jobs: each touches only its own model and its
-// own tape (models.trainLoop), reads the shared dataset, and never toggles
-// the process-wide grad flag, so the trained weights are the same bytes
-// whatever runs beside what, and whenever it runs. They fan out over
-// GOMAXPROCS, not Options.Workers — that bounds the sweep's cells, and a
-// suite is set-up inside one cell.
-func (r *Runner) trainModels(s *Suite, ms []SuiteModel, trains *[numSuiteModels]atomic.Int32) ([]bool, error) {
-	ok := make([]bool, len(ms))
-	err := forEachIndex(len(ms), 0, func(i int) error {
-		m := ms[i]
-		trains[m].Add(1)
+// Each model is one job, and each phase-specific model one job per phase
+// (models.DeltaJobs). The phase jobs start first, phase-major
+// (PSPage/phase0, PSDelta/phase0, PSPage/phase1, ...), then the single
+// models in ms's order: a page job starts beside a delta job rather than
+// beside the other page job, which was measured slower and holds two
+// page-model tapes at once, the set-up's memory peak. A job touches only its
+// own (phase) model and its own tape (models.trainLoop), reads the shared
+// dataset, and never toggles the process-wide grad flag, so the trained
+// weights are the same bytes whatever runs beside what, and whenever it
+// runs. A model is published once all its jobs have succeeded. The jobs fan
+// out over GOMAXPROCS, not Options.Workers — that bounds the sweep's cells,
+// and a suite is set-up inside one cell.
+func (r *Runner) trainModels(s *Suite, ms []SuiteModel, ls *lazySuite) ([]bool, error) {
+	type job struct {
+		model, phase int // model indexes ms
+		rank         int // start order: the phase, or NumPhases for a single model
+		name         string
+		run          func() error
+	}
+	var jobs []job
+	publish := make([]func(), len(ms))
+	for i, m := range ms {
 		o := models.TrainOptions{
 			Epochs: r.Opt.Epochs, Seed: r.Opt.Seed,
 			MaxSamplesPerEpoch: r.Opt.TrainSamples, Hook: r.trainHook(),
 		}
-		if m == PSDelta || m == PSPage {
+		perPhase := m == PSDelta || m == PSPage
+		if perPhase {
 			// Phase-specific models see only their own phase's slice of
 			// each epoch; scaling the epoch count by the phase count gives
 			// every per-phase model the same number of gradient steps as
 			// the single-model rows.
 			o.Epochs *= s.NumPhases
 		}
-		train, publish := s.newModel(m, r.Opt.Seed)
-		if err := train(o); err != nil {
+		train, pub := s.newModel(m, r.Opt.Seed)
+		publish[i] = pub
+		for p, run := range train(o) {
+			j := job{model: i, phase: p, rank: s.NumPhases, name: m.String(), run: run}
+			if perPhase {
+				j.rank, j.name = p, fmt.Sprintf("%s/phase%d", m, p)
+			}
+			jobs = append(jobs, j)
+		}
+	}
+	slices.SortStableFunc(jobs, func(a, b job) int { return cmp.Compare(a.rank, b.rank) })
+	done := make([]bool, len(jobs))
+	err := forEachIndex(len(jobs), 0, func(j int) error {
+		if jobs[j].phase == 0 {
+			ls.trains[ms[jobs[j].model]].Add(1) // one run per model
+		}
+		start := time.Now()
+		if err := jobs[j].run(); err != nil {
 			return err
 		}
-		publish()
-		ok[i] = true
+		secs := time.Since(start).Seconds()
+		ls.jobsMu.Lock()
+		defer ls.jobsMu.Unlock()
+		ls.jobs = append(ls.jobs, TrainJob{Name: jobs[j].name, Seconds: secs})
+		done[j] = true
 		return nil
 	})
+	ok := make([]bool, len(ms))
+	for i := range ok {
+		ok[i] = true
+	}
+	for j, jb := range jobs {
+		ok[jb.model] = ok[jb.model] && done[j]
+	}
+	for i, pub := range publish {
+		if ok[i] {
+			pub()
+		}
+	}
 	return ok, err
 }
 
@@ -530,9 +596,10 @@ func (s *Suite) withoutModels() *Suite {
 	return &Suite{Cfg: s.Cfg, Train: s.Train, Test: s.Test, NumPhases: s.NumPhases}
 }
 
-// newModel constructs model m at its fixed seed and returns the job that
-// trains it on s.Train and the store that publishes it into its field of s.
-func (s *Suite) newModel(m SuiteModel, seed int64) (train func(models.TrainOptions) error, publish func()) {
+// newModel constructs model m at its fixed seed and returns its training
+// jobs on s.Train (models.DeltaJobs) and the store that publishes it into
+// its field of s.
+func (s *Suite) newModel(m SuiteModel, seed int64) (train func(models.TrainOptions) []func() error, publish func()) {
 	cfg, ds, P := s.Cfg, s.Train, s.NumPhases
 	seed += int64(m) + 1
 	switch m {
@@ -559,12 +626,12 @@ func (s *Suite) newModel(m SuiteModel, seed int64) (train func(models.TrainOptio
 	}
 }
 
-func deltaJob[M models.DeltaModel](ds *models.Dataset, field *M, m M) (func(models.TrainOptions) error, func()) {
-	return func(o models.TrainOptions) error { return models.TrainDelta(m, ds, o) }, func() { *field = m }
+func deltaJob[M models.DeltaModel](ds *models.Dataset, field *M, m M) (func(models.TrainOptions) []func() error, func()) {
+	return func(o models.TrainOptions) []func() error { return models.DeltaJobs(m, ds, o) }, func() { *field = m }
 }
 
-func pageJob[M models.PageModel](ds *models.Dataset, field *M, m M) (func(models.TrainOptions) error, func()) {
-	return func(o models.TrainOptions) error { return models.TrainPage(m, ds, o) }, func() { *field = m }
+func pageJob[M models.PageModel](ds *models.Dataset, field *M, m M) (func(models.TrainOptions) []func() error, func()) {
+	return func(o models.TrainOptions) []func() error { return models.PageJobs(m, ds, o) }, func() { *field = m }
 }
 
 // trainHook routes every training epoch through the train-epoch injection

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"reflect"
 	"runtime"
@@ -105,50 +106,97 @@ func TestSuiteBitsAcrossGOMAXPROCS(t *testing.T) {
 // TestCellRetryTrainFaultUnderPool arms train-epoch while the suite's jobs run
 // on a pool. Which job's epoch is the third hit depends on the schedule, but
 // exactly one fires; an injected panic is recovered at forEachIndex's
-// boundary, on the worker that raised it; the failed model is retryable, and
-// the retry — a fresh model, nothing of the aborted job in it — trains the
-// clean run's weights.
+// boundary, on the worker that raised it; the failed model stays nil while
+// every other model is published, and is retryable; the retry — a fresh
+// model, nothing of the aborted job in it — trains the clean run's weights
+// and counts as the model's second run. Asking for the pair alone puts the
+// fault in a phase job of a phase-specific model, whose other phase jobs
+// finish without publishing it. The hook runs once per epoch of each
+// single model and Epochs × NumPhases times per phase-specific model.
 func TestCellRetryTrainFaultUnderPool(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	base := faultOptions()
 	wl := base.Workloads()[0]
-	clean, err := NewRunner(base).Suite(wl, AllModels...)
+	counter := resilience.NewInjector(1).ArmProb(resilience.PointTrainEpoch, resilience.KindErr, 0)
+	o := base
+	o.Injector = counter
+	r := NewRunner(o)
+	clean, err := r.Suite(wl, AllModels...)
 	if err != nil {
 		t.Fatal(err)
 	}
+	P := clean.NumPhases
+	if P < 2 {
+		t.Fatalf("NumPhases %d: the fault cannot land in one of several phase jobs", P)
+	}
+	if hits, want := counter.Hits(resilience.PointTrainEpoch), uint64(base.Epochs*(8+2*P)); hits != want {
+		t.Fatalf("train-epoch hit %d times, want %d (Epochs × (8 + 2 × NumPhases))", hits, want)
+	}
 
 	for _, kind := range []resilience.Kind{resilience.KindErr, resilience.KindPanic} {
-		o := base
-		in := resilience.NewInjector(1).Arm(resilience.PointTrainEpoch, kind, 3)
-		o.Injector = in
-		r := NewRunner(o)
+		for _, want := range [][]SuiteModel{AllModels, nil} {
+			name := fmt.Sprintf("%s, %d models asked", kind, len(want))
+			o := base
+			in := resilience.NewInjector(1).Arm(resilience.PointTrainEpoch, kind, 3)
+			o.Injector = in
+			r := NewRunner(o)
 
-		_, err := r.Suite(wl, AllModels...)
-		var ie *resilience.InjectedError
-		if kind == resilience.KindPanic {
-			var pe *resilience.PanicError
-			if !errors.As(err, &pe) || pe.Boundary != "experiments.forEachIndex" {
-				t.Fatalf("%s: Suite = %v, want a panic recovered at the pool's boundary", kind, err)
+			_, err := r.Suite(wl, want...)
+			var ie *resilience.InjectedError
+			if kind == resilience.KindPanic {
+				var pe *resilience.PanicError
+				if !errors.As(err, &pe) || pe.Boundary != "experiments.forEachIndex" {
+					t.Fatalf("%s: Suite = %v, want a panic recovered at the pool's boundary", name, err)
+				}
+				ie, _ = pe.Value.(*resilience.InjectedError)
+			} else if !errors.As(err, &ie) {
+				t.Fatalf("%s: Suite = %v, want the injected fault", name, err)
 			}
-			ie, _ = pe.Value.(*resilience.InjectedError)
-		} else if !errors.As(err, &ie) {
-			t.Fatalf("%s: Suite = %v, want the injected fault", kind, err)
-		}
-		if ie == nil || ie.Point != resilience.PointTrainEpoch || ie.Hit != 3 {
-			t.Fatalf("%s: Suite = %v, want the train-epoch fault of hit 3", kind, err)
-		}
-		if fired := in.Fired(resilience.PointTrainEpoch); fired != 1 {
-			t.Fatalf("%s: train-epoch fired %d times, want exactly once", kind, fired)
-		}
+			if ie == nil || ie.Point != resilience.PointTrainEpoch || ie.Hit != 3 {
+				t.Fatalf("%s: Suite = %v, want the train-epoch fault of hit 3", name, err)
+			}
+			if fired := in.Fired(resilience.PointTrainEpoch); fired != 1 {
+				t.Fatalf("%s: train-epoch fired %d times, want exactly once", name, fired)
+			}
+			ls := getCell(&r.mu, r.suites, wl)
+			s, err := ls.data.get("test", func() (*Suite, error) { return r.suiteData(wl) })
+			if err != nil {
+				t.Fatal(err)
+			}
+			asked := len(want)
+			if want == nil {
+				asked = 2
+			}
+			got := published(s)
+			if len(got) != asked-1 {
+				t.Fatalf("%s: published %v, want all but the failed model", name, got)
+			}
+			for _, m := range got {
+				requireSameModelBits(t, name+" survivor", m, s, clean)
+			}
 
-		s, err := r.Suite(wl, AllModels...)
-		if err != nil {
-			t.Fatalf("%s: retry after the fault: %v (cell poisoned?)", kind, err)
+			s, err = r.Suite(wl, want...)
+			if err != nil {
+				t.Fatalf("%s: retry after the fault: %v (cell poisoned?)", name, err)
+			}
+			if in.Fired(resilience.PointTrainEpoch) != 1 {
+				t.Fatalf("%s: the retry fired again", name)
+			}
+			retried := published(s)
+			if len(retried) != asked {
+				t.Fatalf("%s: the retry published %v", name, retried)
+			}
+			for _, m := range retried {
+				runs := int32(1)
+				if !slices.Contains(got, m) {
+					runs = 2
+				}
+				if n := ls.trains[m].Load(); n != runs {
+					t.Fatalf("%s: %s trained %d times, want %d", name, m, n, runs)
+				}
+				requireSameModelBits(t, name+" retry", m, s, clean)
+			}
 		}
-		if in.Fired(resilience.PointTrainEpoch) != 1 {
-			t.Fatalf("%s: the retry fired again", kind)
-		}
-		requireSameSuiteBits(t, string(kind)+" retry", s, clean)
 	}
 }
 

@@ -149,7 +149,7 @@ func DistillDelta(student DeltaModel, teacher DeltaModel, ds *Dataset, opt Train
 	}
 	tensor.SetGradEnabled(restore)
 	idxOf := sampleIndex(ds)
-	return trainLoop(student, ds, opt, func(s *Sample) *tensor.Tensor {
+	return trainLoop(student, ds, opt, allPhases, func(s *Sample) *tensor.Tensor {
 		logits := sl.DeltaLogits(s)
 		i := idxOf[s]
 		softLoss := tensor.BCEWithLogits(logits, soft[i])
@@ -185,7 +185,7 @@ func DistillPage(student PageModel, teacher PageProber, ds *Dataset, opt TrainOp
 			}
 			bitTargets[i] = bt
 		}
-		return trainLoop(student, ds, opt, func(s *Sample) *tensor.Tensor {
+		return trainLoop(student, ds, opt, allPhases, func(s *Sample) *tensor.Tensor {
 			logits := bp.PageLogits(s)
 			i := idxOf[s]
 			softLoss := tensor.BCEWithLogits(logits, bitTargets[i])
@@ -200,7 +200,7 @@ func DistillPage(student PageModel, teacher PageProber, ds *Dataset, opt TrainOp
 	if !ok {
 		return fmt.Errorf("models: student %T does not expose page logits", student)
 	}
-	return trainLoop(student, ds, opt, func(s *Sample) *tensor.Tensor {
+	return trainLoop(student, ds, opt, allPhases, func(s *Sample) *tensor.Tensor {
 		logits := sl.PageLogits(s)
 		i := idxOf[s]
 		softLoss := tensor.SoftCrossEntropy(logits, soft[i], distillTemperature)

@@ -19,8 +19,8 @@ type TrainOptions struct {
 	Seed int64
 	// MaxSamplesPerEpoch caps each epoch (0 = all).
 	MaxSamplesPerEpoch int
-	// Hook, when set, runs at the start of every epoch and aborts training
-	// when it errors. The experiment pipeline uses it as the train-epoch
+	// Hook, when set, runs at the start of every epoch (in the first job
+	// only, of a model DeltaJobs splits) and aborts training when it errors. The experiment pipeline uses it as the train-epoch
 	// fault-injection point.
 	Hook func(epoch int) error
 }
@@ -35,15 +35,78 @@ func (o TrainOptions) withDefaults() TrainOptions {
 	return o
 }
 
-// TrainDelta fits a delta model. For PhaseSpecificDelta the per-sample
-// dispatch means each phase model sees exactly its own phase's samples.
+// TrainDelta fits a delta model: DeltaJobs, run one after another.
 func TrainDelta(m DeltaModel, ds *Dataset, opt TrainOptions) error {
-	return trainLoop(m, ds, opt, func(s *Sample) *tensor.Tensor { return m.DeltaLoss(s) })
+	return runJobs(DeltaJobs(m, ds, opt))
 }
 
-// TrainPage fits a page model.
+// TrainPage fits a page model: PageJobs, run one after another.
 func TrainPage(m PageModel, ds *Dataset, opt TrainOptions) error {
-	return trainLoop(m, ds, opt, func(s *Sample) *tensor.Tensor { return m.PageLoss(s) })
+	return runJobs(PageJobs(m, ds, opt))
+}
+
+// DeltaJobs splits TrainDelta(m, ds, opt) into independent jobs: one per
+// phase for a PhaseSpecificDelta, one for any other model. The jobs share no
+// parameter, tape or optimizer, so they may run in any order or side by
+// side, and together they leave m with the single loop's bits (phaseJobs).
+// Only the first job runs opt.Hook.
+func DeltaJobs(m DeltaModel, ds *Dataset, opt TrainOptions) []func() error {
+	if ps, ok := m.(*PhaseSpecificDelta); ok && len(ps.Models) > 0 {
+		return phaseJobs(ps.Models, ds, opt, func(sub DeltaModel) lossFunc { return sub.DeltaLoss })
+	}
+	return []func() error{func() error { return trainLoop(m, ds, opt, allPhases, m.DeltaLoss) }}
+}
+
+// PageJobs is DeltaJobs for a page model: one job per phase for a
+// PhaseSpecificPage, one for any other model.
+func PageJobs(m PageModel, ds *Dataset, opt TrainOptions) []func() error {
+	if ps, ok := m.(*PhaseSpecificPage); ok && len(ps.Models) > 0 {
+		return phaseJobs(ps.Models, ds, opt, func(sub PageModel) lossFunc { return sub.PageLoss })
+	}
+	return []func() error{func() error { return trainLoop(m, ds, opt, allPhases, m.PageLoss) }}
+}
+
+func runJobs(jobs []func() error) error {
+	for _, job := range jobs {
+		if err := job(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+type lossFunc = func(*Sample) *tensor.Tensor
+
+// phaseJobs is one trainLoop per phase model of a phase-specific wrapper,
+// each replaying the wrapper's whole schedule. The single loop's step on a
+// phase-p sample builds its graph through subs[p] alone, so every other
+// phase model's gradient is exactly +0: the clip norm adds only +0 terms,
+// and Adam, elementwise on the global step count, moves each other model as
+// StepZeroGrads does. Job p therefore steps on its own phase's samples and
+// takes a zero-gradient step on every other sample.
+func phaseJobs[M nn.Module](subs []M, ds *Dataset, opt TrainOptions, loss func(M) lossFunc) []func() error {
+	jobs := make([]func() error, len(subs))
+	for p, sub := range subs {
+		o := opt
+		if p > 0 {
+			o.Hook = nil
+		}
+		own := phaseFilter{phase: p, phases: len(subs)}
+		jobs[p] = func() error { return trainLoop(sub, ds, o, own, loss(sub)) }
+	}
+	return jobs
+}
+
+// phaseFilter picks the samples a training loop steps on: those a
+// phase-specific wrapper of phases models dispatches to model phase, or
+// every sample when phases is 0.
+type phaseFilter struct{ phase, phases int }
+
+// allPhases steps on every sample: a whole model in one loop.
+var allPhases = phaseFilter{}
+
+func (f phaseFilter) owns(s *Sample) bool {
+	return f.phases == 0 || phaseIndex(s.Phase, f.phases) == f.phase
 }
 
 // trainer is one model's training state: its parameters, their optimizer
@@ -77,8 +140,10 @@ func (t *trainer) step(loss *tensor.Tensor) error {
 }
 
 // trainLoop is the only training loop in the tree: suite training,
-// distillation and snapshot training all run it.
-func trainLoop(m nn.Module, ds *Dataset, opt TrainOptions, lossFn func(*Sample) *tensor.Tensor) error {
+// distillation and snapshot training all run it. It replays the whole
+// shuffled schedule and steps on the samples own picks; any other sample
+// costs a zero-gradient Adam step and nothing else.
+func trainLoop(m nn.Module, ds *Dataset, opt TrainOptions, own phaseFilter, lossFn lossFunc) error {
 	opt = opt.withDefaults()
 	if len(ds.Samples) == 0 {
 		return fmt.Errorf("models: empty dataset")
@@ -102,7 +167,12 @@ func trainLoop(m nn.Module, ds *Dataset, opt TrainOptions, lossFn func(*Sample) 
 			n = opt.MaxSamplesPerEpoch
 		}
 		for _, idx := range order[:n] {
-			if err := tr.step(lossFn(ds.Samples[idx])); err != nil {
+			s := ds.Samples[idx]
+			if !own.owns(s) {
+				tr.adam.StepZeroGrads(tr.params)
+				continue
+			}
+			if err := tr.step(lossFn(s)); err != nil {
 				return err
 			}
 		}

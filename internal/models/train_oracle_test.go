@@ -6,6 +6,8 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
+	"sync"
 	"testing"
 
 	"mpgraph/internal/nn"
@@ -156,7 +158,9 @@ func TestTrainMatchesReference(t *testing.T) {
 // TestTrainReleasesParameters: a training run that ends in an error, or in a
 // panic out of the loss function, still takes the model off its tape — the
 // next run would fail tensor.NewTape's one-owner invariant otherwise — and
-// the weights it leaves behind are the reference loop's.
+// the weights it leaves behind are the reference loop's. A phase-specific
+// model's phase jobs release their tapes on both paths too, and only the
+// first job runs the hook.
 func TestTrainReleasesParameters(t *testing.T) {
 	ds := synthDataset(t, 1500, 12)
 	opt := TrainOptions{Epochs: 2, LR: 2e-3, Seed: 9, MaxSamplesPerEpoch: 8}
@@ -188,10 +192,13 @@ func TestTrainReleasesParameters(t *testing.T) {
 			return m.DeltaLoss(s)
 		}
 	}
+	loop := func(m nn.Module, ds *Dataset, opt TrainOptions, lossFn lossFunc) error {
+		return trainLoop(m, ds, opt, allPhases, lossFn)
+	}
 	for _, run := range []struct {
 		m    *AMMADelta
-		loop func(nn.Module, *Dataset, TrainOptions, func(*Sample) *tensor.Tensor) error
-	}{{got, trainLoop}, {want, referenceTrain}} {
+		loop func(nn.Module, *Dataset, TrainOptions, lossFunc) error
+	}{{got, loop}, {want, referenceTrain}} {
 		func() {
 			defer func() {
 				if v := recover(); v != "loss function exploded" {
@@ -209,6 +216,157 @@ func TestTrainReleasesParameters(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireSameBits(t, "after an error and a panic", got, want)
+
+	// A phase-specific model's jobs: the hook fails phase 0's second epoch,
+	// then phase 1's loss function panics. Each job's tape is released, and
+	// the hook ran in phase 0's job alone, once per epoch.
+	hits := 0
+	counting := failing
+	counting.Hook = func(ep int) error {
+		hits++
+		return failing.Hook(ep)
+	}
+	ps := NewPhaseSpecificDelta(ds.Cfg, ds.PCs, 3, 8)
+	if err := TrainDelta(ps, ds, counting); !errors.Is(err, boom) || hits != 2 {
+		t.Fatalf("TrainDelta = %v after %d hook calls, want the hook's error at the second", err, hits)
+	}
+	requireOffTapes(t, "after a phase job's error", ps)
+	ps.Models[1] = &panickyDelta{AMMADelta: ps.Models[1].(*AMMADelta)}
+	func() {
+		defer func() {
+			if v := recover(); v != "loss function exploded" {
+				t.Fatalf("recovered %v, want the loss function's panic", v)
+			}
+		}()
+		_ = runJobs(DeltaJobs(ps, ds, opt))
+	}()
+	requireOffTapes(t, "after a phase job's panic", ps)
+	hits = 0
+	counting.Hook = func(int) error { hits++; return nil }
+	if err := TrainDelta(NewPhaseSpecificDelta(ds.Cfg, ds.PCs, 3, 8), ds, counting); err != nil || hits != opt.Epochs {
+		t.Fatalf("TrainDelta = %v with %d hook calls, want nil and one per epoch (%d)", err, hits, opt.Epochs)
+	}
+}
+
+// panickyDelta is an AMMA delta model whose loss function panics on its
+// first call.
+type panickyDelta struct{ *AMMADelta }
+
+func (*panickyDelta) DeltaLoss(*Sample) *tensor.Tensor { panic("loss function exploded") }
+
+// requireOffTapes fails unless every parameter of m is off its tape.
+func requireOffTapes(t *testing.T, name string, m nn.Module) {
+	t.Helper()
+	defer func() {
+		if v := recover(); v != nil {
+			t.Fatalf("%s: %v", name, v)
+		}
+	}()
+	tensor.NewTape(m.Params()).Release()
+}
+
+// TestPhaseJobsMatchReference holds a phase-specific model's per-phase jobs
+// to referenceTrain's single loop: the same parameter bits whether the jobs
+// run in order, in reverse, or side by side on two goroutines, for AMMA-PS
+// delta and page, on the native and on the portable kernels. P = 3 over
+// phase labels 0–5 (a label dispatches modulo P), and no sample of phase
+// model 2 in epoch 0, so its parameters keep a nil Grad through an epoch of
+// zero-gradient steps.
+func TestPhaseJobsMatchReference(t *testing.T) {
+	const P = 3
+	opt := TrainOptions{Epochs: 3, LR: 2e-3, Seed: 9, MaxSamplesPerEpoch: 12}
+	ds := phaseLabelled(t, synthDataset(t, 1500, 12), 48, P, opt)
+
+	runs := map[string]func([]func() error) error{
+		"in order": runJobs,
+		"reversed": func(jobs []func() error) error {
+			reversed := slices.Clone(jobs)
+			slices.Reverse(reversed)
+			return runJobs(reversed)
+		},
+		"two goroutines": func(jobs []func() error) error {
+			errs := make([]error, len(jobs))
+			var wg sync.WaitGroup
+			for g := 0; g < 2; g++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for i := g; i < len(jobs); i += 2 {
+						errs[i] = jobs[i]()
+					}
+				}()
+			}
+			wg.Wait()
+			return errors.Join(errs...)
+		},
+	}
+	run := func(t *testing.T) {
+		want := NewPhaseSpecificDelta(ds.Cfg, ds.PCs, P, 8)
+		if err := referenceTrain(want, ds, opt, want.DeltaLoss); err != nil {
+			t.Fatal(err)
+		}
+		wantPage := NewPhaseSpecificPage(ds.Cfg, ds.Pages, ds.PCs, P, 11)
+		if err := referenceTrain(wantPage, ds, opt, wantPage.PageLoss); err != nil {
+			t.Fatal(err)
+		}
+		for name, runAll := range runs {
+			got := NewPhaseSpecificDelta(ds.Cfg, ds.PCs, P, 8)
+			jobs := DeltaJobs(got, ds, opt)
+			if len(jobs) != P {
+				t.Fatalf("%d delta jobs, want %d", len(jobs), P)
+			}
+			if err := runAll(jobs); err != nil {
+				t.Fatal(err)
+			}
+			requireSameBits(t, "ps-delta "+name, got, want)
+
+			gotPage := NewPhaseSpecificPage(ds.Cfg, ds.Pages, ds.PCs, P, 11)
+			if err := runAll(PageJobs(gotPage, ds, opt)); err != nil {
+				t.Fatal(err)
+			}
+			requireSameBits(t, "ps-page "+name, gotPage, wantPage)
+		}
+	}
+	t.Run("native", run)
+	t.Run("portable", func(t *testing.T) {
+		defer tensor.ForcePortableKernels()()
+		run(t)
+	})
+}
+
+// phaseLabelled copies the first n samples of ds and relabels their phases
+// over 0..2P-1 so that no sample of epoch 0's schedule under opt
+// dispatches to phase model P-1, while some of every later epoch's does.
+func phaseLabelled(t *testing.T, ds *Dataset, n, P int, opt TrainOptions) *Dataset {
+	t.Helper()
+	samples := make([]*Sample, n)
+	for i, s := range ds.Samples[:n] {
+		c := *s
+		c.Phase = i % (2 * P)
+		samples[i] = &c
+	}
+	rng := rand.New(rand.NewSource(opt.Seed))
+	order := make([]int, n)
+	for i := range order {
+		order[i] = i
+	}
+	for ep := 0; ep < opt.Epochs; ep++ {
+		rng.Shuffle(n, func(i, j int) { order[i], order[j] = order[j], order[i] })
+		last := 0
+		for _, idx := range order[:opt.MaxSamplesPerEpoch] {
+			s := samples[idx]
+			if ep == 0 && s.Phase%P == P-1 {
+				s.Phase -= 1 + idx%(P-1) // to a model below P-1, in the same label band
+			}
+			if s.Phase%P == P-1 {
+				last++
+			}
+		}
+		if ep > 0 && last == 0 {
+			t.Fatalf("epoch %d has no sample of phase model %d", ep, P-1)
+		}
+	}
+	return &Dataset{Cfg: ds.Cfg, Samples: samples, Pages: ds.Pages, PCs: ds.PCs}
 }
 
 // TestTrainStepAllocBudget: one AMMA train step on a warm tape allocates

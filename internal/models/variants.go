@@ -25,7 +25,7 @@ func (ps *PhaseSpecificDelta) modelFor(phase int) DeltaModel {
 	if len(ps.Models) == 0 {
 		invariant.Fail("models: empty PhaseSpecificDelta")
 	}
-	return ps.Models[phase%len(ps.Models)]
+	return ps.Models[phaseIndex(phase, len(ps.Models))]
 }
 
 // DeltaLoss implements DeltaModel (dispatching on s.Phase).
@@ -47,6 +47,10 @@ func (ps *PhaseSpecificDelta) Params() []*tensor.Tensor {
 	return out
 }
 
+// phaseIndex is the phase model a sample of phase phase dispatches to, of
+// n: the one rule inference and per-phase training (phaseFilter) share.
+func phaseIndex(phase, n int) int { return phase % n }
+
 // PhaseSpecificPage is AMMA-PS for temporal page prediction.
 type PhaseSpecificPage struct {
 	Models []PageModel
@@ -65,7 +69,7 @@ func (ps *PhaseSpecificPage) modelFor(phase int) PageModel {
 	if len(ps.Models) == 0 {
 		invariant.Fail("models: empty PhaseSpecificPage")
 	}
-	return ps.Models[phase%len(ps.Models)]
+	return ps.Models[phaseIndex(phase, len(ps.Models))]
 }
 
 // PageLoss implements PageModel.

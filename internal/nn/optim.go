@@ -36,7 +36,6 @@ func NewAdam(lr float64) *Adam {
 // in place. Each element loop below is the definition of its tensor ...Fast
 // leaf, which returns the same bits from a vector kernel where one exists.
 func (a *Adam) Step(params []*tensor.Tensor) {
-	a.t++
 	if a.ClipNorm > 0 {
 		total := 0.0
 		for _, p := range params {
@@ -57,6 +56,20 @@ func (a *Adam) Step(params []*tensor.Tensor) {
 			}
 		}
 	}
+	a.update(params)
+}
+
+// StepZeroGrads is Step when every gradient is +0 (or nil): a step of a
+// model the batch did not reach. It skips the clip pass, whose norm would be
+// 0; the moments still decay and the weights still move, with Step's bits.
+// It reads p.Grad, so the gradients must already be zero.
+func (a *Adam) StepZeroGrads(params []*tensor.Tensor) {
+	a.update(params)
+}
+
+// update is Step after clipping: advance t, then the element update.
+func (a *Adam) update(params []*tensor.Tensor) {
+	a.t++
 	bc1 := 1 - math.Pow(a.Beta1, float64(a.t))
 	bc2 := 1 - math.Pow(a.Beta2, float64(a.t))
 	for _, p := range params {
