@@ -21,9 +21,9 @@ build-portable:
 	GOAMD64=v3 $(GO) build ./...
 
 # lint runs the full static-analysis gate: the standard `go vet` passes
-# (delegated by mpgraph-vet) plus the eleven MPGraph analyzers —
+# (delegated by mpgraph-vet) plus the ten MPGraph analyzers —
 # seededrand, errdrop, panicpolicy, addrhelpers, maporder, walltime, noalloc,
-# lockcheck, golifetime, directive, injectpoint — and, over ./..., the report
+# lockcheck, golifetime, directive — and, over ./..., the report
 # of any allow directive that silences nothing. See DESIGN.md §7. It starts
 # with fmt-check, so the tree cannot drift from gofmt again.
 lint: fmt-check

@@ -1,32 +1,27 @@
 // Command mpgraph-vet is the project's static-analysis gate: it chains the
-// standard `go vet` passes with the eleven MPGraph-specific analyzers
+// standard `go vet` passes with the ten MPGraph-specific analyzers
 // (seededrand, errdrop, panicpolicy, addrhelpers, maporder, walltime,
-// noalloc, lockcheck, golifetime, directive, injectpoint) and exits non-zero
-// on any finding. It is part of tier-1: CI runs it on every push
-// (.github/workflows/ci.yml), and `make lint` runs it locally.
+// noalloc, lockcheck, golifetime, directive) and exits non-zero on any
+// finding. It reports and never rewrites source. It is part of tier-1: CI
+// runs it on every push (.github/workflows/ci.yml), and `make lint` runs it
+// locally.
 //
 // Usage:
 //
-//	go run ./cmd/mpgraph-vet [-novet] [-list] [-fix] [-json] [-out file] [-facts-dir dir] [patterns...]
+//	go run ./cmd/mpgraph-vet [-novet] [-list] [-json] [-out file] [-facts-dir dir] [patterns...]
 //
 // Patterns default to ./... and accept the usual ./dir/... forms relative
 // to the module root. -novet skips the delegated `go vet` run (useful when
 // iterating on one analyzer); -list prints the analyzer roster and exits.
 //
-// -fix applies each finding's suggested rewrite (maporder's sorted-keys
-// loop, walltime's allow directive, lockcheck's deferred unlock,
-// golifetime's detached directive, directive's TODO reason) in place,
-// skipping fixes whose edits would overlap, and prints what it changed;
-// findings without a fix are printed and still fail the run. One -fix pass
-// converges: every fixture's golden test re-runs the fixes on their own
-// output and requires no further edit.
-//
 // -json prints each finding as one JSON object per line (package, file,
-// line, col, analyzer, message, fixable) instead of the human format —
-// machine-readable for editors and for the GitHub Actions problem matcher
-// in .github/mpgraph-vet-matcher.json. Findings are sorted by (package
-// path, file, byte offset, analyzer), so output is byte-deterministic in
-// both formats regardless of package load order.
+// line, col, analyzer, message, and provenance when the analyzer recorded
+// one) instead of the human format — machine-readable for editors and for
+// the GitHub Actions problem matcher in .github/mpgraph-vet-matcher.json,
+// whose two patterns TestProblemMatcherMatchesOutput holds to both formats.
+// Findings are sorted by (package path, file, byte offset, analyzer), so
+// output is byte-deterministic in both formats regardless of package load
+// order.
 //
 // -out additionally writes the findings to a file — CI uploads it as the
 // mpgraph-vet diagnostics artifact so findings are inspectable without
@@ -35,9 +30,9 @@
 // -facts-dir exports the cross-package fact layer (internal/analysis/facts):
 // one JSON file per loaded package holding its per-function summaries
 // (allocation-freedom with provenance, sinks, recovery boundaries,
-// injection-point literals) plus the injection-point roster. The files are
-// byte-deterministic — CI runs the export twice and diffs the directories —
-// and ship as an artifact next to vet-self.jsonl.
+// injection-point literals). The files are byte-deterministic — CI runs the
+// export twice and diffs the directories — and ship as an artifact next to
+// vet-self.jsonl.
 //
 // Findings are suppressed per line by a trailing allow directive,
 // "mpgraph:allow name[,name] -- reason" written right after the comment's
@@ -61,7 +56,6 @@ import (
 	"mpgraph/internal/analysis/passes/directive"
 	"mpgraph/internal/analysis/passes/errdrop"
 	"mpgraph/internal/analysis/passes/golifetime"
-	"mpgraph/internal/analysis/passes/injectpoint"
 	"mpgraph/internal/analysis/passes/lockcheck"
 	"mpgraph/internal/analysis/passes/maporder"
 	"mpgraph/internal/analysis/passes/noalloc"
@@ -75,7 +69,6 @@ var suite = []*analysis.Analyzer{
 	directive.Analyzer,
 	errdrop.Analyzer,
 	golifetime.Analyzer,
-	injectpoint.Analyzer,
 	lockcheck.Analyzer,
 	maporder.Analyzer,
 	noalloc.Analyzer,
@@ -87,7 +80,6 @@ var suite = []*analysis.Analyzer{
 func main() {
 	novet := flag.Bool("novet", false, "skip the delegated `go vet` run")
 	list := flag.Bool("list", false, "print the analyzer roster and exit")
-	fix := flag.Bool("fix", false, "apply suggested fixes in place")
 	jsonOut := flag.Bool("json", false, "print one JSON object per finding instead of the human format")
 	out := flag.String("out", "", "also write findings to this file (CI artifact)")
 	factsDir := flag.String("facts-dir", "", "export per-package fact files (byte-deterministic JSON) to this directory")
@@ -131,7 +123,7 @@ func main() {
 		fatal(err)
 	}
 	// Complete = the target set covers the whole module, the precondition
-	// for whole-program absence checks (injectpoint's declared-never-fired).
+	// for reporting an allow directive that silences nothing.
 	complete := false
 	for _, pat := range patterns {
 		if pat == "./..." || pat == "..." {
@@ -150,13 +142,6 @@ func main() {
 		sink = io.MultiWriter(os.Stdout, f)
 	}
 
-	if *fix {
-		if applyFixes(loader, pkgs, sink, opt) || failed {
-			os.Exit(1)
-		}
-		return
-	}
-
 	run := analysis.RunAnalyzers
 	if *jsonOut {
 		run = analysis.RunAnalyzersJSON
@@ -168,37 +153,6 @@ func main() {
 	if n > 0 || failed {
 		os.Exit(1)
 	}
-}
-
-// applyFixes runs the suite, writes every suggested rewrite back to disk,
-// and prints the findings that had no fix. Returns true when unresolved
-// findings remain.
-func applyFixes(loader *analysis.Loader, pkgs []*analysis.Package, sink io.Writer, opt analysis.Options) bool {
-	diags, err := analysis.AnalyzeOpts(pkgs, suite, opt)
-	if err != nil {
-		fatal(err)
-	}
-	res, err := analysis.ApplyFixes(loader.Fset, diags, nil)
-	if err != nil {
-		fatal(err)
-	}
-	for file, src := range res.Files {
-		if err := os.WriteFile(file, src, 0o644); err != nil {
-			fatal(err)
-		}
-	}
-	fmt.Fprintf(os.Stderr, "mpgraph-vet -fix: %d fix(es) applied across %d file(s), %d skipped for overlap\n",
-		res.Applied, len(res.Files), res.Skipped)
-
-	unresolved := 0
-	for _, d := range diags {
-		if len(d.SuggestedFixes) > 0 {
-			continue
-		}
-		unresolved++
-		fmt.Fprintf(sink, "%s: %s (%s)\n", loader.Fset.Position(d.Pos), d.Message, d.Analyzer)
-	}
-	return unresolved > 0
 }
 
 func fatal(err error) {

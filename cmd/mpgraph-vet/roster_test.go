@@ -14,10 +14,13 @@ import (
 // roster to the set of points actually fired or armed by non-test code:
 //
 //   - a declared point nobody fires is dead chaos surface (no drill can
-//     exercise it) — the same defect injectpoint's Finish reports, enforced
-//     here as a test so `go test ./...` catches it without running vet;
+//     exercise it);
 //   - a fired point that is not declared would be swallowed silently at
 //     runtime (Fire of an unknown point arms nothing).
+//
+// This test is the only reader of the Fires and Arms facts. Non-test code
+// passes typed roster constants to Fire, so the literals it collects are
+// the roster's own values.
 func TestInjectionRosterMatchesFiredPoints(t *testing.T) {
 	root, err := moduleRoot()
 	if err != nil {

@@ -98,3 +98,30 @@ func TestSuppressionsStale(t *testing.T) {
 		t.Errorf("names outside the suite reported stale: %+v", got)
 	}
 }
+
+// TestFilterDeduplicates: two analyzers reporting the same message at the
+// same position collapse to one diagnostic, attributed to the lexically
+// first analyzer; distinct messages at one position both survive.
+func TestFilterDeduplicates(t *testing.T) {
+	fset := token.NewFileSet()
+	f, err := parser.ParseFile(fset, "q.go", staleSrc, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := fset.File(f.Pos()).LineStart(3)
+	diags := []analysis.Diagnostic{
+		{Pos: p, Message: "same finding", Analyzer: "zeta"},
+		{Pos: p, Message: "same finding", Analyzer: "alpha"},
+		{Pos: p, Message: "different finding", Analyzer: "zeta"},
+	}
+	got := analysis.Filter(fset, diags, analysis.Suppressions{})
+	if len(got) != 2 {
+		t.Fatalf("got %d diagnostics, want 2: %+v", len(got), got)
+	}
+	if got[0].Message != "different finding" {
+		t.Errorf("sorted order wrong: %+v", got)
+	}
+	if got[1].Analyzer != "alpha" {
+		t.Errorf("dedupe kept %q, want lexically-first analyzer alpha", got[1].Analyzer)
+	}
+}

@@ -2,7 +2,7 @@
 // golang.org/x/tools/go/analysis that mpgraph-vet needs, built on the
 // standard library only (go/ast, go/types, go/importer). The repository is
 // dependency-free by policy, so rather than vendoring x/tools the suite
-// mirrors its Analyzer/Pass/Diagnostic API closely enough that the eleven
+// mirrors its Analyzer/Pass/Diagnostic API closely enough that the ten
 // MPGraph analyzers could be ported to the real framework by changing
 // imports.
 //
@@ -75,12 +75,6 @@ type Analyzer struct {
 	Match func(pkgPath string) bool
 	// Run performs the check, reporting findings through pass.Report.
 	Run func(pass *Pass) error
-	// Finish, if non-nil, runs once after every package's Run, with the
-	// complete fact store — the hook for whole-program checks that no
-	// single package can settle (e.g. injectpoint's declared-never-fired).
-	// Finish diagnostics must stamp Diagnostic.Pkg themselves; the driver
-	// applies that package's allow directives to them.
-	Finish func(fp *FinishPass) error
 }
 
 // Needs reports whether the analyzer listed the named fact in its
@@ -128,73 +122,6 @@ type Pass struct {
 	report func(Diagnostic)
 }
 
-// FinishPass is the whole-program view handed to Analyzer.Finish after all
-// per-package runs.
-type FinishPass struct {
-	Analyzer *Analyzer
-	Fset     *token.FileSet
-	// Packages is every loaded module package (analysis targets and their
-	// module dependencies), sorted by import path.
-	Packages []*Package
-	// Facts is the complete fact store over Packages.
-	Facts *facts.Store
-	// Complete reports that the analysis targets cover the whole module
-	// (the "./..." invocation). Absence-style checks ("declared but never
-	// fired") are only sound when it is true.
-	Complete bool
-
-	report func(Diagnostic)
-}
-
-// Report records a whole-program finding; d.Pkg must name the package the
-// position belongs to.
-func (p *FinishPass) Report(d Diagnostic) {
-	d.Analyzer = p.Analyzer.Name
-	p.report(d)
-}
-
-// NewFinishPass assembles a FinishPass that appends findings to out; the
-// driver and the analysistest harness both build the whole-program phase
-// through it.
-func NewFinishPass(a *Analyzer, fset *token.FileSet, pkgs []*Package, store *facts.Store, complete bool, out *[]Diagnostic) *FinishPass {
-	return &FinishPass{
-		Analyzer: a,
-		Fset:     fset,
-		Packages: pkgs,
-		Facts:    store,
-		Complete: complete,
-		report:   func(d Diagnostic) { *out = append(*out, d) },
-	}
-}
-
-// PackageAt returns the loaded package with the given import path, or nil.
-func (p *FinishPass) PackageAt(path string) *Package {
-	for _, pkg := range p.Packages {
-		if pkg.Path == path {
-			return pkg
-		}
-	}
-	return nil
-}
-
-// TextEdit is one contiguous source replacement: the bytes in [Pos, End)
-// are replaced by NewText. A pure insertion has Pos == End.
-type TextEdit struct {
-	Pos     token.Pos
-	End     token.Pos
-	NewText string
-}
-
-// SuggestedFix is a set of edits that together resolve one diagnostic. The
-// driver's -fix mode applies fixes whose edits do not overlap earlier ones;
-// fixture goldens pin the exact rewrite per analyzer (analysistest.RunFix).
-type SuggestedFix struct {
-	// Message describes the rewrite ("iterate over sorted keys").
-	Message string
-	// TextEdits are the replacements, all within one file.
-	TextEdits []TextEdit
-}
-
 // Diagnostic is one finding.
 type Diagnostic struct {
 	Pos      token.Pos
@@ -209,9 +136,6 @@ type Diagnostic struct {
 	// obligation names the line that actually allocates or blocks. It
 	// rides along in the -json output.
 	Provenance []string
-	// SuggestedFixes optionally carries mechanical rewrites that resolve
-	// the finding; the first fix is the preferred one.
-	SuggestedFixes []SuggestedFix
 }
 
 // Report records a finding.

@@ -14,33 +14,23 @@
 //
 // Fixtures may import each other: an import path with no dot or slash that
 // names a sibling directory under testdata/src resolves to that fixture
-// package, so cross-package contracts (noalloc obligation chains, ctxflow
-// deadline propagation, injectpoint rosters) are testable end to end. For
+// package, so cross-package contracts (noalloc obligation chains,
+// golifetime sinks and recovery boundaries) are testable end to end. For
 // analyzers that list analysis.NeedFacts, the harness computes the fact
 // store over the target fixture and its fixture dependencies bottom-up,
-// exactly as the driver would; an analyzer's Finish hook then runs over
-// that closure with Complete=true, and want comments in dependency files
-// are honoured. One token.FileSet and one stdlib source importer are shared
+// exactly as the driver would, and want comments in dependency files are
+// honoured. One token.FileSet and one stdlib source importer are shared
 // across every fixture in the test binary, so the standard library is
 // type-checked once per process rather than once per fixture package.
-//
-// RunFix additionally exercises an analyzer's suggested fixes: the fixture
-// package is rewritten with ApplyFixes and every changed file is diffed
-// against its committed <file>.golden sibling; the fixed sources are then
-// re-analysed to prove the fixes are idempotent (a second -fix pass changes
-// nothing). Set MPGRAPH_UPDATE_GOLDEN=1 to regenerate goldens after an
-// intentional fix-format change.
 package analysistest
 
 import (
-	"errors"
 	"fmt"
 	"go/ast"
 	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
-	"io/fs"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -74,7 +64,7 @@ var (
 // testdata/src.
 func Run(t *testing.T, testdata string, a *analysis.Analyzer, pkgs ...string) {
 	t.Helper()
-	l := newFxLoader(testdata, nil)
+	l := newFxLoader(testdata)
 	for _, pkg := range pkgs {
 		fx, err := l.load(pkg)
 		if err != nil {
@@ -86,27 +76,17 @@ func Run(t *testing.T, testdata string, a *analysis.Analyzer, pkgs ...string) {
 
 // fixture is one parsed and type-checked fixture package.
 type fixture struct {
-	dir   string
 	name  string
 	files []*ast.File
 	tpkg  *types.Package
 	info  *types.Info
 }
 
-// pkg adapts the fixture to the driver's package shape.
-func (fx *fixture) pkg() *analysis.Package {
-	return &analysis.Package{Path: fx.name, Dir: fx.dir, Fset: sharedFset,
-		Files: fx.files, Types: fx.tpkg, Info: fx.info}
-}
-
 // fxLoader resolves fixture-local imports to sibling directories under
 // testdata/src (memoised), delegating everything else to the shared stdlib
-// source importer. override redirects one package name to another directory
-// (RunFix re-analyses fixed sources from a scratch dir while its fixture
-// dependencies stay in testdata).
+// source importer.
 type fxLoader struct {
 	testdata string
-	override map[string]string
 	pkgs     map[string]*fixture
 	loading  map[string]bool
 	// order records load completion order: a fixture's dependencies finish
@@ -114,9 +94,8 @@ type fxLoader struct {
 	order []*fixture
 }
 
-func newFxLoader(testdata string, override map[string]string) *fxLoader {
-	return &fxLoader{testdata: testdata, override: override,
-		pkgs: map[string]*fixture{}, loading: map[string]bool{}}
+func newFxLoader(testdata string) *fxLoader {
+	return &fxLoader{testdata: testdata, pkgs: map[string]*fixture{}, loading: map[string]bool{}}
 }
 
 // Import implements types.Importer.
@@ -141,9 +120,6 @@ func fixtureName(path string) bool {
 
 // dirFor returns the directory holding the named fixture, or "".
 func (l *fxLoader) dirFor(name string) string {
-	if dir, ok := l.override[name]; ok {
-		return dir
-	}
 	dir := filepath.Join(l.testdata, "src", name)
 	if ents, err := os.ReadDir(dir); err == nil {
 		for _, e := range ents {
@@ -201,7 +177,7 @@ func (l *fxLoader) load(name string) (*fixture, error) {
 	if err != nil {
 		return nil, fmt.Errorf("type-check %s: %w", name, err)
 	}
-	fx := &fixture{dir: dir, name: name, files: files, tpkg: tpkg, info: info}
+	fx := &fixture{name: name, files: files, tpkg: tpkg, info: info}
 	l.pkgs[name] = fx
 	l.order = append(l.order, fx)
 	return fx, nil
@@ -233,9 +209,7 @@ func (l *fxLoader) closure(fx *fixture) []*fixture {
 	return out
 }
 
-// analyze runs the analyzer on the fixture — per-package Run plus, for
-// analyzers that have one, the whole-program Finish hook over the fixture's
-// dependency closure with Complete=true — and returns the filtered,
+// analyze runs the analyzer on the fixture and returns the filtered,
 // suppression-applied diagnostics: the same view the driver prints.
 // Suppressions and findings in dependency files count too.
 func analyze(t *testing.T, l *fxLoader, fx *fixture, a *analysis.Analyzer) []analysis.Diagnostic {
@@ -258,9 +232,8 @@ func analyze(t *testing.T, l *fxLoader, fx *fixture, a *analysis.Analyzer) []ana
 		allFiles = append(allFiles, dep.files...)
 	}
 	sup := analysis.CollectSuppressions(sharedFset, allFiles)
-	var store *facts.Store
-	if a.Needs(analysis.NeedFacts) || a.Finish != nil {
-		store = facts.NewStore()
+	if a.Needs(analysis.NeedFacts) {
+		store := facts.NewStore()
 		allowNoalloc := func(pos token.Pos) bool { return sup.Allowed(sharedFset, pos, "noalloc") }
 		for _, dep := range deps {
 			store.Add(facts.Compute(sharedFset, dep.files, dep.tpkg, dep.info, store, allowNoalloc))
@@ -269,16 +242,6 @@ func analyze(t *testing.T, l *fxLoader, fx *fixture, a *analysis.Analyzer) []ana
 	}
 	if err := a.Run(pass); err != nil {
 		t.Fatalf("%s on %s: %v", a.Name, fx.name, err)
-	}
-	if a.Finish != nil {
-		univ := make([]*analysis.Package, len(deps))
-		for i, dep := range deps {
-			univ[i] = dep.pkg()
-		}
-		fp := analysis.NewFinishPass(a, sharedFset, univ, store, true, &diags)
-		if err := a.Finish(fp); err != nil {
-			t.Fatalf("%s finish on %s: %v", a.Name, fx.name, err)
-		}
 	}
 
 	return analysis.Filter(sharedFset, diags, sup)
@@ -323,117 +286,6 @@ func checkWants(t *testing.T, l *fxLoader, fx *fixture, diags []analysis.Diagnos
 	for key, msgs := range got {
 		if _, ok := want[key]; !ok {
 			t.Errorf("%s: unexpected finding(s) %q", key, msgs)
-		}
-	}
-}
-
-// RunFix applies the analyzer's suggested fixes to each fixture package and
-// checks the result two ways:
-//
-//  1. golden diff — every file the fixes change must match its committed
-//     <file>.golden sibling byte for byte, and a file with no golden must be
-//     left untouched;
-//  2. idempotency — the fixed sources (written to a scratch dir) are parsed,
-//     type-checked, and re-analysed; a second ApplyFixes pass must rewrite
-//     nothing, so -fix converges in one run.
-//
-// The type-check of the fixed sources doubles as a syntactic/semantic
-// validity proof for the synthesised code. Set MPGRAPH_UPDATE_GOLDEN=1 to
-// rewrite the goldens from the current fix output.
-func RunFix(t *testing.T, testdata string, a *analysis.Analyzer, pkgs ...string) {
-	t.Helper()
-	update := os.Getenv("MPGRAPH_UPDATE_GOLDEN") != ""
-	for _, pkg := range pkgs {
-		l := newFxLoader(testdata, nil)
-		fx, err := l.load(pkg)
-		if err != nil {
-			t.Fatalf("%s: %v", pkg, err)
-		}
-		dir := fx.dir
-		diags := analyze(t, l, fx, a)
-		res, err := analysis.ApplyFixes(sharedFset, diags, nil)
-		if err != nil {
-			t.Fatalf("%s: ApplyFixes: %v", pkg, err)
-		}
-		if res.Skipped > 0 {
-			t.Errorf("%s: %d fix(es) skipped for overlap within a single fixture", pkg, res.Skipped)
-		}
-
-		ents, err := os.ReadDir(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		anyChanged := false
-		for _, e := range ents {
-			if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") {
-				continue
-			}
-			path := filepath.Join(dir, e.Name())
-			golden := path + ".golden"
-			fixed, changed := res.Files[path]
-			anyChanged = anyChanged || changed
-			if update {
-				if changed {
-					if err := os.WriteFile(golden, fixed, 0o644); err != nil {
-						t.Fatal(err)
-					}
-				}
-				continue
-			}
-			want, err := os.ReadFile(golden)
-			if errors.Is(err, fs.ErrNotExist) {
-				if changed {
-					t.Errorf("%s: fixes rewrite the file but no %s.golden is committed", path, e.Name())
-				}
-				continue
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !changed {
-				t.Errorf("%s: %s.golden exists but fixes leave the file untouched", path, e.Name())
-				continue
-			}
-			if string(fixed) != string(want) {
-				t.Errorf("%s: fixed output differs from golden\n--- got ---\n%s\n--- want ---\n%s", path, fixed, want)
-			}
-		}
-		if update || !anyChanged {
-			continue
-		}
-
-		// Idempotency: materialise the fixed package and run fix again. The
-		// scratch loader re-reads the target from tmp while resolving its
-		// fixture dependencies (unchanged by the fixes) from testdata.
-		tmp := t.TempDir()
-		for _, e := range ents {
-			if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") {
-				continue
-			}
-			path := filepath.Join(dir, e.Name())
-			src, ok := res.Files[path]
-			if !ok {
-				if src, err = os.ReadFile(path); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := os.WriteFile(filepath.Join(tmp, e.Name()), src, 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}
-		l2 := newFxLoader(testdata, map[string]string{pkg: tmp})
-		fx2, err := l2.load(pkg)
-		if err != nil {
-			t.Fatalf("%s (fixed sources): %v", pkg, err)
-		}
-		res2, err := analysis.ApplyFixes(sharedFset, analyze(t, l2, fx2, a), nil)
-		if err != nil {
-			t.Fatalf("%s: ApplyFixes on fixed sources: %v", pkg, err)
-		}
-		if len(res2.Files) != 0 {
-			for path, src := range res2.Files {
-				t.Errorf("%s: fixes are not idempotent; second pass rewrites %s to:\n%s", pkg, path, src)
-			}
 		}
 	}
 }

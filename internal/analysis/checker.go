@@ -26,8 +26,7 @@ type Options struct {
 	// one byte-deterministic JSON file per package.
 	FactsDir string
 	// Complete declares that the targets cover the whole module (the
-	// "./..." invocation) — the precondition for whole-program
-	// absence checks: Analyzer.Finish's, and the driver's own report of an
+	// "./..." invocation) — the precondition for the driver's report of an
 	// allow directive that silences nothing.
 	Complete bool
 }
@@ -45,14 +44,12 @@ func Analyze(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 // dataflow summary, the CFG cache, the call graph) are computed once per
 // package and shared across every analyzer that asks.
 //
-// When any analyzer lists NeedFacts (or has a Finish hook), or a FactsDir
-// is requested, the cross-package fact layer runs first: every package in
-// opt.All is summarised in topological import order, so each package's
-// computation sees its module dependencies' final facts. After the
-// per-package runs, each analyzer's Finish hook fires once with the full
-// store for whole-program checks. In a Complete run the driver then reports
-// every name in an allow directive that silenced nothing on its line
-// (Suppressions.Stale).
+// When any analyzer lists NeedFacts, or a FactsDir is requested, the
+// cross-package fact layer runs first: every package in opt.All is
+// summarised in topological import order, so each package's computation
+// sees its module dependencies' final facts. In a Complete run the driver
+// then reports every name in an allow directive that silenced nothing on
+// its line (Suppressions.Stale).
 func AnalyzeOpts(pkgs []*Package, analyzers []*Analyzer, opt Options) ([]Diagnostic, error) {
 	if len(pkgs) == 0 {
 		return nil, nil
@@ -74,7 +71,7 @@ func AnalyzeOpts(pkgs []*Package, analyzers []*Analyzer, opt Options) ([]Diagnos
 
 	needFacts := opt.FactsDir != ""
 	for _, a := range analyzers {
-		if a.Needs(NeedFacts) || a.Finish != nil {
+		if a.Needs(NeedFacts) {
 			needFacts = true
 		}
 	}
@@ -135,38 +132,6 @@ func AnalyzeOpts(pkgs []*Package, analyzers []*Analyzer, opt Options) ([]Diagnos
 		}
 	}
 
-	// Whole-program phase: Finish hooks see every package and the full
-	// store. Their findings go through the owning package's suppressions,
-	// then join the global sort like any other diagnostic.
-	fset := pkgs[0].Fset
-	allByPath := map[string]*Package{}
-	for _, p := range all {
-		allByPath[p.Path] = p
-	}
-	for _, a := range analyzers {
-		if a.Finish == nil {
-			continue
-		}
-		var fdiags []Diagnostic
-		fp := &FinishPass{
-			Analyzer: a,
-			Fset:     fset,
-			Packages: topoOrder(all),
-			Facts:    store,
-			Complete: opt.Complete,
-			report:   func(d Diagnostic) { fdiags = append(fdiags, d) },
-		}
-		if err := a.Finish(fp); err != nil {
-			return out, fmt.Errorf("analysis: %s finish: %w", a.Name, err)
-		}
-		for _, d := range fdiags {
-			if pkg, ok := allByPath[d.Pkg]; ok && supFor(pkg).Allowed(fset, d.Pos, d.Analyzer) {
-				continue
-			}
-			out = append(out, d)
-		}
-	}
-
 	// Every suppression has now been consulted, so a name still unused
 	// silences nothing — whether its analyzer found nothing on the line or
 	// does not run on the package at all. Only a whole-module run has seen
@@ -184,6 +149,7 @@ func AnalyzeOpts(pkgs []*Package, analyzers []*Analyzer, opt Options) ([]Diagnos
 	}
 
 	if len(out) > 1 {
+		fset := pkgs[0].Fset
 		sort.SliceStable(out, func(i, j int) bool {
 			if out[i].Pkg != out[j].Pkg {
 				return out[i].Pkg < out[j].Pkg
@@ -273,7 +239,6 @@ type JSONDiagnostic struct {
 	Col      int    `json:"col"`
 	Analyzer string `json:"analyzer"`
 	Message  string `json:"message"`
-	Fixable  bool   `json:"fixable"`
 	// Provenance is the cross-package fact chain behind the finding
 	// (outermost callee first, leaf cause last), when the analyzer
 	// recorded one.
@@ -298,7 +263,6 @@ func RunAnalyzersJSON(pkgs []*Package, analyzers []*Analyzer, w io.Writer, opt O
 			Col:        p.Column,
 			Analyzer:   d.Analyzer,
 			Message:    d.Message,
-			Fixable:    len(d.SuggestedFixes) > 0,
 			Provenance: d.Provenance,
 		}
 		if encErr := enc.Encode(jd); encErr != nil && err == nil {

@@ -171,7 +171,7 @@ func Compute(fset *token.FileSet, files []*ast.File, pkg *types.Package, info *t
 		}
 	}
 
-	pf := &PackageFacts{Path: pkg.Path(), Version: Version, Points: rosterPoints(info, pkg, files, relPos)}
+	pf := &PackageFacts{Path: pkg.Path(), Version: Version}
 	for _, st := range order {
 		pf.Funcs = append(pf.Funcs, st.fact)
 	}
@@ -287,8 +287,8 @@ func scanLeaf(info *types.Info, pkg *types.Package, st *fnState,
 
 // isInjectionCall matches the resilience injector surface by shape: a
 // function named Fire, Arm, or ArmProb whose first parameter is a named
-// type called Point. The shape check (not a path check) lets analysistest
-// fixtures declare their own miniature resilience package.
+// type called Point. The shape check needs no knowledge of the resilience
+// package's import path.
 func isInjectionCall(f *types.Func) bool {
 	switch f.Name() {
 	case "Fire", "Arm", "ArmProb":
@@ -315,52 +315,6 @@ func hasNoallocMarker(fd *ast.FuncDecl) bool {
 		}
 	}
 	return false
-}
-
-// rosterPoints extracts the injection-point roster from a package that
-// declares `type Point` (underlying string) and a `Points()` enumerator:
-// every Point-typed constant referenced in Points' body, with its
-// declaration position. Returns nil for every other package.
-func rosterPoints(info *types.Info, pkg *types.Package, files []*ast.File, relPos func(token.Pos) string) []PointDecl {
-	ptObj := pkg.Scope().Lookup("Point")
-	tn, ok := ptObj.(*types.TypeName)
-	if !ok {
-		return nil
-	}
-	if b, ok := tn.Type().Underlying().(*types.Basic); !ok || b.Info()&types.IsString == 0 {
-		return nil
-	}
-	var body *ast.BlockStmt
-	for _, file := range files {
-		for _, decl := range file.Decls {
-			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Recv == nil && fd.Name.Name == "Points" && fd.Body != nil {
-				body = fd.Body
-			}
-		}
-	}
-	if body == nil {
-		return nil
-	}
-	seen := map[string]bool{}
-	var out []PointDecl
-	ast.Inspect(body, func(n ast.Node) bool {
-		id, ok := n.(*ast.Ident)
-		if !ok {
-			return true
-		}
-		c, ok := info.Uses[id].(*types.Const)
-		if !ok || c.Type() != tn.Type() || c.Val().Kind() != constant.String {
-			return true
-		}
-		name := constant.StringVal(c.Val())
-		if !seen[name] {
-			seen[name] = true
-			out = append(out, PointDecl{Name: name, Pos: relPos(c.Pos())})
-		}
-		return true
-	})
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
 }
 
 func sortedKeys(m map[string]bool) []string {

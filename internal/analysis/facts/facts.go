@@ -8,8 +8,10 @@
 // Store. Analyzers consult the store through Pass.Facts to settle questions
 // the per-package view cannot: "is this cross-package callee allocation-free?"
 // (noalloc), "does this spawned goroutine reach a sink or a recovery boundary
-// in another package?" (golifetime), "is this injection-point literal on the
-// declared roster?" (injectpoint). A fact no analyzer reads is not computed.
+// in another package?" (golifetime). A fact no analyzer or test reads is not
+// computed: the Fires and Arms facts have no analyzer reader; the
+// cmd/mpgraph-vet test TestInjectionRosterMatchesFiredPoints reads them to
+// pin the declared injection roster to the points fired in-tree.
 //
 // Serialisation is byte-deterministic by construction: one JSON file per
 // package, entries sorted by symbol, positions rendered as base-name:line
@@ -68,21 +70,11 @@ type FuncFact struct {
 	Via string `json:"via,omitempty"`
 }
 
-// PointDecl is one declared injection point in a roster package.
-type PointDecl struct {
-	Name string `json:"name"` // the point's string value, e.g. "serve-flush"
-	Pos  string `json:"pos"`  // declaration position as base-name:line
-}
-
 // PackageFacts is one package's serialised summary.
 type PackageFacts struct {
 	Path    string      `json:"path"`
 	Version int         `json:"version"`
 	Funcs   []*FuncFact `json:"funcs"`
-	// Points is the injection-point roster, present only for a package
-	// that declares `type Point` (underlying string) and a `Points()`
-	// function enumerating the constants.
-	Points []PointDecl `json:"points,omitempty"`
 }
 
 // Store holds the facts of every package summarised so far, keyed by import
@@ -211,7 +203,6 @@ func Symbol(f *types.Func) string {
 // same tree produce identical bytes.
 func Encode(pf *PackageFacts) ([]byte, error) {
 	sort.Slice(pf.Funcs, func(i, j int) bool { return pf.Funcs[i].Func < pf.Funcs[j].Func })
-	sort.Slice(pf.Points, func(i, j int) bool { return pf.Points[i].Name < pf.Points[j].Name })
 	data, err := json.MarshalIndent(pf, "", "\t")
 	if err != nil {
 		return nil, err

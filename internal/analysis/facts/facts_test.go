@@ -24,7 +24,6 @@ func roundTripFacts() *PackageFacts {
 			{Func: "Worker", NoAlloc: true, Sink: true,
 				Recovers: true, Fires: []string{"serve-flush"}, Arms: []string{"*"}},
 		},
-		Points: []PointDecl{{Name: "serve-flush", Pos: "inject.go:40"}},
 	}
 }
 
@@ -47,9 +46,6 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	}
 	if got.Funcs[0].Func != "(*T).Method" || !got.Funcs[0].NoAlloc {
 		t.Errorf("decoded funcs mangled: %+v", got.Funcs[0])
-	}
-	if len(got.Points) != 1 || got.Points[0].Name != "serve-flush" {
-		t.Errorf("decoded points mangled: %+v", got.Points)
 	}
 }
 

@@ -18,14 +18,10 @@
 //     comments that go/ast strips from the doc text, making the marker
 //     invisible to the passes that look for it;
 //   - unknown verbs are reported instead of being ignored.
-//
-// Mechanical repairs (a TODO reason, the missing marker space) ship as
-// suggested fixes.
 package directive
 
 import (
 	"errors"
-	"fmt"
 	"go/ast"
 	"strings"
 
@@ -40,7 +36,6 @@ var Known = []string{
 	"directive",
 	"errdrop",
 	"golifetime",
-	"injectpoint",
 	"lockcheck",
 	"maporder",
 	"noalloc",
@@ -57,9 +52,6 @@ var Analyzer = &analysis.Analyzer{
 }
 
 const prefix = "//mpgraph:"
-
-// todoReason is appended by the suggested fix for a reasonless suppression.
-const todoReason = " -- TODO: justify this suppression"
 
 func run(pass *analysis.Pass) error {
 	known := map[string]bool{}
@@ -98,18 +90,7 @@ func check(pass *analysis.Pass, c *ast.Comment) {
 	case "allow-walltime", "detached":
 		requireReason(pass, c, rest, verb)
 	case "recovers", "invariant":
-		pass.Report(analysis.Diagnostic{
-			Pos:     c.Pos(),
-			Message: fmt.Sprintf("mpgraph:%s is a doc marker, not a directive: written without a space go/ast strips it from the doc text and the marker becomes invisible; write \"// mpgraph:%s\"", verb, verb),
-			SuggestedFixes: []analysis.SuggestedFix{{
-				Message: "insert the space that keeps the marker in the doc text",
-				TextEdits: []analysis.TextEdit{{
-					Pos:     c.Pos(),
-					End:     c.Pos() + 2,
-					NewText: "// ",
-				}},
-			}},
-		})
+		pass.Reportf(c.Pos(), "mpgraph:%s is a doc marker, not a directive: written without a space go/ast strips it from the doc text and the marker becomes invisible; write \"// mpgraph:%s\"", verb, verb)
 	default:
 		pass.Reportf(c.Pos(),
 			"unknown directive mpgraph:%s; known verbs are allow, allow-walltime, detached, noalloc (plus the space-form doc markers mpgraph:recovers and mpgraph:invariant)",
@@ -133,8 +114,8 @@ func checkAllow(pass *analysis.Pass, c *ast.Comment, names []string, err error, 
 	}
 }
 
-// requireReason reports (with a TODO-reason fix) when the directive lacks a
-// non-empty " -- <reason>" tail.
+// requireReason reports when the directive lacks a non-empty " -- <reason>"
+// tail.
 func requireReason(pass *analysis.Pass, c *ast.Comment, rest, verb string) {
 	if i := strings.Index(rest, " -- "); i >= 0 && strings.TrimSpace(rest[i+4:]) != "" {
 		return
@@ -142,18 +123,7 @@ func requireReason(pass *analysis.Pass, c *ast.Comment, rest, verb string) {
 	reportNoReason(pass, c, verb)
 }
 
-// reportNoReason reports a reasonless suppression with the TODO-reason fix.
+// reportNoReason reports a reasonless suppression.
 func reportNoReason(pass *analysis.Pass, c *ast.Comment, verb string) {
-	pass.Report(analysis.Diagnostic{
-		Pos:     c.Pos(),
-		Message: fmt.Sprintf("mpgraph:%s directive without a reason; append -- <why> so the suppression documents itself", verb),
-		SuggestedFixes: []analysis.SuggestedFix{{
-			Message: "append a TODO reason to be filled in",
-			TextEdits: []analysis.TextEdit{{
-				Pos:     c.End(),
-				End:     c.End(),
-				NewText: todoReason,
-			}},
-		}},
-	})
+	pass.Reportf(c.Pos(), "mpgraph:%s directive without a reason; append -- <why> so the suppression documents itself", verb)
 }

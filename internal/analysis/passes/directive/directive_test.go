@@ -10,9 +10,3 @@ import (
 func TestDirective(t *testing.T) {
 	analysistest.Run(t, "testdata", directive.Analyzer, "a", "b")
 }
-
-// TestDirectiveFix checks the TODO-reason and marker-space repairs against
-// the golden and that the fixed source analyses clean.
-func TestDirectiveFix(t *testing.T) {
-	analysistest.RunFix(t, "testdata", directive.Analyzer, "fix")
-}

@@ -23,10 +23,7 @@
 // bounded-lifetime contract, and one whose Recovers fact is set satisfies
 // the containment contract — so a serve goroutine that parks inside a
 // prefetch helper's select, or recovers inside another package's guard
-// wrapper, is recognised instead of flagged. The suggested fix
-// for an unbounded spawn appends the detached directive with a TODO reason,
-// keeping the debt grep-able; there is no mechanical fix for a missing
-// boundary — wrapping the body changes behaviour and is the author's call.
+// wrapper, is recognised instead of flagged.
 package golifetime
 
 import (
@@ -90,14 +87,7 @@ func run(pass *analysis.Pass) error {
 					seenLits: map[*ast.FuncLit]bool{}, seenNodes: map[*callgraph.Node]bool{},
 					factOK: func(f *facts.FuncFact) bool { return f.Sink }}
 				if !c.spawnReaches(gs.Call, c.sinkIn, c.sinkNode) {
-					d := analysis.Diagnostic{
-						Pos:     gs.Pos(),
-						Message: "goroutine may outlive its spawner: no WaitGroup join in the spawning function and no context/done-channel sink in the spawned body; join it or mark the spawn //mpgraph:detached -- <reason>",
-					}
-					if fix, ok := detachedFix(pass.Fset, gs.Pos()); ok {
-						d.SuggestedFixes = []analysis.SuggestedFix{fix}
-					}
-					pass.Report(d)
+					pass.Reportf(gs.Pos(), "goroutine may outlive its spawner: no WaitGroup join in the spawning function and no context/done-channel sink in the spawned body; join it or mark the spawn //mpgraph:detached -- <reason>")
 				}
 				return true
 			})
@@ -355,29 +345,4 @@ func calleeObj(info *types.Info, fun ast.Expr) types.Object {
 	default:
 		return nil
 	}
-}
-
-// detachedFix appends the detached directive with a TODO reason at the end
-// of the spawn line; the directive suppresses the finding, so the fix is
-// idempotent, and the TODO keeps the decision visible until justified.
-func detachedFix(fset *token.FileSet, pos token.Pos) (analysis.SuggestedFix, bool) {
-	tf := fset.File(pos)
-	if tf == nil {
-		return analysis.SuggestedFix{}, false
-	}
-	line := tf.Line(pos)
-	var endOff int
-	if line < tf.LineCount() {
-		endOff = tf.Offset(tf.LineStart(line+1)) - 1 // the byte before the newline
-	} else {
-		endOff = tf.Size()
-	}
-	at := tf.Pos(endOff)
-	return analysis.SuggestedFix{
-		Message: "document the unbounded goroutine with a detached directive",
-		TextEdits: []analysis.TextEdit{{
-			Pos: at, End: at,
-			NewText: " //mpgraph:detached -- TODO: document why this goroutine may outlive its spawner",
-		}},
-	}, true
 }

@@ -10,9 +10,3 @@ import (
 func TestGolifetime(t *testing.T) {
 	analysistest.Run(t, "testdata", golifetime.Analyzer, "a", "b", "xg")
 }
-
-// TestGolifetimeFix checks the appended detached directive against the
-// golden and that the fixed source analyses clean.
-func TestGolifetimeFix(t *testing.T) {
-	analysistest.RunFix(t, "testdata", golifetime.Analyzer, "fix")
-}

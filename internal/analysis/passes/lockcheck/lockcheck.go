@@ -20,10 +20,7 @@
 //
 // Receivers are compared textually (types.ExprString), the same
 // approximation the repo's other passes use for field paths: `s.mu` in one
-// function is one lock. When no unlock for the mutex exists anywhere in the
-// function, the suggested fix inserts `defer mu.Unlock()` directly after
-// the acquisition; otherwise the release structure is a design choice the
-// fix must not guess. Deliberate exceptions take an
+// function is one lock. Deliberate exceptions take an
 // "mpgraph:allow lockcheck -- <reason>" directive.
 package lockcheck
 
@@ -126,16 +123,12 @@ func checkBody(pass *analysis.Pass, marked map[types.Object]bool, body *ast.Bloc
 	g := pass.CFG.FuncGraph(body)
 	events := map[*cfg.Block][]event{}
 	hasLock := false
-	unlocked := map[string]bool{} // keys with any unlock (manual or deferred) in the body
 	for _, b := range g.Blocks {
 		for _, n := range b.Nodes {
 			evs := collect(pass, marked, n)
 			for _, e := range evs {
-				switch e.kind {
-				case evLock:
+				if e.kind == evLock {
 					hasLock = true
-				case evUnlock, evDeferUnlock:
-					unlocked[e.key] = true
 				}
 			}
 			events[b] = append(events[b], evs...)
@@ -190,16 +183,10 @@ func checkBody(pass *analysis.Pass, marked map[types.Object]bool, body *ast.Bloc
 		if !st.held || st.deferred || leaked[k] {
 			continue
 		}
-		d := analysis.Diagnostic{
+		diags = append(diags, analysis.Diagnostic{
 			Pos:     st.lockPos,
 			Message: fmt.Sprintf("%s acquired here may not be released on every path to return", k),
-		}
-		if !unlocked[k] {
-			if fix, ok := deferUnlockFix(pass.Fset, st.lockPos, k); ok {
-				d.SuggestedFixes = []analysis.SuggestedFix{fix}
-			}
-		}
-		diags = append(diags, d)
+		})
 	}
 	for _, d := range diags {
 		pass.Report(d)
@@ -444,31 +431,4 @@ func callee(info *types.Info, fun ast.Expr) types.Object {
 	default:
 		return nil
 	}
-}
-
-// deferUnlockFix inserts `defer <recv>.Unlock()` on the line after the Lock
-// call, matching its indentation. Offered only when the function contains no
-// unlock of the key at all, so the insertion cannot double-release.
-func deferUnlockFix(fset *token.FileSet, lockPos token.Pos, key string) (analysis.SuggestedFix, bool) {
-	tf := fset.File(lockPos)
-	if tf == nil {
-		return analysis.SuggestedFix{}, false
-	}
-	p := fset.Position(lockPos)
-	line := p.Line
-	var endOff int
-	if line < tf.LineCount() {
-		endOff = tf.Offset(tf.LineStart(line+1)) - 1 // the byte before the newline
-	} else {
-		endOff = tf.Size()
-	}
-	at := tf.Pos(endOff)
-	indent := strings.Repeat("\t", p.Column-1)
-	return analysis.SuggestedFix{
-		Message: "release the mutex with defer immediately after acquiring it",
-		TextEdits: []analysis.TextEdit{{
-			Pos: at, End: at,
-			NewText: "\n" + indent + "defer " + key + ".Unlock()",
-		}},
-	}, true
 }

@@ -10,9 +10,3 @@ import (
 func TestLockcheck(t *testing.T) {
 	analysistest.Run(t, "testdata", lockcheck.Analyzer, "a", "b")
 }
-
-// TestLockcheckFix checks the inserted defer unlock against the golden and
-// that the fixed source analyses clean.
-func TestLockcheckFix(t *testing.T) {
-	analysistest.RunFix(t, "testdata", lockcheck.Analyzer, "fix")
-}

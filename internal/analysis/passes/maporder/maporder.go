@@ -19,9 +19,7 @@
 //     iteration-order-dependent even when every element is visited.
 //
 // Integer accumulation and map-to-map copying are order-independent and not
-// flagged. The suggested fix rewrites the loop to collect the keys, sort
-// them, and range over the sorted slice, binding the value from the map
-// inside the body. Deliberately order-tolerant loops carry an
+// flagged. Deliberately order-tolerant loops carry an
 // "mpgraph:allow maporder -- <reason>" directive on the `for` line.
 package maporder
 
@@ -59,7 +57,7 @@ func run(pass *analysis.Pass) error {
 				if !ok {
 					return true
 				}
-				checkRange(pass, file, fd, rs)
+				checkRange(pass, fd, rs)
 				return true
 			})
 		}
@@ -69,7 +67,7 @@ func run(pass *analysis.Pass) error {
 
 // checkRange analyses one range statement (any kind; non-map ranges are
 // ignored).
-func checkRange(pass *analysis.Pass, file *ast.File, fd *ast.FuncDecl, rs *ast.RangeStmt) {
+func checkRange(pass *analysis.Pass, fd *ast.FuncDecl, rs *ast.RangeStmt) {
 	tv, ok := pass.TypesInfo.Types[rs.X]
 	if !ok {
 		return
@@ -132,14 +130,7 @@ func checkRange(pass *analysis.Pass, file *ast.File, fd *ast.FuncDecl, rs *ast.R
 		return
 	}
 
-	d := analysis.Diagnostic{
-		Pos:     rs.For,
-		Message: fmt.Sprintf("map iteration order reaches %s; iterate over sorted keys", sink),
-	}
-	if fix, ok := sortedKeysFix(pass, file, fd, rs); ok {
-		d.SuggestedFixes = []analysis.SuggestedFix{fix}
-	}
-	pass.Report(d)
+	pass.Reportf(rs.For, "map iteration order reaches %s; iterate over sorted keys", sink)
 }
 
 // sinkCall classifies emission calls whose argument order-dependence would

@@ -10,9 +10,3 @@ import (
 func TestMapOrder(t *testing.T) {
 	analysistest.Run(t, "testdata", maporder.Analyzer, "a", "b")
 }
-
-// TestMapOrderFix checks the sorted-keys rewrite against the committed
-// goldens and proves a second -fix pass is a no-op.
-func TestMapOrderFix(t *testing.T) {
-	analysistest.RunFix(t, "testdata", maporder.Analyzer, "a", "b")
-}

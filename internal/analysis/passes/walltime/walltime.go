@@ -19,15 +19,11 @@
 // prefetch.GuardConfig.Now establishes); annotate a deliberately
 // wall-clocked function with //mpgraph:allow-walltime in its doc comment
 // (latency telemetry paths); or suppress a single line with a trailing
-// "mpgraph:allow walltime -- <reason>" directive. The suggested fix adds that
-// directive with a TODO reason, turning the finding into a documented,
-// grep-able decision.
+// "mpgraph:allow walltime -- <reason>" directive.
 package walltime
 
 import (
-	"fmt"
 	"go/ast"
-	"go/token"
 	"go/types"
 	"strings"
 
@@ -105,15 +101,8 @@ func checkFunc(pass *analysis.Pass, fd *ast.FuncDecl) {
 			if !dataflow.ExprTainted(info, arg, tainted, isSeed) {
 				continue
 			}
-			d := analysis.Diagnostic{
-				Pos: call.Pos(),
-				Message: fmt.Sprintf(
-					"wall-clock time reaches run-dependent sink %s; inject a clock or annotate the line with //mpgraph:allow walltime -- <reason>", name),
-			}
-			if fix, ok := allowDirectiveFix(pass, call.Pos()); ok {
-				d.SuggestedFixes = []analysis.SuggestedFix{fix}
-			}
-			pass.Report(d)
+			pass.Reportf(call.Pos(),
+				"wall-clock time reaches run-dependent sink %s; inject a clock or annotate the line with //mpgraph:allow walltime -- <reason>", name)
 			break
 		}
 		return true
@@ -149,52 +138,4 @@ func sinkCall(info *types.Info, call *ast.CallExpr) (string, bool) {
 		}
 	}
 	return "", false
-}
-
-// allowDirective is the line suppression the suggested fix inserts.
-const allowDirective = "//mpgraph:allow walltime -- TODO: justify wall-clock in output or inject a clock"
-
-// allowDirectiveFix adds allowDirective to pos's line: at the end, or, when
-// the line already ends in a comment, in front of that comment — an allow
-// must start its comment to count. The directive suppresses the finding,
-// so applying the fix twice is a no-op; the TODO reason keeps the debt
-// visible until a human replaces it with a real justification or an
-// injected clock.
-func allowDirectiveFix(pass *analysis.Pass, pos token.Pos) (analysis.SuggestedFix, bool) {
-	tf := pass.Fset.File(pos)
-	if tf == nil {
-		return analysis.SuggestedFix{}, false
-	}
-	line := tf.Line(pos)
-	var endOff int
-	if line < tf.LineCount() {
-		endOff = tf.Offset(tf.LineStart(line+1)) - 1 // the byte before the newline
-	} else {
-		endOff = tf.Size()
-	}
-	edit := analysis.TextEdit{Pos: tf.Pos(endOff), End: tf.Pos(endOff), NewText: " " + allowDirective}
-	if c := trailingComment(pass, pos, line); c != nil {
-		edit = analysis.TextEdit{Pos: c.Pos(), End: c.Pos(), NewText: allowDirective + " "}
-	}
-	return analysis.SuggestedFix{
-		Message:   "document the wall-clock escape with an allow directive",
-		TextEdits: []analysis.TextEdit{edit},
-	}, true
-}
-
-// trailingComment returns the first comment after pos on pos's line, or nil.
-func trailingComment(pass *analysis.Pass, pos token.Pos, line int) *ast.Comment {
-	for _, f := range pass.Files {
-		if pos < f.FileStart || pos >= f.FileEnd {
-			continue
-		}
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				if c.Pos() > pos && pass.Fset.Position(c.Pos()).Line == line {
-					return c
-				}
-			}
-		}
-	}
-	return nil
 }

@@ -10,9 +10,3 @@ import (
 func TestWalltime(t *testing.T) {
 	analysistest.Run(t, "testdata", walltime.Analyzer, "a", "b")
 }
-
-// TestWalltimeFix checks that the inserted allow directives match the golden
-// and silence the findings on a second pass.
-func TestWalltimeFix(t *testing.T) {
-	analysistest.RunFix(t, "testdata", walltime.Analyzer, "a", "b")
-}
