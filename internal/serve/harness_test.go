@@ -22,17 +22,15 @@ import (
 // join/leave protocol.
 func ammaConfig(tb testing.TB, batch int) Config {
 	tb.Helper()
-	cfg := models.SmallConfig()
-	var pcVals, pageVals []uint64
-	for i := 0; i < 32; i++ {
-		pcVals = append(pcVals, 0x400000+0x40*uint64(i))
-		pageVals = append(pageVals, uint64(1<<14+i))
-	}
-	pcs := models.BuildVocab(pcVals, cfg.PCVocab)
-	pages := models.BuildVocab(pageVals, cfg.PageVocab)
-	const phases = 2
-	psd := models.NewPhaseSpecificDelta(cfg, pcs, phases, 11)
-	psp := models.NewPhaseSpecificPage(cfg, pages, pcs, phases, 12)
+	return tierConfig(tb, batch, nil)
+}
+
+// tierConfig is ammaConfig on the precision tier convert builds from the
+// float64 pair (models.ConvertSuiteF32 or the int8 weight codec); a nil
+// convert keeps float64.
+func tierConfig(tb testing.TB, batch int, convert tierConvert) Config {
+	tb.Helper()
+	cfg, psd, psp := tierModels(tb, convert)
 	var sched *prefetch.BatchScheduler
 	if batch > 0 {
 		sched = prefetch.NewBatchScheduler(batch)
@@ -54,6 +52,34 @@ func ammaConfig(tb testing.TB, batch int) Config {
 		},
 		Events: &resilience.Log{},
 	}
+}
+
+// tierConvert builds a precision tier's model pair from the float64 one.
+type tierConvert func(models.DeltaModel, models.PageModel) (models.DeltaModel, models.PageModel, error)
+
+// tierModels is the phase-specific AMMA pair every test server runs, on the
+// tier convert builds (nil: float64).
+func tierModels(tb testing.TB, convert tierConvert) (models.Config, *models.PhaseSpecificDelta, *models.PhaseSpecificPage) {
+	tb.Helper()
+	cfg := models.SmallConfig()
+	var pcVals, pageVals []uint64
+	for i := 0; i < 32; i++ {
+		pcVals = append(pcVals, 0x400000+0x40*uint64(i))
+		pageVals = append(pageVals, uint64(1<<14+i))
+	}
+	pcs := models.BuildVocab(pcVals, cfg.PCVocab)
+	pages := models.BuildVocab(pageVals, cfg.PageVocab)
+	const phases = 2
+	psd := models.NewPhaseSpecificDelta(cfg, pcs, phases, 11)
+	psp := models.NewPhaseSpecificPage(cfg, pages, pcs, phases, 12)
+	if convert != nil {
+		d, p, err := convert(psd, psp)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		psd, psp = d.(*models.PhaseSpecificDelta), p.(*models.PhaseSpecificPage)
+	}
+	return cfg, psd, psp
 }
 
 // sessionEvents is session i's deterministic synthetic access stream:

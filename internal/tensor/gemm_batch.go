@@ -35,6 +35,11 @@ func ForcePortableKernels() (restore func()) {
 	return func() { useAVX512F = prev }
 }
 
+// VectorKernels reports whether inference runs the AVX-512F kernels: false
+// off amd64, on CPUs without AVX-512F and under ForcePortableKernels. Tests
+// that pin one kernel family's bits read it.
+func VectorKernels() bool { return batchKernelAvailable() }
+
 // PanelShape is one panel-tier product: an [M x K] activation block against a
 // [K x N] weight panel.
 type PanelShape struct{ M, K, N int }
