@@ -9,17 +9,17 @@ package models
 // instantiation of its source's backbone (ammaCore[float32], nn.F32LSTM, …)
 // and runs the one generic forward of fastpath_batch.go on it. What is
 // f32-specific is only the two ends — NarrowCtx rounds the float64 features
-// in, and the score hand-off below widens and screens them out.
+// in, and the score hand-off (tensor.SigmoidWidenCtx) widens and screens
+// them out.
 //
 // There is no calibration: weights are narrowed once at conversion (f64 →
 // f32 round-to-nearest) and the activation path runs natively in f32. Delta
-// scores cross back to float64 through the exact WidenCtx hand-off — widening
-// is monotonic and preserves every f32 Inf or NaN bit pattern, so
-// ScreenScores' non-finite health screen sees precisely what the f32 kernels
-// produced (an f16/f32-range overflow surfaces as a screened Inf, never a
-// silently clamped score). Page logits are ranked as f32 where they stand
-// (topKSelectInto is generic): the same order, tie for tie, as their
-// widening.
+// scores cross back to float64 through an exact widening — monotonic, and
+// preserving every f32 Inf or NaN bit pattern, so ScreenScores' non-finite
+// health screen sees precisely what the f32 kernels produced (an f16/f32-
+// range overflow surfaces as a screened Inf, never a silently clamped
+// score). Page logits are ranked as f32 where they stand (topKSelectInto is
+// generic): the same order, tie for tie, as their widening.
 
 import (
 	"fmt"
@@ -59,23 +59,6 @@ func convertAMMACoreF32(core *ammaCore[float64]) *ammaCore[float32] {
 	return fc
 }
 
-// sigmoidScoresF32 widens sigmoid(logits) into the float64 score vector the
-// decode paths consume. Sigmoid SATURATES: an overflowed f32 logit (e.g. an
-// f16-poisoned weight widened to Inf) would squash to a perfectly finite
-// probability and sail past ScreenScores. So non-finite logits short-circuit
-// the activation and are widened verbatim — the Inf/NaN reaches ScreenScores
-// and latches Health() exactly like a float64 blow-up would.
-//
-//mpgraph:noalloc
-func sigmoidScoresF32(c *tensor.Ctx, logits *tensor.F32Tensor) *tensor.Tensor {
-	for _, v := range logits.Data {
-		if v-v != 0 { // non-finite: Inf-Inf and NaN-NaN are both NaN
-			return tensor.WidenCtx(c, logits)
-		}
-	}
-	return tensor.WidenCtx(c, tensor.SigmoidInPlace(c, logits))
-}
-
 // --- f32 predictors ---
 
 // F32AMMADelta is the f32 mirror of AMMADelta. The embedded float64 model
@@ -106,7 +89,7 @@ func (m *F32AMMADelta) DeltaScoresCtx(c *tensor.Ctx, s *Sample) []float64 {
 //
 //mpgraph:noalloc
 func (m *F32AMMADelta) DeltaScoresBatchCtx(c *tensor.Ctx, ss []*Sample) *tensor.Tensor {
-	return sigmoidScoresF32(c, ammaDeltaLogits(c, m.AMMADelta, m.fcore, m.fhead, ss))
+	return tensor.SigmoidWidenCtx(c, ammaDeltaLogits(c, m.AMMADelta, m.fcore, m.fhead, ss))
 }
 
 // F32AMMAPage is the f32 mirror of AMMAPage.
@@ -171,7 +154,7 @@ func (m *F32LSTMDelta) DeltaScoresCtx(c *tensor.Ctx, s *Sample) []float64 {
 //
 //mpgraph:noalloc
 func (m *F32LSTMDelta) DeltaScoresBatchCtx(c *tensor.Ctx, ss []*Sample) *tensor.Tensor {
-	return sigmoidScoresF32(c, lstmDeltaLogits(c, m.LSTMDelta, m.flstm, m.fhead, ss))
+	return tensor.SigmoidWidenCtx(c, lstmDeltaLogits(c, m.LSTMDelta, m.flstm, m.fhead, ss))
 }
 
 // F32BinaryPage is the f32 mirror of the binary-encoded compressed page

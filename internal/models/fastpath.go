@@ -61,9 +61,11 @@ func TopKClassesCtx(c *tensor.Ctx, scores []float64, k int) []int {
 // topKSelectInto ranks the len(top) best-scoring indices (len(top) <=
 // len(scores)) into top in one pass over scores, reproducing TopKClasses'
 // order exactly: descending score, equal scores broken by lower index. top
-// is kept sorted as it fills, so a score that does not beat the current
-// worst entry — nearly all of them when k is the hot paths' 2 — costs one
-// compare; a later index never displaces an equal earlier one. An f32 row
+// is kept sorted as it fills, and tensor.FirstAbove's vector scan skips the
+// scores that do not beat the current worst entry — nearly all of them when k
+// is the hot paths' 2 — so the scan stops only where an insert happens; a
+// later index never displaces an equal earlier one, and a NaN never enters
+// past the first k. An f32 row
 // ranks as its float64 widening would: widening is exact and monotone, so
 // every compare, NaN, ±0 and ±Inf included, comes out the same.
 //
@@ -77,13 +79,14 @@ func topKSelectInto[T float32 | float64](top []int, scores []T) []int {
 		topKInsert(top, scores, i, i)
 	}
 	worst := scores[top[k-1]]
-	for i := k; i < len(scores); i++ {
-		if scores[i] > worst {
-			topKInsert(top, scores, k-1, i)
-			worst = scores[top[k-1]]
+	for i := k; ; i++ {
+		i += tensor.FirstAbove(scores[i:], worst)
+		if i >= len(scores) {
+			return top
 		}
+		topKInsert(top, scores, k-1, i)
+		worst = scores[top[k-1]]
 	}
-	return top
 }
 
 // topKInsert places index i into the sorted prefix top[:j], shifting the

@@ -185,24 +185,37 @@ func phaseIDsBatch(c *tensor.Ctx, ss []*Sample, vocab int) []int {
 // computed once, in full precision); NarrowCtx hands them to the compute tier,
 // rounding to f32 on the f32 mirrors and passing through at float64.
 
+//
+// Each encoder writes its attention output straight into its half of the
+// fusion input (rowOff 0 for the first modality, T for the second), so the
+// fusion's concat is never a pass of its own.
+
 //mpgraph:noalloc
-func (m *modalityEncoder[T]) encodeFeaturesBatchCtx(c *tensor.Ctx, x *tensor.Tensor, blocks int) *tensor.Dense[T] {
+func (m *modalityEncoder[T]) encodeFeaturesIntoCtx(c *tensor.Ctx, x *tensor.Tensor, blocks int, in *tensor.Dense[T], rowOff int) {
 	h := m.lin.ForwardCtx(c, tensor.NarrowCtx[T](c, x))
-	return m.attn.ForwardBatchCtx(c, tensor.AddPosBatch(c, h, m.pos, blocks), blocks)
+	m.attn.ForwardIntoCtx(c, tensor.AddPosBatch(c, h, m.pos, blocks), blocks, in, rowOff, 0)
 }
 
 //mpgraph:noalloc
-func (m *modalityEncoder[T]) encodeTokensBatchCtx(c *tensor.Ctx, ids []int, blocks int) *tensor.Dense[T] {
-	return m.attn.ForwardBatchCtx(c, tensor.AddPosBatch(c, m.table.ForwardCtx(c, ids), m.pos, blocks), blocks)
+func (m *modalityEncoder[T]) encodeTokensIntoCtx(c *tensor.Ctx, ids []int, blocks int, in *tensor.Dense[T], rowOff int) {
+	m.attn.ForwardIntoCtx(c, tensor.EmbeddingPosBatch(c, m.table.Table, ids, m.pos, blocks), blocks, in, rowOff, 0)
 }
 
-// forwardBatchCtx fuses the two encoded modalities of a stacked batch and
-// pools each session to one [1 x FusionDim] row.
+// fusionInput is the stacked [B*2T x AttnDim] fusion input of a batch of B
+// windows of T, which the two encoders fill.
 //
 //mpgraph:noalloc
-func (core *ammaCore[T]) forwardBatchCtx(c *tensor.Ctx, encA, encB *tensor.Dense[T], ss []*Sample) *tensor.Dense[T] {
+func (core *ammaCore[T]) fusionInput(c *tensor.Ctx, blocks, t int) *tensor.Dense[T] {
+	return tensor.UninitCtx[T](c, 2*blocks*t, core.fusion.Attn.Wq.W.Rows)
+}
+
+// forwardBatchCtx fuses the two encoded modalities of a stacked batch (in,
+// from fusionInput) and pools each session to one [1 x FusionDim] row.
+//
+//mpgraph:noalloc
+func (core *ammaCore[T]) forwardBatchCtx(c *tensor.Ctx, in *tensor.Dense[T], ss []*Sample) *tensor.Dense[T] {
 	blocks := len(ss)
-	fused := core.fusion.ForwardBatchCtx2(c, encA, encB, blocks)
+	fused := core.fusion.ForwardCtx(c, in, blocks)
 	if core.phaseEmb != nil {
 		ids := phaseIDsBatch(c, ss, core.phaseEmb.Vocab())
 		fused = tensor.AddRowPerBlock(c, fused, core.phaseEmb.Table, ids, blocks)
@@ -219,9 +232,10 @@ func (core *ammaCore[T]) forwardBatchCtx(c *tensor.Ctx, encA, encB *tensor.Dense
 //mpgraph:noalloc
 func (core *ammaCore[T]) pooledTokensBatchCtx(c *tensor.Ctx, pages, pcs *Vocab, ss []*Sample) *tensor.Dense[T] {
 	t := batchT(ss)
-	encA := core.modA.encodeTokensBatchCtx(c, pageTokensBatchCtx(c, pages, ss, t), len(ss))
-	encB := core.modB.encodeTokensBatchCtx(c, pcTokensBatchCtx(c, pcs, ss, t), len(ss))
-	return core.forwardBatchCtx(c, encA, encB, ss)
+	in := core.fusionInput(c, len(ss), t)
+	core.modA.encodeTokensIntoCtx(c, pageTokensBatchCtx(c, pages, ss, t), len(ss), in, 0)
+	core.modB.encodeTokensIntoCtx(c, pcTokensBatchCtx(c, pcs, ss, t), len(ss), in, t)
+	return core.forwardBatchCtx(c, in, ss)
 }
 
 // topPagesBatchAppend ranks each row of a [B x vocab] score block and appends
@@ -242,9 +256,10 @@ func topPagesBatchAppend[T float32 | float64](c *tensor.Ctx, pages *Vocab, score
 //mpgraph:noalloc
 func ammaDeltaLogits[T float32 | float64](c *tensor.Ctx, m *AMMADelta, core *ammaCore[T], head *nn.MLPOf[T], ss []*Sample) *tensor.Dense[T] {
 	t := batchT(ss)
-	encA := core.modA.encodeFeaturesBatchCtx(c, addrFeatureTensorBatchCtx(c, m.cfg, ss, t), len(ss))
-	encB := core.modB.encodeTokensBatchCtx(c, pcTokensBatchCtx(c, m.pcs, ss, t), len(ss))
-	return head.ForwardCtx(c, core.forwardBatchCtx(c, encA, encB, ss))
+	in := core.fusionInput(c, len(ss), t)
+	core.modA.encodeFeaturesIntoCtx(c, addrFeatureTensorBatchCtx(c, m.cfg, ss, t), len(ss), in, 0)
+	core.modB.encodeTokensIntoCtx(c, pcTokensBatchCtx(c, m.pcs, ss, t), len(ss), in, t)
+	return head.ForwardCtx(c, core.forwardBatchCtx(c, in, ss))
 }
 
 // DeltaScoresBatchCtx implements DeltaScorerBatchCtx.

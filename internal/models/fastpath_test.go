@@ -3,6 +3,7 @@ package models
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"mpgraph/internal/tensor"
@@ -145,6 +146,73 @@ func TestKernelOracleTopK(t *testing.T) {
 			}
 			ctx.Reset()
 		}
+	}
+}
+
+// referenceTopKScan is topKSelectInto's scan as the parent commit ran it:
+// every score past the first k compared with the current worst entry, in
+// index order.
+func referenceTopKScan[T float32 | float64](top []int, scores []T) []int {
+	k := len(top)
+	if k == 0 {
+		return top
+	}
+	for i := 0; i < k; i++ {
+		topKInsert(top, scores, i, i)
+	}
+	worst := scores[top[k-1]]
+	for i := k; i < len(scores); i++ {
+		if scores[i] > worst {
+			topKInsert(top, scores, k-1, i)
+			worst = scores[top[k-1]]
+		}
+	}
+	return top
+}
+
+// TestTopKScanMatchesReference: the vector-prefiltered scan
+// (tensor.FirstAbove) picks what the element-by-element scan picked — strict
+// >, the lower index on ties, no NaN past the first k — at both precisions,
+// on both kernel families, with ties, ±0, ±Inf and NaN planted.
+func TestTopKScanMatchesReference(t *testing.T) {
+	topKScanOracle[float64](t)
+	topKScanOracle[float32](t)
+}
+
+func topKScanOracle[T float32 | float64](t *testing.T) {
+	specials := []T{T(math.NaN()), T(math.Inf(1)), T(math.Inf(-1)), 0, T(math.Copysign(0, -1))}
+	rng := rand.New(rand.NewSource(53))
+	for _, forced := range []bool{false, true} {
+		restore := func() {}
+		if forced {
+			restore = tensor.ForcePortableKernels()
+		}
+		for trial := 0; trial < 500; trial++ {
+			n := 1 + rng.Intn(80)
+			if trial%20 == 0 {
+				n = 1024
+			}
+			scores := make([]T, n)
+			for i := range scores {
+				scores[i] = T(rng.NormFloat64())
+				switch {
+				case rng.Intn(10) == 0:
+					scores[i] = specials[rng.Intn(len(specials))]
+				case i > 0 && rng.Intn(5) == 0:
+					scores[i] = scores[rng.Intn(i)]
+				}
+			}
+			for _, k := range []int{1, 2, 3, 5, n} {
+				k = min(k, n)
+				got := topKSelectInto(make([]int, k), scores)
+				want := referenceTopKScan(make([]int, k), scores)
+				if !slices.Equal(got, want) {
+					restore()
+					t.Fatalf("portable=%v trial %d n=%d k=%d: %v, reference %v", forced, trial, n, k, got, want)
+				}
+			}
+		}
+		restore()
 	}
 }
 

@@ -218,8 +218,23 @@ func (s *SelfAttentionOf[T]) ForwardBatchCtx(c *tensor.Ctx, x *tensor.Dense[T], 
 	q := s.Wq.ForwardCtx(c, x)
 	k := s.Wk.ForwardCtx(c, x)
 	v := s.Wv.ForwardCtx(c, x)
-	return tensor.AttentionBlocks(c, q, k, v, blocks, T(1/math.Sqrt(float64(s.dim))))
+	return tensor.AttentionBlocks(c, q, k, v, blocks, s.scale())
 }
+
+// ForwardIntoCtx is ForwardBatchCtx writing each block's [T x dim] output
+// into a window of dst (tensor.AttentionBlocksInto): rows rowOff.. of dst's
+// matching block, columns colOff... Live ctx only.
+//
+//mpgraph:noalloc
+func (s *SelfAttentionOf[T]) ForwardIntoCtx(c *tensor.Ctx, x *tensor.Dense[T], blocks int, dst *tensor.Dense[T], rowOff, colOff int) {
+	q := s.Wq.ForwardCtx(c, x)
+	k := s.Wk.ForwardCtx(c, x)
+	v := s.Wv.ForwardCtx(c, x)
+	tensor.AttentionBlocksInto(c, dst, rowOff, colOff, q, k, v, blocks, s.scale())
+}
+
+//mpgraph:noalloc
+func (s *SelfAttentionOf[T]) scale() T { return T(1 / math.Sqrt(float64(s.dim))) }
 
 // Params implements Module.
 func (s *SelfAttentionOf[T]) Params() []*tensor.Dense[T] { return collect[T](s.Wq, s.Wk, s.Wv) }
@@ -270,15 +285,26 @@ func (m *MultiHeadSelfAttentionOf[T]) ForwardCtx(c *tensor.Ctx, x *tensor.Dense[
 	return m.ForwardBatchCtx(c, x, 1)
 }
 
-// ForwardBatchCtx runs every head over the stacked block and reprojects.
+// ForwardBatchCtx runs every head over the stacked block and reprojects. On
+// a live ctx each head writes its columns of the concat in place; a nil ctx
+// is the autograd concat.
 //
 //mpgraph:noalloc
 func (m *MultiHeadSelfAttentionOf[T]) ForwardBatchCtx(c *tensor.Ctx, x *tensor.Dense[T], blocks int) *tensor.Dense[T] {
-	outs := tensor.Ptrs[T](c, len(m.Heads))
-	for i, h := range m.Heads {
-		outs[i] = h.ForwardBatchCtx(c, x, blocks)
+	if c == nil {
+		outs := make([]*tensor.Dense[T], len(m.Heads))
+		for i, h := range m.Heads {
+			outs[i] = h.ForwardBatchCtx(c, x, blocks)
+		}
+		return m.Wo.ForwardCtx(c, tensor.ConcatColsCtx(c, outs))
 	}
-	return m.Wo.ForwardCtx(c, tensor.ConcatColsCtx(c, outs))
+	cat := tensor.UninitCtx[T](c, x.Rows, m.Wo.W.Rows)
+	col := 0
+	for _, h := range m.Heads {
+		h.ForwardIntoCtx(c, x, blocks, cat, 0, col)
+		col += h.dim
+	}
+	return m.Wo.ForwardCtx(c, cat)
 }
 
 // Params implements Module.
@@ -388,7 +414,8 @@ func (t *TransformerLayerOf[T]) Params() []*tensor.Dense[T] {
 
 // MMAFOf is the multi-modality attention fusion layer (Eq. 8): the modality
 // sequences are concatenated along the sequence axis and fused by one
-// self-attention over the combined sequence.
+// self-attention over the combined sequence. On the live path the modality
+// encoders write their halves of that input in place (ForwardCtx).
 type MMAFOf[T float32 | float64] struct {
 	Attn *SelfAttentionOf[T]
 }
@@ -410,15 +437,16 @@ func NewF32MMAF(m *MMAF) *F32MMAF { return &F32MMAF{Attn: NewF32SelfAttention(m.
 // Forward fuses AMMA's two modality sequences ([Ta x in] and [Tb x in]) into
 // [(Ta+Tb) x dim].
 func (m *MMAFOf[T]) Forward(a, b *tensor.Dense[T]) *tensor.Dense[T] {
-	return m.ForwardBatchCtx2(nil, a, b, 1)
+	return m.ForwardCtx(nil, tensor.ConcatRowsCtx(nil, a, b), 1)
 }
 
-// ForwardBatchCtx2 fuses the two stacked modality sequences block by block.
+// ForwardCtx fuses in, the stacked [blocks*(Ta+Tb) x in] fusion input: each
+// block holds one sample's first modality's Ta rows over its second's Tb.
 // A nil ctx is autograd and takes one sequence.
 //
 //mpgraph:noalloc
-func (m *MMAFOf[T]) ForwardBatchCtx2(c *tensor.Ctx, a, b *tensor.Dense[T], blocks int) *tensor.Dense[T] {
-	return m.Attn.ForwardBatchCtx(c, tensor.ConcatRowsBatch2(c, a, b, blocks), blocks)
+func (m *MMAFOf[T]) ForwardCtx(c *tensor.Ctx, in *tensor.Dense[T], blocks int) *tensor.Dense[T] {
+	return m.Attn.ForwardBatchCtx(c, in, blocks)
 }
 
 // Params implements Module.

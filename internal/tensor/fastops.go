@@ -100,8 +100,10 @@ func SigmoidInPlace[T float32 | float64](c *Ctx, a *Dense[T]) *Dense[T] {
 	return a
 }
 
-// ConcatColsCtx stacks tensors horizontally (same Rows) — the multi-head
-// concat; heads come from an arena Ptrs slice.
+// ConcatColsCtx stacks tensors horizontally (same Rows), each moved into
+// its column window by one rowsInto pass; heads come from an arena Ptrs
+// slice. The multi-head attention writes its heads in place instead
+// (AttentionBlocksInto); this is the page baselines' concat.
 //
 //mpgraph:noalloc
 func ConcatColsCtx[T float32 | float64](c *Ctx, ts []*Dense[T]) *Dense[T] {
@@ -126,9 +128,7 @@ func ConcatColsCtx[T float32 | float64](c *Ctx, ts []*Dense[T]) *Dense[T] {
 	out := uninit[T](c, rows, cols)
 	colOff := 0
 	for _, t := range ts {
-		for r := 0; r < rows; r++ {
-			copy(out.Data[r*cols+colOff:r*cols+colOff+t.Cols], t.Data[r*t.Cols:(r+1)*t.Cols])
-		}
+		rowsInto(out.Data[colOff:], t.Data, nil, nil, rows, t.Cols, cols, 0)
 		colOff += t.Cols
 	}
 	return out
@@ -144,23 +144,111 @@ func ConcatCols2[T float32 | float64](c *Ctx, a, b *Dense[T]) *Dense[T] {
 	return ConcatColsCtx(c, pair[:])
 }
 
-// EmbeddingLookupCtx gathers rows of table by ids.
+// ConcatRowsCtx stacks a over b (same Cols) — the fusion input of one
+// sequence pair. The live forwards never build it: the two modality encoders
+// write their halves of the fusion input in place (AttentionBlocksInto).
+//
+//mpgraph:noalloc
+func ConcatRowsCtx[T float32 | float64](c *Ctx, a, b *Dense[T]) *Dense[T] {
+	if c == nil {
+		return ungraph[T](ConcatRows(graph(a), graph(b)))
+	}
+	if a.Cols != b.Cols {
+		invariant.Failf("tensor: concatRows %dx%d over %dx%d", a.Rows, a.Cols, b.Rows, b.Cols)
+	}
+	out := uninit[T](c, a.Rows+b.Rows, a.Cols)
+	rowsInto(out.Data, a.Data, nil, nil, a.Rows, a.Cols, a.Cols, 0)
+	rowsInto(out.Data[len(a.Data):], b.Data, nil, nil, b.Rows, b.Cols, b.Cols, 0)
+	return out
+}
+
+// UninitCtx returns an arena rows x cols tensor whose elements are left as
+// the last arena round wrote them: for an output every element of which the
+// caller's ops write before anything reads it (the fusion input the two
+// modality encoders fill, the heads' concat). Live ctx only.
+//
+//mpgraph:noalloc
+func UninitCtx[T float32 | float64](c *Ctx, rows, cols int) *Dense[T] {
+	if c == nil {
+		invariant.Fail("tensor: UninitCtx requires a live ctx")
+	}
+	return uninit[T](c, rows, cols)
+}
+
+// EmbeddingLookupCtx gathers rows of table by ids (one rowsInto pass).
 //
 //mpgraph:noalloc
 func EmbeddingLookupCtx[T float32 | float64](c *Ctx, table *Dense[T], ids []int) *Dense[T] {
 	if c == nil {
 		return ungraph[T](EmbeddingLookup(graph(table), ids))
 	}
-	for _, id := range ids {
-		if id < 0 || id >= table.Rows {
-			invariant.Failf("tensor: embedding id %d out of [0,%d)", id, table.Rows)
-		}
-	}
+	checkIDs(ids, table.Rows)
 	out := uninit[T](c, len(ids), table.Cols)
-	for i, id := range ids {
-		copy(out.Data[i*table.Cols:(i+1)*table.Cols], table.Data[id*table.Cols:(id+1)*table.Cols])
+	rowsInto(out.Data, table.Data, nil, ids, len(ids), table.Cols, table.Cols, 0)
+	return out
+}
+
+// SigmoidWidenCtx is the f32 delta head's score hand-off: the float64
+// widening of sigmoid(logits), in one pass. Sigmoid SATURATES: an overflowed
+// f32 logit (e.g. an f16-poisoned weight widened to Inf) would squash to a
+// perfectly finite probability and sail past the score screen. So when any
+// logit is non-finite the logits are widened verbatim instead — the Inf/NaN
+// reaches models.ScreenScores and latches Health() exactly like a float64
+// blow-up would. Widening is exact, so either result is what the f32
+// kernels produced. Live ctx only.
+//
+//mpgraph:noalloc
+func SigmoidWidenCtx(c *Ctx, logits *F32Tensor) *Tensor {
+	if c == nil {
+		invariant.Fail(f32NilCtx)
+	}
+	out := uninit[float64](c, logits.Rows, logits.Cols)
+	if sigmoidWiden(out.Data, logits.Data) {
+		return out
+	}
+	for i, v := range logits.Data {
+		out.Data[i] = float64(v)
 	}
 	return out
+}
+
+// sigmoidWiden writes float64(sigmoid(x)) into out and reports whether every
+// x was finite (x - x == 0); on false out is unspecified. The portable body
+// screens first, then runs the scalar sigmoid in place on x and widens.
+//
+//mpgraph:noalloc
+func sigmoidWiden(out []float64, x []float32) bool {
+	if batchKernelAvailable() {
+		return sigmoidWidenF32(out, x)
+	}
+	for _, v := range x {
+		if v-v != 0 { // non-finite: Inf-Inf and NaN-NaN are both NaN
+			return false
+		}
+	}
+	applyAct(x, ActSigmoid)
+	for i, v := range x {
+		out[i] = float64(v)
+	}
+	return true
+}
+
+// FirstAbove returns the index of the first element of s that compares > v,
+// or len(s) — the top-k scan's test against its current worst entry. A NaN
+// compares false either side, so it is never above v and nothing is above a
+// NaN v. Where AVX-512F is present the kernel compares four zmm a step.
+//
+//mpgraph:noalloc
+func FirstAbove[T float32 | float64](s []T, v T) int {
+	if batchKernelAvailable() {
+		return firstAbove(s, v)
+	}
+	for i, x := range s {
+		if x > v {
+			return i
+		}
+	}
+	return len(s)
 }
 
 // LinearAct returns act(x@w + bias) as one fused kernel (bias may be nil):

@@ -12,14 +12,9 @@ import "mpgraph/internal/invariant"
 
 // AttentionBlocks runs scaled-dot-product attention softmax(q·kᵀ·scale)·v
 // independently inside each of the `blocks` equal row blocks of q/k/v
-// (self-attention never crosses a session boundary). Where AVX-512F is
-// present a block is one call of the fused kernel (attnBlockAsm: Kᵀ·scale,
-// scores, softmax and the AV product in registers and arena scratch).
-// Elsewhere k is transposed and pre-scaled into scratch so the scores are a
-// plain GEMM, each score row is softmaxed, and the AV product is a second
-// GEMM, on the scalar kernels — the same composition, step for step, that the
-// fused kernel replays. A nil ctx is the autograd composition over one
-// sequence (blocks must be 1).
+// (self-attention never crosses a session boundary) into a fresh
+// [q.Rows x v.Cols] tensor: AttentionBlocksInto over all of it. A nil ctx is
+// the autograd composition over one sequence (blocks must be 1).
 //
 //mpgraph:noalloc
 func AttentionBlocks[T float32 | float64](c *Ctx, q, k, v *Dense[T], blocks int, scale T) *Dense[T] {
@@ -28,8 +23,28 @@ func AttentionBlocks[T float32 | float64](c *Ctx, q, k, v *Dense[T], blocks int,
 		scores := Scale(MatMul(graph(q), Transpose(graph(k))), float64(scale))
 		return ungraph[T](MatMul(SoftmaxRows(scores), graph(v)))
 	}
-	if blocks <= 0 || q.Rows%blocks != 0 {
-		invariant.Failf("tensor: attentionBlocks %d rows over %d blocks", q.Rows, blocks)
+	out := uninit[T](c, q.Rows, v.Cols)
+	AttentionBlocksInto(c, out, 0, 0, q, k, v, blocks, scale)
+	return out
+}
+
+// AttentionBlocksInto is AttentionBlocks writing into a window of dst, live
+// ctx only: dst holds `blocks` equal row blocks too, and block b's output
+// row r lands in dst row b·(dst.Rows/blocks) + rowOff + r, columns colOff..
+// colOff+v.Cols-1. So attention heads write their columns of the
+// multi-head concat, and the two modality encoders their halves of the
+// fusion input, in place. Where AVX-512F is present a block is one call of
+// the fused kernel (attnBlockAsm: Kᵀ·scale, scores, softmax and the AV
+// product in registers and arena scratch, stored at dst's row pitch).
+// Elsewhere k is transposed and pre-scaled into scratch so the scores are a
+// plain GEMM, each score row is softmaxed, and the AV product is a second
+// GEMM from +0, on the scalar kernels, then moved into the window — the same
+// composition, step for step, that the fused kernel replays.
+//
+//mpgraph:noalloc
+func AttentionBlocksInto[T float32 | float64](c *Ctx, dst *Dense[T], rowOff, colOff int, q, k, v *Dense[T], blocks int, scale T) {
+	if c == nil || blocks <= 0 || q.Rows%blocks != 0 || dst.Rows%blocks != 0 {
+		invariant.Failf("tensor: attentionBlocks %d rows into %d over %d blocks", q.Rows, dst.Rows, blocks)
 	}
 	if q.Cols != k.Cols || q.Rows != k.Rows || k.Rows != v.Rows {
 		invariant.Failf("tensor: attentionBlocks q %dx%d k %dx%d v %dx%d",
@@ -38,22 +53,26 @@ func AttentionBlocks[T float32 | float64](c *Ctx, q, k, v *Dense[T], blocks int,
 	t := q.Rows / blocks
 	d := q.Cols
 	dv := v.Cols
+	pitch := dst.Cols
+	stride := dst.Rows / blocks
+	if rowOff < 0 || colOff < 0 || rowOff+t > stride || colOff+dv > pitch {
+		invariant.Failf("tensor: attentionBlocks %dx%d at (%d, %d) outside %dx%d blocks", t, dv, rowOff, colOff, stride, pitch)
+	}
+	if t == 0 || dv == 0 {
+		return
+	}
 	scratch := &arenaOf[T](c).data
 	if batchKernelAvailable() {
-		out := uninit[T](c, q.Rows, dv)
-		if t == 0 || dv == 0 {
-			return out
-		}
 		scr := scratch.takeUninit(attnScratch[T](t, d))
 		for blk := 0; blk < blocks; blk++ {
-			attnBlock(out.Data[blk*t*dv:(blk+1)*t*dv], q.Data[blk*t*d:(blk+1)*t*d],
-				k.Data[blk*t*d:(blk+1)*t*d], v.Data[blk*t*dv:(blk+1)*t*dv], scr, t, d, dv, scale)
+			attnBlock(dst.Data[(blk*stride+rowOff)*pitch+colOff:], q.Data[blk*t*d:(blk+1)*t*d],
+				k.Data[blk*t*d:(blk+1)*t*d], v.Data[blk*t*dv:(blk+1)*t*dv], scr, t, d, dv, pitch, scale)
 		}
-		return out
+		return
 	}
-	out := zeros[T](c, q.Rows, dv)
 	kT := scratch.takeUninit(d * t)
 	scores := scratch.takeUninit(t * t)
+	av := scratch.takeUninit(t * dv)
 	for blk := 0; blk < blocks; blk++ {
 		kb := k.Data[blk*t*d : (blk+1)*t*d]
 		for j := 0; j < t; j++ {
@@ -66,13 +85,17 @@ func AttentionBlocks[T float32 | float64](c *Ctx, q, k, v *Dense[T], blocks int,
 		for r := 0; r < t; r++ {
 			softmaxInPlace(scores[r*t : (r+1)*t])
 		}
-		gemm(out.Data[blk*t*dv:(blk+1)*t*dv], scores, v.Data[blk*t*dv:(blk+1)*t*dv], t, t, dv)
+		clear(av)
+		gemm(av, scores, v.Data[blk*t*dv:(blk+1)*t*dv], t, t, dv)
+		rowsInto(dst.Data[(blk*stride+rowOff)*pitch+colOff:], av, nil, nil, t, dv, pitch, 0)
 	}
-	return out
 }
 
 // MeanRowsBatch reduces each block of rows to its mean row: [blocks*T x d]
-// -> [blocks x d], accumulating in the exact order MeanRows uses per block.
+// -> [blocks x d], each element the sum over the block's rows of row·(1/T),
+// from +0 in row order, a multiply then an add (the order MeanRows uses).
+// The vector kernel runs that order lane by lane; it is off at GOAMD64=v3,
+// where the Go loop may contract the multiply-add into an FMA.
 //
 //mpgraph:noalloc
 func MeanRowsBatch[T float32 | float64](c *Ctx, a *Dense[T], blocks int) *Dense[T] {
@@ -80,12 +103,23 @@ func MeanRowsBatch[T float32 | float64](c *Ctx, a *Dense[T], blocks int) *Dense[
 		invariant.Failf("tensor: meanRowsBatch %d rows over %d blocks", a.Rows, blocks)
 	}
 	t := a.Rows / blocks
-	out := zeros[T](c, blocks, a.Cols)
+	d := a.Cols
+	if t == 0 || d == 0 {
+		return zeros[T](c, blocks, d)
+	}
 	inv := 1 / T(t)
+	if goUnfused && batchKernelAvailable() {
+		out := uninit[T](c, blocks, d)
+		for blk := 0; blk < blocks; blk++ {
+			vmeanRows(out.Data[blk*d:(blk+1)*d], a.Data[blk*t*d:(blk+1)*t*d], t, inv)
+		}
+		return out
+	}
+	out := zeros[T](c, blocks, d)
 	for blk := 0; blk < blocks; blk++ {
-		orow := out.Data[blk*a.Cols : (blk+1)*a.Cols]
+		orow := out.Data[blk*d : (blk+1)*d]
 		for r := 0; r < t; r++ {
-			arow := a.Data[(blk*t+r)*a.Cols : (blk*t+r+1)*a.Cols]
+			arow := a.Data[(blk*t+r)*d : (blk*t+r+1)*d]
 			for j, av := range arow {
 				orow[j] += av * inv
 			}
@@ -95,7 +129,8 @@ func MeanRowsBatch[T float32 | float64](c *Ctx, a *Dense[T], blocks int) *Dense[
 }
 
 // AddPosBatch adds a [T x d] positional table to every block of a stacked
-// [blocks*T x d] tensor — the batched form of Add(x, pos).
+// [blocks*T x d] tensor — the batched form of Add(x, pos), a + pos per
+// element, one rowsInto pass a block.
 //
 //mpgraph:noalloc
 func AddPosBatch[T float32 | float64](c *Ctx, a, pos *Dense[T], blocks int) *Dense[T] {
@@ -106,38 +141,26 @@ func AddPosBatch[T float32 | float64](c *Ctx, a, pos *Dense[T], blocks int) *Den
 	out := uninit[T](c, a.Rows, a.Cols)
 	n := len(pos.Data)
 	for blk := 0; blk < blocks; blk++ {
-		ab := a.Data[blk*n : (blk+1)*n]
-		ob := out.Data[blk*n : (blk+1)*n]
-		for i, av := range ab {
-			ob[i] = av + pos.Data[i]
-		}
+		rowsInto(out.Data[blk*n:], a.Data[blk*n:(blk+1)*n], pos.Data, nil, pos.Rows, a.Cols, a.Cols, a.Cols)
 	}
 	return out
 }
 
-// ConcatRowsBatch2 interleaves two stacked tensors block by block:
-// out block i = rows of a's block i followed by rows of b's block i. This is
-// the modality-fusion concat. A nil ctx is the autograd ConcatRows over one
-// sequence (blocks must be 1).
+// EmbeddingPosBatch gathers rows of table by ids and adds the [T x d]
+// positional table to every block of T of them — EmbeddingLookupCtx then
+// AddPosBatch, table[id] + pos per element, in one rowsInto pass a block.
 //
 //mpgraph:noalloc
-func ConcatRowsBatch2[T float32 | float64](c *Ctx, a, b *Dense[T], blocks int) *Dense[T] {
-	if c == nil {
-		invariant.Check(blocks == 1, "tensor: concatRowsBatch2 on a nil ctx takes one sequence")
-		return ungraph[T](ConcatRows(graph(a), graph(b)))
+func EmbeddingPosBatch[T float32 | float64](c *Ctx, table *Dense[T], ids []int, pos *Dense[T], blocks int) *Dense[T] {
+	if c == nil || blocks <= 0 || len(ids) != blocks*pos.Rows || table.Cols != pos.Cols {
+		invariant.Failf("tensor: embeddingPosBatch %d ids + %dx%d over %d blocks",
+			len(ids), pos.Rows, pos.Cols, blocks)
 	}
-	if blocks <= 0 || a.Cols != b.Cols || a.Rows%blocks != 0 || b.Rows%blocks != 0 {
-		invariant.Failf("tensor: concatRowsBatch2 %dx%d + %dx%d over %d blocks",
-			a.Rows, a.Cols, b.Rows, b.Cols, blocks)
-	}
-	ta := a.Rows / blocks
-	tb := b.Rows / blocks
-	d := a.Cols
-	out := uninit[T](c, a.Rows+b.Rows, d)
+	checkIDs(ids, table.Rows)
+	out := uninit[T](c, len(ids), table.Cols)
+	n := len(pos.Data)
 	for blk := 0; blk < blocks; blk++ {
-		base := blk * (ta + tb) * d
-		copy(out.Data[base:base+ta*d], a.Data[blk*ta*d:(blk+1)*ta*d])
-		copy(out.Data[base+ta*d:base+(ta+tb)*d], b.Data[blk*tb*d:(blk+1)*tb*d])
+		rowsInto(out.Data[blk*n:], table.Data, pos.Data, ids[blk*pos.Rows:(blk+1)*pos.Rows], pos.Rows, table.Cols, table.Cols, table.Cols)
 	}
 	return out
 }
@@ -151,21 +174,66 @@ func AddRowPerBlock[T float32 | float64](c *Ctx, a, table *Dense[T], ids []int, 
 		invariant.Failf("tensor: addRowPerBlock %dx%d, %d ids over %d blocks",
 			a.Rows, a.Cols, len(ids), blocks)
 	}
+	checkIDs(ids, table.Rows)
 	t := a.Rows / blocks
 	d := a.Cols
 	out := uninit[T](c, a.Rows, a.Cols)
 	for blk, id := range ids {
-		if id < 0 || id >= table.Rows {
-			invariant.Failf("tensor: addRowPerBlock id %d of %d rows", id, table.Rows)
-		}
-		bias := table.Data[id*d : (id+1)*d]
-		for r := 0; r < t; r++ {
-			arow := a.Data[(blk*t+r)*d : (blk*t+r+1)*d]
-			orow := out.Data[(blk*t+r)*d : (blk*t+r+1)*d]
-			for j, av := range arow {
-				orow[j] = av + bias[j]
-			}
-		}
+		rowsInto(out.Data[blk*t*d:], a.Data[blk*t*d:(blk+1)*t*d], table.Data[id*d:(id+1)*d], nil, t, d, d, 0)
 	}
 	return out
+}
+
+// rowsInto is the one body of every row move and row add of the live path:
+// out row r (rows opitch elements apart) = x row r, plus y row r (rows
+// ystride apart; 0 puts one row under every row) unless y is nil. x row r is
+// table row ids[r] when ids is non-nil (the caller has checked every id),
+// else row r of x; rows are cols wide. Where AVX-512F is present it is one
+// vrows kernel call; the loop below is the same moves and adds elsewhere.
+//
+//mpgraph:noalloc
+func rowsInto[T float32 | float64](out, x, y []T, ids []int, rows, cols, opitch, ystride int) {
+	if rows == 0 || cols == 0 {
+		return
+	}
+	_ = out[(rows-1)*opitch+cols-1]
+	if ids == nil {
+		_ = x[rows*cols-1]
+	} else {
+		_ = ids[rows-1]
+	}
+	if y != nil {
+		_ = y[(rows-1)*ystride+cols-1]
+	}
+	if batchKernelAvailable() {
+		vrows(out, x, y, ids, rows, cols, opitch, ystride)
+		return
+	}
+	for r := 0; r < rows; r++ {
+		xr := r
+		if ids != nil {
+			xr = ids[r]
+		}
+		src := x[xr*cols : (xr+1)*cols]
+		dst := out[r*opitch : r*opitch+cols]
+		if y == nil {
+			copy(dst, src)
+			continue
+		}
+		yr := y[r*ystride : r*ystride+cols]
+		for j, v := range src {
+			dst[j] = v + yr[j]
+		}
+	}
+}
+
+// checkIDs fails on an embedding id outside [0, rows).
+//
+//mpgraph:noalloc
+func checkIDs(ids []int, rows int) {
+	for _, id := range ids {
+		if id < 0 || id >= rows {
+			invariant.Failf("tensor: embedding id %d out of [0,%d)", id, rows)
+		}
+	}
 }

@@ -76,20 +76,21 @@ func vactAVX512(p *float64, n, mode int64, bias float64)
 func vactF32AVX512(p *float32, n, mode int64, bias float32)
 
 // attnBlockAsm computes one attention block, out = softmax(q·(k·scale)ᵀ)·v
-// for q, k [t x d] and v, out [t x dv], in one pass: Kᵀ·scale, the scores and
+// for q, k [t x d] and v, out [t x dv] (out rows ostride elements apart), in
+// one pass: Kᵀ·scale, the scores and
 // the probabilities stay in scr ((d+3)·tp elements, tp = t rounded up to a
 // whole zmm) and registers. Each step is the operation sequence of the
 // panel-kernel / row-softmax composition it replaced (DESIGN.md §8).
 //
 //mpgraph:noalloc
 //go:noescape
-func attnBlockAsm(out, q, k, v, scr *float64, t, d, dv int64, scale float64)
+func attnBlockAsm(out, q, k, v, scr *float64, t, d, dv, ostride int64, scale float64)
 
 // attnBlockF32Asm is the f32 twin of attnBlockAsm.
 //
 //mpgraph:noalloc
 //go:noescape
-func attnBlockF32Asm(out, q, k, v, scr *float32, t, d, dv int64, scale float32)
+func attnBlockF32Asm(out, q, k, v, scr *float32, t, d, dv, ostride int64, scale float32)
 
 // vaddLayerNormAVX512 writes LayerNorm(x + y) row by row into out; y may be
 // nil (plain LayerNorm). rows and cols are >= 1.
@@ -120,14 +121,62 @@ func lstmStepsAsm(h, hs, c, pi, pf, po, pg, wi, wf, wo, wg *float64, steps, hidd
 //go:noescape
 func lstmStepsF32Asm(h, hs, c, pi, pf, po, pg, wi, wf, wo, wg *float32, steps, hidden int64)
 
+// vrowsAsm writes out row r = x row r (+ y row r) for rows rows of cols
+// (>= 1) elements: x row r is table row ids[r] when ids is non-nil, else the
+// r-th row of x; y row r starts r·ystride elements into y (y nil: no add,
+// ystride 0); out row r starts r·opitch elements into out.
+//
+//mpgraph:noalloc
+//go:noescape
+func vrowsAsm(out, x, y *float64, ids *int, rows, cols, opitch, ystride int64)
+
+// vrowsF32Asm is the f32 twin of vrowsAsm.
+//
+//mpgraph:noalloc
+//go:noescape
+func vrowsF32Asm(out, x, y *float32, ids *int, rows, cols, opitch, ystride int64)
+
+// vmeanRowsAsm writes out = Σ_r a[r]·inv over rows >= 1 rows of cols >= 1,
+// from +0 in row order, a multiply then an add per element.
+//
+//mpgraph:noalloc
+//go:noescape
+func vmeanRowsAsm(out, a *float64, rows, cols int64, inv float64)
+
+// vmeanRowsF32Asm is the f32 twin of vmeanRowsAsm.
+//
+//mpgraph:noalloc
+//go:noescape
+func vmeanRowsF32Asm(out, a *float32, rows, cols int64, inv float32)
+
+// firstAboveAsm returns the index of the first of s's n elements that
+// compares > v, or n.
+//
+//mpgraph:noalloc
+//go:noescape
+func firstAboveAsm(s *float64, n int64, v float64) int64
+
+// firstAboveF32Asm is the f32 twin of firstAboveAsm.
+//
+//mpgraph:noalloc
+//go:noescape
+func firstAboveF32Asm(s *float32, n int64, v float32) int64
+
+// sigmoidWidenF32Asm writes out = float64(sigmoid(x)) over n elements with
+// vact's sigmoid, and reports whether every x was finite.
+//
+//mpgraph:noalloc
+//go:noescape
+func sigmoidWidenF32Asm(out *float64, x *float32, n int64) bool
+
 // batchKernelAvailable reports whether the AVX-512F batch tier is usable on
 // this machine; callers fall back to the exact scalar kernels otherwise.
 //
 //mpgraph:noalloc
 func batchKernelAvailable() bool { return useAVX512F }
 
-// The seven asm leaves below (fmaPanel4, fmaPanel9, fmaPanel1, attnBlock, vact,
-// vaddLayerNorm, lstmSteps) are the only place the generic float surface names a
+// The asm leaves below (fmaPanel4, fmaPanel9, fmaPanel1, attnBlock, vact,
+// vaddLayerNorm, lstmSteps, vrows, vmeanRows, firstAbove) are the only place the generic float surface names a
 // concrete precision (attnScratch reads only its size). unsafe.Sizeof of a T is a
 // constant in each instantiation, so the branch costs nothing, and the
 // pointer casts it guards only restate the element type the branch has just
@@ -212,22 +261,23 @@ func fmaPanel1[T float32 | float64](out, a, b, seed *T, k, n int) {
 	fmaPanel1Asm(asF64(out), asF64(a), asF64(b), asF64(seed), int64(k), int64(n))
 }
 
-// attnBlock runs one [t x d] attention block through the fused kernel; scr
-// holds attnScratch(t, d) elements, of which the kernel uses the part from
-// the first 64-byte boundary on, so every row it keeps there is aligned.
+// attnBlock runs one [t x d] attention block through the fused kernel into
+// out, whose rows are ostride elements apart; scr holds attnScratch(t, d)
+// elements, of which the kernel uses the part from the first 64-byte
+// boundary on, so every row it keeps there is aligned.
 //
 //mpgraph:noalloc
-func attnBlock[T float32 | float64](out, q, k, v, scr []T, t, d, dv int, scale T) {
-	_, _, _ = scr[attnScratch[T](t, d)-1], out[t*dv-1], v[t*dv-1]
+func attnBlock[T float32 | float64](out, q, k, v, scr []T, t, d, dv, ostride int, scale T) {
+	_, _, _ = scr[attnScratch[T](t, d)-1], out[(t-1)*ostride+dv-1], v[t*dv-1]
 	_, _ = q[:t*d], k[:t*d]
 	size := int(unsafe.Sizeof(scale))
 	misalign := int(uintptr(unsafe.Pointer(&scr[0])) % 64) // aligns arena scratch to a zmm; no simulated address is involved
 	skip := (64 - misalign) % 64 / size
 	if size == 4 {
-		attnBlockF32Asm(asF32(&out[0]), asF32(at(q, 0)), asF32(at(k, 0)), asF32(&v[0]), asF32(&scr[skip]), int64(t), int64(d), int64(dv), float32(scale))
+		attnBlockF32Asm(asF32(&out[0]), asF32(at(q, 0)), asF32(at(k, 0)), asF32(&v[0]), asF32(&scr[skip]), int64(t), int64(d), int64(dv), int64(ostride), float32(scale))
 		return
 	}
-	attnBlockAsm(asF64(&out[0]), asF64(at(q, 0)), asF64(at(k, 0)), asF64(&v[0]), asF64(&scr[skip]), int64(t), int64(d), int64(dv), float64(scale))
+	attnBlockAsm(asF64(&out[0]), asF64(at(q, 0)), asF64(at(k, 0)), asF64(&v[0]), asF64(&scr[skip]), int64(t), int64(d), int64(dv), int64(ostride), float64(scale))
 }
 
 // attnScratch is the scratch attnBlock needs: qᵀ (d rows of tp, t rounded up
@@ -297,4 +347,65 @@ func lstmSteps[T float32 | float64](h, hs, c []T, pre, wh [4][]T, steps int) {
 		asF64(&pre[0][0]), asF64(&pre[1][0]), asF64(&pre[2][0]), asF64(&pre[3][0]),
 		asF64(&wh[0][0]), asF64(&wh[1][0]), asF64(&wh[2][0]), asF64(&wh[3][0]),
 		int64(steps), int64(hidden))
+}
+
+// vrows runs the row kernel: out row r (opitch apart) = x row r (+ y row r,
+// ystride apart; y nil: a move), x row r being table row ids[r] when ids is
+// non-nil. The caller has checked every index the kernel reaches.
+//
+//mpgraph:noalloc
+func vrows[T float32 | float64](out, x, y []T, ids []int, rows, cols, opitch, ystride int) {
+	if rows == 0 || cols == 0 {
+		return
+	}
+	var yp *T
+	if y != nil {
+		yp = &y[0]
+	}
+	var ip *int
+	if ids != nil {
+		ip = &ids[0]
+	}
+	if unsafe.Sizeof(out[0]) == 4 {
+		vrowsF32Asm(asF32(&out[0]), asF32(&x[0]), asF32(yp), ip, int64(rows), int64(cols), int64(opitch), int64(ystride))
+		return
+	}
+	vrowsAsm(asF64(&out[0]), asF64(&x[0]), asF64(yp), ip, int64(rows), int64(cols), int64(opitch), int64(ystride))
+}
+
+// vmeanRows writes the mean-pool of a's rows rows of len(out) into out.
+//
+//mpgraph:noalloc
+func vmeanRows[T float32 | float64](out, a []T, rows int, inv T) {
+	_ = a[rows*len(out)-1]
+	if unsafe.Sizeof(inv) == 4 {
+		vmeanRowsF32Asm(asF32(&out[0]), asF32(&a[0]), int64(rows), int64(len(out)), float32(inv))
+		return
+	}
+	vmeanRowsAsm(asF64(&out[0]), asF64(&a[0]), int64(rows), int64(len(out)), float64(inv))
+}
+
+// firstAbove returns the index of the first element of s above v, or len(s).
+//
+//mpgraph:noalloc
+func firstAbove[T float32 | float64](s []T, v T) int {
+	if len(s) == 0 {
+		return 0
+	}
+	if unsafe.Sizeof(v) == 4 {
+		return int(firstAboveF32Asm(asF32(&s[0]), int64(len(s)), float32(v)))
+	}
+	return int(firstAboveAsm(asF64(&s[0]), int64(len(s)), float64(v)))
+}
+
+// sigmoidWidenF32 writes float64(sigmoid(x)) into out and reports whether
+// every x was finite.
+//
+//mpgraph:noalloc
+func sigmoidWidenF32(out []float64, x []float32) bool {
+	if len(x) == 0 {
+		return true
+	}
+	_ = out[len(x)-1]
+	return sigmoidWidenF32Asm(&out[0], &x[0], int64(len(x)))
 }

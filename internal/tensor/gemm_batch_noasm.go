@@ -19,7 +19,7 @@ func vact[T float32 | float64](row []T, mode int64, bias T) {
 	invariant.Fail("tensor: vact requires the amd64 batch kernels")
 }
 
-func attnBlock[T float32 | float64](out, q, k, v, scr []T, t, d, dv int, scale T) {
+func attnBlock[T float32 | float64](out, q, k, v, scr []T, t, d, dv, ostride int, scale T) {
 	invariant.Fail("tensor: attnBlock requires the amd64 batch kernels")
 }
 
@@ -34,4 +34,22 @@ func vaddLayerNorm[T float32 | float64](out, x, y, gain, bias []T, rows, cols in
 
 func lstmSteps[T float32 | float64](h, hs, c []T, pre, wh [4][]T, steps int) {
 	invariant.Fail("tensor: lstmSteps requires the amd64 batch kernels")
+}
+
+func vrows[T float32 | float64](out, x, y []T, ids []int, rows, cols, opitch, ystride int) {
+	invariant.Fail("tensor: vrows requires the amd64 batch kernels")
+}
+
+func vmeanRows[T float32 | float64](out, a []T, rows int, inv T) {
+	invariant.Fail("tensor: vmeanRows requires the amd64 batch kernels")
+}
+
+func firstAbove[T float32 | float64](s []T, v T) int {
+	invariant.Fail("tensor: firstAbove requires the amd64 batch kernels")
+	return 0
+}
+
+func sigmoidWidenF32(out []float64, x []float32) bool {
+	invariant.Fail("tensor: sigmoidWidenF32 requires the amd64 batch kernels")
+	return false
 }

@@ -4,7 +4,8 @@ import "fmt"
 
 // attention emits attnBlockAsm, one whole attention block (tensor.
 // AttentionBlocks), out = softmax(q·(k·scale)ᵀ)·v for q, k [t x d] and v, out
-// [t x dv] (t, dv >= 1), in sweeps over arena scratch (attnScratch) whose rows
+// [t x dv] (t, dv >= 1; out rows ostride elements apart, so a head can
+// write its columns of a wider tensor), in sweeps over arena scratch (attnScratch) whose rows
 // are whole zmm, so no load waits on a masked store:
 //   - qᵀ, transposed in lanes x lanes register blocks, and k·scale row by row
 //     (the one rounding the parent's transposeScale made);
@@ -28,11 +29,11 @@ func attention(o *emitter, d dtype) {
 	w, sz, sh, lg := d.lanes, d.size, d.shift, d.lg
 	p := d.p
 	name, ty := "attnBlock"+d.suffix+"Asm", d.ty
-	allmask, argsz := fmt.Sprintf("$%#x", 1<<w-1), 64+sz
+	allmask, argsz := fmt.Sprintf("$%#x", 1<<w-1), 72+sz
 	mov, bcast := d.mov, d.bcast
 
 	e := o.e
-	e("// func %s(out, q, k, v, scr *%s, t, d, dv int64, scale %s)", name, ty, ty)
+	e("// func %s(out, q, k, v, scr *%s, t, d, dv, ostride int64, scale %s)", name, ty, ty)
 	e("TEXT ·%s(SB), NOSPLIT, $40-%d", name, argsz)
 	e("\tMOVQ t+40(FP), R8")
 	e("\t// K1: lanes of the last row chunk; R12: full row chunks")
@@ -134,7 +135,7 @@ func attention(o *emitter, d dtype) {
 	e("\tMOVQ R14, ks-8(SP)")
 	e("\tMOVQ R10, R13")
 	e("\tSHLQ $6, R13  // dp in bytes")
-	e("\t%s scale+64(FP), Z29", bcast)
+	e("\t%s scale+72(FP), Z29", bcast)
 	e("\tMOVQ k+16(FP), SI")
 	e("\tMOVQ R9, AX")
 	e("\tSHLQ $%d, AX  // k row stride in bytes", sh)
@@ -481,7 +482,9 @@ func av(o *emitter, d dtype) {
 	e("\t// probability row j) second and v third, as the panel GEMM had them.")
 	e("\t// Rows past t are computed from pad lanes and not stored.")
 	e("\tMOVQ dv+56(FP), R9")
-	e("\tSHLQ $%d, R9  // v and out row stride", sh)
+	e("\tSHLQ $%d, R9  // v row stride", sh)
+	e("\tMOVQ ostride+64(FP), R14")
+	e("\tSHLQ $%d, R14  // out row stride", sh)
 	e("\tXORQ R13, R13")
 	e("")
 	e("atile:")
@@ -544,7 +547,7 @@ func av(o *emitter, d dtype) {
 		e("\tDECQ CX")
 		e("\tJNZ  %sloop", lbl)
 		e("\tMOVQ  R13, DI")
-		e("\tIMULQ R9, DI")
+		e("\tIMULQ R14, DI")
 		e("\tADDQ  out+0(FP), DI")
 		e("\tADDQ  SI, DI")
 		e("\tMOVQ  R8, CX")
@@ -559,7 +562,7 @@ func av(o *emitter, d dtype) {
 			if i < 8 {
 				e("\tDECQ CX")
 				e("\tJZ   %sstored", lbl)
-				e("\tADDQ R9, DI")
+				e("\tADDQ R14, DI")
 			}
 		}
 		e("")

@@ -97,6 +97,12 @@ func File(f32Kernels bool) string {
 	layerNorm(o, d)
 	attention(o, d)
 	lstm(o, d)
+	rows(o, d)
+	meanRows(o, d)
+	firstAbove(o, d)
+	if f32Kernels {
+		sigmoidWiden(o, d)
+	}
 	return header + strings.Join(o.lines, "\n") + "\n"
 }
 
