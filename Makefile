@@ -111,8 +111,9 @@ fuzz:
 # the best run per benchmark (timing noise is strictly additive), keeping
 # ns/op stable enough for the bench-compare gate's 15% threshold on noisy
 # (single-core VM) hosts; the kernel rows (KERNEL_BENCH: the attention block,
-# the fused residual LayerNorm and the top-2 decode at the shapes an AMMA
-# forward runs them, the m = 1 panel product at an LSTM gate's and the two
+# the fused residual LayerNorm, the row kernels — mean-pool, position add,
+# gather + position, top-k scan, f32 score hand-off — and the top-2 decode at
+# the shapes an AMMA forward runs them, the m = 1 panel product at an LSTM gate's and the two
 # heads' shapes, one panel product at every shape of the served census next to
 # m = 16 and m = 4 controls the window-row tiles never take, one biased
 # LinearAct at the census shapes (the bias seeds the panel), one LSTM forward
@@ -144,7 +145,7 @@ fuzz:
 # 1 µs to 25 ms, so they run for a time (0.5 s) rather than a count.
 # Steps go through a file so a benchmark failure fails the target. For
 # published numbers rerun with a higher -benchtime and -count (DESIGN.md §8).
-KERNEL_BENCH = BenchmarkAttentionBlocks|BenchmarkResidualLayerNorm|BenchmarkTopK2of1024|BenchmarkPanel1|BenchmarkPanelShapes|BenchmarkLinearAct|BenchmarkLSTMForward|BenchmarkAMMA(Delta|Page)(F32)?(Batch8)?$$
+KERNEL_BENCH = BenchmarkAttentionBlocks|BenchmarkResidualLayerNorm|BenchmarkMeanRowsBatch|BenchmarkAddPosBatch|BenchmarkEmbeddingPosBatch|BenchmarkFirstAbove|BenchmarkSigmoidWiden|BenchmarkTopK2of1024|BenchmarkPanel1|BenchmarkPanelShapes|BenchmarkLinearAct|BenchmarkLSTMForward|BenchmarkAMMA(Delta|Page)(F32)?(Batch8)?$$
 TRAIN_BENCH = BenchmarkAdamStep|BenchmarkGemmTN|BenchmarkBackwardMLP|BenchmarkAMMADeltaTrainStep|BenchmarkAMMAPageTrainStep
 SIM_BENCH = BenchmarkEngineNoPrefetch|BenchmarkEngineRun|BenchmarkClassicOperate|BenchmarkGPOPPageRankTrace|BenchmarkXStreamBFSTrace|BenchmarkPowerGraphCCTrace|BenchmarkInterleave
 SERVE_BENCH = BenchmarkKSWIN|BenchmarkSoftKSWIN|BenchmarkKSStatistic|BenchmarkHandleFeed

@@ -111,12 +111,7 @@ func (l *LSTMOf[T]) ForwardBatchCtx(ctx *tensor.Ctx, x *tensor.Dense[T], blocks 
 	t := x.Rows / blocks
 	n := blocks * l.Hidden
 	if blocks > 1 {
-		// Block b's step s, row b*t+s, becomes row s*blocks+b.
-		xt := tensor.ZerosCtx[T](ctx, x.Rows, x.Cols)
-		for r := 0; r < x.Rows; r++ {
-			copy(xt.Data[(r%t*blocks+r/t)*x.Cols:], x.Data[r*x.Cols:(r+1)*x.Cols])
-		}
-		x = xt
+		x = tensor.TimeMajorBatch(ctx, x, blocks)
 	}
 	wx := [4]*tensor.Dense[T]{l.Wxi, l.Wxf, l.Wxo, l.Wxg}
 	wh := [4]*tensor.Dense[T]{l.Whi, l.Whf, l.Who, l.Whg}

@@ -137,6 +137,91 @@ func BenchmarkResidualLayerNormF32(b *testing.B) {
 	})
 }
 
+// The row-kernel ledger rows: the passes between the GEMM, attention and
+// LayerNorm kernels, at the shapes an AMMA forward runs them
+// (benchModelShapes; the token gathers over the SmallConfig page vocabulary
+// of 1024), at both precisions.
+
+// benchInput is a rows x cols tensor of standard normals on a ctx of its
+// own, which the timed loop never resets.
+func benchInput[T float32 | float64](rng *rand.Rand, rows, cols int) *Dense[T] {
+	return randDense[T](NewCtx(), rng, rows, cols)
+}
+
+func benchMeanRows[T float32 | float64](b *testing.B) {
+	benchModelShapes(b, func(b *testing.B, c *Ctx, t, d, blocks int) {
+		a := benchInput[T](rand.New(rand.NewSource(1)), blocks*t, d)
+		for i := 0; i < b.N; i++ {
+			MeanRowsBatch(c, a, blocks)
+			c.Reset()
+		}
+	})
+}
+
+func BenchmarkMeanRowsBatch(b *testing.B)    { benchMeanRows[float64](b) }
+func BenchmarkMeanRowsBatchF32(b *testing.B) { benchMeanRows[float32](b) }
+
+func benchAddPos[T float32 | float64](b *testing.B) {
+	benchModelShapes(b, func(b *testing.B, c *Ctx, t, d, blocks int) {
+		rng := rand.New(rand.NewSource(1))
+		a, pos := benchInput[T](rng, blocks*t, d), benchInput[T](rng, t, d)
+		for i := 0; i < b.N; i++ {
+			AddPosBatch(c, a, pos, blocks)
+			c.Reset()
+		}
+	})
+}
+
+func BenchmarkAddPosBatch(b *testing.B)    { benchAddPos[float64](b) }
+func BenchmarkAddPosBatchF32(b *testing.B) { benchAddPos[float32](b) }
+
+func benchEmbeddingPos[T float32 | float64](b *testing.B) {
+	benchModelShapes(b, func(b *testing.B, c *Ctx, t, d, blocks int) {
+		rng := rand.New(rand.NewSource(1))
+		table, pos := benchInput[T](rng, 1024, d), benchInput[T](rng, t, d)
+		ids := make([]int, blocks*t)
+		for i := range ids {
+			ids[i] = rng.Intn(1024)
+		}
+		for i := 0; i < b.N; i++ {
+			EmbeddingPosBatch(c, table, ids, pos, blocks)
+			c.Reset()
+		}
+	})
+}
+
+func BenchmarkEmbeddingPosBatch(b *testing.B)    { benchEmbeddingPos[float64](b) }
+func BenchmarkEmbeddingPosBatchF32(b *testing.B) { benchEmbeddingPos[float32](b) }
+
+// benchFirstAbove is the page decode's scan: a 1024-wide logit row against
+// a worst entry nothing beats, so the scan runs to the end.
+func benchFirstAbove[T float32 | float64](b *testing.B) {
+	s := randOperands[T](rand.New(rand.NewSource(1)), 1024, 0)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		FirstAbove(s, 10)
+	}
+}
+
+func BenchmarkFirstAbove(b *testing.B)    { benchFirstAbove[float64](b) }
+func BenchmarkFirstAboveF32(b *testing.B) { benchFirstAbove[float32](b) }
+
+// BenchmarkSigmoidWiden is the f32 delta head's hand-off over the
+// SmallConfig delta head (2·63 classes), one session and a batch of eight.
+func BenchmarkSigmoidWiden(b *testing.B) {
+	for _, blocks := range []int{1, 8} {
+		b.Run(fmt.Sprintf("blocks=%d", blocks), func(b *testing.B) {
+			logits := benchInput[float32](rand.New(rand.NewSource(1)), blocks, 126)
+			c := NewCtx()
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				SigmoidWidenCtx(c, logits)
+				c.Reset()
+			}
+		})
+	}
+}
+
 // BenchmarkPanel1 is the m = 1 product (an MLP head, an LSTM step's recurrent
 // half) at an LSTM gate's shape, the delta head's, and the page head's. The
 // weights cycle through four panels, as an LSTM's four gates do, so a panel

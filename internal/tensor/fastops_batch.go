@@ -184,6 +184,25 @@ func AddRowPerBlock[T float32 | float64](c *Ctx, a, table *Dense[T], ids []int, 
 	return out
 }
 
+// TimeMajorBatch reorders a stacked [blocks*T x d] tensor time-major —
+// block b's row s becomes row s·blocks + b, so one time step of every block
+// is one run of rows (the batched LSTM's input) — by one rowsInto pass a
+// block.
+//
+//mpgraph:noalloc
+func TimeMajorBatch[T float32 | float64](c *Ctx, x *Dense[T], blocks int) *Dense[T] {
+	if c == nil || blocks <= 0 || x.Rows%blocks != 0 {
+		invariant.Failf("tensor: timeMajorBatch %d rows over %d blocks", x.Rows, blocks)
+	}
+	t := x.Rows / blocks
+	d := x.Cols
+	out := uninit[T](c, x.Rows, d)
+	for blk := 0; blk < blocks; blk++ {
+		rowsInto(out.Data[blk*d:], x.Data[blk*t*d:(blk+1)*t*d], nil, nil, t, d, blocks*d, 0)
+	}
+	return out
+}
+
 // rowsInto is the one body of every row move and row add of the live path:
 // out row r (rows opitch elements apart) = x row r, plus y row r (rows
 // ystride apart; 0 puts one row under every row) unless y is nil. x row r is

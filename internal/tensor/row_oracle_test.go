@@ -247,3 +247,27 @@ func attentionIntoOracle[T float32 | float64](t *testing.T) {
 		}
 	}
 }
+
+// TestTimeMajorBatch: the reorder is the per-row copy loop it replaced, on
+// both kernel families.
+func TestTimeMajorBatch(t *testing.T) {
+	rng := rand.New(rand.NewSource(66))
+	c := NewCtx()
+	for _, blocks := range oracleBlocks {
+		for _, d := range oracleDims {
+			tt := 9
+			x := &Dense[float32]{Rows: blocks * tt, Cols: d, Data: randOperands[float32](rng, blocks*tt*d, 9)}
+			want := make([]float32, len(x.Data))
+			for r := 0; r < x.Rows; r++ {
+				copy(want[(r%tt*blocks+r/tt)*d:], x.Data[r*d:(r+1)*d])
+			}
+			got := TimeMajorBatch(c, x, blocks)
+			var scalar *Dense[float32]
+			portable(func() { scalar = TimeMajorBatch(c, x, blocks) })
+			if !sameBits(got.Data, want) || !sameBits(scalar.Data, want) {
+				t.Fatalf("blocks %d d %d: reorder differs from the row loop", blocks, d)
+			}
+			c.Reset()
+		}
+	}
+}
