@@ -184,7 +184,6 @@ func phaseIDsBatch(c *tensor.Ctx, ss []*Sample, vocab int) []int {
 // The feature builders above stay float64 (address segments and PC hashes are
 // computed once, in full precision); NarrowCtx hands them to the compute tier,
 // rounding to f32 on the f32 mirrors and passing through at float64.
-
 //
 // Each encoder writes its attention output straight into its half of the
 // fusion input (rowOff 0 for the first modality, T for the second), so the

@@ -3,6 +3,7 @@ package tensor
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -12,24 +13,10 @@ import (
 // planted. Each kernel only moves data or keeps its loop's operations in
 // order, so there is no tolerance anywhere.
 
-// sameBits reports whether a and b hold the same bit patterns.
+// sameBits reports whether a and b hold the same bit patterns (widening
+// to float64 is exact and keeps a NaN's payload).
 func sameBits[T float32 | float64](a, b []T) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if bitsOf(a[i]) != bitsOf(b[i]) {
-			return false
-		}
-	}
-	return true
-}
-
-func bitsOf[T float32 | float64](v T) uint64 {
-	if f, ok := any(v).(float32); ok {
-		return uint64(math.Float32bits(f))
-	}
-	return math.Float64bits(float64(v))
+	return slices.EqualFunc(a, b, func(x, y T) bool { return math.Float64bits(float64(x)) == math.Float64bits(float64(y)) })
 }
 
 // needKernels skips a kernel-against-loop oracle on a host without the
