@@ -211,18 +211,21 @@ func (s *SelfAttentionOf[T]) ForwardCtx(c *tensor.Ctx, x *tensor.Dense[T]) *tens
 
 // ForwardBatchCtx attends independently inside each of the `blocks` session
 // blocks of the stacked sequence x [blocks*T x in] (one fused block-attention
-// op). A nil ctx is autograd and takes one sequence.
+// op): ForwardIntoCtx over a fresh [blocks*T x dim] tensor. A nil ctx is
+// autograd and takes one sequence.
 //
 //mpgraph:noalloc
 func (s *SelfAttentionOf[T]) ForwardBatchCtx(c *tensor.Ctx, x *tensor.Dense[T], blocks int) *tensor.Dense[T] {
-	q := s.Wq.ForwardCtx(c, x)
-	k := s.Wk.ForwardCtx(c, x)
-	v := s.Wv.ForwardCtx(c, x)
-	return tensor.AttentionBlocks(c, q, k, v, blocks, s.scale())
+	if c == nil {
+		return tensor.AttentionBlocks(nil, s.Wq.ForwardCtx(nil, x), s.Wk.ForwardCtx(nil, x), s.Wv.ForwardCtx(nil, x), blocks, s.scale())
+	}
+	out := tensor.UninitCtx[T](c, x.Rows, s.dim)
+	s.ForwardIntoCtx(c, x, blocks, out, 0, 0)
+	return out
 }
 
-// ForwardIntoCtx is ForwardBatchCtx writing each block's [T x dim] output
-// into a window of dst (tensor.AttentionBlocksInto): rows rowOff.. of dst's
+// ForwardIntoCtx writes each block's [T x dim] attention output into a
+// window of dst (tensor.AttentionBlocksInto): rows rowOff.. of dst's
 // matching block, columns colOff... Live ctx only.
 //
 //mpgraph:noalloc
