@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build build-portable vet lint fmt-check vet-self vet-facts-determinism test test-times race fuzz bench bench-batch bench-compare benchmark benchmark-selftest faultinject serve-smoke ci
+.PHONY: all build build-portable vet lint fmt-check vet-self vet-facts-determinism test test-times race fuzz bench bench-compare benchmark benchmark-selftest faultinject serve-smoke cli-smoke ci
 
 all: build lint test
 
@@ -186,18 +186,6 @@ bench:
 	$(GO) run ./cmd/mpgraph-bench -in bench.out -o BENCH_small.json
 	rm -f bench.out
 
-# bench-batch is the batched-tier smoke: run the OperateBatch{8,64} rows
-# (batched next to sequential) once through mpgraph-bench
-# (DESIGN.md §11). CI runs this with -benchtime 1x and uploads the report;
-# the committed BENCH_small.json carries the 300x numbers via `make bench`.
-BENCH_BATCH_TIME ?= 1x
-bench-batch:
-	$(GO) test ./internal/models/ \
-		-run xxx -bench 'BenchmarkOperateBatch' -benchtime $(BENCH_BATCH_TIME) \
-		> bench-batch.out
-	$(GO) run ./cmd/mpgraph-bench -in bench-batch.out -o BENCH_batch.json
-	rm -f bench-batch.out
-
 # bench-compare is the perf-regression gate: rerun the Operate, kernel,
 # training, simulator and serve benchmarks and fail if any benchmark is >15% slower
 # in ns/op, a zero-alloc row gains a single allocation, or an allocating row
@@ -240,5 +228,19 @@ serve-smoke:
 	$(GO) build -o bin/mpgraph-serve ./cmd/mpgraph-serve
 	$(GO) build -o bin/mpgraph-loadgen ./cmd/mpgraph-loadgen
 	./scripts/serve_smoke.sh
+
+# cli-smoke runs the Fig. 6 commands end to end on a tiny option set —
+# mpgraph-trace -stats, mpgraph-train -o, and mpgraph-sim under BO and under
+# the trained artifact — and fails on any non-zero exit. The commands are
+# thin clients of experiments.Runner (DESIGN.md §3); what they compute is
+# pinned by TestSnapshotMatchesRunner, this only keeps them running.
+CLI_SMOKE_FLAGS = -graph-scale 8 -trace-iterations 3
+cli-smoke:
+	$(GO) build -o bin/ ./cmd/mpgraph-trace ./cmd/mpgraph-train ./cmd/mpgraph-sim
+	./bin/mpgraph-trace $(CLI_SMOKE_FLAGS) -stats
+	./bin/mpgraph-train $(CLI_SMOKE_FLAGS) -train-samples 100 -epochs 1 -o bin/cli-smoke.models
+	./bin/mpgraph-sim $(CLI_SMOKE_FLAGS) -prefetcher bo
+	./bin/mpgraph-sim $(CLI_SMOKE_FLAGS) -prefetcher mpgraph -models bin/cli-smoke.models
+	rm -f bin/cli-smoke.models
 
 ci: build lint test race

@@ -77,14 +77,9 @@ func main() {
 		return
 	}
 
-	var opt experiments.Options
-	switch *scale {
-	case "small":
-		opt = experiments.DefaultOptions()
-	case "paper":
-		opt = experiments.PaperOptions()
-	default:
-		fatalf("unknown scale %q (small|paper)", *scale)
+	opt, err := experiments.ScaleOptions(*scale)
+	if err != nil {
+		fatalf("%v", err)
 	}
 	opt.Seed = *seed
 	opt.Workers = *workers

@@ -43,25 +43,19 @@ import (
 )
 
 func main() {
+	options := experiments.WorkloadFlags(flag.CommandLine, true)
 	var (
-		addr       = flag.String("addr", ":8080", "HTTP listen address")
-		scale      = flag.String("scale", "small", "suite scale: small | paper")
-		workload   = flag.String("workload", "gpop/pr/rmat", "workload to serve, as framework/app/dataset")
-		seed       = flag.Int64("seed", 1, "training/injection seed")
-		graphScale = flag.Int("graph-scale", 0, "log2 vertices override")
-		traceIters = flag.Int("trace-iterations", 0, "framework super-steps to trace (0 = per-scale default)")
-		trainSamps = flag.Int("train-samples", 0, "training dataset cap (0 = per-scale default)")
-		epochs     = flag.Int("epochs", 0, "training epoch count (0 = per-scale default)")
-		workers    = flag.Int("workers", 0, "replay parallelism (0 = GOMAXPROCS); suite training follows GOMAXPROCS, not this")
-		f32Infer   = flag.Bool("f32", false, "serve inference on the single-precision (f32) compute tier")
-		batch      = flag.Int("batch", 0, "fuse up to N concurrent sessions' model calls per batched GEMM round (0 = off)")
-		ckptDir    = flag.String("checkpoint-dir", "", "directory for atomic checksummed suite checkpoints")
-		resume     = flag.Bool("resume", false, "load matching checkpoints from -checkpoint-dir before training")
+		addr     = flag.String("addr", ":8080", "HTTP listen address")
+		workers  = flag.Int("workers", 0, "replay parallelism (0 = GOMAXPROCS); suite training follows GOMAXPROCS, not this")
+		f32Infer = flag.Bool("f32", false, "serve inference on the single-precision (f32) compute tier")
+		batch    = flag.Int("batch", 0, "fuse up to N concurrent sessions' model calls per batched GEMM round (0 = off)")
+		ckptDir  = flag.String("checkpoint-dir", "", "directory for atomic checksummed suite checkpoints")
+		resume   = flag.Bool("resume", false, "load matching checkpoints from -checkpoint-dir before training")
 
 		maxSessions = flag.Int("max-sessions", 256, "session-table bound (admission control)")
 		flushEvery  = flag.Int("flush-every", 64, "events per streamed prediction chunk")
 		retryAfter  = flag.Int("retry-after", 1, "Retry-After hint (seconds) on 429/503 rejections")
-		reqTimeout  = flag.Duration("request-timeout", 30*time.Second, "per-feed deadline, propagated through model calls")
+		reqTimeout  = flag.Duration("request-timeout", 30*time.Second, "per-feed deadline, checked between -flush-every chunks (and inside model calls with -batch > 0)")
 		maxFeed     = flag.Int("max-feed-events", 1<<16, "per-feed (and per-replay-session) event bound")
 
 		inject     = flag.String("inject", "", "fault-injection spec, e.g. 'serve-session:panic~0.05' (see resilience.ParseInjector)")
@@ -72,21 +66,17 @@ func main() {
 	)
 	flag.Parse()
 
-	opt, err := buildOptions(*scale, *seed, *graphScale, *traceIters, *trainSamps, *epochs,
-		*workers, *f32Infer, *batch, *ckptDir, *resume)
+	w, opt, err := options()
 	if err != nil {
 		fatalf("%v", err)
 	}
-	inj, err := resilience.ParseInjector(*inject, *seed)
+	opt.Workers, opt.F32, opt.Batch = *workers, *f32Infer, *batch
+	opt.CheckpointDir, opt.Resume = *ckptDir, *resume
+	inj, err := resilience.ParseInjector(*inject, opt.Seed)
 	if err != nil {
 		fatalf("-inject: %v", err)
 	}
 	opt.Injector = inj
-	w, err := experiments.ParseWorkload(*workload)
-	if err != nil {
-		fatalf("-workload: %v", err)
-	}
-	opt.Datasets = []string{w.Dataset}
 
 	r := experiments.NewRunner(opt)
 	fmt.Fprintf(os.Stderr, "[mpgraph-serve] preparing suite for %s (scale=%s f32=%v batch=%d)...\n",
@@ -142,39 +132,6 @@ func main() {
 		}
 		fmt.Fprintln(os.Stderr, "[mpgraph-serve] leak-check: ok")
 	}
-}
-
-// buildOptions assembles the experiments configuration from the suite flags.
-func buildOptions(scale string, seed int64, graphScale, traceIters, trainSamps, epochs,
-	workers int, f32Infer bool, batch int, ckptDir string, resume bool) (experiments.Options, error) {
-	var opt experiments.Options
-	switch scale {
-	case "small":
-		opt = experiments.DefaultOptions()
-	case "paper":
-		opt = experiments.PaperOptions()
-	default:
-		return opt, fmt.Errorf("unknown scale %q (small|paper)", scale)
-	}
-	opt.Seed = seed
-	opt.Workers = workers
-	opt.F32 = f32Infer
-	opt.Batch = batch
-	opt.CheckpointDir = ckptDir
-	opt.Resume = resume
-	if graphScale > 0 {
-		opt.GraphScale = graphScale
-	}
-	if traceIters > 0 {
-		opt.TraceIterations = traceIters
-	}
-	if trainSamps > 0 {
-		opt.TrainSamples = trainSamps
-	}
-	if epochs > 0 {
-		opt.Epochs = epochs
-	}
-	return opt, nil
 }
 
 // runDaemon serves HTTP until SIGINT/SIGTERM, then drains gracefully.

@@ -1,12 +1,13 @@
-// Command mpgraph-sim runs the prefetching simulation: it replays a trace's
-// test iterations (everything after iteration 1) through the multi-core
-// cache hierarchy with a chosen prefetcher and reports IPC, prefetch
-// accuracy, and coverage against the no-prefetch baseline.
+// Command mpgraph-sim runs the prefetching simulation: it replays a
+// workload's test iterations (everything after iteration 1) through the
+// multi-core cache hierarchy with a chosen prefetcher and reports IPC,
+// prefetch accuracy, and coverage against the no-prefetch baseline. The
+// simulation is experiments.Runner's, so a cell it prints is the report's.
 //
 // Usage:
 //
-//	mpgraph-sim -trace pr.trace -prefetcher bo
-//	mpgraph-sim -trace pr.trace -prefetcher mpgraph -models pr.models
+//	mpgraph-sim -workload gpop/pr/rmat -prefetcher bo
+//	mpgraph-sim -workload gpop/pr/rmat -prefetcher mpgraph -models pr.models
 package main
 
 import (
@@ -15,47 +16,23 @@ import (
 	"os"
 
 	"mpgraph/internal/core"
+	"mpgraph/internal/experiments"
 	"mpgraph/internal/models"
-	"mpgraph/internal/phasedet"
 	"mpgraph/internal/prefetch"
 	"mpgraph/internal/sim"
-	"mpgraph/internal/trace"
 )
 
 func main() {
-	var (
-		tracePath  = flag.String("trace", "", "input trace from mpgraph-trace (required)")
-		pfName     = flag.String("prefetcher", "bo", "none | bo | isb | mpgraph")
-		modelsPath = flag.String("models", "", "model file from mpgraph-train (for -prefetcher mpgraph)")
-		latency    = flag.Uint64("latency", 0, "model inference latency in cycles")
-		maxAcc     = flag.Int("max-accesses", 500_000, "cap on simulated test accesses (0 = all)")
-		seed       = flag.Int64("seed", 1, "detector seed")
-	)
+	options := experiments.WorkloadFlags(flag.CommandLine, false)
+	pfName := flag.String("prefetcher", "bo", "none | bo | isb | mpgraph")
+	modelsPath := flag.String("models", "", "model file from mpgraph-train (for -prefetcher mpgraph)")
+	latency := flag.Uint64("latency", 0, "model inference latency in cycles")
 	flag.Parse()
-	if *tracePath == "" {
-		fatalf("need -trace")
-	}
-
-	f, err := os.Open(*tracePath)
+	w, opt, err := options()
 	if err != nil {
 		fatalf("%v", err)
 	}
-	tr, err := trace.Read(f)
-	f.Close()
-	if err != nil {
-		fatalf("read trace: %v", err)
-	}
-	if tr.NumIterations() < 2 {
-		fatalf("trace needs at least 2 iterations (1 train + tests)")
-	}
-	_, hi, err := tr.Iteration(0)
-	if err != nil {
-		fatalf("%v", err)
-	}
-	test := tr.Accesses[hi:]
-	if *maxAcc > 0 && len(test) > *maxAcc {
-		test = test[:*maxAcc]
-	}
+	r := experiments.NewRunner(opt)
 
 	var pf sim.Prefetcher
 	switch *pfName {
@@ -78,30 +55,25 @@ func main() {
 		if err != nil {
 			fatalf("load models: %v", err)
 		}
-		opt := core.DefaultOptions()
-		opt.LatencyCycles = *latency
-		det := phasedet.NewSoftKSWIN(phasedet.KSWINConfig{Seed: *seed})
-		pf, err = core.New(opt, pm.Cfg.HistoryT, det, pm.DeltaModels(), pm.PageModels())
-		if err != nil {
+		copt := core.DefaultOptions()
+		copt.LatencyCycles = *latency
+		if pf, err = r.AssembleMPGraph(copt, pm.Cfg.HistoryT, pm.DeltaModels(), pm.PageModels()); err != nil {
 			fatalf("build mpgraph: %v", err)
 		}
 	default:
 		fatalf("unknown prefetcher %q", *pfName)
 	}
 
-	cfg := sim.DefaultConfig()
-	base, err := sim.NewEngine(cfg, nil)
+	m, mb, err := r.Simulate(w, pf)
 	if err != nil {
 		fatalf("%v", err)
 	}
-	mb := base.Run(test)
-	eng, err := sim.NewEngine(cfg, pf)
+	d, err := r.Data(w)
 	if err != nil {
 		fatalf("%v", err)
 	}
-	m := eng.Run(test)
 
-	fmt.Printf("workload:    %s/%s (%d test accesses)\n", tr.Framework, tr.App, len(test))
+	fmt.Printf("workload:    %s (%d test accesses)\n", w, len(d.TestRaw))
 	fmt.Printf("baseline:    IPC=%.4f LLCmiss=%d\n", mb.IPC(), mb.LLCMisses)
 	fmt.Printf("%-12s IPC=%.4f (%+.2f%%) accuracy=%.2f%% coverage=%.2f%% issued=%d useful=%d late=%d\n",
 		pf.Name()+":", m.IPC(), m.IPCImprovement(mb)*100,

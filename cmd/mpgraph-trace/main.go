@@ -1,10 +1,12 @@
 // Command mpgraph-trace executes a graph-analytics workload under one of the
 // three framework execution models and writes its memory-access trace — the
-// equivalent of the paper's "framework under Pin" trace-generation step.
+// equivalent of the paper's "framework under Pin" trace-generation step. The
+// trace is experiments.Runner's, the one the report trains on and simulates.
 //
 // Usage:
 //
-//	mpgraph-trace -framework gpop -app pr -dataset rmat -scale 12 -iterations 6 -o pr.trace
+//	mpgraph-trace -workload gpop/pr/rmat -o pr.trace
+//	mpgraph-trace -workload gpop/pr/rmat -stats
 package main
 
 import (
@@ -12,55 +14,30 @@ import (
 	"fmt"
 	"os"
 
-	"mpgraph/internal/frameworks"
-	"mpgraph/internal/graph"
+	"mpgraph/internal/experiments"
 	"mpgraph/internal/trace"
 )
 
 func main() {
-	var (
-		framework  = flag.String("framework", "gpop", "gpop | xstream | powergraph")
-		app        = flag.String("app", "pr", "bfs | cc | pr | sssp | tc")
-		dataset    = flag.String("dataset", "rmat", "benchmark graph name (see Table 2)")
-		scale      = flag.Int("scale", 12, "log2 vertices")
-		iterations = flag.Int("iterations", 6, "super-steps to trace")
-		cores      = flag.Int("cores", 4, "simulated cores")
-		seed       = flag.Int64("seed", 1, "generation seed")
-		out        = flag.String("o", "", "output trace file (required unless -stats)")
-		statsFlag  = flag.Bool("stats", false, "print a per-phase trace summary instead of requiring -o")
-	)
+	options := experiments.WorkloadFlags(flag.CommandLine, false)
+	out := flag.String("o", "", "output trace file (required unless -stats)")
+	stats := flag.Bool("stats", false, "print a per-phase trace summary instead of requiring -o")
 	flag.Parse()
-	if *out == "" && !*statsFlag {
+	if *out == "" && !*stats {
 		fatalf("missing -o output path (or use -stats)")
 	}
-
-	spec, err := graph.DatasetByName(*dataset)
+	w, opt, err := options()
 	if err != nil {
 		fatalf("%v", err)
 	}
-	g, err := spec.GenerateScale(*scale)
-	if err != nil {
-		fatalf("generate graph: %v", err)
-	}
-	stats := graph.ComputeStats(g)
-	fmt.Fprintf(os.Stderr, "graph %s: %s\n", *dataset, stats)
-
-	fw, err := frameworks.ByName(*framework)
+	d, err := experiments.NewRunner(opt).Data(w)
 	if err != nil {
 		fatalf("%v", err)
-	}
-	tr, res, err := fw.Run(g, frameworks.App(*app), frameworks.Options{
-		Cores:         *cores,
-		MaxIterations: *iterations,
-		Seed:          *seed,
-	})
-	if err != nil {
-		fatalf("run workload: %v", err)
 	}
 	fmt.Fprintf(os.Stderr, "trace: %d accesses, %d iterations, converged=%v\n",
-		len(tr.Accesses), res.Iterations, res.Converged)
-	if *statsFlag {
-		trace.Summarize(tr).Print(os.Stdout)
+		len(d.Trace.Accesses), d.Result.Iterations, d.Result.Converged)
+	if *stats {
+		trace.Summarize(d.Trace).Print(os.Stdout)
 	}
 	if *out == "" {
 		return
@@ -70,9 +47,11 @@ func main() {
 	if err != nil {
 		fatalf("create %s: %v", *out, err)
 	}
-	defer f.Close()
-	if err := trace.Write(f, tr); err != nil {
+	if err := trace.Write(f, d.Trace); err != nil {
 		fatalf("write trace: %v", err)
+	}
+	if err := f.Close(); err != nil {
+		fatalf("close %s: %v", *out, err)
 	}
 	fmt.Fprintf(os.Stderr, "wrote %s\n", *out)
 }

@@ -1,12 +1,12 @@
 // Command mpgraph-train performs the paper's offline training step (Fig. 6):
-// it replays a trace's first iteration through the cache hierarchy to
-// extract the shared-LLC access stream, trains phase-specific AMMA delta and
-// page predictors on it, and writes the deployable model artifact that
-// mpgraph-sim loads.
+// it trains the phase-specific AMMA delta and page predictors of one
+// workload on iteration 1's shared-LLC stream, as experiments.Runner does for
+// the report, and writes the deployable model artifact that mpgraph-sim
+// loads.
 //
 // Usage:
 //
-//	mpgraph-train -trace pr.trace -o pr.models -epochs 2 -samples 2000
+//	mpgraph-train -workload gpop/pr/rmat -o pr.models
 package main
 
 import (
@@ -14,89 +14,41 @@ import (
 	"fmt"
 	"os"
 
+	"mpgraph/internal/experiments"
 	"mpgraph/internal/models"
-	"mpgraph/internal/sim"
-	"mpgraph/internal/trace"
 )
 
 func main() {
-	var (
-		tracePath = flag.String("trace", "", "input trace from mpgraph-trace (required)")
-		out       = flag.String("o", "", "output model file (required)")
-		scale     = flag.String("scale", "small", "model scale: small | paper")
-		epochs    = flag.Int("epochs", 2, "training epochs")
-		samples   = flag.Int("samples", 2000, "training samples per epoch")
-		seed      = flag.Int64("seed", 1, "training seed")
-	)
+	options := experiments.WorkloadFlags(flag.CommandLine, true)
+	out := flag.String("o", "", "output model file (required)")
 	flag.Parse()
-	if *tracePath == "" || *out == "" {
-		fatalf("need -trace and -o")
+	if *out == "" {
+		fatalf("need -o")
 	}
-
-	f, err := os.Open(*tracePath)
+	w, opt, err := options()
 	if err != nil {
 		fatalf("%v", err)
 	}
-	tr, err := trace.Read(f)
-	f.Close()
-	if err != nil {
-		fatalf("read trace: %v", err)
-	}
-	if tr.NumIterations() < 1 {
-		fatalf("trace has no iterations")
-	}
-
-	// Extract the LLC stream of the first iteration.
-	lo, hi, err := tr.Iteration(0)
-	if err != nil {
-		fatalf("%v", err)
-	}
-	eng, err := sim.NewEngine(sim.DefaultConfig(), nil)
-	if err != nil {
-		fatalf("%v", err)
-	}
-	var llc []trace.Access
-	eng.Recorder = func(a trace.Access, hit bool) { llc = append(llc, a) }
-	eng.Run(tr.Accesses[lo:hi])
-	fmt.Fprintf(os.Stderr, "LLC training stream: %d of %d accesses\n", len(llc), hi-lo)
-
-	cfg := models.SmallConfig()
-	if *scale == "paper" {
-		cfg = models.PaperConfig()
-	}
-	cfg.Seed = *seed
-	usable := len(llc) - cfg.HistoryT - cfg.LookForwardF
-	if usable <= 0 {
-		fatalf("LLC stream too short (%d accesses) for T=%d F=%d", len(llc), cfg.HistoryT, cfg.LookForwardF)
-	}
-	ds, err := models.BuildDataset(cfg, llc, models.DatasetOptions{
-		Stride:     usable/(*samples*2) + 1,
-		MaxSamples: *samples * 2,
-	})
-	if err != nil {
-		fatalf("build dataset: %v", err)
-	}
-	fmt.Fprintf(os.Stderr, "dataset: %d samples, %d phases, %d pages, %d PCs\n",
-		len(ds.Samples), ds.NumPhases(), ds.Pages.Size(), ds.PCs.Size())
-
-	phases := tr.NumPhases
-	if phases < 1 {
-		phases = ds.NumPhases()
-	}
-	pm, err := models.TrainPrefetcherModels(ds, phases, models.TrainOptions{
-		Epochs: *epochs, Seed: *seed, MaxSamplesPerEpoch: *samples,
-	})
+	s, err := experiments.NewRunner(opt).Suite(w)
 	if err != nil {
 		fatalf("train: %v", err)
 	}
-
-	of, err := os.Create(*out)
+	fmt.Fprintf(os.Stderr, "dataset: %d samples, %d phases, %d pages, %d PCs\n",
+		len(s.Train.Samples), s.NumPhases, s.Train.Pages.Size(), s.Train.PCs.Size())
+	pm, err := models.NewPrefetcherModels(s.Train, s.PSDelta, s.PSPage)
 	if err != nil {
 		fatalf("%v", err)
 	}
-	defer of.Close()
-	if err := pm.Save(of); err != nil {
+
+	f, err := os.Create(*out)
+	if err != nil {
+		fatalf("%v", err)
+	}
+	if err := pm.Save(f); err != nil {
 		fatalf("save models: %v", err)
+	}
+	if err := f.Close(); err != nil {
+		fatalf("close %s: %v", *out, err)
 	}
 	fmt.Fprintf(os.Stderr, "wrote %s (%d phases)\n", *out, pm.NumPhases())
 }

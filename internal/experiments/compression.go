@@ -8,7 +8,6 @@ import (
 	"mpgraph/internal/core"
 	"mpgraph/internal/models"
 	"mpgraph/internal/nn"
-	"mpgraph/internal/phasedet"
 	"mpgraph/internal/prefetch"
 	"mpgraph/internal/sim"
 	"mpgraph/internal/trace"
@@ -102,8 +101,7 @@ func buildCompressed(r *Runner, wl Workload, divisor int, distill bool) (*compre
 func (cs *compressedSuite) prefetcher(r *Runner, historyT int, latency uint64) (*core.MPGraph, error) {
 	opt := core.DefaultOptions()
 	opt.LatencyCycles = latency
-	det := phasedet.NewSoftKSWIN(phasedet.KSWINConfig{Seed: r.Opt.Seed})
-	return core.New(opt, historyT, det, cs.deltas, cs.pages)
+	return r.AssembleMPGraph(opt, historyT, cs.deltas, cs.pages)
 }
 
 // tierSuite returns the compressed suite on the reduced-precision tier the
@@ -283,15 +281,10 @@ func FigureDistancePrefetch(w io.Writer, r *Runner) error {
 	build := func(dp bool, latency uint64) (sim.Prefetcher, error) {
 		opt := core.DefaultOptions()
 		opt.LatencyCycles = latency
-		det := phasedet.NewSoftKSWIN(phasedet.KSWINConfig{Seed: r.Opt.Seed})
 		if dp {
-			return core.New(opt, cfg.HistoryT, det, distDelta.Models, distPage.Models)
+			return r.AssembleMPGraph(opt, cfg.HistoryT, distDelta.Models, distPage.Models)
 		}
-		deltas := make([]models.DeltaModel, len(s.PSDelta.Models))
-		copy(deltas, s.PSDelta.Models)
-		pages := make([]models.PageModel, len(s.PSPage.Models))
-		copy(pages, s.PSPage.Models)
-		return core.New(opt, cfg.HistoryT, det, deltas, pages)
+		return r.AssembleMPGraph(opt, cfg.HistoryT, s.PSDelta.Models, s.PSPage.Models)
 	}
 
 	t := &Table{Header: []string{"Variant", "Latency", "Accuracy", "Coverage", "IPCImpv"}}

@@ -2,6 +2,9 @@ package experiments
 
 import (
 	"bytes"
+	"flag"
+	"io"
+	"reflect"
 	"runtime"
 	"sort"
 	"strings"
@@ -10,6 +13,7 @@ import (
 	"mpgraph/internal/core"
 	"mpgraph/internal/frameworks"
 	"mpgraph/internal/models"
+	"mpgraph/internal/sim"
 	"mpgraph/internal/tensor"
 )
 
@@ -72,6 +76,35 @@ func TestOptionsScales(t *testing.T) {
 	}
 }
 
+// TestWorkloadFlags: the commands' shared flags override only what they set,
+// on the named scale, and reject a bad scale or workload.
+func TestWorkloadFlags(t *testing.T) {
+	parse := func(training bool, args ...string) (Workload, Options, error) {
+		fs := flag.NewFlagSet("test", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		options := WorkloadFlags(fs, training)
+		if err := fs.Parse(args); err != nil {
+			return Workload{}, Options{}, err
+		}
+		return options()
+	}
+	w, opt, err := parse(false)
+	if err != nil || w.String() != "gpop/pr/rmat" || !reflect.DeepEqual(opt, DefaultOptions()) {
+		t.Fatalf("defaults: %v %+v %v", w, opt, err)
+	}
+	w, opt, err = parse(true, "-workload", "xstream/bfs/wiki", "-scale", "paper", "-graph-scale", "9", "-epochs", "3", "-seed", "5")
+	want := PaperOptions()
+	want.Datasets, want.GraphScale, want.Epochs, want.Seed = []string{"wiki"}, 9, 3, 5
+	if err != nil || w.String() != "xstream/bfs/wiki" || !reflect.DeepEqual(opt, want) {
+		t.Fatalf("overrides: %v %+v %v", w, opt, err)
+	}
+	for _, args := range [][]string{{"-scale", "huge"}, {"-workload", "gpop/pr"}, {"-epochs", "2"}} {
+		if _, _, err := parse(false, args...); err == nil {
+			t.Fatalf("%v must fail", args)
+		}
+	}
+}
+
 func TestWorkloadEnumeration(t *testing.T) {
 	o := DefaultOptions()
 	if got := len(o.Workloads()); got != 12 {
@@ -124,6 +157,51 @@ func TestSuiteTrainingAndCache(t *testing.T) {
 	s2, err := shared.Suite(wl)
 	if err != nil || s2 != s {
 		t.Fatal("suite not cached")
+	}
+}
+
+// TestSnapshotMatchesRunner: the deploy artifact mpgraph-train writes is the
+// runner's phase-specific pair. Saved, reloaded and assembled as mpgraph-sim
+// assembles it, it simulates to exactly Runner.MPGraph's metrics; its f16
+// form loads and simulates.
+func TestSnapshotMatchesRunner(t *testing.T) {
+	wl := shared.Opt.Workloads()[0]
+	s, err := shared.Suite(wl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	simulate := func(mp *core.MPGraph, err error) sim.Metrics {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, _, err := shared.Simulate(wl, mp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	want := simulate(shared.MPGraph(wl, core.DefaultOptions()))
+	pm, err := models.NewPrefetcherModels(s.Train, s.PSDelta, s.PSPage)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range []struct {
+		name string
+		save func(io.Writer) error
+	}{{"MPSF", pm.Save}, {"MPSH", pm.SaveF16}} {
+		var buf bytes.Buffer
+		if err := f.save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		loaded, err := models.LoadPrefetcherModels(&buf)
+		if err != nil {
+			t.Fatalf("%s: %v", f.name, err)
+		}
+		got := simulate(shared.AssembleMPGraph(core.DefaultOptions(), loaded.Cfg.HistoryT, loaded.DeltaModels(), loaded.PageModels()))
+		if f.name == "MPSF" && got != want {
+			t.Fatalf("MPSF artifact simulates to\n%+v\nwant Runner.MPGraph's\n%+v", got, want)
+		}
 	}
 }
 

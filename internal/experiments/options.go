@@ -6,6 +6,7 @@
 package experiments
 
 import (
+	"flag"
 	"fmt"
 	"io"
 	"runtime"
@@ -107,6 +108,60 @@ func PaperOptions() Options {
 		EvalSamples:     4000,
 		Epochs:          4,
 		Seed:            1,
+	}
+}
+
+// ScaleOptions returns the configuration of the named scale: "small"
+// (DefaultOptions) or "paper" (PaperOptions).
+func ScaleOptions(scale string) (Options, error) {
+	switch scale {
+	case "small":
+		return DefaultOptions(), nil
+	case "paper":
+		return PaperOptions(), nil
+	}
+	return Options{}, fmt.Errorf("experiments: unknown scale %q (small|paper)", scale)
+}
+
+// WorkloadFlags registers on fs the flags that name one workload and the
+// options its pipeline runs under: -workload, -scale, -graph-scale,
+// -trace-iterations and -seed, and with training also -train-samples and
+// -epochs. The function it returns reads them once fs is parsed; a zero
+// override keeps the scale's default.
+func WorkloadFlags(fs *flag.FlagSet, training bool) func() (Workload, Options, error) {
+	workload := fs.String("workload", "gpop/pr/rmat", "workload, as framework/app/dataset")
+	scale := fs.String("scale", "small", "pipeline scale: small | paper")
+	graphScale := fs.Int("graph-scale", 0, "log2 vertices override (0 = per-scale default)")
+	traceIters := fs.Int("trace-iterations", 0, "framework super-steps to trace (0 = per-scale default)")
+	seed := fs.Int64("seed", 1, "seed of everything stochastic")
+	trainSamples, epochs := new(int), new(int)
+	if training {
+		fs.IntVar(trainSamples, "train-samples", 0, "training dataset cap (0 = per-scale default)")
+		fs.IntVar(epochs, "epochs", 0, "training epoch count (0 = per-scale default)")
+	}
+	return func() (Workload, Options, error) {
+		w, err := ParseWorkload(*workload)
+		if err != nil {
+			return w, Options{}, err
+		}
+		opt, err := ScaleOptions(*scale)
+		if err != nil {
+			return w, opt, err
+		}
+		opt.Datasets, opt.Seed = []string{w.Dataset}, *seed
+		if *graphScale > 0 {
+			opt.GraphScale = *graphScale
+		}
+		if *traceIters > 0 {
+			opt.TraceIterations = *traceIters
+		}
+		if *trainSamples > 0 {
+			opt.TrainSamples = *trainSamples
+		}
+		if *epochs > 0 {
+			opt.Epochs = *epochs
+		}
+		return w, opt, nil
 	}
 }
 

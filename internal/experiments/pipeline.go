@@ -750,12 +750,14 @@ func (r *Runner) MPGraph(w Workload, opt core.Options) (*core.MPGraph, error) {
 		}
 		psDelta, psPage = tp.delta, tp.page
 	}
-	deltas := make([]models.DeltaModel, len(psDelta.Models))
-	copy(deltas, psDelta.Models)
-	pages := make([]models.PageModel, len(psPage.Models))
-	copy(pages, psPage.Models)
+	return r.AssembleMPGraph(opt, s.Cfg.HistoryT, psDelta.Models, psPage.Models)
+}
+
+// AssembleMPGraph is the one MPGraph assembly: the controller over per-phase
+// models, switched by a Soft-KSWIN detector at the runner's seed.
+func (r *Runner) AssembleMPGraph(opt core.Options, historyT int, deltas []models.DeltaModel, pages []models.PageModel) (*core.MPGraph, error) {
 	det := phasedet.NewSoftKSWIN(phasedet.KSWINConfig{Seed: r.Opt.Seed})
-	return core.New(opt, s.Cfg.HistoryT, det, deltas, pages)
+	return core.New(opt, historyT, det, slices.Clone(deltas), slices.Clone(pages))
 }
 
 // Simulate runs pf over w's test trace and returns the metrics plus the

@@ -616,7 +616,16 @@ func TestTrainErrors(t *testing.T) {
 
 func TestPrefetcherModelsSaveLoad(t *testing.T) {
 	ds := synthDataset(t, 3000, 20)
-	pm, err := TrainPrefetcherModels(ds, 2, TrainOptions{Epochs: 1, Seed: 3, MaxSamplesPerEpoch: 80})
+	delta := NewPhaseSpecificDelta(ds.Cfg, ds.PCs, 2, 3)
+	page := NewPhaseSpecificPage(ds.Cfg, ds.Pages, ds.PCs, 2, 3)
+	opt := TrainOptions{Epochs: 1, Seed: 3, MaxSamplesPerEpoch: 80}
+	if err := TrainDelta(delta, ds, opt); err != nil {
+		t.Fatal(err)
+	}
+	if err := TrainPage(page, ds, opt); err != nil {
+		t.Fatal(err)
+	}
+	pm, err := NewPrefetcherModels(ds, delta, page)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -665,7 +674,7 @@ func TestLoadPrefetcherModelsErrors(t *testing.T) {
 	if _, err := LoadPrefetcherModels(bytes.NewReader(make([]byte, 200))); err == nil {
 		t.Fatal("bad magic must fail")
 	}
-	if _, err := TrainPrefetcherModels(nil, 0, TrainOptions{}); err == nil {
+	if _, err := NewPrefetcherModels(nil, &PhaseSpecificDelta{}, &PhaseSpecificPage{}); err == nil {
 		t.Fatal("zero phases must fail")
 	}
 }

@@ -24,27 +24,21 @@ type PrefetcherModels struct {
 // NumPhases reports the phase count the models were trained for.
 func (pm *PrefetcherModels) NumPhases() int { return len(pm.Deltas) }
 
-// TrainPrefetcherModels trains phase-specific AMMA predictors on ds.
-func TrainPrefetcherModels(ds *Dataset, phases int, opt TrainOptions) (*PrefetcherModels, error) {
-	if phases < 1 {
-		return nil, fmt.Errorf("models: need at least one phase")
+// NewPrefetcherModels packs a trained phase-specific pair into the artifact:
+// ds's configuration and tokenizers, and each phase's AMMA delta and page
+// models.
+func NewPrefetcherModels(ds *Dataset, delta *PhaseSpecificDelta, page *PhaseSpecificPage) (*PrefetcherModels, error) {
+	if len(delta.Models) == 0 || len(delta.Models) != len(page.Models) {
+		return nil, fmt.Errorf("models: need matching per-phase delta/page models, got %d/%d", len(delta.Models), len(page.Models))
 	}
 	pm := &PrefetcherModels{Cfg: ds.Cfg, Pages: ds.Pages, PCs: ds.PCs}
-	for p := 0; p < phases; p++ {
-		sub := ds.FilterPhase(p)
-		if len(sub.Samples) == 0 {
-			sub = ds
+	for p := range delta.Models {
+		d, ok1 := delta.Models[p].(*AMMADelta)
+		pg, ok2 := page.Models[p].(*AMMAPage)
+		if !ok1 || !ok2 {
+			return nil, fmt.Errorf("models: phase %d is not AMMA (%T/%T)", p, delta.Models[p], page.Models[p])
 		}
-		delta := NewAMMADelta(ds.Cfg, ds.PCs, 0, ds.Cfg.Seed+int64(p)*97)
-		if err := TrainDelta(delta, sub, opt); err != nil {
-			return nil, err
-		}
-		page := NewAMMAPage(ds.Cfg, ds.Pages, ds.PCs, 0, ds.Cfg.Seed+int64(p)*89)
-		if err := TrainPage(page, sub, opt); err != nil {
-			return nil, err
-		}
-		pm.Deltas = append(pm.Deltas, delta)
-		pm.PageMs = append(pm.PageMs, page)
+		pm.Deltas, pm.PageMs = append(pm.Deltas, d), append(pm.PageMs, pg)
 	}
 	return pm, nil
 }

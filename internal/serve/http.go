@@ -22,8 +22,8 @@ import (
 // 503 + Retry-After while draining or when admission itself faulted, 409
 // when the session is already serving a feed, 400 on malformed input, 413
 // when a feed's body exceeds its byte bound (MaxEventsPerFeed × maxEventBytes).
-// Every feed runs under Config.RequestTimeout; the deadline propagates
-// through the session's model calls, so a timed-out request yields a
+// Every feed runs under Config.RequestTimeout, checked between chunks (and
+// inside model calls when batching is on), so a timed-out request yields a
 // truncated (but well-formed) prediction stream and a trailing error line.
 func NewHandler(srv *Server) http.Handler {
 	mux := http.NewServeMux()

@@ -129,8 +129,9 @@ type Config struct {
 	// and drain rejections (default 1).
 	RetryAfter int
 	// RequestTimeout bounds one feed request (applied by the HTTP layer;
-	// default 30s). The deadline propagates through the session's model
-	// calls via the core.ModelScheduler seam.
+	// default 30s). A feed checks it between FlushEvery chunks. Only when
+	// NewModelSession returns a handle does it also reach model calls,
+	// which then return no candidates for the rest of the chunk.
 	RequestTimeout time.Duration
 	// MaxEventsPerFeed bounds one feed's event batch (default 65536).
 	MaxEventsPerFeed int
@@ -139,8 +140,8 @@ type Config struct {
 	Guard prefetch.GuardConfig
 	// NewPrimary builds one session's primary prefetcher. sched is the
 	// session's handle into the batched-inference tier (nil when batching
-	// is off) and must be installed as the prefetcher's model scheduler so
-	// request deadlines propagate into model calls.
+	// is off) and must be installed as the prefetcher's model scheduler; a
+	// non-nil handle carries the request deadline into model calls.
 	NewPrimary func(sched core.ModelScheduler) (sim.Prefetcher, error)
 	// NewModelSession returns a fresh handle into a shared batched-
 	// inference scheduler, or nil to run sessions unbatched (e.g.
