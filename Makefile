@@ -61,7 +61,7 @@ vet:
 test:
 	$(GO) test ./...
 
-# test-times is the tier-1 time budget (ROADMAP item 13): the wall time
+# test-times is the tier-1 time budget (ROADMAP item 15): the wall time
 # `go test` reports for each package, slowest first. -count=1 because a
 # cached package reports none; through a file so a test failure fails the
 # target.
@@ -76,13 +76,14 @@ test-times:
 # The two oracles of the paired model calls (models.Pair) run again at
 # GOMAXPROCS 1, where a pair never posts, and 2, where a helper goroutine
 # runs page calls beside the caller's delta calls. So do the lazy suite's
-# pins: a model trained alone has its whole-suite bits, and overlapping
-# requests train each model once. So does the per-phase training oracle,
-# whose jobs run side by side on two goroutines.
+# pins: a model trained alone has its whole-suite bits, overlapping requests
+# train each model once, and a resuming runner restores exactly the models it
+# is asked for. So does the per-phase training oracle, whose jobs
+# run side by side on two goroutines.
 race:
 	$(GO) test -race -timeout 30m ./...
 	$(GO) test -race -count=1 -cpu 1,2 -timeout 30m ./internal/core/ ./internal/prefetch/ ./internal/experiments/ ./internal/models/ \
-		-run '^(TestCSTPMatchesReference|TestVoyagerMatchesSequential|TestSuiteModelAloneBits|TestSuiteSingleFlight|TestPhaseJobsMatchReference)$$'
+		-run '^(TestCSTPMatchesReference|TestVoyagerMatchesSequential|TestSuiteModelAloneBits|TestSuiteSingleFlight|TestCheckpointResumePerModel|TestPhaseJobsMatchReference)$$'
 
 # fuzz explores past the committed seed corpora (testdata/fuzz, which every
 # `go test` already replays) for a short budget. `go test -fuzz` takes one

@@ -1,7 +1,7 @@
 // Command mpgraph-serve is the long-running prefetch inference daemon
 // (DESIGN.md §12): it trains one workload's phase-specific MPGraph models
-// (the whole suite with -checkpoint-dir, or loads it with -resume), then
-// serves per-session prefetch predictions over HTTP/JSONL.
+// (the whole suite with -checkpoint-dir, one record per model, or loads it
+// with -resume), then serves per-session prefetch predictions over HTTP/JSONL.
 //
 // Usage:
 //
@@ -49,7 +49,7 @@ func main() {
 		workers  = flag.Int("workers", 0, "replay parallelism (0 = GOMAXPROCS); suite training follows GOMAXPROCS, not this")
 		f32Infer = flag.Bool("f32", false, "serve inference on the single-precision (f32) compute tier")
 		batch    = flag.Int("batch", 0, "fuse up to N concurrent sessions' model calls per batched GEMM round (0 = off)")
-		ckptDir  = flag.String("checkpoint-dir", "", "directory for atomic checksummed suite checkpoints")
+		ckptDir  = flag.String("checkpoint-dir", "", "directory for atomic checksummed trace and model checkpoints")
 		resume   = flag.Bool("resume", false, "load matching checkpoints from -checkpoint-dir before training")
 
 		maxSessions = flag.Int("max-sessions", 256, "session-table bound (admission control)")

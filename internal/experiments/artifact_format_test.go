@@ -18,10 +18,13 @@ import (
 // TestArtifactFormatsByteIdentical pins every binary artifact format to the
 // bytes it has always written: a trace (MPTR), one module's parameters at
 // both precisions (MPNN, MPNH), a two-phase suite snapshot at both precisions
-// (MPSF, MPSH) and both checkpoint kinds inside their envelope (MPCK). The
-// inputs are seeded and untrained, so no kernel reaches the bytes; the hashes
-// were recorded before the formats shared one codec, and a change to any of
-// them is a format change that old files would no longer load under.
+// (MPSF, MPSH) and both checkpoint kinds — a trace and one suite model —
+// inside their envelope (MPCK). The inputs are seeded and untrained, so no
+// kernel reaches the bytes; the hashes were recorded before the formats
+// shared one codec (ckpt-model when records became one per model: its
+// payload is the PSDelta blob of the whole-suite record it replaced), and a
+// change to any of them is a format change that old files would no longer
+// load under.
 func TestArtifactFormatsByteIdentical(t *testing.T) {
 	want := []struct{ name, sum string }{
 		{"trace", "db82f844208d33f575aa300db8373846dcb6545704b13cff9db4ba0afb8553a4"},
@@ -30,7 +33,7 @@ func TestArtifactFormatsByteIdentical(t *testing.T) {
 		{"suite-f64", "28a4ea918b6b2f2b772430ca804445689c7eb90aa3510966147c29a5c12f610c"},
 		{"suite-f16", "fea8bfc10fba1d9347a1af2ee097e92e7c3ec288ca0666a343a85c492024b782"},
 		{"ckpt-trace", "4c5972ee98355bf30c3bd1a0a681c466c8345050179790cbb528e0f9e608d0fd"},
-		{"ckpt-suite", "434bb986bdd19673253ce150ce2bf2f60b190a7371cdae29e76406c202ae6797"},
+		{"ckpt-model", "6f0e52a42b343b474298e00da0fb4c650c15dbbb4e92e9894c62064ff4a366a4"},
 	}
 	tr, res := artifactTrace()
 	cfg := models.SmallConfig()
@@ -63,10 +66,10 @@ func TestArtifactFormatsByteIdentical(t *testing.T) {
 	if err := r.saveTraceCheckpoint(wl, tr, res); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.saveSuiteCheckpoint(wl, artifactCheckpointSuite(cfg, pm)); err != nil {
+	if err := r.saveModel(wl, PSDelta, artifactModel(cfg, pm)); err != nil {
 		t.Fatal(err)
 	}
-	for _, c := range []struct{ name, key string }{{"ckpt-trace", traceKey(wl)}, {"ckpt-suite", suiteKey(wl)}} {
+	for _, c := range []struct{ name, key string }{{"ckpt-trace", traceKey(wl)}, {"ckpt-model", modelKey(wl, PSDelta)}} {
 		b, err := os.ReadFile(st.Path(c.key))
 		if err != nil {
 			t.Fatal(err)
@@ -115,20 +118,8 @@ func artifactSuite(cfg models.Config) *models.PrefetcherModels {
 	return pm
 }
 
-// artifactCheckpointSuite is the ten-model suite a suite checkpoint stores,
-// every model at its constructor seed.
-func artifactCheckpointSuite(cfg models.Config, pm *models.PrefetcherModels) *Suite {
-	return &Suite{
-		Cfg: cfg, NumPhases: 2,
-		LSTMDelta: models.NewLSTMDelta(cfg, 61),
-		AttnDelta: models.NewAttnDelta(cfg, 62),
-		AMMADelta: pm.Deltas[0],
-		PIDelta:   models.NewAMMADelta(cfg, pm.PCs, 2, 64),
-		PSDelta:   models.NewPhaseSpecificDelta(cfg, pm.PCs, 2, 65),
-		LSTMPage:  models.NewLSTMPage(cfg, pm.Pages, pm.PCs, 66),
-		AttnPage:  models.NewAttnPage(cfg, pm.Pages, pm.PCs, 67),
-		AMMAPage:  pm.PageMs[0],
-		PIPage:    models.NewAMMAPage(cfg, pm.Pages, pm.PCs, 2, 69),
-		PSPage:    models.NewPhaseSpecificPage(cfg, pm.Pages, pm.PCs, 2, 70),
-	}
+// artifactModel is the model a model checkpoint stores: a two-phase
+// phase-specific delta model at its constructor seed.
+func artifactModel(cfg models.Config, pm *models.PrefetcherModels) *models.PhaseSpecificDelta {
+	return models.NewPhaseSpecificDelta(cfg, pm.PCs, 2, 65)
 }

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"bytes"
 	"fmt"
 	"io"
 
@@ -14,15 +13,15 @@ import (
 
 // Store returns the runner's checkpoint store, creating it on first use
 // (nil when Options.CheckpointDir is empty — every save and load degrades to
-// a no-op / cache miss through the store's nil-safety).
+// a no-op / cache miss through the store's nil-safety). A failed creation is
+// retried by the next call.
 func (r *Runner) Store() (*resilience.Store, error) {
 	if r.Opt.CheckpointDir == "" {
 		return nil, nil
 	}
-	r.storeOnce.Do(func() {
-		r.store, r.storeErr = resilience.NewStore(r.Opt.CheckpointDir, r.Opt.Injector, r.Events)
+	return r.store.get("experiments.Store", func() (*resilience.Store, error) {
+		return resilience.NewStore(r.Opt.CheckpointDir, r.Opt.Injector, r.Events)
 	})
-	return r.store, r.storeErr
 }
 
 // loadStore resolves the store for load paths: nil (always a miss) unless
@@ -42,17 +41,19 @@ func (o Options) artifactFingerprint() string {
 }
 
 // suiteFingerprint additionally covers everything that changes training.
+// The simulation cap (MaxTestAccesses) is not among it: the datasets come
+// from the iteration-1 LLC stream and the whole test LLC stream.
 func (o Options) suiteFingerprint() string {
-	return fmt.Sprintf("suite/v1 %s maxTest=%d trainSamples=%d epochs=%d cfg=%+v",
-		o.artifactFingerprint(), o.MaxTestAccesses, o.TrainSamples, o.Epochs, o.ModelConfig())
+	return fmt.Sprintf("suite/v1 %s trainSamples=%d epochs=%d cfg=%+v",
+		o.artifactFingerprint(), o.TrainSamples, o.Epochs, o.ModelConfig())
 }
 
 func traceKey(w Workload) string {
 	return fmt.Sprintf("trace-%s-%s-%s", w.Framework, w.App, w.Dataset)
 }
 
-func suiteKey(w Workload) string {
-	return fmt.Sprintf("suite-%s-%s-%s", w.Framework, w.App, w.Dataset)
+func modelKey(w Workload, m SuiteModel) string {
+	return fmt.Sprintf("model-%s-%s-%s-%s", w.Framework, w.App, w.Dataset, m)
 }
 
 // saveTraceCheckpoint persists w's generated trace and framework result.
@@ -80,37 +81,31 @@ func (r *Runner) loadTraceCheckpoint(w Workload) (tr *trace.Trace, res *framewor
 	return tr, res, ok, err
 }
 
-// saveSuiteCheckpoint persists the trained weights of all ten suite models.
-// Structure (datasets, vocab, model shapes) is NOT stored: the skeleton is
-// rebuilt deterministically and only parameters round-trip, bit-exactly.
-func (r *Runner) saveSuiteCheckpoint(w Workload, s *Suite) error {
+// saveModel persists the trained weights of w's model m as one nn.Save
+// record. Structure (datasets, vocab, model shapes) is NOT stored: the model
+// is rebuilt deterministically at its constructor seed and only parameters
+// round-trip, bit-exactly.
+func (r *Runner) saveModel(w Workload, m SuiteModel, mod nn.Module) error {
 	st, err := r.Store()
 	if err != nil {
 		return err
 	}
-	return st.Save(suiteKey(w), r.Opt.suiteFingerprint(), func(wr io.Writer) error {
-		return writeSuitePayload(wr, s)
+	return st.Save(modelKey(w, m), r.Opt.suiteFingerprint(), func(wr io.Writer) error {
+		return nn.Save(wr, mod)
 	})
 }
 
-// loadSuiteCheckpoint restores trained weights into a freshly built
-// skeleton; ok is false on any miss.
-func (r *Runner) loadSuiteCheckpoint(w Workload, s *Suite) (bool, error) {
+// loadModel restores w's model m into mod, built at its constructor seed;
+// ok is false on any miss. nn.Load reads each parameter into mod's own
+// shapes, so no count in the record is trusted.
+func (r *Runner) loadModel(w Workload, m SuiteModel, mod nn.Module) (bool, error) {
 	st, err := r.loadStore()
 	if err != nil {
 		return false, err
 	}
-	return st.Load(suiteKey(w), r.Opt.suiteFingerprint(), func(rd io.Reader) error {
-		return readSuitePayload(rd, s)
+	return st.Load(modelKey(w, m), r.Opt.suiteFingerprint(), func(rd io.Reader) error {
+		return nn.Load(rd, mod)
 	})
-}
-
-// suiteModules lists the suite's models in the fixed serialization order.
-func suiteModules(s *Suite) []nn.Module {
-	return []nn.Module{
-		s.LSTMDelta, s.AttnDelta, s.AMMADelta, s.PIDelta, s.PSDelta,
-		s.LSTMPage, s.AttnPage, s.AMMAPage, s.PIPage, s.PSPage,
-	}
 }
 
 const ckptMaxBlob = 1 << 30
@@ -147,33 +142,4 @@ func readTracePayload(rd io.Reader) (*trace.Trace, *frameworks.Result, error) {
 	}
 	tr, err := trace.Read(br)
 	return tr, res, err
-}
-
-// writeSuitePayload writes each module as a length-prefixed nn.Save blob.
-func writeSuitePayload(w io.Writer, s *Suite) error {
-	bw := binio.NewWriter(w)
-	for _, m := range suiteModules(s) {
-		var blob bytes.Buffer
-		if err := nn.Save(&blob, m); err != nil {
-			return err
-		}
-		bw.U64(uint64(blob.Len()))
-		bw.Bytes(blob.Bytes())
-	}
-	return bw.Flush()
-}
-
-// readSuitePayload loads writeSuitePayload's blobs into s's models.
-func readSuitePayload(rd io.Reader, s *Suite) error {
-	br := binio.NewReader(rd)
-	for _, m := range suiteModules(s) {
-		blob := br.Bytes(br.Count(ckptMaxBlob))
-		if err := br.Err(); err != nil {
-			return fmt.Errorf("experiments: module blob: %w", err)
-		}
-		if err := nn.Load(bytes.NewReader(blob), m); err != nil {
-			return err
-		}
-	}
-	return nil
 }

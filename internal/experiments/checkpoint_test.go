@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"bytes"
 	"encoding/binary"
 	"io"
 	"os"
@@ -9,15 +10,17 @@ import (
 
 	"mpgraph/internal/frameworks"
 	"mpgraph/internal/models"
+	"mpgraph/internal/nn"
 	"mpgraph/internal/resilience"
 	"mpgraph/internal/trace"
 )
 
 // forgedPayloads are checkpoint payloads of under 100 bytes whose counts
-// claim far more than follows: a result of 2^27 values, and a module blob
-// of 2^30 bytes. Both sit inside the decoders' limits, so only reading as
-// the bytes arrive keeps them from allocating a GiB each.
-func forgedPayloads() (result, blob []byte) {
+// claim far more than follows: a result of 2^27 values, and a model record
+// of 2^30 parameters behind a valid MPNN magic. Both sit inside the
+// decoders' limits, so only reading as the bytes arrive (and comparing the
+// parameter count with the model's own) keeps them from allocating a GiB.
+func forgedPayloads(mod nn.Module) (result, record []byte) {
 	le := binary.LittleEndian
 	for _, s := range []string{"cc", "gpop"} {
 		result = append(le.AppendUint64(result, uint64(len(s))), s...)
@@ -25,8 +28,12 @@ func forgedPayloads() (result, blob []byte) {
 	for _, v := range []uint64{3, 1, 1 << 27, 0x3ff0000000000000} { // iterations, converged, count, one value
 		result = le.AppendUint64(result, v)
 	}
-	blob = append(le.AppendUint64(nil, 1<<30), make([]byte, 40)...)
-	return result, blob
+	var valid bytes.Buffer
+	if err := nn.Save(&valid, mod); err != nil {
+		panic(err)
+	}
+	record = append(le.AppendUint64(valid.Bytes()[:8:8], 1<<30), make([]byte, 40)...)
+	return result, record
 }
 
 // TestResumeForgedCheckpointCounts: a CRC-valid checkpoint is not a trusted
@@ -42,8 +49,8 @@ func TestResumeForgedCheckpointCounts(t *testing.T) {
 	}
 	wl := Workload{Framework: "gpop", App: frameworks.CC, Dataset: "rmat"}
 	cfg := models.SmallConfig()
-	s := artifactCheckpointSuite(cfg, artifactSuite(cfg))
-	result, blob := forgedPayloads()
+	mod := artifactModel(cfg, artifactSuite(cfg))
+	result, record := forgedPayloads(mod)
 	for _, c := range []struct {
 		name, key, meta string
 		payload         []byte
@@ -51,8 +58,8 @@ func TestResumeForgedCheckpointCounts(t *testing.T) {
 	}{
 		{"result-count", traceKey(wl), o.artifactFingerprint(), result,
 			func() error { _, _, _, err := r.loadTraceCheckpoint(wl); return err }},
-		{"blob-length", suiteKey(wl), o.suiteFingerprint(), blob,
-			func() error { _, err := r.loadSuiteCheckpoint(wl, s); return err }},
+		{"param-count", modelKey(wl, PSDelta), o.suiteFingerprint(), record,
+			func() error { _, err := r.loadModel(wl, PSDelta, mod); return err }},
 	} {
 		if err := st.Save(c.key, c.meta, func(w io.Writer) error { _, err := w.Write(c.payload); return err }); err != nil {
 			t.Fatal(err)
@@ -74,7 +81,7 @@ func TestResumeForgedCheckpointCounts(t *testing.T) {
 // carry it, so mutations reach the payload decoders.
 const fuzzMeta = "fuzz"
 
-// fuzzConfig is the smallest valid model configuration, so a valid suite
+// fuzzConfig is the smallest valid model configuration, so a valid model
 // seed stays a few kilobytes.
 func fuzzConfig() models.Config {
 	return models.Config{
@@ -86,19 +93,20 @@ func fuzzConfig() models.Config {
 // FuzzCheckpointLoad: a checkpoint file is outside bytes once it is on
 // disk. Each input is loaded as a whole checkpoint file, and as the payload
 // of a valid envelope so mutations reach the decoders past the CRC; loaded as
-// either kind, it is a hit or a miss or an error — never a panic, never a
-// trace that fails Validate — and allocates at most 2 MiB plus eight times
-// its length, whatever its counts claim. The seeds under testdata/fuzz are
-// valid trace and suite checkpoints (as files and as payloads), a truncated
-// header, a bad magic, a future version, a size mismatch, a bad CRC, and
-// payloads with a forged result count and a forged blob length.
+// a trace or as a model record, it is a hit or a miss or an error — never a
+// panic, never a trace that fails Validate — and allocates at most 2 MiB plus
+// eight times its length, whatever its counts claim. The seeds under
+// testdata/fuzz are valid trace and model checkpoints (as files and as
+// payloads), a truncated header, a bad magic, a future version, a size
+// mismatch, a bad CRC, and payloads with a forged result count and a forged
+// parameter count.
 func FuzzCheckpointLoad(f *testing.F) {
 	st, err := resilience.NewStore(f.TempDir(), nil, nil)
 	if err != nil {
 		f.Fatal(err)
 	}
 	cfg := fuzzConfig()
-	s := artifactCheckpointSuite(cfg, artifactSuite(cfg))
+	mod := artifactModel(cfg, artifactSuite(cfg))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if err := os.WriteFile(st.Path("file"), data, 0o644); err != nil {
 			t.Fatal(err)
@@ -114,9 +122,9 @@ func FuzzCheckpointLoad(f *testing.F) {
 				tr, _, err = readTracePayload(rd)
 				return err
 			})
-			okSuite, errSuite := st.Load(key, fuzzMeta, func(rd io.Reader) error { return readSuitePayload(rd, s) })
-			if (okTrace && errTrace != nil) || (okSuite && errSuite != nil) {
-				t.Fatalf("%s: a load both hit and failed: %v, %v", key, errTrace, errSuite)
+			okModel, errModel := st.Load(key, fuzzMeta, func(rd io.Reader) error { return nn.Load(rd, mod) })
+			if (okTrace && errTrace != nil) || (okModel && errModel != nil) {
+				t.Fatalf("%s: a load both hit and failed: %v, %v", key, errTrace, errModel)
 			}
 			if okTrace {
 				if err := tr.Validate(); err != nil {

@@ -258,13 +258,7 @@ func FigureDistancePrefetch(w io.Writer, r *Runner) error {
 
 	// Distance-trained models: labels shifted 16 accesses into the future.
 	cfg := s.Cfg
-	dsDist, err := models.BuildDataset(cfg, d.LLCTrain, models.DatasetOptions{
-		Stride:        maxInt(1, (len(d.LLCTrain)-cfg.HistoryT-cfg.LookForwardF)/(r.Opt.TrainSamples*2)+1),
-		MaxSamples:    r.Opt.TrainSamples * 2,
-		Pages:         s.Train.Pages,
-		PCs:           s.Train.PCs,
-		LabelDistance: 16,
-	})
+	dsDist, err := r.buildDataset(cfg, d.LLCTrain, s.Train, 16)
 	if err != nil {
 		return err
 	}
@@ -319,10 +313,3 @@ func FigureDistancePrefetch(w io.Writer, r *Runner) error {
 }
 
 func d2(v uint64) string { return fmt.Sprintf("%d", v) }
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -51,8 +51,9 @@ type Options struct {
 	// follow GOMAXPROCS.
 	Workers int
 	// CheckpointDir, when non-empty, enables atomic checksummed on-disk
-	// checkpoints of workload traces and trained model suites (DESIGN.md
-	// §9). Saves always happen when the directory is set; loads additionally
+	// checkpoints of workload traces and of every suite model, one record
+	// per model (DESIGN.md §9); with it a suite trains or restores all ten.
+	// Saves always happen when the directory is set; loads additionally
 	// require Resume, so a fresh run never silently reuses stale artifacts.
 	CheckpointDir string
 	// Resume loads existing checkpoints from CheckpointDir before

@@ -12,6 +12,7 @@ import (
 	"mpgraph/internal/frameworks"
 	"mpgraph/internal/graph"
 	"mpgraph/internal/models"
+	"mpgraph/internal/nn"
 	"mpgraph/internal/phasedet"
 	"mpgraph/internal/prefetch"
 	"mpgraph/internal/resilience"
@@ -30,34 +31,33 @@ type Runner struct {
 	Events *resilience.Log
 
 	mu     sync.Mutex
-	graphs map[string]*graph.Graph
+	graphs map[string]*cell[*graph.Graph]
 	data   map[Workload]*cell[*WorkloadData]
 	suites map[Workload]*lazySuite
 	tiers  map[Workload]*cell[*qpair]
+	store  cell[*resilience.Store]
+	sweep  cell[*prefetchSweep]
 
-	storeOnce sync.Once
-	store     *resilience.Store
-	storeErr  error
-
-	// batchSched is the sweep-wide batched-inference scheduler, created
-	// lazily when Options.Batch > 0 and shared by every ML prefetcher the
-	// runner assembles.
+	// batchSched is the sweep-wide batched-inference scheduler (nil when
+	// Options.Batch is 0), shared by every ML prefetcher the runner
+	// assembles.
 	batchSched *prefetch.BatchScheduler
-
-	sweepRows  map[string][]prefetchRow
-	sweepOrder []string
 }
 
 // NewRunner builds a runner for opt.
 func NewRunner(opt Options) *Runner {
-	return &Runner{
+	r := &Runner{
 		Opt:    opt,
 		Events: &resilience.Log{},
-		graphs: map[string]*graph.Graph{},
+		graphs: map[string]*cell[*graph.Graph]{},
 		data:   map[Workload]*cell[*WorkloadData]{},
 		suites: map[Workload]*lazySuite{},
 		tiers:  map[Workload]*cell[*qpair]{},
 	}
+	if opt.Batch > 0 {
+		r.batchSched = prefetch.NewBatchScheduler(opt.Batch)
+	}
+	return r
 }
 
 // cell coalesces concurrent computations of one cached artifact: the first
@@ -150,30 +150,15 @@ func getCell[K comparable, V any](mu *sync.Mutex, m map[K]*V, key K) *V {
 	return c
 }
 
-// scheduler returns the shared batched-inference scheduler (nil when
-// batching is off), creating it on first use.
-func (r *Runner) scheduler() *prefetch.BatchScheduler {
-	if r.Opt.Batch <= 0 {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.batchSched == nil {
-		r.batchSched = prefetch.NewBatchScheduler(r.Opt.Batch)
-	}
-	return r.batchSched
-}
-
 // NewModelSession mints a fresh handle into the shared batched-inference
 // scheduler for one externally-owned prefetcher session (the serving
 // daemon's per-client sessions). Returns untyped nil when batching is off,
 // so callers can test the interface value directly.
 func (r *Runner) NewModelSession() core.ModelScheduler {
-	sched := r.scheduler()
-	if sched == nil {
+	if r.batchSched == nil {
 		return nil
 	}
-	return sched.NewSession()
+	return r.batchSched.NewSession()
 }
 
 // WorkloadData is everything derived from one workload trace.
@@ -192,23 +177,17 @@ type WorkloadData struct {
 	BaselineMetrics sim.Metrics
 }
 
-// Graph returns (generating once) the named dataset at the configured scale.
+// Graph returns (generating once, coalescing concurrent callers) the named
+// dataset at the configured scale.
 func (r *Runner) Graph(name string) (*graph.Graph, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if g, ok := r.graphs[name]; ok {
-		return g, nil
-	}
-	spec, err := graph.DatasetByName(name)
-	if err != nil {
-		return nil, err
-	}
-	g, err := spec.GenerateScale(r.Opt.graphScale())
-	if err != nil {
-		return nil, err
-	}
-	r.graphs[name] = g
-	return g, nil
+	c := getCell(&r.mu, r.graphs, name)
+	return c.get("experiments.Graph("+name+")", func() (*graph.Graph, error) {
+		spec, err := graph.DatasetByName(name)
+		if err != nil {
+			return nil, err
+		}
+		return spec.GenerateScale(r.Opt.graphScale())
+	})
 }
 
 // Data returns (computing once, coalescing concurrent callers) the trace
@@ -320,9 +299,8 @@ type Suite struct {
 // SuiteModel names one of a suite's ten models.
 type SuiteModel int
 
-// The suite's models, in Suite field order: the order a suite checkpoint
-// stores them in. Each model's constructor seed is Options.Seed plus its
-// position plus one.
+// The suite's models, in Suite field order; String names the field. Each
+// model's constructor seed is Options.Seed plus its position plus one.
 const (
 	LSTMDelta SuiteModel = iota
 	AttnDelta
@@ -354,12 +332,10 @@ var suiteModelNames = [numSuiteModels]string{
 func (m SuiteModel) String() string { return suiteModelNames[m] }
 
 // lazySuite is one workload's suite: the datasets, built once, and a cell
-// per model that settles once the model has trained. With a checkpoint
-// store, whole holds the suite trained or restored in one go instead.
+// per model that settles once the model has trained or been restored.
 type lazySuite struct {
 	data   cell[*Suite]
 	models [numSuiteModels]cell[struct{}]
-	whole  cell[*Suite]
 	// trains counts the training runs each model started.
 	trains [numSuiteModels]atomic.Int32
 
@@ -389,12 +365,17 @@ func (r *Runner) TrainJobs(w Workload) []TrainJob {
 // Training is single-flight per (workload, model): concurrent calls share
 // one run, a failed run is retried by the next call, and a call's untrained
 // models train side by side. With a checkpoint store (Options.CheckpointDir)
-// all ten models train or restore together, because the checkpoint is one
-// record of the whole suite. A panic during the compute is recovered into
-// an error.
+// the suite is whole — all ten models, because benchmark/probes.go reads the
+// baselines of a checkpointed Suite(w) — and each model is its own record:
+// it is saved once it has trained, and with Options.Resume restored instead
+// of trained when its record loads. A panic during the compute is recovered
+// into an error.
 func (r *Runner) Suite(w Workload, want ...SuiteModel) (*Suite, error) {
 	var wanted [numSuiteModels]bool
 	wanted[PSDelta], wanted[PSPage] = true, true
+	if r.Opt.CheckpointDir != "" {
+		want = AllModels
+	}
 	for _, m := range want {
 		if m < 0 || m >= numSuiteModels {
 			return nil, fmt.Errorf("experiments: unknown suite model %d", int(m))
@@ -408,14 +389,7 @@ func (r *Runner) Suite(w Workload, want ...SuiteModel) (*Suite, error) {
 	if err != nil {
 		return nil, err
 	}
-	if st, err := r.Store(); err != nil {
-		return nil, err
-	} else if st != nil {
-		return ls.whole.get("experiments.Suite("+w.String()+")", func() (*Suite, error) {
-			return r.wholeSuite(w, s, ls)
-		})
-	}
-	return s, r.train(ls, s, wanted)
+	return s, r.train(w, ls, s, wanted)
 }
 
 // Trained lists the models this runner has trained for w, in field order.
@@ -440,20 +414,20 @@ func (r *Runner) suiteData(w Workload) (*Suite, error) {
 	}
 	cfg := r.Opt.ModelConfig()
 	s := &Suite{Cfg: cfg, NumPhases: d.NumPhases}
-	if s.Train, err = r.buildDataset(cfg, d.LLCTrain, nil); err != nil {
+	if s.Train, err = r.buildDataset(cfg, d.LLCTrain, nil, 0); err != nil {
 		return nil, err
 	}
-	if s.Test, err = r.buildDataset(cfg, d.LLCTest, s.Train); err != nil {
+	if s.Test, err = r.buildDataset(cfg, d.LLCTest, s.Train, 0); err != nil {
 		return nil, err
 	}
 	return s, nil
 }
 
-// train trains the wanted models of s that no earlier call trained. It
-// claims every such model no other call is training and trains the claimed
-// ones together; then it waits for the rest, and claims any whose flight
-// failed.
-func (r *Runner) train(ls *lazySuite, s *Suite, wanted [numSuiteModels]bool) error {
+// train publishes the wanted models of s that no earlier call published. It
+// claims every such model no other call is working on and obtains the claimed
+// ones together (trainModels); then it waits for the rest, and claims any
+// whose flight failed.
+func (r *Runner) train(w Workload, ls *lazySuite, s *Suite, wanted [numSuiteModels]bool) error {
 	for {
 		var mine []SuiteModel
 		var waits []<-chan struct{}
@@ -470,7 +444,7 @@ func (r *Runner) train(ls *lazySuite, s *Suite, wanted [numSuiteModels]bool) err
 		if len(mine)+len(waits) == 0 {
 			return nil
 		}
-		ok, err := r.trainModels(s, mine, ls)
+		ok, err := r.trainModels(w, s, mine, ls)
 		for i, m := range mine {
 			ls.models[m].settle(struct{}{}, ok[i])
 		}
@@ -483,37 +457,12 @@ func (r *Runner) train(ls *lazySuite, s *Suite, wanted [numSuiteModels]bool) err
 	}
 }
 
-// wholeSuite restores all ten models of w from the checkpoint store when
-// resuming, or trains them and saves the checkpoint. The models are built on
-// a copy of data's datasets, so a failed attempt leaves nothing behind for
-// the retry.
-func (r *Runner) wholeSuite(w Workload, data *Suite, ls *lazySuite) (*Suite, error) {
-	if r.Opt.Resume {
-		// The checkpoint holds weights only: they load into the models
-		// constructed at their seeds.
-		s := data.withoutModels()
-		for _, m := range AllModels {
-			_, publish := s.newModel(m, r.Opt.Seed)
-			publish()
-		}
-		if ok, err := r.loadSuiteCheckpoint(w, s); err != nil {
-			return nil, err
-		} else if ok {
-			return s, nil
-		}
-	}
-	s := data.withoutModels()
-	if _, err := r.trainModels(s, trainOrder, ls); err != nil {
-		return nil, err
-	}
-	if err := r.saveSuiteCheckpoint(w, s); err != nil {
-		return nil, err
-	}
-	return s, nil
-}
-
-// trainModels trains each of ms (in trainOrder) from its constructor seed
-// and publishes it into s; ok[i] reports whether ms[i] was published.
+// trainModels builds each of ms (in trainOrder) at its constructor seed and
+// publishes it into s once it holds its weights; ok[i] reports whether ms[i]
+// was published. With Options.Resume a model whose checkpoint record loads
+// is restored and runs no training; every other model trains, and is then
+// saved to the checkpoint store (a no-op without one). A failed restore or
+// save fails its model, which stays unpublished for the next call to retry.
 //
 // Each model is one job, and each phase-specific model one job per phase
 // (models.DeltaJobs). The phase jobs start first, phase-major
@@ -524,10 +473,10 @@ func (r *Runner) wholeSuite(w Workload, data *Suite, ls *lazySuite) (*Suite, err
 // own (phase) model and its own tape (models.trainLoop), reads the shared
 // dataset, and never toggles the process-wide grad flag, so the trained
 // weights are the same bytes whatever runs beside what, and whenever it
-// runs. A model is published once all its jobs have succeeded. The jobs fan
+// runs. A model is trained once all its jobs have succeeded. The jobs fan
 // out over GOMAXPROCS, not Options.Workers — that bounds the sweep's cells,
 // and a suite is set-up inside one cell.
-func (r *Runner) trainModels(s *Suite, ms []SuiteModel, ls *lazySuite) ([]bool, error) {
+func (r *Runner) trainModels(w Workload, s *Suite, ms []SuiteModel, ls *lazySuite) ([]bool, error) {
 	type job struct {
 		model, phase int // model indexes ms
 		rank         int // start order: the phase, or NumPhases for a single model
@@ -535,8 +484,17 @@ func (r *Runner) trainModels(s *Suite, ms []SuiteModel, ls *lazySuite) ([]bool, 
 		run          func() error
 	}
 	var jobs []job
-	publish := make([]func(), len(ms))
+	built := make([]builtModel, len(ms))
+	ok, restored := make([]bool, len(ms)), make([]bool, len(ms))
 	for i, m := range ms {
+		built[i] = s.newModel(m, r.Opt.Seed)
+		hit, err := r.loadModel(w, m, built[i].mod)
+		if err != nil {
+			return ok, err // nothing published yet
+		}
+		if restored[i] = hit; hit {
+			continue
+		}
 		o := models.TrainOptions{
 			Epochs: r.Opt.Epochs, Seed: r.Opt.Seed,
 			MaxSamplesPerEpoch: r.Opt.TrainSamples, Hook: r.trainHook(),
@@ -549,9 +507,7 @@ func (r *Runner) trainModels(s *Suite, ms []SuiteModel, ls *lazySuite) ([]bool, 
 			// the single-model rows.
 			o.Epochs *= s.NumPhases
 		}
-		train, pub := s.newModel(m, r.Opt.Seed)
-		publish[i] = pub
-		for p, run := range train(o) {
+		for p, run := range built[i].train(o) {
 			j := job{model: i, phase: p, rank: s.NumPhases, name: m.String(), run: run}
 			if perPhase {
 				j.rank, j.name = p, fmt.Sprintf("%s/phase%d", m, p)
@@ -576,30 +532,36 @@ func (r *Runner) trainModels(s *Suite, ms []SuiteModel, ls *lazySuite) ([]bool, 
 		done[j] = true
 		return nil
 	})
-	ok := make([]bool, len(ms))
 	for i := range ok {
 		ok[i] = true
 	}
 	for j, jb := range jobs {
 		ok[jb.model] = ok[jb.model] && done[j]
 	}
-	for i, pub := range publish {
+	for i, m := range ms {
+		if ok[i] && !restored[i] {
+			if serr := r.saveModel(w, m, built[i].mod); serr != nil {
+				ok[i], err = false, cmp.Or(err, serr)
+			}
+		}
 		if ok[i] {
-			pub()
+			built[i].publish()
 		}
 	}
 	return ok, err
 }
 
-// withoutModels returns a copy of s's datasets and shape, with no model.
-func (s *Suite) withoutModels() *Suite {
-	return &Suite{Cfg: s.Cfg, Train: s.Train, Test: s.Test, NumPhases: s.NumPhases}
+// builtModel is one suite model built at its constructor seed: the module,
+// its training jobs on the suite's training set (models.DeltaJobs), and the
+// store that publishes it into its field of the suite.
+type builtModel struct {
+	mod     nn.Module
+	train   func(models.TrainOptions) []func() error
+	publish func()
 }
 
-// newModel constructs model m at its fixed seed and returns its training
-// jobs on s.Train (models.DeltaJobs) and the store that publishes it into
-// its field of s.
-func (s *Suite) newModel(m SuiteModel, seed int64) (train func(models.TrainOptions) []func() error, publish func()) {
+// newModel constructs model m of s at its fixed seed.
+func (s *Suite) newModel(m SuiteModel, seed int64) builtModel {
 	cfg, ds, P := s.Cfg, s.Train, s.NumPhases
 	seed += int64(m) + 1
 	switch m {
@@ -626,12 +588,12 @@ func (s *Suite) newModel(m SuiteModel, seed int64) (train func(models.TrainOptio
 	}
 }
 
-func deltaJob[M models.DeltaModel](ds *models.Dataset, field *M, m M) (func(models.TrainOptions) []func() error, func()) {
-	return func(o models.TrainOptions) []func() error { return models.DeltaJobs(m, ds, o) }, func() { *field = m }
+func deltaJob[M models.DeltaModel](ds *models.Dataset, field *M, m M) builtModel {
+	return builtModel{m, func(o models.TrainOptions) []func() error { return models.DeltaJobs(m, ds, o) }, func() { *field = m }}
 }
 
-func pageJob[M models.PageModel](ds *models.Dataset, field *M, m M) (func(models.TrainOptions) []func() error, func()) {
-	return func(o models.TrainOptions) []func() error { return models.PageJobs(m, ds, o) }, func() { *field = m }
+func pageJob[M models.PageModel](ds *models.Dataset, field *M, m M) builtModel {
+	return builtModel{m, func(o models.TrainOptions) []func() error { return models.PageJobs(m, ds, o) }, func() { *field = m }}
 }
 
 // trainHook routes every training epoch through the train-epoch injection
@@ -644,15 +606,17 @@ func (r *Runner) trainHook() func(int) error {
 }
 
 // buildDataset extracts a dataset, auto-tuning the stride so the sample
-// count lands near the training budget.
-func (r *Runner) buildDataset(cfg models.Config, stream []trace.Access, share *models.Dataset) (*models.Dataset, error) {
+// count lands near the training budget. share supplies the vocabularies (nil
+// builds them from stream); labelDistance shifts the labels into the future
+// (models.DatasetOptions; 0 for the suite, 16 for Fig. 14's distance models).
+func (r *Runner) buildDataset(cfg models.Config, stream []trace.Access, share *models.Dataset, labelDistance int) (*models.Dataset, error) {
 	budget := r.Opt.TrainSamples * 2
 	if budget <= 0 {
 		budget = 3000
 	}
 	usable := len(stream) - cfg.HistoryT - cfg.LookForwardF
 	stride := usable/budget + 1
-	opt := models.DatasetOptions{Stride: stride, MaxSamples: budget}
+	opt := models.DatasetOptions{Stride: stride, MaxSamples: budget, LabelDistance: labelDistance}
 	if share != nil {
 		opt.Pages, opt.PCs = share.Pages, share.PCs
 	}
@@ -675,7 +639,7 @@ func (r *Runner) Prefetchers(w Workload) ([]sim.Prefetcher, error) {
 		return nil, err
 	}
 	T := s.Cfg.HistoryT
-	mlOpt := prefetch.MLOptions{Degree: 6, Scheduler: r.scheduler()}
+	mlOpt := prefetch.MLOptions{Degree: 6, Scheduler: r.batchSched}
 
 	mp, err := r.MPGraph(w, core.DefaultOptions())
 	if err != nil {
@@ -734,13 +698,11 @@ func (r *Runner) MPGraph(w Workload, opt core.Options) (*core.MPGraph, error) {
 		return nil, err
 	}
 	if opt.Scheduler == nil {
-		if sched := r.scheduler(); sched != nil {
-			// One session per MPGraph instance; core talks to it through its
-			// ModelScheduler seam (no core→prefetch dependency). Callers that
-			// pre-set opt.Scheduler (the serving daemon wraps sessions with a
-			// deadline-aware adapter) keep their own handle.
-			opt.Scheduler = sched.NewSession()
-		}
+		// One session per MPGraph instance; core talks to it through its
+		// ModelScheduler seam (no core→prefetch dependency). Callers that
+		// pre-set opt.Scheduler (the serving daemon wraps sessions with a
+		// deadline-aware adapter) keep their own handle.
+		opt.Scheduler = r.NewModelSession()
 	}
 	psDelta, psPage := s.PSDelta, s.PSPage
 	if r.Opt.tier() != "" {

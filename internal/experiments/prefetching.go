@@ -20,27 +20,28 @@ type prefetchRow struct {
 }
 
 // runPrefetchSweep simulates all Section 5.4.1 prefetchers over all
-// workloads; Figs. 10-12 share one sweep via the Runner cache. Independent
+// workloads; Figs. 10-12 share one sweep through the Runner's cell, so
+// concurrent callers share one run and a failed run is retried. Independent
 // (workload, prefetcher) simulations fan out across Options.Workers
 // goroutines, then the rows are assembled in the serial sweep's exact
 // workload-outer / prefetcher-inner order — the printed tables are
 // byte-identical at any worker count.
 func runPrefetchSweep(r *Runner) (map[string][]prefetchRow, []string, error) {
-	r.mu.Lock()
-	if r.sweepRows != nil {
-		rows, order := r.sweepRows, r.sweepOrder
-		r.mu.Unlock()
-		return rows, order, nil
-	}
-	r.mu.Unlock()
-	results, order, err := computePrefetchSweep(r)
+	sw, err := r.sweep.get("experiments.PrefetchSweep", func() (*prefetchSweep, error) {
+		rows, order, err := computePrefetchSweep(r)
+		return &prefetchSweep{rows, order}, err
+	})
 	if err != nil {
 		return nil, nil, err
 	}
-	r.mu.Lock()
-	r.sweepRows, r.sweepOrder = results, order
-	r.mu.Unlock()
-	return results, order, nil
+	return sw.rows, sw.order, nil
+}
+
+// prefetchSweep is one sweep's outcome: every prefetcher's rows, one per
+// workload, and the prefetcher names in first-seen order.
+type prefetchSweep struct {
+	rows  map[string][]prefetchRow
+	order []string
 }
 
 // computePrefetchSweep runs the sweep under the bounded scheduler.
@@ -233,8 +234,9 @@ func AblationCSTP(w io.Writer, r *Runner) error {
 	return nil
 }
 
-// AblationPhases isolates the value of phase handling: MPGraph with the
-// detector, with oracle phase labels, and locked to a single phase model.
+// AblationPhases isolates the value of phase handling: MPGraph switched by
+// the Soft-KSWIN detector, and by the oracle phase labels. The row locked to
+// a single phase model is ROADMAP item 6.
 func AblationPhases(w io.Writer, r *Runner) error {
 	wl := r.Opt.Workloads()[0]
 	section(w, fmt.Sprintf("Ablation: phase handling (workload %s)", wl))

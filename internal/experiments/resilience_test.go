@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"os"
+	"path/filepath"
 	"testing"
 
 	"mpgraph/internal/frameworks"
@@ -138,11 +139,11 @@ func TestCrashResumeByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	wls := len(base.Workloads())
-	if hits := st.Stats().Hits; hits < uint64(2*wls) {
-		t.Fatalf("resume hit %d checkpoints, want >= %d (trace+suite per workload)", hits, 2*wls)
+	if hits := st.Stats().Hits; hits != uint64(11*wls) {
+		t.Fatalf("resume hit %d checkpoints, want %d (a trace and ten models per workload)", hits, 11*wls)
 	}
 	if inB.Hits(resilience.PointTrainEpoch) != 0 {
-		t.Fatal("resumed run retrained models instead of loading the suite checkpoint")
+		t.Fatal("resumed run retrained models instead of loading their checkpoints")
 	}
 }
 
@@ -204,5 +205,26 @@ func TestCheckpointDisabledByDefault(t *testing.T) {
 	}
 	if _, _, ok, err := r.loadTraceCheckpoint(r.Opt.Workloads()[0]); ok || err != nil {
 		t.Fatal("trace load without a store must be a silent miss")
+	}
+}
+
+// TestCheckpointStoreRetry: a store that could not be created is retried by
+// the next call, not cached as failed for the runner's life.
+func TestCheckpointStoreRetry(t *testing.T) {
+	blocker := filepath.Join(t.TempDir(), "ckpt")
+	if err := os.WriteFile(blocker, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	o := faultOptions()
+	o.CheckpointDir = filepath.Join(blocker, "dir")
+	r := NewRunner(o)
+	if _, err := r.Store(); err == nil {
+		t.Fatal("a store under a regular file was created")
+	}
+	if err := os.Remove(blocker); err != nil {
+		t.Fatal(err)
+	}
+	if st, err := r.Store(); err != nil || st == nil {
+		t.Fatalf("Store after its cause was removed = %v, %v; want a store", st, err)
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"mpgraph/internal/prefetch"
 	"mpgraph/internal/resilience"
 )
 
@@ -142,9 +143,11 @@ func TestSweepBatchByteIdentical(t *testing.T) {
 	for _, batch := range []int{0, 1, 8, 64} {
 		for _, workers := range []int{1, 4} {
 			shared.Opt.Batch, shared.Opt.Workers = batch, workers
-			// Fresh scheduler per configuration: the cached one was built
-			// for the previous batch size.
+			// Fresh scheduler per configuration, as NewRunner builds it.
 			shared.batchSched = nil
+			if batch > 0 {
+				shared.batchSched = prefetch.NewBatchScheduler(batch)
+			}
 			rows, order, err := computePrefetchSweep(shared)
 			if err != nil {
 				t.Fatalf("batch=%d workers=%d: %v", batch, workers, err)

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"os"
 	"reflect"
 	"runtime"
 	"slices"
@@ -11,6 +12,7 @@ import (
 	"testing"
 
 	"mpgraph/internal/core"
+	"mpgraph/internal/nn"
 	"mpgraph/internal/resilience"
 )
 
@@ -27,8 +29,8 @@ func requireSameSuiteBits(t *testing.T, name string, got, want *Suite) {
 // suites holds the same bits.
 func requireSameModelBits(t *testing.T, name string, m SuiteModel, got, want *Suite) {
 	t.Helper()
-	wp := suiteModules(want)[m].Params()
-	for pi, p := range suiteModules(got)[m].Params() {
+	wp := suiteModule(want, m).Params()
+	for pi, p := range suiteModule(got, m).Params() {
 		for i, v := range p.Data {
 			if math.Float64bits(v) != math.Float64bits(wp[pi].Data[i]) {
 				t.Fatalf("%s: %s param %d elem %d = %g, want %g", name, m, pi, i, v, wp[pi].Data[i])
@@ -49,12 +51,17 @@ func trainSuiteAt(t *testing.T, o Options, procs int) *Suite {
 	return s
 }
 
+// suiteModule is model m's field of s, which SuiteModel.String names.
+func suiteModule(s *Suite, m SuiteModel) nn.Module {
+	return reflect.ValueOf(s).Elem().FieldByName(m.String()).Interface().(nn.Module)
+}
+
 // published lists the models whose Suite field is set, in field order.
 func published(s *Suite) []SuiteModel {
 	var out []SuiteModel
-	for m, mod := range suiteModules(s) {
-		if !reflect.ValueOf(mod).IsNil() {
-			out = append(out, SuiteModel(m))
+	for _, m := range AllModels {
+		if !reflect.ValueOf(suiteModule(s, m)).IsNil() {
+			out = append(out, m)
 		}
 	}
 	return out
@@ -220,7 +227,7 @@ func TestSuiteModelAloneBits(t *testing.T) {
 				}
 				var alone [numSuiteModels]bool
 				alone[m] = true
-				if err := r.train(ls, s, alone); err != nil {
+				if err := r.train(wl, ls, s, alone); err != nil {
 					t.Fatalf("%s at GOMAXPROCS %d: %v", m, procs, err)
 				}
 				if got := published(s); !slices.Equal(got, []SuiteModel{m}) {
@@ -270,8 +277,9 @@ func TestSuiteSingleFlight(t *testing.T) {
 
 // TestSuiteConsumersTrain pins what each path trains. Suite(w) and MPGraph —
 // the path mpgraph-serve takes — train the phase-specific pair; Prefetchers
-// adds the three models its baselines read. With a checkpoint store all ten
-// train, and a second runner resumes them from the store without training.
+// adds the three models its baselines read. With a checkpoint store
+// Suite(w) trains all ten and saves each as its own record
+// (TestCheckpointResumePerModel resumes them).
 func TestSuiteConsumersTrain(t *testing.T) {
 	ref, _ := faultSuiteRef(t)
 	wl := ref.Opt.Workloads()[0]
@@ -308,21 +316,156 @@ func TestSuiteConsumersTrain(t *testing.T) {
 		t.Fatal(err)
 	}
 	check("Suite(w) with a store", r, AllModels)
+	requireRecords(t, "Suite(w) with a store", r, wl, AllModels, 10)
+}
 
-	o.Resume = true
-	r = runnerOn(ref, o)
-	if s, err = r.Suite(wl); err != nil {
-		t.Fatal(err)
-	}
-	check("resumed Suite(w)", r, nil)
-	if got := published(s); !slices.Equal(got, AllModels) {
-		t.Fatalf("resumed suite published %v, want every model", got)
-	}
+// requireRecords fails unless r's store holds a model record for exactly
+// the models in want, and r saved saves records.
+func requireRecords(t *testing.T, name string, r *Runner, wl Workload, want []SuiteModel, saves uint64) {
+	t.Helper()
 	st, err := r.Store()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats := st.Stats(); stats.Hits != 1 || stats.Misses != 0 {
-		t.Fatalf("resume: %+v, want the suite checkpoint as one hit", stats)
+	var got []SuiteModel
+	for _, m := range AllModels {
+		if st.Verify(modelKey(wl, m)) == nil {
+			got = append(got, m)
+		}
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("%s: the store holds records of %v, want %v", name, got, want)
+	}
+	if n := st.Stats().Saves; n != saves {
+		t.Fatalf("%s saved %d records, want %d", name, n, saves)
+	}
+}
+
+// TestCheckpointResumePerModel: a checkpoint record holds one model. A
+// resuming runner restores every model that has a record, with no training
+// run and the bits of a store-less run, and trains and saves only a model
+// whose record is missing. The records outlive a change to the simulation
+// cap (MaxTestAccesses), which no model reads. make race runs it at
+// GOMAXPROCS 1 and 2.
+func TestCheckpointResumePerModel(t *testing.T) {
+	ref, full := faultSuiteRef(t)
+	wl := ref.Opt.Workloads()[0]
+	o := ref.Opt
+	o.CheckpointDir = t.TempDir()
+	saver := runnerOn(ref, o)
+	if _, err := saver.Suite(wl); err != nil {
+		t.Fatal(err)
+	}
+	st, err := saver.Store()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(st.Path(modelKey(wl, LSTMDelta))); err != nil {
+		t.Fatal(err)
+	}
+
+	o.Resume = true
+	counter := resilience.NewInjector(1).ArmProb(resilience.PointTrainEpoch, resilience.KindErr, 0)
+	o.Injector = counter
+	r := runnerOn(ref, o)
+	s, err := r.Suite(wl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := published(s); !slices.Equal(got, AllModels) {
+		t.Fatalf("resumed Suite(w) published %v, want every model", got)
+	}
+	if got := r.Trained(wl); !slices.Equal(got, []SuiteModel{LSTMDelta}) {
+		t.Fatalf("resumed Suite(w) trained %v, want the model without a record alone", got)
+	}
+	if hits, want := counter.Hits(resilience.PointTrainEpoch), uint64(o.Epochs); hits != want {
+		t.Fatalf("resumed Suite(w) ran %d training epochs, want %d (LSTMDelta's)", hits, want)
+	}
+	requireSameSuiteBits(t, "resumed", s, full)
+	requireRecords(t, "resumed Suite(w)", r, wl, AllModels, 1)
+	if st, _ := r.Store(); st.Stats().Hits != 9 || st.Stats().Misses != 1 {
+		t.Fatalf("resume: %+v, want nine records hit and LSTMDelta's missed", st.Stats())
+	}
+
+	o.MaxTestAccesses /= 2
+	trap := resilience.NewInjector(1).Arm(resilience.PointTrainEpoch, resilience.KindErr, 1)
+	o.Injector = trap
+	if _, err := runnerOn(ref, o).Suite(wl); err != nil {
+		t.Fatalf("resume at another MaxTestAccesses: %v", err)
+	}
+	if hits := trap.Hits(resilience.PointTrainEpoch); hits != 0 {
+		t.Fatalf("resume at another MaxTestAccesses ran %d training epochs, want 0", hits)
+	}
+}
+
+// TestCheckpointSaveFailureRetries: a model whose save fails stays
+// unpublished and the next call trains and saves it again, while the models
+// saved beside it stay published and train once.
+func TestCheckpointSaveFailureRetries(t *testing.T) {
+	ref, full := faultSuiteRef(t)
+	wl := ref.Opt.Workloads()[0]
+	o := ref.Opt
+	o.CheckpointDir = t.TempDir()
+	o.Injector = resilience.NewInjector(1).Arm(resilience.PointCheckpointIO, resilience.KindErr, 1)
+	r := runnerOn(ref, o)
+	s, err := r.Suite(wl)
+	var ie *resilience.InjectedError
+	if !errors.As(err, &ie) || ie.Point != resilience.PointCheckpointIO {
+		t.Fatalf("Suite = %v, want the injected checkpoint-io fault", err)
+	}
+	saved := published(s)
+	if len(saved) != len(AllModels)-1 {
+		t.Fatalf("published %v after one of ten saves failed, want the nine saved models", saved)
+	}
+	if s, err = r.Suite(wl); err != nil {
+		t.Fatalf("retry after the failed save: %v", err)
+	}
+	for _, m := range AllModels {
+		runs := int32(2)
+		if slices.Contains(saved, m) {
+			runs = 1
+		}
+		if n := r.suites[wl].trains[m].Load(); n != runs {
+			t.Fatalf("%s trained %d times, want %d", m, n, runs)
+		}
+	}
+	requireSameSuiteBits(t, "after a failed save", s, full)
+	requireRecords(t, "the retry", r, wl, AllModels, 10)
+}
+
+// TestSweepSingleFlight: two concurrent sweeps on one runner share one run —
+// sweep-worker fires exactly once per (workload, prefetcher) pair — and get
+// the same rows.
+func TestSweepSingleFlight(t *testing.T) {
+	ref, _ := faultSuiteRef(t)
+	o := ref.Opt
+	counter := resilience.NewInjector(1).ArmProb(resilience.PointSweepWorker, resilience.KindErr, 0)
+	o.Injector = counter
+	r := runnerOn(ref, o)
+	var rows [2]map[string][]prefetchRow
+	var errs [2]error
+	var wg sync.WaitGroup
+	for i := range rows {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			rows[i], _, errs[i] = runPrefetchSweep(r)
+		}(i)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if reflect.ValueOf(rows[0]).Pointer() != reflect.ValueOf(rows[1]).Pointer() {
+		t.Fatal("the two sweeps returned different rows")
+	}
+	pairs := 0
+	for _, rs := range rows[0] {
+		pairs += len(rs)
+	}
+	if hits := counter.Hits(resilience.PointSweepWorker); hits != uint64(pairs) {
+		t.Fatalf("sweep-worker fired %d times, want %d (once per workload and prefetcher)", hits, pairs)
 	}
 }
