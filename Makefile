@@ -14,11 +14,13 @@ build:
 # side of the kernel build tags (tensor/*_noasm.go) keeps compiling. What it
 # computes is pinned on amd64 by the ForcePortableKernels subtests. The
 # training kernels are also built out at GOAMD64=v3, where the compiler fuses
-# the scalar loops they must equal bit for bit (tensor/train_noasm.go).
+# the scalar loops they must equal bit for bit (tensor/train_noasm.go); the
+# tensor and nn tests run there, so those scalar bodies run in CI too.
 build-portable:
 	GOARCH=arm64 $(GO) build ./...
 	GOARCH=arm64 $(GO) vet ./...
 	GOAMD64=v3 $(GO) build ./...
+	GOAMD64=v3 $(GO) test ./internal/tensor/ ./internal/nn/
 
 # lint runs the full static-analysis gate: the standard `go vet` passes
 # (delegated by mpgraph-vet) plus the ten MPGraph analyzers —
@@ -123,9 +125,9 @@ fuzz:
 # seconds-scale sweep benchmarks run once. bench-compare, and so CI's
 # "Perf-regression gate" step, runs whatever KERNEL_BENCH names: a row added
 # to the pattern is carried and gated with no workflow change. TRAIN_BENCH is the
-# training layer (what a suite's set-up is made of): the Adam step (dense, and
-# sparse: an embedding table training has barely reached) and the
-# weight-gradient product at 5000 iterations, a whole AMMA train step (the
+# training layer (what a suite's set-up is made of): the Adam step (dense,
+# sparse: an embedding table training has barely reached, and clipped) and the
+# weight- and input-gradient products at 5000 iterations, a whole AMMA train step (the
 # trainer's own, on its tape) at 300, and the ten-model suite at the repository
 # benchmark's fixture, best of 3 — BenchmarkSuiteTrain on the GOMAXPROCS pool
 # and BenchmarkSuiteTrainSerial (same pattern) on one P, so pool and tape read
@@ -147,7 +149,7 @@ fuzz:
 # Steps go through a file so a benchmark failure fails the target. For
 # published numbers rerun with a higher -benchtime and -count (DESIGN.md §8).
 KERNEL_BENCH = BenchmarkAttentionBlocks|BenchmarkResidualLayerNorm|BenchmarkMeanRowsBatch|BenchmarkAddPosBatch|BenchmarkEmbeddingPosBatch|BenchmarkFirstAbove|BenchmarkSigmoidWiden|BenchmarkTopK2of1024|BenchmarkPanel1|BenchmarkPanelShapes|BenchmarkLinearAct|BenchmarkLSTMForward|BenchmarkAMMA(Delta|Page)(F32)?(Batch8)?$$
-TRAIN_BENCH = BenchmarkAdamStep|BenchmarkGemmTN|BenchmarkBackwardMLP|BenchmarkAMMADeltaTrainStep|BenchmarkAMMAPageTrainStep
+TRAIN_BENCH = BenchmarkAdamStep|BenchmarkGemmTN|BenchmarkGemmNT|BenchmarkBackwardMLP|BenchmarkAMMADeltaTrainStep|BenchmarkAMMAPageTrainStep
 SIM_BENCH = BenchmarkEngineNoPrefetch|BenchmarkEngineRun|BenchmarkClassicOperate|BenchmarkGPOPPageRankTrace|BenchmarkXStreamBFSTrace|BenchmarkPowerGraphCCTrace|BenchmarkInterleave
 SERVE_BENCH = BenchmarkKSWIN|BenchmarkSoftKSWIN|BenchmarkKSStatistic|BenchmarkHandleFeed
 # BENCH_STEPS is the ledger's step list, which bench and bench-compare

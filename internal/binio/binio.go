@@ -110,6 +110,9 @@ func (r *Reader) Read(p []byte) (int, error) {
 // Err returns the stream's first error.
 func (r *Reader) Err() error { return r.err }
 
+// Buffered returns how many bytes the buffer holds that no read has taken.
+func (r *Reader) Buffered() int { return r.br.Buffered() }
+
 // Fail records err unless the stream has already failed.
 func (r *Reader) Fail(err error) {
 	if r.err == nil {

@@ -98,8 +98,9 @@ func fuzzConfig() models.Config {
 // eight times its length, whatever its counts claim. The seeds under
 // testdata/fuzz are valid trace and model checkpoints (as files and as
 // payloads), a truncated header, a bad magic, a future version, a size
-// mismatch, a bad CRC, and payloads with a forged result count and a forged
-// parameter count.
+// mismatch, a bad CRC, payloads with a forged result count and a forged
+// parameter count, and a CRC-valid model checkpoint with 38 bytes past its
+// record (a miss: its reader leaves them).
 func FuzzCheckpointLoad(f *testing.F) {
 	st, err := resilience.NewStore(f.TempDir(), nil, nil)
 	if err != nil {

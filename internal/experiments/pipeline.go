@@ -495,6 +495,12 @@ func (r *Runner) trainModels(w Workload, s *Suite, ms []SuiteModel, ls *lazySuit
 		if restored[i] = hit; hit {
 			continue
 		}
+		if r.Opt.Resume {
+			// A record can fail its checks after nn.Load has filled some
+			// weights (one with bytes past its last parameter fills them
+			// all), so the model trains from a fresh build.
+			built[i] = s.newModel(m, r.Opt.Seed)
+		}
 		o := models.TrainOptions{
 			Epochs: r.Opt.Epochs, Seed: r.Opt.Seed,
 			MaxSamplesPerEpoch: r.Opt.TrainSamples, Hook: r.trainHook(),

@@ -3,6 +3,7 @@ package experiments
 import (
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"reflect"
@@ -344,7 +345,9 @@ func requireRecords(t *testing.T, name string, r *Runner, wl Workload, want []Su
 // TestCheckpointResumePerModel: a checkpoint record holds one model. A
 // resuming runner restores every model that has a record, with no training
 // run and the bits of a store-less run, and trains and saves only a model
-// whose record is missing. The records outlive a change to the simulation
+// whose record is missing, or corrupt: AttnDelta's record, CRC-valid, holds
+// 38 bytes past its last parameter, so its load counts one corruption and the
+// model trains again. The records outlive a change to the simulation
 // cap (MaxTestAccesses), which no model reads. make race runs it at
 // GOMAXPROCS 1 and 2.
 func TestCheckpointResumePerModel(t *testing.T) {
@@ -363,6 +366,14 @@ func TestCheckpointResumePerModel(t *testing.T) {
 	if err := os.Remove(st.Path(modelKey(wl, LSTMDelta))); err != nil {
 		t.Fatal(err)
 	}
+	key, meta := modelKey(wl, AttnDelta), o.suiteFingerprint()
+	var payload []byte
+	if ok, err := st.Load(key, meta, func(rd io.Reader) (err error) { payload, err = io.ReadAll(rd); return err }); !ok || err != nil {
+		t.Fatalf("reading AttnDelta's record: %v, %v", ok, err)
+	}
+	if err := st.Save(key, meta, func(w io.Writer) error { _, err := w.Write(append(payload, make([]byte, 38)...)); return err }); err != nil {
+		t.Fatal(err)
+	}
 
 	o.Resume = true
 	counter := resilience.NewInjector(1).ArmProb(resilience.PointTrainEpoch, resilience.KindErr, 0)
@@ -375,16 +386,16 @@ func TestCheckpointResumePerModel(t *testing.T) {
 	if got := published(s); !slices.Equal(got, AllModels) {
 		t.Fatalf("resumed Suite(w) published %v, want every model", got)
 	}
-	if got := r.Trained(wl); !slices.Equal(got, []SuiteModel{LSTMDelta}) {
-		t.Fatalf("resumed Suite(w) trained %v, want the model without a record alone", got)
+	if got := r.Trained(wl); !slices.Equal(got, []SuiteModel{LSTMDelta, AttnDelta}) {
+		t.Fatalf("resumed Suite(w) trained %v, want the models without a sound record alone", got)
 	}
-	if hits, want := counter.Hits(resilience.PointTrainEpoch), uint64(o.Epochs); hits != want {
-		t.Fatalf("resumed Suite(w) ran %d training epochs, want %d (LSTMDelta's)", hits, want)
+	if hits, want := counter.Hits(resilience.PointTrainEpoch), 2*uint64(o.Epochs); hits != want {
+		t.Fatalf("resumed Suite(w) ran %d training epochs, want %d (LSTMDelta's and AttnDelta's)", hits, want)
 	}
 	requireSameSuiteBits(t, "resumed", s, full)
-	requireRecords(t, "resumed Suite(w)", r, wl, AllModels, 1)
-	if st, _ := r.Store(); st.Stats().Hits != 9 || st.Stats().Misses != 1 {
-		t.Fatalf("resume: %+v, want nine records hit and LSTMDelta's missed", st.Stats())
+	requireRecords(t, "resumed Suite(w)", r, wl, AllModels, 2)
+	if st, _ := r.Store(); st.Stats().Hits != 8 || st.Stats().Misses != 1 || st.Stats().Corruptions != 1 {
+		t.Fatalf("resume: %+v, want eight records hit, LSTMDelta's missed and AttnDelta's corrupt", st.Stats())
 	}
 
 	o.MaxTestAccesses /= 2

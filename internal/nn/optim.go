@@ -36,9 +36,13 @@ func NewAdam(lr float64) *Adam {
 // in place. Each element loop below is the definition of its tensor ...Fast
 // leaf, which returns the same bits from a vector kernel where one exists.
 func (a *Adam) Step(params []*tensor.Tensor) {
-	if a.ClipNorm > 0 {
+	if a.ClipNorm > 0 && !a.clipIdle(params) {
 		total := 0.0
 		for _, p := range params {
+			if t, ok := tensor.SumSquaresSeqFast(total, p.Grad); ok {
+				total = t
+				continue
+			}
 			for _, g := range p.Grad {
 				total += g * g
 			}
@@ -57,6 +61,42 @@ func (a *Adam) Step(params []*tensor.Tensor) {
 		}
 	}
 	a.update(params)
+}
+
+// clipIdle reports whether Step's clip provably leaves the gradients alone,
+// so that its ordered sum of squares S, whose value only that test reads,
+// need not run: sqrt(S) <= ClipNorm holds when S < ClipNorm² exactly, since
+// a correctly rounded sqrt of a value below the float ClipNorm is at most
+// ClipNorm.
+//
+// S is bounded from V, the same squares summed on the vector kernel in
+// another order. Both are sums of the rounded squares over a tree of height
+// below N = (elements) + len(params) + 8, so each lies within γ = Nu/(1-Nu)
+// of the exact sum E (u = 2⁻⁵³; Higham, Accuracy and Stability of Numerical
+// Algorithms, §4.2), apart from an absolute 2⁻¹⁰⁷⁵ per square that
+// underflows. Hence S <= V(1+γ)/(1-γ) + 3N·2⁻¹⁰⁷⁵ < V(1+2.01Nu) + N·2⁻¹⁰⁷⁰
+// for Nu <= 2⁻¹⁰, and hi below adds 1.99Nu more than that to cover its own
+// three roundings. lim is at most ClipNorm² despite its rounding (which is
+// why a ClipNorm² under 2⁻¹⁰⁰⁰, rounded with an absolute error, takes the
+// ordered sum), and no partial sum can overflow below it. A NaN or Inf
+// anywhere makes hi NaN or Inf, and the ordered sum runs.
+func (a *Adam) clipIdle(params []*tensor.Tensor) bool {
+	v, n := 0.0, 8+len(params) // n counts N
+	for _, p := range params {
+		s, ok := tensor.SumSquaresFast(p.Grad)
+		if !ok {
+			return false
+		}
+		v += s
+		n += len(p.Grad)
+	}
+	nu := float64(n) * 0x1p-53
+	lim := min(a.ClipNorm*a.ClipNorm*(1-0x1p-50), math.MaxFloat64/2)
+	if nu > 0x1p-10 || lim < 0x1p-1000 {
+		return false
+	}
+	hi := v*(1+4*nu) + float64(n)*0x1p-1070
+	return hi < lim
 }
 
 // StepZeroGrads is Step when every gradient is +0 (or nil): a step of a

@@ -203,16 +203,131 @@ func TestAdamMatchesTextbook(t *testing.T) {
 	}
 }
 
+// stepClip runs one Adam.Step with the given clip over parameters holding
+// copies of grads (weights and moments seeded from rng's fixed stream), and
+// returns every weight, gradient and moment it leaves, in order.
+func stepClip(grads [][]float64, clip float64) []float64 {
+	rng := rand.New(rand.NewSource(65))
+	a := NewAdam(1e-3)
+	a.ClipNorm = clip
+	var params []*tensor.Tensor
+	for _, g := range grads {
+		p := tensor.Randn(1, len(g), 1, rng).Param()
+		p.Grad = slices.Clone(g)
+		params = append(params, p)
+	}
+	a.Step(params)
+	var out []float64
+	for _, p := range params {
+		out = append(append(append(append(out, p.Data...), p.Grad...), a.m[p]...), a.v[p]...)
+	}
+	return out
+}
+
+// orderedNorm is Step's clip norm: the square root of Σg² in parameter and
+// element order.
+func orderedNorm(grads [][]float64) float64 {
+	total := 0.0
+	for _, g := range grads {
+		for _, v := range g {
+			total += v * v
+		}
+	}
+	return math.Sqrt(total)
+}
+
+// TestAdamClipBoundary: Step, whose clip skips the ordered sum of squares
+// when a vector sum's error bound proves the norm under ClipNorm, against the
+// scalar step that always sums in order, bit for bit. The gradient sets put
+// their ordered norm exactly at ClipNorm, one ulp either side of it and far
+// either side, and include one whose ordered sum rounds up at every add, and
+// NaN, +Inf, all-zero and embedding-sparse sets. At a ulp below the norm the
+// clip must fire although the vector sum is as likely as not to lie under
+// ClipNorm², so a bound without its error term fails here.
+func TestAdamClipBoundary(t *testing.T) {
+	if _, ok := tensor.SumSquaresFast(nil); !ok {
+		t.Skip("no training kernels on this machine or build")
+	}
+	rng := rand.New(rand.NewSource(64))
+	lens := []int{4096, 1024, 33, 7}
+	dense := func(scale float64) [][]float64 {
+		var gs [][]float64
+		for _, n := range lens {
+			g := make([]float64, n)
+			for i := range g {
+				g[i] = scale * rng.NormFloat64()
+			}
+			gs = append(gs, g)
+		}
+		return gs
+	}
+	type set struct {
+		name  string
+		grads [][]float64
+	}
+	var sets []set
+	for i := 0; i < 16; i++ {
+		sets = append(sets, set{fmt.Sprintf("dense %d", i), dense([]float64{1e-3, 1, 1e3}[i%3])})
+	}
+	nan, inf := dense(1), dense(1)
+	nan[1][500] = defaultNaN
+	inf[2][3] = math.Inf(1)
+	sparse := make([]float64, 65536) // an embedding table of 16-wide rows, one in eight reached
+	for i := range sparse {
+		if i/16%8 == 0 {
+			sparse[i] = 1e-3 * rng.NormFloat64()
+		}
+	}
+	// The ordered sum's worst case: each small square lies just above half
+	// an ulp of the total, so every add rounds up and the ordered sum
+	// exceeds the exact one by about nu/2, the vector sum (whose other lanes
+	// add the small squares among themselves) by nearly as much. A bound
+	// with half its error term lets the clip skip here.
+	roundUp := []float64{0.75}
+	for range 4096 {
+		roundUp = append(roundUp, 0x1p-27*(1+0x1p-10))
+	}
+	sets = append(sets,
+		set{"rounding up", [][]float64{roundUp}},
+		set{"NaN", nan}, set{"+Inf", inf},
+		set{"all zero", [][]float64{make([]float64, 4096), make([]float64, 33)}},
+		set{"sparse", [][]float64{sparse, dense(1)[3]}},
+		set{"subnormal", [][]float64{{5e-324, -3e-310, 1e-300}}})
+	for _, s := range sets {
+		norm := orderedNorm(s.grads)
+		clips := []float64{5}
+		if norm > 0 && !math.IsInf(norm, 0) && !math.IsNaN(norm) {
+			clips = []float64{norm, math.Nextafter(norm, 0), math.Nextafter(norm, math.Inf(1)), norm * 1e3, norm / 1e3}
+		}
+		for _, clip := range clips {
+			got := stepClip(s.grads, clip)
+			restore := tensor.ForcePortableKernels()
+			want := stepClip(s.grads, clip)
+			restore()
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("%s, norm %.17g, clip %.17g: value %d = %x (%g), scalar step %x (%g)",
+						s.name, norm, clip, i, math.Float64bits(got[i]), got[i], math.Float64bits(want[i]), want[i])
+				}
+			}
+		}
+	}
+}
+
 // BenchmarkAdamStep is one optimizer step over a single parameter tensor: the
-// ordered clip-norm sum plus the element update (gradients small enough that
-// the clip never fires, so every iteration does the same work). The sparse row
-// is an embedding table of 16-wide rows of which training has reached one in
-// eight: the other rows' gradients and moments are zero, and stay so.
+// clip test plus the element update. In the first three rows the gradients are
+// small enough that the clip provably never fires, so the vector bound stands
+// in for the ordered sum of squares. The sparse row is an embedding table of
+// 16-wide rows of which training has reached one in eight: the other rows'
+// gradients and moments are zero, and stay so. In the clipped row the norm is
+// five times ClipNorm, so every step runs the ordered sum and the rescale; its
+// gradients are restored before each step (a 512 KB copy, included).
 func BenchmarkAdamStep(b *testing.B) {
 	for _, c := range []struct {
 		name      string
 		n, stride int
-	}{{"n=2048", 2048, 1}, {"n=65536", 65536, 1}, {"sparse", 65536, 8}} {
+		scale     float64
+	}{{"n=2048", 2048, 1, 1e-3}, {"n=65536", 65536, 1, 1e-3}, {"sparse", 65536, 8, 1e-3}, {"clipped", 65536, 1, 0.1}} {
 		n := c.n
 		b.Run(c.name, func(b *testing.B) {
 			rng := rand.New(rand.NewSource(1))
@@ -220,15 +335,20 @@ func BenchmarkAdamStep(b *testing.B) {
 			p.Grad = make([]float64, n)
 			for i := range p.Grad {
 				if i/16%c.stride == 0 {
-					p.Grad[i] = 1e-3 * rng.NormFloat64()
+					p.Grad[i] = c.scale * rng.NormFloat64()
 				}
 			}
+			grads := slices.Clone(p.Grad)
+			clipped := orderedNorm([][]float64{grads}) > 5
 			a := NewAdam(1e-3)
 			params := []*tensor.Tensor{p}
 			a.Step(params) // allocates the moments
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
+				if clipped {
+					copy(p.Grad, grads)
+				}
 				a.Step(params)
 			}
 		})

@@ -219,8 +219,9 @@ func (s *Store) save(path, meta string, write func(io.Writer) error) (err error)
 
 // Load opens, verifies, and reads the checkpoint for key. ok is true only
 // when the checkpoint existed, carried the expected meta fingerprint,
-// passed checksum verification, and read consumed it without error. A
-// missing, stale, or corrupt checkpoint is a cache miss (ok=false, nil
+// passed checksum verification, and read consumed the whole payload without
+// error; one whose reader leaves payload bytes unread is corrupt. A missing,
+// stale, or corrupt checkpoint is a cache miss (ok=false, nil
 // error) — corruption is additionally counted and logged as a degradation
 // event. A non-nil error is reserved for injected checkpoint-io faults and
 // read-callback failures.
@@ -272,7 +273,17 @@ func (s *Store) load(key, meta string, read func(io.Reader) error) error {
 	if _, err := f.Seek(payloadOff, io.SeekStart); err != nil {
 		return err
 	}
-	return read(binio.NewReader(io.LimitReader(f, int64(plen))))
+	lr := &io.LimitedReader{R: f, N: int64(plen)}
+	br := binio.NewReader(lr)
+	if err := read(br); err != nil {
+		return err
+	}
+	// What read left: the bytes still in the file's payload and those the
+	// buffer pulled in but handed to nobody.
+	if left := lr.N + int64(br.Buffered()); left > 0 {
+		return &CorruptError{Path: path, Reason: fmt.Sprintf("trailing %d payload bytes", left)}
+	}
+	return nil
 }
 
 // Verify checks the envelope of key's checkpoint — magic, version, meta

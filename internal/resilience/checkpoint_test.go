@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"testing/iotest"
 )
 
 // writePayload / readPayload are the test's (de)serializer pair.
@@ -104,6 +105,39 @@ func TestStoreOverwrite(t *testing.T) {
 	ok, err := s.Load("k", "m", readAll(&got))
 	if err != nil || !ok || string(got) != "new" {
 		t.Fatalf("Load after overwrite = %v, %v, %q", ok, err, got)
+	}
+}
+
+// TestStoreTrailingPayloadIsCorrupt: a CRC-valid record whose reader stops
+// short of the payload's end is corrupt, not a hit. The reader takes 62 of
+// 100 bytes one at a time, so the buffer under it has pulled in all 100: the
+// remainder counts what the reader took, not what the buffer did.
+func TestStoreTrailingPayloadIsCorrupt(t *testing.T) {
+	events := &Log{}
+	s, err := NewStore(t.TempDir(), nil, events)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Save("k", "m", writePayload(make([]byte, 100))); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		take    int
+		wantHit bool
+	}{{100, true}, {62, false}} {
+		ok, err := s.Load("k", "m", func(r io.Reader) error {
+			_, err := io.ReadFull(iotest.OneByteReader(r), make([]byte, c.take))
+			return err
+		})
+		if err != nil || ok != c.wantHit {
+			t.Fatalf("reading %d of 100 bytes: Load = %v, %v; want %v, nil", c.take, ok, err, c.wantHit)
+		}
+	}
+	if st := s.Stats(); st.Hits != 1 || st.Corruptions != 1 {
+		t.Fatalf("stats = %+v, want 1 hit and 1 corruption", st)
+	}
+	if ev := events.Events(); len(ev) != 1 || !strings.Contains(ev[0].Detail, "trailing 38 payload bytes") {
+		t.Fatalf("events = %+v, want one naming 38 trailing bytes", ev)
 	}
 }
 

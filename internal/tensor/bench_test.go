@@ -73,6 +73,28 @@ func BenchmarkGemmTN(b *testing.B) {
 	}
 }
 
+// BenchmarkGemmNT is the input-gradient product dA += dY.Wᵀ at the shapes a
+// training step runs it: [m x k] output gradients against a [n x k] weight,
+// reducing over k, the layer's output width. m = 1 is the pooled row under
+// the page head (k = 1024) and the delta head (k = 126); m = 18 is a fused
+// sequence under the feed-forward block's 32 → 64 expansion (k = 64) and a
+// 16 → 32 projection (k = 32).
+func BenchmarkGemmNT(b *testing.B) {
+	for _, s := range [][3]int{{1, 1024, 32}, {1, 126, 32}, {18, 64, 32}, {18, 32, 16}} {
+		m, k, n := s[0], s[1], s[2]
+		b.Run(fmt.Sprintf("m=%d/k=%d/n=%d", m, k, n), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(1))
+			dy, w := randSlice(rng, m*k), randSlice(rng, n*k)
+			da := make([]float64, m*n)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				gemmNT(da, dy, w, m, k, n)
+			}
+		})
+	}
+}
+
 // benchModelShapes runs f on the attention shapes of an AMMA forward: T = 9
 // (a modality encoder) and 2T = 18 (fusion, Transformer), d = 16 and 32, one
 // session and a stacked batch of eight.

@@ -20,9 +20,6 @@ const gemmParallelThreshold = 1 << 18
 func maddRow[T float32 | float64](orow, brow []T, av T) {
 	n := len(brow)
 	orow = orow[:n]
-	if maddRowFast(orow, brow, av) {
-		return
-	}
 	j := 0
 	for ; j+4 <= n; j += 4 {
 		orow[j] += av * brow[j]
@@ -44,9 +41,6 @@ func maddRow[T float32 | float64](orow, brow []T, av T) {
 func maddRows4[T float32 | float64](orow, b0, b1, b2, b3 []T, a0, a1, a2, a3 T) {
 	n := len(orow)
 	b0, b1, b2, b3 = b0[:n], b1[:n], b2[:n], b3[:n]
-	if maddRows4Fast(orow, b0, b1, b2, b3, a0, a1, a2, a3) {
-		return
-	}
 	for j := 0; j < n; j++ {
 		orow[j] += a0*b0[j] + a1*b1[j] + a2*b2[j] + a3*b3[j]
 	}
@@ -115,8 +109,14 @@ func gemm[T float32 | float64](out, a, b []T, m, k, n int) {
 	parallelRows(func(r0, r1 int) { gemmRows(out, a, b, k, n, r0, r1) }, m, m*k*n) //mpgraph:allow noalloc -- training-size fan-out; inference stays below the threshold
 }
 
+// gemmRows computes output rows [r0,r1) through maddPanel, or at float64
+// on the vector kernel that runs maddPanel's order a whole row at a time.
+//
 //mpgraph:noalloc
 func gemmRows[T float32 | float64](out, a, b []T, k, n, r0, r1 int) {
+	if gemmRowsFast(out, a, b, k, n, r0, r1) {
+		return
+	}
 	for i := r0; i < r1; i++ {
 		maddPanel(out[i*n:(i+1)*n], a[i*k:(i+1)*k], b, n)
 	}
@@ -139,37 +139,23 @@ func dotRows4(a, b0, b1, b2, b3 []float64) (s0, s1, s2, s3 float64) {
 	return
 }
 
-// dotPanel computes orow[j] = [orow[j] +] dot(arow, b-row j)·s for all n
-// output columns, blocked four columns at a time. acc selects accumulate
-// (the gemm += contract) versus overwrite (fused kernels on uninitialised
-// arena buffers).
+// dotPanel computes orow[j] += dot(arow, b-row j) for all n output columns,
+// blocked four columns at a time.
 //
 //mpgraph:noalloc
-func dotPanel(orow, arow, b []float64, k, n int, s float64, acc bool) {
+func dotPanel(orow, arow, b []float64, k, n int) {
 	j := 0
 	for ; j+4 <= n; j += 4 {
 		s0, s1, s2, s3 := dotRows4(arow,
 			b[j*k:(j+1)*k], b[(j+1)*k:(j+2)*k],
 			b[(j+2)*k:(j+3)*k], b[(j+3)*k:(j+4)*k])
-		if acc {
-			orow[j] += s0 * s
-			orow[j+1] += s1 * s
-			orow[j+2] += s2 * s
-			orow[j+3] += s3 * s
-		} else {
-			orow[j] = s0 * s
-			orow[j+1] = s1 * s
-			orow[j+2] = s2 * s
-			orow[j+3] = s3 * s
-		}
+		orow[j] += s0
+		orow[j+1] += s1
+		orow[j+2] += s2
+		orow[j+3] += s3
 	}
 	for ; j < n; j++ {
-		d := dotRows(arow, b[j*k:(j+1)*k]) * s
-		if acc {
-			orow[j] += d
-		} else {
-			orow[j] = d
-		}
+		orow[j] += dotRows(arow, b[j*k:(j+1)*k])
 	}
 }
 
@@ -182,9 +168,12 @@ func gemmNT(out, a, b []float64, m, k, n int) {
 	parallelRows(func(r0, r1 int) { gemmNTRows(out, a, b, k, n, r0, r1) }, m, m*k*n)
 }
 
+// gemmNTRows computes output rows [r0,r1). The vector kernel takes the
+// whole blocks of four columns; dotPanel does the rest.
 func gemmNTRows(out, a, b []float64, k, n, r0, r1 int) {
+	j := gemmNTRowsFast(out, a, b, k, n, r0, r1)
 	for i := r0; i < r1; i++ {
-		dotPanel(out[i*n:(i+1)*n], a[i*k:(i+1)*k], b, k, n, 1, true)
+		dotPanel(out[i*n+j:(i+1)*n], a[i*k:(i+1)*k], b[j*k:], k, n-j)
 	}
 }
 

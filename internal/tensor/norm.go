@@ -72,22 +72,17 @@ func MulBias(a, gain *Tensor) *Tensor {
 	}
 	if out.requiresGrad {
 		out.backward = func() {
+			n := a.Cols
 			if a.requiresGrad {
 				a.ensureGrad()
 				for r := 0; r < a.Rows; r++ {
-					base := r * a.Cols
-					for c := 0; c < a.Cols; c++ {
-						a.Grad[base+c] += out.Grad[base+c] * gain.Data[c]
-					}
+					maddVec(a.Grad[r*n:(r+1)*n], out.Grad[r*n:(r+1)*n], gain.Data)
 				}
 			}
 			if gain.requiresGrad {
 				gain.ensureGrad()
 				for r := 0; r < a.Rows; r++ {
-					base := r * a.Cols
-					for c := 0; c < a.Cols; c++ {
-						gain.Grad[c] += out.Grad[base+c] * a.Data[base+c]
-					}
+					maddVec(gain.Grad, out.Grad[r*n:(r+1)*n], a.Data[r*n:(r+1)*n])
 				}
 			}
 		}

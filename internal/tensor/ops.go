@@ -34,17 +34,13 @@ func MatMul(a, b *Tensor) *Tensor {
 func Add(a, b *Tensor) *Tensor {
 	checkSameShape("add", a, b)
 	out := newResult(a.Rows, a.Cols, []*Tensor{a, b}, nil)
-	for i := range out.Data {
-		out.Data[i] = a.Data[i] + b.Data[i]
-	}
+	addVec(out.Data, a.Data, b.Data)
 	if out.requiresGrad {
 		out.backward = func() {
 			for _, p := range []*Tensor{a, b} {
 				if p.requiresGrad {
 					p.ensureGrad()
-					for i := range p.Grad {
-						p.Grad[i] += out.Grad[i]
-					}
+					addVec(p.Grad, p.Grad, out.Grad)
 				}
 			}
 		}
@@ -58,27 +54,21 @@ func AddBias(a, bias *Tensor) *Tensor {
 		invariant.Failf("tensor: addbias %dx%d + %dx%d", a.Rows, a.Cols, bias.Rows, bias.Cols)
 	}
 	out := newResult(a.Rows, a.Cols, []*Tensor{a, bias}, nil)
-	for r := 0; r < a.Rows; r++ {
-		base := r * a.Cols
-		for c := 0; c < a.Cols; c++ {
-			out.Data[base+c] = a.Data[base+c] + bias.Data[c]
-		}
+	for r, n := 0, a.Cols; r < a.Rows; r++ {
+		addVec(out.Data[r*n:(r+1)*n], a.Data[r*n:(r+1)*n], bias.Data)
 	}
 	if out.requiresGrad {
 		out.backward = func() {
+			n := a.Cols
 			if a.requiresGrad {
 				a.ensureGrad()
-				for i := range a.Grad {
-					a.Grad[i] += out.Grad[i]
-				}
+				addVec(a.Grad, a.Grad, out.Grad)
 			}
 			if bias.requiresGrad {
+				// Each column's sum in row order, the columns side by side.
 				bias.ensureGrad()
 				for r := 0; r < a.Rows; r++ {
-					base := r * a.Cols
-					for c := 0; c < a.Cols; c++ {
-						bias.Grad[c] += out.Grad[base+c]
-					}
+					addVec(bias.Grad, bias.Grad, out.Grad[r*n:(r+1)*n])
 				}
 			}
 		}
@@ -97,15 +87,11 @@ func Mul(a, b *Tensor) *Tensor {
 		out.backward = func() {
 			if a.requiresGrad {
 				a.ensureGrad()
-				for i := range a.Grad {
-					a.Grad[i] += out.Grad[i] * b.Data[i]
-				}
+				maddVec(a.Grad, out.Grad, b.Data)
 			}
 			if b.requiresGrad {
 				b.ensureGrad()
-				for i := range b.Grad {
-					b.Grad[i] += out.Grad[i] * a.Data[i]
-				}
+				maddVec(b.Grad, out.Grad, a.Data)
 			}
 		}
 	}
@@ -121,9 +107,7 @@ func Scale(a *Tensor, s float64) *Tensor {
 	if out.requiresGrad {
 		out.backward = func() {
 			a.ensureGrad()
-			for i := range a.Grad {
-				a.Grad[i] += out.Grad[i] * s
-			}
+			axpyVec(a.Grad, out.Grad, s)
 		}
 	}
 	return out
@@ -140,11 +124,7 @@ func ReLU(a *Tensor) *Tensor {
 	if out.requiresGrad {
 		out.backward = func() {
 			a.ensureGrad()
-			for i := range a.Grad {
-				if a.Data[i] > 0 {
-					a.Grad[i] += out.Grad[i]
-				}
-			}
+			reluGradVec(a.Grad, out.Grad, a.Data)
 		}
 	}
 	return out
@@ -520,6 +500,56 @@ func MSE(a *Tensor, targets []float64) *Tensor {
 		}
 	}
 	return out
+}
+
+// The autograd element loops. Each body is the definition of its ...Fast
+// leaf (train_amd64.go), which returns the same bits from a vector kernel
+// where one exists.
+
+// addVec sets o[i] = x[i] + y[i] over len(o) values; o may be x.
+func addVec(o, x, y []float64) {
+	if addVecFast(o, x, y) {
+		return
+	}
+	x, y = x[:len(o)], y[:len(o)]
+	for i := range o {
+		o[i] = x[i] + y[i]
+	}
+}
+
+// maddVec computes o[i] += x[i] * y[i] over len(o) values.
+func maddVec(o, x, y []float64) {
+	if maddVecFast(o, x, y) {
+		return
+	}
+	x, y = x[:len(o)], y[:len(o)]
+	for i := range o {
+		o[i] += x[i] * y[i]
+	}
+}
+
+// axpyVec computes o[i] += x[i] * s over len(o) values.
+func axpyVec(o, x []float64, s float64) {
+	if axpyVecFast(o, x, s) {
+		return
+	}
+	x = x[:len(o)]
+	for i := range o {
+		o[i] += x[i] * s
+	}
+}
+
+// reluGradVec computes o[i] += x[i] where y[i] > 0 over len(o) values.
+func reluGradVec(o, x, y []float64) {
+	if reluGradVecFast(o, x, y) {
+		return
+	}
+	x, y = x[:len(o)], y[:len(o)]
+	for i := range o {
+		if y[i] > 0 {
+			o[i] += x[i]
+		}
+	}
 }
 
 //mpgraph:noalloc

@@ -13,13 +13,6 @@ const goUnfused = true
 // at a time, bit for bit (rules and build tag: train_amd64.s). A ...Fast leaf
 // reports false when its caller must run that scalar body instead.
 
-// maddRows4AVX512 computes o[j] += ((b0[j]*a0 + b1[j]*a1) + b2[j]*a2) +
-// b3[j]*a3 over n values (maddRows4's body).
-//
-//mpgraph:noalloc
-//go:noescape
-func maddRows4AVX512(o, b0, b1, b2, b3 *float64, n int64, a0, a1, a2, a3 float64)
-
 // gemmTNAVX512 computes out[i,:] += a[p,i]*b[p,:] for i in [0,rows) over all
 // r >= 1 rows p in ascending order, skipping zero a[p,i] (gemmTNRows' body).
 //
@@ -40,28 +33,50 @@ func scaleAVX512(x *float64, n int64, s float64)
 //go:noescape
 func adamAVX512(p, grad, m, v *float64, n int64, b1, omb1, b2, omb2, bc1, bc2, lr, eps float64)
 
-// maddRowFast is maddRow at float64: gemmTNAVX512 at one row of one column,
-// except for the zero av that kernel skips and maddRow's body does not.
+// gemmRowsAVX512 computes out[i,:] += a[i,:] @ b over rows rows, each row
+// in maddPanel's order (gemmRows' body). k, n >= 1.
 //
 //mpgraph:noalloc
-func maddRowFast[T float32 | float64](orow, brow []T, av T) bool {
-	if unsafe.Sizeof(av) != 8 || !useAVX512F || len(brow) == 0 || av == 0 {
-		return false
-	}
-	gemmTNAVX512(asF64(&orow[0]), asF64(&av), asF64(&brow[0]), 1, 1, int64(len(brow)), 1)
-	return true
-}
+//go:noescape
+func gemmRowsAVX512(out, a, b *float64, k, n, rows int64)
 
-// maddRows4Fast is maddRows4 at float64; the b rows hold len(orow) values.
+// gemmNTAVX512 computes out[i][j] += dot(a[i,:], b[j,:]) over rows A rows and
+// the first cols (a multiple of 4) output columns, each dot product in
+// dotRows4's order (gemmNTRows' blocks of four columns). k >= 1.
 //
-//mpgraph:noalloc
-func maddRows4Fast[T float32 | float64](orow, b0, b1, b2, b3 []T, a0, a1, a2, a3 T) bool {
-	if unsafe.Sizeof(a0) != 8 || !useAVX512F || len(orow) == 0 {
-		return false
-	}
-	maddRows4AVX512(asF64(&orow[0]), asF64(&b0[0]), asF64(&b1[0]), asF64(&b2[0]), asF64(&b3[0]), int64(len(orow)), float64(a0), float64(a1), float64(a2), float64(a3))
-	return true
-}
+//go:noescape
+func gemmNTAVX512(out, a, b *float64, k, n, cols, rows int64)
+
+// sumSquaresAVX512 returns Σ x[i]² over n values, summed in no fixed order.
+//
+//go:noescape
+func sumSquaresAVX512(x *float64, n int64) float64
+
+// sumSquaresSeqAVX512 returns total + x[0]² + x[1]² + ... in that order.
+//
+//go:noescape
+func sumSquaresSeqAVX512(total float64, x *float64, n int64) float64
+
+// addVecAVX512 sets o[i] = x[i] + y[i] over n values (addVec's body).
+//
+//go:noescape
+func addVecAVX512(o, x, y *float64, n int64)
+
+// maddVecAVX512 computes o[i] += x[i]*y[i] over n values (maddVec's body).
+//
+//go:noescape
+func maddVecAVX512(o, x, y *float64, n int64)
+
+// axpyVecAVX512 computes o[i] += x[i]*s over n values (axpyVec's body).
+//
+//go:noescape
+func axpyVecAVX512(o, x *float64, n int64, s float64)
+
+// reluGradVecAVX512 computes o[i] += x[i] where y[i] > 0 over n values
+// (reluGradVec's body).
+//
+//go:noescape
+func reluGradVecAVX512(o, x, y *float64, n int64)
 
 func gemmTNRowsFast(out, a, b []float64, m, r, n, i0, i1 int) bool {
 	if !useAVX512F || r == 0 || n == 0 || i0 >= i1 {
@@ -70,6 +85,96 @@ func gemmTNRowsFast(out, a, b []float64, m, r, n, i0, i1 int) bool {
 	out, a, b = out[i0*n:i1*n], a[i0:r*m], b[:r*n]
 	gemmTNAVX512(&out[0], &a[0], &b[0], int64(m), int64(r), int64(n), int64(i1-i0))
 	return true
+}
+
+// gemmRowsFast is gemmRows at float64.
+//
+//mpgraph:noalloc
+func gemmRowsFast[T float32 | float64](out, a, b []T, k, n, r0, r1 int) bool {
+	var z T
+	if unsafe.Sizeof(z) != 8 || !useAVX512F || k == 0 || n == 0 || r0 >= r1 {
+		return false
+	}
+	out, a, b = out[r0*n:r1*n], a[r0*k:r1*k], b[:k*n]
+	gemmRowsAVX512(asF64(&out[0]), asF64(&a[0]), asF64(&b[0]), int64(k), int64(n), int64(r1-r0))
+	return true
+}
+
+// gemmNTRowsFast runs gemmNTRows' whole blocks of four output columns for
+// rows [r0,r1) and returns how many columns it did (0: none).
+func gemmNTRowsFast(out, a, b []float64, k, n, r0, r1 int) int {
+	cols := n &^ 3
+	if !useAVX512F || k == 0 || cols == 0 || r0 >= r1 {
+		return 0
+	}
+	out, a, b = out[r0*n:r1*n], a[r0*k:r1*k], b[:cols*k]
+	gemmNTAVX512(&out[0], &a[0], &b[0], int64(k), int64(n), int64(cols), int64(r1-r0))
+	return cols
+}
+
+func addVecFast(o, x, y []float64) bool {
+	n := len(o)
+	if !useAVX512F || n == 0 {
+		return false
+	}
+	x, y = x[:n], y[:n]
+	addVecAVX512(&o[0], &x[0], &y[0], int64(n))
+	return true
+}
+
+func maddVecFast(o, x, y []float64) bool {
+	n := len(o)
+	if !useAVX512F || n == 0 {
+		return false
+	}
+	x, y = x[:n], y[:n]
+	maddVecAVX512(&o[0], &x[0], &y[0], int64(n))
+	return true
+}
+
+func axpyVecFast(o, x []float64, s float64) bool {
+	n := len(o)
+	if !useAVX512F || n == 0 {
+		return false
+	}
+	x = x[:n]
+	axpyVecAVX512(&o[0], &x[0], int64(n), s)
+	return true
+}
+
+func reluGradVecFast(o, x, y []float64) bool {
+	n := len(o)
+	if !useAVX512F || n == 0 {
+		return false
+	}
+	x, y = x[:n], y[:n]
+	reluGradVecAVX512(&o[0], &x[0], &y[0], int64(n))
+	return true
+}
+
+// SumSquaresFast returns Σ g[i]² summed in no fixed order, and false where
+// no vector kernel runs. Only a rounding-error bound may read it: it is not
+// the ordered sum.
+func SumSquaresFast(g []float64) (float64, bool) {
+	if !useAVX512F {
+		return 0, false
+	}
+	if len(g) == 0 {
+		return 0, true
+	}
+	return sumSquaresAVX512(&g[0], int64(len(g))), true
+}
+
+// SumSquaresSeqFast returns total + g[0]² + g[1]² + ... in that order on the
+// vector kernel, and false where there is none.
+func SumSquaresSeqFast(total float64, g []float64) (float64, bool) {
+	if !useAVX512F {
+		return 0, false
+	}
+	if len(g) == 0 {
+		return total, true
+	}
+	return sumSquaresSeqAVX512(total, &g[0], int64(len(g))), true
 }
 
 // ScaleFast computes g[i] *= s on the vector kernel.

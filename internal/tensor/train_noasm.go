@@ -10,14 +10,22 @@ package tensor
 const goUnfused = false
 
 //mpgraph:noalloc
-func maddRowFast[T float32 | float64](orow, brow []T, av T) bool { return false }
-
-//mpgraph:noalloc
-func maddRows4Fast[T float32 | float64](orow, b0, b1, b2, b3 []T, a0, a1, a2, a3 T) bool {
-	return false
-}
+func gemmRowsFast[T float32 | float64](out, a, b []T, k, n, r0, r1 int) bool { return false }
 
 func gemmTNRowsFast(out, a, b []float64, m, r, n, i0, i1 int) bool { return false }
+
+func gemmNTRowsFast(out, a, b []float64, k, n, r0, r1 int) int { return 0 }
+
+func addVecFast(o, x, y []float64) bool          { return false }
+func maddVecFast(o, x, y []float64) bool         { return false }
+func axpyVecFast(o, x []float64, s float64) bool { return false }
+func reluGradVecFast(o, x, y []float64) bool     { return false }
+
+// SumSquaresFast reports false: no vector kernel in this build.
+func SumSquaresFast(g []float64) (float64, bool) { return 0, false }
+
+// SumSquaresSeqFast reports false: no vector kernel in this build.
+func SumSquaresSeqFast(total float64, g []float64) (float64, bool) { return 0, false }
 
 // ScaleFast reports false: no vector kernel in this build.
 func ScaleFast(g []float64, s float64) bool { return false }
