@@ -37,10 +37,34 @@ var pinnedSuiteScoreDigests = [2]string{
 // every page model's top-8 pages, on the first 40 test samples of s, one
 // sample at a time.
 func suiteScoreBits(s *Suite) []byte {
-	c := tensor.NewCtx()
+	return scoreBits(tensor.NewCtx(), s.Test.Samples,
+		[]models.DeltaModel{s.LSTMDelta, s.AttnDelta, s.AMMADelta, s.PIDelta, s.PSDelta},
+		[]models.PageModel{s.LSTMPage, s.AttnPage, s.AMMAPage, s.PIPage, s.PSPage})
+}
+
+// pinnedAutogradScoreDigest is the SHA-256 of autogradScoreBits: the
+// nil-ctx (autograd) forward that trains the models and scores Tables 6 and
+// 7. It runs no inference kernel, so one digest holds on both kernel
+// families. Recorded while each model still had a hand-written autograd
+// forward of its own, before that forward became the model's stacked
+// forward on a nil ctx.
+const pinnedAutogradScoreDigest = "edd96ebf5548b086c8978f71cb9a8a56ebd9b05f3b25cf63d6d10ba88c6de689"
+
+// autogradScoreBits is suiteScoreBits on a nil ctx, with one Fig. 13
+// BinaryPage student (knowledge-distilled, width /4, phase 0) after the
+// suite's page models.
+func autogradScoreBits(s *Suite, student models.PageModel) []byte {
+	return scoreBits(nil, s.Test.Samples,
+		[]models.DeltaModel{s.LSTMDelta, s.AttnDelta, s.AMMADelta, s.PIDelta, s.PSDelta},
+		[]models.PageModel{s.LSTMPage, s.AttnPage, s.AMMAPage, s.PIPage, s.PSPage, student})
+}
+
+// scoreBits returns the bits of the delta models' scores and the page
+// models' top-8 pages on c, on the first 40 of samples, one at a time.
+func scoreBits(c *tensor.Ctx, samples []*models.Sample, deltas []models.DeltaModel, pages []models.PageModel) []byte {
 	var out []byte
-	samples := s.Test.Samples[:min(40, len(s.Test.Samples))]
-	for _, m := range []models.DeltaModel{s.LSTMDelta, s.AttnDelta, s.AMMADelta, s.PIDelta, s.PSDelta} {
+	samples = samples[:min(40, len(samples))]
+	for _, m := range deltas {
 		for _, smp := range samples {
 			for _, v := range models.DeltaScoresWith(c, m, smp) {
 				out = binary.LittleEndian.AppendUint64(out, math.Float64bits(v))
@@ -48,7 +72,7 @@ func suiteScoreBits(s *Suite) []byte {
 			c.Reset()
 		}
 	}
-	for _, m := range []models.PageModel{s.LSTMPage, s.AttnPage, s.AMMAPage, s.PIPage, s.PSPage} {
+	for _, m := range pages {
 		for _, smp := range samples {
 			for _, pg := range models.TopPagesWith(c, m, smp, 8, nil) {
 				out = binary.LittleEndian.AppendUint64(out, pg)
@@ -73,6 +97,10 @@ func TestPredictionBitsPinned(t *testing.T) {
 	}
 	wl := shared.Opt.Workloads()[0]
 	suite, err := shared.Suite(wl, AllModels...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	student, err := buildCompressed(shared, wl, 4, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,11 +137,15 @@ func TestPredictionBitsPinned(t *testing.T) {
 			restore = tensor.ForcePortableKernels()
 		}
 		sum := sha256.Sum256(suiteScoreBits(suite))
+		nilSum := sha256.Sum256(autogradScoreBits(suite, student.pages[0]))
 		if restore != nil {
 			restore()
 		}
 		if got := hex.EncodeToString(sum[:]); got != pinnedSuiteScoreDigests[i] {
 			t.Errorf("portable=%v: suite score sha256 %s, pinned %s", portable, got, pinnedSuiteScoreDigests[i])
+		}
+		if got := hex.EncodeToString(nilSum[:]); got != pinnedAutogradScoreDigest {
+			t.Errorf("portable=%v: nil-ctx score sha256 %s, pinned %s", portable, got, pinnedAutogradScoreDigest)
 		}
 	}
 }
