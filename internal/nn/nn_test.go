@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -249,16 +250,39 @@ func TestAdamReducesLossDeterministically(t *testing.T) {
 	}
 }
 
+// TestGradClipping: clipped steps are the unclipped steps on the gradients
+// rescaled to norm ClipNorm (direction preserved), bit for bit, and Step
+// leaves the gradients themselves as they were.
 func TestGradClipping(t *testing.T) {
-	p := tensor.New(1, 2, []float64{0, 0}).Param()
-	p.Grad = []float64{300, 400} // norm 500
-	opt := NewAdam(1)
-	opt.ClipNorm = 5
-	opt.Step([]*tensor.Tensor{p})
-	// After clipping, grad norm must be 5 (direction preserved: 3,4 scaled).
-	norm := math.Hypot(p.Grad[0], p.Grad[1])
-	if math.Abs(norm-5) > 1e-9 {
-		t.Fatalf("clipped norm %g, want 5", norm)
+	grads := [][]float64{{300, 400}, {30, -40}} // norms 500 and 50
+	run := func(clip float64, grad func(g []float64) []float64) (*tensor.Tensor, []float64) {
+		p := tensor.New(1, 2, []float64{0, 0}).Param()
+		opt := NewAdam(1)
+		opt.ClipNorm = clip
+		for _, g := range grads {
+			p.Grad = grad(slices.Clone(g))
+			opt.Step([]*tensor.Tensor{p})
+		}
+		return p, p.Data
+	}
+	p, got := run(5, func(g []float64) []float64 { return g })
+	if p.Grad[0] != 30 || p.Grad[1] != -40 {
+		t.Fatalf("Step rewrote the gradients: %v", p.Grad)
+	}
+	_, want := run(0, func(g []float64) []float64 {
+		scale := 5 / math.Hypot(g[0], g[1])
+		for i := range g {
+			g[i] *= scale
+		}
+		if norm := math.Hypot(g[0], g[1]); math.Abs(norm-5) > 1e-9 {
+			t.Fatalf("rescaled norm %g, want 5", norm)
+		}
+		return g
+	})
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("clipped step p[%d] = %.17g, step on rescaled gradients %.17g", i, got[i], want[i])
+		}
 	}
 }
 

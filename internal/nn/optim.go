@@ -32,10 +32,13 @@ func NewAdam(lr float64) *Adam {
 }
 
 // Step applies one update to all parameters with gradients. It does not zero
-// the gradients (callers ZeroParamGrads between batches) but clipping rescales them
-// in place. Each element loop below is the definition of its tensor ...Fast
-// leaf, which returns the same bits from a vector kernel where one exists.
+// the gradients (callers ZeroParamGrads between batches) and leaves them as
+// they are: the clip's rescale multiplies each gradient as the update reads
+// it, the same rounded product a rescaled copy would hold. Each element loop
+// below is the definition of its tensor ...Fast leaf, which returns the same
+// bits from a vector kernel where one exists.
 func (a *Adam) Step(params []*tensor.Tensor) {
+	scale := 1.0
 	if a.ClipNorm > 0 && !a.clipIdle(params) {
 		total := 0.0
 		for _, p := range params {
@@ -47,20 +50,11 @@ func (a *Adam) Step(params []*tensor.Tensor) {
 				total += g * g
 			}
 		}
-		norm := math.Sqrt(total)
-		if norm > a.ClipNorm {
-			scale := a.ClipNorm / norm
-			for _, p := range params {
-				if tensor.ScaleFast(p.Grad, scale) {
-					continue
-				}
-				for i := range p.Grad {
-					p.Grad[i] *= scale
-				}
-			}
+		if norm := math.Sqrt(total); norm > a.ClipNorm {
+			scale = a.ClipNorm / norm
 		}
 	}
-	a.update(params)
+	a.update(params, scale)
 }
 
 // clipIdle reports whether Step's clip provably leaves the gradients alone,
@@ -104,11 +98,13 @@ func (a *Adam) clipIdle(params []*tensor.Tensor) bool {
 // 0; the moments still decay and the weights still move, with Step's bits.
 // It reads p.Grad, so the gradients must already be zero.
 func (a *Adam) StepZeroGrads(params []*tensor.Tensor) {
-	a.update(params)
+	a.update(params, 1)
 }
 
-// update is Step after clipping: advance t, then the element update.
-func (a *Adam) update(params []*tensor.Tensor) {
+// update is Step after the clip test: advance t, then the element update on
+// the gradients times scale (1 when the clip leaves them alone, and g·1 = g
+// bit for bit).
+func (a *Adam) update(params []*tensor.Tensor, scale float64) {
 	a.t++
 	bc1 := 1 - math.Pow(a.Beta1, float64(a.t))
 	bc2 := 1 - math.Pow(a.Beta2, float64(a.t))
@@ -123,10 +119,11 @@ func (a *Adam) update(params []*tensor.Tensor) {
 			a.v[p] = make([]float64, len(p.Data))
 		}
 		v := a.v[p]
-		if tensor.AdamUpdateFast(p.Data, p.Grad, m, v, a.Beta1, a.Beta2, bc1, bc2, a.LR, a.Eps) {
+		if tensor.AdamUpdateFast(p.Data, p.Grad, m, v, a.Beta1, a.Beta2, bc1, bc2, a.LR, a.Eps, scale) {
 			continue
 		}
 		for i, g := range p.Grad {
+			g *= scale
 			if math.Float64bits(g)|math.Float64bits(m[i])|math.Float64bits(v[i]) == 0 {
 				// An embedding row no sample has touched yet: the update
 				// would store m = v = +0 back and subtract

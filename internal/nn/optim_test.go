@@ -56,12 +56,14 @@ func (s adamState) step(t int, clip float64) adamState {
 	return out
 }
 
-// TestAdamKernelMatchesScalarLoop: the vector Adam update and clip rescale
-// against Step's own scalar loops, bit for bit, over every masked-tail
-// residue, at the first step (bias corrections far from 1) and a late one,
-// clipping off, idle and firing.
+// TestAdamKernelMatchesScalarLoop: the vector Adam update, which applies the
+// clip rescale as it loads each gradient, against Step's own scalar loops,
+// bit for bit, over every masked-tail residue, at the first step (bias
+// corrections far from 1) and a late one, clipping off, idle and firing —
+// firing also at a subnormal scale, where most rescaled gradients underflow
+// to ±0 and a tile they leave all-zero must still be skipped.
 func TestAdamKernelMatchesScalarLoop(t *testing.T) {
-	if !tensor.ScaleFast([]float64{1}, 1) {
+	if _, ok := tensor.SumSquaresFast(nil); !ok {
 		t.Skip("no training kernels on this machine or build")
 	}
 	rng := rand.New(rand.NewSource(61))
@@ -72,7 +74,7 @@ func TestAdamKernelMatchesScalarLoop(t *testing.T) {
 	for _, n := range append(lens, 64, 126, 1024) {
 		for _, planted := range []bool{false, true} {
 			for _, step := range []int{1, 1000} {
-				for _, clip := range []float64{0, 1e9, 0.05} {
+				for _, clip := range []float64{0, 1e9, 0.05, 1e-310} {
 					s := randAdamState(rng, n, planted)
 					got := s.step(step, clip)
 					restore := tensor.ForcePortableKernels()

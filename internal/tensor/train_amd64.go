@@ -20,18 +20,13 @@ const goUnfused = true
 //go:noescape
 func gemmTNAVX512(out, a, b *float64, m, r, n, rows int64)
 
-// scaleAVX512 computes x[i] *= s over n values.
-//
-//mpgraph:noalloc
-//go:noescape
-func scaleAVX512(x *float64, n int64, s float64)
-
 // adamAVX512 is nn.Adam's element update over n values; omb1 and omb2 are
-// 1-b1 and 1-b2, bc1 and bc2 the bias corrections of the current step.
+// 1-b1 and 1-b2, bc1 and bc2 the bias corrections of the current step, and
+// scale multiplies each gradient as it is loaded (the clip rescale).
 //
 //mpgraph:noalloc
 //go:noescape
-func adamAVX512(p, grad, m, v *float64, n int64, b1, omb1, b2, omb2, bc1, bc2, lr, eps float64)
+func adamAVX512(p, grad, m, v *float64, n int64, b1, omb1, b2, omb2, bc1, bc2, lr, eps, scale float64)
 
 // gemmRowsAVX512 computes out[i,:] += a[i,:] @ b over rows rows, each row
 // in maddPanel's order (gemmRows' body). k, n >= 1.
@@ -177,22 +172,14 @@ func SumSquaresSeqFast(total float64, g []float64) (float64, bool) {
 	return sumSquaresSeqAVX512(total, &g[0], int64(len(g))), true
 }
 
-// ScaleFast computes g[i] *= s on the vector kernel.
-func ScaleFast(g []float64, s float64) bool {
-	if !useAVX512F || len(g) == 0 {
-		return false
-	}
-	scaleAVX512(&g[0], int64(len(g)), s)
-	return true
-}
-
-// AdamUpdateFast applies nn.Adam's element update on the vector kernel.
-func AdamUpdateFast(p, g, m, v []float64, b1, b2, bc1, bc2, lr, eps float64) bool {
+// AdamUpdateFast applies nn.Adam's element update, on gradients g·scale, on
+// the vector kernel.
+func AdamUpdateFast(p, g, m, v []float64, b1, b2, bc1, bc2, lr, eps, scale float64) bool {
 	n := len(g)
 	if !useAVX512F || n == 0 {
 		return false
 	}
 	p, m, v = p[:n], m[:n], v[:n]
-	adamAVX512(&p[0], &g[0], &m[0], &v[0], int64(n), b1, 1-b1, b2, 1-b2, bc1, bc2, lr, eps)
+	adamAVX512(&p[0], &g[0], &m[0], &v[0], int64(n), b1, 1-b1, b2, 1-b2, bc1, bc2, lr, eps, scale)
 	return true
 }

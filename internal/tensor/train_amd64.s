@@ -1,7 +1,7 @@
 //go:build amd64 && !amd64.v3
 
 // Unfused AVX-512F training kernels: the scalar Go bodies of Adam's element
-// update and clip (nn/optim.go), the gradient rescale, gemmRows (maddPanel's
+// update and clip (nn/optim.go), gemmRows (maddPanel's
 // maddRows4 and maddRow), gemmTNRows and gemmNTRows' dotRows4 chains
 // (gemm.go), and the autograd element loops (addVec, maddVec, axpyVec,
 // reluGradVec in ops.go), eight lanes at a time.
@@ -137,43 +137,17 @@ tndone:
 	VZEROUPPER
 	RET
 
-// func scaleAVX512(x *float64, n int64, s float64)
-// x[i] *= s.
-TEXT ·scaleAVX512(SB), NOSPLIT, $0-24
-	MOVQ x+0(FP), DI
-	MOVQ n+8(FP), CX
-	VBROADCASTSD s+16(FP), Z0
-	FULLMASK
-
-scalenext:
-	CMPQ  CX, $8
-	JGE   scaletile
-	TESTQ CX, CX
-	JLE   scaledone
-	TAILMASK
-
-scaletile:
-	VMOVUPD.Z (DI), K1, Z1
-	VMULPD    Z0, Z1, Z1
-	VMOVUPD   Z1, K1, (DI)
-	ADDQ      $64, DI
-	SUBQ      $8, CX
-	JMP       scalenext
-
-scaledone:
-	VZEROUPPER
-	RET
-
-// func adamAVX512(p, grad, m, v *float64, n int64, b1, omb1, b2, omb2, bc1, bc2, lr, eps float64)
-// Per element, in the scalar loop's order:
-//   m = m*b1 + omb1*grad;  v = v*b2 + grad*(omb2*grad)
+// func adamAVX512(p, grad, m, v *float64, n int64, b1, omb1, b2, omb2, bc1, bc2, lr, eps, scale float64)
+// Per element, in the scalar loop's order, with g = grad*scale (the clip
+// rescale, rounded as a stored rescaled gradient would be):
+//   m = m*b1 + omb1*g;  v = v*b2 + g*(omb2*g)
 //   p -= (m/bc1)*lr / (sqrt(v/bc2) + eps)
 // Masked-off lanes load zeros, which stay finite through both divisions.
-// A tile whose grad, m and v are all +0 bits is left as it is, as the scalar
+// A tile whose g, m and v are all +0 bits is left as it is, as the scalar
 // loop leaves such an element: the update would store m = v = +0 back and
 // subtract (0/bc1)*lr / (0 + eps) = +0 from p. That is every tile of an
 // embedding row no sample has touched yet.
-TEXT ·adamAVX512(SB), NOSPLIT, $0-104
+TEXT ·adamAVX512(SB), NOSPLIT, $0-112
 	MOVQ p+0(FP), DI
 	MOVQ grad+8(FP), SI
 	MOVQ m+16(FP), R8
@@ -187,6 +161,7 @@ TEXT ·adamAVX512(SB), NOSPLIT, $0-104
 	VBROADCASTSD bc2+80(FP), Z21
 	VBROADCASTSD lr+88(FP), Z22
 	VBROADCASTSD eps+96(FP), Z23
+	VBROADCASTSD scale+104(FP), Z24
 	XORQ BX, BX  // element index of the current tile
 	FULLMASK
 
@@ -198,7 +173,8 @@ adamnext:
 	TAILMASK
 
 adamtile:
-	VMOVUPD.Z (SI)(BX*8), K1, Z0  // g
+	VMOVUPD.Z (SI)(BX*8), K1, Z0  // grad
+	VMULPD    Z24, Z0, Z0         // g = grad*scale
 	VMOVUPD.Z (R8)(BX*8), K1, Z1  // m
 	VMOVUPD.Z (R9)(BX*8), K1, Z3  // v
 	VPORQ     Z0, Z1, Z6

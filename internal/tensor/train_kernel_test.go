@@ -102,28 +102,6 @@ func TestTrainKernelOracleGemmTN(t *testing.T) {
 	}
 }
 
-func TestTrainKernelOracleScale(t *testing.T) {
-	rng := rand.New(rand.NewSource(53))
-	for _, n := range trainLens {
-		for _, planted := range []bool{false, true} {
-			g := randSlice(rng, n)
-			if planted {
-				plantSpecials(rng, g)
-			}
-			for _, s := range append([]float64{0.37, 1e-320}, trainSpecials...) {
-				got, want := slices.Clone(g), slices.Clone(g)
-				if !ScaleFast(got, s) {
-					t.Skip("no training kernels on this machine or build")
-				}
-				for i := range want {
-					want[i] *= s
-				}
-				requireSameBits(t, fmt.Sprintf("scale n=%d planted=%v s=%g", n, planted, s), got, want)
-			}
-		}
-	}
-}
-
 // TestTrainKernelOracleGemmNT: dA = dOut·Bᵀ on the kernel against dotPanel's
 // scalar chains, at the row counts a training step multiplies (one, a
 // window, two and three windows: the nine-row blocks and the single rows),

@@ -27,8 +27,7 @@ func SumSquaresFast(g []float64) (float64, bool) { return 0, false }
 // SumSquaresSeqFast reports false: no vector kernel in this build.
 func SumSquaresSeqFast(total float64, g []float64) (float64, bool) { return 0, false }
 
-// ScaleFast reports false: no vector kernel in this build.
-func ScaleFast(g []float64, s float64) bool { return false }
-
 // AdamUpdateFast reports false: no vector kernel in this build.
-func AdamUpdateFast(p, g, m, v []float64, b1, b2, bc1, bc2, lr, eps float64) bool { return false }
+func AdamUpdateFast(p, g, m, v []float64, b1, b2, bc1, bc2, lr, eps, scale float64) bool {
+	return false
+}
