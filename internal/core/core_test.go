@@ -24,7 +24,7 @@ type fakeDelta struct {
 
 func (f fakeDelta) DeltaLoss(*models.Sample) *tensor.Tensor { panic("inference only") }
 func (f fakeDelta) Params() []*tensor.Tensor                { return nil }
-func (f fakeDelta) DeltaScores(*models.Sample) []float64 {
+func (f fakeDelta) DeltaScoresCtx(*tensor.Ctx, *models.Sample) []float64 {
 	out := make([]float64, f.classes)
 	half := f.classes / 2
 	var cls int
@@ -42,11 +42,8 @@ type fakePage struct{ pages []uint64 }
 
 func (f fakePage) PageLoss(*models.Sample) *tensor.Tensor { panic("inference only") }
 func (f fakePage) Params() []*tensor.Tensor               { return nil }
-func (f fakePage) TopPages(_ *models.Sample, k int) []uint64 {
-	if k > len(f.pages) {
-		k = len(f.pages)
-	}
-	return f.pages[:k]
+func (f fakePage) TopPagesAppendCtx(_ *tensor.Ctx, _ *models.Sample, k int, dst []uint64) []uint64 {
+	return append(dst, f.pages[:min(k, len(f.pages))]...)
 }
 
 // silentDetector never fires.
@@ -709,7 +706,7 @@ type scriptDelta struct{ nanPage uint64 }
 
 func (scriptDelta) DeltaLoss(*models.Sample) *tensor.Tensor { panic("inference only") }
 func (scriptDelta) Params() []*tensor.Tensor                { return nil }
-func (d *scriptDelta) DeltaScores(s *models.Sample) []float64 {
+func (d *scriptDelta) DeltaScoresCtx(_ *tensor.Ctx, s *models.Sample) []float64 {
 	out := make([]float64, 126)
 	out[63], out[64] = 2, 1 // classes 63, 64 decode to deltas +1, +2
 	if trace.PageOfBlock(s.CurrentBlock()) == d.nanPage {
@@ -728,14 +725,14 @@ type scriptPage struct {
 
 func (scriptPage) PageLoss(*models.Sample) *tensor.Tensor { panic("inference only") }
 func (scriptPage) Params() []*tensor.Tensor               { return nil }
-func (p *scriptPage) TopPages(s *models.Sample, k int) []uint64 {
+func (p *scriptPage) TopPagesAppendCtx(_ *tensor.Ctx, s *models.Sample, k int, dst []uint64) []uint64 {
 	if n, ok := p.next[trace.PageOfBlock(s.CurrentBlock())]; ok {
-		return []uint64{n}
+		return append(dst, n)
 	}
 	if p.fallback != 0 {
-		return []uint64{p.fallback}
+		return append(dst, p.fallback)
 	}
-	return nil
+	return dst
 }
 
 // chainVocab is the page and PC universe of the random streams and the AMMA

@@ -5,7 +5,6 @@ import (
 
 	"mpgraph/internal/nn"
 	"mpgraph/internal/tensor"
-	"mpgraph/internal/trace"
 )
 
 // DeltaModel is a spatial predictor: multi-label classification over block
@@ -14,8 +13,10 @@ type DeltaModel interface {
 	nn.Module
 	// DeltaLoss is the BCE training loss for s.
 	DeltaLoss(s *Sample) *tensor.Tensor
-	// DeltaScores returns per-class probabilities (sigmoid outputs).
-	DeltaScores(s *Sample) []float64
+	// DeltaScoresCtx returns per-class probabilities (sigmoid outputs) for
+	// s. On a live ctx they are arena-backed, valid until the ctx is reset;
+	// a nil ctx runs the autograd forward (float64 models only).
+	DeltaScoresCtx(c *tensor.Ctx, s *Sample) []float64
 }
 
 // PageModel is a temporal predictor of the next new page (Section 4.3.4).
@@ -23,9 +24,11 @@ type PageModel interface {
 	nn.Module
 	// PageLoss is the CE training loss for s.
 	PageLoss(s *Sample) *tensor.Tensor
-	// TopPages returns the k most likely next pages (known-vocabulary
-	// values only).
-	TopPages(s *Sample, k int) []uint64
+	// TopPagesAppendCtx appends the k most likely next pages for s
+	// (known-vocabulary values only) to dst and returns it, so callers can
+	// reuse one result buffer across calls. A nil ctx runs the autograd
+	// forward (float64 models only).
+	TopPagesAppendCtx(c *tensor.Ctx, s *Sample, k int, dst []uint64) []uint64
 }
 
 // PageProber is implemented by page models that can expose a full
@@ -110,34 +113,6 @@ func (c *ammaCore[T]) params() []*tensor.Dense[T] {
 	return out
 }
 
-// The autograd forward below — training, and the oracle the fast-path tests
-// compare against — exists at float64 only, so it is written as functions
-// over the float64 instantiation. The inference forward, written once for
-// both float tiers, is in fastpath_batch.go.
-
-func encodeFeatures(m *modalityEncoder[float64], x *tensor.Tensor) *tensor.Tensor {
-	return m.attn.Forward(tensor.Add(m.lin.Forward(x), m.pos))
-}
-
-func encodeTokens(m *modalityEncoder[float64], ids []int) *tensor.Tensor {
-	return m.attn.Forward(tensor.Add(m.table.Forward(ids), m.pos))
-}
-
-// coreForward fuses the two encoded modalities and pools to [1 x FusionDim].
-func coreForward(c *ammaCore[float64], encA, encB *tensor.Tensor, phase int) *tensor.Tensor {
-	fused := c.fusion.Forward(encA, encB)
-	if c.phaseEmb != nil {
-		// Phase embedding incorporated as side information after the
-		// fusion of the two modalities (AMMA-PI, Section 5.3.1).
-		p := phase % c.phaseEmb.Vocab()
-		fused = tensor.AddBias(fused, c.phaseEmb.Forward([]int{p}))
-	}
-	for _, tl := range c.trans {
-		fused = tl.Forward(fused)
-	}
-	return tensor.MeanRows(fused)
-}
-
 // AMMADelta is the spatial delta predictor (Fig. 7a): address-segmentation
 // modality + PC modality → AMMA → MLP head → sigmoid multi-label bitmap.
 type AMMADelta struct {
@@ -161,20 +136,15 @@ func NewAMMADelta(cfg Config, pcs *Vocab, phases int, seed int64) *AMMADelta {
 	}
 }
 
-func (m *AMMADelta) logits(s *Sample) *tensor.Tensor {
-	encA := encodeFeatures(m.core.modA, AddrFeatureTensor(m.cfg, s.Blocks))
-	encB := encodeTokens(m.core.modB, pcTokens(m.pcs, s.PCs))
-	return m.head.Forward(coreForward(m.core, encA, encB, s.Phase))
+// DeltaLogits is the autograd forward of s: the stacked forward on a nil
+// ctx with a one-sample batch.
+func (m *AMMADelta) DeltaLogits(s *Sample) *tensor.Tensor {
+	return ammaDeltaLogits(nil, m, m.core, m.head, []*Sample{s})
 }
 
 // DeltaLoss implements DeltaModel.
 func (m *AMMADelta) DeltaLoss(s *Sample) *tensor.Tensor {
-	return tensor.BCEWithLogits(m.logits(s), s.DeltaBits)
-}
-
-// DeltaScores implements DeltaModel.
-func (m *AMMADelta) DeltaScores(s *Sample) []float64 {
-	return sigmoidSlice(m.logits(s).Data)
+	return tensor.BCEWithLogits(m.DeltaLogits(s), s.DeltaBits)
 }
 
 // Params implements nn.Module.
@@ -206,56 +176,25 @@ func NewAMMAPage(cfg Config, pages, pcs *Vocab, phases int, seed int64) *AMMAPag
 	}
 }
 
-func (m *AMMAPage) logits(s *Sample) *tensor.Tensor {
-	encA := encodeTokens(m.core.modA, pageTokens(m.pages, s.Blocks))
-	encB := encodeTokens(m.core.modB, pcTokens(m.pcs, s.PCs))
-	return m.head.Forward(coreForward(m.core, encA, encB, s.Phase))
+// PageLogits is the autograd forward of s: the stacked forward on a nil ctx
+// with a one-sample batch.
+func (m *AMMAPage) PageLogits(s *Sample) *tensor.Tensor {
+	return m.logitsBatchCtx(nil, []*Sample{s})
 }
 
 // PageLoss implements PageModel.
 func (m *AMMAPage) PageLoss(s *Sample) *tensor.Tensor {
-	return tensor.CrossEntropyLogits(m.logits(s), s.PageTok)
-}
-
-// TopPages implements PageModel.
-func (m *AMMAPage) TopPages(s *Sample, k int) []uint64 {
-	return topPagesFromScores(m.pages, m.logits(s).Data, k)
+	return tensor.CrossEntropyLogits(m.PageLogits(s), s.PageTok)
 }
 
 // PageProbs implements PageProber (the KD teacher interface).
 func (m *AMMAPage) PageProbs(s *Sample) []float64 {
-	return softmaxSlice(m.logits(s).Data)
+	return softmaxSlice(m.PageLogits(s).Data)
 }
 
 // Params implements nn.Module.
 func (m *AMMAPage) Params() []*tensor.Tensor {
 	return append(m.core.params(), m.head.Params()...)
-}
-
-// --- shared encoding helpers ---
-
-func pcTokens(v *Vocab, pcs []uint64) []int {
-	out := make([]int, len(pcs))
-	for i, pc := range pcs {
-		out[i] = v.Token(pc)
-	}
-	return out
-}
-
-func pageTokens(v *Vocab, blocks []uint64) []int {
-	out := make([]int, len(blocks))
-	for i, b := range blocks {
-		out[i] = v.Token(trace.PageOfBlock(b))
-	}
-	return out
-}
-
-func sigmoidSlice(logits []float64) []float64 {
-	out := make([]float64, len(logits))
-	for i, z := range logits {
-		out[i] = 1 / (1 + exp(-z))
-	}
-	return out
 }
 
 func softmaxSlice(logits []float64) []float64 {
@@ -273,20 +212,6 @@ func softmaxSlice(logits []float64) []float64 {
 	}
 	for i := range out {
 		out[i] /= sum
-	}
-	return out
-}
-
-// topPagesFromScores maps the best-scoring known tokens back to page values.
-func topPagesFromScores(pages *Vocab, scores []float64, k int) []uint64 {
-	var out []uint64
-	for _, tok := range TopKClasses(scores, k+1) {
-		if page, ok := pages.Value(tok); ok {
-			out = append(out, page)
-			if len(out) == k {
-				break
-			}
-		}
 	}
 	return out
 }

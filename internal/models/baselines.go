@@ -21,19 +21,6 @@ func hashPC(pc uint64) float64 {
 	return float64(pc%4096) / 4096
 }
 
-// concatStepFeatures builds the per-step [T x (NumSegments+1)] input the
-// LSTM and vanilla-attention baselines consume: address segments
-// concatenated with the hashed PC.
-func concatStepFeatures(cfg Config, blocks, pcs []uint64) *tensor.Tensor {
-	cols := cfg.NumSegments + 1
-	t := tensor.Zeros(len(blocks), cols)
-	for i := range blocks {
-		copy(t.Data[i*cols:], SegmentBlock(cfg, blocks[i]))
-		t.Data[i*cols+cfg.NumSegments] = hashPC(pcs[i])
-	}
-	return t
-}
-
 // LSTMDelta is the Delta-LSTM-style baseline for spatial prediction
 // (Hashemi et al. 2018): concatenated address+PC steps through an LSTM.
 type LSTMDelta struct {
@@ -52,17 +39,10 @@ func NewLSTMDelta(cfg Config, seed int64) *LSTMDelta {
 	}
 }
 
-func (m *LSTMDelta) logits(s *Sample) *tensor.Tensor {
-	return m.head.Forward(m.lstm.Forward(concatStepFeatures(m.cfg, s.Blocks, s.PCs)))
-}
-
 // DeltaLoss implements DeltaModel.
 func (m *LSTMDelta) DeltaLoss(s *Sample) *tensor.Tensor {
-	return tensor.BCEWithLogits(m.logits(s), s.DeltaBits)
+	return tensor.BCEWithLogits(lstmDeltaLogits(nil, m, m.lstm, m.head, []*Sample{s}), s.DeltaBits)
 }
-
-// DeltaScores implements DeltaModel.
-func (m *LSTMDelta) DeltaScores(s *Sample) []float64 { return sigmoidSlice(m.logits(s).Data) }
 
 // Params implements nn.Module.
 func (m *LSTMDelta) Params() []*tensor.Tensor { return append(m.lstm.Params(), m.head.Params()...) }
@@ -94,24 +74,15 @@ func NewLSTMPage(cfg Config, pages, pcs *Vocab, seed int64) *LSTMPage {
 	}
 }
 
-func (m *LSTMPage) logits(s *Sample) *tensor.Tensor {
-	pe := m.pageEmb.Forward(pageTokens(m.pages, s.Blocks))
-	ce := m.pcEmb.Forward(pcTokens(m.pcs, s.PCs))
-	return m.head.Forward(m.lstm.Forward(tensor.ConcatCols(pe, ce)))
-}
-
 // PageLoss implements PageModel.
 func (m *LSTMPage) PageLoss(s *Sample) *tensor.Tensor {
-	return tensor.CrossEntropyLogits(m.logits(s), s.PageTok)
-}
-
-// TopPages implements PageModel.
-func (m *LSTMPage) TopPages(s *Sample, k int) []uint64 {
-	return topPagesFromScores(m.pages, m.logits(s).Data, k)
+	return tensor.CrossEntropyLogits(m.logitsBatchCtx(nil, []*Sample{s}), s.PageTok)
 }
 
 // PageProbs implements PageProber.
-func (m *LSTMPage) PageProbs(s *Sample) []float64 { return softmaxSlice(m.logits(s).Data) }
+func (m *LSTMPage) PageProbs(s *Sample) []float64 {
+	return softmaxSlice(m.logitsBatchCtx(nil, []*Sample{s}).Data)
+}
 
 // Params implements nn.Module.
 func (m *LSTMPage) Params() []*tensor.Tensor {
@@ -146,21 +117,10 @@ func NewAttnDelta(cfg Config, seed int64) *AttnDelta {
 	return m
 }
 
-func (m *AttnDelta) logits(s *Sample) *tensor.Tensor {
-	x := tensor.Add(m.embed.Forward(concatStepFeatures(m.cfg, s.Blocks, s.PCs)), m.pos)
-	for _, tl := range m.trans {
-		x = tl.Forward(x)
-	}
-	return m.head.Forward(tensor.MeanRows(x))
-}
-
 // DeltaLoss implements DeltaModel.
 func (m *AttnDelta) DeltaLoss(s *Sample) *tensor.Tensor {
-	return tensor.BCEWithLogits(m.logits(s), s.DeltaBits)
+	return tensor.BCEWithLogits(m.logitsBatchCtx(nil, []*Sample{s}), s.DeltaBits)
 }
-
-// DeltaScores implements DeltaModel.
-func (m *AttnDelta) DeltaScores(s *Sample) []float64 { return sigmoidSlice(m.logits(s).Data) }
 
 // Params implements nn.Module.
 func (m *AttnDelta) Params() []*tensor.Tensor {
@@ -203,31 +163,15 @@ func NewAttnPage(cfg Config, pages, pcs *Vocab, seed int64) *AttnPage {
 	return m
 }
 
-func (m *AttnPage) logits(s *Sample) *tensor.Tensor {
-	pe := m.pageEmb.Forward(pageTokens(m.pages, s.Blocks))
-	side := tensor.Zeros(len(s.PCs), 1)
-	for i, pc := range s.PCs {
-		side.Data[i] = hashPC(pc)
-	}
-	x := tensor.Add(m.mix.Forward(tensor.ConcatCols(pe, side)), m.pos)
-	for _, tl := range m.trans {
-		x = tl.Forward(x)
-	}
-	return m.head.Forward(tensor.MeanRows(x))
-}
-
 // PageLoss implements PageModel.
 func (m *AttnPage) PageLoss(s *Sample) *tensor.Tensor {
-	return tensor.CrossEntropyLogits(m.logits(s), s.PageTok)
-}
-
-// TopPages implements PageModel.
-func (m *AttnPage) TopPages(s *Sample, k int) []uint64 {
-	return topPagesFromScores(m.pages, m.logits(s).Data, k)
+	return tensor.CrossEntropyLogits(m.logitsBatchCtx(nil, []*Sample{s}), s.PageTok)
 }
 
 // PageProbs implements PageProber.
-func (m *AttnPage) PageProbs(s *Sample) []float64 { return softmaxSlice(m.logits(s).Data) }
+func (m *AttnPage) PageProbs(s *Sample) []float64 {
+	return softmaxSlice(m.logitsBatchCtx(nil, []*Sample{s}).Data)
+}
 
 // Params implements nn.Module.
 func (m *AttnPage) Params() []*tensor.Tensor {

@@ -27,7 +27,7 @@ func BenchmarkAMMADeltaInference(b *testing.B) {
 	defer tensor.SetGradEnabled(restore)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.DeltaScores(s)
+		m.DeltaScoresCtx(nil, s)
 	}
 }
 
@@ -40,7 +40,7 @@ func BenchmarkAMMADeltaInferencePaperScale(b *testing.B) {
 	defer tensor.SetGradEnabled(restore)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.DeltaScores(s)
+		m.DeltaScoresCtx(nil, s)
 	}
 }
 
@@ -52,7 +52,7 @@ func BenchmarkLSTMDeltaInference(b *testing.B) {
 	defer tensor.SetGradEnabled(restore)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.DeltaScores(s)
+		m.DeltaScoresCtx(nil, s)
 	}
 }
 

@@ -45,11 +45,10 @@ func NewBinaryPage(cfg Config, pages, pcs *Vocab, seed int64) *BinaryPage {
 // Bits is the binary code width.
 func (m *BinaryPage) Bits() int { return m.bits }
 
-// PageLogits returns the bit logits (1 x bits).
+// PageLogits returns the bit logits (1 x bits): the stacked backbone on a
+// nil ctx with a one-sample batch, then the head.
 func (m *BinaryPage) PageLogits(s *Sample) *tensor.Tensor {
-	encA := encodeTokens(m.core.modA, pageTokens(m.pages, s.Blocks))
-	encB := encodeTokens(m.core.modB, pcTokens(m.pcs, s.PCs))
-	return m.head.Forward(coreForward(m.core, encA, encB, s.Phase))
+	return m.head.Forward(m.core.pooledTokensBatchCtx(nil, m.pages, m.pcs, []*Sample{s}))
 }
 
 // PageLoss implements PageModel: BCE against the label's binary code.
@@ -57,45 +56,6 @@ func (m *BinaryPage) PageLoss(s *Sample) *tensor.Tensor {
 	code, err := BinaryCode(s.PageTok, m.bits)
 	invariant.OnErr(err) // bits covers PageVocab by construction
 	return tensor.BCEWithLogits(m.PageLogits(s), code)
-}
-
-// TopPages implements PageModel: candidates are generated by flipping the
-// least-confident bits of the maximum-likelihood code, keeping only ids
-// that map to known pages.
-func (m *BinaryPage) TopPages(s *Sample, k int) []uint64 {
-	probs := sigmoidSlice(m.PageLogits(s).Data)
-	base := DecodeBinary(probs)
-	// Rank bits by confidence distance from 0.5, ascending.
-	order := make([]int, len(probs))
-	for i := range order {
-		order[i] = i
-	}
-	for i := 0; i < len(order); i++ {
-		for j := i + 1; j < len(order); j++ {
-			if math.Abs(probs[order[j]]-0.5) < math.Abs(probs[order[i]]-0.5) {
-				order[i], order[j] = order[j], order[i]
-			}
-		}
-	}
-	candidates := []int{base}
-	for _, b := range order {
-		if len(candidates) >= 4*k {
-			break
-		}
-		candidates = append(candidates, base^(1<<b))
-	}
-	var out []uint64
-	seen := map[uint64]bool{}
-	for _, id := range candidates {
-		if page, ok := m.pages.Value(id); ok && !seen[page] {
-			seen[page] = true
-			out = append(out, page)
-			if len(out) == k {
-				break
-			}
-		}
-	}
-	return out
 }
 
 // Params implements nn.Module.
@@ -108,16 +68,10 @@ type PageLogiter interface {
 	PageLogits(s *Sample) *tensor.Tensor
 }
 
-// PageLogits re-exports the AMMA page logits for distillation.
-func (m *AMMAPage) PageLogits(s *Sample) *tensor.Tensor { return m.logits(s) }
-
 // DeltaLogiter exposes raw delta logits for distillation.
 type DeltaLogiter interface {
 	DeltaLogits(s *Sample) *tensor.Tensor
 }
-
-// DeltaLogits re-exports the AMMA delta logits for distillation.
-func (m *AMMADelta) DeltaLogits(s *Sample) *tensor.Tensor { return m.logits(s) }
 
 // Knowledge distillation (Section 6.1) weights the soft (teacher) loss by
 // distillAlpha against the hard (label) loss, and softens teacher and
@@ -145,7 +99,7 @@ func DistillDelta(student DeltaModel, teacher DeltaModel, ds *Dataset, opt Train
 	soft := make([][]float64, len(ds.Samples))
 	restore := tensor.SetGradEnabled(false)
 	for i, s := range ds.Samples {
-		soft[i] = teacher.DeltaScores(s)
+		soft[i] = teacher.DeltaScoresCtx(nil, s)
 	}
 	tensor.SetGradEnabled(restore)
 	idxOf := sampleIndex(ds)

@@ -3,8 +3,6 @@ package models
 import (
 	"fmt"
 	"sort"
-
-	"mpgraph/internal/tensor"
 )
 
 // Vocab is a frequency-capped tokenizer for pages or PCs. Token 0 is
@@ -68,18 +66,10 @@ func (v *Vocab) Size() int { return len(v.values) }
 // Capacity is the build-time cap (the embedding table size models use).
 func (v *Vocab) Capacity() int { return v.cap }
 
-// SegmentBlock splits a block address into cfg.NumSegments fields of
+// SegmentBlockInto splits a block address into cfg.NumSegments fields of
 // cfg.SegmentBits bits (least-significant first) normalised to [0,1] — the
 // TransFetch-style fine-grained address segmentation the spatial predictor
-// consumes.
-func SegmentBlock(cfg Config, block uint64) []float64 {
-	out := make([]float64, cfg.NumSegments)
-	SegmentBlockInto(cfg, block, out)
-	return out
-}
-
-// SegmentBlockInto writes the segmentation of block into out (length
-// cfg.NumSegments) without allocating.
+// consumes — and writes them into out (length cfg.NumSegments).
 //
 //mpgraph:noalloc
 func SegmentBlockInto(cfg Config, block uint64, out []float64) {
@@ -88,16 +78,6 @@ func SegmentBlockInto(cfg Config, block uint64, out []float64) {
 	for s := 0; s < cfg.NumSegments; s++ {
 		out[s] = float64((block>>(s*cfg.SegmentBits))&mask) / norm
 	}
-}
-
-// AddrFeatureTensor encodes a window of block addresses as a
-// [T x NumSegments] tensor of segment features.
-func AddrFeatureTensor(cfg Config, blocks []uint64) *tensor.Tensor {
-	t := tensor.Zeros(len(blocks), cfg.NumSegments)
-	for i, b := range blocks {
-		copy(t.Data[i*cfg.NumSegments:(i+1)*cfg.NumSegments], SegmentBlock(cfg, b))
-	}
-	return t
 }
 
 // DeltaBitmap encodes the set of observed future deltas as a multi-hot
@@ -110,27 +90,6 @@ func DeltaBitmap(cfg Config, deltas []int64) []float64 {
 		}
 	}
 	return out
-}
-
-// TopKClasses returns the indices of the k largest logits in scores,
-// descending.
-func TopKClasses(scores []float64, k int) []int {
-	idx := make([]int, len(scores))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool {
-		// Exact comparison is deliberate: equal scores fall through to the
-		// index tie-break so the ranking is deterministic across runs.
-		if scores[idx[a]] != scores[idx[b]] {
-			return scores[idx[a]] > scores[idx[b]]
-		}
-		return idx[a] < idx[b]
-	})
-	if k > len(idx) {
-		k = len(idx)
-	}
-	return idx[:k]
 }
 
 // BinaryCode returns the bits-wide binary encoding of class id (Section

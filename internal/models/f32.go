@@ -1,10 +1,9 @@
 package models
 
 // Single-precision mirrors of the trained predictors (DESIGN.md §13). An f32
-// model embeds its float64 source — training, the autograd scoring path and
-// Params all delegate — and overrides only the ctx fast path, so the mirrors
-// slot into DeltaScoresWith/TopPagesWith unchanged: a live ctx runs f32, a
-// nil ctx falls back to the float64 model.
+// model embeds its float64 source — training and Params delegate — and
+// overrides the ctx entry points with the f32 forward. Like every f32 op they
+// need a live ctx: the autograd forward (a nil ctx) is the source model's.
 // There is no f32 forward to read here: a mirror holds the narrowed
 // instantiation of its source's backbone (ammaCore[float32], nn.F32LSTM, …)
 // and runs the one generic forward of fastpath_batch.go on it. What is
@@ -62,7 +61,7 @@ func convertAMMACoreF32(core *ammaCore[float64]) *ammaCore[float32] {
 // --- f32 predictors ---
 
 // F32AMMADelta is the f32 mirror of AMMADelta. The embedded float64 model
-// serves training, Params and the nil-ctx path.
+// serves training and Params.
 type F32AMMADelta struct {
 	*AMMADelta
 	fcore *ammaCore[float32]
@@ -74,13 +73,10 @@ func NewF32AMMADelta(m *AMMADelta) *F32AMMADelta {
 	return &F32AMMADelta{AMMADelta: m, fcore: convertAMMACoreF32(m.core), fhead: nn.NewF32MLP(m.head)}
 }
 
-// DeltaScoresCtx implements DeltaScorerCtx on the f32 path.
+// DeltaScoresCtx implements DeltaModel on the f32 path.
 //
 //mpgraph:noalloc
 func (m *F32AMMADelta) DeltaScoresCtx(c *tensor.Ctx, s *Sample) []float64 {
-	if c == nil {
-		return m.DeltaScores(s)
-	}
 	one := [1]*Sample{s}
 	return m.DeltaScoresBatchCtx(c, one[:]).Data
 }
@@ -104,13 +100,10 @@ func NewF32AMMAPage(m *AMMAPage) *F32AMMAPage {
 	return &F32AMMAPage{AMMAPage: m, fcore: convertAMMACoreF32(m.core), fhead: nn.NewF32MLP(m.head)}
 }
 
-// TopPagesAppendCtx implements PageTopperCtx on the f32 path.
+// TopPagesAppendCtx implements PageModel on the f32 path.
 //
 //mpgraph:noalloc
 func (m *F32AMMAPage) TopPagesAppendCtx(c *tensor.Ctx, s *Sample, k int, dst []uint64) []uint64 {
-	if c == nil {
-		return append(dst, m.TopPages(s, k)...)
-	}
 	one, out := [1]*Sample{s}, [1][]uint64{dst}
 	m.TopPagesBatchAppendCtx(c, one[:], k, out[:])
 	return out[0]
@@ -139,13 +132,10 @@ func NewF32LSTMDelta(m *LSTMDelta) *F32LSTMDelta {
 	return &F32LSTMDelta{LSTMDelta: m, flstm: nn.NewF32LSTM(m.lstm), fhead: nn.NewF32MLP(m.head)}
 }
 
-// DeltaScoresCtx implements DeltaScorerCtx on the f32 path.
+// DeltaScoresCtx implements DeltaModel on the f32 path.
 //
 //mpgraph:noalloc
 func (m *F32LSTMDelta) DeltaScoresCtx(c *tensor.Ctx, s *Sample) []float64 {
-	if c == nil {
-		return m.DeltaScores(s)
-	}
 	one := [1]*Sample{s}
 	return m.DeltaScoresBatchCtx(c, one[:]).Data
 }
@@ -170,14 +160,11 @@ func NewF32BinaryPage(m *BinaryPage) *F32BinaryPage {
 	return &F32BinaryPage{BinaryPage: m, fcore: convertAMMACoreF32(m.core)}
 }
 
-// TopPagesAppendCtx implements PageTopperCtx on the f32 path, using the same
+// TopPagesAppendCtx implements PageModel on the f32 path, using the same
 // bit-flip candidate decode as the float model.
 //
 //mpgraph:noalloc
 func (m *F32BinaryPage) TopPagesAppendCtx(c *tensor.Ctx, s *Sample, k int, dst []uint64) []uint64 {
-	if c == nil {
-		return append(dst, m.TopPages(s, k)...)
-	}
 	one := [1]*Sample{s}
 	pooled := tensor.WidenCtx(c, m.fcore.pooledTokensBatchCtx(c, m.pages, m.pcs, one[:]))
 	return m.binaryTopPagesOne(c, pooled, k, dst)

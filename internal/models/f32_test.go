@@ -3,6 +3,7 @@ package models
 import (
 	"bytes"
 	"math"
+	"strings"
 	"testing"
 
 	"mpgraph/internal/tensor"
@@ -45,14 +46,13 @@ func TestF32DeltaParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fc := fm.(DeltaScorerCtx)
 	ctx := tensor.NewCtx()
 	const topD = 8
 	var overlapSum float64
 	var maxUlp int64
 	for _, s := range ds.Samples {
-		want := delta.DeltaScores(s)
-		got := fc.DeltaScoresCtx(ctx, s)
+		want := delta.DeltaScoresCtx(nil, s)
+		got := fm.DeltaScoresCtx(ctx, s)
 		overlapSum += overlapAtK(got, want, topD)
 		for i := range want {
 			if d := f32UlpDist(got[i], want[i]); d > maxUlp {
@@ -75,13 +75,12 @@ func TestF32PageParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fc := fm.(PageTopperCtx)
 	ctx := tensor.NewCtx()
 	agree, total := 0, 0
 	var dst []uint64
 	for _, s := range ds.Samples {
-		want := page.TopPages(s, 1)
-		dst = fc.TopPagesAppendCtx(ctx, s, 1, dst[:0])
+		want := page.TopPagesAppendCtx(nil, s, 1, nil)
+		dst = fm.TopPagesAppendCtx(ctx, s, 1, dst[:0])
 		ctx.Reset()
 		if len(want) == 0 && len(dst) == 0 {
 			continue
@@ -105,13 +104,12 @@ func TestF32BinaryPageParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fc := fm.(PageTopperCtx)
 	ctx := tensor.NewCtx()
 	agree, total := 0, 0
 	var dst []uint64
 	for _, s := range ds.Samples {
-		want := bin.TopPages(s, 1)
-		dst = fc.TopPagesAppendCtx(ctx, s, 1, dst[:0])
+		want := bin.TopPagesAppendCtx(nil, s, 1, nil)
+		dst = fm.TopPagesAppendCtx(ctx, s, 1, dst[:0])
 		ctx.Reset()
 		if len(want) == 0 && len(dst) == 0 {
 			continue
@@ -167,20 +165,33 @@ func TestConvertF32UnsupportedModelErrors(t *testing.T) {
 	}
 }
 
-func TestF32NilCtxFallsBackToFloat(t *testing.T) {
-	ds, delta, _, _ := quantParityData(t)
-	fm, err := ConvertDeltaF32(delta)
+// TestF32NilCtxIsInferenceOnly: a nil ctx is the autograd forward, which
+// exists at float64 only, so an f32 mirror's entry point on a nil ctx fails
+// the inference-only invariant instead of scoring anything.
+func TestF32NilCtxIsInferenceOnly(t *testing.T) {
+	ds, delta, page, bin := quantParityData(t)
+	fd, fp, err := ConvertSuiteF32(delta, page)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := fm.(*F32AMMADelta)
+	fb, err := ConvertPageF32(bin)
+	if err != nil {
+		t.Fatal(err)
+	}
 	s := ds.Samples[0]
-	want := delta.DeltaScores(s)
-	got := f.DeltaScoresCtx(nil, s)
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("nil-ctx f32 path diverges from float at %d", i)
-		}
+	for name, call := range map[string]func(){
+		"delta":  func() { DeltaScoresWith(nil, fd, s) },
+		"page":   func() { TopPagesWith(nil, fp, s, 1, nil) },
+		"binary": func() { TopPagesWith(nil, fb, s, 1, nil) },
+	} {
+		func() {
+			defer func() {
+				if msg, _ := recover().(string); !strings.Contains(msg, "inference-only") {
+					t.Errorf("%s: f32 mirror on a nil ctx recovered %q, want the inference-only invariant", name, msg)
+				}
+			}()
+			call()
+		}()
 	}
 }
 

@@ -6,61 +6,39 @@ import (
 	"mpgraph/internal/tensor"
 )
 
-// Arena fast paths for model inference (DESIGN.md §8). Each predictor gains
-// a ctx variant of its scoring entry point that threads a *tensor.Ctx
-// through the forward pass: a nil ctx reproduces the exact autograd path,
-// a non-nil ctx runs graph-free on the arena with zero steady-state heap
-// allocations. The capability interfaces below keep the base DeltaModel /
-// PageModel contracts untouched — an implementation without a fast path
-// simply falls back. The live-ctx float forward itself is written once, in
-// its batched form (fastpath_batch.go); this file holds the dispatchers, the
-// arena decode helpers the mirrors share, and the one-sample entry points.
+// The scoring entry points (DESIGN.md §8). Every model scores through its
+// ctx entry point, DeltaScoresCtx or TopPagesAppendCtx, and there is one
+// forward behind it, its stacked one (fastpath_batch.go), whatever the ctx:
+// a live ctx runs it graph-free on the arena with zero steady-state heap
+// allocations, a nil ctx runs the same body as the autograd composition that
+// training, Tables 6/7 and the distillation teachers read (float64 only).
+// This file holds the dispatchers, the arena decode helpers the mirrors
+// share, and the one-sample entry points.
 
-// DeltaScorerCtx is a DeltaModel with an arena fast path. Fast-path scores
-// are arena-backed: valid only until the ctx is reset.
-type DeltaScorerCtx interface {
-	DeltaScoresCtx(c *tensor.Ctx, s *Sample) []float64
-}
-
-// PageTopperCtx is a PageModel with an arena fast path. TopPagesAppendCtx
-// appends up to k pages to dst and returns it, so callers can reuse one
-// result buffer across calls.
-type PageTopperCtx interface {
-	TopPagesAppendCtx(c *tensor.Ctx, s *Sample, k int, dst []uint64) []uint64
-}
-
-// DeltaScoresWith scores s on the fast path when m supports it (and c is
-// non-nil), falling back to the allocating DeltaScores otherwise.
+// DeltaScoresWith returns m's scores for s on c (m.DeltaScoresCtx).
 func DeltaScoresWith(c *tensor.Ctx, m DeltaModel, s *Sample) []float64 {
-	if fc, ok := m.(DeltaScorerCtx); ok && c != nil {
-		return fc.DeltaScoresCtx(c, s)
-	}
-	return m.DeltaScores(s)
+	return m.DeltaScoresCtx(c, s)
 }
 
-// TopPagesWith appends m's top-k pages for s to dst on the fast path when m
-// supports it, falling back to TopPages otherwise.
+// TopPagesWith appends m's top-k pages for s to dst on c
+// (m.TopPagesAppendCtx).
 func TopPagesWith(c *tensor.Ctx, m PageModel, s *Sample, k int, dst []uint64) []uint64 {
-	if fc, ok := m.(PageTopperCtx); ok && c != nil {
-		return fc.TopPagesAppendCtx(c, s, k, dst)
-	}
-	return append(dst, m.TopPages(s, k)...)
+	return m.TopPagesAppendCtx(c, s, k, dst)
 }
 
-// TopKClassesCtx is TopKClasses with the result drawn from the arena; a nil
-// ctx falls back to the allocating sort.
+// TopKClassesCtx returns the indices of the k largest scores, descending,
+// equal scores in index order; on a live ctx the result is drawn from the
+// arena.
 //
 //mpgraph:noalloc
 func TopKClassesCtx(c *tensor.Ctx, scores []float64, k int) []int {
-	if c == nil {
-		return TopKClasses(scores, k)
-	}
 	return topKSelectInto(c.Ints(min(k, len(scores))), scores)
 }
 
 // topKSelectInto ranks the len(top) best-scoring indices (len(top) <=
-// len(scores)) into top in one pass over scores, reproducing TopKClasses'
-// order exactly: descending score, equal scores broken by lower index. top
+// len(scores)) into top in one pass over scores, in the order of a full
+// sort (the oracle in the tests): descending score, equal scores broken by
+// lower index. top
 // is kept sorted as it fills, and tensor.FirstAbove's vector scan skips the
 // scores that do not beat the current worst entry — nearly all of them when k
 // is the hot paths' 2 — so the scan stops only where an insert happens; a
@@ -101,7 +79,7 @@ func topKInsert[T float32 | float64](top []int, scores []T, j, i int) {
 }
 
 // topPagesAppendCtx maps the best-scoring known tokens back to page values,
-// appending to dst (the ctx analogue of topPagesFromScores).
+// appending up to k of them to dst.
 //
 //mpgraph:noalloc
 func topPagesAppendCtx[T float32 | float64](c *tensor.Ctx, pages *Vocab, scores []T, k int, dst []uint64) []uint64 {
@@ -123,72 +101,54 @@ func topPagesAppendCtx[T float32 | float64](c *tensor.Ctx, pages *Vocab, scores 
 // One sample is the B=1 case of the batched forward (fastpath_batch.go): no
 // model has a sequential forward of its own, so sequential and batched scores
 // are the same bits at any batch size. The one-sample slices live on the
-// caller's stack, which keeps these at 0 allocs/op.
+// caller's stack, which keeps these at 0 allocs/op on a live ctx.
 
-// DeltaScoresCtx implements DeltaScorerCtx.
+// DeltaScoresCtx implements DeltaModel.
 //
 //mpgraph:noalloc
 func (m *AMMADelta) DeltaScoresCtx(c *tensor.Ctx, s *Sample) []float64 {
-	if c == nil {
-		return m.DeltaScores(s)
-	}
 	one := [1]*Sample{s}
 	return m.DeltaScoresBatchCtx(c, one[:]).Data
 }
 
-// TopPagesAppendCtx implements PageTopperCtx.
+// TopPagesAppendCtx implements PageModel.
 //
 //mpgraph:noalloc
 func (m *AMMAPage) TopPagesAppendCtx(c *tensor.Ctx, s *Sample, k int, dst []uint64) []uint64 {
-	if c == nil {
-		return append(dst, m.TopPages(s, k)...)
-	}
 	one, out := [1]*Sample{s}, [1][]uint64{dst}
 	m.TopPagesBatchAppendCtx(c, one[:], k, out[:])
 	return out[0]
 }
 
-// DeltaScoresCtx implements DeltaScorerCtx.
+// DeltaScoresCtx implements DeltaModel.
 //
 //mpgraph:noalloc
 func (m *LSTMDelta) DeltaScoresCtx(c *tensor.Ctx, s *Sample) []float64 {
-	if c == nil {
-		return m.DeltaScores(s)
-	}
 	one := [1]*Sample{s}
 	return m.DeltaScoresBatchCtx(c, one[:]).Data
 }
 
-// TopPagesAppendCtx implements PageTopperCtx.
+// TopPagesAppendCtx implements PageModel.
 //
 //mpgraph:noalloc
 func (m *LSTMPage) TopPagesAppendCtx(c *tensor.Ctx, s *Sample, k int, dst []uint64) []uint64 {
-	if c == nil {
-		return append(dst, m.TopPages(s, k)...)
-	}
 	one, out := [1]*Sample{s}, [1][]uint64{dst}
 	m.TopPagesBatchAppendCtx(c, one[:], k, out[:])
 	return out[0]
 }
 
-// DeltaScoresCtx implements DeltaScorerCtx.
+// DeltaScoresCtx implements DeltaModel.
 //
 //mpgraph:noalloc
 func (m *AttnDelta) DeltaScoresCtx(c *tensor.Ctx, s *Sample) []float64 {
-	if c == nil {
-		return m.DeltaScores(s)
-	}
 	one := [1]*Sample{s}
 	return m.DeltaScoresBatchCtx(c, one[:]).Data
 }
 
-// TopPagesAppendCtx implements PageTopperCtx.
+// TopPagesAppendCtx implements PageModel.
 //
 //mpgraph:noalloc
 func (m *AttnPage) TopPagesAppendCtx(c *tensor.Ctx, s *Sample, k int, dst []uint64) []uint64 {
-	if c == nil {
-		return append(dst, m.TopPages(s, k)...)
-	}
 	one, out := [1]*Sample{s}, [1][]uint64{dst}
 	m.TopPagesBatchAppendCtx(c, one[:], k, out[:])
 	return out[0]
@@ -196,11 +156,10 @@ func (m *AttnPage) TopPagesAppendCtx(c *tensor.Ctx, s *Sample, k int, dst []uint
 
 // --- binary-encoded compressed head ---
 
-// binaryTopPagesAppendCtx is the arena analogue of BinaryPage.TopPages'
-// candidate decode: rank bits by confidence distance from 0.5 (ascending,
-// the same swap-on-less pass as the float path so tie ordering is
-// identical), then try the maximum-likelihood code followed by single-bit
-// flips in uncertainty order, keeping up to k distinct known pages.
+// binaryTopPagesAppendCtx is BinaryPage's candidate decode: rank bits by
+// confidence distance from 0.5 (ascending, by a swap-on-less pass), then try
+// the maximum-likelihood code followed by single-bit flips in uncertainty
+// order, at most 4k candidates, keeping up to k distinct known pages.
 //
 //mpgraph:noalloc
 func binaryTopPagesAppendCtx(c *tensor.Ctx, pages *Vocab, probs []float64, k int, dst []uint64) []uint64 {
@@ -216,9 +175,8 @@ func binaryTopPagesAppendCtx(c *tensor.Ctx, pages *Vocab, probs []float64, k int
 			}
 		}
 	}
-	// Candidate ci=0 is the base code; ci>0 flips bit order[ci-1]. The 4k
-	// cap and known-page dedupe match the float path; dedupe scans the
-	// region appended by this call instead of a map.
+	// Candidate ci=0 is the base code; ci>0 flips bit order[ci-1]. Dedupe
+	// scans the region appended by this call.
 	start := len(dst)
 	added := 0
 	for ci := 0; ci < 4*k && ci <= len(order); ci++ {
@@ -262,27 +220,25 @@ func (m *BinaryPage) binaryTopPagesOne(c *tensor.Ctx, pooled *tensor.Tensor, k i
 	return binaryTopPagesAppendCtx(c, m.pages, probs, k, dst)
 }
 
-// TopPagesAppendCtx implements PageTopperCtx: the float fast path of the
-// binary-encoded compressed head, through the same one-sample batched
-// backbone as the other float models.
+// TopPagesAppendCtx implements PageModel: the binary-encoded compressed
+// head, through the same one-sample batched backbone as the other float
+// models. Candidates are generated by flipping the least-confident bits of
+// the maximum-likelihood code, keeping only ids that map to known pages.
 //
 //mpgraph:noalloc
 func (m *BinaryPage) TopPagesAppendCtx(c *tensor.Ctx, s *Sample, k int, dst []uint64) []uint64 {
-	if c == nil {
-		return append(dst, m.TopPages(s, k)...)
-	}
 	one := [1]*Sample{s}
 	return m.binaryTopPagesOne(c, m.core.pooledTokensBatchCtx(c, m.pages, m.pcs, one[:]), k, dst)
 }
 
-// --- phase-specific wrappers (dispatch then recurse on the fast path) ---
+// --- phase-specific wrappers (dispatch on the sample's phase) ---
 
-// DeltaScoresCtx implements DeltaScorerCtx by dispatching on s.Phase.
+// DeltaScoresCtx implements DeltaModel by dispatching on s.Phase.
 func (ps *PhaseSpecificDelta) DeltaScoresCtx(c *tensor.Ctx, s *Sample) []float64 {
-	return DeltaScoresWith(c, ps.modelFor(s.Phase), s)
+	return ps.modelFor(s.Phase).DeltaScoresCtx(c, s)
 }
 
-// TopPagesAppendCtx implements PageTopperCtx by dispatching on s.Phase.
+// TopPagesAppendCtx implements PageModel by dispatching on s.Phase.
 func (ps *PhaseSpecificPage) TopPagesAppendCtx(c *tensor.Ctx, s *Sample, k int, dst []uint64) []uint64 {
-	return TopPagesWith(c, ps.modelFor(s.Phase), s, k, dst)
+	return ps.modelFor(s.Phase).TopPagesAppendCtx(c, s, k, dst)
 }

@@ -14,9 +14,10 @@ import (
 // stacked inputs; the per-model forwards use the batch-aware ops (blocked
 // attention, per-block mean/positional ops) where the session boundary
 // matters and the row-wise layers everywhere else. These are the only
-// live-ctx float forwards, written once over the element type: a float64
-// model and its f32 mirror (f32.go) run the same body on their own weights,
-// and the sequential entry points call it with one sample.
+// forwards, written once over the element type: a float64 model and its f32
+// mirror (f32.go) run the same body on their own weights, the sequential
+// entry points call it with one sample, and training calls it with one
+// sample on a nil ctx, where every op is its autograd composition.
 //
 // Determinism: every batched op computes a session block as a pure function
 // of that session's rows, so scores never depend on batch composition —
@@ -37,8 +38,9 @@ type PageTopperBatchCtx interface {
 }
 
 // DeltaScoresBatchWith scores every sample in one fused pass when m supports
-// it (and c is non-nil), falling back to stacking sequential scores. The
-// batch path is taken for ANY batch size including 1 — the cross-batch-size
+// it (and c is non-nil), falling back to stacking sequential scores (a
+// phase-specific wrapper, whose samples may dispatch to different models,
+// or the binary page head). The batch path is taken for ANY batch size including 1 — the cross-batch-size
 // byte-identity contract requires every batched session to run the same
 // kernels regardless of how many sessions flushed together.
 func DeltaScoresBatchWith(c *tensor.Ctx, m DeltaModel, ss []*Sample) *tensor.Tensor {
@@ -136,8 +138,8 @@ func pageTokensBatchCtx(c *tensor.Ctx, v *Vocab, ss []*Sample, t int) []int {
 	return out
 }
 
-// addrFeatureTensorBatchCtx stacks AddrFeatureTensor for every sample on the
-// arena.
+// addrFeatureTensorBatchCtx encodes every sample's window of block addresses
+// as [T x NumSegments] segment features (SegmentBlockInto), stacked.
 //
 //mpgraph:noalloc
 func addrFeatureTensorBatchCtx(c *tensor.Ctx, cfg Config, ss []*Sample, t int) *tensor.Tensor {
@@ -151,8 +153,9 @@ func addrFeatureTensorBatchCtx(c *tensor.Ctx, cfg Config, ss []*Sample, t int) *
 	return out
 }
 
-// concatStepFeaturesBatchCtx stacks concatStepFeatures for every sample on
-// the arena.
+// concatStepFeaturesBatchCtx builds the per-step [T x (NumSegments+1)]
+// input the LSTM and vanilla-attention baselines consume — address segments
+// concatenated with the hashed PC — for every sample, stacked.
 //
 //mpgraph:noalloc
 func concatStepFeaturesBatchCtx(c *tensor.Ctx, cfg Config, ss []*Sample, t int) *tensor.Tensor {
@@ -184,38 +187,28 @@ func phaseIDsBatch(c *tensor.Ctx, ss []*Sample, vocab int) []int {
 // The feature builders above stay float64 (address segments and PC hashes are
 // computed once, in full precision); NarrowCtx hands them to the compute tier,
 // rounding to f32 on the f32 mirrors and passing through at float64.
-//
-// Each encoder writes its attention output straight into its half of the
-// fusion input (rowOff 0 for the first modality, T for the second), so the
-// fusion's concat is never a pass of its own.
 
 //mpgraph:noalloc
-func (m *modalityEncoder[T]) encodeFeaturesIntoCtx(c *tensor.Ctx, x *tensor.Tensor, blocks int, in *tensor.Dense[T], rowOff int) {
+func (m *modalityEncoder[T]) encodeFeatures(c *tensor.Ctx, x *tensor.Tensor, blocks int) *tensor.Dense[T] {
 	h := m.lin.ForwardCtx(c, tensor.NarrowCtx[T](c, x))
-	m.attn.ForwardIntoCtx(c, tensor.AddPosBatch(c, h, m.pos, blocks), blocks, in, rowOff, 0)
+	return m.attn.ForwardBatchCtx(c, tensor.AddPosBatch(c, h, m.pos, blocks), blocks)
 }
 
 //mpgraph:noalloc
-func (m *modalityEncoder[T]) encodeTokensIntoCtx(c *tensor.Ctx, ids []int, blocks int, in *tensor.Dense[T], rowOff int) {
-	m.attn.ForwardIntoCtx(c, tensor.EmbeddingPosBatch(c, m.table.Table, ids, m.pos, blocks), blocks, in, rowOff, 0)
+func (m *modalityEncoder[T]) encodeTokens(c *tensor.Ctx, ids []int, blocks int) *tensor.Dense[T] {
+	return m.attn.ForwardBatchCtx(c, tensor.EmbeddingPosBatch(c, m.table.Table, ids, m.pos, blocks), blocks)
 }
 
-// fusionInput is the stacked [B*2T x AttnDim] fusion input of a batch of B
-// windows of T, which the two encoders fill.
+// forwardBatchCtx fuses the two encoded modalities of a stacked batch and
+// pools each session to one [1 x FusionDim] row.
 //
 //mpgraph:noalloc
-func (core *ammaCore[T]) fusionInput(c *tensor.Ctx, blocks, t int) *tensor.Dense[T] {
-	return tensor.UninitCtx[T](c, 2*blocks*t, core.fusion.Attn.Wq.W.Rows)
-}
-
-// forwardBatchCtx fuses the two encoded modalities of a stacked batch (in,
-// from fusionInput) and pools each session to one [1 x FusionDim] row.
-//
-//mpgraph:noalloc
-func (core *ammaCore[T]) forwardBatchCtx(c *tensor.Ctx, in *tensor.Dense[T], ss []*Sample) *tensor.Dense[T] {
+func (core *ammaCore[T]) forwardBatchCtx(c *tensor.Ctx, encA, encB *tensor.Dense[T], ss []*Sample) *tensor.Dense[T] {
 	blocks := len(ss)
-	fused := core.fusion.ForwardCtx(c, in, blocks)
+	fused := core.fusion.ForwardCtx(c, encA, encB, blocks)
 	if core.phaseEmb != nil {
+		// Phase embedding incorporated as side information after the
+		// fusion of the two modalities (AMMA-PI, Section 5.3.1).
 		ids := phaseIDsBatch(c, ss, core.phaseEmb.Vocab())
 		fused = tensor.AddRowPerBlock(c, fused, core.phaseEmb.Table, ids, blocks)
 	}
@@ -231,10 +224,9 @@ func (core *ammaCore[T]) forwardBatchCtx(c *tensor.Ctx, in *tensor.Dense[T], ss 
 //mpgraph:noalloc
 func (core *ammaCore[T]) pooledTokensBatchCtx(c *tensor.Ctx, pages, pcs *Vocab, ss []*Sample) *tensor.Dense[T] {
 	t := batchT(ss)
-	in := core.fusionInput(c, len(ss), t)
-	core.modA.encodeTokensIntoCtx(c, pageTokensBatchCtx(c, pages, ss, t), len(ss), in, 0)
-	core.modB.encodeTokensIntoCtx(c, pcTokensBatchCtx(c, pcs, ss, t), len(ss), in, t)
-	return core.forwardBatchCtx(c, in, ss)
+	encA := core.modA.encodeTokens(c, pageTokensBatchCtx(c, pages, ss, t), len(ss))
+	encB := core.modB.encodeTokens(c, pcTokensBatchCtx(c, pcs, ss, t), len(ss))
+	return core.forwardBatchCtx(c, encA, encB, ss)
 }
 
 // topPagesBatchAppend ranks each row of a [B x vocab] score block and appends
@@ -255,10 +247,9 @@ func topPagesBatchAppend[T float32 | float64](c *tensor.Ctx, pages *Vocab, score
 //mpgraph:noalloc
 func ammaDeltaLogits[T float32 | float64](c *tensor.Ctx, m *AMMADelta, core *ammaCore[T], head *nn.MLPOf[T], ss []*Sample) *tensor.Dense[T] {
 	t := batchT(ss)
-	in := core.fusionInput(c, len(ss), t)
-	core.modA.encodeFeaturesIntoCtx(c, addrFeatureTensorBatchCtx(c, m.cfg, ss, t), len(ss), in, 0)
-	core.modB.encodeTokensIntoCtx(c, pcTokensBatchCtx(c, m.pcs, ss, t), len(ss), in, t)
-	return head.ForwardCtx(c, core.forwardBatchCtx(c, in, ss))
+	encA := core.modA.encodeFeatures(c, addrFeatureTensorBatchCtx(c, m.cfg, ss, t), len(ss))
+	encB := core.modB.encodeTokens(c, pcTokensBatchCtx(c, m.pcs, ss, t), len(ss))
+	return head.ForwardCtx(c, core.forwardBatchCtx(c, encA, encB, ss))
 }
 
 // DeltaScoresBatchCtx implements DeltaScorerBatchCtx.
@@ -268,12 +259,16 @@ func (m *AMMADelta) DeltaScoresBatchCtx(c *tensor.Ctx, ss []*Sample) *tensor.Ten
 	return tensor.SigmoidInPlace(c, ammaDeltaLogits(c, m, m.core, m.head, ss))
 }
 
+//mpgraph:noalloc
+func (m *AMMAPage) logitsBatchCtx(c *tensor.Ctx, ss []*Sample) *tensor.Tensor {
+	return m.head.ForwardCtx(c, m.core.pooledTokensBatchCtx(c, m.pages, m.pcs, ss))
+}
+
 // TopPagesBatchAppendCtx implements PageTopperBatchCtx.
 //
 //mpgraph:noalloc
 func (m *AMMAPage) TopPagesBatchAppendCtx(c *tensor.Ctx, ss []*Sample, k int, dst [][]uint64) {
-	scores := m.head.ForwardCtx(c, m.core.pooledTokensBatchCtx(c, m.pages, m.pcs, ss))
-	topPagesBatchAppend(c, m.pages, scores, k, dst)
+	topPagesBatchAppend(c, m.pages, m.logitsBatchCtx(c, ss), k, dst)
 }
 
 // --- baselines ---

@@ -128,22 +128,16 @@ func TestQuickVocabRoundTrip(t *testing.T) {
 
 func TestSegmentBlock(t *testing.T) {
 	cfg := SmallConfig()
-	feats := SegmentBlock(cfg, 0xDEADBEEF)
-	if len(feats) != cfg.NumSegments {
-		t.Fatal("segment count")
-	}
+	feats := make([]float64, cfg.NumSegments)
+	SegmentBlockInto(cfg, 0xDEADBEEF, feats)
 	for _, f := range feats {
 		if f < 0 || f > 1 {
 			t.Fatalf("feature %g out of [0,1]", f)
 		}
 	}
 	// 0xF in the low segment → 1.0.
-	if got := SegmentBlock(cfg, 0xF)[0]; got != 1 {
-		t.Fatalf("low segment of 0xF = %g", got)
-	}
-	at := AddrFeatureTensor(cfg, []uint64{1, 2, 3})
-	if at.Rows != 3 || at.Cols != cfg.NumSegments {
-		t.Fatal("AddrFeatureTensor shape")
+	if SegmentBlockInto(cfg, 0xF, feats); feats[0] != 1 {
+		t.Fatalf("low segment of 0xF = %g", feats[0])
 	}
 }
 
@@ -381,7 +375,7 @@ func TestAMMAPageLearns(t *testing.T) {
 		t.Fatalf("AMMA page acc@10 = %.3f, want > 0.5 on cyclic pages", acc)
 	}
 	// Top pages must come from the known vocabulary.
-	tops := page.TopPages(ds.Samples[0], 3)
+	tops := page.TopPagesAppendCtx(nil, ds.Samples[0], 3, nil)
 	if len(tops) == 0 {
 		t.Fatal("no top pages")
 	}
@@ -452,7 +446,7 @@ func TestBinaryPage(t *testing.T) {
 	if err := TrainPage(bp, ds, TrainOptions{Epochs: 2, Seed: 3, MaxSamplesPerEpoch: 400}); err != nil {
 		t.Fatal(err)
 	}
-	tops := bp.TopPages(ds.Samples[0], 2)
+	tops := bp.TopPagesAppendCtx(nil, ds.Samples[0], 2, nil)
 	for _, p := range tops {
 		if ds.Pages.Token(p) == 0 {
 			t.Fatalf("binary top page %d not in vocab", p)
@@ -648,15 +642,15 @@ func TestPrefetcherModelsSaveLoad(t *testing.T) {
 	}
 	// Predictions must be identical after the round trip.
 	s := ds.Samples[0]
-	want := pm.Deltas[0].DeltaScores(s)
-	have := got.Deltas[0].DeltaScores(s)
+	want := pm.Deltas[0].DeltaScoresCtx(nil, s)
+	have := got.Deltas[0].DeltaScoresCtx(nil, s)
 	for i := range want {
 		if math.Abs(want[i]-have[i]) > 1e-12 {
 			t.Fatalf("delta score %d differs after load", i)
 		}
 	}
-	wantP := pm.PageMs[1].TopPages(s, 3)
-	haveP := got.PageMs[1].TopPages(s, 3)
+	wantP := pm.PageMs[1].TopPagesAppendCtx(nil, s, 3, nil)
+	haveP := got.PageMs[1].TopPagesAppendCtx(nil, s, 3, nil)
 	for i := range wantP {
 		if wantP[i] != haveP[i] {
 			t.Fatal("page prediction differs after load")

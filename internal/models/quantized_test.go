@@ -75,13 +75,12 @@ func TestQuantizedDeltaParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	qc := qm.(DeltaScorerCtx)
 	ctx := tensor.NewCtx()
 	const topD = 8
 	var overlapSum float64
 	for _, s := range ds.Samples {
-		want := delta.DeltaScores(s)
-		got := qc.DeltaScoresCtx(ctx, s)
+		want := delta.DeltaScoresCtx(nil, s)
+		got := qm.DeltaScoresCtx(ctx, s)
 		overlapSum += overlapAtK(got, want, topD)
 		ctx.Reset()
 	}
@@ -96,13 +95,12 @@ func TestQuantizedPageParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	qc := qm.(PageTopperCtx)
 	ctx := tensor.NewCtx()
 	agree, total := 0, 0
 	var dst []uint64
 	for _, s := range ds.Samples {
-		want := page.TopPages(s, 1)
-		dst = qc.TopPagesAppendCtx(ctx, s, 1, dst[:0])
+		want := page.TopPagesAppendCtx(nil, s, 1, nil)
+		dst = qm.TopPagesAppendCtx(ctx, s, 1, dst[:0])
 		ctx.Reset()
 		if len(want) == 0 && len(dst) == 0 {
 			continue
@@ -126,13 +124,12 @@ func TestQuantizedBinaryPageParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	qc := qm.(PageTopperCtx)
 	ctx := tensor.NewCtx()
 	agree, total := 0, 0
 	var dst []uint64
 	for _, s := range ds.Samples {
-		want := bin.TopPages(s, 1)
-		dst = qc.TopPagesAppendCtx(ctx, s, 1, dst[:0])
+		want := bin.TopPagesAppendCtx(nil, s, 1, nil)
+		dst = qm.TopPagesAppendCtx(ctx, s, 1, dst[:0])
 		ctx.Reset()
 		if len(want) == 0 && len(dst) == 0 {
 			continue
@@ -156,13 +153,13 @@ func TestQuantizedBinaryPageParity(t *testing.T) {
 }
 
 func TestBinaryPageFastPathMatchesSlow(t *testing.T) {
-	// The float BinaryPage ctx fast path must reproduce TopPages exactly —
-	// same candidate enumeration, same tie ordering.
+	// The float BinaryPage on a live ctx must decode the pages its autograd
+	// forward (a nil ctx) decodes, exactly — same candidates, same ties.
 	ds, _, _, bin := quantParityData(t)
 	ctx := tensor.NewCtx()
 	var dst []uint64
 	for _, s := range ds.Samples[:200] {
-		want := bin.TopPages(s, 3)
+		want := bin.TopPagesAppendCtx(nil, s, 3, nil)
 		dst = bin.TopPagesAppendCtx(ctx, s, 3, dst[:0])
 		ctx.Reset()
 		if len(want) != len(dst) {
@@ -216,9 +213,10 @@ func TestQuantizeUnsupportedModelErrors(t *testing.T) {
 	}
 }
 
-// TestQuantizedNilCtxFallsBackToFloat: without a ctx the mirror scores on
-// its float64 model, which is the rounded copy — not the trained source.
-func TestQuantizedNilCtxFallsBackToFloat(t *testing.T) {
+// TestQuantizedSourceIsRoundedCopy: the mirror's float64 model — what its
+// training side and autograd forward read — is the rounded copy, not the
+// trained source.
+func TestQuantizedSourceIsRoundedCopy(t *testing.T) {
 	ds, delta, _, _ := quantParityData(t)
 	qm, err := QuantizeDelta(delta)
 	if err != nil {
@@ -232,18 +230,18 @@ func TestQuantizedNilCtxFallsBackToFloat(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := ds.Samples[0]
-	want := rounded.DeltaScores(s)
-	got := qm.(*F32AMMADelta).DeltaScoresCtx(nil, s)
-	source := delta.DeltaScores(s)
+	want := rounded.DeltaScoresCtx(nil, s)
+	got := qm.(*F32AMMADelta).AMMADelta.DeltaScoresCtx(nil, s)
+	source := delta.DeltaScoresCtx(nil, s)
 	differs := false
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatalf("nil-ctx quantized path diverges from the rounded float64 copy at %d", i)
+			t.Fatalf("the mirror's float64 model diverges from the rounded copy at %d", i)
 		}
 		differs = differs || got[i] != source[i]
 	}
 	if !differs {
-		t.Fatal("nil-ctx quantized path scored the unrounded source")
+		t.Fatal("the mirror's float64 model scored as the unrounded source")
 	}
 }
 

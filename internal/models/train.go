@@ -191,7 +191,7 @@ func EvalDeltaF1(m DeltaModel, samples []*Sample, maxSamples int) float64 {
 		n = maxSamples
 	}
 	for _, s := range samples[:n] {
-		scores := m.DeltaScores(s)
+		scores := m.DeltaScoresCtx(nil, s)
 		for cls, p := range scores {
 			pred := p >= 0.5
 			truth := s.DeltaBits[cls] >= 0.5
@@ -226,7 +226,7 @@ func EvalPageAccAtK(m PageModel, samples []*Sample, k, maxSamples int) float64 {
 	}
 	hits := 0
 	for _, s := range samples[:n] {
-		top := m.TopPages(s, 1)
+		top := m.TopPagesAppendCtx(nil, s, 1, nil)
 		if len(top) == 0 {
 			continue
 		}

@@ -134,7 +134,7 @@ func TestTrainMatchesReference(t *testing.T) {
 		}
 		soft := map[*Sample][]float64{}
 		for _, s := range dsSmall.Samples {
-			soft[s] = teacher.DeltaScores(s)
+			soft[s] = teacher.DeltaScoresCtx(nil, s)
 		}
 		err := referenceTrain(want, dsSmall, opt.withDefaults(), func(s *Sample) *tensor.Tensor {
 			logits := want.DeltaLogits(s)

@@ -33,11 +33,6 @@ func (ps *PhaseSpecificDelta) DeltaLoss(s *Sample) *tensor.Tensor {
 	return ps.modelFor(s.Phase).DeltaLoss(s)
 }
 
-// DeltaScores implements DeltaModel.
-func (ps *PhaseSpecificDelta) DeltaScores(s *Sample) []float64 {
-	return ps.modelFor(s.Phase).DeltaScores(s)
-}
-
 // Params implements nn.Module (union of all phase models).
 func (ps *PhaseSpecificDelta) Params() []*tensor.Tensor {
 	var out []*tensor.Tensor
@@ -75,11 +70,6 @@ func (ps *PhaseSpecificPage) modelFor(phase int) PageModel {
 // PageLoss implements PageModel.
 func (ps *PhaseSpecificPage) PageLoss(s *Sample) *tensor.Tensor {
 	return ps.modelFor(s.Phase).PageLoss(s)
-}
-
-// TopPages implements PageModel.
-func (ps *PhaseSpecificPage) TopPages(s *Sample, k int) []uint64 {
-	return ps.modelFor(s.Phase).TopPages(s, k)
 }
 
 // PageProbs implements PageProber when the per-phase models do.

@@ -86,8 +86,8 @@ func TestForwardCtxMatchesForwardComposite(t *testing.T) {
 
 	m := NewMMAF(16, 12, rand.New(rand.NewSource(10)))
 	a, b := randInput(9, 16, 11), randInput(9, 16, 12)
-	slow := m.Forward(a, b)
-	wantClose(t, "mmaf", slow, m.ForwardCtx(ctx, tensor.ConcatRowsCtx(ctx, a, b), 1))
+	slow := m.ForwardCtx(nil, a, b, 1)
+	wantClose(t, "mmaf", slow, m.ForwardCtx(ctx, a, b, 1))
 	ctx.Reset()
 
 	// Repeated forwards after Reset must keep producing the same values

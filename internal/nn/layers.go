@@ -417,8 +417,7 @@ func (t *TransformerLayerOf[T]) Params() []*tensor.Dense[T] {
 
 // MMAFOf is the multi-modality attention fusion layer (Eq. 8): the modality
 // sequences are concatenated along the sequence axis and fused by one
-// self-attention over the combined sequence. On the live path the modality
-// encoders write their halves of that input in place (ForwardCtx).
+// self-attention over the combined sequence.
 type MMAFOf[T float32 | float64] struct {
 	Attn *SelfAttentionOf[T]
 }
@@ -437,19 +436,14 @@ func NewMMAF(in, dim int, rng *rand.Rand) *MMAF {
 // NewF32MMAF mirrors the fusion attention.
 func NewF32MMAF(m *MMAF) *F32MMAF { return &F32MMAF{Attn: NewF32SelfAttention(m.Attn)} }
 
-// Forward fuses AMMA's two modality sequences ([Ta x in] and [Tb x in]) into
-// [(Ta+Tb) x dim].
-func (m *MMAFOf[T]) Forward(a, b *tensor.Dense[T]) *tensor.Dense[T] {
-	return m.ForwardCtx(nil, tensor.ConcatRowsCtx(nil, a, b), 1)
-}
-
-// ForwardCtx fuses in, the stacked [blocks*(Ta+Tb) x in] fusion input: each
-// block holds one sample's first modality's Ta rows over its second's Tb.
-// A nil ctx is autograd and takes one sequence.
+// ForwardCtx fuses AMMA's two stacked modality sequences, a [blocks*Ta x in]
+// and b [blocks*Tb x in], into [blocks*(Ta+Tb) x dim]: each sample's Ta rows
+// over its Tb, attended within the sample. A nil ctx is autograd and takes
+// one sequence pair.
 //
 //mpgraph:noalloc
-func (m *MMAFOf[T]) ForwardCtx(c *tensor.Ctx, in *tensor.Dense[T], blocks int) *tensor.Dense[T] {
-	return m.Attn.ForwardBatchCtx(c, in, blocks)
+func (m *MMAFOf[T]) ForwardCtx(c *tensor.Ctx, a, b *tensor.Dense[T], blocks int) *tensor.Dense[T] {
+	return m.Attn.ForwardBatchCtx(c, tensor.ConcatRowsCtx(c, a, b, blocks), blocks)
 }
 
 // Params implements Module.

@@ -62,16 +62,10 @@ func (l *LSTMOf[T]) Forward(x *tensor.Dense[T]) *tensor.Dense[T] {
 }
 
 // ForwardCtx is Forward on the ctx fast path: one sequence is the blocks=1
-// case of ForwardBatchCtx. A nil ctx runs the autograd composition, which
-// only the float64 LSTM has.
+// case of ForwardBatchCtx.
 //
 //mpgraph:noalloc
 func (l *LSTMOf[T]) ForwardCtx(ctx *tensor.Ctx, x *tensor.Dense[T]) *tensor.Dense[T] {
-	if ctx == nil {
-		l64, ok := any(l).(*LSTM)
-		invariant.Check(ok, "nn: the f32 LSTM is inference-only: it requires a non-nil ctx")
-		return any(lstmGraph(l64, any(x).(*tensor.Tensor))).(*tensor.Dense[T])
-	}
 	return l.ForwardBatchCtx(ctx, x, 1)
 }
 
@@ -104,10 +98,17 @@ func lstmGraph(l *LSTM, x *tensor.Tensor) *tensor.Tensor {
 // and for a batch, a step adds h@Wh onto that run in place and applies the
 // gate's activation. Per element both are the rounding sequence of the fused
 // two-product gate (tensor.LinearAccum) and the cell update below, whichever
-// kernels run them.
+// kernels run them. A nil ctx runs the autograd composition (lstmGraph) over
+// one sequence, which only the float64 LSTM has.
 //
 //mpgraph:noalloc
 func (l *LSTMOf[T]) ForwardBatchCtx(ctx *tensor.Ctx, x *tensor.Dense[T], blocks int) *tensor.Dense[T] {
+	if ctx == nil {
+		l64, ok := any(l).(*LSTM)
+		invariant.Check(ok, "nn: the f32 LSTM is inference-only: it requires a non-nil ctx")
+		invariant.Check(blocks == 1, "nn: an LSTM on a nil ctx takes one sequence")
+		return any(lstmGraph(l64, any(x).(*tensor.Tensor))).(*tensor.Dense[T])
+	}
 	t := x.Rows / blocks
 	n := blocks * l.Hidden
 	if blocks > 1 {

@@ -84,7 +84,7 @@ func TestMMAFFusesModalities(t *testing.T) {
 	m := NewMMAF(6, 12, rng)
 	addr := tensor.Randn(9, 6, 1, rng)
 	pc := tensor.Randn(9, 6, 1, rng)
-	out := m.Forward(addr, pc)
+	out := m.ForwardCtx(nil, addr, pc, 1)
 	if out.Rows != 18 || out.Cols != 12 {
 		t.Fatalf("MMAF shape %dx%d, want 18x12", out.Rows, out.Cols)
 	}
@@ -523,7 +523,7 @@ func TestGradMMAFLayer(t *testing.T) {
 	a := tensor.Randn(3, 4, 1, rng)
 	b := tensor.Randn(3, 4, 1, rng)
 	layerGradCheck(t, "mmaf", m, func() *tensor.Tensor {
-		return tensor.MSE(m.Forward(a, b), make([]float64, 36))
+		return tensor.MSE(m.ForwardCtx(nil, a, b, 1), make([]float64, 36))
 	})
 }
 

@@ -144,28 +144,34 @@ func ConcatCols2[T float32 | float64](c *Ctx, a, b *Dense[T]) *Dense[T] {
 	return ConcatColsCtx(c, pair[:])
 }
 
-// ConcatRowsCtx stacks a over b (same Cols) — the fusion input of one
-// sequence pair. The live forwards never build it: the two modality encoders
-// write their halves of the fusion input in place (AttentionBlocksInto).
+// ConcatRowsCtx stacks a's blocks over b's (same Cols), block by block: a
+// and b hold `blocks` equal row blocks each, and block i of the result is
+// a's block i over b's block i — the fusion input of a stacked batch of
+// sequence pairs, one rowsInto pass per half-block.
 //
 //mpgraph:noalloc
-func ConcatRowsCtx[T float32 | float64](c *Ctx, a, b *Dense[T]) *Dense[T] {
+func ConcatRowsCtx[T float32 | float64](c *Ctx, a, b *Dense[T], blocks int) *Dense[T] {
 	if c == nil {
+		oneBlock("concatRows", blocks)
 		return ungraph[T](ConcatRows(graph(a), graph(b)))
 	}
-	if a.Cols != b.Cols {
-		invariant.Failf("tensor: concatRows %dx%d over %dx%d", a.Rows, a.Cols, b.Rows, b.Cols)
+	if a.Cols != b.Cols || blocks <= 0 || a.Rows%blocks != 0 || b.Rows%blocks != 0 {
+		invariant.Failf("tensor: concatRows %dx%d over %dx%d in %d blocks", a.Rows, a.Cols, b.Rows, b.Cols, blocks)
 	}
 	out := uninit[T](c, a.Rows+b.Rows, a.Cols)
-	rowsInto(out.Data, a.Data, nil, nil, a.Rows, a.Cols, a.Cols, 0)
-	rowsInto(out.Data[len(a.Data):], b.Data, nil, nil, b.Rows, b.Cols, b.Cols, 0)
+	na, nb := len(a.Data)/blocks, len(b.Data)/blocks
+	for blk := 0; blk < blocks; blk++ {
+		o := out.Data[blk*(na+nb):]
+		rowsInto(o, a.Data[blk*na:(blk+1)*na], nil, nil, a.Rows/blocks, a.Cols, a.Cols, 0)
+		rowsInto(o[na:], b.Data[blk*nb:(blk+1)*nb], nil, nil, b.Rows/blocks, b.Cols, b.Cols, 0)
+	}
 	return out
 }
 
 // UninitCtx returns an arena rows x cols tensor whose elements are left as
 // the last arena round wrote them: for an output every element of which the
-// caller's ops write before anything reads it (the fusion input the two
-// modality encoders fill, the heads' concat). Live ctx only.
+// caller's ops write before anything reads it (the heads' concat). Live ctx
+// only.
 //
 //mpgraph:noalloc
 func UninitCtx[T float32 | float64](c *Ctx, rows, cols int) *Dense[T] {

@@ -8,18 +8,18 @@ import "mpgraph/internal/invariant"
 // tensor unchanged; the ops below are the ones that must know the block
 // boundary. Each computes a block as a pure function of that block's rows, so
 // a block's result never depends on batch composition and a single sequence
-// is simply blocks=1.
+// is simply blocks=1. On a nil ctx each is the autograd composition it
+// batches, over one sequence (blocks must be 1), as AttentionBlocks is.
 
 // AttentionBlocks runs scaled-dot-product attention softmax(q·kᵀ·scale)·v
 // independently inside each of the `blocks` equal row blocks of q/k/v
 // (self-attention never crosses a session boundary) into a fresh
-// [q.Rows x v.Cols] tensor: AttentionBlocksInto over all of it. A nil ctx is
-// the autograd composition over one sequence (blocks must be 1).
+// [q.Rows x v.Cols] tensor: AttentionBlocksInto over all of it.
 //
 //mpgraph:noalloc
 func AttentionBlocks[T float32 | float64](c *Ctx, q, k, v *Dense[T], blocks int, scale T) *Dense[T] {
 	if c == nil {
-		invariant.Check(blocks == 1, "tensor: attentionBlocks on a nil ctx takes one sequence")
+		oneBlock("attentionBlocks", blocks)
 		scores := Scale(MatMul(graph(q), Transpose(graph(k))), float64(scale))
 		return ungraph[T](MatMul(SoftmaxRows(scores), graph(v)))
 	}
@@ -99,7 +99,11 @@ func AttentionBlocksInto[T float32 | float64](c *Ctx, dst *Dense[T], rowOff, col
 //
 //mpgraph:noalloc
 func MeanRowsBatch[T float32 | float64](c *Ctx, a *Dense[T], blocks int) *Dense[T] {
-	if c == nil || blocks <= 0 || a.Rows%blocks != 0 {
+	if c == nil {
+		oneBlock("meanRowsBatch", blocks)
+		return ungraph[T](MeanRows(graph(a)))
+	}
+	if blocks <= 0 || a.Rows%blocks != 0 {
 		invariant.Failf("tensor: meanRowsBatch %d rows over %d blocks", a.Rows, blocks)
 	}
 	t := a.Rows / blocks
@@ -134,7 +138,11 @@ func MeanRowsBatch[T float32 | float64](c *Ctx, a *Dense[T], blocks int) *Dense[
 //
 //mpgraph:noalloc
 func AddPosBatch[T float32 | float64](c *Ctx, a, pos *Dense[T], blocks int) *Dense[T] {
-	if c == nil || blocks <= 0 || a.Rows != blocks*pos.Rows || a.Cols != pos.Cols {
+	if c == nil {
+		oneBlock("addPosBatch", blocks)
+		return ungraph[T](Add(graph(a), graph(pos)))
+	}
+	if blocks <= 0 || a.Rows != blocks*pos.Rows || a.Cols != pos.Cols {
 		invariant.Failf("tensor: addPosBatch %dx%d + %dx%d over %d blocks",
 			a.Rows, a.Cols, pos.Rows, pos.Cols, blocks)
 	}
@@ -152,7 +160,11 @@ func AddPosBatch[T float32 | float64](c *Ctx, a, pos *Dense[T], blocks int) *Den
 //
 //mpgraph:noalloc
 func EmbeddingPosBatch[T float32 | float64](c *Ctx, table *Dense[T], ids []int, pos *Dense[T], blocks int) *Dense[T] {
-	if c == nil || blocks <= 0 || len(ids) != blocks*pos.Rows || table.Cols != pos.Cols {
+	if c == nil {
+		oneBlock("embeddingPosBatch", blocks)
+		return ungraph[T](Add(EmbeddingLookup(graph(table), ids), graph(pos)))
+	}
+	if blocks <= 0 || len(ids) != blocks*pos.Rows || table.Cols != pos.Cols {
 		invariant.Failf("tensor: embeddingPosBatch %d ids + %dx%d over %d blocks",
 			len(ids), pos.Rows, pos.Cols, blocks)
 	}
@@ -170,7 +182,11 @@ func EmbeddingPosBatch[T float32 | float64](c *Ctx, table *Dense[T], ids []int, 
 //
 //mpgraph:noalloc
 func AddRowPerBlock[T float32 | float64](c *Ctx, a, table *Dense[T], ids []int, blocks int) *Dense[T] {
-	if c == nil || blocks <= 0 || len(ids) != blocks || a.Rows%blocks != 0 || table.Cols != a.Cols {
+	if c == nil {
+		oneBlock("addRowPerBlock", blocks)
+		return ungraph[T](AddBias(graph(a), EmbeddingLookup(graph(table), ids)))
+	}
+	if blocks <= 0 || len(ids) != blocks || a.Rows%blocks != 0 || table.Cols != a.Cols {
 		invariant.Failf("tensor: addRowPerBlock %dx%d, %d ids over %d blocks",
 			a.Rows, a.Cols, len(ids), blocks)
 	}
@@ -243,6 +259,14 @@ func rowsInto[T float32 | float64](out, x, y []T, ids []int, rows, cols, opitch,
 		for j, v := range src {
 			dst[j] = v + yr[j]
 		}
+	}
+}
+
+// oneBlock fails unless a nil-ctx (autograd) batch op was handed one
+// sequence.
+func oneBlock(op string, blocks int) {
+	if blocks != 1 {
+		invariant.Failf("tensor: %s on a nil ctx takes one sequence, not %d", op, blocks)
 	}
 }
 

@@ -367,7 +367,7 @@ func arenaOpChain[T float32 | float64](c *Ctx) {
 	h = AddPosBatch(c, h, pos, blocks)
 	h = AttentionBlocks(c, h, h, h, blocks, 0.5)
 	h = AddRowPerBlock(c, h, w, []int{1, 2}, blocks)
-	h = ConcatRowsCtx(c, h, x)
+	h = ConcatRowsCtx(c, h, x, blocks)
 	h = EmbeddingPosBatch(c, h, []int{0, 1, 2, 3, 3, 2, 1, 0}, pos, blocks)
 	AttentionBlocksInto(c, UninitCtx[T](c, 2*h.Rows, 2*d), 1, d, x, x, x, blocks, 0.5)
 	m := MeanRowsBatch(c, h, blocks)
