@@ -1,6 +1,7 @@
 package models
 
 import (
+	"math"
 	"math/rand"
 
 	"mpgraph/internal/nn"
@@ -207,7 +208,7 @@ func softmaxSlice(logits []float64) []float64 {
 	}
 	sum := 0.0
 	for i, v := range logits {
-		out[i] = exp(v - maxV)
+		out[i] = math.Exp(v - maxV)
 		sum += out[i]
 	}
 	for i := range out {

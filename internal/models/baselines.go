@@ -1,14 +1,11 @@
 package models
 
 import (
-	"math"
 	"math/rand"
 
 	"mpgraph/internal/nn"
 	"mpgraph/internal/tensor"
 )
-
-func exp(x float64) float64 { return math.Exp(x) }
 
 // hashPC folds a PC into a [0,1) feature, the "hashed and normalized"
 // encoding the paper uses where the PC is side information.

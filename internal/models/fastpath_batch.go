@@ -189,13 +189,13 @@ func phaseIDsBatch(c *tensor.Ctx, ss []*Sample, vocab int) []int {
 // rounding to f32 on the f32 mirrors and passing through at float64.
 
 //mpgraph:noalloc
-func (m *modalityEncoder[T]) encodeFeatures(c *tensor.Ctx, x *tensor.Tensor, blocks int) *tensor.Dense[T] {
+func (m *modalityEncoder[T]) encodeFeaturesBatchCtx(c *tensor.Ctx, x *tensor.Tensor, blocks int) *tensor.Dense[T] {
 	h := m.lin.ForwardCtx(c, tensor.NarrowCtx[T](c, x))
 	return m.attn.ForwardBatchCtx(c, tensor.AddPosBatch(c, h, m.pos, blocks), blocks)
 }
 
 //mpgraph:noalloc
-func (m *modalityEncoder[T]) encodeTokens(c *tensor.Ctx, ids []int, blocks int) *tensor.Dense[T] {
+func (m *modalityEncoder[T]) encodeTokensBatchCtx(c *tensor.Ctx, ids []int, blocks int) *tensor.Dense[T] {
 	return m.attn.ForwardBatchCtx(c, tensor.EmbeddingPosBatch(c, m.table.Table, ids, m.pos, blocks), blocks)
 }
 
@@ -224,8 +224,8 @@ func (core *ammaCore[T]) forwardBatchCtx(c *tensor.Ctx, encA, encB *tensor.Dense
 //mpgraph:noalloc
 func (core *ammaCore[T]) pooledTokensBatchCtx(c *tensor.Ctx, pages, pcs *Vocab, ss []*Sample) *tensor.Dense[T] {
 	t := batchT(ss)
-	encA := core.modA.encodeTokens(c, pageTokensBatchCtx(c, pages, ss, t), len(ss))
-	encB := core.modB.encodeTokens(c, pcTokensBatchCtx(c, pcs, ss, t), len(ss))
+	encA := core.modA.encodeTokensBatchCtx(c, pageTokensBatchCtx(c, pages, ss, t), len(ss))
+	encB := core.modB.encodeTokensBatchCtx(c, pcTokensBatchCtx(c, pcs, ss, t), len(ss))
 	return core.forwardBatchCtx(c, encA, encB, ss)
 }
 
@@ -247,8 +247,8 @@ func topPagesBatchAppend[T float32 | float64](c *tensor.Ctx, pages *Vocab, score
 //mpgraph:noalloc
 func ammaDeltaLogits[T float32 | float64](c *tensor.Ctx, m *AMMADelta, core *ammaCore[T], head *nn.MLPOf[T], ss []*Sample) *tensor.Dense[T] {
 	t := batchT(ss)
-	encA := core.modA.encodeFeatures(c, addrFeatureTensorBatchCtx(c, m.cfg, ss, t), len(ss))
-	encB := core.modB.encodeTokens(c, pcTokensBatchCtx(c, m.pcs, ss, t), len(ss))
+	encA := core.modA.encodeFeaturesBatchCtx(c, addrFeatureTensorBatchCtx(c, m.cfg, ss, t), len(ss))
+	encB := core.modB.encodeTokensBatchCtx(c, pcTokensBatchCtx(c, m.pcs, ss, t), len(ss))
 	return head.ForwardCtx(c, core.forwardBatchCtx(c, encA, encB, ss))
 }
 

@@ -220,20 +220,19 @@ func (s *SelfAttentionOf[T]) ForwardBatchCtx(c *tensor.Ctx, x *tensor.Dense[T], 
 		return tensor.AttentionBlocks(nil, s.Wq.ForwardCtx(nil, x), s.Wk.ForwardCtx(nil, x), s.Wv.ForwardCtx(nil, x), blocks, s.scale())
 	}
 	out := tensor.UninitCtx[T](c, x.Rows, s.dim)
-	s.ForwardIntoCtx(c, x, blocks, out, 0, 0)
+	s.ForwardIntoCtx(c, x, blocks, out, 0)
 	return out
 }
 
-// ForwardIntoCtx writes each block's [T x dim] attention output into a
-// window of dst (tensor.AttentionBlocksInto): rows rowOff.. of dst's
-// matching block, columns colOff... Live ctx only.
+// ForwardIntoCtx writes the [blocks*T x dim] attention output into columns
+// colOff.. of dst (tensor.AttentionBlocksInto). Live ctx only.
 //
 //mpgraph:noalloc
-func (s *SelfAttentionOf[T]) ForwardIntoCtx(c *tensor.Ctx, x *tensor.Dense[T], blocks int, dst *tensor.Dense[T], rowOff, colOff int) {
+func (s *SelfAttentionOf[T]) ForwardIntoCtx(c *tensor.Ctx, x *tensor.Dense[T], blocks int, dst *tensor.Dense[T], colOff int) {
 	q := s.Wq.ForwardCtx(c, x)
 	k := s.Wk.ForwardCtx(c, x)
 	v := s.Wv.ForwardCtx(c, x)
-	tensor.AttentionBlocksInto(c, dst, rowOff, colOff, q, k, v, blocks, s.scale())
+	tensor.AttentionBlocksInto(c, dst, colOff, q, k, v, blocks, s.scale())
 }
 
 //mpgraph:noalloc
@@ -304,7 +303,7 @@ func (m *MultiHeadSelfAttentionOf[T]) ForwardBatchCtx(c *tensor.Ctx, x *tensor.D
 	cat := tensor.UninitCtx[T](c, x.Rows, m.Wo.W.Rows)
 	col := 0
 	for _, h := range m.Heads {
-		h.ForwardIntoCtx(c, x, blocks, cat, 0, col)
+		h.ForwardIntoCtx(c, x, blocks, cat, col)
 		col += h.dim
 	}
 	return m.Wo.ForwardCtx(c, cat)

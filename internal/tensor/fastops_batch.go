@@ -24,16 +24,14 @@ func AttentionBlocks[T float32 | float64](c *Ctx, q, k, v *Dense[T], blocks int,
 		return ungraph[T](MatMul(SoftmaxRows(scores), graph(v)))
 	}
 	out := uninit[T](c, q.Rows, v.Cols)
-	AttentionBlocksInto(c, out, 0, 0, q, k, v, blocks, scale)
+	AttentionBlocksInto(c, out, 0, q, k, v, blocks, scale)
 	return out
 }
 
-// AttentionBlocksInto is AttentionBlocks writing into a window of dst, live
-// ctx only: dst holds `blocks` equal row blocks too, and block b's output
-// row r lands in dst row b·(dst.Rows/blocks) + rowOff + r, columns colOff..
-// colOff+v.Cols-1. So attention heads write their columns of the
-// multi-head concat, and the two modality encoders their halves of the
-// fusion input, in place. Where AVX-512F is present a block is one call of
+// AttentionBlocksInto is AttentionBlocks writing into a column window of
+// dst, live ctx only: dst has q's rows, and output row r lands in dst row r,
+// columns colOff..colOff+v.Cols-1. So attention heads write their columns of
+// the multi-head concat in place. Where AVX-512F is present a block is one call of
 // the fused kernel (attnBlockAsm: Kᵀ·scale, scores, softmax and the AV
 // product in registers and arena scratch, stored at dst's row pitch).
 // Elsewhere k is transposed and pre-scaled into scratch so the scores are a
@@ -42,8 +40,8 @@ func AttentionBlocks[T float32 | float64](c *Ctx, q, k, v *Dense[T], blocks int,
 // composition, step for step, that the fused kernel replays.
 //
 //mpgraph:noalloc
-func AttentionBlocksInto[T float32 | float64](c *Ctx, dst *Dense[T], rowOff, colOff int, q, k, v *Dense[T], blocks int, scale T) {
-	if c == nil || blocks <= 0 || q.Rows%blocks != 0 || dst.Rows%blocks != 0 {
+func AttentionBlocksInto[T float32 | float64](c *Ctx, dst *Dense[T], colOff int, q, k, v *Dense[T], blocks int, scale T) {
+	if c == nil || blocks <= 0 || q.Rows%blocks != 0 || dst.Rows != q.Rows {
 		invariant.Failf("tensor: attentionBlocks %d rows into %d over %d blocks", q.Rows, dst.Rows, blocks)
 	}
 	if q.Cols != k.Cols || q.Rows != k.Rows || k.Rows != v.Rows {
@@ -54,9 +52,8 @@ func AttentionBlocksInto[T float32 | float64](c *Ctx, dst *Dense[T], rowOff, col
 	d := q.Cols
 	dv := v.Cols
 	pitch := dst.Cols
-	stride := dst.Rows / blocks
-	if rowOff < 0 || colOff < 0 || rowOff+t > stride || colOff+dv > pitch {
-		invariant.Failf("tensor: attentionBlocks %dx%d at (%d, %d) outside %dx%d blocks", t, dv, rowOff, colOff, stride, pitch)
+	if colOff < 0 || colOff+dv > pitch {
+		invariant.Failf("tensor: attentionBlocks %d columns at %d outside %d", dv, colOff, pitch)
 	}
 	if t == 0 || dv == 0 {
 		return
@@ -65,7 +62,7 @@ func AttentionBlocksInto[T float32 | float64](c *Ctx, dst *Dense[T], rowOff, col
 	if batchKernelAvailable() {
 		scr := scratch.takeUninit(attnScratch[T](t, d))
 		for blk := 0; blk < blocks; blk++ {
-			attnBlock(dst.Data[(blk*stride+rowOff)*pitch+colOff:], q.Data[blk*t*d:(blk+1)*t*d],
+			attnBlock(dst.Data[blk*t*pitch+colOff:], q.Data[blk*t*d:(blk+1)*t*d],
 				k.Data[blk*t*d:(blk+1)*t*d], v.Data[blk*t*dv:(blk+1)*t*dv], scr, t, d, dv, pitch, scale)
 		}
 		return
@@ -87,7 +84,7 @@ func AttentionBlocksInto[T float32 | float64](c *Ctx, dst *Dense[T], rowOff, col
 		}
 		clear(av)
 		gemm(av, scores, v.Data[blk*t*dv:(blk+1)*t*dv], t, t, dv)
-		rowsInto(dst.Data[(blk*stride+rowOff)*pitch+colOff:], av, nil, nil, t, dv, pitch, 0)
+		rowsInto(dst.Data[blk*t*pitch+colOff:], av, nil, nil, t, dv, pitch, 0)
 	}
 }
 

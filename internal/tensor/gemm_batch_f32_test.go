@@ -369,7 +369,7 @@ func arenaOpChain[T float32 | float64](c *Ctx) {
 	h = AddRowPerBlock(c, h, w, []int{1, 2}, blocks)
 	h = ConcatRowsCtx(c, h, x, blocks)
 	h = EmbeddingPosBatch(c, h, []int{0, 1, 2, 3, 3, 2, 1, 0}, pos, blocks)
-	AttentionBlocksInto(c, UninitCtx[T](c, 2*h.Rows, 2*d), 1, d, x, x, x, blocks, 0.5)
+	AttentionBlocksInto(c, UninitCtx[T](c, x.Rows, 2*d), d, x, x, x, blocks, 0.5)
 	m := MeanRowsBatch(c, h, blocks)
 	ps := Ptrs[T](c, 2)
 	ps[0], ps[1] = m, ConcatCols2(c, m, m)

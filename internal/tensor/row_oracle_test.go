@@ -182,9 +182,8 @@ func TestKernelOracleSigmoidWiden(t *testing.T) {
 }
 
 // TestAttentionIntoWindow: AttentionBlocksInto stores AttentionBlocks' bits
-// into its window of a wider tensor — a head's columns of the concat, a
-// modality's rows of the fusion input — and leaves every other element, on
-// both kernel families.
+// into its column window of a wider tensor — a head's columns of the
+// concat — and leaves every other element, on both kernel families.
 func TestAttentionIntoWindow(t *testing.T) {
 	attentionIntoOracle[float64](t)
 	attentionIntoOracle[float32](t)
@@ -204,14 +203,14 @@ func attentionIntoOracle[T float32 | float64](t *testing.T) {
 					q := &Dense[T]{Rows: blocks * tt, Cols: d, Data: randOperands[T](rng, blocks*tt*d, 0)}
 					k := &Dense[T]{Rows: blocks * tt, Cols: d, Data: randOperands[T](rng, blocks*tt*d, 0)}
 					v := &Dense[T]{Rows: blocks * tt, Cols: dv, Data: randOperands[T](rng, blocks*tt*dv, 0)}
-					rowOff, colOff := rng.Intn(3), rng.Intn(20)
-					stride, pitch := tt+rowOff+rng.Intn(3), dv+colOff+rng.Intn(20)
-					guard := randOperands[T](rng, blocks*stride*pitch, 0)
-					dst := &Dense[T]{Rows: blocks * stride, Cols: pitch, Data: append([]T(nil), guard...)}
+					colOff := rng.Intn(20)
+					pitch := dv + colOff + rng.Intn(20)
+					guard := randOperands[T](rng, blocks*tt*pitch, 0)
+					dst := &Dense[T]{Rows: blocks * tt, Cols: pitch, Data: append([]T(nil), guard...)}
 					var want *Dense[T]
 					run := func() {
 						want = AttentionBlocks(c, q, k, v, blocks, 0.25)
-						AttentionBlocksInto(c, dst, rowOff, colOff, q, k, v, blocks, 0.25)
+						AttentionBlocksInto(c, dst, colOff, q, k, v, blocks, 0.25)
 					}
 					if forced {
 						portable(run)
@@ -221,12 +220,12 @@ func attentionIntoOracle[T float32 | float64](t *testing.T) {
 					exp := append([]T(nil), guard...)
 					for b := 0; b < blocks; b++ {
 						for r := 0; r < tt; r++ {
-							copy(exp[(b*stride+rowOff+r)*pitch+colOff:][:dv], want.Data[(b*tt+r)*dv:][:dv])
+							copy(exp[(b*tt+r)*pitch+colOff:][:dv], want.Data[(b*tt+r)*dv:][:dv])
 						}
 					}
 					if !sameBits(dst.Data, exp) {
-						t.Fatalf("portable=%v blocks %d t %d dv %d at (%d, %d) in %dx%d: window differs",
-							forced, blocks, tt, dv, rowOff, colOff, stride, pitch)
+						t.Fatalf("portable=%v blocks %d t %d dv %d at column %d of %d: window differs",
+							forced, blocks, tt, dv, colOff, pitch)
 					}
 					c.Reset()
 				}
