@@ -38,14 +38,13 @@ func TopKClassesCtx(c *tensor.Ctx, scores []float64, k int) []int {
 // topKSelectInto ranks the len(top) best-scoring indices (len(top) <=
 // len(scores)) into top in one pass over scores, in the order of a full
 // sort (the oracle in the tests): descending score, equal scores broken by
-// lower index. top
-// is kept sorted as it fills, and tensor.FirstAbove's vector scan skips the
-// scores that do not beat the current worst entry — nearly all of them when k
-// is the hot paths' 2 — so the scan stops only where an insert happens; a
-// later index never displaces an equal earlier one, and a NaN never enters
-// past the first k. An f32 row
-// ranks as its float64 widening would: widening is exact and monotone, so
-// every compare, NaN, ±0 and ±Inf included, comes out the same.
+// lower index. top is kept sorted as it fills, and tensor.FirstAbove's
+// vector scan skips the scores that do not beat the current worst entry —
+// nearly all of them when k is the hot paths' 2 — so the scan stops only
+// where an insert happens; a later index never displaces an equal earlier
+// one, and a NaN never enters past the first k. An f32 row ranks as its
+// float64 widening would: widening is exact and monotone, so every compare,
+// NaN, ±0 and ±Inf included, comes out the same.
 //
 //mpgraph:noalloc
 func topKSelectInto[T float32 | float64](top []int, scores []T) []int {

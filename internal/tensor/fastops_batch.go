@@ -31,9 +31,9 @@ func AttentionBlocks[T float32 | float64](c *Ctx, q, k, v *Dense[T], blocks int,
 // AttentionBlocksInto is AttentionBlocks writing into a column window of
 // dst, live ctx only: dst has q's rows, and output row r lands in dst row r,
 // columns colOff..colOff+v.Cols-1. So attention heads write their columns of
-// the multi-head concat in place. Where AVX-512F is present a block is one call of
-// the fused kernel (attnBlockAsm: Kᵀ·scale, scores, softmax and the AV
-// product in registers and arena scratch, stored at dst's row pitch).
+// the multi-head concat in place. Where AVX-512F is present a block is one
+// call of the fused kernel (attnBlockAsm: Kᵀ·scale, scores, softmax and the
+// AV product in registers and arena scratch, stored at dst's row pitch).
 // Elsewhere k is transposed and pre-scaled into scratch so the scores are a
 // plain GEMM, each score row is softmaxed, and the AV product is a second
 // GEMM from +0, on the scalar kernels, then moved into the window — the same
