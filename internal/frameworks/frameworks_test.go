@@ -381,26 +381,6 @@ func TestPhasePatternDiversity(t *testing.T) {
 	}
 }
 
-func TestDeterministicTraces(t *testing.T) {
-	g := testGraph(t)
-	a, _, err := NewXStream().Run(g, CC, smallOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, _, err := NewXStream().Run(g, CC, smallOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(a.Accesses) != len(b.Accesses) {
-		t.Fatal("same seed, different trace length")
-	}
-	for i := range a.Accesses {
-		if a.Accesses[i] != b.Accesses[i] {
-			t.Fatalf("access %d differs across identical runs", i)
-		}
-	}
-}
-
 func TestOptionsDefaults(t *testing.T) {
 	o := Options{}.withDefaults()
 	if o.Cores != 4 || o.MaxIterations != 11 || o.PartitionSize != 2048 {
