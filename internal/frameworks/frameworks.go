@@ -86,8 +86,6 @@ type Framework interface {
 	Name() string
 	// NumPhases is the phase count per iteration (Table 1).
 	NumPhases() int
-	// PhaseNames returns the phase labels in execution order.
-	PhaseNames() []string
 	// Apps lists the applications the framework implements (Table 1).
 	Apps() []App
 	// Run executes app on g and returns the interleaved LLC-bound access
@@ -124,6 +122,47 @@ func supportsApp(f Framework, app App) bool {
 	return false
 }
 
+// run is one execution of an app under a framework: its defaulted options,
+// its vertex program, the emitter collecting its trace, and its result.
+type run struct {
+	*emitter
+	opt  Options
+	prog vertexProgram
+	res  *Result
+}
+
+// start is the prologue all three execution models share: it fills opt's
+// defaults, checks that f implements app, and builds app's vertex program.
+func start(f Framework, g *graph.Graph, app App, opt Options) (*run, error) {
+	opt = opt.withDefaults()
+	if !supportsApp(f, app) {
+		return nil, fmt.Errorf("frameworks: %s does not implement %q", f.Name(), app)
+	}
+	return &run{
+		emitter: newEmitter(opt, f.NumPhases(), app, f.Name()),
+		opt:     opt,
+		prog:    newProgram(app, g),
+		res:     &Result{App: app, Framework: f.Name()},
+	}, nil
+}
+
+// drive is the super-step loop all three execution models share: while
+// iterations remain and more reports work left, it runs one super-step of
+// phases and ends the program's iteration, stopping once the program
+// converges. The result carries the program's output.
+func (r *run) drive(more func() bool, phases ...func()) (*trace.Trace, *Result, error) {
+	for iter := 0; iter < r.opt.MaxIterations && more(); iter++ {
+		r.superStep(phases...)
+		r.res.Iterations++
+		if r.prog.endIteration() {
+			r.res.Converged = true
+			break
+		}
+	}
+	r.res.Values = r.prog.output()
+	return r.finish(), r.res, nil
+}
+
 // emitter collects per-core access streams for one phase and flushes them,
 // interleaved, into the growing trace at each barrier.
 type emitter struct {
@@ -147,13 +186,16 @@ func newEmitter(opt Options, numPhases int, app App, fw string) *emitter {
 	}
 }
 
-// beginIteration records a super-step boundary.
-func (e *emitter) beginIteration() {
+// superStep records an iteration boundary, then runs each phase under its
+// ground-truth label and ends it with a barrier.
+func (e *emitter) superStep(phases ...func()) {
 	e.out.IterationStarts = append(e.out.IterationStarts, len(e.out.Accesses))
+	for i, phase := range phases {
+		e.phase = uint8(i)
+		phase()
+		e.barrier()
+	}
 }
-
-// setPhase switches the ground-truth phase label for subsequent accesses.
-func (e *emitter) setPhase(p uint8) { e.phase = p }
 
 // read emits a load on core at addr from the named code site.
 func (e *emitter) read(core int, addr uint64, site string) {
@@ -211,3 +253,78 @@ func (e *emitter) finish() *trace.Trace {
 
 // ownerCore spreads work units across cores.
 func ownerCore(unit, cores int) int { return unit % cores }
+
+// binUpdate is one (dst, val) update in a Scatter-Gather bin.
+type binUpdate struct {
+	dst uint32
+	val float64
+}
+
+// bins are the per-destination-partition update bins of the two
+// Scatter-Gather models: Scatter pushes each update into the bin of its
+// destination's partition, and Gather streams every bin into its
+// partition's vertices. Each bin's segment holds 2E/parts + 64 updates of 16
+// bytes; addresses wrap within a segment on overflow (the Go-side lists keep
+// exact semantics, only the modelled addresses wrap).
+type bins struct {
+	region  trace.Region
+	size    int // updates per segment
+	q       int // vertices per partition
+	lists   [][]binUpdate
+	touched []bool
+}
+
+// newBins allocates the bins of g's partitions of q vertices as region name.
+func newBins(as *trace.AddressSpace, name string, g *graph.Graph, q int) *bins {
+	parts := (g.NumVertices + q - 1) / q
+	size := 2*g.NumEdges()/parts + 64
+	return &bins{
+		region:  as.Alloc(name, uint64(parts)*uint64(size)*16),
+		size:    size,
+		q:       q,
+		lists:   make([][]binUpdate, parts),
+		touched: make([]bool, g.NumVertices),
+	}
+}
+
+// addr is the modelled address of the k-th update in partition p's bin.
+func (b *bins) addr(p, k int) uint64 {
+	return b.region.Base + uint64(p)*uint64(b.size)*16 + uint64(k%b.size)*16
+}
+
+// push stores val for dst on core, from site, into the bin of dst's
+// partition.
+func (b *bins) push(r *run, core int, dst uint32, val float64, site string) {
+	p := int(dst) / b.q
+	r.write(core, b.addr(p, len(b.lists[p])), site)
+	b.lists[p] = append(b.lists[p], binUpdate{dst: dst, val: val})
+}
+
+// gather is the Gather phase of both Scatter-Gather models: the owner core
+// of each partition streams its bin, accumulating every update into acc,
+// then reads back the accumulator of each vertex it touched and applies it,
+// writing vvals where the value changed. The four site names label those
+// reads and writes.
+func (b *bins) gather(r *run, acc, vvals trace.Region, readBin, accumulate, readAcc, writeVertex string) {
+	n := len(b.touched)
+	for p, list := range b.lists {
+		core := ownerCore(p, r.cores)
+		for k, upd := range list {
+			r.read(core, b.addr(p, k), readBin)
+			r.prog.accumulate(upd.dst, upd.val)
+			r.write(core, acc.Elem(int(upd.dst), 8), accumulate)
+			b.touched[upd.dst] = true
+		}
+		for v := p * b.q; v < min((p+1)*b.q, n); v++ {
+			if !b.touched[v] {
+				continue
+			}
+			b.touched[v] = false
+			r.read(core, acc.Elem(v, 8), readAcc)
+			if r.prog.apply(uint32(v)) {
+				r.write(core, vvals.Elem(v, 8), writeVertex)
+			}
+		}
+		b.lists[p] = list[:0]
+	}
+}

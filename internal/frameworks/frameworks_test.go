@@ -102,11 +102,11 @@ func TestFrameworkRegistry(t *testing.T) {
 		t.Fatal("want error for unknown framework")
 	}
 	gp, _ := ByName("gpop")
-	if gp.NumPhases() != 2 || len(gp.PhaseNames()) != 2 {
+	if gp.NumPhases() != 2 {
 		t.Fatal("gpop must have 2 phases")
 	}
 	pg, _ := ByName("powergraph")
-	if pg.NumPhases() != 3 || len(pg.PhaseNames()) != 3 {
+	if pg.NumPhases() != 3 {
 		t.Fatal("powergraph must have 3 phases")
 	}
 }

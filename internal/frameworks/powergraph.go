@@ -1,7 +1,7 @@
 package frameworks
 
 import (
-	"fmt"
+	"slices"
 
 	"mpgraph/internal/graph"
 	"mpgraph/internal/trace"
@@ -21,22 +21,17 @@ type powergraph struct{}
 // NewPowerGraph returns the PowerGraph execution model.
 func NewPowerGraph() Framework { return &powergraph{} }
 
-func (f *powergraph) Name() string         { return "powergraph" }
-func (f *powergraph) NumPhases() int       { return 3 }
-func (f *powergraph) PhaseNames() []string { return []string{"gather", "apply", "scatter"} }
-func (f *powergraph) Apps() []App          { return []App{CC, PR, SSSP, TC} }
+func (f *powergraph) Name() string   { return "powergraph" }
+func (f *powergraph) NumPhases() int { return 3 }
+func (f *powergraph) Apps() []App    { return []App{CC, PR, SSSP, TC} }
 
 func (f *powergraph) Run(g *graph.Graph, app App, opt Options) (*trace.Trace, *Result, error) {
-	opt = opt.withDefaults()
-	if !supportsApp(f, app) {
-		return nil, nil, fmt.Errorf("frameworks: powergraph does not implement %q", app)
-	}
-	if app == TC {
-		return f.runTriangleCount(g, opt)
-	}
-	prog, err := newProgram(app, g)
+	r, err := start(f, g, app, opt)
 	if err != nil {
 		return nil, nil, err
+	}
+	if app == TC {
+		return runTriangleCount(g, r)
 	}
 
 	n := g.NumVertices
@@ -49,112 +44,86 @@ func (f *powergraph) Run(g *graph.Graph, app App, opt Options) (*trace.Trace, *R
 	acc := as.Alloc("pg.acc", uint64(n)*8)
 	activeReg := as.Alloc("pg.active", uint64(n/8+1))
 
-	em := newEmitter(opt, f.NumPhases(), app, f.Name())
-
 	// signalled[v]: v runs Gather+Apply this super-step. Initially the
 	// out-neighbourhood of the initially-active set (those vertices'
 	// initial values are the first information to propagate).
 	signalled := make([]bool, n)
 	for v := uint32(0); int(v) < n; v++ {
-		if prog.active(v) {
+		if r.prog.active(v) {
 			for _, u := range g.OutNeighbors(v) {
 				signalled[u] = true
 			}
 		}
 	}
 	nextSignalled := make([]bool, n)
+	changed := make([]uint32, 0, n/8)
 
-	res := &Result{App: app, Framework: f.Name()}
-	for iter := 0; iter < opt.MaxIterations; iter++ {
-		anySignalled := false
-		for _, s := range signalled {
-			if s {
-				anySignalled = true
-				break
-			}
-		}
-		if !anySignalled {
-			break
-		}
-		em.beginIteration()
-
-		// ---- Gather phase: pull from active in-neighbours ----
-		em.setPhase(0)
+	// Gather pulls from active in-neighbours.
+	gather := func() {
 		for v := uint32(0); int(v) < n; v++ {
 			if !signalled[v] {
 				continue
 			}
-			core := ownerCore(int(v), opt.Cores)
-			em.read(core, inOffsets.Elem(int(v), 8), "pg.gather.readOffset")
+			core := ownerCore(int(v), r.cores)
+			r.read(core, inOffsets.Elem(int(v), 8), "pg.gather.readOffset")
 			ws := g.InWeightsOf(v)
 			edgeBase := int(g.InIndex[v])
 			for j, u := range g.InNeighbors(v) {
-				em.read(core, inEdges.Elem(edgeBase+j, 8), "pg.gather.readEdge")
+				r.read(core, inEdges.Elem(edgeBase+j, 8), "pg.gather.readEdge")
 				if j%4 == 0 {
-					em.read(core, activeReg.Elem(int(u)/8, 1), "pg.gather.checkActive")
+					r.read(core, activeReg.Elem(int(u)/8, 1), "pg.gather.checkActive")
 				}
-				if !prog.active(u) {
+				if !r.prog.active(u) {
 					continue
 				}
 				// Random read across the whole vertex array — the wide
 				// page-jump pattern of Fig. 3.
-				em.read(core, vvals.Elem(int(u), 8), "pg.gather.readNbr")
-				prog.accumulate(v, prog.propagate(u, ws[j]))
+				r.read(core, vvals.Elem(int(u), 8), "pg.gather.readNbr")
+				r.prog.accumulate(v, r.prog.propagate(u, ws[j]))
 			}
-			em.write(core, acc.Elem(int(v), 8), "pg.gather.writeAcc")
+			r.write(core, acc.Elem(int(v), 8), "pg.gather.writeAcc")
 		}
-		em.barrier()
-
-		// ---- Apply phase ----
-		em.setPhase(1)
-		changed := make([]uint32, 0, n/8)
+	}
+	apply := func() {
+		changed = changed[:0]
 		for v := uint32(0); int(v) < n; v++ {
 			if !signalled[v] {
 				continue
 			}
-			core := ownerCore(int(v), opt.Cores)
-			em.read(core, acc.Elem(int(v), 8), "pg.apply.readAcc")
-			if prog.apply(v) {
-				em.write(core, vvals.Elem(int(v), 8), "pg.apply.writeVertex")
+			core := ownerCore(int(v), r.cores)
+			r.read(core, acc.Elem(int(v), 8), "pg.apply.readAcc")
+			if r.prog.apply(v) {
+				r.write(core, vvals.Elem(int(v), 8), "pg.apply.writeVertex")
 				changed = append(changed, v)
 			}
 		}
-		em.barrier()
-
-		// ---- Scatter phase: signal out-neighbours of changed vertices ----
-		em.setPhase(2)
-		for i := range nextSignalled {
-			nextSignalled[i] = false
-		}
+	}
+	// Scatter signals the out-neighbours of changed vertices.
+	scatter := func() {
+		clear(nextSignalled)
 		for _, v := range changed {
-			core := ownerCore(int(v), opt.Cores)
-			em.read(core, outOffsets.Elem(int(v), 8), "pg.scatter.readOffset")
+			core := ownerCore(int(v), r.cores)
+			r.read(core, outOffsets.Elem(int(v), 8), "pg.scatter.readOffset")
 			edgeBase := int(g.OutIndex[v])
 			for j, u := range g.OutNeighbors(v) {
-				em.read(core, outEdges.Elem(edgeBase+j, 8), "pg.scatter.readEdge")
-				em.write(core, activeReg.Elem(int(u)/8, 1), "pg.scatter.signal")
+				r.read(core, outEdges.Elem(edgeBase+j, 8), "pg.scatter.readEdge")
+				r.write(core, activeReg.Elem(int(u)/8, 1), "pg.scatter.signal")
 				nextSignalled[u] = true
 			}
 		}
-		em.barrier()
-
 		signalled, nextSignalled = nextSignalled, signalled
-		res.Iterations++
-		if prog.endIteration() {
-			res.Converged = true
-			break
-		}
 	}
-	res.Values = prog.output()
-	return em.finish(), res, nil
+	anySignalled := func() bool { return slices.Contains(signalled, true) }
+	return r.drive(anySignalled, gather, apply, scatter)
 }
 
 // runTriangleCount counts triangles in the undirected view of g's out-edges
 // via sorted-adjacency intersection, repeated each iteration (analytics
 // reruns), emitting the GAS-shaped access pattern: Gather intersects
 // adjacency lists (random cross-list reads), Apply writes per-vertex counts,
-// Scatter is a no-op signalling pass over counted vertices.
-func (f *powergraph) runTriangleCount(g *graph.Graph, opt Options) (*trace.Trace, *Result, error) {
+// Scatter is a no-op signalling pass over counted vertices. TC has no vertex
+// program to converge, so it runs every iteration in a loop of its own.
+func runTriangleCount(g *graph.Graph, r *run) (*trace.Trace, *Result, error) {
 	n := g.NumVertices
 	as := trace.NewAddressSpace(0x3000_0000)
 	counts := as.Alloc("pg.counts", uint64(n)*8)
@@ -162,34 +131,24 @@ func (f *powergraph) runTriangleCount(g *graph.Graph, opt Options) (*trace.Trace
 	outEdges := as.Alloc("pg.outedges", uint64(g.NumEdges())*8)
 	acc := as.Alloc("pg.acc", uint64(n)*8)
 
-	em := newEmitter(opt, f.NumPhases(), TC, f.Name())
-	res := &Result{App: TC, Framework: f.Name()}
 	var total float64
-	perVertex := make([]float64, n)
-
-	for iter := 0; iter < opt.MaxIterations; iter++ {
-		em.beginIteration()
+	// Gather: adjacency intersections.
+	gather := func() {
 		total = 0
-		for i := range perVertex {
-			perVertex[i] = 0
-		}
-
-		// ---- Gather: adjacency intersections ----
-		em.setPhase(0)
 		for v := uint32(0); int(v) < n; v++ {
-			core := ownerCore(int(v), opt.Cores)
+			core := ownerCore(int(v), r.cores)
 			nv := g.OutNeighbors(v)
 			if len(nv) == 0 {
 				continue
 			}
-			em.read(core, outOffsets.Elem(int(v), 8), "pg.tc.readOffsetV")
+			r.read(core, outOffsets.Elem(int(v), 8), "pg.tc.readOffsetV")
 			vBase := int(g.OutIndex[v])
 			for j, u := range nv {
 				if u <= v || (j > 0 && nv[j-1] == u) {
 					continue // skip back-edges and duplicate edges
 				}
-				em.read(core, outEdges.Elem(vBase+j, 8), "pg.tc.readEdge")
-				em.read(core, outOffsets.Elem(int(u), 8), "pg.tc.readOffsetU")
+				r.read(core, outEdges.Elem(vBase+j, 8), "pg.tc.readEdge")
+				r.read(core, outOffsets.Elem(int(u), 8), "pg.tc.readOffsetU")
 				nu := g.OutNeighbors(u)
 				uBase := int(g.OutIndex[u])
 				// Sorted merge intersection over deduplicated runs; count
@@ -207,8 +166,8 @@ func (f *powergraph) runTriangleCount(g *graph.Graph, opt Options) (*trace.Trace
 					// Model the streaming reads of both lists; sample every
 					// other step to keep trace volume proportional.
 					if (a+b)%2 == 0 {
-						em.read(core, outEdges.Elem(vBase+a, 8), "pg.tc.intersectV")
-						em.read(core, outEdges.Elem(uBase+b, 8), "pg.tc.intersectU")
+						r.read(core, outEdges.Elem(vBase+a, 8), "pg.tc.intersectV")
+						r.read(core, outEdges.Elem(uBase+b, 8), "pg.tc.intersectU")
 					}
 					switch {
 					case nv[a] < nu[b]:
@@ -217,7 +176,6 @@ func (f *powergraph) runTriangleCount(g *graph.Graph, opt Options) (*trace.Trace
 						b++
 					default:
 						if nv[a] > u {
-							perVertex[v]++
 							total++
 						}
 						a++
@@ -226,27 +184,27 @@ func (f *powergraph) runTriangleCount(g *graph.Graph, opt Options) (*trace.Trace
 				}
 			}
 		}
-		em.barrier()
-
-		// ---- Apply: commit counts ----
-		em.setPhase(1)
-		for v := 0; v < n; v++ {
-			core := ownerCore(v, opt.Cores)
-			em.read(core, acc.Elem(v, 8), "pg.tc.readAcc")
-			em.write(core, counts.Elem(v, 8), "pg.tc.writeCount")
-		}
-		em.barrier()
-
-		// ---- Scatter: signalling sweep (no new activations for TC) ----
-		em.setPhase(2)
-		for v := 0; v < n; v += 8 {
-			core := ownerCore(v, opt.Cores)
-			em.read(core, counts.Elem(v, 8), "pg.tc.scanCount")
-		}
-		em.barrier()
-		res.Iterations++
 	}
-	res.Converged = true
-	res.Values = []float64{total}
-	return em.finish(), res, nil
+	// Apply commits the counts.
+	apply := func() {
+		for v := 0; v < n; v++ {
+			core := ownerCore(v, r.cores)
+			r.read(core, acc.Elem(v, 8), "pg.tc.readAcc")
+			r.write(core, counts.Elem(v, 8), "pg.tc.writeCount")
+		}
+	}
+	// Scatter is a signalling sweep (no new activations for TC).
+	scan := func() {
+		for v := 0; v < n; v += 8 {
+			core := ownerCore(v, r.cores)
+			r.read(core, counts.Elem(v, 8), "pg.tc.scanCount")
+		}
+	}
+	for iter := 0; iter < r.opt.MaxIterations; iter++ {
+		r.superStep(gather, apply, scan)
+		r.res.Iterations++
+	}
+	r.res.Converged = true
+	r.res.Values = []float64{total}
+	return r.finish(), r.res, nil
 }

@@ -1,7 +1,6 @@
 package frameworks
 
 import (
-	"fmt"
 	"math"
 
 	"mpgraph/internal/graph"
@@ -12,7 +11,6 @@ import (
 // (partition-centric, edge-centric, GAS) and therefore which memory accesses
 // occur; the program decides *what* values flow.
 type vertexProgram interface {
-	init(g *graph.Graph)
 	// active reports whether v has an update to scatter this iteration.
 	active(v uint32) bool
 	// anyActive reports whether any vertex is active (frontier non-empty).
@@ -31,25 +29,19 @@ type vertexProgram interface {
 	output() []float64
 }
 
-func newProgram(app App, g *graph.Graph) (vertexProgram, error) {
-	var p vertexProgram
+// newProgram builds app's vertex program on g. TC, which only PowerGraph
+// runs, has none: its count is no per-vertex value flow.
+func newProgram(app App, g *graph.Graph) vertexProgram {
 	switch app {
 	case PR:
-		p = &pagerankProgram{}
-	case CC:
-		p = &ccProgram{}
-	case BFS:
-		p = &bfsProgram{}
-	case SSSP:
-		p = &ssspProgram{}
-	default:
-		return nil, fmt.Errorf("frameworks: app %q has no vertex program", app)
+		return newPageRank(g)
+	case TC:
+		return nil
 	}
-	p.init(g)
-	return p, nil
+	return newMinPlus(app, g)
 }
 
-// frontier is the shared active-set machinery.
+// frontier is the min-plus program's active set.
 type frontier struct {
 	cur, next []bool
 	curCount  int
@@ -95,13 +87,15 @@ type pagerankProgram struct {
 	epsilon float64
 }
 
-func (p *pagerankProgram) init(g *graph.Graph) {
+func newPageRank(g *graph.Graph) *pagerankProgram {
 	n := g.NumVertices
-	p.g = g
-	p.rank = make([]float64, n)
-	p.acc = make([]float64, n)
-	p.outDeg = make([]float64, n)
-	p.epsilon = 1e-7
+	p := &pagerankProgram{
+		g:       g,
+		rank:    make([]float64, n),
+		acc:     make([]float64, n),
+		outDeg:  make([]float64, n),
+		epsilon: 1e-7,
+	}
 	for v := 0; v < n; v++ {
 		p.rank[v] = 1.0 / float64(n)
 		d := g.OutDegree(uint32(v))
@@ -110,6 +104,7 @@ func (p *pagerankProgram) init(g *graph.Graph) {
 		}
 		p.outDeg[v] = float64(d)
 	}
+	return p
 }
 
 func (p *pagerankProgram) active(uint32) bool { return true }
@@ -139,61 +134,59 @@ func (p *pagerankProgram) endIteration() bool {
 
 func (p *pagerankProgram) output() []float64 { return p.rank }
 
-// ccProgram is connected components by min-label propagation (directed
-// edges treated as undirected by frameworks that materialise both
-// adjacencies; label flows follow the framework's traversal direction).
-type ccProgram struct {
-	label []float64
-	acc   []float64
-	fr    frontier
+// minPlusProgram is the frontier program behind CC, BFS and SSSP: an active
+// vertex sends its value plus the edge's cost, a vertex keeps the least
+// value it is offered, and a vertex whose value dropped is active next
+// iteration.
+//
+//   - CC is min-label propagation (directed edges treated as undirected by
+//     frameworks that materialise both adjacencies; label flows follow the
+//     framework's traversal direction): every vertex starts at its own id,
+//     all active, and an edge costs 0.
+//   - BFS is hop distance from a deterministic high-degree source: the
+//     source starts at 0, every other vertex at +Inf, and an edge costs 1.
+//     Every frontier vertex of iteration t has level t, so keeping the least
+//     offer is BFS's first-reach rule. A vertex never reached reports -1.
+//   - SSSP is Bellman-Ford from the same source, an edge costing its weight.
+type minPlusProgram struct {
+	val []float64
+	acc []float64
+	fr  frontier
+	// cost is what an edge costs unless weighted, when it costs its weight.
+	cost     float64
+	weighted bool
+	// unreached is what output reports for a value still at +Inf.
+	unreached float64
 }
 
-func (p *ccProgram) init(g *graph.Graph) {
+func newMinPlus(app App, g *graph.Graph) *minPlusProgram {
 	n := g.NumVertices
-	p.label = make([]float64, n)
-	p.acc = make([]float64, n)
+	p := &minPlusProgram{
+		val:       make([]float64, n),
+		acc:       make([]float64, n),
+		weighted:  app == SSSP,
+		unreached: math.Inf(1),
+	}
 	for v := 0; v < n; v++ {
-		p.label[v] = float64(v)
+		p.val[v] = math.Inf(1)
 		p.acc[v] = math.Inf(1)
 	}
-	p.fr.init(n, true)
-}
-
-func (p *ccProgram) active(v uint32) bool { return p.fr.cur[v] }
-func (p *ccProgram) anyActive() bool      { return p.fr.curCount > 0 }
-
-func (p *ccProgram) propagate(v uint32, _ float32) float64 { return p.label[v] }
-
-func (p *ccProgram) accumulate(u uint32, val float64) {
-	if val < p.acc[u] {
-		p.acc[u] = val
+	if app == CC {
+		for v := range p.val {
+			p.val[v] = float64(v)
+		}
+		p.fr.init(n, true)
+		return p
 	}
-}
-
-func (p *ccProgram) apply(u uint32) bool {
-	changed := false
-	if p.acc[u] < p.label[u] {
-		p.label[u] = p.acc[u]
-		changed = true
-		p.fr.activate(u)
+	if app == BFS {
+		p.cost, p.unreached = 1, -1
 	}
-	p.acc[u] = math.Inf(1)
-	return changed
-}
-
-func (p *ccProgram) endIteration() bool {
-	p.fr.swap()
-	return p.fr.curCount == 0
-}
-
-func (p *ccProgram) output() []float64 { return p.label }
-
-// bfsProgram computes hop distance from a deterministic high-degree source.
-type bfsProgram struct {
-	level []float64
-	acc   []float64
-	fr    frontier
-	depth float64
+	src := pickSource(g)
+	p.val[src] = 0
+	p.fr.init(n, false)
+	p.fr.cur[src] = true
+	p.fr.curCount = 1
+	return p
 }
 
 // pickSource returns the highest out-degree vertex, a deterministic choice
@@ -208,36 +201,26 @@ func pickSource(g *graph.Graph) uint32 {
 	return best
 }
 
-func (p *bfsProgram) init(g *graph.Graph) {
-	n := g.NumVertices
-	p.level = make([]float64, n)
-	p.acc = make([]float64, n)
-	for v := 0; v < n; v++ {
-		p.level[v] = -1
-		p.acc[v] = math.Inf(1)
+func (p *minPlusProgram) active(v uint32) bool { return p.fr.cur[v] }
+func (p *minPlusProgram) anyActive() bool      { return p.fr.curCount > 0 }
+
+func (p *minPlusProgram) propagate(v uint32, w float32) float64 {
+	if p.weighted {
+		return p.val[v] + float64(w)
 	}
-	src := pickSource(g)
-	p.level[src] = 0
-	p.fr.init(n, false)
-	p.fr.cur[src] = true
-	p.fr.curCount = 1
+	return p.val[v] + p.cost
 }
 
-func (p *bfsProgram) active(v uint32) bool { return p.fr.cur[v] }
-func (p *bfsProgram) anyActive() bool      { return p.fr.curCount > 0 }
-
-func (p *bfsProgram) propagate(v uint32, _ float32) float64 { return p.level[v] + 1 }
-
-func (p *bfsProgram) accumulate(u uint32, val float64) {
+func (p *minPlusProgram) accumulate(u uint32, val float64) {
 	if val < p.acc[u] {
 		p.acc[u] = val
 	}
 }
 
-func (p *bfsProgram) apply(u uint32) bool {
+func (p *minPlusProgram) apply(u uint32) bool {
 	changed := false
-	if !math.IsInf(p.acc[u], 1) && p.level[u] < 0 {
-		p.level[u] = p.acc[u]
+	if p.acc[u] < p.val[u] {
+		p.val[u] = p.acc[u]
 		changed = true
 		p.fr.activate(u)
 	}
@@ -245,61 +228,16 @@ func (p *bfsProgram) apply(u uint32) bool {
 	return changed
 }
 
-func (p *bfsProgram) endIteration() bool {
+func (p *minPlusProgram) endIteration() bool {
 	p.fr.swap()
 	return p.fr.curCount == 0
 }
 
-func (p *bfsProgram) output() []float64 { return p.level }
-
-// ssspProgram is Bellman-Ford single-source shortest paths with edge
-// weights, from the same deterministic source as BFS.
-type ssspProgram struct {
-	dist []float64
-	acc  []float64
-	fr   frontier
-}
-
-func (p *ssspProgram) init(g *graph.Graph) {
-	n := g.NumVertices
-	p.dist = make([]float64, n)
-	p.acc = make([]float64, n)
-	for v := 0; v < n; v++ {
-		p.dist[v] = math.Inf(1)
-		p.acc[v] = math.Inf(1)
+func (p *minPlusProgram) output() []float64 {
+	for v, x := range p.val {
+		if math.IsInf(x, 1) {
+			p.val[v] = p.unreached
+		}
 	}
-	src := pickSource(g)
-	p.dist[src] = 0
-	p.fr.init(n, false)
-	p.fr.cur[src] = true
-	p.fr.curCount = 1
+	return p.val
 }
-
-func (p *ssspProgram) active(v uint32) bool { return p.fr.cur[v] }
-func (p *ssspProgram) anyActive() bool      { return p.fr.curCount > 0 }
-
-func (p *ssspProgram) propagate(v uint32, w float32) float64 { return p.dist[v] + float64(w) }
-
-func (p *ssspProgram) accumulate(u uint32, val float64) {
-	if val < p.acc[u] {
-		p.acc[u] = val
-	}
-}
-
-func (p *ssspProgram) apply(u uint32) bool {
-	changed := false
-	if p.acc[u] < p.dist[u] {
-		p.dist[u] = p.acc[u]
-		changed = true
-		p.fr.activate(u)
-	}
-	p.acc[u] = math.Inf(1)
-	return changed
-}
-
-func (p *ssspProgram) endIteration() bool {
-	p.fr.swap()
-	return p.fr.curCount == 0
-}
-
-func (p *ssspProgram) output() []float64 { return p.dist }

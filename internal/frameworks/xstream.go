@@ -1,7 +1,6 @@
 package frameworks
 
 import (
-	"fmt"
 	"math/rand"
 
 	"mpgraph/internal/graph"
@@ -25,30 +24,16 @@ type xstream struct{}
 // NewXStream returns the X-Stream execution model.
 func NewXStream() Framework { return &xstream{} }
 
-func (f *xstream) Name() string         { return "xstream" }
-func (f *xstream) NumPhases() int       { return 2 }
-func (f *xstream) PhaseNames() []string { return []string{"scatter", "gather"} }
-func (f *xstream) Apps() []App          { return []App{BFS, CC, PR, SSSP} }
-
-type xsUpdate struct {
-	dst uint32
-	val float64
-}
+func (f *xstream) Name() string   { return "xstream" }
+func (f *xstream) NumPhases() int { return 2 }
+func (f *xstream) Apps() []App    { return []App{BFS, CC, PR, SSSP} }
 
 func (f *xstream) Run(g *graph.Graph, app App, opt Options) (*trace.Trace, *Result, error) {
-	opt = opt.withDefaults()
-	if !supportsApp(f, app) {
-		return nil, nil, fmt.Errorf("frameworks: xstream does not implement %q", app)
-	}
-	prog, err := newProgram(app, g)
+	r, err := start(f, g, app, opt)
 	if err != nil {
 		return nil, nil, err
 	}
-
 	n := g.NumVertices
-	q := opt.PartitionSize
-	numParts := (n + q - 1) / q
-	partOf := func(v uint32) int { return int(v) / q }
 
 	// X-Stream stores edges in input order; flatten the CSR and shuffle
 	// deterministically so source reads are scattered like a raw edge list.
@@ -63,84 +48,37 @@ func (f *xstream) Run(g *graph.Graph, app App, opt Options) (*trace.Trace, *Resu
 			edgeList = append(edgeList, xsEdge{src: v, dst: u, w: ws[j]})
 		}
 	}
-	rng := rand.New(rand.NewSource(opt.Seed + 0x517))
+	rng := rand.New(rand.NewSource(r.opt.Seed + 0x517))
 	rng.Shuffle(len(edgeList), func(i, j int) { edgeList[i], edgeList[j] = edgeList[j], edgeList[i] })
 
 	as := trace.NewAddressSpace(0x2000_0000)
 	vvals := as.Alloc("xs.vvals", uint64(n)*8)
 	edges := as.Alloc("xs.edges", uint64(len(edgeList))*16)
 	acc := as.Alloc("xs.acc", uint64(n)*8)
-	updCap := 2*g.NumEdges()/numParts + 64
-	updates := as.Alloc("xs.updates", uint64(numParts)*uint64(updCap)*16)
-	updAddr := func(p, k int) uint64 {
-		return updates.Base + uint64(p)*uint64(updCap)*16 + uint64(k%updCap)*16
-	}
+	updates := newBins(as, "xs.updates", g, r.opt.PartitionSize)
 
 	// Edge ranges are striped across cores: each core streams a contiguous
 	// chunk of the edge list.
-	chunk := (len(edgeList) + opt.Cores - 1) / opt.Cores
+	chunk := (len(edgeList) + r.cores - 1) / r.cores
 
-	em := newEmitter(opt, f.NumPhases(), app, f.Name())
-	updLists := make([][]xsUpdate, numParts)
-	touched := make([]bool, n)
-
-	res := &Result{App: app, Framework: f.Name()}
-	for iter := 0; iter < opt.MaxIterations && prog.anyActive(); iter++ {
-		em.beginIteration()
-
-		// ---- Scatter phase: stream all edges ----
-		em.setPhase(0)
-		for c := 0; c < opt.Cores; c++ {
+	scatter := func() {
+		for c := 0; c < r.cores; c++ {
 			lo := c * chunk
 			hi := min(lo+chunk, len(edgeList))
 			for i := lo; i < hi; i++ {
 				e := edgeList[i]
-				em.read(c, edges.Elem(i, 16), "xs.scatter.readEdge")
-				if !prog.active(e.src) {
+				r.read(c, edges.Elem(i, 16), "xs.scatter.readEdge")
+				if !r.prog.active(e.src) {
 					continue
 				}
 				// Random read across the whole vertex array.
-				em.read(c, vvals.Elem(int(e.src), 8), "xs.scatter.readSrc")
-				val := prog.propagate(e.src, e.w)
-				dp := partOf(e.dst)
-				em.write(c, updAddr(dp, len(updLists[dp])), "xs.scatter.writeUpdate")
-				updLists[dp] = append(updLists[dp], xsUpdate{dst: e.dst, val: val})
+				r.read(c, vvals.Elem(int(e.src), 8), "xs.scatter.readSrc")
+				updates.push(r, c, e.dst, r.prog.propagate(e.src, e.w), "xs.scatter.writeUpdate")
 			}
-		}
-		em.barrier()
-
-		// ---- Gather phase: stream each partition's updates ----
-		em.setPhase(1)
-		for p := 0; p < numParts; p++ {
-			core := ownerCore(p, opt.Cores)
-			for k, upd := range updLists[p] {
-				em.read(core, updAddr(p, k), "xs.gather.readUpdate")
-				prog.accumulate(upd.dst, upd.val)
-				em.write(core, acc.Elem(int(upd.dst), 8), "xs.gather.accumulate")
-				touched[upd.dst] = true
-			}
-			lo := p * q
-			hi := min((p+1)*q, n)
-			for v := lo; v < hi; v++ {
-				if !touched[v] {
-					continue
-				}
-				touched[v] = false
-				em.read(core, acc.Elem(v, 8), "xs.gather.readAcc")
-				if prog.apply(uint32(v)) {
-					em.write(core, vvals.Elem(v, 8), "xs.gather.writeVertex")
-				}
-			}
-			updLists[p] = updLists[p][:0]
-		}
-		em.barrier()
-
-		res.Iterations++
-		if prog.endIteration() {
-			res.Converged = true
-			break
 		}
 	}
-	res.Values = prog.output()
-	return em.finish(), res, nil
+	gather := func() {
+		updates.gather(r, acc, vvals, "xs.gather.readUpdate", "xs.gather.accumulate", "xs.gather.readAcc", "xs.gather.writeVertex")
+	}
+	return r.drive(r.prog.anyActive, scatter, gather)
 }

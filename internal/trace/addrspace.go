@@ -11,9 +11,6 @@ type Region struct {
 	Size uint64
 }
 
-// Contains reports whether addr falls inside the region.
-func (r Region) Contains(addr uint64) bool { return addr >= r.Base && addr < r.Base+r.Size }
-
 // Elem returns the byte address of the i-th element of elemSize bytes.
 // It panics if the element lies outside the region — that is always a
 // framework-model bug, not an input error.
@@ -30,8 +27,7 @@ func (r Region) Elem(i int, elemSize uint64) uint64 {
 // between regions so that distinct structures never share a page, matching
 // the behaviour of large malloc'd arrays.
 type AddressSpace struct {
-	next    uint64
-	regions []Region
+	next uint64
 }
 
 // NewAddressSpace starts allocating at base (rounded up to a page).
@@ -48,21 +44,7 @@ func (as *AddressSpace) Alloc(name string, size uint64) Region {
 		sz = 1 << PageBits
 	}
 	r := Region{Name: name, Base: as.next, Size: sz}
-	as.regions = append(as.regions, r)
 	// One guard page between regions.
 	as.next += sz + (1 << PageBits)
 	return r
-}
-
-// Regions returns all allocations in order.
-func (as *AddressSpace) Regions() []Region { return as.regions }
-
-// NameOf returns the region name covering addr, or "".
-func (as *AddressSpace) NameOf(addr uint64) string {
-	for _, r := range as.regions {
-		if r.Contains(addr) {
-			return r.Name
-		}
-	}
-	return ""
 }

@@ -3,15 +3,14 @@ package trace
 // PCRegistry assigns stable program-counter values to named static code
 // sites. Real instrumentation (Intel Pin in the paper) reports the
 // instruction address of each load/store; here every framework code site —
-// "gpop.scatter.readVertex", "powergraph.gather.readEdge", ... — receives a
-// fixed synthetic text address. Sites registered while a given phase is
-// active land in that phase's code range, reproducing the PC↔phase
-// clustering of Fig. 2b.
+// "gpop.scatter.readVertex", "pg.gather.readEdge", ... — receives a fixed
+// synthetic text address: the n-th distinct site to be used gets base +
+// n*0x40. A framework's phases use disjoint sites, so its PCs cluster by
+// phase (Fig. 2b) through the sites themselves, not through the addresses.
 type PCRegistry struct {
 	base  uint64
 	step  uint64
 	sites map[string]uint64
-	order []string
 }
 
 // NewPCRegistry creates a registry with code starting at base.
@@ -24,21 +23,7 @@ func (r *PCRegistry) PC(site string) uint64 {
 	if pc, ok := r.sites[site]; ok {
 		return pc
 	}
-	pc := r.base + uint64(len(r.order))*r.step
+	pc := r.base + uint64(len(r.sites))*r.step
 	r.sites[site] = pc
-	r.order = append(r.order, site)
 	return pc
 }
-
-// Site returns the name registered for pc, or "".
-func (r *PCRegistry) Site(pc uint64) string {
-	for name, p := range r.sites {
-		if p == pc {
-			return name
-		}
-	}
-	return ""
-}
-
-// NumSites reports how many distinct code sites have been registered.
-func (r *PCRegistry) NumSites() int { return len(r.order) }

@@ -122,15 +122,6 @@ func TestAddressSpace(t *testing.T) {
 	if Page(a.Base+a.Size-1) == Page(b.Base) {
 		t.Fatal("regions share a page")
 	}
-	if as.NameOf(a.Base+10) != "vertices" || as.NameOf(b.Base) != "edges" {
-		t.Fatal("NameOf")
-	}
-	if as.NameOf(0) != "" {
-		t.Fatal("NameOf miss should be empty")
-	}
-	if len(as.Regions()) != 2 {
-		t.Fatal("Regions")
-	}
 	zero := as.Alloc("tiny", 0)
 	if zero.Size == 0 {
 		t.Fatal("zero alloc should round up to a page")
@@ -154,20 +145,11 @@ func TestPCRegistry(t *testing.T) {
 	r := NewPCRegistry(0x400000)
 	a := r.PC("scatter.read")
 	b := r.PC("scatter.write")
-	if a == b {
-		t.Fatal("distinct sites must get distinct PCs")
-	}
 	if r.PC("scatter.read") != a {
 		t.Fatal("PC must be stable")
 	}
-	if r.Site(a) != "scatter.read" {
-		t.Fatal("Site lookup")
-	}
-	if r.Site(0xdead) != "" {
-		t.Fatal("Site miss")
-	}
-	if r.NumSites() != 2 {
-		t.Fatal("NumSites")
+	if a != 0x400000 || b != 0x400040 {
+		t.Fatalf("PCs %#x, %#x: want base + first-use index * 0x40", a, b)
 	}
 }
 
