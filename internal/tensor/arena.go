@@ -107,7 +107,6 @@ func (a *arena[T]) header(rows, cols int, data []T) *Dense[T] {
 type Ctx struct {
 	f64  arena[float64]
 	f32  arena[float32]
-	u16  slab[uint16]
 	ints slab[int]
 }
 
@@ -127,7 +126,6 @@ func (c *Ctx) Reset() {
 	}
 	c.f64.reset()
 	c.f32.reset()
-	c.u16.reset()
 	c.ints.reset()
 }
 
@@ -167,16 +165,6 @@ func view[T float32 | float64](c *Ctx, rows, cols int, data []T) *Dense[T] {
 	return arenaOf[T](c).header(rows, cols, data)
 }
 
-// Floats returns a zeroed arena-backed []float64 of length n.
-//
-//mpgraph:noalloc
-func (c *Ctx) Floats(n int) []float64 {
-	if c == nil {
-		return make([]float64, n)
-	}
-	return c.f64.data.take(n)
-}
-
 // Ints returns a zeroed arena-backed []int of length n (token buffers).
 //
 //mpgraph:noalloc
@@ -195,26 +183,4 @@ func Ptrs[T float32 | float64](c *Ctx, n int) []*Dense[T] {
 		return make([]*Dense[T], n)
 	}
 	return arenaOf[T](c).ptrs.take(n)
-}
-
-// Float32s returns a zeroed arena-backed []float32 of length n (f32 score
-// rows and activation scratch on the mixed-precision tier).
-//
-//mpgraph:noalloc
-func (c *Ctx) Float32s(n int) []float32 {
-	if c == nil {
-		return make([]float32, n)
-	}
-	return c.f32.data.take(n)
-}
-
-// Halfs returns an uninitialised arena-backed []uint16 of length n (binary16
-// staging buffers — every caller overwrites the full buffer before reading).
-//
-//mpgraph:noalloc
-func (c *Ctx) Halfs(n int) []uint16 {
-	if c == nil {
-		return make([]uint16, n)
-	}
-	return c.u16.takeUninit(n)
 }

@@ -289,7 +289,6 @@ func TestF32OpsZeroAlloc(t *testing.T) {
 		att := AttentionBlocks(c, x, x, x, 2, 0.5)
 		_ = MeanRowsBatch(c, att, 2)
 		_ = WidenCtx(c, h)
-		_ = c.Halfs(64)
 	}
 	run() // warm the slabs
 	if avg := testing.AllocsPerRun(100, run); avg != 0 {
@@ -300,19 +299,6 @@ func TestF32OpsZeroAlloc(t *testing.T) {
 // TestArenaF32Slabs covers the new slab classes directly.
 func TestArenaF32Slabs(t *testing.T) {
 	c := NewCtx()
-	f := c.Float32s(10)
-	if len(f) != 10 {
-		t.Fatalf("Float32s(10) len %d", len(f))
-	}
-	for i, v := range f {
-		if v != 0 {
-			t.Fatalf("Float32s not zeroed at %d: %g", i, v)
-		}
-	}
-	h := c.Halfs(7)
-	if len(h) != 7 {
-		t.Fatalf("Halfs(7) len %d", len(h))
-	}
 	p := Ptrs[float32](c, 3)
 	if len(p) != 3 || p[0] != nil {
 		t.Fatalf("F32Ptrs(3) = %v", p)
@@ -324,12 +310,6 @@ func TestArenaF32Slabs(t *testing.T) {
 	c.Reset()
 	// nil-ctx accessors still hand out plain slices
 	var nc *Ctx
-	if got := nc.Float32s(4); len(got) != 4 {
-		t.Fatalf("nil Float32s len %d", len(got))
-	}
-	if got := nc.Halfs(4); len(got) != 4 {
-		t.Fatalf("nil Halfs len %d", len(got))
-	}
 	if got := Ptrs[float32](nc, 2); len(got) != 2 {
 		t.Fatalf("nil F32Ptrs len %d", len(got))
 	}
