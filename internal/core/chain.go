@@ -106,7 +106,7 @@ func (c *chain) deltaTargets(dm models.DeltaModel, s *models.Sample, base uint64
 	if c.opt.Scheduler != nil {
 		scores = c.opt.Scheduler.DeltaScores(dm, s)
 	} else {
-		scores = models.DeltaScoresWith(c.ctx, dm, s)
+		scores = dm.DeltaScoresCtx(c.ctx, s)
 	}
 	return c.decode(scores, base, dst)
 }
@@ -141,7 +141,7 @@ func (c *chain) topPage(pm models.PageModel, s *models.Sample, dst []uint64) []u
 	if c.opt.Scheduler != nil {
 		return c.opt.Scheduler.TopPages(pm, s, 1, dst)
 	}
-	return models.TopPagesWith(c.ctx, pm, s, 1, dst)
+	return pm.TopPagesAppendCtx(c.ctx, s, 1, dst)
 }
 
 // cstp performs chain spatio-temporal prefetching (Fig. 8) from block, the

@@ -539,14 +539,14 @@ func (m *refChain) deltaTargetsAppend(dm models.DeltaModel, s *models.Sample, ba
 	if m.opt.Scheduler != nil {
 		return models.AppendDeltaTargets(m.ctx, m.opt.Scheduler.DeltaScores(dm, s), base, k, dst)
 	}
-	return models.AppendDeltaTargets(m.ctx, models.DeltaScoresWith(m.ctx, dm, s), base, k, dst)
+	return models.AppendDeltaTargets(m.ctx, dm.DeltaScoresCtx(m.ctx, s), base, k, dst)
 }
 
 func (m *refChain) topPages(pm models.PageModel, s *models.Sample, k int, dst []uint64) []uint64 {
 	if m.opt.Scheduler != nil {
 		return m.opt.Scheduler.TopPages(pm, s, k, dst)
 	}
-	return models.TopPagesWith(m.ctx, pm, s, k, dst)
+	return pm.TopPagesAppendCtx(m.ctx, s, k, dst)
 }
 
 func (m *refChain) recordHealth(err error) {
@@ -680,13 +680,13 @@ func (r *recSched) Leave() {}
 func (r *recSched) DeltaScores(m models.DeltaModel, s *models.Sample) []float64 {
 	r.calls = append(r.calls, callKey("delta", m, s))
 	r.ctx.Reset()
-	return models.DeltaScoresWith(r.ctx, m, s)
+	return m.DeltaScoresCtx(r.ctx, s)
 }
 
 func (r *recSched) TopPages(m models.PageModel, s *models.Sample, k int, dst []uint64) []uint64 {
 	r.calls = append(r.calls, callKey("page", m, s))
 	r.ctx.Reset()
-	return models.TopPagesWith(r.ctx, m, s, k, dst)
+	return m.TopPagesAppendCtx(r.ctx, s, k, dst)
 }
 
 // distinct returns calls without repeats, in first-seen order.

@@ -66,7 +66,7 @@ func scoreBits(c *tensor.Ctx, samples []*models.Sample, deltas []models.DeltaMod
 	samples = samples[:min(40, len(samples))]
 	for _, m := range deltas {
 		for _, smp := range samples {
-			for _, v := range models.DeltaScoresWith(c, m, smp) {
+			for _, v := range m.DeltaScoresCtx(c, smp) {
 				out = binary.LittleEndian.AppendUint64(out, math.Float64bits(v))
 			}
 			c.Reset()
@@ -74,7 +74,7 @@ func scoreBits(c *tensor.Ctx, samples []*models.Sample, deltas []models.DeltaMod
 	}
 	for _, m := range pages {
 		for _, smp := range samples {
-			for _, pg := range models.TopPagesWith(c, m, smp, 8, nil) {
+			for _, pg := range m.TopPagesAppendCtx(c, smp, 8, nil) {
 				out = binary.LittleEndian.AppendUint64(out, pg)
 			}
 			out = append(out, 0xff)

@@ -97,7 +97,7 @@ func testBatchMatchesSequential(t *testing.T, cfg Config, batches ...int) {
 				t.Fatalf("%s B=%d: got %d rows", name, B, out.Rows)
 			}
 			for i, s := range ss {
-				seq := DeltaScoresWith(seqCtx, m, s)
+				seq := m.DeltaScoresCtx(seqCtx, s)
 				row := out.Data[i*out.Cols : (i+1)*out.Cols]
 				if len(seq) != len(row) {
 					t.Fatalf("%s B=%d: row %d width %d vs %d", name, B, i, len(row), len(seq))
@@ -116,7 +116,7 @@ func testBatchMatchesSequential(t *testing.T, cfg Config, batches ...int) {
 			dst := make([][]uint64, B)
 			TopPagesBatchWith(ctx, m, ss, 3, dst)
 			for i, s := range ss {
-				seq := TopPagesWith(seqCtx, m, s, 3, nil)
+				seq := m.TopPagesAppendCtx(seqCtx, s, 3, nil)
 				seqCtx.Reset()
 				if len(seq) != len(dst[i]) {
 					t.Fatalf("%s B=%d row %d: %d pages vs %d", name, B, i, len(dst[i]), len(seq))
@@ -155,7 +155,7 @@ func TestBatchMatchesSequentialInt8(t *testing.T) {
 		ctx := tensor.NewCtx()
 		out := DeltaScoresBatchWith(ctx, qd, ss)
 		for i, s := range ss {
-			seq := DeltaScoresWith(seqCtx, qd, s)
+			seq := qd.DeltaScoresCtx(seqCtx, s)
 			row := out.Data[i*out.Cols : (i+1)*out.Cols]
 			for j := range seq {
 				if math.Float64bits(seq[j]) != math.Float64bits(row[j]) {
@@ -169,7 +169,7 @@ func TestBatchMatchesSequentialInt8(t *testing.T) {
 		dst := make([][]uint64, B)
 		TopPagesBatchWith(ctx, qp, ss, 3, dst)
 		for i, s := range ss {
-			seq := TopPagesWith(seqCtx, qp, s, 3, nil)
+			seq := qp.TopPagesAppendCtx(seqCtx, s, 3, nil)
 			seqCtx.Reset()
 			if len(seq) != len(dst[i]) {
 				t.Fatalf("int8 page B=%d row %d: %d pages vs %d", B, i, len(dst[i]), len(seq))
@@ -225,7 +225,7 @@ func testBatchZeroAlloc(t *testing.T) {
 	}
 	for name, m := range deltaModels {
 		one := batchSamples(cfg, 1)[0]
-		wantZero(name+" sequential", func(c *tensor.Ctx) { DeltaScoresWith(c, m, one) })
+		wantZero(name+" sequential", func(c *tensor.Ctx) { m.DeltaScoresCtx(c, one) })
 		for _, B := range []int{8, 64} {
 			ss := batchSamples(cfg, B)
 			wantZero(fmt.Sprintf("%s B=%d", name, B), func(c *tensor.Ctx) { DeltaScoresBatchWith(c, m, ss) })
@@ -240,7 +240,7 @@ func testBatchZeroAlloc(t *testing.T) {
 	for name, m := range pageModels {
 		one := batchSamples(cfg, 1)[0]
 		buf := make([]uint64, 0, 8)
-		wantZero(name+" sequential", func(c *tensor.Ctx) { buf = TopPagesWith(c, m, one, 3, buf[:0]) })
+		wantZero(name+" sequential", func(c *tensor.Ctx) { buf = m.TopPagesAppendCtx(c, one, 3, buf[:0]) })
 	}
 }
 
@@ -257,7 +257,7 @@ func benchBatchDelta(b *testing.B, m DeltaModel, batch int, sequential bool) {
 	for i := 0; i < 3; i++ {
 		if sequential {
 			for _, s := range ss {
-				DeltaScoresWith(ctx, m, s)
+				m.DeltaScoresCtx(ctx, s)
 				ctx.Reset()
 			}
 		} else {
@@ -270,7 +270,7 @@ func benchBatchDelta(b *testing.B, m DeltaModel, batch int, sequential bool) {
 	for i := 0; i < b.N; i++ {
 		if sequential {
 			for _, s := range ss {
-				DeltaScoresWith(ctx, m, s)
+				m.DeltaScoresCtx(ctx, s)
 				ctx.Reset()
 			}
 		} else {

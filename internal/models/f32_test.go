@@ -180,9 +180,9 @@ func TestF32NilCtxIsInferenceOnly(t *testing.T) {
 	}
 	s := ds.Samples[0]
 	for name, call := range map[string]func(){
-		"delta":  func() { DeltaScoresWith(nil, fd, s) },
-		"page":   func() { TopPagesWith(nil, fp, s, 1, nil) },
-		"binary": func() { TopPagesWith(nil, fb, s, 1, nil) },
+		"delta":  func() { fd.DeltaScoresCtx(nil, s) },
+		"page":   func() { fp.TopPagesAppendCtx(nil, s, 1, nil) },
+		"binary": func() { fb.TopPagesAppendCtx(nil, s, 1, nil) },
 	} {
 		func() {
 			defer func() {
@@ -240,7 +240,7 @@ func TestF32BatchMatchesSequential(t *testing.T) {
 				t.Fatalf("%s B=%d: got %d rows", name, B, out.Rows)
 			}
 			for i, s := range ss {
-				seq := DeltaScoresWith(seqCtx, m, s)
+				seq := m.DeltaScoresCtx(seqCtx, s)
 				row := out.Data[i*out.Cols : (i+1)*out.Cols]
 				if len(seq) != len(row) {
 					t.Fatalf("%s B=%d: row %d width %d vs %d", name, B, i, len(row), len(seq))
@@ -259,7 +259,7 @@ func TestF32BatchMatchesSequential(t *testing.T) {
 			dst := make([][]uint64, B)
 			TopPagesBatchWith(ctx, m, ss, 3, dst)
 			for i, s := range ss {
-				seq := TopPagesWith(seqCtx, m, s, 3, nil)
+				seq := m.TopPagesAppendCtx(seqCtx, s, 3, nil)
 				seqCtx.Reset()
 				if len(seq) != len(dst[i]) {
 					t.Fatalf("%s B=%d row %d: %d pages vs %d", name, B, i, len(dst[i]), len(seq))
@@ -294,11 +294,11 @@ func TestF32ZeroAlloc(t *testing.T) {
 		for i := 0; i < 3; i++ {
 			DeltaScoresBatchWith(ctx, m, ss)
 			ctx.Reset()
-			DeltaScoresWith(ctx, m, ss[0])
+			m.DeltaScoresCtx(ctx, ss[0])
 			ctx.Reset()
 		}
 		if avg := testing.AllocsPerRun(20, func() {
-			DeltaScoresWith(ctx, m, ss[0])
+			m.DeltaScoresCtx(ctx, ss[0])
 			ctx.Reset()
 		}); avg != 0 {
 			t.Fatalf("%s sequential: %v allocs/op, want 0", name, avg)
@@ -353,7 +353,7 @@ func TestScreenScoresCatchesPoisonedF16Weight(t *testing.T) {
 	}
 	ctx := tensor.NewCtx()
 	s := batchSamples(cfg, 1)[0]
-	scores := DeltaScoresWith(ctx, fm, s)
+	scores := fm.DeltaScoresCtx(ctx, s)
 	if err := ScreenScores(scores); err == nil {
 		t.Fatal("ScreenScores passed scores from an Inf-poisoned f16 weight")
 	}

@@ -15,13 +15,16 @@ import (
 // This file holds the dispatchers, the arena decode helpers the mirrors
 // share, and the one-sample entry points.
 
-// DeltaScoresWith returns m's scores for s on c (m.DeltaScoresCtx).
+// DeltaScoresWith returns m's scores for s on c (m.DeltaScoresCtx). Only
+// the repository benchmark (benchmark/) calls it; every other caller calls
+// the method.
 func DeltaScoresWith(c *tensor.Ctx, m DeltaModel, s *Sample) []float64 {
 	return m.DeltaScoresCtx(c, s)
 }
 
 // TopPagesWith appends m's top-k pages for s to dst on c
-// (m.TopPagesAppendCtx).
+// (m.TopPagesAppendCtx). Only the repository benchmark (benchmark/) calls
+// it; every other caller calls the method.
 func TopPagesWith(c *tensor.Ctx, m PageModel, s *Sample, k int, dst []uint64) []uint64 {
 	return m.TopPagesAppendCtx(c, s, k, dst)
 }

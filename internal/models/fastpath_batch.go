@@ -49,7 +49,7 @@ func DeltaScoresBatchWith(c *tensor.Ctx, m DeltaModel, ss []*Sample) *tensor.Ten
 	}
 	var out *tensor.Tensor
 	for i, s := range ss {
-		scores := DeltaScoresWith(c, m, s)
+		scores := m.DeltaScoresCtx(c, s)
 		if out == nil {
 			out = tensor.ZerosCtx[float64](c, len(ss), len(scores))
 		}
@@ -67,7 +67,7 @@ func TopPagesBatchWith(c *tensor.Ctx, m PageModel, ss []*Sample, k int, dst [][]
 		return
 	}
 	for i, s := range ss {
-		dst[i] = TopPagesWith(c, m, s, k, dst[i])
+		dst[i] = m.TopPagesAppendCtx(c, s, k, dst[i])
 	}
 }
 

@@ -47,8 +47,8 @@ func TestCtxScorersMatchSlowPath(t *testing.T) {
 		"ps-delta":   NewPhaseSpecificDelta(cfg, pcs, 3, 5),
 	}
 	for name, m := range deltaModels {
-		slow := DeltaScoresWith(nil, m, s)
-		fast := DeltaScoresWith(ctx, m, s)
+		slow := m.DeltaScoresCtx(nil, s)
+		fast := m.DeltaScoresCtx(ctx, s)
 		if len(slow) != len(fast) {
 			t.Fatalf("%s: score lengths %d vs %d", name, len(slow), len(fast))
 		}
@@ -69,8 +69,8 @@ func TestCtxScorersMatchSlowPath(t *testing.T) {
 	}
 	for name, m := range pageModels {
 		for _, k := range []int{1, 3} {
-			slow := TopPagesWith(nil, m, s, k, nil)
-			fast := TopPagesWith(ctx, m, s, k, nil)
+			slow := m.TopPagesAppendCtx(nil, s, k, nil)
+			fast := m.TopPagesAppendCtx(ctx, s, k, nil)
 			if len(slow) != len(fast) {
 				t.Fatalf("%s k=%d: lengths %d vs %d", name, k, len(slow), len(fast))
 			}

@@ -55,10 +55,10 @@ const (
 // either call is raised on the caller's stack.
 func (p *Pair) Run(dc *tensor.Ctx, dm DeltaModel, pm PageModel, s *Sample, k int, pages []uint64) ([]float64, []uint64) {
 	if !PairOverlaps() || !p.post(pm, s, k, pages) {
-		return DeltaScoresWith(dc, dm, s), TopPagesWith(dc, pm, s, k, pages)
+		return dm.DeltaScoresCtx(dc, s), pm.TopPagesAppendCtx(dc, s, k, pages)
 	}
 	defer p.settle()
-	scores := DeltaScoresWith(dc, dm, s)
+	scores := dm.DeltaScoresCtx(dc, s)
 	if p.claim() {
 		p.runPage()
 		p.Claimed++
@@ -140,7 +140,7 @@ func (p *Pair) runPage() {
 	}
 	defer p.ctx.Reset()
 	defer p.capture()
-	p.pages = TopPagesWith(p.ctx, p.pm, p.s, p.k, p.pages)
+	p.pages = p.pm.TopPagesAppendCtx(p.ctx, p.s, p.k, p.pages)
 }
 
 // capture is deferred by runPage: it records a page call's panic and its

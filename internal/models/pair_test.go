@@ -46,8 +46,8 @@ func TestPairConcurrentCallers(t *testing.T) {
 				s := samples[(g*7+r)%len(samples)]
 				var scores []float64
 				scores, got = pair.Run(dc, dm, pm, s, 2, got[:0])
-				wantScores := DeltaScoresWith(ref, dm, s)
-				want := TopPagesWith(ref, pm, s, 2, nil)
+				wantScores := dm.DeltaScoresCtx(ref, s)
+				want := pm.TopPagesAppendCtx(ref, s, 2, nil)
 				if !slices.Equal(scores, wantScores) || !slices.Equal(got, want) {
 					t.Errorf("caller %d round %d: pair gave %v %v, in order %v %v", g, r, scores, got, wantScores, want)
 				}
@@ -93,7 +93,7 @@ type pairBeganPage struct {
 
 func (p pairBeganPage) TopPagesAppendCtx(c *tensor.Ctx, s *Sample, k int, dst []uint64) []uint64 {
 	p.began.Store(true)
-	return TopPagesWith(c, p.PageModel, s, k, dst)
+	return p.PageModel.TopPagesAppendCtx(c, s, k, dst)
 }
 
 // TestPairRaisesPanics: a page call's panic, wherever it ran, is raised on
@@ -106,7 +106,7 @@ func TestPairRaisesPanics(t *testing.T) {
 	pages, pcs := batchTestVocabs(cfg)
 	delta, page := NewAMMADelta(cfg, pcs, 0, 1), NewAMMAPage(cfg, pages, pcs, 0, 2)
 	ss := batchSamples(cfg, 2)
-	want := TopPagesWith(tensor.NewCtx(), page, ss[1], 1, nil)
+	want := page.TopPagesAppendCtx(tensor.NewCtx(), ss[1], 1, nil)
 	var began atomic.Bool
 	for _, procs := range []int{1, 2} {
 		for _, c := range []struct {

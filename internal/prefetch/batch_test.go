@@ -149,7 +149,7 @@ type countingDelta struct {
 
 func (c *countingDelta) DeltaScoresCtx(ctx *tensor.Ctx, s *models.Sample) []float64 {
 	c.calls++
-	return models.DeltaScoresWith(ctx, c.DeltaModel, s)
+	return c.DeltaModel.DeltaScoresCtx(ctx, s)
 }
 
 // TestVoyagerOneDeltaInferencePerOperate: Voyager decodes one delta score

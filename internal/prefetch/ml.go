@@ -227,5 +227,5 @@ func deltaPrefetchesAppend(c *tensor.Ctx, m models.DeltaModel, s *models.Sample,
 	if k <= 0 {
 		return dst, nil
 	}
-	return models.AppendDeltaTargets(c, models.DeltaScoresWith(c, m, s), base, k, dst)
+	return models.AppendDeltaTargets(c, m.DeltaScoresCtx(c, s), base, k, dst)
 }

@@ -46,7 +46,7 @@ func (p *sequentialVoyager) predict(c *tensor.Ctx, s *models.Sample, block uint6
 	if p.sess != nil {
 		scores = p.sess.DeltaScores(p.deltaModel, s)
 	} else {
-		scores = models.DeltaScoresWith(c, p.deltaModel, s)
+		scores = p.deltaModel.DeltaScoresCtx(c, s)
 	}
 	var err error
 	out, err = models.AppendDeltaTargets(c, scores, block, p.opt.Degree/2, out)
@@ -54,7 +54,7 @@ func (p *sequentialVoyager) predict(c *tensor.Ctx, s *models.Sample, block uint6
 	if p.sess != nil {
 		p.pages = p.sess.TopPages(p.pageModel, s, 1, p.pages[:0])
 	} else {
-		p.pages = models.TopPagesWith(c, p.pageModel, s, 1, p.pages[:0])
+		p.pages = p.pageModel.TopPagesAppendCtx(c, s, 1, p.pages[:0])
 	}
 	for _, pg := range p.pages {
 		off, ok := p.lastOffset[pg]
@@ -82,7 +82,7 @@ type nanOnPage struct {
 }
 
 func (d nanOnPage) DeltaScoresCtx(c *tensor.Ctx, s *models.Sample) []float64 {
-	scores := models.DeltaScoresWith(c, d.DeltaModel, s)
+	scores := d.DeltaModel.DeltaScoresCtx(c, s)
 	if trace.PageOfBlock(s.CurrentBlock()) == d.page {
 		scores[len(scores)/2] = math.NaN()
 	}
@@ -182,7 +182,7 @@ func (d handoffDelta) DeltaScoresCtx(c *tensor.Ctx, s *models.Sample) []float64 
 	if d.h.entered.Swap(false) {
 		d.h.ran++
 	}
-	return models.DeltaScoresWith(c, d.DeltaModel, s)
+	return d.DeltaModel.DeltaScoresCtx(c, s)
 }
 
 type handoffPage struct {
@@ -195,7 +195,7 @@ func (p handoffPage) TopPagesAppendCtx(c *tensor.Ctx, s *models.Sample, k int, d
 	if p.h.panics {
 		panic("page model exploded")
 	}
-	return models.TopPagesWith(c, p.PageModel, s, k, dst)
+	return p.PageModel.TopPagesAppendCtx(c, s, k, dst)
 }
 
 // TestGuardedCatchesHelperPanic: a page model that panics on a pair's helper

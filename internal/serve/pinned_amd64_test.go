@@ -65,7 +65,7 @@ func modelScoreBits(t *testing.T, convert tierConvert) []byte {
 			batch := ss[lo:min(lo+8, len(ss))]
 			stacked := models.DeltaScoresBatchWith(c, psd.Models[p], batch)
 			for i, s := range batch {
-				one := models.DeltaScoresWith(c, psd.Models[p], s)
+				one := psd.Models[p].DeltaScoresCtx(c, s)
 				row := stacked.Data[i*len(one) : (i+1)*len(one)]
 				for j, v := range one {
 					if math.Float64bits(v) != math.Float64bits(row[j]) {
@@ -77,7 +77,7 @@ func modelScoreBits(t *testing.T, convert tierConvert) []byte {
 			pages := make([][]uint64, len(batch))
 			models.TopPagesBatchWith(c, psp.Models[p], batch, 32, pages)
 			for i, s := range batch {
-				one := models.TopPagesWith(c, psp.Models[p], s, 32, nil)
+				one := psp.Models[p].TopPagesAppendCtx(c, s, 32, nil)
 				if !slices.Equal(one, pages[i]) {
 					t.Fatalf("phase %d sample %d: batched pages %v, sequential %v", p, lo+i, pages[i], one)
 				}
