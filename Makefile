@@ -233,7 +233,8 @@ serve-smoke:
 	./scripts/serve_smoke.sh
 
 # cli-smoke runs the Fig. 6 commands end to end on a tiny option set —
-# mpgraph-trace -stats, mpgraph-train -o, and mpgraph-sim under BO and under
+# mpgraph-trace -stats (on one workload of each execution model, PowerGraph's
+# TC path included), mpgraph-train -o, and mpgraph-sim under BO and under
 # the trained artifact — and fails on any non-zero exit. The commands are
 # thin clients of experiments.Runner (DESIGN.md §3); what they compute is
 # pinned by TestSnapshotMatchesRunner, this only keeps them running.
@@ -241,6 +242,8 @@ CLI_SMOKE_FLAGS = -graph-scale 8 -trace-iterations 3
 cli-smoke:
 	$(GO) build -o bin/ ./cmd/mpgraph-trace ./cmd/mpgraph-train ./cmd/mpgraph-sim
 	./bin/mpgraph-trace $(CLI_SMOKE_FLAGS) -stats
+	./bin/mpgraph-trace $(CLI_SMOKE_FLAGS) -stats -workload xstream/bfs/rmat
+	./bin/mpgraph-trace $(CLI_SMOKE_FLAGS) -stats -workload powergraph/tc/rmat
 	./bin/mpgraph-train $(CLI_SMOKE_FLAGS) -train-samples 100 -epochs 1 -o bin/cli-smoke.models
 	./bin/mpgraph-sim $(CLI_SMOKE_FLAGS) -prefetcher bo
 	./bin/mpgraph-sim $(CLI_SMOKE_FLAGS) -prefetcher mpgraph -models bin/cli-smoke.models
