@@ -41,6 +41,7 @@ func (f *gpop) Run(g *graph.Graph, app App, opt Options) (*trace.Trace, *Result,
 	frontierReg := as.Alloc("gpop.frontier", uint64(n/8+1))
 	bins := newBins(as, "gpop.bins", g, q)
 
+	// Scatter streams each partition's active vertices and their out-edges.
 	scatter := func() {
 		for p := range bins.lists {
 			core := ownerCore(p, r.cores)
@@ -64,6 +65,7 @@ func (f *gpop) Run(g *graph.Graph, app App, opt Options) (*trace.Trace, *Result,
 			}
 		}
 	}
+	// Gather accumulates each partition's bin and applies it.
 	gather := func() {
 		bins.gather(r, acc, vvals, "gpop.gather.readBin", "gpop.gather.accumulate", "gpop.gather.readAcc", "gpop.gather.writeVertex")
 	}

@@ -61,6 +61,7 @@ func (f *xstream) Run(g *graph.Graph, app App, opt Options) (*trace.Trace, *Resu
 	// chunk of the edge list.
 	chunk := (len(edgeList) + r.cores - 1) / r.cores
 
+	// Scatter streams all edges.
 	scatter := func() {
 		for c := 0; c < r.cores; c++ {
 			lo := c * chunk
@@ -77,6 +78,7 @@ func (f *xstream) Run(g *graph.Graph, app App, opt Options) (*trace.Trace, *Resu
 			}
 		}
 	}
+	// Gather streams each partition's updates.
 	gather := func() {
 		updates.gather(r, acc, vvals, "xs.gather.readUpdate", "xs.gather.accumulate", "xs.gather.readAcc", "xs.gather.writeVertex")
 	}
