@@ -79,7 +79,6 @@ func (f *frontier) swap() {
 // pagerankProgram implements synchronous PageRank with damping 0.85. Every
 // vertex is active every iteration; convergence is total L1 rank movement.
 type pagerankProgram struct {
-	g       *graph.Graph
 	rank    []float64
 	acc     []float64
 	outDeg  []float64
@@ -90,7 +89,6 @@ type pagerankProgram struct {
 func newPageRank(g *graph.Graph) *pagerankProgram {
 	n := g.NumVertices
 	p := &pagerankProgram{
-		g:       g,
 		rank:    make([]float64, n),
 		acc:     make([]float64, n),
 		outDeg:  make([]float64, n),
