@@ -101,6 +101,7 @@ fuzz:
 	$(GO) test ./internal/tensor/ -run xxx -fuzz '^FuzzF16Bits$$' -fuzztime 10s
 	$(GO) test ./internal/experiments/ -run xxx -fuzz '^FuzzParseWorkload$$' -fuzztime 10s
 	$(GO) test ./internal/experiments/ -run xxx -fuzz '^FuzzCheckpointLoad$$' -fuzztime 10s
+	$(GO) test ./internal/nn/ -run xxx -fuzz '^FuzzAdamKernel$$' -fuzztime 10s
 
 # bench regenerates BENCH_small.json via cmd/mpgraph-bench (f32 and f16
 # speedups over float64 appear in its "speedups" section). models'
@@ -126,7 +127,8 @@ fuzz:
 # "Perf-regression gate" step, runs whatever KERNEL_BENCH names: a row added
 # to the pattern is carried and gated with no workflow change. TRAIN_BENCH is the
 # training layer (what a suite's set-up is made of): the Adam step (dense,
-# sparse: an embedding table training has barely reached, and clipped) and the
+# sparse: an embedding table training has barely reached, clipped, and
+# fallback: every tile rejects the kernel's quotient estimates) and the
 # weight- and input-gradient products at 5000 iterations, a whole AMMA train step (the
 # trainer's own, on its tape) at 300, and the ten-model suite at the repository
 # benchmark's fixture, best of 3 — BenchmarkSuiteTrain on the GOMAXPROCS pool

@@ -321,8 +321,11 @@ var AllModels = []SuiteModel{LSTMDelta, AttnDelta, AMMADelta, PIDelta, PSDelta, 
 // trainOrder is the order a request's models start training in, longest
 // job first: the phase-specific pair trains one job per phase
 // (trainModels), each replaying the pair's NumPhases× epochs, so its jobs
-// go first rather than become the tail every other worker waits for.
-var trainOrder = []SuiteModel{PSPage, PSDelta, LSTMDelta, AttnDelta, AMMADelta, PIDelta, LSTMPage, AttnPage, AMMAPage, PIPage}
+// go first rather than become the tail every other worker waits for. Of the
+// single models LSTMPage is the longest job (about twice LSTMDelta or
+// AttnDelta, measured through Runner.TrainJobs), so it leads them and still
+// starts beside a delta job.
+var trainOrder = []SuiteModel{PSPage, PSDelta, LSTMPage, LSTMDelta, AttnDelta, AMMADelta, PIDelta, AttnPage, AMMAPage, PIPage}
 
 var suiteModelNames = [numSuiteModels]string{
 	"LSTMDelta", "AttnDelta", "AMMADelta", "PIDelta", "PSDelta",

@@ -54,7 +54,7 @@ func (a *Adam) Step(params []*tensor.Tensor) {
 			scale = a.ClipNorm / norm
 		}
 	}
-	a.update(params, scale)
+	a.update(params, scale, false)
 }
 
 // clipIdle reports whether Step's clip provably leaves the gradients alone,
@@ -96,18 +96,18 @@ func (a *Adam) clipIdle(params []*tensor.Tensor) bool {
 // StepZeroGrads is Step when every gradient is +0 (or nil): a step of a
 // model the batch did not reach. It skips the clip pass, whose norm would be
 // 0; the moments still decay and the weights still move, with Step's bits.
-// It reads p.Grad, so the gradients must already be zero.
+// The vector kernel reads no gradient (a +0 register gives the same bits);
+// the scalar loop reads p.Grad, so the gradients must already be zero.
 func (a *Adam) StepZeroGrads(params []*tensor.Tensor) {
-	a.update(params, 1)
+	a.update(params, 1, true)
 }
 
 // update is Step after the clip test: advance t, then the element update on
 // the gradients times scale (1 when the clip leaves them alone, and g·1 = g
-// bit for bit).
-func (a *Adam) update(params []*tensor.Tensor, scale float64) {
+// bit for bit), or on +0 gradients where zeroGrads says they are.
+func (a *Adam) update(params []*tensor.Tensor, scale float64, zeroGrads bool) {
 	a.t++
-	bc1 := 1 - math.Pow(a.Beta1, float64(a.t))
-	bc2 := 1 - math.Pow(a.Beta2, float64(a.t))
+	st := a.stepScalars(scale)
 	for _, p := range params {
 		if p.Grad == nil {
 			continue
@@ -118,8 +118,11 @@ func (a *Adam) update(params []*tensor.Tensor, scale float64) {
 			a.m[p] = m
 			a.v[p] = make([]float64, len(p.Data))
 		}
-		v := a.v[p]
-		if tensor.AdamUpdateFast(p.Data, p.Grad, m, v, a.Beta1, a.Beta2, bc1, bc2, a.LR, a.Eps, scale) {
+		v, g := a.v[p], p.Grad
+		if zeroGrads {
+			g = nil
+		}
+		if _, ok := tensor.AdamUpdateFast(p.Data, g, m, v, &st); ok {
 			continue
 		}
 		for i, g := range p.Grad {
@@ -132,9 +135,22 @@ func (a *Adam) update(params []*tensor.Tensor, scale float64) {
 			}
 			m[i] = a.Beta1*m[i] + (1-a.Beta1)*g
 			v[i] = a.Beta2*v[i] + (1-a.Beta2)*g*g
-			mh := m[i] / bc1
-			vh := v[i] / bc2
+			mh := m[i] / st.BC1
+			vh := v[i] / st.BC2
 			p.Data[i] -= a.LR * mh / (math.Sqrt(vh) + a.Eps)
 		}
+	}
+}
+
+// stepScalars returns the scalars of step a.t, on gradients times scale, that
+// every parameter's update shares: the bias corrections and, for the vector
+// kernel's quotient estimates, their reciprocals.
+func (a *Adam) stepScalars(scale float64) tensor.AdamStep {
+	bc1 := 1 - math.Pow(a.Beta1, float64(a.t))
+	bc2 := 1 - math.Pow(a.Beta2, float64(a.t))
+	return tensor.AdamStep{
+		Beta1: a.Beta1, Beta2: a.Beta2, BC1: bc1, BC2: bc2,
+		R1: tensor.SplitReciprocal(bc1), R2: tensor.SplitReciprocal(bc2),
+		LR: a.LR, Eps: a.Eps, Scale: scale,
 	}
 }

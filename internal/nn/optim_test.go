@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
@@ -93,6 +94,277 @@ func TestAdamKernelMatchesScalarLoop(t *testing.T) {
 			}
 		}
 	}
+	// Constructed states, at the steps they were built for: estimates a
+	// hair from the rounding boundary, and lanes that must fall back to the
+	// divider, which they must be seen to do.
+	for _, step := range []int{1, 2, 1000} {
+		for _, c := range constructedAdamStates(rng, step) {
+			got := c.s.step(step, 0)
+			restore := tensor.ForcePortableKernels()
+			want := c.s.step(step, 0)
+			restore()
+			for fi, f := range [][2][]float64{{got.p, want.p}, {got.m, want.m}, {got.v, want.v}} {
+				for i := range f[1] {
+					if math.Float64bits(f[0][i]) != math.Float64bits(f[1][i]) {
+						t.Fatalf("%s, t=%d: %s[%d] kernel %x (%g), scalar loop %x (%g)",
+							c.name, step, []string{"p", "m", "v"}[fi], i,
+							math.Float64bits(f[0][i]), f[0][i], math.Float64bits(f[1][i]), f[1][i])
+					}
+				}
+			}
+			if fb := c.s.kernelFallbacks(c.s.adamStep(step)); c.fallsBack && fb == 0 {
+				t.Errorf("%s, t=%d: no tile fell back to the divider", c.name, step)
+			}
+		}
+	}
+}
+
+type constructedAdamState struct {
+	name      string
+	s         adamState
+	fallsBack bool // the kernel must send some tile to the divider
+}
+
+// constructedAdamStates builds, for Adam step t, 32-element states (four
+// tiles) whose gradients are +0, so that the moments the update stores are
+// RN(β·m) and RN(β·v): quotients m/bc1 and v/bc2 and roots √(v/bc2) within
+// 2⁻⁶⁰ (relative) of a rounding midpoint; m/bc1 and v/bc2 exact powers of
+// two; tiles mixing +0, -0 and nonzero moments; moments near and in the
+// subnormal range.
+func constructedAdamStates(rng *rand.Rand, t int) []constructedAdamState {
+	a := NewAdam(1e-3)
+	bc1 := 1 - math.Pow(a.Beta1, float64(t))
+	bc2 := 1 - math.Pow(a.Beta2, float64(t))
+	const n = 32
+	blank := func() adamState {
+		s := adamState{make([]float64, n), make([]float64, n), make([]float64, n), make([]float64, n)}
+		for i := range s.p {
+			s.p[i], s.m[i], s.v[i] = rng.NormFloat64(), 0.1*rng.NormFloat64(), 0.01*(0.5+rng.Float64())
+		}
+		return s
+	}
+	// find draws moments until keep accepts their stored values.
+	find := func(draw func() float64, b float64, keep func(stored float64) bool) float64 {
+		for {
+			if x := draw(); keep(b * x) {
+				return x
+			}
+		}
+	}
+	mDraw := func() float64 { return 0.1 * rng.NormFloat64() }
+	vDraw := func() float64 { return 0.01 * (0.5 + rng.Float64()) }
+	var out []constructedAdamState
+	add := func(name string, fallsBack bool, fill func(s adamState, i int)) {
+		s := blank()
+		for i := 0; i < n; i++ {
+			fill(s, i)
+		}
+		out = append(out, constructedAdamState{name, s, fallsBack})
+	}
+	if frac, _ := math.Frexp(bc1); frac != 0.5 { // else m/bc1 is exact (bc1 = 1 from t = 356 on)
+		add("m/bc1 near a midpoint", false, func(s adamState, i int) {
+			s.m[i] = find(mDraw, a.Beta1, func(m float64) bool { return quotientNearMidpoint(m, bc1) })
+		})
+	}
+	add("v/bc2 near a midpoint", false, func(s adamState, i int) {
+		s.v[i] = find(vDraw, a.Beta2, func(v float64) bool { return quotientNearMidpoint(v, bc2) })
+	})
+	add("sqrt(v/bc2) near a midpoint", false, func(s adamState, i int) {
+		s.v[i] = find(vDraw, a.Beta2, func(v float64) bool { return rootNearMidpoint(v / bc2) })
+	})
+	add("powers of two", true, func(s adamState, i int) {
+		k := float64(i%5) - 9
+		if x, ok := preimage(math.Ldexp(bc1, int(k)), a.Beta1); ok && i%2 == 0 {
+			s.m[i] = x
+		}
+		if x, ok := preimage(math.Ldexp(bc2, int(k)-6), a.Beta2); ok && i%3 == 0 {
+			s.v[i] = x
+		}
+	})
+	add("zero and nonzero lanes", true, func(s adamState, i int) {
+		switch i % 5 {
+		case 0: // m stays +0 under a live v
+			s.m[i] = 0
+		case 1:
+			s.m[i] = math.Copysign(0, -1)
+		case 2: // nothing to update: the lane is skipped
+			s.m[i], s.v[i] = 0, 0
+		}
+	})
+	tiny := []float64{5e-324, -1e-310, 0x1p-1022, -0x1p-1000, 0x1p-969, 1e-300}
+	add("near-subnormal moments", true, func(s adamState, i int) {
+		if i%2 == 0 {
+			s.m[i] = tiny[i%len(tiny)]
+		} else {
+			s.v[i] = math.Abs(tiny[i%len(tiny)])
+		}
+	})
+	return out
+}
+
+// ulp is the spacing above |x|.
+func ulp(x float64) float64 { return math.Nextafter(math.Abs(x), math.Inf(1)) - math.Abs(x) }
+
+// quotientNearMidpoint reports whether a/b (b > 0) lies within 2⁻⁶⁰ of a
+// midpoint between two floats, relative to a/b.
+func quotientNearMidpoint(a, b float64) bool {
+	q := a / b
+	r := math.FMA(-q, b, a) // a - q·b, exactly
+	return ulp(q)/2*b-math.Abs(r) < 0x1p-60*math.Abs(q)*b
+}
+
+// rootNearMidpoint is quotientNearMidpoint for √x: x - s² = (√x - s)(√x + s).
+func rootNearMidpoint(x float64) bool {
+	s := math.Sqrt(x)
+	r := math.FMA(-s, s, x)
+	return ulp(s)*s-math.Abs(r) < 0x1p-60*s*2*s
+}
+
+// preimage returns an x with RN(b·x) = y, if one lies within 16 ulps of y/b.
+func preimage(y, b float64) (float64, bool) {
+	x := y / b
+	for range 16 {
+		x = math.Nextafter(x, 0)
+	}
+	for range 33 {
+		if b*x == y {
+			return x, true
+		}
+		x = math.Nextafter(x, math.Inf(1))
+	}
+	return 0, false
+}
+
+// adamStep returns the scalars Adam.Step uses at step t, clip off.
+func (s adamState) adamStep(t int) tensor.AdamStep {
+	a := NewAdam(1e-3)
+	a.t = t
+	return a.stepScalars(1)
+}
+
+// kernelFallbacks runs the vector update with st on a copy of s and returns
+// how many tiles fell back to the divider.
+func (s adamState) kernelFallbacks(st tensor.AdamStep) int {
+	c := adamState{slices.Clone(s.p), slices.Clone(s.g), slices.Clone(s.m), slices.Clone(s.v)}
+	n, _ := tensor.AdamUpdateFast(c.p, c.g, c.m, c.v, &st)
+	return n
+}
+
+// TestAdamKernelFallbackRare: on ordinary states the kernel keeps its
+// quotient estimates in all but a sliver of tiles, so a kernel that always
+// fell back to the divider (and so matched the scalar loop trivially) fails.
+func TestAdamKernelFallbackRare(t *testing.T) {
+	if _, ok := tensor.SumSquaresFast(nil); !ok {
+		t.Skip("no training kernels on this machine or build")
+	}
+	rng := rand.New(rand.NewSource(66))
+	tiles, fell := 0, 0
+	for _, step := range []int{1, 2, 10, 100, 1000, 10000} {
+		s := randAdamState(rng, 4096, false)
+		fell += s.kernelFallbacks(s.adamStep(step))
+		tiles += 4096 / 8
+	}
+	if fell*100 >= tiles {
+		t.Fatalf("%d of %d tiles fell back to the divider", fell, tiles)
+	}
+}
+
+// TestAdamKernelPoorEstimates: whatever reciprocals the kernel's quotient
+// estimates start from, what it stores is the scalar loop's. Reciprocals
+// 2⁻⁵⁸ (relative) off turn each quotient within about that of a rounding
+// midpoint into its neighbour across it, under half an ulp past the midpoint:
+// the test must reject those (one with twice its bound accepts them).
+// Reciprocals one ulp off with no low part miss by more, and far off or NaN
+// ones fail every lane.
+func TestAdamKernelPoorEstimates(t *testing.T) {
+	if _, ok := tensor.SumSquaresFast(nil); !ok {
+		t.Skip("no training kernels on this machine or build")
+	}
+	rng := rand.New(rand.NewSource(67))
+	for _, step := range []int{1, 3, 1000} {
+		for _, planted := range []bool{false, true} {
+			s := randAdamState(rng, 1024, planted)
+			restore := tensor.ForcePortableKernels()
+			want := s.step(step, 0)
+			restore()
+			good := s.adamStep(step)
+			for _, r := range []struct {
+				name   string
+				r1, r2 [2]float64
+			}{
+				{"2⁻⁵⁸ high", [2]float64{good.R1[0], good.R1[1] + 0x1p-58*good.R1[0]}, [2]float64{good.R2[0], good.R2[1] + 0x1p-58*good.R2[0]}},
+				{"2⁻⁵⁸ low", [2]float64{good.R1[0], good.R1[1] - 0x1p-58*good.R1[0]}, [2]float64{good.R2[0], good.R2[1] - 0x1p-58*good.R2[0]}},
+				{"one ulp up", [2]float64{math.Nextafter(good.R1[0], 2), 0}, [2]float64{math.Nextafter(good.R2[0], 2e3), 0}},
+				{"one ulp down", [2]float64{math.Nextafter(good.R1[0], 0), 0}, [2]float64{math.Nextafter(good.R2[0], 0), 0}},
+				{"far", [2]float64{good.R1[0] * 1.5, 0}, [2]float64{good.R2[0] / 3, 0}},
+				{"NaN", [2]float64{defaultNaN, 0}, [2]float64{defaultNaN, defaultNaN}},
+			} {
+				st := good
+				st.R1, st.R2 = r.r1, r.r2
+				got := adamState{slices.Clone(s.p), slices.Clone(s.g), slices.Clone(s.m), slices.Clone(s.v)}
+				fell, _ := tensor.AdamUpdateFast(got.p, got.g, got.m, got.v, &st)
+				if fell == 0 {
+					t.Errorf("t=%d planted=%v %s: no tile fell back", step, planted, r.name)
+				}
+				for fi, f := range [][2][]float64{{got.p, want.p}, {got.m, want.m}, {got.v, want.v}} {
+					for i := range f[1] {
+						if math.Float64bits(f[0][i]) != math.Float64bits(f[1][i]) {
+							t.Fatalf("t=%d planted=%v %s: %s[%d] kernel %x (%g), scalar loop %x (%g)",
+								step, planted, r.name, []string{"p", "m", "v"}[fi], i,
+								math.Float64bits(f[0][i]), f[0][i], math.Float64bits(f[1][i]), f[1][i])
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// FuzzAdamKernel: Step on the vector kernel against the scalar loop, bit for
+// bit, on fuzzed weights, gradients, moments, step and clip. The input's
+// bytes are float64s in groups of four (p, g, m, v), at most 64 elements;
+// every NaN becomes defaultNaN (see its comment).
+func FuzzAdamKernel(f *testing.F) {
+	rng := rand.New(rand.NewSource(68))
+	for _, n := range []int{1, 9, 33} {
+		s := randAdamState(rng, n, n > 1)
+		var b []byte
+		for i := 0; i < n; i++ {
+			for _, x := range []float64{s.p[i], s.g[i], s.m[i], s.v[i]} {
+				b = binary.LittleEndian.AppendUint64(b, math.Float64bits(x))
+			}
+		}
+		f.Add(b, uint16(n), []float64{0, 1e9, 0.05, 1e-310}[n%4])
+	}
+	f.Fuzz(func(t *testing.T, b []byte, step uint16, clip float64) {
+		n := min(len(b)/32, 64)
+		if n == 0 {
+			return
+		}
+		s := adamState{make([]float64, n), make([]float64, n), make([]float64, n), make([]float64, n)}
+		for i := 0; i < n; i++ {
+			for j, f := range [][]float64{s.p, s.g, s.m, s.v} {
+				x := math.Float64frombits(binary.LittleEndian.Uint64(b[32*i+8*j:]))
+				if math.IsNaN(x) {
+					x = defaultNaN
+				}
+				f[i] = x
+			}
+		}
+		got := s.step(int(step)+1, clip)
+		restore := tensor.ForcePortableKernels()
+		want := s.step(int(step)+1, clip)
+		restore()
+		for fi, f := range [][2][]float64{{got.p, want.p}, {got.g, want.g}, {got.m, want.m}, {got.v, want.v}} {
+			for i := range f[1] {
+				if math.Float64bits(f[0][i]) != math.Float64bits(f[1][i]) {
+					t.Fatalf("t=%d clip=%g: %s[%d] kernel %x (%g), scalar loop %x (%g)",
+						int(step)+1, clip, []string{"p", "g", "m", "v"}[fi], i,
+						math.Float64bits(f[0][i]), f[0][i], math.Float64bits(f[1][i]), f[1][i])
+				}
+			}
+		}
+	})
 }
 
 // unskippedAdam is Step's element update (no clip) as it stood before all-zero
@@ -323,20 +595,25 @@ func TestAdamClipBoundary(t *testing.T) {
 // 16-wide rows of which training has reached one in eight: the other rows'
 // gradients and moments are zero, and stay so. In the clipped row the norm is
 // five times ClipNorm, so every step runs the ordered sum and the rescale; its
-// gradients are restored before each step (a 512 KB copy, included).
+// gradients are restored before each step (a 512 KB copy, included). The
+// fallback row is n=2048 with one lane per tile whose first moment stays +0
+// under a live second moment: m/bc1 = +0 fails the kernel's estimate test,
+// so every tile runs again on the divider (the slow path's cost).
 func BenchmarkAdamStep(b *testing.B) {
 	for _, c := range []struct {
 		name      string
 		n, stride int
 		scale     float64
-	}{{"n=2048", 2048, 1, 1e-3}, {"n=65536", 65536, 1, 1e-3}, {"sparse", 65536, 8, 1e-3}, {"clipped", 65536, 1, 0.1}} {
+		fallback  bool
+	}{{"n=2048", 2048, 1, 1e-3, false}, {"n=65536", 65536, 1, 1e-3, false}, {"sparse", 65536, 8, 1e-3, false},
+		{"clipped", 65536, 1, 0.1, false}, {"fallback", 2048, 1, 1e-3, true}} {
 		n := c.n
 		b.Run(c.name, func(b *testing.B) {
 			rng := rand.New(rand.NewSource(1))
 			p := tensor.Randn(1, n, 1, rng).Param()
 			p.Grad = make([]float64, n)
 			for i := range p.Grad {
-				if i/16%c.stride == 0 {
+				if i/16%c.stride == 0 && !(c.fallback && i%8 == 0) {
 					p.Grad[i] = c.scale * rng.NormFloat64()
 				}
 			}
@@ -345,6 +622,11 @@ func BenchmarkAdamStep(b *testing.B) {
 			a := NewAdam(1e-3)
 			params := []*tensor.Tensor{p}
 			a.Step(params) // allocates the moments
+			if c.fallback {
+				for i := 0; i < n; i += 8 {
+					a.v[p][i] = 1e-6
+				}
+			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

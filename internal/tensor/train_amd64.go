@@ -21,12 +21,15 @@ const goUnfused = true
 func gemmTNAVX512(out, a, b *float64, m, r, n, rows int64)
 
 // adamAVX512 is nn.Adam's element update over n values; omb1 and omb2 are
-// 1-b1 and 1-b2, bc1 and bc2 the bias corrections of the current step, and
-// scale multiplies each gradient as it is loaded (the clip rescale).
+// 1-b1 and 1-b2, bc1 and bc2 the bias corrections of the current step, r1 +
+// r1lo and r2 + r2lo their reciprocals, each split in two (where its quotient
+// estimates start), and scale multiplies each gradient as it is loaded (the
+// clip rescale). A nil grad reads as +0. It returns how many 8-wide tiles fell
+// back from the estimates to the divider.
 //
 //mpgraph:noalloc
 //go:noescape
-func adamAVX512(p, grad, m, v *float64, n int64, b1, omb1, b2, omb2, bc1, bc2, lr, eps, scale float64)
+func adamAVX512(p, grad, m, v *float64, n int64, b1, omb1, b2, omb2, bc1, bc2, r1, r1lo, r2, r2lo, lr, eps, scale float64) int64
 
 // gemmRowsAVX512 computes out[i,:] += a[i,:] @ b over rows rows, each row
 // in maddPanel's order (gemmRows' body). k, n >= 1.
@@ -172,14 +175,20 @@ func SumSquaresSeqFast(total float64, g []float64) (float64, bool) {
 	return sumSquaresSeqAVX512(total, &g[0], int64(len(g))), true
 }
 
-// AdamUpdateFast applies nn.Adam's element update, on gradients g·scale, on
-// the vector kernel.
-func AdamUpdateFast(p, g, m, v []float64, b1, b2, bc1, bc2, lr, eps, scale float64) bool {
-	n := len(g)
+// AdamUpdateFast applies nn.Adam's element update, on gradients g·s.Scale,
+// on the vector kernel; a nil g stands for +0 gradients and reads none. It
+// returns how many 8-wide tiles fell back from the kernel's verified
+// quotient estimates to the divider, and false where no vector kernel runs.
+func AdamUpdateFast(p, g, m, v []float64, s *AdamStep) (int, bool) {
+	n := len(p)
 	if !useAVX512F || n == 0 {
-		return false
+		return 0, false
 	}
-	p, m, v = p[:n], m[:n], v[:n]
-	adamAVX512(&p[0], &g[0], &m[0], &v[0], int64(n), b1, 1-b1, b2, 1-b2, bc1, bc2, lr, eps, scale)
-	return true
+	m, v = m[:n], v[:n]
+	var gp *float64
+	if g != nil {
+		gp = &g[:n][0]
+	}
+	return int(adamAVX512(&p[0], gp, &m[0], &v[0], int64(n), s.Beta1, 1-s.Beta1, s.Beta2, 1-s.Beta2,
+		s.BC1, s.BC2, s.R1[0], s.R1[1], s.R2[0], s.R2[1], s.LR, s.Eps, s.Scale)), true
 }

@@ -11,10 +11,12 @@
 // the Go compiler never contracts x*y+z, so each scalar body is a fixed
 // sequence of correctly rounded IEEE operations per element, and the kernels
 // here issue that same sequence per lane: separate VMULPD and VADDPD (never
-// FMA), VDIVPD and VSQRTPD (never a reciprocal estimate), the scalar code's
-// association, and no cross-lane reduction. gemmNTAVX512 puts output columns
-// in lanes by transposing 8x8 tiles of B in registers, so each lane still
-// runs one dot product's chain in order. Two kernels serve Adam's clip:
+// FMA), VDIVPD and VSQRTPD, the scalar code's association, and no cross-lane
+// reduction. The one FMA and reciprocal arithmetic is Adam's estimate of its
+// two bias-correction quotients, each kept only where an exact test proves
+// it the correctly rounded quotient (adamAVX512). gemmNTAVX512 puts output
+// columns in lanes by transposing 8x8 tiles of B in registers, so each lane
+// still runs one dot product's chain in order. Two kernels serve Adam's clip:
 // sumSquaresAVX512 is the one reduction in any order, and only feeds an
 // error bound that decides whether the ordered sum (sumSquaresSeqAVX512,
 // scalar, skipping all-zero tiles) is needed at all. At GOAMD64=v3 the
@@ -137,17 +139,36 @@ tndone:
 	VZEROUPPER
 	RET
 
-// func adamAVX512(p, grad, m, v *float64, n int64, b1, omb1, b2, omb2, bc1, bc2, lr, eps, scale float64)
+// func adamAVX512(p, grad, m, v *float64, n int64, b1, omb1, b2, omb2, bc1, bc2, r1, r1lo, r2, r2lo, lr, eps, scale float64) int64
 // Per element, in the scalar loop's order, with g = grad*scale (the clip
-// rescale, rounded as a stored rescaled gradient would be):
+// rescale, rounded as a stored rescaled gradient would be; +0 when grad is
+// nil, which is what a +0 gradient times scale gives):
 //   m = m*b1 + omb1*g;  v = v*b2 + g*(omb2*g)
 //   p -= (m/bc1)*lr / (sqrt(v/bc2) + eps)
-// Masked-off lanes load zeros, which stay finite through both divisions.
 // A tile whose g, m and v are all +0 bits is left as it is, as the scalar
 // loop leaves such an element: the update would store m = v = +0 back and
 // subtract (0/bc1)*lr / (0 + eps) = +0 from p. That is every tile of an
-// embedding row no sample has touched yet.
-TEXT ·adamAVX512(SB), NOSPLIT, $0-112
+// embedding row no sample has touched yet. In other tiles such lanes are
+// left out of the quotient tests and of the store to p.
+//
+// mhat = m/bc1 and vhat = v/bc2 are FMA estimates q = a*r + a*rlo (r + rlo
+// is 1/b split in two) that a lane keeps only when a test proves q = RN(a/b).
+// A tile with a lane that fails reruns both on VDIVPD (adamslow) and is
+// counted in the result. The root and the last division stay on VSQRTPD and
+// VDIVPD: the divider runs beside the FMA ports, and estimating those two as
+// well made the kernel FMA-bound and slower than this split (measured).
+//
+// The test, whatever the estimate's quality. Let e be q's exponent and
+// h = 2^(e-53), so that a normal q which is not a power of two has its
+// neighbours at q ± 2h and RN(x) = q for every |x - q| < h. q passes when
+// its significand bits are not all zero (this fails powers of two, ±0 and
+// ±Inf) and |fma(-q, b, a)| < B, where B = RD(2^e · RD(b·2⁻⁵³)) is formed
+// from q's exponent bits and rounded down, so B <= h·b. A subnormal q gives
+// B = 0, a NaN anywhere fails the compare, and a non-positive b gives B <= 0.
+// RN is monotone and B is a float, so |ρ| >= h·b would give
+// |RN(ρ)| >= RN(B) = B for the exact remainder ρ = a - q·b. A pass therefore
+// means |a/b - q| = |ρ|/b < h, and q = RN(a/b).
+TEXT ·adamAVX512(SB), NOSPLIT, $0-152
 	MOVQ p+0(FP), DI
 	MOVQ grad+8(FP), SI
 	MOVQ m+16(FP), R8
@@ -159,10 +180,19 @@ TEXT ·adamAVX512(SB), NOSPLIT, $0-112
 	VBROADCASTSD omb2+64(FP), Z19
 	VBROADCASTSD bc1+72(FP), Z20
 	VBROADCASTSD bc2+80(FP), Z21
-	VBROADCASTSD lr+88(FP), Z22
-	VBROADCASTSD eps+96(FP), Z23
-	VBROADCASTSD scale+104(FP), Z24
-	XORQ BX, BX  // element index of the current tile
+	VBROADCASTSD r1+88(FP), Z25
+	VBROADCASTSD r1lo+96(FP), Z29
+	VBROADCASTSD r2+104(FP), Z26
+	VBROADCASTSD r2lo+112(FP), Z30
+	VBROADCASTSD lr+120(FP), Z22
+	VBROADCASTSD eps+128(FP), Z23
+	VBROADCASTSD scale+136(FP), Z24
+	VBROADCASTSD adamtwom53<>(SB), Z28
+	VMULPD.RD_SAE Z28, Z20, Z27  // RD(bc1·2⁻⁵³)
+	VMULPD.RD_SAE Z28, Z21, Z28  // RD(bc2·2⁻⁵³)
+	VPBROADCASTQ adamexp<>(SB), Z31
+	XORQ BX, BX   // element index of the current tile
+	XORQ R10, R10 // tiles that fell back
 	FULLMASK
 
 adamnext:
@@ -173,8 +203,13 @@ adamnext:
 	TAILMASK
 
 adamtile:
+	VPXORQ    Z0, Z0, Z0
+	TESTQ     SI, SI
+	JZ        adamgrad
 	VMOVUPD.Z (SI)(BX*8), K1, Z0  // grad
 	VMULPD    Z24, Z0, Z0         // g = grad*scale
+
+adamgrad:
 	VMOVUPD.Z (R8)(BX*8), K1, Z1  // m
 	VMOVUPD.Z (R9)(BX*8), K1, Z3  // v
 	VPORQ     Z0, Z1, Z6
@@ -191,36 +226,77 @@ adamtile:
 	VMULPD    Z4, Z0, Z4          // g*(omb2*g)
 	VADDPD    Z3, Z4, Z3
 	VMOVUPD   Z3, K1, (R9)(BX*8)
-	VDIVPD    Z20, Z1, Z1         // mhat = m/bc1
-	VDIVPD    Z21, Z3, Z3         // vhat = v/bc2
-	VMULPD    Z22, Z1, Z1         // mhat*lr
-	VSQRTPD   Z3, Z3
-	VADDPD    Z23, Z3, Z3         // sqrt(vhat)+eps
-	VDIVPD    Z3, Z1, Z1
+
+	// vhat into Z6 and mhat into Z2; K3 collects the lanes whose quotients
+	// pass.
+	VMULPD        Z30, Z3, Z6    // v*r2lo
+	VFMADD231PD   Z26, Z3, Z6    // q = v*r2 + v*r2lo
+	VFNMADD231PD  Z21, Z6, Z3    // ρ = v - q*bc2
+	VANDPD        Z31, Z6, Z4    // 2^e
+	VMULPD.RD_SAE Z28, Z4, Z4    // B
+	VANDPD.BCST   adamabs<>(SB), Z3, Z3
+	VCMPPD        $0x11, Z4, Z3, K2, K3       // |ρ| < B
+	VPTESTMQ.BCST adammant<>(SB), Z6, K3, K3  // not a power of two
+	VMULPD        Z29, Z1, Z2
+	VFMADD231PD   Z25, Z1, Z2
+	VFNMADD231PD  Z20, Z2, Z1
+	VANDPD        Z31, Z2, Z4
+	VMULPD.RD_SAE Z27, Z4, Z4
+	VANDPD.BCST   adamabs<>(SB), Z1, Z1
+	VCMPPD        $0x11, Z4, Z1, K3, K3
+	VPTESTMQ.BCST adammant<>(SB), Z2, K3, K3
+	KXORW         K2, K3, K3
+	KORTESTW      K3, K3
+	JNZ           adamslow
+
+adamtail:
+	VSQRTPD   Z6, Z6
+	VADDPD    Z23, Z6, Z6         // sqrt(vhat)+eps
+	VMULPD    Z22, Z2, Z2         // mhat*lr
+	VDIVPD    Z6, Z2, Z2
 	VMOVUPD.Z (DI)(BX*8), K1, Z5
-	VSUBPD    Z1, Z5, Z5
-	VMOVUPD   Z5, K1, (DI)(BX*8)
+	VSUBPD    Z2, Z5, Z5
+	VMOVUPD   Z5, K2, (DI)(BX*8)
 
 adamskip:
 	ADDQ $8, BX
 	SUBQ $8, CX
 	JMP  adamnext
 
+adamslow:
+	INCQ      R10
+	VMOVUPD.Z (R8)(BX*8), K1, Z2
+	VMOVUPD.Z (R9)(BX*8), K1, Z6
+	VDIVPD    Z20, Z2, Z2         // mhat = m/bc1
+	VDIVPD    Z21, Z6, Z6         // vhat = v/bc2
+	JMP       adamtail
+
 adamdone:
+	MOVQ R10, ret+144(FP)
 	VZEROUPPER
 	RET
 
-// NTLOADT loads the block's 8x8 tile of B (rows j..j+7 under K1/K2) and
-// transposes it: Z8+q holds b[j..j+7][p+q], step q's eight columns.
-#define NTLOADT \
-	VMOVUPD.Z  (BX), K1, Z0;          \
-	VMOVUPD.Z  (BX)(R8*1), K1, Z1;    \
-	VMOVUPD.Z  (BX)(R8*2), K1, Z2;    \
-	VMOVUPD.Z  (BX)(R9*1), K1, Z3;    \
-	VMOVUPD.Z  (CX), K2, Z4;          \
-	VMOVUPD.Z  (CX)(R8*1), K2, Z5;    \
-	VMOVUPD.Z  (CX)(R8*2), K2, Z6;    \
-	VMOVUPD.Z  (CX)(R9*1), K2, Z7;    \
+DATA adamtwom53<>+0(SB)/8, $0x3ca0000000000000 // 2⁻⁵³
+GLOBL adamtwom53<>(SB), RODATA, $8
+DATA adamexp<>+0(SB)/8, $0x7ff0000000000000
+GLOBL adamexp<>(SB), RODATA, $8
+DATA adamabs<>+0(SB)/8, $0x7fffffffffffffff
+GLOBL adamabs<>(SB), RODATA, $8
+DATA adammant<>+0(SB)/8, $0x000fffffffffffff
+GLOBL adammant<>(SB), RODATA, $8
+
+// NTLOADT(B0, B4) loads the block's 8x8 tile of B (rows j..j+3 at B0 under
+// K1, j+4..j+7 at B4 under K2) and transposes it: Z8+q holds
+// b[j..j+7][p+q], step q's eight columns.
+#define NTLOADT(B0, B4) \
+	VMOVUPD.Z  (B0), K1, Z0;          \
+	VMOVUPD.Z  (B0)(R8*1), K1, Z1;    \
+	VMOVUPD.Z  (B0)(R8*2), K1, Z2;    \
+	VMOVUPD.Z  (B0)(R9*1), K1, Z3;    \
+	VMOVUPD.Z  (B4), K2, Z4;          \
+	VMOVUPD.Z  (B4)(R8*1), K2, Z5;    \
+	VMOVUPD.Z  (B4)(R8*2), K2, Z6;    \
+	VMOVUPD.Z  (B4)(R9*1), K2, Z7;    \
 	VUNPCKLPD  Z1, Z0, Z8;            \
 	VUNPCKHPD  Z1, Z0, Z9;            \
 	VUNPCKLPD  Z3, Z2, Z10;           \
@@ -257,9 +333,9 @@ adamdone:
 	XORQ   R12, R12
 
 // NTMAC1 is step q of one A row: acc += b[j..j+7][p+q]*a[p+q].
-#define NTMAC1(off, C) \
+#define NTMAC1(off, C, acc) \
 	VMULPD.BCST off(AX), C, Z31; \
-	VADDPD      Z31, Z16, Z16
+	VADDPD      Z31, acc, acc
 
 // NTMAC9 is step q of nine A rows (rows 4..7 from R14, row 8 at 8 strides).
 #define NTMAC9(off, C) \
@@ -367,7 +443,7 @@ nt9group:
 	VPXORQ Z24, Z24, Z24
 
 nt9block:
-	NTLOADT
+	NTLOADT(BX, CX)
 	TESTQ R12, R12
 	JZ    nt9q0
 	CMPQ  R12, $2
@@ -429,12 +505,107 @@ nt1rows:
 	JLE   ntdone
 	XORQ  R13, R13
 
+	// One A row reduces two whole column groups, j and j+8, side by side,
+	// so two independent add chains run (5-8 % faster than one; the
+	// transposes' shuffles bound it). Group j+8's B rows run from DX and
+	// R14 (R14 is free: one A row needs no row-4 cursor), and its tile
+	// loads under the same K1/K2, both groups being whole.
+nt1pair:
+	LEAQ 16(R13), AX
+	CMPQ AX, cols+40(FP)
+	JGT  nt1group
+	NTSETUP
+	LEAQ   (BX)(R8*8), DX
+	LEAQ   (CX)(R8*8), R14
+	VPXORQ Z16, Z16, Z16
+	VPXORQ Z17, Z17, Z17
+
+nt1pblock:
+	NTLOADT(BX, CX)
+	TESTQ R12, R12
+	JZ    nt1aq0
+	CMPQ  R12, $2
+	JLT   nt1aq1
+	JEQ   nt1aq2
+	CMPQ  R12, $4
+	JLT   nt1aq3
+	JEQ   nt1aq4
+	CMPQ  R12, $6
+	JLT   nt1aq5
+	JEQ   nt1aq6
+	JMP   nt1aq7
+
+nt1aq0:
+	NTMAC1(0, Z8, Z16)
+nt1aq1:
+	NTMAC1(8, Z9, Z16)
+nt1aq2:
+	NTMAC1(16, Z10, Z16)
+nt1aq3:
+	NTMAC1(24, Z11, Z16)
+nt1aq4:
+	NTMAC1(32, Z12, Z16)
+nt1aq5:
+	NTMAC1(40, Z13, Z16)
+nt1aq6:
+	NTMAC1(48, Z14, Z16)
+nt1aq7:
+	NTMAC1(56, Z15, Z16)
+	NTLOADT(DX, R14)
+	TESTQ R12, R12
+	JZ    nt1bq0
+	CMPQ  R12, $2
+	JLT   nt1bq1
+	JEQ   nt1bq2
+	CMPQ  R12, $4
+	JLT   nt1bq3
+	JEQ   nt1bq4
+	CMPQ  R12, $6
+	JLT   nt1bq5
+	JEQ   nt1bq6
+	JMP   nt1bq7
+
+nt1bq0:
+	NTMAC1(0, Z8, Z17)
+nt1bq1:
+	NTMAC1(8, Z9, Z17)
+nt1bq2:
+	NTMAC1(16, Z10, Z17)
+nt1bq3:
+	NTMAC1(24, Z11, Z17)
+nt1bq4:
+	NTMAC1(32, Z12, Z17)
+nt1bq5:
+	NTMAC1(40, Z13, Z17)
+nt1bq6:
+	NTMAC1(48, Z14, Z17)
+nt1bq7:
+	NTMAC1(56, Z15, Z17)
+	ADDQ   $64, AX
+	ADDQ   $64, BX
+	ADDQ   $64, CX
+	ADDQ   $64, DX
+	ADDQ   $64, R14
+	KXNORW K1, K1, K1
+	KMOVW  K4, K2
+	XORQ   R12, R12
+	DECQ   R15
+	JNZ    nt1pblock
+
+	LEAQ (DI)(R13*8), AX
+	NTSTORE((AX), Z16, Z0)
+	NTSTORE(64(AX), Z17, Z1)
+	ADDQ $16, R13
+	JMP  nt1pair
+
 nt1group:
+	CMPQ R13, cols+40(FP)
+	JGE  nt1next
 	NTSETUP
 	VPXORQ Z16, Z16, Z16
 
 nt1block:
-	NTLOADT
+	NTLOADT(BX, CX)
 	TESTQ R12, R12
 	JZ    nt1q0
 	CMPQ  R12, $2
@@ -449,21 +620,21 @@ nt1block:
 	JMP   nt1q7
 
 nt1q0:
-	NTMAC1(0, Z8)
+	NTMAC1(0, Z8, Z16)
 nt1q1:
-	NTMAC1(8, Z9)
+	NTMAC1(8, Z9, Z16)
 nt1q2:
-	NTMAC1(16, Z10)
+	NTMAC1(16, Z10, Z16)
 nt1q3:
-	NTMAC1(24, Z11)
+	NTMAC1(24, Z11, Z16)
 nt1q4:
-	NTMAC1(32, Z12)
+	NTMAC1(32, Z12, Z16)
 nt1q5:
-	NTMAC1(40, Z13)
+	NTMAC1(40, Z13, Z16)
 nt1q6:
-	NTMAC1(48, Z14)
+	NTMAC1(48, Z14, Z16)
 nt1q7:
-	NTMAC1(56, Z15)
+	NTMAC1(56, Z15, Z16)
 	NTNEXT
 	DECQ R15
 	JNZ  nt1block
@@ -471,9 +642,9 @@ nt1q7:
 	LEAQ (DI)(R13*8), AX
 	NTSTORE((AX), Z16, Z0)
 	ADDQ $8, R13
-	CMPQ R13, cols+40(FP)
-	JLT  nt1group
+	JMP  nt1group
 
+nt1next:
 	ADDQ R8, SI
 	ADDQ R10, DI
 	DECQ R11

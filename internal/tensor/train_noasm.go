@@ -28,6 +28,4 @@ func SumSquaresFast(g []float64) (float64, bool) { return 0, false }
 func SumSquaresSeqFast(total float64, g []float64) (float64, bool) { return 0, false }
 
 // AdamUpdateFast reports false: no vector kernel in this build.
-func AdamUpdateFast(p, g, m, v []float64, b1, b2, bc1, bc2, lr, eps, scale float64) bool {
-	return false
-}
+func AdamUpdateFast(p, g, m, v []float64, s *AdamStep) (int, bool) { return 0, false }
