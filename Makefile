@@ -81,11 +81,11 @@ test-times:
 # pins: a model trained alone has its whole-suite bits, overlapping requests
 # train each model once, and a resuming runner restores exactly the models it
 # is asked for. So does the per-phase training oracle, whose jobs
-# run side by side on two goroutines.
+# run side by side on two goroutines, and the tape-against-heap step oracle.
 race:
 	$(GO) test -race -timeout 30m ./...
-	$(GO) test -race -count=1 -cpu 1,2 -timeout 30m ./internal/core/ ./internal/prefetch/ ./internal/experiments/ ./internal/models/ \
-		-run '^(TestCSTPMatchesReference|TestVoyagerMatchesSequential|TestSuiteModelAloneBits|TestSuiteSingleFlight|TestCheckpointResumePerModel|TestPhaseJobsMatchReference)$$'
+	$(GO) test -race -count=1 -cpu 1,2 -timeout 30m ./internal/core/ ./internal/prefetch/ ./internal/experiments/ ./internal/models/ ./internal/nn/ \
+		-run '^(TestCSTPMatchesReference|TestVoyagerMatchesSequential|TestSuiteModelAloneBits|TestSuiteSingleFlight|TestCheckpointResumePerModel|TestPhaseJobsMatchReference|TestTapeStepMatchesHeapStep)$$'
 
 # fuzz explores past the committed seed corpora (testdata/fuzz, which every
 # `go test` already replays) for a short budget. `go test -fuzz` takes one
@@ -129,8 +129,9 @@ fuzz:
 # training layer (what a suite's set-up is made of): the Adam step (dense,
 # sparse: an embedding table training has barely reached, clipped, and
 # fallback: every tile rejects the kernel's quotient estimates) and the
-# weight- and input-gradient products at 5000 iterations, a whole AMMA train step (the
-# trainer's own, on its tape) at 300, and the ten-model suite at the repository
+# weight- and input-gradient products at 5000 iterations, a whole AMMA delta,
+# AMMA page and LSTM page train step (the trainer's own, on its tape; each
+# 0 allocs/op) at 300, and the ten-model suite at the repository
 # benchmark's fixture, best of 3 — BenchmarkSuiteTrain on the GOMAXPROCS pool
 # and BenchmarkSuiteTrainSerial (same pattern) on one P, so pool and tape read
 # apart, and BenchmarkSuiteTrainPair, the phase-specific pair a served
@@ -151,7 +152,7 @@ fuzz:
 # Steps go through a file so a benchmark failure fails the target. For
 # published numbers rerun with a higher -benchtime and -count (DESIGN.md §8).
 KERNEL_BENCH = BenchmarkAttentionBlocks|BenchmarkResidualLayerNorm|BenchmarkMeanRowsBatch|BenchmarkAddPosBatch|BenchmarkEmbeddingPosBatch|BenchmarkFirstAbove|BenchmarkSigmoidWiden|BenchmarkTopK2of1024|BenchmarkPanel1|BenchmarkPanelShapes|BenchmarkLinearAct|BenchmarkLSTMForward|BenchmarkAMMA(Delta|Page)(F32)?(Batch8)?$$
-TRAIN_BENCH = BenchmarkAdamStep|BenchmarkGemmTN|BenchmarkGemmNT|BenchmarkBackwardMLP|BenchmarkAMMADeltaTrainStep|BenchmarkAMMAPageTrainStep
+TRAIN_BENCH = BenchmarkAdamStep|BenchmarkGemmTN|BenchmarkGemmNT|BenchmarkBackwardMLP|BenchmarkAMMADeltaTrainStep|BenchmarkAMMAPageTrainStep|BenchmarkLSTMPageTrainStep
 SIM_BENCH = BenchmarkEngineNoPrefetch|BenchmarkEngineRun|BenchmarkClassicOperate|BenchmarkGPOPPageRankTrace|BenchmarkXStreamBFSTrace|BenchmarkPowerGraphCCTrace|BenchmarkInterleave
 SERVE_BENCH = BenchmarkKSWIN|BenchmarkSoftKSWIN|BenchmarkKSStatistic|BenchmarkHandleFeed
 # BENCH_STEPS is the ledger's step list, which bench and bench-compare

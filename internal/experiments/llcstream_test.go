@@ -1,8 +1,11 @@
 package experiments
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
+	"mpgraph/internal/frameworks"
 	"mpgraph/internal/prefetch"
 	"mpgraph/internal/sim"
 	"mpgraph/internal/trace"
@@ -93,5 +96,28 @@ func TestLLCStreamIndependentOfPrefetcher(t *testing.T) {
 			}
 		}
 		t.Logf("%s: %d LLC accesses, %d prefetches issued", pf.Name(), len(want), m.PrefetchesIssued)
+	}
+}
+
+// TestShortLLCStreamIsAnError: BFS from the hub of a bounded-degree road
+// graph reaches too few vertices in its first iteration to fill one training
+// window, and Runner.Data says so in an error (not a recovered panic) that
+// names the short stream and the minimum length.
+func TestShortLLCStreamIsAnError(t *testing.T) {
+	o := tinyOptions()
+	o.GraphScale = 8
+	w := Workload{Framework: "gpop", App: frameworks.BFS, Dataset: "roadCA"}
+	_, err := NewRunner(o).Data(w)
+	if err == nil {
+		t.Fatalf("%s at graph scale %d: want a short-stream error", w, o.GraphScale)
+	}
+	cfg := o.ModelConfig()
+	for _, want := range []string{
+		fmt.Sprintf("experiments: %s LLC train stream too short: ", w),
+		fmt.Sprintf(" accesses, need %d (HistoryT + LookForwardF + 2)", cfg.HistoryT+cfg.LookForwardF+2),
+	} {
+		if !strings.Contains(err.Error(), want) {
+			t.Fatalf("error %q does not contain %q", err, want)
+		}
 	}
 }

@@ -3,6 +3,7 @@ package experiments
 import (
 	"cmp"
 	"fmt"
+	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -256,18 +257,31 @@ func (r *Runner) computeData(w Workload) (*WorkloadData, error) {
 		m := eng.Run(raw)
 		return llc, m, nil
 	}
+	// A stream shorter than one sample's window and label cannot train or be
+	// tested on; each is checked as soon as it is captured.
+	cfg := r.Opt.ModelConfig()
+	minStream := cfg.HistoryT + cfg.LookForwardF + 2
+	tooShort := func(name string, llc []trace.Access) error {
+		if len(llc) >= minStream {
+			return nil
+		}
+		return fmt.Errorf("experiments: %s LLC %s stream too short: %d accesses, need %d (HistoryT + LookForwardF + 2)",
+			w, name, len(llc), minStream)
+	}
 	if d.LLCTrain, _, err = capture(trainRaw); err != nil {
+		return nil, err
+	}
+	if err := tooShort("train", d.LLCTrain); err != nil {
 		return nil, err
 	}
 	if d.LLCTest, _, err = capture(testRawFull); err != nil {
 		return nil, err
 	}
-	if _, d.BaselineMetrics, err = capture(testRaw); err != nil {
+	if err := tooShort("test", d.LLCTest); err != nil {
 		return nil, err
 	}
-	minStream := r.Opt.ModelConfig().HistoryT + r.Opt.ModelConfig().LookForwardF + 2
-	if len(d.LLCTrain) < minStream || len(d.LLCTest) < minStream {
-		return nil, fmt.Errorf("experiments: %s LLC streams too short (%d train / %d test)", w, len(d.LLCTrain), len(d.LLCTest))
+	if _, d.BaselineMetrics, err = capture(testRaw); err != nil {
+		return nil, err
 	}
 
 	return d, nil
@@ -541,6 +555,14 @@ func (r *Runner) trainModels(w Workload, s *Suite, ms []SuiteModel, ls *lazySuit
 		done[j] = true
 		return nil
 	})
+	if len(jobs) > 0 {
+		// Every job's tape, optimizer moments and first step's buffers are
+		// garbage now. Without a collection here the next heap goal is the
+		// one a collection during training set, with two trainers' state
+		// live, and the suite's consumers run their first inference cycle
+		// up to it (DESIGN.md §8, "Training tape").
+		runtime.GC()
+	}
 	for i := range ok {
 		ok[i] = true
 	}

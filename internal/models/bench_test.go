@@ -57,16 +57,21 @@ func BenchmarkLSTMDeltaInference(b *testing.B) {
 }
 
 // benchTrainStep times the step trainLoop runs per sample — the same
-// trainer, so the same tape — on the loss of one sample after another.
+// trainer, so the same tape — on the loss of one sample after another, after
+// the one step that grows the tape and allocates the gradients and moments.
 func benchTrainStep(b *testing.B, m nn.Module, ds *Dataset, lossFn func(*Sample) *tensor.Tensor) {
 	tr := newTrainer(m, 1e-3)
-	defer tr.tape.Release()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	defer tr.release()
+	step := func(i int) {
 		if err := tr.step(lossFn(ds.Samples[i%len(ds.Samples)])); err != nil {
 			b.Fatal(err)
 		}
+	}
+	step(0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		step(i + 1)
 	}
 }
 
@@ -87,6 +92,14 @@ func BenchmarkAMMADeltaTrainStep(b *testing.B) {
 func BenchmarkAMMAPageTrainStep(b *testing.B) {
 	ds := benchTrainDataset(b)
 	m := NewAMMAPage(ds.Cfg, ds.Pages, ds.PCs, 0, 1)
+	benchTrainStep(b, m, ds, m.PageLoss)
+}
+
+// BenchmarkLSTMPageTrainStep is the recurrent graph's step: nine steps of
+// gate ops, the longest single training job of a suite.
+func BenchmarkLSTMPageTrainStep(b *testing.B) {
+	ds := benchTrainDataset(b)
+	m := NewLSTMPage(ds.Cfg, ds.Pages, ds.PCs, 1)
 	benchTrainStep(b, m, ds, m.PageLoss)
 }
 

@@ -53,9 +53,17 @@ func (m *BinaryPage) PageLogits(s *Sample) *tensor.Tensor {
 
 // PageLoss implements PageModel: BCE against the label's binary code.
 func (m *BinaryPage) PageLoss(s *Sample) *tensor.Tensor {
-	code, err := BinaryCode(s.PageTok, m.bits)
+	var code [64]float64
+	return tensor.BCEWithLogits(m.PageLogits(s), m.labelCode(code[:0], s))
+}
+
+// labelCode appends the binary code of s's label, the hard target of both
+// BinaryPage losses, to dst: a caller's stack buffer, since the loss node
+// keeps its own copy of its targets.
+func (m *BinaryPage) labelCode(dst []float64, s *Sample) []float64 {
+	code, err := appendBinaryCode(dst, s.PageTok, m.bits)
 	invariant.OnErr(err) // bits covers PageVocab by construction
-	return tensor.BCEWithLogits(m.PageLogits(s), code)
+	return code
 }
 
 // Params implements nn.Module.
@@ -91,9 +99,19 @@ func distillLoss(soft, hard *tensor.Tensor) *tensor.Tensor {
 // soft loss is BCE against the teacher's sigmoid outputs, mixed with the
 // hard label loss.
 func DistillDelta(student DeltaModel, teacher DeltaModel, ds *Dataset, opt TrainOptions) error {
+	loss, err := distillDeltaLoss(student, teacher, ds)
+	if err != nil {
+		return err
+	}
+	return trainLoop(student, ds, opt, allPhases, loss)
+}
+
+// distillDeltaLoss is DistillDelta's per-sample loss, over teacher targets
+// scored once up front.
+func distillDeltaLoss(student DeltaModel, teacher DeltaModel, ds *Dataset) (lossFunc, error) {
 	sl, ok := student.(DeltaLogiter)
 	if !ok {
-		return fmt.Errorf("models: student %T does not expose delta logits", student)
+		return nil, fmt.Errorf("models: student %T does not expose delta logits", student)
 	}
 	// Teacher targets are inference-only: precompute outside the tape.
 	soft := make([][]float64, len(ds.Samples))
@@ -103,13 +121,13 @@ func DistillDelta(student DeltaModel, teacher DeltaModel, ds *Dataset, opt Train
 	}
 	tensor.SetGradEnabled(restore)
 	idxOf := sampleIndex(ds)
-	return trainLoop(student, ds, opt, allPhases, func(s *Sample) *tensor.Tensor {
+	return func(s *Sample) *tensor.Tensor {
 		logits := sl.DeltaLogits(s)
 		i := idxOf[s]
 		softLoss := tensor.BCEWithLogits(logits, soft[i])
 		hardLoss := tensor.BCEWithLogits(logits, s.DeltaBits)
 		return distillLoss(softLoss, hardLoss)
-	})
+	}, nil
 }
 
 // DistillPage trains a student page model from a teacher's softmax
@@ -117,6 +135,16 @@ func DistillDelta(student DeltaModel, teacher DeltaModel, ds *Dataset, opt Train
 // tempered soft cross entropy; a BinaryPage student distils the expected bit
 // probabilities implied by the teacher distribution.
 func DistillPage(student PageModel, teacher PageProber, ds *Dataset, opt TrainOptions) error {
+	loss, err := distillPageLoss(student, teacher, ds)
+	if err != nil {
+		return err
+	}
+	return trainLoop(student, ds, opt, allPhases, loss)
+}
+
+// distillPageLoss is DistillPage's per-sample loss, over teacher targets
+// computed once up front.
+func distillPageLoss(student PageModel, teacher PageProber, ds *Dataset) (lossFunc, error) {
 	soft := make([][]float64, len(ds.Samples))
 	restore := tensor.SetGradEnabled(false)
 	for i, s := range ds.Samples {
@@ -139,28 +167,27 @@ func DistillPage(student PageModel, teacher PageProber, ds *Dataset, opt TrainOp
 			}
 			bitTargets[i] = bt
 		}
-		return trainLoop(student, ds, opt, allPhases, func(s *Sample) *tensor.Tensor {
+		return func(s *Sample) *tensor.Tensor {
 			logits := bp.PageLogits(s)
 			i := idxOf[s]
 			softLoss := tensor.BCEWithLogits(logits, bitTargets[i])
-			code, err := BinaryCode(s.PageTok, bp.bits)
-			invariant.OnErr(err) // bits covers PageVocab by construction
-			hardLoss := tensor.BCEWithLogits(logits, code)
+			var code [64]float64
+			hardLoss := tensor.BCEWithLogits(logits, bp.labelCode(code[:0], s))
 			return distillLoss(softLoss, hardLoss)
-		})
+		}, nil
 	}
 
 	sl, ok := student.(PageLogiter)
 	if !ok {
-		return fmt.Errorf("models: student %T does not expose page logits", student)
+		return nil, fmt.Errorf("models: student %T does not expose page logits", student)
 	}
-	return trainLoop(student, ds, opt, allPhases, func(s *Sample) *tensor.Tensor {
+	return func(s *Sample) *tensor.Tensor {
 		logits := sl.PageLogits(s)
 		i := idxOf[s]
 		softLoss := tensor.SoftCrossEntropy(logits, soft[i], distillTemperature)
 		hardLoss := tensor.CrossEntropyLogits(logits, s.PageTok)
 		return distillLoss(softLoss, hardLoss)
-	})
+	}, nil
 }
 
 func sampleIndex(ds *Dataset) map[*Sample]int {

@@ -96,16 +96,22 @@ func DeltaBitmap(cfg Config, deltas []int64) []float64 {
 // 6.1's binary-encoding compression: 2^16 classes become 16 sigmoid
 // outputs).
 func BinaryCode(id, bits int) ([]float64, error) {
+	return appendBinaryCode(nil, id, bits)
+}
+
+// appendBinaryCode appends BinaryCode(id, bits) to dst.
+func appendBinaryCode(dst []float64, id, bits int) ([]float64, error) {
 	if id < 0 || id >= 1<<bits {
-		return nil, fmt.Errorf("models: class %d does not fit in %d bits", id, bits)
+		return dst, fmt.Errorf("models: class %d does not fit in %d bits", id, bits)
 	}
-	out := make([]float64, bits)
 	for b := 0; b < bits; b++ {
+		v := 0.0
 		if id&(1<<b) != 0 {
-			out[b] = 1
+			v = 1
 		}
+		dst = append(dst, v)
 	}
-	return out, nil
+	return dst, nil
 }
 
 // DecodeBinary inverts BinaryCode by thresholding each bit at 0.5.

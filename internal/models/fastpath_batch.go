@@ -116,9 +116,13 @@ func batchT(ss []*Sample) int {
 	return t
 }
 
+// pcTokensBatchCtx and pageTokensBatchCtx tokenize every sample's window for
+// a lookup into table, on whose tape (tensor.IntsFor) the ids of a training
+// step live.
+//
 //mpgraph:noalloc
-func pcTokensBatchCtx(c *tensor.Ctx, v *Vocab, ss []*Sample, t int) []int {
-	out := c.Ints(len(ss) * t)
+func pcTokensBatchCtx[T float32 | float64](c *tensor.Ctx, table *tensor.Dense[T], v *Vocab, ss []*Sample, t int) []int {
+	out := tensor.IntsFor(c, table, len(ss)*t)
 	for i, s := range ss {
 		for j, pc := range s.PCs {
 			out[i*t+j] = v.Token(pc)
@@ -128,8 +132,8 @@ func pcTokensBatchCtx(c *tensor.Ctx, v *Vocab, ss []*Sample, t int) []int {
 }
 
 //mpgraph:noalloc
-func pageTokensBatchCtx(c *tensor.Ctx, v *Vocab, ss []*Sample, t int) []int {
-	out := c.Ints(len(ss) * t)
+func pageTokensBatchCtx[T float32 | float64](c *tensor.Ctx, table *tensor.Dense[T], v *Vocab, ss []*Sample, t int) []int {
+	out := tensor.IntsFor(c, table, len(ss)*t)
 	for i, s := range ss {
 		for j, b := range s.Blocks {
 			out[i*t+j] = v.Token(trace.PageOfBlock(b))
@@ -139,11 +143,12 @@ func pageTokensBatchCtx(c *tensor.Ctx, v *Vocab, ss []*Sample, t int) []int {
 }
 
 // addrFeatureTensorBatchCtx encodes every sample's window of block addresses
-// as [T x NumSegments] segment features (SegmentBlockInto), stacked.
+// as [T x NumSegments] segment features (SegmentBlockInto), stacked, as an
+// input of the layer whose weight is w (tensor.ZerosFor).
 //
 //mpgraph:noalloc
-func addrFeatureTensorBatchCtx(c *tensor.Ctx, cfg Config, ss []*Sample, t int) *tensor.Tensor {
-	out := tensor.ZerosCtx[float64](c, len(ss)*t, cfg.NumSegments)
+func addrFeatureTensorBatchCtx(c *tensor.Ctx, w *tensor.Tensor, cfg Config, ss []*Sample, t int) *tensor.Tensor {
+	out := tensor.ZerosFor(c, w, len(ss)*t, cfg.NumSegments)
 	for i, s := range ss {
 		for j, b := range s.Blocks {
 			r := i*t + j
@@ -155,12 +160,13 @@ func addrFeatureTensorBatchCtx(c *tensor.Ctx, cfg Config, ss []*Sample, t int) *
 
 // concatStepFeaturesBatchCtx builds the per-step [T x (NumSegments+1)]
 // input the LSTM and vanilla-attention baselines consume — address segments
-// concatenated with the hashed PC — for every sample, stacked.
+// concatenated with the hashed PC — for every sample, stacked, as an input of
+// the layer whose weight is w.
 //
 //mpgraph:noalloc
-func concatStepFeaturesBatchCtx(c *tensor.Ctx, cfg Config, ss []*Sample, t int) *tensor.Tensor {
+func concatStepFeaturesBatchCtx(c *tensor.Ctx, w *tensor.Tensor, cfg Config, ss []*Sample, t int) *tensor.Tensor {
 	cols := cfg.NumSegments + 1
-	out := tensor.ZerosCtx[float64](c, len(ss)*t, cols)
+	out := tensor.ZerosFor(c, w, len(ss)*t, cols)
 	for i, s := range ss {
 		for j := range s.Blocks {
 			r := i*t + j
@@ -171,13 +177,13 @@ func concatStepFeaturesBatchCtx(c *tensor.Ctx, cfg Config, ss []*Sample, t int) 
 	return out
 }
 
-// phaseIDsBatch gathers each session's phase-embedding row id.
+// phaseIDsBatch gathers each session's row id in the phase-embedding table.
 //
 //mpgraph:noalloc
-func phaseIDsBatch(c *tensor.Ctx, ss []*Sample, vocab int) []int {
-	ids := c.Ints(len(ss))
+func phaseIDsBatch[T float32 | float64](c *tensor.Ctx, table *tensor.Dense[T], ss []*Sample) []int {
+	ids := tensor.IntsFor(c, table, len(ss))
 	for i, s := range ss {
-		ids[i] = s.Phase % vocab
+		ids[i] = s.Phase % table.Rows
 	}
 	return ids
 }
@@ -209,7 +215,7 @@ func (core *ammaCore[T]) forwardBatchCtx(c *tensor.Ctx, encA, encB *tensor.Dense
 	if core.phaseEmb != nil {
 		// Phase embedding incorporated as side information after the
 		// fusion of the two modalities (AMMA-PI, Section 5.3.1).
-		ids := phaseIDsBatch(c, ss, core.phaseEmb.Vocab())
+		ids := phaseIDsBatch(c, core.phaseEmb.Table, ss)
 		fused = tensor.AddRowPerBlock(c, fused, core.phaseEmb.Table, ids, blocks)
 	}
 	for _, tl := range core.trans {
@@ -224,8 +230,8 @@ func (core *ammaCore[T]) forwardBatchCtx(c *tensor.Ctx, encA, encB *tensor.Dense
 //mpgraph:noalloc
 func (core *ammaCore[T]) pooledTokensBatchCtx(c *tensor.Ctx, pages, pcs *Vocab, ss []*Sample) *tensor.Dense[T] {
 	t := batchT(ss)
-	encA := core.modA.encodeTokensBatchCtx(c, pageTokensBatchCtx(c, pages, ss, t), len(ss))
-	encB := core.modB.encodeTokensBatchCtx(c, pcTokensBatchCtx(c, pcs, ss, t), len(ss))
+	encA := core.modA.encodeTokensBatchCtx(c, pageTokensBatchCtx(c, core.modA.table.Table, pages, ss, t), len(ss))
+	encB := core.modB.encodeTokensBatchCtx(c, pcTokensBatchCtx(c, core.modB.table.Table, pcs, ss, t), len(ss))
 	return core.forwardBatchCtx(c, encA, encB, ss)
 }
 
@@ -247,8 +253,8 @@ func topPagesBatchAppend[T float32 | float64](c *tensor.Ctx, pages *Vocab, score
 //mpgraph:noalloc
 func ammaDeltaLogits[T float32 | float64](c *tensor.Ctx, m *AMMADelta, core *ammaCore[T], head *nn.MLPOf[T], ss []*Sample) *tensor.Dense[T] {
 	t := batchT(ss)
-	encA := core.modA.encodeFeaturesBatchCtx(c, addrFeatureTensorBatchCtx(c, m.cfg, ss, t), len(ss))
-	encB := core.modB.encodeTokensBatchCtx(c, pcTokensBatchCtx(c, m.pcs, ss, t), len(ss))
+	encA := core.modA.encodeFeaturesBatchCtx(c, addrFeatureTensorBatchCtx(c, m.core.modA.lin.W, m.cfg, ss, t), len(ss))
+	encB := core.modB.encodeTokensBatchCtx(c, pcTokensBatchCtx(c, core.modB.table.Table, m.pcs, ss, t), len(ss))
 	return head.ForwardCtx(c, core.forwardBatchCtx(c, encA, encB, ss))
 }
 
@@ -278,7 +284,7 @@ func (m *AMMAPage) TopPagesBatchAppendCtx(c *tensor.Ctx, ss []*Sample, k int, ds
 //
 //mpgraph:noalloc
 func lstmDeltaLogits[T float32 | float64](c *tensor.Ctx, m *LSTMDelta, lstm *nn.LSTMOf[T], head *nn.MLPOf[T], ss []*Sample) *tensor.Dense[T] {
-	x := tensor.NarrowCtx[T](c, concatStepFeaturesBatchCtx(c, m.cfg, ss, batchT(ss)))
+	x := tensor.NarrowCtx[T](c, concatStepFeaturesBatchCtx(c, m.lstm.Wxi, m.cfg, ss, batchT(ss)))
 	return head.ForwardCtx(c, lstm.ForwardBatchCtx(c, x, len(ss)))
 }
 
@@ -292,8 +298,8 @@ func (m *LSTMDelta) DeltaScoresBatchCtx(c *tensor.Ctx, ss []*Sample) *tensor.Ten
 //mpgraph:noalloc
 func (m *LSTMPage) logitsBatchCtx(c *tensor.Ctx, ss []*Sample) *tensor.Tensor {
 	t := batchT(ss)
-	pe := m.pageEmb.ForwardCtx(c, pageTokensBatchCtx(c, m.pages, ss, t))
-	ce := m.pcEmb.ForwardCtx(c, pcTokensBatchCtx(c, m.pcs, ss, t))
+	pe := m.pageEmb.ForwardCtx(c, pageTokensBatchCtx(c, m.pageEmb.Table, m.pages, ss, t))
+	ce := m.pcEmb.ForwardCtx(c, pcTokensBatchCtx(c, m.pcEmb.Table, m.pcs, ss, t))
 	return m.head.ForwardCtx(c, m.lstm.ForwardBatchCtx(c, tensor.ConcatCols2(c, pe, ce), len(ss)))
 }
 
@@ -307,7 +313,7 @@ func (m *LSTMPage) TopPagesBatchAppendCtx(c *tensor.Ctx, ss []*Sample, k int, ds
 //mpgraph:noalloc
 func (m *AttnDelta) logitsBatchCtx(c *tensor.Ctx, ss []*Sample) *tensor.Tensor {
 	t := batchT(ss)
-	x := tensor.AddPosBatch(c, m.embed.ForwardCtx(c, concatStepFeaturesBatchCtx(c, m.cfg, ss, t)), m.pos, len(ss))
+	x := tensor.AddPosBatch(c, m.embed.ForwardCtx(c, concatStepFeaturesBatchCtx(c, m.embed.W, m.cfg, ss, t)), m.pos, len(ss))
 	for _, tl := range m.trans {
 		x = tl.ForwardBatchCtx(c, x, len(ss))
 	}
@@ -324,8 +330,8 @@ func (m *AttnDelta) DeltaScoresBatchCtx(c *tensor.Ctx, ss []*Sample) *tensor.Ten
 //mpgraph:noalloc
 func (m *AttnPage) logitsBatchCtx(c *tensor.Ctx, ss []*Sample) *tensor.Tensor {
 	t := batchT(ss)
-	pe := m.pageEmb.ForwardCtx(c, pageTokensBatchCtx(c, m.pages, ss, t))
-	side := tensor.ZerosCtx[float64](c, len(ss)*t, 1)
+	pe := m.pageEmb.ForwardCtx(c, pageTokensBatchCtx(c, m.pageEmb.Table, m.pages, ss, t))
+	side := tensor.ZerosFor(c, m.mix.W, len(ss)*t, 1)
 	for i, s := range ss {
 		for j, pc := range s.PCs {
 			side.Data[i*t+j] = hashPC(pc)

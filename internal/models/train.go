@@ -119,11 +119,21 @@ type trainer struct {
 	tape   *tensor.Tape
 }
 
-// newTrainer puts m's parameters on a fresh tape; the caller defers the
-// tape's Release.
+// newTrainer puts m's parameters on a fresh tape; the caller defers
+// release.
 func newTrainer(m nn.Module, lr float64) *trainer {
 	params := m.Params()
 	return &trainer{params: params, adam: nn.NewAdam(lr), tape: tensor.NewTape(params)}
+}
+
+// release ends training: the parameters leave the tape and drop their
+// gradients, which nothing reads once the last step is taken — left in place
+// they would stay live beside the trained model for as long as it serves.
+func (t *trainer) release() {
+	t.tape.Release()
+	for _, p := range t.params {
+		p.Grad = nil
+	}
 }
 
 // step is one training step on loss. The tape is rewound last: Backward and
@@ -150,7 +160,7 @@ func trainLoop(m nn.Module, ds *Dataset, opt TrainOptions, own phaseFilter, loss
 	}
 	rng := rand.New(rand.NewSource(opt.Seed))
 	tr := newTrainer(m, opt.LR)
-	defer tr.tape.Release()
+	defer tr.release()
 	order := make([]int, len(ds.Samples))
 	for i := range order {
 		order[i] = i

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -369,31 +368,100 @@ func phaseLabelled(t *testing.T, ds *Dataset, n, P int, opt TrainOptions) *Datas
 	return &Dataset{Cfg: ds.Cfg, Samples: samples, Pages: ds.Pages, PCs: ds.PCs}
 }
 
-// TestTrainStepAllocBudget: one AMMA train step on a warm tape allocates
-// under 64 KB — graph headers, parent slices, closures and the sample's
-// feature tensors — where the heap-allocated step was 477 KB, almost all of
-// it zeroed Data and Grad slices.
-func TestTrainStepAllocBudget(t *testing.T) {
+// TestTrainStepZeroAlloc: after one warm-up step (which grows the tape and
+// allocates the parameter gradients and Adam's moments) a train step
+// allocates nothing, for every model kind the suite and Fig. 13 train: the
+// tape holds the whole step graph, inputs included. The phase job alternates
+// a full step on its own phase with the zero-gradient step of another's.
+func TestTrainStepZeroAlloc(t *testing.T) {
 	ds := synthDataset(t, 1500, 12)
-	m := NewAMMADelta(ds.Cfg, ds.PCs, 0, 3)
-	tr := newTrainer(m, 1e-3)
-	defer tr.tape.Release()
-	step := func(i int) {
-		if err := tr.step(m.DeltaLoss(ds.Samples[i%len(ds.Samples)])); err != nil {
-			t.Fatal(err)
+	phases := ds.NumPhases()
+	small := ds.Cfg
+	small.AttnDim, small.FusionDim, small.Heads = 8, 16, 2
+	dsSmall := &Dataset{Cfg: small, Samples: ds.Samples[:64], Pages: ds.Pages, PCs: ds.PCs}
+	ammaPage := NewAMMAPage(ds.Cfg, ds.Pages, ds.PCs, 0, 7)
+
+	type job struct {
+		m    nn.Module
+		loss lossFunc
+	}
+	jobs := map[string]func() job{
+		"amma-delta": func() job { m := NewAMMADelta(ds.Cfg, ds.PCs, 0, 3); return job{m, m.DeltaLoss} },
+		"pi-delta":   func() job { m := NewAMMADelta(ds.Cfg, ds.PCs, phases, 4); return job{m, m.DeltaLoss} },
+		"amma-page":  func() job { return job{ammaPage, ammaPage.PageLoss} },
+		"pi-page":    func() job { m := NewAMMAPage(ds.Cfg, ds.Pages, ds.PCs, phases, 14); return job{m, m.PageLoss} },
+		"lstm-delta": func() job { m := NewLSTMDelta(ds.Cfg, 5); return job{m, m.DeltaLoss} },
+		"lstm-page":  func() job { m := NewLSTMPage(ds.Cfg, ds.Pages, ds.PCs, 15); return job{m, m.PageLoss} },
+		"attn-delta": func() job { m := NewAttnDelta(ds.Cfg, 6); return job{m, m.DeltaLoss} },
+		"attn-page":  func() job { m := NewAttnPage(ds.Cfg, ds.Pages, ds.PCs, 16); return job{m, m.PageLoss} },
+		"distilled-delta": func() job {
+			m := NewAMMADelta(small, ds.PCs, 0, 67)
+			loss, err := distillDeltaLoss(m, NewAMMADelta(ds.Cfg, ds.PCs, 0, 3), dsSmall)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return job{m, loss}
+		},
+		"distilled-softmax-page": func() job {
+			m := NewAMMAPage(small, ds.Pages, ds.PCs, 0, 68)
+			loss, err := distillPageLoss(m, ammaPage, dsSmall)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return job{m, loss}
+		},
+		"distilled-binary-page": func() job {
+			m := NewBinaryPage(small, ds.Pages, ds.PCs, 69)
+			loss, err := distillPageLoss(m, ammaPage, dsSmall)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return job{m, loss}
+		},
+	}
+	samples := dsSmall.Samples
+	for name, build := range jobs {
+		j := build()
+		tr := newTrainer(j.m, 1e-3)
+		i := 0
+		step := func() {
+			if err := tr.step(j.loss(samples[i%len(samples)])); err != nil {
+				t.Fatal(err)
+			}
+			i++
+		}
+		step()
+		if allocs := testing.AllocsPerRun(8, step); allocs != 0 {
+			t.Errorf("%s: a warm train step allocates %.0f times, want 0", name, allocs)
+		}
+		tr.release()
+	}
+
+	ps := NewPhaseSpecificDelta(ds.Cfg, ds.PCs, phases, 8)
+	sub := ps.Models[0]
+	var own, other []*Sample
+	for _, s := range ds.Samples {
+		if phaseIndex(s.Phase, phases) == 0 {
+			own = append(own, s)
+		} else {
+			other = append(other, s)
 		}
 	}
-	for i := 0; i < 4; i++ {
-		step(i) // grow the tape, allocate parameter gradients and Adam moments
+	if len(own) == 0 || len(other) == 0 {
+		t.Fatalf("vacuous: %d samples of phase 0, %d of others", len(own), len(other))
 	}
-	const steps = 32
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < steps; i++ {
-		step(i)
+	tr := newTrainer(sub, 1e-3)
+	defer tr.release()
+	i := 0
+	step := func() {
+		if err := tr.step(sub.DeltaLoss(own[i%len(own)])); err != nil {
+			t.Fatal(err)
+		}
+		tr.adam.StepZeroGrads(tr.params)
+		i++
 	}
-	runtime.ReadMemStats(&after)
-	if perStep := (after.TotalAlloc - before.TotalAlloc) / steps; perStep > 64<<10 {
-		t.Fatalf("a train step allocates %d bytes, budget 64 KB", perStep)
+	step()
+	if allocs := testing.AllocsPerRun(8, step); allocs != 0 {
+		t.Errorf("phase job: a warm step and a zero-gradient step allocate %.0f times, want 0", allocs)
 	}
 }

@@ -294,7 +294,7 @@ func (m *MultiHeadSelfAttentionOf[T]) ForwardCtx(c *tensor.Ctx, x *tensor.Dense[
 //mpgraph:noalloc
 func (m *MultiHeadSelfAttentionOf[T]) ForwardBatchCtx(c *tensor.Ctx, x *tensor.Dense[T], blocks int) *tensor.Dense[T] {
 	if c == nil {
-		outs := make([]*tensor.Dense[T], len(m.Heads))
+		outs := tensor.PtrsFor(c, m.Wo.W, len(m.Heads))
 		for i, h := range m.Heads {
 			outs[i] = h.ForwardBatchCtx(c, x, blocks)
 		}

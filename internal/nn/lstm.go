@@ -72,8 +72,8 @@ func (l *LSTMOf[T]) ForwardCtx(ctx *tensor.Ctx, x *tensor.Dense[T]) *tensor.Dens
 // lstmGraph is the autograd forward: one row at a time, every gate its own
 // op so gradients flow through the plain graph.
 func lstmGraph(l *LSTM, x *tensor.Tensor) *tensor.Tensor {
-	h := tensor.Zeros(1, l.Hidden)
-	c := tensor.Zeros(1, l.Hidden)
+	h := tensor.ZerosFor(nil, l.Whi, 1, l.Hidden)
+	c := tensor.ZerosFor(nil, l.Whi, 1, l.Hidden)
 	for t := 0; t < x.Rows; t++ {
 		xt := tensor.SliceRows(x, t, t+1)
 		gate := func(wx, wh, b *tensor.Tensor) *tensor.Tensor {

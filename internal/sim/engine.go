@@ -143,10 +143,12 @@ type Engine struct {
 	// kept unordered.
 	outstanding [][]uint64
 	// inflight is the prefetch queue in issue order, allocated once at
-	// PrefetchQueueMax. nextFill is a lower bound on every queued readyAt
-	// (MaxUint64 when the queue is empty): a Step whose clock is below it has
-	// nothing to drain. An MSHR merge may leave it stale-low, which costs one
-	// fruitless scan and never a missed fill.
+	// PrefetchQueueMax. It is FIFO by construction: DRAM.AccessPrefetch
+	// starts each fill no earlier than the last one plus ServiceCycles, so
+	// queued readyAt never decrease in issue order, and an MSHR merge only
+	// removes an entry. So the due fills are a prefix, and nextFill — the
+	// head's readyAt, MaxUint64 when the queue is empty — is the first cycle
+	// at which a Step has anything to drain.
 	inflight []inflightPrefetch
 	nextFill uint64
 
@@ -364,6 +366,7 @@ func (e *Engine) lookup(c int, block uint64, now uint64, a trace.Access) (latenc
 		if e.inflight[i].block == block {
 			ready := e.inflight[i].readyAt
 			e.inflight = append(e.inflight[:i], e.inflight[i+1:]...)
+			e.nextFill = e.headReady()
 			e.metrics.UsefulPrefetches++
 			e.metrics.LatePrefetches++
 			e.metrics.LLCHits++
@@ -421,32 +424,34 @@ func (e *Engine) issuePrefetches(blocks []uint64, now uint64) {
 		ready := e.dram.AccessPrefetch(issueAt)
 		e.inflight = e.inflight[:n+1]
 		e.inflight[n] = inflightPrefetch{block: b, readyAt: ready}
-		if ready < e.nextFill {
+		if n == 0 {
 			e.nextFill = ready
 		}
 	}
 }
 
 // drainPrefetches fills the LLC, in queue order, with the prefetches whose
-// data has arrived by now, and recomputes nextFill from the ones that stay.
+// data has arrived by now — the queue's prefix up to the first one still in
+// flight — and moves the rest to the front.
 //
 //mpgraph:noalloc
 func (e *Engine) drainPrefetches(now uint64) {
-	kept := 0
-	next := uint64(math.MaxUint64)
-	for _, p := range e.inflight {
-		if p.readyAt <= now {
-			e.insertLLC(p.block, true, p.readyAt)
-			continue
-		}
-		e.inflight[kept] = p
-		kept++
-		if p.readyAt < next {
-			next = p.readyAt
-		}
+	due := 0
+	for ; due < len(e.inflight) && e.inflight[due].readyAt <= now; due++ {
+		e.insertLLC(e.inflight[due].block, true, e.inflight[due].readyAt)
 	}
-	e.inflight = e.inflight[:kept]
-	e.nextFill = next
+	e.inflight = e.inflight[:copy(e.inflight, e.inflight[due:])]
+	e.nextFill = e.headReady()
+}
+
+// headReady is the queue head's readyAt, MaxUint64 when the queue is empty.
+//
+//mpgraph:noalloc
+func (e *Engine) headReady() uint64 {
+	if len(e.inflight) == 0 {
+		return math.MaxUint64
+	}
+	return e.inflight[0].readyAt
 }
 
 // insertLLC fills the shared cache and counts a polluted eviction.

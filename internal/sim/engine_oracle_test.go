@@ -1,6 +1,7 @@
 package sim_test
 
 import (
+	"math"
 	"math/rand"
 	"slices"
 	"sort"
@@ -443,6 +444,53 @@ func TestEngineMatchesReference(t *testing.T) {
 	if fullWindows == 0 || merges == 0 || lateHits == 0 || dropped == 0 || polluted == 0 {
 		t.Fatalf("vacuous: full windows %d, MSHR merges %d, late LLC hits %d, dropped %d, polluted %d — each must be reached",
 			fullWindows, merges, lateHits, dropped, polluted)
+	}
+}
+
+// TestPrefetchQueueIsFIFO: on random traces and configs (DRAM service time 0
+// included) the prefetch queue's readyAt never decrease in issue order after
+// any Step, and nextFill is the head's readyAt — what lets the engine drain a
+// prefix and skip the queue below nextFill.
+func TestPrefetchQueueIsFIFO(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	var deep, late int
+	for trial := 0; trial < 24; trial++ {
+		cfg := evictingConfig()
+		cfg.Cores, cfg.IssueWidth, cfg.MaxOutstanding = 1+rng.Intn(4), 1+rng.Intn(4), 1+rng.Intn(8)
+		cfg.PrefetchQueueMax = 1 + rng.Intn(64)
+		cfg.PrefetchLatency = uint64(rng.Intn(400))
+		cfg.DRAMLatency, cfg.DRAMServiceCycles = 50+uint64(rng.Intn(300)), uint64(rng.Intn(40))
+		eng, err := sim.NewEngine(cfg, &scripted{rng: rand.New(rand.NewSource(int64(trial)))})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var q []uint64
+		for i, a := range oracleTrace(int64(100+trial), 1000) {
+			eng.Step(a)
+			var next uint64
+			q, next = eng.QueuedReadyAt(q[:0])
+			for j := 1; j < len(q); j++ {
+				if q[j] < q[j-1] {
+					t.Fatalf("trial %d %+v, step %d: readyAt %d after %d at queue position %d", trial, cfg, i, q[j], q[j-1], j)
+				}
+			}
+			head := uint64(math.MaxUint64)
+			if len(q) > 0 {
+				head = q[0]
+			}
+			if next != head {
+				t.Fatalf("trial %d, step %d: nextFill %d, head readyAt %d", trial, i, next, head)
+			}
+			if len(q) > 1 {
+				deep++
+			}
+		}
+		if eng.Finish().LatePrefetches > 0 {
+			late++ // late LLC hits and MSHR merges, which remove an entry
+		}
+	}
+	if deep == 0 || late == 0 {
+		t.Fatalf("vacuous: %d steps left two or more fills queued, %d trials had late prefetches", deep, late)
 	}
 }
 

@@ -393,3 +393,13 @@ func TestQuickEngineSanity(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// QueuedReadyAt appends the prefetch queue's readyAt, in issue order, to dst
+// and returns it with nextFill: the view of the queue the oracle tests of
+// package sim_test check.
+func (e *Engine) QueuedReadyAt(dst []uint64) ([]uint64, uint64) {
+	for _, p := range e.inflight {
+		dst = append(dst, p.readyAt)
+	}
+	return dst, e.nextFill
+}

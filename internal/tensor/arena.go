@@ -83,8 +83,9 @@ func (a *arena[T]) reset() {
 // header allocates a tensor header over data. The slot is not cleared: shape
 // and data are assigned here and nothing ever writes an arena header's graph
 // fields, so they are still the zeros the slab was made with
-// (TestArenaHeadersCarryNoGraph pins that). Clearing the 112-byte slot costs
-// 5-13% on the ~110-200 ns single-block LayerNorm rows of the ledger.
+// (TestArenaHeadersCarryNoGraph pins that). Clearing the slot (112 bytes when
+// measured) cost 5-13% on the ~110-200 ns single-block LayerNorm rows of the
+// ledger.
 //
 //mpgraph:noalloc
 func (a *arena[T]) header(rows, cols int, data []T) *Dense[T] {
@@ -173,14 +174,4 @@ func (c *Ctx) Ints(n int) []int {
 		return make([]int, n)
 	}
 	return c.ints.take(n)
-}
-
-// Ptrs returns a zeroed arena-backed []*Dense[T] of length n.
-//
-//mpgraph:noalloc
-func Ptrs[T float32 | float64](c *Ctx, n int) []*Dense[T] {
-	if c == nil {
-		return make([]*Dense[T], n)
-	}
-	return arenaOf[T](c).ptrs.take(n)
 }

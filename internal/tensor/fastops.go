@@ -101,16 +101,16 @@ func SigmoidInPlace[T float32 | float64](c *Ctx, a *Dense[T]) *Dense[T] {
 }
 
 // ConcatColsCtx stacks tensors horizontally (same Rows), each moved into
-// its column window by one rowsInto pass; heads come from an arena Ptrs
+// its column window by one rowsInto pass; heads come from a PtrsFor
 // slice. The multi-head attention writes its heads in place instead
 // (AttentionBlocksInto); this is the page baselines' concat.
 //
 //mpgraph:noalloc
 func ConcatColsCtx[T float32 | float64](c *Ctx, ts []*Dense[T]) *Dense[T] {
 	if c == nil {
-		gs := make([]*Tensor, len(ts))
-		for i, t := range ts {
-			gs[i] = graph(t)
+		gs, ok := any(ts).([]*Tensor)
+		if !ok {
+			invariant.Fail(f32NilCtx)
 		}
 		return ungraph[T](ConcatCols(gs...))
 	}

@@ -299,7 +299,8 @@ func TestF32OpsZeroAlloc(t *testing.T) {
 // TestArenaF32Slabs covers the new slab classes directly.
 func TestArenaF32Slabs(t *testing.T) {
 	c := NewCtx()
-	p := Ptrs[float32](c, 3)
+	w := NewF32Tensor(1, 1)
+	p := PtrsFor(c, w, 3)
 	if len(p) != 3 || p[0] != nil {
 		t.Fatalf("F32Ptrs(3) = %v", p)
 	}
@@ -310,7 +311,7 @@ func TestArenaF32Slabs(t *testing.T) {
 	c.Reset()
 	// nil-ctx accessors still hand out plain slices
 	var nc *Ctx
-	if got := Ptrs[float32](nc, 2); len(got) != 2 {
+	if got := PtrsFor(nc, w, 2); len(got) != 2 {
 		t.Fatalf("nil F32Ptrs len %d", len(got))
 	}
 }
@@ -351,7 +352,7 @@ func arenaOpChain[T float32 | float64](c *Ctx) {
 	h = EmbeddingPosBatch(c, h, []int{0, 1, 2, 3, 3, 2, 1, 0}, pos, blocks)
 	AttentionBlocksInto(c, UninitCtx[T](c, x.Rows, 2*d), d, x, x, x, blocks, 0.5)
 	m := MeanRowsBatch(c, h, blocks)
-	ps := Ptrs[T](c, 2)
+	ps := PtrsFor(c, w, 2)
 	ps[0], ps[1] = m, ConcatCols2(c, m, m)
 	_ = ConcatColsCtx(c, ps)
 	_ = EmbeddingLookupCtx(c, w, []int{0, 3})
@@ -365,7 +366,7 @@ func checkHeadersClean[T float32 | float64](t *testing.T, tier string, hdrs []De
 	}
 	for i := range hdrs {
 		h := &hdrs[i]
-		if h.Grad != nil || h.requiresGrad || h.mark || h.parents != nil || h.backward != nil || h.tape != nil {
+		if h.Grad != nil || h.requiresGrad || h.mark || h.node != nil || h.tape != nil {
 			t.Fatalf("%s header %d carries graph state: %+v", tier, i, *h)
 		}
 	}

@@ -6,46 +6,128 @@ import (
 	"mpgraph/internal/invariant"
 )
 
+// opCode names the autograd op that computed a node; backwardOp dispatches
+// on it. Each op's payload — which of a node's arg, f, ids and saved it
+// fills — is named at its definition.
+type opCode uint8
+
+const (
+	opMatMul opCode = iota
+	opAdd
+	opAddBias
+	opMul
+	opScale // f: the factor
+	opReLU
+	opSigmoid
+	opTanh
+	opSoftmaxRows
+	opTranspose
+	opConcatRows
+	opConcatCols
+	opSliceRows // arg: the first row
+	opMeanRows
+	opEmbeddingLookup  // ids: a copy of the ids
+	opBCEWithLogits    // saved: a copy of the targets
+	opCrossEntropy     // arg: the target class; f: log Z
+	opSoftCrossEntropy // f: the temperature; saved: softmax(logits/T) - teacher
+	opMSE              // saved: a copy of the targets
+	opNormalizeRows    // saved: each row's 1/std
+	opMulBias
+)
+
+// backwardOp accumulates n's gradient into its operands' — the backward half
+// of the op that made n, defined beside its forward. A leaf has none.
+func backwardOp(n *Tensor) {
+	if n.node == nil {
+		return
+	}
+	switch n.node.op {
+	case opMatMul:
+		matMulBackward(n)
+	case opAdd:
+		addBackward(n)
+	case opAddBias:
+		addBiasBackward(n)
+	case opMul:
+		mulBackward(n)
+	case opScale:
+		scaleBackward(n)
+	case opReLU:
+		reluBackward(n)
+	case opSigmoid:
+		sigmoidBackward(n)
+	case opTanh:
+		tanhBackward(n)
+	case opSoftmaxRows:
+		softmaxRowsBackward(n)
+	case opTranspose:
+		transposeBackward(n)
+	case opConcatRows:
+		concatRowsBackward(n)
+	case opConcatCols:
+		concatColsBackward(n)
+	case opSliceRows:
+		sliceRowsBackward(n)
+	case opMeanRows:
+		meanRowsBackward(n)
+	case opEmbeddingLookup:
+		embeddingLookupBackward(n)
+	case opBCEWithLogits:
+		bceWithLogitsBackward(n)
+	case opCrossEntropy:
+		crossEntropyBackward(n)
+	case opSoftCrossEntropy:
+		softCrossEntropyBackward(n)
+	case opMSE:
+		mseBackward(n)
+	case opNormalizeRows:
+		normalizeRowsBackward(n)
+	case opMulBias:
+		mulBiasBackward(n)
+	default:
+		invariant.Failf("tensor: backward of unknown op %d", n.node.op)
+	}
+}
+
 // MatMul returns a@b for a [m x k] and b [k x n].
 func MatMul(a, b *Tensor) *Tensor {
 	if a.Cols != b.Rows {
 		invariant.Failf("tensor: matmul %dx%d @ %dx%d", a.Rows, a.Cols, b.Rows, b.Cols)
 	}
-	out := newResult(a.Rows, b.Cols, []*Tensor{a, b}, nil)
+	out := newResult(opMatMul, a.Rows, b.Cols, a, b)
 	gemm(out.Data, a.Data, b.Data, a.Rows, a.Cols, b.Cols)
-	if out.requiresGrad {
-		out.backward = func() {
-			if a.requiresGrad {
-				a.ensureGrad()
-				// dA = dOut @ B^T
-				gemmNT(a.Grad, out.Grad, b.Data, a.Rows, b.Cols, a.Cols)
-			}
-			if b.requiresGrad {
-				b.ensureGrad()
-				// dB = A^T @ dOut
-				gemmTN(b.Grad, a.Data, out.Grad, a.Cols, a.Rows, b.Cols)
-			}
-		}
-	}
 	return out
+}
+
+func matMulBackward(out *Tensor) {
+	a, b := out.node.src[0], out.node.src[1]
+	if a.requiresGrad {
+		a.ensureGrad()
+		// dA = dOut @ B^T
+		gemmNT(a.Grad, out.Grad, b.Data, a.Rows, b.Cols, a.Cols)
+	}
+	if b.requiresGrad {
+		b.ensureGrad()
+		// dB = A^T @ dOut
+		gemmTN(b.Grad, a.Data, out.Grad, a.Cols, a.Rows, b.Cols)
+	}
 }
 
 // Add returns a+b elementwise (same shape).
 func Add(a, b *Tensor) *Tensor {
 	checkSameShape("add", a, b)
-	out := newResult(a.Rows, a.Cols, []*Tensor{a, b}, nil)
+	out := newResult(opAdd, a.Rows, a.Cols, a, b)
 	addVec(out.Data, a.Data, b.Data)
-	if out.requiresGrad {
-		out.backward = func() {
-			for _, p := range []*Tensor{a, b} {
-				if p.requiresGrad {
-					p.ensureGrad()
-					addVec(p.Grad, p.Grad, out.Grad)
-				}
-			}
+	return out
+}
+
+func addBackward(out *Tensor) {
+	for _, p := range out.node.srcs {
+		if p.requiresGrad {
+			p.ensureGrad()
+			addVec(p.Grad, p.Grad, out.Grad)
 		}
 	}
-	return out
 }
 
 // AddBias adds row vector bias [1 x n] to every row of a [m x n].
@@ -53,122 +135,125 @@ func AddBias(a, bias *Tensor) *Tensor {
 	if bias.Rows != 1 || bias.Cols != a.Cols {
 		invariant.Failf("tensor: addbias %dx%d + %dx%d", a.Rows, a.Cols, bias.Rows, bias.Cols)
 	}
-	out := newResult(a.Rows, a.Cols, []*Tensor{a, bias}, nil)
+	out := newResult(opAddBias, a.Rows, a.Cols, a, bias)
 	for r, n := 0, a.Cols; r < a.Rows; r++ {
 		addVec(out.Data[r*n:(r+1)*n], a.Data[r*n:(r+1)*n], bias.Data)
 	}
-	if out.requiresGrad {
-		out.backward = func() {
-			n := a.Cols
-			if a.requiresGrad {
-				a.ensureGrad()
-				addVec(a.Grad, a.Grad, out.Grad)
-			}
-			if bias.requiresGrad {
-				// Each column's sum in row order, the columns side by side.
-				bias.ensureGrad()
-				for r := 0; r < a.Rows; r++ {
-					addVec(bias.Grad, bias.Grad, out.Grad[r*n:(r+1)*n])
-				}
-			}
+	return out
+}
+
+func addBiasBackward(out *Tensor) {
+	a, bias := out.node.src[0], out.node.src[1]
+	n := a.Cols
+	if a.requiresGrad {
+		a.ensureGrad()
+		addVec(a.Grad, a.Grad, out.Grad)
+	}
+	if bias.requiresGrad {
+		// Each column's sum in row order, the columns side by side.
+		bias.ensureGrad()
+		for r := 0; r < a.Rows; r++ {
+			addVec(bias.Grad, bias.Grad, out.Grad[r*n:(r+1)*n])
 		}
 	}
-	return out
 }
 
 // Mul returns a*b elementwise.
 func Mul(a, b *Tensor) *Tensor {
 	checkSameShape("mul", a, b)
-	out := newResult(a.Rows, a.Cols, []*Tensor{a, b}, nil)
+	out := newResult(opMul, a.Rows, a.Cols, a, b)
 	for i := range out.Data {
 		out.Data[i] = a.Data[i] * b.Data[i]
 	}
-	if out.requiresGrad {
-		out.backward = func() {
-			if a.requiresGrad {
-				a.ensureGrad()
-				maddVec(a.Grad, out.Grad, b.Data)
-			}
-			if b.requiresGrad {
-				b.ensureGrad()
-				maddVec(b.Grad, out.Grad, a.Data)
-			}
-		}
-	}
 	return out
+}
+
+func mulBackward(out *Tensor) {
+	a, b := out.node.src[0], out.node.src[1]
+	if a.requiresGrad {
+		a.ensureGrad()
+		maddVec(a.Grad, out.Grad, b.Data)
+	}
+	if b.requiresGrad {
+		b.ensureGrad()
+		maddVec(b.Grad, out.Grad, a.Data)
+	}
 }
 
 // Scale returns a*s.
 func Scale(a *Tensor, s float64) *Tensor {
-	out := newResult(a.Rows, a.Cols, []*Tensor{a}, nil)
+	out := newResult(opScale, a.Rows, a.Cols, a, nil)
+	if out.requiresGrad {
+		out.node.f = s
+	}
 	for i := range out.Data {
 		out.Data[i] = a.Data[i] * s
-	}
-	if out.requiresGrad {
-		out.backward = func() {
-			a.ensureGrad()
-			axpyVec(a.Grad, out.Grad, s)
-		}
 	}
 	return out
 }
 
+func scaleBackward(out *Tensor) {
+	a := out.node.src[0]
+	a.ensureGrad()
+	axpyVec(a.Grad, out.Grad, out.node.f)
+}
+
 // ReLU returns max(0, a).
 func ReLU(a *Tensor) *Tensor {
-	out := newResult(a.Rows, a.Cols, []*Tensor{a}, nil)
+	out := newResult(opReLU, a.Rows, a.Cols, a, nil)
 	for i, v := range a.Data {
 		if v > 0 {
 			out.Data[i] = v
 		}
 	}
-	if out.requiresGrad {
-		out.backward = func() {
-			a.ensureGrad()
-			reluGradVec(a.Grad, out.Grad, a.Data)
-		}
-	}
 	return out
+}
+
+func reluBackward(out *Tensor) {
+	a := out.node.src[0]
+	a.ensureGrad()
+	reluGradVec(a.Grad, out.Grad, a.Data)
 }
 
 // Sigmoid returns 1/(1+exp(-a)).
 func Sigmoid(a *Tensor) *Tensor {
-	out := newResult(a.Rows, a.Cols, []*Tensor{a}, nil)
+	out := newResult(opSigmoid, a.Rows, a.Cols, a, nil)
 	for i, v := range a.Data {
 		out.Data[i] = 1 / (1 + math.Exp(-v))
 	}
-	if out.requiresGrad {
-		out.backward = func() {
-			a.ensureGrad()
-			for i := range a.Grad {
-				s := out.Data[i]
-				a.Grad[i] += out.Grad[i] * s * (1 - s)
-			}
-		}
-	}
 	return out
+}
+
+func sigmoidBackward(out *Tensor) {
+	a := out.node.src[0]
+	a.ensureGrad()
+	for i := range a.Grad {
+		s := out.Data[i]
+		a.Grad[i] += out.Grad[i] * s * (1 - s)
+	}
 }
 
 // Tanh returns tanh(a).
 func Tanh(a *Tensor) *Tensor {
-	out := newResult(a.Rows, a.Cols, []*Tensor{a}, nil)
+	out := newResult(opTanh, a.Rows, a.Cols, a, nil)
 	for i, v := range a.Data {
 		out.Data[i] = math.Tanh(v)
-	}
-	if out.requiresGrad {
-		out.backward = func() {
-			a.ensureGrad()
-			for i := range a.Grad {
-				th := out.Data[i]
-				a.Grad[i] += out.Grad[i] * (1 - th*th)
-			}
-		}
 	}
 	return out
 }
 
+func tanhBackward(out *Tensor) {
+	a := out.node.src[0]
+	a.ensureGrad()
+	for i := range a.Grad {
+		th := out.Data[i]
+		a.Grad[i] += out.Grad[i] * (1 - th*th)
+	}
+}
+
 // SoftmaxRows applies softmax independently to each row.
 func SoftmaxRows(a *Tensor) *Tensor {
-	out := newResult(a.Rows, a.Cols, []*Tensor{a}, nil)
+	out := newResult(opSoftmaxRows, a.Rows, a.Cols, a, nil)
 	for r := 0; r < a.Rows; r++ {
 		base := r * a.Cols
 		maxV := math.Inf(-1)
@@ -187,43 +272,44 @@ func SoftmaxRows(a *Tensor) *Tensor {
 			out.Data[base+c] /= sum
 		}
 	}
-	if out.requiresGrad {
-		out.backward = func() {
-			a.ensureGrad()
-			for r := 0; r < a.Rows; r++ {
-				base := r * a.Cols
-				dot := 0.0
-				for c := 0; c < a.Cols; c++ {
-					dot += out.Grad[base+c] * out.Data[base+c]
-				}
-				for c := 0; c < a.Cols; c++ {
-					a.Grad[base+c] += out.Data[base+c] * (out.Grad[base+c] - dot)
-				}
-			}
+	return out
+}
+
+// softmaxRowsBackward reads the softmax from the node's own Data.
+func softmaxRowsBackward(out *Tensor) {
+	a := out.node.src[0]
+	a.ensureGrad()
+	for r := 0; r < a.Rows; r++ {
+		base := r * a.Cols
+		dot := 0.0
+		for c := 0; c < a.Cols; c++ {
+			dot += out.Grad[base+c] * out.Data[base+c]
+		}
+		for c := 0; c < a.Cols; c++ {
+			a.Grad[base+c] += out.Data[base+c] * (out.Grad[base+c] - dot)
 		}
 	}
-	return out
 }
 
 // Transpose returns a^T.
 func Transpose(a *Tensor) *Tensor {
-	out := newResult(a.Cols, a.Rows, []*Tensor{a}, nil)
+	out := newResult(opTranspose, a.Cols, a.Rows, a, nil)
 	for r := 0; r < a.Rows; r++ {
 		for c := 0; c < a.Cols; c++ {
 			out.Data[c*a.Rows+r] = a.Data[r*a.Cols+c]
 		}
 	}
-	if out.requiresGrad {
-		out.backward = func() {
-			a.ensureGrad()
-			for r := 0; r < a.Rows; r++ {
-				for c := 0; c < a.Cols; c++ {
-					a.Grad[r*a.Cols+c] += out.Grad[c*a.Rows+r]
-				}
-			}
+	return out
+}
+
+func transposeBackward(out *Tensor) {
+	a := out.node.src[0]
+	a.ensureGrad()
+	for r := 0; r < a.Rows; r++ {
+		for c := 0; c < a.Cols; c++ {
+			a.Grad[r*a.Cols+c] += out.Grad[c*a.Rows+r]
 		}
 	}
-	return out
 }
 
 // ConcatRows stacks tensors vertically (same Cols).
@@ -239,27 +325,26 @@ func ConcatRows(ts ...*Tensor) *Tensor {
 		}
 		rows += t.Rows
 	}
-	out := newResult(rows, cols, ts, nil)
+	out := newResultN(opConcatRows, rows, cols, ts)
 	off := 0
 	for _, t := range ts {
 		copy(out.Data[off:], t.Data)
 		off += len(t.Data)
 	}
-	if out.requiresGrad {
-		out.backward = func() {
-			off := 0
-			for _, t := range ts {
-				if t.requiresGrad {
-					t.ensureGrad()
-					for i := range t.Grad {
-						t.Grad[i] += out.Grad[off+i]
-					}
-				}
-				off += len(t.Data)
+	return out
+}
+
+func concatRowsBackward(out *Tensor) {
+	off := 0
+	for _, t := range out.node.srcs {
+		if t.requiresGrad {
+			t.ensureGrad()
+			for i := range t.Grad {
+				t.Grad[i] += out.Grad[off+i]
 			}
 		}
+		off += len(t.Data)
 	}
-	return out
 }
 
 // ConcatCols stacks tensors horizontally (same Rows).
@@ -275,7 +360,7 @@ func ConcatCols(ts ...*Tensor) *Tensor {
 		}
 		cols += t.Cols
 	}
-	out := newResult(rows, cols, ts, nil)
+	out := newResultN(opConcatCols, rows, cols, ts)
 	colOff := 0
 	for _, t := range ts {
 		for r := 0; r < rows; r++ {
@@ -283,23 +368,23 @@ func ConcatCols(ts ...*Tensor) *Tensor {
 		}
 		colOff += t.Cols
 	}
-	if out.requiresGrad {
-		out.backward = func() {
-			colOff := 0
-			for _, t := range ts {
-				if t.requiresGrad {
-					t.ensureGrad()
-					for r := 0; r < rows; r++ {
-						for c := 0; c < t.Cols; c++ {
-							t.Grad[r*t.Cols+c] += out.Grad[r*cols+colOff+c]
-						}
-					}
+	return out
+}
+
+func concatColsBackward(out *Tensor) {
+	rows, cols := out.Rows, out.Cols
+	colOff := 0
+	for _, t := range out.node.srcs {
+		if t.requiresGrad {
+			t.ensureGrad()
+			for r := 0; r < rows; r++ {
+				for c := 0; c < t.Cols; c++ {
+					t.Grad[r*t.Cols+c] += out.Grad[r*cols+colOff+c]
 				}
-				colOff += t.Cols
 			}
 		}
+		colOff += t.Cols
 	}
-	return out
 }
 
 // SliceRows returns rows [lo,hi) as a new tensor in the graph.
@@ -307,22 +392,25 @@ func SliceRows(a *Tensor, lo, hi int) *Tensor {
 	if lo < 0 || hi > a.Rows || lo >= hi {
 		invariant.Failf("tensor: SliceRows [%d,%d) of %d rows", lo, hi, a.Rows)
 	}
-	out := newResult(hi-lo, a.Cols, []*Tensor{a}, nil)
-	copy(out.Data, a.Data[lo*a.Cols:hi*a.Cols])
+	out := newResult(opSliceRows, hi-lo, a.Cols, a, nil)
 	if out.requiresGrad {
-		out.backward = func() {
-			a.ensureGrad()
-			for i := range out.Grad {
-				a.Grad[lo*a.Cols+i] += out.Grad[i]
-			}
-		}
+		out.node.arg = lo
 	}
+	copy(out.Data, a.Data[lo*a.Cols:hi*a.Cols])
 	return out
+}
+
+func sliceRowsBackward(out *Tensor) {
+	a, lo := out.node.src[0], out.node.arg
+	a.ensureGrad()
+	for i := range out.Grad {
+		a.Grad[lo*a.Cols+i] += out.Grad[i]
+	}
 }
 
 // MeanRows returns the column-wise mean as a 1 x Cols tensor.
 func MeanRows(a *Tensor) *Tensor {
-	out := newResult(1, a.Cols, []*Tensor{a}, nil)
+	out := newResult(opMeanRows, 1, a.Cols, a, nil)
 	inv := 1.0 / float64(a.Rows)
 	for r := 0; r < a.Rows; r++ {
 		base := r * a.Cols
@@ -330,54 +418,65 @@ func MeanRows(a *Tensor) *Tensor {
 			out.Data[c] += a.Data[base+c] * inv
 		}
 	}
-	if out.requiresGrad {
-		out.backward = func() {
-			a.ensureGrad()
-			for r := 0; r < a.Rows; r++ {
-				base := r * a.Cols
-				for c := 0; c < a.Cols; c++ {
-					a.Grad[base+c] += out.Grad[c] * inv
-				}
-			}
-		}
-	}
 	return out
 }
 
+func meanRowsBackward(out *Tensor) {
+	a := out.node.src[0]
+	inv := 1.0 / float64(a.Rows)
+	a.ensureGrad()
+	for r := 0; r < a.Rows; r++ {
+		base := r * a.Cols
+		for c := 0; c < a.Cols; c++ {
+			a.Grad[base+c] += out.Grad[c] * inv
+		}
+	}
+}
+
 // EmbeddingLookup gathers rows of table [vocab x dim] by ids; backward
-// scatter-adds into the table.
+// scatter-adds into the table. The node keeps its own copy of ids, so a
+// caller may reuse the slice.
 func EmbeddingLookup(table *Tensor, ids []int) *Tensor {
 	for _, id := range ids {
 		if id < 0 || id >= table.Rows {
 			invariant.Failf("tensor: embedding id %d out of [0,%d)", id, table.Rows)
 		}
 	}
-	out := newResult(len(ids), table.Cols, []*Tensor{table}, nil)
+	out := newResult(opEmbeddingLookup, len(ids), table.Cols, table, nil)
 	for i, id := range ids {
 		copy(out.Data[i*table.Cols:(i+1)*table.Cols], table.Data[id*table.Cols:(id+1)*table.Cols])
 	}
 	if out.requiresGrad {
-		out.backward = func() {
-			table.ensureGrad()
-			for i, id := range ids {
-				for c := 0; c < table.Cols; c++ {
-					table.Grad[id*table.Cols+c] += out.Grad[i*table.Cols+c]
-				}
-			}
+		if out.tape != nil {
+			out.node.ids = out.tape.ints.take(len(ids))
+		} else {
+			out.node.ids = make([]int, len(ids))
 		}
+		copy(out.node.ids, ids)
 	}
 	return out
+}
+
+func embeddingLookupBackward(out *Tensor) {
+	table := out.node.src[0]
+	table.ensureGrad()
+	for i, id := range out.node.ids {
+		for c := 0; c < table.Cols; c++ {
+			table.Grad[id*table.Cols+c] += out.Grad[i*table.Cols+c]
+		}
+	}
 }
 
 // --- losses ---
 
 // BCEWithLogits is mean binary cross entropy over all elements of logits
-// against targets in {0,1} (the paper's multi-label delta-bitmap loss).
+// against targets in {0,1} (the paper's multi-label delta-bitmap loss). The
+// node keeps its own copy of targets.
 func BCEWithLogits(logits *Tensor, targets []float64) *Tensor {
 	if len(targets) != len(logits.Data) {
 		invariant.Fail("tensor: BCE target length mismatch")
 	}
-	out := newResult(1, 1, []*Tensor{logits}, nil)
+	out := newResult(opBCEWithLogits, 1, 1, logits, nil)
 	n := float64(len(targets))
 	loss := 0.0
 	for i, z := range logits.Data {
@@ -385,17 +484,27 @@ func BCEWithLogits(logits *Tensor, targets []float64) *Tensor {
 		loss += math.Max(z, 0) - z*targets[i] + math.Log1p(math.Exp(-math.Abs(z)))
 	}
 	out.Data[0] = loss / n
-	if out.requiresGrad {
-		out.backward = func() {
-			logits.ensureGrad()
-			g := out.Grad[0] / n
-			for i, z := range logits.Data {
-				s := 1 / (1 + math.Exp(-z))
-				logits.Grad[i] += g * (s - targets[i])
-			}
-		}
-	}
+	keepTargets(out, targets)
 	return out
+}
+
+// keepTargets copies a loss's targets into its node, when it is in a graph.
+func keepTargets(out *Tensor, targets []float64) {
+	if out.requiresGrad {
+		out.node.saved = scratch(out, len(targets))
+		copy(out.node.saved, targets)
+	}
+}
+
+func bceWithLogitsBackward(out *Tensor) {
+	logits, targets := out.node.src[0], out.node.saved
+	n := float64(len(targets))
+	logits.ensureGrad()
+	g := out.Grad[0] / n
+	for i, z := range logits.Data {
+		s := 1 / (1 + math.Exp(-z))
+		logits.Grad[i] += g * (s - targets[i])
+	}
 }
 
 // CrossEntropyLogits is softmax cross entropy of a 1 x C logits row against
@@ -407,7 +516,7 @@ func CrossEntropyLogits(logits *Tensor, target int) *Tensor {
 	if target < 0 || target >= logits.Cols {
 		invariant.Failf("tensor: target %d out of [0,%d)", target, logits.Cols)
 	}
-	out := newResult(1, 1, []*Tensor{logits}, nil)
+	out := newResult(opCrossEntropy, 1, 1, logits, nil)
 	maxV := math.Inf(-1)
 	for _, v := range logits.Data {
 		if v > maxV {
@@ -421,20 +530,23 @@ func CrossEntropyLogits(logits *Tensor, target int) *Tensor {
 	logZ := math.Log(sum) + maxV
 	out.Data[0] = logZ - logits.Data[target]
 	if out.requiresGrad {
-		out.backward = func() {
-			logits.ensureGrad()
-			g := out.Grad[0]
-			for i, v := range logits.Data {
-				p := math.Exp(v - logZ)
-				y := 0.0
-				if i == target {
-					y = 1
-				}
-				logits.Grad[i] += g * (p - y)
-			}
-		}
+		out.node.arg, out.node.f = target, logZ
 	}
 	return out
+}
+
+func crossEntropyBackward(out *Tensor) {
+	logits, target, logZ := out.node.src[0], out.node.arg, out.node.f
+	logits.ensureGrad()
+	g := out.Grad[0]
+	for i, v := range logits.Data {
+		p := math.Exp(v - logZ)
+		y := 0.0
+		if i == target {
+			y = 1
+		}
+		logits.Grad[i] += g * (p - y)
+	}
 }
 
 // SoftCrossEntropy is the knowledge-distillation loss: cross entropy of
@@ -447,8 +559,8 @@ func SoftCrossEntropy(logits *Tensor, teacherProbs []float64, temperature float6
 	if temperature <= 0 {
 		invariant.Fail("tensor: temperature must be positive")
 	}
-	out := newResult(1, 1, []*Tensor{logits}, nil)
-	scaled := make([]float64, logits.Cols)
+	out := newResult(opSoftCrossEntropy, 1, 1, logits, nil)
+	scaled := scratch(out, logits.Cols)
 	maxV := math.Inf(-1)
 	for i, v := range logits.Data {
 		scaled[i] = v / temperature
@@ -467,39 +579,50 @@ func SoftCrossEntropy(logits *Tensor, teacherProbs []float64, temperature float6
 	}
 	out.Data[0] = loss * temperature * temperature
 	if out.requiresGrad {
-		out.backward = func() {
-			logits.ensureGrad()
-			g := out.Grad[0] * temperature // T² · (1/T) from the chain rule
-			for i := range logits.Data {
-				q := math.Exp(scaled[i] - logZ)
-				logits.Grad[i] += g * (q - teacherProbs[i])
-			}
+		// The softened student distribution minus the teacher's, in place:
+		// all backward reads of either.
+		for i := range scaled {
+			q := math.Exp(scaled[i] - logZ)
+			scaled[i] = q - teacherProbs[i]
 		}
+		out.node.saved, out.node.f = scaled, temperature
 	}
 	return out
 }
 
-// MSE is the mean squared error between a and target values.
+func softCrossEntropyBackward(out *Tensor) {
+	logits := out.node.src[0]
+	logits.ensureGrad()
+	g := out.Grad[0] * out.node.f // T² · (1/T) from the chain rule
+	for i, d := range out.node.saved {
+		logits.Grad[i] += g * d
+	}
+}
+
+// MSE is the mean squared error between a and target values. The node keeps
+// its own copy of targets.
 func MSE(a *Tensor, targets []float64) *Tensor {
 	if len(targets) != len(a.Data) {
 		invariant.Fail("tensor: MSE target length mismatch")
 	}
-	out := newResult(1, 1, []*Tensor{a}, nil)
+	out := newResult(opMSE, 1, 1, a, nil)
 	n := float64(len(targets))
 	for i, v := range a.Data {
 		d := v - targets[i]
 		out.Data[0] += d * d / n
 	}
-	if out.requiresGrad {
-		out.backward = func() {
-			a.ensureGrad()
-			g := out.Grad[0]
-			for i, v := range a.Data {
-				a.Grad[i] += g * 2 * (v - targets[i]) / n
-			}
-		}
-	}
+	keepTargets(out, targets)
 	return out
+}
+
+func mseBackward(out *Tensor) {
+	a, targets := out.node.src[0], out.node.saved
+	n := float64(len(targets))
+	a.ensureGrad()
+	g := out.Grad[0]
+	for i, v := range a.Data {
+		a.Grad[i] += g * 2 * (v - targets[i]) / n
+	}
 }
 
 // The autograd element loops. Each body is the definition of its ...Fast

@@ -46,13 +46,35 @@ type Dense[T float32 | float64] struct {
 
 	requiresGrad bool
 	// mark is Backward's visited flag, set and cleared within one traversal.
-	mark     bool
-	parents  []*Dense[T]
-	backward func()
+	mark bool
+	// node is the record of the autograd op that computed this tensor, nil
+	// for a parameter, an input, and any result that needs no gradient.
+	node *node[T]
 	// tape, when set, is the training tape (tape.go) results computed from
-	// this tensor live on: a parameter carries its trainer's, a result the
-	// one its own Data came from.
+	// this tensor live on: a parameter carries its trainer's, a result or an
+	// input the one its own Data came from.
 	tape *TapeOf[T]
+}
+
+// node is an op result's place in the graph, read by backwardOp: the op, its
+// operands (srcs views src, or for a concat is a copy of its operand list)
+// and the op's payload in arg, f, ids and saved, each op's use named at its
+// code. It lives apart from the tensor so that the arena headers of
+// inference, which never join a graph, stay small.
+type node[T float32 | float64] struct {
+	op    opCode
+	src   [2]*Dense[T]
+	srcs  []*Dense[T]
+	arg   int
+	f     float64
+	ids   []int
+	saved []T
+}
+
+// record is a result and its node, allocated together.
+type record[T float32 | float64] struct {
+	t Dense[T]
+	n node[T]
 }
 
 // Tensor is the float64 matrix: training, autograd and the f64 inference
@@ -139,7 +161,7 @@ func (t *Dense[T]) ensureGrad() {
 	if t.Grad != nil {
 		return
 	}
-	if t.tape != nil && len(t.parents) > 0 {
+	if t.tape != nil && t.node != nil {
 		t.Grad = t.tape.data.take(len(t.Data))
 		return
 	}
@@ -153,32 +175,85 @@ func (t *Dense[T]) ZeroGrad() {
 	}
 }
 
-// newResult wires an op result into the graph. Its data comes from the tape
-// of the first parent that is on one (a taped parent requires grad, so such a
-// result always joins the graph), and from the heap otherwise.
-func newResult(rows, cols int, parents []*Tensor, backward func()) *Tensor {
+// newResult returns the rows x cols result of op over a and b (b is nil for
+// a unary op). Result and node come from the tape of the first operand that
+// is on one (a taped parameter requires grad, so such a result always joins
+// the graph), and from the heap otherwise. The node is attached only when the
+// result requires grad; the op sets its payload under the same test.
+func newResult(op opCode, rows, cols int, a, b *Tensor) *Tensor {
 	if gradDisabled.Load() {
 		return Zeros(rows, cols)
 	}
-	out := &Tensor{Rows: rows, Cols: cols}
-	for _, p := range parents {
-		if p.requiresGrad {
-			out.requiresGrad = true
-		}
-		if out.tape == nil {
-			out.tape = p.tape
-		}
+	tp := a.tape
+	if tp == nil && b != nil {
+		tp = b.tape
 	}
-	if out.tape != nil {
-		out.Data = out.tape.data.take(rows * cols)
-	} else {
-		out.Data = make([]float64, rows*cols)
-	}
+	out, n := resultOn(tp, rows, cols)
+	out.requiresGrad = a.requiresGrad || b != nil && b.requiresGrad
 	if out.requiresGrad {
-		out.parents = parents
-		out.backward = backward
+		n.op = op
+		n.src = [2]*Tensor{a, b}
+		n.srcs = n.src[:1]
+		if b != nil {
+			n.srcs = n.src[:2]
+		}
+		out.node = n
 	}
 	return out
+}
+
+// newResultN is newResult for an op over any number of operands (the
+// concats). The node keeps its own copy of the operand list, so a caller may
+// reuse ts.
+func newResultN(op opCode, rows, cols int, ts []*Tensor) *Tensor {
+	if gradDisabled.Load() {
+		return Zeros(rows, cols)
+	}
+	var tp *Tape
+	grad := false
+	for _, t := range ts {
+		if tp == nil {
+			tp = t.tape
+		}
+		grad = grad || t.requiresGrad
+	}
+	out, n := resultOn(tp, rows, cols)
+	out.requiresGrad = grad
+	if grad {
+		n.op = op
+		if tp != nil {
+			n.srcs = tp.ptrs.take(len(ts))
+		} else {
+			n.srcs = make([]*Tensor, len(ts))
+		}
+		copy(n.srcs, ts)
+		out.node = n
+	}
+	return out
+}
+
+// resultOn allocates a zeroed rows x cols result and a blank node for it, on
+// tp or on the heap when tp is nil.
+func resultOn(tp *Tape, rows, cols int) (*Tensor, *node[float64]) {
+	var r *record[float64]
+	if tp != nil {
+		r = tp.records.take()
+		r.t.Data = tp.data.take(rows * cols)
+		r.t.tape = tp
+	} else {
+		r = &record[float64]{t: Tensor{Data: make([]float64, rows*cols)}}
+	}
+	r.t.Rows, r.t.Cols = rows, cols
+	return &r.t, &r.n
+}
+
+// scratch returns n zeroed float64s that live as long as t's node: tape
+// memory when t is on a tape, heap memory otherwise.
+func scratch(t *Tensor, n int) []float64 {
+	if t.tape != nil {
+		return t.tape.data.take(n)
+	}
+	return make([]float64, n)
 }
 
 // Backward runs reverse-mode autodiff from t, which must be 1x1 (a scalar
@@ -188,28 +263,35 @@ func (t *Dense[T]) Backward() error {
 	if t.Rows != 1 || t.Cols != 1 {
 		return fmt.Errorf("tensor: Backward needs a scalar, got %dx%d", t.Rows, t.Cols)
 	}
-	if !t.requiresGrad {
+	g, ok := any(t).(*Tensor)
+	if !ok || !t.requiresGrad {
 		return fmt.Errorf("tensor: Backward on a tensor with no graph")
 	}
-	// Topological order via iterative DFS. A node is visited once: the mark
-	// on it says so without hashing, and is cleared before any backward
-	// closure runs, so a panicking closure leaves no mark behind. On a tape
-	// the stack and the order reuse the last step's capacity.
-	var stack []frame[T]
-	var order []*Dense[T]
+	backprop(g)
+	return nil
+}
+
+// backprop is Backward on a float64 graph, the only kind there is. The
+// topological order comes from an iterative DFS. A node is visited once: the
+// mark on it says so without hashing, and is cleared before any op's
+// backward runs, so a panicking one leaves no mark behind. On a tape the
+// stack and the order reuse the last step's capacity.
+func backprop(t *Tensor) {
+	var stack []frame[float64]
+	var order []*Tensor
 	if t.tape != nil {
 		stack, order = t.tape.stack[:0], t.tape.order[:0]
 	}
-	stack = append(stack, frame[T]{n: t})
+	stack = append(stack, frame[float64]{n: t})
 	t.mark = true
 	for len(stack) > 0 {
 		f := &stack[len(stack)-1]
-		if f.next < len(f.n.parents) {
-			p := f.n.parents[f.next]
+		if f.n.node != nil && f.next < len(f.n.node.srcs) {
+			p := f.n.node.srcs[f.next]
 			f.next++
 			if p.requiresGrad && !p.mark {
 				p.mark = true
-				stack = append(stack, frame[T]{n: p})
+				stack = append(stack, frame[float64]{n: p})
 			}
 			continue
 		}
@@ -227,12 +309,8 @@ func (t *Dense[T]) Backward() error {
 	// order is already reverse-topological leaves-first; walk from the end
 	// (root) backwards.
 	for i := len(order) - 1; i >= 0; i-- {
-		n := order[i]
-		if n.backward != nil {
-			n.backward()
-		}
+		backwardOp(order[i])
 	}
-	return nil
 }
 
 // Detach returns a view sharing Data but cut from the graph.

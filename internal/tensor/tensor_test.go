@@ -220,7 +220,7 @@ func TestSetGradEnabled(t *testing.T) {
 		t.Fatal("grad should be disabled")
 	}
 	out := Sigmoid(a)
-	if out.RequiresGrad() || out.backward != nil {
+	if out.RequiresGrad() || out.node != nil {
 		t.Fatal("no-grad mode must not build graph")
 	}
 	SetGradEnabled(true)
