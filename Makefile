@@ -63,7 +63,7 @@ vet:
 test:
 	$(GO) test ./...
 
-# test-times is the tier-1 time budget (ROADMAP item 15): the wall time
+# test-times is the tier-1 time budget: the wall time
 # `go test` reports for each package, slowest first. -count=1 because a
 # cached package reports none; through a file so a test failure fails the
 # target.

@@ -246,7 +246,7 @@ func d1(v float64) string { return fmt.Sprintf("%.1f", v) }
 // future-shifted labels), against BO.
 func FigureDistancePrefetch(w io.Writer, r *Runner) error {
 	wl := r.Opt.Workloads()[0]
-	d, err := r.Data(wl)
+	data, err := r.Data(wl)
 	if err != nil {
 		return err
 	}
@@ -254,11 +254,10 @@ func FigureDistancePrefetch(w io.Writer, r *Runner) error {
 	if err != nil {
 		return err
 	}
-	section(w, fmt.Sprintf("Figure 14: Distance prefetching vs inference latency (workload %s)", wl))
 
 	// Distance-trained models: labels shifted 16 accesses into the future.
 	cfg := s.Cfg
-	dsDist, err := r.buildDataset(cfg, d.LLCTrain, s.Train, 16)
+	dsDist, err := r.buildDataset(cfg, data.LLCTrain, s.Train, 16)
 	if err != nil {
 		return err
 	}
@@ -272,44 +271,22 @@ func FigureDistancePrefetch(w io.Writer, r *Runner) error {
 		return err
 	}
 
-	build := func(dp bool, latency uint64) (sim.Prefetcher, error) {
-		opt := core.DefaultOptions()
-		opt.LatencyCycles = latency
-		if dp {
-			return r.AssembleMPGraph(opt, cfg.HistoryT, distDelta.Models, distPage.Models)
+	var vs []variant
+	for _, v := range []struct {
+		name  string
+		delta *models.PhaseSpecificDelta
+		page  *models.PhaseSpecificPage
+	}{{"MPGraph", s.PSDelta, s.PSPage}, {"MPGraph+DP", distDelta, distPage}} {
+		for _, latency := range []int{0, 200} {
+			opt := core.DefaultOptions()
+			opt.LatencyCycles = uint64(latency)
+			pf, err := r.AssembleMPGraph(opt, cfg.HistoryT, v.delta.Models, v.page.Models)
+			if err != nil {
+				return err
+			}
+			vs = append(vs, variant{cells: []string{v.name, d(latency)}, pf: pf})
 		}
-		return r.AssembleMPGraph(opt, cfg.HistoryT, s.PSDelta.Models, s.PSPage.Models)
 	}
-
-	t := &Table{Header: []string{"Variant", "Latency", "Accuracy", "Coverage", "IPCImpv"}}
-	for _, row := range []struct {
-		name    string
-		dp      bool
-		latency uint64
-	}{
-		{"MPGraph", false, 0},
-		{"MPGraph", false, 200},
-		{"MPGraph+DP", true, 0},
-		{"MPGraph+DP", true, 200},
-	} {
-		pf, err := build(row.dp, row.latency)
-		if err != nil {
-			return err
-		}
-		m, base, err := r.Simulate(wl, pf)
-		if err != nil {
-			return err
-		}
-		t.Add(row.name, d2(row.latency), pct(m.Accuracy()), pct(m.Coverage()), pct(m.IPCImprovement(base)))
-	}
-	bo := prefetch.NewBO(prefetch.DefaultBOConfig())
-	m, base, err := r.Simulate(wl, bo)
-	if err != nil {
-		return err
-	}
-	t.Add("BO", "0", pct(m.Accuracy()), pct(m.Coverage()), pct(m.IPCImprovement(base)))
-	t.Print(w)
-	return nil
+	vs = append(vs, variant{cells: []string{"BO", "0"}, pf: prefetch.NewBO(prefetch.DefaultBOConfig())})
+	return printVariants(w, r, wl, "Figure 14: Distance prefetching vs inference latency", []string{"Variant", "Latency"}, nil, vs)
 }
-
-func d2(v uint64) string { return fmt.Sprintf("%d", v) }

@@ -104,18 +104,7 @@ func TablePhaseDetection(w io.Writer, r *Runner) error {
 
 	const detWindow, detBuckets = 96, 32
 	for _, fw := range frameworks.All() {
-		scores := map[string]*phasedet.Score{}
-		add := func(name string, s phasedet.Score) {
-			agg, ok := scores[name]
-			if !ok {
-				agg = &phasedet.Score{}
-				scores[name] = agg
-			}
-			agg.TP += s.TP
-			agg.FP += s.FP
-			agg.Missed += s.Missed
-		}
-		totalTruth := map[string]int{}
+		scores := map[string]phasedet.Score{}
 		for _, app := range fw.Apps() {
 			wl := Workload{Framework: fw.Name(), App: app, Dataset: r.Opt.Datasets[0]}
 			d, err := r.Data(wl)
@@ -143,29 +132,15 @@ func TablePhaseDetection(w io.Writer, r *Runner) error {
 			}
 			for _, det := range dets {
 				found := phasedet.RunDetector(det, xs)
-				add(det.Name(), phasedet.EvaluateDetections(found, truth, minDetectablePhase, tol))
-				totalTruth[det.Name()] += len(truth)
+				scores[det.Name()] = scores[det.Name()].Add(phasedet.EvaluateDetections(found, truth, minDetectablePhase, tol))
 			}
 		}
 		for _, row := range []struct{ train, name string }{
 			{"U", "kswin"}, {"U", "soft-kswin"}, {"S", "dt"}, {"S", "soft-dt"},
 		} {
-			agg := scores[row.name]
-			if agg == nil {
-				continue
+			if s, ok := scores[row.name]; ok {
+				t.Add(fw.Name(), row.train, row.name, f4(s.Precision), f4(s.Recall), f4(s.F1()))
 			}
-			p, rec := 0.0, 0.0
-			if agg.TP+agg.FP > 0 {
-				p = float64(agg.TP) / float64(agg.TP+agg.FP)
-			}
-			if n := totalTruth[row.name]; n > 0 {
-				rec = float64(n-agg.Missed) / float64(n)
-			}
-			f1 := 0.0
-			if p+rec > 0 {
-				f1 = 2 * p * rec / (p + rec)
-			}
-			t.Add(fw.Name(), row.train, row.name, f4(p), f4(rec), f4(f1))
 		}
 	}
 	t.Print(w)

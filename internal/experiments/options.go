@@ -33,7 +33,8 @@ type Options struct {
 	// TraceIterations is how many framework super-steps to trace
 	// (iteration 1 trains, the rest test).
 	TraceIterations int
-	// MaxTestAccesses caps the raw test trace fed to the simulator.
+	// MaxTestAccesses is the length of the window of raw test accesses fed
+	// to the simulator (WorkloadData.Slice).
 	MaxTestAccesses int
 	// TrainSamples caps the training dataset per model.
 	TrainSamples int

@@ -167,8 +167,10 @@ type WorkloadData struct {
 	Trace     *trace.Trace
 	Result    *frameworks.Result
 	NumPhases int
-	// TestRaw is the raw (pre-cache) access stream of the test iterations,
-	// capped at MaxTestAccesses — the input to prefetcher simulations.
+	// Slice is the window of the test accesses every simulation measures.
+	Slice Slice
+	// TestRaw is the raw (pre-cache) access stream of Slice — the input to
+	// prefetcher simulations.
 	TestRaw []trace.Access
 	// LLCTrain and LLCTest are the shared-LLC streams captured from the
 	// train (iteration 1) and test slices under no prefetching.
@@ -176,6 +178,38 @@ type WorkloadData struct {
 	LLCTest  []trace.Access
 	// BaselineMetrics is the no-prefetch simulation of TestRaw.
 	BaselineMetrics sim.Metrics
+}
+
+// Slice is a window of a workload's test accesses (everything after
+// iteration 1) and its ground-truth phase census.
+type Slice struct {
+	// Start and End bound the window [Start, End) as offsets into the test
+	// accesses.
+	Start, End int
+	// Transitions counts the window's ground-truth phase transitions by
+	// {from, to} phase pair.
+	Transitions map[[2]uint8]int
+}
+
+// NumTransitions is the window's ground-truth phase transition count.
+func (s Slice) NumTransitions() int {
+	n := 0
+	for _, c := range s.Transitions {
+		n += c
+	}
+	return n
+}
+
+// measuredSlice is the window of tr's test accesses, which start at
+// testLo, that every simulated row measures: the first maxAccesses of them
+// (Options.MaxTestAccesses).
+func measuredSlice(tr *trace.Trace, testLo, maxAccesses int) Slice {
+	s := Slice{End: min(len(tr.Accesses)-testLo, maxAccesses), Transitions: map[[2]uint8]int{}}
+	win := tr.Slice(testLo+s.Start, testLo+s.End)
+	for _, i := range win.PhaseTransitions() {
+		s.Transitions[[2]uint8{win.Accesses[i-1].Phase, win.Accesses[i].Phase}]++
+	}
+	return s
 }
 
 // Graph returns (generating once, coalescing concurrent callers) the named
@@ -237,15 +271,12 @@ func (r *Runner) computeData(w Workload) (*WorkloadData, error) {
 		return nil, err
 	}
 	trainRaw := tr.Accesses[trainLo:trainHi]
-	testRawFull := tr.Accesses[trainHi:]
-	// Simulations are capped for cost; the LLC streams used for prediction
-	// and detection evaluation cover the full test slice so every barrier
-	// transition is represented.
-	testRaw := testRawFull
-	if len(testRaw) > r.Opt.MaxTestAccesses {
-		testRaw = testRaw[:r.Opt.MaxTestAccesses]
-	}
-	d.TestRaw = testRaw
+	testRaw := tr.Accesses[trainHi:]
+	// Simulations measure one window, for cost; the LLC streams used for
+	// prediction and detection evaluation cover every test access so every
+	// barrier transition is represented.
+	d.Slice = measuredSlice(tr, trainHi, r.Opt.MaxTestAccesses)
+	d.TestRaw = testRaw[d.Slice.Start:d.Slice.End]
 
 	capture := func(raw []trace.Access) ([]trace.Access, sim.Metrics, error) {
 		eng, err := sim.NewEngine(r.Opt.SimConfig(), nil)
@@ -274,13 +305,13 @@ func (r *Runner) computeData(w Workload) (*WorkloadData, error) {
 	if err := tooShort("train", d.LLCTrain); err != nil {
 		return nil, err
 	}
-	if d.LLCTest, _, err = capture(testRawFull); err != nil {
+	if d.LLCTest, _, err = capture(testRaw); err != nil {
 		return nil, err
 	}
 	if err := tooShort("test", d.LLCTest); err != nil {
 		return nil, err
 	}
-	if _, d.BaselineMetrics, err = capture(testRaw); err != nil {
+	if _, d.BaselineMetrics, err = capture(d.TestRaw); err != nil {
 		return nil, err
 	}
 

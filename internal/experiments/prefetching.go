@@ -3,9 +3,9 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"slices"
 
 	"mpgraph/internal/core"
-	"mpgraph/internal/models"
 	"mpgraph/internal/phasedet"
 	"mpgraph/internal/prefetch"
 	"mpgraph/internal/resilience"
@@ -201,14 +201,53 @@ func printPrefetchTable(w io.Writer, results map[string][]prefetchRow, order []s
 	t.Print(w)
 }
 
+// qualityHeader names the cells of quality.
+var qualityHeader = []string{"Accuracy", "Coverage", "IPCImpv"}
+
+// quality is the cells every simulated row reports: prefetch accuracy,
+// coverage, and IPC improvement over the no-prefetch baseline.
+func quality(m, base sim.Metrics) []string {
+	return []string{pct(m.Accuracy()), pct(m.Coverage()), pct(m.IPCImprovement(base))}
+}
+
+// variant is one row of a one-workload table: its leading cells and the
+// prefetcher it simulates. tail, when set, gives the cells after the quality
+// cells from the finished simulation.
+type variant struct {
+	cells []string
+	pf    sim.Prefetcher
+	tail  func(sim.Metrics) []string
+}
+
+// printVariants prints the table titled title on workload wl: one row per
+// variant, its cells, the quality cells of its simulation through
+// Runner.Simulate, then its tail. lead and tail name the columns before and
+// after the quality columns.
+func printVariants(w io.Writer, r *Runner, wl Workload, title string, lead, tail []string, vs []variant) error {
+	section(w, fmt.Sprintf("%s (workload %s)", title, wl))
+	t := &Table{Header: slices.Concat(lead, qualityHeader, tail)}
+	for _, v := range vs {
+		m, base, err := r.Simulate(wl, v.pf)
+		if err != nil {
+			return err
+		}
+		row := slices.Concat(v.cells, quality(m, base))
+		if v.tail != nil {
+			row = append(row, v.tail(m)...)
+		}
+		t.Add(row...)
+	}
+	t.Print(w)
+	return nil
+}
+
 // AblationCSTP isolates the chain spatio-temporal strategy (DESIGN.md §5):
 // MPGraph with spatial-only prefetching (Dt=0), a deeper spatial-only
 // budget, and the full chain, on one representative workload.
 func AblationCSTP(w io.Writer, r *Runner) error {
 	wl := r.Opt.Workloads()[0]
-	section(w, fmt.Sprintf("Ablation: CSTP chaining (workload %s)", wl))
-	t := &Table{Header: []string{"Variant", "Ds", "Dt", "Accuracy", "Coverage", "IPCImpv"}}
-	variants := []struct {
+	var vs []variant
+	for _, v := range []struct {
 		name   string
 		ds, dt int
 	}{
@@ -216,56 +255,38 @@ func AblationCSTP(w io.Writer, r *Runner) error {
 		{"spatial-only-deep", 6, 0},
 		{"cstp-shallow", 2, 1},
 		{"cstp-full", 2, 2},
-	}
-	for _, v := range variants {
+	} {
 		opt := core.DefaultOptions()
 		opt.SpatialDegree, opt.TemporalDegree = v.ds, v.dt
 		pf, err := r.MPGraph(wl, opt)
 		if err != nil {
 			return err
 		}
-		m, base, err := r.Simulate(wl, pf)
-		if err != nil {
-			return err
-		}
-		t.Add(v.name, d(v.ds), d(v.dt), pct(m.Accuracy()), pct(m.Coverage()), pct(m.IPCImprovement(base)))
+		vs = append(vs, variant{cells: []string{v.name, d(v.ds), d(v.dt)}, pf: pf})
 	}
-	t.Print(w)
-	return nil
+	return printVariants(w, r, wl, "Ablation: CSTP chaining", []string{"Variant", "Ds", "Dt"}, nil, vs)
 }
 
 // AblationPhases isolates the value of phase handling: MPGraph switched by
-// the Soft-KSWIN detector, and by the oracle phase labels. The row locked to
-// a single phase model is ROADMAP item 6.
+// the Soft-KSWIN detector, and by the oracle phase labels. A row locked to a
+// single phase model is still missing (ROADMAP: the "Phases" contribution,
+// measured in the sweep).
 func AblationPhases(w io.Writer, r *Runner) error {
 	wl := r.Opt.Workloads()[0]
-	section(w, fmt.Sprintf("Ablation: phase handling (workload %s)", wl))
-	t := &Table{Header: []string{"Variant", "Accuracy", "Coverage", "IPCImpv"}}
-
-	detOpt := core.DefaultOptions()
-	pf, err := r.MPGraph(wl, detOpt)
+	detected, err := r.MPGraph(wl, core.DefaultOptions())
 	if err != nil {
 		return err
 	}
-	m, base, err := r.Simulate(wl, pf)
-	if err != nil {
-		return err
-	}
-	t.Add("soft-kswin detector", pct(m.Accuracy()), pct(m.Coverage()), pct(m.IPCImprovement(base)))
-
 	oracleOpt := core.DefaultOptions()
 	oracleOpt.OraclePhase = true
-	pf, err = r.MPGraph(wl, oracleOpt)
+	oracle, err := r.MPGraph(wl, oracleOpt)
 	if err != nil {
 		return err
 	}
-	m, base, err = r.Simulate(wl, pf)
-	if err != nil {
-		return err
-	}
-	t.Add("oracle phase", pct(m.Accuracy()), pct(m.Coverage()), pct(m.IPCImprovement(base)))
-	t.Print(w)
-	return nil
+	return printVariants(w, r, wl, "Ablation: phase handling", []string{"Variant"}, nil, []variant{
+		{cells: []string{"soft-kswin detector"}, pf: detected},
+		{cells: []string{"oracle phase"}, pf: oracle},
+	})
 }
 
 // AblationPerCore compares the shared-detector MPGraph with the per-core
@@ -273,42 +294,26 @@ func AblationPhases(w io.Writer, r *Runner) error {
 // conclusion) on one representative workload.
 func AblationPerCore(w io.Writer, r *Runner) error {
 	wl := r.Opt.Workloads()[0]
-	section(w, fmt.Sprintf("Ablation: per-core phase detection (workload %s)", wl))
 	s, err := r.Suite(wl)
 	if err != nil {
 		return err
 	}
-	t := &Table{Header: []string{"Variant", "Accuracy", "Coverage", "IPCImpv", "Transitions"}}
-
 	shared, err := r.MPGraph(wl, core.DefaultOptions())
 	if err != nil {
 		return err
 	}
-	m, base, err := r.Simulate(wl, shared)
-	if err != nil {
-		return err
-	}
-	t.Add("shared detector", pct(m.Accuracy()), pct(m.Coverage()), pct(m.IPCImprovement(base)), d(shared.Transitions))
-
-	deltas := make([]models.DeltaModel, len(s.PSDelta.Models))
-	copy(deltas, s.PSDelta.Models)
-	pages := make([]models.PageModel, len(s.PSPage.Models))
-	copy(pages, s.PSPage.Models)
 	seed := r.Opt.Seed
 	perCore, err := core.NewPerCore(core.DefaultOptions(), s.Cfg.HistoryT, 4, func() phasedet.Detector {
 		seed++
 		return phasedet.NewSoftKSWIN(phasedet.KSWINConfig{Seed: seed})
-	}, deltas, pages)
+	}, slices.Clone(s.PSDelta.Models), slices.Clone(s.PSPage.Models))
 	if err != nil {
 		return err
 	}
-	m, base, err = r.Simulate(wl, perCore)
-	if err != nil {
-		return err
-	}
-	t.Add("per-core detectors", pct(m.Accuracy()), pct(m.Coverage()), pct(m.IPCImprovement(base)), d(perCore.Transitions))
-	t.Print(w)
-	return nil
+	return printVariants(w, r, wl, "Ablation: per-core phase detection", []string{"Variant"}, []string{"Transitions"}, []variant{
+		{[]string{"shared detector"}, shared, func(sim.Metrics) []string { return []string{d(shared.Transitions)} }},
+		{[]string{"per-core detectors"}, perCore, func(sim.Metrics) []string { return []string{d(perCore.Transitions)} }},
+	})
 }
 
 // TableExtendedBaselines goes beyond the paper's comparison set: the other
@@ -316,10 +321,8 @@ func AblationPerCore(w io.Writer, r *Runner) error {
 // IMP) plus feedback-directed throttling layered on BO, all on one
 // representative workload. Rule-based only, so this table is cheap.
 func TableExtendedBaselines(w io.Writer, r *Runner) error {
-	wl := r.Opt.Workloads()[0]
-	section(w, fmt.Sprintf("Extended rule-based baselines (workload %s)", wl))
-	t := &Table{Header: []string{"Prefetcher", "Accuracy", "Coverage", "IPCImpv", "Issued"}}
-	pfs := []sim.Prefetcher{
+	var vs []variant
+	for _, pf := range []sim.Prefetcher{
 		prefetch.NewBO(prefetch.DefaultBOConfig()),
 		prefetch.NewISB(prefetch.DefaultISBConfig()),
 		prefetch.NewVLDP(prefetch.DefaultVLDPConfig()),
@@ -332,14 +335,8 @@ func TableExtendedBaselines(w io.Writer, r *Runner) error {
 			prefetch.NewBO(prefetch.DefaultBOConfig()),
 			prefetch.NewDomino(prefetch.DefaultDominoConfig()),
 			prefetch.NewVLDP(prefetch.DefaultVLDPConfig())),
+	} {
+		vs = append(vs, variant{[]string{pf.Name()}, pf, func(m sim.Metrics) []string { return []string{d(int(m.PrefetchesIssued))} }})
 	}
-	for _, pf := range pfs {
-		m, base, err := r.Simulate(wl, pf)
-		if err != nil {
-			return err
-		}
-		t.Add(pf.Name(), pct(m.Accuracy()), pct(m.Coverage()), pct(m.IPCImprovement(base)), d(int(m.PrefetchesIssued)))
-	}
-	t.Print(w)
-	return nil
+	return printVariants(w, r, r.Opt.Workloads()[0], "Extended rule-based baselines", []string{"Prefetcher"}, []string{"Issued"}, vs)
 }

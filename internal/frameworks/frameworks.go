@@ -76,7 +76,8 @@ type Result struct {
 	Iterations int
 	Converged  bool
 	// Values is the per-vertex result: PageRank score, BFS level, CC label,
-	// SSSP distance. For TC, Values[0] holds the triangle count.
+	// SSSP distance. For TC, Values[0] holds the directed triangle count:
+	// triples v < u < w with out-edges v→u, v→w and u→w.
 	Values []float64
 }
 

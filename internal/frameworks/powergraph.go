@@ -117,8 +117,11 @@ func (f *powergraph) Run(g *graph.Graph, app App, opt Options) (*trace.Trace, *R
 	return r.drive(anySignalled, gather, apply, scatter)
 }
 
-// runTriangleCount counts triangles in the undirected view of g's out-edges
-// via sorted-adjacency intersection, repeated each iteration (analytics
+// runTriangleCount counts directed triangles of g's out-edges: the distinct
+// vertex triples v < u < w with the out-edges v→u, v→w and u→w, duplicate
+// edges counted once. That is not the triangle count of the undirected
+// graph, which also counts triangles whose edges point the other way. It
+// intersects sorted adjacency lists, repeated each iteration (analytics
 // reruns), emitting the GAS-shaped access pattern: Gather intersects
 // adjacency lists (random cross-list reads), Apply writes per-vertex counts,
 // Scatter is a no-op signalling pass over counted vertices. TC has no vertex

@@ -78,9 +78,6 @@ func DatasetByName(name string) (DatasetSpec, error) {
 	return DatasetSpec{}, fmt.Errorf("graph: unknown dataset %q (have %v)", name, names)
 }
 
-// Generate materialises the dataset at its default scale.
-func (d DatasetSpec) Generate() (*Graph, error) { return d.GenerateScale(d.Scale) }
-
 // GenerateScale materialises the dataset with 2^scale vertices, keeping the
 // class parameters. Used by tests and by reduced-scale experiment runs.
 func (d DatasetSpec) GenerateScale(scale int) (*Graph, error) {

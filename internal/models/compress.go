@@ -48,7 +48,7 @@ func (m *BinaryPage) Bits() int { return m.bits }
 // PageLogits returns the bit logits (1 x bits): the stacked backbone on a
 // nil ctx with a one-sample batch, then the head.
 func (m *BinaryPage) PageLogits(s *Sample) *tensor.Tensor {
-	return m.head.Forward(m.core.pooledTokensBatchCtx(nil, m.pages, m.pcs, []*Sample{s}))
+	return m.head.ForwardCtx(nil, m.core.pooledTokensBatchCtx(nil, m.pages, m.pcs, []*Sample{s}))
 }
 
 // PageLoss implements PageModel: BCE against the label's binary code.

@@ -48,15 +48,15 @@ func TestF32LayersMatchFloat(t *testing.T) {
 		}},
 		{"layernorm", 1e-5, func(c *tensor.Ctx) (*tensor.Tensor, *tensor.F32Tensor) {
 			l := NewLayerNorm(16)
-			return l.ForwardCtx(c, x), NewF32LayerNorm(l).ForwardCtx(c, narrowInput(c, x))
+			return l.ForwardAddCtx(c, x, nil), NewF32LayerNorm(l).ForwardAddCtx(c, narrowInput(c, x), nil)
 		}},
 		{"selfattention", 1e-4, func(c *tensor.Ctx) (*tensor.Tensor, *tensor.F32Tensor) {
 			s := NewSelfAttention(16, 8, rand.New(rand.NewSource(2)))
-			return s.ForwardCtx(c, x), NewF32SelfAttention(s).ForwardCtx(c, narrowInput(c, x))
+			return s.ForwardBatchCtx(c, x, 1), NewF32SelfAttention(s).ForwardBatchCtx(c, narrowInput(c, x), 1)
 		}},
 		{"mhsa", 1e-4, func(c *tensor.Ctx) (*tensor.Tensor, *tensor.F32Tensor) {
 			m := NewMultiHeadSelfAttention(16, 4, rand.New(rand.NewSource(3)))
-			return m.ForwardCtx(c, x), NewF32MultiHeadSelfAttention(m).ForwardCtx(c, narrowInput(c, x))
+			return m.ForwardBatchCtx(c, x, 1), NewF32MultiHeadSelfAttention(m).ForwardBatchCtx(c, narrowInput(c, x), 1)
 		}},
 		{"ffn", 1e-4, func(c *tensor.Ctx) (*tensor.Tensor, *tensor.F32Tensor) {
 			f := NewFFN(16, 32, rand.New(rand.NewSource(4)))

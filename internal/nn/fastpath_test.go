@@ -46,13 +46,13 @@ func TestForwardCtxMatchesForward(t *testing.T) {
 			return NewLinear(16, 12, rand.New(rand.NewSource(1))).ForwardCtx(c, x)
 		}},
 		{"layernorm", func(c *tensor.Ctx) *tensor.Tensor {
-			return NewLayerNorm(16).ForwardCtx(c, x)
+			return NewLayerNorm(16).ForwardAddCtx(c, x, nil)
 		}},
 		{"selfattention", func(c *tensor.Ctx) *tensor.Tensor {
-			return NewSelfAttention(16, 8, rand.New(rand.NewSource(2))).ForwardCtx(c, x)
+			return NewSelfAttention(16, 8, rand.New(rand.NewSource(2))).ForwardBatchCtx(c, x, 1)
 		}},
 		{"mhsa", func(c *tensor.Ctx) *tensor.Tensor {
-			return NewMultiHeadSelfAttention(16, 4, rand.New(rand.NewSource(3))).ForwardCtx(c, x)
+			return NewMultiHeadSelfAttention(16, 4, rand.New(rand.NewSource(3))).ForwardBatchCtx(c, x, 1)
 		}},
 		{"ffn", func(c *tensor.Ctx) *tensor.Tensor {
 			return NewFFN(16, 32, rand.New(rand.NewSource(4))).ForwardCtx(c, x)

@@ -42,13 +42,8 @@ func NewF32Linear(l *Linear) *F32Linear {
 	return &F32Linear{W: tensor.NarrowF32(l.W), B: tensor.NarrowF32(l.B)}
 }
 
-// Forward applies the layer to x [T x in].
-func (l *LinearOf[T]) Forward(x *tensor.Dense[T]) *tensor.Dense[T] {
-	return l.ForwardCtx(nil, x)
-}
-
-// ForwardCtx is Forward on the ctx fast path (fused GEMM+bias when c is
-// non-nil, the autograd composition when c is nil). Like every row-wise
+// ForwardCtx applies the layer to x [T x in]: fused GEMM+bias when c is
+// non-nil, the autograd composition when c is nil. Like every row-wise
 // layer it is batch-oblivious: a stacked [blocks*T x in] input is the same
 // kernel at more rows.
 //
@@ -86,11 +81,6 @@ func NewEmbedding(vocab, dim int, rng *rand.Rand) *Embedding {
 // NewF32Embedding narrows e's table into an f32 mirror.
 func NewF32Embedding(e *Embedding) *F32Embedding {
 	return &F32Embedding{Table: tensor.NarrowF32(e.Table)}
-}
-
-// Forward looks up ids.
-func (e *EmbeddingOf[T]) Forward(ids []int) *tensor.Dense[T] {
-	return e.ForwardCtx(nil, ids)
 }
 
 // ForwardCtx looks up ids on the ctx fast path.
@@ -139,18 +129,6 @@ func NewF32LayerNorm(l *LayerNorm) *F32LayerNorm {
 	}
 }
 
-// Forward normalises x rows.
-func (l *LayerNormOf[T]) Forward(x *tensor.Dense[T]) *tensor.Dense[T] {
-	return l.ForwardCtx(nil, x)
-}
-
-// ForwardCtx normalises x rows, in one fused pass on the ctx fast path.
-//
-//mpgraph:noalloc
-func (l *LayerNormOf[T]) ForwardCtx(c *tensor.Ctx, x *tensor.Dense[T]) *tensor.Dense[T] {
-	return l.ForwardAddCtx(c, x, nil)
-}
-
 // ForwardAddCtx normalises the rows of x + res — a residual connection and
 // the norm after it as one fused op (res nil: x alone).
 //
@@ -194,19 +172,6 @@ func NewF32SelfAttention(s *SelfAttention) *F32SelfAttention {
 		Wv:  NewF32Linear(s.Wv),
 		dim: s.dim,
 	}
-}
-
-// Forward attends over x [T x in] and returns [T x dim].
-func (s *SelfAttentionOf[T]) Forward(x *tensor.Dense[T]) *tensor.Dense[T] {
-	return s.ForwardCtx(nil, x)
-}
-
-// ForwardCtx attends over x on the ctx fast path: one sequence is the
-// blocks=1 case of ForwardBatchCtx.
-//
-//mpgraph:noalloc
-func (s *SelfAttentionOf[T]) ForwardCtx(c *tensor.Ctx, x *tensor.Dense[T]) *tensor.Dense[T] {
-	return s.ForwardBatchCtx(c, x, 1)
 }
 
 // ForwardBatchCtx attends independently inside each of the `blocks` session
@@ -275,18 +240,6 @@ func NewF32MultiHeadSelfAttention(m *MultiHeadSelfAttention) *F32MultiHeadSelfAt
 	return f
 }
 
-// Forward attends over x [T x dim] and returns [T x dim].
-func (m *MultiHeadSelfAttentionOf[T]) Forward(x *tensor.Dense[T]) *tensor.Dense[T] {
-	return m.ForwardCtx(nil, x)
-}
-
-// ForwardCtx attends over x on the ctx fast path.
-//
-//mpgraph:noalloc
-func (m *MultiHeadSelfAttentionOf[T]) ForwardCtx(c *tensor.Ctx, x *tensor.Dense[T]) *tensor.Dense[T] {
-	return m.ForwardBatchCtx(c, x, 1)
-}
-
 // ForwardBatchCtx runs every head over the stacked block and reprojects. On
 // a live ctx each head writes its columns of the concat in place; a nil ctx
 // is the autograd concat.
@@ -337,11 +290,6 @@ func NewFFN(dim, hidden int, rng *rand.Rand) *FFN {
 // NewF32FFN mirrors both linear layers.
 func NewF32FFN(f *FFN) *F32FFN { return &F32FFN{L1: NewF32Linear(f.L1), L2: NewF32Linear(f.L2)} }
 
-// Forward applies max(0, xW1+b1)W2+b2.
-func (f *FFNOf[T]) Forward(x *tensor.Dense[T]) *tensor.Dense[T] {
-	return f.ForwardCtx(nil, x)
-}
-
 // ForwardCtx applies the FFN with the ReLU fused into the first GEMM on the
 // ctx fast path.
 //
@@ -386,11 +334,6 @@ func NewF32TransformerLayer(t *TransformerLayer) *F32TransformerLayer {
 		N1:  NewF32LayerNorm(t.N1),
 		N2:  NewF32LayerNorm(t.N2),
 	}
-}
-
-// Forward applies the layer to x [T x dim].
-func (t *TransformerLayerOf[T]) Forward(x *tensor.Dense[T]) *tensor.Dense[T] {
-	return t.ForwardCtx(nil, x)
 }
 
 // ForwardCtx applies the layer on the ctx fast path.
@@ -479,11 +422,6 @@ func NewF32MLP(m *MLP) *F32MLP {
 		f.Layers = append(f.Layers, NewF32Linear(l))
 	}
 	return f
-}
-
-// Forward applies the MLP to x.
-func (m *MLPOf[T]) Forward(x *tensor.Dense[T]) *tensor.Dense[T] {
-	return m.ForwardCtx(nil, x)
 }
 
 // ForwardCtx applies the MLP with ReLUs fused into the hidden GEMMs on the

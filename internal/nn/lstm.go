@@ -55,14 +55,8 @@ func NewF32LSTM(l *LSTM) *F32LSTM {
 	}
 }
 
-// Forward consumes the sequence x [T x in] one row at a time and returns
-// the final hidden state [1 x hidden].
-func (l *LSTMOf[T]) Forward(x *tensor.Dense[T]) *tensor.Dense[T] {
-	return l.ForwardCtx(nil, x)
-}
-
-// ForwardCtx is Forward on the ctx fast path: one sequence is the blocks=1
-// case of ForwardBatchCtx.
+// ForwardCtx consumes the sequence x [T x in] and returns the final hidden
+// state [1 x hidden]: one sequence is the blocks=1 case of ForwardBatchCtx.
 //
 //mpgraph:noalloc
 func (l *LSTMOf[T]) ForwardCtx(ctx *tensor.Ctx, x *tensor.Dense[T]) *tensor.Dense[T] {

@@ -15,7 +15,7 @@ func TestLinearShapes(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	l := NewLinear(4, 3, rng)
 	x := tensor.Randn(5, 4, 1, rng)
-	y := l.Forward(x)
+	y := l.ForwardCtx(nil, x)
 	if y.Rows != 5 || y.Cols != 3 {
 		t.Fatalf("shape %dx%d, want 5x3", y.Rows, y.Cols)
 	}
@@ -27,7 +27,7 @@ func TestLinearShapes(t *testing.T) {
 func TestEmbedding(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	e := NewEmbedding(10, 4, rng)
-	out := e.Forward([]int{3, 3, 7})
+	out := e.ForwardCtx(nil, []int{3, 3, 7})
 	if out.Rows != 3 || out.Cols != 4 {
 		t.Fatal("shape")
 	}
@@ -45,7 +45,7 @@ func TestLayerNormOutput(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	ln := NewLayerNorm(8)
 	x := tensor.Randn(4, 8, 5, rng)
-	y := ln.Forward(x)
+	y := ln.ForwardAddCtx(nil, x, nil)
 	// With gain=1, bias=0 each row is standardised.
 	for r := 0; r < y.Rows; r++ {
 		mean := 0.0
@@ -62,12 +62,12 @@ func TestAttentionShapes(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	sa := NewSelfAttention(6, 8, rng)
 	x := tensor.Randn(9, 6, 1, rng)
-	y := sa.Forward(x)
+	y := sa.ForwardBatchCtx(nil, x, 1)
 	if y.Rows != 9 || y.Cols != 8 {
 		t.Fatalf("self-attention shape %dx%d", y.Rows, y.Cols)
 	}
 	msa := NewMultiHeadSelfAttention(8, 4, rng)
-	z := msa.Forward(y)
+	z := msa.ForwardBatchCtx(nil, y, 1)
 	if z.Rows != 9 || z.Cols != 8 {
 		t.Fatalf("MSA shape %dx%d", z.Rows, z.Cols)
 	}
@@ -94,7 +94,7 @@ func TestTransformerLayer(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	tl := NewTransformerLayer(16, 4, rng)
 	x := tensor.Randn(7, 16, 1, rng)
-	y := tl.Forward(x)
+	y := tl.ForwardCtx(nil, x)
 	if y.Rows != 7 || y.Cols != 16 {
 		t.Fatal("transformer must preserve shape")
 	}
@@ -106,7 +106,7 @@ func TestTransformerLayer(t *testing.T) {
 func TestMLP(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	m := NewMLP([]int{8, 16, 4}, rng)
-	y := m.Forward(tensor.Randn(2, 8, 1, rng))
+	y := m.ForwardCtx(nil, tensor.Randn(2, 8, 1, rng))
 	if y.Rows != 2 || y.Cols != 4 {
 		t.Fatal("mlp shape")
 	}
@@ -121,7 +121,7 @@ func TestMLP(t *testing.T) {
 func TestLSTMShapes(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	l := NewLSTM(5, 12, rng)
-	h := l.Forward(tensor.Randn(9, 5, 1, rng))
+	h := l.ForwardCtx(nil, tensor.Randn(9, 5, 1, rng))
 	if h.Rows != 1 || h.Cols != 12 {
 		t.Fatalf("lstm out %dx%d", h.Rows, h.Cols)
 	}
@@ -149,8 +149,8 @@ func TestTrainingLearnsToyTask(t *testing.T) {
 		return x, label
 	}
 	forward := func(x *tensor.Tensor) *tensor.Tensor {
-		h := sa.Forward(x)
-		return head.Forward(tensor.SliceRows(h, 4, 5))
+		h := sa.ForwardBatchCtx(nil, x, 1)
+		return head.ForwardCtx(nil, tensor.SliceRows(h, 4, 5))
 	}
 	for step := 0; step < 300; step++ {
 		x, label := sample()
@@ -197,7 +197,7 @@ func TestLSTMLearnsMemoryTask(t *testing.T) {
 	}
 	for step := 0; step < 400; step++ {
 		x, label := sample()
-		loss := tensor.CrossEntropyLogits(head.Forward(l.Forward(x)), label)
+		loss := tensor.CrossEntropyLogits(head.ForwardCtx(nil, l.ForwardCtx(nil, x)), label)
 		if err := loss.Backward(); err != nil {
 			t.Fatal(err)
 		}
@@ -209,7 +209,7 @@ func TestLSTMLearnsMemoryTask(t *testing.T) {
 	correct := 0
 	for i := 0; i < 200; i++ {
 		x, label := sample()
-		out := head.Forward(l.Forward(x))
+		out := head.ForwardCtx(nil, l.ForwardCtx(nil, x))
 		pred := 0
 		if out.At(0, 1) > out.At(0, 0) {
 			pred = 1
@@ -234,7 +234,7 @@ func TestAdamReducesLossDeterministically(t *testing.T) {
 	}
 	var first, last float64
 	for step := 0; step < 200; step++ {
-		loss := tensor.MSE(l.Forward(x), targets)
+		loss := tensor.MSE(l.ForwardCtx(nil, x), targets)
 		if step == 0 {
 			first = loss.Data[0]
 		}
@@ -428,7 +428,7 @@ func TestZeroGradsAndCount(t *testing.T) {
 	if CountParams(l) != 6 {
 		t.Fatalf("CountParams = %d, want 6", CountParams(l))
 	}
-	loss := tensor.MSE(l.Forward(tensor.Randn(1, 2, 1, rng)), []float64{0, 0})
+	loss := tensor.MSE(l.ForwardCtx(nil, tensor.Randn(1, 2, 1, rng)), []float64{0, 0})
 	if err := loss.Backward(); err != nil {
 		t.Fatal(err)
 	}
@@ -495,7 +495,7 @@ func TestGradLSTMLayer(t *testing.T) {
 	l := NewLSTM(3, 4, rng)
 	x := tensor.Randn(4, 3, 1, rng)
 	layerGradCheck(t, "lstm", l, func() *tensor.Tensor {
-		return tensor.MSE(l.Forward(x), make([]float64, 4))
+		return tensor.MSE(l.ForwardCtx(nil, x), make([]float64, 4))
 	})
 }
 
@@ -504,7 +504,7 @@ func TestGradSelfAttentionLayer(t *testing.T) {
 	sa := NewSelfAttention(4, 6, rng)
 	x := tensor.Randn(5, 4, 1, rng)
 	layerGradCheck(t, "selfattention", sa, func() *tensor.Tensor {
-		return tensor.MSE(sa.Forward(x), make([]float64, 30))
+		return tensor.MSE(sa.ForwardBatchCtx(nil, x, 1), make([]float64, 30))
 	})
 }
 
@@ -513,7 +513,7 @@ func TestGradTransformerLayerFull(t *testing.T) {
 	tl := NewTransformerLayer(8, 2, rng)
 	x := tensor.Randn(3, 8, 1, rng)
 	layerGradCheck(t, "transformer", tl, func() *tensor.Tensor {
-		return tensor.MSE(tl.Forward(x), make([]float64, 24))
+		return tensor.MSE(tl.ForwardCtx(nil, x), make([]float64, 24))
 	})
 }
 

@@ -54,11 +54,23 @@ func EvaluateDetections(detected, truth []int, lead, tolerance int) Score {
 			s.Missed++
 		}
 	}
+	return s.rated()
+}
+
+// Add sums two scores' counts and rates the sum: precision
+// ΣTP/(ΣTP+ΣFP), recall ΣTP/(ΣTP+ΣMissed) — every true positive matches
+// exactly one truth, so TP+Missed is the truth count.
+func (s Score) Add(o Score) Score {
+	return Score{TP: s.TP + o.TP, FP: s.FP + o.FP, Missed: s.Missed + o.Missed}.rated()
+}
+
+// rated returns s with precision and recall set from its counts.
+func (s Score) rated() Score {
 	if s.TP+s.FP > 0 {
 		s.Precision = float64(s.TP) / float64(s.TP+s.FP)
 	}
-	if len(truth) > 0 {
-		s.Recall = float64(len(truth)-s.Missed) / float64(len(truth))
+	if s.TP+s.Missed > 0 {
+		s.Recall = float64(s.TP) / float64(s.TP+s.Missed)
 	}
 	return s
 }

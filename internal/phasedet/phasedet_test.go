@@ -341,6 +341,43 @@ func TestEvaluateDetections(t *testing.T) {
 	}
 }
 
+// TestScoreAddPoolsCounts holds summed scores to the pooled formula: P =
+// ΣTP/(ΣTP+ΣFP) and R = (Σ|truth| − ΣMissed)/Σ|truth|, bit for bit, on
+// random detections against random truths.
+func TestScoreAddPoolsCounts(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	random := func(n, span int) []int {
+		out := make([]int, rng.Intn(n))
+		for i := range out {
+			out[i] = rng.Intn(span)
+		}
+		return out
+	}
+	for trial := 0; trial < 200; trial++ {
+		var sum Score
+		tp, fp, missed, truths := 0, 0, 0, 0
+		for k := rng.Intn(4); k >= 0; k-- {
+			truth := random(8, 2000)
+			s := EvaluateDetections(random(12, 2000), truth, rng.Intn(50), rng.Intn(200))
+			if s.TP+s.Missed != len(truth) {
+				t.Fatalf("TP %d + Missed %d != %d truths", s.TP, s.Missed, len(truth))
+			}
+			sum = sum.Add(s)
+			tp, fp, missed, truths = tp+s.TP, fp+s.FP, missed+s.Missed, truths+len(truth)
+		}
+		p, r := 0.0, 0.0
+		if tp+fp > 0 {
+			p = float64(tp) / float64(tp+fp)
+		}
+		if truths > 0 {
+			r = float64(truths-missed) / float64(truths)
+		}
+		if sum.Precision != p || sum.Recall != r || sum.TP != tp || sum.FP != fp || sum.Missed != missed {
+			t.Fatalf("trial %d: sum %v, want P=%v R=%v tp=%d fp=%d miss=%d", trial, sum, p, r, tp, fp, missed)
+		}
+	}
+}
+
 func TestModeTieBreak(t *testing.T) {
 	if mode([]int{1, 1, 2, 2}) != 1 {
 		t.Fatal("mode must break ties toward the smaller class")

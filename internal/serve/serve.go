@@ -225,9 +225,6 @@ func New(cfg Config) (*Server, error) {
 	return &Server{cfg: cfg.withDefaults(), sessions: map[string]*session{}}, nil
 }
 
-// Config returns the resolved (defaulted) configuration.
-func (s *Server) Config() Config { return s.cfg }
-
 // Stats returns a snapshot of the server counters.
 func (s *Server) Stats() Stats {
 	s.mu.Lock()

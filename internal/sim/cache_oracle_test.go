@@ -7,7 +7,7 @@ import (
 
 // refCache is a naive set-associative true-LRU cache: each set is its lines
 // in recency order, most recent first, and nothing else — no clock, no way
-// index. It is the oracle Cache is held to (ROADMAP item 14).
+// index. It is the oracle Cache is held to.
 type refCache struct {
 	sets, ways   int
 	lines        [][]refLine

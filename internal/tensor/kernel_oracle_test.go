@@ -7,7 +7,7 @@ import (
 	"testing"
 )
 
-// Kernel oracle (ROADMAP item 4): every vector kernel against its scalar twin
+// Kernel oracle: every vector kernel against its scalar twin
 // on random shapes — ragged tails, one row, one column, many blocks — and the
 // remainder-row GEMM paths against the 4-row kernel bit for bit.
 
