@@ -81,8 +81,8 @@ var roadmapItem = regexp.MustCompile(`ROADMAP\s+(?:open\s+)?item\s+\d+`)
 
 // TestNoRoadmapItemNumbers: no Go comment of the module, and none of the
 // Makefile, README, DESIGN and EXPERIMENTS, points at a ROADMAP item by its
-// number. ROADMAP.md, CHANGES.md and ISSUE.md may: they are rewritten with
-// the numbering.
+// number. ROADMAP.md and CHANGES.md may: they are rewritten with the
+// numbering.
 func TestNoRoadmapItemNumbers(t *testing.T) {
 	eachComment(t, func(pos token.Position, text string) {
 		if m := roadmapItem.FindString(text); m != "" {
