@@ -150,7 +150,7 @@ fuzz:
 # and KSStatistic is what the tests hold that sweep to. The ops run from
 # 1 µs to 25 ms, so they run for a time (0.5 s) rather than a count.
 # Steps go through a file so a benchmark failure fails the target. For
-# published numbers rerun with a higher -benchtime and -count (DESIGN.md §8).
+# published numbers rerun with a higher -benchtime and -count (DESIGN.md §11).
 KERNEL_BENCH = BenchmarkAttentionBlocks|BenchmarkResidualLayerNorm|BenchmarkMeanRowsBatch|BenchmarkAddPosBatch|BenchmarkEmbeddingPosBatch|BenchmarkFirstAbove|BenchmarkSigmoidWiden|BenchmarkTopK2of1024|BenchmarkPanel1|BenchmarkPanelShapes|BenchmarkLinearAct|BenchmarkLSTMForward|BenchmarkAMMA(Delta|Page)(F32)?(Batch8)?$$
 TRAIN_BENCH = BenchmarkAdamStep|BenchmarkGemmTN|BenchmarkGemmNT|BenchmarkBackwardMLP|BenchmarkAMMADeltaTrainStep|BenchmarkAMMAPageTrainStep|BenchmarkLSTMPageTrainStep
 SIM_BENCH = BenchmarkEngineNoPrefetch|BenchmarkEngineRun|BenchmarkClassicOperate|BenchmarkGPOPPageRankTrace|BenchmarkXStreamBFSTrace|BenchmarkPowerGraphCCTrace|BenchmarkInterleave
@@ -226,7 +226,7 @@ faultinject:
 		./internal/prefetch/ ./internal/experiments/ \
 		-run 'TestGuarded|TestCellRetry|TestCrashResume|TestForEachIndexRecovers|TestCheckpoint'
 
-# serve-smoke is the serving-daemon gate (DESIGN.md §12): boot mpgraph-serve
+# serve-smoke is the serving-daemon gate (DESIGN.md §10): boot mpgraph-serve
 # on a tiny suite with session faults armed, drive 200 closed-loop loadgen
 # sessions, SIGTERM, and verify a clean drain plus the goroutine leak-check.
 # The degradation log lands in serve-degrade.log (CI uploads it).

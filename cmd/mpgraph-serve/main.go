@@ -1,5 +1,5 @@
 // Command mpgraph-serve is the long-running prefetch inference daemon
-// (DESIGN.md §12): it trains one workload's phase-specific MPGraph models
+// (DESIGN.md §10): it trains one workload's phase-specific MPGraph models
 // (the whole suite with -checkpoint-dir, one record per model, or loads it
 // with -resume), then serves per-session prefetch predictions over HTTP/JSONL.
 //

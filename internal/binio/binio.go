@@ -1,5 +1,5 @@
 // Package binio is the one little-endian codec under every binary artifact
-// MPGraph writes and reads back (DESIGN.md §12 "Artifact formats"). Both
+// MPGraph writes and reads back (DESIGN.md §10 "Artifact formats"). Both
 // sides keep their first error and skip every later call, so a format is a
 // straight run of calls with one check at the end. The reader trusts no
 // count: Count bounds it, and Get and Bytes grow their slice as records

@@ -68,11 +68,11 @@ type Options struct {
 	// Int8 runs the MPGraph prefetcher on 8-bit weights (the paper's §6.1 /
 	// Fig. 13 axis): a copy of the per-phase models is rounded once per
 	// workload onto the per-channel symmetric int8 grid and Operate scores
-	// the dequantised weights on the f32 kernels (DESIGN.md §10).
+	// the dequantised weights on the f32 kernels (DESIGN.md §8).
 	Int8 bool
 	// F32 runs the MPGraph prefetcher's inference on the single-precision
 	// compute tier: per-phase model weights are narrowed to f32 once per
-	// workload and Operate dispatches the f32 fused kernels (DESIGN.md §13).
+	// workload and Operate dispatches the f32 fused kernels (DESIGN.md §8).
 	// Mutually exclusive with Int8 (one reduced precision at a time).
 	F32 bool
 	// Batch > 0 routes every ML prefetcher's model calls through one shared

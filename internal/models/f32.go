@@ -1,6 +1,6 @@
 package models
 
-// Single-precision mirrors of the trained predictors (DESIGN.md §13). An f32
+// Single-precision mirrors of the trained predictors (DESIGN.md §8). An f32
 // model embeds its float64 source — training and Params delegate — and
 // overrides the ctx entry points with the f32 forward. Like every f32 op they
 // need a live ctx: the autograd forward (a nil ctx) is the source model's.

@@ -7,10 +7,11 @@ import (
 	"mpgraph/internal/trace"
 )
 
-// Batched inference tier (DESIGN.md §11). A batch stacks B same-length
-// history samples session-major into one [B*T x d] activation block and runs
-// a single fused pass, so every weight panel streams through cache once for
-// B predictions instead of B times. The gather helpers below build the
+// Batched inference tier (DESIGN.md §8, "A sequential call is the B = 1
+// batch"). A batch stacks B same-length history samples session-major into
+// one [B*T x d] activation block and runs a single fused pass, so every
+// weight panel streams through cache once for B predictions instead of B
+// times. The gather helpers below build the
 // stacked inputs; the per-model forwards use the batch-aware ops (blocked
 // attention, per-block mean/positional ops) where the session boundary
 // matters and the row-wise layers everywhere else. These are the only

@@ -1,6 +1,6 @@
 package models
 
-// 8-bit weights (DESIGN.md §10, the paper's §6.1 / Fig. 13). "Int8" is a
+// 8-bit weights (DESIGN.md §8, the paper's §6.1 / Fig. 13). "Int8" is a
 // weight precision, not an inference engine: Quantize* rounds a COPY of a
 // trained model's parameters onto the symmetric 8-bit grid — one scale per
 // output channel for matrices, one per tensor for vectors

@@ -146,7 +146,7 @@ func TestQuantizedBinaryPageParity(t *testing.T) {
 	// quantization noise on a near-threshold bit flips the whole id instead
 	// of nudging a ranking — the 99% bound of the softmax head is not
 	// reachable here. 95% matches what the bit-flip candidate search
-	// recovers (DESIGN.md §10).
+	// recovers (DESIGN.md §8).
 	if frac := float64(agree) / float64(total); frac < 0.95 {
 		t.Fatalf("binary top-1 page agreement %.4f < 0.95 (%d/%d)", frac, agree, total)
 	}

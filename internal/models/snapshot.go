@@ -79,7 +79,7 @@ var (
 // Save serialises the artifact.
 func (pm *PrefetcherModels) Save(w io.Writer) error { return pm.save(w, snapF64) }
 
-// SaveF16 serialises the artifact with binary16 parameters (DESIGN.md §13):
+// SaveF16 serialises the artifact with binary16 parameters (DESIGN.md §8):
 // roughly half the size, and the f16 cut happens exactly once, here.
 func (pm *PrefetcherModels) SaveF16(w io.Writer) error { return pm.save(w, snapF16) }
 

@@ -11,7 +11,7 @@ import (
 // Every layer is written once over its element type T and named twice: the
 // plain name is the float64 instantiation — trainable, and the autograd
 // reference on a nil ctx — and the F32 name is the single-precision
-// inference mirror (DESIGN.md §13), built from a trained float64 layer by its
+// inference mirror (DESIGN.md §8), built from a trained float64 layer by its
 // narrowing constructor and usable on a live ctx only. f32 keeps enough
 // mantissa that weights are narrowed once and used directly, with no
 // calibration phase.

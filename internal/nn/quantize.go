@@ -11,7 +11,7 @@ import (
 // Storage numbers describe what the int representation would occupy; they do
 // not claim the process stores ints. This is the whole of the 8-bit tier:
 // models.Quantize* rounds a copy this way and scores it on the f32 forward
-// (DESIGN.md §10).
+// (DESIGN.md §8).
 type SimQuantReport struct {
 	Bits         int
 	PerChannel   bool

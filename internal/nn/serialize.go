@@ -9,7 +9,7 @@ import (
 	"mpgraph/internal/tensor"
 )
 
-// codec is one row of the parameter format table (DESIGN.md §12 "Artifact
+// codec is one row of the parameter format table (DESIGN.md §10 "Artifact
 // formats"): the magic that names a precision and how one parameter's
 // values go on the wire. Both layouts are the magic, the param count, then
 // per param its shape and its values.

@@ -1,5 +1,5 @@
 // Package serve is the long-running prefetch inference service (DESIGN.md
-// §12): clients stream (addr, PC, core) demand events into named sessions
+// §10): clients stream (addr, PC, core) demand events into named sessions
 // and receive prefetch-candidate streams back. Where the experiments runner
 // is batch — train, sweep, exit — this package is the "millions of users"
 // backbone the ROADMAP names: a daemon whose robustness properties are the

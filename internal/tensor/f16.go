@@ -1,7 +1,7 @@
 package tensor
 
 // IEEE 754 binary16 ("half", f16) encode/decode for the mixed-precision
-// storage tier (DESIGN.md §13). f16 is a storage-of-record format only: suite
+// storage tier (DESIGN.md §8). f16 is a storage-of-record format only: suite
 // weights are serialized as 16-bit payloads and widened into f32 panels (or
 // the float64 reference) at load time — nothing computes in half precision.
 //

@@ -81,7 +81,7 @@ type record[T float32 | float64] struct {
 // tier.
 type Tensor = Dense[float64]
 
-// F32Tensor is the single-precision inference matrix (DESIGN.md §13). The
+// F32Tensor is the single-precision inference matrix (DESIGN.md §8). The
 // f32 tier exists only on the live-ctx inference path: every op handed an
 // F32Tensor on a nil ctx fails the invariant.
 type F32Tensor = Dense[float32]

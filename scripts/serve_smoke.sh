@@ -1,5 +1,5 @@
 #!/bin/sh
-# serve_smoke.sh — end-to-end gate for the serving daemon (DESIGN.md §12).
+# serve_smoke.sh — end-to-end gate for the serving daemon (DESIGN.md §10).
 #
 # Boots mpgraph-serve on a tiny suite with a checkpoint store in a temp dir
 # and session faults armed, drives 200 closed-loop loadgen sessions against
