@@ -135,7 +135,9 @@ fuzz:
 # benchmark's fixture, best of 3 — BenchmarkSuiteTrain on the GOMAXPROCS pool
 # and BenchmarkSuiteTrainSerial (same pattern) on one P, so pool and tape read
 # apart, and BenchmarkSuiteTrainPair, the phase-specific pair a served
-# MPGraph trains. Every training row reports B/op and allocs/op. SIM_BENCH is the
+# MPGraph trains; beside them BenchmarkRunnerData, the set-up before training,
+# with the live heap it leaves (retained-B). Every training row reports B/op
+# and allocs/op. SIM_BENCH is the
 # non-ML half of the pipeline, all with B/op and allocs/op: the engine alone
 # and under four classic prefetchers on the repository benchmark's GPOP/PR
 # trace, the three framework trace generations and the barrier merge (whole
@@ -171,7 +173,7 @@ define BENCH_STEPS
 		-run xxx -bench '$(TRAIN_BENCH)' -benchtime 300x -count 6 \
 		>> $(1)
 	$(GO) test ./internal/experiments/ \
-		-run xxx -bench 'BenchmarkSuiteTrain' -benchtime 1x -count 3 \
+		-run xxx -bench 'BenchmarkSuiteTrain|BenchmarkRunnerData' -benchtime 1x -count 3 \
 		>> $(1)
 	$(GO) test ./internal/sim/ ./internal/frameworks/ ./internal/trace/ \
 		-run xxx -bench '$(SIM_BENCH)' -benchtime 5x -count 6 \
@@ -237,7 +239,9 @@ serve-smoke:
 
 # cli-smoke runs the Fig. 6 commands end to end on a tiny option set —
 # mpgraph-trace -stats (on one workload of each execution model, PowerGraph's
-# TC path included), mpgraph-train -o, and mpgraph-sim under BO and under
+# TC path included, and on gpop/bfs/roadCA, whose LLC streams are too short to
+# train on: the trace command captures none), mpgraph-train -o, and
+# mpgraph-sim under BO and under
 # the trained artifact — and fails on any non-zero exit. The commands are
 # thin clients of experiments.Runner (DESIGN.md §3); what they compute is
 # pinned by TestSnapshotMatchesRunner, this only keeps them running.
@@ -247,6 +251,7 @@ cli-smoke:
 	./bin/mpgraph-trace $(CLI_SMOKE_FLAGS) -stats
 	./bin/mpgraph-trace $(CLI_SMOKE_FLAGS) -stats -workload xstream/bfs/rmat
 	./bin/mpgraph-trace $(CLI_SMOKE_FLAGS) -stats -workload powergraph/tc/rmat
+	./bin/mpgraph-trace $(CLI_SMOKE_FLAGS) -stats -workload gpop/bfs/roadCA
 	./bin/mpgraph-train $(CLI_SMOKE_FLAGS) -train-samples 100 -epochs 1 -o bin/cli-smoke.models
 	./bin/mpgraph-sim $(CLI_SMOKE_FLAGS) -prefetcher bo
 	./bin/mpgraph-sim $(CLI_SMOKE_FLAGS) -prefetcher mpgraph -models bin/cli-smoke.models

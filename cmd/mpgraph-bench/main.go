@@ -41,14 +41,16 @@ import (
 	"strings"
 )
 
-// Result is one parsed benchmark line.
+// Result is one parsed benchmark line. Metrics holds the units a benchmark
+// reports with b.ReportMetric (retained-B), keyed by unit.
 type Result struct {
-	Pkg         string  `json:"pkg"`
-	Name        string  `json:"name"`
-	Iters       int64   `json:"iters"`
-	NsPerOp     float64 `json:"ns_per_op"`
-	BytesPerOp  int64   `json:"bytes_per_op"`
-	AllocsPerOp int64   `json:"allocs_per_op"`
+	Pkg         string             `json:"pkg"`
+	Name        string             `json:"name"`
+	Iters       int64              `json:"iters"`
+	NsPerOp     float64            `json:"ns_per_op"`
+	BytesPerOp  int64              `json:"bytes_per_op"`
+	AllocsPerOp int64              `json:"allocs_per_op"`
+	Metrics     map[string]float64 `json:"metrics,omitempty"`
 }
 
 // Speedup reports a baseline/variant benchmark pair as a wall-time ratio.
@@ -165,7 +167,8 @@ func loadReport(path string) (Report, error) {
 // min-of-N estimates the true cost far more stably than a mean — which
 // matters on the single-core VMs the compare gate runs on. Allocation and
 // byte counts take the worst run — the fast path promises zero allocs on
-// every run, not on average — and iterations are summed.
+// every run, not on average — and so do reported metrics, all of them byte
+// counts; iterations are summed.
 func collapse(results []Result) []Result {
 	index := map[string]int{}
 	var out []Result
@@ -187,6 +190,14 @@ func collapse(results []Result) []Result {
 		}
 		if r.AllocsPerOp > a.AllocsPerOp {
 			a.AllocsPerOp = r.AllocsPerOp
+		}
+		for unit, v := range r.Metrics {
+			if a.Metrics == nil {
+				a.Metrics = map[string]float64{}
+			}
+			if old, ok := a.Metrics[unit]; !ok || v > old {
+				a.Metrics[unit] = v
+			}
 		}
 	}
 	return out
@@ -268,7 +279,7 @@ func parseBench(r io.Reader) ([]Result, error) {
 }
 
 // parseBenchLine parses one `Benchmark<Name>[-P] <iters> <ns> ns/op
-// [<B> B/op] [<allocs> allocs/op]` line.
+// [<v> <unit>]... [<B> B/op] [<allocs> allocs/op]` line.
 func parseBenchLine(pkg, line string) (Result, bool) {
 	f := strings.Fields(line)
 	if len(f) < 4 || f[3] != "ns/op" {
@@ -291,15 +302,20 @@ func parseBenchLine(pkg, line string) (Result, bool) {
 	}
 	res := Result{Pkg: pkg, Name: name, Iters: iters, NsPerOp: ns}
 	for i := 4; i+1 < len(f); i += 2 {
-		v, err := strconv.ParseInt(f[i], 10, 64)
+		v, err := strconv.ParseFloat(f[i], 64)
 		if err != nil {
 			continue
 		}
-		switch f[i+1] {
+		switch unit := f[i+1]; unit {
 		case "B/op":
-			res.BytesPerOp = v
+			res.BytesPerOp = int64(v)
 		case "allocs/op":
-			res.AllocsPerOp = v
+			res.AllocsPerOp = int64(v)
+		default:
+			if res.Metrics == nil {
+				res.Metrics = map[string]float64{}
+			}
+			res.Metrics[unit] = v
 		}
 	}
 	return res, true

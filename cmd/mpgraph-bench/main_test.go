@@ -53,6 +53,26 @@ func TestParseBench(t *testing.T) {
 	}
 }
 
+// TestParseBenchMetrics: a b.ReportMetric unit reaches the report, and
+// repeated runs keep its largest value.
+func TestParseBenchMetrics(t *testing.T) {
+	const in = `pkg: mpgraph/internal/experiments
+BenchmarkRunnerData-2 	       1	 93000000 ns/op	   1446456 retained-B	 21000000 B/op	    2100 allocs/op
+BenchmarkRunnerData-2 	       1	 91000000 ns/op	   1446512 retained-B	 21000000 B/op	    2100 allocs/op
+`
+	results, err := parseBench(strings.NewReader(in))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := results[0]; r.BytesPerOp != 21000000 || r.AllocsPerOp != 2100 || r.Metrics["retained-B"] != 1446456 {
+		t.Fatalf("parsed %+v", r)
+	}
+	c := collapse(results)
+	if len(c) != 1 || c[0].NsPerOp != 91000000 || c[0].Metrics["retained-B"] != 1446512 {
+		t.Fatalf("collapsed %+v", c)
+	}
+}
+
 func TestPairSpeedups(t *testing.T) {
 	results, err := parseBench(strings.NewReader(sampleBench))
 	if err != nil {

@@ -1,7 +1,8 @@
 // Command mpgraph-trace executes a graph-analytics workload under one of the
 // three framework execution models and writes its memory-access trace — the
 // equivalent of the paper's "framework under Pin" trace-generation step. The
-// trace is experiments.Runner's, the one the report trains on and simulates.
+// trace is experiments.Runner.Trace's, the one the report trains on and
+// simulates; no LLC stream is captured.
 //
 // Usage:
 //
@@ -30,14 +31,14 @@ func main() {
 	if err != nil {
 		fatalf("%v", err)
 	}
-	d, err := experiments.NewRunner(opt).Data(w)
+	tr, res, err := experiments.NewRunner(opt).Trace(w)
 	if err != nil {
 		fatalf("%v", err)
 	}
 	fmt.Fprintf(os.Stderr, "trace: %d accesses, %d iterations, converged=%v\n",
-		len(d.Trace.Accesses), d.Result.Iterations, d.Result.Converged)
+		len(tr.Accesses), res.Iterations, res.Converged)
 	if *stats {
-		trace.Summarize(d.Trace).Print(os.Stdout)
+		trace.Summarize(tr).Print(os.Stdout)
 	}
 	if *out == "" {
 		return
@@ -47,7 +48,7 @@ func main() {
 	if err != nil {
 		fatalf("create %s: %v", *out, err)
 	}
-	if err := trace.Write(f, d.Trace); err != nil {
+	if err := trace.Write(f, tr); err != nil {
 		fatalf("write trace: %v", err)
 	}
 	if err := f.Close(); err != nil {

@@ -81,12 +81,18 @@ func BenchmarkSuiteTrainPair(b *testing.B) {
 	benchSuiteTrain(b)
 }
 
-func benchSuiteTrain(b *testing.B, want ...SuiteModel) {
+// benchFixture is the repository benchmark's ML workload at the settings of
+// its fixture (benchmark/fixture.go).
+func benchFixture() (Options, Workload) {
 	o := DefaultOptions()
 	o.GraphScale, o.TraceIterations, o.MaxTestAccesses = 10, 3, 6000
 	o.TrainSamples, o.EvalSamples, o.Epochs = 200, 100, 1
 	o.Seed, o.Workers = 1, 1
-	w := Workload{Framework: "gpop", App: frameworks.PR, Dataset: "rmat"}
+	return o, Workload{Framework: "gpop", App: frameworks.PR, Dataset: "rmat"}
+}
+
+func benchSuiteTrain(b *testing.B, want ...SuiteModel) {
+	o, w := benchFixture()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
@@ -99,4 +105,32 @@ func benchSuiteTrain(b *testing.B, want ...SuiteModel) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkRunnerData is the set-up before training: Runner.Data of the
+// repository benchmark's ML workload, from the framework run to the three
+// LLC captures, on a runner whose graph is already generated. B/op is what it
+// allocates; retained-B is the live heap it leaves behind (DESIGN.md §8, "A
+// suite trains what is read": the raw trace is not part of it).
+func BenchmarkRunnerData(b *testing.B) {
+	o, w := benchFixture()
+	b.ReportAllocs()
+	var retained int64
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		r := NewRunner(o)
+		if _, err := r.Graph(w.Dataset); err != nil {
+			b.Fatal(err)
+		}
+		before := liveHeap()
+		b.StartTimer()
+		if _, err := r.Data(w); err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		retained += liveHeap() - before
+		runtime.KeepAlive(r)
+		b.StartTimer()
+	}
+	b.ReportMetric(float64(retained)/float64(b.N), "retained-B")
 }

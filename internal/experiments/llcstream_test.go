@@ -2,8 +2,10 @@ package experiments
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"mpgraph/internal/frameworks"
 	"mpgraph/internal/prefetch"
@@ -120,4 +122,56 @@ func TestShortLLCStreamIsAnError(t *testing.T) {
 			t.Fatalf("error %q does not contain %q", err, want)
 		}
 	}
+}
+
+// TestDataRetainsNoTrace: what Runner.Data keeps is its LLC streams and its
+// own exact-size copy of the measured window, not the raw trace. Across the
+// call the live heap may grow by those three slices plus a slack for the
+// rest of WorkloadData (the result's values, the census map), far below the
+// trace's own bytes. Not parallel: it reads the process's live heap.
+func TestDataRetainsNoTrace(t *testing.T) {
+	w := Workload{Framework: "gpop", App: frameworks.PR, Dataset: "rmat"}
+	// Warm every package-level cache a first Data call fills.
+	if _, err := shared.Data(w); err != nil {
+		t.Fatal(err)
+	}
+	r := NewRunner(shared.Opt)
+	if _, err := r.Graph(w.Dataset); err != nil { // cached for the runner's life
+		t.Fatal(err)
+	}
+	tr, _, err := r.Trace(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	access := int(unsafe.Sizeof(trace.Access{}))
+	traceB := cap(tr.Accesses) * access
+
+	before := liveHeap()
+	d, err := r.Data(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	grown := liveHeap() - before
+	kept := (len(d.TestRaw) + cap(d.LLCTrain) + cap(d.LLCTest)) * access
+	t.Logf("live heap +%d B across Runner.Data: %d B in TestRaw, LLCTrain and LLCTest; trace %d B", grown, kept, traceB)
+
+	if cap(d.TestRaw) != len(d.TestRaw) {
+		t.Fatalf("TestRaw: len %d, cap %d: not a copy of its own", len(d.TestRaw), cap(d.TestRaw))
+	}
+	const slack = 64 << 10
+	if kept+slack >= traceB/2 {
+		t.Fatalf("the bound (%d B kept + %d B slack) does not separate a kept trace of %d B", kept, slack, traceB)
+	}
+	if grown > int64(kept+slack) {
+		t.Fatalf("live heap grew %d B across Runner.Data; TestRaw, LLCTrain and LLCTest hold %d B (slack %d B, trace %d B)",
+			grown, kept, slack, traceB)
+	}
+}
+
+// liveHeap collects and returns the bytes of live heap objects.
+func liveHeap() int64 {
+	runtime.GC()
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	return int64(m.HeapAlloc)
 }

@@ -162,15 +162,15 @@ func (r *Runner) NewModelSession() core.ModelScheduler {
 	return r.batchSched.NewSession()
 }
 
-// WorkloadData is everything derived from one workload trace.
+// WorkloadData is everything derived from one workload trace. The trace
+// itself is not kept (Runner.Trace returns it).
 type WorkloadData struct {
-	Trace     *trace.Trace
 	Result    *frameworks.Result
 	NumPhases int
 	// Slice is the window of the test accesses every simulation measures.
 	Slice Slice
 	// TestRaw is the raw (pre-cache) access stream of Slice — the input to
-	// prefetcher simulations.
+	// prefetcher simulations — in a slice of its own, exactly that long.
 	TestRaw []trace.Access
 	// LLCTrain and LLCTest are the shared-LLC streams captured from the
 	// train (iteration 1) and test slices under no prefetching.
@@ -231,39 +231,60 @@ func (r *Runner) Graph(name string) (*graph.Graph, error) {
 func (r *Runner) Data(w Workload) (*WorkloadData, error) {
 	c := getCell(&r.mu, r.data, w)
 	return c.get("experiments.Data("+w.String()+")", func() (*WorkloadData, error) {
-		return r.computeData(w)
+		d, err := r.computeData(w)
+		if err == nil {
+			// The raw trace died with computeData. Without a collection here
+			// the next heap goal is the one a collection set while it was
+			// live, and training runs up to it (DESIGN.md §8, "A suite trains
+			// what is read").
+			runtime.GC()
+		}
+		return d, err
 	})
+}
+
+// Trace loads w's trace checkpoint or runs w's framework, saving the
+// checkpoint when a store is configured. It is not cached: the raw trace is
+// an intermediate artifact that Data reduces to its LLC streams and measured
+// window, and a caller that keeps it pays for it.
+func (r *Runner) Trace(w Workload) (*trace.Trace, *frameworks.Result, error) {
+	fw, err := frameworks.ByName(w.Framework)
+	if err != nil {
+		return nil, nil, err
+	}
+	tr, res, ok, err := r.loadTraceCheckpoint(w)
+	if err != nil {
+		return nil, nil, err
+	}
+	if ok {
+		return tr, res, nil
+	}
+	g, err := r.Graph(w.Dataset)
+	if err != nil {
+		return nil, nil, err
+	}
+	if tr, res, err = fw.Run(g, w.App, r.Opt.frameworkOptions()); err != nil {
+		return nil, nil, err
+	}
+	if err := r.saveTraceCheckpoint(w, tr, res); err != nil {
+		return nil, nil, err
+	}
+	return tr, res, nil
 }
 
 func (r *Runner) computeData(w Workload) (*WorkloadData, error) {
 	if err := r.Opt.Injector.Fire(resilience.PointArtifactBuild); err != nil {
 		return nil, err
 	}
-	fw, err := frameworks.ByName(w.Framework)
+	tr, res, err := r.Trace(w)
 	if err != nil {
 		return nil, err
-	}
-	tr, res, ok, err := r.loadTraceCheckpoint(w)
-	if err != nil {
-		return nil, err
-	}
-	if !ok {
-		g, err := r.Graph(w.Dataset)
-		if err != nil {
-			return nil, err
-		}
-		if tr, res, err = fw.Run(g, w.App, r.Opt.frameworkOptions()); err != nil {
-			return nil, err
-		}
-		if err := r.saveTraceCheckpoint(w, tr, res); err != nil {
-			return nil, err
-		}
 	}
 	if tr.NumIterations() < 2 {
 		return nil, fmt.Errorf("experiments: %s produced %d iterations, need >= 2", w, tr.NumIterations())
 	}
 
-	d := &WorkloadData{Trace: tr, Result: res, NumPhases: fw.NumPhases()}
+	d := &WorkloadData{Result: res, NumPhases: tr.NumPhases}
 
 	// Split: iteration 1 trains, the rest test (Section 5.1.4).
 	trainLo, trainHi, err := tr.Iteration(0)
@@ -276,7 +297,8 @@ func (r *Runner) computeData(w Workload) (*WorkloadData, error) {
 	// prediction and detection evaluation cover every test access so every
 	// barrier transition is represented.
 	d.Slice = measuredSlice(tr, trainHi, r.Opt.MaxTestAccesses)
-	d.TestRaw = testRaw[d.Slice.Start:d.Slice.End]
+	d.TestRaw = make([]trace.Access, d.Slice.End-d.Slice.Start)
+	copy(d.TestRaw, testRaw[d.Slice.Start:])
 
 	capture := func(raw []trace.Access) ([]trace.Access, sim.Metrics, error) {
 		eng, err := sim.NewEngine(r.Opt.SimConfig(), nil)

@@ -69,18 +69,22 @@ func TestWorkloadSlice(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, testLo, err := d.Trace.Iteration(0)
+		tr, _, err := shared.Trace(wl)
 		if err != nil {
 			t.Fatal(err)
 		}
-		s, test := d.Slice, d.Trace.Accesses[testLo:]
+		_, testLo, err := tr.Iteration(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, test := d.Slice, tr.Accesses[testLo:]
 		if s.End-s.Start != len(d.TestRaw) || s.End-s.Start != min(len(test), shared.Opt.MaxTestAccesses) {
 			t.Fatalf("%s: slice [%d, %d) of %d test accesses, TestRaw %d", wl, s.Start, s.End, len(test), len(d.TestRaw))
 		}
 		if !slices.Equal(d.TestRaw, test[s.Start:s.End]) {
 			t.Fatalf("%s: TestRaw is not the test accesses' [%d, %d)", wl, s.Start, s.End)
 		}
-		win := d.Trace.Slice(testLo+s.Start, testLo+s.End)
+		win := tr.Slice(testLo+s.Start, testLo+s.End)
 		if got, want := s.NumTransitions(), len(win.PhaseTransitions()); got != want {
 			t.Fatalf("%s: census total %d, window has %d transitions", wl, got, want)
 		}

@@ -19,7 +19,6 @@ package frameworks
 import (
 	"fmt"
 	"math/rand"
-	"slices"
 
 	"mpgraph/internal/graph"
 	"mpgraph/internal/trace"
@@ -161,7 +160,7 @@ func (r *run) drive(more func() bool, phases ...func()) (*trace.Trace, *Result, 
 		}
 	}
 	r.res.Values = r.prog.output()
-	return r.finish(), r.res, nil
+	return r.out, r.res, nil
 }
 
 // emitter collects per-core access streams for one phase and flushes them,
@@ -224,8 +223,10 @@ func (e *emitter) emit(core int, addr uint64, site string, isWrite bool) {
 // barrier interleaves the per-core streams gathered since the last barrier
 // straight into the trace, modelling the global synchronisation that ends
 // each phase. The trace doubles when a phase does not fit, so a run copies
-// it about once over instead of append's four times at 1.25x; finish trims
-// what doubling leaves over.
+// it about once over instead of append's four times at 1.25x. The returned
+// trace keeps the spare capacity doubling leaves: its caller reduces it and
+// drops it (experiments.Runner.Trace), and a trimming copy would put a second
+// trace on the peak.
 func (e *emitter) barrier() {
 	e.seq++
 	acc := e.out.Accesses
@@ -240,16 +241,6 @@ func (e *emitter) barrier() {
 	for c := range e.streams {
 		e.streams[c] = e.streams[c][:0]
 	}
-}
-
-// finish returns the trace with no more spare capacity than append's own
-// growth would have left it (a quarter): callers keep traces live for whole
-// runs.
-func (e *emitter) finish() *trace.Trace {
-	if acc := e.out.Accesses; cap(acc)-len(acc) > len(acc)/4 {
-		e.out.Accesses = slices.Clone(acc)
-	}
-	return e.out
 }
 
 // ownerCore spreads work units across cores.

@@ -387,25 +387,3 @@ func TestOptionsDefaults(t *testing.T) {
 		t.Fatalf("bad defaults: %+v", o)
 	}
 }
-
-// TestTraceSpareCapacityBounded: the emitter doubles the trace while it
-// grows, but a finished Run hands over no more spare capacity than append's
-// own 1.25x growth would have left — the ML fixtures keep a trace live for a
-// whole run. Iteration counts 1..6 land the final length at different points
-// between two doublings.
-func TestTraceSpareCapacityBounded(t *testing.T) {
-	g := testGraph(t)
-	for _, f := range All() {
-		for iters := 1; iters <= 6; iters++ {
-			opt := smallOpts()
-			opt.MaxIterations = iters
-			tr, _, err := f.Run(g, PR, opt)
-			if err != nil {
-				t.Fatalf("%s: %v", f.Name(), err)
-			}
-			if n, spare := len(tr.Accesses), cap(tr.Accesses)-len(tr.Accesses); n == 0 || spare > n/4 {
-				t.Fatalf("%s, %d iterations: %d accesses with %d spare slots, want at most a quarter", f.Name(), iters, n, spare)
-			}
-		}
-	}
-}

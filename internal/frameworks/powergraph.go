@@ -209,5 +209,5 @@ func runTriangleCount(g *graph.Graph, r *run) (*trace.Trace, *Result, error) {
 	}
 	r.res.Converged = true
 	r.res.Values = []float64{total}
-	return r.finish(), r.res, nil
+	return r.out, r.res, nil
 }

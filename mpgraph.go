@@ -90,13 +90,11 @@ func (s *System) Graph(dataset string) (*graph.Graph, error) {
 }
 
 // Trace executes the workload's framework and returns its memory-access
-// trace along with the algorithm result (for output validation).
+// trace along with the algorithm result (for output validation). The trace
+// is not cached: each call runs the framework again (or reloads the trace
+// checkpoint).
 func (s *System) Trace(w Workload) (*trace.Trace, *frameworks.Result, error) {
-	d, err := s.runner.Data(w)
-	if err != nil {
-		return nil, nil, err
-	}
-	return d.Trace, d.Result, nil
+	return s.runner.Trace(w)
 }
 
 // TrainMPGraph trains the full MPGraph prefetcher for the workload:
