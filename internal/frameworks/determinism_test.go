@@ -38,6 +38,12 @@ func traceDigest(t *testing.T, f Framework, app App) string {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return graphTraceDigest(t, g, f, app)
+}
+
+// graphTraceDigest is traceDigest on a given graph.
+func graphTraceDigest(t *testing.T, g *graph.Graph, f Framework, app App) string {
+	t.Helper()
 	tr, res, err := f.Run(g, app, smallOpts())
 	if err != nil {
 		t.Fatal(err)
@@ -100,5 +106,63 @@ func TestRMATTraceDeterminism(t *testing.T) {
 	}
 	if cells != len(pinnedTraceDigests) {
 		t.Fatalf("%d cells, %d pinned digests", cells, len(pinnedTraceDigests))
+	}
+}
+
+// pinnedDatasetDigests holds graphTraceDigest of the bfs, cc and sssp cells
+// of every framework on the roadCA and soclj generators at scale 9 under
+// smallOpts(), recorded before sites became integer ids and the gap and
+// merge draws left rand.Rand. They hold the min-plus programs to their
+// bytes on a low-degree lattice and a skewed power-law graph, which R-MAT
+// alone does not.
+var pinnedDatasetDigests = map[string]string{
+	"roadCA/gpop/bfs":        "2768803c8927b0b900e12ffeafddd7d45d64ce232b35194ae7c8e0a23df856ca",
+	"roadCA/gpop/cc":         "03db0e5529e2cd230bb9c35cc85b6a9bfa5493d5fe36b06272864fa7a7711759",
+	"roadCA/gpop/sssp":       "e626fd9275d769d7e2ec84834c9ab62d185e6e84c80d8e6a49b7bdb8a7388783",
+	"roadCA/xstream/bfs":     "9c9a564d63e120085c8c0eb799cf4a61a899eb920f6c0b8fc1fdded8fc79594b",
+	"roadCA/xstream/cc":      "e32f4bf1e82df01d314fa27b1fc91564da995ef1824ba3c27e4a826788f3d94b",
+	"roadCA/xstream/sssp":    "c3e4e1508e277489b9f5666feeb99b5ac0be4531ef9f6041db5a917270df2504",
+	"roadCA/powergraph/cc":   "c343079d9a0c38c4bbdb5de699114e80ffbb242d61f111cb3196acf62dc35114",
+	"roadCA/powergraph/sssp": "1c84edde3ed166b1ecc4008836476641490350183db20acd935d65db9020d5f3",
+	"soclj/gpop/bfs":         "6b3069f9f3f057488d4df1a3bb6f9145f774159aa327a1ca18efc43ecd3c159a",
+	"soclj/gpop/cc":          "7307f9748e6a124f8fd381e4eb2d1b810b6e014ae4165e478de8138f3b0bee97",
+	"soclj/gpop/sssp":        "9dc0f4d546262f89ac086fc8a9e2e68dda7209c27b48ee506f691eed3ed2ade8",
+	"soclj/xstream/bfs":      "765c642837a128115d4925d65b852552a8c207de337e79faf0894915a19bcfe7",
+	"soclj/xstream/cc":       "03668801a51dd7a0fd8a039352df243963b648310c9348063ea56ad837559651",
+	"soclj/xstream/sssp":     "6120fcdb7b97f5d017dd27fffba2e386bf9bc945f12d06c57f2b4f1e1a8cd25a",
+	"soclj/powergraph/cc":    "1f5af6f2c5a1de09022dfae3a0c5a59b36f7c547e351a0fa092bfe99d986f2ef",
+	"soclj/powergraph/sssp":  "7fe01eed9e8b34edbe7dde1179ed5f96a367eeadaad269a2809dbf578076b98c",
+}
+
+// TestDatasetTraceDigests checks every pinnedDatasetDigests cell.
+func TestDatasetTraceDigests(t *testing.T) {
+	cells := 0
+	for _, name := range []string{"roadCA", "soclj"} {
+		spec, err := graph.DatasetByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, err := spec.GenerateScale(9)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range All() {
+			for _, app := range []App{BFS, CC, SSSP} {
+				if !supportsApp(f, app) {
+					continue
+				}
+				cell := name + "/" + f.Name() + "/" + string(app)
+				cells++
+				t.Run(cell, func(t *testing.T) {
+					got := graphTraceDigest(t, g, f, app)
+					if want := pinnedDatasetDigests[cell]; got != want {
+						t.Errorf("digest %s, pinned %s", got, want)
+					}
+				})
+			}
+		}
+	}
+	if cells != len(pinnedDatasetDigests) {
+		t.Fatalf("%d cells, %d pinned digests", cells, len(pinnedDatasetDigests))
 	}
 }

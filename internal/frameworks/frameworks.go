@@ -163,24 +163,51 @@ func (r *run) drive(more func() bool, phases ...func()) (*trace.Trace, *Result, 
 	return r.out, r.res, nil
 }
 
+// site is a static code site of a framework: the load or store whose
+// instruction address Pin would report. Each framework declares its sites
+// once, as constants numbered from 0 (gpopScatterReadVertex, ...); a run's
+// sites all come from one framework, so the numbers of different frameworks
+// may overlap.
+type site uint8
+
+// maxSites bounds one framework's site count: the size of a run's PC table.
+const maxSites = 32
+
+// PCs are synthetic text addresses: the n-th distinct site a run uses gets
+// pcBase + n·pcStep. A framework's phases use disjoint sites, so its PCs
+// cluster by phase (Fig. 2b) through the sites themselves, not through the
+// addresses.
+const (
+	pcBase = 0x400000
+	pcStep = 0x40
+)
+
+// gapMax is math/rand's Int31n(6) rejection bound, the largest multiple of
+// 6 below 2³¹ less one: the gap draw takes 1 + v%6 of the first Int31 ≤ it.
+const gapMax = (1<<31 - 1) - (1<<31)%6
+
 // emitter collects per-core access streams for one phase and flushes them,
 // interleaved, into the growing trace at each barrier.
 type emitter struct {
-	reg     *trace.PCRegistry
-	rng     *rand.Rand
+	pcs     [maxSites]uint64 // site → PC, 0 until the site's first use
+	sites   uint64           // distinct sites used so far
+	src     rand.Source
 	cores   int
 	phase   uint8
-	streams [][]trace.Access
+	streams [][]trace.Access // per-core buffers, each at full length
+	fill    []int            // accesses in each buffer this phase
+	views   [][]trace.Access // the filled part of each buffer, for the merge
 	out     *trace.Trace
 	seq     int64 // interleave seed sequencer
 }
 
 func newEmitter(opt Options, numPhases int, app App, fw string) *emitter {
 	return &emitter{
-		reg:     trace.NewPCRegistry(0x400000),
-		rng:     rand.New(rand.NewSource(opt.Seed)),
+		src:     rand.NewSource(opt.Seed),
 		cores:   opt.Cores,
 		streams: make([][]trace.Access, opt.Cores),
+		fill:    make([]int, opt.Cores),
+		views:   make([][]trace.Access, opt.Cores),
 		out:     &trace.Trace{NumPhases: numPhases, App: string(app), Framework: fw},
 		seq:     opt.Seed,
 	}
@@ -197,27 +224,48 @@ func (e *emitter) superStep(phases ...func()) {
 	}
 }
 
-// read emits a load on core at addr from the named code site.
-func (e *emitter) read(core int, addr uint64, site string) {
-	e.emit(core, addr, site, false)
+// read emits a load on core at addr from code site s.
+func (e *emitter) read(core int, addr uint64, s site) {
+	e.emit(core, addr, s, false)
 }
 
-// write emits a store on core at addr from the named code site.
-func (e *emitter) write(core int, addr uint64, site string) {
-	e.emit(core, addr, site, true)
+// write emits a store on core at addr from code site s.
+func (e *emitter) write(core int, addr uint64, s site) {
+	e.emit(core, addr, s, true)
 }
 
-func (e *emitter) emit(core int, addr uint64, site string, isWrite bool) {
+func (e *emitter) emit(core int, addr uint64, s site, isWrite bool) {
+	pc := e.pcs[s]
+	if pc == 0 {
+		pc = pcBase + e.sites*pcStep
+		e.pcs[s] = pc
+		e.sites++
+	}
 	// Gap models the non-memory instructions between this access and the
 	// core's previous one; graph kernels are memory bound, so it is small.
-	gap := uint8(1 + e.rng.Intn(6))
-	e.streams[core] = append(e.streams[core], trace.Access{
-		Addr:  addr,
-		PC:    e.reg.PC(site),
-		Phase: e.phase,
-		Gap:   gap,
-		Write: isWrite,
-	})
+	// It is rand.New(src).Intn(6)+1 with math/rand's arithmetic inlined.
+	v := int32(e.src.Int63() >> 32)
+	for v > gapMax {
+		v = int32(e.src.Int63() >> 32)
+	}
+	// The access is stored by index, not appended: a slice header written
+	// back per access costs a GC write barrier while the collector runs.
+	// Its fields are stored one by one: a composite literal is built on the
+	// stack and copied, and the copy's wide load stalls on the narrow
+	// stores that built it.
+	buf, n := e.streams[core], e.fill[core]
+	if n == len(buf) {
+		// make then append, as the barrier grows the trace: make then
+		// copy compiles to makeslicecopy, which zeroes the new half even
+		// on fresh memory that the kernel hands out zeroed.
+		buf = append(make([]trace.Access, 0, max(2*n, 64)), buf...)
+		buf = buf[:cap(buf)]
+		e.streams[core] = buf
+	}
+	a := &buf[n]
+	a.Addr, a.PC = addr, pc
+	a.Core, a.Phase, a.Gap, a.Write = uint8(core), e.phase, uint8(1+v%6), isWrite
+	e.fill[core] = n + 1
 }
 
 // barrier interleaves the per-core streams gathered since the last barrier
@@ -231,16 +279,15 @@ func (e *emitter) barrier() {
 	e.seq++
 	acc := e.out.Accesses
 	need := len(acc)
-	for _, s := range e.streams {
-		need += len(s)
+	for c, n := range e.fill {
+		e.views[c] = e.streams[c][:n]
+		need += n
 	}
 	if need > cap(acc) {
 		acc = append(make([]trace.Access, 0, max(need, 2*cap(acc))), acc...)
 	}
-	e.out.Accesses = trace.AppendInterleave(acc, e.streams, meanBurst, e.seq)
-	for c := range e.streams {
-		e.streams[c] = e.streams[c][:0]
-	}
+	e.out.Accesses = trace.AppendInterleave(acc, e.views, meanBurst, e.seq)
+	clear(e.fill)
 }
 
 // ownerCore spreads work units across cores.
@@ -279,25 +326,29 @@ func newBins(as *trace.AddressSpace, name string, g *graph.Graph, q int) *bins {
 	}
 }
 
-// addr is the modelled address of the k-th update in partition p's bin.
+// addr is the modelled address of the k-th update in partition p's bin. A
+// bin rarely overflows its segment, so the wrap divides only when it does.
 func (b *bins) addr(p, k int) uint64 {
-	return b.region.Base + uint64(p)*uint64(b.size)*16 + uint64(k%b.size)*16
+	if k >= b.size {
+		k %= b.size
+	}
+	return b.region.Base + uint64(p)*uint64(b.size)*16 + uint64(k)*16
 }
 
-// push stores val for dst on core, from site, into the bin of dst's
+// push stores val for dst on core, from code site s, into the bin of dst's
 // partition.
-func (b *bins) push(r *run, core int, dst uint32, val float64, site string) {
+func (b *bins) push(r *run, core int, dst uint32, val float64, s site) {
 	p := int(dst) / b.q
-	r.write(core, b.addr(p, len(b.lists[p])), site)
+	r.write(core, b.addr(p, len(b.lists[p])), s)
 	b.lists[p] = append(b.lists[p], binUpdate{dst: dst, val: val})
 }
 
 // gather is the Gather phase of both Scatter-Gather models: the owner core
 // of each partition streams its bin, accumulating every update into acc,
 // then reads back the accumulator of each vertex it touched and applies it,
-// writing vvals where the value changed. The four site names label those
-// reads and writes.
-func (b *bins) gather(r *run, acc, vvals trace.Region, readBin, accumulate, readAcc, writeVertex string) {
+// writing vvals where the value changed. The four sites label those reads
+// and writes.
+func (b *bins) gather(r *run, acc, vvals trace.Region, readBin, accumulate, readAcc, writeVertex site) {
 	n := len(b.touched)
 	for p, list := range b.lists {
 		core := ownerCore(p, r.cores)

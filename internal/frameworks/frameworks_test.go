@@ -2,6 +2,9 @@ package frameworks
 
 import (
 	"math"
+	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 
 	"mpgraph/internal/graph"
@@ -385,5 +388,107 @@ func TestOptionsDefaults(t *testing.T) {
 	o := Options{}.withDefaults()
 	if o.Cores != 4 || o.MaxIterations != 11 || o.PartitionSize != 2048 {
 		t.Fatalf("bad defaults: %+v", o)
+	}
+}
+
+// TestPCsInFirstUseOrder: the n-th distinct code site a run uses gets PC
+// 0x400000 + n·0x40, afresh in every run. On one core the merge keeps
+// emission order, so the trace shows the order of first use directly.
+func TestPCsInFirstUseOrder(t *testing.T) {
+	g := testGraph(t)
+	opt := smallOpts()
+	opt.Cores = 1
+	for _, f := range All() {
+		for _, app := range f.Apps() {
+			tr, _, err := f.Run(g, app, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			seen := map[uint64]bool{}
+			for i, a := range tr.Accesses {
+				if seen[a.PC] {
+					continue
+				}
+				if want := 0x400000 + uint64(len(seen))*0x40; a.PC != want {
+					t.Fatalf("%s/%s: access %d brings new PC %#x, want %#x", f.Name(), app, i, a.PC, want)
+				}
+				seen[a.PC] = true
+			}
+		}
+	}
+}
+
+// TestGapDraws: the emitter's gaps are rand.New(rand.NewSource(seed)).Intn(6)+1
+// in emission order, and each access carries the core it was emitted on.
+func TestGapDraws(t *testing.T) {
+	e := newEmitter(Options{Cores: 3, Seed: 5}, 1, PR, "test")
+	ref := rand.New(rand.NewSource(5))
+	var want []uint8
+	for i := 0; i < 5000; i++ {
+		e.read(i%3, uint64(i), 0)
+		want = append(want, uint8(1+ref.Intn(6)))
+	}
+	for c, n := range e.fill {
+		for k, a := range e.streams[c][:n] {
+			if i := 3*k + c; a.Gap != want[i] || a.Core != uint8(c) {
+				t.Fatalf("access %d: gap %d core %d, want gap %d core %d", i, a.Gap, a.Core, want[i], c)
+			}
+		}
+	}
+}
+
+// TestConcurrentRunsMatchSequential: runs share no state, so two Runs on
+// separate goroutines return the traces two sequential runs do (make race
+// checks the same under the race detector).
+func TestConcurrentRunsMatchSequential(t *testing.T) {
+	g := testGraph(t)
+	cells := []struct {
+		f   Framework
+		app App
+	}{{NewGPOP(), PR}, {NewPowerGraph(), CC}}
+	var seq, par [2]*trace.Trace
+	for i, c := range cells {
+		tr, _, err := c.f.Run(g, c.app, smallOpts())
+		if err != nil {
+			t.Fatal(err)
+		}
+		seq[i] = tr
+	}
+	var wg sync.WaitGroup
+	errs := make([]error, len(cells))
+	for i, c := range cells {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			par[i], _, errs[i] = c.f.Run(g, c.app, smallOpts())
+		}()
+	}
+	wg.Wait()
+	for i := range cells {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		if !slices.Equal(par[i].Accesses, seq[i].Accesses) || !slices.Equal(par[i].IterationStarts, seq[i].IterationStarts) {
+			t.Fatalf("%s: concurrent run differs from the sequential one", cells[i].f.Name())
+		}
+	}
+}
+
+// TestTraceCapacityBound: a barrier doubles the trace or grows it to what
+// the phase needs, so no run leaves more than its length again in spare
+// capacity. A growth policy that overshoots (append's steps past the
+// doubling target) raises peak memory and fails here.
+func TestTraceCapacityBound(t *testing.T) {
+	g := testGraph(t)
+	for _, f := range All() {
+		for _, app := range f.Apps() {
+			tr, _, err := f.Run(g, app, smallOpts())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n, c := len(tr.Accesses), cap(tr.Accesses); c > 2*n {
+				t.Errorf("%s/%s: capacity %d for %d accesses", f.Name(), app, c, n)
+			}
+		}
 	}
 }

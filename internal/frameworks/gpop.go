@@ -25,6 +25,19 @@ func (f *gpop) Name() string   { return "gpop" }
 func (f *gpop) NumPhases() int { return 2 }
 func (f *gpop) Apps() []App    { return []App{BFS, CC, PR, SSSP} }
 
+// GPOP's code sites.
+const (
+	gpopScatterReadFrontier site = iota
+	gpopScatterReadVertex
+	gpopScatterReadOffset
+	gpopScatterReadEdge
+	gpopScatterWriteBin
+	gpopGatherReadBin
+	gpopGatherAccumulate
+	gpopGatherReadAcc
+	gpopGatherWriteVertex
+)
+
 func (f *gpop) Run(g *graph.Graph, app App, opt Options) (*trace.Trace, *Result, error) {
 	r, err := start(f, g, app, opt)
 	if err != nil {
@@ -49,25 +62,25 @@ func (f *gpop) Run(g *graph.Graph, app App, opt Options) (*trace.Trace, *Result,
 			hi := uint32(min((p+1)*q, n))
 			for v := lo; v < hi; v++ {
 				if v%16 == 0 {
-					r.read(core, frontierReg.Elem(int(v)/8, 1), "gpop.scatter.readFrontier")
+					r.read(core, frontierReg.Elem(int(v)/8, 1), gpopScatterReadFrontier)
 				}
 				if !r.prog.active(v) {
 					continue
 				}
-				r.read(core, vvals.Elem(int(v), 8), "gpop.scatter.readVertex")
-				r.read(core, offsets.Elem(int(v), 8), "gpop.scatter.readOffset")
+				r.read(core, vvals.Elem(int(v), 8), gpopScatterReadVertex)
+				r.read(core, offsets.Elem(int(v), 8), gpopScatterReadOffset)
 				ws := g.OutWeightsOf(v)
 				edgeBase := int(g.OutIndex[v])
 				for j, u := range g.OutNeighbors(v) {
-					r.read(core, edges.Elem(edgeBase+j, 8), "gpop.scatter.readEdge")
-					bins.push(r, core, u, r.prog.propagate(v, ws[j]), "gpop.scatter.writeBin")
+					r.read(core, edges.Elem(edgeBase+j, 8), gpopScatterReadEdge)
+					bins.push(r, core, u, r.prog.propagate(v, ws[j]), gpopScatterWriteBin)
 				}
 			}
 		}
 	}
 	// Gather accumulates each partition's bin and applies it.
 	gather := func() {
-		bins.gather(r, acc, vvals, "gpop.gather.readBin", "gpop.gather.accumulate", "gpop.gather.readAcc", "gpop.gather.writeVertex")
+		bins.gather(r, acc, vvals, gpopGatherReadBin, gpopGatherAccumulate, gpopGatherReadAcc, gpopGatherWriteVertex)
 	}
 	return r.drive(r.prog.anyActive, scatter, gather)
 }

@@ -25,6 +25,28 @@ func (f *powergraph) Name() string   { return "powergraph" }
 func (f *powergraph) NumPhases() int { return 3 }
 func (f *powergraph) Apps() []App    { return []App{CC, PR, SSSP, TC} }
 
+// PowerGraph's code sites: the GAS phases', then triangle counting's.
+const (
+	pgGatherReadOffset site = iota
+	pgGatherReadEdge
+	pgGatherCheckActive
+	pgGatherReadNbr
+	pgGatherWriteAcc
+	pgApplyReadAcc
+	pgApplyWriteVertex
+	pgScatterReadOffset
+	pgScatterReadEdge
+	pgScatterSignal
+	pgTCReadOffsetV
+	pgTCReadEdge
+	pgTCReadOffsetU
+	pgTCIntersectV
+	pgTCIntersectU
+	pgTCReadAcc
+	pgTCWriteCount
+	pgTCScanCount
+)
+
 func (f *powergraph) Run(g *graph.Graph, app App, opt Options) (*trace.Trace, *Result, error) {
 	r, err := start(f, g, app, opt)
 	if err != nil {
@@ -65,23 +87,23 @@ func (f *powergraph) Run(g *graph.Graph, app App, opt Options) (*trace.Trace, *R
 				continue
 			}
 			core := ownerCore(int(v), r.cores)
-			r.read(core, inOffsets.Elem(int(v), 8), "pg.gather.readOffset")
+			r.read(core, inOffsets.Elem(int(v), 8), pgGatherReadOffset)
 			ws := g.InWeightsOf(v)
 			edgeBase := int(g.InIndex[v])
 			for j, u := range g.InNeighbors(v) {
-				r.read(core, inEdges.Elem(edgeBase+j, 8), "pg.gather.readEdge")
+				r.read(core, inEdges.Elem(edgeBase+j, 8), pgGatherReadEdge)
 				if j%4 == 0 {
-					r.read(core, activeReg.Elem(int(u)/8, 1), "pg.gather.checkActive")
+					r.read(core, activeReg.Elem(int(u)/8, 1), pgGatherCheckActive)
 				}
 				if !r.prog.active(u) {
 					continue
 				}
 				// Random read across the whole vertex array — the wide
 				// page-jump pattern of Fig. 3.
-				r.read(core, vvals.Elem(int(u), 8), "pg.gather.readNbr")
+				r.read(core, vvals.Elem(int(u), 8), pgGatherReadNbr)
 				r.prog.accumulate(v, r.prog.propagate(u, ws[j]))
 			}
-			r.write(core, acc.Elem(int(v), 8), "pg.gather.writeAcc")
+			r.write(core, acc.Elem(int(v), 8), pgGatherWriteAcc)
 		}
 	}
 	apply := func() {
@@ -91,9 +113,9 @@ func (f *powergraph) Run(g *graph.Graph, app App, opt Options) (*trace.Trace, *R
 				continue
 			}
 			core := ownerCore(int(v), r.cores)
-			r.read(core, acc.Elem(int(v), 8), "pg.apply.readAcc")
+			r.read(core, acc.Elem(int(v), 8), pgApplyReadAcc)
 			if r.prog.apply(v) {
-				r.write(core, vvals.Elem(int(v), 8), "pg.apply.writeVertex")
+				r.write(core, vvals.Elem(int(v), 8), pgApplyWriteVertex)
 				changed = append(changed, v)
 			}
 		}
@@ -103,11 +125,11 @@ func (f *powergraph) Run(g *graph.Graph, app App, opt Options) (*trace.Trace, *R
 		clear(nextSignalled)
 		for _, v := range changed {
 			core := ownerCore(int(v), r.cores)
-			r.read(core, outOffsets.Elem(int(v), 8), "pg.scatter.readOffset")
+			r.read(core, outOffsets.Elem(int(v), 8), pgScatterReadOffset)
 			edgeBase := int(g.OutIndex[v])
 			for j, u := range g.OutNeighbors(v) {
-				r.read(core, outEdges.Elem(edgeBase+j, 8), "pg.scatter.readEdge")
-				r.write(core, activeReg.Elem(int(u)/8, 1), "pg.scatter.signal")
+				r.read(core, outEdges.Elem(edgeBase+j, 8), pgScatterReadEdge)
+				r.write(core, activeReg.Elem(int(u)/8, 1), pgScatterSignal)
 				nextSignalled[u] = true
 			}
 		}
@@ -144,14 +166,14 @@ func runTriangleCount(g *graph.Graph, r *run) (*trace.Trace, *Result, error) {
 			if len(nv) == 0 {
 				continue
 			}
-			r.read(core, outOffsets.Elem(int(v), 8), "pg.tc.readOffsetV")
+			r.read(core, outOffsets.Elem(int(v), 8), pgTCReadOffsetV)
 			vBase := int(g.OutIndex[v])
 			for j, u := range nv {
 				if u <= v || (j > 0 && nv[j-1] == u) {
 					continue // skip back-edges and duplicate edges
 				}
-				r.read(core, outEdges.Elem(vBase+j, 8), "pg.tc.readEdge")
-				r.read(core, outOffsets.Elem(int(u), 8), "pg.tc.readOffsetU")
+				r.read(core, outEdges.Elem(vBase+j, 8), pgTCReadEdge)
+				r.read(core, outOffsets.Elem(int(u), 8), pgTCReadOffsetU)
 				nu := g.OutNeighbors(u)
 				uBase := int(g.OutIndex[u])
 				// Sorted merge intersection over deduplicated runs; count
@@ -169,8 +191,8 @@ func runTriangleCount(g *graph.Graph, r *run) (*trace.Trace, *Result, error) {
 					// Model the streaming reads of both lists; sample every
 					// other step to keep trace volume proportional.
 					if (a+b)%2 == 0 {
-						r.read(core, outEdges.Elem(vBase+a, 8), "pg.tc.intersectV")
-						r.read(core, outEdges.Elem(uBase+b, 8), "pg.tc.intersectU")
+						r.read(core, outEdges.Elem(vBase+a, 8), pgTCIntersectV)
+						r.read(core, outEdges.Elem(uBase+b, 8), pgTCIntersectU)
 					}
 					switch {
 					case nv[a] < nu[b]:
@@ -192,15 +214,15 @@ func runTriangleCount(g *graph.Graph, r *run) (*trace.Trace, *Result, error) {
 	apply := func() {
 		for v := 0; v < n; v++ {
 			core := ownerCore(v, r.cores)
-			r.read(core, acc.Elem(v, 8), "pg.tc.readAcc")
-			r.write(core, counts.Elem(v, 8), "pg.tc.writeCount")
+			r.read(core, acc.Elem(v, 8), pgTCReadAcc)
+			r.write(core, counts.Elem(v, 8), pgTCWriteCount)
 		}
 	}
 	// Scatter is a signalling sweep (no new activations for TC).
 	scan := func() {
 		for v := 0; v < n; v += 8 {
 			core := ownerCore(v, r.cores)
-			r.read(core, counts.Elem(v, 8), "pg.tc.scanCount")
+			r.read(core, counts.Elem(v, 8), pgTCScanCount)
 		}
 	}
 	for iter := 0; iter < r.opt.MaxIterations; iter++ {

@@ -28,6 +28,17 @@ func (f *xstream) Name() string   { return "xstream" }
 func (f *xstream) NumPhases() int { return 2 }
 func (f *xstream) Apps() []App    { return []App{BFS, CC, PR, SSSP} }
 
+// X-Stream's code sites.
+const (
+	xsScatterReadEdge site = iota
+	xsScatterReadSrc
+	xsScatterWriteUpdate
+	xsGatherReadUpdate
+	xsGatherAccumulate
+	xsGatherReadAcc
+	xsGatherWriteVertex
+)
+
 func (f *xstream) Run(g *graph.Graph, app App, opt Options) (*trace.Trace, *Result, error) {
 	r, err := start(f, g, app, opt)
 	if err != nil {
@@ -68,19 +79,19 @@ func (f *xstream) Run(g *graph.Graph, app App, opt Options) (*trace.Trace, *Resu
 			hi := min(lo+chunk, len(edgeList))
 			for i := lo; i < hi; i++ {
 				e := edgeList[i]
-				r.read(c, edges.Elem(i, 16), "xs.scatter.readEdge")
+				r.read(c, edges.Elem(i, 16), xsScatterReadEdge)
 				if !r.prog.active(e.src) {
 					continue
 				}
 				// Random read across the whole vertex array.
-				r.read(c, vvals.Elem(int(e.src), 8), "xs.scatter.readSrc")
-				updates.push(r, c, e.dst, r.prog.propagate(e.src, e.w), "xs.scatter.writeUpdate")
+				r.read(c, vvals.Elem(int(e.src), 8), xsScatterReadSrc)
+				updates.push(r, c, e.dst, r.prog.propagate(e.src, e.w), xsScatterWriteUpdate)
 			}
 		}
 	}
 	// Gather streams each partition's updates.
 	gather := func() {
-		updates.gather(r, acc, vvals, "xs.gather.readUpdate", "xs.gather.accumulate", "xs.gather.readAcc", "xs.gather.writeVertex")
+		updates.gather(r, acc, vvals, xsGatherReadUpdate, xsGatherAccumulate, xsGatherReadAcc, xsGatherWriteVertex)
 	}
 	return r.drive(r.prog.anyActive, scatter, gather)
 }

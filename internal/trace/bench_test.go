@@ -10,7 +10,7 @@ func BenchmarkInterleave(b *testing.B) {
 	for c := range streams {
 		streams[c] = make([]Access, 1<<15)
 		for i := range streams[c] {
-			streams[c][i] = Access{Addr: uint64(c)<<32 + uint64(i)*8, PC: 0x400000, Gap: 3}
+			streams[c][i] = Access{Addr: uint64(c)<<32 + uint64(i)*8, PC: 0x400000, Core: uint8(c), Gap: 3}
 		}
 	}
 	dst := make([]Access, 0, 4<<15)

@@ -13,69 +13,72 @@ import (
 // from different cores.
 //
 // The merge keeps each core's internal order (program order is preserved
-// per core) and is deterministic for a given seed. It is append-style: the
-// merge lands in dst's spare capacity when it fits and the extended slice is
-// returned. The streams are read, never written. A caller that appends
-// repeatedly reserves capacity by its own policy first.
+// per core) and is deterministic for a given seed. It copies accesses as
+// their streams hold them: streams[c] is core c's, and its builder writes
+// c into each access's Core (the frameworks' emitter does so at emit). It is
+// append-style: the merge lands in dst's spare capacity when it fits and the
+// extended slice is returned. The streams are read, never written. A caller
+// that appends repeatedly reserves capacity by its own policy first.
+//
+// Every draw is the one rand.New(rand.NewSource(seed)) would make, taken
+// straight from the source: Intn for the pick, Float64 for each burst step.
 func AppendInterleave(dst []Access, streams [][]Access, meanBurst int, seed int64) []Access {
 	if meanBurst < 1 {
 		meanBurst = 1
 	}
-	rng := rand.New(rand.NewSource(seed))
+	src := rand.NewSource(seed)
 	pos := make([]int, len(streams))
-	total, live := 0, 0
+	remaining := 0
 	for _, s := range streams {
-		total += len(s)
-		if len(s) > 0 {
-			live++
-		}
+		remaining += len(s)
 	}
-	out := slices.Grow(dst, total)
-	for live > 0 {
+	out := slices.Grow(dst, remaining)
+	stay := 1 - 1/float64(meanBurst)
+	for remaining > 0 {
 		// Pick a random live core, weighted by remaining work so long
 		// streams do not starve at the tail.
-		c := pickLive(rng, streams, pos)
+		r, c := intn(src, remaining), 0
+		for r >= len(streams[c])-pos[c] {
+			r -= len(streams[c]) - pos[c]
+			c++
+		}
 		// Burst length ~ Geometric(1/meanBurst).
 		burst := 1
-		for rng.Float64() < 1-1/float64(meanBurst) {
+		for unitFloat(src) < stay {
 			burst++
 		}
-		from := len(out)
-		out = append(out, streams[c][pos[c]:min(pos[c]+burst, len(streams[c]))]...)
-		for i := from; i < len(out); i++ {
-			out[i].Core = uint8(c)
-		}
-		pos[c] += len(out) - from
-		if pos[c] >= len(streams[c]) {
-			live = 0
-			for ci, s := range streams {
-				if pos[ci] < len(s) {
-					live++
-				}
-			}
-		}
+		from := pos[c]
+		pos[c] = min(from+burst, len(streams[c]))
+		out = append(out, streams[c][from:pos[c]]...)
+		remaining -= pos[c] - from
 	}
 	return out
 }
 
-func pickLive(rng *rand.Rand, streams [][]Access, pos []int) int {
-	remaining := 0
-	for c, s := range streams {
-		remaining += len(s) - pos[c]
+// intn is rand.New(src).Intn(n) for n > 0: Int31n's rejection arithmetic on
+// the source's draws.
+func intn(src rand.Source, n int) int {
+	if n > 1<<31-1 {
+		return rand.New(src).Intn(n)
 	}
-	r := rng.Intn(remaining)
-	for c, s := range streams {
-		left := len(s) - pos[c]
-		if r < left {
-			return c
+	m := int32(n)
+	if m&(m-1) == 0 {
+		return int(int32(src.Int63()>>32) & (m - 1))
+	}
+	bound := int32((1 << 31) - 1 - (1<<31)%uint32(m))
+	v := int32(src.Int63() >> 32)
+	for v > bound {
+		v = int32(src.Int63() >> 32)
+	}
+	return int(v % m)
+}
+
+// unitFloat is rand.New(src).Float64(): Int63/2⁶³, drawn again when the
+// quotient rounds up to 1.
+func unitFloat(src rand.Source) float64 {
+	for {
+		if f := float64(src.Int63()) / (1 << 63); f < 1 {
+			return f
 		}
-		r -= left
 	}
-	// Unreachable when remaining > 0.
-	for c, s := range streams {
-		if pos[c] < len(s) {
-			return c
-		}
-	}
-	return 0
 }

@@ -2,9 +2,8 @@
 // framework simulators (which produce traces), the cache simulator (which
 // consumes them and can capture the filtered LLC stream), and the ML models
 // (which train on the LLC stream). It also provides the address arithmetic
-// for blocks and pages, a PC registry that assigns stable program-counter
-// values to static code sites, a virtual address-space allocator, and a
-// multi-core stream interleaver.
+// for blocks and pages, a virtual address-space allocator, and a multi-core
+// stream interleaver.
 package trace
 
 import "fmt"

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"slices"
 	"strings"
@@ -141,23 +142,11 @@ func TestRegionElem(t *testing.T) {
 	r.Elem(512, 8)
 }
 
-func TestPCRegistry(t *testing.T) {
-	r := NewPCRegistry(0x400000)
-	a := r.PC("scatter.read")
-	b := r.PC("scatter.write")
-	if r.PC("scatter.read") != a {
-		t.Fatal("PC must be stable")
-	}
-	if a != 0x400000 || b != 0x400040 {
-		t.Fatalf("PCs %#x, %#x: want base + first-use index * 0x40", a, b)
-	}
-}
-
 func TestInterleavePreservesPerCoreOrder(t *testing.T) {
 	streams := make([][]Access, 4)
 	for c := range streams {
 		for i := 0; i < 100; i++ {
-			streams[c] = append(streams[c], Access{Addr: uint64(c*1000 + i)})
+			streams[c] = append(streams[c], Access{Addr: uint64(c*1000 + i), Core: uint8(c)})
 		}
 	}
 	out := AppendInterleave(nil, streams, 8, 42)
@@ -197,7 +186,7 @@ func TestInterleaveActuallyInterleaves(t *testing.T) {
 	streams := make([][]Access, 4)
 	for c := range streams {
 		for i := 0; i < 200; i++ {
-			streams[c] = append(streams[c], Access{Addr: uint64(i)})
+			streams[c] = append(streams[c], Access{Addr: uint64(i), Core: uint8(c)})
 		}
 	}
 	out := AppendInterleave(nil, streams, 4, 1)
@@ -217,7 +206,7 @@ func TestInterleaveEmptyAndUneven(t *testing.T) {
 	if len(out) != 0 {
 		t.Fatal("empty input")
 	}
-	streams := [][]Access{{}, {{Addr: 7}}, {}}
+	streams := [][]Access{{}, {{Addr: 7, Core: 1}}, {}}
 	out = AppendInterleave(nil, streams, 0, 1)
 	if len(out) != 1 || out[0].Addr != 7 || out[0].Core != 1 {
 		t.Fatalf("uneven interleave got %v", out)
@@ -343,40 +332,38 @@ func TestSummarize(t *testing.T) {
 	}
 }
 
-// referenceInterleave is Interleave as it stood before AppendInterleave: the
-// merge built access by access into a slice of its own.
-func referenceInterleave(streams [][]Access, meanBurst int, seed int64) []Access {
+// parentAppendInterleave is AppendInterleave as it stood before its draws
+// left rand.Rand and the core id moved to the emitter: the reference the
+// merge must reproduce draw for draw. It stamps Core itself.
+func parentAppendInterleave(dst []Access, streams [][]Access, meanBurst int, seed int64) []Access {
 	if meanBurst < 1 {
 		meanBurst = 1
 	}
 	rng := rand.New(rand.NewSource(seed))
 	pos := make([]int, len(streams))
-	total := 0
+	total, live := 0, 0
 	for _, s := range streams {
 		total += len(s)
-	}
-	out := make([]Access, 0, total)
-	live := 0
-	for _, s := range streams {
 		if len(s) > 0 {
 			live++
 		}
 	}
+	out := slices.Grow(dst, total)
 	for live > 0 {
 		// Pick a random live core, weighted by remaining work so long
 		// streams do not starve at the tail.
-		c := pickLive(rng, streams, pos)
+		c := parentPickLive(rng, streams, pos)
 		// Burst length ~ Geometric(1/meanBurst).
 		burst := 1
 		for rng.Float64() < 1-1/float64(meanBurst) {
 			burst++
 		}
-		for i := 0; i < burst && pos[c] < len(streams[c]); i++ {
-			a := streams[c][pos[c]]
-			a.Core = uint8(c)
-			out = append(out, a)
-			pos[c]++
+		from := len(out)
+		out = append(out, streams[c][pos[c]:min(pos[c]+burst, len(streams[c]))]...)
+		for i := from; i < len(out); i++ {
+			out[i].Core = uint8(c)
 		}
+		pos[c] += len(out) - from
 		if pos[c] >= len(streams[c]) {
 			live = 0
 			for ci, s := range streams {
@@ -389,43 +376,101 @@ func referenceInterleave(streams [][]Access, meanBurst int, seed int64) []Access
 	return out
 }
 
-// TestAppendInterleaveMatchesReference: on random stream shapes the merge is
-// the reference's (same RNG draws, same Core stamps) whether it lands in a
-// nil dst, in spare capacity or past it; what dst already held is untouched,
-// and so are the source streams — Core is stamped on the copy.
+func parentPickLive(rng *rand.Rand, streams [][]Access, pos []int) int {
+	remaining := 0
+	for c, s := range streams {
+		remaining += len(s) - pos[c]
+	}
+	r := rng.Intn(remaining)
+	for c, s := range streams {
+		left := len(s) - pos[c]
+		if r < left {
+			return c
+		}
+		r -= left
+	}
+	// Unreachable when remaining > 0.
+	for c, s := range streams {
+		if pos[c] < len(s) {
+			return c
+		}
+	}
+	return 0
+}
+
+// TestAppendInterleaveMatchesReference: on 600 random shapes — 0 to 8
+// streams, a third of them empty, of up to 300 accesses each, mean bursts
+// 0 to 8 — the merge is parentAppendInterleave's, given streams whose
+// accesses carry their core id as the emitter writes it. It lands in dst's
+// spare capacity exactly when the merge fits there, keeps what dst held, and
+// leaves the source streams as they were.
 func TestAppendInterleaveMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
-	for round := 0; round < 200; round++ {
-		streams := make([][]Access, rng.Intn(6))
+	for round := 0; round < 600; round++ {
+		streams := make([][]Access, rng.Intn(9))
+		total := 0
 		for c := range streams {
-			for i, n := 0, rng.Intn(60)*rng.Intn(2); i < n; i++ {
-				streams[c] = append(streams[c], Access{Addr: uint64(c*1000 + i), Core: 99, Gap: uint8(rng.Intn(6))})
+			if rng.Intn(3) == 0 {
+				continue
 			}
+			for i, n := 0, rng.Intn(301); i < n; i++ {
+				streams[c] = append(streams[c], Access{
+					Addr: rng.Uint64(), PC: rng.Uint64(), Core: uint8(c),
+					Phase: uint8(rng.Intn(3)), Gap: uint8(rng.Intn(6)), Write: rng.Intn(2) == 0,
+				})
+			}
+			total += len(streams[c])
 		}
 		pristine := make([][]Access, len(streams))
 		for c := range streams {
 			pristine[c] = slices.Clone(streams[c])
 		}
-		burst, seed := rng.Intn(8), rng.Int63()
-		want := referenceInterleave(streams, burst, seed)
+		burst, seed := rng.Intn(9), rng.Int63()
+		want := parentAppendInterleave(nil, streams, burst, seed)
 		if got := AppendInterleave(nil, streams, burst, seed); !slices.Equal(got, want) {
 			t.Fatalf("round %d: AppendInterleave(nil) differs from the reference", round)
 		}
 		prefix := []Access{{Addr: 1, Core: 7}, {Addr: 2, Core: 8}, {Addr: 3, Core: 9}}
-		for _, spare := range []int{0, 10, 1000} {
+		for _, spare := range []int{0, max(total-1, 0), total, total + 10} {
 			dst := append(make([]Access, 0, len(prefix)+spare), prefix...)
 			got := AppendInterleave(dst, streams, burst, seed)
 			if !slices.Equal(got[:len(prefix)], prefix) || !slices.Equal(got[len(prefix):], want) {
 				t.Fatalf("round %d, %d spare: prefix or merge wrong", round, spare)
 			}
-			if spare >= len(want) && &got[0] != &dst[0] {
-				t.Fatalf("round %d: %d accesses did not land in %d spare slots", round, len(want), spare)
+			if inPlace := &got[0] == &dst[0]; inPlace != (spare >= total) {
+				t.Fatalf("round %d: %d accesses, %d spare slots, merged in place %v", round, total, spare, inPlace)
 			}
 		}
 		for c := range streams {
 			if !slices.Equal(streams[c], pristine[c]) {
 				t.Fatalf("round %d: source stream %d was written", round, c)
 			}
+		}
+	}
+}
+
+// TestDrawsMatchRand: intn and unitFloat take the draws rand.Rand's Intn and
+// Float64 take from the same source and return the same values, for bounds
+// that are powers of two, that reject often (2³⁰+1 about every other draw),
+// and that pass Int31's range.
+func TestDrawsMatchRand(t *testing.T) {
+	bounds := []int{1, 2, 3, 6, 64, 1000, 1<<30 + 1, 1<<31 - 1, 3 << 30}
+	if math.MaxInt > 1<<32 {
+		bounds = append(bounds, 1<<40, 1<<40+7)
+	}
+	for seed := int64(0); seed < 50; seed++ {
+		src, ref := rand.NewSource(seed), rand.New(rand.NewSource(seed))
+		for i := 0; i < 200; i++ {
+			n := bounds[i%len(bounds)]
+			if got, want := intn(src, n), ref.Intn(n); got != want {
+				t.Fatalf("seed %d draw %d: intn(%d) = %d, rand gives %d", seed, i, n, got, want)
+			}
+			if got, want := unitFloat(src), ref.Float64(); got != want {
+				t.Fatalf("seed %d draw %d: unitFloat = %v, rand gives %v", seed, i, got, want)
+			}
+		}
+		if src.Int63() != ref.Int63() {
+			t.Fatalf("seed %d: sources drifted apart", seed)
 		}
 	}
 }
