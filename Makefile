@@ -143,19 +143,24 @@ fuzz:
 # trace, the three framework trace generations and the barrier merge (whole
 # runs of tens of ms, best of 6 x 5), and one Operate of each of the seven
 # classic prefetchers on that trace's LLC stream (500000 iterations: rows of
-# 20-400 ns). SERVE_BENCH is the served path outside the model, all with
-# allocs/op: the two phase detectors over 20,000 observations from a Reset,
-# of a 5-PC stream and of one whose every PC is new to the window (the
-# window's worst case, *Distinct), and one 64-event chunk through the HTTP
-# handler on a warm session. BenchmarkKSStatistic is a reference row, not
-# the served path: the detectors compute the statistic in their own sweep,
-# and KSStatistic is what the tests hold that sweep to. The ops run from
-# 1 µs to 25 ms, so they run for a time (0.5 s) rather than a count.
+# 20-400 ns). CACHE_BENCH is one sim.Cache operation on a full 16-way set of
+# a Table 3 LLC — a hit on the most recent line, a hit on the least recent,
+# a miss plus the fill that evicts, a Contains miss — at 2000000 iterations
+# (rows of 4-70 ns), each 0 allocs/op. SERVE_BENCH is the served path
+# outside the model, all with allocs/op: the two phase detectors over 20,000
+# observations from a Reset, of a 5-PC stream and of one whose every PC is
+# new to the window (the window's worst case, *Distinct), and one 64-event
+# chunk through the HTTP handler on a warm session. BenchmarkKSStatistic is
+# a reference row, not the served path: the detectors compute the statistic
+# in their own sweep, and KSStatistic is what the tests hold that sweep to.
+# The ops run from 1 µs to 25 ms, so they run for a time (0.5 s) rather than
+# a count.
 # Steps go through a file so a benchmark failure fails the target. For
 # published numbers rerun with a higher -benchtime and -count (DESIGN.md §11).
 KERNEL_BENCH = BenchmarkAttentionBlocks|BenchmarkResidualLayerNorm|BenchmarkMeanRowsBatch|BenchmarkAddPosBatch|BenchmarkEmbeddingPosBatch|BenchmarkFirstAbove|BenchmarkSigmoidWiden|BenchmarkTopK2of1024|BenchmarkPanel1|BenchmarkPanelShapes|BenchmarkLinearAct|BenchmarkLSTMForward|BenchmarkAMMA(Delta|Page)(F32)?(Batch8)?$$
 TRAIN_BENCH = BenchmarkAdamStep|BenchmarkGemmTN|BenchmarkGemmNT|BenchmarkBackwardMLP|BenchmarkAMMADeltaTrainStep|BenchmarkAMMAPageTrainStep|BenchmarkLSTMPageTrainStep
 SIM_BENCH = BenchmarkEngineNoPrefetch|BenchmarkEngineRun|BenchmarkClassicOperate|BenchmarkGPOPPageRankTrace|BenchmarkXStreamBFSTrace|BenchmarkPowerGraphCCTrace|BenchmarkInterleave
+CACHE_BENCH = ^BenchmarkCache$$
 SERVE_BENCH = BenchmarkKSWIN|BenchmarkSoftKSWIN|BenchmarkKSStatistic|BenchmarkHandleFeed
 # BENCH_STEPS is the ledger's step list, which bench and bench-compare
 # share: $(call BENCH_STEPS,file) runs every step, writing the output to file.
@@ -180,6 +185,9 @@ define BENCH_STEPS
 		>> $(1)
 	$(GO) test ./internal/prefetch/ \
 		-run xxx -bench '$(SIM_BENCH)' -benchtime 500000x -count 6 \
+		>> $(1)
+	$(GO) test ./internal/sim/ \
+		-run xxx -bench '$(CACHE_BENCH)' -benchtime 2000000x -count 6 \
 		>> $(1)
 	$(GO) test ./internal/phasedet/ ./internal/serve/ \
 		-run xxx -bench '$(SERVE_BENCH)' -benchtime 0.5s -count 6 \

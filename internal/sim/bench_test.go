@@ -68,13 +68,57 @@ func BenchmarkEngineRun(b *testing.B) {
 	}
 }
 
-func BenchmarkCacheLookupInsert(b *testing.B) {
-	c, _ := sim.NewCache("bench", 2048, 16)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		block := uint64(i) % (1 << 16)
-		if hit, _, _ := c.Lookup(block, true); !hit {
-			c.Insert(block, false, 0)
+// BenchmarkCache times one cache operation on one full set of a Table 3 LLC
+// (2048 sets × 16 ways): a hit on the most recent line, a hit on the least
+// recent (the line moves across the whole set), a miss plus the fill that
+// evicts the last way, and a Contains miss (a scan of every way). Each
+// reads 0 allocs/op.
+func BenchmarkCache(b *testing.B) {
+	const sets, ways = 2048, 16
+	// block(k) is the k-th block of set 5; fill leaves blocks 0..ways-1
+	// resident, block ways-1 first and block 0 last, and starts the timer.
+	block := func(k int) uint64 { return uint64(k*sets + 5) }
+	fill := func(b *testing.B) *sim.Cache {
+		c, err := sim.NewCache("bench", sets, ways)
+		if err != nil {
+			b.Fatal(err)
 		}
+		for k := 0; k < ways; k++ {
+			c.Insert(block(k), false, 0)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		return c
 	}
+	b.Run("hit-front", func(b *testing.B) {
+		c := fill(b)
+		for i := 0; i < b.N; i++ {
+			c.Lookup(block(ways - 1))
+		}
+	})
+	// Touching the last line makes the next block the last: blocks 0, 1, …
+	// in turn are always the least recent.
+	b.Run("hit-last", func(b *testing.B) {
+		c := fill(b)
+		for i := 0; i < b.N; i++ {
+			c.Lookup(block(i % ways))
+		}
+	})
+	// Of ways+1 blocks taken in turn, the next is the one evicted ways
+	// fills ago.
+	b.Run("miss-fill", func(b *testing.B) {
+		c := fill(b)
+		for i := 0; i < b.N; i++ {
+			k := block((ways + i) % (ways + 1))
+			if hit, _, _ := c.Lookup(k); !hit {
+				c.Insert(k, false, 0)
+			}
+		}
+	})
+	b.Run("contains-miss", func(b *testing.B) {
+		c := fill(b)
+		for i := 0; i < b.N; i++ {
+			c.Contains(block(ways))
+		}
+	})
 }

@@ -304,7 +304,7 @@ func (e *Engine) lookup(c int, block uint64, now uint64, a trace.Access) (latenc
 	// here. A hit on a line whose fill is still in flight (readyAt in the
 	// future) pays the remaining fill time, mirroring the LLC's
 	// late-prefetch handling.
-	if hit, readyAt, _ := l1.Lookup(block, true); hit {
+	if hit, readyAt, _ := l1.Lookup(block); hit {
 		e.metrics.L1Hits++
 		lat := cfg.L1Latency
 		if readyAt > now+lat {
@@ -313,7 +313,7 @@ func (e *Engine) lookup(c int, block uint64, now uint64, a trace.Access) (latenc
 		return lat, false
 	}
 	e.metrics.L1Misses++
-	if hit, readyAt, _ := l2.Lookup(block, true); hit {
+	if hit, readyAt, _ := l2.Lookup(block); hit {
 		e.metrics.L2Hits++
 		lat := cfg.L2Latency
 		if readyAt > now+lat {
@@ -325,7 +325,7 @@ func (e *Engine) lookup(c int, block uint64, now uint64, a trace.Access) (latenc
 	e.metrics.L2Misses++
 
 	// The access reaches the shared LLC: record and train the prefetcher.
-	llcHit, readyAt, wasPF := e.llc.Lookup(block, true)
+	llcHit, readyAt, wasPF := e.llc.Lookup(block)
 	if e.Recorder != nil {
 		e.Recorder(a, llcHit)
 	}

@@ -111,7 +111,7 @@ func (e *referenceEngine) lookup(c int, block uint64, now uint64, a trace.Access
 	// here. A hit on a line whose fill is still in flight (readyAt in the
 	// future) pays the remaining fill time, mirroring the LLC's
 	// late-prefetch handling.
-	if hit, readyAt, _ := e.l1[c].Lookup(block, true); hit {
+	if hit, readyAt, _ := e.l1[c].Lookup(block); hit {
 		e.metrics.L1Hits++
 		lat := cfg.L1Latency
 		if readyAt > now+lat {
@@ -120,7 +120,7 @@ func (e *referenceEngine) lookup(c int, block uint64, now uint64, a trace.Access
 		return lat, false
 	}
 	e.metrics.L1Misses++
-	if hit, readyAt, _ := e.l2[c].Lookup(block, true); hit {
+	if hit, readyAt, _ := e.l2[c].Lookup(block); hit {
 		e.metrics.L2Hits++
 		lat := cfg.L2Latency
 		if readyAt > now+lat {
@@ -132,7 +132,7 @@ func (e *referenceEngine) lookup(c int, block uint64, now uint64, a trace.Access
 	e.metrics.L2Misses++
 
 	// The access reaches the shared LLC: record and train the prefetcher.
-	llcHit, readyAt, wasPF := e.llc.Lookup(block, true)
+	llcHit, readyAt, wasPF := e.llc.Lookup(block)
 	if e.Recorder != nil {
 		e.Recorder(a, llcHit)
 	}

@@ -26,11 +26,11 @@ func TestCacheGeometry(t *testing.T) {
 
 func TestCacheHitMiss(t *testing.T) {
 	c, _ := NewCache("x", 4, 2)
-	if hit, _, _ := c.Lookup(100, true); hit {
+	if hit, _, _ := c.Lookup(100); hit {
 		t.Fatal("cold lookup must miss")
 	}
 	c.Insert(100, false, 0)
-	if hit, _, _ := c.Lookup(100, true); !hit {
+	if hit, _, _ := c.Lookup(100); !hit {
 		t.Fatal("lookup after insert must hit")
 	}
 	if c.Hits != 1 || c.Misses != 1 {
@@ -42,7 +42,7 @@ func TestCacheLRUEviction(t *testing.T) {
 	c, _ := NewCache("x", 1, 2) // one set, two ways
 	c.Insert(1, false, 0)
 	c.Insert(2, false, 0)
-	c.Lookup(1, true) // make 2 the LRU
+	c.Lookup(1) // make 2 the LRU
 	ev, valid, _ := c.Insert(3, false, 0)
 	if !valid || ev != 2 {
 		t.Fatalf("evicted %d (valid=%v), want 2", ev, valid)
@@ -55,12 +55,12 @@ func TestCacheLRUEviction(t *testing.T) {
 func TestCachePrefetchFlag(t *testing.T) {
 	c, _ := NewCache("x", 4, 2)
 	c.Insert(8, true, 50)
-	hit, ready, wasPF := c.Lookup(8, true)
+	hit, ready, wasPF := c.Lookup(8)
 	if !hit || !wasPF || ready != 50 {
 		t.Fatalf("prefetched lookup = %v,%d,%v", hit, ready, wasPF)
 	}
 	// Second demand touch is no longer "first use of prefetch".
-	_, _, wasPF = c.Lookup(8, true)
+	_, _, wasPF = c.Lookup(8)
 	if wasPF {
 		t.Fatal("prefetch flag must clear on first demand touch")
 	}
@@ -74,7 +74,7 @@ func TestCacheUnusedPrefetchEviction(t *testing.T) {
 		t.Fatal("evicting never-used prefetch must be flagged")
 	}
 	c.Insert(3, true, 0)
-	c.Lookup(3, true)
+	c.Lookup(3)
 	_, _, unused = c.Insert(4, false, 0)
 	if unused {
 		t.Fatal("used prefetch eviction must not be flagged")
@@ -85,7 +85,7 @@ func TestCacheDuplicateInsert(t *testing.T) {
 	c, _ := NewCache("x", 1, 2)
 	c.Insert(5, true, 100)
 	c.Insert(5, false, 40) // demand fill of same block
-	hit, ready, wasPF := c.Lookup(5, true)
+	hit, ready, wasPF := c.Lookup(5)
 	if !hit || wasPF || ready != 40 {
 		t.Fatalf("duplicate insert: hit=%v ready=%d wasPF=%v", hit, ready, wasPF)
 	}
@@ -99,7 +99,7 @@ func TestQuickCacheInvariants(t *testing.T) {
 		for _, b := range blocks {
 			b %= 64
 			if c.Contains(b) {
-				hit, _, _ := c.Lookup(b, true)
+				hit, _, _ := c.Lookup(b)
 				if !hit {
 					return false
 				}
