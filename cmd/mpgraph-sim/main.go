@@ -73,8 +73,8 @@ func main() {
 		fatalf("%v", err)
 	}
 
-	fmt.Printf("workload:    %s (test accesses [%d, %d), %d ground-truth phase transitions)\n",
-		w, d.Slice.Start, d.Slice.End, d.Slice.NumTransitions())
+	fmt.Printf("workload:    %s (warm-up [%d, %d), test accesses [%d, %d), %d ground-truth phase transitions)\n",
+		w, d.Slice.WarmStart, d.Slice.Start, d.Slice.Start, d.Slice.End, d.Slice.NumTransitions())
 	fmt.Printf("baseline:    IPC=%.4f LLCmiss=%d\n", mb.IPC(), mb.LLCMisses)
 	fmt.Printf("%-12s IPC=%.4f (%+.2f%%) accuracy=%.2f%% coverage=%.2f%% issued=%d useful=%d late=%d\n",
 		pf.Name()+":", m.IPC(), m.IPCImprovement(mb)*100,

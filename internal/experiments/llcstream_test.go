@@ -125,9 +125,9 @@ func TestShortLLCStreamIsAnError(t *testing.T) {
 }
 
 // TestDataRetainsNoTrace: what Runner.Data keeps is its LLC streams and its
-// own exact-size copy of the measured window, not the raw trace. Across the
-// call the live heap may grow by those three slices plus a slack for the
-// rest of WorkloadData (the result's values, the census map), far below the
+// own exact-size copies of the warm-up and the measured window, not the raw
+// trace. Across the call the live heap may grow by those four slices plus a
+// slack for the rest of WorkloadData (the result's values, the census map), far below the
 // trace's own bytes. Not parallel: it reads the process's live heap.
 func TestDataRetainsNoTrace(t *testing.T) {
 	w := Workload{Framework: "gpop", App: frameworks.PR, Dataset: "rmat"}
@@ -152,18 +152,20 @@ func TestDataRetainsNoTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 	grown := liveHeap() - before
-	kept := (len(d.TestRaw) + cap(d.LLCTrain) + cap(d.LLCTest)) * access
-	t.Logf("live heap +%d B across Runner.Data: %d B in TestRaw, LLCTrain and LLCTest; trace %d B", grown, kept, traceB)
+	kept := (len(d.WarmRaw) + len(d.TestRaw) + cap(d.LLCTrain) + cap(d.LLCTest)) * access
+	t.Logf("live heap +%d B across Runner.Data: %d B in WarmRaw, TestRaw, LLCTrain and LLCTest; trace %d B", grown, kept, traceB)
 
-	if cap(d.TestRaw) != len(d.TestRaw) {
-		t.Fatalf("TestRaw: len %d, cap %d: not a copy of its own", len(d.TestRaw), cap(d.TestRaw))
+	for name, raw := range map[string][]trace.Access{"WarmRaw": d.WarmRaw, "TestRaw": d.TestRaw} {
+		if cap(raw) != len(raw) {
+			t.Fatalf("%s: len %d, cap %d: not a copy of its own", name, len(raw), cap(raw))
+		}
 	}
 	const slack = 64 << 10
 	if kept+slack >= traceB/2 {
 		t.Fatalf("the bound (%d B kept + %d B slack) does not separate a kept trace of %d B", kept, slack, traceB)
 	}
 	if grown > int64(kept+slack) {
-		t.Fatalf("live heap grew %d B across Runner.Data; TestRaw, LLCTrain and LLCTest hold %d B (slack %d B, trace %d B)",
+		t.Fatalf("live heap grew %d B across Runner.Data; WarmRaw, TestRaw, LLCTrain and LLCTest hold %d B (slack %d B, trace %d B)",
 			grown, kept, slack, traceB)
 	}
 }

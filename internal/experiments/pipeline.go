@@ -169,23 +169,26 @@ type WorkloadData struct {
 	NumPhases int
 	// Slice is the window of the test accesses every simulation measures.
 	Slice Slice
-	// TestRaw is the raw (pre-cache) access stream of Slice — the input to
-	// prefetcher simulations — in a slice of its own, exactly that long.
-	TestRaw []trace.Access
+	// WarmRaw and TestRaw are the raw (pre-cache) access streams of Slice's
+	// warm-up and window — the input to every simulation (Runner.measure) —
+	// each in a slice of its own, exactly that long.
+	WarmRaw, TestRaw []trace.Access
 	// LLCTrain and LLCTest are the shared-LLC streams captured from the
 	// train (iteration 1) and test slices under no prefetching.
 	LLCTrain []trace.Access
 	LLCTest  []trace.Access
-	// BaselineMetrics is the no-prefetch simulation of TestRaw.
+	// BaselineMetrics is the no-prefetch measurement of Slice.
 	BaselineMetrics sim.Metrics
 }
 
 // Slice is a window of a workload's test accesses (everything after
-// iteration 1) and its ground-truth phase census.
+// iteration 1), the warm-up before it, and the window's ground-truth phase
+// census.
 type Slice struct {
-	// Start and End bound the window [Start, End) as offsets into the test
-	// accesses.
-	Start, End int
+	// Start and End bound the window [Start, End) and WarmStart the warm-up
+	// [WarmStart, Start) as offsets into the test accesses. A negative
+	// WarmStart reaches back into the training iteration.
+	WarmStart, Start, End int
 	// Transitions counts the window's ground-truth phase transitions by
 	// {from, to} phase pair.
 	Transitions map[[2]uint8]int
@@ -200,11 +203,19 @@ func (s Slice) NumTransitions() int {
 	return n
 }
 
-// measuredSlice is the window of tr's test accesses, which start at
-// testLo, that every simulated row measures: the first maxAccesses of them
-// (Options.MaxTestAccesses).
-func measuredSlice(tr *trace.Trace, testLo, maxAccesses int) Slice {
-	s := Slice{End: min(len(tr.Accesses)-testLo, maxAccesses), Transitions: map[[2]uint8]int{}}
+// warmupAccesses is how many raw accesses before the measured window every
+// simulation steps before it marks the end of its warm-up.
+const warmupAccesses = 0
+
+// measuredSlice is the window of tr's test accesses, which start at testLo,
+// that every simulated row measures: maxAccesses of them
+// (Options.MaxTestAccesses) from start on, after a warm-up of the warmup
+// accesses before start, clipped at the trace's start.
+func measuredSlice(tr *trace.Trace, testLo, start, warmup, maxAccesses int) Slice {
+	s := Slice{
+		WarmStart: max(start-warmup, -testLo), Start: start, End: min(len(tr.Accesses)-testLo, start+maxAccesses),
+		Transitions: map[[2]uint8]int{},
+	}
 	win := tr.Slice(testLo+s.Start, testLo+s.End)
 	for _, i := range win.PhaseTransitions() {
 		s.Transitions[[2]uint8{win.Accesses[i-1].Phase, win.Accesses[i].Phase}]++
@@ -296,19 +307,22 @@ func (r *Runner) computeData(w Workload) (*WorkloadData, error) {
 	// Simulations measure one window, for cost; the LLC streams used for
 	// prediction and detection evaluation cover every test access so every
 	// barrier transition is represented.
-	d.Slice = measuredSlice(tr, trainHi, r.Opt.MaxTestAccesses)
-	d.TestRaw = make([]trace.Access, d.Slice.End-d.Slice.Start)
-	copy(d.TestRaw, testRaw[d.Slice.Start:])
+	d.Slice = measuredSlice(tr, trainHi, 0, warmupAccesses, r.Opt.MaxTestAccesses)
+	own := func(lo, hi int) []trace.Access {
+		return append(make([]trace.Access, 0, hi-lo), tr.Accesses[trainHi+lo:trainHi+hi]...)
+	}
+	d.WarmRaw, d.TestRaw = own(d.Slice.WarmStart, d.Slice.Start), own(d.Slice.Start, d.Slice.End)
 
-	capture := func(raw []trace.Access) ([]trace.Access, sim.Metrics, error) {
+	// The LLC streams are captured cold: they are not measurements.
+	capture := func(raw []trace.Access) ([]trace.Access, error) {
 		eng, err := sim.NewEngine(r.Opt.SimConfig(), nil)
 		if err != nil {
-			return nil, sim.Metrics{}, err
+			return nil, err
 		}
 		var llc []trace.Access
 		eng.Recorder = func(a trace.Access, hit bool) { llc = append(llc, a) }
-		m := eng.Run(raw)
-		return llc, m, nil
+		eng.Run(raw)
+		return llc, nil
 	}
 	// A stream shorter than one sample's window and label cannot train or be
 	// tested on; each is checked as soon as it is captured.
@@ -321,23 +335,38 @@ func (r *Runner) computeData(w Workload) (*WorkloadData, error) {
 		return fmt.Errorf("experiments: %s LLC %s stream too short: %d accesses, need %d (HistoryT + LookForwardF + 2)",
 			w, name, len(llc), minStream)
 	}
-	if d.LLCTrain, _, err = capture(trainRaw); err != nil {
+	if d.LLCTrain, err = capture(trainRaw); err != nil {
 		return nil, err
 	}
 	if err := tooShort("train", d.LLCTrain); err != nil {
 		return nil, err
 	}
-	if d.LLCTest, _, err = capture(testRaw); err != nil {
+	if d.LLCTest, err = capture(testRaw); err != nil {
 		return nil, err
 	}
 	if err := tooShort("test", d.LLCTest); err != nil {
 		return nil, err
 	}
-	if _, d.BaselineMetrics, err = capture(d.TestRaw); err != nil {
+	if d.BaselineMetrics, err = r.measure(d, nil); err != nil {
 		return nil, err
 	}
 
 	return d, nil
+}
+
+// measure is the one measurement protocol of every simulated row, the
+// no-prefetch baseline included (pf nil): a fresh engine steps d's warm-up,
+// marks its end, and runs d's measured window.
+func (r *Runner) measure(d *WorkloadData, pf sim.Prefetcher) (sim.Metrics, error) {
+	eng, err := sim.NewEngine(r.Opt.SimConfig(), pf)
+	if err != nil {
+		return sim.Metrics{}, err
+	}
+	for _, a := range d.WarmRaw {
+		eng.Step(a)
+	}
+	eng.Mark()
+	return eng.Run(d.TestRaw), nil
 }
 
 // Suite bundles the datasets and trained models for one workload. A model
@@ -806,16 +835,13 @@ func (r *Runner) AssembleMPGraph(opt core.Options, historyT int, deltas []models
 	return core.New(opt, historyT, det, slices.Clone(deltas), slices.Clone(pages))
 }
 
-// Simulate runs pf over w's test trace and returns the metrics plus the
-// cached no-prefetch baseline.
+// Simulate measures pf on w's slice and returns the metrics plus the cached
+// no-prefetch baseline, measured the same way.
 func (r *Runner) Simulate(w Workload, pf sim.Prefetcher) (sim.Metrics, sim.Metrics, error) {
 	d, err := r.Data(w)
 	if err != nil {
 		return sim.Metrics{}, sim.Metrics{}, err
 	}
-	eng, err := sim.NewEngine(r.Opt.SimConfig(), pf)
-	if err != nil {
-		return sim.Metrics{}, sim.Metrics{}, err
-	}
-	return eng.Run(d.TestRaw), d.BaselineMetrics, nil
+	m, err := r.measure(d, pf)
+	return m, d.BaselineMetrics, err
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 
 	"mpgraph/internal/trace"
 )
@@ -161,6 +162,9 @@ type Engine struct {
 
 	pf      Prefetcher
 	metrics Metrics
+	// markedAt is the slowest core's clock at the last Mark (0 without one):
+	// Finish counts Cycles from it.
+	markedAt uint64
 
 	// Recorder, when set, receives every demand access that reaches the LLC
 	// along with its hit status — the "extract the shared LLC memory access
@@ -468,15 +472,21 @@ func (e *Engine) insertLLC(block uint64, prefetched bool, readyAt uint64) {
 	}
 }
 
-// Finish computes the final cycle count (the slowest core, including its
-// outstanding misses) and returns the metrics.
+// Mark ends the warm-up. The counters, the DRAM channel's included, restart
+// from zero and Finish counts Cycles from the slowest core's clock here; the
+// caches, the MSHR windows, the DRAM channel's timing and the prefetch queue
+// keep their state, so misses in flight at the mark finish inside the
+// measurement.
+func (e *Engine) Mark() {
+	e.markedAt = slices.Max(e.coreTime)
+	e.metrics = Metrics{Prefetcher: e.metrics.Prefetcher}
+	e.dram.Requests, e.dram.QueueDelay = 0, 0
+}
+
+// Finish computes the cycle count since the last Mark (the slowest core,
+// including its outstanding misses) and returns the metrics.
 func (e *Engine) Finish() Metrics {
-	maxTime := uint64(0)
-	for _, t := range e.coreTime {
-		if t > maxTime {
-			maxTime = t
-		}
-	}
+	maxTime := slices.Max(e.coreTime)
 	for _, q := range e.outstanding {
 		for _, t := range q {
 			if t > maxTime {
@@ -484,7 +494,7 @@ func (e *Engine) Finish() Metrics {
 			}
 		}
 	}
-	e.metrics.Cycles = maxTime
+	e.metrics.Cycles = maxTime - e.markedAt
 	e.metrics.DRAMRequests = e.dram.Requests
 	e.metrics.DRAMQueueDelay = e.dram.QueueDelay
 	return e.metrics

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -402,4 +403,20 @@ func (e *Engine) QueuedReadyAt(dst []uint64) ([]uint64, uint64) {
 		dst = append(dst, p.readyAt)
 	}
 	return dst, e.nextFill
+}
+
+// OutstandingTail is how far the latest completion among the misses in
+// flight lies past the slowest core's clock, 0 if none does: the most that a
+// Mark here may add to the measured Cycles over the difference of two
+// unmarked runs.
+func (e *Engine) OutstandingTail() uint64 {
+	clock, tail := slices.Max(e.coreTime), uint64(0)
+	for _, q := range e.outstanding {
+		for _, t := range q {
+			if t > clock+tail {
+				tail = t - clock
+			}
+		}
+	}
+	return tail
 }

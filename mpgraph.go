@@ -117,8 +117,9 @@ func (s *System) Baselines(w Workload) ([]Prefetcher, error) {
 	return s.runner.Prefetchers(w)
 }
 
-// Simulate runs a prefetcher over the workload's test trace, returning its
-// metrics and the cached no-prefetch baseline.
+// Simulate measures a prefetcher on the workload's measured slice, after its
+// warm-up, returning its metrics and the no-prefetch baseline measured the
+// same way.
 func (s *System) Simulate(w Workload, pf Prefetcher) (Metrics, Metrics, error) {
 	return s.runner.Simulate(w, pf)
 }
