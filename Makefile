@@ -85,7 +85,7 @@ test-times:
 race:
 	$(GO) test -race -timeout 30m ./...
 	$(GO) test -race -count=1 -cpu 1,2 -timeout 30m ./internal/core/ ./internal/prefetch/ ./internal/experiments/ ./internal/models/ ./internal/nn/ \
-		-run '^(TestCSTPMatchesReference|TestVoyagerMatchesSequential|TestSuiteModelAloneBits|TestSuiteSingleFlight|TestCheckpointResumePerModel|TestPhaseJobsMatchReference|TestTapeStepMatchesHeapStep)$$'
+		-run '^(TestCSTPMatchesReference|TestVoyagerMatchesSequential|TestBatchSchedulerByteIdentical|TestBatchSchedulerJoinLeaveChurn|TestSuiteModelAloneBits|TestSuiteSingleFlight|TestCheckpointResumePerModel|TestPhaseJobsMatchReference|TestTapeStepMatchesHeapStep)$$'
 
 # fuzz explores past the committed seed corpora (testdata/fuzz, which every
 # `go test` already replays) for a short budget. `go test -fuzz` takes one
@@ -153,6 +153,9 @@ fuzz:
 # chunk through the HTTP handler on a warm session. BenchmarkKSStatistic is
 # a reference row, not the served path: the detectors compute the statistic
 # in their own sweep, and KSStatistic is what the tests hold that sweep to.
+# BenchmarkDT and BenchmarkSoftDT are not served either: Table 4's supervised
+# detectors (window 96, 32 buckets, Soft-DT's queue of 800) on the 5-PC
+# stream, after one untimed pass that sizes their buffers.
 # The ops run from 1 µs to 25 ms, so they run for a time (0.5 s) rather than
 # a count.
 # Steps go through a file so a benchmark failure fails the target. For
@@ -161,7 +164,7 @@ KERNEL_BENCH = BenchmarkAttentionBlocks|BenchmarkResidualLayerNorm|BenchmarkMean
 TRAIN_BENCH = BenchmarkAdamStep|BenchmarkGemmTN|BenchmarkGemmNT|BenchmarkBackwardMLP|BenchmarkAMMADeltaTrainStep|BenchmarkAMMAPageTrainStep|BenchmarkLSTMPageTrainStep
 SIM_BENCH = BenchmarkEngineNoPrefetch|BenchmarkEngineRun|BenchmarkClassicOperate|BenchmarkGPOPPageRankTrace|BenchmarkXStreamBFSTrace|BenchmarkPowerGraphCCTrace|BenchmarkInterleave
 CACHE_BENCH = ^BenchmarkCache$$
-SERVE_BENCH = BenchmarkKSWIN|BenchmarkSoftKSWIN|BenchmarkKSStatistic|BenchmarkHandleFeed
+SERVE_BENCH = BenchmarkKSWIN|BenchmarkSoftKSWIN|BenchmarkKSStatistic|BenchmarkDT|BenchmarkSoftDT|BenchmarkHandleFeed
 # BENCH_STEPS is the ledger's step list, which bench and bench-compare
 # share: $(call BENCH_STEPS,file) runs every step, writing the output to file.
 define BENCH_STEPS

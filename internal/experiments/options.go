@@ -75,11 +75,11 @@ type Options struct {
 	// workload and Operate dispatches the f32 fused kernels (DESIGN.md §8).
 	// Mutually exclusive with Int8 (one reduced precision at a time).
 	F32 bool
-	// Batch > 0 routes every ML prefetcher's model calls through one shared
-	// batched-inference scheduler that fuses up to Batch concurrent requests
-	// per GEMM round (prefetch.BatchScheduler). The batched kernels are
-	// composition-independent, so sweep reports stay byte-identical at any
-	// Batch value and worker count.
+	// Batch > 0 sizes the batched-inference scheduler the serving sessions
+	// share (prefetch.BatchScheduler): it fuses up to Batch concurrent model
+	// calls per GEMM round, and Runner.NewModelSession hands out its handles.
+	// The batched kernels are composition-independent, so a session's
+	// predictions are byte-identical at any Batch value.
 	Batch int
 }
 

@@ -39,9 +39,9 @@ type Runner struct {
 	store  cell[*resilience.Store]
 	sweep  cell[*prefetchSweep]
 
-	// batchSched is the sweep-wide batched-inference scheduler (nil when
-	// Options.Batch is 0), shared by every ML prefetcher the runner
-	// assembles.
+	// batchSched is the batched-inference scheduler the serving sessions
+	// share (nil when Options.Batch is 0); NewModelSession hands out its
+	// handles.
 	batchSched *prefetch.BatchScheduler
 }
 
@@ -151,10 +151,10 @@ func getCell[K comparable, V any](mu *sync.Mutex, m map[K]*V, key K) *V {
 	return c
 }
 
-// NewModelSession mints a fresh handle into the shared batched-inference
-// scheduler for one externally-owned prefetcher session (the serving
-// daemon's per-client sessions). Returns untyped nil when batching is off,
-// so callers can test the interface value directly.
+// NewModelSession mints a fresh handle into the batched-inference scheduler
+// the serving sessions share, for one session's MPGraph (pass it as
+// core.Options.Scheduler). Returns untyped nil when batching is off, so
+// callers can test the interface value directly.
 func (r *Runner) NewModelSession() core.ModelScheduler {
 	if r.batchSched == nil {
 		return nil
@@ -752,7 +752,7 @@ func (r *Runner) Prefetchers(w Workload) ([]sim.Prefetcher, error) {
 		return nil, err
 	}
 	T := s.Cfg.HistoryT
-	mlOpt := prefetch.MLOptions{Degree: 6, Scheduler: r.batchSched}
+	mlOpt := prefetch.MLOptions{Degree: 6}
 
 	mp, err := r.MPGraph(w, core.DefaultOptions())
 	if err != nil {
@@ -801,7 +801,9 @@ func (r *Runner) tierPS(w Workload) (*qpair, error) {
 // MPGraph assembles the full prefetcher for w with the given controller
 // options: per-phase AMMA predictors plus a Soft-KSWIN detector. Under
 // Options.Int8 the per-phase models are the 8-bit-weight mirrors; under
-// Options.F32 they are the narrowed single-precision mirrors.
+// Options.F32 they are the narrowed single-precision mirrors. opt.Scheduler
+// is the caller's: a serving session on the batch tier passes its own handle
+// (NewModelSession), and nil runs the model calls unbatched.
 func (r *Runner) MPGraph(w Workload, opt core.Options) (*core.MPGraph, error) {
 	if err := r.Opt.validatePrecision(); err != nil {
 		return nil, err
@@ -809,13 +811,6 @@ func (r *Runner) MPGraph(w Workload, opt core.Options) (*core.MPGraph, error) {
 	s, err := r.Suite(w)
 	if err != nil {
 		return nil, err
-	}
-	if opt.Scheduler == nil {
-		// One session per MPGraph instance; core talks to it through its
-		// ModelScheduler seam (no core→prefetch dependency). Callers that
-		// pre-set opt.Scheduler (the serving daemon wraps sessions with a
-		// deadline-aware adapter) keep their own handle.
-		opt.Scheduler = r.NewModelSession()
 	}
 	psDelta, psPage := s.PSDelta, s.PSPage
 	if r.Opt.tier() != "" {

@@ -82,16 +82,6 @@ func computePrefetchSweep(r *Runner) (map[string][]prefetchRow, []string, error)
 		}
 		p := pairs[i]
 		pf := pfsByWl[p.wi][p.pi]
-		// Batched inference: register the prefetcher's scheduler session for
-		// the duration of its simulation so the flush watermark knows which
-		// sessions can still submit. No-op for prefetchers without one.
-		if b, ok := pf.(interface {
-			JoinBatch()
-			LeaveBatch()
-		}); ok {
-			b.JoinBatch()
-			defer b.LeaveBatch()
-		}
 		m, base, err := r.Simulate(wls[p.wi], pf)
 		if err != nil {
 			return err

@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"mpgraph/internal/prefetch"
 	"mpgraph/internal/resilience"
 )
 
@@ -115,51 +114,5 @@ func TestSweepParallelMatchesSerial(t *testing.T) {
 	}
 	if !bytes.Equal(render(sRows, sOrder), render(pRows, pOrder)) {
 		t.Fatal("parallel sweep report is not byte-identical to serial")
-	}
-}
-
-// TestSweepBatchByteIdentical reruns the sweep unbatched (Batch=0) and with
-// the batched inference tier at every batch size and worker count and
-// requires byte-identical rendered reports — an unbatched call is the B=1
-// case of the batched kernels, and the scheduler's results are independent
-// of batch composition, end to end. Under -race this doubles as the
-// concurrency gate for the batch tier.
-func TestSweepBatchByteIdentical(t *testing.T) {
-	origW, origB := shared.Opt.Workers, shared.Opt.Batch
-	defer func() {
-		shared.Opt.Workers, shared.Opt.Batch = origW, origB
-		shared.batchSched = nil
-	}()
-
-	render := func(rows map[string][]prefetchRow, order []string) []byte {
-		var buf bytes.Buffer
-		printPrefetchTable(&buf, rows, order, func(r prefetchRow) float64 { return r.Metrics.Accuracy() })
-		printPrefetchTable(&buf, rows, order, func(r prefetchRow) float64 { return r.Metrics.Coverage() })
-		printPrefetchTable(&buf, rows, order, func(r prefetchRow) float64 { return r.Metrics.IPCImprovement(r.Baseline) })
-		return buf.Bytes()
-	}
-
-	var want []byte
-	for _, batch := range []int{0, 1, 8, 64} {
-		for _, workers := range []int{1, 4} {
-			shared.Opt.Batch, shared.Opt.Workers = batch, workers
-			// Fresh scheduler per configuration, as NewRunner builds it.
-			shared.batchSched = nil
-			if batch > 0 {
-				shared.batchSched = prefetch.NewBatchScheduler(batch)
-			}
-			rows, order, err := computePrefetchSweep(shared)
-			if err != nil {
-				t.Fatalf("batch=%d workers=%d: %v", batch, workers, err)
-			}
-			got := render(rows, order)
-			if want == nil {
-				want = got
-				continue
-			}
-			if !bytes.Equal(want, got) {
-				t.Fatalf("batch=%d workers=%d: sweep report differs from batch=0 workers=1", batch, workers)
-			}
-		}
 	}
 }

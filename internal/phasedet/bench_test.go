@@ -73,3 +73,39 @@ func BenchmarkKSStatistic(b *testing.B) {
 		KSStatistic(x, y)
 	}
 }
+
+// benchTree is a tree trained on benchStream's two phases at Table 4's
+// window and bucket count.
+func benchTree(b *testing.B) *DecisionTree {
+	feat := NewPCFeaturizer(96, 32)
+	var X [][]float64
+	var y []int
+	for i, x := range benchStream(20_000) {
+		if feat.Push(x) && i%5 == 0 {
+			X = append(X, feat.Features())
+			y = append(y, (i/5000)%2)
+		}
+	}
+	tree := NewDecisionTree(8, 4)
+	if err := tree.Fit(X, y); err != nil {
+		b.Fatal(err)
+	}
+	return tree
+}
+
+// benchWarmDetector is benchDetector after one untimed pass, which sizes the
+// detector's queue and label counts: the rows then read the steady state,
+// 0 allocs/op.
+func benchWarmDetector(b *testing.B, det Detector) {
+	for _, x := range benchStream(20_000) {
+		det.Observe(x)
+	}
+	benchDetector(b, det, benchStream)
+}
+
+func BenchmarkDT(b *testing.B) { benchWarmDetector(b, NewDTDetector(benchTree(b), 96, 32)) }
+
+// BenchmarkSoftDT runs Table 4's result queue of 800.
+func BenchmarkSoftDT(b *testing.B) {
+	benchWarmDetector(b, NewSoftDTDetector(benchTree(b), 96, 32, 800))
+}

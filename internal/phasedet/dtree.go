@@ -3,6 +3,7 @@ package phasedet
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -190,11 +191,15 @@ func depthOf(n *dtNode) int {
 
 // PCFeaturizer turns the most recent window of PCs into a bucket-histogram
 // feature vector. PCs cluster by phase (Fig. 2b), so bucket frequencies are
-// a near-perfect phase signature.
+// a near-perfect phase signature. The window is a ring beside its bucket
+// counts, so a Push costs O(1) and a feature vector O(Buckets).
 type PCFeaturizer struct {
 	Window  int
 	Buckets int
-	recent  []float64
+	recent  []float64 // ring of the last Window PCs, oldest at next once full
+	next    int
+	counts  []int     // counts[b] is how many PCs in recent fall in bucket b
+	feats   []float64 // the buffer predict classifies, len Buckets
 }
 
 // NewPCFeaturizer builds a featurizer with the given window and bucket count.
@@ -205,7 +210,7 @@ func NewPCFeaturizer(window, buckets int) *PCFeaturizer {
 	if buckets <= 0 {
 		buckets = 16
 	}
-	return &PCFeaturizer{Window: window, Buckets: buckets}
+	return &PCFeaturizer{Window: window, Buckets: buckets, counts: make([]int, buckets), feats: make([]float64, buckets)}
 }
 
 // Push adds a PC observation; it reports whether the window is warm.
@@ -213,23 +218,28 @@ func (f *PCFeaturizer) Push(x float64) bool {
 	if len(f.recent) < f.Window {
 		f.recent = append(f.recent, x)
 	} else {
-		copy(f.recent, f.recent[1:])
-		f.recent[f.Window-1] = x
+		f.counts[f.bucket(f.recent[f.next])]--
+		f.recent[f.next] = x
+		f.next = (f.next + 1) % f.Window
 	}
+	f.counts[f.bucket(x)]++
 	return len(f.recent) == f.Window
 }
 
 // Features returns the normalised bucket histogram of the current window.
 func (f *PCFeaturizer) Features() []float64 {
-	out := make([]float64, f.Buckets)
+	return f.featuresInto(make([]float64, f.Buckets))
+}
+
+// featuresInto writes the normalised bucket histogram into out (len Buckets)
+// and returns it.
+func (f *PCFeaturizer) featuresInto(out []float64) []float64 {
 	if len(f.recent) == 0 {
+		clear(out)
 		return out
 	}
-	for _, x := range f.recent {
-		out[f.bucket(x)]++
-	}
-	for i := range out {
-		out[i] /= float64(len(f.recent))
+	for b, n := range f.counts {
+		out[b] = float64(n) / float64(len(f.recent))
 	}
 	return out
 }
@@ -246,7 +256,16 @@ func (f *PCFeaturizer) bucket(x float64) int {
 }
 
 // Reset clears the window.
-func (f *PCFeaturizer) Reset() { f.recent = f.recent[:0] }
+func (f *PCFeaturizer) Reset() {
+	f.recent, f.next = f.recent[:0], 0
+	clear(f.counts)
+}
+
+// predict classifies the current window with tree, through the featurizer's
+// own buffer.
+func (f *PCFeaturizer) predict(tree *DecisionTree) int {
+	return tree.Predict(f.featuresInto(f.feats))
+}
 
 // DTDetector predicts the current phase with a trained decision tree every
 // observation and fires on any change between consecutive predictions —
@@ -274,7 +293,7 @@ func (d *DTDetector) Observe(x float64) bool {
 	if !d.Feat.Push(x) {
 		return false
 	}
-	pred := d.Tree.Predict(d.Feat.Features())
+	pred := d.Feat.predict(d.Tree)
 	if !d.warm {
 		d.warm = true
 		d.last = pred
@@ -289,13 +308,20 @@ func (d *DTDetector) Observe(x float64) bool {
 
 // SoftDTDetector stores recent phase inferences in a queue and compares the
 // modes of its head and tail halves, firing only when the two modes differ —
-// Section 4.2.2's soft supervised detector.
+// Section 4.2.2's soft supervised detector. The queue is a ring, and each
+// half keeps per-label counts as it slides, so an observation costs O(1) in
+// the queue size.
 type SoftDTDetector struct {
 	Tree      *DecisionTree
 	Feat      *PCFeaturizer
 	QueueSize int
-	queue     []int
+	queue     []int // ring of the last QueueSize inferences, oldest at start once full
+	start     int
 	inDiff    bool
+	// labels lists the labels seen, ascending; head[i] and tail[i] count
+	// labels[i] in the queue's head (oldest QueueSize/2) and tail halves.
+	labels     []int
+	head, tail []int
 }
 
 // NewSoftDTDetector wraps a trained tree with a soft result queue.
@@ -312,7 +338,9 @@ func (d *SoftDTDetector) Name() string { return "soft-dt" }
 // Reset implements Detector.
 func (d *SoftDTDetector) Reset() {
 	d.Feat.Reset()
-	d.queue = d.queue[:0]
+	d.queue, d.start = d.queue[:0], 0
+	clear(d.head)
+	clear(d.tail)
 	d.inDiff = false
 }
 
@@ -321,17 +349,31 @@ func (d *SoftDTDetector) Observe(x float64) bool {
 	if !d.Feat.Push(x) {
 		return false
 	}
-	pred := d.Tree.Predict(d.Feat.Features())
+	pred := d.Feat.predict(d.Tree)
+	half := d.QueueSize / 2
 	if len(d.queue) < d.QueueSize {
+		if len(d.queue) < half {
+			d.head[d.label(pred)]++
+		} else {
+			d.tail[d.label(pred)]++
+		}
 		d.queue = append(d.queue, pred)
 		return false
 	}
-	copy(d.queue, d.queue[1:])
-	d.queue[d.QueueSize-1] = pred
-	half := d.QueueSize / 2
-	headMode := mode(d.queue[:half])
-	tailMode := mode(d.queue[half:])
-	if headMode != tailMode {
+	// Slide: the oldest inference leaves the head, the tail's oldest moves
+	// into the head, and pred joins the tail.
+	if half > 0 {
+		d.head[d.label(d.queue[d.start])]--
+		mid := d.label(d.queue[(d.start+half)%d.QueueSize])
+		d.tail[mid]--
+		d.head[mid]++
+	} else {
+		d.tail[d.label(d.queue[d.start])]--
+	}
+	d.queue[d.start] = pred
+	d.start = (d.start + 1) % d.QueueSize
+	d.tail[d.label(pred)]++
+	if d.mode(d.head) != d.mode(d.tail) {
 		if !d.inDiff {
 			d.inDiff = true
 			return true
@@ -342,13 +384,25 @@ func (d *SoftDTDetector) Observe(x float64) bool {
 	return false
 }
 
-func mode(xs []int) int {
-	counts := map[int]int{}
-	best, bestN := 0, -1
-	for _, x := range xs {
-		counts[x]++
-		if counts[x] > bestN || (counts[x] == bestN && x < best) {
-			best, bestN = x, counts[x]
+// label returns pred's index in d.labels, inserting it (with zero counts) in
+// ascending order the first time it is seen.
+func (d *SoftDTDetector) label(pred int) int {
+	i, found := slices.BinarySearch(d.labels, pred)
+	if !found {
+		d.labels = slices.Insert(d.labels, i, pred)
+		d.head = slices.Insert(d.head, i, 0)
+		d.tail = slices.Insert(d.tail, i, 0)
+	}
+	return i
+}
+
+// mode is the label with the most counts, the lowest on ties, and 0 for an
+// empty half.
+func (d *SoftDTDetector) mode(counts []int) int {
+	best, bestN := 0, 0
+	for i, n := range counts {
+		if n > bestN {
+			best, bestN = d.labels[i], n
 		}
 	}
 	return best

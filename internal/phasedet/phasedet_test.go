@@ -385,6 +385,10 @@ func TestModeTieBreak(t *testing.T) {
 	if mode([]int{3}) != 3 {
 		t.Fatal("singleton mode")
 	}
+	d := &SoftDTDetector{labels: []int{1, 2, 3}}
+	if d.mode([]int{2, 2, 0}) != 1 || d.mode([]int{0, 0, 1}) != 3 || d.mode([]int{0, 0, 0}) != 0 {
+		t.Fatal("the counted mode must match mode: ties to the smaller class, 0 when empty")
+	}
 }
 
 func TestEvaluateDetectionsLead(t *testing.T) {

@@ -1,12 +1,12 @@
 // Batched multi-stream inference: a BatchScheduler collects pending model
-// calls from concurrent sweep workers and runs them as one fused GEMM pass,
+// calls from concurrent serving sessions and runs them as one fused GEMM pass,
 // amortizing weight traffic across sessions.
 //
 // Determinism contract: the batched kernels are composition-independent (a
 // sample's output row is a pure function of that sample — see
 // tensor/gemm_batch.go), so the grouping the scheduler happens to pick under
-// scheduling races never changes any result bit. That is what keeps sweep
-// reports byte-identical for any batch size and worker count.
+// scheduling races never changes any result bit. That is what keeps each
+// session's predictions byte-identical for any batch size and session count.
 //
 // Liveness contract: a flush fires as soon as every session that could still
 // submit has submitted (watermark min(batch, joined−inFlight)), with no
@@ -183,20 +183,6 @@ func (b *BatchScheduler) processRound(round []*batchReq) {
 type BatchSession struct {
 	sched *BatchScheduler
 	req   batchReq
-}
-
-// join and leave are the nil-safe forms the prefetchers' JoinBatch and
-// LeaveBatch delegate to, so batch-mode hooks are no-ops without a scheduler.
-func (s *BatchSession) join() {
-	if s != nil {
-		s.Join()
-	}
-}
-
-func (s *BatchSession) leave() {
-	if s != nil {
-		s.Leave()
-	}
 }
 
 // Join registers the session with the flush watermark. Call before the

@@ -1,99 +1,138 @@
 package prefetch
 
 import (
+	"fmt"
+	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
+	"mpgraph/internal/core"
 	"mpgraph/internal/models"
 	"mpgraph/internal/sim"
 	"mpgraph/internal/tensor"
 )
 
-// batchPF is the surface a batched sweep worker drives.
-type batchPF interface {
-	sim.Prefetcher
-	JoinBatch()
-	LeaveBatch()
+// batchModels is the batch tier's test fleet: the tiny trained pair serves
+// phase 0, and an untrained attention delta model beside the trained page
+// model serves phase 1, so a scheduler round mixes delta and page calls of
+// two delta models, each run through its own batched kernel.
+type batchModels struct {
+	T      int
+	deltas []models.DeltaModel
+	pages  []models.PageModel
 }
 
-// buildWorkerPF gives worker w a fixed prefetcher identity (cycling the three
-// ML baselines so every scheduler round mixes delta and page models).
-func buildWorkerPF(w int, delta models.DeltaModel, page models.PageModel, historyT int, opt MLOptions) batchPF {
-	switch w % 3 {
-	case 0:
-		return NewDeltaLSTM(delta, historyT, opt)
-	case 1:
-		return NewTransFetch(delta, historyT, opt)
-	default:
-		return NewVoyager(page, delta, historyT, opt)
+func newBatchModels(t *testing.T) batchModels {
+	t.Helper()
+	ds, delta, page := tinyTrainedModels(t)
+	return batchModels{
+		T:      ds.Cfg.HistoryT,
+		deltas: []models.DeltaModel{delta, models.NewAttnDelta(ds.Cfg, 7)},
+		pages:  []models.PageModel{page, page},
 	}
+}
+
+// worker builds one serving session's MPGraph, the batch tier's one client:
+// its model calls go through sched, or run unbatched when sched is nil.
+func (bm batchModels) worker(t *testing.T, sched *BatchScheduler) *core.MPGraph {
+	t.Helper()
+	opt := core.DefaultOptions()
+	opt.OraclePhase = true
+	if sched != nil {
+		opt.Scheduler = sched.NewSession()
+	}
+	m, err := core.New(opt, bm.T, nil, slices.Clone(bm.deltas), slices.Clone(bm.pages))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
 }
 
 // workerAccess is worker w's deterministic access stream, fixed by w alone so
 // the worker's outputs must be identical under any worker count or batch
-// size.
+// size. It walks the pages the models were trained on, so chains run past
+// the first page-table lookup, and switches phase every 20 accesses.
 func workerAccess(w, i int) sim.LLCAccess {
 	return sim.LLCAccess{
-		Block: uint64(4096*(w+1) + i + i%3),
+		Block: uint64(1<<20+256*w) + uint64(i+i/2),
 		PC:    0x40 * uint64((w+i)%3),
+		Phase: uint8((w + i/20) % 2),
 	}
 }
 
-// runBatchWorkers simulates nWorkers concurrent prefetcher sessions through
-// one shared BatchScheduler and returns each worker's full output sequence.
-func runBatchWorkers(t *testing.T, delta models.DeltaModel, page models.PageModel, historyT, nWorkers, batch, accesses int) [][][]uint64 {
+// unbatchedOutputs is worker w's output sequence from an MPGraph without a
+// scheduler: the reference every batched run must reproduce.
+func (bm batchModels) unbatchedOutputs(t *testing.T, w, accesses int) [][]uint64 {
+	m := bm.worker(t, nil)
+	out := make([][]uint64, accesses)
+	for i := range out {
+		out[i] = slices.Clone(m.Operate(workerAccess(w, i)))
+	}
+	return out
+}
+
+// checkOutputs fails t at worker w's first access whose prefetches differ
+// from the reference.
+func checkOutputs(t *testing.T, label string, w int, got, want [][]uint64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s worker %d: %d accesses, reference %d", label, w, len(got), len(want))
+	}
+	for i := range got {
+		if !slices.Equal(got[i], want[i]) {
+			t.Fatalf("%s worker %d access %d: %v, unbatched %v", label, w, i, got[i], want[i])
+		}
+	}
+}
+
+// runBatchWorkers simulates nWorkers concurrent MPGraph sessions through one
+// shared BatchScheduler and returns each worker's full output sequence. Every
+// session joins before any starts, so rounds fill even on one P.
+func (bm batchModels) runBatchWorkers(t *testing.T, nWorkers, batch, accesses int) [][][]uint64 {
 	t.Helper()
 	sched := NewBatchScheduler(batch)
-	opt := MLOptions{Degree: 6, Scheduler: sched}
 	results := make([][][]uint64, nWorkers)
 	var wg sync.WaitGroup
 	for w := 0; w < nWorkers; w++ {
-		pf := buildWorkerPF(w, delta, page, historyT, opt)
+		m := bm.worker(t, sched)
+		m.JoinBatch()
 		wg.Add(1)
-		go func(w int, pf batchPF) {
+		go func(w int) {
 			defer wg.Done()
-			pf.JoinBatch()
-			defer pf.LeaveBatch()
+			defer m.LeaveBatch()
 			for i := 0; i < accesses; i++ {
-				out := pf.Operate(workerAccess(w, i))
-				results[w] = append(results[w], append([]uint64(nil), out...))
+				results[w] = append(results[w], slices.Clone(m.Operate(workerAccess(w, i))))
 			}
-		}(w, pf)
+		}(w)
 	}
 	wg.Wait()
 	return results
 }
 
-// TestBatchSchedulerByteIdentical: worker w's prefetch sequence is a pure
-// function of its own stream — the shared scheduler's grouping under
-// scheduling races must never leak into results. Run with -race in CI.
+// TestBatchSchedulerByteIdentical: worker w's prefetch sequence through the
+// shared scheduler is the unbatched MPGraph's on the same stream — an
+// unbatched call is the B=1 case of the same kernels, and the grouping a
+// round happens to pick under scheduling races never leaks into results.
+// Run with -race in CI.
 func TestBatchSchedulerByteIdentical(t *testing.T) {
-	ds, delta, page := tinyTrainedModels(t)
-	T := ds.Cfg.HistoryT
+	bm := newBatchModels(t)
 	const accesses = 60
-
-	ref := runBatchWorkers(t, delta, page, T, 8, 1, accesses)
-	for _, nWorkers := range []int{1, 4, 8} {
+	ref := make([][][]uint64, 8)
+	for w := range ref {
+		ref[w] = bm.unbatchedOutputs(t, w, accesses)
+	}
+	type config struct{ workers, batch int }
+	configs := []config{{3, 8}}
+	for _, workers := range []int{1, 4, 8} {
 		for _, batch := range []int{1, 8, 64} {
-			got := runBatchWorkers(t, delta, page, T, nWorkers, batch, accesses)
-			for w := 0; w < nWorkers; w++ {
-				if len(got[w]) != len(ref[w]) {
-					t.Fatalf("workers=%d batch=%d: worker %d made %d calls, ref %d",
-						nWorkers, batch, w, len(got[w]), len(ref[w]))
-				}
-				for i := range got[w] {
-					if len(got[w][i]) != len(ref[w][i]) {
-						t.Fatalf("workers=%d batch=%d worker %d access %d: %v != ref %v",
-							nWorkers, batch, w, i, got[w][i], ref[w][i])
-					}
-					for j := range got[w][i] {
-						if got[w][i][j] != ref[w][i][j] {
-							t.Fatalf("workers=%d batch=%d worker %d access %d: %v != ref %v",
-								nWorkers, batch, w, i, got[w][i], ref[w][i])
-						}
-					}
-				}
-			}
+			configs = append(configs, config{workers, batch})
+		}
+	}
+	for _, c := range configs {
+		got := bm.runBatchWorkers(t, c.workers, c.batch, accesses)
+		for w := range got {
+			checkOutputs(t, fmt.Sprintf("workers=%d batch=%d", c.workers, c.batch), w, got[w], ref[w])
 		}
 	}
 }
@@ -102,46 +141,18 @@ func TestBatchSchedulerByteIdentical(t *testing.T) {
 // Join (e.g. an ablation running a single prefetcher serially) must not
 // deadlock — the watermark clamps to one outstanding request.
 func TestBatchUnjoinedSessionFlushesImmediately(t *testing.T) {
-	ds, delta, _ := tinyTrainedModels(t)
-	T := ds.Cfg.HistoryT
-	sched := NewBatchScheduler(64)
-	pf := NewDeltaLSTM(delta, T, MLOptions{Degree: 6, Scheduler: sched})
+	bm := newBatchModels(t)
+	m := bm.worker(t, NewBatchScheduler(64))
 	var out []uint64
-	for i := 0; i < T+5; i++ {
-		out = pf.Operate(workerAccess(0, i))
+	for i := 0; i < bm.T+5; i++ {
+		out = m.Operate(workerAccess(0, i))
 	}
 	if len(out) == 0 {
 		t.Fatal("unjoined batch session produced no prefetches after warm-up")
 	}
 }
 
-// TestBatchMatchesUnbatchedPrefetches: the batch tier must agree with the
-// in-process fast path on the decoded prefetch targets (an unbatched call is
-// the B=1 case of the same kernels, so the scores are the same bits).
-func TestBatchMatchesUnbatchedPrefetches(t *testing.T) {
-	ds, delta, page := tinyTrainedModels(t)
-	T := ds.Cfg.HistoryT
-	const accesses = 60
-	batched := runBatchWorkers(t, delta, page, T, 3, 8, accesses)
-	for w := 0; w < 3; w++ {
-		pf := buildWorkerPF(w, delta, page, T, MLOptions{Degree: 6})
-		for i := 0; i < accesses; i++ {
-			out := pf.Operate(workerAccess(w, i))
-			if len(out) != len(batched[w][i]) {
-				t.Fatalf("%s access %d: batched %v vs unbatched %v", pf.Name(), i, batched[w][i], out)
-			}
-			for j := range out {
-				if out[j] != batched[w][i][j] {
-					t.Fatalf("%s access %d: batched %v vs unbatched %v", pf.Name(), i, batched[w][i], out)
-				}
-			}
-		}
-	}
-}
-
-// countingDelta counts live-ctx inferences of the wrapped delta model (it
-// hides the batched capability, so a scheduler round scores it per sample
-// through the same counted entry point).
+// countingDelta counts live-ctx inferences of the wrapped delta model.
 type countingDelta struct {
 	models.DeltaModel
 	calls int
@@ -154,9 +165,8 @@ func (c *countingDelta) DeltaScoresCtx(ctx *tensor.Ctx, s *models.Sample) []floa
 
 // TestVoyagerOneDeltaInferencePerOperate: Voyager decodes one delta score
 // vector at both bases (the current block and the predicted page), so an
-// Operate costs exactly one delta inference, and the unbatched prefetcher
-// issues exactly what a batch-session one does. The trace walks the pages
-// the models were trained on, so the page-relative half is exercised.
+// Operate costs exactly one delta inference. The trace walks the pages the
+// models were trained on, so the page-relative half is exercised.
 func TestVoyagerOneDeltaInferencePerOperate(t *testing.T) {
 	ds, delta, page := tinyTrainedModels(t)
 	T := ds.Cfg.HistoryT
@@ -167,23 +177,9 @@ func TestVoyagerOneDeltaInferencePerOperate(t *testing.T) {
 
 	counted := &countingDelta{DeltaModel: delta}
 	plain := NewVoyager(page, counted, T, MLOptions{Degree: 6})
-	batched := NewVoyager(page, delta, T, MLOptions{Degree: 6, Scheduler: NewBatchScheduler(8)})
-	batched.JoinBatch()
-	defer batched.LeaveBatch()
-
 	pageRelative := 0
 	for i := 0; i < accesses; i++ {
-		got := append([]uint64(nil), plain.Operate(access(i))...)
-		want := batched.Operate(access(i))
-		if len(got) != len(want) {
-			t.Fatalf("access %d: unbatched %v vs batch session %v", i, got, want)
-		}
-		for j := range got {
-			if got[j] != want[j] {
-				t.Fatalf("access %d: unbatched %v vs batch session %v", i, got, want)
-			}
-		}
-		if len(got) > 3 {
+		if len(plain.Operate(access(i))) > 3 {
 			pageRelative++
 		}
 	}
@@ -203,8 +199,7 @@ func TestVoyagerOneDeltaInferencePerOperate(t *testing.T) {
 // here against an unbatched reference — and every round's flush watermark
 // must keep the survivors live.
 func TestBatchSchedulerJoinLeaveChurn(t *testing.T) {
-	ds, delta, page := tinyTrainedModels(t)
-	T := ds.Cfg.HistoryT
+	bm := newBatchModels(t)
 	const (
 		nWorkers = 12
 		rounds   = 8
@@ -214,7 +209,7 @@ func TestBatchSchedulerJoinLeaveChurn(t *testing.T) {
 	results := make([][][]uint64, nWorkers)
 	var wg sync.WaitGroup
 	for w := 0; w < nWorkers; w++ {
-		pf := buildWorkerPF(w, delta, page, T, MLOptions{Degree: 6, Scheduler: sched})
+		m := bm.worker(t, sched)
 		// Workers 8..11 retire after shrinking round counts, so later
 		// rounds run with a strictly smaller joined set.
 		myRounds := rounds
@@ -222,34 +217,24 @@ func TestBatchSchedulerJoinLeaveChurn(t *testing.T) {
 			myRounds = rounds - (w - 7)
 		}
 		wg.Add(1)
-		go func(w, myRounds int, pf batchPF) {
+		go func(w, myRounds int) {
 			defer wg.Done()
 			i := 0
 			for r := 0; r < myRounds; r++ {
-				pf.JoinBatch()
+				m.JoinBatch()
+				// Let the others join too, so rounds fill even on one P.
+				runtime.Gosched()
 				for k := 0; k < perRound; k++ {
-					out := pf.Operate(workerAccess(w, i))
-					results[w] = append(results[w], append([]uint64(nil), out...))
+					results[w] = append(results[w], slices.Clone(m.Operate(workerAccess(w, i))))
 					i++
 				}
-				pf.LeaveBatch()
+				m.LeaveBatch()
 			}
-		}(w, myRounds, pf)
+		}(w, myRounds)
 	}
 	wg.Wait()
 
 	for w := 0; w < nWorkers; w++ {
-		ref := buildWorkerPF(w, delta, page, T, MLOptions{Degree: 6})
-		for i := range results[w] {
-			want := ref.Operate(workerAccess(w, i))
-			if len(results[w][i]) != len(want) {
-				t.Fatalf("worker %d access %d: churned %v vs reference %v", w, i, results[w][i], want)
-			}
-			for j := range want {
-				if results[w][i][j] != want[j] {
-					t.Fatalf("worker %d access %d: churned %v vs reference %v", w, i, results[w][i], want)
-				}
-			}
-		}
+		checkOutputs(t, "churned", w, results[w], bm.unbatchedOutputs(t, w, len(results[w])))
 	}
 }

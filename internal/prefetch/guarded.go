@@ -78,8 +78,8 @@ func (g *Guarded) InferenceLatencyCycles() uint64 {
 // JoinBatch forwards batch-scheduler registration to the primary when it
 // participates in batched inference (heuristic fallbacks never do). A
 // quarantined primary stays joined but silent until LeaveBatch; the
-// scheduler's watermark tolerates that — its cell still finishes on the
-// fallback and leaves, at which point waiters flush.
+// scheduler's watermark tolerates that — its session still finishes the
+// chunk on the fallback and leaves, at which point waiters flush.
 func (g *Guarded) JoinBatch() {
 	if j, ok := g.primary.(interface{ JoinBatch() }); ok {
 		j.JoinBatch()

@@ -14,10 +14,6 @@ type MLOptions struct {
 	// Degree is the total prefetch degree (6 for all baselines, Section
 	// 5.4.1).
 	Degree int
-	// Scheduler, when non-nil, routes model calls through a shared
-	// BatchScheduler so concurrent sweep workers share fused inference
-	// rounds.
-	Scheduler *BatchScheduler
 }
 
 func (o MLOptions) withDefaults() MLOptions {
@@ -25,14 +21,6 @@ func (o MLOptions) withDefaults() MLOptions {
 		o.Degree = 6
 	}
 	return o
-}
-
-// newSession attaches the prefetcher to the shared batch scheduler, if any.
-func (o MLOptions) newSession() *BatchSession {
-	if o.Scheduler == nil {
-		return nil
-	}
-	return o.Scheduler.NewSession()
 }
 
 // DeltaPrefetcher is a delta-only ML baseline: a pretrained model over
@@ -44,7 +32,6 @@ type DeltaPrefetcher struct {
 	model   models.DeltaModel
 	hist    *models.History
 	ctx     *tensor.Ctx
-	sess    *BatchSession
 	scratch models.Sample
 	out     []uint64
 	health  error
@@ -65,7 +52,7 @@ func NewTransFetch(model models.DeltaModel, historyT int, opt MLOptions) *DeltaP
 
 func newDeltaPrefetcher(name string, model models.DeltaModel, historyT int, opt MLOptions) *DeltaPrefetcher {
 	opt = opt.withDefaults()
-	return &DeltaPrefetcher{name: name, opt: opt, model: model, hist: models.NewHistory(historyT), ctx: tensor.NewCtx(), sess: opt.newSession()}
+	return &DeltaPrefetcher{name: name, opt: opt, model: model, hist: models.NewHistory(historyT), ctx: tensor.NewCtx()}
 }
 
 // Name implements sim.Prefetcher.
@@ -73,13 +60,6 @@ func (p *DeltaPrefetcher) Name() string { return p.name }
 
 // Health implements sim.HealthReporter.
 func (p *DeltaPrefetcher) Health() error { return p.health }
-
-// JoinBatch registers this prefetcher's session with the shared batch
-// scheduler's flush watermark (no-op without a scheduler).
-func (p *DeltaPrefetcher) JoinBatch() { p.sess.join() }
-
-// LeaveBatch unregisters the session (no-op without a scheduler).
-func (p *DeltaPrefetcher) LeaveBatch() { p.sess.leave() }
 
 // Operate implements sim.Prefetcher.
 func (p *DeltaPrefetcher) Operate(acc sim.LLCAccess) []uint64 {
@@ -90,12 +70,7 @@ func (p *DeltaPrefetcher) Operate(acc sim.LLCAccess) []uint64 {
 	defer p.ctx.Reset()
 	s := p.hist.SampleInto(&p.scratch, 0)
 	var err error
-	if p.sess != nil {
-		scores := p.sess.DeltaScores(p.model, s)
-		p.out, err = models.AppendDeltaTargets(p.ctx, scores, acc.Block, p.opt.Degree, p.out[:0])
-	} else {
-		p.out, err = deltaPrefetchesAppend(p.ctx, p.model, s, acc.Block, p.opt.Degree, p.out[:0])
-	}
+	p.out, err = deltaPrefetchesAppend(p.ctx, p.model, s, acc.Block, p.opt.Degree, p.out[:0])
 	p.health = keepFirst(p.health, err)
 	return p.out
 }
@@ -110,8 +85,7 @@ type Voyager struct {
 	deltaModel models.DeltaModel
 	hist       *models.History
 	ctx        *tensor.Ctx
-	pair       models.Pair // the page call beside the delta call, unbatched
-	sess       *BatchSession
+	pair       models.Pair // the page call beside the delta call
 	scratch    models.Sample
 	out        []uint64
 	pages      []uint64
@@ -132,7 +106,6 @@ func NewVoyager(pageModel models.PageModel, deltaModel models.DeltaModel, histor
 		deltaModel: deltaModel,
 		hist:       models.NewHistory(historyT),
 		ctx:        tensor.NewCtx(),
-		sess:       opt.newSession(),
 		lastOffset: make(map[uint64]uint64),
 		fifo:       ring.New[uint64](voyagerPages),
 	}
@@ -143,13 +116,6 @@ func (p *Voyager) Name() string { return "voyager" }
 
 // Health implements sim.HealthReporter.
 func (p *Voyager) Health() error { return p.health }
-
-// JoinBatch registers this prefetcher's session with the shared batch
-// scheduler's flush watermark (no-op without a scheduler).
-func (p *Voyager) JoinBatch() { p.sess.join() }
-
-// LeaveBatch unregisters the session (no-op without a scheduler).
-func (p *Voyager) LeaveBatch() { p.sess.leave() }
 
 // Operate implements sim.Prefetcher.
 func (p *Voyager) Operate(acc sim.LLCAccess) []uint64 {
@@ -174,19 +140,11 @@ func (p *Voyager) Operate(acc sim.LLCAccess) []uint64 {
 // half the degree goes spatially at the current block, half at the
 // predicted page. The delta score vector is inferred once and decoded at
 // both bases. Screening failures are recorded as the prefetcher's first
-// health defect. With a batch session both models route through the shared
-// scheduler, one call after the other (its score slice is session-owned and
-// stable across the TopPages call); without one the two calls run side by
-// side on p.pair, the delta call on c, whose arena keeps the scores alive
-// until Operate resets it.
+// health defect. The two calls run side by side on p.pair, the delta call on
+// c, whose arena keeps the scores alive until Operate resets it.
 func (p *Voyager) predict(c *tensor.Ctx, s *models.Sample, block uint64, out []uint64) []uint64 {
 	var scores []float64
-	if p.sess != nil {
-		scores = p.sess.DeltaScores(p.deltaModel, s)
-		p.pages = p.sess.TopPages(p.pageModel, s, 1, p.pages[:0])
-	} else {
-		scores, p.pages = p.pair.Run(c, p.deltaModel, p.pageModel, s, 1, p.pages[:0])
-	}
+	scores, p.pages = p.pair.Run(c, p.deltaModel, p.pageModel, s, 1, p.pages[:0])
 	var err error
 	out, err = models.AppendDeltaTargets(c, scores, block, p.opt.Degree/2, out)
 	p.health = keepFirst(p.health, err)

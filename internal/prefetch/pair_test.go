@@ -40,22 +40,14 @@ func (p *sequentialVoyager) Operate(acc sim.LLCAccess) []uint64 {
 	return p.out
 }
 
-// predict is the parent's Voyager.predict, verbatim.
+// predict is Voyager.predict as it stood before the pair, less the batch
+// session it has since lost.
 func (p *sequentialVoyager) predict(c *tensor.Ctx, s *models.Sample, block uint64, out []uint64) []uint64 {
-	var scores []float64
-	if p.sess != nil {
-		scores = p.sess.DeltaScores(p.deltaModel, s)
-	} else {
-		scores = p.deltaModel.DeltaScoresCtx(c, s)
-	}
+	scores := p.deltaModel.DeltaScoresCtx(c, s)
 	var err error
 	out, err = models.AppendDeltaTargets(c, scores, block, p.opt.Degree/2, out)
 	p.health = keepFirst(p.health, err)
-	if p.sess != nil {
-		p.pages = p.sess.TopPages(p.pageModel, s, 1, p.pages[:0])
-	} else {
-		p.pages = p.pageModel.TopPagesAppendCtx(c, s, 1, p.pages[:0])
-	}
+	p.pages = p.pageModel.TopPagesAppendCtx(c, s, 1, p.pages[:0])
 	for _, pg := range p.pages {
 		off, ok := p.lastOffset[pg]
 		if !ok {
