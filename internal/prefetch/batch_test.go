@@ -122,18 +122,26 @@ func TestBatchSchedulerByteIdentical(t *testing.T) {
 	for w := range ref {
 		ref[w] = bm.unbatchedOutputs(t, w, accesses)
 	}
-	type config struct{ workers, batch int }
-	configs := []config{{3, 8}}
 	for _, workers := range []int{1, 4, 8} {
 		for _, batch := range []int{1, 8, 64} {
-			configs = append(configs, config{workers, batch})
+			got := bm.runBatchWorkers(t, workers, batch, accesses)
+			for w := range got {
+				checkOutputs(t, fmt.Sprintf("workers=%d batch=%d", workers, batch), w, got[w], ref[w])
+			}
 		}
 	}
-	for _, c := range configs {
-		got := bm.runBatchWorkers(t, c.workers, c.batch, accesses)
-		for w := range got {
-			checkOutputs(t, fmt.Sprintf("workers=%d batch=%d", c.workers, c.batch), w, got[w], ref[w])
-		}
+}
+
+// TestBatchMatchesUnbatchedPrefetches: three sessions sharing a batch-8
+// scheduler issue the unbatched MPGraph's prefetches on the same streams (an
+// unbatched call is the B=1 case of the same kernels, so the scores are the
+// same bits).
+func TestBatchMatchesUnbatchedPrefetches(t *testing.T) {
+	bm := newBatchModels(t)
+	const accesses = 60
+	batched := bm.runBatchWorkers(t, 3, 8, accesses)
+	for w := range batched {
+		checkOutputs(t, "batched", w, batched[w], bm.unbatchedOutputs(t, w, accesses))
 	}
 }
 
